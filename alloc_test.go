@@ -1,0 +1,110 @@
+// Allocation budgets of the admission control plane, held as upper
+// bounds on a whole construct → feed → step run. The steady-state
+// 0-alloc budgets live next to the code they pin (internal/core,
+// internal/engine, internal/fed, internal/bargain); these rows span
+// engine + ctrl and fed + ctrl, so they sit at the module root.
+package repro_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/core"
+	"repro/internal/ctrl"
+	"repro/internal/engine"
+	"repro/internal/fed"
+	"repro/internal/gen"
+	"repro/internal/model"
+	"repro/internal/sim"
+	"repro/internal/stats"
+)
+
+// TestControlPlaneAllocBudget: a fixed overload stream (two
+// organizations, 2× one machine's service rate) through a
+// policy-scheduled engine with the gate off, with always-admit (the
+// pure Arrival → Admission → Routing decomposition) and with the
+// shedding policies; plus the federated plane over the diurnal
+// scenario. A run may allocate less than its budget, never more.
+func TestControlPlaneAllocBudget(t *testing.T) {
+	gateOrgs := []model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 0}}
+	var gateJobs []model.Job
+	for i := 0; i < 40; i++ {
+		gateJobs = append(gateJobs, model.Job{Org: i % 2, Size: 4, Release: model.Time(2 * i)})
+	}
+	engineRun := func(spec *ctrl.PolicySpec) func() {
+		return func() {
+			inst, err := model.NewInstance(gateOrgs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := engine.New(core.FromPolicy("FCFS", func() sim.Policy { return baseline.NewFCFS() }), inst, 1)
+			if err := e.SetAdmission(spec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Feed(gateJobs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Step(400); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	scen := gen.DefaultFedScenario()
+	scen.Base = scen.Base.Scale(0.1)
+	const fedHorizon = model.Time(3000)
+	w, err := scen.Generate(fedHorizon, stats.NewRand(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fedRun := func(spec *ctrl.PolicySpec) func() {
+		return func() {
+			specs := make([]fed.ClusterSpec, len(w.Machines))
+			for c := range specs {
+				specs[c] = fed.ClusterSpec{
+					Name: fmt.Sprintf("site%d", c),
+					Alg:  core.DirectContrAlgorithm().(core.StepperAlgorithm), Machines: w.Machines[c],
+				}
+			}
+			f, err := fed.New(w.Orgs, specs, fed.LeastLoaded{}, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.SetStaleness(100)
+			if err := f.SetAdmission(spec); err != nil {
+				t.Fatal(err)
+			}
+			for c, js := range w.Jobs {
+				if err := f.SubmitJobs(c, js); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := f.Step(fedHorizon); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		run    func()
+		budget float64
+	}{
+		{"engine/off", engineRun(nil), 61},
+		{"engine/always", engineRun(&ctrl.PolicySpec{Policy: "always"}), 78},
+		{"engine/tokenbucket", engineRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 8, Burst: 1, MaxAttempts: 2}), 78},
+		{"engine/backpressure-stale", engineRun(&ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}), 74},
+		{"fed/off", fedRun(nil), 504},
+		{"fed/always", fedRun(&ctrl.PolicySpec{Policy: "always"}), 686},
+		{"fed/tokenbucket", fedRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 12, Burst: 2, MaxAttempts: 3}), 698},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(10, tc.run); got > tc.budget {
+				t.Errorf("%.0f allocs per run, budget is %.0f", got, tc.budget)
+			} else {
+				t.Logf("%.0f allocs per run (budget %.0f)", got, tc.budget)
+			}
+		})
+	}
+}

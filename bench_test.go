@@ -18,16 +18,11 @@ package repro_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
-	"repro/internal/bargain"
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/ctrl"
-	"repro/internal/daemon"
-	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/fed"
 	"repro/internal/gen"
@@ -268,7 +263,7 @@ func BenchmarkAblationRandWorkers(b *testing.B) {
 }
 
 // BenchmarkAblationShapley compares the generic Shapley evaluators on a
-// 14-player random game: exact, parallel exact, and the two Monte-Carlo
+// 14-player random game: exact and the two Monte-Carlo
 // samplers (plain and position-stratified) at the theorem's sample size.
 func BenchmarkAblationShapley(b *testing.B) {
 	const n = 14
@@ -280,11 +275,6 @@ func BenchmarkAblationShapley(b *testing.B) {
 	b.Run("Exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			shapley.Exact(g)
-		}
-	})
-	b.Run("ExactParallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			shapley.ExactParallel(g, 0)
 		}
 	})
 	b.Run("Sample", func(b *testing.B) {
@@ -377,177 +367,6 @@ func BenchmarkFederation(b *testing.B) {
 	}
 }
 
-// BenchmarkFederationParallel measures the federation data plane's two
-// scale knobs (ISSUE 9):
-//
-//   - step/members=M/workers=W: end-to-end federated stepping
-//     throughput (jobs routed and executed per second) over a
-//     members × workers grid. Results are byte-identical at every
-//     width (TestFederationWorkerInvariance); only jobs/s moves, and
-//     only on multi-core hosts — on a single-core runner the parallel
-//     rows measure pure fan-out overhead.
-//   - memory/{eager,stream}/horizon=H: ingestion residency at trace
-//     length H and 10×H. The eager rows materialize the whole stream
-//     in the pending queue before stepping (peak-pending-jobs grows
-//     with the trace); the stream rows attach the same stream as a
-//     fed.JobSource with a 256-job window (peak-pending-jobs stays
-//     flat). peak-heap-MB is sampled alongside for the absolute
-//     footprint; member engines keep the full decision history by
-//     design, so only the ingestion side is expected to flatten.
-//
-// The memory rows are sequential and deterministic; CI's benchdiff
-// gate holds their allocs/op to the committed BENCH_9.json baseline.
-func BenchmarkFederationParallel(b *testing.B) {
-	mkPolicy := func() fed.Policy {
-		return fed.Migrating{Inner: fed.FairnessAware{}, Budget: fed.DefaultMigrationBudget}
-	}
-	const stepHorizon = model.Time(3000)
-	for _, members := range []int{4, 8, 17} {
-		sc := gen.DefaultFedScenario()
-		sc.Clusters = members
-		sc.Base = sc.Base.Scale(0.12)
-		w, err := sc.Generate(stepHorizon, stats.NewRand(42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		total := 0
-		for _, js := range w.Jobs {
-			total += len(js)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("step/members=%d/workers=%d", members, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					specs := make([]fed.ClusterSpec, len(w.Machines))
-					for c := range specs {
-						specs[c] = fed.ClusterSpec{
-							Name: fmt.Sprintf("site%d", c), Alg: core.RefAlgorithm{}, Machines: w.Machines[c],
-						}
-					}
-					f, err := fed.New(w.Orgs, specs, mkPolicy(), 42)
-					if err != nil {
-						b.Fatal(err)
-					}
-					f.SetStaleness(100)
-					f.SetWorkers(workers)
-					for c, js := range w.Jobs {
-						if err := f.SubmitJobs(c, js); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if _, err := f.Step(stepHorizon); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-			})
-		}
-	}
-
-	memScenario := gen.DefaultFedScenario()
-	memScenario.Base = memScenario.Base.Scale(0.12)
-	for _, mode := range []string{"eager", "stream"} {
-		for _, horizon := range []model.Time{6000, 60000} {
-			mode, horizon := mode, horizon
-			b.Run(fmt.Sprintf("memory/%s/horizon=%d", mode, horizon), func(b *testing.B) {
-				// Machines/orgs come from the eager generator; the job
-				// stream itself comes from the equivalent streaming
-				// source in both modes, so the two rows ingest the
-				// identical trace.
-				w, err := memScenario.Generate(horizon, stats.NewRand(42))
-				if err != nil {
-					b.Fatal(err)
-				}
-				var peakPending, peakHeapMB float64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					runtime.GC()
-					b.StartTimer()
-					specs := make([]fed.ClusterSpec, len(w.Machines))
-					for c := range specs {
-						specs[c] = fed.ClusterSpec{
-							Name:     fmt.Sprintf("site%d", c),
-							Alg:      core.FromPolicy("FairShare", func() sim.Policy { return baseline.NewFairShare() }),
-							Machines: w.Machines[c],
-						}
-					}
-					f, err := fed.New(w.Orgs, specs, fed.LocalOnly{}, 42)
-					if err != nil {
-						b.Fatal(err)
-					}
-					src, err := memScenario.Source(horizon, 42)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if mode == "eager" {
-						for {
-							j, ok, err := src.Next()
-							if err != nil {
-								b.Fatal(err)
-							}
-							if !ok {
-								break
-							}
-							if _, err := f.Submit(j.Cluster, j.Org, j.Size, j.Release); err != nil {
-								b.Fatal(err)
-							}
-						}
-					} else if err := f.SetSource(src, 256); err != nil {
-						b.Fatal(err)
-					}
-					peakPending, peakHeapMB = 0, 0
-					var ms runtime.MemStats
-					sample := func() {
-						if n := float64(f.PendingCount()); n > peakPending {
-							peakPending = n
-						}
-						runtime.ReadMemStats(&ms)
-						if mb := float64(ms.HeapAlloc) / (1 << 20); mb > peakHeapMB {
-							peakHeapMB = mb
-						}
-					}
-					sample()
-					const chunks = 16
-					for s := 1; s <= chunks; s++ {
-						if _, err := f.Step(horizon * model.Time(s) / chunks); err != nil {
-							b.Fatal(err)
-						}
-						sample()
-					}
-				}
-				b.ReportMetric(peakPending, "peak-pending-jobs")
-				b.ReportMetric(peakHeapMB, "peak-heap-MB")
-			})
-		}
-	}
-}
-
-// BenchmarkServingTier drives the daemon's sharded async serving tier
-// at the north-star scale: the load harness holds the configured number
-// of concurrent federated sessions open in one Manager and advances all
-// of them through the pipeline (internal/daemon.RunLoad, the same
-// harness behind cmd/loadgen). Reported metrics: sustained advance
-// throughput and the p50/p95/p99 advance latency a serving client sees
-// (enqueue to result, queueing included). The 10000-session row is the
-// ISSUE 6 acceptance scale.
-func BenchmarkServingTier(b *testing.B) {
-	for _, sessions := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			var rep daemon.LoadReport
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = daemon.RunLoad(daemon.LoadConfig{Sessions: sessions, Clients: 64})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(rep.ThroughputPerSec, "advances/s")
-			b.ReportMetric(rep.P50Ms, "p50ms")
-			b.ReportMetric(rep.P95Ms, "p95ms")
-			b.ReportMetric(rep.P99Ms, "p99ms")
-		})
-	}
-}
-
 // BenchmarkSimulator measures raw engine throughput (job starts per
 // second) for each per-decision policy on a fixed loaded workload.
 func BenchmarkSimulator(b *testing.B) {
@@ -580,273 +399,6 @@ func BenchmarkSimulator(b *testing.B) {
 			b.ReportMetric(float64(starts), "jobs")
 		})
 	}
-}
-
-// hotPathInstance builds the steady-state workload of the hot-path
-// set: k organizations, each with enough machines for its own jobs, so
-// every subcoalition schedule starts everything at release and the
-// remaining event stream is pure completions — the regime the zero-
-// alloc stepping budget (internal/core's AllocsPerRun tests) covers.
-func hotPathInstance(b *testing.B, k, jobsPerOrg int) *model.Instance {
-	orgs := make([]model.Org, k)
-	for i := range orgs {
-		orgs[i] = model.Org{Name: fmt.Sprintf("org%d", i), Machines: jobsPerOrg}
-	}
-	jobs := make([]model.Job, 0, k*jobsPerOrg)
-	for o := 0; o < k; o++ {
-		for j := 0; j < jobsPerOrg; j++ {
-			jobs = append(jobs, model.Job{Org: o, Release: 0, Size: model.Time(5 + 4*j + o)})
-		}
-	}
-	inst, err := model.NewInstance(orgs, jobs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return inst
-}
-
-// hotPathStep measures steady-state StepNext throughput for one
-// stepper: prime past the release-instant dispatches, then step one
-// completion event per iteration, re-priming (off the clock) when the
-// run drains. These are the benchmarks the CI regression gate
-// (cmd/benchdiff) holds to a ns/op threshold and an allocs/op ceiling
-// — steady-state stepping is zero-alloc by budget.
-func hotPathStep(b *testing.B, alg core.StepperAlgorithm, inst *model.Instance) {
-	const horizon = model.Time(1 << 30)
-	var s core.Stepper
-	prime := func() {
-		s = alg.NewStepper(inst, 1)
-		for s.StepNext(0) {
-		}
-	}
-	prime()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !s.StepNext(horizon) {
-			b.StopTimer()
-			prime()
-			b.StartTimer()
-		}
-	}
-}
-
-// BenchmarkHotPath is the named hot-path set of the bench-regression
-// gate: steady-state stepping for each stepper family, the incremental
-// withdraw/reinject path, and the engine's per-advance overhead.
-// Run with -benchmem; cmd/benchdiff diffs these rows across successive
-// BENCH_N.json artifacts.
-func BenchmarkHotPath(b *testing.B) {
-	b.Run("ref-step", func(b *testing.B) {
-		hotPathStep(b, core.RefAlgorithm{}, hotPathInstance(b, 4, 3))
-	})
-	b.Run("rand-step", func(b *testing.B) {
-		hotPathStep(b, core.RandAlgorithm{Samples: 15, Opts: core.RandOptions{Workers: 1}}, hotPathInstance(b, 4, 3))
-	})
-	b.Run("policy-step", func(b *testing.B) {
-		hotPathStep(b, core.FromPolicy("FCFS", func() sim.Policy { return baseline.NewFCFS() }), hotPathInstance(b, 4, 3))
-	})
-
-	// The incremental Withdraw path: one withdraw + reinject cycle of a
-	// queued job per iteration. Six organizations mean 63 subcoalition
-	// schedules, 32 of which contain the owner — each cycle re-keys
-	// those masks with in-place heap sifts (the old implementation
-	// rebuilt the whole heap from all 63 keys twice per cycle).
-	b.Run("ref-withdraw", func(b *testing.B) {
-		orgs := make([]model.Org, 6)
-		for i := range orgs {
-			orgs[i] = model.Org{Name: fmt.Sprintf("org%d", i), Machines: 1}
-		}
-		jobs := make([]model.Job, 0, 6*6)
-		for o := 0; o < 6; o++ {
-			for j := 0; j < 6; j++ {
-				jobs = append(jobs, model.Job{Org: o, Release: 0, Size: model.Time(40 + j)})
-			}
-		}
-		inst, err := model.NewInstance(orgs, jobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := core.RefAlgorithm{}.NewStepper(inst, 1)
-		for s.StepNext(0) { // dispatch the release instant; queues stay deep
-		}
-		id := inst.Jobs[len(inst.Jobs)-1].ID // last job: queued everywhere
-		reinject := []int{id}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Withdraw(id); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Inject(reinject); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// The serving tier's per-advance engine overhead: a Step to the
-	// next completion through the engine (decision-log bookkeeping and
-	// the zero-copy starts return included).
-	b.Run("engine-step", func(b *testing.B) {
-		var e *engine.Engine
-		prime := func() {
-			e = engine.New(core.RefAlgorithm{}, hotPathInstance(b, 4, 3), 1)
-			if _, err := e.Step(1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		prime()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, stepped, err := e.StepToNextEvent()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !stepped {
-				b.StopTimer()
-				prime()
-				b.StartTimer()
-			}
-		}
-	})
-}
-
-// BenchmarkNBS measures the Nash-bargaining allocator: the bare
-// water-filling solver (SolveInto on a reusable scratch is the
-// per-dispatch-instant cost the NBS stepper pays on top of REF-style
-// simulation), and steady-state NBS stepping under the same hot-path
-// protocol as the BenchmarkHotPath rows. The nbs-step row is gated by
-// cmd/benchdiff against the committed BENCH_10.json baseline; the
-// solver rows record the k-scaling trajectory.
-func BenchmarkNBS(b *testing.B) {
-	for _, k := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("solve/k=%d", k), func(b *testing.B) {
-			w := make([]float64, k)
-			d := make([]float64, k)
-			maxs := make([]float64, k)
-			x := make([]float64, k)
-			var capacity float64
-			for i := 0; i < k; i++ {
-				w[i] = float64(1 + i%5)
-				d[i] = float64(i % 7)
-				// Half the agents cap out below their proportional
-				// share, so the water-filling loop runs several
-				// pinning passes instead of returning after one.
-				maxs[i] = d[i] + float64(2+i%3)
-				capacity += d[i] + 1.5
-			}
-			var s bargain.Solver
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.SolveInto(x, w, d, maxs, capacity); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("nbs-step", func(b *testing.B) {
-		hotPathStep(b, core.NbsAlgorithm{}, hotPathInstance(b, 4, 3))
-	})
-}
-
-// BenchmarkControlPlane measures the admission control plane's cost:
-// a fixed overload stream (two organizations, 2× one machine's service
-// rate) is fed through a policy-scheduled engine with the gate off,
-// with AlwaysAdmit (the pure event-decomposition overhead — Arrival →
-// Admission → Routing per job), and with the shedding policies; plus
-// the federated plane over the diurnal scenario. The "engine/off" row
-// is the PR 7 hot-path contract's control: with the plane off, Feed
-// and Step take the legacy zero-allocation branches untouched.
-func BenchmarkControlPlane(b *testing.B) {
-	gateOrgs := []model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 0}}
-	var gateJobs []model.Job
-	for i := 0; i < 40; i++ {
-		gateJobs = append(gateJobs, model.Job{Org: i % 2, Size: 4, Release: model.Time(2 * i)})
-	}
-	engineRun := func(b *testing.B, spec *ctrl.PolicySpec) {
-		var admitted float64
-		for i := 0; i < b.N; i++ {
-			inst, err := model.NewInstance(gateOrgs, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e := engine.New(core.FromPolicy("FCFS", func() sim.Policy { return baseline.NewFCFS() }), inst, 1)
-			if err := e.SetAdmission(spec); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Feed(gateJobs); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Step(400); err != nil {
-				b.Fatal(err)
-			}
-			if st := e.AdmissionStats(); st != nil {
-				admitted = float64(st.TotalAdmitted())
-			} else {
-				admitted = float64(len(e.Decisions()))
-			}
-		}
-		b.ReportMetric(admitted, "admitted")
-	}
-	b.Run("engine/off", func(b *testing.B) { engineRun(b, nil) })
-	b.Run("engine/always", func(b *testing.B) {
-		engineRun(b, &ctrl.PolicySpec{Policy: "always"})
-	})
-	b.Run("engine/tokenbucket", func(b *testing.B) {
-		engineRun(b, &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 8, Burst: 1, MaxAttempts: 2})
-	})
-	b.Run("engine/backpressure-stale", func(b *testing.B) {
-		engineRun(b, &ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20})
-	})
-
-	scen := gen.DefaultFedScenario()
-	scen.Base = scen.Base.Scale(0.1)
-	const fedHorizon = model.Time(3000)
-	w, err := scen.Generate(fedHorizon, stats.NewRand(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	fedRun := func(b *testing.B, spec *ctrl.PolicySpec) {
-		var admitted float64
-		for i := 0; i < b.N; i++ {
-			specs := make([]fed.ClusterSpec, len(w.Machines))
-			for c := range specs {
-				specs[c] = fed.ClusterSpec{
-					Name: fmt.Sprintf("site%d", c),
-					Alg:  core.DirectContrAlgorithm().(core.StepperAlgorithm), Machines: w.Machines[c],
-				}
-			}
-			f, err := fed.New(w.Orgs, specs, fed.LeastLoaded{}, 42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f.SetStaleness(100)
-			if err := f.SetAdmission(spec); err != nil {
-				b.Fatal(err)
-			}
-			for c, js := range w.Jobs {
-				if err := f.SubmitJobs(c, js); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := f.Step(fedHorizon); err != nil {
-				b.Fatal(err)
-			}
-			if st := f.AdmissionStats(); st != nil {
-				admitted = float64(st.TotalAdmitted())
-			} else {
-				admitted = float64(f.Submitted())
-			}
-		}
-		b.ReportMetric(admitted, "admitted")
-	}
-	b.Run("fed/off", func(b *testing.B) { fedRun(b, nil) })
-	b.Run("fed/always", func(b *testing.B) { fedRun(b, &ctrl.PolicySpec{Policy: "always"}) })
-	b.Run("fed/tokenbucket", func(b *testing.B) {
-		fedRun(b, &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 12, Burst: 2, MaxAttempts: 3})
-	})
 }
 
 // BenchmarkUtilityPsi is the ψsp closed-form micro-benchmark.

@@ -65,13 +65,17 @@ type app struct {
 	pipe    *daemon.Pipeline
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	a, err := build(os.Args[1:], os.Stderr)
 	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
 	fail(err)
-	httpSrv := &http.Server{Addr: a.addr, Handler: a.srv.Handler()}
+	httpSrv := &http.Server{Addr: a.addr, Handler: a.srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -132,7 +136,6 @@ func build(args []string, stderr io.Writer) (*app, error) {
 		samples  = fs.Int("rand-n", 15, "RAND sample count")
 		strat    = fs.Bool("rand-stratified", false, "RAND: draw permutations in position-stratified rotations")
 		workers  = fs.Int("workers", 0, "worker goroutines for REF/RAND parallel paths (0 = GOMAXPROCS)")
-		fedW     = fs.Int("fed-workers", 1, "federation data-plane goroutines per session (applied to federation sessions created without an explicit fed_workers; results are identical at any width)")
 		driver   = fs.String("ref-driver", "heap", "REF event loop: heap or scan")
 		restore  = fs.String("restore", "", "engine checkpoint file to resume the default session from")
 		admPol   = fs.String("admission", "", "default session admission policy: always | tokenbucket | backpressure (empty = no admission gate)")
@@ -164,9 +167,6 @@ func build(args []string, stderr io.Writer) (*app, error) {
 		return nil, fmt.Errorf("-flush-interval needs -checkpoint-dir")
 	}
 	mgr := daemon.NewManager()
-	// Before LoadStore: reloaded federation envelopes that never pinned
-	// a width pick up the process default too.
-	mgr.SetDefaultFedWorkers(*fedW)
 	var store daemon.CheckpointStore
 	if *ckptDir != "" {
 		store = daemon.NewDirStore(*ckptDir)

@@ -45,6 +45,15 @@ func TestBuildFlagParsing(t *testing.T) {
 	if _, err := build([]string{"-restore", "/nonexistent/ckpt"}, &stderr); err == nil {
 		t.Fatal("missing checkpoint file accepted")
 	}
+	// The parallel federation data plane is gone and its flag with it:
+	// the standard unknown-flag usage error, not a silent no-op.
+	stderr.Reset()
+	if _, err := build([]string{"-fed-workers", "2"}, &stderr); err == nil {
+		t.Fatal("retired -fed-workers flag accepted")
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -fed-workers") {
+		t.Fatalf("-fed-workers did not produce the unknown-flag usage error: %s", stderr.String())
+	}
 	a, err = build([]string{"-no-default-session"}, &stderr)
 	if err != nil {
 		t.Fatal(err)

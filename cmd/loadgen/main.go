@@ -10,8 +10,8 @@
 // submitted up front and the session is advanced -steps times by
 // -step ticks. Latency is measured enqueue-to-result through the
 // pipeline — queueing included, the latency a serving client sees.
-// The same harness backs BenchmarkServingTier, whose metrics CI
-// archives into the BENCH trajectory.
+// The same harness backs the daemon.pipeline.burst_p99_ms row of
+// `go run ./bench -trace 1`.
 package main
 
 import (

@@ -92,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fedMigBudget = fs.Int("fed-migration-budget", 0, "per-refresh migration cap for -migrate policies (0 = policy default, negative disables)")
 		fedClusters  = fs.Int("fed-clusters", 0, "member-cluster count for -fed (0 = scenario default; >16 forces FedREF onto the sampled estimator)")
 		fedOrgs      = fs.Int("fed-orgs", 0, "organization count for -fed (0 = scenario default)")
-		fedWorkers   = fs.Int("fed-workers", 1, "data-plane goroutines per federation for -fed (results identical at any width)")
 
 		admTable     = fs.Bool("admission", false, "run the admission-control ablation on the federated diurnal grid")
 		admHorizon   = fs.Int64("admission-horizon", 8000, "admission ablation horizon")
@@ -210,7 +209,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Workers = *workers
 		cfg.Staleness = model.Time(*fedStaleness)
 		cfg.MigrationBudget = *fedMigBudget
-		cfg.FedWorkers = *fedWorkers
 		var names []string
 		for _, name := range strings.Split(*fedPolicies, ",") {
 			if name = strings.TrimSpace(name); name != "" {

@@ -14,6 +14,10 @@
 //
 //	internal/model    — organizations, jobs, coalitions, instances
 //	internal/utility  — ψsp and classic scheduling metrics
+//	internal/stats    — seeded random sources, workload distributions,
+//	                    streaming mean/stddev
+//	internal/metrics  — Δψ / Δψ/p_tot unfairness measures and the
+//	                    admission conservation counters
 //	internal/shapley  — generic Shapley-value machinery, plus the
 //	                    dynamic-game layer (ContribGame, Contrib) the
 //	                    REF drivers and FedREF both run on
@@ -28,8 +32,9 @@
 //	                    solver (water-filling with disagreement points
 //	                    and per-agent caps, zero-alloc SolveInto)
 //	internal/baseline — RoundRobin, FairShare, UtFairShare, CurrFairShare, FCFS
-//	internal/engine   — incremental run engine: Feed/Step/Snapshot/Restore
-//	                    plus the single-run HTTP serving layer
+//	internal/parjobs  — rigid parallel-jobs extension (paper §6/§8)
+//	internal/engine   — incremental run engine, a pure library:
+//	                    Feed/Step/AdvanceBatch/Snapshot/Restore
 //	internal/ctrl     — cluster control plane: prioritized admission/
 //	                    routing event queue, pluggable admission
 //	                    policies (always-admit, per-org token bucket,
@@ -44,12 +49,11 @@
 //	                    NBSPolicy), summary-gossip staleness, queued-job
 //	                    migration at gossip refreshes (Migrating
 //	                    policies), federation-wide contribution ledger,
-//	                    lockstep checkpoints, a parallel member-stepping
-//	                    data plane (SetWorkers — byte-identical at any
-//	                    width) and pull-based streaming ingestion
+//	                    lockstep checkpoints and pull-based streaming
+//	                    ingestion
 //	                    (JobSource/SetSource with bounded lookahead,
 //	                    SWF adapter, cursor checkpointing)
-//	internal/daemon   — multi-session serving layer: many concurrent
+//	internal/daemon   — the HTTP serving layer: many concurrent
 //	                    runs (single or federated) over HTTP on a
 //	                    sharded session table, persisted through a
 //	                    crash-safe CheckpointStore (atomic writes,
@@ -65,9 +69,12 @@
 //	internal/exp      — Table 1/2, Figure 7/10, federated delegation
 //	                    (policy × metric) and admission-control
 //	                    (variant × load) experiment runners
+//	internal/vis      — ASCII Gantt charts (Figures 2 and 7)
 //	cmd/...           — fairsched, fairschedd (multi-session daemon),
 //	                    loadgen (serving-tier load harness), paperexp,
-//	                    tracegen, benchjson executables
+//	                    tracegen executables
+//	bench/            — the committed request-path benchmark
+//	                    (go run ./bench, BENCHMARK.json)
 //	examples/...      — runnable scenarios built on the public API
 //
 // See DESIGN.md for the full system inventory and EXPERIMENTS.md for

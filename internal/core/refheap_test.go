@@ -136,10 +136,11 @@ func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
 // steadyStepper builds a stepper on a workload whose every subcoalition
 // starts all of its jobs at release (per-org machines ≥ per-org jobs),
 // primed past the release-instant dispatches: the remaining event
-// stream is pure completions — the steady serving state.
+// stream is pure completions, one per instant (sizes are distinct) —
+// the steady serving state.
 func steadyStepper(t *testing.T, alg StepperAlgorithm) Stepper {
 	t.Helper()
-	const k, jobsPerOrg = 3, 3
+	const k, jobsPerOrg = 3, 40
 	orgs := make([]model.Org, k)
 	for i := range orgs {
 		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: jobsPerOrg}
@@ -164,8 +165,10 @@ func steadyStepper(t *testing.T, alg StepperAlgorithm) Stepper {
 // family (serial configurations — the parallel paths spawn worker
 // goroutines by design): completions, accounting, value re-snapshots,
 // heap sifts, φ fills and dispatch probes must all run out of the
-// steppers' preallocated scratch. A single new allocation per step is
-// a regression BenchmarkHotPath and this budget catch.
+// steppers' preallocated scratch. AllocsPerRun truncates its average,
+// so every measured call has to process a real event: the run count
+// stays below the fixture's 120 completions and the test checks that
+// events were still left afterwards.
 func TestSteadyStateStepAllocFree(t *testing.T) {
 	const horizon = model.Time(1 << 30)
 	cases := []struct {
@@ -181,9 +184,48 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := steadyStepper(t, tc.alg)
-			if avg := testing.AllocsPerRun(200, func() { s.StepNext(horizon) }); avg != 0 {
+			if avg := testing.AllocsPerRun(100, func() { s.StepNext(horizon) }); avg != 0 {
 				t.Errorf("steady-state StepNext allocates %.2f times per run, budget is 0", avg)
 			}
+			if !s.StepNext(horizon) {
+				t.Fatal("events drained during measurement")
+			}
 		})
+	}
+}
+
+// The incremental Withdraw path is on the same budget: one withdraw +
+// reinject cycle of a job queued in every schedule re-keys the owner's
+// 2^(k-1) masks with in-place heap sifts and allocates nothing.
+func TestWithdrawReinjectAllocFree(t *testing.T) {
+	const k, jobsPerOrg = 8, 6
+	orgs := make([]model.Org, k)
+	for i := range orgs {
+		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: 1}
+	}
+	var jobs []model.Job
+	for o := 0; o < k; o++ {
+		for j := 0; j < jobsPerOrg; j++ {
+			jobs = append(jobs, model.Job{Org: o, Release: 0, Size: model.Time(40 + j)})
+		}
+	}
+	in, err := model.NewInstance(orgs, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := RefAlgorithm{}.NewStepper(in, 1)
+	for s.StepNext(0) { // dispatch the release instant; queues stay deep
+	}
+	id := in.Jobs[len(in.Jobs)-1].ID // last job: queued everywhere
+	reinject := []int{id}
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := s.Withdraw(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Inject(reinject); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Withdraw + Inject allocates %.2f times per cycle, budget is 0", avg)
 	}
 }

@@ -80,12 +80,6 @@ type SessionConfig struct {
 	// (fed.WithMigrationBudget semantics); it is ignored for policies
 	// that never migrate.
 	MigrationBudget int `json:"migration_budget,omitempty"`
-	// FedWorkers is the federation data-plane fan-out width
-	// (fed.SetWorkers): member engines advance on up to this many
-	// goroutines. Results are byte-identical at any width; <= 1 keeps
-	// the sequential path, 0 additionally defers to the manager-level
-	// default (fairschedd -fed-workers).
-	FedWorkers int `json:"fed_workers,omitempty"`
 
 	// Admission, when set, installs an internal/ctrl admission control
 	// plane in front of the session: releases decompose into prioritized
@@ -248,7 +242,6 @@ func newSession(id string, cfg SessionConfig) (*Session, error) {
 			return nil, err
 		}
 		f.SetStaleness(cfg.Staleness)
-		f.SetWorkers(cfg.FedWorkers)
 		if err := f.SetAdmission(cfg.Admission); err != nil {
 			return nil, err
 		}
@@ -415,22 +408,22 @@ type ClusterState struct {
 // with Psi the federation-wide vector and Value the federation-wide
 // coalition value.
 type StateReply struct {
-	ID          string         `json:"id,omitempty"`
-	Kind        string         `json:"kind,omitempty"`
-	Algorithm   string         `json:"algorithm,omitempty"`
-	Policy      string         `json:"policy,omitempty"`
-	Now         model.Time     `json:"now"`
-	NextEvent   *model.Time    `json:"next_event,omitempty"`
-	Jobs        int            `json:"jobs"`
-	Pending     int            `json:"pending,omitempty"`
-	Decisions   int            `json:"decisions"`
-	Psi         []int64        `json:"psi"`
-	Phi         []float64      `json:"phi,omitempty"`
-	Value       int64          `json:"value"`
-	Utilization float64        `json:"utilization,omitempty"`
-	Offloaded   int64          `json:"offloaded,omitempty"`
-	Migrations  int64          `json:"migrations,omitempty"`
-	Clusters    []ClusterState `json:"clusters,omitempty"`
+	ID          string          `json:"id,omitempty"`
+	Kind        string          `json:"kind,omitempty"`
+	Algorithm   string          `json:"algorithm,omitempty"`
+	Policy      string          `json:"policy,omitempty"`
+	Now         model.Time      `json:"now"`
+	NextEvent   *model.Time     `json:"next_event,omitempty"`
+	Jobs        int             `json:"jobs"`
+	Pending     int             `json:"pending,omitempty"`
+	Decisions   int             `json:"decisions"`
+	Psi         []int64         `json:"psi"`
+	Phi         []float64       `json:"phi,omitempty"`
+	Value       int64           `json:"value"`
+	Utilization float64         `json:"utilization,omitempty"`
+	Offloaded   int64           `json:"offloaded,omitempty"`
+	Migrations  int64           `json:"migrations,omitempty"`
+	Clusters    []ClusterState  `json:"clusters,omitempty"`
 	Admission   *AdmissionState `json:"admission,omitempty"`
 }
 
@@ -615,9 +608,6 @@ func (s *Session) restoreLocked(data []byte) error {
 	if err != nil {
 		return err
 	}
-	// The fan-out width is a pure throughput knob, absent from
-	// checkpoints by design — reapply the configured one.
-	restored.SetWorkers(s.cfg.FedWorkers)
 	s.fedn = restored
 	return nil
 }
@@ -649,19 +639,6 @@ type Manager struct {
 	order  []string // creation order, for stable listings
 	nextID int
 	store  CheckpointStore // optional; Delete drops envelopes through it
-
-	// defFedWorkers is the fan-out width applied to federation sessions
-	// whose config leaves FedWorkers at 0 (fairschedd -fed-workers).
-	defFedWorkers int
-}
-
-// SetDefaultFedWorkers sets the federation fan-out width applied to
-// sessions created without an explicit FedWorkers — the process-level
-// knob fairschedd -fed-workers turns. n <= 1 means sequential.
-func (m *Manager) SetDefaultFedWorkers(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.defFedWorkers = n
 }
 
 // NewManager returns an empty session manager.
@@ -706,18 +683,14 @@ func (m *Manager) freshID() string {
 	return fmt.Sprintf("s%d", m.nextID)
 }
 
+// ErrSessionExists marks a Create whose explicit id is already taken —
+// a conflict with the session table (409), not a malformed request.
+var ErrSessionExists = errors.New("daemon: session already exists")
+
 // Create builds a new session from cfg. id may be empty, in which case
 // a fresh "s<N>" identifier is assigned. Identifiers must be usable in
 // URL paths: one path segment, no slashes.
 func (m *Manager) Create(id string, cfg SessionConfig) (*Session, error) {
-	if cfg.Kind == KindFederation && cfg.FedWorkers == 0 {
-		// The resolved width is stored (and persisted) in the session's
-		// config; it is results-neutral, so envelopes written under one
-		// default reload correctly under another.
-		m.mu.Lock()
-		cfg.FedWorkers = m.defFedWorkers
-		m.mu.Unlock()
-	}
 	auto := id == ""
 	if auto {
 		id = m.freshID()
@@ -729,7 +702,7 @@ func (m *Manager) Create(id string, cfg SessionConfig) (*Session, error) {
 		// Cheap pre-check so a duplicate id fails before the session —
 		// possibly a whole federation — is built. The insert below
 		// re-checks authoritatively.
-		return nil, fmt.Errorf("daemon: session %q already exists", id)
+		return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
 	}
 	s, err := newSession(id, cfg)
 	if err != nil {
@@ -745,7 +718,7 @@ func (m *Manager) Create(id string, cfg SessionConfig) (*Session, error) {
 				s.id = id
 				continue
 			}
-			return nil, fmt.Errorf("daemon: session %q already exists", id)
+			return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
 		}
 		sh.sessions[id] = s
 		// Shard insert and order append are atomic under the shard lock,

@@ -111,6 +111,9 @@ func TestMultiSessionDaemon(t *testing.T) {
 	if n := len(list["sessions"].([]any)); n != 2 {
 		t.Fatalf("daemon lists %d sessions, want 2", n)
 	}
+	if h := a.do("GET", "/v1/healthz", "", http.StatusOK); h["status"] != "ok" || h["sessions"].(float64) != 2 {
+		t.Fatalf("healthz: %v", h)
+	}
 
 	// Drive both sessions concurrently: different sessions must not
 	// serialize against each other (and the race detector watches).
@@ -143,6 +146,9 @@ func TestMultiSessionDaemon(t *testing.T) {
 	if soloState["kind"] != "single" || soloState["now"].(float64) != 30 {
 		t.Fatalf("solo state: %v", soloState)
 	}
+	if phi, ok := soloState["phi"].([]any); !ok || len(phi) != 2 {
+		t.Fatalf("REF state must report φ per organization: %v", soloState)
+	}
 	fleetState := a.do("GET", "/v1/sessions/fleet/state", "", http.StatusOK)
 	if fleetState["kind"] != "federation" || fleetState["now"].(float64) != 40 {
 		t.Fatalf("fleet state: %v", fleetState)
@@ -150,6 +156,23 @@ func TestMultiSessionDaemon(t *testing.T) {
 	if len(fleetState["clusters"].([]any)) != 2 {
 		t.Fatalf("fleet state has no per-cluster rows: %v", fleetState)
 	}
+
+	// A create body written for the retired parallel data plane still
+	// carries "fed_workers": the field is ignored, and the session it
+	// creates answers exactly like one created without it.
+	a.do("POST", "/v1/sessions", `{"id":"fleet-w","fed_workers":3,`+mustJSON(t, fedCfg())[1:], http.StatusCreated)
+	a.do("POST", "/v1/sessions/fleet-w/jobs",
+		`{"jobs":[{"cluster":0,"org":0,"size":4},{"cluster":0,"org":1,"size":4},{"cluster":0,"org":1,"size":4,"release":2}]}`,
+		http.StatusOK)
+	a.do("POST", "/v1/sessions/fleet-w/advance", `{"until":40}`, http.StatusOK)
+	for _, doc := range []string{"state", "decisions"} {
+		want := a.raw("/v1/sessions/fleet/" + doc)
+		got := bytes.Replace(a.raw("/v1/sessions/fleet-w/"+doc), []byte(`"fleet-w"`), []byte(`"fleet"`), 1)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s of a session created with fed_workers differs:\n got %s\nwant %s", doc, got, want)
+		}
+	}
+	a.do("DELETE", "/v1/sessions/fleet-w", "", http.StatusOK)
 
 	// Checkpoint both, keep advancing the originals, then roll both
 	// back via restore: the clocks must rewind to the checkpoints.
@@ -197,11 +220,18 @@ func TestSessionAPIValidation(t *testing.T) {
 	  "clusters":[{"name":"x","alg":"ref","machines":[0]}]}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"id":"has space","kind":"single"}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"id":"dup","kind":"single"}`, http.StatusCreated)
-	a.do("POST", "/v1/sessions", `{"id":"dup","kind":"single"}`, http.StatusBadRequest)
+	a.do("POST", "/v1/sessions", `{"id":"dup","kind":"single"}`, http.StatusConflict)
 	a.do("GET", "/v1/sessions/ghost/state", "", http.StatusNotFound)
 	a.do("DELETE", "/v1/sessions/ghost", "", http.StatusNotFound)
 	a.do("POST", "/v1/sessions/dup/jobs", `{"jobs":[]}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions/dup/jobs", `{"jobs":[{"org":99,"size":1}]}`, http.StatusBadRequest)
+	a.do("POST", "/v1/sessions/dup/jobs", `not json`, http.StatusBadRequest)
+	// The mux answers a wrong method itself, in plain text.
+	if resp, err := a.ts.Client().Get(a.ts.URL + "/v1/sessions/dup/jobs"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET .../jobs: status %d, want 405", resp.StatusCode)
+	}
 	a.do("POST", "/v1/sessions/dup/restore", `{"version":99}`, http.StatusBadRequest)
 	// No default session was created: legacy aliases 404 rather than
 	// silently touching some other session.
@@ -238,6 +268,10 @@ func TestHTTPStatusCodes(t *testing.T) {
 	a.do("POST", "/v1/sessions/fleet/advance", `{"until":50}`, http.StatusOK)
 	a.do("POST", "/v1/sessions/fleet/advance", `{"until":10}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions/fleet/restore", `{"version":99}`, http.StatusBadRequest)
+
+	// Creating over a taken id conflicts with the session table; the
+	// request itself is well-formed.
+	a.do("POST", "/v1/sessions", `{"id":"fleet",`+mustJSON(t, fedCfg())[1:], http.StatusConflict)
 
 	// A snapshot of the same configuration captured mid-stream restores
 	// fine, but stepping it again needs the job source the checkpoint
@@ -351,6 +385,41 @@ func TestFlushAllAndLoadDir(t *testing.T) {
 	// The reloaded federation keeps scheduling deterministically.
 	if _, _, err := f2.Advance(timePtr(50)); err != nil {
 		t.Fatal(err)
+	}
+
+	// Envelopes written before the parallel data plane was retired pin
+	// "fed_workers" in their config: they must load (no quarantine) and
+	// run exactly like the envelope without the field.
+	fleetPath := filepath.Join(dir, "fleet.session.json")
+	env, err := os.ReadFile(fleetPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(env, []byte(`"kind":"federation"`), []byte(`"kind":"federation","fed_workers":3`), 1)
+	if bytes.Equal(old, env) {
+		t.Fatal("could not plant fed_workers in the fleet envelope")
+	}
+	if err := os.WriteFile(fleetPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy := daemon.NewManager()
+	if _, quarantined, err := legacy.LoadDir(dir); err != nil || len(quarantined) != 0 {
+		t.Fatalf("envelope carrying fed_workers: quarantined=%v err=%v", quarantined, err)
+	}
+	f3, ok := legacy.Get("fleet")
+	if !ok {
+		t.Fatal("fleet envelope carrying fed_workers not reloaded")
+	}
+	if _, _, err := f3.Advance(timePtr(50)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f3.State(), f2.State(); !sameState(got, want) {
+		t.Fatalf("state after reload with fed_workers %+v, want %+v", got, want)
+	}
+	_, gotDecs := f3.Decisions(0)
+	_, wantDecs := f2.Decisions(0)
+	if fmt.Sprint(gotDecs) != fmt.Sprint(wantDecs) {
+		t.Fatalf("decisions after reload with fed_workers %v, want %v", gotDecs, wantDecs)
 	}
 
 	// An empty/missing directory is not an error.

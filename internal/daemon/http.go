@@ -21,8 +21,7 @@ import (
 //	GET    /v1/sessions/{id}                                        → session state
 //	DELETE /v1/sessions/{id}                                        → delete
 //
-// Per-session run control (the single-engine API of internal/engine,
-// generalized to many sessions and to federations):
+// Per-session run control (one engine or one federation per session):
 //
 //	POST /v1/sessions/{id}/jobs        {"jobs":[{"org":0,"size":5,"cluster":1}]}
 //	POST /v1/sessions/{id}/advance     {"until":100} ({} or an empty body: next event)
@@ -32,18 +31,22 @@ import (
 //	POST /v1/sessions/{id}/restore     (a checkpoint)
 //	GET  /v1/healthz
 //
+// Creating over a taken id answers 409; a request body over
+// maxBodyBytes answers 413.
+//
 // The classic single-run endpoints (/v1/jobs, /v1/advance, /v1/state,
 // /v1/decisions, /v1/checkpoint, /v1/restore) remain mounted as
 // aliases for the session named "default", so pre-session clients and
 // scripts keep working against a daemon booted with the legacy flags.
 type Server struct {
-	mgr  *Manager
-	pipe *Pipeline
-	log  func(format string, args ...any)
+	mgr     *Manager
+	pipe    *Pipeline
+	log     func(format string, args ...any)
+	maxBody int64 // maxBodyBytes; a field only so a test can cross it cheaply
 }
 
 // NewServer wraps a manager for HTTP serving.
-func NewServer(m *Manager) *Server { return &Server{mgr: m} }
+func NewServer(m *Manager) *Server { return &Server{mgr: m, maxBody: maxBodyBytes} }
 
 // Manager returns the underlying session manager.
 func (s *Server) Manager() *Manager { return s.mgr }
@@ -120,18 +123,43 @@ func (s *Server) withSession(h func(*Server, http.ResponseWriter, *http.Request,
 	}
 }
 
+// maxBodyBytes caps every request body. The largest legitimate one is
+// a checkpoint posted to /restore (~2.5 MB for an 8-org REF session);
+// 64 MiB leaves room for long runs without letting one request hold
+// the process's memory.
+const maxBodyBytes = 64 << 20
+
+// decodeBody decodes the size-capped JSON request body into v.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
+}
+
+// bodyStatus maps a body-decode failure onto its status: 413 when the
+// cap cut the body off, 400 for anything malformed.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		ID string `json:"id"`
 		SessionConfig
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := s.decodeBody(w, r, &req); err != nil {
+		s.writeError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	sess, err := s.mgr.Create(req.ID, req.SessionConfig)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrSessionExists) {
+			status = http.StatusConflict
+		}
+		s.writeError(w, status, "%v", err)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, sess.State())
@@ -166,8 +194,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, sess *Sessio
 	var req struct {
 		Jobs []JobSubmission `json:"jobs"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := s.decodeBody(w, r, &req); err != nil {
+		s.writeError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	ids, err := sess.Submit(req.Jobs)
@@ -185,8 +213,8 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, sess *Ses
 	// An empty POST body is the documented advance-to-next-event form
 	// (same as {}), so a bare io.EOF is not an error; a truncated JSON
 	// document still is (ErrUnexpectedEOF).
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := s.decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+		s.writeError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	var (
@@ -255,8 +283,8 @@ func advanceStatus(err error) int {
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var buf json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&buf); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad snapshot: %v", err)
+	if err := s.decodeBody(w, r, &buf); err != nil {
+		s.writeError(w, bodyStatus(err), "bad snapshot: %v", err)
 		return
 	}
 	if err := sess.Restore(buf); err != nil {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/fed"
@@ -58,5 +60,34 @@ func TestRestoreConfigFailureTagged(t *testing.T) {
 	}
 	if !errors.Is(err, errRestoreConfig) {
 		t.Fatalf("config-rebuild failure not tagged errRestoreConfig: %v", err)
+	}
+}
+
+// A body one byte over the cap is cut off and answered 413, on the
+// handler that takes the smallest bodies and on the one that takes the
+// largest; at the cap the same bytes are merely malformed. The cap is
+// lowered so the test need not stream 64 MiB through the JSON scanner.
+func TestOversizedBodyRejected(t *testing.T) {
+	mgr := NewManager()
+	if _, err := mgr.Create("s", SessionConfig{Kind: KindSingle, Alg: "fcfs", Orgs: 2, Machines: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(mgr)
+	if srv.maxBody != 64<<20 {
+		t.Fatalf("servers start with a %d-byte body cap, want 64 MiB", srv.maxBody)
+	}
+	srv.maxBody = 1 << 10
+	h := srv.Handler()
+	for _, path := range []string{"/v1/sessions/s/jobs", "/v1/sessions/s/restore"} {
+		for _, tc := range []struct {
+			size int64
+			want int
+		}{{srv.maxBody + 1, http.StatusRequestEntityTooLarge}, {srv.maxBody, http.StatusBadRequest}} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(strings.Repeat(" ", int(tc.size)))))
+			if rec.Code != tc.want {
+				t.Errorf("POST %s with %d blank bytes: status %d, want %d: %s", path, tc.size, rec.Code, tc.want, rec.Body)
+			}
+		}
 	}
 }

@@ -71,21 +71,7 @@ func TestSessionMigrationBudgetKnob(t *testing.T) {
 // take a shard lock then the listing lock, never the reverse); here it
 // also asserts liveness: every advance completes within a generous
 // bound, so no session ever blocks behind the whole table.
-func TestDaemonFederatedSessionLoad(t *testing.T) { runDaemonFederatedSessionLoad(t, 0) }
-
-// TestDaemonFederatedSessionLoadParallelPlane is the same storm with
-// the federation data plane fanned out (SessionConfig.FedWorkers > 1):
-// under -race this is the proof that parallel member stepping inside a
-// session composes with the daemon's own concurrency — shard locks,
-// concurrent listings, checkpoint/restore — without a data race, and
-// the sameState check after restore doubles as a spot-check that the
-// width (deliberately absent from checkpoints) never leaks into
-// results.
-func TestDaemonFederatedSessionLoadParallelPlane(t *testing.T) {
-	runDaemonFederatedSessionLoad(t, 3)
-}
-
-func runDaemonFederatedSessionLoad(t *testing.T, fedWorkers int) {
+func TestDaemonFederatedSessionLoad(t *testing.T) {
 	sessions := 240
 	if testing.Short() {
 		sessions = 60
@@ -104,9 +90,7 @@ func runDaemonFederatedSessionLoad(t *testing.T, fedWorkers int) {
 			defer wg.Done()
 			for i := range work {
 				id := fmt.Sprintf("load-%d", i)
-				cfg := loadFedCfg(int64(i))
-				cfg.FedWorkers = fedWorkers
-				s, err := m.Create(id, cfg)
+				s, err := m.Create(id, loadFedCfg(int64(i)))
 				if err != nil {
 					t.Errorf("create %s: %v", id, err)
 					return

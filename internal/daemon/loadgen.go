@@ -70,7 +70,7 @@ func loadSessionConfig(seed int64) SessionConfig {
 // RunLoad creates cfg.Sessions concurrent federated sessions in one
 // Manager, then drives every session through cfg.Steps advances via the
 // async pipeline, measuring throughput and per-advance latency. It is
-// the scale harness behind cmd/loadgen and BenchmarkServingTier — the
+// the scale harness behind cmd/loadgen and bench/'s burst probe — the
 // "tens of thousands of concurrent sessions in one process" check, not
 // a simulation of it.
 func RunLoad(cfg LoadConfig) (LoadReport, error) {

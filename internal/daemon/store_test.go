@@ -324,7 +324,7 @@ func TestFlusherBackgroundFlush(t *testing.T) {
 }
 
 // TestServingTierLoadSmoke is the CI-sized run of the 10k-session load
-// harness (BenchmarkServingTier runs the full scale): small session
+// harness (cmd/loadgen runs the full scale): small session
 // count, full pipeline, race-detector friendly.
 func TestServingTierLoadSmoke(t *testing.T) {
 	sessions := 400

@@ -29,10 +29,9 @@ import (
 )
 
 // Engine holds one algorithm run open. Engines are single-goroutine
-// objects: callers (the HTTP server, the examples) serialize access.
+// objects: callers (daemon sessions, the examples) serialize access.
 // Distinct engines share no mutable state, so they may be driven from
-// different goroutines concurrently — the federation's parallel data
-// plane steps one member engine per worker (internal/fed, parallel.go).
+// different goroutines concurrently.
 type Engine struct {
 	alg      core.StepperAlgorithm
 	s        core.Stepper

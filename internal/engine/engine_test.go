@@ -235,3 +235,44 @@ func TestMidRunResultMatchesTruncatedBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateStepAllocFree extends core's zero-alloc stepping
+// budget through the engine: a StepToNextEvent over a pure-completion
+// stream (decision-log bookkeeping and the zero-copy starts return
+// included) allocates nothing. Sizes are distinct, so each measured
+// call processes one real event; the run count stays below the
+// fixture's 120 completions.
+func TestSteadyStateStepAllocFree(t *testing.T) {
+	const k, jobsPerOrg = 4, 30
+	orgs := make([]model.Org, k)
+	for i := range orgs {
+		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: jobsPerOrg}
+	}
+	var jobs []model.Job
+	for o := 0; o < k; o++ {
+		for j := 0; j < jobsPerOrg; j++ {
+			jobs = append(jobs, model.Job{Org: o, Release: 0, Size: model.Time(5 + 4*j + o)})
+		}
+	}
+	inst, err := model.NewInstance(orgs, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(core.RefAlgorithm{}, inst, 1)
+	if _, err := e.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	step := func() bool {
+		_, stepped, err := e.StepToNextEvent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stepped
+	}
+	if avg := testing.AllocsPerRun(100, func() { step() }); avg != 0 {
+		t.Errorf("steady-state StepToNextEvent allocates %.2f times per run, budget is 0", avg)
+	}
+	if !step() {
+		t.Fatal("events drained during measurement")
+	}
+}

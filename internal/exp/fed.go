@@ -45,10 +45,6 @@ type FedConfig struct {
 	// "-migrate" policies (fed.WithMigrationBudget semantics: positive
 	// replaces, negative disables, zero keeps the policy default).
 	MigrationBudget int
-	// FedWorkers is the per-federation data-plane fan-out width
-	// (fed.SetWorkers); results are byte-identical at any width, so it
-	// composes freely with the instance-level Workers parallelism.
-	FedWorkers int
 }
 
 // DefaultFedConfig returns the -fed experiment's base configuration:
@@ -93,7 +89,6 @@ func (cfg FedConfig) runFedInstance(w *gen.FedWorkload, alg core.StepperAlgorith
 		return nil, err
 	}
 	f.SetStaleness(cfg.Staleness)
-	f.SetWorkers(cfg.FedWorkers)
 	for c, js := range w.Jobs {
 		if err := f.SubmitJobs(c, js); err != nil {
 			return nil, err

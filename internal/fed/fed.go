@@ -28,15 +28,11 @@
 // seed, submission sequence) — byte-identical across reruns and across
 // Snapshot/Restore (see TestFederationDeterminism).
 //
-// Two scale knobs leave that function untouched. SetWorkers fans member
-// stepping and summary capture out across goroutines — between routing
-// instants the engines share nothing, and results merge in
-// configuration order, so the worker count never changes an output byte
-// (parallel.go). SetSource replaces the materialized pending queue with
-// a bounded lookahead window pulled on demand from a JobSource
-// (source.go), so replay memory is O(window) in the trace length;
-// checkpoints persist only the stream cursor and restore resumes
-// mid-stream against a re-opened source.
+// SetSource leaves that function untouched: it replaces the
+// materialized pending queue with a bounded lookahead window pulled on
+// demand from a JobSource (source.go), so replay memory is O(window) in
+// the trace length; checkpoints persist only the stream cursor and
+// restore resumes mid-stream against a re-opened source.
 //
 // The Ledger records every routing decision and aggregates per-cluster
 // ψ-vectors into federation-wide totals, so the existing
@@ -134,13 +130,6 @@ type Federation struct {
 	// sort happens once per read point, so bulk submission is O(n log n)
 	// total instead of the old shift-insert's O(n²).
 	pendingDirty bool
-
-	// workers is the data-plane fan-out width (see SetWorkers); <= 1 is
-	// the sequential path. stepStarts/stepErrs are the fan-out's
-	// per-member scratch slots, reused across advance calls.
-	workers    int
-	stepStarts [][]sim.Start
-	stepErrs   []error
 
 	// Streaming ingestion state (see SetSource). source == nil is the
 	// materialized mode: every job arrives through Submit. With a source
@@ -409,7 +398,7 @@ func (f *Federation) sortPending() {
 	}
 	// slices.SortFunc, not sort.Slice: the closure-through-interface
 	// path allocates on every dirty sort, which the control-plane
-	// allocation gate (BENCH_8.json) holds this path to zero against.
+	// allocation budget (TestControlPlaneAllocBudget) counts.
 	slices.SortFunc(f.pending, func(a, b Pending) int {
 		if c := cmp.Compare(a.Release, b.Release); c != 0 {
 			return c
@@ -677,14 +666,8 @@ func (f *Federation) StepToNextEvent() ([]Decision, bool, error) {
 }
 
 // advanceMembers steps every member engine to t and folds their fresh
-// starts into the federated decision log in configuration order. With
-// workers > 1 the engines advance concurrently (they share no mutable
-// state between routing instants) and the merge preserves the exact
-// sequential order — see parallel.go for the determinism argument.
+// starts into the federated decision log in configuration order.
 func (f *Federation) advanceMembers(t model.Time) error {
-	if f.workers > 1 && len(f.members) > 1 {
-		return f.advanceMembersParallel(t)
-	}
 	for c, m := range f.members {
 		starts, err := m.eng.Step(t)
 		if err != nil {
@@ -823,27 +806,10 @@ func (f *Federation) routedWorkCopy() [][]int64 {
 // summaries exports every member's Summary at the current lockstep
 // instant. Engines stand exactly at the routing instant, so the
 // exchanged ψ/φ vectors are the values a real federation peer would
-// have just gossiped. Capture fans out on the worker pool — Result()
-// is the expensive per-member call (REF members compute Shapley values
-// here), each touches only its own engine, and the slots are indexed
-// by member, so the exchange is worker-count invariant too.
+// have just gossiped.
 func (f *Federation) summaries() []Summary {
 	sums := make([]Summary, len(f.members))
-	// The sequential branch calls summarizeRange directly: routing the
-	// width-1 case through forEachMember would heap-allocate the closure
-	// on every exchange capture, which the control-plane allocation gate
-	// (BENCH_8.json) forbids.
-	if f.workers <= 1 {
-		f.summarizeRange(sums, 0, len(f.members))
-		return sums
-	}
-	f.forEachMember(func(lo, hi int) { f.summarizeRange(sums, lo, hi) })
-	return sums
-}
-
-func (f *Federation) summarizeRange(sums []Summary, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		m := f.members[i]
+	for i, m := range f.members {
 		res := m.eng.Result()
 		inst := m.eng.Instance()
 		orgCap := make([]int64, len(inst.Orgs))
@@ -863,6 +829,7 @@ func (f *Federation) summarizeRange(sums []Summary, lo, hi int) {
 			Utilization: res.Utilization,
 		}
 	}
+	return sums
 }
 
 // Ledger returns the federation ledger with the per-cluster accounting

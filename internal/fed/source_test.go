@@ -108,30 +108,26 @@ func TestStreamingMatchesEager(t *testing.T) {
 }
 
 // TestStreamingWindowInvariance: the lookahead window is a pure memory
-// knob — every window size (including the pathological 1) and any
-// worker count produce the same bytes.
+// knob — every window size (including the pathological 1) produces the
+// same bytes.
 func TestStreamingWindowInvariance(t *testing.T) {
 	algs := []string{"ref", "directcontr", "fairshare"}
 	policy := fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget}
 	var want []byte
-	for _, tc := range []struct {
-		window  int
-		workers int
-	}{{1, 1}, {7, 1}, {64, 3}, {0, 1}} { // 0 selects DefaultSourceWindow
+	for _, window := range []int{1, 7, 64, 0} { // 0 selects DefaultSourceWindow
 		f, _ := emptyFederation(t, algs, policy, 11)
-		f.SetWorkers(tc.workers)
 		src, err := testScenario().Source(6000, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.SetSource(src, tc.window); err != nil {
+		if err := f.SetSource(src, window); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := f.Step(6000); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.CheckConservation(); err != nil {
-			t.Fatalf("window=%d: %v", tc.window, err)
+			t.Fatalf("window=%d: %v", window, err)
 		}
 		print := fingerprint(t, f)
 		if want == nil {
@@ -139,7 +135,7 @@ func TestStreamingWindowInvariance(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(print, want) {
-			t.Fatalf("window=%d workers=%d diverged", tc.window, tc.workers)
+			t.Fatalf("window=%d diverged", window)
 		}
 	}
 }
@@ -564,7 +560,6 @@ func FuzzFedStreamStep(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fd.SetWorkers(int(seed%4) + 1) // width must not matter
 			src, err := sc.Source(6000, seed)
 			if err != nil {
 				t.Fatal(err)

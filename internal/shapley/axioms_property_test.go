@@ -24,7 +24,6 @@ func evaluators() []struct {
 		eval  func(g Game, seed int64) []float64
 	}{
 		{"Exact", true, func(g Game, _ int64) []float64 { return Exact(g) }},
-		{"ExactParallel", true, func(g Game, _ int64) []float64 { return ExactParallel(g, 4) }},
 		{"SampleStratified", false, func(g Game, seed int64) []float64 {
 			return SampleStratified(g, 40, stats.NewRand(seed))
 		}},

@@ -1,8 +1,7 @@
 // Package shapley implements generic Shapley-value machinery over
 // transferable-utility cooperative games: the exact subset formula
 // (Equation 1 of the paper), the permutation formulation (Equation 2),
-// Monte-Carlo sampling over orderings (the basis of Algorithm RAND), and
-// a parallel exact evaluator.
+// and Monte-Carlo sampling over orderings (the basis of Algorithm RAND).
 //
 // Values are float64 because Shapley weights are fractional even when the
 // characteristic function is integral.
@@ -11,16 +10,12 @@ package shapley
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/model"
 )
 
 // Game is a characteristic-function game over n players. Value must be
 // defined for every coalition mask over players 0..n-1 with Value(∅) = 0.
-// Implementations must be safe for concurrent Value calls if used with
-// ExactParallel.
 type Game interface {
 	Players() int
 	Value(c model.Coalition) float64
@@ -86,10 +81,8 @@ func tabulate(g Game) []float64 {
 // Exact computes the Shapley value of every player by the subset formula
 // (Equation 1). Cost: O(n·2ⁿ) plus 2ⁿ Value evaluations.
 func Exact(g Game) []float64 {
-	return exactFromTable(g.Players(), tabulate(g))
-}
-
-func exactFromTable(n int, vals []float64) []float64 {
+	n := g.Players()
+	vals := tabulate(g)
 	w := Weights(n)
 	phi := make([]float64, n)
 	for mask := 0; mask < len(vals); mask++ {
@@ -103,60 +96,6 @@ func exactFromTable(n int, vals []float64) []float64 {
 			if !c.Has(u) {
 				phi[u] += weight * (vals[c.With(u)] - vals[c])
 			}
-		}
-	}
-	return phi
-}
-
-// ExactParallel is Exact with the subset loop fanned out over workers
-// (0 means GOMAXPROCS). Results are deterministic: each worker owns a
-// disjoint mask range and partial vectors are summed in worker order.
-func ExactParallel(g Game, workers int) []float64 {
-	n := g.Players()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	vals := tabulate(g)
-	if workers == 1 || len(vals) < 1024 {
-		return exactFromTable(n, vals)
-	}
-	w := Weights(n)
-	partials := make([][]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (len(vals) + workers - 1) / workers
-	for i := 0; i < workers; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		partials[i] = make([]float64, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(out []float64, lo, hi int) {
-			defer wg.Done()
-			for mask := lo; mask < hi; mask++ {
-				c := model.Coalition(mask)
-				s := c.Size()
-				if s == n {
-					continue
-				}
-				weight := w[s]
-				for u := 0; u < n; u++ {
-					if !c.Has(u) {
-						out[u] += weight * (vals[c.With(u)] - vals[c])
-					}
-				}
-			}
-		}(partials[i], lo, hi)
-	}
-	wg.Wait()
-	phi := make([]float64, n)
-	for _, p := range partials {
-		for u := range phi {
-			phi[u] += p[u]
 		}
 	}
 	return phi

@@ -20,18 +20,6 @@ func randomGame(r *rand.Rand, n int) *MapGame {
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func vectorsAlmostEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !almostEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Unanimity game u_T: v(C) = 1 iff T ⊆ C. Its Shapley value is 1/|T| for
 // members of T and 0 otherwise — the textbook closed form.
 func unanimity(n int, T model.Coalition) FuncGame {
@@ -199,19 +187,6 @@ func TestSubsetFormulaEqualsPermutationAverage(t *testing.T) {
 		for u := 0; u < n; u++ {
 			if !almostEqual(sum[u]/float64(count), exact[u]) {
 				t.Fatalf("trial %d: permutation average %v != exact %v", trial, sum[u]/float64(count), exact[u])
-			}
-		}
-	}
-}
-
-func TestExactParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for _, n := range []int{1, 3, 6, 11} {
-		g := randomGame(r, n)
-		serial := Exact(g)
-		for _, workers := range []int{0, 1, 2, 7} {
-			if got := ExactParallel(g, workers); !vectorsAlmostEqual(got, serial) {
-				t.Fatalf("n=%d workers=%d: %v != %v", n, workers, got, serial)
 			}
 		}
 	}
