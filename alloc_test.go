@@ -95,9 +95,9 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 		{"engine/always", engineRun(&ctrl.PolicySpec{Policy: "always"}), 78},
 		{"engine/tokenbucket", engineRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 8, Burst: 1, MaxAttempts: 2}), 78},
 		{"engine/backpressure-stale", engineRun(&ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}), 74},
-		{"fed/off", fedRun(nil), 504},
-		{"fed/always", fedRun(&ctrl.PolicySpec{Policy: "always"}), 686},
-		{"fed/tokenbucket", fedRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 12, Burst: 2, MaxAttempts: 3}), 698},
+		{"fed/off", fedRun(nil), 476},
+		{"fed/always", fedRun(&ctrl.PolicySpec{Policy: "always"}), 658},
+		{"fed/tokenbucket", fedRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 12, Burst: 2, MaxAttempts: 3}), 670},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := testing.AllocsPerRun(10, tc.run); got > tc.budget {

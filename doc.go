@@ -19,15 +19,16 @@
 //	internal/metrics  — Δψ / Δψ/p_tot unfairness measures and the
 //	                    admission conservation counters
 //	internal/shapley  — generic Shapley-value machinery, plus the
-//	                    dynamic-game layer (ContribGame, Contrib) the
-//	                    REF drivers and FedREF both run on
+//	                    dynamic-game layer (ContribGame, Contrib) REF
+//	                    and FedREF both run on
 //	internal/sim      — event-driven cluster simulator with greedy dispatch,
 //	                    online job injection/withdrawal and state
 //	                    capture/restore
-//	internal/core     — the paper's contribution: REF, RAND, DIRECTCONTR,
-//	                    each runnable incrementally (core.Stepper), plus
-//	                    the NBS stepper dispatching toward Nash-bargaining
-//	                    targets
+//	internal/core     — the paper's contribution: REF, RAND, DIRECTCONTR
+//	                    and the NBS allocator, each a plug on one
+//	                    schedule-set event loop (schedSet: touched-set
+//	                    stepping, inject/withdraw, checkpoints) and
+//	                    runnable incrementally as a core.Stepper
 //	internal/bargain  — deterministic weighted Nash Bargaining Solution
 //	                    solver (water-filling with disagreement points
 //	                    and per-agent caps, zero-alloc SolveInto)

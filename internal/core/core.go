@@ -17,9 +17,14 @@
 //     heuristic that estimates an organization's contribution directly
 //     as the ψsp-value of the unit slots executed on its machines.
 //
-// Every scheduler, and every baseline wrapped with FromPolicy, is
-// exposed through the uniform Algorithm interface the experiment harness
-// consumes.
+// Nbs, the Nash-bargaining allocator, joins them as a non-Shapley
+// solution concept on the same game. Every scheduler, and every
+// baseline wrapped with FromPolicy, is exposed through the uniform
+// Algorithm interface the experiment harness consumes, and steps through
+// the one schedule-set event loop in schedset.go: Ref, RandSched, Nbs
+// and the FromPolicy algorithms are plugs on it that say which schedules
+// exist and what the largest-deficit rule aims at. (DirectContr itself
+// is a sim.Policy, run through FromPolicy.)
 package core
 
 import (

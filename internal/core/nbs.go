@@ -1,11 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/bargain"
+	"repro/internal/baseline"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -26,16 +25,13 @@ import (
 // organization with the largest target deficit x_i − ψ_i. Maintaining
 // k+1 schedules instead of 2^k−1 makes NBS polynomial in the number of
 // organizations — it runs where REF's FPT loop cannot.
+//
+// As a schedSet plug: slots 0..k−1 are the singleton schedules ({i}
+// running alone on its own machines), slot k the pooled (decision)
+// schedule, checkpointed in that order; the target vector is x.
 type Nbs struct {
-	inst  *model.Instance
-	k     int
-	grand model.Coalition
-	seed  int64
-
-	// sims[0..k-1] are the singleton schedules ({i} running alone on
-	// its own machines); sims[k] is the pooled (grand) schedule, the
-	// decision schedule.
-	sims []*sim.Cluster
+	*schedSet
+	k int
 
 	// Per-organization NBS columns, refreshed once per dispatch
 	// instant; preallocated so steady-state stepping allocates nothing.
@@ -47,195 +43,59 @@ type Nbs struct {
 func NewNbs(inst *model.Instance) *Nbs {
 	k := len(inst.Orgs)
 	n := &Nbs{
-		inst:  inst,
-		k:     k,
-		grand: model.Grand(k),
-		sims:  make([]*sim.Cluster, k+1),
-		w:     make([]float64, k),
-		d:     make([]float64, k),
-		x:     make([]float64, k),
-		maxs:  make([]float64, k),
+		k:    k,
+		w:    make([]float64, k),
+		d:    make([]float64, k),
+		x:    make([]float64, k),
+		maxs: make([]float64, k),
 	}
+	slots := make([]*sim.Cluster, k+1)
 	for i := 0; i < k; i++ {
-		n.sims[i] = sim.New(inst, model.Singleton(i), &soloPolicy{org: i}, nil)
+		// The only member owns every waiting job: any policy selects it.
+		slots[i] = sim.New(inst, model.Singleton(i), baseline.NewFCFS(), nil)
 		n.w[i] = float64(inst.Orgs[i].Capacity())
 		n.maxs[i] = math.Inf(1)
 	}
-	n.sims[k] = sim.New(inst, n.grand, &nbsPolicy{n: n}, nil)
+	slots[k] = sim.New(inst, model.Grand(k), &deficitPolicy{name: "NBS", target: n.x}, nil)
+	n.schedSet = newSchedSet("NBS", 0, inst, n, slots, false)
 	return n
 }
-
-// Name implements Stepper.
-func (n *Nbs) Name() string { return "NBS" }
-
-// Instance implements Stepper.
-func (n *Nbs) Instance() *model.Instance { return n.inst }
-
-// Starts implements Stepper: the pooled schedule is the decision
-// schedule.
-func (n *Nbs) Starts() []sim.Start { return n.sims[n.k].Starts() }
 
 // Run drives the schedules to the horizon — the batch entry point is
 // the stepping loop, so batch and streaming cannot diverge.
 func (n *Nbs) Run(until model.Time) *Result { return runStepper(n, until) }
 
-// NextEventTime implements Stepper.
-func (n *Nbs) NextEventTime() model.Time {
-	t := sim.MaxTime
-	for _, c := range n.sims {
-		if e := c.NextEventTime(); e < t {
-			t = e
-		}
-	}
-	return t
-}
-
-// StepNext implements Stepper: process the earliest event at or before
-// until across the k+1 schedules. Singletons dispatch first — their
-// values at the instant are the disagreement points the pooled
-// dispatch bargains from (a job started at t has executed nothing at
-// t, so the order inside the instant does not move any value).
-func (n *Nbs) StepNext(until model.Time) bool {
-	t := n.NextEventTime()
-	if t == sim.MaxTime || t > until {
-		return false
-	}
-	n.advanceAll(t)
-	for i := 0; i < n.k; i++ {
-		if n.sims[i].CanDispatch() {
-			n.sims[i].Dispatch()
-		}
-	}
-	if g := n.sims[n.k]; g.CanDispatch() {
-		n.refreshTargets()
-		g.Dispatch()
-	}
-	return true
-}
-
-// FinishAt implements Stepper.
-func (n *Nbs) FinishAt(t model.Time) { n.advanceAll(t) }
-
-func (n *Nbs) advanceAll(t model.Time) {
-	for _, c := range n.sims {
-		c.AdvanceTo(t)
+// retarget implements plug: only the pooled schedule bargains. Targets
+// are refreshed once per dispatch instant, not per machine: ψ does not
+// move within an instant, so one solve serves the whole batch.
+func (n *Nbs) retarget(slot int, t model.Time) {
+	if slot == n.k {
+		n.refreshTargets(t)
 	}
 }
 
-// refreshTargets recomputes the NBS allocation targets from the live
-// schedule values; every cluster must stand at the dispatch instant.
-// The game is read exactly where REF reads it: d_i = v({i}, t) from
-// the singleton schedule, C = the pooled schedule's value. The pooled
+// phiAt implements plug: Phi reports the NBS allocation targets at t —
+// the solution-concept analogue of REF's Shapley vector.
+func (n *Nbs) phiAt(t model.Time) []float64 {
+	n.refreshTargets(t)
+	return append([]float64(nil), n.x...)
+}
+
+// refreshTargets recomputes the NBS allocation targets at t. The game
+// is read exactly where REF reads it: d_i = v({i}, t) from the
+// singleton schedule, C = the pooled schedule's value. The pooled
 // value under NBS dispatch can, in rare instances, dip below the sum
 // of the standalone values (Σψ is policy-dependent); the solver
 // reports that as infeasibility and the targets degrade to the
 // disagreement vector — bargaining from no surplus.
-func (n *Nbs) refreshTargets() {
-	for i := 0; i < n.k; i++ {
-		n.d[i] = float64(n.sims[i].Value())
+func (n *Nbs) refreshTargets(t model.Time) {
+	for i := range n.d {
+		n.d[i] = float64(n.valueAt(i, t))
 	}
-	capacity := float64(n.sims[n.k].Value())
+	capacity := float64(n.valueAt(n.k, t))
 	if err := n.solver.SolveInto(n.x, n.w, n.d, n.maxs, capacity); err != nil {
 		copy(n.x, n.d)
 	}
-}
-
-// ResultAt implements Stepper: Phi reports the NBS allocation targets
-// at t — the solution-concept analogue of REF's Shapley vector.
-func (n *Nbs) ResultAt(t model.Time) *Result {
-	n.refreshTargets()
-	phi := append([]float64(nil), n.x...)
-	return resultFromCluster(n.Name(), n.sims[n.k], t, phi)
-}
-
-// Inject implements Stepper: register arrivals with every schedule
-// (singleton clusters ignore non-member jobs, mirroring REF).
-func (n *Nbs) Inject(ids []int) error {
-	for _, c := range n.sims {
-		for _, id := range ids {
-			if err := c.Inject(id); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Withdraw implements Stepper: remove the job from the pooled wait
-// queue (it must still be waiting there) and, best-effort, from the
-// owner's standalone schedule — a standalone schedule that already
-// started the job keeps it, exactly as REF's subcoalitions do.
-func (n *Nbs) Withdraw(id int) error {
-	if err := withdrawDecision(n.sims[n.k], n.Name(), id); err != nil {
-		return err
-	}
-	org := n.inst.Jobs[id].Org
-	if _, err := n.sims[org].Withdraw(org, id); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Withdrawn implements Stepper.
-func (n *Nbs) Withdrawn() int { return n.sims[n.k].WithdrawnCount() }
-
-// Capture implements Stepper: one ClusterState per schedule, the k
-// singletons in organization order then the pooled schedule. The NBS
-// targets carry no state — they are recomputed at every dispatch
-// instant before they are read.
-func (n *Nbs) Capture(now model.Time) (*Checkpoint, error) {
-	cp := checkpointHeader(n.Name(), n.seed, now, n.inst)
-	cp.Clusters = make([]sim.ClusterState, 0, len(n.sims))
-	for _, c := range n.sims {
-		cp.Clusters = append(cp.Clusters, c.CaptureState())
-	}
-	return cp, nil
-}
-
-// soloPolicy drives a singleton schedule: the only member owns every
-// waiting job, so selection is trivial (FCFS order within the
-// organization comes from the cluster's own queue discipline).
-type soloPolicy struct{ org int }
-
-// Name implements sim.Policy.
-func (p *soloPolicy) Name() string { return "NBS-solo" }
-
-// Attach implements sim.Policy.
-func (p *soloPolicy) Attach(*sim.View, *rand.Rand) {}
-
-// Select implements sim.Policy.
-func (p *soloPolicy) Select(model.Time, int) int { return p.org }
-
-// nbsPolicy selects argmax(x−ψ) among the waiting organizations — the
-// bargaining analogue of REF's largest-deficit rule, with the same
-// deterministic low-index tie-breaking. Targets are refreshed once per
-// dispatch instant (StepNext), not per machine: ψ does not move within
-// an instant, so one solve serves the whole batch.
-type nbsPolicy struct {
-	n    *Nbs
-	view *sim.View
-}
-
-// Name implements sim.Policy.
-func (p *nbsPolicy) Name() string { return "NBS" }
-
-// Attach implements sim.Policy.
-func (p *nbsPolicy) Attach(v *sim.View, _ *rand.Rand) { p.view = v }
-
-// Select implements sim.Policy.
-func (p *nbsPolicy) Select(_ model.Time, _ int) int {
-	best := -1
-	var bestDeficit float64
-	for u := 0; u < p.n.k; u++ {
-		if p.view.Waiting(u) == 0 {
-			continue
-		}
-		deficit := p.n.x[u] - float64(p.view.Psi(u))
-		if best == -1 || deficit > bestDeficit {
-			best, bestDeficit = u, deficit
-		}
-	}
-	return best
 }
 
 // NbsAlgorithm adapts Nbs to the Algorithm interface (NBS is
@@ -258,25 +118,5 @@ func (NbsAlgorithm) NewStepper(inst *model.Instance, seed int64) Stepper {
 	return n
 }
 
-// RestoreStepper implements StepperAlgorithm: rebuild the k+1 clusters
-// and overwrite each with its captured state.
-func (NbsAlgorithm) RestoreStepper(cp *Checkpoint) (Stepper, error) {
-	if cp.Algorithm != (NbsAlgorithm{}).Name() {
-		return nil, fmt.Errorf("core: checkpoint for %q restored as NBS", cp.Algorithm)
-	}
-	inst, err := cp.RebuildInstance()
-	if err != nil {
-		return nil, err
-	}
-	n := NewNbs(inst)
-	n.seed = cp.Seed
-	if len(cp.Clusters) != len(n.sims) {
-		return nil, fmt.Errorf("core: NBS checkpoint has %d clusters, want %d", len(cp.Clusters), len(n.sims))
-	}
-	for i, c := range n.sims {
-		if err := c.RestoreState(cp.Clusters[i]); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
+// RestoreStepper implements StepperAlgorithm.
+func (a NbsAlgorithm) RestoreStepper(cp *Checkpoint) (Stepper, error) { return restoreStepper(a, cp) }

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/baseline"
 	"repro/internal/model"
@@ -40,33 +39,6 @@ func (o RandOptions) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachChunk splits [0, n) into contiguous chunks and runs fn on one
-// goroutine per chunk, blocking until all complete. With one worker (or
-// n ≤ 1) it runs inline.
-func forEachChunk(workers, n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // RandSched is Algorithm RAND (Figure 6): contributions are estimated by
 // sampling N permutations of the organizations; for every organization u
 // and sampled permutation, the marginal value of u joining its
@@ -74,22 +46,22 @@ func forEachChunk(workers, n int, fn func(lo, hi int)) {
 // coalitions. For unit-size jobs the coalition value is
 // schedule-independent (Proposition 5.4), making the estimate exact in
 // expectation and the algorithm an FPRAS (Theorems 5.6–5.7); for general
-// jobs it is the paper's strongest heuristic.
+// jobs it is the paper's strongest heuristic. As a schedSet plug it
+// maintains one FCFS schedule per distinct sampled coalition, in
+// ascending mask order, then the decision schedule (checkpointed
+// first), and targets the sampled estimate φ.
 type RandSched struct {
-	inst    *model.Instance
-	k       int
+	*schedSet
 	samples int
-	seed    int64
-	grand   model.Coalition
-	opts    RandOptions
-
-	decision *sim.Cluster
-	src      *stats.Source     // decision cluster's RNG stream (checkpointable)
-	masks    []model.Coalition // distinct sampled masks, ascending
-	clusters map[model.Coalition]*sim.Cluster
-	preds    [][]model.Coalition // per org: N sampled predecessor sets
-	phi      []float64
+	// preds[u] lists, per sampled permutation, the slots of u's
+	// predecessor set and of that set with u added.
+	preds [][]marginal
+	phi   []float64
 }
+
+// marginal is one sampled term v(pred∪{u}) − v(pred), as slots; pred is
+// -1 for the empty predecessor set.
+type marginal struct{ pred, with int }
 
 // NewRandSched samples the permutations with the given seed and builds
 // FCFS clusters for every distinct sampled coalition (Prepare in
@@ -100,17 +72,7 @@ func NewRandSched(inst *model.Instance, samples int, seed int64, opts RandOption
 		panic("core: RAND needs at least one sampled permutation")
 	}
 	k := len(inst.Orgs)
-	r := &RandSched{
-		inst:     inst,
-		k:        k,
-		samples:  samples,
-		seed:     seed,
-		grand:    model.Grand(k),
-		opts:     opts,
-		clusters: make(map[model.Coalition]*sim.Cluster),
-		preds:    make([][]model.Coalition, k),
-		phi:      make([]float64, k),
-	}
+	r := &RandSched{samples: samples, preds: make([][]marginal, k), phi: make([]float64, k)}
 	workers := opts.workerCount()
 	perms := make([][]int, samples)
 	forEachChunk(workers, samples, func(lo, hi int) {
@@ -140,184 +102,85 @@ func NewRandSched(inst *model.Instance, samples int, seed int64, opts RandOption
 			perms[s] = perm
 		}
 	})
-	need := make(map[model.Coalition]bool)
+	slotOf := map[model.Coalition]int{0: -1} // construction only: the hot path reads preds
 	for _, perm := range perms {
 		var c model.Coalition
 		for _, u := range perm {
-			r.preds[u] = append(r.preds[u], c)
-			if !c.Empty() {
-				need[c] = true
-			}
 			c = c.With(u)
-			need[c] = true
+			slotOf[c] = 0
 		}
 	}
-	for mask := range need {
-		r.masks = append(r.masks, mask)
+	masks := make([]model.Coalition, 0, len(slotOf)-1)
+	for mask := range slotOf {
+		if !mask.Empty() {
+			masks = append(masks, mask)
+		}
 	}
-	sort.Slice(r.masks, func(i, j int) bool { return r.masks[i] < r.masks[j] })
-	built := make([]*sim.Cluster, len(r.masks))
-	forEachChunk(workers, len(r.masks), func(lo, hi int) {
+	slices.Sort(masks)
+	slots := make([]*sim.Cluster, len(masks)+1)
+	forEachChunk(workers, len(masks), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			built[i] = sim.New(inst, r.masks[i], baseline.NewFCFS(), nil)
+			slots[i] = sim.New(inst, masks[i], baseline.NewFCFS(), nil)
 		}
 	})
-	for i, mask := range r.masks {
-		r.clusters[mask] = built[i]
+	for i, mask := range masks {
+		slotOf[mask] = i
 	}
-	r.src = stats.NewSource(seed)
-	r.decision = sim.New(inst, r.grand, &randPolicy{r: r}, rand.New(r.src))
+	for _, perm := range perms {
+		var c model.Coalition
+		for _, u := range perm {
+			r.preds[u] = append(r.preds[u], marginal{pred: slotOf[c], with: slotOf[c.With(u)]})
+			c = c.With(u)
+		}
+	}
+	src := stats.NewSource(seed)
+	slots[len(masks)] = sim.New(inst, model.Grand(k), &deficitPolicy{name: "RAND", target: r.phi}, rand.New(src))
+	r.schedSet = newSchedSet(randName(samples, opts), seed, inst, r, slots, false)
+	r.src = src
+	r.workers = workers
+	r.ckpt = make([]int, len(slots)) // the decision cluster first, then the sampled ones
+	r.ckpt[0] = len(masks)
+	for i := range masks {
+		r.ckpt[1+i] = i
+	}
 	return r
 }
 
 // Run drives the decision schedule and every sampled coalition schedule
 // to the horizon and returns the decision schedule's result with the
-// final sampled contribution estimates. It is a thin wrapper over the
-// incremental stepping interface — the streaming engine executes
-// exactly this code path one event at a time.
-func (r *RandSched) Run(until model.Time) *Result {
-	return runStepper(r, until)
-}
+// final sampled contribution estimates — the stepping loop the
+// streaming engine executes one event at a time.
+func (r *RandSched) Run(until model.Time) *Result { return runStepper(r, until) }
 
-// Name implements Stepper.
-func (r *RandSched) Name() string { return r.name() }
-
-// Instance implements Stepper.
-func (r *RandSched) Instance() *model.Instance { return r.inst }
-
-// Starts implements Stepper: the decision schedule's starts.
-func (r *RandSched) Starts() []sim.Start { return r.decision.Starts() }
-
-// NextEventTime implements Stepper: the earliest pending event across
-// the decision schedule and every sampled coalition schedule.
-func (r *RandSched) NextEventTime() model.Time {
-	t := r.decision.NextEventTime()
-	for _, mask := range r.masks {
-		if e := r.clusters[mask].NextEventTime(); e < t {
-			t = e
-		}
+// retarget implements plug: only the decision schedule selects by φ;
+// the sampled schedules dispatch FCFS.
+func (r *RandSched) retarget(slot int, t model.Time) {
+	if slot == len(r.slots)-1 {
+		r.computePhi(t)
 	}
-	return t
 }
 
-// StepNext implements Stepper: process the single earliest global event
-// at or before until — advance the sampled schedules (with their FCFS
-// dispatch), then the decision schedule with a fresh φ estimate.
-func (r *RandSched) StepNext(until model.Time) bool {
-	t := r.NextEventTime()
-	if t == sim.MaxTime || t > until {
-		return false
-	}
-	r.advanceSampled(t, true)
-	r.decision.AdvanceTo(t)
-	if r.decision.CanDispatch() {
-		r.computePhi()
-		r.decision.Dispatch()
-	}
-	return true
+// phiAt implements plug.
+func (r *RandSched) phiAt(t model.Time) []float64 {
+	r.computePhi(t)
+	return append([]float64(nil), r.phi...)
 }
 
-// FinishAt implements Stepper: move every schedule's clock to exactly
-// t. No dispatch runs — the caller has drained all events at or before
-// t, so no dispatch opportunity exists.
-func (r *RandSched) FinishAt(t model.Time) {
-	r.advanceSampled(t, false)
-	r.decision.AdvanceTo(t)
-}
-
-// ResultAt implements Stepper: the decision schedule's result with the
-// current sampled contribution estimates at time t.
-func (r *RandSched) ResultAt(t model.Time) *Result {
-	r.computePhi()
-	return resultFromCluster(r.name(), r.decision, t, append([]float64(nil), r.phi...))
-}
-
-// Inject implements Stepper: register online arrivals with the decision
-// schedule and with every sampled coalition containing the owner. The
-// sampled permutations — and hence the coalition set — are fixed at
-// construction and independent of the job list, so feeding jobs never
-// changes which coalitions are simulated.
-func (r *RandSched) Inject(ids []int) error {
-	for _, id := range ids {
-		if err := r.decision.Inject(id); err != nil {
-			return err
-		}
-		for _, mask := range r.masks {
-			if err := r.clusters[mask].Inject(id); err != nil {
-				return err
+// computePhi refreshes the Monte-Carlo contribution estimates at t:
+// φ[u] = (1/N)·Σ over sampled permutations of v(pred∪{u}) − v(pred).
+func (r *RandSched) computePhi(t model.Time) {
+	for u, terms := range r.preds {
+		var sum float64
+		for _, m := range terms {
+			v := r.valueAt(m.with, t)
+			if m.pred >= 0 {
+				v -= r.valueAt(m.pred, t)
 			}
+			sum += float64(v)
 		}
+		r.phi[u] = sum / float64(r.samples)
 	}
-	return nil
 }
-
-// Withdraw implements Stepper: remove the job from the decision
-// schedule's wait queue (it must still be waiting there) and,
-// best-effort, from every sampled coalition containing the owner — a
-// sampled FCFS schedule that already started the job keeps it, since
-// the counterfactual is non-preemptive too.
-func (r *RandSched) Withdraw(id int) error {
-	if err := withdrawDecision(r.decision, r.name(), id); err != nil {
-		return err
-	}
-	org := r.inst.Jobs[id].Org
-	for _, mask := range r.masks {
-		if !mask.Has(org) {
-			continue
-		}
-		if _, err := r.clusters[mask].Withdraw(org, id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Withdrawn implements Stepper.
-func (r *RandSched) Withdrawn() int { return r.decision.WithdrawnCount() }
-
-// Capture implements Stepper: the decision cluster first, then the
-// sampled clusters in ascending mask order (the order NewRandSched
-// re-derives deterministically from the seed on restore), plus the
-// decision RNG stream position.
-func (r *RandSched) Capture(now model.Time) (*Checkpoint, error) {
-	cp := checkpointHeader(r.name(), r.seed, now, r.inst)
-	cp.Clusters = make([]sim.ClusterState, 0, 1+len(r.masks))
-	cp.Clusters = append(cp.Clusters, r.decision.CaptureState())
-	for _, mask := range r.masks {
-		cp.Clusters = append(cp.Clusters, r.clusters[mask].CaptureState())
-	}
-	cp.RNG = []uint64{r.src.State()}
-	return cp, nil
-}
-
-// advanceSampled moves every sampled coalition schedule to time t,
-// optionally running its FCFS dispatch, fanned out over the worker
-// pool. The clusters share nothing, so the fan-out is deterministic.
-func (r *RandSched) advanceSampled(t model.Time, dispatch bool) {
-	workers := r.opts.workerCount()
-	if workers <= 1 || len(r.masks) < 16 {
-		for _, mask := range r.masks {
-			c := r.clusters[mask]
-			c.AdvanceTo(t)
-			if dispatch {
-				c.Dispatch()
-			}
-		}
-		return
-	}
-	forEachChunk(workers, len(r.masks), func(lo, hi int) {
-		for _, mask := range r.masks[lo:hi] {
-			c := r.clusters[mask]
-			c.AdvanceTo(t)
-			if dispatch {
-				c.Dispatch()
-			}
-			c.Flush() // accrual work happens on the worker
-		}
-	})
-}
-
-func (r *RandSched) name() string { return randName(r.samples, r.opts) }
 
 // randName labels a RAND configuration; shared by RandSched results and
 // RandAlgorithm so the two can never drift apart.
@@ -326,55 +189,6 @@ func randName(samples int, opts RandOptions) string {
 		return fmt.Sprintf("Rand(N=%d,stratified)", samples)
 	}
 	return fmt.Sprintf("Rand(N=%d)", samples)
-}
-
-// value returns the sampled coalition's value at the current instant.
-func (r *RandSched) value(mask model.Coalition) int64 {
-	if mask.Empty() {
-		return 0
-	}
-	return r.clusters[mask].Value()
-}
-
-// computePhi refreshes the Monte-Carlo contribution estimates:
-// φ[u] = (1/N)·Σ over sampled permutations of v(pred∪{u}) − v(pred).
-func (r *RandSched) computePhi() {
-	for u := 0; u < r.k; u++ {
-		var sum float64
-		for _, pred := range r.preds[u] {
-			sum += float64(r.value(pred.With(u)) - r.value(pred))
-		}
-		r.phi[u] = sum / float64(r.samples)
-	}
-}
-
-// randPolicy drives the decision schedule: argmax(φ−ψ) among waiting
-// organizations, low index on ties (SelectAndSchedule in Figure 6).
-type randPolicy struct {
-	r    *RandSched
-	view *sim.View
-}
-
-// Name implements sim.Policy.
-func (p *randPolicy) Name() string { return "RAND" }
-
-// Attach implements sim.Policy.
-func (p *randPolicy) Attach(v *sim.View, _ *rand.Rand) { p.view = v }
-
-// Select implements sim.Policy.
-func (p *randPolicy) Select(_ model.Time, _ int) int {
-	best := -1
-	var bestDeficit float64
-	for u := 0; u < p.r.k; u++ {
-		if p.view.Waiting(u) == 0 {
-			continue
-		}
-		deficit := p.r.phi[u] - float64(p.view.Psi(u))
-		if best == -1 || deficit > bestDeficit {
-			best, bestDeficit = u, deficit
-		}
-	}
-	return best
 }
 
 // RandAlgorithm adapts RandSched to the Algorithm interface.
@@ -396,31 +210,7 @@ func (a RandAlgorithm) NewStepper(inst *model.Instance, seed int64) Stepper {
 	return NewRandSched(inst, a.Samples, seed, a.Opts)
 }
 
-// RestoreStepper implements StepperAlgorithm: re-derive the sampled
-// permutations (a pure function of seed, sample count and options),
-// rebuild every cluster, and overwrite each with its captured state.
-func (a RandAlgorithm) RestoreStepper(cp *Checkpoint) (Stepper, error) {
-	if cp.Algorithm != a.Name() {
-		return nil, fmt.Errorf("core: checkpoint for %q restored as %q", cp.Algorithm, a.Name())
-	}
-	inst, err := cp.RebuildInstance()
-	if err != nil {
-		return nil, err
-	}
-	r := NewRandSched(inst, a.Samples, cp.Seed, a.Opts)
-	if len(cp.Clusters) != 1+len(r.masks) {
-		return nil, fmt.Errorf("core: RAND checkpoint has %d clusters, want %d", len(cp.Clusters), 1+len(r.masks))
-	}
-	if err := r.decision.RestoreState(cp.Clusters[0]); err != nil {
-		return nil, err
-	}
-	for i, mask := range r.masks {
-		if err := r.clusters[mask].RestoreState(cp.Clusters[1+i]); err != nil {
-			return nil, err
-		}
-	}
-	if len(cp.RNG) > 0 {
-		r.src.SetState(cp.RNG[0])
-	}
-	return r, nil
-}
+// RestoreStepper implements StepperAlgorithm: the sampled permutations
+// are a pure function of seed, sample count and options, so NewStepper
+// re-derives the same slots.
+func (a RandAlgorithm) RestoreStepper(cp *Checkpoint) (Stepper, error) { return restoreStepper(a, cp) }

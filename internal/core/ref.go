@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 
@@ -11,21 +10,20 @@ import (
 	"repro/internal/sim"
 )
 
-// RefDriver selects the event loop driving the 2^k−1 subcoalition
-// schedules.
+// RefDriver selects the mode of the schedule-set loop (schedSet) that
+// drives the 2^k−1 subcoalition schedules.
 type RefDriver int
 
 const (
-	// DriverHeap (the default) keeps the coalitions in an indexed
-	// event min-heap and pops the globally earliest event, advancing
-	// and re-evaluating only the clusters that event touches; every
-	// other coalition's value is read from a cached ValuePoly in O(1).
+	// DriverHeap (the default) keeps the schedules in an indexed event
+	// min-heap and pops the globally earliest event, advancing and
+	// re-evaluating only the clusters that event touches; every other
+	// coalition's value is read from a cached ValuePoly in O(1).
 	DriverHeap RefDriver = iota
-	// DriverScan is the original reference loop: scan all 2^k−1 masks
-	// for the minimum event time and advance every cluster to it, then
-	// re-snapshot every coalition value at each dispatch instant. It
-	// is kept as the oracle for differential testing; schedules and φ
-	// are identical to DriverHeap's.
+	// DriverScan is the loop's reference mode: scan every schedule for
+	// the minimum event time, advance every cluster to it and read
+	// every value live. It is kept as the oracle for differential
+	// testing; schedules and φ are identical to DriverHeap's.
 	DriverScan
 )
 
@@ -61,9 +59,9 @@ type RefOptions struct {
 	// Figure 1. The faithful Figure 3 behaviour (default) recomputes
 	// φ and ψ only once per time moment.
 	Rotate bool
-	// Parallel advances the 2^k−1 subcoalition clusters on worker
-	// goroutines between events. The result is identical to the serial
-	// run; only wall-clock time changes.
+	// Parallel advances large touched sets of subcoalition clusters on
+	// worker goroutines. The result is identical to the serial run;
+	// only wall-clock time changes.
 	Parallel bool
 	// Workers bounds the parallel worker count; 0 means GOMAXPROCS.
 	Workers int
@@ -71,62 +69,64 @@ type RefOptions struct {
 
 // Ref is Algorithm REF: the exact, exponential (FPT in the number of
 // organizations, Corollary 3.5) fair scheduler. It is the fairness
-// reference every other algorithm is measured against.
+// reference every other algorithm is measured against. As a schedSet
+// plug it maintains every non-empty coalition's schedule, smallest
+// coalitions first (the paper completes them first: their values feed
+// the larger ones' φ), checkpoints them in mask order, and targets each
+// dispatching coalition's exact Shapley vector.
 type Ref struct {
-	inst  *model.Instance
+	*schedSet
 	k     int
 	grand model.Coalition
-	opts  RefOptions
-	seed  int64 // recorded in checkpoints; REF itself ignores it
 
-	sims   []*sim.Cluster // indexed by coalition mask; [0] is nil
-	bySize []model.Coalition
-	phi    [][]float64 // per mask: contribution vector
-	adj    [][]float64 // per mask: within-instant rotation adjustments
+	masks  []model.Coalition // slot -> coalition mask, size-ordered
+	slotOf []int             // coalition mask -> slot; [0] unused
+	phi    [][]float64       // per slot: contribution vector
+	adj    [][]float64       // per slot: rotation adjustments (Rotate only)
 	// ct is the game-generic contribution engine: the dense coalition
 	// value snapshot, dispatch stamps and memoized weight tables live
-	// there; this file only decides when to refresh and which coalition
-	// to compute φ for. The engine reads values through game, the
-	// org-level ContribGame instance (built once — per-step interface
-	// construction would be an allocation on the dispatch path).
+	// there; this file only decides which coalition to compute φ for.
+	// The engine reads values through game, the org-level ContribGame
+	// instance (built once — per-step interface construction would be
+	// an allocation on the dispatch path).
 	ct   *shapley.Contrib
 	game shapley.ContribGame
-
-	// Event-heap driver state, persistent across StepNext calls so a
-	// run can be held open, fed and checkpointed. Rebuilt from the
-	// cluster states lazily (ensureDriver) — never serialized.
-	h           *eventHeap
-	polys       []sim.ValuePoly
-	driverReady bool
-	touched     []model.Coalition // scratch for stepHeap
 }
 
 // NewRef builds the reference scheduler for the instance.
 func NewRef(inst *model.Instance, opts RefOptions) *Ref {
 	k := len(inst.Orgs)
 	r := &Ref{
-		inst:  inst,
-		k:     k,
-		grand: model.Grand(k),
-		opts:  opts,
-		sims:  make([]*sim.Cluster, 1<<uint(k)),
-		phi:   make([][]float64, 1<<uint(k)),
-		adj:   make([][]float64, 1<<uint(k)),
-		ct:    shapley.NewContrib(k),
+		k:      k,
+		grand:  model.Grand(k),
+		slotOf: make([]int, 1<<uint(k)),
+		ct:     shapley.NewContrib(k),
 	}
 	r.game = orgGame{r}
-	for mask := model.Coalition(1); mask <= r.grand; mask++ {
-		r.sims[mask] = sim.New(inst, mask, &refPolicy{r: r, mask: mask}, nil)
-		r.phi[mask] = make([]float64, k)
-		r.adj[mask] = make([]float64, k)
-	}
-	// Size-ordered masks: the paper completes schedules for smaller
-	// coalitions first (their values feed the larger ones' φ).
-	for s := 1; s <= k; s++ {
+	for size := 1; size <= k; size++ {
 		for mask := model.Coalition(1); mask <= r.grand; mask++ {
-			if mask.Size() == s {
-				r.bySize = append(r.bySize, mask)
+			if mask.Size() == size {
+				r.slotOf[mask] = len(r.masks)
+				r.masks = append(r.masks, mask)
 			}
+		}
+	}
+	slots := make([]*sim.Cluster, len(r.masks))
+	r.phi = make([][]float64, len(slots))
+	r.adj = make([][]float64, len(slots))
+	for slot, mask := range r.masks {
+		r.phi[slot] = make([]float64, k)
+		if opts.Rotate {
+			r.adj[slot] = make([]float64, k)
+		}
+		slots[slot] = sim.New(inst, mask, &deficitPolicy{name: "REF", target: r.phi[slot], adj: r.adj[slot]}, nil)
+	}
+	r.schedSet = newSchedSet("REF", 0, inst, r, slots, opts.Driver == DriverScan)
+	r.ckpt = r.slotOf[1:] // checkpoints list the clusters in mask order
+	if opts.Parallel {
+		r.workers = opts.Workers
+		if r.workers <= 0 {
+			r.workers = runtime.GOMAXPROCS(0)
 		}
 	}
 	return r
@@ -134,16 +134,10 @@ func NewRef(inst *model.Instance, opts RefOptions) *Ref {
 
 // orgGame is the org-level instance of shapley.ContribGame — the game
 // the paper's Section 2 defines, with organizations as players and
-// v(C, t) the ψsp-sum of coalition C's own greedy schedule at t. A
-// coalition's value is answered from its live cluster when the cluster
-// stands at t, and from its cached sim.ValuePoly otherwise (the
-// event-heap driver's dirty tracking: only clusters whose own events
-// fired since the last snapshot are ever flushed).
-//
-// The poly path is reachable only while the heap driver is live (the
-// scan driver and ResultAt always align every cluster with the queried
-// instant first), so callers outside this package should query at the
-// clusters' current instant — e.g. the horizon, after Run.
+// v(C, t) the ψsp-sum of coalition C's own greedy schedule at t,
+// answered by schedSet.valueAt: live when C's cluster stands at t, from
+// its cached polynomial otherwise. Callers outside this package should
+// query at the clusters' current instant — e.g. the horizon, after Run.
 type orgGame struct{ r *Ref }
 
 // Players implements shapley.ContribGame.
@@ -154,10 +148,7 @@ func (g orgGame) ValueAt(c model.Coalition, t model.Time) int64 {
 	if c.Empty() {
 		return 0
 	}
-	if s := g.r.sims[c]; s.Now() == t {
-		return s.Value()
-	}
-	return g.r.polys[c].At(t)
+	return g.r.valueAt(g.r.slotOf[c], t)
 }
 
 // Game exposes REF's org-level cooperative game so the generic Shapley
@@ -166,197 +157,37 @@ func (g orgGame) ValueAt(c model.Coalition, t model.Time) int64 {
 func (r *Ref) Game() shapley.ContribGame { return r.game }
 
 // Run drives every subcoalition schedule to the horizon and returns the
-// grand coalition's result, with exact Shapley contributions. It is a
-// thin wrapper over the incremental stepping interface — the streaming
-// engine executes exactly this code path one event at a time.
-func (r *Ref) Run(until model.Time) *Result {
-	return runStepper(r, until)
+// grand coalition's result, with exact Shapley contributions — the
+// stepping loop the streaming engine executes one event at a time.
+func (r *Ref) Run(until model.Time) *Result { return runStepper(r, until) }
+
+// retarget implements plug: the exact Shapley contributions of the
+// slot's coalition (the UpdateVals procedure of Figure 1). The engine's
+// value snapshot is filled lazily through the org-level game; its
+// stamps make each subcoalition cost one evaluation per instant however
+// many coalitions dispatch at it. Rotation adjustments reset alongside.
+func (r *Ref) retarget(slot int, t model.Time) {
+	mask := r.masks[slot]
+	r.ct.FillSubsets(r.game, mask, t)
+	r.ct.PhiInto(mask, r.phi[slot])
+	clear(r.adj[slot])
 }
 
-// Instance implements Stepper.
-func (r *Ref) Instance() *model.Instance { return r.inst }
-
-// Starts implements Stepper: the grand coalition's schedule is the
-// decision schedule.
-func (r *Ref) Starts() []sim.Start { return r.sims[r.grand].Starts() }
-
-// NextEventTime implements Stepper: the earliest pending event across
-// all 2^k−1 subcoalition schedules.
-func (r *Ref) NextEventTime() model.Time {
-	t := sim.MaxTime
-	for mask := model.Coalition(1); mask <= r.grand; mask++ {
-		if e := r.sims[mask].NextEventTime(); e < t {
-			t = e
-		}
-	}
-	return t
-}
-
-// StepNext implements Stepper: process the single earliest global event
-// at or before until with the configured driver.
-func (r *Ref) StepNext(until model.Time) bool {
-	if r.opts.Driver == DriverScan {
-		return r.stepScan(until)
-	}
-	return r.stepHeap(until)
-}
-
-// FinishAt implements Stepper: move every cluster's clock to exactly t.
-// Callers must have drained events at or before t first, so only clocks
-// (and lazy accrual) move — stepping can resume afterwards.
-func (r *Ref) FinishAt(t model.Time) { r.advanceAll(t) }
-
-// ResultAt implements Stepper: the grand coalition's result with exact
-// contributions at time t (clocks must already stand at t).
-func (r *Ref) ResultAt(t model.Time) *Result {
-	r.ct.Refresh(r.Game(), t)
-	r.computePhi(r.grand)
-	phi := append([]float64(nil), r.phi[r.grand]...)
-	return resultFromCluster(r.Name(), r.sims[r.grand], t, phi)
-}
-
-// Inject implements Stepper: register online arrivals (already appended
-// to the instance) with every subcoalition containing the owner. Cached
-// value polynomials stay exact — a pending release changes no executed
-// work — but event-heap keys go stale, so each mask is re-keyed in
-// place (an O(1) no-op for the masks the arrivals don't advance).
-func (r *Ref) Inject(ids []int) error {
-	for mask := model.Coalition(1); mask <= r.grand; mask++ {
-		for _, id := range ids {
-			if err := r.sims[mask].Inject(id); err != nil {
-				return err
-			}
-		}
-		if r.driverReady {
-			r.h.update(mask, r.sims[mask].NextEventTime())
-		}
-	}
-	return nil
-}
-
-// Withdraw implements Stepper: remove the job from the grand
-// coalition's wait queue (it must still be waiting there — the grand
-// schedule is the decision schedule) and, best-effort, from every
-// subcoalition containing the owner. A subcoalition whose hypothetical
-// schedule already started the job keeps it: non-preemptive
-// counterfactual work stands, exactly as it would had the coalition
-// been running alone. Withdrawal moves no executed work, so cached
-// value polynomials stay exact, but a pending-release removal can push
-// a cluster's next event later — only the 2^(k−1) masks containing the
-// owner can change, and each is re-keyed in place with an incremental
-// heap sift (removal included, when the withdrawal drained the
-// cluster's last pending event) instead of a full rebuild. Migration
-// rounds withdraw one job at a time, so this is the hot path the
-// indexed heap exists for.
-func (r *Ref) Withdraw(id int) error {
-	if err := withdrawDecision(r.sims[r.grand], r.Name(), id); err != nil {
-		return err
-	}
-	if r.driverReady {
-		r.h.update(r.grand, r.sims[r.grand].NextEventTime())
-	}
-	org := r.inst.Jobs[id].Org
-	for mask := model.Coalition(1); mask < r.grand; mask++ {
-		if !mask.Has(org) {
-			continue
-		}
-		removed, err := r.sims[mask].Withdraw(org, id)
-		if err != nil {
-			return err
-		}
-		if removed && r.driverReady {
-			r.h.update(mask, r.sims[mask].NextEventTime())
-		}
-	}
-	return nil
-}
-
-// Withdrawn implements Stepper.
-func (r *Ref) Withdrawn() int { return r.sims[r.grand].WithdrawnCount() }
-
-// stepScan is one iteration of the original driver: scan all 2^k−1
-// masks for the minimum event time, advance every cluster to it, and
-// re-snapshot every coalition value at each dispatch instant.
-func (r *Ref) stepScan(until model.Time) bool {
-	t := r.NextEventTime()
-	if t == sim.MaxTime || t > until {
-		return false
-	}
-	r.advanceAll(t)
-	r.dispatchAll(t)
-	return true
-}
-
-// Name implements Algorithm (via RefAlgorithm); exported here for
-// symmetric reporting.
-func (r *Ref) Name() string { return "REF" }
-
-// advanceAll moves every subcoalition cluster to time t.
-func (r *Ref) advanceAll(t model.Time) {
-	if !r.opts.Parallel {
-		for mask := model.Coalition(1); mask <= r.grand; mask++ {
-			r.sims[mask].AdvanceTo(t)
-		}
-		return
-	}
-	workers := r.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	forEachChunk(workers, int(r.grand), func(lo, hi int) {
-		for mask := lo + 1; mask <= hi; mask++ { // masks are 1-based
-			c := r.sims[mask]
-			c.AdvanceTo(t)
-			c.Flush() // accrual work happens on the worker
-		}
-	})
-}
-
-// dispatchAll lets every coalition with a free machine and waiting jobs
-// schedule, smallest coalitions first (Figure 1's FairAlgorithm loop).
-// Coalition values at the current instant are unaffected by same-instant
-// starts (a job started at t has executed nothing before t), so one
-// value snapshot serves all coalitions. Every cluster stands at t here
-// (advanceAll ran), so the snapshot reads live values.
-func (r *Ref) dispatchAll(t model.Time) {
-	any := false
-	for _, mask := range r.bySize {
-		if r.sims[mask].CanDispatch() {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	r.ct.Refresh(r.Game(), t)
-	for _, mask := range r.bySize {
-		c := r.sims[mask]
-		if !c.CanDispatch() {
-			continue
-		}
-		r.computePhi(mask)
-		c.Dispatch()
-	}
-}
-
-// computePhi fills r.phi[mask] with the exact Shapley contributions of
-// the coalition's members, computed by the contribution engine from the
-// current subcoalition value snapshot (the UpdateVals procedure of
-// Figure 1). Rotation adjustments are reset alongside.
-func (r *Ref) computePhi(mask model.Coalition) {
-	r.ct.PhiInto(mask, r.phi[mask])
-	adj := r.adj[mask]
-	for i := range adj {
-		adj[i] = 0
-	}
+// phiAt implements plug: the grand coalition's exact contributions,
+// from a full live re-snapshot (every cluster stands at t).
+func (r *Ref) phiAt(t model.Time) []float64 {
+	r.ct.Refresh(r.game, t)
+	grand := len(r.masks) - 1
+	r.ct.PhiInto(r.grand, r.phi[grand])
+	clear(r.adj[grand])
+	return r.PhiOf(r.grand)
 }
 
 // PhiOf returns the most recently computed contribution vector for a
 // coalition (valid after Run for the grand coalition, or mid-run for
 // any coalition that has dispatched).
 func (r *Ref) PhiOf(mask model.Coalition) []float64 {
-	return append([]float64(nil), r.phi[mask]...)
+	return append([]float64(nil), r.phi[r.slotOf[mask]]...)
 }
 
 // ValueOf returns coalition mask's value at the cluster's current time.
@@ -365,66 +196,16 @@ func (r *Ref) ValueOf(mask model.Coalition) int64 {
 	if mask.Empty() {
 		return 0
 	}
-	return r.sims[mask].Value()
+	return r.Cluster(mask).Value()
 }
 
 // Cluster exposes a subcoalition's cluster (read-only use intended);
 // tests compare subcoalition schedules against independent simulations.
-func (r *Ref) Cluster(mask model.Coalition) *sim.Cluster { return r.sims[mask] }
-
-// refPolicy selects argmax(φ−ψ) among the coalition's waiting members —
-// the SelectAndSchedule rule of Figure 3, with deterministic low-index
-// tie-breaking.
-type refPolicy struct {
-	r    *Ref
-	mask model.Coalition
-	view *sim.View
-}
-
-// Name implements sim.Policy.
-func (p *refPolicy) Name() string { return "REF" }
-
-// Attach implements sim.Policy.
-func (p *refPolicy) Attach(v *sim.View, _ *rand.Rand) { p.view = v }
-
-// Select implements sim.Policy.
-func (p *refPolicy) Select(_ model.Time, _ int) int {
-	phi := p.r.phi[p.mask]
-	adj := p.r.adj[p.mask]
-	best := -1
-	var bestDeficit float64
-	p.mask.EachMember(func(u int) {
-		if p.view.Waiting(u) == 0 {
-			return
-		}
-		deficit := phi[u] + adj[u] - float64(p.view.Psi(u))
-		if best == -1 || deficit > bestDeficit {
-			best, bestDeficit = u, deficit
-		}
-	})
-	if p.r.opts.Rotate {
-		size := float64(p.mask.Size())
-		p.mask.EachMember(func(u int) { adj[u] += 1 / size })
-		adj[best]--
-	}
-	return best
-}
-
-// Capture implements Stepper: one ClusterState per subcoalition, in
-// mask order. Driver caches are rebuilt on restore, not serialized; φ
-// and the rotation adjustments are recomputed at every dispatch instant
-// before they are read, so they carry no state either.
-func (r *Ref) Capture(now model.Time) (*Checkpoint, error) {
-	cp := checkpointHeader(r.Name(), r.seed, now, r.inst)
-	cp.Clusters = make([]sim.ClusterState, 0, int(r.grand))
-	for mask := model.Coalition(1); mask <= r.grand; mask++ {
-		cp.Clusters = append(cp.Clusters, r.sims[mask].CaptureState())
-	}
-	return cp, nil
-}
+func (r *Ref) Cluster(mask model.Coalition) *sim.Cluster { return r.slots[r.slotOf[mask]] }
 
 // RefAlgorithm adapts Ref to the Algorithm interface (REF is
-// deterministic; the seed is ignored).
+// deterministic; the seed is recorded in checkpoints and otherwise
+// ignored).
 type RefAlgorithm struct{ Opts RefOptions }
 
 // Name implements Algorithm.
@@ -442,28 +223,5 @@ func (a RefAlgorithm) NewStepper(inst *model.Instance, seed int64) Stepper {
 	return r
 }
 
-// RestoreStepper implements StepperAlgorithm: rebuild the 2^k−1
-// clusters and overwrite each with its captured state; the event heap
-// and value-polynomial caches are reconstructed lazily on the next
-// StepNext.
-func (a RefAlgorithm) RestoreStepper(cp *Checkpoint) (Stepper, error) {
-	if cp.Algorithm != (RefAlgorithm{}).Name() {
-		return nil, fmt.Errorf("core: checkpoint for %q restored as REF", cp.Algorithm)
-	}
-	inst, err := cp.RebuildInstance()
-	if err != nil {
-		return nil, err
-	}
-	r := NewRef(inst, a.Opts)
-	r.seed = cp.Seed
-	if len(cp.Clusters) != int(r.grand) {
-		return nil, fmt.Errorf("core: REF checkpoint has %d clusters, want %d", len(cp.Clusters), int(r.grand))
-	}
-	for i, mask := 0, model.Coalition(1); mask <= r.grand; mask++ {
-		if err := r.sims[mask].RestoreState(cp.Clusters[i]); err != nil {
-			return nil, err
-		}
-		i++
-	}
-	return r, nil
-}
+// RestoreStepper implements StepperAlgorithm.
+func (a RefAlgorithm) RestoreStepper(cp *Checkpoint) (Stepper, error) { return restoreStepper(a, cp) }

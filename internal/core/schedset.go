@@ -1,0 +1,575 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+
+	"repro/internal/model"
+	"repro/internal/sim"
+	"repro/internal/stats"
+)
+
+// schedSet is the one event loop under every stepper in this package —
+// the FairAlgorithm loop of Figures 1, 3 and 6: advance the maintained
+// schedules to the next event, refresh the target vector, start the job
+// of the organization with the largest deficit. It owns an ordered
+// family of sim.Cluster slots, held in dispatch order with the decision
+// schedule (the one whose starts are real) last, and implements Stepper
+// on them once. An algorithm is a plug: it says which schedules exist,
+// in which order they are checkpointed, and how a dispatching slot's
+// target vector is refreshed (see the plug table in DESIGN.md §2).
+//
+// By default the slots sit in an indexed min-heap keyed by
+// NextEventTime. A step pops exactly the slots whose event fires at the
+// earliest instant — the touched set — advances, dispatches and
+// re-snapshots only those, and re-inserts them; every other slot's
+// value is read in O(1) from its cached sim.ValuePoly, which stays
+// exact until that slot's own next event. Two sim.Cluster invariants
+// make this equivalent to advancing everything (DESIGN.md §2.2):
+//
+//  1. A cluster can become dispatchable only through one of its own
+//     events: Dispatch always exhausts either the free machines or the
+//     waiting queue, and only the cluster's own releases and
+//     completions replenish them. So the dispatch candidates at t are
+//     exactly the touched slots.
+//  2. Jobs started at t have executed nothing before t, so values at t
+//     are unaffected by same-instant starts — one value snapshot serves
+//     every slot dispatching at t, in any order.
+//
+// The reference mode (scan; RefOptions.Driver == DriverScan) is the
+// same loop with the acceleration removed: the instant is found by
+// scanning, every slot is touched, values are read live — never the
+// heap, never a polynomial. It is the oracle the differential tests
+// hold the default mode to, and what a one-slot set runs (there is
+// nothing to index).
+//
+// Heap keys and polynomials are never serialized: they are a function
+// of the cluster states (a slot's key is its NextEventTime, a fresh
+// polynomial of an unchanged cluster evaluates identically on its
+// validity window), so restore rebuilds them and stays byte-identical.
+type schedSet struct {
+	name string
+	seed int64
+	inst *model.Instance
+	plug plug
+
+	slots   []*sim.Cluster // dispatch order; the last is the decision schedule
+	ckpt    []int          // checkpoint position -> slot; slot order unless the plug sets it
+	src     *stats.Source  // the decision schedule's RNG stream; nil when it has none
+	workers int            // goroutines advancing a large touched set; ≤ 1 is serial
+	scan    bool           // reference mode
+
+	h       *eventHeap
+	polys   []sim.ValuePoly
+	all     []int // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
+	touched []int // scratch
+}
+
+// plug is what an algorithm adds to the schedule-set core.
+type plug interface {
+	// retarget refreshes the target vector the slot's policy selects
+	// by, at instant t. The loop calls it once per dispatching slot per
+	// instant, immediately before Dispatch.
+	retarget(slot int, t model.Time)
+	// phiAt returns the contribution (or target) vector Result reports
+	// at t, nil for algorithms that compute none. Every slot stands at
+	// t when it is called.
+	phiAt(t model.Time) []float64
+}
+
+// parallelThreshold is the touched-set size from which advancing on
+// worker goroutines pays for the fan-out (a release touches every
+// schedule containing the owner; a completion touches one).
+const parallelThreshold = 16
+
+func newSchedSet(name string, seed int64, inst *model.Instance, p plug, slots []*sim.Cluster, scan bool) *schedSet {
+	s := &schedSet{
+		name:    name,
+		seed:    seed,
+		inst:    inst,
+		plug:    p,
+		slots:   slots,
+		workers: 1,
+		scan:    scan || len(slots) == 1,
+		all:     identity(len(slots)),
+	}
+	s.ckpt = s.all
+	s.rekeyAll()
+	return s
+}
+
+// identity returns the slot list 0..n-1. Every set of a given size
+// sweeps the same list, so one immutable, append-only table serves them
+// all (prefixes handed out earlier stay valid when it grows) and
+// building a set — the daemon builds one per session — does not pay an
+// allocation for it.
+func identity(n int) []int {
+	identityTable.Lock()
+	defer identityTable.Unlock()
+	for len(identityTable.s) < n {
+		identityTable.s = append(identityTable.s, len(identityTable.s))
+	}
+	return identityTable.s[:n:n]
+}
+
+var identityTable struct {
+	sync.Mutex
+	s []int
+}
+
+// set exposes the core through the algorithm types that embed it.
+func (s *schedSet) set() *schedSet { return s }
+
+func (s *schedSet) decision() *sim.Cluster { return s.slots[len(s.slots)-1] }
+
+// rekeyAll (re)builds the heap and the polynomial cache from the
+// current cluster states — at construction and after restore. Inject
+// and Withdraw re-key only the slots they change (eventHeap.update);
+// the differential tests hold the incrementally maintained heap to
+// exactly the state this rebuild produces.
+func (s *schedSet) rekeyAll() {
+	if s.scan {
+		return
+	}
+	n := len(s.slots)
+	s.h = newEventHeap(n)
+	s.polys = make([]sim.ValuePoly, n)
+	s.touched = make([]int, 0, n)
+	for i, c := range s.slots {
+		s.polys[i] = c.ValuePoly()
+		s.h.update(i, c.NextEventTime())
+	}
+}
+
+// valueAt is slot's coalition value at t: live when the slot stands at
+// t (it was touched at t, or FinishAt aligned it), from its cached
+// polynomial otherwise.
+func (s *schedSet) valueAt(slot int, t model.Time) int64 {
+	if c := s.slots[slot]; c.Now() == t {
+		return c.Value()
+	}
+	return s.polys[slot].At(t)
+}
+
+// Name implements Stepper.
+func (s *schedSet) Name() string { return s.name }
+
+// Instance implements Stepper.
+func (s *schedSet) Instance() *model.Instance { return s.inst }
+
+// Starts implements Stepper.
+func (s *schedSet) Starts() []sim.Start { return s.decision().Starts() }
+
+// Withdrawn implements Stepper.
+func (s *schedSet) Withdrawn() int { return s.decision().WithdrawnCount() }
+
+// NextEventTime implements Stepper: the heap minimum, or the scanned
+// minimum in the reference mode.
+func (s *schedSet) NextEventTime() model.Time {
+	if !s.scan {
+		if s.h.size() == 0 {
+			return sim.MaxTime
+		}
+		return s.h.minKey()
+	}
+	t := sim.MaxTime
+	for _, c := range s.slots {
+		if e := c.NextEventTime(); e < t {
+			t = e
+		}
+	}
+	return t
+}
+
+// StepNext implements Stepper: pop the touched set at the earliest
+// instant, advance it, let its dispatchable slots schedule in slot
+// order against freshly refreshed targets, then re-snapshot and
+// re-insert it.
+func (s *schedSet) StepNext(until model.Time) bool {
+	t := s.NextEventTime()
+	if t == sim.MaxTime || t > until {
+		return false
+	}
+	touched := s.all
+	if !s.scan {
+		touched = s.touched[:0]
+		for s.h.size() > 0 && s.h.minKey() == t {
+			touched = append(touched, s.h.pop())
+		}
+		s.touched = touched
+	}
+	s.advance(touched, t)
+	for _, i := range touched {
+		if c := s.slots[i]; c.CanDispatch() {
+			s.plug.retarget(i, t)
+			c.Dispatch()
+		}
+	}
+	if !s.scan {
+		for _, i := range touched {
+			s.polys[i] = s.slots[i].ValuePoly()
+			s.h.update(i, s.slots[i].NextEventTime())
+		}
+	}
+	return true
+}
+
+// advance moves the given slots to time t, on worker goroutines when
+// the set is large enough. The clusters share nothing, so the fan-out
+// is deterministic.
+func (s *schedSet) advance(slots []int, t model.Time) {
+	if s.workers <= 1 || len(slots) < parallelThreshold {
+		for _, i := range slots {
+			s.slots[i].AdvanceTo(t)
+		}
+		return
+	}
+	forEachChunk(s.workers, len(slots), func(lo, hi int) {
+		for _, i := range slots[lo:hi] {
+			c := s.slots[i]
+			c.AdvanceTo(t)
+			c.Flush() // accrual work happens on the worker
+		}
+	})
+}
+
+// FinishAt implements Stepper: move every slot's clock to exactly t.
+// The caller has drained the events at or before t, so only clocks (and
+// lazy accrual) move: keys and polynomials stay exact.
+func (s *schedSet) FinishAt(t model.Time) { s.advance(s.all, t) }
+
+// ResultAt implements Stepper.
+func (s *schedSet) ResultAt(t model.Time) *Result {
+	return resultFromCluster(s.name, s.decision(), t, s.plug.phiAt(t))
+}
+
+// Inject implements Stepper: register online arrivals (already appended
+// to the instance) with every slot; clusters ignore non-member jobs.
+// Cached polynomials stay exact — a pending release changes no executed
+// work — but keys go stale, so each slot is re-keyed in place (an O(1)
+// no-op for the slots the arrivals don't advance).
+func (s *schedSet) Inject(ids []int) error {
+	for i, c := range s.slots {
+		for _, id := range ids {
+			if err := c.Inject(id); err != nil {
+				return err
+			}
+		}
+		s.rekey(i)
+	}
+	return nil
+}
+
+// Withdraw implements Stepper: the job must still be waiting in the
+// decision schedule — the schedule that actually executes work, so a
+// caller withdrawing a job that is not queued there holds a stale view.
+// Hypothetical slots drop their queued copy alongside; one that already
+// started the job keeps it (non-preemptive counterfactual work stands).
+// No executed work moves, so polynomials stay exact; only slots that
+// really lost a pending release can change their next event, and each
+// is re-keyed with an incremental heap sift (removal included, when the
+// withdrawal drained the slot's last event). Migration rounds withdraw
+// one job at a time: this is the hot path the indexed heap exists for.
+func (s *schedSet) Withdraw(id int) error {
+	if id < 0 || id >= len(s.inst.Jobs) {
+		return fmt.Errorf("core: %s: withdraw: job %d not in instance", s.name, id)
+	}
+	org := s.inst.Jobs[id].Org
+	last := len(s.slots) - 1
+	removed, err := s.slots[last].Withdraw(org, id)
+	if err != nil {
+		return err
+	}
+	if !removed {
+		return fmt.Errorf("core: %s: withdraw: job %d is not queued (already started, finished or withdrawn)", s.name, id)
+	}
+	s.rekey(last)
+	for i, c := range s.slots[:last] {
+		removed, err := c.Withdraw(org, id)
+		if err != nil {
+			return err
+		}
+		if removed {
+			s.rekey(i)
+		}
+	}
+	return nil
+}
+
+func (s *schedSet) rekey(slot int) {
+	if !s.scan {
+		s.h.update(slot, s.slots[slot].NextEventTime())
+	}
+}
+
+// Capture implements Stepper: one ClusterState per slot in the plug's
+// checkpoint order, the decision RNG stream position, and a stateful
+// decision policy's own capture. Target vectors carry no state — they
+// are recomputed at every dispatch instant before they are read.
+func (s *schedSet) Capture(now model.Time) (*Checkpoint, error) {
+	cp := &Checkpoint{
+		Version:   CheckpointVersion,
+		Algorithm: s.name,
+		Seed:      s.seed,
+		Now:       now,
+		Orgs:      append([]model.Org(nil), s.inst.Orgs...),
+		Jobs:      append([]model.Job(nil), s.inst.Jobs...),
+		Clusters:  make([]sim.ClusterState, len(s.slots)),
+	}
+	for pos := range cp.Clusters {
+		cp.Clusters[pos] = s.slots[s.ckpt[pos]].CaptureState()
+	}
+	if s.src != nil {
+		cp.RNG = []uint64{s.src.State()}
+	}
+	if sp, ok := s.decision().Policy().(sim.StatefulPolicy); ok {
+		data, err := sp.CapturePolicyState()
+		if err != nil {
+			return nil, fmt.Errorf("core: capture policy state: %w", err)
+		}
+		cp.Policy = data
+	}
+	return cp, nil
+}
+
+// restore overwrites a freshly built set with a captured one. It fails
+// closed: a set that captures an RNG position or a policy blob rejects
+// a checkpoint lacking it rather than restarting that state from the
+// seed.
+func (s *schedSet) restore(cp *Checkpoint) error {
+	if len(cp.Clusters) != len(s.slots) {
+		return fmt.Errorf("core: %s checkpoint has %d clusters, want %d", s.name, len(cp.Clusters), len(s.slots))
+	}
+	for pos, st := range cp.Clusters {
+		if err := s.slots[s.ckpt[pos]].RestoreState(st); err != nil {
+			return err
+		}
+	}
+	if s.src != nil {
+		if len(cp.RNG) == 0 {
+			return fmt.Errorf("core: %s checkpoint lacks the RNG stream position", s.name)
+		}
+		s.src.SetState(cp.RNG[0])
+	}
+	if sp, ok := s.decision().Policy().(sim.StatefulPolicy); ok {
+		if len(cp.Policy) == 0 {
+			return fmt.Errorf("core: %s checkpoint lacks the policy state", s.name)
+		}
+		if err := sp.RestorePolicyState(cp.Policy); err != nil {
+			return fmt.Errorf("core: restore policy state: %w", err)
+		}
+	}
+	s.rekeyAll()
+	return nil
+}
+
+// restoreStepper is every algorithm's RestoreStepper: rebuild the
+// instance, build the stepper the algorithm's configuration describes,
+// overwrite its set.
+func restoreStepper(a StepperAlgorithm, cp *Checkpoint) (Stepper, error) {
+	if cp.Algorithm != a.Name() {
+		return nil, fmt.Errorf("core: checkpoint for %q restored as %q", cp.Algorithm, a.Name())
+	}
+	inst, err := cp.RebuildInstance()
+	if err != nil {
+		return nil, err
+	}
+	st := a.NewStepper(inst, cp.Seed)
+	if err := st.(interface{ set() *schedSet }).set().restore(cp); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// deficitPolicy is the SelectAndSchedule rule of Figures 3 and 6: start
+// a job of the waiting organization with the largest deficit target−ψ,
+// low index on ties. target is owned by the plug and refreshed by
+// retarget; non-members never wait, so scanning every organization
+// equals scanning the coalition.
+type deficitPolicy struct {
+	name   string
+	target []float64
+	// adj, when non-nil, is the within-instant rotation ablation
+	// (RefOptions.Rotate): after each start the chosen organization is
+	// provisionally charged one unit and every member credited 1/‖C‖.
+	adj  []float64
+	view *sim.View
+}
+
+// Name implements sim.Policy.
+func (p *deficitPolicy) Name() string { return p.name }
+
+// Attach implements sim.Policy.
+func (p *deficitPolicy) Attach(v *sim.View, _ *rand.Rand) { p.view = v }
+
+// Select implements sim.Policy.
+func (p *deficitPolicy) Select(_ model.Time, _ int) int {
+	best := -1
+	var bestDeficit float64
+	for u, target := range p.target {
+		if p.view.Waiting(u) == 0 {
+			continue
+		}
+		if p.adj != nil {
+			target += p.adj[u]
+		}
+		deficit := target - float64(p.view.Psi(u))
+		if best == -1 || deficit > bestDeficit {
+			best, bestDeficit = u, deficit
+		}
+	}
+	if p.adj != nil {
+		members := p.view.Coalition()
+		size := float64(members.Size())
+		members.EachMember(func(u int) { p.adj[u] += 1 / size })
+		p.adj[best]--
+	}
+	return best
+}
+
+// forEachChunk splits [0, n) into contiguous chunks and runs fn on one
+// goroutine per chunk, blocking until all complete. With one worker (or
+// n ≤ 1) it runs inline.
+func forEachChunk(workers, n int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+}
+
+// eventHeap is an indexed binary min-heap of slots keyed by next event
+// time, with the slot index — the dispatch order — as the tie-break, so
+// a touched set pops already ordered. key and pos are indexed by slot
+// (pos[slot] == -1 when absent): single-slot re-keys are O(log n) sifts.
+type eventHeap struct {
+	key  []model.Time
+	pos  []int
+	heap []int
+}
+
+func newEventHeap(n int) *eventHeap {
+	h := &eventHeap{
+		key:  make([]model.Time, n),
+		pos:  make([]int, n),
+		heap: make([]int, 0, n),
+	}
+	for i := range h.pos {
+		h.pos[i] = -1
+	}
+	return h
+}
+
+func (h *eventHeap) size() int { return len(h.heap) }
+
+func (h *eventHeap) minKey() model.Time { return h.key[h.heap[0]] }
+
+func (h *eventHeap) less(i, j int) bool {
+	a, b := h.heap[i], h.heap[j]
+	if h.key[a] != h.key[b] {
+		return h.key[a] < h.key[b]
+	}
+	return a < b
+}
+
+func (h *eventHeap) swap(i, j int) {
+	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
+	h.pos[h.heap[i]] = i
+	h.pos[h.heap[j]] = j
+}
+
+func (h *eventHeap) pop() int {
+	top := h.heap[0]
+	h.remove(top)
+	return top
+}
+
+// remove deletes slot from anywhere in the heap: swap with the last
+// entry, truncate, and re-sift the displaced entry.
+func (h *eventHeap) remove(slot int) {
+	i := h.pos[slot]
+	last := len(h.heap) - 1
+	h.swap(i, last)
+	h.heap = h.heap[:last]
+	h.pos[slot] = -1
+	if i < last {
+		h.fix(h.heap[i])
+	}
+}
+
+// fix restores the heap invariant after key[slot] changed in place: one
+// up-sift, then a down-sift if the entry did not move up.
+func (h *eventHeap) fix(slot int) {
+	i := h.pos[slot]
+	h.up(i)
+	if h.pos[slot] == i {
+		h.down(i)
+	}
+}
+
+// update is the single keying rule: slot is present iff k !=
+// sim.MaxTime, keyed by k. It inserts, removes or sifts as needed, and
+// is a no-op when the key is unchanged.
+func (h *eventHeap) update(slot int, k model.Time) {
+	switch {
+	case k == sim.MaxTime:
+		if h.pos[slot] >= 0 {
+			h.remove(slot)
+		}
+	case h.pos[slot] < 0:
+		h.key[slot] = k
+		h.pos[slot] = len(h.heap)
+		h.heap = append(h.heap, slot)
+		h.up(len(h.heap) - 1)
+	case h.key[slot] != k:
+		h.key[slot] = k
+		h.fix(slot)
+	}
+}
+
+func (h *eventHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *eventHeap) down(i int) {
+	n := len(h.heap)
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h.less(l, smallest) {
+			smallest = l
+		}
+		if r < n && h.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			return
+		}
+		h.swap(i, smallest)
+		i = smallest
+	}
+}

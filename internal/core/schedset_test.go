@@ -1,0 +1,302 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/model"
+	"repro/internal/sim"
+)
+
+// diffFamilies lists one algorithm per stepper family (RAND twice, for
+// both samplers) — the rows of every heap-vs-reference differential.
+func diffFamilies() []StepperAlgorithm {
+	return []StepperAlgorithm{
+		RefAlgorithm{},
+		RandAlgorithm{Samples: 12, Opts: RandOptions{Workers: 1}},
+		RandAlgorithm{Samples: 12, Opts: RandOptions{Workers: 1, Stratified: true}},
+		NbsAlgorithm{},
+		FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }),
+	}
+}
+
+// setOf returns the schedule set under a stepper.
+func setOf(st Stepper) *schedSet { return st.(interface{ set() *schedSet }).set() }
+
+// newModeStepper starts a run in the heap mode or in the in-package
+// reference mode, whatever the algorithm's own default (a one-slot
+// policy set defaults to the reference mode; forcing it onto the heap
+// exercises the one-entry heap too).
+func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan bool) Stepper {
+	st := alg.NewStepper(in, seed)
+	s := setOf(st)
+	s.scan = scan
+	s.rekeyAll()
+	return st
+}
+
+// checkHeapMatchesRebuild verifies the live event heap against the
+// keying rule rekeyAll implements — slot present iff its cluster's
+// NextEventTime != sim.MaxTime, keyed by it — plus the structural
+// invariants the incremental operations (fix/remove/update) must
+// maintain: the position index is exact and the heap property holds.
+// Content equality under a deterministic total order (key, then slot)
+// implies the incremental heap pops the same sequence a fresh rebuild
+// would, so this is the incremental-vs-rebuild differential.
+func checkHeapMatchesRebuild(t *testing.T, s *schedSet) {
+	t.Helper()
+	if s.scan {
+		t.Fatal("heap check on a reference-mode set")
+	}
+	h := s.h
+	for i, slot := range h.heap {
+		if h.pos[slot] != i {
+			t.Fatalf("pos[%d] = %d, heap position is %d", slot, h.pos[slot], i)
+		}
+	}
+	inHeap := make(map[int]bool, len(h.heap))
+	for _, slot := range h.heap {
+		inHeap[slot] = true
+	}
+	for slot, c := range s.slots {
+		k := c.NextEventTime()
+		if k == sim.MaxTime {
+			if inHeap[slot] {
+				t.Fatalf("slot %d in heap but its cluster is drained", slot)
+			}
+			if h.pos[slot] != -1 {
+				t.Fatalf("drained slot %d has pos %d, want -1", slot, h.pos[slot])
+			}
+			continue
+		}
+		if !inHeap[slot] {
+			t.Fatalf("slot %d has next event %d but is missing from the heap", slot, k)
+		}
+		if h.key[slot] != k {
+			t.Fatalf("slot %d keyed %d, cluster's next event is %d", slot, h.key[slot], k)
+		}
+	}
+	for i := 1; i < len(h.heap); i++ {
+		if h.less(i, (i-1)/2) {
+			t.Fatalf("heap property violated at position %d (slot %d)", i, h.heap[i])
+		}
+	}
+}
+
+// A randomized interleaving of event stepping, withdrawal and
+// re-injection must leave the incrementally maintained event heap in
+// exactly the state a fresh rekeyAll would produce after every
+// operation, and the run must end byte-identical to the reference mode
+// under the same mutation sequence (the executable spec: the reference
+// mode has no heap to corrupt) — for every stepper family, since the
+// heap belongs to the shared core.
+//
+// Mutations happen at synchronized instants — drain both runs to a
+// common time T, FinishAt(T), then withdraw/reinject on both. Mid-step
+// mutation acceptance is clock-dependent (a reinjection whose release
+// is now in the past is rejected per cluster), and the heap mode
+// deliberately lets untouched clusters' clocks lag, so only at
+// quiesced instants do the two modes define the same accept/reject
+// outcomes to compare.
+func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
+	for _, alg := range diffFamilies() {
+		for seed := int64(0); seed < 25; seed++ {
+			r := rand.New(rand.NewSource(5000 + seed))
+			k := 2 + r.Intn(5)
+			in := diffInstance(r, k)
+			horizon := in.Horizon() + 2
+			heap := newModeStepper(alg, in, seed, false)
+			scan := newModeStepper(alg, in, seed, true)
+			hs := setOf(heap)
+			checkHeapMatchesRebuild(t, hs)
+
+			var withdrawn []int
+			const phases = 8
+			for phase := 1; phase <= phases; phase++ {
+				target := horizon * model.Time(phase) / phases
+				for heap.StepNext(target) {
+					checkHeapMatchesRebuild(t, hs)
+				}
+				for scan.StepNext(target) {
+				}
+				heap.FinishAt(target)
+				scan.FinishAt(target)
+				checkHeapMatchesRebuild(t, hs)
+				if h, s := heap.NextEventTime(), scan.NextEventTime(); h != s {
+					t.Fatalf("%s seed %d phase %d: next event heap=%d scan=%d", alg.Name(), seed, phase, h, s)
+				}
+
+				for m := 0; m < 5; m++ {
+					if r.Intn(2) == 0 || len(withdrawn) == 0 {
+						id := r.Intn(len(in.Jobs))
+						herr := heap.Withdraw(id)
+						serr := scan.Withdraw(id)
+						if (herr != nil) != (serr != nil) {
+							t.Fatalf("%s seed %d phase %d: withdraw %d: heap err=%v, scan err=%v", alg.Name(), seed, phase, id, herr, serr)
+						}
+						if herr == nil {
+							withdrawn = append(withdrawn, id)
+						}
+					} else {
+						j := r.Intn(len(withdrawn))
+						id := withdrawn[j]
+						herr := heap.Inject([]int{id})
+						serr := scan.Inject([]int{id})
+						if (herr != nil) != (serr != nil) {
+							t.Fatalf("%s seed %d phase %d: reinject %d: heap err=%v, scan err=%v", alg.Name(), seed, phase, id, herr, serr)
+						}
+						if herr == nil {
+							// A rejected reinjection (release now in the past)
+							// stays withdrawn; it would keep failing.
+							withdrawn = append(withdrawn[:j], withdrawn[j+1:]...)
+						}
+					}
+					checkHeapMatchesRebuild(t, hs)
+				}
+			}
+
+			for heap.StepNext(horizon) {
+				checkHeapMatchesRebuild(t, hs)
+			}
+			for scan.StepNext(horizon) {
+			}
+			heap.FinishAt(horizon)
+			scan.FinishAt(horizon)
+			assertSameResult(t, alg.Name()+": incremental heap vs reference after withdraw/reinject", scan.ResultAt(horizon), heap.ResultAt(horizon))
+		}
+	}
+}
+
+// RAND (both samplers) and NBS, which before the shared core advanced
+// every schedule at every event, must reproduce the reference mode
+// exactly through the touched-set loop: same starts, ψ and bit-equal
+// φ/targets, at full and truncated horizons.
+func TestHeapDriverMatchesScanDriverRandNbs(t *testing.T) {
+	for _, alg := range diffFamilies()[1:4] {
+		for seed := int64(0); seed < 30; seed++ {
+			r := rand.New(rand.NewSource(6000 + seed))
+			k := 2 + r.Intn(5)
+			in := diffInstance(r, k)
+			for _, horizon := range []model.Time{in.Horizon() + 2, in.Horizon()/2 + 1} {
+				scan := runStepper(newModeStepper(alg, in, seed, true), horizon)
+				heap := runStepper(newModeStepper(alg, in, seed, false), horizon)
+				label := fmt.Sprintf("%s seed %d horizon %d", alg.Name(), seed, horizon)
+				assertSameResult(t, label, scan, heap)
+				for u := range scan.Phi {
+					if math.Float64bits(scan.Phi[u]) != math.Float64bits(heap.Phi[u]) {
+						t.Fatalf("%s: φ[%d] differs bitwise: %v vs %v", label, u, scan.Phi[u], heap.Phi[u])
+					}
+				}
+			}
+		}
+	}
+}
+
+// steadyStepper builds a stepper on a workload whose every subcoalition
+// starts all of its jobs at release (per-org machines ≥ per-org jobs),
+// primed past the release-instant dispatches: the remaining event
+// stream is pure completions, one per instant (sizes are distinct) —
+// the steady serving state.
+func steadyStepper(t *testing.T, alg StepperAlgorithm) Stepper {
+	t.Helper()
+	const k, jobsPerOrg = 3, 40
+	orgs := make([]model.Org, k)
+	for i := range orgs {
+		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: jobsPerOrg}
+	}
+	var jobs []model.Job
+	for o := 0; o < k; o++ {
+		for j := 0; j < jobsPerOrg; j++ {
+			jobs = append(jobs, model.Job{Org: o, Release: 0, Size: model.Time(5 + 4*j + o)})
+		}
+	}
+	in, err := model.NewInstance(orgs, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := alg.NewStepper(in, 1)
+	for s.StepNext(0) {
+	}
+	return s
+}
+
+// Steady-state stepping is zero-alloc by budget for every stepper
+// family (serial configurations — the parallel paths spawn worker
+// goroutines by design): completions, accounting, value re-snapshots,
+// heap sifts, φ fills and dispatch probes must all run out of the
+// steppers' preallocated scratch. AllocsPerRun truncates its average,
+// so every measured call has to process a real event: the run count
+// stays below the fixture's 120 completions and the test checks that
+// events were still left afterwards.
+func TestSteadyStateStepAllocFree(t *testing.T) {
+	const horizon = model.Time(1 << 30)
+	cases := []struct {
+		name string
+		alg  StepperAlgorithm
+	}{
+		{"REF", RefAlgorithm{}},
+		{"RAND", RandAlgorithm{Samples: 15, Opts: RandOptions{Workers: 1}}},
+		{"policy-FCFS", FromPolicy("FCFS", func() sim.Policy { return baseline.NewFCFS() })},
+		{"policy-DirectContr", DirectContrAlgorithm().(StepperAlgorithm)},
+		{"NBS", NbsAlgorithm{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := steadyStepper(t, tc.alg)
+			if avg := testing.AllocsPerRun(100, func() { s.StepNext(horizon) }); avg != 0 {
+				t.Errorf("steady-state StepNext allocates %.2f times per run, budget is 0", avg)
+			}
+			if !s.StepNext(horizon) {
+				t.Fatal("events drained during measurement")
+			}
+		})
+	}
+}
+
+// The incremental Withdraw path is on the same budget: one withdraw +
+// reinject cycle of a job queued in every schedule re-keys the slots
+// holding it (REF: the owner's 2^(k-1) masks) with in-place heap sifts
+// and allocates nothing.
+func TestWithdrawReinjectAllocFree(t *testing.T) {
+	const k, jobsPerOrg = 8, 6
+	orgs := make([]model.Org, k)
+	for i := range orgs {
+		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: 1}
+	}
+	var jobs []model.Job
+	for o := 0; o < k; o++ {
+		for j := 0; j < jobsPerOrg; j++ {
+			jobs = append(jobs, model.Job{Org: o, Release: 0, Size: model.Time(40 + j)})
+		}
+	}
+	for _, alg := range []StepperAlgorithm{
+		RefAlgorithm{},
+		RandAlgorithm{Samples: 15, Opts: RandOptions{Workers: 1}},
+		NbsAlgorithm{},
+	} {
+		t.Run(alg.Name(), func(t *testing.T) {
+			in, err := model.NewInstance(orgs, append([]model.Job(nil), jobs...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := alg.NewStepper(in, 1)
+			for s.StepNext(0) { // dispatch the release instant; queues stay deep
+			}
+			id := in.Jobs[len(in.Jobs)-1].ID // last job: queued everywhere
+			reinject := []int{id}
+			if avg := testing.AllocsPerRun(100, func() {
+				if err := s.Withdraw(id); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Inject(reinject); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("Withdraw + Inject allocates %.2f times per cycle, budget is 0", avg)
+			}
+		})
+	}
+}

@@ -12,10 +12,11 @@ import (
 
 // This file defines the incremental driving contract the streaming
 // engine (internal/engine) consumes. Every algorithm in this package —
-// REF with either driver, RAND, DIRECTCONTR and the policy-backed
-// baselines — implements Stepper, and the batch Algorithm.Run entry
-// points are thin wrappers over the same stepping code, so the batch
-// and streaming paths cannot diverge.
+// REF with either driver, RAND, NBS, DIRECTCONTR and the policy-backed
+// baselines — implements Stepper through the one schedSet loop
+// (schedset.go), and the batch Algorithm.Run entry points are thin
+// wrappers over the same stepping code, so the batch and streaming
+// paths cannot diverge.
 
 // Stepper is an algorithm run held open: events are processed one
 // decision instant at a time, jobs can be injected mid-run, and the
@@ -154,139 +155,26 @@ func (cp *Checkpoint) RebuildInstance() (*model.Instance, error) {
 	return inst, nil
 }
 
-// checkpointHeader fills the shared Checkpoint fields.
-func checkpointHeader(name string, seed int64, now model.Time, inst *model.Instance) *Checkpoint {
-	return &Checkpoint{
-		Version:   CheckpointVersion,
-		Algorithm: name,
-		Seed:      seed,
-		Now:       now,
-		Orgs:      append([]model.Org(nil), inst.Orgs...),
-		Jobs:      append([]model.Job(nil), inst.Jobs...),
-	}
-}
+// policyPlug is the degenerate schedSet plug behind FromPolicy
+// algorithms (DIRECTCONTR, the fair-share family, ROUNDROBIN, FCFS):
+// one grand-coalition schedule whose policy selects by its own state —
+// no hypothetical schedules, no target vector, no reported φ.
+type policyPlug struct{}
 
-// policyStepper drives a single grand-coalition cluster under a
-// per-decision policy — the incremental form of FromPolicy algorithms
-// (DIRECTCONTR, the fair-share family, ROUNDROBIN, FCFS).
-type policyStepper struct {
-	name string
-	seed int64
-	c    *sim.Cluster
-	src  *stats.Source
-}
+func (policyPlug) retarget(int, model.Time) {}
 
-func newPolicyStepper(name string, p sim.Policy, inst *model.Instance, seed int64) *policyStepper {
-	src := stats.NewSource(seed)
-	return &policyStepper{
-		name: name,
-		seed: seed,
-		c:    sim.New(inst, inst.Grand(), p, rand.New(src)),
-		src:  src,
-	}
-}
-
-// Name implements Stepper.
-func (s *policyStepper) Name() string { return s.name }
-
-// Instance implements Stepper.
-func (s *policyStepper) Instance() *model.Instance { return s.c.Instance() }
-
-// NextEventTime implements Stepper.
-func (s *policyStepper) NextEventTime() model.Time { return s.c.NextEventTime() }
-
-// StepNext implements Stepper.
-func (s *policyStepper) StepNext(until model.Time) bool { return s.c.Step(until) }
-
-// FinishAt implements Stepper.
-func (s *policyStepper) FinishAt(t model.Time) { s.c.AdvanceTo(t) }
-
-// Inject implements Stepper.
-func (s *policyStepper) Inject(ids []int) error {
-	for _, id := range ids {
-		if err := s.c.Inject(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// withdrawDecision removes job id from a decision schedule, turning
-// "nothing to remove" into an error: the decision schedule is the
-// schedule that actually executes work, so a caller withdrawing a job
-// that is not waiting there holds a stale view.
-func withdrawDecision(c *sim.Cluster, name string, id int) error {
-	inst := c.Instance()
-	if id < 0 || id >= len(inst.Jobs) {
-		return fmt.Errorf("core: %s: withdraw: job %d not in instance", name, id)
-	}
-	ok, err := c.Withdraw(inst.Jobs[id].Org, id)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("core: %s: withdraw: job %d is not queued (already started, finished or withdrawn)", name, id)
-	}
-	return nil
-}
-
-// Withdraw implements Stepper.
-func (s *policyStepper) Withdraw(id int) error { return withdrawDecision(s.c, s.name, id) }
-
-// Withdrawn implements Stepper.
-func (s *policyStepper) Withdrawn() int { return s.c.WithdrawnCount() }
-
-// Starts implements Stepper.
-func (s *policyStepper) Starts() []sim.Start { return s.c.Starts() }
-
-// ResultAt implements Stepper.
-func (s *policyStepper) ResultAt(t model.Time) *Result {
-	return resultFromCluster(s.name, s.c, t, nil)
-}
-
-// Capture implements Stepper.
-func (s *policyStepper) Capture(now model.Time) (*Checkpoint, error) {
-	cp := checkpointHeader(s.name, s.seed, now, s.c.Instance())
-	cp.Clusters = []sim.ClusterState{s.c.CaptureState()}
-	cp.RNG = []uint64{s.src.State()}
-	if sp, ok := s.c.Policy().(sim.StatefulPolicy); ok {
-		data, err := sp.CapturePolicyState()
-		if err != nil {
-			return nil, fmt.Errorf("core: capture policy state: %w", err)
-		}
-		cp.Policy = data
-	}
-	return cp, nil
-}
+func (policyPlug) phiAt(model.Time) []float64 { return nil }
 
 // NewStepper implements StepperAlgorithm.
 func (a *policyAlgorithm) NewStepper(inst *model.Instance, seed int64) Stepper {
-	return newPolicyStepper(a.name, a.factory(), inst, seed)
+	src := stats.NewSource(seed)
+	c := sim.New(inst, inst.Grand(), a.factory(), rand.New(src))
+	s := newSchedSet(a.name, seed, inst, policyPlug{}, []*sim.Cluster{c}, false)
+	s.src = src
+	return s
 }
 
 // RestoreStepper implements StepperAlgorithm.
 func (a *policyAlgorithm) RestoreStepper(cp *Checkpoint) (Stepper, error) {
-	if cp.Algorithm != a.name {
-		return nil, fmt.Errorf("core: checkpoint for %q restored as %q", cp.Algorithm, a.name)
-	}
-	if len(cp.Clusters) != 1 {
-		return nil, fmt.Errorf("core: policy checkpoint has %d clusters, want 1", len(cp.Clusters))
-	}
-	inst, err := cp.RebuildInstance()
-	if err != nil {
-		return nil, err
-	}
-	s := newPolicyStepper(a.name, a.factory(), inst, cp.Seed)
-	if err := s.c.RestoreState(cp.Clusters[0]); err != nil {
-		return nil, err
-	}
-	if len(cp.RNG) > 0 {
-		s.src.SetState(cp.RNG[0])
-	}
-	if sp, ok := s.c.Policy().(sim.StatefulPolicy); ok && len(cp.Policy) > 0 {
-		if err := sp.RestorePolicyState(cp.Policy); err != nil {
-			return nil, fmt.Errorf("core: restore policy state: %w", err)
-		}
-	}
-	return s, nil
+	return restoreStepper(a, cp)
 }

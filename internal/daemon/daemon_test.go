@@ -251,6 +251,21 @@ func TestSessionAPIValidation(t *testing.T) {
 	if id := created["id"].(string); id == "s1" {
 		t.Fatalf("auto-generated id collided with the taken %q", id)
 	}
+
+	// A posted snapshot whose free list names a machine the cluster
+	// does not have is rejected up front: accepted, it would index out
+	// of range at the next dispatch — on a pipeline worker goroutine,
+	// taking every session down with the process.
+	a.do("POST", "/v1/sessions", `{"id":"tiny","kind":"single","alg":"fcfs","orgs":1,"machines":1}`, http.StatusCreated)
+	snap := a.raw("/v1/sessions/tiny/checkpoint")
+	poisoned := bytes.Replace(snap, []byte(`"free":[0]`), []byte(`"free":[999]`), 1)
+	if bytes.Equal(poisoned, snap) {
+		t.Fatalf("checkpoint has no one-machine free list to poison: %s", snap)
+	}
+	a.do("POST", "/v1/sessions/tiny/restore", string(poisoned), http.StatusBadRequest)
+	a.do("POST", "/v1/sessions/tiny/jobs", `{"jobs":[{"org":0,"size":2}]}`, http.StatusOK)
+	a.do("POST", "/v1/sessions/tiny/advance", `{"until":5}`, http.StatusOK)
+	a.do("GET", "/v1/healthz", "", http.StatusOK)
 }
 
 // TestHTTPStatusCodes: advance and restore failures map onto distinct

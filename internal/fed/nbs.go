@@ -65,20 +65,6 @@ func (NBSPolicy) RouteLedger(_, origin int, sums []Summary, routedWork [][]int64
 		// surplus if float rounding ever disagrees.
 		copy(x, d)
 	}
-	assigned := make([]int64, k)
-	for o := range routedWork {
-		for c, work := range routedWork[o] {
-			assigned[c] += work
-		}
-	}
-	best, bestDeficit := origin, x[origin]-float64(assigned[origin])
-	for c := range sums {
-		if c == origin {
-			continue
-		}
-		if def := x[c] - float64(assigned[c]); def > bestDeficit {
-			best, bestDeficit = c, def
-		}
-	}
-	return best
+	assigned := assignedWork(routedWork)
+	return argmaxFromOrigin(origin, k, func(c int) float64 { return x[c] - float64(assigned[c]) }, 0)
 }

@@ -104,16 +104,37 @@ func (FairnessAware) Name() string { return "fairness" }
 
 // Route implements Policy.
 func (FairnessAware) Route(org, origin int, sums []Summary) int {
-	best, bestDeficit := origin, deficit(org, sums[origin])
-	for i := range sums {
-		if i == origin {
+	return argmaxFromOrigin(origin, len(sums), func(c int) float64 { return deficit(org, sums[c]) }, 0)
+}
+
+// argmaxFromOrigin is the origin-preferring largest-score scan every
+// deficit-driven policy routes by — REF's largest-deficit rule one
+// level up, with clusters as players: start from the origin and move to
+// member c only when score(c) beats the best so far by more than
+// margin, so ties prefer the origin, then the lowest index.
+func argmaxFromOrigin(origin, n int, score func(c int) float64, margin float64) int {
+	best, bestScore := origin, score(origin)
+	for c := 0; c < n; c++ {
+		if c == origin {
 			continue
 		}
-		if d := deficit(org, sums[i]); d > bestDeficit {
-			best, bestDeficit = i, d
+		if s := score(c); s > bestScore+margin {
+			best, bestScore = c, s
 		}
 	}
 	return best
+}
+
+// assignedWork is the routed-work matrix's column sums: the work
+// already routed to each member, whatever its origin.
+func assignedWork(routedWork [][]int64) []int64 {
+	assigned := make([]int64, len(routedWork))
+	for o := range routedWork {
+		for c, w := range routedWork[o] {
+			assigned[c] += w
+		}
+	}
+	return assigned
 }
 
 // deficit is organization org's contribution credit at the summarized
@@ -141,16 +162,7 @@ func (FairnessCapacity) Name() string { return "fairness-capacity" }
 
 // Route implements Policy.
 func (FairnessCapacity) Route(org, origin int, sums []Summary) int {
-	best, bestDeficit := origin, capDeficit(org, sums[origin])
-	for i := range sums {
-		if i == origin {
-			continue
-		}
-		if d := capDeficit(org, sums[i]); d > bestDeficit {
-			best, bestDeficit = i, d
-		}
-	}
-	return best
+	return argmaxFromOrigin(origin, len(sums), func(c int) float64 { return capDeficit(org, sums[c]) }, 0)
 }
 
 // capDeficit is the per-unit-capacity contribution credit.
@@ -188,16 +200,7 @@ func (p FairnessDecayed) Route(org, origin int, sums []Summary) int {
 		tau = DefaultDecayTau
 	}
 	decay := float64(tau) / float64(tau+sums[origin].Now)
-	best, bestDeficit := origin, deficit(org, sums[origin])*decay
-	for i := range sums {
-		if i == origin {
-			continue
-		}
-		if d := deficit(org, sums[i]) * decay; d > bestDeficit+1 {
-			best, bestDeficit = i, d
-		}
-	}
-	return best
+	return argmaxFromOrigin(origin, len(sums), func(c int) float64 { return deficit(org, sums[c]) * decay }, 1)
 }
 
 // DefaultMigrationBudget is the per-refresh-round migration cap
@@ -346,22 +349,8 @@ func (p RefPolicy) RouteLedger(_, origin int, sums []Summary, routedWork [][]int
 		// stream is derived from the exchange instant alone.
 		phi = shapley.SampleAt(g, t, p.sampleBudget(), rand.New(rand.NewSource(int64(t))))
 	}
-	assigned := make([]int64, len(sums))
-	for o := range routedWork {
-		for c, w := range routedWork[o] {
-			assigned[c] += w
-		}
-	}
-	best, bestDeficit := origin, phi[origin]-float64(assigned[origin])
-	for c := range sums {
-		if c == origin {
-			continue
-		}
-		if d := phi[c] - float64(assigned[c]); d > bestDeficit {
-			best, bestDeficit = c, d
-		}
-	}
-	return best
+	assigned := assignedWork(routedWork)
+	return argmaxFromOrigin(origin, len(sums), func(c int) float64 { return phi[c] - float64(assigned[c]) }, 0)
 }
 
 // PolicyByName resolves a delegation policy from its wire name.

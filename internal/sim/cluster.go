@@ -8,10 +8,10 @@
 //
 //   - Run(until): self-driving loop for standalone policies
 //     (round-robin, fair share, DIRECTCONTR, …).
-//   - NextEventTime / AdvanceTo / Dispatch: the primitives the REF and
-//     RAND drivers use to keep 2^k−1 coalition clusters in lockstep and
-//     interleave Shapley computations between event processing and
-//     dispatch.
+//   - NextEventTime / AdvanceTo / Dispatch: the primitives
+//     internal/core's schedule-set loop uses to step many coalition
+//     clusters event by event and interleave contribution computations
+//     between event processing and dispatch.
 //
 // Greediness (no machine idles while a job waits) is an engine
 // invariant, not a policy obligation: the dispatch loop keeps starting
@@ -20,9 +20,8 @@
 // Utility accounting is lazy: execution windows of running jobs are
 // folded into the ψsp accounts only at completions and at value queries
 // (Flush), so advancing a cluster through an uneventful period costs
-// O(1). This matters to the exponential REF driver, which advances up to
-// 2^k−1 clusters per global event but queries values only at dispatch
-// instants.
+// O(1). This matters to the exponential REF scheduler, which maintains
+// 2^k−1 clusters but queries values only at dispatch instants.
 package sim
 
 import (
@@ -80,6 +79,7 @@ type Cluster struct {
 	policy Policy
 	rng    *rand.Rand
 	starts []Start
+	view   View // the one read-only window handed to the policy and to View callers
 }
 
 // New builds a cluster for the given coalition of the instance, driven
@@ -99,6 +99,15 @@ func New(inst *model.Instance, coal model.Coalition, p Policy, rng *rand.Rand) *
 		policy:         p,
 		rng:            rng,
 	}
+	machines := 0
+	for org := 0; org < k; org++ {
+		if coal.Has(org) {
+			machines += inst.Orgs[org].Machines
+		}
+	}
+	c.owners = make([]int, 0, machines)
+	c.speeds = make([]int, 0, machines)
+	c.free = make([]int, 0, machines)
 	for org := 0; org < k; org++ {
 		if !coal.Has(org) {
 			continue
@@ -119,8 +128,9 @@ func New(inst *model.Instance, coal model.Coalition, p Policy, rng *rand.Rand) *
 			c.releaseOrder = append(c.releaseOrder, j.ID)
 		}
 	}
+	c.view = View{c}
 	if p != nil {
-		p.Attach(&View{c}, rng)
+		p.Attach(&c.view, rng)
 	}
 	return c
 }
@@ -140,7 +150,7 @@ func (c *Cluster) Now() model.Time { return c.now }
 
 // View returns a read-only view of the cluster (the same one policies
 // receive).
-func (c *Cluster) View() *View { return &View{c} }
+func (c *Cluster) View() *View { return &c.view }
 
 // NextEventTime returns the earliest future release or completion, or
 // MaxTime when neither exists. A pending release in the clock's past —
@@ -344,17 +354,13 @@ func (c *Cluster) startHead(org int, m int) {
 	}
 }
 
-// Step processes the single earliest pending event: advance, notify,
-// dispatch. It reports whether an event existed at or before `until`.
+// Step processes the single earliest pending event: advance, dispatch. It reports whether an event existed at or before `until`.
 func (c *Cluster) Step(until model.Time) bool {
 	e := c.NextEventTime()
 	if e == MaxTime || e > until {
 		return false
 	}
 	c.AdvanceTo(e)
-	if eo, ok := c.policy.(EventObserver); ok {
-		eo.OnEvent(e)
-	}
 	c.Dispatch()
 	return true
 }

@@ -10,14 +10,12 @@ import (
 // hookedPolicy exercises every optional policy extension at once.
 type hookedPolicy struct {
 	view    *View
-	events  []model.Time
 	started []int
 	ordered int
 }
 
 func (p *hookedPolicy) Name() string                 { return "hooked" }
 func (p *hookedPolicy) Attach(v *View, _ *rand.Rand) { p.view = v }
-func (p *hookedPolicy) OnEvent(t model.Time)         { p.events = append(p.events, t) }
 func (p *hookedPolicy) OnStart(_ model.Time, j model.Job, _ int) {
 	p.started = append(p.started, j.ID)
 }
@@ -43,16 +41,6 @@ func TestPolicyHooks(t *testing.T) {
 	p := &hookedPolicy{}
 	c := New(in, in.Grand(), p, nil)
 	c.Run(10)
-	// Events: release at 0, completion at 2, release at 5, completion 6.
-	want := []model.Time{0, 2, 5, 6}
-	if len(p.events) != len(want) {
-		t.Fatalf("OnEvent times = %v, want %v", p.events, want)
-	}
-	for i := range want {
-		if p.events[i] != want[i] {
-			t.Fatalf("OnEvent times = %v, want %v", p.events, want)
-		}
-	}
 	if len(p.started) != 2 || p.started[0] != 0 || p.started[1] != 1 {
 		t.Fatalf("OnStart jobs = %v", p.started)
 	}

@@ -39,12 +39,6 @@ type StartObserver interface {
 	OnStart(t model.Time, job model.Job, machine int)
 }
 
-// EventObserver is an optional Policy extension notified at every event
-// instant after accounting has been advanced and before dispatch.
-type EventObserver interface {
-	OnEvent(t model.Time)
-}
-
 // StatefulPolicy is an optional Policy extension for policies carrying
 // mutable decision state that must survive checkpoint/restore (e.g.
 // RoundRobin's rotation cursor). Stateless policies — and policies

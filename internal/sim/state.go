@@ -157,6 +157,10 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 			}
 		}
 	}
+	// Every machine is listed exactly once, running or free (the counts
+	// matched above): a stray index would otherwise surface as a panic
+	// at the next dispatch.
+	listed := make([]bool, len(c.owners))
 	for _, r := range st.Running {
 		if r.Job < 0 || r.Job >= len(c.inst.Jobs) {
 			return fmt.Errorf("sim: restore: running entry references unknown job %d", r.Job)
@@ -164,6 +168,19 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		if r.Machine < 0 || r.Machine >= len(c.owners) {
 			return fmt.Errorf("sim: restore: running entry on unknown machine %d", r.Machine)
 		}
+		if listed[r.Machine] {
+			return fmt.Errorf("sim: restore: machine %d runs two jobs", r.Machine)
+		}
+		listed[r.Machine] = true
+	}
+	for _, m := range st.Free {
+		if m < 0 || m >= len(c.owners) {
+			return fmt.Errorf("sim: restore: free list references unknown machine %d", m)
+		}
+		if listed[m] {
+			return fmt.Errorf("sim: restore: machine %d listed free more than once, or both free and running", m)
+		}
+		listed[m] = true
 	}
 	for _, id := range st.Withdrawn {
 		if id < 0 || id >= len(c.inst.Jobs) {

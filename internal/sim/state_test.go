@@ -152,6 +152,29 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	if err := c.RestoreState(bad); err == nil {
 		t.Error("running entry with unknown job accepted")
 	}
+	for name, free := range map[string][]int{
+		"free machine out of range": {0, 999},
+		"negative free machine":     {0, -1},
+		"duplicated free machine":   {1, 1},
+	} {
+		bad = st
+		bad.Free = free
+		if err := c.RestoreState(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	bad = st
+	bad.Free = []int{0}
+	bad.Running = []RunEntryState{{End: 5, Machine: 0, Job: 0}}
+	if err := c.RestoreState(bad); err == nil {
+		t.Error("machine both free and running accepted")
+	}
+	bad = st
+	bad.Free = nil
+	bad.Running = []RunEntryState{{End: 5, Machine: 1, Job: 0}, {End: 6, Machine: 1, Job: 0}}
+	if err := c.RestoreState(bad); err == nil {
+		t.Error("two running entries on one machine accepted")
+	}
 	bad = st
 	bad.Queues = [][]int{nil, {0}} // job 0 belongs to org 0, queued under org 1
 	if err := c.RestoreState(bad); err == nil {
