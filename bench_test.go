@@ -347,8 +347,10 @@ func BenchmarkFederation(b *testing.B) {
 					// delimit the re-delegation rounds.
 					f.SetStaleness(100)
 					for c, js := range w.Jobs {
-						if err := f.SubmitJobs(c, js); err != nil {
-							b.Fatal(err)
+						for _, j := range js {
+							if _, err := f.Submit(c, j.Org, j.Size, j.Release); err != nil {
+								b.Fatal(err)
+							}
 						}
 					}
 					if _, err := f.Step(fedHorizon); err != nil {

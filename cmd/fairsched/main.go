@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		family   = fs.String("family", "lpc-egee", "synthetic workload family (lpc-egee, pik-iplex, sharcnet-whale, ricc)")
 		swfPath  = fs.String("swf", "", "SWF trace file (overrides -family)")
-		algName  = fs.String("alg", "directcontr", "algorithm: ref, rand, directcontr, fairshare, utfairshare, currfairshare, roundrobin, fcfs")
+		algName  = fs.String("alg", "directcontr", "algorithm: ref, rand, directcontr, nbs, fairshare, utfairshare, currfairshare, roundrobin, fcfs")
 		orgs     = fs.Int("orgs", 5, "number of organizations")
 		horizon  = fs.Int64("horizon", 50000, "simulation horizon (time units)")
 		seed     = fs.Int64("seed", 1, "random seed")

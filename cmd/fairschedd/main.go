@@ -128,7 +128,7 @@ func build(args []string, stderr io.Writer) (*app, error) {
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", ":8080", "HTTP listen address")
-		algName  = fs.String("alg", "ref", "default session algorithm: ref, rand, directcontr, fairshare, utfairshare, currfairshare, roundrobin, fcfs")
+		algName  = fs.String("alg", "ref", "default session algorithm: ref, rand, directcontr, nbs, fairshare, utfairshare, currfairshare, roundrobin, fcfs")
 		orgs     = fs.Int("orgs", 3, "default session: number of organizations")
 		machines = fs.Int("machines", 0, "default session: total machines (0 = #orgs)")
 		split    = fs.String("split", "zipf", "default session machine split: zipf | uniform")

@@ -35,7 +35,7 @@
 //	internal/baseline — RoundRobin, FairShare, UtFairShare, CurrFairShare, FCFS
 //	internal/parjobs  — rigid parallel-jobs extension (paper §6/§8)
 //	internal/engine   — incremental run engine, a pure library:
-//	                    Feed/Step/AdvanceBatch/Snapshot/Restore
+//	                    Feed/Step/Snapshot/Restore
 //	internal/ctrl     — cluster control plane: prioritized admission/
 //	                    routing event queue, pluggable admission
 //	                    policies (always-admit, per-org token bucket,

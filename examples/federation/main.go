@@ -128,8 +128,10 @@ func build(w *gen.FedWorkload, policy fed.Policy) *fed.Federation {
 		log.Fatal(err)
 	}
 	for c, js := range w.Jobs {
-		if err := f.SubmitJobs(c, js); err != nil {
-			log.Fatal(err)
+		for _, j := range js {
+			if _, err := f.Submit(c, j.Org, j.Size, j.Release); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 	return f

@@ -41,12 +41,6 @@ func NewPlane(policy AdmissionPolicy, provider SnapshotProvider, orgs int) *Plan
 	return &Plane{policy: policy, provider: provider, stats: metrics.NewAdmissionStats(orgs)}
 }
 
-// Policy returns the admission policy.
-func (p *Plane) Policy() AdmissionPolicy { return p.policy }
-
-// Provider returns the snapshot provider decisions observe through.
-func (p *Plane) Provider() SnapshotProvider { return p.provider }
-
 // Stats returns the live admission accounting.
 func (p *Plane) Stats() *metrics.AdmissionStats { return p.stats }
 

@@ -23,9 +23,6 @@ type View struct {
 	Payload any        `json:"-"`
 }
 
-// Age returns the view's staleness at decision instant t.
-func (v View) Age(t model.Time) model.Time { return t - v.TakenAt }
-
 // CaptureFunc captures a fresh observation at instant t. The provider
 // fills TakenAt; implementations fill Load and Payload.
 type CaptureFunc func(t model.Time) View
@@ -85,10 +82,6 @@ func NewCachedSnapshotProvider(fn CaptureFunc, maxAge model.Time) *CachedSnapsho
 	}
 	return &CachedSnapshotProvider{capture: fn, maxAge: maxAge}
 }
-
-// SetCapture installs the capture function (owners with construction
-// cycles — a Federation capturing its own exchange — set it after New).
-func (p *CachedSnapshotProvider) SetCapture(fn CaptureFunc) { p.capture = fn }
 
 // Observe implements SnapshotProvider.
 func (p *CachedSnapshotProvider) Observe(t model.Time) (View, bool) {

@@ -1,0 +1,155 @@
+package daemon
+
+import (
+	"slices"
+
+	"repro/internal/ctrl"
+	"repro/internal/engine"
+	"repro/internal/fed"
+	"repro/internal/metrics"
+	"repro/internal/model"
+	"repro/internal/sim"
+)
+
+// backend is the run behind a Session: one engine or one federation,
+// in the session's wire vocabulary. SessionConfig.open builds it; the
+// Session serializes access and never asks which kind it holds. Engines
+// and federations share the clock, snapshot and admission methods by
+// name, so each backend embeds its run and adds the rest.
+type backend interface {
+	Now() model.Time
+	NextEventTime() model.Time
+	Snapshot() ([]byte, error)
+	// Admission and AdmissionStats are nil when the run is ungated.
+	Admission() *ctrl.PolicySpec
+	AdmissionStats() *metrics.AdmissionStats
+
+	// submit accepts the whole batch or none of it.
+	submit(jobs []JobSubmission) ([]int64, error)
+	// step advances to until and returns the fresh decisions.
+	step(until model.Time) ([]Decision, error)
+	// state returns a state reply with the kind-specific fields filled
+	// (by value: a pointer through the interface would escape).
+	state() StateReply
+	// decisions returns the log's length and its suffix from since >= 0.
+	decisions(since int) (int, []Decision)
+}
+
+// releaseAt is the job's release instant: its own, or now.
+func (j JobSubmission) releaseAt(now model.Time) model.Time {
+	if j.Release != nil {
+		return *j.Release
+	}
+	return now
+}
+
+// singleRun is a single-cluster session's backend.
+type singleRun struct{ *engine.Engine }
+
+func fromStarts(starts []sim.Start) []Decision {
+	out := make([]Decision, len(starts))
+	for i, st := range starts {
+		out[i] = Decision{Job: int64(st.Job), Org: st.Org, Machine: st.Machine, At: st.At}
+	}
+	return out
+}
+
+func (r singleRun) submit(jobs []JobSubmission) ([]int64, error) {
+	batch := make([]model.Job, len(jobs))
+	for i, j := range jobs {
+		batch[i] = model.Job{Org: j.Org, Size: j.Size, Release: j.releaseAt(r.Now())}
+	}
+	ids, err := r.Feed(batch)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, len(ids))
+	for i, id := range ids {
+		out[i] = int64(id)
+	}
+	return out, nil
+}
+
+func (r singleRun) step(until model.Time) ([]Decision, error) {
+	starts, err := r.Step(until)
+	return fromStarts(starts), err
+}
+
+func (r singleRun) state() StateReply {
+	res := r.Result()
+	return StateReply{
+		Algorithm:   res.Algorithm,
+		Jobs:        len(r.Instance().Jobs),
+		Decisions:   len(r.Decisions()),
+		Psi:         res.Psi,
+		Phi:         res.Phi,
+		Value:       res.Value,
+		Utilization: res.Utilization,
+	}
+}
+
+func (r singleRun) decisions(since int) (int, []Decision) {
+	all := r.Decisions()
+	return len(all), fromStarts(all[min(since, len(all)):])
+}
+
+// fedRun is a federated session's backend. batch is submit's scratch,
+// reused under the session lock.
+type fedRun struct {
+	*fed.Federation
+	batch []fed.SourceJob
+}
+
+func fromFedDecisions(decs []fed.Decision) []Decision {
+	out := make([]Decision, len(decs))
+	for i, d := range decs {
+		out[i] = Decision{Job: d.Seq, Org: d.Org, Cluster: d.Cluster, Machine: d.Machine, At: d.At}
+	}
+	return out
+}
+
+func (r *fedRun) submit(jobs []JobSubmission) ([]int64, error) {
+	r.batch = slices.Grow(r.batch[:0], len(jobs))
+	for _, j := range jobs {
+		r.batch = append(r.batch, fed.SourceJob{Cluster: j.Cluster, Org: j.Org, Size: j.Size, Release: j.releaseAt(r.Now())})
+	}
+	return r.SubmitJobs(r.batch)
+}
+
+func (r *fedRun) step(until model.Time) ([]Decision, error) {
+	decs, err := r.Step(until)
+	return fromFedDecisions(decs), err
+}
+
+func (r *fedRun) state() StateReply {
+	l := r.Ledger()
+	reply := StateReply{
+		Policy:     r.Policy().Name(),
+		Jobs:       int(r.Submitted()),
+		Pending:    r.PendingCount(),
+		Decisions:  len(r.Decisions()),
+		Psi:        l.FederationPsi(),
+		Value:      l.FederationValue(),
+		Offloaded:  l.Offloaded(),
+		Migrations: l.Migrations,
+	}
+	for c, m := range r.Members() {
+		eng := m.Engine()
+		reply.Clusters = append(reply.Clusters, ClusterState{
+			Name:      m.Name(),
+			Now:       eng.Now(),
+			Jobs:      len(eng.Instance().Jobs),
+			Waiting:   eng.Waiting(),
+			Decisions: len(eng.Decisions()),
+			Psi:       l.Psi[c],
+			Value:     l.Value[c],
+			Executed:  l.Executed[c],
+		})
+	}
+	return reply
+}
+
+func (r *fedRun) decisions(since int) (int, []Decision) {
+	all := r.Decisions()
+	return len(all), fromFedDecisions(all[min(since, len(all)):])
+}

@@ -187,7 +187,89 @@ func (c SessionConfig) fedPolicy() (fed.Policy, error) {
 	return fed.WithMigrationBudget(policy, c.MigrationBudget), nil
 }
 
-// Session is one live scheduling run. Exactly one of eng/fedn is set.
+// errRestoreConfig marks a restore failure caused by the session's own
+// stored configuration failing to rebuild — server state gone bad, not
+// a problem with the snapshot the client sent. The HTTP layer maps it
+// to a 500 where snapshot rejections stay 400s.
+var errRestoreConfig = errors.New("daemon: session configuration no longer builds")
+
+// open resolves the configuration into a live run — a fresh one when
+// snapshot is nil (create), the snapshot's otherwise (restore) — and is
+// the only place a config turns into an algorithm, an instance, member
+// specs, a delegation policy, a staleness and an admission spec. The
+// config owns the admission spec: snapshots carry one only so the
+// layers below can rebuild the plane's dynamic state, and a snapshot
+// taken under a different spec (or none, or one where the config has
+// none) is rejected rather than allowed to re-gate the session.
+func (c SessionConfig) open(snapshot []byte) (backend, error) {
+	// A configuration that does not build is the request's fault on
+	// create and the server's on restore: it built once.
+	bad := func(err error) (backend, error) {
+		if snapshot != nil {
+			err = fmt.Errorf("%w: %w", errRestoreConfig, err)
+		}
+		return nil, err
+	}
+	var run backend
+	switch c.Kind {
+	case KindSingle:
+		alg, err := c.buildAlg(defaultStr(c.Alg, "ref"))
+		if err != nil {
+			return bad(err)
+		}
+		var eng *engine.Engine
+		if snapshot != nil {
+			eng, err = engine.Restore(alg, snapshot)
+		} else {
+			var inst *model.Instance
+			if inst, err = c.singleInstance(); err != nil {
+				return bad(err)
+			}
+			eng = engine.New(alg, inst, c.Seed)
+			err = eng.SetAdmission(c.Admission)
+		}
+		if err != nil {
+			return nil, err
+		}
+		run = singleRun{eng}
+	case KindFederation:
+		specs, err := c.fedSpecs()
+		if err != nil {
+			return bad(err)
+		}
+		policy, err := c.fedPolicy()
+		if err != nil {
+			return bad(err)
+		}
+		var f *fed.Federation
+		if snapshot != nil {
+			f, err = fed.Restore(c.OrgNames, specs, policy, snapshot)
+		} else if f, err = fed.New(c.OrgNames, specs, policy, c.Seed); err == nil {
+			f.SetStaleness(c.Staleness)
+			err = f.SetAdmission(c.Admission)
+		}
+		if err != nil {
+			return nil, err
+		}
+		run = &fedRun{Federation: f}
+	default:
+		return bad(fmt.Errorf("daemon: unknown session kind %q (want %q or %q)", c.Kind, KindSingle, KindFederation))
+	}
+	if got := run.Admission(); snapshot != nil && !sameSpec(got, c.Admission) {
+		return nil, fmt.Errorf("daemon: restore: snapshot taken under admission %+v, session configured with %+v", got, c.Admission)
+	}
+	return run, nil
+}
+
+// sameSpec reports whether two admission specs are both absent or equal
+// field by field.
+func sameSpec(a, b *ctrl.PolicySpec) bool {
+	return a == b || a != nil && b != nil && *a == *b
+}
+
+// Session is one live scheduling run, blind to its kind: building and
+// restoring the run is SessionConfig.open's business, the shape of its
+// jobs, decisions and state the two backends' (backend.go).
 type Session struct {
 	id  string
 	cfg SessionConfig
@@ -197,9 +279,8 @@ type Session struct {
 	// sessions that changed since their last flush.
 	dirty atomic.Bool
 
-	mu   sync.Mutex
-	eng  *engine.Engine
-	fedn *fed.Federation
+	mu  sync.Mutex
+	run backend
 }
 
 // ID returns the session's identifier.
@@ -210,48 +291,6 @@ func (s *Session) Kind() string { return s.cfg.Kind }
 
 // Config returns the session's static configuration.
 func (s *Session) Config() SessionConfig { return s.cfg }
-
-// newSession builds a fresh session from its configuration.
-func newSession(id string, cfg SessionConfig) (*Session, error) {
-	s := &Session{id: id, cfg: cfg}
-	switch cfg.Kind {
-	case KindSingle:
-		alg, err := cfg.buildAlg(defaultStr(cfg.Alg, "ref"))
-		if err != nil {
-			return nil, err
-		}
-		inst, err := cfg.singleInstance()
-		if err != nil {
-			return nil, err
-		}
-		s.eng = engine.New(alg, inst, cfg.Seed)
-		if err := s.eng.SetAdmission(cfg.Admission); err != nil {
-			return nil, err
-		}
-	case KindFederation:
-		specs, err := cfg.fedSpecs()
-		if err != nil {
-			return nil, err
-		}
-		policy, err := cfg.fedPolicy()
-		if err != nil {
-			return nil, err
-		}
-		f, err := fed.New(cfg.OrgNames, specs, policy, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		f.SetStaleness(cfg.Staleness)
-		if err := f.SetAdmission(cfg.Admission); err != nil {
-			return nil, err
-		}
-		s.fedn = f
-	default:
-		return nil, fmt.Errorf("daemon: unknown session kind %q (want %q or %q)", cfg.Kind, KindSingle, KindFederation)
-	}
-	s.dirty.Store(true) // never flushed yet
-	return s, nil
-}
 
 // JobSubmission is one submitted job. Release nil means "now" (the
 // session clock); Cluster names the origin cluster of a federated
@@ -275,24 +314,9 @@ type Decision struct {
 	At      model.Time `json:"at"`
 }
 
-func fromStarts(starts []sim.Start) []Decision {
-	out := make([]Decision, len(starts))
-	for i, st := range starts {
-		out[i] = Decision{Job: int64(st.Job), Org: st.Org, Machine: st.Machine, At: st.At}
-	}
-	return out
-}
-
-func fromFedDecisions(decs []fed.Decision) []Decision {
-	out := make([]Decision, len(decs))
-	for i, d := range decs {
-		out[i] = Decision{Job: d.Seq, Org: d.Org, Cluster: d.Cluster, Machine: d.Machine, At: d.At}
-	}
-	return out
-}
-
 // Submit feeds jobs into the session and returns their IDs (engine job
-// IDs or federation sequence numbers).
+// IDs or federation sequence numbers). The batch is all-or-nothing: one
+// invalid job rejects it whole and leaves the session untouched.
 func (s *Session) Submit(jobs []JobSubmission) ([]int64, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("daemon: no jobs submitted")
@@ -300,38 +324,7 @@ func (s *Session) Submit(jobs []JobSubmission) ([]int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dirty.Store(true)
-	if s.eng != nil {
-		batch := make([]model.Job, len(jobs))
-		for i, j := range jobs {
-			release := s.eng.Now()
-			if j.Release != nil {
-				release = *j.Release
-			}
-			batch[i] = model.Job{Org: j.Org, Size: j.Size, Release: release}
-		}
-		ids, err := s.eng.Feed(batch)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int64, len(ids))
-		for i, id := range ids {
-			out[i] = int64(id)
-		}
-		return out, nil
-	}
-	out := make([]int64, 0, len(jobs))
-	for _, j := range jobs {
-		release := s.fedn.Now()
-		if j.Release != nil {
-			release = *j.Release
-		}
-		seq, err := s.fedn.Submit(j.Cluster, j.Org, j.Size, release)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, seq)
-	}
-	return out, nil
+	return s.run.submit(jobs)
 }
 
 // Advance moves the session clock to *until, or to the next pending
@@ -359,35 +352,20 @@ func (s *Session) AdvanceBatch(untils []*model.Time, out []AdvanceResult) {
 	}
 }
 
+// advanceLocked steps to *until, or to the next pending event when
+// until is nil — nowhere, if the run is drained.
 func (s *Session) advanceLocked(until *model.Time) (model.Time, []Decision, error) {
-	if s.eng != nil {
-		var (
-			starts []sim.Start
-			err    error
-		)
-		if until != nil {
-			starts, err = s.eng.Step(*until)
-		} else {
-			starts, _, err = s.eng.StepToNextEvent()
-		}
-		if err != nil {
-			return 0, nil, err
-		}
-		return s.eng.Now(), fromStarts(starts), nil
-	}
-	var (
-		decs []fed.Decision
-		err  error
-	)
+	t := s.run.Now()
 	if until != nil {
-		decs, err = s.fedn.Step(*until)
-	} else {
-		decs, _, err = s.fedn.StepToNextEvent()
+		t = *until
+	} else if next := s.run.NextEventTime(); next != sim.MaxTime {
+		t = next
 	}
+	decs, err := s.run.step(t)
 	if err != nil {
 		return 0, nil, err
 	}
-	return s.fedn.Now(), fromFedDecisions(decs), nil
+	return s.run.Now(), decs, nil
 }
 
 // ClusterState is one member cluster's row in a federated session's
@@ -454,57 +432,12 @@ func admissionState(spec *ctrl.PolicySpec, st *metrics.AdmissionStats) *Admissio
 func (s *Session) State() StateReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.eng != nil {
-		res := s.eng.Result()
-		reply := StateReply{
-			ID:          s.id,
-			Kind:        KindSingle,
-			Algorithm:   res.Algorithm,
-			Now:         s.eng.Now(),
-			Jobs:        len(s.eng.Instance().Jobs),
-			Decisions:   len(s.eng.Decisions()),
-			Psi:         res.Psi,
-			Phi:         res.Phi,
-			Value:       res.Value,
-			Utilization: res.Utilization,
-		}
-		if next := s.eng.NextEventTime(); next != sim.MaxTime {
-			reply.NextEvent = &next
-		}
-		reply.Admission = admissionState(s.eng.Admission(), s.eng.AdmissionStats())
-		return reply
-	}
-	l := s.fedn.Ledger()
-	reply := StateReply{
-		ID:         s.id,
-		Kind:       KindFederation,
-		Policy:     s.fedn.Policy().Name(),
-		Now:        s.fedn.Now(),
-		Jobs:       int(s.fedn.Submitted()),
-		Pending:    s.fedn.PendingCount(),
-		Decisions:  len(s.fedn.Decisions()),
-		Psi:        l.FederationPsi(),
-		Value:      l.FederationValue(),
-		Offloaded:  l.Offloaded(),
-		Migrations: l.Migrations,
-	}
-	if next := s.fedn.NextEventTime(); next != sim.MaxTime {
+	reply := s.run.state()
+	reply.ID, reply.Kind, reply.Now = s.id, s.cfg.Kind, s.run.Now()
+	if next := s.run.NextEventTime(); next != sim.MaxTime {
 		reply.NextEvent = &next
 	}
-	reply.Admission = admissionState(s.fedn.Admission(), s.fedn.AdmissionStats())
-	for c, m := range s.fedn.Members() {
-		eng := m.Engine()
-		reply.Clusters = append(reply.Clusters, ClusterState{
-			Name:      m.Name(),
-			Now:       eng.Now(),
-			Jobs:      len(eng.Instance().Jobs),
-			Waiting:   eng.Waiting(),
-			Decisions: len(eng.Decisions()),
-			Psi:       l.Psi[c],
-			Value:     l.Value[c],
-			Executed:  l.Executed[c],
-		})
-	}
+	reply.Admission = admissionState(s.run.Admission(), s.run.AdmissionStats())
 	return reply
 }
 
@@ -516,35 +449,7 @@ func (s *Session) State() StateReply {
 func (s *Session) Decisions(since int) (int, []Decision) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if since < 0 {
-		since = 0
-	}
-	if s.eng != nil {
-		all := s.eng.Decisions()
-		if since > len(all) {
-			since = len(all)
-		}
-		return len(all), fromStarts(all[since:])
-	}
-	all := s.fedn.Decisions()
-	if since > len(all) {
-		since = len(all)
-	}
-	return len(all), fromFedDecisions(all[since:])
-}
-
-// DecisionCount returns the decision-log length without materializing
-// the wire-format slice — the read path for callers that only count
-// (pollers checking for news, session listings). Decisions(since)
-// rebuilds a Decision per log entry; this is a length read under the
-// lock.
-func (s *Session) DecisionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng != nil {
-		return len(s.eng.Decisions())
-	}
-	return len(s.fedn.Decisions())
+	return s.run.decisions(max(since, 0))
 }
 
 // Checkpoint serializes the session's run state (engine snapshot or
@@ -552,63 +457,24 @@ func (s *Session) DecisionCount() int {
 func (s *Session) Checkpoint() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.eng != nil {
-		return s.eng.Snapshot()
-	}
-	return s.fedn.Snapshot()
+	return s.run.Snapshot()
 }
-
-// errRestoreConfig marks a restore failure caused by the session's own
-// stored configuration failing to rebuild — server state gone bad, not
-// a problem with the snapshot the client sent. The HTTP layer maps it
-// to a 500 where snapshot rejections stay 400s.
-var errRestoreConfig = errors.New("daemon: session configuration no longer builds")
 
 // Restore replaces the session's run state with a snapshot captured by
-// a session of the same configuration.
+// a session of the same configuration. A snapshot the configuration
+// rejects leaves the session on its previous run.
 func (s *Session) Restore(data []byte) error {
+	if len(data) == 0 {
+		return fmt.Errorf("daemon: restore: empty snapshot")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dirty.Store(true)
-	return s.restoreLocked(data)
-}
-
-func (s *Session) restoreLocked(data []byte) error {
-	if s.eng != nil {
-		alg, err := s.cfg.buildAlg(defaultStr(s.cfg.Alg, "ref"))
-		if err != nil {
-			return fmt.Errorf("%w: %w", errRestoreConfig, err)
-		}
-		var (
-			restored *engine.Engine
-		)
-		// A gated configuration captured a gated envelope; restore
-		// through the matching entry point (each rejects the other's
-		// format, so a config/snapshot mismatch fails loudly here).
-		if s.cfg.Admission != nil {
-			restored, err = engine.RestoreGated(alg, data)
-		} else {
-			restored, err = engine.Restore(alg, data)
-		}
-		if err != nil {
-			return err
-		}
-		s.eng = restored
-		return nil
-	}
-	specs, err := s.cfg.fedSpecs()
-	if err != nil {
-		return fmt.Errorf("%w: %w", errRestoreConfig, err)
-	}
-	policy, err := s.cfg.fedPolicy()
-	if err != nil {
-		return fmt.Errorf("%w: %w", errRestoreConfig, err)
-	}
-	restored, err := fed.Restore(s.cfg.OrgNames, specs, policy, data)
+	run, err := s.cfg.open(data)
 	if err != nil {
 		return err
 	}
-	s.fedn = restored
+	s.dirty.Store(true)
+	s.run = run
 	return nil
 }
 
@@ -691,6 +557,11 @@ var ErrSessionExists = errors.New("daemon: session already exists")
 // a fresh "s<N>" identifier is assigned. Identifiers must be usable in
 // URL paths: one path segment, no slashes.
 func (m *Manager) Create(id string, cfg SessionConfig) (*Session, error) {
+	return m.create(id, cfg, nil)
+}
+
+// create is Create, resuming from a snapshot when one is given.
+func (m *Manager) create(id string, cfg SessionConfig, snapshot []byte) (*Session, error) {
 	auto := id == ""
 	if auto {
 		id = m.freshID()
@@ -704,10 +575,12 @@ func (m *Manager) Create(id string, cfg SessionConfig) (*Session, error) {
 		// re-checks authoritatively.
 		return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
 	}
-	s, err := newSession(id, cfg)
+	run, err := cfg.open(snapshot)
 	if err != nil {
 		return nil, err
 	}
+	s := &Session{id: id, cfg: cfg, run: run}
+	s.dirty.Store(snapshot == nil) // a resumed session's stored state already matches
 	for {
 		sh := m.shard(id)
 		sh.mu.Lock()
@@ -858,17 +731,13 @@ func (m *Manager) LoadStore(store CheckpointStore) ([]string, []Quarantined, err
 	}
 	var ids []string
 	for _, env := range envs {
-		s, err := m.Create(env.ID, env.Config)
-		if err != nil {
-			err = fmt.Errorf("daemon: recreate session %q: %w", env.ID, err)
-			if qerr := store.Quarantine(env.ID); qerr != nil {
-				err = errors.Join(err, qerr)
-			}
-			quarantined = append(quarantined, Quarantined{ID: env.ID, Err: err})
-			continue
+		var err error
+		if len(env.Snapshot) == 0 { // would open a fresh run, not resume one
+			err = fmt.Errorf("envelope carries no snapshot")
+		} else {
+			_, err = m.create(env.ID, env.Config, env.Snapshot)
 		}
-		if err := s.Restore(env.Snapshot); err != nil {
-			m.Delete(env.ID)
+		if err != nil {
 			err = fmt.Errorf("daemon: restore session %q: %w", env.ID, err)
 			if qerr := store.Quarantine(env.ID); qerr != nil {
 				err = errors.Join(err, qerr)
@@ -876,7 +745,6 @@ func (m *Manager) LoadStore(store CheckpointStore) ([]string, []Quarantined, err
 			quarantined = append(quarantined, Quarantined{ID: env.ID, Err: err})
 			continue
 		}
-		s.dirty.Store(false)
 		ids = append(ids, env.ID)
 	}
 	return ids, quarantined, nil

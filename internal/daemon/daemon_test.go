@@ -266,6 +266,80 @@ func TestSessionAPIValidation(t *testing.T) {
 	a.do("POST", "/v1/sessions/tiny/jobs", `{"jobs":[{"org":0,"size":2}]}`, http.StatusOK)
 	a.do("POST", "/v1/sessions/tiny/advance", `{"until":5}`, http.StatusOK)
 	a.do("GET", "/v1/healthz", "", http.StatusOK)
+
+	// rejected posts a request the session must refuse with a 400 and
+	// without a trace: /state reads byte for byte what it read before.
+	rejected := func(id, op, body string) {
+		t.Helper()
+		before := a.raw("/v1/sessions/" + id + "/state")
+		a.do("POST", "/v1/sessions/"+id+"/"+op, body, http.StatusBadRequest)
+		if after := a.raw("/v1/sessions/" + id + "/state"); !bytes.Equal(before, after) {
+			t.Fatalf("rejected %s on %q changed its state:\n%s\n%s", op, id, before, after)
+		}
+	}
+	create := func(id string, cfg daemon.SessionConfig) {
+		t.Helper()
+		a.do("POST", "/v1/sessions", `{"id":"`+id+`",`+mustJSON(t, cfg)[1:], http.StatusCreated)
+	}
+
+	// The configuration, not the posted snapshot, decides whether and how
+	// a session is gated: a snapshot taken under another admission spec
+	// — none, a different policy, or one where the session has none — is
+	// refused, where it used to drop, swap or install the gate silently.
+	alwaysSingle := gatedSingleCfg()
+	alwaysSingle.Admission = &ctrl.PolicySpec{Policy: "always"}
+	ungatedSingle := gatedSingleCfg()
+	ungatedSingle.Admission = nil
+	create("fed-plain", fedCfg())
+	create("fed-gated", gatedFedCfg())
+	create("one-plain", ungatedSingle)
+	create("one-always", alwaysSingle)
+	create("one-bucket", gatedSingleCfg())
+	for _, id := range []string{"fed-plain", "fed-gated", "one-plain", "one-always", "one-bucket"} {
+		a.do("POST", "/v1/sessions/"+id+"/jobs", mustJSON(t, map[string]any{"jobs": overloadJobs(0)}), http.StatusOK)
+		a.do("POST", "/v1/sessions/"+id+"/advance", `{"until":30}`, http.StatusOK)
+	}
+	rejected("fed-gated", "restore", string(a.raw("/v1/sessions/fed-plain/checkpoint")))
+	rejected("fed-plain", "restore", string(a.raw("/v1/sessions/fed-gated/checkpoint")))
+	rejected("one-bucket", "restore", string(a.raw("/v1/sessions/one-always/checkpoint")))
+	rejected("one-bucket", "restore", string(a.raw("/v1/sessions/one-plain/checkpoint")))
+	rejected("one-plain", "restore", string(a.raw("/v1/sessions/one-bucket/checkpoint")))
+	// Their own snapshots still restore.
+	for _, id := range []string{"fed-plain", "fed-gated", "one-plain", "one-always", "one-bucket"} {
+		a.do("POST", "/v1/sessions/"+id+"/restore", string(a.raw("/v1/sessions/"+id+"/checkpoint")), http.StatusOK)
+	}
+
+	// A batch with one bad job is refused whole, for federations as for
+	// single runs: a client that retries it must not duplicate the jobs
+	// that came before the bad one.
+	for _, id := range []string{"fed-plain", "fed-gated", "one-plain", "one-bucket"} {
+		rejected(id, "jobs", `{"jobs":[{"org":0,"size":2},{"org":99,"size":2}]}`)
+		rejected(id, "jobs", `{"jobs":[{"org":0,"size":2},{"org":1,"size":0}]}`)
+	}
+	rejected("fed-plain", "jobs", `{"jobs":[{"org":0,"size":2},{"cluster":9,"org":1,"size":2}]}`)
+	rejected("fed-plain", "jobs", `{"jobs":[{"org":0,"size":2},{"org":1,"size":2,"release":3}]}`)
+}
+
+// TestSubmitAllOrNothing is the Session-level half of the batch
+// contract: a federated batch with an invalid job accepts nothing.
+func TestSubmitAllOrNothing(t *testing.T) {
+	sess, err := daemon.NewManager().Create("fleet", fedCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := sess.Submit([]daemon.JobSubmission{{Org: 0, Size: 2}, {Org: 99, Size: 2}}); err == nil {
+		t.Fatalf("a batch naming organization 99 was accepted: %v", ids)
+	}
+	if st := sess.State(); st.Jobs != 0 || st.Pending != 0 {
+		t.Fatalf("a rejected batch left jobs=%d pending=%d behind", st.Jobs, st.Pending)
+	}
+	ids, err := sess.Submit([]daemon.JobSubmission{{Org: 0, Size: 2}, {Cluster: 1, Org: 1, Size: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
+		t.Fatalf("the retried batch got ids %v, want [0 1]", ids)
+	}
 }
 
 // TestHTTPStatusCodes: advance and restore failures map onto distinct

@@ -1,6 +1,7 @@
 package daemon_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -134,13 +135,33 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Replace(string(data), `"id":"noid"`, `"id":""`, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A federation checkpoint in the retired version-3 layout is not
+	// loaded on a guess: it is set aside like any other unrestorable one.
+	fleet, err := daemon.NewManager().Create("old", fedCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := fleet.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := bytes.Replace(snap, []byte(`{"version":4,`), []byte(`{"version":3,`), 1)
+	if bytes.Equal(v3, snap) {
+		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
+	}
+	if err := st.Save(daemon.Envelope{ID: "old", Config: fedCfg(), Snapshot: v3}); err != nil {
+		t.Fatal(err)
+	}
 	mgr := daemon.NewManager()
 	ids, quarantined, err := mgr.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 0 || len(quarantined) != 2 {
+	if len(ids) != 0 || len(quarantined) != 3 {
 		t.Fatalf("ids=%v quarantined=%v", ids, quarantined)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "old.session.json.corrupt")); err != nil {
+		t.Fatalf("version-3 envelope not quarantined: %v", err)
 	}
 	if len(mgr.List()) != 0 {
 		t.Fatal("quarantined envelopes still created sessions")

@@ -33,7 +33,6 @@ import (
 // Distinct engines share no mutable state, so they may be driven from
 // different goroutines concurrently.
 type Engine struct {
-	alg      core.StepperAlgorithm
 	s        core.Stepper
 	seed     int64
 	now      model.Time
@@ -41,22 +40,19 @@ type Engine struct {
 	feedIDs  []int // scratch for Feed's returned IDs, reused per call
 
 	// Optional admission gate (see gate.go). When nil — the default —
-	// Feed and Step take the direct zero-allocation paths unchanged.
+	// Feed injects directly and Step never touches the event queue.
 	plane        *ctrl.Plane
 	admission    *ctrl.PolicySpec
 	gateProvider *ctrl.CachedSnapshotProvider
-	gateID       [1]int // scratch for gateSink injections
+	gateID       [1]int // the gate sink's ID scratch; feedIDs is the caller's until the next Feed
 }
 
 // New starts an incremental run of alg on inst. The engine takes
 // ownership of the instance — jobs arriving later are appended to it by
 // Feed. inst may start with an empty job list (the pure serving case).
 func New(alg core.StepperAlgorithm, inst *model.Instance, seed int64) *Engine {
-	return &Engine{alg: alg, s: alg.NewStepper(inst, seed), seed: seed}
+	return &Engine{s: alg.NewStepper(inst, seed), seed: seed}
 }
-
-// Algorithm returns the algorithm configuration driving the run.
-func (e *Engine) Algorithm() core.StepperAlgorithm { return e.alg }
 
 // Now returns the engine clock: the instant of the last Step.
 func (e *Engine) Now() model.Time { return e.now }
@@ -106,27 +102,35 @@ func (e *Engine) Feed(jobs []model.Job) ([]int, error) {
 			return nil, fmt.Errorf("engine: feed: release %d before engine time %d", j.Release, e.now)
 		}
 	}
-	e.feedIDs = e.feedIDs[:0]
 	if e.plane != nil {
-		// Gated path: jobs become ArrivalEvents at their release
-		// instants; injection happens when the control plane admits them
-		// (drainGate). The returned IDs are admission sequence numbers,
-		// not instance job IDs — a gated job may never get one.
+		// Gated: jobs become ArrivalEvents at their release instants and
+		// are injected when the control plane admits them (drainGate). The
+		// returned IDs are admission sequence numbers, not instance job
+		// IDs — a gated job may never get one.
+		e.feedIDs = e.feedIDs[:0]
 		for _, j := range jobs {
 			seq := e.plane.Arrive(ctrl.Job{Seq: -1, Org: j.Org, Size: j.Size, Release: j.Release}, j.Release)
 			e.feedIDs = append(e.feedIDs, int(seq))
 		}
 		return e.feedIDs, nil
 	}
+	ids, err := e.inject(e.feedIDs, jobs)
+	e.feedIDs = ids
+	return ids, err
+}
+
+// inject appends jobs to the live instance under the next job IDs
+// (returned in ids' backing array) and enters them into the running
+// schedule — the one way in, fed directly or admitted by the gate.
+func (e *Engine) inject(ids []int, jobs []model.Job) ([]int, error) {
+	inst := e.s.Instance()
+	ids = ids[:0]
 	for _, j := range jobs {
 		j.ID = len(inst.Jobs)
-		e.feedIDs = append(e.feedIDs, j.ID)
+		ids = append(ids, j.ID)
 		inst.Jobs = append(inst.Jobs, j)
 	}
-	if err := e.s.Inject(e.feedIDs); err != nil {
-		return nil, err
-	}
-	return e.feedIDs, nil
+	return ids, e.s.Inject(ids)
 }
 
 // Withdraw removes a fed-but-not-yet-started job from the run: the job
@@ -198,45 +202,6 @@ func (e *Engine) StepToNextEvent() ([]sim.Start, bool, error) {
 	return starts, true, err
 }
 
-// BatchRequest is one advance target in an AdvanceBatch; a nil Until
-// means "to the next pending event" (the StepToNextEvent form).
-type BatchRequest struct {
-	Until *model.Time
-}
-
-// BatchResult is one AdvanceBatch outcome. Starts aliases the decision
-// log under the same read-only contract as Step's return value; Stepped
-// reports whether the run moved (false for a nil-Until request on a
-// drained run, mirroring StepToNextEvent's second result).
-type BatchResult struct {
-	Now     model.Time
-	Starts  []sim.Start
-	Stepped bool
-	Err     error
-}
-
-// AdvanceBatch processes a group of advance requests back to back,
-// filling out[i] with requests[i]'s outcome; out must be at least as
-// long as requests. One call amortizes the per-request overhead the
-// serving tier would otherwise pay per wakeup — the daemon's pipeline
-// workers coalesce a session's queued advances into one AdvanceBatch
-// under one session lock and one checkpoint-dirty mark. A failing
-// request records its error and leaves the run where it stands; later
-// requests still execute, exactly as sequential Step calls would.
-func (e *Engine) AdvanceBatch(requests []BatchRequest, out []BatchResult) {
-	for i, req := range requests {
-		var res BatchResult
-		if req.Until != nil {
-			res.Starts, res.Err = e.Step(*req.Until)
-			res.Stepped = res.Err == nil
-		} else {
-			res.Starts, res.Stepped, res.Err = e.StepToNextEvent()
-		}
-		res.Now = e.now
-		out[i] = res
-	}
-}
-
 // Decisions returns the full decision schedule so far.
 func (e *Engine) Decisions() []sim.Start { return e.s.Starts() }
 
@@ -256,8 +221,8 @@ func (e *Engine) Result() *core.Result { return e.s.ResultAt(e.now) }
 // Snapshot serializes the run's complete deterministic state as JSON.
 // Restoring it — in this process or another — resumes the run
 // byte-identically: same future decisions, same ψ and φ. An ungated
-// engine emits a bare core checkpoint (Restore); a gated one wraps it
-// in the control-plane envelope (RestoreGated).
+// engine emits a bare core checkpoint, a gated one wraps it in the
+// control-plane envelope (gate.go); Restore reads either.
 func (e *Engine) Snapshot() ([]byte, error) {
 	cp, err := e.s.Capture(e.now)
 	if err != nil {
@@ -273,23 +238,51 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	return raw, nil
 }
 
-// Restore rebuilds an engine from a Snapshot. The algorithm
-// configuration must match the one that captured the snapshot (the
-// checkpoint carries only dynamic state).
+// Restore rebuilds the engine that wrote a Snapshot: ungated from a bare
+// core checkpoint; from a gate envelope, gated under the spec it carries,
+// with pending control events, policy state, counters and cached view
+// resumed mid-round. The algorithm configuration must match the
+// capturing one (checkpoints carry only dynamic state).
 func Restore(alg core.StepperAlgorithm, data []byte) (*Engine, error) {
-	var cp core.Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
+	// The layouts share no key, so one document reads both: a bare
+	// checkpoint fills the embedded core.Checkpoint, an envelope the gate
+	// fields, leaving its core to be parsed once.
+	var doc struct {
+		core.Checkpoint
+		gatedCheckpoint
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
 	}
+	gated := doc.GateVersion != 0 || doc.Core != nil
+	if gated {
+		if doc.GateVersion != GateCheckpointVersion {
+			return nil, fmt.Errorf("engine: restore: gate envelope version %d, want %d", doc.GateVersion, GateCheckpointVersion)
+		}
+		if doc.Admission == nil || len(doc.Ctrl) == 0 {
+			return nil, fmt.Errorf("engine: restore: gate envelope carries no control-plane state")
+		}
+		doc.Checkpoint = core.Checkpoint{} // only the envelope's core counts
+		if err := json.Unmarshal(doc.Core, &doc.Checkpoint); err != nil {
+			return nil, fmt.Errorf("engine: restore: gate envelope core: %w", err)
+		}
+	}
+	cp := &doc.Checkpoint
 	if cp.Version != core.CheckpointVersion {
 		return nil, fmt.Errorf("engine: restore: checkpoint version %d, want %d", cp.Version, core.CheckpointVersion)
 	}
 	if cp.Algorithm != alg.Name() {
 		return nil, fmt.Errorf("engine: restore: checkpoint for %q, engine configured as %q", cp.Algorithm, alg.Name())
 	}
-	s, err := alg.RestoreStepper(&cp)
+	s, err := alg.RestoreStepper(cp)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{alg: alg, s: s, seed: cp.Seed, now: cp.Now, reported: len(s.Starts())}, nil
+	e := &Engine{s: s, seed: cp.Seed, now: cp.Now, reported: len(s.Starts())}
+	if gated {
+		if err := e.restoreGate(&doc.gatedCheckpoint); err != nil {
+			return nil, fmt.Errorf("engine: restore: %w", err)
+		}
+	}
+	return e, nil
 }

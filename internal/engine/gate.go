@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -16,8 +15,8 @@ import (
 // admitted jobs are injected into the running schedule — rejected ones
 // never reach it, deferred ones enter at the instant the policy names.
 // With AlwaysAdmit and staleness 0 the gated run's decision trace is
-// byte-identical to the ungated engine's (TestGateDifferential); the
-// plane==nil path stays the zero-allocation hot path.
+// byte-identical to the ungated engine's (TestGateDifferential); an
+// ungated engine never touches the event queue.
 
 // SetAdmission installs (or, with a nil spec, removes) an admission
 // gate. The gate observes the engine through a bounded-staleness
@@ -73,12 +72,8 @@ type gateSink struct{ e *Engine }
 
 // Route implements ctrl.Sink.
 func (s gateSink) Route(job ctrl.Job, t model.Time, _ ctrl.View) error {
-	e := s.e
-	inst := e.s.Instance()
-	id := len(inst.Jobs)
-	inst.Jobs = append(inst.Jobs, model.Job{ID: id, Org: job.Org, Size: job.Size, Release: t})
-	e.gateID[0] = id
-	return e.s.Inject(e.gateID[:])
+	_, err := s.e.inject(s.e.gateID[:0], []model.Job{{Org: job.Org, Size: job.Size, Release: t}})
+	return err
 }
 
 // Refreshed implements ctrl.Sink. A single cluster has nothing to
@@ -122,8 +117,8 @@ type gateView struct {
 
 // gatedCheckpoint is the gated engine's snapshot envelope: the control
 // plane's state wrapped around the ordinary core checkpoint. The
-// "gate_version" key distinguishes it from a bare core.Checkpoint —
-// Restore rejects envelopes, RestoreGated requires them.
+// "gate_version" key distinguishes it from a bare core.Checkpoint, with
+// which it shares no key (Restore decodes both through one document).
 type gatedCheckpoint struct {
 	GateVersion int              `json:"gate_version"`
 	Admission   *ctrl.PolicySpec `json:"admission"`
@@ -151,35 +146,17 @@ func (e *Engine) snapshotGated(core []byte) ([]byte, error) {
 	return json.Marshal(cp)
 }
 
-// RestoreGated rebuilds a gated engine from a gated Snapshot: the core
-// run resumes byte-identically and the control plane resumes with its
-// pending events (including deferred retries), policy state and
-// admission counters — a restore mid-round equals the uninterrupted
-// run. The algorithm configuration must match the capturing one; the
-// admission spec rides in the envelope.
-func RestoreGated(alg core.StepperAlgorithm, data []byte) (*Engine, error) {
-	var cp gatedCheckpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("engine: restore gated: %w", err)
-	}
-	if cp.GateVersion != GateCheckpointVersion {
-		return nil, fmt.Errorf("engine: restore gated: envelope version %d, want %d", cp.GateVersion, GateCheckpointVersion)
-	}
-	if cp.Admission == nil || len(cp.Ctrl) == 0 {
-		return nil, fmt.Errorf("engine: restore gated: envelope carries no control-plane state")
-	}
-	e, err := Restore(alg, cp.Core)
-	if err != nil {
-		return nil, err
-	}
+// restoreGate re-installs the gate a gated Snapshot captured on the
+// freshly restored core run.
+func (e *Engine) restoreGate(cp *gatedCheckpoint) error {
 	if err := e.SetAdmission(cp.Admission); err != nil {
-		return nil, fmt.Errorf("engine: restore gated: %w", err)
+		return err
 	}
 	if err := e.plane.RestoreState(cp.Ctrl); err != nil {
-		return nil, fmt.Errorf("engine: restore gated: %w", err)
+		return err
 	}
 	if cp.View != nil {
 		e.gateProvider.Prime(ctrl.View{TakenAt: cp.View.TakenAt, Load: cp.View.Load})
 	}
-	return e, nil
+	return nil
 }

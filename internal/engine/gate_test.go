@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -204,7 +206,7 @@ func TestGateCheckpointRestore(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					resumed, err = RestoreGated(alg, snap)
+					resumed, err = Restore(alg, snap)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -224,8 +226,10 @@ func TestGateCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestGateSnapshotEnvelopes: gated and bare snapshots are distinct
-// formats and each restore entry point rejects the other's.
+// TestGateSnapshotEnvelopes: either snapshot layout restores to the
+// engine that wrote it — a bare checkpoint to an ungated engine, a gate
+// envelope to a gated one with the same spec — and re-captures byte for
+// byte; a truncated or unknown-version envelope fails.
 func TestGateSnapshotEnvelopes(t *testing.T) {
 	orgs, jobs := gateWorkload()
 	alg := steppers()[0]
@@ -233,33 +237,68 @@ func TestGateSnapshotEnvelopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := New(alg, empty.Clone(), 1)
-	if _, err := bare.Feed(jobs[:1]); err != nil {
-		t.Fatal(err)
-	}
-	bareSnap, err := bare.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreGated(alg, bareSnap); err == nil {
-		t.Fatal("RestoreGated accepted a bare core checkpoint")
+	spec := &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 8, Burst: 1, MaxAttempts: 2, Staleness: 10}
+	var gatedSnap []byte
+	for _, admission := range []*ctrl.PolicySpec{nil, spec} {
+		e := New(alg, empty.Clone(), 1)
+		if err := e.SetAdmission(admission); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Feed(jobs[:6]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Step(5); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Restore(alg, snap)
+		if err != nil {
+			t.Fatalf("admission %+v: %v", admission, err)
+		}
+		switch got := back.Admission(); {
+		case admission == nil && got != nil:
+			t.Fatalf("a bare checkpoint restored gated: %+v", got)
+		case admission != nil && (got == nil || *got != *admission):
+			t.Fatalf("a gate envelope restored with admission %+v, want %+v", got, admission)
+		}
+		again, err := back.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap, again) {
+			t.Fatalf("admission %+v: restored engine re-captures differently:\n%s\n%s", admission, snap, again)
+		}
+		gatedSnap = snap
 	}
 
-	gated := New(alg, empty.Clone(), 1)
-	if err := gated.SetAdmission(&ctrl.PolicySpec{Policy: "always"}); err != nil {
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(gatedSnap, &env); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gated.Feed(jobs[:1]); err != nil {
-		t.Fatal(err)
+	for name, mutate := range map[string]func(map[string]json.RawMessage){
+		"unknown version": func(m map[string]json.RawMessage) { m["gate_version"] = json.RawMessage("2") },
+		"no ctrl state":   func(m map[string]json.RawMessage) { delete(m, "ctrl") },
+		"no admission":    func(m map[string]json.RawMessage) { delete(m, "admission") },
+		"no core":         func(m map[string]json.RawMessage) { delete(m, "core") },
+		"no version":      func(m map[string]json.RawMessage) { delete(m, "gate_version") },
+	} {
+		bad := make(map[string]json.RawMessage, len(env))
+		for k, v := range env {
+			bad[k] = v
+		}
+		mutate(bad)
+		data, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(alg, data); err == nil {
+			t.Errorf("Restore accepted an envelope with %s", name)
+		}
 	}
-	gatedSnap, err := gated.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(alg, gatedSnap); err == nil {
-		t.Fatal("Restore accepted a gated envelope")
-	}
-	if _, err := RestoreGated(alg, gatedSnap); err != nil {
-		t.Fatal(err)
+	if _, err := Restore(alg, gatedSnap[:len(gatedSnap)/2]); err == nil {
+		t.Error("Restore accepted a truncated envelope")
 	}
 }

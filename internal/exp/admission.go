@@ -3,8 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/ctrl"
@@ -111,36 +109,6 @@ func admissionRow(name string, lf float64) string {
 	return fmt.Sprintf("%s ×%.3g", name, lf)
 }
 
-// runGatedInstance routes one workload under the configured delegation
-// policy with the given admission control plane installed, returning
-// the drained ledger and the plane's accounting.
-func (cfg AdmissionConfig) runGatedInstance(w *gen.FedWorkload, alg core.StepperAlgorithm, policy fed.Policy, spec ctrl.PolicySpec, seed int64) (*fed.Ledger, *metrics.AdmissionStats, error) {
-	specs := make([]fed.ClusterSpec, len(w.Machines))
-	for c := range specs {
-		specs[c] = fed.ClusterSpec{Name: fmt.Sprintf("site%d", c), Alg: alg, Machines: w.Machines[c]}
-	}
-	f, err := fed.New(w.Orgs, specs, policy, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	f.SetStaleness(cfg.Staleness)
-	if err := f.SetAdmission(&spec); err != nil {
-		return nil, nil, err
-	}
-	for c, js := range w.Jobs {
-		if err := f.SubmitJobs(c, js); err != nil {
-			return nil, nil, err
-		}
-	}
-	if _, err := f.Step(cfg.Horizon); err != nil {
-		return nil, nil, err
-	}
-	if err := f.CheckConservation(); err != nil {
-		return nil, nil, fmt.Errorf("exp: admission %q broke conservation: %w", spec.Policy, err)
-	}
-	return f.Ledger(), f.AdmissionStats(), nil
-}
-
 // AdmissionTable runs the admission-control ablation: every sampled
 // scenario instance, at every offered-load multiplier, is routed under
 // every admission variant, and the admitted fraction, rejected
@@ -193,41 +161,11 @@ func AdmissionTable(cfg AdmissionConfig, variants []AdmissionVariant) (*Table, e
 			}
 		}
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Instances {
-		workers = cfg.Instances
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if err := cfg.runAdmissionIdx(idx, alg, policy, variants, values); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < cfg.Instances; idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err = forInstances(cfg.Instances, cfg.Workers, func(idx int) error {
+		return cfg.runAdmissionIdx(idx, alg, policy, variants, values)
+	})
+	if err != nil {
+		return nil, err
 	}
 	t := newTable()
 	for m, metric := range metricsOf {
@@ -260,7 +198,7 @@ func (cfg AdmissionConfig) runAdmissionIdx(idx int, alg core.StepperAlgorithm, p
 		// The ungated run of the same instance is the fairness reference:
 		// Δψ/p_tot isolates what shedding load does to fairness, load
 		// factor by load factor.
-		refLedger, _, err := cfg.runGatedInstance(w, alg, policy, ctrl.PolicySpec{Policy: "always"}, seed)
+		refLedger, _, err := runFederated(w, alg, policy, cfg.Staleness, cfg.Horizon, &ctrl.PolicySpec{Policy: "always"}, seed)
 		if err != nil {
 			return fmt.Errorf("exp: admission instance %d ×%g reference: %w", idx, lf, err)
 		}
@@ -275,7 +213,7 @@ func (cfg AdmissionConfig) runAdmissionIdx(idx int, alg core.StepperAlgorithm, p
 				values[l][v][3][idx] = 0
 				continue
 			}
-			ledger, st, err := cfg.runGatedInstance(w, alg, policy, variant.Spec, seed)
+			ledger, st, err := runFederated(w, alg, policy, cfg.Staleness, cfg.Horizon, &variant.Spec, seed)
 			if err != nil {
 				return fmt.Errorf("exp: admission instance %d ×%g %s: %w", idx, lf, variant.Name, err)
 			}

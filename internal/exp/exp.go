@@ -11,9 +11,11 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -73,13 +75,6 @@ func DefaultAlgorithms(randSamples int) []core.Algorithm {
 	}
 }
 
-// Cell is one aggregated table entry.
-type Cell struct {
-	Workload  string
-	Algorithm string
-	Summary   stats.Summary
-}
-
 // Table is a workloads × algorithms grid of unfairness summaries.
 type Table struct {
 	Workloads  []string
@@ -134,48 +129,43 @@ func (cfg Config) machineSplit() []int {
 	return stats.ZipfSplit(cfg.Family.Procs, cfg.Orgs, exp)
 }
 
+// forInstances runs fn(idx) for every idx in [0, n) on a pool of at
+// most workers goroutines (≤ 0 = GOMAXPROCS); every instance runs, and
+// the failures, if any, come back joined in index order.
+func forInstances(n, workers int, fn func(idx int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	errs := make([]error, n)
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := int(next.Add(1)) - 1; idx < n; idx = int(next.Add(1)) - 1 {
+				errs[idx] = fn(idx)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // RunUnfairness measures Δψ/p_tot for every algorithm over
 // cfg.Instances generated instances. The returned matrix is indexed
 // [algorithm][instance].
 func RunUnfairness(cfg Config, algs []core.Algorithm) ([][]float64, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Instances {
-		workers = cfg.Instances
-	}
 	values := make([][]float64, len(algs))
 	for i := range values {
 		values[i] = make([]float64, cfg.Instances)
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if err := runInstance(cfg, algs, idx, values); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < cfg.Instances; idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	return values, firstErr
+	err := forInstances(cfg.Instances, cfg.Workers, func(idx int) error {
+		return runInstance(cfg, algs, idx, values)
+	})
+	return values, err
 }
 
 // runInstance generates instance idx, computes the REF reference and

@@ -2,10 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/ctrl"
 	"repro/internal/fed"
 	"repro/internal/gen"
 	"repro/internal/metrics"
@@ -77,30 +76,37 @@ func (cfg FedConfig) memberAlg() (core.StepperAlgorithm, error) {
 	return stepper, nil
 }
 
-// runFedInstance routes one generated workload under one policy and
-// returns the drained ledger.
-func (cfg FedConfig) runFedInstance(w *gen.FedWorkload, alg core.StepperAlgorithm, policy fed.Policy, seed int64) (*fed.Ledger, error) {
+// runFederated routes one generated workload under one delegation
+// policy — behind the given admission control plane, if any — to the
+// horizon, and returns the drained ledger and the plane's accounting
+// (nil without a plane).
+func runFederated(w *gen.FedWorkload, alg core.StepperAlgorithm, policy fed.Policy, staleness, horizon model.Time, admission *ctrl.PolicySpec, seed int64) (*fed.Ledger, *metrics.AdmissionStats, error) {
 	specs := make([]fed.ClusterSpec, len(w.Machines))
 	for c := range specs {
 		specs[c] = fed.ClusterSpec{Name: fmt.Sprintf("site%d", c), Alg: alg, Machines: w.Machines[c]}
 	}
 	f, err := fed.New(w.Orgs, specs, policy, seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	f.SetStaleness(cfg.Staleness)
+	f.SetStaleness(staleness)
+	if err := f.SetAdmission(admission); err != nil {
+		return nil, nil, err
+	}
 	for c, js := range w.Jobs {
-		if err := f.SubmitJobs(c, js); err != nil {
-			return nil, err
+		for _, j := range js {
+			if _, err := f.Submit(c, j.Org, j.Size, j.Release); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
-	if _, err := f.Step(cfg.Horizon); err != nil {
-		return nil, err
+	if _, err := f.Step(horizon); err != nil {
+		return nil, nil, err
 	}
 	if err := f.CheckConservation(); err != nil {
-		return nil, fmt.Errorf("exp: policy %q broke conservation: %w", policy.Name(), err)
+		return nil, nil, fmt.Errorf("exp: policy %q broke conservation: %w", policy.Name(), err)
 	}
-	return f.Ledger(), nil
+	return f.Ledger(), f.AdmissionStats(), nil
 }
 
 // FedPolicyTable runs the federated policy comparison: every sampled
@@ -138,41 +144,11 @@ func FedPolicyTable(cfg FedConfig, policyNames []string) (*Table, error) {
 			values[p][m] = make([]float64, cfg.Instances)
 		}
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Instances {
-		workers = cfg.Instances
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if err := cfg.runFedIdx(idx, alg, policies, values); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < cfg.Instances; idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err = forInstances(cfg.Instances, cfg.Workers, func(idx int) error {
+		return cfg.runFedIdx(idx, alg, policies, values)
+	})
+	if err != nil {
+		return nil, err
 	}
 	t := newTable()
 	for m, metric := range metricsOf {
@@ -191,7 +167,7 @@ func (cfg FedConfig) runFedIdx(idx int, alg core.StepperAlgorithm, policies []fe
 	if err != nil {
 		return fmt.Errorf("exp: federated instance %d: %w", idx, err)
 	}
-	ref, err := cfg.runFedInstance(w, alg, fed.LocalOnly{}, seed)
+	ref, _, err := runFederated(w, alg, fed.LocalOnly{}, cfg.Staleness, cfg.Horizon, nil, seed)
 	if err != nil {
 		return fmt.Errorf("exp: federated instance %d reference: %w", idx, err)
 	}
@@ -200,7 +176,7 @@ func (cfg FedConfig) runFedIdx(idx int, alg core.StepperAlgorithm, policies []fe
 		var l *fed.Ledger
 		if policy.Name() == (fed.LocalOnly{}).Name() {
 			l = ref // the reference run is the local-only row
-		} else if l, err = cfg.runFedInstance(w, alg, policy, seed); err != nil {
+		} else if l, _, err = runFederated(w, alg, policy, cfg.Staleness, cfg.Horizon, nil, seed); err != nil {
 			return fmt.Errorf("exp: federated instance %d: %w", idx, err)
 		}
 		values[p][0][idx] = 100 * l.OffloadedFraction()

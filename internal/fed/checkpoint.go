@@ -16,13 +16,8 @@ import (
 // control plane: the admission spec and the plane's serialized state
 // (event queue, policy state, per-organization admission counters).
 // Version 4 added streaming ingestion: the job-source cursor block,
-// absent for materialized runs. Version 3 checkpoints (necessarily
-// sourceless) still restore.
+// absent for materialized runs. Restore accepts this version only.
 const CheckpointVersion = 4
-
-// minCheckpointVersion is the oldest layout Restore accepts: version 3
-// differs from 4 only by never carrying a source block.
-const minCheckpointVersion = 3
 
 // Checkpoint is the complete serializable state of a federation: the
 // routing layer (pending queue, sequence counter, ledger counters,
@@ -161,8 +156,8 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("fed: restore: %w", err)
 	}
-	if cp.Version < minCheckpointVersion || cp.Version > CheckpointVersion {
-		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want %d..%d", cp.Version, minCheckpointVersion, CheckpointVersion)
+	if cp.Version != CheckpointVersion {
+		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
 	if policy == nil {
 		return nil, fmt.Errorf("fed: restore: nil delegation policy")
@@ -195,6 +190,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		reported: len(cp.Decs),
 		ledger:   cp.Ledger,
 	}
+	f.sink = fedSink{f: f, memo: make([]int, len(orgs)*len(specs))}
 	f.provider = ctrl.NewCachedSnapshotProvider(f.captureExchange, cp.Staleness)
 	if len(cp.ExSums) > 0 {
 		if len(cp.ExSums) != len(specs) {
@@ -270,6 +266,11 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		eng, err := engine.Restore(spec.Alg, mc.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("fed: restore cluster %d (%s): %w", i, spec.Name, err)
+		}
+		if eng.Admission() != nil {
+			// Admission is the federation's, in front of routing; a gate
+			// inside a member would shed jobs the ledger counts as fed.
+			return nil, fmt.Errorf("fed: restore: cluster %d (%s) carries an admission gate; member engines are never gated", i, spec.Name)
 		}
 		if got := len(eng.Instance().Jobs); len(mc.SeqOf) != got || len(mc.OriginOf) != got {
 			return nil, fmt.Errorf("fed: restore: cluster %d (%s) has %d/%d sequence/origin mappings for %d jobs",

@@ -11,12 +11,58 @@ import (
 	"repro/internal/model"
 )
 
-// TestControlPlaneDifferential is the tentpole's differential gate:
-// with AlwaysAdmit and staleness 0 the control-plane path — releases
-// decomposed into prioritized arrival → admission → routing events —
-// produces a byte-identical run to the direct pre-control-plane path,
-// for every delegation policy shape over a mixed algorithm roster.
+// TestControlPlaneDifferential is the release loop's differential
+// gate: with AlwaysAdmit the plane-on delivery — releases decomposed
+// into prioritized arrival → admission → routing events — produces a
+// byte-identical run to the plane-off delivery of the same loop, for
+// every delegation policy shape over a mixed algorithm roster.
 func TestControlPlaneDifferential(t *testing.T) {
+	// The one combination where everything the loop does meets: a
+	// migrating policy (re-delegation on refresh edges, sharing the
+	// instant's memo with routing) under stale gossip, fed from a
+	// streaming source through a window far smaller than the release
+	// bursts (fillThrough completes every batch), stepped in slices.
+	for _, policy := range []fed.Policy{
+		fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget},
+		fed.Migrating{Inner: fed.FairnessAware{}, Budget: fed.DefaultMigrationBudget},
+	} {
+		t.Run("streamed/stale/"+policy.Name(), func(t *testing.T) {
+			run := func(spec *ctrl.PolicySpec) *fed.Federation {
+				f, _ := emptyFederation(t, []string{"ref", "directcontr", "fairshare"}, policy, 11)
+				f.SetStaleness(120)
+				if err := f.SetAdmission(spec); err != nil {
+					t.Fatal(err)
+				}
+				src, err := testScenario().Source(6000, 11)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.SetSource(src, 3); err != nil {
+					t.Fatal(err)
+				}
+				for until := model.Time(250); until <= 6000; until += 250 {
+					if _, err := f.Step(until); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := f.CheckConservation(); err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			direct, gated := run(nil), run(&ctrl.PolicySpec{Policy: "always"})
+			if !bytes.Equal(fingerprint(t, direct), fingerprint(t, gated)) {
+				t.Fatal("always-admit control plane diverged from the plane-off loop")
+			}
+			if direct.SourceCursor() != gated.SourceCursor() || direct.SourceCursor() == 0 {
+				t.Fatalf("source cursors %d and %d", direct.SourceCursor(), gated.SourceCursor())
+			}
+			if direct.Ledger().Migrations == 0 {
+				t.Fatal("nothing migrated — the run does not exercise re-delegation")
+			}
+		})
+	}
+
 	algs := []string{"ref", "directcontr", "fairshare"}
 	for _, policy := range []fed.Policy{
 		fed.LocalOnly{}, fed.LeastLoaded{}, fed.FairnessAware{}, fed.RefPolicy{},

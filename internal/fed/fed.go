@@ -65,6 +65,11 @@ type Pending struct {
 	Release model.Time `json:"release"`
 }
 
+// job is the release as the control plane and the sink see it.
+func (p Pending) job() ctrl.Job {
+	return ctrl.Job{Seq: p.Seq, Org: p.Org, Origin: p.Cluster, Size: p.Size, Release: p.Release}
+}
+
 // Decision is one federated scheduling decision: the job (by federation
 // sequence number) started on a machine of the executing cluster.
 type Decision struct {
@@ -157,13 +162,17 @@ type Federation struct {
 	// deterministic state and rides in checkpoints.
 	provider *ctrl.CachedSnapshotProvider
 
-	// Optional admission control plane. When nil (the default), releases
-	// route directly — the pre-control-plane data path, kept verbatim.
-	// When set, every release decomposes into prioritized
-	// arrival→admission→routing events driven through the plane, and
-	// only admitted jobs reach the members.
+	// Optional admission control plane, plugged in at the release loop's
+	// deliver step. When nil (the default) every release reaches the sink
+	// at its release instant; when set, releases decompose into
+	// prioritized arrival→admission→routing events driven through the
+	// plane, and only admitted jobs reach the sink.
 	plane     *ctrl.Plane
 	admission *ctrl.PolicySpec
+
+	// sink is the federation's data-plane half — the one place jobs are
+	// routed and fed to members, with or without a plane in front of it.
+	sink fedSink
 }
 
 // exchange is the federation's observation payload: what one summary
@@ -219,7 +228,9 @@ func New(orgs []string, specs []ClusterSpec, policy Policy, seed int64) (*Federa
 		seed:   seed,
 		ledger: newLedger(len(specs), len(orgs)),
 	}
+	f.sink = fedSink{f: f, memo: make([]int, len(orgs)*len(specs))}
 	f.provider = ctrl.NewCachedSnapshotProvider(f.captureExchange, 0)
+	orgList := make([]model.Org, len(orgs)) // NewInstance copies it: one scratch for every member
 	for i, spec := range specs {
 		if spec.Alg == nil {
 			return nil, fmt.Errorf("fed: cluster %d (%s) has no algorithm", i, spec.Name)
@@ -228,7 +239,6 @@ func New(orgs []string, specs []ClusterSpec, policy Policy, seed int64) (*Federa
 			return nil, fmt.Errorf("fed: cluster %d (%s) has %d machine entries for %d organizations",
 				i, spec.Name, len(spec.Machines), len(orgs))
 		}
-		orgList := make([]model.Org, len(orgs))
 		total := 0
 		for o, name := range orgs {
 			if spec.Machines[o] < 0 {
@@ -263,9 +273,6 @@ func memberSeed(seed int64, i int) int64 {
 	return int64(x)
 }
 
-// Orgs returns the federation's organization names.
-func (f *Federation) Orgs() []string { return f.orgs }
-
 // Members returns the member clusters in configuration order.
 func (f *Federation) Members() []*Member { return f.members }
 
@@ -281,13 +288,8 @@ func (f *Federation) Staleness() model.Time { return f.provider.MaxAge() }
 // the cached snapshot is at least Δt old, instead of at every release
 // instant. Δt ≤ 0 restores the idealized always-fresh exchange.
 // Configure it before stepping; changing it mid-run invalidates the
-// cached snapshot. It is sugar for SnapshotProvider().SetMaxAge — the
-// one staleness contract both routing and admission observe through.
+// cached snapshot.
 func (f *Federation) SetStaleness(dt model.Time) { f.provider.SetMaxAge(dt) }
-
-// SnapshotProvider returns the bounded-staleness provider every
-// routing and admission decision observes the federation through.
-func (f *Federation) SnapshotProvider() *ctrl.CachedSnapshotProvider { return f.provider }
 
 // SetAdmission installs (or, with a nil spec, removes) an admission
 // control plane: releases then decompose into prioritized
@@ -329,9 +331,6 @@ func (f *Federation) AdmissionStats() *metrics.AdmissionStats {
 // Now returns the federation clock: the instant of the last Step.
 func (f *Federation) Now() model.Time { return f.now }
 
-// Seed returns the federation's seed.
-func (f *Federation) Seed() int64 { return f.seed }
-
 // PendingCount returns the number of accepted-but-unreleased jobs.
 func (f *Federation) PendingCount() int { return len(f.pending) }
 
@@ -344,35 +343,53 @@ func (f *Federation) Submitted() int64 { return f.nextSeq }
 // federation clock. It stays pending until its release instant, when
 // the delegation policy routes it to the executing cluster.
 func (f *Federation) Submit(origin, org int, size, release model.Time) (int64, error) {
-	if origin < 0 || origin >= len(f.members) {
-		return 0, fmt.Errorf("fed: submit: unknown cluster %d", origin)
+	j := SourceJob{Cluster: origin, Org: org, Size: size, Release: release}
+	if err := f.checkJob(j); err != nil {
+		return 0, fmt.Errorf("fed: submit: %w", err)
 	}
-	if org < 0 || org >= len(f.orgs) {
-		return 0, fmt.Errorf("fed: submit: unknown organization %d", org)
+	return f.accept(j), nil
+}
+
+// SubmitJobs accepts a batch of jobs, each at its own origin cluster,
+// and returns their sequence numbers in order. The batch is
+// all-or-nothing: every job is checked before any is accepted, so a
+// rejected batch leaves the federation untouched and can be retried.
+func (f *Federation) SubmitJobs(jobs []SourceJob) ([]int64, error) {
+	for i, j := range jobs {
+		if err := f.checkJob(j); err != nil {
+			return nil, fmt.Errorf("fed: submit: job %d: %w", i, err)
+		}
 	}
-	if size < 1 {
-		return 0, fmt.Errorf("fed: submit: job size %d; sizes must be >= 1", size)
+	seqs := make([]int64, len(jobs))
+	for i, j := range jobs {
+		seqs[i] = f.accept(j)
 	}
-	if release < f.now {
-		return 0, fmt.Errorf("fed: submit: release %d before federation time %d", release, f.now)
+	return seqs, nil
+}
+
+// checkJob is the acceptance check every job entering the federation
+// passes, submitted or pulled from a source alike.
+func (f *Federation) checkJob(j SourceJob) error {
+	switch {
+	case j.Cluster < 0 || j.Cluster >= len(f.members):
+		return fmt.Errorf("unknown cluster %d", j.Cluster)
+	case j.Org < 0 || j.Org >= len(f.orgs):
+		return fmt.Errorf("unknown organization %d", j.Org)
+	case j.Size < 1:
+		return fmt.Errorf("job size %d; sizes must be >= 1", j.Size)
+	case j.Release < f.now:
+		return fmt.Errorf("release %d before federation time %d", j.Release, f.now)
 	}
-	p := Pending{Seq: f.nextSeq, Cluster: origin, Org: org, Size: size, Release: release}
+	return nil
+}
+
+// accept enqueues one checked job under the next sequence number.
+func (f *Federation) accept(j SourceJob) int64 {
+	p := Pending{Seq: f.nextSeq, Cluster: j.Cluster, Org: j.Org, Size: j.Size, Release: j.Release}
 	f.nextSeq++
 	f.appendPending(p)
 	f.ledger.Submitted++
-	return p.Seq, nil
-}
-
-// SubmitJobs accepts a batch of jobs at one origin cluster (Job.ID is
-// ignored; Release/Size/Org are used). A convenience for feeding
-// generated workloads — see internal/gen.FedScenario.
-func (f *Federation) SubmitJobs(origin int, jobs []model.Job) error {
-	for _, j := range jobs {
-		if _, err := f.Submit(origin, j.Org, j.Size, j.Release); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Seq
 }
 
 // appendPending enqueues one accepted job in O(1), marking the queue
@@ -408,23 +425,31 @@ func (f *Federation) sortPending() {
 	f.pendingDirty = false
 }
 
+// nextInstant returns the next decision instant — the earliest pending
+// release or control-plane event — or sim.MaxTime when neither exists.
+// The pending queue must be sorted.
+func (f *Federation) nextInstant() model.Time {
+	t := sim.MaxTime
+	if len(f.pending) > 0 {
+		t = f.pending[0].Release
+	}
+	if f.plane != nil {
+		if pt, ok := f.plane.NextEventTime(); ok && pt < t {
+			t = pt
+		}
+	}
+	return t
+}
+
 // NextEventTime returns the earliest instant at which anything can
-// happen: the next pending release (pulling from an attached source if
+// happen: the next decision instant (pulling from an attached source if
 // the window is empty) or the earliest member event, or sim.MaxTime
 // when the federation is drained. A source pull failure here surfaces
 // at the next Step — the error is sticky.
 func (f *Federation) NextEventTime() model.Time {
 	_ = f.fill()
 	f.sortPending()
-	next := sim.MaxTime
-	if len(f.pending) > 0 {
-		next = f.pending[0].Release
-	}
-	if f.plane != nil {
-		if t, ok := f.plane.NextEventTime(); ok && t < next {
-			next = t
-		}
-	}
+	next := f.nextInstant()
 	for _, m := range f.members {
 		if t := m.eng.NextEventTime(); t < next {
 			next = t
@@ -434,12 +459,13 @@ func (f *Federation) NextEventTime() model.Time {
 }
 
 // Step advances the federation to exactly `until`. Members move in
-// lockstep through every pending release instant at or before `until`:
-// the engines first advance to the instant, the policy then routes the
-// releases using fresh per-cluster summaries, the routed jobs are fed
-// to their executing engines and dispatched, and the loop continues.
-// It returns the federated scheduling decisions made since the
-// previous Step (or since Restore).
+// lockstep through every decision instant at or before `until` — each
+// pending release instant and, with a control plane installed, each
+// pending control event (a deferred admission retrying): the engines
+// first advance to the instant, the instant's releases are delivered,
+// the jobs that reached a member are dispatched, and the loop
+// continues. It returns the federated scheduling decisions made since
+// the previous Step (or since Restore).
 //
 // The returned slice aliases the federation's decision log — the same
 // read-only contract engine.Step documents: it is valid until the next
@@ -455,12 +481,38 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 		// has nothing left to pull and stepping is safe without it.
 		return nil, fmt.Errorf("%w: restored at source cursor %d; attach the source with SetSource before stepping", ErrNoSource, f.srcCursor)
 	}
-	if f.plane != nil {
-		if err := f.stepPlane(until); err != nil {
+	for {
+		if err := f.fill(); err != nil {
 			return nil, err
 		}
-	} else if err := f.stepDirect(until); err != nil {
-		return nil, err
+		f.sortPending()
+		t := f.nextInstant()
+		if t > until {
+			break
+		}
+		// Batch completeness: with a streaming source attached, every job
+		// releasing at t must be resident before the instant is delivered,
+		// or the window size would split one exchange-frozen batch in two.
+		if err := f.fillThrough(t); err != nil {
+			return nil, err
+		}
+		f.sortPending()
+		if err := f.advanceMembers(t); err != nil {
+			return nil, err
+		}
+		n := 0
+		for n < len(f.pending) && f.pending[n].Release == t {
+			n++
+		}
+		if err := f.deliver(t, f.pending[:n]); err != nil {
+			return nil, err
+		}
+		f.pending = append(f.pending[:0], f.pending[n:]...)
+		// Same-instant dispatch of the jobs that just reached a member.
+		if err := f.advanceMembers(t); err != nil {
+			return nil, err
+		}
+		f.now = t
 	}
 	if err := f.advanceMembers(until); err != nil {
 		return nil, err
@@ -471,185 +523,106 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 	return fresh, nil
 }
 
-// stepDirect is the plane-off release loop — the pre-control-plane data
-// path, kept verbatim: every release is admitted implicitly and routed
-// at its release instant.
-func (f *Federation) stepDirect(until model.Time) error {
-	for {
-		if err := f.fill(); err != nil {
-			return err
-		}
-		f.sortPending()
-		if len(f.pending) == 0 || f.pending[0].Release > until {
-			return nil
-		}
-		t := f.pending[0].Release
-		// Batch completeness: with a streaming source attached, every job
-		// releasing at t must be resident before the instant routes, or
-		// the window size would split one exchange-frozen batch in two.
-		if err := f.fillThrough(t); err != nil {
-			return err
-		}
-		f.sortPending()
-		if err := f.advanceMembers(t); err != nil {
-			return err
-		}
-		n := 0
-		for n < len(f.pending) && f.pending[n].Release == t {
-			n++
-		}
-		batch := f.pending[:n]
-		sums, routed, refreshed := f.exchangeAt(t)
-		// A fresh exchange is the migration trigger: queued jobs are
-		// re-scored on the newly gossiped view before the instant's
-		// releases route on the same view.
-		if refreshed {
-			if err := f.redelegate(t, sums, routed); err != nil {
-				return err
-			}
-		}
-		// Policies are pure functions of (org, origin, exchange), and
-		// the exchange is frozen for the whole batch, so same-instant
-		// jobs with the same owner and origin route identically — one
-		// policy evaluation covers the burst (FedREF's exact Shapley
-		// pass is the expensive case this saves).
-		var memo map[[2]int]int
-		if n > 1 {
-			memo = make(map[[2]int]int, n)
-		}
+// deliver hands instant t's releases to the sink, and is the one point
+// where the control plane plugs in. Plane on: the releases enter it as
+// arrivals and it calls the sink for each job it admits — among them
+// deferred ones whose retry falls on t, so the batch may be empty.
+// Plane off: the same observation, refresh edge and per-job routing,
+// without the event queue. With AlwaysAdmit the two are byte-identical
+// at any staleness (TestControlPlaneDifferential).
+func (f *Federation) deliver(t model.Time, batch []Pending) error {
+	// Every instant is delivered once per Step, on one frozen exchange.
+	clear(f.sink.memo)
+	if f.plane != nil {
 		for _, p := range batch {
-			key := [2]int{p.Org, p.Cluster}
-			target, seen := memo[key]
-			if !seen {
-				target = f.route(p, sums, routed)
-				if memo != nil {
-					memo[key] = target
-				}
-			}
-			if target < 0 || target >= len(f.members) {
-				return fmt.Errorf("fed: policy %q routed job %d to unknown cluster %d",
-					f.policy.Name(), p.Seq, target)
-			}
-			m := f.members[target]
-			ids, err := m.eng.Feed([]model.Job{{Org: p.Org, Size: p.Size, Release: t}})
-			if err != nil {
-				return fmt.Errorf("fed: feed cluster %d (%s): %w", target, m.name, err)
-			}
-			m.setSeq(ids[0], p.Seq, p.Cluster)
-			f.ledger.route(p, target)
+			f.plane.Arrive(p.job(), t)
 		}
-		f.pending = append(f.pending[:0], f.pending[n:]...)
-		// Same-instant dispatch of the freshly routed releases.
-		if err := f.advanceMembers(t); err != nil {
+		return f.plane.Advance(t, &f.sink)
+	}
+	view, refreshed := f.provider.Observe(t)
+	if refreshed {
+		if err := f.sink.Refreshed(t, view); err != nil {
 			return err
 		}
-		f.now = t
 	}
+	for _, p := range batch {
+		if err := f.sink.Route(p.job(), t, view); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// stepPlane is the plane-on release loop: pending releases enter the
-// control plane as ArrivalEvents at their release instants, and the
-// plane drives the arrival → admission → routing decomposition in
-// (timestamp, priority, seqID) order — deferred admissions wake the
-// loop at their retry instants even when no release is due. Members
-// advance to each decision instant before the plane acts, exactly as
-// the direct path advances them before routing a batch, so with
-// AlwaysAdmit and staleness 0 the two paths are byte-identical
-// (TestControlPlaneDifferential).
-func (f *Federation) stepPlane(until model.Time) error {
-	sink := &fedSink{f: f}
-	for {
-		if err := f.fill(); err != nil {
-			return err
-		}
-		f.sortPending()
-		t := sim.MaxTime
-		if len(f.pending) > 0 {
-			t = f.pending[0].Release
-		}
-		if pt, ok := f.plane.NextEventTime(); ok && pt < t {
-			t = pt
-		}
-		if t > until {
-			return nil
-		}
-		// Batch completeness, as in the direct path: the whole release
-		// burst at t must enter the plane before it advances.
-		if err := f.fillThrough(t); err != nil {
-			return err
-		}
-		f.sortPending()
-		if err := f.advanceMembers(t); err != nil {
-			return err
-		}
-		n := 0
-		for n < len(f.pending) && f.pending[n].Release == t {
-			p := f.pending[n]
-			f.plane.Arrive(ctrl.Job{Seq: p.Seq, Org: p.Org, Origin: p.Cluster, Size: p.Size, Release: p.Release}, t)
-			n++
-		}
-		f.pending = append(f.pending[:0], f.pending[n:]...)
-		if err := f.plane.Advance(t, sink); err != nil {
-			return err
-		}
-		// Same-instant dispatch of the freshly routed admissions.
-		if err := f.advanceMembers(t); err != nil {
-			return err
-		}
-		f.now = t
-	}
-}
-
-// fedSink is the federation's data-plane half: the control plane hands
-// it admitted jobs to route and snapshot-refresh edges to re-delegate
-// on.
+// fedSink is the federation's ctrl.Sink: the only code that asks the
+// delegation policy for a target, checks it and feeds a member.
 type fedSink struct {
-	f      *Federation
-	memoAt model.Time
-	memoOK bool
-	memo   map[[2]int]int
+	f *Federation
+	// memo holds the instant's policy evaluations as target+1 (0 = none
+	// yet) at [org*members+origin]. Policies are pure functions of (org,
+	// origin, exchange) and the exchange is frozen per instant, so one
+	// evaluation covers every same-instant job, routed or re-delegated,
+	// with that owner and origin (FedREF's exact Shapley pass is the
+	// expensive case this saves).
+	memo []int
 }
 
-// Refreshed fires the queued-job migration pass on each fresh exchange,
-// exactly where the direct path fires it: before any of the instant's
-// routing decisions act on the new view.
-func (s *fedSink) Refreshed(t model.Time, view ctrl.View) error {
-	ex := view.Payload.(*exchange)
-	return s.f.redelegate(t, ex.Sums, ex.Routed)
-}
-
-// Route feeds one admitted job to the cluster the delegation policy
-// picks. Policies are pure functions of (org, origin, exchange) and the
-// exchange is frozen per instant, so evaluations are memoized per
-// (instant, org, origin) — the same burst-collapsing the direct path's
-// batch memo does.
-func (s *fedSink) Route(job ctrl.Job, t model.Time, view ctrl.View) error {
+// target returns the member the policy sends org's jobs from origin to
+// on the instant's exchange.
+func (s *fedSink) target(org, origin int, ex *exchange) (int, error) {
 	f := s.f
-	ex := view.Payload.(*exchange)
-	if !s.memoOK || s.memoAt != t {
-		s.memo, s.memoAt, s.memoOK = nil, t, true
+	if org < 0 || org >= len(f.orgs) || origin < 0 || origin >= len(f.members) {
+		// Only a doctored control-plane queue gets here: accepted jobs
+		// passed checkJob.
+		return 0, fmt.Errorf("fed: job of organization %d from cluster %d is outside the federation", org, origin)
 	}
-	p := Pending{Seq: job.Seq, Cluster: job.Origin, Org: job.Org, Size: job.Size, Release: job.Release}
-	key := [2]int{p.Org, p.Cluster}
-	target, seen := s.memo[key]
-	if !seen {
-		target = f.route(p, ex.Sums, ex.Routed)
-		if s.memo == nil {
-			s.memo = make(map[[2]int]int)
+	slot := &s.memo[org*len(f.members)+origin]
+	if *slot == 0 {
+		var target int
+		if lp, ok := f.policy.(LedgerPolicy); ok {
+			// Policies that read federation-level accounting (FedREF).
+			target = lp.RouteLedger(org, origin, ex.Sums, ex.Routed)
+		} else {
+			target = f.policy.Route(org, origin, ex.Sums)
 		}
-		s.memo[key] = target
+		if target < 0 || target >= len(f.members) {
+			return 0, fmt.Errorf("fed: policy %q routed organization %d's jobs at cluster %d to unknown cluster %d",
+				f.policy.Name(), org, origin, target)
+		}
+		*slot = target + 1
 	}
-	if target < 0 || target >= len(f.members) {
-		return fmt.Errorf("fed: policy %q routed job %d to unknown cluster %d",
-			f.policy.Name(), p.Seq, target)
-	}
-	m := f.members[target]
-	ids, err := m.eng.Feed([]model.Job{{Org: p.Org, Size: p.Size, Release: t}})
+	return *slot - 1, nil
+}
+
+// feed hands job to member target at instant t; the member's local job
+// ID keeps its federation identity (sequence number and origin).
+func (s *fedSink) feed(target int, job ctrl.Job, t model.Time) error {
+	m := s.f.members[target]
+	ids, err := m.eng.Feed([]model.Job{{Org: job.Org, Size: job.Size, Release: t}})
 	if err != nil {
 		return fmt.Errorf("fed: feed cluster %d (%s): %w", target, m.name, err)
 	}
-	m.setSeq(ids[0], p.Seq, p.Cluster)
-	f.ledger.route(p, target)
+	m.setSeq(ids[0], job.Seq, job.Origin)
+	return nil
+}
+
+// Refreshed implements ctrl.Sink: a fresh exchange is the migration
+// trigger — queued jobs are re-scored on the newly gossiped view before
+// any of the instant's releases route on it.
+func (s *fedSink) Refreshed(t model.Time, view ctrl.View) error {
+	return s.f.redelegate(t, view.Payload.(*exchange))
+}
+
+// Route implements ctrl.Sink: one admitted job goes to the member the
+// delegation policy picks.
+func (s *fedSink) Route(job ctrl.Job, t model.Time, view ctrl.View) error {
+	target, err := s.target(job.Org, job.Origin, view.Payload.(*exchange))
+	if err != nil {
+		return err
+	}
+	if err := s.feed(target, job, t); err != nil {
+		return err
+	}
+	s.f.ledger.route(job.Origin, target, int64(job.Size))
 	return nil
 }
 
@@ -685,31 +658,6 @@ func (f *Federation) advanceMembers(t model.Time) error {
 // Decisions returns the full federated decision log so far.
 func (f *Federation) Decisions() []Decision { return f.decs }
 
-// route asks the policy for one job's executing cluster, through the
-// ledger-aware entry point when the policy reads federation-level
-// accounting (FedREF) and the plain one otherwise.
-func (f *Federation) route(p Pending, sums []Summary, routed [][]int64) int {
-	if lp, ok := f.policy.(LedgerPolicy); ok {
-		return lp.RouteLedger(p.Org, p.Cluster, sums, routed)
-	}
-	return f.policy.Route(p.Org, p.Cluster, sums)
-}
-
-// exchangeAt returns the exchange snapshot the policy routes on at
-// instant t, observed through the bounded-staleness provider: fresh at
-// every call when staleness is 0, otherwise the cached snapshot,
-// refreshed once it is at least Δt old. The snapshot is taken before
-// the instant's batch is routed, so every job in a batch routes on the
-// same view. The third result reports whether this call took a fresh
-// snapshot — the staleness-delimited "gossip arrived" edge the
-// migration pass fires on (with staleness 0 every routing instant is
-// such an edge).
-func (f *Federation) exchangeAt(t model.Time) ([]Summary, [][]int64, bool) {
-	view, refreshed := f.provider.Observe(t)
-	ex := view.Payload.(*exchange)
-	return ex.Sums, ex.Routed, refreshed
-}
-
 // redelegate is the migration pass: fired at each exchange refresh, it
 // re-scores every still-queued routed job under the delegation policy
 // — the job's current holder playing the origin role, so the policies'
@@ -724,7 +672,7 @@ func (f *Federation) exchangeAt(t model.Time) ([]Summary, [][]int64, bool) {
 // migrations do not update the view mid-round, exactly as routing a
 // same-instant batch doesn't. The budget is what bounds the herd a
 // stale view could otherwise stampede.
-func (f *Federation) redelegate(t model.Time, sums []Summary, routed [][]int64) error {
+func (f *Federation) redelegate(t model.Time, ex *exchange) error {
 	mp, ok := f.policy.(MigratingPolicy)
 	if !ok {
 		return nil
@@ -751,43 +699,28 @@ func (f *Federation) redelegate(t model.Time, sums []Summary, routed [][]int64) 
 		}
 	}
 	moved := 0
-	// The exchange is frozen for the whole pass, so scoring is a pure
-	// function of (org, holder) — one policy evaluation covers every
-	// queued job of the same owner at the same cluster (FedREF's exact
-	// Shapley pass is the expensive case this saves, exactly as the
-	// batch-routing memo below).
-	memo := make(map[[2]int]int)
 	for _, cand := range cands {
 		if moved >= budget {
 			break
 		}
 		m := f.members[cand.cluster]
 		job := m.eng.Instance().Jobs[cand.id]
-		key := [2]int{job.Org, cand.cluster}
-		target, seen := memo[key]
-		if !seen {
-			target = f.route(Pending{Org: job.Org, Cluster: cand.cluster}, sums, routed)
-			memo[key] = target
+		target, err := f.sink.target(job.Org, cand.cluster, ex)
+		if err != nil {
+			return err
 		}
 		if target == cand.cluster {
 			continue
 		}
-		if target < 0 || target >= len(f.members) {
-			return fmt.Errorf("fed: policy %q migrated a job of organization %d to unknown cluster %d",
-				f.policy.Name(), job.Org, target)
-		}
 		if err := m.eng.Withdraw(cand.id); err != nil {
 			return fmt.Errorf("fed: withdraw from cluster %d (%s): %w", cand.cluster, m.name, err)
 		}
-		seq, origin := m.seqOf[cand.id], m.originOf[cand.id]
+		moving := ctrl.Job{Seq: m.seqOf[cand.id], Origin: m.originOf[cand.id], Org: job.Org, Size: job.Size}
 		m.seqOf[cand.id], m.originOf[cand.id] = -1, -1
-		tm := f.members[target]
-		ids, err := tm.eng.Feed([]model.Job{{Org: job.Org, Size: job.Size, Release: t}})
-		if err != nil {
-			return fmt.Errorf("fed: migrate to cluster %d (%s): %w", target, tm.name, err)
+		if err := f.sink.feed(target, moving, t); err != nil {
+			return err
 		}
-		tm.setSeq(ids[0], seq, origin)
-		f.ledger.migrate(origin, cand.cluster, target, int64(job.Size))
+		f.ledger.migrate(moving.Origin, cand.cluster, target, int64(job.Size))
 		moved++
 	}
 	return nil
@@ -857,17 +790,12 @@ func (f *Federation) CheckConservation() error {
 			return fmt.Errorf("fed: cluster %d holds %d live jobs, ledger says %d fed", c, got, l.Fed[c])
 		}
 	}
-	if f.plane == nil {
-		if fedTotal+int64(len(f.pending)) != l.Submitted {
-			return fmt.Errorf("fed: %d fed + %d pending != %d submitted", fedTotal, len(f.pending), l.Submitted)
-		}
-	} else {
-		// With admission control in the path the accounting splits: a
-		// submitted job is pending, or released into the control plane —
-		// and then admitted (fed to a member), rejected, or deferred
-		// (waiting on a retry event). The plane's own per-organization
-		// law (admitted + rejected + deferred == released) composes with
-		// the federation-level one here.
+	// A submitted job is pending or released; a released job was fed to
+	// a member — or, with admission control in the path, rejected or
+	// deferred, which the plane's own per-organization law (admitted +
+	// rejected + deferred == released) accounts for.
+	released := fedTotal
+	if f.plane != nil {
 		st := f.plane.Stats()
 		if err := st.CheckConserved(); err != nil {
 			return fmt.Errorf("fed: %w", err)
@@ -875,10 +803,10 @@ func (f *Federation) CheckConservation() error {
 		if st.TotalAdmitted() != fedTotal {
 			return fmt.Errorf("fed: %d admitted != %d fed", st.TotalAdmitted(), fedTotal)
 		}
-		if st.TotalReleased()+int64(len(f.pending)) != l.Submitted {
-			return fmt.Errorf("fed: %d released + %d pending != %d submitted",
-				st.TotalReleased(), len(f.pending), l.Submitted)
-		}
+		released = st.TotalReleased()
+	}
+	if released+int64(len(f.pending)) != l.Submitted {
+		return fmt.Errorf("fed: %d released + %d pending != %d submitted", released, len(f.pending), l.Submitted)
 	}
 	var routed int64
 	for _, row := range l.Routed {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/ctrl"
+	"repro/internal/engine"
 	"repro/internal/fed"
 	"repro/internal/gen"
 	"repro/internal/metrics"
@@ -63,8 +66,10 @@ func buildFederation(t testing.TB, algs []string, policy fed.Policy, seed int64)
 		t.Fatal(err)
 	}
 	for c, js := range w.Jobs {
-		if err := f.SubmitJobs(c, js); err != nil {
-			t.Fatal(err)
+		for _, j := range js {
+			if _, err := f.Submit(c, j.Org, j.Size, j.Release); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return f, w
@@ -227,6 +232,56 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 	}
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, gutted); err == nil {
 		t.Error("restore with an empty ledger accepted")
+	}
+	// There is one federation layout: the version-3 document a
+	// pre-streaming build wrote — this one minus the source block it
+	// never had — is refused by version.
+	v3 := bytes.Replace(snap, []byte(`{"version":4,`), []byte(`{"version":3,`), 1)
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, v3); err == nil || !strings.Contains(err.Error(), "checkpoint version 3, want 4") {
+		t.Errorf("version-3 checkpoint: %v", err)
+	}
+	// Admission belongs to the federation, in front of routing: a member
+	// snapshot wrapped in a gate envelope is refused, though an engine on
+	// its own would restore gated from it.
+	orgList := make([]model.Org, len(w.Orgs))
+	for o, name := range w.Orgs {
+		orgList[o] = model.Org{Name: name, Machines: w.Machines[0][o]}
+	}
+	gatedEng := engine.New(algFactory("directcontr"), model.MustNewInstance(orgList, nil), 1)
+	if err := gatedEng.SetAdmission(&ctrl.PolicySpec{Policy: "always"}); err != nil {
+		t.Fatal(err)
+	}
+	envelope, err := gatedEng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(envelope, &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(snap, &cp); err != nil {
+		t.Fatal(err)
+	}
+	var members []map[string]json.RawMessage
+	if err := json.Unmarshal(cp["members"], &members); err != nil {
+		t.Fatal(err)
+	}
+	env["core"] = members[0]["engine"]
+	if members[0]["engine"], err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Restore(algFactory("directcontr"), members[0]["engine"]); err != nil {
+		t.Fatalf("the wrapped member snapshot is not a valid gate envelope: %v", err)
+	}
+	if cp["members"], err = json.Marshal(members); err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, wrapped); err == nil || !strings.Contains(err.Error(), "never gated") {
+		t.Errorf("gated member snapshot: %v", err)
 	}
 }
 

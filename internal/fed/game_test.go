@@ -186,8 +186,10 @@ func assertOneMemberMatchesRef(t *testing.T, policy fed.Policy, staleness model.
 		t.Fatal(err)
 	}
 	f.SetStaleness(staleness)
-	if err := f.SubmitJobs(0, jobs); err != nil {
-		t.Fatal(err)
+	for _, j := range jobs {
+		if _, err := f.Submit(0, j.Org, j.Size, j.Release); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := f.Step(horizon); err != nil {
 		t.Fatal(err)

@@ -96,10 +96,11 @@ func (l *Ledger) validate(clusters, orgs int) error {
 	return nil
 }
 
-// route records one delegation decision.
-func (l *Ledger) route(p Pending, target int) {
-	l.Routed[p.Cluster][target]++
-	l.RoutedWork[p.Cluster][target] += int64(p.Size)
+// route records one delegation decision: a job of the given size,
+// submitted at origin, goes to target.
+func (l *Ledger) route(origin, target int, size int64) {
+	l.Routed[origin][target]++
+	l.RoutedWork[origin][target] += size
 	l.Fed[target]++
 }
 

@@ -119,50 +119,34 @@ func (f *Federation) fillThrough(t model.Time) error {
 	return nil
 }
 
-// pullOne draws and accepts a single job from the source.
+// pullOne draws and accepts a single job from the source; callers have
+// checked the source is not drained.
 func (f *Federation) pullOne() error {
 	j, ok, err := f.source.Next()
+	if err == nil && ok {
+		err = f.acceptSourceJob(j)
+	}
 	if err != nil {
 		f.srcErr = fmt.Errorf("%w: %w", ErrSourceFailed, err)
 		return f.srcErr
 	}
-	if !ok {
-		f.srcDone = true
-		return nil
-	}
-	if err := f.acceptSourceJob(j); err != nil {
-		f.srcErr = fmt.Errorf("%w: %w", ErrSourceFailed, err)
-		return f.srcErr
-	}
+	f.srcDone = !ok
 	return nil
 }
 
-// acceptSourceJob validates and enqueues one pulled job, assigning the
-// next federation sequence number — exactly what Submit does, minus the
-// release-after-now check replaced by the stream-order contract.
+// acceptSourceJob checks and enqueues one pulled job — what Submit
+// does, plus the stream-order contract.
 func (f *Federation) acceptSourceJob(j SourceJob) error {
-	if j.Cluster < 0 || j.Cluster >= len(f.members) {
-		return fmt.Errorf("fed: job source yielded unknown cluster %d", j.Cluster)
-	}
-	if j.Org < 0 || j.Org >= len(f.orgs) {
-		return fmt.Errorf("fed: job source yielded unknown organization %d", j.Org)
-	}
-	if j.Size < 1 {
-		return fmt.Errorf("fed: job source yielded size %d; sizes must be >= 1", j.Size)
+	if err := f.checkJob(j); err != nil {
+		return fmt.Errorf("fed: job source yielded %w", err)
 	}
 	if j.Release < f.srcLast {
 		return fmt.Errorf("fed: job source release went backwards, from %d to %d; sources must be nondecreasing in release",
 			f.srcLast, j.Release)
 	}
-	if j.Release < f.now {
-		return fmt.Errorf("fed: job source yielded release %d before federation time %d", j.Release, f.now)
-	}
 	f.srcLast = j.Release
-	p := Pending{Seq: f.nextSeq, Cluster: j.Cluster, Org: j.Org, Size: j.Size, Release: j.Release}
-	f.nextSeq++
-	f.appendPending(p)
+	f.accept(j)
 	f.srcCursor++
-	f.ledger.Submitted++
 	return nil
 }
 

@@ -52,9 +52,6 @@ func (r *Reader) Header() []string { return r.header }
 // Skipped returns the number of unusable records skipped so far.
 func (r *Reader) Skipped() int { return r.skipped }
 
-// Line returns the current 1-based line number (for error reporting).
-func (r *Reader) Line() int { return r.lineNo }
-
 // MaxLineBytes bounds a single SWF line. It is far beyond any real
 // archive header (the old parser capped at 1 MiB) while still failing
 // fast on pathological input — a multi-gigabyte file with no newline
