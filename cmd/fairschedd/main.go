@@ -29,10 +29,9 @@
 // a raw engine checkpoint (the pre-session format).
 //
 // Serving: with -pipeline-workers N, advance requests run through the
-// async serving pipeline — requests enqueue onto the session table's
-// shard stripes and N workers batch many sessions per wakeup, with
-// -pipeline-burst capping how many advances one hot session may
-// consume per pass before the rest of its stripe is served.
+// async serving pipeline — a session's requests enqueue onto the one
+// of N workers its id hashes to, and a worker serves many sessions per
+// wakeup, round-robin, so one hot session cannot starve the others.
 //
 // See internal/daemon for the endpoint reference.
 package main
@@ -150,7 +149,6 @@ func build(args []string, stderr io.Writer) (*app, error) {
 		ckptDir  = fs.String("checkpoint-dir", "", "directory for session checkpoints: reloaded at boot, flushed on graceful shutdown")
 		flushInt = fs.Duration("flush-interval", 0, "background flush period for dirty sessions (0 = flush only at shutdown; needs -checkpoint-dir)")
 		pipeW    = fs.Int("pipeline-workers", 0, "async advance pipeline workers (0 = advance synchronously in the handler)")
-		pipeB    = fs.Int("pipeline-burst", 0, "per-session advances per pipeline pass before other sessions are served (0 = default)")
 		noDef    = fs.Bool("no-default-session", false, "start with an empty session table (sessions created via the API only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -160,8 +158,8 @@ func build(args []string, stderr io.Writer) (*app, error) {
 		// The FlagSet already printed the error and usage to stderr.
 		return nil, errors.New("invalid arguments")
 	}
-	if *flushInt < 0 || *pipeW < 0 || *pipeB < 0 {
-		return nil, fmt.Errorf("-flush-interval, -pipeline-workers and -pipeline-burst must be non-negative")
+	if *flushInt < 0 || *pipeW < 0 {
+		return nil, fmt.Errorf("-flush-interval and -pipeline-workers must be non-negative")
 	}
 	if *flushInt > 0 && *ckptDir == "" {
 		return nil, fmt.Errorf("-flush-interval needs -checkpoint-dir")
@@ -237,7 +235,7 @@ func build(args []string, stderr io.Writer) (*app, error) {
 		fmt.Fprintf(stderr, "fairschedd: "+format+"\n", args...)
 	})
 	if *pipeW > 0 {
-		a.pipe = daemon.NewPipeline(daemon.PipelineOptions{Workers: *pipeW, Burst: *pipeB})
+		a.pipe = daemon.NewPipeline(daemon.PipelineOptions{Workers: *pipeW})
 		a.srv.UsePipeline(a.pipe)
 	}
 	if *flushInt > 0 {

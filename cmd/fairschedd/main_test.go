@@ -67,7 +67,7 @@ func TestBuildFlagParsing(t *testing.T) {
 	if _, err := build([]string{"-pipeline-workers", "-1"}, &stderr); err == nil {
 		t.Fatal("negative -pipeline-workers accepted")
 	}
-	a, err = build([]string{"-pipeline-workers", "2", "-pipeline-burst", "4"}, &stderr)
+	a, err = build([]string{"-pipeline-workers", "2"}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestKillAndRestartUnderPeriodicFlush(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		scratch := daemon.NewManager()
-		if ids, _, err := scratch.LoadDir(dir); err == nil && len(ids) == 1 {
+		if ids, _, err := scratch.LoadStore(daemon.NewDirStore(dir)); err == nil && len(ids) == 1 {
 			if s, ok := scratch.Get(daemon.DefaultSession); ok && s.State().Now == 10 {
 				break
 			}

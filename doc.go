@@ -55,12 +55,12 @@
 //	                    (JobSource/SetSource with bounded lookahead,
 //	                    SWF adapter, cursor checkpointing)
 //	internal/daemon   — the HTTP serving layer: many concurrent
-//	                    runs (single or federated) over HTTP on a
-//	                    sharded session table, persisted through a
+//	                    runs (single or federated) over HTTP in one
+//	                    session table, persisted through a
 //	                    crash-safe CheckpointStore (atomic writes,
 //	                    corrupt-envelope quarantine, periodic dirty
-//	                    flusher) and served by an async batching
-//	                    advance pipeline with per-session rate limits
+//	                    flusher) and served by an async advance
+//	                    pipeline with per-session round-robin
 //	internal/trace    — Standard Workload Format (SWF) reader/writer and
 //	                    the O(1)-memory streaming Reader
 //	internal/gen      — synthetic workload families and federated
@@ -72,8 +72,7 @@
 //	                    (variant × load) experiment runners
 //	internal/vis      — ASCII Gantt charts (Figures 2 and 7)
 //	cmd/...           — fairsched, fairschedd (multi-session daemon),
-//	                    loadgen (serving-tier load harness), paperexp,
-//	                    tracegen executables
+//	                    paperexp, tracegen executables
 //	bench/            — the committed request-path benchmark
 //	                    (go run ./bench, BENCHMARK.json)
 //	examples/...      — runnable scenarios built on the public API

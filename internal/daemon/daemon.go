@@ -8,25 +8,23 @@
 // policy names, not live values), so a session's full identity —
 // configuration plus engine snapshot — round-trips through a flushed
 // checkpoint Envelope: the daemon can stop, persist every live
-// session, and resume them all at next boot (see Manager.FlushAll and
-// Manager.LoadDir, wired to SIGINT/SIGTERM in cmd/fairschedd).
+// session, and resume them all at next boot (see Manager.FlushTo and
+// Manager.LoadStore, wired to SIGINT/SIGTERM in cmd/fairschedd).
 //
-// Locking: the Manager stripes the session table over sessionShards
-// independently locked shards keyed by a hash of the session id, so
-// create/look-up/delete traffic against different sessions rarely
-// contends on a shared mutex (the north-star's hundreds-of-concurrent-
-// sessions regime); a small separate lock guards only the creation-
-// order listing and the id counter. Each Session guards its own run.
+// Locking: the Manager guards the session table with one RWMutex —
+// look-ups share it, create and delete hold it only for the map
+// update, never while a run is built. Each Session guards its own run.
 // Requests against different sessions proceed in parallel, requests
 // against one session serialize — the engine and federation types are
 // single-goroutine objects by contract.
 package daemon
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -272,6 +270,7 @@ func sameSpec(a, b *ctrl.PolicySpec) bool {
 // jobs, decisions and state the two backends' (backend.go).
 type Session struct {
 	id  string
+	seq uint64 // creation sequence number in its Manager; List sorts by it
 	cfg SessionConfig
 
 	// dirty is set (under mu) by every mutating call and cleared by
@@ -328,33 +327,12 @@ func (s *Session) Submit(jobs []JobSubmission) ([]int64, error) {
 }
 
 // Advance moves the session clock to *until, or to the next pending
-// event when until is nil, returning the fresh decisions.
+// event when until is nil — nowhere, if the run is drained — returning
+// the fresh decisions.
 func (s *Session) Advance(until *model.Time) (model.Time, []Decision, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dirty.Store(true)
-	return s.advanceLocked(until)
-}
-
-// AdvanceBatch runs several advance requests under one lock acquisition
-// and one checkpoint-dirty mark — the pipeline's per-wakeup coalescing
-// path. out[i] receives untils[i]'s outcome; out must be at least as
-// long as untils. A failing request fails alone and later requests
-// still run, so the observable per-request results match len(untils)
-// sequential Advance calls exactly.
-func (s *Session) AdvanceBatch(untils []*model.Time, out []AdvanceResult) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirty.Store(true)
-	for i, until := range untils {
-		now, decs, err := s.advanceLocked(until)
-		out[i] = AdvanceResult{Now: now, Decisions: decs, Err: err}
-	}
-}
-
-// advanceLocked steps to *until, or to the next pending event when
-// until is nil — nowhere, if the run is drained.
-func (s *Session) advanceLocked(until *model.Time) (model.Time, []Decision, error) {
 	t := s.run.Now()
 	if until != nil {
 		t = *until
@@ -428,6 +406,14 @@ func admissionState(spec *ctrl.PolicySpec, st *metrics.AdmissionStats) *Admissio
 	return &AdmissionState{Policy: name, Stats: st.Clone()}
 }
 
+// now reads the session clock — what a handler that reports only the
+// clock asks for, instead of a whole State evaluation.
+func (s *Session) now() model.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.run.Now()
+}
+
 // State evaluates the session at its current clock.
 func (s *Session) State() StateReply {
 	s.mu.Lock()
@@ -478,56 +464,19 @@ func (s *Session) Restore(data []byte) error {
 	return nil
 }
 
-// sessionShards is the number of independently locked stripes of the
-// session table. A power of two so the hash folds cheaply; 16 stripes
-// keep contention negligible far past the concurrency one process
-// serves.
-const sessionShards = 16
-
-// sessionShard is one stripe of the session table.
-type sessionShard struct {
-	mu       sync.Mutex
-	sessions map[string]*Session
-}
-
 // Manager is the session table: create, look up, list, delete, and
-// flush/reload every session. Sessions live in sessionShards striped
-// maps keyed by an FNV hash of the session id; only the creation-order
-// listing and the auto-id counter share a lock.
+// flush/reload every session.
 type Manager struct {
-	shards [sessionShards]sessionShard
-
-	// mu guards order, nextID and store. Lock order: a shard's mutex
-	// may be held while taking mu (Create and Delete update the shard
-	// map and the listing atomically), never the reverse — List
-	// snapshots order under mu alone and resolves sessions afterwards.
-	mu     sync.Mutex
-	order  []string // creation order, for stable listings
-	nextID int
-	store  CheckpointStore // optional; Delete drops envelopes through it
+	mu       sync.RWMutex
+	sessions map[string]*Session
+	seq      uint64          // sessions created so far
+	nextID   int             // last auto-assigned "s<N>"
+	store    CheckpointStore // optional; Delete drops envelopes through it
 }
 
 // NewManager returns an empty session manager.
 func NewManager() *Manager {
-	m := &Manager{}
-	for i := range m.shards {
-		m.shards[i].sessions = make(map[string]*Session)
-	}
-	return m
-}
-
-// shardIndex hashes a session id onto its stripe. The advance pipeline
-// uses the same hash, so a worker's stripes are exactly the shards it
-// serves.
-func shardIndex(id string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return h.Sum32() % sessionShards
-}
-
-// shard returns the stripe owning the id.
-func (m *Manager) shard(id string) *sessionShard {
-	return &m.shards[shardIndex(id)]
+	return &Manager{sessions: make(map[string]*Session)}
 }
 
 // SetStore attaches the checkpoint store session deletions propagate
@@ -539,37 +488,28 @@ func (m *Manager) SetStore(store CheckpointStore) {
 	m.mu.Unlock()
 }
 
-// freshID reserves the next auto-assigned "s<N>" identifier. The
-// counter is monotonic under m.mu, so concurrent auto-id creations get
-// distinct ids; collisions with explicit ids are re-drawn by Create.
-func (m *Manager) freshID() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextID++
-	return fmt.Sprintf("s%d", m.nextID)
-}
-
 // ErrSessionExists marks a Create whose explicit id is already taken —
 // a conflict with the session table (409), not a malformed request.
 var ErrSessionExists = errors.New("daemon: session already exists")
 
 // Create builds a new session from cfg. id may be empty, in which case
 // a fresh "s<N>" identifier is assigned. Identifiers must be usable in
-// URL paths: one path segment, no slashes.
+// URL paths — one path segment, no slashes — and as envelope file
+// names: a leading dot would make the stored session a hidden or temp
+// file, which the next DirStore.Load sweeps instead of restoring.
 func (m *Manager) Create(id string, cfg SessionConfig) (*Session, error) {
 	return m.create(id, cfg, nil)
 }
 
 // create is Create, resuming from a snapshot when one is given.
 func (m *Manager) create(id string, cfg SessionConfig, snapshot []byte) (*Session, error) {
-	auto := id == ""
-	if auto {
-		id = m.freshID()
-	}
 	if strings.ContainsAny(id, "/ ") {
 		return nil, fmt.Errorf("daemon: session id %q contains a slash or space", id)
 	}
-	if _, exists := m.Get(id); exists && !auto {
+	if strings.HasPrefix(id, ".") {
+		return nil, fmt.Errorf("daemon: session id %q starts with a dot", id)
+	}
+	if _, exists := m.Get(id); exists {
 		// Cheap pre-check so a duplicate id fails before the session —
 		// possibly a whole federation — is built. The insert below
 		// re-checks authoritatively.
@@ -581,51 +521,48 @@ func (m *Manager) create(id string, cfg SessionConfig, snapshot []byte) (*Sessio
 	}
 	s := &Session{id: id, cfg: cfg, run: run}
 	s.dirty.Store(snapshot == nil) // a resumed session's stored state already matches
-	for {
-		sh := m.shard(id)
-		sh.mu.Lock()
-		if _, exists := sh.sessions[id]; exists {
-			sh.mu.Unlock()
-			if auto { // an explicit id squatted on the counter: draw again
-				id = m.freshID()
-				s.id = id
-				continue
-			}
-			return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if id == "" {
+		// Auto ids skip over names explicit creates already took.
+		for taken := true; taken; {
+			m.nextID++
+			s.id = fmt.Sprintf("s%d", m.nextID)
+			_, taken = m.sessions[s.id]
 		}
-		sh.sessions[id] = s
-		// Shard insert and order append are atomic under the shard lock,
-		// so a concurrent Delete can never observe one without the other.
-		m.mu.Lock()
-		m.order = append(m.order, id)
-		m.mu.Unlock()
-		sh.mu.Unlock()
-		return s, nil
+	} else if _, taken := m.sessions[id]; taken {
+		return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
 	}
+	m.seq++
+	s.seq = m.seq
+	m.sessions[s.id] = s
+	return s, nil
 }
 
 // Get returns the session with the given id.
 func (m *Manager) Get(id string) (*Session, bool) {
-	sh := m.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.sessions[id]
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	s, ok := m.sessions[id]
 	return s, ok
 }
 
-// List returns every live session in creation order. A session created
-// or deleted concurrently with List may or may not appear; sessions
-// present for the whole call always do.
+// count returns the number of live sessions.
+func (m *Manager) count() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.sessions)
+}
+
+// List returns the sessions live at the call, in creation order.
 func (m *Manager) List() []*Session {
-	m.mu.Lock()
-	order := append([]string(nil), m.order...)
-	m.mu.Unlock()
-	out := make([]*Session, 0, len(order))
-	for _, id := range order {
-		if s, ok := m.Get(id); ok {
-			out = append(out, s)
-		}
+	m.mu.RLock()
+	out := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		out = append(out, s)
 	}
+	m.mu.RUnlock()
+	slices.SortFunc(out, func(a, b *Session) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
@@ -634,33 +571,21 @@ func (m *Manager) List() []*Session {
 // session's envelope is removed too (best-effort: a stale envelope only
 // resurrects the session at the next boot, it cannot corrupt it).
 func (m *Manager) Delete(id string) bool {
-	sh := m.shard(id)
-	sh.mu.Lock()
-	if _, ok := sh.sessions[id]; !ok {
-		sh.mu.Unlock()
-		return false
-	}
-	delete(sh.sessions, id)
 	m.mu.Lock()
-	for i, oid := range m.order {
-		if oid == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
+	_, ok := m.sessions[id]
+	delete(m.sessions, id)
 	store := m.store
 	m.mu.Unlock()
-	sh.mu.Unlock()
-	if store != nil {
+	if ok && store != nil {
 		store.Delete(id)
 	}
-	return true
+	return ok
 }
 
 // Envelope is one flushed session: its identity, its full static
-// configuration, and its run snapshot. Envelopes are what FlushAll
-// writes and LoadDir reads — a daemon's complete persistent state is a
-// directory of them.
+// configuration, and its run snapshot. Envelopes are what FlushTo
+// writes and LoadStore reads — a daemon's complete persistent state is
+// a store of them.
 type Envelope struct {
 	ID       string          `json:"id"`
 	Config   SessionConfig   `json:"config"`
@@ -704,21 +629,6 @@ func (m *Manager) FlushTo(store CheckpointStore, dirtyOnly bool) ([]string, erro
 	return flushed, errors.Join(errs...)
 }
 
-// FlushAll checkpoints every live session into dir (one atomically
-// written "<id>.session.json" envelope each) and returns the written
-// paths. Used for the final flush on graceful shutdown; sessions stay
-// live. Per-session failures are aggregated, not short-circuiting —
-// every healthy session is flushed even when one is not.
-func (m *Manager) FlushAll(dir string) ([]string, error) {
-	st := NewDirStore(dir)
-	ids, err := m.FlushTo(st, false)
-	paths := make([]string, len(ids))
-	for i, id := range ids {
-		paths[i] = st.pathFor(id)
-	}
-	return paths, err
-}
-
 // LoadStore restores every envelope the store yields. Envelopes that
 // fail to recreate or restore are quarantined in the store and reported
 // alongside the ones the store itself set aside — a poisoned envelope
@@ -748,12 +658,4 @@ func (m *Manager) LoadStore(store CheckpointStore) ([]string, []Quarantined, err
 		ids = append(ids, env.ID)
 	}
 	return ids, quarantined, nil
-}
-
-// LoadDir restores every "*.session.json" envelope in dir into the
-// manager (skipped silently when the directory does not exist) and
-// returns the restored session ids in deterministic (sorted) order
-// plus the corrupt envelopes it quarantined along the way.
-func (m *Manager) LoadDir(dir string) ([]string, []Quarantined, error) {
-	return m.LoadStore(NewDirStore(dir))
 }

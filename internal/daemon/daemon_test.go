@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -219,6 +220,7 @@ func TestSessionAPIValidation(t *testing.T) {
 	a.do("POST", "/v1/sessions", `{"kind":"federation","org_names":["a"],
 	  "clusters":[{"name":"x","alg":"ref","machines":[0]}]}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"id":"has space","kind":"single"}`, http.StatusBadRequest)
+	a.do("POST", "/v1/sessions", `{"id":".tmp-x","kind":"single"}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"id":"dup","kind":"single"}`, http.StatusCreated)
 	a.do("POST", "/v1/sessions", `{"id":"dup","kind":"single"}`, http.StatusConflict)
 	a.do("GET", "/v1/sessions/ghost/state", "", http.StatusNotFound)
@@ -407,9 +409,10 @@ func streamingSnapshot(t *testing.T) []byte {
 	return snap
 }
 
-// TestFlushAllAndLoadDir round-trips a whole session table through a
-// checkpoint directory — the graceful-shutdown persistence path.
-func TestFlushAllAndLoadDir(t *testing.T) {
+// TestFlushAndLoadStoreRoundTrip round-trips a whole session table
+// through a checkpoint directory — the graceful-shutdown persistence
+// path.
+func TestFlushAndLoadStoreRoundTrip(t *testing.T) {
 	mgr := daemon.NewManager()
 	solo, err := mgr.Create("solo", singleCfg())
 	if err != nil {
@@ -433,21 +436,21 @@ func TestFlushAllAndLoadDir(t *testing.T) {
 	}
 
 	dir := filepath.Join(t.TempDir(), "ckpts")
-	paths, err := mgr.FlushAll(dir)
+	flushed, err := mgr.FlushTo(daemon.NewDirStore(dir), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 2 {
-		t.Fatalf("flushed %d envelopes, want 2", len(paths))
+	if len(flushed) != 2 {
+		t.Fatalf("flushed %d envelopes, want 2", len(flushed))
 	}
-	for _, p := range paths {
-		if _, err := os.Stat(p); err != nil {
+	for _, id := range flushed {
+		if _, err := os.Stat(filepath.Join(dir, id+".session.json")); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	reborn := daemon.NewManager()
-	ids, quarantined, err := reborn.LoadDir(dir)
+	ids, quarantined, err := reborn.LoadStore(daemon.NewDirStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +495,7 @@ func TestFlushAllAndLoadDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy := daemon.NewManager()
-	if _, quarantined, err := legacy.LoadDir(dir); err != nil || len(quarantined) != 0 {
+	if _, quarantined, err := legacy.LoadStore(daemon.NewDirStore(dir)); err != nil || len(quarantined) != 0 {
 		t.Fatalf("envelope carrying fed_workers: quarantined=%v err=%v", quarantined, err)
 	}
 	f3, ok := legacy.Get("fleet")
@@ -512,7 +515,7 @@ func TestFlushAllAndLoadDir(t *testing.T) {
 	}
 
 	// An empty/missing directory is not an error.
-	if ids, _, err := daemon.NewManager().LoadDir(filepath.Join(t.TempDir(), "nope")); err != nil || len(ids) != 0 {
+	if ids, _, err := daemon.NewManager().LoadStore(daemon.NewDirStore(filepath.Join(t.TempDir(), "nope"))); err != nil || len(ids) != 0 {
 		t.Fatalf("missing dir: ids=%v err=%v", ids, err)
 	}
 }
@@ -568,12 +571,12 @@ func sameState(a, b daemon.StateReply) bool {
 	return bytes.Equal(ja, jb)
 }
 
-// TestManagerConcurrentSessions hammers the sharded session table from
-// many goroutines at once — explicit-id and auto-id creation, submits,
+// TestManagerConcurrentSessions hammers the session table from many
+// goroutines at once — explicit-id and auto-id creation, submits,
 // advances, deletes and listings interleaved — and then checks the
 // table is consistent: every surviving session is retrievable, listed
 // exactly once, and auto-assigned ids never collided. Run under -race
-// in CI, this is the regression test for the striped-lock Manager.
+// in CI, this is the regression test for the Manager's locking.
 func TestManagerConcurrentSessions(t *testing.T) {
 	m := daemon.NewManager()
 	const goroutines, perG = 8, 20
@@ -642,6 +645,85 @@ func TestManagerConcurrentSessions(t *testing.T) {
 	// Deleting a deleted or unknown session reports false, once.
 	if m.Delete("definitely-not-there") {
 		t.Fatal("deleting an unknown session reported success")
+	}
+}
+
+// TestListCreationOrderUnderChurn: Manager.List stays in creation order
+// while goroutines create (auto and explicit ids), delete and re-create
+// sessions concurrently. Creation order is observable from outside as
+// happened-before: a session whose Create returned before another's
+// began must list first — in the final table and in every listing taken
+// mid-storm — and a re-created id lists at its new position.
+func TestListCreationOrderUnderChurn(t *testing.T) {
+	m := daemon.NewManager()
+	const goroutines, perG = 8, 24
+	type span struct{ begin, end int64 } // ticks around one Create call
+	var (
+		clock   atomic.Int64
+		mu      sync.Mutex
+		created = map[*daemon.Session]span{}
+		lists   [][]*daemon.Session
+		wg      sync.WaitGroup
+	)
+	create := func(id string) *daemon.Session {
+		begin := clock.Add(1)
+		s, err := m.Create(id, singleCfg())
+		end := clock.Add(1)
+		if err != nil {
+			t.Errorf("create %q: %v", id, err)
+			return nil
+		}
+		mu.Lock()
+		created[s] = span{begin, end}
+		mu.Unlock()
+		return s
+	}
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				id := ""
+				if i%2 == 0 {
+					id = fmt.Sprintf("g%d-%d", g, i)
+				}
+				s := create(id)
+				if s == nil {
+					return
+				}
+				switch i % 4 {
+				case 1:
+					m.Delete(s.ID())
+				case 2: // the same id again: a new creation, at the end
+					m.Delete(s.ID())
+					if create(id) == nil {
+						return
+					}
+				}
+				list := m.List()
+				mu.Lock()
+				lists = append(lists, list)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	lists = append(lists, m.List())
+	for _, list := range lists {
+		for j, later := range list {
+			end := created[later].end
+			for _, earlier := range list[:j] {
+				if end < created[earlier].begin {
+					t.Fatalf("session %q (created in ticks %v) listed after %q (created in ticks %v)",
+						later.ID(), created[later], earlier.ID(), created[earlier])
+				}
+			}
+		}
+	}
+	// A quarter of each goroutine's sessions were deleted for good
+	// (i%4 == 1); the rest survive (2 re-created).
+	if got, want := len(lists[len(lists)-1]), goroutines*perG*3/4; got != want {
+		t.Fatalf("final listing holds %d sessions, want %d", got, want)
 	}
 }
 
@@ -761,11 +843,11 @@ func TestAdmissionSessions(t *testing.T) {
 
 	// Flush the live control planes and reload them elsewhere.
 	dir := filepath.Join(t.TempDir(), "ckpts")
-	if _, err := mgr.FlushAll(dir); err != nil {
+	if _, err := mgr.FlushTo(daemon.NewDirStore(dir), false); err != nil {
 		t.Fatal(err)
 	}
 	reborn := daemon.NewManager()
-	ids, quarantined, err := reborn.LoadDir(dir)
+	ids, quarantined, err := reborn.LoadStore(daemon.NewDirStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

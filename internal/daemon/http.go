@@ -31,8 +31,9 @@ import (
 //	POST /v1/sessions/{id}/restore     (a checkpoint)
 //	GET  /v1/healthz
 //
-// Creating over a taken id answers 409; a request body over
-// maxBodyBytes answers 413.
+// Creating over a taken id answers 409, with an id that holds a slash
+// or space or starts with a dot 400; a request body over maxBodyBytes
+// answers 413.
 //
 // The classic single-run endpoints (/v1/jobs, /v1/advance, /v1/state,
 // /v1/decisions, /v1/checkpoint, /v1/restore) remain mounted as
@@ -64,9 +65,9 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // UsePipeline routes advance requests through p instead of calling
-// Session.Advance inline: requests enqueue onto the session's stripe
-// and a worker batch-processes them, so a hot session rate-limits
-// against its shard instead of monopolizing handler goroutines. Set
+// Session.Advance inline: requests enqueue onto the session's worker,
+// which serves its sessions round-robin, so a hot session rate-limits
+// against its worker instead of monopolizing handler goroutines. Set
 // before the handler starts serving.
 func (s *Server) UsePipeline(p *Pipeline) { s.pipe = p }
 
@@ -106,7 +107,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/restore", alias((*Server).handleRestore))
 
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		s.writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "sessions": len(s.mgr.List())})
+		s.writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "sessions": s.mgr.count()})
 	})
 	return mux
 }
@@ -203,7 +204,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, sess *Sessio
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "now": sess.State().Now})
+	s.writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "now": sess.now()})
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, sess *Session) {

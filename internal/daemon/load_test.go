@@ -67,10 +67,9 @@ func TestSessionMigrationBudgetKnob(t *testing.T) {
 // federated sessions through the full create → submit → advance →
 // checkpoint → restore → delete lifecycle — the north-star's
 // "millions of users" direction scaled to a unit test. Run under -race
-// in CI it doubles as the shard-lock ordering check (create/delete
-// take a shard lock then the listing lock, never the reverse); here it
-// also asserts liveness: every advance completes within a generous
-// bound, so no session ever blocks behind the whole table.
+// in CI it doubles as the session-table locking check; here it also
+// asserts liveness: every advance completes within a generous bound,
+// so no session ever blocks behind the whole table.
 func TestDaemonFederatedSessionLoad(t *testing.T) {
 	sessions := 240
 	if testing.Short() {
@@ -130,7 +129,7 @@ func TestDaemonFederatedSessionLoad(t *testing.T) {
 					return
 				}
 				migrations.Add(before.Migrations)
-				m.List() // concurrent listings share the order lock with create/delete
+				m.List() // concurrent listings share the table lock with create/delete
 				if i%3 == 0 {
 					if !m.Delete(id) {
 						t.Errorf("delete %s reported missing", id)

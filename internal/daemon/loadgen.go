@@ -9,46 +9,40 @@ import (
 	"repro/internal/model"
 )
 
-// LoadConfig configures RunLoad, the serving-tier load harness. The
-// zero value of every field but Sessions picks a sensible default.
+// LoadConfig configures RunLoad, the serving-tier load harness.
 type LoadConfig struct {
 	// Sessions is the number of concurrent federated sessions to hold
 	// open — all of them live in one Manager for the whole run.
 	Sessions int
-	// Clients is the number of client goroutines driving traffic
-	// (default 32).
-	Clients int
-	// PipelineWorkers and Burst configure the advance pipeline (0 =
-	// the pipeline defaults).
+	// PipelineWorkers sizes the advance pipeline (0 = its default).
 	PipelineWorkers int
-	Burst           int
-	// JobsPerSession jobs are submitted to each session up front
-	// (default 4), then the session is advanced Steps times (default
-	// 3) by StepSize ticks (default 25).
-	JobsPerSession int
-	Steps          int
-	StepSize       model.Time
 }
+
+// The harness's traffic shape: loadClients goroutines drive the
+// sessions; each session gets loadJobs jobs up front and is then
+// advanced loadSteps times by loadStepSize ticks.
+const (
+	loadClients  = 32
+	loadJobs     = 4
+	loadSteps    = 3
+	loadStepSize = model.Time(25)
+)
 
 // LoadReport is the harness outcome: sustained throughput through the
 // pipeline plus the advance-latency distribution (enqueue to result,
 // i.e. queueing included — the latency a serving client would see).
 type LoadReport struct {
-	Sessions         int     `json:"sessions"`
-	Advances         int64   `json:"advances"`
-	Decisions        int64   `json:"decisions"`
-	SetupSeconds     float64 `json:"setup_seconds"`
-	AdvanceSeconds   float64 `json:"advance_seconds"`
-	ThroughputPerSec float64 `json:"advances_per_sec"`
-	P50Ms            float64 `json:"p50_ms"`
-	P95Ms            float64 `json:"p95_ms"`
-	P99Ms            float64 `json:"p99_ms"`
-	PipelineWakeups  int64   `json:"pipeline_wakeups"`
-	PipelineBatches  int64   `json:"pipeline_batches"`
-	// PipelineCoalesced counts the advances served through same-session
-	// AdvanceBatch groups — one session lock and one dirty mark per
-	// group instead of per request.
-	PipelineCoalesced int64 `json:"pipeline_coalesced"`
+	Sessions         int
+	Advances         int64
+	Decisions        int64
+	SetupSeconds     float64
+	AdvanceSeconds   float64
+	ThroughputPerSec float64
+	P50Ms            float64
+	P95Ms            float64
+	P99Ms            float64
+	PipelineWakeups  int64
+	PipelineBatches  int64
 }
 
 // loadSessionConfig is the per-session workload: a small two-cluster
@@ -68,37 +62,19 @@ func loadSessionConfig(seed int64) SessionConfig {
 }
 
 // RunLoad creates cfg.Sessions concurrent federated sessions in one
-// Manager, then drives every session through cfg.Steps advances via the
+// Manager, then drives every session through loadSteps advances via the
 // async pipeline, measuring throughput and per-advance latency. It is
-// the scale harness behind cmd/loadgen and bench/'s burst probe — the
-// "tens of thousands of concurrent sessions in one process" check, not
-// a simulation of it.
+// the scale harness behind bench/'s burst probe — the "tens of
+// thousands of concurrent sessions in one process" check, not a
+// simulation of it.
 func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	if cfg.Sessions <= 0 {
 		return LoadReport{}, fmt.Errorf("daemon: load harness needs at least one session")
 	}
-	clients := cfg.Clients
-	if clients <= 0 {
-		clients = 32
-	}
-	if clients > cfg.Sessions {
-		clients = cfg.Sessions
-	}
-	jobs := cfg.JobsPerSession
-	if jobs <= 0 {
-		jobs = 4
-	}
-	steps := cfg.Steps
-	if steps <= 0 {
-		steps = 3
-	}
-	stepSize := cfg.StepSize
-	if stepSize <= 0 {
-		stepSize = 25
-	}
+	clients := min(loadClients, cfg.Sessions)
 
 	mgr := NewManager()
-	pipe := NewPipeline(PipelineOptions{Workers: cfg.PipelineWorkers, Burst: cfg.Burst})
+	pipe := NewPipeline(PipelineOptions{Workers: cfg.PipelineWorkers})
 	defer pipe.Close()
 
 	// Partition sessions across clients; each client owns a contiguous
@@ -138,7 +114,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 					st.err = err
 					return
 				}
-				batch := make([]JobSubmission, jobs)
+				batch := make([]JobSubmission, loadJobs)
 				for j := range batch {
 					release := model.Time(3 * j)
 					batch[j] = JobSubmission{Cluster: 0, Org: j % 2, Size: 4, Release: &release}
@@ -173,8 +149,8 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 				start time.Time
 			}
 			pending := make([]inflight, len(st.sessions))
-			for step := 1; step <= steps; step++ {
-				until := model.Time(step) * stepSize
+			for step := 1; step <= loadSteps; step++ {
+				until := model.Time(step) * loadStepSize
 				for i, s := range st.sessions {
 					pending[i] = inflight{ch: pipe.Enqueue(s, &until), start: time.Now()}
 				}
@@ -209,17 +185,16 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	}
 	pstats := pipe.Stats()
 	return LoadReport{
-		Sessions:          cfg.Sessions,
-		Advances:          int64(len(latencies)),
-		Decisions:         decisions,
-		SetupSeconds:      setup.Seconds(),
-		AdvanceSeconds:    advance.Seconds(),
-		ThroughputPerSec:  float64(len(latencies)) / advance.Seconds(),
-		P50Ms:             pct(0.50),
-		P95Ms:             pct(0.95),
-		P99Ms:             pct(0.99),
-		PipelineWakeups:   pstats.Wakeups,
-		PipelineBatches:   pstats.Batches,
-		PipelineCoalesced: pstats.Coalesced,
+		Sessions:         cfg.Sessions,
+		Advances:         int64(len(latencies)),
+		Decisions:        decisions,
+		SetupSeconds:     setup.Seconds(),
+		AdvanceSeconds:   advance.Seconds(),
+		ThroughputPerSec: float64(len(latencies)) / advance.Seconds(),
+		P50Ms:            pct(0.50),
+		P95Ms:            pct(0.95),
+		P99Ms:            pct(0.99),
+		PipelineWakeups:  pstats.Wakeups,
+		PipelineBatches:  pstats.Batches,
 	}, nil
 }

@@ -13,25 +13,20 @@ import (
 // pending in) a closed pipeline.
 var ErrPipelineClosed = errors.New("daemon: advance pipeline closed")
 
-// DefaultBurst is the per-session advance budget of one worker wakeup.
-const DefaultBurst = 16
+// burst is the per-session advance rate limit: the most requests one
+// session may consume per queue pass before the worker moves on to its
+// other sessions. A hot session with a deep backlog therefore shares
+// its worker round-robin instead of starving every session hashed onto
+// it.
+const burst = 16
 
 // PipelineOptions configures NewPipeline.
 type PipelineOptions struct {
-	// Workers is the number of worker goroutines. Each worker owns a
-	// fixed subset of the sessionShards stripes (stripe % workers), so
-	// requests for one session always serialize onto one worker and
-	// different stripes advance in parallel. 0 means min(GOMAXPROCS,
-	// sessionShards); values above sessionShards are capped — extra
-	// workers would own no stripe.
+	// Workers is the number of worker goroutines. A session id hashes
+	// onto one worker, so requests for one session always serialize
+	// there and different workers advance in parallel. 0 means
+	// GOMAXPROCS.
 	Workers int
-	// Burst is the per-session advance rate limit: the most requests
-	// one session may consume per queue pass before the worker moves
-	// on to the stripe's other sessions. A hot session with a deep
-	// backlog therefore shares its worker round-robin instead of
-	// starving every session hashed onto the same stripes. 0 means
-	// DefaultBurst.
-	Burst int
 }
 
 // AdvanceResult is the outcome of one asynchronous advance.
@@ -54,16 +49,11 @@ type pipelineWorker struct {
 	pending map[string][]advanceReq
 	order   []string
 	notify  chan struct{}
-
-	// Scratch for process's coalesced groups, reused across batches.
-	// Owned by the worker goroutine; no lock.
-	untils  []*model.Time
-	results []AdvanceResult
 }
 
 // Pipeline is the async advance path of the serving tier: requests
 // enqueue per session, workers wake up and batch many sessions per
-// wakeup, bounded to Burst advances per session per pass. Results are
+// wakeup, bounded to burst advances per session per pass. Results are
 // delivered on per-request channels; Advance is the synchronous
 // convenience wrapper the HTTP handler uses.
 //
@@ -72,23 +62,22 @@ type pipelineWorker struct {
 // channel operations are paid once per batch instead of once per
 // request.
 type Pipeline struct {
-	burst   int
 	workers []*pipelineWorker
 	wg      sync.WaitGroup
 	stop    chan struct{}
 	closed  atomic.Bool
 
-	advances  atomic.Int64
-	wakeups   atomic.Int64
-	batches   atomic.Int64
-	coalesced atomic.Int64
+	advances atomic.Int64
+	wakeups  atomic.Int64
+	batches  atomic.Int64
 }
 
 // PipelineStats are cumulative counters: total advances processed,
-// worker wakeups, non-empty queue passes (batches), and advances served
-// through coalesced same-session AdvanceBatch groups. Advances per
-// batch is the amortization the pipeline exists for; Coalesced measures
-// how much of it the single-lock batch path captured.
+// worker wakeups and non-empty queue passes (batches). Advances per
+// batch is the amortization the pipeline exists for. Coalesced is
+// always 0: every queued request is one Session.Advance, and the field
+// stays declared only for bench/trace.go's daemon.pipeline.
+// coalesced_ratio row, which read 0 on every committed run.
 type PipelineStats struct {
 	Advances  int64
 	Wakeups   int64
@@ -103,15 +92,7 @@ func NewPipeline(opts PipelineOptions) *Pipeline {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > sessionShards {
-		workers = sessionShards
-	}
-	burst := opts.Burst
-	if burst <= 0 {
-		burst = DefaultBurst
-	}
 	p := &Pipeline{
-		burst:   burst,
 		workers: make([]*pipelineWorker, workers),
 		stop:    make(chan struct{}),
 	}
@@ -126,10 +107,13 @@ func NewPipeline(opts PipelineOptions) *Pipeline {
 	return p
 }
 
-// workerFor maps a session onto its worker via the session-table shard
-// hash: stripe shardIndex(id) belongs to worker stripe % len(workers).
+// workerFor maps a session onto its worker by the FNV-1a hash of its id.
 func (p *Pipeline) workerFor(id string) *pipelineWorker {
-	return p.workers[int(shardIndex(id))%len(p.workers)]
+	h := uint32(2166136261)
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint32(id[i])) * 16777619
+	}
+	return p.workers[h%uint32(len(p.workers))]
 }
 
 // Enqueue submits an asynchronous advance (until nil = next event) and
@@ -170,10 +154,9 @@ func (p *Pipeline) Advance(sess *Session, until *model.Time) (model.Time, []Deci
 // Stats snapshots the pipeline's cumulative counters.
 func (p *Pipeline) Stats() PipelineStats {
 	return PipelineStats{
-		Advances:  p.advances.Load(),
-		Wakeups:   p.wakeups.Load(),
-		Batches:   p.batches.Load(),
-		Coalesced: p.coalesced.Load(),
+		Advances: p.advances.Load(),
+		Wakeups:  p.wakeups.Load(),
+		Batches:  p.batches.Load(),
 	}
 }
 
@@ -197,12 +180,16 @@ func (p *Pipeline) run(w *pipelineWorker) {
 		case <-w.notify:
 		}
 		for {
-			batch := w.take(p.burst)
+			batch := w.take()
 			if len(batch) == 0 {
 				break
 			}
 			p.batches.Add(1)
-			p.process(w, batch)
+			for _, req := range batch {
+				now, decs, err := req.sess.Advance(req.until)
+				req.done <- AdvanceResult{Now: now, Decisions: decs, Err: err}
+			}
+			p.advances.Add(int64(len(batch)))
 			// Re-check stop between passes so a deep backlog cannot
 			// delay shutdown for its full length.
 			select {
@@ -216,57 +203,18 @@ func (p *Pipeline) run(w *pipelineWorker) {
 	}
 }
 
-// process serves one queue pass. take returns one session's requests
-// contiguously, so one scan groups them. A group runs as a single
-// AdvanceBatch: the session lock, the checkpoint-dirty mark and the
-// engine's per-call bookkeeping are paid once per group instead of
-// once per request.
-func (p *Pipeline) process(w *pipelineWorker, batch []advanceReq) {
-	for start := 0; start < len(batch); {
-		end := start + 1
-		for end < len(batch) && batch[end].sess == batch[start].sess {
-			end++
-		}
-		group := batch[start:end]
-		if len(group) == 1 {
-			req := group[0]
-			now, decs, err := req.sess.Advance(req.until)
-			req.done <- AdvanceResult{Now: now, Decisions: decs, Err: err}
-		} else {
-			w.untils = w.untils[:0]
-			for _, req := range group {
-				w.untils = append(w.untils, req.until)
-			}
-			if cap(w.results) < len(group) {
-				w.results = make([]AdvanceResult, len(group))
-			}
-			res := w.results[:len(group)]
-			group[0].sess.AdvanceBatch(w.untils, res)
-			for i, req := range group {
-				req.done <- res[i]
-			}
-			p.coalesced.Add(int64(len(group)))
-		}
-		p.advances.Add(int64(len(group)))
-		start = end
-	}
-}
-
 // take drains one pass of the queue: for each queued session, in
 // round-robin order, up to burst requests; sessions with a deeper
 // backlog keep their remainder and go again next pass after everyone
 // else has been served.
-func (w *pipelineWorker) take(burst int) []advanceReq {
+func (w *pipelineWorker) take() []advanceReq {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var batch []advanceReq
 	var keep []string
 	for _, id := range w.order {
 		q := w.pending[id]
-		n := burst
-		if n > len(q) {
-			n = len(q)
-		}
+		n := min(burst, len(q))
 		batch = append(batch, q[:n]...)
 		if len(q) > n {
 			w.pending[id] = q[n:]

@@ -1,18 +1,12 @@
 package daemon
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-
-	"repro/internal/model"
-)
+import "testing"
 
 // TestWorkerTakeRoundRobin pins the pipeline's batching and
 // rate-limiting semantics deterministically: one queue pass serves
 // every queued session at most burst requests, in round-robin order,
 // and a hot session's backlog survives to later passes instead of
-// starving its stripe — the "one hot session cannot starve a shard"
+// starving its worker — the "one hot session cannot starve the others"
 // guarantee, tested at the queue it is implemented in.
 func TestWorkerTakeRoundRobin(t *testing.T) {
 	w := &pipelineWorker{pending: make(map[string][]advanceReq)}
@@ -24,13 +18,12 @@ func TestWorkerTakeRoundRobin(t *testing.T) {
 			w.pending[id] = append(w.pending[id], advanceReq{sess: &Session{id: id}})
 		}
 	}
-	enqueue("hot", 10) // a deep backlog...
-	enqueue("cold", 2) // ...and a session that arrived after it
+	enqueue("hot", 2*burst+2) // a deep backlog...
+	enqueue("cold", 2)        // ...and a session that arrived after it
 
-	const burst = 4
-	batch := w.take(burst)
+	batch := w.take()
 	// First pass: burst from hot, everything from cold — cold is fully
-	// served while hot still has 6 queued.
+	// served while hot still has burst+2 queued.
 	ids := func(batch []advanceReq) map[string]int {
 		count := map[string]int{}
 		for _, req := range batch {
@@ -45,90 +38,13 @@ func TestWorkerTakeRoundRobin(t *testing.T) {
 	// shows up meanwhile is served in the same pass, not behind the
 	// whole backlog.
 	enqueue("late", 1)
-	if got := ids(w.take(burst)); got["hot"] != burst || got["late"] != 1 {
+	if got := ids(w.take()); got["hot"] != burst || got["late"] != 1 {
 		t.Fatalf("second pass served %v, want hot=%d late=1", got, burst)
 	}
-	if got := ids(w.take(burst)); got["hot"] != 2 || len(got) != 1 {
+	if got := ids(w.take()); got["hot"] != 2 || len(got) != 1 {
 		t.Fatalf("third pass served %v, want the remaining hot=2", got)
 	}
-	if batch := w.take(burst); len(batch) != 0 || len(w.pending) != 0 || len(w.order) != 0 {
+	if batch := w.take(); len(batch) != 0 || len(w.pending) != 0 || len(w.order) != 0 {
 		t.Fatalf("queue not empty after draining: batch=%d pending=%d order=%d", len(batch), len(w.pending), len(w.order))
-	}
-}
-
-// TestProcessCoalescesSameSessionGroups pins the coalescing semantics
-// of one queue pass deterministically, at the method that implements
-// it: contiguous same-session requests are served through a single
-// Session.AdvanceBatch (one lock hold, counted in Coalesced),
-// interleaved singles through Advance, and every result — clocks,
-// decision batches, error positions — is identical to inline
-// sequential advances on twin sessions.
-func TestProcessCoalescesSameSessionGroups(t *testing.T) {
-	until := func(v model.Time) *model.Time { return &v }
-	cfg := SessionConfig{Kind: KindSingle, Alg: "ref", Orgs: 2, Machines: 2, Seed: 7}
-	newSess := func(id string) *Session {
-		s, err := NewManager().Create(id, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jobs []JobSubmission
-		for j := 0; j < 6; j++ {
-			r := model.Time(2 * j)
-			jobs = append(jobs, JobSubmission{Org: j % 2, Size: 3, Release: &r})
-		}
-		if _, err := s.Submit(jobs); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	hot, cold := newSess("hot"), newSess("cold")
-	hotTwin, coldTwin := newSess("hot"), newSess("cold")
-
-	req := func(s *Session, u *model.Time) advanceReq {
-		return advanceReq{sess: s, until: u, done: make(chan AdvanceResult, 1)}
-	}
-	// One pass as take would hand it over: a contiguous hot run (with a
-	// backwards target mid-group, which must fail in place without
-	// poisoning its neighbors), a cold single, a trailing hot single.
-	batch := []advanceReq{
-		req(hot, until(3)),
-		req(hot, nil),
-		req(hot, until(2)), // backwards: errors, advances nothing
-		req(hot, until(9)),
-		req(cold, until(4)),
-		req(hot, until(12)),
-	}
-	p := &Pipeline{burst: DefaultBurst}
-	w := &pipelineWorker{pending: make(map[string][]advanceReq)}
-	p.process(w, batch)
-
-	if st := p.Stats(); st.Advances != 6 || st.Coalesced != 4 || st.Batches != 0 {
-		t.Fatalf("stats after one pass: %+v, want 6 advances with the 4-request hot run coalesced", st)
-	}
-	for i, r := range batch {
-		res := <-r.done
-		twin := hotTwin
-		if r.sess == cold {
-			twin = coldTwin
-		}
-		now, decs, err := twin.Advance(r.until)
-		if (res.Err != nil) != (err != nil) || res.Now != now {
-			t.Fatalf("request %d: got (now=%d, err=%v), sequential twin (now=%d, err=%v)", i, res.Now, res.Err, now, err)
-		}
-		if len(res.Decisions) != len(decs) {
-			t.Fatalf("request %d: %d decisions vs twin's %d", i, len(res.Decisions), len(decs))
-		}
-		for j := range decs {
-			if res.Decisions[j] != decs[j] {
-				t.Fatalf("request %d decision %d: %+v vs twin's %+v", i, j, res.Decisions[j], decs[j])
-			}
-		}
-	}
-	for _, pair := range [][2]*Session{{hot, hotTwin}, {cold, coldTwin}} {
-		ja, _ := json.Marshal(pair[0].State())
-		jb, _ := json.Marshal(pair[1].State())
-		if !bytes.Equal(ja, jb) {
-			t.Fatalf("session %s diverged from its sequential twin:\n%s\n%s", pair[0].ID(), ja, jb)
-		}
 	}
 }

@@ -3,6 +3,7 @@ package daemon_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 func TestPipelineMatchesSyncAdvance(t *testing.T) {
 	run := func(viaPipe bool) []daemon.StateReply {
 		m := daemon.NewManager()
-		p := daemon.NewPipeline(daemon.PipelineOptions{Workers: 4, Burst: 2})
+		p := daemon.NewPipeline(daemon.PipelineOptions{Workers: 4})
 		defer p.Close()
 		var sessions []*daemon.Session
 		for i := 0; i < 12; i++ {
@@ -68,12 +69,105 @@ func TestPipelineMatchesSyncAdvance(t *testing.T) {
 	}
 }
 
+// TestPipelineOneSessionMatchesSequential: requests against one session
+// go through the pipeline's single advance path with exactly the
+// outcomes of inline sequential Session.Advance calls on a twin — the
+// property same-session coalescing used to promise. Ordered: one
+// enqueuer's requests complete in enqueue order, a failing request
+// (backwards target) fails in place and its neighbours still run.
+// Concurrent: N goroutines racing next-event advances on the session,
+// with a backlog deeper than one queue pass serves, receive the same
+// multiset of (now, decisions) and leave the same /state bytes.
+func TestPipelineOneSessionMatchesSequential(t *testing.T) {
+	newSess := func(cfg daemon.SessionConfig) *daemon.Session {
+		s, err := daemon.NewManager().Create("one", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs []daemon.JobSubmission
+		for j := 0; j < 40; j++ {
+			jobs = append(jobs, daemon.JobSubmission{Cluster: 0, Org: j % 2, Size: 3, Release: timePtr(model.Time(2 * j))})
+		}
+		if _, err := s.Submit(jobs); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	outcome := func(now model.Time, decs []daemon.Decision, err error) string {
+		return fmt.Sprintf("now=%d failed=%t %v", now, err != nil, decs)
+	}
+	for name, cfg := range map[string]daemon.SessionConfig{"single": singleCfg(), "federation": loadFedCfg(5)} {
+		t.Run(name+"/ordered", func(t *testing.T) {
+			p := daemon.NewPipeline(daemon.PipelineOptions{Workers: 2})
+			defer p.Close()
+			piped, twin := newSess(cfg), newSess(cfg)
+			untils := []*model.Time{timePtr(3), nil, timePtr(2), timePtr(9), nil, timePtr(12)}
+			var chans []<-chan daemon.AdvanceResult
+			for _, u := range untils {
+				chans = append(chans, p.Enqueue(piped, u))
+			}
+			for i, ch := range chans {
+				res := <-ch
+				got, want := outcome(res.Now, res.Decisions, res.Err), outcome(twin.Advance(untils[i]))
+				if got != want {
+					t.Fatalf("request %d: pipeline %s, sequential twin %s", i, got, want)
+				}
+				if backwards := i == 2; backwards != (res.Err != nil) {
+					t.Fatalf("request %d: err=%v, want only the backwards target to fail", i, res.Err)
+				}
+			}
+			if !sameState(piped.State(), twin.State()) {
+				t.Fatal("session diverged from its sequential twin")
+			}
+		})
+		t.Run(name+"/concurrent", func(t *testing.T) {
+			p := daemon.NewPipeline(daemon.PipelineOptions{Workers: 2})
+			defer p.Close()
+			piped, twin := newSess(cfg), newSess(cfg)
+			const goroutines, each = 8, 12 // 96 queued requests: several queue passes
+			got := make([][]string, goroutines)
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var chans []<-chan daemon.AdvanceResult
+					for i := 0; i < each; i++ {
+						chans = append(chans, p.Enqueue(piped, nil))
+					}
+					for _, ch := range chans {
+						res := <-ch
+						got[g] = append(got[g], outcome(res.Now, res.Decisions, res.Err))
+					}
+				}()
+			}
+			wg.Wait()
+			all := slices.Concat(got...)
+			var want []string
+			for range all {
+				want = append(want, outcome(twin.Advance(nil)))
+			}
+			slices.Sort(all)
+			slices.Sort(want)
+			if !slices.Equal(all, want) {
+				t.Fatalf("concurrent pipeline outcomes differ from the sequential run:\n%v\n%v", all, want)
+			}
+			if !sameState(piped.State(), twin.State()) {
+				t.Fatal("session diverged from its sequential twin")
+			}
+			if st := p.Stats(); st.Advances != goroutines*each || st.Coalesced != 0 {
+				t.Fatalf("pipeline stats %+v, want %d advances, none coalesced", st, goroutines*each)
+			}
+		})
+	}
+}
+
 // TestPipelineBatchesPerWakeup: a backlog spanning many sessions is
 // drained in far fewer queue passes than requests — the amortization
 // the pipeline exists for.
 func TestPipelineBatchesPerWakeup(t *testing.T) {
 	m := daemon.NewManager()
-	p := daemon.NewPipeline(daemon.PipelineOptions{Workers: 1, Burst: 4})
+	p := daemon.NewPipeline(daemon.PipelineOptions{Workers: 1})
 	defer p.Close()
 	var chans []<-chan daemon.AdvanceResult
 	const sessions, stepsEach = 24, 3

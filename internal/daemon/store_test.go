@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -60,7 +61,7 @@ func TestLoadQuarantinesCorruptEnvelope(t *testing.T) {
 		}
 	}
 	dir := filepath.Join(t.TempDir(), "ckpts")
-	if _, err := mgr.FlushAll(dir); err != nil {
+	if _, err := mgr.FlushTo(daemon.NewDirStore(dir), false); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the mid-write crash: truncate the middle envelope so
@@ -79,7 +80,7 @@ func TestLoadQuarantinesCorruptEnvelope(t *testing.T) {
 	}
 
 	reborn := daemon.NewManager()
-	ids, quarantined, err := reborn.LoadDir(dir)
+	ids, quarantined, err := reborn.LoadStore(daemon.NewDirStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestLoadQuarantinesCorruptEnvelope(t *testing.T) {
 			t.Fatalf("stale temp file %s not swept", e.Name())
 		}
 	}
-	if ids2, quarantined2, err := daemon.NewManager().LoadDir(dir); err != nil || len(ids2) != 2 || len(quarantined2) != 0 {
+	if ids2, quarantined2, err := daemon.NewManager().LoadStore(daemon.NewDirStore(dir)); err != nil || len(ids2) != 2 || len(quarantined2) != 0 {
 		t.Fatalf("second boot: ids=%v quarantined=%v err=%v", ids2, quarantined2, err)
 	}
 }
@@ -153,7 +154,7 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := daemon.NewManager()
-	ids, quarantined, err := mgr.LoadDir(dir)
+	ids, quarantined, err := mgr.LoadStore(daemon.NewDirStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +303,40 @@ func TestDeletePropagatesToStore(t *testing.T) {
 	if !mgr.Delete("drop") {
 		t.Fatal("delete failed")
 	}
-	if ids, _, err := daemon.NewManager().LoadDir(dir); err != nil || fmt.Sprint(ids) != "[keep]" {
+	if ids, _, err := daemon.NewManager().LoadStore(daemon.NewDirStore(dir)); err != nil || fmt.Sprint(ids) != "[keep]" {
 		t.Fatalf("boot after delete restored %v (err=%v)", ids, err)
+	}
+}
+
+// TestAcceptedIDsSurviveReboot: every id Create accepts comes back from
+// a flushed store. DirStore names envelopes after the id, and its Load
+// sweeps ".tmp-*" files as crashed writes — so a session called
+// ".tmp-x", once accepted, silently vanished at the next boot. Ids with
+// a leading dot are refused instead.
+func TestAcceptedIDsSurviveReboot(t *testing.T) {
+	st := daemon.NewDirStore(t.TempDir())
+	mgr := daemon.NewManager()
+	var accepted []string
+	for _, id := range []string{".tmp-x", ".hidden", ".", "tmp-x", "a.b", "x.tmp-y"} {
+		_, err := mgr.Create(id, singleCfg())
+		if dotted := strings.HasPrefix(id, "."); dotted != (err != nil) {
+			t.Fatalf("Create(%q): err=%v, want only leading-dot ids refused", id, err)
+		}
+		if err == nil {
+			accepted = append(accepted, id)
+		}
+	}
+	if _, err := mgr.FlushTo(st, false); err != nil {
+		t.Fatal(err)
+	}
+	ids, quarantined, err := daemon.NewManager().LoadStore(st)
+	if err != nil || len(quarantined) != 0 {
+		t.Fatalf("reboot: quarantined=%v err=%v", quarantined, err)
+	}
+	slices.Sort(ids)
+	slices.Sort(accepted)
+	if !slices.Equal(ids, accepted) {
+		t.Fatalf("reboot restored %v, want every accepted id %v", ids, accepted)
 	}
 }
 
@@ -339,30 +372,33 @@ func TestFlusherBackgroundFlush(t *testing.T) {
 	if f.Flushed() != flushedAt {
 		t.Fatal("flusher kept writing after Stop")
 	}
-	if ids, _, err := daemon.NewManager().LoadDir(dir); err != nil || len(ids) != 1 {
+	if ids, _, err := daemon.NewManager().LoadStore(daemon.NewDirStore(dir)); err != nil || len(ids) != 1 {
 		t.Fatalf("background-flushed envelope unreadable: ids=%v err=%v", ids, err)
 	}
 }
 
 // TestServingTierLoadSmoke is the CI-sized run of the 10k-session load
-// harness (cmd/loadgen runs the full scale): small session
-// count, full pipeline, race-detector friendly.
+// harness (the burst probe of `go run ./bench -trace 1` runs the full
+// scale): small session count, full pipeline, race-detector friendly.
 func TestServingTierLoadSmoke(t *testing.T) {
 	sessions := 400
 	if testing.Short() {
 		sessions = 80
 	}
-	rep, err := daemon.RunLoad(daemon.LoadConfig{Sessions: sessions, Clients: 16, Steps: 2})
+	rep, err := daemon.RunLoad(daemon.LoadConfig{Sessions: sessions})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Advances != int64(2*sessions) {
-		t.Fatalf("harness ran %d advances, want %d", rep.Advances, 2*sessions)
+	if rep.Sessions != sessions || rep.Advances != int64(3*sessions) {
+		t.Fatalf("harness ran %d advances over %d sessions, want %d over %d", rep.Advances, rep.Sessions, 3*sessions, sessions)
 	}
 	if rep.Decisions == 0 || rep.ThroughputPerSec <= 0 {
 		t.Fatalf("harness did no work: %+v", rep)
 	}
 	if rep.P50Ms > rep.P95Ms || rep.P95Ms > rep.P99Ms {
 		t.Fatalf("latency percentiles out of order: %+v", rep)
+	}
+	if _, err := daemon.RunLoad(daemon.LoadConfig{}); err == nil {
+		t.Fatal("zero sessions accepted")
 	}
 }

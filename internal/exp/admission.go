@@ -31,26 +31,17 @@ type AdmissionVariant struct {
 	Spec ctrl.PolicySpec
 }
 
-// AdmissionConfig describes the admission-control ablation: the
-// federated diurnal scenario swept over offered-load multipliers, each
-// (variant × load) cell routed under one fixed delegation policy with
-// the variant's control plane in front.
+// AdmissionConfig describes the admission-control ablation: a federated
+// experiment (the embedded FedConfig: scenario, horizon, member
+// algorithm, and the Staleness that bounds the age of the exchange
+// snapshot both routing and admission observe) swept over offered-load
+// multipliers, each (variant × load) cell routed under one fixed
+// delegation policy with the variant's control plane in front.
 type AdmissionConfig struct {
-	Scenario  gen.FedScenario
-	Horizon   model.Time
-	Instances int
-	Seed      int64
-	Alg       string
-	Samples   int
-	RefOpts   core.RefOptions
-	RandOpts  core.RandOptions
-	Workers   int
+	FedConfig
 	// Policy is the delegation policy every run routes under
 	// (fed.PolicyByName); the ablation varies admission, not routing.
 	Policy string
-	// Staleness bounds the age of the exchange snapshot both routing
-	// and admission observe.
-	Staleness model.Time
 	// LoadFactors multiply the scenario's offered load; factors > 1
 	// are the overload regimes admission control exists for.
 	LoadFactors []float64
@@ -61,12 +52,7 @@ type AdmissionConfig struct {
 // routing, swept from nominal load to 2× overload.
 func DefaultAdmissionConfig() AdmissionConfig {
 	return AdmissionConfig{
-		Scenario:    DefaultFedConfig().Scenario,
-		Horizon:     8000,
-		Instances:   10,
-		Seed:        1,
-		Alg:         "directcontr",
-		Samples:     15,
+		FedConfig:   DefaultFedConfig(),
 		Policy:      "leastloaded",
 		LoadFactors: []float64{1, 1.5, 2},
 	}
@@ -140,8 +126,7 @@ func AdmissionTable(cfg AdmissionConfig, variants []AdmissionVariant) (*Table, e
 			return nil, fmt.Errorf("exp: admission variant %q: %w", v.Name, err)
 		}
 	}
-	fedCfg := FedConfig{Alg: cfg.Alg, Samples: cfg.Samples, RefOpts: cfg.RefOpts, RandOpts: cfg.RandOpts}
-	alg, err := fedCfg.memberAlg()
+	alg, err := cfg.memberAlg()
 	if err != nil {
 		return nil, err
 	}
@@ -149,6 +134,7 @@ func AdmissionTable(cfg AdmissionConfig, variants []AdmissionVariant) (*Table, e
 	if err != nil {
 		return nil, err
 	}
+	policy = fed.WithMigrationBudget(policy, cfg.MigrationBudget)
 	metricsOf := []string{AdmMetricAdmit, AdmMetricReject, AdmMetricDelta, AdmMetricLatency}
 	// values[load][variant][metric][instance]
 	values := make([][][][]float64, len(cfg.LoadFactors))

@@ -31,14 +31,10 @@ type Config struct {
 	Family gen.Family
 	// Orgs is the number of organizations (the paper uses 5 for the
 	// tables, 2..10 for Figure 10).
-	Orgs int
-	// MachineDist is "zipf" (the default, exponent ZipfExp) or
-	// "uniform" — how processors are split among organizations.
-	MachineDist string
-	ZipfExp     float64
-	Horizon     model.Time
-	Instances   int
-	Seed        int64
+	Orgs      int
+	Horizon   model.Time
+	Instances int
+	Seed      int64
 	// Workers bounds the instance-level parallelism; 0 = GOMAXPROCS.
 	Workers int
 	RefOpts core.RefOptions
@@ -48,13 +44,11 @@ type Config struct {
 // 5 organizations, Zipf(1) machine split, horizon 5·10⁴.
 func DefaultConfig(f gen.Family) Config {
 	return Config{
-		Family:      f,
-		Orgs:        5,
-		MachineDist: "zipf",
-		ZipfExp:     1,
-		Horizon:     50000,
-		Instances:   20,
-		Seed:        1,
+		Family:    f,
+		Orgs:      5,
+		Horizon:   50000,
+		Instances: 20,
+		Seed:      1,
 	}
 }
 
@@ -116,19 +110,6 @@ func (t *Table) Get(workload, alg string) *stats.Summary {
 	return nil
 }
 
-// machineSplit distributes the family's processors over the
-// organizations per the config.
-func (cfg Config) machineSplit() []int {
-	if cfg.MachineDist == "uniform" {
-		return stats.UniformSplit(cfg.Family.Procs, cfg.Orgs)
-	}
-	exp := cfg.ZipfExp
-	if exp == 0 {
-		exp = 1
-	}
-	return stats.ZipfSplit(cfg.Family.Procs, cfg.Orgs, exp)
-}
-
 // forInstances runs fn(idx) for every idx in [0, n) on a pool of at
 // most workers goroutines (≤ 0 = GOMAXPROCS); every instance runs, and
 // the failures, if any, come back joined in index order.
@@ -173,7 +154,7 @@ func RunUnfairness(cfg Config, algs []core.Algorithm) ([][]float64, error) {
 func runInstance(cfg Config, algs []core.Algorithm, idx int, values [][]float64) error {
 	seed := cfg.Seed + int64(idx)*1009
 	rng := stats.NewRand(seed)
-	inst, err := cfg.Family.Instance(cfg.Horizon, cfg.Orgs, cfg.machineSplit(), rng)
+	inst, err := cfg.Family.Instance(cfg.Horizon, cfg.Orgs, stats.ZipfSplit(cfg.Family.Procs, cfg.Orgs, 1), rng)
 	if err != nil {
 		return fmt.Errorf("exp: instance %d: %w", idx, err)
 	}

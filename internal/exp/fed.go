@@ -30,11 +30,10 @@ type FedConfig struct {
 	Instances int
 	Seed      int64
 	// Alg names the per-member scheduling algorithm (AlgorithmByName);
-	// Samples, RefOpts and RandOpts parameterize it.
-	Alg      string
-	Samples  int
-	RefOpts  core.RefOptions
-	RandOpts core.RandOptions
+	// Samples and RefOpts parameterize it.
+	Alg     string
+	Samples int
+	RefOpts core.RefOptions
 	// Workers bounds instance-level parallelism; 0 = GOMAXPROCS.
 	Workers int
 	// Staleness is the summary-gossip staleness Δt passed to every
@@ -65,7 +64,7 @@ func (cfg FedConfig) memberAlg() (core.StepperAlgorithm, error) {
 	if samples <= 0 {
 		samples = 15
 	}
-	alg, err := AlgorithmByName(cfg.Alg, samples, cfg.RefOpts, cfg.RandOpts)
+	alg, err := AlgorithmByName(cfg.Alg, samples, cfg.RefOpts, core.RandOptions{})
 	if err != nil {
 		return nil, err
 	}

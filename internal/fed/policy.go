@@ -174,8 +174,7 @@ func capDeficit(org int, s Summary) float64 {
 	return d
 }
 
-// DefaultDecayTau is the decay timescale FairnessDecayed uses when its
-// Tau field is zero (PolicyByName builds the policy this way).
+// DefaultDecayTau is FairnessDecayed's decay timescale τ.
 const DefaultDecayTau = model.Time(5000)
 
 // FairnessDecayed is the time-decayed pricing ablation of
@@ -185,21 +184,14 @@ const DefaultDecayTau = model.Time(5000)
 // early imbalances drive offloading at full strength while the same
 // absolute credit differences stop mattering once the federation has
 // run long enough — ancient credit cannot bounce late jobs around.
-type FairnessDecayed struct {
-	// Tau is the decay timescale; ≤ 0 means DefaultDecayTau.
-	Tau model.Time
-}
+type FairnessDecayed struct{}
 
 // Name implements Policy.
 func (FairnessDecayed) Name() string { return "fairness-decay" }
 
 // Route implements Policy.
-func (p FairnessDecayed) Route(org, origin int, sums []Summary) int {
-	tau := p.Tau
-	if tau <= 0 {
-		tau = DefaultDecayTau
-	}
-	decay := float64(tau) / float64(tau+sums[origin].Now)
+func (FairnessDecayed) Route(org, origin int, sums []Summary) int {
+	decay := float64(DefaultDecayTau) / float64(DefaultDecayTau+sums[origin].Now)
 	return argmaxFromOrigin(origin, len(sums), func(c int) float64 { return deficit(org, sums[c]) * decay }, 1)
 }
 
@@ -303,13 +295,14 @@ const fedRefSampleBudget = 256
 // federation (all zeros) therefore routes every job home, and a
 // 1-member federation reproduces single-cluster behavior exactly.
 type RefPolicy struct {
-	// Samples overrides the sampled estimator's permutation budget
-	// (fedRefSampleBudget when 0). ForceSample routes through the
-	// sampled estimator even when the member count admits the exact
-	// evaluator — together they are the sampled-Shapley ablation's
-	// control knobs (routing quality vs sample budget, EXPERIMENTS.md).
-	Samples     int
-	ForceSample bool
+	// Samples > 0 is the explicitly sampled variant: every route goes
+	// through the sampled estimator with that permutation budget, even
+	// when the member count admits the exact evaluator — the
+	// sampled-Shapley ablation's control knob (routing quality vs
+	// sample budget, EXPERIMENTS.md). 0 evaluates exactly up to
+	// maxExactFedPlayers members and samples fedRefSampleBudget
+	// permutations past it.
+	Samples int
 }
 
 func (p RefPolicy) sampleBudget() int {
@@ -323,8 +316,8 @@ func (p RefPolicy) sampleBudget() int {
 // in the name ("fedref-sample64"), so checkpoints restore the exact
 // estimator configuration and ablation tables label rows by budget.
 func (p RefPolicy) Name() string {
-	if p.ForceSample || p.Samples > 0 {
-		return fmt.Sprintf("fedref-sample%d", p.sampleBudget())
+	if p.Samples > 0 {
+		return fmt.Sprintf("fedref-sample%d", p.Samples)
 	}
 	return "fedref"
 }
@@ -342,7 +335,7 @@ func (p RefPolicy) RouteLedger(_, origin int, sums []Summary, routedWork [][]int
 	g := GameFromExchange(sums, routedWork)
 	t := sums[origin].Now
 	var phi []float64
-	if len(sums) <= maxExactFedPlayers && !p.ForceSample {
+	if len(sums) <= maxExactFedPlayers && p.Samples <= 0 {
 		phi = shapley.ExactAt(g, t)
 	} else {
 		// Deterministic pure function of the arguments: the sample
@@ -367,7 +360,7 @@ func PolicyByName(name string) (Policy, error) {
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("fed: bad sampled-FedREF policy %q (want fedref-sample<N> with N >= 1)", name)
 		}
-		p := Policy(RefPolicy{Samples: n, ForceSample: true})
+		p := Policy(RefPolicy{Samples: n})
 		if migrate {
 			p = Migrating{Inner: p, Budget: DefaultMigrationBudget}
 		}

@@ -1,6 +1,7 @@
 package fed_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/fed"
@@ -95,7 +96,7 @@ func TestFairnessCapacityNormalizes(t *testing.T) {
 // federation's credit but not on the same absolute credit aged far past
 // the decay timescale — and never for advantages below one work unit.
 func TestFairnessDecayedExpires(t *testing.T) {
-	p := fed.FairnessDecayed{Tau: 100}
+	p := fed.FairnessDecayed{}
 	credit := func(now model.Time) []fed.Summary {
 		return sums2(
 			fed.Summary{Now: now, Psi: []int64{30, 0}, Phi: []float64{5, 0}, Capacity: 2, OrgCapacity: []int64{1, 1}},
@@ -105,7 +106,7 @@ func TestFairnessDecayedExpires(t *testing.T) {
 	if got := p.Route(0, 0, credit(0)); got != 1 {
 		t.Fatalf("young credit not honored (got %d)", got)
 	}
-	if got := p.Route(0, 0, credit(100000)); got != 0 {
+	if got := p.Route(0, 0, credit(100*fed.DefaultDecayTau)); got != 0 {
 		t.Fatalf("ancient credit still bounced the job (got %d)", got)
 	}
 }
@@ -138,6 +139,45 @@ func TestPolicyByName(t *testing.T) {
 	}
 	if _, err := fed.PolicyByName("bogus"); err == nil {
 		t.Fatal("unknown policy name accepted")
+	}
+}
+
+// TestPolicyNameRoundTrip: a checkpoint stores a policy as its name, so
+// the name must be the policy's whole identity — PolicyByName(p.Name())
+// routes a saturated federation exactly like p, for every policy value
+// the registry ships. The sampled FedREF variants are the ones that
+// used to break it: a "fedref-sample<N>" below 17 members evaluated
+// exactly, and came back from its name sampling.
+func TestPolicyNameRoundTrip(t *testing.T) {
+	migrate := func(inner fed.Policy) fed.Policy {
+		return fed.Migrating{Inner: inner, Budget: fed.DefaultMigrationBudget}
+	}
+	for _, p := range []fed.Policy{
+		fed.LocalOnly{}, fed.LeastLoaded{}, fed.FairnessAware{}, fed.FairnessCapacity{},
+		fed.FairnessDecayed{}, fed.RefPolicy{}, fed.RefPolicy{Samples: 2}, fed.RefPolicy{Samples: 64},
+		fed.NBSPolicy{}, migrate(fed.RefPolicy{}), migrate(fed.RefPolicy{Samples: 2}),
+		migrate(fed.NBSPolicy{}), migrate(fed.FairnessAware{}),
+	} {
+		t.Run(p.Name(), func(t *testing.T) {
+			byName, err := fed.PolicyByName(p.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if byName.Name() != p.Name() {
+				t.Fatalf("PolicyByName(%q) is named %q", p.Name(), byName.Name())
+			}
+			algs := []string{"directcontr", "fairshare"}
+			direct, _ := buildFederation(t, algs, p, 23)
+			named, _ := buildFederation(t, algs, byName, 23)
+			for _, f := range []*fed.Federation{direct, named} {
+				if _, err := f.Step(6000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(fingerprint(t, direct), fingerprint(t, named)) {
+				t.Fatalf("PolicyByName(%q) routes differently from the policy that bears the name", p.Name())
+			}
+		})
 	}
 }
 
