@@ -68,7 +68,7 @@ func referenceFor(b *testing.B, fam gen.Family, horizon model.Time, orgs int, se
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref := core.RefAlgorithm{Opts: core.RefOptions{Parallel: true}}.Run(inst, horizon, seed)
+	ref := core.RefAlgorithm{}.Run(inst, horizon, seed)
 	v := benchRef{inst: inst, ref: ref}
 	benchCache.Store(key, v)
 	return v
@@ -166,11 +166,10 @@ func BenchmarkFigure2(b *testing.B) {
 }
 
 // BenchmarkAblationREF compares the REF driver variants DESIGN.md calls
-// out: the indexed event-heap driver vs the legacy full-scan driver,
-// serial vs parallel subcoalition advancement, and the faithful Figure 3
-// selection vs the Distance-style rotation. heap and scan produce
-// identical schedules (see TestHeapDriverMatchesScanDriver); only
-// wall-clock time differs.
+// out: the indexed event-heap driver vs the legacy full-scan driver, and
+// the faithful Figure 3 selection vs the Distance-style rotation. heap
+// and scan produce identical schedules (see
+// TestHeapDriverMatchesScanDriver); only wall-clock time differs.
 func BenchmarkAblationREF(b *testing.B) {
 	fam := gen.LPCEGEE().Scale(benchScale)
 	machines := stats.ZipfSplit(fam.Procs, benchOrgs, 1)
@@ -182,10 +181,8 @@ func BenchmarkAblationREF(b *testing.B) {
 		name string
 		opts core.RefOptions
 	}{
-		{"heap/serial", core.RefOptions{}},
-		{"heap/parallel", core.RefOptions{Parallel: true}},
-		{"scan/serial", core.RefOptions{Driver: core.DriverScan}},
-		{"scan/parallel", core.RefOptions{Driver: core.DriverScan, Parallel: true}},
+		{"heap", core.RefOptions{}},
+		{"scan", core.RefOptions{Driver: core.DriverScan}},
 		{"rotate", core.RefOptions{Rotate: true}},
 	}
 	for _, v := range variants {
@@ -234,30 +231,6 @@ func BenchmarkAblationRandSamples(b *testing.B) {
 		alg := core.RandAlgorithm{Samples: n}
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			benchUnfairness(b, fam, benchHorizon1, benchOrgs, alg)
-		})
-	}
-}
-
-// BenchmarkAblationRandWorkers sweeps RAND's worker-pool size at a
-// fixed sample budget. Results are byte-identical across the sweep
-// (TestRandWorkerCountInvariance); only wall-clock time changes.
-func BenchmarkAblationRandWorkers(b *testing.B) {
-	fam := gen.LPCEGEE().Scale(benchScale)
-	machines := stats.ZipfSplit(fam.Procs, benchOrgs, 1)
-	inst, err := fam.Instance(benchHorizon1, benchOrgs, machines, stats.NewRand(6))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 0} {
-		alg := core.RandAlgorithm{Samples: 75, Opts: core.RandOptions{Workers: w}}
-		name := fmt.Sprintf("workers=%d", w)
-		if w == 0 {
-			name = "workers=max"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				alg.Run(inst, benchHorizon1, int64(i))
-			}
 		})
 	}
 }

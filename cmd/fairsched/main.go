@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		samples  = fs.Int("rand-n", 15, "RAND sample count")
 		strat    = fs.Bool("rand-stratified", false, "RAND: draw permutations in position-stratified rotations")
-		workers  = fs.Int("workers", 0, "worker goroutines for REF/RAND parallel paths (0 = GOMAXPROCS)")
 		driver   = fs.String("ref-driver", "heap", "REF event loop: heap (indexed event heap) or scan (legacy full scan)")
 		split    = fs.String("split", "zipf", "machine split among organizations: zipf | uniform")
 		machines = fs.Int("machines", 0, "total machines when using -swf (0 = #orgs)")
@@ -74,8 +73,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	refOpts := core.RefOptions{Parallel: true, Workers: *workers, Driver: refDriver}
-	alg, err := exp.AlgorithmByName(*algName, *samples, refOpts, core.RandOptions{Workers: *workers, Stratified: *strat})
+	refOpts := core.RefOptions{Driver: refDriver}
+	alg, err := exp.AlgorithmByName(*algName, *samples, refOpts, core.RandOptions{Stratified: *strat})
 	if err != nil {
 		return err
 	}

@@ -75,4 +75,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-swf", "/nonexistent.swf"}, &stdout, &stderr); err == nil {
 		t.Fatal("missing trace file accepted")
 	}
+	// The REF/RAND worker pool is gone and its flag with it: the
+	// standard unknown-flag usage error, not a silent no-op.
+	stderr.Reset()
+	if err := run([]string{"-workers", "2"}, &stdout, &stderr); err == nil {
+		t.Fatal("retired -workers flag accepted")
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -workers") {
+		t.Fatalf("-workers did not produce the unknown-flag usage error: %s", stderr.String())
+	}
 }

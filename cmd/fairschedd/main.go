@@ -26,7 +26,8 @@
 // the boot. -flush-interval additionally flushes dirty sessions in the
 // background at that period, bounding what a hard crash can lose to
 // one interval per session. -restore preloads the default session from
-// a raw engine checkpoint (the pre-session format).
+// a raw engine checkpoint (the pre-session format) taken under the same
+// -alg, -orgs, -machines and -split.
 //
 // Serving: with -pipeline-workers N, advance requests run through the
 // async serving pipeline — a session's requests enqueue onto the one
@@ -134,9 +135,8 @@ func build(args []string, stderr io.Writer) (*app, error) {
 		seed     = fs.Int64("seed", 1, "default session random seed")
 		samples  = fs.Int("rand-n", 15, "RAND sample count")
 		strat    = fs.Bool("rand-stratified", false, "RAND: draw permutations in position-stratified rotations")
-		workers  = fs.Int("workers", 0, "worker goroutines for REF/RAND parallel paths (0 = GOMAXPROCS)")
 		driver   = fs.String("ref-driver", "heap", "REF event loop: heap or scan")
-		restore  = fs.String("restore", "", "engine checkpoint file to resume the default session from")
+		restore  = fs.String("restore", "", "engine checkpoint file to resume the default session from (same -alg, -orgs, -machines, -split)")
 		admPol   = fs.String("admission", "", "default session admission policy: always | tokenbucket | backpressure (empty = no admission gate)")
 		admRate  = fs.Int64("admission-rate", 1, "token bucket: jobs admitted per period")
 		admPer   = fs.Int64("admission-period", 1, "token bucket: refill period in simulation ticks")
@@ -194,7 +194,6 @@ func build(args []string, stderr io.Writer) (*app, error) {
 			RandSamples: *samples,
 			Stratified:  *strat,
 			RefDriver:   *driver,
-			Workers:     *workers,
 		}
 		if *admPol != "" {
 			cfg.Admission = &ctrl.PolicySpec{

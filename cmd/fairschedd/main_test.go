@@ -45,14 +45,17 @@ func TestBuildFlagParsing(t *testing.T) {
 	if _, err := build([]string{"-restore", "/nonexistent/ckpt"}, &stderr); err == nil {
 		t.Fatal("missing checkpoint file accepted")
 	}
-	// The parallel federation data plane is gone and its flag with it:
-	// the standard unknown-flag usage error, not a silent no-op.
-	stderr.Reset()
-	if _, err := build([]string{"-fed-workers", "2"}, &stderr); err == nil {
-		t.Fatal("retired -fed-workers flag accepted")
-	}
-	if !strings.Contains(stderr.String(), "flag provided but not defined: -fed-workers") {
-		t.Fatalf("-fed-workers did not produce the unknown-flag usage error: %s", stderr.String())
+	// The parallel federation data plane and the REF/RAND worker pool
+	// are gone and their flags with them: the standard unknown-flag
+	// usage error, not a silent no-op.
+	for _, retired := range []string{"-fed-workers", "-workers"} {
+		stderr.Reset()
+		if _, err := build([]string{retired, "2"}, &stderr); err == nil {
+			t.Fatalf("retired %s flag accepted", retired)
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined: "+retired) {
+			t.Fatalf("%s did not produce the unknown-flag usage error: %s", retired, stderr.String())
+		}
 	}
 	a, err = build([]string{"-no-default-session"}, &stderr)
 	if err != nil {
@@ -126,8 +129,13 @@ func TestDaemonRoundTripAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The flags own the default session's shape: a checkpoint of other
+	// organizations or machines is refused, like one of another -alg.
+	if _, err := build([]string{"-alg", "ref", "-restore", ckpt}, &stderr); err == nil {
+		t.Fatal("-restore of a 2-org checkpoint into the default 3-org session accepted")
+	}
 	stderr.Reset()
-	a2, err := build([]string{"-alg", "ref", "-restore", ckpt}, &stderr)
+	a2, err := build([]string{"-alg", "ref", "-orgs", "2", "-machines", "3", "-restore", ckpt}, &stderr)
 	if err != nil {
 		t.Fatalf("boot from checkpoint: %v", err)
 	}

@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	refOpts := core.RefOptions{Rotate: *rotate, Parallel: true, Driver: refDriver}
+	refOpts := core.RefOptions{Rotate: *rotate, Driver: refDriver}
 	configs := func(horizon model.Time) []exp.Config {
 		var out []exp.Config
 		for _, f := range gen.Families() {

@@ -27,8 +27,9 @@
 //	internal/core     — the paper's contribution: REF, RAND, DIRECTCONTR
 //	                    and the NBS allocator, each a plug on one
 //	                    schedule-set event loop (schedSet: touched-set
-//	                    stepping, inject/withdraw, checkpoints) and
-//	                    runnable incrementally as a core.Stepper
+//	                    stepping, inject/withdraw, checkpoints),
+//	                    runnable incrementally as a core.Stepper and
+//	                    always on the caller's goroutine
 //	internal/bargain  — deterministic weighted Nash Bargaining Solution
 //	                    solver (water-filling with disagreement points
 //	                    and per-agent caps, zero-alloc SolveInto)

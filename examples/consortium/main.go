@@ -41,7 +41,7 @@ func main() {
 		orgs, inst.TotalMachines(), machines, len(inst.Jobs), horizon)
 
 	fmt.Println("Reference run (REF, exact Shapley contributions):")
-	ref := core.RefAlgorithm{Opts: core.RefOptions{Parallel: true}}.Run(inst, horizon, seed)
+	ref := core.RefAlgorithm{}.Run(inst, horizon, seed)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  org\tmachines\tψ (utility)\tφ (contribution)\tφ−ψ")
 	for i, o := range inst.Orgs {

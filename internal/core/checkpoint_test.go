@@ -20,7 +20,12 @@ import (
 // longer flush untouched hypothetical schedules at every instant, so
 // the accrual bookkeeping inside their cluster states (flushed_at,
 // acc_from, the flushed/unflushed account split) may differ while every
-// derived value is equal.
+// derived value is equal. The last two were captured at e0df78c by the
+// per-instant worker pool (RefOptions{Parallel: true, Workers: 2}, 5
+// organizations; RandOptions{Workers: 2}, 6 organizations; t = 7,
+// touched sets up to 28 and 47 slots), which flushed accrual on the
+// worker: the same bookkeeping-only difference, now against a run that
+// never fans out.
 var ckptFamilies = []struct {
 	key   string
 	alg   StepperAlgorithm
@@ -30,6 +35,8 @@ var ckptFamilies = []struct {
 	{"rand", RandAlgorithm{Samples: 12}, false},
 	{"nbs", NbsAlgorithm{}, false},
 	{"roundrobin", FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }), true},
+	{"ref_parallel", RefAlgorithm{}, false},
+	{"rand_workers", RandAlgorithm{Samples: 20}, false},
 }
 
 func loadParentCheckpoint(t *testing.T, key string) ([]byte, *Checkpoint) {
@@ -58,9 +65,9 @@ func captureJSON(t *testing.T, s Stepper, now model.Time) []byte {
 	return data
 }
 
-// The committed checkpoints were captured mid-run (t = 13, half the
-// jobs started) by the commit before the schedule-set core, one per
-// stepper family. Each must restore under the current code and run to
+// The committed checkpoints were captured mid-run (half the jobs
+// started) by the commit before the change that could have broken them,
+// one per stepper family. Each must restore under the current code and run to
 // the horizon with starts, ψ and φ equal to an uninterrupted run; the
 // exact families must also re-capture — straight after restore, and
 // from a fresh run stepped to the same instant — to the parent's bytes.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 
 	"repro/internal/baseline"
@@ -13,14 +12,11 @@ import (
 )
 
 // RandOptions tunes Algorithm RAND's execution. Results are a pure
-// function of (instance, samples, seed): every sampled permutation is
-// drawn from its own SplitMix64-derived RNG stream and the sampled
-// coalition schedules are independent simulations, so any Workers value
-// produces byte-identical output.
+// function of (instance, samples, seed, Stratified): every sampled
+// permutation is drawn from its own SplitMix64-derived RNG stream.
 type RandOptions struct {
-	// Workers bounds the goroutines that draw permutations and advance
-	// the sampled coalition schedules; 0 means GOMAXPROCS, 1 runs
-	// serially.
+	// Workers is ignored: RAND runs on the caller's goroutine. Declared
+	// only because bench/replay.go sets it (ROADMAP item 1(a) unpins it).
 	Workers int
 	// Stratified draws the N permutations as cyclic rotations of
 	// ⌈N/k⌉ uniform base permutations (shapley.SampleStratified's
@@ -30,13 +26,6 @@ type RandOptions struct {
 	// permutation budget. Each rotation of a uniform permutation is
 	// uniform, so the φ estimate stays unbiased for any N.
 	Stratified bool
-}
-
-func (o RandOptions) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // RandSched is Algorithm RAND (Figure 6): contributions are estimated by
@@ -65,43 +54,38 @@ type marginal struct{ pred, with int }
 
 // NewRandSched samples the permutations with the given seed and builds
 // FCFS clusters for every distinct sampled coalition (Prepare in
-// Figure 6). Permutation s is drawn from stream (seed, s), so the
-// sampled set does not depend on the worker count.
+// Figure 6).
 func NewRandSched(inst *model.Instance, samples int, seed int64, opts RandOptions) *RandSched {
 	if samples < 1 {
 		panic("core: RAND needs at least one sampled permutation")
 	}
 	k := len(inst.Orgs)
 	r := &RandSched{samples: samples, preds: make([][]marginal, k), phi: make([]float64, k)}
-	workers := opts.workerCount()
 	perms := make([][]int, samples)
-	forEachChunk(workers, samples, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			// Plain mode: permutation s comes from stream s. Stratified
-			// mode: s is rotation s%k of the base permutation from
-			// stream s/k (re-shuffling the k-element base per rotation
-			// is cheaper than sharing it across workers).
-			stream, shift := int64(s), 0
-			if opts.Stratified {
-				stream, shift = int64(s/k), s%k
-			}
-			rng := stats.NewStreamRand(seed, stream)
-			base := make([]int, k)
-			for i := range base {
-				base[i] = i
-			}
-			rng.Shuffle(k, func(i, j int) { base[i], base[j] = base[j], base[i] })
-			if shift == 0 {
-				perms[s] = base
-				continue
-			}
-			perm := make([]int, k)
-			for i := range perm {
-				perm[i] = base[(i+shift)%k]
-			}
-			perms[s] = perm
+	for s := range perms {
+		// Plain mode: permutation s comes from stream s. Stratified
+		// mode: s is rotation s%k of the base permutation from stream
+		// s/k.
+		stream, shift := int64(s), 0
+		if opts.Stratified {
+			stream, shift = int64(s/k), s%k
 		}
-	})
+		rng := stats.NewStreamRand(seed, stream)
+		base := make([]int, k)
+		for i := range base {
+			base[i] = i
+		}
+		rng.Shuffle(k, func(i, j int) { base[i], base[j] = base[j], base[i] })
+		if shift == 0 {
+			perms[s] = base
+			continue
+		}
+		perm := make([]int, k)
+		for i := range perm {
+			perm[i] = base[(i+shift)%k]
+		}
+		perms[s] = perm
+	}
 	slotOf := map[model.Coalition]int{0: -1} // construction only: the hot path reads preds
 	for _, perm := range perms {
 		var c model.Coalition
@@ -118,12 +102,8 @@ func NewRandSched(inst *model.Instance, samples int, seed int64, opts RandOption
 	}
 	slices.Sort(masks)
 	slots := make([]*sim.Cluster, len(masks)+1)
-	forEachChunk(workers, len(masks), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			slots[i] = sim.New(inst, masks[i], baseline.NewFCFS(), nil)
-		}
-	})
 	for i, mask := range masks {
+		slots[i] = sim.New(inst, mask, baseline.NewFCFS(), nil)
 		slotOf[mask] = i
 	}
 	for _, perm := range perms {
@@ -137,7 +117,6 @@ func NewRandSched(inst *model.Instance, samples int, seed int64, opts RandOption
 	slots[len(masks)] = sim.New(inst, model.Grand(k), &deficitPolicy{name: "RAND", target: r.phi}, rand.New(src))
 	r.schedSet = newSchedSet(randName(samples, opts), seed, inst, r, slots, false)
 	r.src = src
-	r.workers = workers
 	r.ckpt = make([]int, len(slots)) // the decision cluster first, then the sampled ones
 	r.ckpt[0] = len(masks)
 	for i := range masks {

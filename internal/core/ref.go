@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/model"
@@ -59,12 +58,11 @@ type RefOptions struct {
 	// Figure 1. The faithful Figure 3 behaviour (default) recomputes
 	// φ and ψ only once per time moment.
 	Rotate bool
-	// Parallel advances large touched sets of subcoalition clusters on
-	// worker goroutines. The result is identical to the serial run;
-	// only wall-clock time changes.
+	// Parallel and Workers are ignored: REF runs on the caller's
+	// goroutine. Declared only because bench/replay.go and
+	// bench/kernels.go set them (ROADMAP item 1(a) unpins them).
 	Parallel bool
-	// Workers bounds the parallel worker count; 0 means GOMAXPROCS.
-	Workers int
+	Workers  int
 }
 
 // Ref is Algorithm REF: the exact, exponential (FPT in the number of
@@ -123,12 +121,6 @@ func NewRef(inst *model.Instance, opts RefOptions) *Ref {
 	}
 	r.schedSet = newSchedSet("REF", 0, inst, r, slots, opts.Driver == DriverScan)
 	r.ckpt = r.slotOf[1:] // checkpoints list the clusters in mask order
-	if opts.Parallel {
-		r.workers = opts.Workers
-		if r.workers <= 0 {
-			r.workers = runtime.GOMAXPROCS(0)
-		}
-	}
 	return r
 }
 

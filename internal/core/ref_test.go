@@ -145,27 +145,6 @@ func TestRefSubcoalitionSelfSimilar(t *testing.T) {
 	}
 }
 
-func TestRefParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	in := randCoreInstance(r, 4, false)
-	horizon := in.Horizon() + 1
-	serial := RefAlgorithm{}.Run(in, horizon, 0)
-	parallel := RefAlgorithm{Opts: RefOptions{Parallel: true, Workers: 4}}.Run(in, horizon, 0)
-	if len(serial.Starts) != len(parallel.Starts) {
-		t.Fatalf("start counts differ: %d vs %d", len(serial.Starts), len(parallel.Starts))
-	}
-	for i := range serial.Starts {
-		if serial.Starts[i] != parallel.Starts[i] {
-			t.Fatalf("start %d differs: %+v vs %+v", i, serial.Starts[i], parallel.Starts[i])
-		}
-	}
-	for u := range serial.Psi {
-		if serial.Psi[u] != parallel.Psi[u] {
-			t.Fatalf("ψ[%d] differs: %d vs %d", u, serial.Psi[u], parallel.Psi[u])
-		}
-	}
-}
-
 // The rotation ablation must equalize perfectly symmetric organizations
 // within a single instant: two orgs, one machine each, two unit jobs
 // each at t=0. Faithful Figure 3 hands both machines to the lower-index

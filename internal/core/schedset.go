@@ -54,11 +54,10 @@ type schedSet struct {
 	inst *model.Instance
 	plug plug
 
-	slots   []*sim.Cluster // dispatch order; the last is the decision schedule
-	ckpt    []int          // checkpoint position -> slot; slot order unless the plug sets it
-	src     *stats.Source  // the decision schedule's RNG stream; nil when it has none
-	workers int            // goroutines advancing a large touched set; ≤ 1 is serial
-	scan    bool           // reference mode
+	slots []*sim.Cluster // dispatch order; the last is the decision schedule
+	ckpt  []int          // checkpoint position -> slot; slot order unless the plug sets it
+	src   *stats.Source  // the decision schedule's RNG stream; nil when it has none
+	scan  bool           // reference mode
 
 	h       *eventHeap
 	polys   []sim.ValuePoly
@@ -78,21 +77,15 @@ type plug interface {
 	phiAt(t model.Time) []float64
 }
 
-// parallelThreshold is the touched-set size from which advancing on
-// worker goroutines pays for the fan-out (a release touches every
-// schedule containing the owner; a completion touches one).
-const parallelThreshold = 16
-
 func newSchedSet(name string, seed int64, inst *model.Instance, p plug, slots []*sim.Cluster, scan bool) *schedSet {
 	s := &schedSet{
-		name:    name,
-		seed:    seed,
-		inst:    inst,
-		plug:    p,
-		slots:   slots,
-		workers: 1,
-		scan:    scan || len(slots) == 1,
-		all:     identity(len(slots)),
+		name:  name,
+		seed:  seed,
+		inst:  inst,
+		plug:  p,
+		slots: slots,
+		scan:  scan || len(slots) == 1,
+		all:   identity(len(slots)),
 	}
 	s.ckpt = s.all
 	s.rekeyAll()
@@ -215,23 +208,13 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	return true
 }
 
-// advance moves the given slots to time t, on worker goroutines when
-// the set is large enough. The clusters share nothing, so the fan-out
-// is deterministic.
+// advance moves the given slots to time t, one after the other on the
+// caller's goroutine: a touched set is too little work per instant to
+// amortise a hand-off (DESIGN.md §2.4).
 func (s *schedSet) advance(slots []int, t model.Time) {
-	if s.workers <= 1 || len(slots) < parallelThreshold {
-		for _, i := range slots {
-			s.slots[i].AdvanceTo(t)
-		}
-		return
+	for _, i := range slots {
+		s.slots[i].AdvanceTo(t)
 	}
-	forEachChunk(s.workers, len(slots), func(lo, hi int) {
-		for _, i := range slots[lo:hi] {
-			c := s.slots[i]
-			c.AdvanceTo(t)
-			c.Flush() // accrual work happens on the worker
-		}
-	})
 }
 
 // FinishAt implements Stepper: move every slot's clock to exactly t.
@@ -426,33 +409,6 @@ func (p *deficitPolicy) Select(_ model.Time, _ int) int {
 		p.adj[best]--
 	}
 	return best
-}
-
-// forEachChunk splits [0, n) into contiguous chunks and runs fn on one
-// goroutine per chunk, blocking until all complete. With one worker (or
-// n ≤ 1) it runs inline.
-func forEachChunk(workers, n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // eventHeap is an indexed binary min-heap of slots keyed by next event

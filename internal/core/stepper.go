@@ -109,48 +109,17 @@ type Checkpoint struct {
 // RebuildInstance reconstructs the live instance from the checkpoint.
 // Jobs are stored in feed order, which need not be globally sorted by
 // release (an arrival fed at time 10 may be released after one fed at
-// time 5), so the model-level Validate is not applied — per-job fields
-// were validated when they were fed.
+// time 5), so the model's order-free validation applies, not Validate.
 func (cp *Checkpoint) RebuildInstance() (*model.Instance, error) {
-	if len(cp.Orgs) == 0 {
-		return nil, fmt.Errorf("core: checkpoint has no organizations")
-	}
 	inst := &model.Instance{
 		Orgs: append([]model.Org(nil), cp.Orgs...),
 		Jobs: append([]model.Job(nil), cp.Jobs...),
 	}
-	total := 0
 	for i := range inst.Orgs {
 		inst.Orgs[i].Speeds = append([]int(nil), cp.Orgs[i].Speeds...)
-		o := inst.Orgs[i]
-		if o.Machines < 0 {
-			return nil, fmt.Errorf("core: checkpoint organization %d has negative machine count", i)
-		}
-		if len(o.Speeds) != 0 {
-			if len(o.Speeds) != o.Machines {
-				return nil, fmt.Errorf("core: checkpoint organization %d has %d speeds for %d machines", i, len(o.Speeds), o.Machines)
-			}
-			for _, s := range o.Speeds {
-				if s < 1 {
-					return nil, fmt.Errorf("core: checkpoint organization %d has speed %d; speeds must be >= 1", i, s)
-				}
-			}
-		}
-		total += o.Machines
 	}
-	if total == 0 {
-		return nil, fmt.Errorf("core: checkpoint has no machines")
-	}
-	for i, j := range inst.Jobs {
-		if j.ID != i {
-			return nil, fmt.Errorf("core: checkpoint job at position %d has ID %d", i, j.ID)
-		}
-		if j.Org < 0 || j.Org >= len(inst.Orgs) {
-			return nil, fmt.Errorf("core: checkpoint job %d references unknown organization %d", i, j.Org)
-		}
-		if j.Size < 1 || j.Release < 0 {
-			return nil, fmt.Errorf("core: checkpoint job %d has invalid size/release", i)
-		}
+	if err := inst.ValidateUnordered(); err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	return inst, nil
 }

@@ -92,7 +92,10 @@ type SessionConfig struct {
 	RandSamples int    `json:"rand_samples,omitempty"`
 	Stratified  bool   `json:"rand_stratified,omitempty"`
 	RefDriver   string `json:"ref_driver,omitempty"`
-	Workers     int    `json:"workers,omitempty"`
+	// Workers is ignored: steppers run on the advancing goroutine.
+	// Declared only because bench/replay.go reads it and stored
+	// envelopes may carry it (ROADMAP item 1(a) unpins it).
+	Workers int `json:"workers,omitempty"`
 }
 
 // buildAlg resolves an algorithm name with the config's shared options
@@ -107,8 +110,7 @@ func (c SessionConfig) buildAlg(name string) (core.StepperAlgorithm, error) {
 		return nil, err
 	}
 	alg, err := exp.AlgorithmByName(name, samples,
-		core.RefOptions{Parallel: true, Workers: c.Workers, Driver: driver},
-		core.RandOptions{Workers: c.Workers, Stratified: c.Stratified})
+		core.RefOptions{Driver: driver}, core.RandOptions{Stratified: c.Stratified})
 	if err != nil {
 		return nil, err
 	}
@@ -215,14 +217,19 @@ func (c SessionConfig) open(snapshot []byte) (backend, error) {
 		if err != nil {
 			return bad(err)
 		}
+		inst, err := c.singleInstance()
+		if err != nil {
+			return bad(err)
+		}
 		var eng *engine.Engine
 		if snapshot != nil {
+			// The config owns the organizations and the machine pool too
+			// (fed.Restore holds a federated snapshot to the same rule).
 			eng, err = engine.Restore(alg, snapshot)
-		} else {
-			var inst *model.Instance
-			if inst, err = c.singleInstance(); err != nil {
-				return bad(err)
+			if err == nil && !slices.EqualFunc(eng.Instance().Orgs, inst.Orgs, sameOrg) {
+				err = fmt.Errorf("daemon: restore: snapshot of organizations %+v, session configured with %+v", eng.Instance().Orgs, inst.Orgs)
 			}
+		} else {
 			eng = engine.New(alg, inst, c.Seed)
 			err = eng.SetAdmission(c.Admission)
 		}
@@ -257,6 +264,10 @@ func (c SessionConfig) open(snapshot []byte) (backend, error) {
 		return nil, fmt.Errorf("daemon: restore: snapshot taken under admission %+v, session configured with %+v", got, c.Admission)
 	}
 	return run, nil
+}
+
+func sameOrg(a, b model.Org) bool {
+	return a.Name == b.Name && a.Machines == b.Machines && slices.Equal(a.Speeds, b.Speeds)
 }
 
 // sameSpec reports whether two admission specs are both absent or equal

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,6 +37,33 @@ func fedCfg() daemon.SessionConfig {
 		},
 		Seed: 7,
 	}
+}
+
+func wideCfg() daemon.SessionConfig {
+	return daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "fairshare", Orgs: 5, Machines: 10}
+}
+
+// narrowCfg is wideCfg's algorithm on fewer organizations and machines.
+func narrowCfg() daemon.SessionConfig {
+	cfg := wideCfg()
+	cfg.Orgs, cfg.Machines = 3, 3
+	return cfg
+}
+
+// tooManyOrgs rewrites a single-run checkpoint to declare one
+// organization more than model.MaxOrgs.
+func tooManyOrgs(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(snap, &doc); err != nil {
+		t.Fatal(err)
+	}
+	orgs := make([]model.Org, model.MaxOrgs+1)
+	for i := range orgs {
+		orgs[i] = model.Org{Name: fmt.Sprintf("org%d", i), Machines: 1}
+	}
+	doc["orgs"] = json.RawMessage(mustJSON(t, orgs))
+	return []byte(mustJSON(t, doc))
 }
 
 // api is a tiny JSON client against the handler under test.
@@ -158,10 +186,11 @@ func TestMultiSessionDaemon(t *testing.T) {
 		t.Fatalf("fleet state has no per-cluster rows: %v", fleetState)
 	}
 
-	// A create body written for the retired parallel data plane still
-	// carries "fed_workers": the field is ignored, and the session it
-	// creates answers exactly like one created without it.
-	a.do("POST", "/v1/sessions", `{"id":"fleet-w","fed_workers":3,`+mustJSON(t, fedCfg())[1:], http.StatusCreated)
+	// A create body written for the retired parallel data plane or the
+	// retired REF/RAND worker pool still carries "fed_workers" or
+	// "workers": both are ignored, and the session it creates answers
+	// exactly like one created without them.
+	a.do("POST", "/v1/sessions", `{"id":"fleet-w","fed_workers":3,"workers":4,`+mustJSON(t, fedCfg())[1:], http.StatusCreated)
 	a.do("POST", "/v1/sessions/fleet-w/jobs",
 		`{"jobs":[{"cluster":0,"org":0,"size":4},{"cluster":0,"org":1,"size":4},{"cluster":0,"org":1,"size":4,"release":2}]}`,
 		http.StatusOK)
@@ -170,7 +199,7 @@ func TestMultiSessionDaemon(t *testing.T) {
 		want := a.raw("/v1/sessions/fleet/" + doc)
 		got := bytes.Replace(a.raw("/v1/sessions/fleet-w/"+doc), []byte(`"fleet-w"`), []byte(`"fleet"`), 1)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s of a session created with fed_workers differs:\n got %s\nwant %s", doc, got, want)
+			t.Fatalf("%s of a session created with fed_workers and workers differs:\n got %s\nwant %s", doc, got, want)
 		}
 	}
 	a.do("DELETE", "/v1/sessions/fleet-w", "", http.StatusOK)
@@ -310,6 +339,18 @@ func TestSessionAPIValidation(t *testing.T) {
 	for _, id := range []string{"fed-plain", "fed-gated", "one-plain", "one-always", "one-bucket"} {
 		a.do("POST", "/v1/sessions/"+id+"/restore", string(a.raw("/v1/sessions/"+id+"/checkpoint")), http.StatusOK)
 	}
+
+	// The configuration owns the organizations and the machine pool as
+	// well: a 3-org/3-machine session refuses the snapshot of a
+	// 5-org/10-machine one of the same algorithm, where it used to come
+	// back reporting five ψ entries and accepting jobs for org 4.
+	create("wide", wideCfg())
+	create("narrow", narrowCfg())
+	rejected("narrow", "restore", string(a.raw("/v1/sessions/wide/checkpoint")))
+	// A snapshot with more organizations than a coalition mask can hold
+	// is a 400 like any other bad snapshot, not a panic that drops the
+	// connection.
+	rejected("wide", "restore", string(tooManyOrgs(t, a.raw("/v1/sessions/wide/checkpoint"))))
 
 	// A batch with one bad job is refused whole, for federations as for
 	// single runs: a client that retries it must not duplicate the jobs
@@ -479,24 +520,25 @@ func TestFlushAndLoadStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Envelopes written before the parallel data plane was retired pin
-	// "fed_workers" in their config: they must load (no quarantine) and
-	// run exactly like the envelope without the field.
+	// Envelopes written before the parallel data plane and the REF/RAND
+	// worker pool were retired pin "fed_workers" and "workers" in their
+	// config: they must load (no quarantine) and run exactly like the
+	// envelope without the fields.
 	fleetPath := filepath.Join(dir, "fleet.session.json")
 	env, err := os.ReadFile(fleetPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(env, []byte(`"kind":"federation"`), []byte(`"kind":"federation","fed_workers":3`), 1)
+	old := bytes.Replace(env, []byte(`"kind":"federation"`), []byte(`"kind":"federation","fed_workers":3,"workers":4`), 1)
 	if bytes.Equal(old, env) {
-		t.Fatal("could not plant fed_workers in the fleet envelope")
+		t.Fatal("could not plant fed_workers and workers in the fleet envelope")
 	}
 	if err := os.WriteFile(fleetPath, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	legacy := daemon.NewManager()
 	if _, quarantined, err := legacy.LoadStore(daemon.NewDirStore(dir)); err != nil || len(quarantined) != 0 {
-		t.Fatalf("envelope carrying fed_workers: quarantined=%v err=%v", quarantined, err)
+		t.Fatalf("envelope carrying fed_workers and workers: quarantined=%v err=%v", quarantined, err)
 	}
 	f3, ok := legacy.Get("fleet")
 	if !ok {
@@ -561,6 +603,42 @@ func TestAdvanceEmptyBody(t *testing.T) {
 	}
 	// A truncated JSON document is still a client error.
 	a.do("POST", "/v1/sessions/e/advance", `{"until":`, http.StatusBadRequest)
+}
+
+// A checkpoint is a function of the request stream alone, not of the
+// box that served it: the same 60 jobs and one advance on a 6-org REF
+// and a 6-org RAND session (releases touch 32 REF schedules — the
+// touched-set size at which a per-instant worker pool used to engage and
+// flush accrual on the worker) must checkpoint to the same bytes
+// whatever GOMAXPROCS says.
+func TestCheckpointBytesIgnoreCoreCount(t *testing.T) {
+	var jobs []daemon.JobSubmission
+	for i := 0; i < 60; i++ {
+		jobs = append(jobs, daemon.JobSubmission{Org: i % 6, Size: model.Time(3 + i%7), Release: timePtr(model.Time(i / 4))})
+	}
+	for _, alg := range []string{"ref", "rand"} {
+		capture := func(procs int) []byte {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s, err := daemon.NewManager().Create("s", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: alg, Orgs: 6, Machines: 8, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Submit(jobs); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Advance(timePtr(12)); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap
+		}
+		if one, four := capture(1), capture(4); !bytes.Equal(one, four) {
+			t.Errorf("%s: checkpoints written under GOMAXPROCS=1 and 4 differ (%d and %d bytes)", alg, len(one), len(four))
+		}
+	}
 }
 
 func timePtr(v model.Time) *model.Time { return &v }

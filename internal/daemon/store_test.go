@@ -117,7 +117,8 @@ func TestLoadQuarantinesCorruptEnvelope(t *testing.T) {
 }
 
 // TestLoadQuarantinesUnrestorableEnvelope: an envelope that parses but
-// cannot be rebuilt (unknown algorithm) is quarantined the same way.
+// cannot be rebuilt (unknown algorithm, a snapshot its config does not
+// describe) is quarantined the same way.
 func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 	dir := t.TempDir()
 	st := daemon.NewDirStore(dir)
@@ -153,12 +154,28 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 	if err := st.Save(daemon.Envelope{ID: "old", Config: fedCfg(), Snapshot: v3}); err != nil {
 		t.Fatal(err)
 	}
+	// An envelope whose snapshot contradicts its config's organizations
+	// and machines, or declares more organizations than model.MaxOrgs
+	// (which used to panic the whole boot), is set aside as well.
+	wide, err := daemon.NewManager().Create("wide", wideCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = wide.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(daemon.Envelope{ID: "swapped", Config: narrowCfg(), Snapshot: snap}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(daemon.Envelope{ID: "huge", Config: wideCfg(), Snapshot: tooManyOrgs(t, snap)}); err != nil {
+		t.Fatal(err)
+	}
 	mgr := daemon.NewManager()
 	ids, quarantined, err := mgr.LoadStore(daemon.NewDirStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 0 || len(quarantined) != 3 {
+	if len(ids) != 0 || len(quarantined) != 5 {
 		t.Fatalf("ids=%v quarantined=%v", ids, quarantined)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "old.session.json.corrupt")); err != nil {

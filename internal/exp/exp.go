@@ -54,13 +54,11 @@ func DefaultConfig(f gen.Family) Config {
 
 // DefaultAlgorithms returns the compared algorithms in the tables' row
 // order (Section 7.1). randSamples parameterizes RAND (the paper uses
-// 15 and 75). RAND runs serially here: the harness already saturates
-// the cores with instance-level parallelism (RunUnfairness), and
-// results are worker-count invariant anyway.
+// 15 and 75).
 func DefaultAlgorithms(randSamples int) []core.Algorithm {
 	return []core.Algorithm{
 		core.FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }),
-		core.RandAlgorithm{Samples: randSamples, Opts: core.RandOptions{Workers: 1}},
+		core.RandAlgorithm{Samples: randSamples},
 		core.DirectContrAlgorithm(),
 		core.FromPolicy("FairShare", func() sim.Policy { return baseline.NewFairShare() }),
 		core.FromPolicy("UtFairShare", func() sim.Policy { return baseline.NewUtFairShare() }),

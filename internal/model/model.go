@@ -112,10 +112,25 @@ func MustNewInstance(orgs []Org, jobs []Job) *Instance {
 	return in
 }
 
-// Validate checks structural invariants: at least one organization, at
-// least one machine in total, job fields in range and jobs sorted by
-// (Release, ID).
+// Validate checks structural invariants: everything ValidateUnordered
+// checks, and jobs sorted by (Release, ID).
 func (in *Instance) Validate() error {
+	if err := in.ValidateUnordered(); err != nil {
+		return err
+	}
+	for i := 1; i < len(in.Jobs); i++ {
+		if in.Jobs[i-1].Release > in.Jobs[i].Release {
+			return fmt.Errorf("model: jobs not sorted by release time at position %d", i)
+		}
+	}
+	return nil
+}
+
+// ValidateUnordered checks the invariants that hold for jobs in any
+// order — the feed order of a streamed run need not be release order: at
+// least one and at most MaxOrgs organizations, at least one machine in
+// total, job IDs equal to positions and job fields in range.
+func (in *Instance) ValidateUnordered() error {
 	if len(in.Orgs) == 0 {
 		return errors.New("model: instance has no organizations")
 	}
@@ -154,9 +169,6 @@ func (in *Instance) Validate() error {
 		}
 		if j.Size < 1 {
 			return fmt.Errorf("model: job %d has size %d; sizes must be >= 1", i, j.Size)
-		}
-		if i > 0 && in.Jobs[i-1].Release > j.Release {
-			return fmt.Errorf("model: jobs not sorted by release time at position %d", i)
 		}
 	}
 	return nil

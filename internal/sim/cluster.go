@@ -19,7 +19,7 @@
 //
 // Utility accounting is lazy: execution windows of running jobs are
 // folded into the ψsp accounts only at completions and at value queries
-// (Flush), so advancing a cluster through an uneventful period costs
+// (flush), so advancing a cluster through an uneventful period costs
 // O(1). This matters to the exponential REF scheduler, which maintains
 // 2^k−1 clusters but queries values only at dispatch instants.
 package sim
@@ -202,11 +202,9 @@ func (c *Cluster) account(r runEntry, upTo model.Time) {
 	c.total.AddScaledWindow(r.start, j.Size, q, r.accFrom, upTo)
 }
 
-// Flush folds the partial execution of still-running jobs into the
-// accounts up to the current time. Value queries call it implicitly;
-// parallel drivers may call it explicitly to move the accrual work onto
-// worker goroutines.
-func (c *Cluster) Flush() {
+// flush folds the partial execution of still-running jobs into the
+// accounts up to the current time; every value query starts with it.
+func (c *Cluster) flush() {
 	if c.flushedAt == c.now {
 		return
 	}
@@ -420,13 +418,13 @@ func (c *Cluster) ValuePoly() ValuePoly {
 
 // Psi returns organization org's ψsp at the current time.
 func (c *Cluster) Psi(org int) int64 {
-	c.Flush()
+	c.flush()
 	return c.orgAcct[org].PsiAt(c.now)
 }
 
 // PsiVector returns every organization's ψsp at the current time.
 func (c *Cluster) PsiVector() []int64 {
-	c.Flush()
+	c.flush()
 	out := make([]int64, len(c.orgAcct))
 	for i := range out {
 		out[i] = c.orgAcct[i].PsiAt(c.now)
@@ -436,14 +434,14 @@ func (c *Cluster) PsiVector() []int64 {
 
 // Value returns the coalition value v(C, now) = Σ ψsp (Section 2).
 func (c *Cluster) Value() int64 {
-	c.Flush()
+	c.flush()
 	return c.total.PsiAt(c.now)
 }
 
 // ExecutedUnits returns the total executed unit slots before now — the
 // paper's p_tot when evaluated on the reference schedule.
 func (c *Cluster) ExecutedUnits() int64 {
-	c.Flush()
+	c.flush()
 	return c.total.U
 }
 
@@ -474,7 +472,7 @@ func (c *Cluster) Utilization() float64 {
 	if c.capacity == 0 || c.now == 0 {
 		return 0
 	}
-	c.Flush()
+	c.flush()
 	return float64(c.total.U) / (float64(c.capacity) * float64(c.now))
 }
 

@@ -108,14 +108,14 @@ func (v *View) Head(org int) (id int, release model.Time, ok bool) {
 
 // Psi returns org's strategy-proof utility ψsp at the current time.
 func (v *View) Psi(org int) int64 {
-	v.c.Flush()
+	v.c.flush()
 	return v.c.orgAcct[org].PsiAt(v.c.now)
 }
 
 // Usage returns the number of unit slots executed so far by org's jobs —
 // the consumed-CPU-time notion of usage that fair-share policies meter.
 func (v *View) Usage(org int) int64 {
-	v.c.Flush()
+	v.c.flush()
 	return v.c.orgAcct[org].U
 }
 
@@ -123,13 +123,13 @@ func (v *View) Usage(org int) int64 {
 // org's machines (by anyone's jobs) — DIRECTCONTR's direct contribution
 // estimate.
 func (v *View) OwnerPsi(org int) int64 {
-	v.c.Flush()
+	v.c.flush()
 	return v.c.ownAcct[org].PsiAt(v.c.now)
 }
 
 // OwnerUsage returns the unit slots executed on org's machines.
 func (v *View) OwnerUsage(org int) int64 {
-	v.c.Flush()
+	v.c.flush()
 	return v.c.ownAcct[org].U
 }
 
