@@ -64,7 +64,7 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 			for c := range specs {
 				specs[c] = fed.ClusterSpec{
 					Name: fmt.Sprintf("site%d", c),
-					Alg:  core.DirectContrAlgorithm().(core.StepperAlgorithm), Machines: w.Machines[c],
+					Alg:  core.DirectContrAlgorithm(), Machines: w.Machines[c],
 				}
 			}
 			f, err := fed.New(w.Orgs, specs, fed.LeastLoaded{}, 42)

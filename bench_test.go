@@ -290,7 +290,7 @@ func BenchmarkFederation(b *testing.B) {
 		b.Fatal(err)
 	}
 	algs := map[string]func() core.StepperAlgorithm{
-		"directcontr": func() core.StepperAlgorithm { return core.DirectContrAlgorithm().(core.StepperAlgorithm) },
+		"directcontr": core.DirectContrAlgorithm,
 		"ref":         func() core.StepperAlgorithm { return core.RefAlgorithm{} },
 	}
 	for _, algName := range []string{"directcontr", "ref"} {

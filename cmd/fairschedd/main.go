@@ -2,13 +2,16 @@
 // concurrent scheduling runs open — single-cluster engine runs and
 // federated multi-cluster runs — managed as sessions over HTTP/JSON.
 //
-//	fairschedd -addr :8080 -alg ref -orgs 3 -machines 6
+//	fairschedd -addr :8080 -checkpoint-dir /var/lib/fairschedd
 //
-// The flags above boot a classic single run as the session named
-// "default", served both at /v1/sessions/default/... and at the
-// legacy single-run paths (/v1/jobs, /v1/advance, ...). Further
-// sessions — including federations — are created at runtime:
+// The flags describe the process — listen address, checkpoint store,
+// flush period, advance pipeline — and nothing about any run. A
+// session's static configuration comes from one place, the body of the
+// POST /v1/sessions that creates it, and its state from the store or a
+// POST /v1/sessions/{id}/restore:
 //
+//	curl -X POST localhost:8080/v1/sessions -d '{"id":"r1","kind":"single",
+//	  "alg":"ref","orgs":3,"machines":6}'
 //	curl -X POST localhost:8080/v1/sessions -d '{"id":"f1","kind":"federation",
 //	  "org_names":["a","b"],"policy":"fairness",
 //	  "clusters":[{"name":"east","alg":"ref","machines":[2,0]},
@@ -25,9 +28,7 @@
 // are quarantined as "<name>.corrupt" and reported instead of blocking
 // the boot. -flush-interval additionally flushes dirty sessions in the
 // background at that period, bounding what a hard crash can lose to
-// one interval per session. -restore preloads the default session from
-// a raw engine checkpoint (the pre-session format) taken under the same
-// -alg, -orgs, -machines and -split.
+// one interval per session.
 //
 // Serving: with -pipeline-workers N, advance requests run through the
 // async serving pipeline — a session's requests enqueue onto the one
@@ -50,9 +51,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/ctrl"
 	"repro/internal/daemon"
-	"repro/internal/model"
 )
 
 // app is a built daemon: the session manager plus the serving options.
@@ -128,29 +127,12 @@ func build(args []string, stderr io.Writer) (*app, error) {
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", ":8080", "HTTP listen address")
-		algName  = fs.String("alg", "ref", "default session algorithm: ref, rand, directcontr, nbs, fairshare, utfairshare, currfairshare, roundrobin, fcfs")
-		orgs     = fs.Int("orgs", 3, "default session: number of organizations")
-		machines = fs.Int("machines", 0, "default session: total machines (0 = #orgs)")
-		split    = fs.String("split", "zipf", "default session machine split: zipf | uniform")
-		seed     = fs.Int64("seed", 1, "default session random seed")
-		samples  = fs.Int("rand-n", 15, "RAND sample count")
-		strat    = fs.Bool("rand-stratified", false, "RAND: draw permutations in position-stratified rotations")
-		driver   = fs.String("ref-driver", "heap", "REF event loop: heap or scan")
-		restore  = fs.String("restore", "", "engine checkpoint file to resume the default session from (same -alg, -orgs, -machines, -split)")
-		admPol   = fs.String("admission", "", "default session admission policy: always | tokenbucket | backpressure (empty = no admission gate)")
-		admRate  = fs.Int64("admission-rate", 1, "token bucket: jobs admitted per period")
-		admPer   = fs.Int64("admission-period", 1, "token bucket: refill period in simulation ticks")
-		admBurst = fs.Int64("admission-burst", 1, "token bucket: burst capacity in jobs")
-		admSize  = fs.Bool("admission-size-cost", false, "token bucket: charge tokens proportional to job size")
-		admWait  = fs.Int("admission-max-waiting", 0, "backpressure: defer admissions while this many jobs wait (0 = admit only an empty queue)")
-		admRetry = fs.Int64("admission-retry-after", 1, "backpressure: ticks until a deferred admission retries")
-		admMax   = fs.Int("admission-max-attempts", 0, "admission retries before a deferred job is rejected (0 = unbounded)")
-		admStale = fs.Int64("admission-staleness", 0, "admission gate: max age of the load view decisions observe (0 = fresh)")
 		ckptDir  = fs.String("checkpoint-dir", "", "directory for session checkpoints: reloaded at boot, flushed on graceful shutdown")
 		flushInt = fs.Duration("flush-interval", 0, "background flush period for dirty sessions (0 = flush only at shutdown; needs -checkpoint-dir)")
 		pipeW    = fs.Int("pipeline-workers", 0, "async advance pipeline workers (0 = advance synchronously in the handler)")
-		noDef    = fs.Bool("no-default-session", false, "start with an empty session table (sessions created via the API only)")
 	)
+	// Ignored, declared only because bench/child.go passes it (ROADMAP item 1(a) unpins it).
+	fs.Bool("no-default-session", false, "ignored; every session is created via the API")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil, err
@@ -180,67 +162,17 @@ func build(args []string, stderr io.Writer) (*app, error) {
 			fmt.Fprintf(stderr, "fairschedd: restored session(s) %s from %s\n", strings.Join(ids, ", "), *ckptDir)
 		}
 	}
-	if _, exists := mgr.Get(daemon.DefaultSession); !exists && !*noDef {
-		if *orgs < 1 {
-			return nil, fmt.Errorf("need at least one organization")
-		}
-		cfg := daemon.SessionConfig{
-			Kind:        daemon.KindSingle,
-			Alg:         *algName,
-			Orgs:        *orgs,
-			Machines:    *machines,
-			Split:       *split,
-			Seed:        *seed,
-			RandSamples: *samples,
-			Stratified:  *strat,
-			RefDriver:   *driver,
-		}
-		if *admPol != "" {
-			cfg.Admission = &ctrl.PolicySpec{
-				Policy:      *admPol,
-				Rate:        *admRate,
-				Period:      model.Time(*admPer),
-				Burst:       *admBurst,
-				SizeCost:    *admSize,
-				MaxWaiting:  *admWait,
-				RetryAfter:  model.Time(*admRetry),
-				MaxAttempts: *admMax,
-				Staleness:   model.Time(*admStale),
-			}
-		}
-		sess, err := mgr.Create(daemon.DefaultSession, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if *restore != "" {
-			data, err := os.ReadFile(*restore)
-			if err != nil {
-				return nil, err
-			}
-			if err := sess.Restore(data); err != nil {
-				return nil, err
-			}
-			st := sess.State()
-			fmt.Fprintf(stderr, "fairschedd: restored %s at t=%d with %d jobs\n", st.Algorithm, st.Now, st.Jobs)
-		}
-	} else if *restore != "" {
-		// -restore targets a fresh default session only: refusing beats
-		// silently serving a -checkpoint-dir state the operator did not
-		// ask for (or dropping the file under -no-default-session).
-		return nil, fmt.Errorf("-restore conflicts with an existing %q session (reloaded from -checkpoint-dir?) or -no-default-session", daemon.DefaultSession)
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(stderr, "fairschedd: "+format+"\n", args...)
 	}
 	a := &app{srv: daemon.NewServer(mgr), addr: *addr, ckptDir: *ckptDir, store: store}
-	a.srv.SetLogf(func(format string, args ...any) {
-		fmt.Fprintf(stderr, "fairschedd: "+format+"\n", args...)
-	})
+	a.srv.SetLogf(logf)
 	if *pipeW > 0 {
 		a.pipe = daemon.NewPipeline(daemon.PipelineOptions{Workers: *pipeW})
 		a.srv.UsePipeline(a.pipe)
 	}
 	if *flushInt > 0 {
-		a.flusher = daemon.StartFlusher(mgr, store, *flushInt, func(format string, args ...any) {
-			fmt.Fprintf(stderr, "fairschedd: "+format+"\n", args...)
-		})
+		a.flusher = daemon.StartFlusher(mgr, store, *flushInt, logf)
 	}
 	return a, nil
 }

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,54 +18,78 @@ import (
 	"repro/internal/daemon"
 )
 
+// must sends one request, demands the given status and returns the raw
+// reply.
+func must(t *testing.T, ts *httptest.Server, want int, method, path, body string) string {
+	t.Helper()
+	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != want {
+		t.Fatalf("%s %s: %d, want %d: %s", method, path, resp.StatusCode, want, raw)
+	}
+	return string(raw)
+}
+
 func TestBuildFlagParsing(t *testing.T) {
 	var stderr bytes.Buffer
-	a, err := build([]string{"-alg", "directcontr", "-orgs", "4", "-machines", "8", "-addr", ":9999"}, &stderr)
+	a, err := build([]string{"-addr", ":9999"}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a == nil || a.addr != ":9999" {
 		t.Fatalf("build: app=%v", a)
 	}
-	if _, ok := a.srv.Manager().Get(daemon.DefaultSession); !ok {
-		t.Fatal("boot did not create the default session")
+	if n := len(a.srv.Manager().List()); n != 0 {
+		t.Fatalf("boot without a checkpoint directory created %d session(s)", n)
 	}
-	if _, err := build([]string{"-alg", "nope"}, &stderr); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	// The flags describe the process, never a run: -h lists these five.
+	stderr.Reset()
+	if _, err := build([]string{"-h"}, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
 	}
-	if _, err := build([]string{"-orgs", "0"}, &stderr); err == nil {
-		t.Fatal("zero organizations accepted")
+	var listed []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(stderr.String(), -1) {
+		listed = append(listed, m[1])
 	}
-	if _, err := build([]string{"-no-default-session", "-restore", "whatever.ckpt"}, &stderr); err == nil {
-		t.Fatal("-restore without a fresh default session accepted")
+	slices.Sort(listed)
+	if want := []string{"addr", "checkpoint-dir", "flush-interval", "no-default-session", "pipeline-workers"}; !slices.Equal(listed, want) {
+		t.Fatalf("-h lists %v, want %v", listed, want)
 	}
-	if _, err := build([]string{"-rand-stratified", "-alg", "rand"}, &stderr); err != nil {
-		t.Fatalf("-rand-stratified rejected: %v", err)
-	}
-	if _, err := build([]string{"-ref-driver", "bogus"}, &stderr); err == nil {
-		t.Fatal("unknown REF driver accepted")
-	}
-	if _, err := build([]string{"-restore", "/nonexistent/ckpt"}, &stderr); err == nil {
-		t.Fatal("missing checkpoint file accepted")
-	}
-	// The parallel federation data plane and the REF/RAND worker pool
-	// are gone and their flags with them: the standard unknown-flag
-	// usage error, not a silent no-op.
-	for _, retired := range []string{"-fed-workers", "-workers"} {
+	// The default session, the parallel federation data plane and the
+	// REF/RAND worker pool are gone and their flags with them: the
+	// standard unknown-flag usage error, not a silent no-op.
+	for _, retired := range []string{
+		"-alg", "-orgs", "-machines", "-split", "-seed", "-rand-n", "-rand-stratified", "-ref-driver", "-restore",
+		"-admission", "-admission-rate", "-admission-period", "-admission-burst", "-admission-size-cost",
+		"-admission-max-waiting", "-admission-retry-after", "-admission-max-attempts", "-admission-staleness",
+		"-fed-workers", "-workers",
+	} {
 		stderr.Reset()
 		if _, err := build([]string{retired, "2"}, &stderr); err == nil {
 			t.Fatalf("retired %s flag accepted", retired)
 		}
-		if !strings.Contains(stderr.String(), "flag provided but not defined: "+retired) {
+		if !strings.Contains(stderr.String(), "flag provided but not defined: "+retired+"\n") {
 			t.Fatalf("%s did not produce the unknown-flag usage error: %s", retired, stderr.String())
 		}
 	}
+	// Declared and ignored (bench/child.go passes it).
 	a, err = build([]string{"-no-default-session"}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a.srv.Manager().Get(daemon.DefaultSession); ok {
-		t.Fatal("-no-default-session still created a default session")
+	if n := len(a.srv.Manager().List()); n != 0 {
+		t.Fatalf("-no-default-session boot holds %d session(s)", n)
 	}
 	if _, err := build([]string{"-flush-interval", "1s"}, &stderr); err == nil {
 		t.Fatal("-flush-interval without -checkpoint-dir accepted")
@@ -80,112 +107,62 @@ func TestBuildFlagParsing(t *testing.T) {
 	a.shutdown(nil, &stderr)
 }
 
-// End-to-end daemon smoke over the legacy single-run endpoints: boot
-// from flags, submit jobs over HTTP, advance, drain decisions,
-// checkpoint to disk, and boot a second daemon from that checkpoint.
-// These are the pre-session paths, kept as aliases of the "default"
-// session.
+// End-to-end daemon smoke: create a session over HTTP, submit jobs,
+// advance, drain decisions, checkpoint, and resume a session of the
+// same configuration on a second daemon from that checkpoint — the
+// create body is the only source of the configuration on both.
 func TestDaemonRoundTripAndRestore(t *testing.T) {
-	var stderr bytes.Buffer
-	a, err := build([]string{"-alg", "ref", "-orgs", "2", "-machines", "3", "-seed", "7"}, &stderr)
+	const create = `{"id":"run","kind":"single","alg":"ref","orgs":2,"machines":3,"seed":7}`
+	a, err := build(nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(a.srv.Handler())
 	defer ts.Close()
 
-	post := func(path, body string) map[string]any {
-		t.Helper()
-		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: %d: %s", path, resp.StatusCode, raw)
-		}
-		var out map[string]any
-		if err := json.Unmarshal(raw, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	must(t, ts, http.StatusCreated, "POST", "/v1/sessions", create)
+	must(t, ts, http.StatusOK, "POST", "/v1/sessions/run/jobs", `{"jobs":[{"org":0,"size":3},{"org":1,"size":2},{"org":1,"size":4,"release":5}]}`)
+	adv := must(t, ts, http.StatusOK, "POST", "/v1/sessions/run/advance", `{"until":30}`)
+	if n := strings.Count(adv, `"job":`); n != 3 {
+		t.Fatalf("daemon made %d decisions, want 3: %s", n, adv)
 	}
+	snap := must(t, ts, http.StatusOK, "GET", "/v1/sessions/run/checkpoint", "")
 
-	post("/v1/jobs", `{"jobs":[{"org":0,"size":3},{"org":1,"size":2},{"org":1,"size":4,"release":5}]}`)
-	adv := post("/v1/advance", `{"until":30}`)
-	if n := len(adv["decisions"].([]any)); n != 3 {
-		t.Fatalf("daemon made %d decisions, want 3", n)
-	}
-
-	resp, err := ts.Client().Get(ts.URL + "/v1/checkpoint")
+	b, err := build(nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := os.WriteFile(ckpt, snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The flags own the default session's shape: a checkpoint of other
-	// organizations or machines is refused, like one of another -alg.
-	if _, err := build([]string{"-alg", "ref", "-restore", ckpt}, &stderr); err == nil {
-		t.Fatal("-restore of a 2-org checkpoint into the default 3-org session accepted")
-	}
-	stderr.Reset()
-	a2, err := build([]string{"-alg", "ref", "-orgs", "2", "-machines", "3", "-restore", ckpt}, &stderr)
-	if err != nil {
-		t.Fatalf("boot from checkpoint: %v", err)
-	}
-	ts2 := httptest.NewServer(a2.srv.Handler())
+	ts2 := httptest.NewServer(b.srv.Handler())
 	defer ts2.Close()
-	resp, err = ts2.Client().Get(ts2.URL + "/v1/state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var state map[string]any
-	if err := json.Unmarshal(raw, &state); err != nil {
-		t.Fatal(err)
-	}
-	if state["now"].(float64) != 30 || state["decisions"].(float64) != 3 {
-		t.Fatalf("restored daemon state: %v", state)
-	}
-	if !strings.Contains(stderr.String(), "restored") {
-		t.Fatalf("boot log missing restore notice: %q", stderr.String())
-	}
-	// A restored daemon keeps serving: feed one more job and drain it.
-	resp2, err := ts2.Client().Post(ts2.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"jobs":[{"org":0,"size":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	adv2 := post2(t, ts2, "/v1/advance", `{"until":40}`)
-	if n := len(adv2["decisions"].([]any)); n != 1 {
-		t.Fatalf("restored daemon scheduled %d jobs, want 1: %v", n, adv2)
-	}
-}
 
-func post2(t *testing.T, ts *httptest.Server, path, body string) map[string]any {
-	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	// The create body owns the session's shape: a checkpoint of other
+	// organizations or machines is refused, like one of another alg.
+	must(t, ts2, http.StatusCreated, "POST", "/v1/sessions", `{"id":"wide","kind":"single","alg":"ref"}`)
+	must(t, ts2, http.StatusBadRequest, "POST", "/v1/sessions/wide/restore", snap)
+	must(t, ts2, http.StatusCreated, "POST", "/v1/sessions", `{"id":"dc","kind":"single","alg":"directcontr","orgs":2,"machines":3,"seed":7}`)
+	must(t, ts2, http.StatusBadRequest, "POST", "/v1/sessions/dc/restore", snap)
+
+	must(t, ts2, http.StatusCreated, "POST", "/v1/sessions", create)
+	if got := must(t, ts2, http.StatusOK, "POST", "/v1/sessions/run/restore", snap); got != `{"decisions":3,"now":30}`+"\n" {
+		t.Fatalf("restore reply: %s", got)
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: %d: %s", path, resp.StatusCode, raw)
+	if st, want := must(t, ts2, http.StatusOK, "GET", "/v1/sessions/run/state", ""), must(t, ts, http.StatusOK, "GET", "/v1/sessions/run/state", ""); st != want {
+		t.Fatalf("restored daemon state:\n%s\nwant\n%s", st, want)
 	}
-	var out map[string]any
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
+	// A restored daemon keeps serving, and continues exactly as the one
+	// that never stopped: feed both one more job and drain it.
+	var cont [2]string
+	for i, srv := range []*httptest.Server{ts, ts2} {
+		must(t, srv, http.StatusOK, "POST", "/v1/sessions/run/jobs", `{"jobs":[{"org":0,"size":1}]}`)
+		cont[i] = must(t, srv, http.StatusOK, "POST", "/v1/sessions/run/advance", `{"until":40}`)
+		cont[i] += must(t, srv, http.StatusOK, "GET", "/v1/sessions/run/state", "")
 	}
-	return out
+	if n := strings.Count(cont[1], `"job":`); n != 1 {
+		t.Fatalf("restored daemon scheduled %d jobs, want 1: %s", n, cont[1])
+	}
+	if cont[0] != cont[1] {
+		t.Fatalf("restored daemon diverged:\n%s\nwant\n%s", cont[1], cont[0])
+	}
 }
 
 // TestGracefulShutdownFlushesSessions: on SIGINT/SIGTERM the daemon
@@ -194,29 +171,22 @@ func post2(t *testing.T, ts *httptest.Server, path, body string) map[string]any 
 func TestGracefulShutdownFlushesSessions(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpts")
 	var stderr bytes.Buffer
-	a, err := build([]string{"-alg", "directcontr", "-orgs", "2", "-checkpoint-dir", dir}, &stderr)
+	a, err := build([]string{"-checkpoint-dir", dir}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(a.srv.Handler())
 
-	// A second, federated session alongside the default one.
-	post2(t, ts, "/v1/jobs", `{"jobs":[{"org":0,"size":4},{"org":1,"size":2}]}`)
-	post2(t, ts, "/v1/advance", `{"until":10}`)
-	resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(`{
+	// A single-cluster and a federated session side by side.
+	must(t, ts, http.StatusCreated, "POST", "/v1/sessions", `{"id":"solo","kind":"single","alg":"directcontr","orgs":2}`)
+	must(t, ts, http.StatusOK, "POST", "/v1/sessions/solo/jobs", `{"jobs":[{"org":0,"size":4},{"org":1,"size":2}]}`)
+	must(t, ts, http.StatusOK, "POST", "/v1/sessions/solo/advance", `{"until":10}`)
+	must(t, ts, http.StatusCreated, "POST", "/v1/sessions", `{
 	  "id":"fedrun","kind":"federation","org_names":["a","b"],"policy":"leastloaded","seed":3,
 	  "clusters":[{"name":"east","alg":"directcontr","machines":[2,0]},
-	              {"name":"west","alg":"directcontr","machines":[0,1]}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusCreated {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("create federated session: %d: %s", resp.StatusCode, raw)
-	}
-	resp.Body.Close()
-	post2(t, ts, "/v1/sessions/fedrun/jobs", `{"jobs":[{"cluster":0,"org":0,"size":5},{"cluster":0,"org":1,"size":3}]}`)
-	post2(t, ts, "/v1/sessions/fedrun/advance", `{"until":6}`)
+	              {"name":"west","alg":"directcontr","machines":[0,1]}]}`)
+	must(t, ts, http.StatusOK, "POST", "/v1/sessions/fedrun/jobs", `{"jobs":[{"cluster":0,"org":0,"size":5},{"cluster":0,"org":1,"size":3}]}`)
+	must(t, ts, http.StatusOK, "POST", "/v1/sessions/fedrun/advance", `{"until":6}`)
 	ts.Close()
 
 	// The signal path: shutdown drains HTTP and flushes every session.
@@ -224,7 +194,7 @@ func TestGracefulShutdownFlushesSessions(t *testing.T) {
 	if !strings.Contains(stderr.String(), "flushed 2 session checkpoint(s)") {
 		t.Fatalf("shutdown log missing flush notice: %q", stderr.String())
 	}
-	for _, name := range []string{"default.session.json", "fedrun.session.json"} {
+	for _, name := range []string{"solo.session.json", "fedrun.session.json"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("missing flushed envelope: %v", err)
 		}
@@ -236,12 +206,12 @@ func TestGracefulShutdownFlushesSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stderr.String(), "restored session(s) default, fedrun") {
+	if !strings.Contains(stderr.String(), "restored session(s) fedrun, solo") {
 		t.Fatalf("boot log missing reload notice: %q", stderr.String())
 	}
-	def, _ := b.srv.Manager().Get(daemon.DefaultSession)
-	if st := def.State(); st.Now != 10 || st.Jobs != 2 {
-		t.Fatalf("default session resumed wrong: %+v", st)
+	solo, _ := b.srv.Manager().Get("solo")
+	if st := solo.State(); st.Now != 10 || st.Jobs != 2 {
+		t.Fatalf("single session resumed wrong: %+v", st)
 	}
 	fr, ok := b.srv.Manager().Get("fedrun")
 	if !ok {
@@ -260,14 +230,14 @@ func TestGracefulShutdownFlushesSessions(t *testing.T) {
 func TestKillAndRestartUnderPeriodicFlush(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpts")
 	var stderr bytes.Buffer
-	a, err := build([]string{"-alg", "directcontr", "-orgs", "2",
-		"-checkpoint-dir", dir, "-flush-interval", "2ms", "-pipeline-workers", "2"}, &stderr)
+	a, err := build([]string{"-checkpoint-dir", dir, "-flush-interval", "2ms", "-pipeline-workers", "2"}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(a.srv.Handler())
-	post2(t, ts, "/v1/jobs", `{"jobs":[{"org":0,"size":4},{"org":1,"size":2}]}`)
-	post2(t, ts, "/v1/advance", `{"until":10}`)
+	must(t, ts, http.StatusCreated, "POST", "/v1/sessions", `{"id":"solo","kind":"single","alg":"directcontr","orgs":2}`)
+	must(t, ts, http.StatusOK, "POST", "/v1/sessions/solo/jobs", `{"jobs":[{"org":0,"size":4},{"org":1,"size":2}]}`)
+	must(t, ts, http.StatusOK, "POST", "/v1/sessions/solo/advance", `{"until":10}`)
 	ts.Close()
 
 	// Wait until the envelope on disk reflects the advanced state (the
@@ -278,7 +248,7 @@ func TestKillAndRestartUnderPeriodicFlush(t *testing.T) {
 	for {
 		scratch := daemon.NewManager()
 		if ids, _, err := scratch.LoadStore(daemon.NewDirStore(dir)); err == nil && len(ids) == 1 {
-			if s, ok := scratch.Get(daemon.DefaultSession); ok && s.State().Now == 10 {
+			if s, ok := scratch.Get("solo"); ok && s.State().Now == 10 {
 				break
 			}
 		}
@@ -304,11 +274,51 @@ func TestKillAndRestartUnderPeriodicFlush(t *testing.T) {
 	if !strings.Contains(stderr.String(), "quarantined corrupt envelope") {
 		t.Fatalf("boot log missing quarantine notice: %q", stderr.String())
 	}
-	def, ok := b.srv.Manager().Get(daemon.DefaultSession)
+	solo, ok := b.srv.Manager().Get("solo")
 	if !ok {
-		t.Fatal("default session lost across the kill")
+		t.Fatal("session lost across the kill")
 	}
-	if st := def.State(); st.Now != 10 || st.Jobs != 2 || st.Decisions != 2 {
+	if st := solo.State(); st.Now != 10 || st.Jobs != 2 || st.Decisions != 2 {
 		t.Fatalf("session resumed at %+v, want the last flushed state", st)
+	}
+}
+
+// testdata/ckptdir/default.session.json is the store the parent
+// commit's `fairschedd -alg ref -orgs 3 -machines 6 -checkpoint-dir`
+// left behind (14 jobs, one advance to t=6, SIGTERM) when the flags
+// still built a "default" session. It boots as an ordinary session and
+// continues with the replies the parent's own reboot gave.
+func TestParentDefaultEnvelopeBoots(t *testing.T) {
+	dir := t.TempDir()
+	env, err := os.ReadFile(filepath.Join("testdata", "ckptdir", "default.session.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "default.session.json"), env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	a, err := build([]string{"-checkpoint-dir", dir}, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr.String(), "restored session(s) default from") {
+		t.Fatalf("boot log: %q", stderr.String())
+	}
+	ts := httptest.NewServer(a.srv.Handler())
+	defer ts.Close()
+	for _, step := range []struct{ method, path, body, want string }{
+		{"GET", "/v1/sessions", "",
+			`{"sessions":[{"id":"default","kind":"single","now":6,"jobs":14,"decisions":10}]}`},
+		{"POST", "/v1/sessions/default/jobs", `{"jobs":[{"org":0,"size":3},{"org":1,"size":2},{"org":2,"size":5,"release":9}]}`,
+			`{"ids":[14,15,16],"now":6}`},
+		{"POST", "/v1/sessions/default/advance", `{"until":40}`,
+			`{"decisions":[{"job":6,"org":1,"cluster":0,"machine":0,"at":7},{"job":11,"org":1,"cluster":0,"machine":1,"at":7},{"job":15,"org":1,"cluster":0,"machine":4,"at":7},{"job":10,"org":0,"cluster":0,"machine":5,"at":8},{"job":16,"org":2,"cluster":0,"machine":3,"at":9},{"job":14,"org":0,"cluster":0,"machine":4,"at":9},{"job":13,"org":2,"cluster":0,"machine":0,"at":20}],"now":40}`},
+		{"GET", "/v1/sessions/default/state", "",
+			`{"id":"default","kind":"single","algorithm":"REF","now":40,"jobs":17,"decisions":17,"psi":[981,812,763],"phi":[993.8333333333333,835.8333333333333,726.3333333333333],"value":2556,"utilization":0.3125}`},
+	} {
+		if got := must(t, ts, http.StatusOK, step.method, step.path, step.body); got != step.want+"\n" {
+			t.Fatalf("%s %s:\n%s\nwant the parent's\n%s", step.method, step.path, got, step.want)
+		}
 	}
 }

@@ -113,7 +113,7 @@ func specs(w *gen.FedWorkload) []fed.ClusterSpec {
 	for c := range out {
 		out[c] = fed.ClusterSpec{
 			Name:     fmt.Sprintf("site%d", c),
-			Alg:      core.DirectContrAlgorithm().(core.StepperAlgorithm),
+			Alg:      core.DirectContrAlgorithm(),
 			Machines: w.Machines[c],
 		}
 	}

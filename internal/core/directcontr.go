@@ -59,7 +59,7 @@ func (p *DirectContr) OrderMachines(_ model.Time, free []int) {
 	p.rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
 }
 
-// DirectContrAlgorithm returns DIRECTCONTR as an Algorithm.
-func DirectContrAlgorithm() Algorithm {
+// DirectContrAlgorithm returns DIRECTCONTR as a StepperAlgorithm.
+func DirectContrAlgorithm() StepperAlgorithm {
 	return FromPolicy("DirectContr", func() sim.Policy { return NewDirectContr() })
 }

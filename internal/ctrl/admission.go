@@ -292,9 +292,9 @@ type PolicySpec struct {
 // Build resolves the spec into a live admission policy.
 func (s PolicySpec) Build() (AdmissionPolicy, error) {
 	switch s.Policy {
-	case "", "always", "alwaysadmit", "always-admit":
+	case "", "always":
 		return AlwaysAdmit{}, nil
-	case "tokenbucket", "token-bucket":
+	case "tokenbucket":
 		// Period validates like the other knobs instead of silently
 		// clamping to 1: a spec that meant "rate per 1000 ticks" but
 		// dropped the period would otherwise refill 1000× too fast.
@@ -302,7 +302,7 @@ func (s PolicySpec) Build() (AdmissionPolicy, error) {
 			return nil, fmt.Errorf("ctrl: token bucket spec needs rate, period and burst >= 1 (have rate %d, period %d, burst %d)", s.Rate, s.Period, s.Burst)
 		}
 		return &TokenBucket{Rate: s.Rate, Period: s.Period, Burst: s.Burst, SizeCost: s.SizeCost, MaxDefers: s.MaxAttempts}, nil
-	case "backpressure", "queue-depth":
+	case "backpressure":
 		p := Backpressure{MaxWaiting: s.MaxWaiting, RetryAfter: s.RetryAfter, MaxAttempts: s.MaxAttempts}
 		if p.RetryAfter < 1 {
 			p.RetryAfter = 1

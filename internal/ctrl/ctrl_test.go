@@ -486,6 +486,11 @@ func TestPolicySpecBuild(t *testing.T) {
 		{PolicySpec{Policy: "backpressure", MaxWaiting: 8}, "backpressure", true},
 		{PolicySpec{Policy: "backpressure"}, "", false},
 		{PolicySpec{Policy: "nonsense"}, "", false},
+		// One spelling per policy: the retired aliases no longer build.
+		{PolicySpec{Policy: "alwaysadmit"}, "", false},
+		{PolicySpec{Policy: "always-admit"}, "", false},
+		{PolicySpec{Policy: "token-bucket", Rate: 2, Period: 5, Burst: 10}, "", false},
+		{PolicySpec{Policy: "queue-depth", MaxWaiting: 8}, "", false},
 	}
 	for i, c := range cases {
 		p, err := c.spec.Build()

@@ -28,6 +28,8 @@ type backend interface {
 	submit(jobs []JobSubmission) ([]int64, error)
 	// step advances to until and returns the fresh decisions.
 	step(until model.Time) ([]Decision, error)
+	// counts returns the jobs accepted and the decisions logged so far.
+	counts() (jobs, decisions int)
 	// state returns a state reply with the kind-specific fields filled
 	// (by value: a pointer through the interface would escape).
 	state() StateReply
@@ -75,12 +77,14 @@ func (r singleRun) step(until model.Time) ([]Decision, error) {
 	return fromStarts(starts), err
 }
 
+func (r singleRun) counts() (jobs, decisions int) {
+	return len(r.Instance().Jobs), len(r.Decisions())
+}
+
 func (r singleRun) state() StateReply {
 	res := r.Result()
 	return StateReply{
 		Algorithm:   res.Algorithm,
-		Jobs:        len(r.Instance().Jobs),
-		Decisions:   len(r.Decisions()),
 		Psi:         res.Psi,
 		Phi:         res.Phi,
 		Value:       res.Value,
@@ -121,13 +125,15 @@ func (r *fedRun) step(until model.Time) ([]Decision, error) {
 	return fromFedDecisions(decs), err
 }
 
+func (r *fedRun) counts() (jobs, decisions int) {
+	return int(r.Submitted()), len(r.Decisions())
+}
+
 func (r *fedRun) state() StateReply {
 	l := r.Ledger()
 	reply := StateReply{
 		Policy:     r.Policy().Name(),
-		Jobs:       int(r.Submitted()),
 		Pending:    r.PendingCount(),
-		Decisions:  len(r.Decisions()),
 		Psi:        l.FederationPsi(),
 		Value:      l.FederationValue(),
 		Offloaded:  l.Offloaded(),

@@ -53,10 +53,10 @@ type ClusterConfig struct {
 	Machines []int  `json:"machines"`
 }
 
-// SessionConfig is the serializable static configuration of a session.
-// Single-run fields mirror the classic fairschedd flags; federation
-// fields mirror fed.New. Algorithms and policies are referenced by
-// name so configurations survive checkpoint files.
+// SessionConfig is the serializable static configuration of a session:
+// the body of the POST /v1/sessions that creates it, kept in its stored
+// envelope, and set by nothing else. Algorithms and policies are
+// referenced by name so configurations survive checkpoint files.
 type SessionConfig struct {
 	Kind string `json:"kind"`
 
@@ -109,16 +109,8 @@ func (c SessionConfig) buildAlg(name string) (core.StepperAlgorithm, error) {
 	if err != nil {
 		return nil, err
 	}
-	alg, err := exp.AlgorithmByName(name, samples,
+	return exp.AlgorithmByName(name, samples,
 		core.RefOptions{Driver: driver}, core.RandOptions{Stratified: c.Stratified})
-	if err != nil {
-		return nil, err
-	}
-	stepper, ok := alg.(core.StepperAlgorithm)
-	if !ok {
-		return nil, fmt.Errorf("daemon: algorithm %q cannot run incrementally", alg.Name())
-	}
-	return stepper, nil
 }
 
 func defaultStr(s, def string) string {
@@ -197,10 +189,11 @@ var errRestoreConfig = errors.New("daemon: session configuration no longer build
 // snapshot is nil (create), the snapshot's otherwise (restore) — and is
 // the only place a config turns into an algorithm, an instance, member
 // specs, a delegation policy, a staleness and an admission spec. The
-// config owns the admission spec: snapshots carry one only so the
-// layers below can rebuild the plane's dynamic state, and a snapshot
-// taken under a different spec (or none, or one where the config has
-// none) is rejected rather than allowed to re-gate the session.
+// config owns the admission spec and the staleness: snapshots carry
+// them only so the layers below can rebuild the dynamic state that
+// depends on them, and a snapshot taken under a different spec (or
+// none, or one where the config has none) or staleness is rejected
+// rather than allowed to re-gate or re-pace the session.
 func (c SessionConfig) open(snapshot []byte) (backend, error) {
 	// A configuration that does not build is the request's fault on
 	// create and the server's on restore: it built once.
@@ -248,7 +241,11 @@ func (c SessionConfig) open(snapshot []byte) (backend, error) {
 		}
 		var f *fed.Federation
 		if snapshot != nil {
+			// The config owns the staleness too; SetStaleness reads < 0 as 0.
 			f, err = fed.Restore(c.OrgNames, specs, policy, snapshot)
+			if want := max(c.Staleness, 0); err == nil && f.Staleness() != want {
+				err = fmt.Errorf("daemon: restore: snapshot taken under staleness %d, session configured with %d", f.Staleness(), want)
+			}
 		} else if f, err = fed.New(c.OrgNames, specs, policy, c.Seed); err == nil {
 			f.SetStaleness(c.Staleness)
 			err = f.SetAdmission(c.Admission)
@@ -295,9 +292,6 @@ type Session struct {
 
 // ID returns the session's identifier.
 func (s *Session) ID() string { return s.id }
-
-// Kind returns KindSingle or KindFederation.
-func (s *Session) Kind() string { return s.cfg.Kind }
 
 // Config returns the session's static configuration.
 func (s *Session) Config() SessionConfig { return s.cfg }
@@ -417,12 +411,23 @@ func admissionState(spec *ctrl.PolicySpec, st *metrics.AdmissionStats) *Admissio
 	return &AdmissionState{Policy: name, Stats: st.Clone()}
 }
 
-// now reads the session clock — what a handler that reports only the
-// clock asks for, instead of a whole State evaluation.
-func (s *Session) now() model.Time {
+// sessionRow is a session's line in the listing: its clock and its job
+// and decision counts.
+type sessionRow struct {
+	ID        string     `json:"id"`
+	Kind      string     `json:"kind"`
+	Now       model.Time `json:"now"`
+	Jobs      int        `json:"jobs"`
+	Decisions int        `json:"decisions"`
+}
+
+// summary reads the session's row — what a handler that reports only
+// the clock or the counts asks for, instead of a whole State evaluation.
+func (s *Session) summary() sessionRow {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run.Now()
+	jobs, decisions := s.run.counts()
+	return sessionRow{ID: s.id, Kind: s.cfg.Kind, Now: s.run.Now(), Jobs: jobs, Decisions: decisions}
 }
 
 // State evaluates the session at its current clock.
@@ -431,6 +436,7 @@ func (s *Session) State() StateReply {
 	defer s.mu.Unlock()
 	reply := s.run.state()
 	reply.ID, reply.Kind, reply.Now = s.id, s.cfg.Kind, s.run.Now()
+	reply.Jobs, reply.Decisions = s.run.counts()
 	if next := s.run.NextEventTime(); next != sim.MaxTime {
 		reply.NextEvent = &next
 	}

@@ -50,6 +50,43 @@ func narrowCfg() daemon.SessionConfig {
 	return cfg
 }
 
+// roomyFedCfg is fedCfg with more machines at both members.
+func roomyFedCfg() daemon.SessionConfig {
+	cfg := fedCfg()
+	cfg.Clusters = []daemon.ClusterConfig{
+		{Name: "east", Alg: "ref", Machines: []int{5, 0}},
+		{Name: "west", Alg: "directcontr", Machines: []int{3, 4}},
+	}
+	return cfg
+}
+
+// staleFedCfg is fedCfg gossiping summaries every 500 ticks.
+func staleFedCfg() daemon.SessionConfig {
+	cfg := fedCfg()
+	cfg.Staleness = 500
+	return cfg
+}
+
+// forgeMachineRows gives a federation checkpoint the per-member
+// "machines" rows older builds wrote next to the engine snapshots,
+// claiming cfg's grid.
+func forgeMachineRows(t *testing.T, snap []byte, cfg daemon.SessionConfig) []byte {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(snap, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var members []map[string]json.RawMessage
+	if err := json.Unmarshal(doc["members"], &members); err != nil {
+		t.Fatal(err)
+	}
+	for c := range members {
+		members[c]["machines"] = json.RawMessage(mustJSON(t, cfg.Clusters[c].Machines))
+	}
+	doc["members"] = json.RawMessage(mustJSON(t, members))
+	return []byte(mustJSON(t, doc))
+}
+
 // tooManyOrgs rewrites a single-run checkpoint to declare one
 // organization more than model.MaxOrgs.
 func tooManyOrgs(t *testing.T, snap []byte) []byte {
@@ -186,6 +223,18 @@ func TestMultiSessionDaemon(t *testing.T) {
 		t.Fatalf("fleet state has no per-cluster rows: %v", fleetState)
 	}
 
+	// The listing reports each session's clock and counts as /state does,
+	// without evaluating the state.
+	list = a.do("GET", "/v1/sessions", "", http.StatusOK)
+	for i, st := range []map[string]any{soloState, fleetState} {
+		row := list["sessions"].([]any)[i].(map[string]any)
+		for _, k := range []string{"id", "kind", "now", "jobs", "decisions"} {
+			if row[k] != st[k] || len(row) != 5 {
+				t.Fatalf("list row %v disagrees with state %v on %q", row, st, k)
+			}
+		}
+	}
+
 	// A create body written for the retired parallel data plane or the
 	// retired REF/RAND worker pool still carries "fed_workers" or
 	// "workers": both are ignored, and the session it creates answers
@@ -244,6 +293,13 @@ func TestSessionAPIValidation(t *testing.T) {
 	a := newAPI(t)
 	a.do("POST", "/v1/sessions", `{"kind":"bogus"}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"kind":"single","alg":"nope"}`, http.StatusBadRequest)
+	a.do("POST", "/v1/sessions", `{"kind":"single","orgs":-1}`, http.StatusBadRequest)
+	a.do("POST", "/v1/sessions", `{"kind":"single","ref_driver":"bogus"}`, http.StatusBadRequest)
+	a.do("POST", "/v1/sessions", `{"id":"strat","kind":"single","alg":"rand","rand_stratified":true}`, http.StatusCreated)
+	if alg := a.do("GET", "/v1/sessions/strat/state", "", http.StatusOK)["algorithm"]; alg != "Rand(N=15,stratified)" {
+		t.Fatalf("rand_stratified session runs %v, want the stratified sampler", alg)
+	}
+	a.do("DELETE", "/v1/sessions/strat", "", http.StatusOK)
 	a.do("POST", "/v1/sessions", `{"kind":"federation","org_names":["a"],"policy":"bogus",
 	  "clusters":[{"name":"x","alg":"ref","machines":[1]}]}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"kind":"federation","org_names":["a"],
@@ -264,9 +320,24 @@ func TestSessionAPIValidation(t *testing.T) {
 		t.Fatalf("GET .../jobs: status %d, want 405", resp.StatusCode)
 	}
 	a.do("POST", "/v1/sessions/dup/restore", `{"version":99}`, http.StatusBadRequest)
-	// No default session was created: legacy aliases 404 rather than
-	// silently touching some other session.
-	a.do("POST", "/v1/jobs", `{"jobs":[{"org":0,"size":1}]}`, http.StatusNotFound)
+	// No route names a session implicitly: the single-run paths are not
+	// mounted, whatever the sessions are called.
+	a.do("POST", "/v1/sessions", `{"id":"default","kind":"single"}`, http.StatusCreated)
+	for _, route := range [][2]string{
+		{"POST", "/v1/jobs"}, {"POST", "/v1/advance"}, {"GET", "/v1/state"},
+		{"GET", "/v1/decisions"}, {"GET", "/v1/checkpoint"}, {"POST", "/v1/restore"},
+	} {
+		req, err := http.NewRequest(route[0], a.ts.URL+route[1], strings.NewReader(`{"jobs":[{"org":0,"size":1}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := a.ts.Client().Do(req); err != nil {
+			t.Fatal(err)
+		} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404", route[0], route[1], resp.StatusCode)
+		}
+	}
+	a.do("DELETE", "/v1/sessions/default", "", http.StatusOK)
 
 	// Delete + recreate under the same id must not duplicate the
 	// listing (the creation-order index forgets deleted ids).
@@ -321,7 +392,9 @@ func TestSessionAPIValidation(t *testing.T) {
 	alwaysSingle.Admission = &ctrl.PolicySpec{Policy: "always"}
 	ungatedSingle := gatedSingleCfg()
 	ungatedSingle.Admission = nil
-	create("fed-plain", fedCfg())
+	ungatedFed := gatedFedCfg()
+	ungatedFed.Admission = nil
+	create("fed-plain", ungatedFed)
 	create("fed-gated", gatedFedCfg())
 	create("one-plain", ungatedSingle)
 	create("one-always", alwaysSingle)
@@ -351,6 +424,28 @@ func TestSessionAPIValidation(t *testing.T) {
 	// is a 400 like any other bad snapshot, not a panic that drops the
 	// connection.
 	rejected("wide", "restore", string(tooManyOrgs(t, a.raw("/v1/sessions/wide/checkpoint"))))
+
+	// And a federation's: its members' machine pools — the engine
+	// snapshots are held to the configured grid, whatever a redundant
+	// "machines" row claims or omits, where a {2,0}/{0,2} session used
+	// to come back running {5,0}/{3,4} — and its gossip staleness, where
+	// the session used to pace on the snapshot's Δt under a config, and
+	// a next envelope, that said another.
+	create("fed-tight", fedCfg())
+	create("fed-roomy", roomyFedCfg())
+	create("fed-stale", staleFedCfg())
+	for _, id := range []string{"fed-tight", "fed-roomy", "fed-stale"} {
+		a.do("POST", "/v1/sessions/"+id+"/jobs", mustJSON(t, map[string]any{"jobs": overloadJobs(0)}), http.StatusOK)
+		a.do("POST", "/v1/sessions/"+id+"/advance", `{"until":30}`, http.StatusOK)
+	}
+	roomy := a.raw("/v1/sessions/fed-roomy/checkpoint")
+	rejected("fed-tight", "restore", string(roomy))
+	rejected("fed-tight", "restore", string(forgeMachineRows(t, roomy, fedCfg())))
+	rejected("fed-tight", "restore", string(a.raw("/v1/sessions/fed-stale/checkpoint")))
+	rejected("fed-stale", "restore", string(a.raw("/v1/sessions/fed-tight/checkpoint")))
+	for _, id := range []string{"fed-tight", "fed-roomy", "fed-stale"} {
+		a.do("POST", "/v1/sessions/"+id+"/restore", string(a.raw("/v1/sessions/"+id+"/checkpoint")), http.StatusOK)
+	}
 
 	// A batch with one bad job is refused whole, for federations as for
 	// single runs: a client that retries it must not duplicate the jobs
@@ -425,7 +520,7 @@ func streamingSnapshot(t *testing.T) []byte {
 	}
 	specs := []fed.ClusterSpec{
 		{Name: "east", Alg: core.RefAlgorithm{}, Machines: []int{2, 0}},
-		{Name: "west", Alg: core.DirectContrAlgorithm().(core.StepperAlgorithm), Machines: []int{0, 2}},
+		{Name: "west", Alg: core.DirectContrAlgorithm(), Machines: []int{0, 2}},
 	}
 	f, err := fed.New([]string{"alpha", "beta"}, specs, policy, 7)
 	if err != nil {

@@ -35,10 +35,9 @@ import (
 // or space or starts with a dot 400; a request body over maxBodyBytes
 // answers 413.
 //
-// The classic single-run endpoints (/v1/jobs, /v1/advance, /v1/state,
-// /v1/decisions, /v1/checkpoint, /v1/restore) remain mounted as
-// aliases for the session named "default", so pre-session clients and
-// scripts keep working against a daemon booted with the legacy flags.
+// Every run is reached through its session id: the create body is the
+// only source of a session's static configuration, and no route names a
+// session implicitly.
 type Server struct {
 	mgr     *Manager
 	pipe    *Pipeline
@@ -71,9 +70,6 @@ func (s *Server) logf(format string, args ...any) {
 // before the handler starts serving.
 func (s *Server) UsePipeline(p *Pipeline) { s.pipe = p }
 
-// DefaultSession is the id the legacy single-run endpoints alias.
-const DefaultSession = "default"
-
 // Handler returns the server's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -87,25 +83,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}/decisions", s.withSession((*Server).handleDecisions))
 	mux.HandleFunc("GET /v1/sessions/{id}/checkpoint", s.withSession((*Server).handleCheckpoint))
 	mux.HandleFunc("POST /v1/sessions/{id}/restore", s.withSession((*Server).handleRestore))
-
-	// Legacy aliases onto the default session.
-	alias := func(h func(*Server, http.ResponseWriter, *http.Request, *Session)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			sess, ok := s.mgr.Get(DefaultSession)
-			if !ok {
-				s.writeError(w, http.StatusNotFound, "no %q session (daemon booted without a default run)", DefaultSession)
-				return
-			}
-			h(s, w, r, sess)
-		}
-	}
-	mux.HandleFunc("POST /v1/jobs", alias((*Server).handleJobs))
-	mux.HandleFunc("POST /v1/advance", alias((*Server).handleAdvance))
-	mux.HandleFunc("GET /v1/state", alias((*Server).handleState))
-	mux.HandleFunc("GET /v1/decisions", alias((*Server).handleDecisions))
-	mux.HandleFunc("GET /v1/checkpoint", alias((*Server).handleCheckpoint))
-	mux.HandleFunc("POST /v1/restore", alias((*Server).handleRestore))
-
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		s.writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "sessions": s.mgr.count()})
 	})
@@ -167,17 +144,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	type row struct {
-		ID        string     `json:"id"`
-		Kind      string     `json:"kind"`
-		Now       model.Time `json:"now"`
-		Jobs      int        `json:"jobs"`
-		Decisions int        `json:"decisions"`
-	}
-	rows := []row{}
+	rows := []sessionRow{}
 	for _, sess := range s.mgr.List() {
-		st := sess.State()
-		rows = append(rows, row{ID: sess.ID(), Kind: sess.Kind(), Now: st.Now, Jobs: st.Jobs, Decisions: st.Decisions})
+		rows = append(rows, sess.summary())
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"sessions": rows})
 }
@@ -204,7 +173,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, sess *Sessio
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "now": sess.now()})
+	s.writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "now": sess.summary().Now})
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, sess *Session) {
@@ -298,8 +267,8 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, sess *Ses
 		s.writeError(w, status, "%v", err)
 		return
 	}
-	st := sess.State()
-	s.writeJSON(w, http.StatusOK, map[string]any{"now": st.Now, "decisions": st.Decisions})
+	sum := sess.summary()
+	s.writeJSON(w, http.StatusOK, map[string]any{"now": sum.Now, "decisions": sum.Decisions})
 }
 
 // writeJSON marshals v before touching the response, so a value that

@@ -170,13 +170,33 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 	if err := st.Save(daemon.Envelope{ID: "huge", Config: wideCfg(), Snapshot: tooManyOrgs(t, snap)}); err != nil {
 		t.Fatal(err)
 	}
+	// So is a federation envelope whose member snapshots run another
+	// machine grid than its config (behind "machines" rows that claim the
+	// config's), or whose snapshot gossips at another staleness.
+	for id, cfg := range map[string]daemon.SessionConfig{"pool": roomyFedCfg(), "pace": staleFedCfg()} {
+		other, err := daemon.NewManager().Create(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap, err = other.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Save(daemon.Envelope{ID: id, Config: fedCfg(), Snapshot: forgeMachineRows(t, snap, fedCfg())}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mgr := daemon.NewManager()
 	ids, quarantined, err := mgr.LoadStore(daemon.NewDirStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 0 || len(quarantined) != 5 {
+	if len(ids) != 0 || len(quarantined) != 7 {
 		t.Fatalf("ids=%v quarantined=%v", ids, quarantined)
+	}
+	for _, q := range quarantined {
+		if why := map[string]string{"pool": "machines", "pace": "staleness"}[q.ID]; !strings.Contains(q.Err.Error(), why) {
+			t.Fatalf("%s quarantined for another reason than its %s: %v", q.ID, why, q.Err)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "old.session.json.corrupt")); err != nil {
 		t.Fatalf("version-3 envelope not quarantined: %v", err)

@@ -20,7 +20,7 @@ func steppers() []core.StepperAlgorithm {
 		core.RefAlgorithm{Opts: core.RefOptions{Driver: core.DriverScan}},
 		core.RandAlgorithm{Samples: 7},
 		core.RandAlgorithm{Samples: 6, Opts: core.RandOptions{Stratified: true}},
-		core.DirectContrAlgorithm().(core.StepperAlgorithm),
+		core.DirectContrAlgorithm(),
 		core.NbsAlgorithm{},
 		core.FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }),
 		core.FromPolicy("FairShare", func() sim.Policy { return baseline.NewFairShare() }),

@@ -64,15 +64,7 @@ func (cfg FedConfig) memberAlg() (core.StepperAlgorithm, error) {
 	if samples <= 0 {
 		samples = 15
 	}
-	alg, err := AlgorithmByName(cfg.Alg, samples, cfg.RefOpts, core.RandOptions{})
-	if err != nil {
-		return nil, err
-	}
-	stepper, ok := alg.(core.StepperAlgorithm)
-	if !ok {
-		return nil, fmt.Errorf("exp: member algorithm %q cannot run incrementally", alg.Name())
-	}
-	return stepper, nil
+	return AlgorithmByName(cfg.Alg, samples, cfg.RefOpts, core.RandOptions{})
 }
 
 // runFederated routes one generated workload under one delegation

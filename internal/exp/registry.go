@@ -9,15 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-// AlgorithmByName resolves a command-line algorithm name. randSamples
-// and randOpts parameterize "rand"; refOpts parameterizes "ref".
-func AlgorithmByName(name string, randSamples int, refOpts core.RefOptions, randOpts core.RandOptions) (core.Algorithm, error) {
+// AlgorithmByName resolves a command-line algorithm name (matched
+// case-insensitively). randSamples and randOpts parameterize "rand";
+// refOpts parameterizes "ref".
+func AlgorithmByName(name string, randSamples int, refOpts core.RefOptions, randOpts core.RandOptions) (core.StepperAlgorithm, error) {
 	switch strings.ToLower(name) {
 	case "ref":
 		return core.RefAlgorithm{Opts: refOpts}, nil
 	case "rand":
 		return core.RandAlgorithm{Samples: randSamples, Opts: randOpts}, nil
-	case "directcontr", "direct":
+	case "directcontr":
 		return core.DirectContrAlgorithm(), nil
 	case "nbs":
 		return core.NbsAlgorithm{}, nil
@@ -27,7 +28,7 @@ func AlgorithmByName(name string, randSamples int, refOpts core.RefOptions, rand
 		return core.FromPolicy("UtFairShare", func() sim.Policy { return baseline.NewUtFairShare() }), nil
 	case "currfairshare":
 		return core.FromPolicy("CurrFairShare", func() sim.Policy { return baseline.NewCurrFairShare() }), nil
-	case "roundrobin", "rr":
+	case "roundrobin":
 		return core.FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }), nil
 	case "fcfs":
 		return core.FromPolicy("FCFS", func() sim.Policy { return baseline.NewFCFS() }), nil

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -9,20 +10,30 @@ import (
 )
 
 func TestAlgorithmByName(t *testing.T) {
-	names := []string{"ref", "rand", "directcontr", "direct", "fairshare",
-		"utfairshare", "currfairshare", "roundrobin", "rr", "fcfs", "REF", "FairShare"}
-	for _, n := range names {
-		alg, err := AlgorithmByName(n, 15, core.RefOptions{}, core.RandOptions{})
-		if err != nil {
-			t.Errorf("AlgorithmByName(%q): %v", n, err)
-			continue
+	_, unknown := AlgorithmByName("nope", 15, core.RefOptions{}, core.RandOptions{})
+	if unknown == nil || !strings.Contains(unknown.Error(), "unknown algorithm") {
+		t.Fatalf("unknown algorithm accepted: %v", unknown)
+	}
+	// One spelling per algorithm, matched case-insensitively, and the
+	// error's "want" list is the whole table.
+	for _, n := range []string{"ref", "rand", "directcontr", "nbs", "fairshare",
+		"utfairshare", "currfairshare", "roundrobin", "fcfs"} {
+		for _, spelled := range []string{n, strings.ToUpper(n)} {
+			alg, err := AlgorithmByName(spelled, 15, core.RefOptions{}, core.RandOptions{})
+			if err != nil {
+				t.Errorf("AlgorithmByName(%q): %v", spelled, err)
+			} else if !strings.EqualFold(strings.SplitN(alg.Name(), "(", 2)[0], n) {
+				t.Errorf("%q resolved to %q", spelled, alg.Name())
+			}
 		}
-		if alg.Name() == "" {
-			t.Errorf("%q resolved to unnamed algorithm", n)
+		if !regexp.MustCompile(`[( ]` + n + `[,) ]`).MatchString(unknown.Error()) {
+			t.Errorf("error does not offer %q: %v", n, unknown)
 		}
 	}
-	if _, err := AlgorithmByName("nope", 15, core.RefOptions{}, core.RandOptions{}); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
-		t.Errorf("unknown algorithm accepted: %v", err)
+	for _, alias := range []string{"direct", "rr"} {
+		if _, err := AlgorithmByName(alias, 15, core.RefOptions{}, core.RandOptions{}); err == nil {
+			t.Errorf("retired alias %q still resolves", alias)
+		}
 	}
 }
 

@@ -74,12 +74,12 @@ type SourceCheckpoint struct {
 	Last   model.Time `json:"last,omitempty"`
 }
 
-// MemberCheckpoint is one member cluster's state: identity, machine
-// grid row, the local-ID→sequence and local-ID→origin mappings (−1 =
-// migrated-away tombstone), and the engine snapshot.
+// MemberCheckpoint is one member cluster's state: identity, the
+// local-ID→sequence and local-ID→origin mappings (−1 = migrated-away
+// tombstone), and the engine snapshot — the one record of the member's
+// organizations and machine pool.
 type MemberCheckpoint struct {
 	Name     string          `json:"name"`
-	Machines []int           `json:"machines"`
 	SeqOf    []int64         `json:"seq_of,omitempty"`
 	OriginOf []int           `json:"origin_of,omitempty"`
 	Engine   json.RawMessage `json:"engine"`
@@ -132,13 +132,8 @@ func (f *Federation) Snapshot() ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fed: snapshot cluster %d (%s): %w", i, m.name, err)
 		}
-		machines := make([]int, len(f.orgs))
-		for o, org := range m.eng.Instance().Orgs {
-			machines[o] = org.Machines
-		}
 		cp.Members = append(cp.Members, MemberCheckpoint{
 			Name:     m.name,
-			Machines: machines,
 			SeqOf:    m.seqOf,
 			OriginOf: m.originOf,
 			Engine:   snap,
@@ -254,18 +249,20 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		if spec.Alg == nil {
 			return nil, fmt.Errorf("fed: restore: cluster %d (%s) has no algorithm", i, spec.Name)
 		}
-		if len(spec.Machines) != len(orgs) {
-			return nil, fmt.Errorf("fed: restore: cluster %d (%s) has %d machine entries for %d organizations",
-				i, spec.Name, len(spec.Machines), len(orgs))
-		}
-		for o := range spec.Machines {
-			if o < len(mc.Machines) && spec.Machines[o] != mc.Machines[o] {
-				return nil, fmt.Errorf("fed: restore: cluster %d (%s) machine grid differs from checkpoint at organization %d", i, spec.Name, o)
-			}
-		}
 		eng, err := engine.Restore(spec.Alg, mc.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("fed: restore cluster %d (%s): %w", i, spec.Name, err)
+		}
+		// The configuration owns each member's organizations and machine
+		// pool: hold the restored instance itself to what New would build.
+		got := eng.Instance().Orgs
+		same := len(got) == len(orgs) && len(spec.Machines) == len(orgs)
+		for o := 0; same && o < len(got); o++ {
+			same = got[o].Name == orgs[o] && got[o].Machines == spec.Machines[o] && len(got[o].Speeds) == 0
+		}
+		if !same {
+			return nil, fmt.Errorf("fed: restore: cluster %d (%s) snapshot runs organizations %+v, configuration %v with machines %v",
+				i, spec.Name, got, orgs, spec.Machines)
 		}
 		if eng.Admission() != nil {
 			// Admission is the federation's, in front of routing; a gate

@@ -36,7 +36,7 @@ func algFactory(name string) core.StepperAlgorithm {
 	case "rand":
 		return core.RandAlgorithm{Samples: 5}
 	case "directcontr":
-		return core.DirectContrAlgorithm().(core.StepperAlgorithm)
+		return core.DirectContrAlgorithm()
 	case "fairshare":
 		return core.FromPolicy("FairShare", func() sim.Policy { return baseline.NewFairShare() })
 	default:
@@ -215,6 +215,36 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 	bad[1].Machines[0]++
 	if _, err := fed.Restore(w.Orgs, bad, fed.LeastLoaded{}, snap); err == nil {
 		t.Error("restore with a different machine grid accepted")
+	}
+	// The member engine snapshots are the one record of the machine
+	// pools: the per-member "machines" rows older builds wrote next to
+	// them are not read, so rows rewritten to the restoring grid do not
+	// get a foreign snapshot in, nor keep the capturing grid's out.
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(snap, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var rowed []map[string]json.RawMessage
+	if err := json.Unmarshal(doc["members"], &rowed); err != nil {
+		t.Fatal(err)
+	}
+	for c := range rowed {
+		if rowed[c]["machines"], err = json.Marshal(bad[c].Machines); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if doc["members"], err = json.Marshal(rowed); err != nil {
+		t.Fatal(err)
+	}
+	forged, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fed.Restore(w.Orgs, bad, fed.LeastLoaded{}, forged); err == nil {
+		t.Error("restore with a different machine grid accepted behind rewritten machines rows")
+	}
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, forged); err != nil {
+		t.Errorf("restore under the capturing grid refused over ignored machines rows: %v", err)
 	}
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, snap[:len(snap)/2]); err == nil {
 		t.Error("restore from truncated snapshot accepted")

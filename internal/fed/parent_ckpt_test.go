@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"repro/internal/ctrl"
@@ -60,7 +61,9 @@ func parentCkptFederation(t testing.TB, gated bool) *fed.Federation {
 // direct and plane release loops became one, gated and ungated. Each
 // must restore under the current code, re-capture to the parent's bytes
 // — as must a fresh run stepped to the same instant, so the layout did
-// not move — and run on to the horizon exactly as an uninterrupted run.
+// not move, but for the per-member "machines" rows that duplicated the
+// engine snapshots and are no longer written or read — and run on to
+// the horizon exactly as an uninterrupted run.
 func TestParentCheckpointsRestore(t *testing.T) {
 	for _, gated := range []bool{false, true} {
 		name := "direct"
@@ -86,6 +89,10 @@ func TestParentCheckpointsRestore(t *testing.T) {
 			if ledger := restored.Ledger(); ledger.Migrations == 0 {
 				t.Fatal("the checkpoint predates the first migration — it does not exercise re-delegation")
 			}
+			want := regexp.MustCompile(`"machines":\[[0-9,]*\],`).ReplaceAll(raw, nil)
+			if len(want) == len(raw) {
+				t.Fatal("the fixture carries no machines rows — it does not exercise reading past them")
+			}
 			straight := parentCkptFederation(t, gated)
 			if _, err := straight.Step(parentCkptAt); err != nil {
 				t.Fatal(err)
@@ -95,7 +102,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(snap, raw) {
+				if !bytes.Equal(snap, want) {
 					t.Errorf("%s run's snapshot at t=%d differs from the parent's bytes", label, parentCkptAt)
 				}
 			}

@@ -367,28 +367,28 @@ func PolicyByName(name string) (Policy, error) {
 		return p, nil
 	}
 	switch low {
-	case "local", "localonly", "local-only":
+	case "local":
 		return LocalOnly{}, nil
-	case "leastloaded", "least-loaded", "greedy":
+	case "leastloaded":
 		return LeastLoaded{}, nil
-	case "fairness", "fairness-aware", "fair":
+	case "fairness":
 		return FairnessAware{}, nil
-	case "fairness-capacity", "capacity":
+	case "fairness-capacity":
 		return FairnessCapacity{}, nil
-	case "fairness-decay", "fairness-decayed", "decay":
+	case "fairness-decay":
 		return FairnessDecayed{}, nil
-	case "fedref", "ref":
+	case "fedref":
 		return RefPolicy{}, nil
-	case "fedref-migrate", "ref-migrate":
+	case "fedref-migrate":
 		return Migrating{Inner: RefPolicy{}, Budget: DefaultMigrationBudget}, nil
-	case "fednbs", "nbs":
+	case "fednbs":
 		return NBSPolicy{}, nil
-	case "fednbs-migrate", "nbs-migrate":
+	case "fednbs-migrate":
 		return Migrating{Inner: NBSPolicy{}, Budget: DefaultMigrationBudget}, nil
-	case "fairness-migrate", "fair-migrate":
+	case "fairness-migrate":
 		return Migrating{Inner: FairnessAware{}, Budget: DefaultMigrationBudget}, nil
 	default:
-		return nil, fmt.Errorf("fed: unknown delegation policy %q (want local, leastloaded, fairness, fairness-capacity, fairness-decay, fedref, fedref-migrate, fednbs, fednbs-migrate or fairness-migrate)", name)
+		return nil, fmt.Errorf("fed: unknown delegation policy %q (want local, leastloaded, fairness, fairness-capacity, fairness-decay, fedref, fedref-migrate, fednbs, fednbs-migrate, fairness-migrate or fedref-sample<N>[-migrate])", name)
 	}
 }
 

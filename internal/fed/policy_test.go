@@ -2,6 +2,8 @@ package fed_test
 
 import (
 	"bytes"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/fed"
@@ -112,33 +114,36 @@ func TestFairnessDecayedExpires(t *testing.T) {
 }
 
 func TestPolicyByName(t *testing.T) {
-	for name, want := range map[string]string{
-		"local":             "local",
-		"Local-Only":        "local",
-		"leastloaded":       "leastloaded",
-		"greedy":            "leastloaded",
-		"fairness":          "fairness",
-		"FAIR":              "fairness",
-		"fairness-capacity": "fairness-capacity",
-		"capacity":          "fairness-capacity",
-		"fairness-decay":    "fairness-decay",
-		"decay":             "fairness-decay",
-		"fedref":            "fedref",
-		"REF":               "fedref",
-		"fednbs":            "fednbs",
-		"NBS":               "fednbs",
-		"fednbs-migrate":    "fednbs-migrate",
+	_, bogus := fed.PolicyByName("bogus")
+	if bogus == nil {
+		t.Fatal("unknown policy name accepted")
+	}
+	// One spelling per policy, matched case-insensitively, and the
+	// error's "want" list is the whole table.
+	for _, name := range []string{
+		"local", "leastloaded", "fairness", "fairness-capacity", "fairness-decay",
+		"fedref", "fedref-migrate", "fednbs", "fednbs-migrate", "fairness-migrate",
 	} {
-		p, err := fed.PolicyByName(name)
-		if err != nil {
-			t.Fatalf("PolicyByName(%q): %v", name, err)
+		for _, spelled := range []string{name, strings.ToUpper(name)} {
+			p, err := fed.PolicyByName(spelled)
+			if err != nil {
+				t.Fatalf("PolicyByName(%q): %v", spelled, err)
+			}
+			if p.Name() != name {
+				t.Fatalf("PolicyByName(%q) = %q, want %q", spelled, p.Name(), name)
+			}
 		}
-		if p.Name() != want {
-			t.Fatalf("PolicyByName(%q) = %q, want %q", name, p.Name(), want)
+		if !regexp.MustCompile(`[( ]` + name + `[,) ]`).MatchString(bogus.Error()) {
+			t.Fatalf("error does not offer %q: %v", name, bogus)
 		}
 	}
-	if _, err := fed.PolicyByName("bogus"); err == nil {
-		t.Fatal("unknown policy name accepted")
+	for _, alias := range []string{
+		"localonly", "local-only", "least-loaded", "greedy", "fairness-aware", "fair", "capacity",
+		"fairness-decayed", "decay", "ref", "ref-migrate", "nbs", "nbs-migrate", "fair-migrate",
+	} {
+		if _, err := fed.PolicyByName(alias); err == nil {
+			t.Fatalf("retired alias %q still resolves", alias)
+		}
 	}
 }
 
