@@ -146,18 +146,19 @@ func (r *RandSched) phiAt(t model.Time) []float64 {
 }
 
 // computePhi refreshes the Monte-Carlo contribution estimates at t:
-// φ[u] = (1/N)·Σ over sampled permutations of v(pred∪{u}) − v(pred).
+// φ[u] = (1/N)·Σ over sampled permutations of v(pred∪{u}) − v(pred),
+// the marginals summed as integers and divided once, so the estimate
+// does not depend on the order the permutations were drawn in.
 func (r *RandSched) computePhi(t model.Time) {
 	for u, terms := range r.preds {
-		var sum float64
+		var sum int64
 		for _, m := range terms {
-			v := r.valueAt(m.with, t)
+			sum += r.valueAt(m.with, t)
 			if m.pred >= 0 {
-				v -= r.valueAt(m.pred, t)
+				sum -= r.valueAt(m.pred, t)
 			}
-			sum += float64(v)
 		}
-		r.phi[u] = sum / float64(r.samples)
+		r.phi[u] = float64(sum) / float64(r.samples)
 	}
 }
 

@@ -14,10 +14,12 @@ import (
 type RefDriver int
 
 const (
-	// DriverHeap (the default) keeps the schedules in an indexed event
-	// min-heap and pops the globally earliest event, advancing and
-	// re-evaluating only the clusters that event touches; every other
-	// coalition's value is read from a cached ValuePoly in O(1).
+	// DriverHeap (the default) is the touched-set mode: it keeps every
+	// schedule's next event time in a flat key array, finds the globally
+	// earliest event by scanning it, and advances and re-evaluates only
+	// the clusters that event touches; every other coalition's value is
+	// read from a cached ValuePoly in O(1). The name is the wire
+	// spelling, "ref_driver":"heap".
 	DriverHeap RefDriver = iota
 	// DriverScan is the loop's reference mode: scan every schedule for
 	// the minimum event time, advance every cluster to it and read
@@ -49,7 +51,7 @@ func (d RefDriver) String() string {
 // RefOptions tunes the reference algorithm.
 type RefOptions struct {
 	// Driver selects the event loop; see RefDriver. The zero value is
-	// the event-heap driver.
+	// the touched-set mode.
 	Driver RefDriver
 	// Rotate enables the within-instant deficit rotation ablation: after
 	// each start, the chosen organization's standing is provisionally
@@ -82,13 +84,14 @@ type Ref struct {
 	phi    [][]float64       // per slot: contribution vector
 	adj    [][]float64       // per slot: rotation adjustments (Rotate only)
 	// ct is the game-generic contribution engine: the dense coalition
-	// value snapshot, dispatch stamps and memoized weight tables live
-	// there; this file only decides which coalition to compute φ for.
-	// The engine reads values through game, the org-level ContribGame
-	// instance (built once — per-step interface construction would be
-	// an allocation on the dispatch path).
-	ct   *shapley.Contrib
-	game shapley.ContribGame
+	// value snapshot and memoized weight tables live there; this file
+	// only decides when to snapshot and which coalition to compute φ
+	// for. The engine reads values through game, the org-level
+	// ContribGame instance (built once — per-step interface
+	// construction would be an allocation on the dispatch path).
+	ct     *shapley.Contrib
+	game   shapley.ContribGame
+	snapAt model.Time // the instant ct's snapshot was taken at; -1 before the first
 }
 
 // NewRef builds the reference scheduler for the instance.
@@ -99,6 +102,7 @@ func NewRef(inst *model.Instance, opts RefOptions) *Ref {
 		grand:  model.Grand(k),
 		slotOf: make([]int, 1<<uint(k)),
 		ct:     shapley.NewContrib(k),
+		snapAt: -1,
 	}
 	r.game = orgGame{r}
 	for size := 1; size <= k; size++ {
@@ -153,25 +157,30 @@ func (r *Ref) Game() shapley.ContribGame { return r.game }
 // stepping loop the streaming engine executes one event at a time.
 func (r *Ref) Run(until model.Time) *Result { return runStepper(r, until) }
 
+// snapshot fills the engine with every coalition's value at t through
+// the org-level game, once per instant: values at t do not depend on
+// what starts at t (schedSet invariant 2), so the first dispatching
+// coalition of an instant pays one pass over the 2^k−1 slots and every
+// later one, however many dispatch at t, shares it.
+func (r *Ref) snapshot(t model.Time) {
+	if r.snapAt != t {
+		r.ct.Refresh(r.game, t)
+		r.snapAt = t
+	}
+}
+
 // retarget implements plug: the exact Shapley contributions of the
-// slot's coalition (the UpdateVals procedure of Figure 1). The engine's
-// value snapshot is filled lazily through the org-level game; its
-// stamps make each subcoalition cost one evaluation per instant however
-// many coalitions dispatch at it. Rotation adjustments reset alongside.
+// slot's coalition (the UpdateVals procedure of Figure 1). Rotation
+// adjustments reset alongside.
 func (r *Ref) retarget(slot int, t model.Time) {
-	mask := r.masks[slot]
-	r.ct.FillSubsets(r.game, mask, t)
-	r.ct.PhiInto(mask, r.phi[slot])
+	r.snapshot(t)
+	r.ct.PhiInto(r.masks[slot], r.phi[slot])
 	clear(r.adj[slot])
 }
 
-// phiAt implements plug: the grand coalition's exact contributions,
-// from a full live re-snapshot (every cluster stands at t).
+// phiAt implements plug: the grand coalition's exact contributions.
 func (r *Ref) phiAt(t model.Time) []float64 {
-	r.ct.Refresh(r.game, t)
-	grand := len(r.masks) - 1
-	r.ct.PhiInto(r.grand, r.phi[grand])
-	clear(r.adj[grand])
+	r.retarget(len(r.masks)-1, t)
 	return r.PhiOf(r.grand)
 }
 

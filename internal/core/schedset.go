@@ -20,12 +20,15 @@ import (
 // in which order they are checkpointed, and how a dispatching slot's
 // target vector is refreshed (see the plug table in DESIGN.md §2).
 //
-// By default the slots sit in an indexed min-heap keyed by
-// NextEventTime. A step pops exactly the slots whose event fires at the
-// earliest instant — the touched set — advances, dispatches and
-// re-snapshots only those, and re-inserts them; every other slot's
-// value is read in O(1) from its cached sim.ValuePoly, which stays
-// exact until that slot's own next event. Two sim.Cluster invariants
+// By default the set keeps one key per slot, its NextEventTime, in a
+// flat array. A step scans the keys for the earliest instant and takes
+// exactly the slots keyed by it — the touched set, in slot order —
+// advances, dispatches and re-snapshots only those, and stores their
+// new keys; every other slot's value is read in O(1) from its cached
+// sim.ValuePoly, which stays exact until that slot's own next event.
+// The scan is 2^k compares of adjacent words; an ordered structure
+// would pay a re-sift per touched slot instead, and a release touches
+// half of REF's slots (DESIGN.md §2.1). Two sim.Cluster invariants
 // make this equivalent to advancing everything (DESIGN.md §2.2):
 //
 //  1. A cluster can become dispatchable only through one of its own
@@ -39,13 +42,13 @@ import (
 //
 // The reference mode (scan; RefOptions.Driver == DriverScan) is the
 // same loop with the acceleration removed: the instant is found by
-// scanning, every slot is touched, values are read live — never the
-// heap, never a polynomial. It is the oracle the differential tests
-// hold the default mode to, and what a one-slot set runs (there is
-// nothing to index).
+// asking every cluster, every slot is touched, values are read live —
+// never a key, never a polynomial. It is the oracle the differential
+// tests hold the default mode to, and what a one-slot set runs (there
+// is nothing to cache).
 //
-// Heap keys and polynomials are never serialized: they are a function
-// of the cluster states (a slot's key is its NextEventTime, a fresh
+// Keys and polynomials are never serialized: they are a function of
+// the cluster states (a slot's key is its NextEventTime, a fresh
 // polynomial of an unchanged cluster evaluates identically on its
 // validity window), so restore rebuilds them and stays byte-identical.
 type schedSet struct {
@@ -59,7 +62,7 @@ type schedSet struct {
 	src   *stats.Source  // the decision schedule's RNG stream; nil when it has none
 	scan  bool           // reference mode
 
-	h       *eventHeap
+	keys    []model.Time // slot -> NextEventTime (sim.MaxTime: drained)
 	polys   []sim.ValuePoly
 	all     []int // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
 	touched []int // scratch
@@ -116,22 +119,22 @@ func (s *schedSet) set() *schedSet { return s }
 
 func (s *schedSet) decision() *sim.Cluster { return s.slots[len(s.slots)-1] }
 
-// rekeyAll (re)builds the heap and the polynomial cache from the
-// current cluster states — at construction and after restore. Inject
-// and Withdraw re-key only the slots they change (eventHeap.update);
-// the differential tests hold the incrementally maintained heap to
-// exactly the state this rebuild produces.
+// rekeyAll (re)builds the keys and the polynomial cache from the
+// current cluster states — at construction and after restore. A step,
+// Inject and Withdraw re-key only the slots they change; the
+// differential tests hold the incrementally maintained keys to exactly
+// the state this rebuild produces.
 func (s *schedSet) rekeyAll() {
 	if s.scan {
 		return
 	}
 	n := len(s.slots)
-	s.h = newEventHeap(n)
+	s.keys = make([]model.Time, n)
 	s.polys = make([]sim.ValuePoly, n)
 	s.touched = make([]int, 0, n)
 	for i, c := range s.slots {
 		s.polys[i] = c.ValuePoly()
-		s.h.update(i, c.NextEventTime())
+		s.keys[i] = c.NextEventTime()
 	}
 }
 
@@ -157,16 +160,18 @@ func (s *schedSet) Starts() []sim.Start { return s.decision().Starts() }
 // Withdrawn implements Stepper.
 func (s *schedSet) Withdrawn() int { return s.decision().WithdrawnCount() }
 
-// NextEventTime implements Stepper: the heap minimum, or the scanned
-// minimum in the reference mode.
+// NextEventTime implements Stepper: the smallest key, or in the
+// reference mode the smallest answer of the clusters themselves.
 func (s *schedSet) NextEventTime() model.Time {
-	if !s.scan {
-		if s.h.size() == 0 {
-			return sim.MaxTime
-		}
-		return s.h.minKey()
-	}
 	t := sim.MaxTime
+	if !s.scan {
+		for _, k := range s.keys {
+			if k < t {
+				t = k
+			}
+		}
+		return t
+	}
 	for _, c := range s.slots {
 		if e := c.NextEventTime(); e < t {
 			t = e
@@ -175,10 +180,10 @@ func (s *schedSet) NextEventTime() model.Time {
 	return t
 }
 
-// StepNext implements Stepper: pop the touched set at the earliest
+// StepNext implements Stepper: take the touched set at the earliest
 // instant, advance it, let its dispatchable slots schedule in slot
-// order against freshly refreshed targets, then re-snapshot and
-// re-insert it.
+// order against freshly refreshed targets, then re-snapshot and re-key
+// it.
 func (s *schedSet) StepNext(until model.Time) bool {
 	t := s.NextEventTime()
 	if t == sim.MaxTime || t > until {
@@ -187,8 +192,10 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	touched := s.all
 	if !s.scan {
 		touched = s.touched[:0]
-		for s.h.size() > 0 && s.h.minKey() == t {
-			touched = append(touched, s.h.pop())
+		for i, k := range s.keys {
+			if k == t {
+				touched = append(touched, i)
+			}
 		}
 		s.touched = touched
 	}
@@ -202,7 +209,7 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	if !s.scan {
 		for _, i := range touched {
 			s.polys[i] = s.slots[i].ValuePoly()
-			s.h.update(i, s.slots[i].NextEventTime())
+			s.keys[i] = s.slots[i].NextEventTime()
 		}
 	}
 	return true
@@ -230,8 +237,7 @@ func (s *schedSet) ResultAt(t model.Time) *Result {
 // Inject implements Stepper: register online arrivals (already appended
 // to the instance) with every slot; clusters ignore non-member jobs.
 // Cached polynomials stay exact — a pending release changes no executed
-// work — but keys go stale, so each slot is re-keyed in place (an O(1)
-// no-op for the slots the arrivals don't advance).
+// work — but keys go stale, so each slot is re-keyed in place.
 func (s *schedSet) Inject(ids []int) error {
 	for i, c := range s.slots {
 		for _, id := range ids {
@@ -251,9 +257,8 @@ func (s *schedSet) Inject(ids []int) error {
 // started the job keeps it (non-preemptive counterfactual work stands).
 // No executed work moves, so polynomials stay exact; only slots that
 // really lost a pending release can change their next event, and each
-// is re-keyed with an incremental heap sift (removal included, when the
-// withdrawal drained the slot's last event). Migration rounds withdraw
-// one job at a time: this is the hot path the indexed heap exists for.
+// is re-keyed with one store (sim.MaxTime when the withdrawal drained
+// the slot's last event).
 func (s *schedSet) Withdraw(id int) error {
 	if id < 0 || id >= len(s.inst.Jobs) {
 		return fmt.Errorf("core: %s: withdraw: job %d not in instance", s.name, id)
@@ -282,7 +287,7 @@ func (s *schedSet) Withdraw(id int) error {
 
 func (s *schedSet) rekey(slot int) {
 	if !s.scan {
-		s.h.update(slot, s.slots[slot].NextEventTime())
+		s.keys[slot] = s.slots[slot].NextEventTime()
 	}
 }
 
@@ -409,123 +414,4 @@ func (p *deficitPolicy) Select(_ model.Time, _ int) int {
 		p.adj[best]--
 	}
 	return best
-}
-
-// eventHeap is an indexed binary min-heap of slots keyed by next event
-// time, with the slot index — the dispatch order — as the tie-break, so
-// a touched set pops already ordered. key and pos are indexed by slot
-// (pos[slot] == -1 when absent): single-slot re-keys are O(log n) sifts.
-type eventHeap struct {
-	key  []model.Time
-	pos  []int
-	heap []int
-}
-
-func newEventHeap(n int) *eventHeap {
-	h := &eventHeap{
-		key:  make([]model.Time, n),
-		pos:  make([]int, n),
-		heap: make([]int, 0, n),
-	}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	return h
-}
-
-func (h *eventHeap) size() int { return len(h.heap) }
-
-func (h *eventHeap) minKey() model.Time { return h.key[h.heap[0]] }
-
-func (h *eventHeap) less(i, j int) bool {
-	a, b := h.heap[i], h.heap[j]
-	if h.key[a] != h.key[b] {
-		return h.key[a] < h.key[b]
-	}
-	return a < b
-}
-
-func (h *eventHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
-func (h *eventHeap) pop() int {
-	top := h.heap[0]
-	h.remove(top)
-	return top
-}
-
-// remove deletes slot from anywhere in the heap: swap with the last
-// entry, truncate, and re-sift the displaced entry.
-func (h *eventHeap) remove(slot int) {
-	i := h.pos[slot]
-	last := len(h.heap) - 1
-	h.swap(i, last)
-	h.heap = h.heap[:last]
-	h.pos[slot] = -1
-	if i < last {
-		h.fix(h.heap[i])
-	}
-}
-
-// fix restores the heap invariant after key[slot] changed in place: one
-// up-sift, then a down-sift if the entry did not move up.
-func (h *eventHeap) fix(slot int) {
-	i := h.pos[slot]
-	h.up(i)
-	if h.pos[slot] == i {
-		h.down(i)
-	}
-}
-
-// update is the single keying rule: slot is present iff k !=
-// sim.MaxTime, keyed by k. It inserts, removes or sifts as needed, and
-// is a no-op when the key is unchanged.
-func (h *eventHeap) update(slot int, k model.Time) {
-	switch {
-	case k == sim.MaxTime:
-		if h.pos[slot] >= 0 {
-			h.remove(slot)
-		}
-	case h.pos[slot] < 0:
-		h.key[slot] = k
-		h.pos[slot] = len(h.heap)
-		h.heap = append(h.heap, slot)
-		h.up(len(h.heap) - 1)
-	case h.key[slot] != k:
-		h.key[slot] = k
-		h.fix(slot)
-	}
-}
-
-func (h *eventHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *eventHeap) down(i int) {
-	n := len(h.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
 }

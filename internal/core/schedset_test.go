@@ -12,7 +12,8 @@ import (
 )
 
 // diffFamilies lists one algorithm per stepper family (RAND twice, for
-// both samplers) — the rows of every heap-vs-reference differential.
+// both samplers) — the rows of every touched-set-vs-reference
+// differential.
 func diffFamilies() []StepperAlgorithm {
 	return []StepperAlgorithm{
 		RefAlgorithm{},
@@ -26,10 +27,10 @@ func diffFamilies() []StepperAlgorithm {
 // setOf returns the schedule set under a stepper.
 func setOf(st Stepper) *schedSet { return st.(interface{ set() *schedSet }).set() }
 
-// newModeStepper starts a run in the heap mode or in the in-package
-// reference mode, whatever the algorithm's own default (a one-slot
-// policy set defaults to the reference mode; forcing it onto the heap
-// exercises the one-entry heap too).
+// newModeStepper starts a run in the touched-set mode or in the
+// in-package reference mode, whatever the algorithm's own default (a
+// one-slot policy set defaults to the reference mode; forcing it onto
+// the keys exercises the one-key array too).
 func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan bool) Stepper {
 	st := alg.NewStepper(in, seed)
 	s := setOf(st)
@@ -38,66 +39,38 @@ func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan b
 	return st
 }
 
-// checkHeapMatchesRebuild verifies the live event heap against the
-// keying rule rekeyAll implements — slot present iff its cluster's
-// NextEventTime != sim.MaxTime, keyed by it — plus the structural
-// invariants the incremental operations (fix/remove/update) must
-// maintain: the position index is exact and the heap property holds.
-// Content equality under a deterministic total order (key, then slot)
-// implies the incremental heap pops the same sequence a fresh rebuild
-// would, so this is the incremental-vs-rebuild differential.
-func checkHeapMatchesRebuild(t *testing.T, s *schedSet) {
+// checkKeysMatchRebuild verifies the live key array against the keying
+// rule rekeyAll implements: keys[i] is slot i's cluster's NextEventTime
+// (sim.MaxTime when it is drained) — the whole invariant of the
+// touched-set mode, so equality here means the incrementally maintained
+// keys select the same touched sets a fresh rebuild would.
+func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 	t.Helper()
 	if s.scan {
-		t.Fatal("heap check on a reference-mode set")
+		t.Fatal("key check on a reference-mode set")
 	}
-	h := s.h
-	for i, slot := range h.heap {
-		if h.pos[slot] != i {
-			t.Fatalf("pos[%d] = %d, heap position is %d", slot, h.pos[slot], i)
-		}
-	}
-	inHeap := make(map[int]bool, len(h.heap))
-	for _, slot := range h.heap {
-		inHeap[slot] = true
+	if len(s.keys) != len(s.slots) {
+		t.Fatalf("%d keys for %d slots", len(s.keys), len(s.slots))
 	}
 	for slot, c := range s.slots {
-		k := c.NextEventTime()
-		if k == sim.MaxTime {
-			if inHeap[slot] {
-				t.Fatalf("slot %d in heap but its cluster is drained", slot)
-			}
-			if h.pos[slot] != -1 {
-				t.Fatalf("drained slot %d has pos %d, want -1", slot, h.pos[slot])
-			}
-			continue
-		}
-		if !inHeap[slot] {
-			t.Fatalf("slot %d has next event %d but is missing from the heap", slot, k)
-		}
-		if h.key[slot] != k {
-			t.Fatalf("slot %d keyed %d, cluster's next event is %d", slot, h.key[slot], k)
-		}
-	}
-	for i := 1; i < len(h.heap); i++ {
-		if h.less(i, (i-1)/2) {
-			t.Fatalf("heap property violated at position %d (slot %d)", i, h.heap[i])
+		if k := c.NextEventTime(); s.keys[slot] != k {
+			t.Fatalf("slot %d keyed %d, cluster's next event is %d", slot, s.keys[slot], k)
 		}
 	}
 }
 
 // A randomized interleaving of event stepping, withdrawal and
-// re-injection must leave the incrementally maintained event heap in
-// exactly the state a fresh rekeyAll would produce after every
-// operation, and the run must end byte-identical to the reference mode
-// under the same mutation sequence (the executable spec: the reference
-// mode has no heap to corrupt) — for every stepper family, since the
-// heap belongs to the shared core.
+// re-injection must leave the incrementally maintained keys in exactly
+// the state a fresh rekeyAll would produce after every operation, and
+// the run must end byte-identical to the reference mode under the same
+// mutation sequence (the executable spec: the reference mode has no
+// keys to corrupt) — for every stepper family, since the keys belong to
+// the shared core.
 //
 // Mutations happen at synchronized instants — drain both runs to a
 // common time T, FinishAt(T), then withdraw/reinject on both. Mid-step
 // mutation acceptance is clock-dependent (a reinjection whose release
-// is now in the past is rejected per cluster), and the heap mode
+// is now in the past is rejected per cluster), and the touched-set mode
 // deliberately lets untouched clusters' clocks lag, so only at
 // quiesced instants do the two modes define the same accept/reject
 // outcomes to compare.
@@ -111,20 +84,20 @@ func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
 			heap := newModeStepper(alg, in, seed, false)
 			scan := newModeStepper(alg, in, seed, true)
 			hs := setOf(heap)
-			checkHeapMatchesRebuild(t, hs)
+			checkKeysMatchRebuild(t, hs)
 
 			var withdrawn []int
 			const phases = 8
 			for phase := 1; phase <= phases; phase++ {
 				target := horizon * model.Time(phase) / phases
 				for heap.StepNext(target) {
-					checkHeapMatchesRebuild(t, hs)
+					checkKeysMatchRebuild(t, hs)
 				}
 				for scan.StepNext(target) {
 				}
 				heap.FinishAt(target)
 				scan.FinishAt(target)
-				checkHeapMatchesRebuild(t, hs)
+				checkKeysMatchRebuild(t, hs)
 				if h, s := heap.NextEventTime(), scan.NextEventTime(); h != s {
 					t.Fatalf("%s seed %d phase %d: next event heap=%d scan=%d", alg.Name(), seed, phase, h, s)
 				}
@@ -154,18 +127,18 @@ func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
 							withdrawn = append(withdrawn[:j], withdrawn[j+1:]...)
 						}
 					}
-					checkHeapMatchesRebuild(t, hs)
+					checkKeysMatchRebuild(t, hs)
 				}
 			}
 
 			for heap.StepNext(horizon) {
-				checkHeapMatchesRebuild(t, hs)
+				checkKeysMatchRebuild(t, hs)
 			}
 			for scan.StepNext(horizon) {
 			}
 			heap.FinishAt(horizon)
 			scan.FinishAt(horizon)
-			assertSameResult(t, alg.Name()+": incremental heap vs reference after withdraw/reinject", scan.ResultAt(horizon), heap.ResultAt(horizon))
+			assertSameResult(t, alg.Name()+": incremental keys vs reference after withdraw/reinject", scan.ResultAt(horizon), heap.ResultAt(horizon))
 		}
 	}
 }
@@ -224,7 +197,7 @@ func steadyStepper(t *testing.T, alg StepperAlgorithm) Stepper {
 }
 
 // Steady-state stepping is zero-alloc by budget for every stepper
-// family: completions, accounting, value re-snapshots, heap sifts, φ
+// family: completions, accounting, value re-snapshots, re-keys, φ
 // fills and dispatch probes must all run out of the steppers'
 // preallocated scratch (the daemon's own configuration, on touched sets
 // of 16 and more, is held to it in daemon's
@@ -259,8 +232,8 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 
 // The incremental Withdraw path is on the same budget: one withdraw +
 // reinject cycle of a job queued in every schedule re-keys the slots
-// holding it (REF: the owner's 2^(k-1) masks) with in-place heap sifts
-// and allocates nothing.
+// holding it (REF: the owner's 2^(k-1) masks) with in-place stores and
+// allocates nothing.
 func TestWithdrawReinjectAllocFree(t *testing.T) {
 	const k, jobsPerOrg = 8, 6
 	orgs := make([]model.Org, k)

@@ -85,42 +85,31 @@ func buildSubsetWeights(k int) [][]float64 {
 	return w
 }
 
-// unstamped marks a coalition whose value has not been filled at any
-// instant yet.
-const unstamped = model.Time(-1)
-
-// Contrib is the incremental contribution engine REF-style schedulers
-// drive: a dense per-coalition value snapshot, dispatch stamps for lazy
-// dirty-tracked refills, and the memoized subset weight tables, with
-// PhiInto computing a coalition's members' exact Shapley contributions
-// from the snapshot (the UpdateVals procedure of Figure 1).
+// Contrib is the contribution engine REF-style schedulers drive: a
+// dense per-coalition value snapshot and the memoized subset weight
+// tables, with PhiInto computing a coalition's members' exact Shapley
+// contributions from the snapshot (the UpdateVals procedure of
+// Figure 1).
 //
 // The engine is game-agnostic: callers either write values directly
 // (SetValue, for drivers that already hold every schedule at the
-// current instant) or pull them from a ContribGame (Refresh fills the
-// whole table, FillSubsets fills one coalition's subsets lazily — each
-// coalition is evaluated at most once per instant, so a driver that
-// dispatches many coalitions at the same time moment shares one
-// snapshot).
+// current instant) or pull the whole table from a ContribGame (Refresh
+// — a driver that dispatches many coalitions at one time moment takes
+// one snapshot and shares it).
 type Contrib struct {
 	n       int
 	vals    []int64
-	stamp   []model.Time
 	weights [][]float64
 }
 
 // NewContrib builds the engine for an n-player game. All values start
-// at zero and all stamps unset.
+// at zero.
 func NewContrib(n int) *Contrib {
-	size := 1 << uint(n)
-	ct := &Contrib{
+	return &Contrib{
 		n:       n,
-		vals:    make([]int64, size),
-		stamp:   make([]model.Time, size),
+		vals:    make([]int64, 1<<uint(n)),
 		weights: SubsetWeights(n),
 	}
-	ct.ResetStamps()
-	return ct
 }
 
 // Players returns the player count n.
@@ -133,36 +122,12 @@ func (ct *Contrib) SetValue(c model.Coalition, v int64) { ct.vals[c] = v }
 func (ct *Contrib) Value(c model.Coalition) int64 { return ct.vals[c] }
 
 // Refresh snapshots every non-empty coalition's value from the game at
-// time t (the scan driver's full re-snapshot).
+// time t.
 func (ct *Contrib) Refresh(g ContribGame, t model.Time) {
 	ct.vals[0] = 0
 	for mask := model.Coalition(1); int(mask) < len(ct.vals); mask++ {
 		ct.vals[mask] = g.ValueAt(mask, t)
 	}
-}
-
-// ResetStamps invalidates the lazy-fill stamps; the next FillSubsets
-// re-evaluates every coalition it touches.
-func (ct *Contrib) ResetStamps() {
-	for i := range ct.stamp {
-		ct.stamp[i] = unstamped
-	}
-}
-
-// FillSubsets snapshots the values of mask's non-empty subsets at time
-// t, skipping coalitions already filled at t — the event-heap driver's
-// lazy dirty-tracked fill: untouched coalitions answer from the game's
-// caches, and a coalition shared by several dispatching masks is
-// evaluated once per instant.
-func (ct *Contrib) FillSubsets(g ContribGame, mask model.Coalition, t model.Time) {
-	ct.vals[0] = 0
-	mask.EachNonemptySubset(func(sub model.Coalition) {
-		if ct.stamp[sub] == t {
-			return
-		}
-		ct.stamp[sub] = t
-		ct.vals[sub] = g.ValueAt(sub, t)
-	})
 }
 
 // PhiInto fills phi with the exact Shapley contributions of mask's

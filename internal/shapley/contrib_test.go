@@ -81,52 +81,6 @@ func TestContribPhiSubcoalition(t *testing.T) {
 	}
 }
 
-// FillSubsets must be equivalent to Refresh for the filled coalition's
-// subsets, evaluate each coalition once per instant, and re-evaluate
-// after ResetStamps.
-func TestContribFillSubsetsLazy(t *testing.T) {
-	n := 4
-	calls := map[model.Coalition]int{}
-	base := intGame{base: []int64{3, 1, 4, 1}, bonus: 5}
-	counting := countingGame{g: base, calls: calls}
-	ct := NewContrib(n)
-	grand := model.Grand(n)
-	ct.FillSubsets(counting, grand, 10)
-	ct.FillSubsets(counting, grand, 10) // same instant: all cached
-	for c, k := range calls {
-		if k != 1 {
-			t.Fatalf("coalition %v evaluated %d times at one instant", c, k)
-		}
-	}
-	for mask := model.Coalition(1); mask <= grand; mask++ {
-		if got, want := ct.Value(mask), base.ValueAt(mask, 10); got != want {
-			t.Fatalf("value[%v] = %d, want %d", mask, got, want)
-		}
-	}
-	ct.FillSubsets(counting, grand, 11) // new instant: refill
-	if got, want := ct.Value(grand), base.ValueAt(grand, 11); got != want {
-		t.Fatalf("value[grand] = %d after new instant, want %d", got, want)
-	}
-	ct.ResetStamps()
-	before := calls[grand]
-	ct.FillSubsets(counting, grand, 11)
-	if calls[grand] != before+1 {
-		t.Fatal("ResetStamps did not invalidate the fill stamps")
-	}
-}
-
-type countingGame struct {
-	g     intGame
-	calls map[model.Coalition]int
-}
-
-func (c countingGame) Players() int { return c.g.Players() }
-
-func (c countingGame) ValueAt(m model.Coalition, t model.Time) int64 {
-	c.calls[m]++
-	return c.g.ValueAt(m, t)
-}
-
 // The dynamic estimators agree with the static ones on the frozen game,
 // and SampleAt is deterministic per seed.
 func TestDynamicEstimatorsMatchStatic(t *testing.T) {

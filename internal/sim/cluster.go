@@ -308,7 +308,12 @@ func (c *Cluster) Dispatch() {
 	if c.totalWaiting == 0 || len(c.free) == 0 {
 		return
 	}
-	sort.Ints(c.free)
+	// Completions pop in (end, machine) order and the compaction below
+	// keeps the rest in place, so the list is nearly always ascending
+	// already; sorting is for the instants that mix completion times.
+	if !sort.IntsAreSorted(c.free) {
+		sort.Ints(c.free)
+	}
 	if mo, ok := c.policy.(MachineOrderer); ok {
 		mo.OrderMachines(c.now, c.free)
 	}
