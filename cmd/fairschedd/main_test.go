@@ -287,7 +287,10 @@ func TestKillAndRestartUnderPeriodicFlush(t *testing.T) {
 // commit's `fairschedd -alg ref -orgs 3 -machines 6 -checkpoint-dir`
 // left behind (14 jobs, one advance to t=6, SIGTERM) when the flags
 // still built a "default" session. It boots as an ordinary session and
-// continues with the replies the parent's own reboot gave.
+// continues with the decisions the parent's own reboot made. The φ of
+// the last reply are 5963/6, 5015/6 and 4358/6 correctly rounded; the
+// commit that wrote the envelope summed float marginals and printed
+// each one ulp lower.
 func TestParentDefaultEnvelopeBoots(t *testing.T) {
 	dir := t.TempDir()
 	env, err := os.ReadFile(filepath.Join("testdata", "ckptdir", "default.session.json"))
@@ -315,7 +318,7 @@ func TestParentDefaultEnvelopeBoots(t *testing.T) {
 		{"POST", "/v1/sessions/default/advance", `{"until":40}`,
 			`{"decisions":[{"job":6,"org":1,"cluster":0,"machine":0,"at":7},{"job":11,"org":1,"cluster":0,"machine":1,"at":7},{"job":15,"org":1,"cluster":0,"machine":4,"at":7},{"job":10,"org":0,"cluster":0,"machine":5,"at":8},{"job":16,"org":2,"cluster":0,"machine":3,"at":9},{"job":14,"org":0,"cluster":0,"machine":4,"at":9},{"job":13,"org":2,"cluster":0,"machine":0,"at":20}],"now":40}`},
 		{"GET", "/v1/sessions/default/state", "",
-			`{"id":"default","kind":"single","algorithm":"REF","now":40,"jobs":17,"decisions":17,"psi":[981,812,763],"phi":[993.8333333333333,835.8333333333333,726.3333333333333],"value":2556,"utilization":0.3125}`},
+			`{"id":"default","kind":"single","algorithm":"REF","now":40,"jobs":17,"decisions":17,"psi":[981,812,763],"phi":[993.8333333333334,835.8333333333334,726.3333333333334],"value":2556,"utilization":0.3125}`},
 	} {
 		if got := must(t, ts, http.StatusOK, step.method, step.path, step.body); got != step.want+"\n" {
 			t.Fatalf("%s %s:\n%s\nwant the parent's\n%s", step.method, step.path, got, step.want)

@@ -119,8 +119,9 @@ func (g *GeneralRef) refreshAt(t model.Time) {
 
 // updateVals is the UpdateVals procedure of Figure 1 for one coalition:
 // member utilities from the coalition's own schedule, the coalition
-// value as their sum, and contributions by the contribution engine's
-// Shapley subset formula over the currently stored subcoalition values.
+// value as their sum, and contributions by the contribution engine —
+// the same exact integers Ref divides — over the currently stored
+// subcoalition values.
 func (g *GeneralRef) updateVals(mask model.Coalition, t model.Time) {
 	psi := g.psi[mask]
 	var value int64

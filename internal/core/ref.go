@@ -84,14 +84,13 @@ type Ref struct {
 	phi    [][]float64       // per slot: contribution vector
 	adj    [][]float64       // per slot: rotation adjustments (Rotate only)
 	// ct is the game-generic contribution engine: the dense coalition
-	// value snapshot and memoized weight tables live there; this file
-	// only decides when to snapshot and which coalition to compute φ
-	// for. The engine reads values through game, the org-level
-	// ContribGame instance (built once — per-step interface
-	// construction would be an allocation on the dispatch path).
+	// value snapshot and the exact potentials live there; this file only
+	// decides when to snapshot and which coalition to compute φ for.
+	// game is the same values as a shapley.ContribGame, for estimators
+	// outside this package.
 	ct     *shapley.Contrib
 	game   shapley.ContribGame
-	snapAt model.Time // the instant ct's snapshot was taken at; -1 before the first
+	snapAt model.Time // the instant ct's values were read at; -1 before the first
 }
 
 // NewRef builds the reference scheduler for the instance.
@@ -157,15 +156,18 @@ func (r *Ref) Game() shapley.ContribGame { return r.game }
 // stepping loop the streaming engine executes one event at a time.
 func (r *Ref) Run(until model.Time) *Result { return runStepper(r, until) }
 
-// snapshot fills the engine with every coalition's value at t through
-// the org-level game, once per instant: values at t do not depend on
-// what starts at t (schedSet invariant 2), so the first dispatching
-// coalition of an instant pays one pass over the 2^k−1 slots and every
-// later one, however many dispatch at t, shares it.
+// snapshot loads the engine with every coalition's value at t, once per
+// instant: values at t do not depend on what starts at t (schedSet
+// invariant 2), so the first dispatching coalition of an instant pays
+// one pass over the 2^k−1 slots and every later one, however many
+// dispatch at t, shares it.
 func (r *Ref) snapshot(t model.Time) {
-	if r.snapAt != t {
-		r.ct.Refresh(r.game, t)
-		r.snapAt = t
+	if r.snapAt == t {
+		return
+	}
+	r.snapAt = t
+	for slot, mask := range r.masks {
+		r.ct.SetValue(mask, r.valueAt(slot, t))
 	}
 }
 

@@ -1,8 +1,8 @@
 package shapley
 
 import (
+	"math/bits"
 	"math/rand"
-	"sync"
 
 	"repro/internal/model"
 )
@@ -52,71 +52,95 @@ func SampleAt(g ContribGame, t model.Time, samples int, r *rand.Rand) []float64 
 	return Sample(Frozen(g, t), samples, r)
 }
 
-// subsetWeightTables memoizes SubsetWeights across callers: the
-// experiment harness builds thousands of REF runs for the same handful
-// of player counts, and the tables are immutable once built.
-var subsetWeightTables sync.Map // int (k) -> [][]float64
-
-// SubsetWeights returns w[c][s] = (s−1)!·(c−s)!/c! — the weight of the
-// marginal term v(S) − v(S∖{u}) for |S| = s inside a coalition of size
-// c (the UpdateVals weights of the paper's Figure 1). Tables are shared
-// and must not be mutated.
-func SubsetWeights(k int) [][]float64 {
-	if w, ok := subsetWeightTables.Load(k); ok {
-		return w.([][]float64)
-	}
-	w, _ := subsetWeightTables.LoadOrStore(k, buildSubsetWeights(k))
-	return w.([][]float64)
-}
-
-func buildSubsetWeights(k int) [][]float64 {
-	fact := make([]float64, k+1)
-	fact[0] = 1
-	for i := 1; i <= k; i++ {
-		fact[i] = fact[i-1] * float64(i)
-	}
-	w := make([][]float64, k+1)
-	for c := 1; c <= k; c++ {
-		w[c] = make([]float64, c+1)
-		for s := 1; s <= c; s++ {
-			w[c][s] = fact[s-1] * fact[c-s] / fact[c]
-		}
-	}
-	return w
-}
-
 // Contrib is the contribution engine REF-style schedulers drive: a
-// dense per-coalition value snapshot and the memoized subset weight
-// tables, with PhiInto computing a coalition's members' exact Shapley
-// contributions from the snapshot (the UpdateVals procedure of
-// Figure 1).
+// dense per-coalition value snapshot and, beside it, the coalition
+// potentials that turn a Shapley contribution into one subtraction (the
+// UpdateVals procedure of Figure 1, evaluated exactly).
 //
-// The engine is game-agnostic: callers either write values directly
-// (SetValue, for drivers that already hold every schedule at the
-// current instant) or pull the whole table from a ContribGame (Refresh
-// — a driver that dispatches many coalitions at one time moment takes
-// one snapshot and shares it).
+// The Hart–Mas-Colell potential P(C) = Σ_{S⊆C} (|S|−1)!(|C|−|S|)!/|C|!·v(S)
+// satisfies φ_u(C) = P(C) − P(C∖{u}) and |C|·P(C) = v(C) + Σ_{j∈C} P(C∖{j}).
+// The engine keeps pot[C] = L·P(C) with L = lcm(1..n), which is an
+// integer: the coefficient of v(S) is L/(s·binom(c,s)), and s·binom(c,s)
+// divides lcm(1..c). So the recurrence
+//
+//	|C|·pot[C] = L·v(C) + Σ_{j∈C} pot[C∖{j}]
+//
+// divides exactly, a full table costs n·2^(n−1) integer additions, and
+// φ_u(C) = (pot[C] − pot[C∖{u}])/L is one integer→float conversion and
+// one division of a number that does not depend on summation order or
+// on how the players are labelled. Two consequences the schedulers rely
+// on: every driver sharing this engine computes bit-equal φ, and
+// players symmetric in the game tie exactly, so the paper's argmax
+// breaks the tie by index, not by rounding noise.
+//
+// Nothing here can wrap for a game the model admits (n ≤ model.MaxOrgs
+// = 30, values any int64): L < 2^42, the weights of P(C) are positive
+// and sum to the harmonic number H_|C| < 4, so |pot[C]| < 2^42·2^2·2^63
+// = 2^107, and the recurrence's right-hand side, at most 31 such terms,
+// stays under 2^112 — inside the two-word accumulators (wide) the
+// table is kept in. An int64 table would wrap silently once L·v
+// outgrows it, and v grows with t².
+//
+// The engine is game-agnostic: callers either pull the whole table from
+// a ContribGame (Refresh — a driver that dispatches many coalitions at
+// one time moment takes one snapshot and shares it) or write values
+// directly (SetValue), in any order. Potentials are derived from the
+// values in mask order — every subcoalition has a smaller mask — and
+// only as far as a query reaches: built counts the masks whose
+// potential is current, a write pulls it back to the coalition written,
+// and PhiInto(mask) resumes the pass up to mask. An instant whose
+// largest dispatching coalition has a small mask pays a short pass; one
+// where the grand coalition dispatches pays the whole n·2^(n−1) once.
 type Contrib struct {
-	n       int
-	vals    []int64
-	weights [][]float64
+	n     int
+	vals  []int64
+	pot   []wide // pot[C] = L·P(C), current for C < built; pot[∅] = 0
+	built model.Coalition
+	scale int64   // L = lcm(1..n)
+	div   float64 // L again, as the divisor PhiInto applies
 }
 
 // NewContrib builds the engine for an n-player game. All values start
 // at zero.
 func NewContrib(n int) *Contrib {
+	scale := lcmUpTo(n)
 	return &Contrib{
-		n:       n,
-		vals:    make([]int64, 1<<uint(n)),
-		weights: SubsetWeights(n),
+		n:     n,
+		vals:  make([]int64, 1<<uint(n)),
+		pot:   make([]wide, 1<<uint(n)),
+		built: 1,
+		scale: scale,
+		div:   float64(scale),
 	}
+}
+
+// lcmUpTo returns lcm(1..n); lcm(1..30) = 2329089562800 < 2^42.
+func lcmUpTo(n int) int64 {
+	l := int64(1)
+	for i := int64(2); i <= int64(n); i++ {
+		a, b := l, i
+		for b != 0 {
+			a, b = b, a%b
+		}
+		l = l / a * i
+	}
+	return l
 }
 
 // Players returns the player count n.
 func (ct *Contrib) Players() int { return ct.n }
 
-// SetValue writes coalition c's snapshot value directly.
-func (ct *Contrib) SetValue(c model.Coalition, v int64) { ct.vals[c] = v }
+// SetValue writes coalition c's snapshot value. The empty coalition's
+// value is 0 by definition and is not stored.
+func (ct *Contrib) SetValue(c model.Coalition, v int64) {
+	if c.Empty() {
+		return
+	}
+	ct.vals[c] = v
+	if c < ct.built {
+		ct.built = c
+	}
+}
 
 // Value reads coalition c's snapshot value.
 func (ct *Contrib) Value(c model.Coalition) int64 { return ct.vals[c] }
@@ -124,29 +148,42 @@ func (ct *Contrib) Value(c model.Coalition) int64 { return ct.vals[c] }
 // Refresh snapshots every non-empty coalition's value from the game at
 // time t.
 func (ct *Contrib) Refresh(g ContribGame, t model.Time) {
-	ct.vals[0] = 0
 	for mask := model.Coalition(1); int(mask) < len(ct.vals); mask++ {
 		ct.vals[mask] = g.ValueAt(mask, t)
 	}
+	ct.built = 1
+}
+
+// build extends the potentials through mask by the recurrence
+// |C|·pot[C] = L·v(C) + Σ_{j∈C} pot[C∖{j}].
+func (ct *Contrib) build(mask model.Coalition) {
+	for ; ct.built <= mask; ct.built++ {
+		c := ct.built
+		sum := mulWide(ct.vals[c], ct.scale)
+		for rest := c; rest != 0; rest &= rest - 1 {
+			sum = sum.add(ct.pot[c&^(rest&-rest)])
+		}
+		ct.pot[c] = sum.divExact(divisors[c.Size()])
+	}
+}
+
+// numerator returns L·φ_u(mask) for a member u of mask — the exact
+// integer PhiInto divides. The potentials must be built through mask.
+func (ct *Contrib) numerator(mask model.Coalition, u int) wide {
+	return ct.pot[mask].sub(ct.pot[mask.Without(u)])
 }
 
 // PhiInto fills phi with the exact Shapley contributions of mask's
-// members, computed from the current value snapshot by the subset
-// formula over mask's subsets (non-members get 0). phi must have length
-// ≥ the highest member index + 1; callers reuse one vector per
-// coalition across dispatch instants.
+// members in the game restricted to mask, from the current snapshot
+// (non-members get 0). phi must have length ≥ the highest member index
+// + 1; callers reuse one vector per coalition across dispatch instants.
 func (ct *Contrib) PhiInto(mask model.Coalition, phi []float64) {
-	for i := range phi {
-		phi[i] = 0
+	clear(phi)
+	ct.build(mask)
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		u := bits.TrailingZeros32(uint32(rest))
+		phi[u] = ct.numerator(mask, u).float64() / ct.div
 	}
-	w := ct.weights[mask.Size()]
-	mask.EachNonemptySubset(func(sub model.Coalition) {
-		vsub := ct.vals[sub]
-		weight := w[sub.Size()]
-		sub.EachMember(func(u int) {
-			phi[u] += weight * float64(vsub-ct.vals[sub.Without(u)])
-		})
-	})
 }
 
 // Phi returns a freshly allocated full-length contribution vector for

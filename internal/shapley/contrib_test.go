@@ -34,10 +34,7 @@ func randomIntGame(r *rand.Rand, n int) intGame {
 	return g
 }
 
-// The subset weight table must match the per-player weights the direct
-// evaluators use: Σ_s (#subsets of size s containing u)·w[c][s] telescopes
-// to the Shapley formula, so PhiInto on a full snapshot must equal Exact
-// on the frozen game.
+// PhiInto on a full snapshot must equal Exact on the frozen game.
 func TestContribPhiMatchesExact(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(4000 + seed))
@@ -103,12 +100,67 @@ func TestDynamicEstimatorsMatchStatic(t *testing.T) {
 	}
 }
 
-// SubsetWeights agrees with the per-predecessor Weights table:
+// subsetWeights returns w[c][s] = (s−1)!·(c−s)!/c! — the weight of the
+// marginal term v(S) − v(S∖{u}) for |S| = s inside a coalition of size
+// c (the UpdateVals weights of the paper's Figure 1), in floating point.
+func subsetWeights(k int) [][]float64 {
+	fact := make([]float64, k+1)
+	fact[0] = 1
+	for i := 1; i <= k; i++ {
+		fact[i] = fact[i-1] * float64(i)
+	}
+	w := make([][]float64, k+1)
+	for c := 1; c <= k; c++ {
+		w[c] = make([]float64, c+1)
+		for s := 1; s <= c; s++ {
+			w[c][s] = fact[s-1] * fact[c-s] / fact[c]
+		}
+	}
+	return w
+}
+
+// subsetSumPhi is the floating-point subset sum Contrib.PhiInto used to
+// be: |C|·2^(|C|−1) weighted float marginals accumulated in subset
+// order. It is kept as a tolerance oracle for the exact engine, and as
+// the specimen whose result depends on how the players are labelled
+// (TestContribRelabelling).
+func subsetSumPhi(ct *Contrib, mask model.Coalition) []float64 {
+	phi := make([]float64, ct.n)
+	w := subsetWeights(ct.n)[mask.Size()]
+	mask.EachNonemptySubset(func(sub model.Coalition) {
+		weight := w[sub.Size()]
+		sub.EachMember(func(u int) {
+			phi[u] += weight * float64(ct.vals[sub]-ct.vals[sub.Without(u)])
+		})
+	})
+	return phi
+}
+
+// The exact engine agrees with the float subset sum to 1e-9 relative
+// on every subcoalition of games whose values float64 holds exactly.
+func TestContribMatchesSubsetSum(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(4300 + seed))
+		n := 2 + r.Intn(7)
+		ct := NewContrib(n)
+		ct.Refresh(randomIntGame(r, n), model.Time(1+r.Intn(100000)))
+		for mask := model.Coalition(1); mask <= model.Grand(n); mask++ {
+			got, want := ct.Phi(mask), subsetSumPhi(ct, mask)
+			for u := range want {
+				if math.Abs(got[u]-want[u]) > 1e-9*math.Max(1, math.Abs(want[u])) {
+					t.Fatalf("seed %d mask %v: φ[%d] = %v exact, %v by the float subset sum", seed, mask, u, got[u], want[u])
+				}
+			}
+		}
+	}
+}
+
+// subsetWeights agrees with the per-predecessor Weights table:
 // w[c][s] (subset form, |S|=s including u) equals Weights(c)[s-1]
 // (predecessor form, |S\{u}| = s−1).
 func TestSubsetWeightsMatchWeights(t *testing.T) {
 	for c := 1; c <= 10; c++ {
-		sub := SubsetWeights(c)[c]
+		sub := subsetWeights(c)[c]
 		pred := Weights(c)
 		for s := 1; s <= c; s++ {
 			if !almostEqual(sub[s], pred[s-1]) {
