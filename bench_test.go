@@ -166,7 +166,7 @@ func BenchmarkFigure2(b *testing.B) {
 }
 
 // BenchmarkAblationREF compares the REF driver variants DESIGN.md calls
-// out: the indexed event-heap driver vs the legacy full-scan driver, and
+// out: the touched-set mode ("heap") vs the full-scan reference mode, and
 // the faithful Figure 3 selection vs the Distance-style rotation. heap
 // and scan produce identical schedules (see
 // TestHeapDriverMatchesScanDriver); only wall-clock time differs.
@@ -198,9 +198,9 @@ func BenchmarkAblationREF(b *testing.B) {
 // BenchmarkAblationREFScaling measures REF's FPT scaling in the number
 // of organizations (Proposition 3.4: O(k·3^k) per decision) for both
 // drivers. The scan driver's per-event O(2^k) scan-and-advance overtakes
-// the dispatch work as k grows; the heap driver only touches the
-// clusters whose events fire, so its advantage widens with k (≥2× at
-// k = 8 is the DESIGN.md acceptance line).
+// the dispatch work as k grows; the touched-set mode ("heap") only
+// advances the clusters whose events fire, so its advantage widens with
+// k (≥2× at k = 8 is the DESIGN.md acceptance line).
 func BenchmarkAblationREFScaling(b *testing.B) {
 	fam := gen.LPCEGEE().Scale(0.2)
 	drivers := []core.RefDriver{core.DriverHeap, core.DriverScan}

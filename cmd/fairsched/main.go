@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		samples  = fs.Int("rand-n", 15, "RAND sample count")
 		strat    = fs.Bool("rand-stratified", false, "RAND: draw permutations in position-stratified rotations")
-		driver   = fs.String("ref-driver", "heap", "REF event loop: heap (indexed event heap) or scan (legacy full scan)")
+		driver   = fs.String("ref-driver", "heap", "REF event loop: heap (the touched-set mode, the default) or scan (the reference mode)")
 		split    = fs.String("split", "zipf", "machine split among organizations: zipf | uniform")
 		machines = fs.Int("machines", 0, "total machines when using -swf (0 = #orgs)")
 		gantt    = fs.Bool("gantt", false, "print an ASCII Gantt chart (small runs only)")

@@ -73,7 +73,7 @@ func assertSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// The event-heap driver must reproduce the scan driver's schedules,
+// The touched-set mode must reproduce the scan driver's schedules,
 // utilities and contributions exactly on every instance with n ≤ 6
 // organizations — the scan driver is the executable spec of Figure 1.
 func TestHeapDriverMatchesScanDriver(t *testing.T) {
@@ -120,7 +120,7 @@ func TestHeapDriverMatchesScanDriverOnFamilyWorkload(t *testing.T) {
 	}
 }
 
-// The heap driver's φ must equal the generic Shapley value of the
+// The touched-set mode's φ must equal the generic Shapley value of the
 // induced game (the MapGame tabulating every coalition's final value)
 // within 1e-9 — Figure 1's incremental computation against Equation 1.
 func TestHeapDriverPhiMatchesExactShapleyOnMapGame(t *testing.T) {

@@ -88,9 +88,12 @@ type Ref struct {
 	// decides when to snapshot and which coalition to compute φ for.
 	// game is the same values as a shapley.ContribGame, for estimators
 	// outside this package.
-	ct     *shapley.Contrib
-	game   shapley.ContribGame
-	snapAt model.Time // the instant ct's values were read at; -1 before the first
+	ct   *shapley.Contrib
+	game shapley.ContribGame
+	// ct holds the values at instant snapAt (-1 before the first
+	// snapshot) of the coalitions 1..snapped.
+	snapAt  model.Time
+	snapped model.Coalition
 }
 
 // NewRef builds the reference scheduler for the instance.
@@ -156,18 +159,20 @@ func (r *Ref) Game() shapley.ContribGame { return r.game }
 // stepping loop the streaming engine executes one event at a time.
 func (r *Ref) Run(until model.Time) *Result { return runStepper(r, until) }
 
-// snapshot loads the engine with every coalition's value at t, once per
-// instant: values at t do not depend on what starts at t (schedSet
-// invariant 2), so the first dispatching coalition of an instant pays
-// one pass over the 2^k−1 slots and every later one, however many
-// dispatch at t, shares it.
-func (r *Ref) snapshot(t model.Time) {
-	if r.snapAt == t {
-		return
+// snapshot loads the engine with the values at t of every coalition up
+// to mask, in mask order — which puts every subcoalition of mask before
+// it. Values at t do not depend on what starts at t (schedSet invariant
+// 2), so the coalitions dispatching at one instant share a single pass
+// over the slots; it runs as far as the largest dispatching mask — all
+// 2^k−1 slots whenever the grand coalition dispatches — and each slot is
+// read once per instant however many coalitions dispatch at it.
+func (r *Ref) snapshot(mask model.Coalition, t model.Time) {
+	if r.snapAt != t {
+		r.snapAt, r.snapped = t, 0
 	}
-	r.snapAt = t
-	for slot, mask := range r.masks {
-		r.ct.SetValue(mask, r.valueAt(slot, t))
+	for r.snapped < mask {
+		r.snapped++
+		r.ct.SetValue(r.snapped, r.valueAt(r.slotOf[r.snapped], t))
 	}
 }
 
@@ -175,8 +180,9 @@ func (r *Ref) snapshot(t model.Time) {
 // slot's coalition (the UpdateVals procedure of Figure 1). Rotation
 // adjustments reset alongside.
 func (r *Ref) retarget(slot int, t model.Time) {
-	r.snapshot(t)
-	r.ct.PhiInto(r.masks[slot], r.phi[slot])
+	mask := r.masks[slot]
+	r.snapshot(mask, t)
+	r.ct.PhiInto(mask, r.phi[slot])
 	clear(r.adj[slot])
 }
 

@@ -89,8 +89,8 @@ const CheckpointVersion = 1
 // arrivals), one ClusterState per maintained schedule in a
 // stepper-defined deterministic order, the positions of the RNG streams
 // that influence decisions, and any stateful policy's own capture.
-// Driver acceleration state (event-heap keys, cached value polynomials,
-// dispatch stamps) is deliberately not serialized: it is rebuilt from
+// Driver acceleration state (slot keys, cached value polynomials, the
+// value snapshot) is deliberately not serialized: it is rebuilt from
 // the cluster states on restore, and the rebuilt caches evaluate to the
 // same values — checkpoint/restore is byte-identical to an
 // uninterrupted run (see TestCheckpointRestoreDeterminism).

@@ -92,25 +92,20 @@ func SampleAt(g ContribGame, t model.Time, samples int, r *rand.Rand) []float64 
 // largest dispatching coalition has a small mask pays a short pass; one
 // where the grand coalition dispatches pays the whole n·2^(n−1) once.
 type Contrib struct {
-	n     int
 	vals  []int64
 	pot   []wide // pot[C] = L·P(C), current for C < built; pot[∅] = 0
 	built model.Coalition
-	scale int64   // L = lcm(1..n)
-	div   float64 // L again, as the divisor PhiInto applies
+	scale int64 // L = lcm(1..n)
 }
 
 // NewContrib builds the engine for an n-player game. All values start
 // at zero.
 func NewContrib(n int) *Contrib {
-	scale := lcmUpTo(n)
 	return &Contrib{
-		n:     n,
 		vals:  make([]int64, 1<<uint(n)),
 		pot:   make([]wide, 1<<uint(n)),
 		built: 1,
-		scale: scale,
-		div:   float64(scale),
+		scale: lcmUpTo(n),
 	}
 }
 
@@ -126,9 +121,6 @@ func lcmUpTo(n int) int64 {
 	}
 	return l
 }
-
-// Players returns the player count n.
-func (ct *Contrib) Players() int { return ct.n }
 
 // SetValue writes coalition c's snapshot value. The empty coalition's
 // value is 0 by definition and is not stored.
@@ -180,16 +172,9 @@ func (ct *Contrib) numerator(mask model.Coalition, u int) wide {
 func (ct *Contrib) PhiInto(mask model.Coalition, phi []float64) {
 	clear(phi)
 	ct.build(mask)
+	div := float64(ct.scale)
 	for rest := mask; rest != 0; rest &= rest - 1 {
 		u := bits.TrailingZeros32(uint32(rest))
-		phi[u] = ct.numerator(mask, u).float64() / ct.div
+		phi[u] = ct.numerator(mask, u).float64() / div
 	}
-}
-
-// Phi returns a freshly allocated full-length contribution vector for
-// the coalition (PhiInto for callers without a scratch vector).
-func (ct *Contrib) Phi(mask model.Coalition) []float64 {
-	phi := make([]float64, ct.n)
-	ct.PhiInto(mask, phi)
-	return phi
 }

@@ -2,6 +2,7 @@ package shapley
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -32,6 +33,16 @@ func randomIntGame(r *rand.Rand, n int) intGame {
 		g.base[i] = int64(r.Intn(50))
 	}
 	return g
+}
+
+// players is the engine's player count n: it holds 2^n values.
+func (ct *Contrib) players() int { return bits.Len(uint(len(ct.vals) - 1)) }
+
+// Phi is PhiInto into a fresh full-length vector.
+func (ct *Contrib) Phi(mask model.Coalition) []float64 {
+	phi := make([]float64, ct.players())
+	ct.PhiInto(mask, phi)
+	return phi
 }
 
 // PhiInto on a full snapshot must equal Exact on the frozen game.
@@ -125,8 +136,8 @@ func subsetWeights(k int) [][]float64 {
 // the specimen whose result depends on how the players are labelled
 // (TestContribRelabelling).
 func subsetSumPhi(ct *Contrib, mask model.Coalition) []float64 {
-	phi := make([]float64, ct.n)
-	w := subsetWeights(ct.n)[mask.Size()]
+	phi := make([]float64, ct.players())
+	w := subsetWeights(ct.players())[mask.Size()]
 	mask.EachNonemptySubset(func(sub model.Coalition) {
 		weight := w[sub.Size()]
 		sub.EachMember(func(u int) {

@@ -60,6 +60,15 @@ func ratPhi(vals []int64, mask model.Coalition, u int) *big.Rat {
 	return phi
 }
 
+// loaded returns an engine holding the game vals (indexed by mask).
+func loaded(n int, vals []int64) *Contrib {
+	ct := NewContrib(n)
+	for mask := model.Coalition(1); mask <= model.Grand(n); mask++ {
+		ct.SetValue(mask, vals[mask])
+	}
+	return ct
+}
+
 // checkExact holds a Contrib loaded with vals (indexed by mask, vals[0]
 // = 0) to the rational oracle on every subcoalition: the integer
 // numerators L·φ_u(C) to equality, the floats PhiInto reports to the
@@ -67,10 +76,7 @@ func ratPhi(vals []int64, mask model.Coalition, u int) *big.Rat {
 // integer identity Σ_u L·φ_u(C) = L·v(C).
 func checkExact(t *testing.T, n int, vals []int64) {
 	t.Helper()
-	ct := NewContrib(n)
-	for mask := model.Coalition(1); mask <= model.Grand(n); mask++ {
-		ct.SetValue(mask, vals[mask])
-	}
+	ct := loaded(n, vals)
 	scale := new(big.Rat).SetInt64(ct.scale)
 	phi := make([]float64, n)
 	for mask := model.Coalition(1); mask <= model.Grand(n); mask++ {
@@ -147,14 +153,7 @@ func relabelMask(c model.Coalition, perm []int) model.Coalition {
 // relabelMismatches counts, over every subcoalition and member, the φ
 // entries that change bits when the players are renamed by perm.
 func relabelMismatches(n int, vals []int64, perm []int, phiOf func(*Contrib, model.Coalition) []float64) int {
-	load := func(vals []int64) *Contrib {
-		ct := NewContrib(n)
-		for mask := model.Coalition(1); mask <= model.Grand(n); mask++ {
-			ct.SetValue(mask, vals[mask])
-		}
-		return ct
-	}
-	a, b := load(vals), load(relabel(vals, perm))
+	a, b := loaded(n, vals), loaded(n, relabel(vals, perm))
 	bad := 0
 	for mask := model.Coalition(1); mask <= model.Grand(n); mask++ {
 		pa, pb := phiOf(a, mask), phiOf(b, relabelMask(mask, perm))
@@ -207,11 +206,7 @@ func TestContribWritesInAnyOrder(t *testing.T) {
 		vals[c] = r.Int63()>>20 - r.Int63()>>20
 		ct.SetValue(c, vals[c])
 		query := model.Coalition(1 + r.Intn(int(grand)))
-		fresh := NewContrib(n)
-		for mask := model.Coalition(1); mask <= grand; mask++ {
-			fresh.SetValue(mask, vals[mask])
-		}
-		got, want := ct.Phi(query), fresh.Phi(query)
+		got, want := ct.Phi(query), loaded(n, vals).Phi(query)
 		for u := range want {
 			if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
 				t.Fatalf("step %d: after rewriting %v, φ[%d] of %v = %v, a fresh engine gives %v", step, c, u, query, got[u], want[u])
@@ -357,4 +352,21 @@ func FuzzContribExact(f *testing.F) {
 			t.Fatalf("%d φ entries change bits under relabelling", bad)
 		}
 	})
+}
+
+// BenchmarkContribGrand is the cost of one coalition's φ from a fresh
+// 8-player table (what bench's shapley.refresh_phi_us.k8 kernel asks
+// for, minus the game's value reads): a full potential build plus eight
+// conversions.
+func BenchmarkContribGrand(b *testing.B) {
+	const n = 8
+	vals := randomValues(rand.New(rand.NewSource(4800)), n, 40)
+	ct := NewContrib(n)
+	phi := make([]float64, n)
+	for i := 0; i < b.N; i++ {
+		for mask := model.Coalition(1); mask <= model.Grand(n); mask++ {
+			ct.SetValue(mask, vals[mask])
+		}
+		ct.PhiInto(model.Grand(n), phi)
+	}
 }

@@ -388,7 +388,7 @@ func (c *Cluster) Run(until model.Time) {
 // The form is exact for any t in [Now, NextEventTime): past that, a
 // completion may cut a running job's final (remainder) slot short or a
 // release may precede a dispatch, so callers must re-snapshot after
-// every event or start in the cluster. The event-heap REF driver caches
+// every event or start in the cluster. The schedule-set loop caches
 // one ValuePoly per coalition and re-snapshots only dirty clusters —
 // the untouched 2^k−O(1) coalitions cost O(1) per value query instead
 // of an O(#running) flush.
