@@ -51,10 +51,9 @@
 //	                    NBSPolicy), summary-gossip staleness, queued-job
 //	                    migration at gossip refreshes (Migrating
 //	                    policies), federation-wide contribution ledger,
-//	                    lockstep checkpoints and pull-based streaming
-//	                    ingestion
-//	                    (JobSource/SetSource with bounded lookahead,
-//	                    SWF adapter, cursor checkpointing)
+//	                    lockstep checkpoints, and replayable job
+//	                    sources (JobSource, SWF adapter) fed one step
+//	                    ahead of the clock by SubmitThrough
 //	internal/daemon   — the HTTP serving layer: many concurrent
 //	                    runs (single or federated) over HTTP in one
 //	                    session table, persisted through a

@@ -330,6 +330,11 @@ func (s *schedSet) restore(cp *Checkpoint) error {
 		return fmt.Errorf("core: %s checkpoint has %d clusters, want %d", s.name, len(cp.Clusters), len(s.slots))
 	}
 	for pos, st := range cp.Clusters {
+		if st.Now > cp.Now {
+			// Schedules lag the run's clock or stand on it; the next
+			// step would move one that leads it backwards.
+			return fmt.Errorf("core: %s checkpoint at %d holds a schedule at %d", s.name, cp.Now, st.Now)
+		}
 		if err := s.slots[s.ckpt[pos]].RestoreState(st); err != nil {
 			return err
 		}

@@ -62,12 +62,13 @@ type Decision struct {
 // deterministic: the Plane's determinism and checkpoint guarantees
 // depend on it. Policies may carry mutable state (token-bucket levels);
 // that state rides in control-plane checkpoints through StateJSON /
-// RestoreState (stateless policies return nil and accept anything).
+// RestoreState, which is told the size of the organization universe
+// (stateless policies return nil and accept anything).
 type AdmissionPolicy interface {
 	Name() string
 	Decide(job Job, attempt int, now model.Time, view View) Decision
 	StateJSON() ([]byte, error)
-	RestoreState([]byte) error
+	RestoreState(state []byte, orgs int) error
 }
 
 // AlwaysAdmit admits everything — the pre-control-plane behavior, and
@@ -87,7 +88,7 @@ func (AlwaysAdmit) Decide(Job, int, model.Time, View) Decision {
 func (AlwaysAdmit) StateJSON() ([]byte, error) { return nil, nil }
 
 // RestoreState implements AdmissionPolicy.
-func (AlwaysAdmit) RestoreState([]byte) error { return nil }
+func (AlwaysAdmit) RestoreState([]byte, int) error { return nil }
 
 // TokenBucket is per-organization token-bucket admission: organization
 // o's bucket holds up to Burst tokens and refills at Rate tokens per
@@ -208,7 +209,7 @@ func (b *TokenBucket) StateJSON() ([]byte, error) {
 }
 
 // RestoreState implements AdmissionPolicy.
-func (b *TokenBucket) RestoreState(data []byte) error {
+func (b *TokenBucket) RestoreState(data []byte, orgs int) error {
 	if len(data) == 0 {
 		return nil
 	}
@@ -218,6 +219,9 @@ func (b *TokenBucket) RestoreState(data []byte) error {
 	}
 	if len(st.Levels) != len(st.Synced) {
 		return fmt.Errorf("ctrl: restore token bucket: %d levels for %d sync marks", len(st.Levels), len(st.Synced))
+	}
+	if len(st.Levels) > orgs {
+		return fmt.Errorf("ctrl: restore token bucket: %d buckets for %d organizations", len(st.Levels), orgs)
 	}
 	b.levels = st.Levels
 	b.synced = st.Synced
@@ -260,7 +264,7 @@ func (p Backpressure) Decide(_ Job, attempt int, now model.Time, view View) Deci
 func (Backpressure) StateJSON() ([]byte, error) { return nil, nil }
 
 // RestoreState implements AdmissionPolicy.
-func (Backpressure) RestoreState([]byte) error { return nil }
+func (Backpressure) RestoreState([]byte, int) error { return nil }
 
 // PolicySpec is the serializable form of an admission policy — what
 // rides in daemon SessionConfigs and experiment configs. Build

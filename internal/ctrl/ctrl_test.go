@@ -1,6 +1,7 @@
 package ctrl
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -452,6 +453,53 @@ func TestPlaneRestoreRejectsMismatchedPolicy(t *testing.T) {
 	q := NewPlane(&TokenBucket{Rate: 1, Period: 1, Burst: 1}, directLoadProvider(), 1)
 	if err := q.RestoreState(st); err == nil {
 		t.Fatal("restoring an always-admit checkpoint into a token-bucket plane must fail")
+	}
+}
+
+// TestPlaneRestoreRejectsForeignState: the serialized queue and policy
+// state are outside input; an event the plane could not have queued, or
+// more buckets than organizations, is refused before it is installed.
+func TestPlaneRestoreRejectsForeignState(t *testing.T) {
+	build := func() *Plane {
+		return NewPlane(&TokenBucket{Rate: 1, Period: 10, Burst: 1}, directLoadProvider(), 3)
+	}
+	p := build()
+	p.Arrive(Job{Seq: -1, Org: 1, Size: 2}, 5)
+	p.Arrive(Job{Seq: -1, Org: 1, Size: 2}, 5)
+	if err := p.Advance(5, &planeSink{}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := build().RestoreState(st); err != nil {
+		t.Fatalf("the plane's own state does not restore: %v", err)
+	}
+	// The deferred second job is the one queued event; organizations 0
+	// and 1 have buckets.
+	for _, edit := range [][]string{
+		{`"prio":1`, `"prio":3`},
+		{`"org":1`, `"org":3`},
+		{`"org":1`, `"org":-1`},
+		{`"size":2`, `"size":0`},
+		{`"attempt":1`, `"attempt":-1`},
+		{`"levels":[`, `"levels":[0,0,`, `"synced":[`, `"synced":[0,0,`},
+	} {
+		bad := st
+		for i := 0; i < len(edit); i += 2 {
+			next := bytes.Replace(bad, []byte(edit[i]), []byte(edit[i+1]), 1)
+			if bytes.Equal(next, bad) {
+				t.Fatalf("state has no %s to edit: %s", edit[i], st)
+			}
+			bad = next
+		}
+		q := build()
+		if err := q.RestoreState(bad); err == nil {
+			t.Errorf("%v restored", edit)
+		} else if q.Pending() != 0 {
+			t.Errorf("%v: refused, but %d events were installed", edit, q.Pending())
+		}
 	}
 }
 

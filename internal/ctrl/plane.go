@@ -200,7 +200,16 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 	if err := cp.Stats.CheckConserved(); err != nil {
 		return fmt.Errorf("ctrl: restore plane: %w", err)
 	}
-	if err := p.policy.RestoreState(cp.PolicyS); err != nil {
+	// The queue is outside input: an event this plane could not have
+	// queued would index past the per-organization counters, or fall
+	// through the priority switch, at the next Advance.
+	for i, e := range cp.Queue.Events {
+		if e.Prio > PrioRouting || e.Job.Org < 0 || e.Job.Org >= p.stats.Orgs() || e.Job.Size < 1 || e.Attempt < 0 {
+			return fmt.Errorf("ctrl: restore plane: queued event %d (prio %d, org %d of %d, size %d, attempt %d) is not one the plane queues",
+				i, e.Prio, e.Job.Org, p.stats.Orgs(), e.Job.Size, e.Attempt)
+		}
+	}
+	if err := p.policy.RestoreState(cp.PolicyS, p.stats.Orgs()); err != nil {
 		return err
 	}
 	p.q.restore(cp.Queue)

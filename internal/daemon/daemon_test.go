@@ -15,10 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/daemon"
-	"repro/internal/fed"
 	"repro/internal/model"
 )
 
@@ -103,6 +101,78 @@ func tooManyOrgs(t *testing.T, snap []byte) []byte {
 	return []byte(mustJSON(t, doc))
 }
 
+// checkpointOf runs cfg through a job batch and an advance to `until`
+// and returns the session's checkpoint.
+func checkpointOf(t testing.TB, cfg daemon.SessionConfig, jobs []daemon.JobSubmission, until model.Time) []byte {
+	t.Helper()
+	sess, err := daemon.NewManager().Create("seed", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Submit(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Advance(&until); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sess.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// bucketCfg is a three-organization fair-share session behind a slow
+// token bucket, so a second same-instant job of an organization waits
+// in the control-plane queue.
+func bucketCfg() daemon.SessionConfig {
+	return daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "fairshare", Orgs: 3, Machines: 3,
+		Admission: &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 10, Burst: 1}}
+}
+
+// foreignQueueEvent is a bucketCfg checkpoint whose first queued
+// control event belongs to an organization the session does not have.
+func foreignQueueEvent(t testing.TB) []byte {
+	t.Helper()
+	at := timePtr(5)
+	snap := checkpointOf(t, bucketCfg(), []daemon.JobSubmission{{Org: 1, Size: 2, Release: at}, {Org: 1, Size: 2, Release: at}}, 0)
+	bad := bytes.Replace(snap, []byte(`"org":1`), []byte(`"org":99`), 1)
+	if !bytes.Contains(snap, []byte(`"events":[{`)) || bytes.Equal(bad, snap) {
+		t.Fatalf("checkpoint queues no organization-1 event: %s", snap)
+	}
+	return bad
+}
+
+// fairStaleFedCfg is fedCfg routed by per-organization deficits on
+// gossip that outlives the test.
+func fairStaleFedCfg() daemon.SessionConfig {
+	cfg := fedCfg()
+	cfg.Policy = "fairness"
+	cfg.Staleness = 1000
+	return cfg
+}
+
+// shortExchangeVectors is a fairStaleFedCfg checkpoint whose cached
+// exchange summaries have lost their per-organization ψ and capacity
+// entries.
+func shortExchangeVectors(t testing.TB) []byte {
+	t.Helper()
+	snap := checkpointOf(t, fairStaleFedCfg(), []daemon.JobSubmission{{Org: 0, Size: 2}}, 3)
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(snap, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var sums []map[string]json.RawMessage
+	if err := json.Unmarshal(doc["ex_sums"], &sums); err != nil || len(sums) == 0 {
+		t.Fatalf("checkpoint caches no exchange (%v): %s", err, snap)
+	}
+	for i := range sums {
+		sums[i]["psi"], sums[i]["org_capacity"] = json.RawMessage(`[]`), json.RawMessage(`[]`)
+	}
+	doc["ex_sums"] = json.RawMessage(mustJSON(t, sums))
+	return []byte(mustJSON(t, doc))
+}
+
 // api is a tiny JSON client against the handler under test.
 type api struct {
 	t  *testing.T
@@ -154,7 +224,7 @@ func (a api) raw(path string) []byte {
 	return raw
 }
 
-func mustJSON(t *testing.T, v any) string {
+func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -295,6 +365,9 @@ func TestSessionAPIValidation(t *testing.T) {
 	a.do("POST", "/v1/sessions", `{"kind":"single","alg":"nope"}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"kind":"single","orgs":-1}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"kind":"single","ref_driver":"bogus"}`, http.StatusBadRequest)
+	// A machine pool no allocation can hold is a 400, not a makeslice
+	// panic that drops the connection.
+	a.do("POST", "/v1/sessions", `{"kind":"single","alg":"fcfs","orgs":1,"machines":4503599627370496}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"id":"strat","kind":"single","alg":"rand","rand_stratified":true}`, http.StatusCreated)
 	if alg := a.do("GET", "/v1/sessions/strat/state", "", http.StatusOK)["algorithm"]; alg != "Rand(N=15,stratified)" {
 		t.Fatalf("rand_stratified session runs %v, want the stratified sampler", alg)
@@ -447,6 +520,19 @@ func TestSessionAPIValidation(t *testing.T) {
 		a.do("POST", "/v1/sessions/"+id+"/restore", string(a.raw("/v1/sessions/"+id+"/checkpoint")), http.StatusOK)
 	}
 
+	// A snapshot's control-plane queue and cached exchange are outside
+	// input too: an event for an organization the session does not have,
+	// or summaries without their per-organization vectors, used to be
+	// installed and to index out of range at the next advance.
+	create("bucket", bucketCfg())
+	rejected("bucket", "restore", string(foreignQueueEvent(t)))
+	create("fed-fair", fairStaleFedCfg())
+	rejected("fed-fair", "restore", string(shortExchangeVectors(t)))
+	for _, id := range []string{"bucket", "fed-fair"} {
+		a.do("POST", "/v1/sessions/"+id+"/jobs", `{"jobs":[{"org":1,"size":2}]}`, http.StatusOK)
+		a.do("POST", "/v1/sessions/"+id+"/advance", `{"until":50}`, http.StatusOK)
+	}
+
 	// A batch with one bad job is refused whole, for federations as for
 	// single runs: a client that retries it must not duplicate the jobs
 	// that came before the bad one.
@@ -500,49 +586,23 @@ func TestHTTPStatusCodes(t *testing.T) {
 	// request itself is well-formed.
 	a.do("POST", "/v1/sessions", `{"id":"fleet",`+mustJSON(t, fedCfg())[1:], http.StatusConflict)
 
-	// A snapshot of the same configuration captured mid-stream restores
-	// fine, but stepping it again needs the job source the checkpoint
-	// cannot carry: that is the session's state conflicting with the
-	// request, not a malformed request.
-	snap := streamingSnapshot(t)
+	// A checkpoint that still carries the cursor of a job source pulled
+	// by the federation itself is refused, not restored without the rest
+	// of its stream.
+	before := a.raw("/v1/sessions/fleet/state")
+	snap := a.raw("/v1/sessions/fleet/checkpoint")
+	streaming := bytes.Replace(snap, []byte(`{"version":4,`), []byte(`{"version":4,"source":{"cursor":2,"window":2},`), 1)
+	if bytes.Equal(streaming, snap) {
+		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
+	}
+	reply := a.do("POST", "/v1/sessions/fleet/restore", string(streaming), http.StatusBadRequest)
+	if msg, _ := reply["error"].(string); !strings.Contains(msg, "SubmitThrough") {
+		t.Fatalf("refusal does not name SubmitThrough: %v", reply)
+	}
+	if after := a.raw("/v1/sessions/fleet/state"); !bytes.Equal(before, after) {
+		t.Fatalf("refused restore changed the session:\n%s\n%s", before, after)
+	}
 	a.do("POST", "/v1/sessions/fleet/restore", string(snap), http.StatusOK)
-	a.do("POST", "/v1/sessions/fleet/advance", `{"until":2000}`, http.StatusConflict)
-}
-
-// streamingSnapshot captures a federation matching fedCfg mid-stream:
-// its checkpoint carries a source cursor, so a daemon session restored
-// from it refuses to step until the source is re-attached.
-func streamingSnapshot(t *testing.T) []byte {
-	t.Helper()
-	policy, err := fed.PolicyByName("leastloaded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []fed.ClusterSpec{
-		{Name: "east", Alg: core.RefAlgorithm{}, Machines: []int{2, 0}},
-		{Name: "west", Alg: core.DirectContrAlgorithm(), Machines: []int{0, 2}},
-	}
-	f, err := fed.New([]string{"alpha", "beta"}, specs, policy, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []fed.SourceJob{
-		{Cluster: 0, Org: 0, Size: 3, Release: 0},
-		{Cluster: 0, Org: 1, Size: 3, Release: 1},
-		{Cluster: 1, Org: 0, Size: 3, Release: 50},
-		{Cluster: 1, Org: 1, Size: 3, Release: 900},
-	}
-	if err := f.SetSource(fed.NewSliceSource(jobs), 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Step(10); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := f.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
 }
 
 // TestFlushAndLoadStoreRoundTrip round-trips a whole session table

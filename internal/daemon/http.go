@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/fed"
 	"repro/internal/model"
 )
 
@@ -198,7 +197,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, sess *Ses
 		now, decs, err = sess.Advance(req.Until)
 	}
 	if err != nil {
-		s.writeError(w, advanceStatus(err), "%v", err)
+		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"now": now, "decisions": decs})
@@ -232,22 +231,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, sess *
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(data); err != nil {
 		s.logf("daemon: writing checkpoint response: %v", err)
-	}
-}
-
-// advanceStatus maps an advance failure onto its HTTP status: a sticky
-// job-source failure is broken server-side run state (500), a streaming
-// checkpoint stepped before its source was re-attached is a conflict
-// the client can repair (409), and everything else — bad until, a
-// config the request contradicts — is the request's fault (400).
-func advanceStatus(err error) int {
-	switch {
-	case errors.Is(err, fed.ErrSourceFailed):
-		return http.StatusInternalServerError
-	case errors.Is(err, fed.ErrNoSource):
-		return http.StatusConflict
-	default:
-		return http.StatusBadRequest
 	}
 }
 

@@ -2,35 +2,11 @@ package daemon
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/fed"
 )
-
-// advanceStatus distinguishes the federation's sentinel failures from
-// garden-variety bad requests, including through wrapping.
-func TestAdvanceStatusMapping(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want int
-	}{
-		{"source failure", fed.ErrSourceFailed, http.StatusInternalServerError},
-		{"wrapped source failure", fmt.Errorf("fed: step: %w", fed.ErrSourceFailed), http.StatusInternalServerError},
-		{"no source after restore", fed.ErrNoSource, http.StatusConflict},
-		{"wrapped no-source", fmt.Errorf("%w: attach it with SetSource", fed.ErrNoSource), http.StatusConflict},
-		{"time going backwards", errors.New("fed: step to 5 before federation time 10"), http.StatusBadRequest},
-	}
-	for _, c := range cases {
-		if got := advanceStatus(c.err); got != c.want {
-			t.Errorf("%s: advanceStatus = %d, want %d", c.name, got, c.want)
-		}
-	}
-}
 
 // A restore that fails because the session's own stored configuration
 // no longer rebuilds (a skewed deploy dropped the algorithm) must be

@@ -185,16 +185,24 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// And one whose control-plane queue or cached exchange would index
+	// out of range at the first advance after the boot.
+	if err := st.Save(daemon.Envelope{ID: "queue", Config: bucketCfg(), Snapshot: foreignQueueEvent(t)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(daemon.Envelope{ID: "gossip", Config: fairStaleFedCfg(), Snapshot: shortExchangeVectors(t)}); err != nil {
+		t.Fatal(err)
+	}
 	mgr := daemon.NewManager()
 	ids, quarantined, err := mgr.LoadStore(daemon.NewDirStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 0 || len(quarantined) != 7 {
+	if len(ids) != 0 || len(quarantined) != 9 {
 		t.Fatalf("ids=%v quarantined=%v", ids, quarantined)
 	}
 	for _, q := range quarantined {
-		if why := map[string]string{"pool": "machines", "pace": "staleness"}[q.ID]; !strings.Contains(q.Err.Error(), why) {
+		if why := map[string]string{"pool": "machines", "pace": "staleness", "queue": "queued event", "gossip": "exchange summary"}[q.ID]; !strings.Contains(q.Err.Error(), why) {
 			t.Fatalf("%s quarantined for another reason than its %s: %v", q.ID, why, q.Err)
 		}
 	}

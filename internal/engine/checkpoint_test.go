@@ -187,6 +187,20 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		"job for unknown org": corrupt(func(cp *core.Checkpoint) {
 			cp.Jobs[0].Org = 7
 		}),
+		// FuzzSessionRestore's findings: each of these restored, and
+		// panicked in sim.New or at the next step.
+		"clock behind its schedules": corrupt(func(cp *core.Checkpoint) {
+			cp.Now = -5
+		}),
+		"running entry that already ended": corrupt(func(cp *core.Checkpoint) {
+			cp.Clusters[0].Running[0].End = -3
+		}),
+		"decision for an unknown job": corrupt(func(cp *core.Checkpoint) {
+			cp.Clusters[0].Starts[0].Job = 999999
+		}),
+		"a machine pool past any allocation": corrupt(func(cp *core.Checkpoint) {
+			cp.Orgs[0].Machines = 1 << 52
+		}),
 	}
 	for name, data := range cases {
 		if _, err := Restore(core.RefAlgorithm{}, data); err == nil {

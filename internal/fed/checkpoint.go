@@ -15,8 +15,9 @@ import (
 // and the ledger's Migrated/MigratedWork matrices. Version 3 added the
 // control plane: the admission spec and the plane's serialized state
 // (event queue, policy state, per-organization admission counters).
-// Version 4 added streaming ingestion: the job-source cursor block,
-// absent for materialized runs. Restore accepts this version only.
+// Version 4 added a job-source cursor block for a pull mode that no
+// longer exists; no shipped program ever wrote it, so the layout is
+// version 3's. Restore accepts this version only.
 const CheckpointVersion = 4
 
 // Checkpoint is the complete serializable state of a federation: the
@@ -55,23 +56,10 @@ type Checkpoint struct {
 	Admission *ctrl.PolicySpec `json:"admission,omitempty"`
 	Ctrl      json.RawMessage  `json:"ctrl,omitempty"`
 
-	// Streaming-ingestion state (version 4): present when a job source
-	// was attached. Only the consumption cursor is persisted — sources
-	// are replayable by contract, so restore re-opens the source and
-	// skips Cursor jobs rather than serializing the unconsumed stream
-	// (which may be millions of jobs, the thing streaming exists to
-	// never materialize).
-	Source *SourceCheckpoint `json:"source,omitempty"`
-}
-
-// SourceCheckpoint is the streaming-ingestion cursor: how far into the
-// job stream the capturing run had consumed, the lookahead window, and
-// the order-contract watermark.
-type SourceCheckpoint struct {
-	Cursor int64      `json:"cursor"`
-	Window int        `json:"window"`
-	Done   bool       `json:"done,omitempty"`
-	Last   model.Time `json:"last,omitempty"`
+	// Source is never written. It is decoded only so that Restore can
+	// refuse a checkpoint taken while a job source was attached to the
+	// federation itself: the rest of that stream is not in the snapshot.
+	Source json.RawMessage `json:"source,omitempty"`
 }
 
 // MemberCheckpoint is one member cluster's state: identity, the
@@ -89,9 +77,6 @@ type MemberCheckpoint struct {
 // JSON. Restoring it — in this process or another — resumes the run
 // byte-identically: same future routing, same decisions, same ψ.
 func (f *Federation) Snapshot() ([]byte, error) {
-	if f.srcErr != nil {
-		return nil, fmt.Errorf("fed: snapshot after job source failure: %w", f.srcErr)
-	}
 	f.sortPending() // checkpoints always carry the canonical order
 	cp := Checkpoint{
 		Version:   CheckpointVersion,
@@ -119,14 +104,6 @@ func (f *Federation) Snapshot() ([]byte, error) {
 		}
 		cp.Ctrl = st
 	}
-	if f.source != nil || f.srcNeeded {
-		cp.Source = &SourceCheckpoint{
-			Cursor: f.srcCursor,
-			Window: f.srcWindow,
-			Done:   f.srcDone,
-			Last:   f.srcLast,
-		}
-	}
 	for i, m := range f.members {
 		snap, err := m.eng.Snapshot()
 		if err != nil {
@@ -153,6 +130,9 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	}
 	if cp.Version != CheckpointVersion {
 		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
+	}
+	if len(cp.Source) > 0 {
+		return nil, fmt.Errorf(`fed: restore: checkpoint has a "source" block: it was taken mid-stream by a federation that pulled its own job source, and the rest of that stream is not in it; feed sources with SubmitThrough`)
 	}
 	if policy == nil {
 		return nil, fmt.Errorf("fed: restore: nil delegation policy")
@@ -192,6 +172,14 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 			return nil, fmt.Errorf("fed: restore: exchange snapshot has %d summaries for %d clusters",
 				len(cp.ExSums), len(specs))
 		}
+		// Policies index the per-organization vectors without looking:
+		// hold each summary to the shape summaries() produces.
+		for c, s := range cp.ExSums {
+			if n := len(orgs); s.Cluster != c || len(s.Psi) != n || len(s.OrgCapacity) != n || (len(s.Phi) != 0 && len(s.Phi) != n) {
+				return nil, fmt.Errorf("fed: restore: exchange summary %d names cluster %d with %d/%d/%d psi/org_capacity/phi entries for %d organizations",
+					c, s.Cluster, len(s.Psi), len(s.OrgCapacity), len(s.Phi), n)
+			}
+		}
 		// The routed-work matrix is captured only for ledger-aware
 		// policies; the policy name match above guarantees the restoring
 		// policy reads exactly what the capturing one did.
@@ -228,18 +216,6 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		}
 	} else if len(cp.Ctrl) > 0 {
 		return nil, fmt.Errorf("fed: restore: checkpoint carries control-plane state but no admission spec")
-	}
-	if cp.Source != nil {
-		if cp.Source.Cursor < 0 || cp.Source.Window < 1 {
-			return nil, fmt.Errorf("fed: restore: invalid source cursor %d / window %d", cp.Source.Cursor, cp.Source.Window)
-		}
-		f.srcCursor = cp.Source.Cursor
-		f.srcWindow = cp.Source.Window
-		f.srcDone = cp.Source.Done
-		f.srcLast = cp.Source.Last
-		// The stream itself is not in the checkpoint: stepping stays
-		// refused until the caller re-attaches a replayable source.
-		f.srcNeeded = true
 	}
 	for i, spec := range specs {
 		mc := cp.Members[i]
@@ -280,6 +256,12 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 			}
 		}
 		f.members = append(f.members, &Member{name: mc.Name, eng: eng, seqOf: mc.SeqOf, originOf: mc.OriginOf})
+	}
+	// A pending job is released into the same code a submitted one is.
+	for _, p := range f.pending {
+		if err := f.checkJob(SourceJob{Cluster: p.Cluster, Org: p.Org, Size: p.Size, Release: p.Release}); err != nil {
+			return nil, fmt.Errorf("fed: restore: pending job %d: %w", p.Seq, err)
+		}
 	}
 	return f, nil
 }

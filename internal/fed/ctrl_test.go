@@ -20,8 +20,7 @@ func TestControlPlaneDifferential(t *testing.T) {
 	// The one combination where everything the loop does meets: a
 	// migrating policy (re-delegation on refresh edges, sharing the
 	// instant's memo with routing) under stale gossip, fed from a
-	// streaming source through a window far smaller than the release
-	// bursts (fillThrough completes every batch), stepped in slices.
+	// streaming source one slice ahead of the stepping.
 	for _, policy := range []fed.Policy{
 		fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget},
 		fed.Migrating{Inner: fed.FairnessAware{}, Budget: fed.DefaultMigrationBudget},
@@ -37,10 +36,10 @@ func TestControlPlaneDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := f.SetSource(src, 3); err != nil {
-					t.Fatal(err)
-				}
 				for until := model.Time(250); until <= 6000; until += 250 {
+					if _, err := f.SubmitThrough(src, until); err != nil {
+						t.Fatal(err)
+					}
 					if _, err := f.Step(until); err != nil {
 						t.Fatal(err)
 					}
@@ -54,8 +53,8 @@ func TestControlPlaneDifferential(t *testing.T) {
 			if !bytes.Equal(fingerprint(t, direct), fingerprint(t, gated)) {
 				t.Fatal("always-admit control plane diverged from the plane-off loop")
 			}
-			if direct.SourceCursor() != gated.SourceCursor() || direct.SourceCursor() == 0 {
-				t.Fatalf("source cursors %d and %d", direct.SourceCursor(), gated.SourceCursor())
+			if direct.Submitted() != gated.Submitted() || direct.Submitted() == 0 {
+				t.Fatalf("%d and %d jobs pulled from the source", direct.Submitted(), gated.Submitted())
 			}
 			if direct.Ledger().Migrations == 0 {
 				t.Fatal("nothing migrated — the run does not exercise re-delegation")

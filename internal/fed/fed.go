@@ -28,11 +28,9 @@
 // seed, submission sequence) — byte-identical across reruns and across
 // Snapshot/Restore (see TestFederationDeterminism).
 //
-// SetSource leaves that function untouched: it replaces the
-// materialized pending queue with a bounded lookahead window pulled on
-// demand from a JobSource (source.go), so replay memory is O(window) in
-// the trace length; checkpoints persist only the stream cursor and
-// restore resumes mid-stream against a re-opened source.
+// Submit is the one way a job enters. SubmitThrough (source.go) is a
+// loop over it that feeds a JobSource one step ahead of Step, so a long
+// trace is replayed with only a step's worth of releases pending.
 //
 // The Ledger records every routing decision and aggregates per-cluster
 // ψ-vectors into federation-wide totals, so the existing
@@ -96,6 +94,12 @@ type Member struct {
 	eng      *engine.Engine
 	seqOf    []int64 // cluster-local job ID -> federation sequence number; -1 = withdrawn
 	originOf []int   // cluster-local job ID -> origin (submitting) cluster; -1 = withdrawn
+	// started marks the local jobs that reached a machine and so can no
+	// longer migrate. Only a migration pass reads it: the column is built
+	// from the engine's decision log the first time one asks (New and
+	// Restore leave it nil) and kept current from then on, so a
+	// federation that never migrates never pays for it.
+	started []bool
 }
 
 // setSeq records the federation identity of a freshly fed local job.
@@ -103,6 +107,9 @@ func (m *Member) setSeq(id int, seq int64, origin int) {
 	for len(m.seqOf) <= id {
 		m.seqOf = append(m.seqOf, -1)
 		m.originOf = append(m.originOf, -1)
+		if m.started != nil {
+			m.started = append(m.started, false)
+		}
 	}
 	m.seqOf[id] = seq
 	m.originOf[id] = origin
@@ -131,27 +138,10 @@ type Federation struct {
 	ledger   *Ledger
 
 	// pendingDirty marks the pending queue as needing a (Release, Seq)
-	// sort: Submit and the streaming pull both append in O(1) and the
-	// sort happens once per read point, so bulk submission is O(n log n)
-	// total instead of the old shift-insert's O(n²).
+	// sort: Submit appends in O(1) and the sort happens once per read
+	// point, so bulk submission is O(n log n) total instead of the old
+	// shift-insert's O(n²).
 	pendingDirty bool
-
-	// Streaming ingestion state (see SetSource). source == nil is the
-	// materialized mode: every job arrives through Submit. With a source
-	// attached the pending queue is a bounded lookahead window over the
-	// stream; srcCursor counts consumed jobs (the checkpoint's resume
-	// point), srcLast enforces the nondecreasing-release contract, and
-	// srcErr pins the first pull failure (stepping past an unknowable
-	// stream suffix would fabricate a different workload). srcNeeded is
-	// set by Restore when the checkpoint recorded a live source: the
-	// federation refuses to step until SetSource re-attaches one.
-	source    JobSource
-	srcWindow int
-	srcCursor int64
-	srcDone   bool
-	srcLast   model.Time
-	srcErr    error
-	srcNeeded bool
 
 	// provider is the staleness contract for every observation routing
 	// and admission act on: with max age 0 (the default, the idealized
@@ -368,7 +358,7 @@ func (f *Federation) SubmitJobs(jobs []SourceJob) ([]int64, error) {
 }
 
 // checkJob is the acceptance check every job entering the federation
-// passes, submitted or pulled from a source alike.
+// passes.
 func (f *Federation) checkJob(j SourceJob) error {
 	switch {
 	case j.Cluster < 0 || j.Cluster >= len(f.members):
@@ -442,12 +432,9 @@ func (f *Federation) nextInstant() model.Time {
 }
 
 // NextEventTime returns the earliest instant at which anything can
-// happen: the next decision instant (pulling from an attached source if
-// the window is empty) or the earliest member event, or sim.MaxTime
-// when the federation is drained. A source pull failure here surfaces
-// at the next Step — the error is sticky.
+// happen: the next decision instant or the earliest member event, or
+// sim.MaxTime when the federation is drained.
 func (f *Federation) NextEventTime() model.Time {
-	_ = f.fill()
 	f.sortPending()
 	next := f.nextInstant()
 	for _, m := range f.members {
@@ -476,27 +463,12 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 	if until < f.now {
 		return nil, fmt.Errorf("fed: step to %d before federation time %d", until, f.now)
 	}
-	if f.srcNeeded && !f.srcDone {
-		// A drained source (srcDone) needs no re-attachment: the stream
-		// has nothing left to pull and stepping is safe without it.
-		return nil, fmt.Errorf("%w: restored at source cursor %d; attach the source with SetSource before stepping", ErrNoSource, f.srcCursor)
-	}
+	f.sortPending()
 	for {
-		if err := f.fill(); err != nil {
-			return nil, err
-		}
-		f.sortPending()
 		t := f.nextInstant()
 		if t > until {
 			break
 		}
-		// Batch completeness: with a streaming source attached, every job
-		// releasing at t must be resident before the instant is delivered,
-		// or the window size would split one exchange-frozen batch in two.
-		if err := f.fillThrough(t); err != nil {
-			return nil, err
-		}
-		f.sortPending()
 		if err := f.advanceMembers(t); err != nil {
 			return nil, err
 		}
@@ -647,6 +619,9 @@ func (f *Federation) advanceMembers(t model.Time) error {
 			return fmt.Errorf("fed: advance cluster %d (%s): %w", c, m.name, err)
 		}
 		for _, s := range starts {
+			if m.started != nil {
+				m.started[s.Job] = true
+			}
 			f.decs = append(f.decs, Decision{
 				Seq: m.seqOf[s.Job], Org: s.Org, Cluster: c, Machine: s.Machine, At: s.At,
 			})
@@ -687,13 +662,14 @@ func (f *Federation) redelegate(t model.Time, ex *exchange) error {
 	type candidate struct{ cluster, id int }
 	var cands []candidate
 	for c, m := range f.members {
-		jobs := m.eng.Instance().Jobs
-		started := make([]bool, len(jobs))
-		for _, s := range m.eng.Decisions() {
-			started[s.Job] = true
+		if m.started == nil {
+			m.started = make([]bool, len(m.seqOf))
+			for _, s := range m.eng.Decisions() {
+				m.started[s.Job] = true
+			}
 		}
 		for id, seq := range m.seqOf {
-			if seq >= 0 && !started[id] {
+			if seq >= 0 && !m.started[id] {
 				cands = append(cands, candidate{c, id})
 			}
 		}

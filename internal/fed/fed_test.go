@@ -263,12 +263,75 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, gutted); err == nil {
 		t.Error("restore with an empty ledger accepted")
 	}
-	// There is one federation layout: the version-3 document a
-	// pre-streaming build wrote — this one minus the source block it
-	// never had — is refused by version.
+	// There is one federation layout: the version-3 document an older
+	// build wrote is refused by version, and so is a version-4 one with
+	// the cursor of a job source the federation pulled itself — restored
+	// without the block, the run would go on without the rest of its
+	// stream.
 	v3 := bytes.Replace(snap, []byte(`{"version":4,`), []byte(`{"version":3,`), 1)
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, v3); err == nil || !strings.Contains(err.Error(), "checkpoint version 3, want 4") {
 		t.Errorf("version-3 checkpoint: %v", err)
+	}
+	pulled := bytes.Replace(snap, []byte(`{"version":4,`), []byte(`{"version":4,"source":{"cursor":9,"window":4,"done":true},`), 1)
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, pulled); err == nil || !strings.Contains(err.Error(), "SubmitThrough") {
+		t.Errorf("checkpoint with a source block: %v", err)
+	}
+	// A pending job is released into the code a submitted one is, and is
+	// held to the same checks (FuzzSessionRestore's finding: organization
+	// 99 restored, and indexed past the admission counters on release).
+	late, _ := buildFederation(t, []string{"directcontr"}, fed.LeastLoaded{}, 3)
+	lateSnap, err := late.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := bytes.Replace(lateSnap, []byte(`"org":1,`), []byte(`"org":99,`), 1)
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, stray); err == nil || !strings.Contains(err.Error(), "pending job") {
+		t.Errorf("pending job of an unknown organization: %v", err)
+	}
+	// The cached exchange is held to the shape summaries() gives it:
+	// policies index its per-organization vectors without looking.
+	stale, _ := buildFederation(t, []string{"directcontr"}, fed.FairnessAware{}, 3)
+	stale.SetStaleness(5000)
+	if _, err := stale.Step(1000); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = stale.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.FairnessAware{}, snap); err != nil {
+		t.Fatalf("stale snapshot does not restore: %v", err)
+	}
+	var staleDoc struct {
+		ExSums []fed.Summary `json:"ex_sums"`
+	}
+	if err := json.Unmarshal(snap, &staleDoc); err != nil || len(staleDoc.ExSums) != len(w.Machines) {
+		t.Fatalf("stale snapshot caches %d summaries (%v)", len(staleDoc.ExSums), err)
+	}
+	for name, edit := range map[string]func(*fed.Summary){
+		"cluster":      func(s *fed.Summary) { s.Cluster++ },
+		"psi":          func(s *fed.Summary) { s.Psi = s.Psi[1:] },
+		"org_capacity": func(s *fed.Summary) { s.OrgCapacity = append(s.OrgCapacity, 1) },
+		"phi":          func(s *fed.Summary) { s.Phi = []float64{1} },
+	} {
+		sums := append([]fed.Summary(nil), staleDoc.ExSums...)
+		edit(&sums[1])
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(snap, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc["ex_sums"], err = json.Marshal(sums); err != nil {
+			t.Fatal(err)
+		}
+		bent, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.FairnessAware{}, bent); err == nil || !strings.Contains(err.Error(), "exchange summary 1") {
+			t.Errorf("exchange summary with a bent %s: %v", name, err)
+		}
+	}
+	if snap, err = f.Snapshot(); err != nil {
+		t.Fatal(err)
 	}
 	// Admission belongs to the federation, in front of routing: a member
 	// snapshot wrapped in a gate envelope is refused, though an engine on

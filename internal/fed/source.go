@@ -2,7 +2,6 @@ package fed
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"io"
 
@@ -10,144 +9,44 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrSourceFailed tags every sticky job-source failure — a pull error
-// or a stream-contract violation. The workload past the failure point
-// is unknowable, so the federation refuses to step until rebuilt;
-// callers mapping errors to transport status codes can errors.Is
-// against it to tell broken federation state from a bad request.
-var ErrSourceFailed = errors.New("fed: job source failed")
-
-// ErrNoSource reports a Step on a federation restored from a streaming
-// checkpoint before SetSource re-attached the source: the run cannot
-// continue as-is, but re-attaching repairs it — a conflict with the
-// session's current state, not a malformed request.
-var ErrNoSource = errors.New("fed: streaming checkpoint has no source attached")
-
 // SourceJob is one job yielded by a JobSource: where it was handed in,
 // who owns it, how big it is and when it becomes available — the
-// streaming counterpart of a Submit call. Aliased from model so that
-// source producers (internal/gen) need not import this package.
+// arguments of one Submit call. Aliased from model so that source
+// producers (internal/gen) need not import this package.
 type SourceJob = model.SourceJob
 
-// JobSource is the pull-based ingestion contract consumed by
-// SetSource: jobs in nondecreasing Release order from a deterministic,
+// JobSource is the pull-based ingestion contract SubmitThrough
+// consumes: jobs in nondecreasing Release order from a deterministic,
 // replayable stream. See model.JobSource for the full contract.
 type JobSource = model.JobSource
 
-// DefaultSourceWindow is the lookahead window SetSource uses when the
-// caller passes window <= 0: deep enough that release-instant batches
-// rarely force an overshoot pull, small enough that memory stays flat
-// on multi-million-job traces.
-const DefaultSourceWindow = 4096
-
-// SetSource attaches a streaming job source with the given lookahead
-// window (jobs resident in the pending queue at a time; <= 0 selects
-// DefaultSourceWindow). Jobs are pulled and accepted lazily as stepping
-// needs them, with sequence numbers assigned in stream order — the same
-// numbering an eager Submit loop over the stream would produce, so a
-// streamed run is byte-identical to a materialized run of the same
-// stream (TestStreamingMatchesEager). The window is a memory/lookahead
-// knob only: decisions never depend on it, because a release instant's
-// batch is always completed before it routes.
-//
-// On a federation restored from a streaming checkpoint, SetSource
-// fast-forwards the (replayable) source past the consumed prefix and
-// resumes mid-stream; the restored window is superseded by the one
-// given here. Explicit Submits may still be interleaved with a source.
-func (f *Federation) SetSource(src JobSource, window int) error {
-	if src == nil {
-		return fmt.Errorf("fed: nil job source")
-	}
-	if f.source != nil {
-		return fmt.Errorf("fed: a job source is already attached")
-	}
-	if window <= 0 {
-		window = DefaultSourceWindow
-	}
-	// Fast-forward past the prefix a restored checkpoint already
-	// consumed: those jobs are accounted in the pending queue, the
-	// members, or the decision log.
-	for skipped := int64(0); skipped < f.srcCursor; skipped++ {
-		_, ok, err := src.Next()
+// SubmitThrough pulls src and Submits each job, in stream order, up to
+// and including the first one released after t, and reports whether the
+// stream ended instead. Releases are nondecreasing, so on return every
+// release at or before t is pending: a caller alternating
+// SubmitThrough(src, t) and Step(t) delivers whole release instants and
+// ends in the Snapshot bytes of submitting the entire stream up front
+// (TestStreamingMatchesEager), holding one step's releases at a time.
+// An error — the source's own, or Submit's on a job it yielded — leaves
+// every earlier job accepted. The federation keeps no cursor: to resume
+// a restored run, re-open the source and discard the jobs already
+// accepted (Submitted() of them, when nothing else was submitted).
+func (f *Federation) SubmitThrough(src JobSource, t model.Time) (done bool, err error) {
+	for {
+		j, ok, err := src.Next()
 		if err != nil {
-			return fmt.Errorf("fed: job source failed %d jobs into a checkpoint cursor of %d: %w", skipped, f.srcCursor, err)
+			return false, fmt.Errorf("fed: job source: %w", err)
 		}
 		if !ok {
-			return fmt.Errorf("fed: job source drained %d jobs into a checkpoint cursor of %d", skipped, f.srcCursor)
+			return true, nil
+		}
+		if _, err := f.Submit(j.Cluster, j.Org, j.Size, j.Release); err != nil {
+			return false, err
+		}
+		if j.Release > t {
+			return false, nil
 		}
 	}
-	f.source = src
-	f.srcWindow = window
-	f.srcNeeded = false
-	return f.fill()
-}
-
-// SourceCursor returns how many jobs have been consumed from the
-// attached source (0 when none is attached).
-func (f *Federation) SourceCursor() int64 { return f.srcCursor }
-
-// fill tops the pending queue up to the lookahead window. Source
-// errors are sticky: once a pull fails the federation refuses to step
-// further, because the job stream past the failure is unknowable.
-func (f *Federation) fill() error {
-	if f.source == nil || f.srcDone || f.srcErr != nil {
-		return f.srcErr
-	}
-	for len(f.pending) < f.srcWindow {
-		if err := f.pullOne(); err != nil || f.srcDone {
-			return err
-		}
-	}
-	return nil
-}
-
-// fillThrough keeps pulling until every job releasing at or before t is
-// resident — the batch-completeness guarantee: a release instant routes
-// only once all of its jobs are pending, so the exchange snapshot, the
-// per-instant memo and therefore every decision are independent of the
-// window size. Because sources are nondecreasing in release, the first
-// pulled job past t proves completeness; it stays pending.
-func (f *Federation) fillThrough(t model.Time) error {
-	if f.source == nil || f.srcErr != nil {
-		return f.srcErr
-	}
-	for !f.srcDone && f.srcLast <= t {
-		if err := f.pullOne(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pullOne draws and accepts a single job from the source; callers have
-// checked the source is not drained.
-func (f *Federation) pullOne() error {
-	j, ok, err := f.source.Next()
-	if err == nil && ok {
-		err = f.acceptSourceJob(j)
-	}
-	if err != nil {
-		f.srcErr = fmt.Errorf("%w: %w", ErrSourceFailed, err)
-		return f.srcErr
-	}
-	f.srcDone = !ok
-	return nil
-}
-
-// acceptSourceJob checks and enqueues one pulled job — what Submit
-// does, plus the stream-order contract.
-func (f *Federation) acceptSourceJob(j SourceJob) error {
-	if err := f.checkJob(j); err != nil {
-		return fmt.Errorf("fed: job source yielded %w", err)
-	}
-	if j.Release < f.srcLast {
-		return fmt.Errorf("fed: job source release went backwards, from %d to %d; sources must be nondecreasing in release",
-			f.srcLast, j.Release)
-	}
-	f.srcLast = j.Release
-	f.accept(j)
-	f.srcCursor++
-	return nil
 }
 
 // SliceSource serves a pre-built job slice as a JobSource — the adapter

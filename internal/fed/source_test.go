@@ -2,19 +2,22 @@ package fed_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/ctrl"
 	"repro/internal/fed"
 	"repro/internal/gen"
 	"repro/internal/model"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // emptyFederation builds a federation over the test scenario's
-// machines without submitting any jobs — the caller attaches a source
-// or submits explicitly.
+// machines without submitting any jobs.
 func emptyFederation(t testing.TB, algs []string, policy fed.Policy, seed int64) (*fed.Federation, *gen.FedWorkload) {
 	t.Helper()
 	w, err := testScenario().Generate(6000, stats.NewRand(seed))
@@ -37,7 +40,7 @@ func emptyFederation(t testing.TB, algs []string, policy fed.Policy, seed int64)
 }
 
 // drainGenSource materializes the streaming scenario source — the
-// eager submission order the streamed run must reproduce exactly.
+// eager submission order the chunked run must reproduce exactly.
 func drainGenSource(t testing.TB, seed int64) []fed.SourceJob {
 	t.Helper()
 	src, err := testScenario().Source(6000, seed)
@@ -57,188 +60,37 @@ func drainGenSource(t testing.TB, seed int64) []fed.SourceJob {
 	}
 }
 
-// TestStreamingMatchesEager: attaching a JobSource is byte-identical
-// to eagerly Submitting the same stream upfront — sequence numbers are
-// assigned in stream order either way, so the lookahead window only
-// changes memory, never decisions, ledger or ψ.
-func TestStreamingMatchesEager(t *testing.T) {
-	algs := []string{"ref", "directcontr", "fairshare"}
-	jobs := drainGenSource(t, 11)
-	if len(jobs) == 0 {
-		t.Fatal("scenario source yielded no jobs")
-	}
-	for _, policy := range []fed.Policy{
-		fed.RefPolicy{},
-		fed.Migrating{Inner: fed.FairnessAware{}, Budget: fed.DefaultMigrationBudget},
-	} {
-		t.Run(policy.Name(), func(t *testing.T) {
-			eager, _ := emptyFederation(t, algs, policy, 11)
-			for _, j := range jobs {
-				if _, err := eager.Submit(j.Cluster, j.Org, j.Size, j.Release); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := eager.Step(6000); err != nil {
-				t.Fatal(err)
-			}
-
-			streamed, _ := emptyFederation(t, algs, policy, 11)
-			src, err := testScenario().Source(6000, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := streamed.SetSource(src, 64); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := streamed.Step(6000); err != nil {
-				t.Fatal(err)
-			}
-
-			if !bytes.Equal(fingerprint(t, eager), fingerprint(t, streamed)) {
-				t.Fatal("streamed run diverged from the eager run of the same stream")
-			}
-			if len(streamed.Decisions()) == 0 {
-				t.Fatal("streamed run made no decisions")
-			}
-			if got, want := streamed.SourceCursor(), int64(len(jobs)); got != want {
-				t.Fatalf("source cursor = %d, want %d", got, want)
-			}
-		})
-	}
+// streamCase is one federation shape the chunked-ingestion tests
+// cover: plain, ledger-routed, migrating, migrating on stale gossip, and
+// migrating on stale gossip behind a token-bucket gate.
+type streamCase struct {
+	policy    fed.Policy
+	staleness model.Time
+	admission *ctrl.PolicySpec
 }
 
-// TestStreamingWindowInvariance: the lookahead window is a pure memory
-// knob — every window size (including the pathological 1) produces the
-// same bytes.
-func TestStreamingWindowInvariance(t *testing.T) {
-	algs := []string{"ref", "directcontr", "fairshare"}
-	policy := fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget}
-	var want []byte
-	for _, window := range []int{1, 7, 64, 0} { // 0 selects DefaultSourceWindow
-		f, _ := emptyFederation(t, algs, policy, 11)
-		src, err := testScenario().Source(6000, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.SetSource(src, window); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Step(6000); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.CheckConservation(); err != nil {
-			t.Fatalf("window=%d: %v", window, err)
-		}
-		print := fingerprint(t, f)
-		if want == nil {
-			want = print
-			continue
-		}
-		if !bytes.Equal(print, want) {
-			t.Fatalf("window=%d diverged", window)
-		}
-	}
+var streamCases = []streamCase{
+	{policy: fed.LeastLoaded{}},
+	{policy: fed.RefPolicy{}},
+	{policy: fed.Migrating{Inner: fed.FairnessAware{}, Budget: fed.DefaultMigrationBudget}},
+	{policy: fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget}, staleness: 40},
+	{
+		policy:    fed.Migrating{Inner: fed.NBSPolicy{}, Budget: fed.DefaultMigrationBudget},
+		staleness: 25,
+		admission: &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 60, Burst: 2},
+	},
 }
 
-// TestStreamingMemoryBound: with a window of W the pending queue never
-// holds more than W + (largest same-instant batch) + 1 jobs — the O(W)
-// residency claim, against an eager run that would hold the whole
-// stream.
-func TestStreamingMemoryBound(t *testing.T) {
-	const window = 16
-	jobs := drainGenSource(t, 11)
-	maxBatch, run := 0, 0
-	for i := range jobs {
-		if i > 0 && jobs[i].Release == jobs[i-1].Release {
-			run++
-		} else {
-			run = 1
-		}
-		if run > maxBatch {
-			maxBatch = run
-		}
-	}
-	bound := window + maxBatch + 1
-	if len(jobs) < 4*bound {
-		t.Fatalf("stream of %d jobs is too short to distinguish O(window) from O(n) residency (bound %d)", len(jobs), bound)
-	}
-
-	f, _ := emptyFederation(t, []string{"fairshare"}, fed.FairnessAware{}, 11)
-	src, err := testScenario().Source(6000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SetSource(src, window); err != nil {
-		t.Fatal(err)
-	}
-	maxPending := f.PendingCount()
-	for {
-		_, ok, err := f.StepToNextEvent()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if n := f.PendingCount(); n > maxPending {
-			maxPending = n
-		}
-	}
-	if maxPending > bound {
-		t.Fatalf("pending peaked at %d jobs; window %d bounds it by %d", maxPending, window, bound)
-	}
-	if got, want := f.SourceCursor(), int64(len(jobs)); got != want {
-		t.Fatalf("source cursor = %d, want %d (stream not fully consumed)", got, want)
-	}
-}
-
-// TestStreamingCheckpointRestore: a mid-stream checkpoint records only
-// the source cursor; restoring, re-attaching a fresh replay of the
-// source and stepping on reproduces the uninterrupted run byte for
-// byte. Stepping before re-attaching is refused.
-//
-// The uninterrupted control run steps through the same instants as the
-// checkpointed one: the decision log records starts in discovery order
-// (one advanceMembers burst per stepped instant, member-major), so the
-// step sequence is part of the log's byte layout — for any run, with
-// or without a source. Snapshot/Restore must be the only perturbation.
-func TestStreamingCheckpointRestore(t *testing.T) {
+// build returns an empty federation of the case's shape and the static
+// configuration that restores it.
+func (sc streamCase) build(t testing.TB) (*fed.Federation, []string, []fed.ClusterSpec) {
+	t.Helper()
 	algs := []string{"ref", "directcontr", "fairshare"}
-	policy := fed.Migrating{Inner: fed.FairnessAware{}, Budget: fed.DefaultMigrationBudget}
-	newSource := func() fed.JobSource {
-		src, err := testScenario().Source(6000, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
-	}
-
-	straight, _ := emptyFederation(t, algs, policy, 11)
-	if err := straight.SetSource(newSource(), 16); err != nil {
+	f, w := emptyFederation(t, algs, sc.policy, 11)
+	f.SetStaleness(sc.staleness)
+	if err := f.SetAdmission(sc.admission); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := straight.Step(2500); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := straight.Step(6000); err != nil {
-		t.Fatal(err)
-	}
-
-	interrupted, w := emptyFederation(t, algs, policy, 11)
-	if err := interrupted.SetSource(newSource(), 16); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := interrupted.Step(2500); err != nil {
-		t.Fatal(err)
-	}
-	if interrupted.SourceCursor() == 0 {
-		t.Fatal("no jobs consumed by t=2500 — checkpoint would not be mid-stream")
-	}
-	snap, err := interrupted.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	specs := make([]fed.ClusterSpec, len(w.Machines))
 	for c := range specs {
 		specs[c] = fed.ClusterSpec{
@@ -247,113 +99,297 @@ func TestStreamingCheckpointRestore(t *testing.T) {
 			Machines: w.Machines[c],
 		}
 	}
-	restored, err := fed.Restore(w.Orgs, specs, policy, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.Step(2600); err == nil || !strings.Contains(err.Error(), "SetSource") {
-		t.Fatalf("stepping a restored streaming run without its source: err = %v, want re-attachment refusal", err)
-	}
-	if err := restored.SetSource(newSource(), 16); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := restored.SourceCursor(), interrupted.SourceCursor(); got != want {
-		t.Fatalf("restored cursor = %d, want %d", got, want)
-	}
-	if _, err := restored.Step(6000); err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(fingerprint(t, restored), fingerprint(t, straight)) {
-		t.Fatal("restored mid-stream run diverged from the uninterrupted run")
-	}
-	snapA, err := straight.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapB, err := restored.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapA, snapB) {
-		t.Fatal("final checkpoints of the straight and restored runs differ")
-	}
+	return f, w.Orgs, specs
 }
 
-// TestSourceValidation: attachment and stream-contract violations are
-// surfaced, and a source failure is sticky — the federation refuses to
-// step past an unknowable stream.
-func TestSourceValidation(t *testing.T) {
-	build := func() *fed.Federation {
-		f, _ := emptyFederation(t, []string{"fairshare"}, fed.LocalOnly{}, 3)
-		return f
+// streamSteps are the instants every chunked run steps through: the
+// decision log records starts in discovery order (one advanceMembers
+// burst per stepped instant, member-major), so two runs compare as
+// bytes only when they share the stepping sequence.
+func streamSteps(horizon model.Time, n int) []model.Time {
+	steps := make([]model.Time, n)
+	for i := range steps {
+		steps[i] = horizon * model.Time(i+1) / model.Time(n)
 	}
-	t.Run("nil source", func(t *testing.T) {
-		if err := build().SetSource(nil, 0); err == nil {
-			t.Fatal("nil source accepted")
-		}
-	})
-	t.Run("duplicate attach", func(t *testing.T) {
-		f := build()
-		if err := f.SetSource(fed.NewSliceSource(nil), 0); err != nil {
+	return steps
+}
+
+// newScenarioSource opens a fresh replay of the test scenario's stream.
+func newScenarioSource(t testing.TB, horizon model.Time, seed int64) fed.JobSource {
+	t.Helper()
+	src, err := testScenario().Source(horizon, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// stepChunked alternates SubmitThrough(src, t) and Step(t) over steps
+// and returns the largest pending queue it saw (right after a
+// SubmitThrough, where it peaks).
+func stepChunked(t testing.TB, f *fed.Federation, src fed.JobSource, steps []model.Time) (peak int) {
+	t.Helper()
+	for _, until := range steps {
+		if _, err := f.SubmitThrough(src, until); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.SetSource(fed.NewSliceSource(nil), 0); err == nil {
-			t.Fatal("second source accepted")
+		peak = max(peak, f.PendingCount())
+		if _, err := f.Step(until); err != nil {
+			t.Fatal(err)
 		}
-	})
-	for name, jobs := range map[string][]fed.SourceJob{
-		"decreasing release": {{Cluster: 0, Org: 0, Size: 1, Release: 10}, {Cluster: 0, Org: 0, Size: 1, Release: 5}},
-		"unknown cluster":    {{Cluster: 99, Org: 0, Size: 1, Release: 0}},
-		"unknown org":        {{Cluster: 0, Org: 99, Size: 1, Release: 0}},
-		"zero size":          {{Cluster: 0, Org: 0, Size: 0, Release: 0}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			f := build()
-			// The first window fills during SetSource, so the violation
-			// surfaces immediately...
-			if err := f.SetSource(fed.NewSliceSource(jobs), 8); err == nil {
-				t.Fatal("invalid stream accepted")
+	}
+	return peak
+}
+
+// TestStreamingMatchesEager: feeding a JobSource through SubmitThrough
+// one step ahead of Step ends in the Snapshot bytes of Submitting the
+// whole stream up front and stepping through the same instants —
+// sequence numbers are assigned in stream order either way, and every
+// release instant is complete before it is delivered.
+func TestStreamingMatchesEager(t *testing.T) {
+	jobs := drainGenSource(t, 11)
+	if len(jobs) == 0 {
+		t.Fatal("scenario source yielded no jobs")
+	}
+	steps := streamSteps(6000, 16)
+	for _, sc := range streamCases {
+		t.Run(sc.policy.Name(), func(t *testing.T) {
+			eager, _, _ := sc.build(t)
+			for _, j := range jobs {
+				if _, err := eager.Submit(j.Cluster, j.Org, j.Size, j.Release); err != nil {
+					t.Fatal(err)
+				}
 			}
-			// ...and stays sticky: the run cannot be stepped past it.
-			if _, err := f.Step(100); err == nil {
-				t.Fatal("stepping past a failed source succeeded")
+			for _, until := range steps {
+				if _, err := eager.Step(until); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			chunked, _, _ := sc.build(t)
+			src := newScenarioSource(t, 6000, 11)
+			stepChunked(t, chunked, src, steps)
+			if done, err := chunked.SubmitThrough(src, 6000); err != nil || !done {
+				t.Fatalf("stream not drained at the horizon: done=%v err=%v", done, err)
+			}
+			if got, want := chunked.Submitted(), int64(len(jobs)); got != want {
+				t.Fatalf("chunked run accepted %d jobs, want %d", got, want)
+			}
+			if err := chunked.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+			if len(chunked.Decisions()) == 0 {
+				t.Fatal("chunked run made no decisions")
+			}
+			if st := chunked.AdmissionStats(); sc.admission != nil && st.TotalDeferred() == 0 {
+				t.Fatal("the gate deferred nothing — the case does not exercise admission")
+			}
+			if _, ok := sc.policy.(fed.MigratingPolicy); ok && chunked.Ledger().Migrations == 0 {
+				t.Fatal("nothing migrated — the case does not exercise re-delegation")
+			}
+			want, err := eager.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := chunked.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("chunked run diverged from the eager run of the same stream")
 			}
 		})
 	}
 }
 
-// TestStreamingWithExplicitSubmits: Submit stays usable alongside an
-// attached source (the serving tier interleaves API submissions with a
-// replay feed); the merged run is deterministic.
+// TestStreamingMemoryBound: a chunked run never holds more than one
+// step's releases plus the one job that proved the step complete,
+// against an eager run that holds the whole stream — so at a fixed step
+// length the peak does not grow with the trace. Its -v log is the
+// "Streaming ingestion" table of EXPERIMENTS.md.
+func TestStreamingMemoryBound(t *testing.T) {
+	t.Logf("| horizon | steps | jobs | eager peak pending | chunked peak pending | bound |")
+	for _, horizon := range []model.Time{6000, 60000} {
+		steps := streamSteps(horizon, int(horizon/375))
+		src := newScenarioSource(t, horizon, 11)
+		perStep := make([]int, len(steps))
+		jobs := 0
+		for {
+			j, ok, err := src.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			jobs++
+			k := 0
+			for steps[k] < j.Release {
+				k++
+			}
+			perStep[k]++
+		}
+		bound := slices.Max(perStep) + 1
+		if jobs < 2*bound {
+			t.Fatalf("stream of %d jobs is too short to tell one step's releases (bound %d) from the whole stream", jobs, bound)
+		}
+
+		f, _ := emptyFederation(t, []string{"fairshare"}, fed.FairnessAware{}, 11)
+		peak := stepChunked(t, f, newScenarioSource(t, horizon, 11), steps)
+		t.Logf("| %d | %d | %d | %d | %d | %d |", horizon, len(steps), jobs, jobs, peak, bound)
+		if peak > bound {
+			t.Fatalf("horizon %d: pending peaked at %d jobs; one step's releases + 1 is %d", horizon, peak, bound)
+		}
+		if got := f.Submitted(); got != int64(jobs) {
+			t.Fatalf("horizon %d: %d of %d jobs accepted (stream not fully consumed)", horizon, got, jobs)
+		}
+	}
+}
+
+// TestStreamingCheckpointRestore: a checkpoint taken mid-stream holds
+// no cursor; restoring it, re-opening the source, discarding the
+// Submitted() jobs the snapshot already accounts for and stepping on
+// reproduces the uninterrupted run byte for byte.
+func TestStreamingCheckpointRestore(t *testing.T) {
+	steps := streamSteps(6000, 16)
+	const cut = 7
+	for _, sc := range streamCases {
+		t.Run(sc.policy.Name(), func(t *testing.T) {
+			straight, _, _ := sc.build(t)
+			stepChunked(t, straight, newScenarioSource(t, 6000, 11), steps)
+
+			interrupted, orgs, specs := sc.build(t)
+			stepChunked(t, interrupted, newScenarioSource(t, 6000, 11), steps[:cut])
+			if n := interrupted.Submitted(); n == 0 || n == straight.Submitted() {
+				t.Fatalf("%d of %d jobs accepted at the cut — the checkpoint is not mid-stream", n, straight.Submitted())
+			}
+			snap, err := interrupted.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(snap, []byte(`"source"`)) {
+				t.Fatalf("mid-stream checkpoint carries a source block: %.200s", snap)
+			}
+			restored, err := fed.Restore(orgs, specs, sc.policy, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := newScenarioSource(t, 6000, 11)
+			for i := int64(0); i < restored.Submitted(); i++ {
+				if _, ok, err := src.Next(); err != nil || !ok {
+					t.Fatalf("replayed source ended %d jobs into a prefix of %d: %v", i, restored.Submitted(), err)
+				}
+			}
+			stepChunked(t, restored, src, steps[cut:])
+
+			want, err := straight.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := restored.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("restored mid-stream run diverged from the uninterrupted run")
+			}
+		})
+	}
+}
+
+// failingSource yields its jobs and then an error.
+type failingSource struct {
+	fed.SliceSource
+	err error
+}
+
+func (s *failingSource) Next() (fed.SourceJob, bool, error) {
+	j, ok, _ := s.SliceSource.Next()
+	if !ok {
+		return fed.SourceJob{}, false, s.err
+	}
+	return j, true, nil
+}
+
+// TestSourceValidation: a job the source yields passes the same checks
+// as a submitted one. The Submit error surfaces from SubmitThrough, the
+// jobs before it stay accepted, and the federation steps on.
+func TestSourceValidation(t *testing.T) {
+	good := fed.SourceJob{Cluster: 0, Org: 0, Size: 1, Release: 10}
+	for name, bad := range map[string]fed.SourceJob{
+		"decreasing release": {Cluster: 0, Org: 0, Size: 1, Release: 5},
+		"unknown cluster":    {Cluster: 99, Org: 0, Size: 1, Release: 10},
+		"unknown org":        {Cluster: 0, Org: 99, Size: 1, Release: 10},
+		"zero size":          {Cluster: 0, Org: 0, Size: 0, Release: 10},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f, _ := emptyFederation(t, []string{"fairshare"}, fed.LocalOnly{}, 3)
+			src := fed.NewSliceSource([]fed.SourceJob{good, bad, good})
+			// The first call stops at the good job, released after 7; by
+			// the second the clock has passed the bad job's release of 5.
+			if done, err := f.SubmitThrough(src, 7); err != nil || done {
+				t.Fatalf("good job: done=%v err=%v", done, err)
+			}
+			if _, err := f.Step(7); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.SubmitThrough(src, 20); err == nil || !strings.Contains(err.Error(), "fed: submit") {
+				t.Fatalf("invalid job accepted from the source: err = %v", err)
+			}
+			if got := f.Submitted(); got != 1 {
+				t.Fatalf("%d jobs accepted around the bad one, want the 1 before it", got)
+			}
+			if done, err := f.SubmitThrough(src, 20); err != nil || !done {
+				t.Fatalf("rest of the stream: done=%v err=%v", done, err)
+			}
+			if decs, err := f.Step(100); err != nil || len(decs) != 2 {
+				t.Fatalf("stepping after a refused job: %d decisions, err = %v", len(decs), err)
+			}
+			if err := f.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Run("source error", func(t *testing.T) {
+		f, _ := emptyFederation(t, []string{"fairshare"}, fed.LocalOnly{}, 3)
+		broken := errors.New("disk on fire")
+		src := &failingSource{SliceSource: *fed.NewSliceSource([]fed.SourceJob{good}), err: broken}
+		if _, err := f.SubmitThrough(src, 50); !errors.Is(err, broken) {
+			t.Fatalf("source failure not surfaced: %v", err)
+		}
+		if got := f.Submitted(); got != 1 {
+			t.Fatalf("%d jobs accepted before the failure, want 1", got)
+		}
+	})
+}
+
+// TestStreamingWithExplicitSubmits: Submit stays usable between
+// SubmitThrough calls (a serving tier interleaves API submissions with
+// a replay feed); the merged run conserves jobs and is deterministic.
 func TestStreamingWithExplicitSubmits(t *testing.T) {
 	run := func() []byte {
 		f, _ := emptyFederation(t, []string{"ref", "fairshare"}, fed.FairnessAware{}, 5)
-		src, err := testScenario().Source(6000, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.SetSource(src, 32); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 40; i++ {
-			if _, err := f.Step(model.Time(i * 150)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Submit(i%3, i%3, model.Time(1+i%7), model.Time(i*150)); err != nil {
+		src := newScenarioSource(t, 6000, 5)
+		for i := 0; i <= 40; i++ {
+			until := model.Time(i * 150)
+			stepChunked(t, f, src, []model.Time{until})
+			if _, err := f.Submit(i%3, i%3, model.Time(1+i%7), until); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := f.Step(6000); err != nil {
+		if _, err := f.Step(6100); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.CheckConservation(); err != nil {
 			t.Fatal(err)
 		}
+		if f.PendingCount() != 0 || f.Submitted() <= 41 {
+			t.Fatalf("%d pending, %d submitted: the source did not feed the run", f.PendingCount(), f.Submitted())
+		}
 		return fingerprint(t, f)
 	}
 	if !bytes.Equal(run(), run()) {
-		t.Fatal("interleaved Submit + source runs diverged")
+		t.Fatal("interleaved Submit + SubmitThrough runs diverged")
 	}
 }
 
@@ -444,8 +480,8 @@ func TestSWFSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		src.SetSlack(4)
-		if err := f.SetSource(src, 4); err != nil {
-			t.Fatal(err)
+		if done, err := f.SubmitThrough(src, 100); err != nil || !done {
+			t.Fatalf("archive not drained: done=%v err=%v", done, err)
 		}
 		if _, err := f.Step(100); err != nil {
 			t.Fatal(err)
@@ -533,15 +569,18 @@ func TestSWFSourceDisorderBeyondSlack(t *testing.T) {
 	}
 }
 
-// FuzzFedStreamStep interleaves stepping, explicit submissions and
-// migration-driven withdrawals against a streaming source and asserts
-// the two invariants everything else rests on: job conservation, and
-// determinism — the same op sequence replays to identical bytes.
+// FuzzFedStreamStep interleaves Step, StepToNextEvent, Submit and
+// SubmitThrough in any order — including stepping past releases the
+// source has yet to yield, whose Submit is then refused — over a
+// migrating federation, and asserts the two invariants everything else
+// rests on: job conservation, and determinism — the same op sequence
+// replays to identical bytes.
 func FuzzFedStreamStep(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, int64(1))
 	f.Add([]byte{2, 2, 2, 9, 0, 7, 1}, int64(3))
 	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1}, int64(7))
 	f.Add([]byte{}, int64(5))
+	f.Add([]byte{203, 201, 251, 249, 3, 0, 103, 101, 2, 255, 253}, int64(11)) // SubmitThrough(t) then Step(t)
 	f.Fuzz(func(t *testing.T, ops []byte, seed int64) {
 		if len(ops) > 48 {
 			ops = ops[:48]
@@ -564,11 +603,18 @@ func FuzzFedStreamStep(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fd.SetSource(src, 16); err != nil {
-				t.Fatal(err)
+			// through feeds the source up to t. A job whose release the
+			// clock has already passed is refused and dropped, like any
+			// late Submit; nothing else may fail.
+			through := func(t0 model.Time) (done bool) {
+				done, err := fd.SubmitThrough(src, t0)
+				if err != nil && !strings.Contains(err.Error(), "before federation time") {
+					t.Fatal(err)
+				}
+				return done
 			}
 			for _, b := range ops {
-				switch b % 3 {
+				switch b % 4 {
 				case 0:
 					if _, _, err := fd.StepToNextEvent(); err != nil {
 						t.Fatal(err)
@@ -584,9 +630,13 @@ func FuzzFedStreamStep(f *testing.F) {
 					if _, err := fd.Submit(cluster, org, size, fd.Now()+model.Time(b%17)); err != nil {
 						t.Fatal(err)
 					}
+				case 3:
+					through(fd.Now() + model.Time(b-2))
 				}
 			}
 			// Drain everything, including submits released past 6000.
+			for !through(sim.MaxTime) {
+			}
 			for {
 				if _, ok, err := fd.StepToNextEvent(); err != nil {
 					t.Fatal(err)
@@ -596,6 +646,9 @@ func FuzzFedStreamStep(f *testing.F) {
 			}
 			if err := fd.CheckConservation(); err != nil {
 				t.Fatal(err)
+			}
+			if fd.PendingCount() != 0 {
+				t.Fatalf("%d jobs still pending after the drain", fd.PendingCount())
 			}
 			return fingerprint(t, fd)
 		}

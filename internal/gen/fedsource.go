@@ -26,13 +26,13 @@ func (s FedScenario) OrgNames() []string {
 // (stats.NewStreamRand), and a release-keyed min-heap merges the user
 // processes into one globally nondecreasing job stream. Memory is
 // O(Users), independent of horizon and therefore of trace length — the
-// property that lets federated replays run multi-million-job scenarios
-// under the O(window) ingestion path.
+// property that lets a federated replay feed a multi-million-job
+// scenario one step at a time (fed.Federation.SubmitThrough).
 //
 // The stream is deterministic and replayable: two sources built from
 // the same (scenario, horizon, seed) yield identical streams, which is
-// what lets a restored checkpoint fast-forward a fresh source to its
-// cursor. It is a workload of the scenario's family — same burst
+// what lets a restored run skip a fresh source past the jobs it had
+// already accepted. It is a workload of the scenario's family — same burst
 // structure, size distribution, diurnal thinning, cluster/org homing
 // distributions — but not byte-identical to Generate's output: the
 // batch generator draws every user from one shared rng in trace order,
@@ -71,22 +71,9 @@ func (s FedScenario) Source(horizon model.Time, seed int64) (*FedSource, error) 
 		sc:             s,
 		horizon:        horizon,
 		seed:           seed,
+		gapMean:        s.Base.gapMean(horizon),
 		clusterWeights: stats.ZipfWeights(s.Clusters, s.LoadSkew),
 	}
-	// The same offered-load calibration Generate uses: sessions per user
-	// spaced so the family's load is met in expectation.
-	targetWork := s.Base.Load * float64(s.Base.Procs) * float64(horizon)
-	jobsTotal := targetWork / s.Base.Size.Mean()
-	jobsPerUser := jobsTotal / float64(s.Base.Users)
-	if jobsPerUser < 1 {
-		jobsPerUser = 1
-	}
-	sessionsPerUser := jobsPerUser / s.Base.SessionJobs
-	if sessionsPerUser < 1 {
-		sessionsPerUser = 1
-	}
-	src.gapMean = float64(horizon) / sessionsPerUser
-
 	src.users = make([]fedUser, s.Base.Users)
 	for u := range src.users {
 		fu := &src.users[u]

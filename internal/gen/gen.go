@@ -77,17 +77,7 @@ func (f Family) Generate(horizon model.Time, rng *rand.Rand) *trace.Trace {
 		"Synthetic workload family " + f.Name,
 		"Generated by repro/internal/gen",
 	}}
-	targetWork := f.Load * float64(f.Procs) * float64(horizon)
-	jobsTotal := targetWork / f.Size.Mean()
-	jobsPerUser := jobsTotal / float64(f.Users)
-	if jobsPerUser < 1 {
-		jobsPerUser = 1
-	}
-	sessionsPerUser := jobsPerUser / f.SessionJobs
-	if sessionsPerUser < 1 {
-		sessionsPerUser = 1
-	}
-	gapMean := float64(horizon) / sessionsPerUser
+	gapMean := f.gapMean(horizon)
 	id := 1
 	for u := 0; u < f.Users; u++ {
 		// First session starts at a uniform offset so users are not
@@ -111,6 +101,23 @@ func (f Family) Generate(horizon model.Time, rng *rand.Rand) *trace.Trace {
 		}
 	}
 	return tr
+}
+
+// gapMean is the offered-load calibration: the mean gap between one
+// user's sessions at which the family's load is met in expectation
+// over [0, horizon).
+func (f Family) gapMean(horizon model.Time) float64 {
+	targetWork := f.Load * float64(f.Procs) * float64(horizon)
+	jobsTotal := targetWork / f.Size.Mean()
+	jobsPerUser := jobsTotal / float64(f.Users)
+	if jobsPerUser < 1 {
+		jobsPerUser = 1
+	}
+	sessionsPerUser := jobsPerUser / f.SessionJobs
+	if sessionsPerUser < 1 {
+		sessionsPerUser = 1
+	}
+	return float64(horizon) / sessionsPerUser
 }
 
 // Instance generates a trace and converts it straight into a model

@@ -131,6 +131,7 @@ func (in *Instance) Validate() error {
 // least one and at most MaxOrgs organizations, at least one machine in
 // total, job IDs equal to positions and job fields in range.
 func (in *Instance) ValidateUnordered() error {
+	const maxMachines = 1 << 20
 	if len(in.Orgs) == 0 {
 		return errors.New("model: instance has no organizations")
 	}
@@ -151,6 +152,11 @@ func (in *Instance) ValidateUnordered() error {
 					return fmt.Errorf("model: organization %d (%s) machine %d has speed %d; speeds must be >= 1", i, o.Name, m, s)
 				}
 			}
+		}
+		// Every schedule keeps per-machine slices: a pool this size is a
+		// typo or an attack, and one past it overflows the sum.
+		if o.Machines > maxMachines-total {
+			return fmt.Errorf("model: more than %d machines", maxMachines)
 		}
 		total += o.Machines
 	}

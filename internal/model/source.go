@@ -2,10 +2,10 @@ package model
 
 // SourceJob is one job yielded by a streaming JobSource: which cluster
 // it was handed in at, who owns it, how big it is and when it becomes
-// available. It is the streaming counterpart of a federated Submit
-// call. The type lives here — in the shared vocabulary package — so
-// producers (internal/gen scenario samplers) and the consumer
-// (internal/fed's ingestion window) need not import one another.
+// available — the arguments of one federated Submit call. The type
+// lives here — in the shared vocabulary package — so producers
+// (internal/gen scenario samplers) and the consumer
+// (fed.Federation.SubmitThrough) need not import one another.
 type SourceJob struct {
 	Cluster int
 	Org     int
@@ -13,17 +13,16 @@ type SourceJob struct {
 	Release Time
 }
 
-// JobSource is the pull-based ingestion contract: the federation draws
-// jobs on demand into a bounded lookahead window instead of requiring
-// the whole replay to be materialized in the pending queue, so a
-// federated run holds O(window) jobs in memory regardless of trace
-// length.
+// JobSource is the pull-based ingestion contract: a producer hands out
+// one job at a time, so a replay driver (fed.Federation.SubmitThrough)
+// submits a step's releases ahead of each step instead of materializing
+// the whole trace in the pending queue.
 //
 // Next returns the next job, ok=false when the stream is exhausted, or
 // an error. Sources must yield jobs in nondecreasing Release order and
-// must be deterministic and replayable: a checkpoint records only how
-// many jobs were consumed (the cursor), and restoring re-opens the
-// source and skips that prefix — see fed.Federation.SetSource.
+// must be deterministic and replayable: a checkpoint holds no cursor,
+// and a restored run resumes by re-opening the source and skipping the
+// jobs the federation had already accepted (Federation.Submitted).
 type JobSource interface {
 	Next() (SourceJob, bool, error)
 }

@@ -171,6 +171,10 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		if listed[r.Machine] {
 			return fmt.Errorf("sim: restore: machine %d runs two jobs", r.Machine)
 		}
+		if r.End <= st.Now {
+			// The completion would be the next event, in the clock's past.
+			return fmt.Errorf("sim: restore: job %d still running at %d ended at %d", r.Job, st.Now, r.End)
+		}
 		listed[r.Machine] = true
 	}
 	for _, m := range st.Free {
@@ -181,6 +185,11 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 			return fmt.Errorf("sim: restore: machine %d listed free more than once, or both free and running", m)
 		}
 		listed[m] = true
+	}
+	for _, s := range st.Starts {
+		if s.Job < 0 || s.Job >= len(c.inst.Jobs) {
+			return fmt.Errorf("sim: restore: decision log references unknown job %d", s.Job)
+		}
 	}
 	for _, id := range st.Withdrawn {
 		if id < 0 || id >= len(c.inst.Jobs) {

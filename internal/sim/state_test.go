@@ -185,4 +185,9 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	if err := c.RestoreState(bad); err == nil {
 		t.Error("queue with unknown job accepted")
 	}
+	bad = st
+	bad.Starts = []Start{{Job: 42}}
+	if err := c.RestoreState(bad); err == nil {
+		t.Error("decision log with unknown job accepted")
+	}
 }
