@@ -2,6 +2,7 @@ package fed
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/ctrl"
@@ -15,9 +16,8 @@ import (
 // and the ledger's Migrated/MigratedWork matrices. Version 3 added the
 // control plane: the admission spec and the plane's serialized state
 // (event queue, policy state, per-organization admission counters).
-// Version 4 added a job-source cursor block for a pull mode that no
-// longer exists; no shipped program ever wrote it, so the layout is
-// version 3's. Restore accepts this version only.
+// Restore accepts version 4 only, and refuses the job-source cursor
+// block that version once allowed (see Checkpoint.Source).
 const CheckpointVersion = 4
 
 // Checkpoint is the complete serializable state of a federation: the
@@ -132,7 +132,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
 	if len(cp.Source) > 0 {
-		return nil, fmt.Errorf(`fed: restore: checkpoint has a "source" block: it was taken mid-stream by a federation that pulled its own job source, and the rest of that stream is not in it; feed sources with SubmitThrough`)
+		return nil, errors.New(`fed: restore: checkpoint has a "source" block: it was taken mid-stream by a federation that pulled its own job source, and the rest of that stream is not in it; feed sources with SubmitThrough`)
 	}
 	if policy == nil {
 		return nil, fmt.Errorf("fed: restore: nil delegation policy")

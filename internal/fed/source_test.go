@@ -16,14 +16,9 @@ import (
 	"repro/internal/stats"
 )
 
-// emptyFederation builds a federation over the test scenario's
-// machines without submitting any jobs.
-func emptyFederation(t testing.TB, algs []string, policy fed.Policy, seed int64) (*fed.Federation, *gen.FedWorkload) {
-	t.Helper()
-	w, err := testScenario().Generate(6000, stats.NewRand(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+// scenarioSpecs are the member clusters of a generated workload, with
+// fresh algorithm values dealt round-robin from algs.
+func scenarioSpecs(w *gen.FedWorkload, algs []string) []fed.ClusterSpec {
 	specs := make([]fed.ClusterSpec, len(w.Machines))
 	for c := range specs {
 		specs[c] = fed.ClusterSpec{
@@ -32,7 +27,18 @@ func emptyFederation(t testing.TB, algs []string, policy fed.Policy, seed int64)
 			Machines: w.Machines[c],
 		}
 	}
-	f, err := fed.New(w.Orgs, specs, policy, seed)
+	return specs
+}
+
+// emptyFederation builds a federation over the test scenario's
+// machines without submitting any jobs.
+func emptyFederation(t testing.TB, algs []string, policy fed.Policy, seed int64) (*fed.Federation, *gen.FedWorkload) {
+	t.Helper()
+	w, err := testScenario().Generate(6000, stats.NewRand(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fed.New(w.Orgs, scenarioSpecs(w, algs), policy, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +97,7 @@ func (sc streamCase) build(t testing.TB) (*fed.Federation, []string, []fed.Clust
 	if err := f.SetAdmission(sc.admission); err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]fed.ClusterSpec, len(w.Machines))
-	for c := range specs {
-		specs[c] = fed.ClusterSpec{
-			Name:     fmt.Sprintf("site%d", c),
-			Alg:      algFactory(algs[c%len(algs)]),
-			Machines: w.Machines[c],
-		}
-	}
-	return f, w.Orgs, specs
+	return f, w.Orgs, scenarioSpecs(w, algs)
 }
 
 // streamSteps are the instants every chunked run steps through: the
@@ -591,10 +589,7 @@ func FuzzFedStreamStep(f *testing.F) {
 			if err != nil {
 				t.Skip("scenario rejected seed")
 			}
-			specs := make([]fed.ClusterSpec, len(w.Machines))
-			for c := range specs {
-				specs[c] = fed.ClusterSpec{Name: fmt.Sprintf("site%d", c), Alg: algFactory("fairshare"), Machines: w.Machines[c]}
-			}
+			specs := scenarioSpecs(w, []string{"fairshare"})
 			fd, err := fed.New(w.Orgs, specs, fed.Migrating{Inner: fed.FairnessAware{}, Budget: fed.DefaultMigrationBudget}, seed)
 			if err != nil {
 				t.Fatal(err)
