@@ -134,11 +134,9 @@ func buildInstance(swfPath, family string, orgs int, split string, machines int,
 		if machines <= 0 {
 			machines = orgs
 		}
-		var splits []int
-		if split == "uniform" {
-			splits = stats.UniformSplit(machines, orgs)
-		} else {
-			splits = stats.ZipfSplit(machines, orgs, 1)
+		splits, err := stats.SplitByName(split, machines, orgs)
+		if err != nil {
+			return nil, err
 		}
 		return trace.ToInstance(tr, splits, trace.AssignUsers(tr.Users(), orgs, rng))
 	}
@@ -146,11 +144,9 @@ func buildInstance(swfPath, family string, orgs int, split string, machines int,
 	if err != nil {
 		return nil, err
 	}
-	var splits []int
-	if split == "uniform" {
-		splits = stats.UniformSplit(fam.Procs, orgs)
-	} else {
-		splits = stats.ZipfSplit(fam.Procs, orgs, 1)
+	splits, err := stats.SplitByName(split, fam.Procs, orgs)
+	if err != nil {
+		return nil, err
 	}
 	return fam.Instance(horizon, orgs, splits, rng)
 }

@@ -75,6 +75,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-swf", "/nonexistent.swf"}, &stdout, &stderr); err == nil {
 		t.Fatal("missing trace file accepted")
 	}
+	// A misspelt split is refused, as the daemon refuses it; it used to
+	// run the zipf split silently.
+	if err := run([]string{"-split", "unifrom", "-horizon", "100"}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "unknown machine split") {
+		t.Fatalf("-split unifrom: err = %v, want the unknown-split refusal", err)
+	}
 	// The REF/RAND worker pool is gone and its flag with it: the
 	// standard unknown-flag usage error, not a silent no-op.
 	stderr.Reset()

@@ -13,14 +13,15 @@
 // Layout:
 //
 //	internal/model    — organizations, jobs, coalitions, instances
-//	internal/utility  — ψsp and classic scheduling metrics
+//	internal/utility  — ψsp and the flow-time metric it is compared with
 //	internal/stats    — seeded random sources, workload distributions,
 //	                    streaming mean/stddev
 //	internal/metrics  — Δψ / Δψ/p_tot unfairness measures and the
 //	                    admission conservation counters
-//	internal/shapley  — generic Shapley-value machinery, plus the
-//	                    dynamic-game layer (ContribGame, Contrib) REF
-//	                    and FedREF both run on
+//	internal/shapley  — the dynamic-game layer (ContribGame, and Contrib,
+//	                    the one exact evaluator under REF and FedREF),
+//	                    the sampled estimators, and the float subset
+//	                    formula kept as the tests' independent oracle
 //	internal/sim      — event-driven cluster simulator with greedy dispatch,
 //	                    online job injection/withdrawal and state
 //	                    capture/restore
@@ -34,7 +35,6 @@
 //	                    solver (water-filling with disagreement points
 //	                    and per-agent caps, zero-alloc SolveInto)
 //	internal/baseline — RoundRobin, FairShare, UtFairShare, CurrFairShare, FCFS
-//	internal/parjobs  — rigid parallel-jobs extension (paper §6/§8)
 //	internal/engine   — incremental run engine, a pure library:
 //	                    Feed/Step/Snapshot/Restore
 //	internal/ctrl     — cluster control plane: prioritized admission/
@@ -76,6 +76,7 @@
 //	bench/            — the committed request-path benchmark
 //	                    (go run ./bench, BENCHMARK.json)
 //	examples/...      — runnable scenarios built on the public API
+//	                    (nphardness carries the Theorem 5.1 gadget)
 //
 // See DESIGN.md for the full system inventory and EXPERIMENTS.md for
 // paper-versus-measured results.

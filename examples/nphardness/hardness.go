@@ -1,8 +1,9 @@
-package core
+package main
 
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -12,12 +13,10 @@ import (
 // below x. Computing φ(a) therefore answers SUBSETSUM — the proof that
 // computing contributions is NP-hard.
 type SubsetSumReduction struct {
-	S []int64
-	X int64
 	// Inst has k+2 organizations: 0..k-1 mirror the elements of S, k is
 	// the job-less organization `a`, k+1 is `b` with the dominating job.
 	Inst *model.Instance
-	A, B int
+	A    int
 	// L is the size of b's large job; Fact is (k+2)!.
 	L    int64
 	Fact int64
@@ -31,12 +30,12 @@ type SubsetSumReduction struct {
 func NewSubsetSumReduction(S []int64, x int64) *SubsetSumReduction {
 	k := len(S)
 	if k == 0 || k > 6 {
-		panic(fmt.Sprintf("core: reduction supports 1..6 elements, got %d", k))
+		panic(fmt.Sprintf("nphardness: reduction supports 1..6 elements, got %d", k))
 	}
 	var xtot int64 = 2
 	for _, xi := range S {
 		if xi <= 0 {
-			panic("core: SUBSETSUM elements must be positive")
+			panic("nphardness: SUBSETSUM elements must be positive")
 		}
 		xtot += xi
 	}
@@ -64,11 +63,7 @@ func NewSubsetSumReduction(S []int64, x int64) *SubsetSumReduction {
 		model.Job{Org: b, Release: 2, Size: model.Time(2*x + 2)},
 		model.Job{Org: b, Release: model.Time(2*x + 3), Size: model.Time(L)},
 	)
-	return &SubsetSumReduction{
-		S: append([]int64(nil), S...), X: x,
-		Inst: model.MustNewInstance(orgs, jobs),
-		A:    a, B: b, L: L, Fact: fact,
-	}
+	return &SubsetSumReduction{Inst: model.MustNewInstance(orgs, jobs), A: a, L: L, Fact: fact}
 }
 
 // Horizon returns a time by which every job has completed in every
@@ -115,7 +110,7 @@ func CountOrderings(S []int64, x int64) int64 {
 // plain Figure 3 rule, one organization may take several machines in
 // the same instant and the delicate L-job start-time gadget shifts.
 func (r *SubsetSumReduction) RecoverCount() int64 {
-	res := RefAlgorithm{Opts: RefOptions{Rotate: true}}.Run(r.Inst, r.Horizon(), 0)
+	res := core.RefAlgorithm{Opts: core.RefOptions{Rotate: true}}.Run(r.Inst, r.Horizon(), 0)
 	v := float64(r.Fact) * res.Phi[r.A] / float64(r.L)
 	if v < 0 {
 		return 0

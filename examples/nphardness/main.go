@@ -11,26 +11,22 @@
 //	go run ./examples/nphardness
 package main
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 func main() {
 	S := []int64{2, 3}
 	for _, x := range []int64{4, 5, 6} {
-		red := core.NewSubsetSumReduction(S, x)
+		red := NewSubsetSumReduction(S, x)
 		fmt.Printf("=== S = %v, x = %d ===\n", S, x)
 		fmt.Printf("reduction instance: %d organizations, %d jobs, largest job L = %d\n",
 			len(red.Inst.Orgs), len(red.Inst.Jobs), red.L)
 		recovered := red.RecoverCount()
-		brute := core.CountOrderings(S, x)
+		brute := CountOrderings(S, x)
 		fmt.Printf("orderings with Σ < %d:  decoded from φ(a) = %d, brute force = %d\n",
 			x, recovered, brute)
 	}
 	for _, x := range []int64{4, 5, 6} {
-		fmt.Printf("subset of %v summing to exactly %d? %v\n", S, x, core.HasSubsetSum(S, x))
+		fmt.Printf("subset of %v summing to exactly %d? %v\n", S, x, HasSubsetSum(S, x))
 	}
 	fmt.Println("\nBecause REF answers SUBSETSUM, no polynomial algorithm computes")
 	fmt.Println("exact contributions unless P = NP — hence the paper's FPRAS (unit")

@@ -43,7 +43,7 @@ func TestInapproximabilityGapGrowsWithOrgs(t *testing.T) {
 // itself is a 0-approximation.
 func TestSelfDistanceZero(t *testing.T) {
 	psi := []int64{10, 20, 30}
-	if got := metrics.RelativeUnfairness(psi, psi); got != 0 {
+	if got := metrics.DeltaPsi(psi, psi); got != 0 {
 		t.Fatalf("self distance = %v", got)
 	}
 }

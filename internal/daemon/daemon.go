@@ -98,10 +98,45 @@ type SessionConfig struct {
 	Workers int `json:"workers,omitempty"`
 }
 
+// Size limits of a session configuration. A create body is outside
+// input and a schedule set allocates per organization, per coalition
+// and per machine, so each is checked before anything is allocated
+// from it. Constants, not options.
+const (
+	// maxRefOrgs bounds an exact-REF cluster, which keeps 2^orgs
+	// coalition schedules (fed.RefPolicy's exact evaluator stops at the
+	// same player count).
+	maxRefOrgs = 16
+	// maxClusterMachines bounds one cluster's machine pool: every
+	// schedule keeps per-machine slices.
+	maxClusterMachines = 1 << 14
+	// maxRandSamples bounds RAND's permutation count: each sample adds
+	// up to orgs coalition schedules.
+	maxRandSamples = 1 << 10
+)
+
+// checkCluster refuses a cluster — a single session's, or one
+// federation member's — too large to build, naming the config field.
+func checkCluster(alg core.StepperAlgorithm, orgsField string, orgs int, machinesField string, machines int) error {
+	if orgs > model.MaxOrgs {
+		return fmt.Errorf("daemon: %s: %d organizations exceed the maximum of %d", orgsField, orgs, model.MaxOrgs)
+	}
+	if _, ref := alg.(core.RefAlgorithm); ref && orgs > maxRefOrgs {
+		return fmt.Errorf("daemon: %s: alg ref keeps 2^orgs schedules and takes at most %d organizations, got %d", orgsField, maxRefOrgs, orgs)
+	}
+	if machines > maxClusterMachines {
+		return fmt.Errorf("daemon: %s: %d machines exceed the maximum of %d per cluster", machinesField, machines, maxClusterMachines)
+	}
+	return nil
+}
+
 // buildAlg resolves an algorithm name with the config's shared options
 // into a stepper-capable algorithm.
 func (c SessionConfig) buildAlg(name string) (core.StepperAlgorithm, error) {
 	samples := c.RandSamples
+	if samples > maxRandSamples {
+		return nil, fmt.Errorf("daemon: rand_samples: %d exceeds the maximum of %d", samples, maxRandSamples)
+	}
 	if samples <= 0 {
 		samples = 15
 	}
@@ -120,8 +155,9 @@ func defaultStr(s, def string) string {
 	return s
 }
 
-// singleInstance builds the machine pool of a single-run session.
-func (c SessionConfig) singleInstance() (*model.Instance, error) {
+// singleInstance builds the machine pool of a single-run session
+// scheduled by alg.
+func (c SessionConfig) singleInstance(alg core.StepperAlgorithm) (*model.Instance, error) {
 	orgs := c.Orgs
 	if orgs == 0 {
 		orgs = 3
@@ -133,14 +169,12 @@ func (c SessionConfig) singleInstance() (*model.Instance, error) {
 	if total <= 0 {
 		total = orgs
 	}
-	var splits []int
-	switch defaultStr(c.Split, "zipf") {
-	case "uniform":
-		splits = stats.UniformSplit(total, orgs)
-	case "zipf":
-		splits = stats.ZipfSplit(total, orgs, 1)
-	default:
-		return nil, fmt.Errorf("daemon: unknown machine split %q (want zipf or uniform)", c.Split)
+	if err := checkCluster(alg, "orgs", orgs, "machines", total); err != nil {
+		return nil, err
+	}
+	splits, err := stats.SplitByName(defaultStr(c.Split, "zipf"), total, orgs)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	orgList := make([]model.Org, orgs)
 	for i := range orgList {
@@ -159,6 +193,15 @@ func (c SessionConfig) fedSpecs() ([]fed.ClusterSpec, error) {
 		alg, err := c.buildAlg(defaultStr(cl.Alg, "ref"))
 		if err != nil {
 			return nil, fmt.Errorf("daemon: cluster %d (%s): %w", i, cl.Name, err)
+		}
+		// Clamped per entry so a hostile row cannot wrap the sum;
+		// negative counts are fed.New's to name.
+		total := 0
+		for _, m := range cl.Machines {
+			total += min(max(m, 0), maxClusterMachines+1)
+		}
+		if err := checkCluster(alg, "org_names", len(c.OrgNames), fmt.Sprintf("clusters[%d].machines", i), total); err != nil {
+			return nil, err
 		}
 		specs[i] = fed.ClusterSpec{
 			Name:     defaultStr(cl.Name, fmt.Sprintf("cluster%d", i)),
@@ -210,7 +253,7 @@ func (c SessionConfig) open(snapshot []byte) (backend, error) {
 		if err != nil {
 			return bad(err)
 		}
-		inst, err := c.singleInstance()
+		inst, err := c.singleInstance(alg)
 		if err != nil {
 			return bad(err)
 		}

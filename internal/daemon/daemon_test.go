@@ -358,6 +358,52 @@ func TestMultiSessionDaemon(t *testing.T) {
 	a.do("GET", "/v1/sessions/fleet/state", "", http.StatusOK)
 }
 
+// A create body is outside input: a count no cluster could have is
+// refused by name before a slice is sized from it. The first two bodies
+// ended the process with "fatal error: out of memory" (ZipfSplit over
+// 4·10⁸ organizations; 2^26 coalition schedules).
+func TestCreateRefusesOversizedConfigs(t *testing.T) {
+	member := func(alg string, orgs, perOrg int) daemon.SessionConfig {
+		cfg := daemon.SessionConfig{Kind: daemon.KindFederation, Policy: "local"}
+		machines := make([]int, orgs)
+		for o := range machines {
+			cfg.OrgNames = append(cfg.OrgNames, fmt.Sprintf("o%d", o))
+			machines[o] = perOrg
+		}
+		cfg.Clusters = []daemon.ClusterConfig{{Name: "m", Alg: alg, Machines: machines}}
+		return cfg
+	}
+	mgr := daemon.NewManager()
+	if _, err := mgr.Create("kept", singleCfg()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field string
+		cfg   daemon.SessionConfig
+	}{
+		{"orgs", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "fairshare", Orgs: 400000000}},
+		{"orgs", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "ref", Orgs: 26}},
+		{"machines", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "fcfs", Orgs: 2, Machines: 2000000000}},
+		{"rand_samples", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "rand", Orgs: 2, RandSamples: 2000000000}},
+		{"clusters[0].machines", member("fcfs", 2, 1000000000)},
+		{"org_names", member("ref", 17, 1)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := mgr.Create("", c.cfg)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.field+":") {
+			t.Errorf("%+v: err = %v, want a refusal naming %s", c.cfg, err, c.field)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: refusing allocated %d bytes, want < 1 MB", c.field, got)
+		}
+	}
+	if list := mgr.List(); len(list) != 1 || list[0].ID() != "kept" {
+		t.Fatalf("session table changed by refused creates: %d sessions", len(list))
+	}
+}
+
 // TestSessionAPIValidation covers the create/restore error surface.
 func TestSessionAPIValidation(t *testing.T) {
 	a := newAPI(t)
@@ -365,9 +411,15 @@ func TestSessionAPIValidation(t *testing.T) {
 	a.do("POST", "/v1/sessions", `{"kind":"single","alg":"nope"}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"kind":"single","orgs":-1}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"kind":"single","ref_driver":"bogus"}`, http.StatusBadRequest)
+	a.do("POST", "/v1/sessions", `{"kind":"single","split":"unifrom"}`, http.StatusBadRequest)
 	// A machine pool no allocation can hold is a 400, not a makeslice
 	// panic that drops the connection.
 	a.do("POST", "/v1/sessions", `{"kind":"single","alg":"fcfs","orgs":1,"machines":4503599627370496}`, http.StatusBadRequest)
+	// An oversized configuration is a 400 naming its field
+	// (TestCreateRefusesOversizedConfigs: and allocates nothing).
+	if msg := a.do("POST", "/v1/sessions", `{"kind":"single","alg":"ref","orgs":26}`, http.StatusBadRequest)["error"]; !strings.Contains(fmt.Sprint(msg), "orgs") {
+		t.Fatalf("oversized ref session refused with %q, want the field named", msg)
+	}
 	a.do("POST", "/v1/sessions", `{"id":"strat","kind":"single","alg":"rand","rand_stratified":true}`, http.StatusCreated)
 	if alg := a.do("GET", "/v1/sessions/strat/state", "", http.StatusOK)["algorithm"]; alg != "Rand(N=15,stratified)" {
 		t.Fatalf("rand_stratified session runs %v, want the stratified sampler", alg)

@@ -293,7 +293,10 @@ const fedRefSampleBudget = 256
 //
 // Ties prefer the origin cluster, then the lowest index; a fresh
 // federation (all zeros) therefore routes every job home, and a
-// 1-member federation reproduces single-cluster behavior exactly.
+// 1-member federation reproduces single-cluster behavior exactly. The
+// exact evaluator is shapley.Contrib — φ_c is an integer numerator over
+// lcm(1..k) — so members symmetric in the game tie bit for bit and the
+// rule above, not rounding, decides between them.
 type RefPolicy struct {
 	// Samples > 0 is the explicitly sampled variant: every route goes
 	// through the sampled estimator with that permutation budget, even

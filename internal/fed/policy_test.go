@@ -2,12 +2,14 @@ package fed_test
 
 import (
 	"bytes"
+	"math/rand"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/fed"
 	"repro/internal/model"
+	"repro/internal/shapley"
 )
 
 // sums2 builds a two-cluster summary pair for direct policy unit tests.
@@ -221,5 +223,37 @@ func TestLeastLoadedOffloadsEndToEnd(t *testing.T) {
 	lo := build(fed.LocalOnly{}).Ledger()
 	if lo.Routed[0][1] != 0 || lo.Executed[1] != 0 {
 		t.Fatalf("local-only touched the idle cluster: routed %d, executed %d", lo.Routed[0][1], lo.Executed[1])
+	}
+}
+
+// FedREF's ties are the game's, not the evaluator's: two members with
+// equal demand and capacity get bit-equal φ, and with equal assigned
+// work an equal deficit, so a job released at one of them is never
+// routed to the other — "ties prefer the origin" decided by rounding
+// noise would send it there.
+func TestFedREFSymmetricMembersTie(t *testing.T) {
+	for seed := int64(0); seed < 1000; seed++ {
+		r := rand.New(rand.NewSource(7000 + seed))
+		k := 3 + r.Intn(6)
+		g := randFedGame(r, k)
+		a, b := 0, 1+r.Intn(k-1)
+		g.Demand[b], g.Cap[b] = g.Demand[a], g.Cap[a]
+		at := model.Time(1 + r.Intn(200))
+		if phi := shapley.ExactAt(g, at); phi[a] != phi[b] {
+			t.Fatalf("seed %d t=%d: symmetric members %d and %d got φ %v and %v", seed, at, a, b, phi[a], phi[b])
+		}
+		// Every member kept its own work so far: assigned = demand.
+		sums := make([]fed.Summary, k)
+		routed := make([][]int64, k)
+		for c := range sums {
+			sums[c] = fed.Summary{Cluster: c, Now: at, Capacity: g.Cap[c]}
+			routed[c] = make([]int64, k)
+			routed[c][c] = g.Demand[c]
+		}
+		for _, pair := range [][2]int{{a, b}, {b, a}} {
+			if got := (fed.RefPolicy{}).RouteLedger(0, pair[0], sums, routed); got == pair[1] {
+				t.Fatalf("seed %d t=%d: job of origin %d routed to its symmetric peer %d", seed, at, pair[0], got)
+			}
+		}
 	}
 }

@@ -33,16 +33,3 @@ func UnfairnessPerUnit(psi, ref []int64, ptot int64) float64 {
 	}
 	return float64(DeltaPsi(psi, ref)) / float64(ptot)
 }
-
-// RelativeUnfairness returns Δψ/‖ψ*‖₁ — the α of the approximation
-// definition (Definition 5.2).
-func RelativeUnfairness(psi, ref []int64) float64 {
-	var norm int64
-	for _, p := range ref {
-		norm += p
-	}
-	if norm <= 0 {
-		return 0
-	}
-	return float64(DeltaPsi(psi, ref)) / float64(norm)
-}

@@ -28,12 +28,3 @@ func TestUnfairnessPerUnit(t *testing.T) {
 		t.Errorf("ptot=0 should yield 0, got %v", got)
 	}
 }
-
-func TestRelativeUnfairness(t *testing.T) {
-	if got := RelativeUnfairness([]int64{0, 0}, []int64{5, 5}); got != 1.0 {
-		t.Errorf("RelativeUnfairness = %v", got)
-	}
-	if got := RelativeUnfairness([]int64{1}, []int64{0}); got != 0 {
-		t.Errorf("zero norm should yield 0, got %v", got)
-	}
-}

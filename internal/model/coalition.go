@@ -36,12 +36,6 @@ func (c Coalition) With(i int) Coalition { return c | Singleton(i) }
 // Without returns c \ {i}.
 func (c Coalition) Without(i int) Coalition { return c &^ Singleton(i) }
 
-// Union returns c ∪ d.
-func (c Coalition) Union(d Coalition) Coalition { return c | d }
-
-// Intersect returns c ∩ d.
-func (c Coalition) Intersect(d Coalition) Coalition { return c & d }
-
 // SubsetOf reports whether c ⊆ d.
 func (c Coalition) SubsetOf(d Coalition) bool { return c&^d == 0 }
 

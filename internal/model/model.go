@@ -190,31 +190,8 @@ func (in *Instance) TotalMachines() int {
 	return total
 }
 
-// CoalitionMachines returns the number of machines contributed by the
-// members of c.
-func (in *Instance) CoalitionMachines(c Coalition) int {
-	total := 0
-	for i, o := range in.Orgs {
-		if c.Has(i) {
-			total += o.Machines
-		}
-	}
-	return total
-}
-
 // Grand returns the grand coalition of all organizations.
 func (in *Instance) Grand() Coalition { return Grand(len(in.Orgs)) }
-
-// JobsOf returns the IDs of org's jobs in FIFO order.
-func (in *Instance) JobsOf(org int) []int {
-	var ids []int
-	for _, j := range in.Jobs {
-		if j.Org == org {
-			ids = append(ids, j.ID)
-		}
-	}
-	return ids
-}
 
 // TotalWork returns the sum of job sizes (total processing demand).
 func (in *Instance) TotalWork() Time {

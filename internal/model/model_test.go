@@ -95,9 +95,6 @@ func TestAggregates(t *testing.T) {
 	if got := in.TotalMachines(); got != 3 {
 		t.Errorf("TotalMachines = %d", got)
 	}
-	if got := in.CoalitionMachines(Singleton(0)); got != 2 {
-		t.Errorf("CoalitionMachines({0}) = %d", got)
-	}
 	if got := in.TotalWork(); got != 11 {
 		t.Errorf("TotalWork = %d", got)
 	}
@@ -109,9 +106,6 @@ func TestAggregates(t *testing.T) {
 	}
 	if got := in.Grand(); got != Grand(2) {
 		t.Errorf("Grand = %v", got)
-	}
-	if got := in.JobsOf(0); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("JobsOf(0) = %v", got)
 	}
 }
 

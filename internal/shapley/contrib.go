@@ -40,10 +40,17 @@ func Frozen(g ContribGame, t model.Time) Game {
 }
 
 // ExactAt computes the exact Shapley contributions of the dynamic game
-// at time t by the subset formula (Equation 1). Cost: O(n·2ⁿ) plus 2ⁿ
-// ValueAt evaluations.
+// at time t: one Contrib loaded from the game, read at the grand
+// coalition — the evaluator REF steps on, so symmetric players tie
+// exactly. Cost: n·2^(n−1) integer additions plus 2ⁿ ValueAt
+// evaluations.
 func ExactAt(g ContribGame, t model.Time) []float64 {
-	return Exact(Frozen(g, t))
+	n := g.Players()
+	ct := NewContrib(n)
+	ct.Refresh(g, t)
+	phi := make([]float64, n)
+	ct.PhiInto(model.Grand(n), phi)
+	return phi
 }
 
 // SampleAt estimates the Shapley contributions of the dynamic game at

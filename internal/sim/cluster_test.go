@@ -98,8 +98,8 @@ func TestNonClairvoyantView(t *testing.T) {
 	if !ok || id != 0 || rel != 2 {
 		t.Fatalf("Head = (%d,%d,%v)", id, rel, ok)
 	}
-	if v.TotalWaiting() != 1 || v.Waiting(0) != 1 {
-		t.Fatal("waiting counters wrong")
+	if v.Waiting(0) != 1 {
+		t.Fatal("waiting counter wrong")
 	}
 	c.Dispatch()
 	if v.Waiting(0) != 0 || v.Running(0) != 1 {
@@ -184,13 +184,6 @@ func TestMachineOwnersAndShares(t *testing.T) {
 	if v.Machines() != 4 {
 		t.Fatalf("machines = %d", v.Machines())
 	}
-	owners := map[int]int{}
-	for m := 0; m < v.Machines(); m++ {
-		owners[v.MachineOwner(m)]++
-	}
-	if owners[0] != 2 || owners[1] != 2 {
-		t.Fatalf("owners = %v", owners)
-	}
 	if v.Share(0) != 0.5 || v.Share(1) != 0.5 {
 		t.Fatalf("shares = %v/%v", v.Share(0), v.Share(1))
 	}
@@ -214,9 +207,6 @@ func TestOwnerAccounting(t *testing.T) {
 	v := c.View()
 	if got := v.OwnerPsi(1); got != utility.PsiJob(0, 4, 10) {
 		t.Errorf("B's owner-ψ = %d", got)
-	}
-	if got := v.OwnerUsage(1); got != 4 {
-		t.Errorf("B's owner usage = %d", got)
 	}
 	if got := v.OwnerPsi(0); got != 0 {
 		t.Errorf("A's owner-ψ = %d, want 0", got)
@@ -259,8 +249,12 @@ func TestPlacedExport(t *testing.T) {
 	if len(all) != 6 {
 		t.Fatalf("Placed(-1) = %d records", len(all))
 	}
-	if got := utility.BusyUnits(all, 20); got != int64(in.TotalWork()) {
-		t.Fatalf("busy units = %d, want %d", got, in.TotalWork())
+	var busy int64
+	for _, p := range all {
+		busy += utility.ExecutedUnits(p.Start, p.Size, 20)
+	}
+	if busy != int64(in.TotalWork()) {
+		t.Fatalf("busy units = %d, want %d", busy, in.TotalWork())
 	}
 	o2 := c.Placed(1)
 	if len(o2) != 2 || o2[0].Size != 6 {

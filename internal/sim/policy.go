@@ -73,9 +73,6 @@ func (p *SelectFunc) Select(t model.Time, machine int) int { return p.F(p.view, 
 // are evaluated at the cluster's current time.
 type View struct{ c *Cluster }
 
-// Now returns the cluster's current time.
-func (v *View) Now() model.Time { return v.c.now }
-
 // Orgs returns the number of organizations in the instance (including
 // coalition non-members, which always show empty queues and no
 // machines).
@@ -87,14 +84,8 @@ func (v *View) Coalition() model.Coalition { return v.c.coal }
 // Machines returns the number of machines in the coalition pool.
 func (v *View) Machines() int { return len(v.c.owners) }
 
-// MachineOwner returns the organization owning machine m.
-func (v *View) MachineOwner(m int) int { return v.c.owners[m] }
-
 // Waiting returns the number of released, not yet started jobs of org.
 func (v *View) Waiting(org int) int { return len(v.c.queues[org]) - v.c.qHead[org] }
-
-// TotalWaiting returns the number of waiting jobs across organizations.
-func (v *View) TotalWaiting() int { return v.c.totalWaiting }
 
 // Head returns the ID and release time of org's next job in FIFO order.
 // The job's size is deliberately not exposed (non-clairvoyance).
@@ -125,12 +116,6 @@ func (v *View) Usage(org int) int64 {
 func (v *View) OwnerPsi(org int) int64 {
 	v.c.flush()
 	return v.c.ownAcct[org].PsiAt(v.c.now)
-}
-
-// OwnerUsage returns the unit slots executed on org's machines.
-func (v *View) OwnerUsage(org int) int64 {
-	v.c.flush()
-	return v.c.ownAcct[org].U
 }
 
 // Running returns how many of org's jobs are currently executing.

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // ZipfWeights returns n weights proportional to 1/i^exp for i = 1..n,
 // normalized to sum to 1. exp = 0 yields the uniform distribution.
@@ -95,4 +98,16 @@ func ZipfSplit(total, n int, exp float64) []int {
 // UniformSplit apportions total items across n near-equal parts.
 func UniformSplit(total, n int) []int {
 	return Apportion(total, ZipfWeights(n, 0))
+}
+
+// SplitByName apportions total items across n parts by the named
+// machine split: "zipf" (exponent 1) or "uniform".
+func SplitByName(name string, total, n int) ([]int, error) {
+	switch name {
+	case "zipf":
+		return ZipfSplit(total, n, 1), nil
+	case "uniform":
+		return UniformSplit(total, n), nil
+	}
+	return nil, fmt.Errorf("unknown machine split %q (want zipf or uniform)", name)
 }

@@ -78,23 +78,11 @@ type Summary struct {
 	N    int
 	Mean float64
 	m2   float64
-	Min  float64
-	Max  float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
 	s.N++
-	if s.N == 1 {
-		s.Min, s.Max = x, x
-	} else {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
 	delta := x - s.Mean
 	s.Mean += delta / float64(s.N)
 	s.m2 += delta * (x - s.Mean)
@@ -107,30 +95,6 @@ func (s *Summary) Std() float64 {
 		return 0
 	}
 	return math.Sqrt(s.m2 / float64(s.N-1))
-}
-
-// Merge folds another summary into s (order-independent up to floating
-// point). Used to combine per-worker partial summaries.
-func (s *Summary) Merge(o Summary) {
-	if o.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = o
-		return
-	}
-	n1, n2 := float64(s.N), float64(o.N)
-	delta := o.Mean - s.Mean
-	total := n1 + n2
-	s.m2 += o.m2 + delta*delta*n1*n2/total
-	s.Mean += delta * n2 / total
-	s.N += o.N
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
 }
 
 // LogNormal draws exp(N(mu, sigma²)).

