@@ -13,35 +13,38 @@ import (
 	"repro/internal/sim"
 )
 
-// ckptFamilies maps the committed parent-commit checkpoints
-// (testdata/ckpt_parent_<key>.json) to the algorithm configuration that
-// captured them. exact marks the families whose captures must stay
-// byte-identical across the schedule-set refactor; RAND and NBS no
-// longer flush untouched hypothetical schedules at every instant, so
-// the accrual bookkeeping inside their cluster states (flushed_at,
-// acc_from, the flushed/unflushed account split) may differ while every
-// derived value is equal. The last two were captured at e0df78c by the
-// per-instant worker pool (RefOptions{Parallel: true, Workers: 2}, 5
-// organizations; RandOptions{Workers: 2}, 6 organizations; t = 7,
-// touched sets up to 28 and 47 slots), which flushed accrual on the
-// worker: the same bookkeeping-only difference, now against a run that
-// never fans out.
+// ckptFamilies maps the committed checkpoints to the algorithm
+// configuration that captured them: testdata/ckpt_parent_<key>.json,
+// version 1, written by the commit before the schedule-set refactor
+// (the last two at e0df78c by the per-instant worker pool —
+// RefOptions{Parallel: true, Workers: 2}, 5 organizations;
+// RandOptions{Workers: 2}, 6 organizations; t = 7, touched sets up to
+// 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json,
+// the same run captured at the same instant by the first version-2
+// writer. exact marks the version-1 files whose restored state must
+// re-capture like a fresh run's: RAND and NBS no longer flush untouched
+// hypothetical schedules at every instant, and the worker pool flushed
+// on the worker, so the accrual bookkeeping those files restore
+// (acc_from, the flushed/unflushed account split) differs from a fresh
+// run's while every derived value is equal. decisionFirst marks the
+// families that checkpoint the decision schedule first, not last.
 var ckptFamilies = []struct {
-	key   string
-	alg   StepperAlgorithm
-	exact bool
+	key           string
+	alg           StepperAlgorithm
+	exact, v2     bool
+	decisionFirst bool
 }{
-	{"ref", RefAlgorithm{}, true},
-	{"rand", RandAlgorithm{Samples: 12}, false},
-	{"nbs", NbsAlgorithm{}, false},
-	{"roundrobin", FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }), true},
-	{"ref_parallel", RefAlgorithm{}, false},
-	{"rand_workers", RandAlgorithm{Samples: 20}, false},
+	{"ref", RefAlgorithm{}, true, true, false},
+	{"rand", RandAlgorithm{Samples: 12}, false, true, true},
+	{"nbs", NbsAlgorithm{}, false, true, false},
+	{"roundrobin", FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }), true, true, true},
+	{"ref_parallel", RefAlgorithm{}, false, false, false},
+	{"rand_workers", RandAlgorithm{Samples: 20}, false, false, true},
 }
 
-func loadParentCheckpoint(t *testing.T, key string) ([]byte, *Checkpoint) {
+func loadCheckpoint(t *testing.T, name string) ([]byte, *Checkpoint) {
 	t.Helper()
-	data, err := os.ReadFile("testdata/ckpt_parent_" + key + ".json")
+	data, err := os.ReadFile("testdata/ckpt_" + name + ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +53,11 @@ func loadParentCheckpoint(t *testing.T, key string) ([]byte, *Checkpoint) {
 		t.Fatal(err)
 	}
 	return bytes.TrimSpace(data), cp
+}
+
+func loadParentCheckpoint(t *testing.T, key string) ([]byte, *Checkpoint) {
+	t.Helper()
+	return loadCheckpoint(t, "parent_"+key)
 }
 
 func captureJSON(t *testing.T, s Stepper, now model.Time) []byte {
@@ -65,48 +73,146 @@ func captureJSON(t *testing.T, s Stepper, now model.Time) []byte {
 	return data
 }
 
+// assertResumesLikeFresh runs a restored stepper and a fresh one that
+// stands at the same instant to the horizon: every job starts, and
+// starts, ψ and φ are equal, φ bit for bit.
+func assertResumesLikeFresh(t *testing.T, label string, inst *model.Instance, fresh, restored Stepper) {
+	t.Helper()
+	horizon := inst.Horizon() + 2
+	want := runStepper(fresh, horizon)
+	got := runStepper(restored, horizon)
+	if len(got.Starts) != len(inst.Jobs) {
+		t.Fatalf("%s: restored run started %d of %d jobs", label, len(got.Starts), len(inst.Jobs))
+	}
+	assertSameResult(t, label+" restored vs uninterrupted", want, got)
+	for u := range want.Phi {
+		if math.Float64bits(want.Phi[u]) != math.Float64bits(got.Phi[u]) {
+			t.Fatalf("%s: φ[%d] differs bitwise: %v vs %v", label, u, want.Phi[u], got.Phi[u])
+		}
+	}
+}
+
+// freshAt rebuilds the checkpoint's instance and steps a new run of it
+// to the checkpoint's instant.
+func freshAt(t *testing.T, alg StepperAlgorithm, cp *Checkpoint) (*model.Instance, Stepper) {
+	t.Helper()
+	inst, err := cp.RebuildInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := alg.NewStepper(inst, cp.Seed)
+	for fresh.StepNext(cp.Now) {
+	}
+	fresh.FinishAt(cp.Now)
+	return inst, fresh
+}
+
 // The committed checkpoints were captured mid-run (half the jobs
-// started) by the commit before the change that could have broken them,
-// one per stepper family. Each must restore under the current code and run to
-// the horizon with starts, ψ and φ equal to an uninterrupted run; the
-// exact families must also re-capture — straight after restore, and
-// from a fresh run stepped to the same instant — to the parent's bytes.
+// started), one per stepper family and layout version. Each must
+// restore under the current code and run to the horizon with starts, ψ
+// and φ equal to an uninterrupted run. A version-2 file must also
+// re-capture — straight after restore, and from a fresh run stepped to
+// the same instant — to its own bytes; a version-1 file cannot (the
+// writer omits five of its fields), so its restored state must
+// re-capture to what the fresh run captures, for the exact families.
 func TestParentCheckpointsRestore(t *testing.T) {
 	for _, fam := range ckptFamilies {
 		t.Run(fam.key, func(t *testing.T) {
-			raw, cp := loadParentCheckpoint(t, fam.key)
+			_, cp := loadParentCheckpoint(t, fam.key)
+			if cp.Version != 1 {
+				t.Fatalf("the parent fixture is version %d, want 1", cp.Version)
+			}
 			restored, err := fam.alg.RestoreStepper(cp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := cp.RebuildInstance()
+			inst, fresh := freshAt(t, fam.alg, cp)
+			if fam.exact && !bytes.Equal(captureJSON(t, restored, cp.Now), captureJSON(t, fresh, cp.Now)) {
+				t.Errorf("re-capture after restore differs from the capture of a fresh run at t=%d", cp.Now)
+			}
+			assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
+		})
+		if !fam.v2 {
+			continue
+		}
+		t.Run(fam.key+"/v2", func(t *testing.T) {
+			raw, cp := loadCheckpoint(t, "v2_"+fam.key)
+			if _, parent := loadParentCheckpoint(t, fam.key); cp.Version != 2 || cp.Now != parent.Now || len(cp.Jobs) != len(parent.Jobs) {
+				t.Fatalf("the v2 fixture (version %d, t=%d, %d jobs) is not the parent fixture's run at its instant", cp.Version, cp.Now, len(cp.Jobs))
+			}
+			restored, err := fam.alg.RestoreStepper(cp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := fam.alg.NewStepper(inst, cp.Seed)
-			for fresh.StepNext(cp.Now) {
+			inst, fresh := freshAt(t, fam.alg, cp)
+			if got := captureJSON(t, restored, cp.Now); !bytes.Equal(got, raw) {
+				t.Errorf("re-capture after restore differs from the fixture's bytes")
 			}
-			fresh.FinishAt(cp.Now)
-			if fam.exact {
-				if got := captureJSON(t, restored, cp.Now); !bytes.Equal(got, raw) {
-					t.Errorf("re-capture after restore differs from the parent's bytes")
+			if got := captureJSON(t, fresh, cp.Now); !bytes.Equal(got, raw) {
+				t.Errorf("capture of a fresh run at t=%d differs from the fixture's bytes:\n%s", cp.Now, got)
+			}
+			assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
+		})
+	}
+}
+
+// A version-1 document's free lists, per-organization running counts,
+// total accounts, flush marks and hypothetical decision logs are not
+// read: each parent fixture with all of them overwritten by garbage
+// restores and finishes exactly as the uninterrupted run. (Before the
+// fields stopped being read, a doctored total was restored as the
+// coalition's value and the run diverged.)
+func TestRestoreIgnoresDerivedFields(t *testing.T) {
+	for _, fam := range ckptFamilies {
+		t.Run(fam.key, func(t *testing.T) {
+			raw, clean := loadParentCheckpoint(t, fam.key)
+			garbage := map[string]string{
+				"total":           `{"U":3465034,"S":-17}`,
+				"running_per_org": "[9" + strings.Repeat(",9", len(clean.Orgs)-1) + "]",
+				"free":            `[999,-4,0,0]`,
+				"flushed_at":      `123456`,
+			}
+			var doc map[string]json.RawMessage
+			var clusters []map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(doc["clusters"], &clusters); err != nil {
+				t.Fatal(err)
+			}
+			decision := len(clusters) - 1
+			if fam.decisionFirst {
+				decision = 0
+			}
+			for pos, c := range clusters {
+				for key, junk := range garbage {
+					if _, ok := c[key]; !ok {
+						t.Fatalf("cluster %d of the fixture has no %q to overwrite", pos, key)
+					}
+					c[key] = json.RawMessage(junk)
 				}
-				if got := captureJSON(t, fresh, cp.Now); !bytes.Equal(got, raw) {
-					t.Errorf("capture of a fresh run at t=%d differs from the parent's bytes", cp.Now)
+				if pos != decision {
+					c["starts"] = json.RawMessage(`[{"Job":999999,"Org":7,"Machine":-1,"At":5},{"Job":0},{"Job":0}]`)
 				}
 			}
-			horizon := inst.Horizon() + 2
-			want := runStepper(fresh, horizon)
-			got := runStepper(restored, horizon)
-			if len(got.Starts) != len(inst.Jobs) {
-				t.Fatalf("restored run started %d of %d jobs", len(got.Starts), len(inst.Jobs))
+			var err error
+			if doc["clusters"], err = json.Marshal(clusters); err != nil {
+				t.Fatal(err)
 			}
-			assertSameResult(t, fam.key+" restored vs uninterrupted", want, got)
-			for u := range want.Phi {
-				if math.Float64bits(want.Phi[u]) != math.Float64bits(got.Phi[u]) {
-					t.Fatalf("φ[%d] differs bitwise: %v vs %v", u, want.Phi[u], got.Phi[u])
-				}
+			doctored, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
 			}
+			cp := new(Checkpoint)
+			if err := json.Unmarshal(doctored, cp); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := fam.alg.RestoreStepper(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, fresh := freshAt(t, fam.alg, clean)
+			assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
 		})
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,8 +146,13 @@ func TestHeapDriverPhiMatchesExactShapleyOnMapGame(t *testing.T) {
 	}
 }
 
-// Coalition values — not just the grand result — must agree between the
-// drivers: the Cluster accessor exposes every embedded subschedule.
+// Every embedded subschedule — not just the grand result — must agree
+// between the drivers, as full cluster states (queues, running entries
+// with their start times, per-owner accounts, the decision log on the
+// schedule that keeps one), mid-run and at the horizon. The scan driver
+// reads every value at every instant and the touched-set driver does
+// not, so the two differ in when accrual was last folded; reading the
+// values first folds both at the compared instant.
 func TestHeapDriverSubcoalitionValuesMatchScan(t *testing.T) {
 	r := rand.New(rand.NewSource(4000))
 	for trial := 0; trial < 8; trial++ {
@@ -153,22 +160,32 @@ func TestHeapDriverSubcoalitionValuesMatchScan(t *testing.T) {
 		in := diffInstance(r, k)
 		horizon := in.Horizon() + 1
 		scan := NewRef(in, RefOptions{Driver: DriverScan})
-		scan.Run(horizon)
 		heap := NewRef(in, RefOptions{})
-		heap.Run(horizon)
-		for mask := model.Coalition(1); mask <= model.Grand(k); mask++ {
-			if sv, hv := scan.ValueOf(mask), heap.ValueOf(mask); sv != hv {
-				t.Fatalf("trial %d: v(%v) scan=%d heap=%d", trial, mask, sv, hv)
+		for _, at := range []model.Time{horizon / 4, horizon / 2, 3 * horizon / 4, horizon} {
+			for _, s := range []*Ref{scan, heap} {
+				for s.StepNext(at) {
+				}
+				s.FinishAt(at)
 			}
-			ss, hs := scan.Cluster(mask).Starts(), heap.Cluster(mask).Starts()
-			if len(ss) != len(hs) {
-				t.Fatalf("trial %d: coalition %v start counts differ", trial, mask)
-			}
-			for i := range ss {
-				if ss[i] != hs[i] {
-					t.Fatalf("trial %d: coalition %v start %d differs: %+v vs %+v", trial, mask, i, ss[i], hs[i])
+			for mask := model.Coalition(1); mask <= model.Grand(k); mask++ {
+				if sv, hv := scan.ValueOf(mask), heap.ValueOf(mask); sv != hv {
+					t.Fatalf("trial %d, t=%d: v(%v) scan=%d heap=%d", trial, at, mask, sv, hv)
+				}
+				ss, err := json.Marshal(scan.Cluster(mask).CaptureState())
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs, err := json.Marshal(heap.Cluster(mask).CaptureState())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ss, hs) {
+					t.Fatalf("trial %d, t=%d: coalition %v's schedule differs:\nscan %s\nheap %s", trial, at, mask, ss, hs)
 				}
 			}
+		}
+		if len(scan.Starts()) != len(in.Jobs) {
+			t.Fatalf("trial %d: %d of %d jobs started by the horizon", trial, len(scan.Starts()), len(in.Jobs))
 		}
 	}
 }

@@ -174,6 +174,12 @@ func (p *generalRefPolicy) Select(t model.Time, _ int) int {
 			best, bestDist, bestDeficit = u, dist, deficit
 		}
 	})
+	// The engine starts best's head job now: record the execution and
+	// update the organization's stored utility (SelectAndSchedule's last
+	// line).
+	id, _, _ := p.view.Head(best)
+	g.execs[p.mask][best] = append(g.execs[p.mask][best], utility.Execution{Start: t, Size: g.inst.Jobs[id].Size})
+	psi[best] = g.util.Eval(g.execs[p.mask][best], t)
 	return best
 }
 
@@ -196,14 +202,6 @@ func (p *generalRefPolicy) distance(t model.Time, u int, phi []float64, psi []in
 		}
 	})
 	return total
-}
-
-// OnStart implements sim.StartObserver: record the execution and update
-// the organization's stored utility (SelectAndSchedule's last line).
-func (p *generalRefPolicy) OnStart(t model.Time, job model.Job, _ int) {
-	g := p.g
-	g.execs[p.mask][job.Org] = append(g.execs[p.mask][job.Org], utility.Execution{Start: t, Size: job.Size})
-	g.psi[p.mask][job.Org] = g.util.Eval(g.execs[p.mask][job.Org], t)
 }
 
 // GeneralRefAlgorithm adapts GeneralRef to the Algorithm interface.

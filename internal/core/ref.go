@@ -210,6 +210,8 @@ func (r *Ref) ValueOf(mask model.Coalition) int64 {
 
 // Cluster exposes a subcoalition's cluster (read-only use intended);
 // tests compare subcoalition schedules against independent simulations.
+// Only the grand coalition's keeps a decision log: Starts() is nil for
+// every other mask.
 func (r *Ref) Cluster(mask model.Coalition) *sim.Cluster { return r.slots[r.slotOf[mask]] }
 
 // RefAlgorithm adapts Ref to the Algorithm interface (REF is

@@ -91,6 +91,10 @@ func newSchedSet(name string, seed int64, inst *model.Instance, p plug, slots []
 		all:   identity(len(slots)),
 	}
 	s.ckpt = s.all
+	// Only the decision schedule's starts are ever read.
+	for _, c := range slots[:len(slots)-1] {
+		c.DiscardStarts()
+	}
 	s.rekeyAll()
 	return s
 }

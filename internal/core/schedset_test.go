@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/baseline"
@@ -330,5 +332,61 @@ func TestWithdrawReinjectAllocFree(t *testing.T) {
 				t.Errorf("Withdraw + Inject allocates %.2f times per cycle, budget is 0", avg)
 			}
 		})
+	}
+}
+
+// A hypothetical schedule's state is what a future decision reads —
+// waiting, running and pending jobs and two integers per organization —
+// so neither its serialized size nor its in-memory lists grow with the
+// number of jobs it has finished: the same arrival rate run ten times
+// as long, then drained, leaves the same few hundred bytes per slot
+// (the accounts gain digits) and no longer a release list or log.
+func TestHypotheticalStateIsFlat(t *testing.T) {
+	const k = 5
+	steady := func(horizon model.Time) *model.Instance {
+		orgs := make([]model.Org, k)
+		for i := range orgs {
+			orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: 1}
+		}
+		var jobs []model.Job
+		for at := model.Time(0); at < horizon; at += 2 {
+			jobs = append(jobs, model.Job{Org: int(at/2) % k, Release: at, Size: 1 + (at/2)%7})
+		}
+		return model.MustNewInstance(orgs, jobs)
+	}
+	// measure drains a run and returns the summed JSON size of the
+	// hypothetical schedules' states and their longest in-memory list.
+	measure := func(alg StepperAlgorithm, horizon model.Time) (size, longest int) {
+		in := steady(horizon)
+		st := alg.NewStepper(in, 3)
+		res := runStepper(st, horizon+model.Time(8*len(in.Jobs)))
+		if len(res.Starts) != len(in.Jobs) {
+			t.Fatalf("%s: %d of %d jobs started", alg.Name(), len(res.Starts), len(in.Jobs))
+		}
+		s := setOf(st)
+		for _, c := range s.slots[:len(s.slots)-1] {
+			data, err := json.Marshal(c.CaptureState())
+			if err != nil {
+				t.Fatal(err)
+			}
+			size += len(data)
+			for _, list := range []string{"releaseOrder", "starts"} {
+				// Len reads an unexported field's length without its contents.
+				if n := reflect.ValueOf(c).Elem().FieldByName(list).Len(); n > longest {
+					longest = n
+				}
+			}
+		}
+		return size, longest
+	}
+	for _, alg := range []StepperAlgorithm{RefAlgorithm{}, RandAlgorithm{Samples: 12}, NbsAlgorithm{}} {
+		size1, _ := measure(alg, 400)
+		size10, longest := measure(alg, 4000)
+		if size10 > size1+size1/4 {
+			t.Errorf("%s: hypothetical states serialize to %d B after 200 jobs and %d B after 2000", alg.Name(), size1, size10)
+		}
+		if longest > 128 {
+			t.Errorf("%s: a drained hypothetical schedule still holds a %d-entry list after 2000 jobs", alg.Name(), longest)
+		}
 	}
 }

@@ -81,8 +81,10 @@ type StepperAlgorithm interface {
 	RestoreStepper(cp *Checkpoint) (Stepper, error)
 }
 
-// CheckpointVersion identifies the serialized checkpoint layout.
-const CheckpointVersion = 1
+// CheckpointVersion identifies the serialized checkpoint layout. A
+// version-1 cluster state also carries derived fields and a decision
+// log per hypothetical schedule; none is read, so both restore alike.
+const CheckpointVersion = 2
 
 // Checkpoint is the complete serializable state of a stepper mid-run:
 // the instance as fed so far (orgs plus every job, including online

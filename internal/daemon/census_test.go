@@ -1,0 +1,108 @@
+package daemon_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/daemon"
+	"repro/internal/model"
+)
+
+// censusJobs is 32 rounds of 40 jobs, one round every 10 ticks, spread
+// over the organizations (and, for a federation, the members) with
+// sizes 1..8 — the shape of the benchmark's shapley-k8 sessions.
+func censusJobs(orgs, clusters int) []daemon.JobSubmission {
+	var jobs []daemon.JobSubmission
+	for round := 0; round < 32; round++ {
+		for i := 0; i < 40; i++ {
+			n := round*40 + i
+			jobs = append(jobs, daemon.JobSubmission{Cluster: n % clusters, Org: n % orgs, Size: model.Time(1 + n%8), Release: timePtr(model.Time(10 * round))})
+		}
+	}
+	return jobs
+}
+
+// census adds the serialized size of every field of a checkpoint to
+// out, keyed by its path with array positions dropped; the fields of a
+// cluster state, the job list and the organization list are leaves.
+func census(path string, raw json.RawMessage, out map[string]int) {
+	var obj map[string]json.RawMessage
+	var arr []json.RawMessage
+	leaf := strings.HasSuffix(path, "jobs") || strings.HasSuffix(path, "orgs") || strings.Contains(path, "clusters.")
+	switch {
+	case !leaf && json.Unmarshal(raw, &obj) == nil && obj != nil:
+		for k, v := range obj {
+			census(path+"."+k, v, out)
+		}
+	case !leaf && bytes.HasPrefix(raw, []byte("[{")) && json.Unmarshal(raw, &arr) == nil:
+		for _, v := range arr {
+			census(path, v, out)
+		}
+	default:
+		out[path] += len(raw)
+	}
+}
+
+// TestCheckpointByteCensus prints where a checkpoint's bytes go, field
+// by field, for one REF, one RAND, one NBS-federation and one policy
+// session run through the same 1 280 jobs and stopped at the last
+// round (EXPERIMENTS.md "Checkpoint compatibility" holds the table;
+// regenerate it with
+// `go test -run TestCheckpointByteCensus -v ./internal/daemon`). It
+// asserts the one-copy rule on the way: a cluster state carries the
+// seven stored keys, a decision log only where one is kept, a
+// withdrawn list only when a job was withdrawn — nothing derivable.
+func TestCheckpointByteCensus(t *testing.T) {
+	members := make([]daemon.ClusterConfig, 8)
+	for i := range members {
+		members[i] = daemon.ClusterConfig{Name: fmt.Sprintf("m%d", i), Alg: "nbs", Machines: []int{1, 1, 1, 1, 0, 0}}
+	}
+	for _, c := range []struct {
+		name          string
+		cfg           daemon.SessionConfig
+		orgs, members int
+		logs          int // cluster states that carry a decision log
+	}{
+		{"ref", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "ref", Orgs: 8, Machines: 16}, 8, 1, 1},
+		{"rand", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "rand", Orgs: 8, Machines: 16, RandSamples: 15}, 8, 1, 1},
+		{"nbs-federation", daemon.SessionConfig{Kind: daemon.KindFederation, OrgNames: []string{"a", "b", "c", "d", "e", "f"},
+			Clusters: members, Policy: "fednbs-migrate", Staleness: 25}, 6, 8, 8},
+		{"directcontr", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "directcontr", Orgs: 8, Machines: 16}, 8, 1, 1},
+	} {
+		snap := checkpointOf(t, c.cfg, censusJobs(c.orgs, c.members), 310)
+		sizes := map[string]int{}
+		census("", snap, sizes)
+		keys := make([]string, 0, len(sizes))
+		for k := range sizes {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			if sizes[keys[i]] != sizes[keys[j]] {
+				return sizes[keys[i]] > sizes[keys[j]]
+			}
+			return keys[i] < keys[j]
+		})
+		t.Logf("%s: %d B", c.name, len(snap))
+		rest := len(snap)
+		for _, k := range keys {
+			if 200*sizes[k] >= len(snap) {
+				t.Logf("  %-40s %9d B %5.1f %%", strings.TrimPrefix(k, "."), sizes[k], 100*float64(sizes[k])/float64(len(snap)))
+				rest -= sizes[k]
+			}
+		}
+		t.Logf("  %-40s %9d B %5.1f %%", "(fields under 0.5 %, keys, punctuation)", rest, 100*float64(rest)/float64(len(snap)))
+		stored := map[string]bool{"coalition": true, "now": true, "release_order": true, "queues": true, "running": true, "org_acct": true, "own_acct": true, "starts": true, "withdrawn": true}
+		for k := range sizes {
+			if i := strings.Index(k, "clusters."); i >= 0 && !stored[k[i+len("clusters."):]] {
+				t.Errorf("%s: a cluster state carries %q", c.name, k)
+			}
+		}
+		if got := bytes.Count(snap, []byte(`"starts":`)); got != c.logs {
+			t.Errorf("%s: %d cluster states carry a decision log, want %d", c.name, got, c.logs)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -479,20 +480,25 @@ func TestSessionAPIValidation(t *testing.T) {
 		t.Fatalf("auto-generated id collided with the taken %q", id)
 	}
 
-	// A posted snapshot whose free list names a machine the cluster
-	// does not have is rejected up front: accepted, it would index out
-	// of range at the next dispatch — on a pipeline worker goroutine,
-	// taking every session down with the process.
+	// A posted snapshot's free list, running counts, total account and
+	// flush mark are not read — a doctored free list once indexed out of
+	// range at the next dispatch, on a pipeline worker goroutine, taking
+	// every session down with the process. Whatever an old document says
+	// there, the session restores as from the clean one.
 	a.do("POST", "/v1/sessions", `{"id":"tiny","kind":"single","alg":"fcfs","orgs":1,"machines":1}`, http.StatusCreated)
+	a.do("POST", "/v1/sessions/tiny/jobs", `{"jobs":[{"org":0,"size":2},{"org":0,"size":2},{"org":0,"size":2}]}`, http.StatusOK)
+	a.do("POST", "/v1/sessions/tiny/advance", `{"until":3}`, http.StatusOK)
 	snap := a.raw("/v1/sessions/tiny/checkpoint")
-	poisoned := bytes.Replace(snap, []byte(`"free":[0]`), []byte(`"free":[999]`), 1)
+	a.do("POST", "/v1/sessions/tiny/restore", string(snap), http.StatusOK)
+	clean := a.raw("/v1/sessions/tiny/state")
+	poisoned := bytes.Replace(snap, []byte(`"clusters":[{`), []byte(`"clusters":[{"free":[999],"running_per_org":[7,7],"total":{"U":99,"S":-1},"flushed_at":40,`), 1)
 	if bytes.Equal(poisoned, snap) {
-		t.Fatalf("checkpoint has no one-machine free list to poison: %s", snap)
+		t.Fatalf("checkpoint has no cluster object to poison: %s", snap)
 	}
-	a.do("POST", "/v1/sessions/tiny/restore", string(poisoned), http.StatusBadRequest)
-	a.do("POST", "/v1/sessions/tiny/jobs", `{"jobs":[{"org":0,"size":2}]}`, http.StatusOK)
-	a.do("POST", "/v1/sessions/tiny/advance", `{"until":5}`, http.StatusOK)
-	a.do("GET", "/v1/healthz", "", http.StatusOK)
+	a.do("POST", "/v1/sessions/tiny/restore", string(poisoned), http.StatusOK)
+	if got := a.raw("/v1/sessions/tiny/state"); !bytes.Equal(got, clean) {
+		t.Fatalf("derived fields of a posted snapshot were read:\n%s\nwant\n%s", got, clean)
+	}
 
 	// rejected posts a request the session must refuse with a 400 and
 	// without a trace: /state reads byte for byte what it read before.
@@ -508,6 +514,21 @@ func TestSessionAPIValidation(t *testing.T) {
 		t.Helper()
 		a.do("POST", "/v1/sessions", `{"id":"`+id+`",`+mustJSON(t, cfg)[1:], http.StatusCreated)
 	}
+
+	// The decision log is read — /state's backlog is jobs − starts −
+	// withdrawn — so one that contradicts the queues is refused: cut
+	// short, listing a job twice, or listing the job that still waits.
+	// (Each restored before the partition check, reporting another
+	// backlog.)
+	log := regexp.MustCompile(`"starts":\[(\{[^]]*\}),(\{[^]]*\})\]`)
+	if !log.Match(snap) {
+		t.Fatalf("checkpoint has no two-entry decision log to doctor: %s", snap)
+	}
+	for _, doctored := range []string{`"starts":[$1]`, `"starts":[$1,$2,$1]`, `"starts":[$1,$2,{"Job":2,"Org":0,"Machine":0,"At":3}]`} {
+		rejected("tiny", "restore", string(log.ReplaceAll(snap, []byte(doctored))))
+	}
+	a.do("POST", "/v1/sessions/tiny/advance", `{"until":9}`, http.StatusOK)
+	a.do("GET", "/v1/healthz", "", http.StatusOK)
 
 	// The configuration, not the posted snapshot, decides whether and how
 	// a session is gated: a snapshot taken under another admission spec

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"testing"
@@ -72,6 +73,21 @@ func FuzzSessionRestore(f *testing.F) {
 	for _, cfg := range cfgs {
 		seeds = append(seeds, checkpointOf(f, cfg, overloadJobs(0), 30))
 	}
+	// Old documents stay fuzzed: the committed version-1 gated engine
+	// envelope, under the session configuration that restores it.
+	v1, err := os.ReadFile("../engine/testdata/ckpt_parent_gated.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1 = bytes.ReplaceAll(bytes.ReplaceAll(v1, []byte(`"Name":"A"`), []byte(`"Name":"org0"`)), []byte(`"Name":"B"`), []byte(`"Name":"org1"`))
+	v1Cfg := daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "ref", Orgs: 2, Machines: 1, Seed: 7,
+		Admission: &ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}}
+	if sess, err := daemon.NewManager().Create("v1", v1Cfg); err != nil {
+		f.Fatal(err)
+	} else if err := sess.Restore(v1); err != nil {
+		f.Fatalf("the version-1 seed no longer restores undoctored: %v", err)
+	}
+	cfgs, seeds = append(cfgs, v1Cfg), append(seeds, v1)
 	for which := range cfgs {
 		f.Add(uint8(which), []byte{})
 		f.Add(uint8(which), []byte{0, 40, 0, 0, 99, 1, 7, 2, 0, 0})

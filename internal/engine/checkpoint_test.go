@@ -140,10 +140,20 @@ func TestSnapshotValidation(t *testing.T) {
 	if _, err := Restore(core.RandAlgorithm{Samples: 3}, snap); err == nil {
 		t.Fatal("REF snapshot restored as RAND")
 	}
-	cp.Version = 99
-	bad, _ := json.Marshal(cp)
-	if _, err := Restore(core.RefAlgorithm{}, bad); err == nil {
-		t.Fatal("future checkpoint version accepted")
+	// Versions 1 and 2 restore through the same code
+	// (TestParentGatedCheckpointRestores reads a committed version 1);
+	// anything else is another document.
+	for _, version := range []int{0, core.CheckpointVersion + 1, 99} {
+		cp.Version = version
+		bad, _ := json.Marshal(cp)
+		if _, err := Restore(core.RefAlgorithm{}, bad); err == nil {
+			t.Fatalf("checkpoint version %d accepted", version)
+		}
+	}
+	cp.Version = 1
+	old, _ := json.Marshal(cp)
+	if _, err := Restore(core.RefAlgorithm{}, old); err != nil {
+		t.Fatalf("checkpoint version 1 refused: %v", err)
 	}
 }
 
@@ -181,7 +191,6 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		}),
 		"zero machines total": corrupt(func(cp *core.Checkpoint) {
 			cp.Orgs[0].Machines = 0
-			cp.Clusters[0].Free = nil
 			cp.Clusters[0].Running = nil
 		}),
 		"job for unknown org": corrupt(func(cp *core.Checkpoint) {

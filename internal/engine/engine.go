@@ -268,8 +268,8 @@ func Restore(alg core.StepperAlgorithm, data []byte) (*Engine, error) {
 		}
 	}
 	cp := &doc.Checkpoint
-	if cp.Version != core.CheckpointVersion {
-		return nil, fmt.Errorf("engine: restore: checkpoint version %d, want %d", cp.Version, core.CheckpointVersion)
+	if cp.Version < 1 || cp.Version > core.CheckpointVersion {
+		return nil, fmt.Errorf("engine: restore: checkpoint version %d, want 1 to %d", cp.Version, core.CheckpointVersion)
 	}
 	if cp.Algorithm != alg.Name() {
 		return nil, fmt.Errorf("engine: restore: checkpoint for %q, engine configured as %q", cp.Algorithm, alg.Name())

@@ -38,47 +38,59 @@ func parentCkptEngine(t *testing.T) *Engine {
 // into its 20-tick period.
 const parentCkptAt = model.Time(33)
 
-// The committed envelope was written by the commit before Restore and
-// RestoreGated became one. It must restore, re-capture to the parent's
-// bytes — as must a fresh run stepped to the same instant — and finish
-// exactly as an uninterrupted run.
+// testdata/ckpt_parent_gated.json was written by the commit before
+// Restore and RestoreGated became one, with version-1 cluster states;
+// ckpt_v2_gated.json is the same run at the same instant from the first
+// version-2 writer. Each must restore and finish exactly as an
+// uninterrupted run. The v2 envelope must also re-capture to its own
+// bytes, as must a fresh run stepped to the same instant; the v1
+// envelope cannot (five of its cluster fields are no longer written),
+// so its restored engine must snapshot to what the fresh run does.
 func TestParentGatedCheckpointRestores(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "ckpt_parent_gated.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw = bytes.TrimSpace(raw)
-	restored, err := Restore(core.RefAlgorithm{}, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.plane == nil || restored.AdmissionStats().TotalDeferred() == 0 {
-		t.Fatal("the envelope restored without a gate holding deferred admissions")
-	}
-	if _, ok := restored.gateProvider.Cached(); !ok {
-		t.Fatal("the envelope restored without its cached load view")
-	}
-	straight := parentCkptEngine(t)
-	if _, err := straight.Step(parentCkptAt); err != nil {
-		t.Fatal(err)
-	}
-	for label, e := range map[string]*Engine{"restored": restored, "fresh": straight} {
-		snap, err := e.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(snap, raw) {
-			t.Errorf("%s run's snapshot at t=%d differs from the parent's bytes", label, parentCkptAt)
-		}
-	}
-	if _, err := straight.Step(400); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.Step(400); err != nil {
-		t.Fatal(err)
-	}
-	assertSameRun(t, "restored vs uninterrupted", straight.Result(), restored.Result(), straight.Decisions(), restored.Decisions())
-	if a, b := fmt.Sprintf("%+v", straight.AdmissionStats()), fmt.Sprintf("%+v", restored.AdmissionStats()); a != b {
-		t.Fatalf("admission stats diverged:\n%s\n%s", a, b)
+	for _, name := range []string{"parent", "v2"} {
+		t.Run(name, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", "ckpt_"+name+"_gated.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = bytes.TrimSpace(raw)
+			if v1 := bytes.Contains(raw, []byte("flushed_at")); v1 != (name == "parent") {
+				t.Fatalf("the %s envelope holds version-1 cluster states: %v", name, v1)
+			}
+			restored, err := Restore(core.RefAlgorithm{}, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.plane == nil || restored.AdmissionStats().TotalDeferred() == 0 {
+				t.Fatal("the envelope restored without a gate holding deferred admissions")
+			}
+			if _, ok := restored.gateProvider.Cached(); !ok {
+				t.Fatal("the envelope restored without its cached load view")
+			}
+			straight := parentCkptEngine(t)
+			if _, err := straight.Step(parentCkptAt); err != nil {
+				t.Fatal(err)
+			}
+			want, err := straight.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "v2" && !bytes.Equal(want, raw) {
+				t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes:\n%s", parentCkptAt, want)
+			}
+			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("the restored run's snapshot differs from a fresh run's at t=%d (err %v)", parentCkptAt, err)
+			}
+			if _, err := straight.Step(400); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := restored.Step(400); err != nil {
+				t.Fatal(err)
+			}
+			assertSameRun(t, "restored vs uninterrupted", straight.Result(), restored.Result(), straight.Decisions(), restored.Decisions())
+			if a, b := fmt.Sprintf("%+v", straight.AdmissionStats()), fmt.Sprintf("%+v", restored.AdmissionStats()); a != b {
+				t.Fatalf("admission stats diverged:\n%s\n%s", a, b)
+			}
+		})
 	}
 }

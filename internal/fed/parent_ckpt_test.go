@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/ctrl"
@@ -57,25 +57,32 @@ func parentCkptFederation(t testing.TB, gated bool) *fed.Federation {
 	return f
 }
 
-// The committed checkpoints were written by the commit before the
-// direct and plane release loops became one, gated and ungated. Each
-// must restore under the current code, re-capture to the parent's bytes
-// — as must a fresh run stepped to the same instant, so the layout did
-// not move, but for the per-member "machines" rows that duplicated the
-// engine snapshots and are no longer written or read — and run on to
-// the horizon exactly as an uninterrupted run.
+// testdata/ckpt_parent_*.json were written by the commit before the
+// direct and plane release loops became one, gated and ungated, with
+// version-1 member snapshots and the per-member "machines" rows that
+// duplicated them; ckpt_v2_*.json are the same runs at the same instant
+// from the first writer of version-2 member snapshots. Each must
+// restore under the current code and run on to the horizon exactly as
+// an uninterrupted run. A v2 file must also re-capture to its own bytes,
+// as must a fresh run stepped to the same instant; a parent file cannot
+// (rows and cluster fields it carries are no longer written), so its
+// restored federation must snapshot to what the fresh run does.
 func TestParentCheckpointsRestore(t *testing.T) {
-	for _, gated := range []bool{false, true} {
-		name := "direct"
-		if gated {
-			name = "gated"
+	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2"} {
+		gated, v2 := strings.HasPrefix(name, "gated"), strings.HasSuffix(name, "/v2")
+		file := "ckpt_parent_" + name + ".json"
+		if v2 {
+			file = "ckpt_v2_" + strings.TrimSuffix(name, "/v2") + ".json"
 		}
 		t.Run(name, func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join("testdata", "ckpt_parent_"+name+".json"))
+			raw, err := os.ReadFile(filepath.Join("testdata", file))
 			if err != nil {
 				t.Fatal(err)
 			}
 			raw = bytes.TrimSpace(raw)
+			if old := bytes.Contains(raw, []byte(`"machines":[`)) && bytes.Contains(raw, []byte("flushed_at")); old == v2 {
+				t.Fatalf("the fixture carries machines rows and version-1 cluster states: %v", old)
+			}
 			restored, err := fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), raw)
 			if err != nil {
 				t.Fatal(err)
@@ -89,22 +96,19 @@ func TestParentCheckpointsRestore(t *testing.T) {
 			if ledger := restored.Ledger(); ledger.Migrations == 0 {
 				t.Fatal("the checkpoint predates the first migration — it does not exercise re-delegation")
 			}
-			want := regexp.MustCompile(`"machines":\[[0-9,]*\],`).ReplaceAll(raw, nil)
-			if len(want) == len(raw) {
-				t.Fatal("the fixture carries no machines rows — it does not exercise reading past them")
-			}
 			straight := parentCkptFederation(t, gated)
 			if _, err := straight.Step(parentCkptAt); err != nil {
 				t.Fatal(err)
 			}
-			for label, f := range map[string]*fed.Federation{"restored": restored, "fresh": straight} {
-				snap, err := f.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(snap, want) {
-					t.Errorf("%s run's snapshot at t=%d differs from the parent's bytes", label, parentCkptAt)
-				}
+			want, err := straight.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v2 && !bytes.Equal(want, raw) {
+				t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes:\n%s", parentCkptAt, want)
+			}
+			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("the restored run's snapshot differs from a fresh run's at t=%d (err %v)", parentCkptAt, err)
 			}
 			if _, err := straight.Step(parentCkptHorizon); err != nil {
 				t.Fatal(err)

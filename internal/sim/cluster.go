@@ -76,10 +76,11 @@ type Cluster struct {
 	ownAcct   []utility.Account // per machine owner
 	total     utility.Account
 
-	policy Policy
-	rng    *rand.Rand
-	starts []Start
-	view   View // the one read-only window handed to the policy and to View callers
+	policy   Policy
+	rng      *rand.Rand
+	starts   []Start
+	noStarts bool // DiscardStarts: starts stays nil
+	view     View // the one read-only window handed to the policy and to View callers
 }
 
 // New builds a cluster for the given coalition of the instance, driven
@@ -164,8 +165,8 @@ func (c *Cluster) NextEventTime() model.Time {
 			next = c.now
 		}
 	}
-	if len(c.running) > 0 && c.running[0].end < next {
-		next = c.running[0].end
+	if len(c.running) > 0 && c.running[0].End < next {
+		next = c.running[0].End
 	}
 	return next
 }
@@ -179,11 +180,11 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 	if t < c.now {
 		panic(fmt.Sprintf("sim: AdvanceTo(%d) before current time %d", t, c.now))
 	}
-	for len(c.running) > 0 && c.running[0].end <= t {
+	for len(c.running) > 0 && c.running[0].End <= t {
 		top := c.running.pop()
-		c.account(top, top.end)
-		c.free = append(c.free, top.machine)
-		c.runningPerOrg[c.inst.Jobs[top.job].Org]--
+		c.account(top, top.End)
+		c.free = append(c.free, top.Machine)
+		c.runningPerOrg[c.inst.Jobs[top.Job].Org]--
 	}
 	c.now = t
 	c.releaseUpTo(t)
@@ -191,15 +192,15 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 
 // account folds the entry's execution window [accFrom, upTo) into the
 // owner accounts, scaled by the machine's speed.
-func (c *Cluster) account(r runEntry, upTo model.Time) {
-	if upTo <= r.accFrom {
+func (c *Cluster) account(r RunEntryState, upTo model.Time) {
+	if upTo <= r.AccFrom {
 		return
 	}
-	j := c.inst.Jobs[r.job]
-	q := c.speeds[r.machine]
-	c.orgAcct[j.Org].AddScaledWindow(r.start, j.Size, q, r.accFrom, upTo)
-	c.ownAcct[c.owners[r.machine]].AddScaledWindow(r.start, j.Size, q, r.accFrom, upTo)
-	c.total.AddScaledWindow(r.start, j.Size, q, r.accFrom, upTo)
+	j := c.inst.Jobs[r.Job]
+	q := c.speeds[r.Machine]
+	c.orgAcct[j.Org].AddScaledWindow(r.Start, j.Size, q, r.AccFrom, upTo)
+	c.ownAcct[c.owners[r.Machine]].AddScaledWindow(r.Start, j.Size, q, r.AccFrom, upTo)
+	c.total.AddScaledWindow(r.Start, j.Size, q, r.AccFrom, upTo)
 }
 
 // flush folds the partial execution of still-running jobs into the
@@ -211,7 +212,7 @@ func (c *Cluster) flush() {
 	for i := range c.running {
 		r := &c.running[i]
 		c.account(*r, c.now) // running entries always satisfy end > now
-		r.accFrom = c.now
+		r.AccFrom = c.now
 	}
 	c.flushedAt = c.now
 }
@@ -222,11 +223,17 @@ func (c *Cluster) releaseUpTo(t model.Time) {
 		id := c.releaseOrder[c.nextRelease]
 		j := c.inst.Jobs[id]
 		if j.Release > t {
-			return
+			break
 		}
 		c.queues[j.Org] = append(c.queues[j.Org], id)
 		c.totalWaiting++
 		c.nextRelease++
+	}
+	// Compact the consumed prefix occasionally, as startHead does for the
+	// queues: the list holds pending releases, not the run's history.
+	if c.nextRelease > 64 && c.nextRelease*2 > len(c.releaseOrder) {
+		c.releaseOrder = append(c.releaseOrder[:0], c.releaseOrder[c.nextRelease:]...)
+		c.nextRelease = 0
 	}
 }
 
@@ -349,11 +356,10 @@ func (c *Cluster) startHead(org int, m int) {
 	j := c.inst.Jobs[id]
 	q := model.Time(c.speeds[m])
 	dur := (j.Size + q - 1) / q
-	c.running.push(runEntry{end: c.now + dur, machine: m, job: id, start: c.now, accFrom: c.now})
+	c.running.push(RunEntryState{End: c.now + dur, Machine: m, Job: id, Start: c.now, AccFrom: c.now})
 	c.runningPerOrg[org]++
-	c.starts = append(c.starts, Start{Job: id, Org: org, Machine: m, At: c.now})
-	if so, ok := c.policy.(StartObserver); ok {
-		so.OnStart(c.now, j, m)
+	if !c.noStarts {
+		c.starts = append(c.starts, Start{Job: id, Org: org, Machine: m, At: c.now})
 	}
 }
 
@@ -412,8 +418,8 @@ func (c *Cluster) ValuePoly() ValuePoly {
 	p := ValuePoly{U: c.total.U, S: c.total.S}
 	for i := range c.running {
 		r := &c.running[i]
-		q := int64(c.speeds[r.machine])
-		a := int64(r.accFrom)
+		q := int64(c.speeds[r.Machine])
+		a := int64(r.AccFrom)
 		p.A += q
 		p.B += q * a
 		p.C += q * a * a
@@ -450,26 +456,14 @@ func (c *Cluster) ExecutedUnits() int64 {
 	return c.total.U
 }
 
-// Starts returns the recorded scheduling decisions in start order.
+// Starts returns the recorded scheduling decisions in start order; nil
+// after DiscardStarts.
 func (c *Cluster) Starts() []Start { return c.starts }
 
-// Placed converts the recorded schedule to utility.Placed records, for
-// the classic metrics. Only jobs of the given org are returned; pass a
-// negative org for all jobs. On related machines, Size is the realized
-// processing time ⌈p/q⌉ on the assigned machine (the paper's "p is a
-// function of the schedule"), so completion times stay correct.
-func (c *Cluster) Placed(org int) []utility.Placed {
-	var out []utility.Placed
-	for _, s := range c.starts {
-		if org >= 0 && s.Org != org {
-			continue
-		}
-		j := c.inst.Jobs[s.Job]
-		q := model.Time(c.speeds[s.Machine])
-		out = append(out, utility.Placed{Release: j.Release, Start: s.At, Size: (j.Size + q - 1) / q})
-	}
-	return out
-}
+// DiscardStarts makes the cluster keep no decision log: Starts stays
+// nil and CaptureState carries none. For a schedule kept only for its
+// value: the accounts are all a finished job leaves (ψsp = t·U − S).
+func (c *Cluster) DiscardStarts() { c.noStarts = true }
 
 // Utilization returns the fraction of work capacity (Σ machine speeds ×
 // time) used up to the current time.
@@ -481,29 +475,18 @@ func (c *Cluster) Utilization() float64 {
 	return float64(c.total.U) / (float64(c.capacity) * float64(c.now))
 }
 
-// runEntry is one executing job in the completion heap. accFrom is the
-// start of its not-yet-accounted execution window; start the job's
-// start time (needed to place the remainder slot on fast machines).
-type runEntry struct {
-	end     model.Time
-	machine int
-	job     int
-	start   model.Time
-	accFrom model.Time
-}
-
 // runHeap is a binary min-heap ordered by (end, machine) for
 // deterministic completion processing.
-type runHeap []runEntry
+type runHeap []RunEntryState
 
 func (h runHeap) less(i, j int) bool {
-	if h[i].end != h[j].end {
-		return h[i].end < h[j].end
+	if h[i].End != h[j].End {
+		return h[i].End < h[j].End
 	}
-	return h[i].machine < h[j].machine
+	return h[i].Machine < h[j].Machine
 }
 
-func (h *runHeap) push(e runEntry) {
+func (h *runHeap) push(e RunEntryState) {
 	*h = append(*h, e)
 	i := len(*h) - 1
 	for i > 0 {
@@ -516,7 +499,7 @@ func (h *runHeap) push(e runEntry) {
 	}
 }
 
-func (h *runHeap) pop() runEntry {
+func (h *runHeap) pop() RunEntryState {
 	old := *h
 	top := old[0]
 	n := len(old) - 1

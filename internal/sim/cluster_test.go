@@ -241,11 +241,28 @@ func TestPanicOnBadPolicy(t *testing.T) {
 	c.Run(10)
 }
 
+// placed converts the recorded schedule to utility.Placed records, for
+// the classic metrics: org's jobs only, or everyone's for a negative
+// org. On related machines Size is the realized processing time ⌈p/q⌉
+// on the assigned machine, so completion times stay correct.
+func placed(c *Cluster, org int) []utility.Placed {
+	var out []utility.Placed
+	for _, s := range c.Starts() {
+		if org >= 0 && s.Org != org {
+			continue
+		}
+		j := c.inst.Jobs[s.Job]
+		q := model.Time(c.speeds[s.Machine])
+		out = append(out, utility.Placed{Release: j.Release, Start: s.At, Size: (j.Size + q - 1) / q})
+	}
+	return out
+}
+
 func TestPlacedExport(t *testing.T) {
 	in := figure7Instance()
 	c := New(in, model.Grand(2), orgPriority(1, 0), nil)
 	c.Run(20)
-	all := c.Placed(-1)
+	all := placed(c, -1)
 	if len(all) != 6 {
 		t.Fatalf("Placed(-1) = %d records", len(all))
 	}
@@ -256,7 +273,7 @@ func TestPlacedExport(t *testing.T) {
 	if busy != int64(in.TotalWork()) {
 		t.Fatalf("busy units = %d, want %d", busy, in.TotalWork())
 	}
-	o2 := c.Placed(1)
+	o2 := placed(c, 1)
 	if len(o2) != 2 || o2[0].Size != 6 {
 		t.Fatalf("Placed(1) = %+v", o2)
 	}

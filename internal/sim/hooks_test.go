@@ -7,18 +7,14 @@ import (
 	"repro/internal/model"
 )
 
-// hookedPolicy exercises every optional policy extension at once.
+// hookedPolicy exercises the optional machine-ordering extension.
 type hookedPolicy struct {
 	view    *View
-	started []int
 	ordered int
 }
 
-func (p *hookedPolicy) Name() string                 { return "hooked" }
-func (p *hookedPolicy) Attach(v *View, _ *rand.Rand) { p.view = v }
-func (p *hookedPolicy) OnStart(_ model.Time, j model.Job, _ int) {
-	p.started = append(p.started, j.ID)
-}
+func (p *hookedPolicy) Name() string                           { return "hooked" }
+func (p *hookedPolicy) Attach(v *View, _ *rand.Rand)           { p.view = v }
 func (p *hookedPolicy) OrderMachines(_ model.Time, free []int) { p.ordered++ }
 
 func (p *hookedPolicy) Select(_ model.Time, _ int) int {
@@ -41,8 +37,8 @@ func TestPolicyHooks(t *testing.T) {
 	p := &hookedPolicy{}
 	c := New(in, in.Grand(), p, nil)
 	c.Run(10)
-	if len(p.started) != 2 || p.started[0] != 0 || p.started[1] != 1 {
-		t.Fatalf("OnStart jobs = %v", p.started)
+	if s := c.Starts(); len(s) != 2 || s[0].Job != 0 || s[1].Job != 1 {
+		t.Fatalf("starts = %v", s)
 	}
 	if p.ordered == 0 {
 		t.Fatal("OrderMachines never called")

@@ -33,12 +33,6 @@ type MachineOrderer interface {
 	OrderMachines(t model.Time, free []int)
 }
 
-// StartObserver is an optional Policy extension notified after every job
-// start.
-type StartObserver interface {
-	OnStart(t model.Time, job model.Job, machine int)
-}
-
 // StatefulPolicy is an optional Policy extension for policies carrying
 // mutable decision state that must survive checkpoint/restore (e.g.
 // RoundRobin's rotation cursor). Stateless policies — and policies

@@ -27,9 +27,8 @@ func TestRelatedMachineSingleJob(t *testing.T) {
 	if got := c.ExecutedUnits(); got != 10 {
 		t.Fatalf("executed units = %d, want 10 (work units, not wall slots)", got)
 	}
-	placed := c.Placed(0)
-	if placed[0].Size != 4 {
-		t.Fatalf("realized processing time = %d, want 4", placed[0].Size)
+	if got := placed(c, 0)[0].Size; got != 4 {
+		t.Fatalf("realized processing time = %d, want 4", got)
 	}
 	// Full capacity for 4 of 20 slots at speed 3: utilization 10/(3·20).
 	if got := c.Utilization(); got != 10.0/60.0 {

@@ -58,7 +58,9 @@ func (c *Cluster) Inject(id int) error {
 	return nil
 }
 
-// RunEntryState is the serializable form of one executing job.
+// RunEntryState is one executing job, in the completion heap and in a
+// capture. AccFrom is the start of its not-yet-accounted execution
+// window; Start places the remainder slot on fast machines.
 type RunEntryState struct {
 	End     model.Time `json:"end"`
 	Machine int        `json:"machine"`
@@ -67,59 +69,48 @@ type RunEntryState struct {
 	AccFrom model.Time `json:"acc_from"`
 }
 
-// ClusterState is the complete serializable simulation state of one
-// cluster. Together with the instance (organizations and the full job
-// list including injected arrivals) and the policy/RNG state captured
-// by the driver, it determines every future scheduling decision:
-// restoring it into a freshly built cluster resumes the run
-// byte-identically (queues, the running heap's array layout, free-list
-// order and accrual bookkeeping are all preserved verbatim).
+// ClusterState is the serializable simulation state of one cluster:
+// what no replay of its other fields reproduces. Together with the
+// instance (organizations and the full job list including injected
+// arrivals) and the policy/RNG state captured by the driver, it
+// determines every future scheduling decision: restoring it into a
+// freshly built cluster resumes the run byte-identically. Free
+// machines, per-organization running counts, total account and flush
+// mark are functions of these fields, recomputed by RestoreState.
 type ClusterState struct {
-	Coalition     model.Coalition   `json:"coalition"`
-	Now           model.Time        `json:"now"`
-	FlushedAt     model.Time        `json:"flushed_at"`
-	ReleaseOrder  []int             `json:"release_order"`
-	NextRelease   int               `json:"next_release"`
-	Queues        [][]int           `json:"queues"` // waiting job IDs per org, FIFO
-	Free          []int             `json:"free"`
-	Running       []RunEntryState   `json:"running"` // heap array order
-	RunningPerOrg []int             `json:"running_per_org"`
-	OrgAcct       []utility.Account `json:"org_acct"`
-	OwnAcct       []utility.Account `json:"own_acct"`
-	Total         utility.Account   `json:"total"`
-	Starts        []Start           `json:"starts"`
+	Coalition    model.Coalition   `json:"coalition"`
+	Now          model.Time        `json:"now"`
+	ReleaseOrder []int             `json:"release_order"` // pending releases, by (Release, ID)
+	Queues       [][]int           `json:"queues"`        // waiting job IDs per org, FIFO
+	Running      []RunEntryState   `json:"running"`       // heap array order
+	OrgAcct      []utility.Account `json:"org_acct"`
+	OwnAcct      []utility.Account `json:"own_acct"`
+	// Starts is the decision log; absent after DiscardStarts.
+	Starts []Start `json:"starts,omitempty"`
 	// Withdrawn lists jobs removed by Withdraw (and not re-injected),
-	// in withdrawal order. Empty on clusters that never migrate, so the
-	// serialized form of migration-free runs is unchanged.
+	// in withdrawal order. Empty on clusters that never migrate.
 	Withdrawn []int `json:"withdrawn,omitempty"`
+	// NextRelease is read, never written: a version-1 document's release
+	// order still began with the releases that had fired, this many.
+	NextRelease int `json:"next_release,omitempty"`
 }
 
-// CaptureState snapshots the cluster's full simulation state. The
-// cluster is not mutated, so concurrent captures of distinct clusters
-// are safe.
+// CaptureState snapshots the cluster's simulation state. The cluster is
+// not mutated, so concurrent captures of distinct clusters are safe.
 func (c *Cluster) CaptureState() ClusterState {
-	k := len(c.inst.Orgs)
 	st := ClusterState{
-		Coalition:     c.coal,
-		Now:           c.now,
-		FlushedAt:     c.flushedAt,
-		ReleaseOrder:  append([]int(nil), c.releaseOrder...),
-		NextRelease:   c.nextRelease,
-		Queues:        make([][]int, k),
-		Free:          append([]int(nil), c.free...),
-		Running:       make([]RunEntryState, len(c.running)),
-		RunningPerOrg: append([]int(nil), c.runningPerOrg...),
-		OrgAcct:       append([]utility.Account(nil), c.orgAcct...),
-		OwnAcct:       append([]utility.Account(nil), c.ownAcct...),
-		Total:         c.total,
-		Starts:        append([]Start(nil), c.starts...),
-		Withdrawn:     append([]int(nil), c.withdrawn...),
+		Coalition:    c.coal,
+		Now:          c.now,
+		ReleaseOrder: append([]int(nil), c.releaseOrder[c.nextRelease:]...),
+		Queues:       make([][]int, len(c.queues)),
+		Running:      append([]RunEntryState{}, c.running...),
+		OrgAcct:      append([]utility.Account(nil), c.orgAcct...),
+		OwnAcct:      append([]utility.Account(nil), c.ownAcct...),
+		Starts:       append([]Start(nil), c.starts...),
+		Withdrawn:    append([]int(nil), c.withdrawn...),
 	}
-	for org := 0; org < k; org++ {
-		st.Queues[org] = append([]int(nil), c.queues[org][c.qHead[org]:]...)
-	}
-	for i, r := range c.running {
-		st.Running[i] = RunEntryState{End: r.end, Machine: r.machine, Job: r.job, Start: r.start, AccFrom: r.accFrom}
+	for org, q := range c.queues {
+		st.Queues[org] = append([]int(nil), q[c.qHead[org]:]...)
 	}
 	return st
 }
@@ -127,97 +118,125 @@ func (c *Cluster) CaptureState() ClusterState {
 // RestoreState overwrites the cluster's simulation state with a capture
 // taken from an identically-configured cluster (same instance including
 // injected jobs, same coalition, same policy kind). The policy's own
-// state, if any, is restored separately by the driver.
+// state, if any, is restored separately by the driver. A capture is
+// outside input: it is refused unless every member job is in exactly
+// one place — pending, queued, withdrawn or started — and every running
+// entry is the execution its job, machine and start time imply.
 func (c *Cluster) RestoreState(st ClusterState) error {
-	k := len(c.inst.Orgs)
+	k, jobs := len(c.inst.Orgs), c.inst.Jobs
 	if st.Coalition != c.coal {
 		return fmt.Errorf("sim: restore: coalition %v into cluster of %v", st.Coalition, c.coal)
 	}
-	if len(st.Queues) != k || len(st.RunningPerOrg) != k || len(st.OrgAcct) != k || len(st.OwnAcct) != k {
+	if len(st.Queues) != k || len(st.OrgAcct) != k || len(st.OwnAcct) != k {
 		return fmt.Errorf("sim: restore: state sized for %d organizations, cluster has %d", len(st.Queues), k)
-	}
-	if got := len(st.Free) + len(st.Running); got != len(c.owners) {
-		return fmt.Errorf("sim: restore: %d machines in state, cluster has %d", got, len(c.owners))
-	}
-	for _, id := range st.ReleaseOrder {
-		if id < 0 || id >= len(c.inst.Jobs) {
-			return fmt.Errorf("sim: restore: release order references unknown job %d", id)
-		}
 	}
 	if st.NextRelease < 0 || st.NextRelease > len(st.ReleaseOrder) {
 		return fmt.Errorf("sim: restore: next release index %d out of range", st.NextRelease)
 	}
-	for org, q := range st.Queues {
-		for _, id := range q {
-			if id < 0 || id >= len(c.inst.Jobs) {
-				return fmt.Errorf("sim: restore: queue references unknown job %d", id)
-			}
-			if c.inst.Jobs[id].Org != org {
-				return fmt.Errorf("sim: restore: job %d queued under organization %d, belongs to %d", id, org, c.inst.Jobs[id].Org)
-			}
+	pending := st.ReleaseOrder[st.NextRelease:]
+	// listed[id]: 0 in no list yet, 1 in one, 2 running as well.
+	listed := make([]uint8, len(jobs))
+	list := func(where string, id int) error {
+		switch {
+		case id < 0 || id >= len(jobs):
+			return fmt.Errorf("sim: restore: %s references unknown job %d", where, id)
+		case !c.coal.Has(jobs[id].Org):
+			return fmt.Errorf("sim: restore: %s holds job %d of non-member organization %d", where, id, jobs[id].Org)
+		case listed[id] != 0:
+			return fmt.Errorf("sim: restore: job %d is in the %s and in another list, or twice", id, where)
 		}
+		listed[id] = 1
+		return nil
 	}
-	// Every machine is listed exactly once, running or free (the counts
-	// matched above): a stray index would otherwise surface as a panic
-	// at the next dispatch.
-	listed := make([]bool, len(c.owners))
-	for _, r := range st.Running {
-		if r.Job < 0 || r.Job >= len(c.inst.Jobs) {
-			return fmt.Errorf("sim: restore: running entry references unknown job %d", r.Job)
-		}
-		if r.Machine < 0 || r.Machine >= len(c.owners) {
-			return fmt.Errorf("sim: restore: running entry on unknown machine %d", r.Machine)
-		}
-		if listed[r.Machine] {
-			return fmt.Errorf("sim: restore: machine %d runs two jobs", r.Machine)
-		}
-		if r.End <= st.Now {
-			// The completion would be the next event, in the clock's past.
-			return fmt.Errorf("sim: restore: job %d still running at %d ended at %d", r.Job, st.Now, r.End)
-		}
-		listed[r.Machine] = true
-	}
-	for _, m := range st.Free {
-		if m < 0 || m >= len(c.owners) {
-			return fmt.Errorf("sim: restore: free list references unknown machine %d", m)
-		}
-		if listed[m] {
-			return fmt.Errorf("sim: restore: machine %d listed free more than once, or both free and running", m)
-		}
-		listed[m] = true
+	// What runs was started: the decision log lists it, or — where none
+	// is kept, and an old document's is dropped — nothing else does.
+	if c.noStarts {
+		st.Starts = nil
 	}
 	for _, s := range st.Starts {
-		if s.Job < 0 || s.Job >= len(c.inst.Jobs) {
-			return fmt.Errorf("sim: restore: decision log references unknown job %d", s.Job)
+		if err := list("decision log", s.Job); err != nil {
+			return err
+		}
+	}
+	busy := make([]bool, len(c.owners))
+	for i, r := range st.Running {
+		if c.noStarts {
+			if err := list("running entries", r.Job); err != nil {
+				return err
+			}
+		}
+		if r.Job < 0 || r.Job >= len(jobs) || listed[r.Job] != 1 {
+			return fmt.Errorf("sim: restore: running job %d is not in the decision log, or runs twice", r.Job)
+		}
+		if r.Machine < 0 || r.Machine >= len(c.owners) || busy[r.Machine] {
+			return fmt.Errorf("sim: restore: job %d runs on machine %d, unknown or taken", r.Job, r.Machine)
+		}
+		// The window its start implies, open at the clock (a past
+		// completion would be the next event), accounted from inside it.
+		q := model.Time(c.speeds[r.Machine])
+		if r.End != r.Start+(jobs[r.Job].Size+q-1)/q || r.End <= st.Now || r.AccFrom < r.Start || r.AccFrom > st.Now {
+			return fmt.Errorf("sim: restore: job %d runs over [%d,%d), accounted to %d, at time %d", r.Job, r.Start, r.End, r.AccFrom, st.Now)
+		}
+		if i > 0 && runHeap(st.Running).less(i, (i-1)/2) {
+			return fmt.Errorf("sim: restore: running entry %d is out of completion-heap order", i)
+		}
+		busy[r.Machine], listed[r.Job] = true, 2
+	}
+	for _, id := range pending {
+		if err := list("release order", id); err != nil {
+			return err
+		}
+	}
+	for org, q := range st.Queues {
+		for _, id := range q {
+			if err := list("queues", id); err != nil {
+				return err
+			}
+			if jobs[id].Org != org {
+				return fmt.Errorf("sim: restore: job %d queued under organization %d, belongs to %d", id, org, jobs[id].Org)
+			}
 		}
 	}
 	for _, id := range st.Withdrawn {
-		if id < 0 || id >= len(c.inst.Jobs) {
-			return fmt.Errorf("sim: restore: withdrawn list references unknown job %d", id)
-		}
-		if !c.coal.Has(c.inst.Jobs[id].Org) {
-			return fmt.Errorf("sim: restore: withdrawn job %d belongs to non-member organization %d", id, c.inst.Jobs[id].Org)
+		if err := list("withdrawn list", id); err != nil {
+			return err
 		}
 	}
+	for id, j := range jobs {
+		if !c.noStarts && listed[id] == 0 && c.coal.Has(j.Org) {
+			return fmt.Errorf("sim: restore: job %d is neither started, pending, queued nor withdrawn", id)
+		}
+	}
+
 	c.now = st.Now
-	c.flushedAt = st.FlushedAt
-	c.releaseOrder = append([]int(nil), st.ReleaseOrder...)
-	c.nextRelease = st.NextRelease
+	// Unflushed: the first value query folds the running windows, a
+	// no-op where the capturing cluster had already done so.
+	c.flushedAt = st.Now - 1
+	c.releaseOrder = append(c.releaseOrder[:0], pending...)
+	c.nextRelease = 0
 	c.totalWaiting = 0
-	for org := 0; org < k; org++ {
-		c.queues[org] = append([]int(nil), st.Queues[org]...)
+	for org, q := range st.Queues {
+		c.queues[org] = append([]int(nil), q...)
 		c.qHead[org] = 0
-		c.totalWaiting += len(st.Queues[org])
+		c.totalWaiting += len(q)
 	}
-	c.free = append([]int(nil), st.Free...)
-	c.running = make(runHeap, len(st.Running))
-	for i, r := range st.Running {
-		c.running[i] = runEntry{end: r.End, machine: r.Machine, job: r.Job, start: r.Start, accFrom: r.AccFrom}
+	c.running = append(runHeap(nil), st.Running...)
+	clear(c.runningPerOrg)
+	for _, r := range st.Running {
+		c.runningPerOrg[jobs[r.Job].Org]++
 	}
-	copy(c.runningPerOrg, st.RunningPerOrg)
+	c.free = c.free[:0]
+	for m, b := range busy {
+		if !b {
+			c.free = append(c.free, m)
+		}
+	}
 	copy(c.orgAcct, st.OrgAcct)
 	copy(c.ownAcct, st.OwnAcct)
-	c.total = st.Total
+	c.total = utility.Account{}
+	for _, a := range st.OrgAcct {
+		c.total.Add(a)
+	}
 	c.starts = append([]Start(nil), st.Starts...)
 	c.withdrawn = append([]int(nil), st.Withdrawn...)
 	return nil

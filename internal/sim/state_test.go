@@ -1,6 +1,14 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/model"
@@ -124,70 +132,313 @@ func TestCaptureRestoreMidRun(t *testing.T) {
 	}
 }
 
-func TestRestoreRejectsMismatchedState(t *testing.T) {
+// midRunCluster stops a two-machine run with a job in every place a
+// member job can be: 0 and 1 running (and in the decision log), 2
+// queued, 3 withdrawn from its queue, 4 pending.
+func midRunCluster() *Cluster {
 	in := model.MustNewInstance(
 		[]model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}},
-		[]model.Job{{Org: 0, Release: 0, Size: 1}},
+		[]model.Job{
+			{Org: 0, Release: 0, Size: 5},
+			{Org: 1, Release: 0, Size: 5},
+			{Org: 0, Release: 1, Size: 2},
+			{Org: 1, Release: 1, Size: 2},
+			{Org: 0, Release: 9, Size: 1},
+		},
 	)
 	c := New(in, in.Grand(), fifoByID(), nil)
-	st := c.CaptureState()
+	c.Run(2)
+	if ok, err := c.Withdraw(1, 3); !ok || err != nil {
+		panic("job 3 is not withdrawable")
+	}
+	return c
+}
 
-	other := New(in, model.Singleton(0), fifoByID(), nil)
-	if err := other.RestoreState(st); err == nil {
+// cloneState deep-copies a capture through its serialized form, adding
+// the given raw keys to the document first.
+func cloneState(t *testing.T, st ClusterState, extra map[string]string) ClusterState {
+	t.Helper()
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := map[string]json.RawMessage{}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range extra {
+		doc[k] = json.RawMessage(v)
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	var out ClusterState
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestRestoreRejectsMismatchedState(t *testing.T) {
+	c := midRunCluster()
+	st := c.CaptureState()
+	if len(st.Running) != 2 || len(st.Starts) != 2 || len(st.Queues[0]) != 1 || len(st.Withdrawn) != 1 || len(st.ReleaseOrder) != 1 {
+		t.Fatalf("the fixture no longer holds a job in every list: %+v", st)
+	}
+	if err := New(c.inst, model.Singleton(0), fifoByID(), nil).RestoreState(st); err == nil {
 		t.Error("coalition mismatch accepted")
 	}
-	bad := st
-	bad.ReleaseOrder = []int{99}
-	if err := c.RestoreState(bad); err == nil {
-		t.Error("unknown job in release order accepted")
-	}
-	bad = st
-	bad.Free = nil
-	if err := c.RestoreState(bad); err == nil {
-		t.Error("machine count mismatch accepted")
-	}
-	bad = st
-	bad.Free = nil
-	bad.Running = []RunEntryState{{End: 5, Machine: 0, Job: 999}}
-	if err := c.RestoreState(bad); err == nil {
-		t.Error("running entry with unknown job accepted")
-	}
-	for name, free := range map[string][]int{
-		"free machine out of range": {0, 999},
-		"negative free machine":     {0, -1},
-		"duplicated free machine":   {1, 1},
+	for name, doctor := range map[string]func(*ClusterState){
+		"unknown job in release order":      func(s *ClusterState) { s.ReleaseOrder[0] = 99 },
+		"running entry with unknown job":    func(s *ClusterState) { s.Running[0].Job = 999 },
+		"running entry on unknown machine":  func(s *ClusterState) { s.Running[0].Machine = 2 },
+		"two running entries on a machine":  func(s *ClusterState) { s.Running[1].Machine = s.Running[0].Machine },
+		"completion in the clock's past":    func(s *ClusterState) { s.Now = 7 },
+		"running window longer than job":    func(s *ClusterState) { s.Running[0].End++ },
+		"accrual window before the start":   func(s *ClusterState) { s.Running[0].Start, s.Running[0].End = 1, 6 },
+		"running entries out of heap order": func(s *ClusterState) { s.Running[0].Start, s.Running[0].End, s.Running[0].AccFrom = 1, 6, 1 },
+		"job queued under another org":      func(s *ClusterState) { s.Queues[0], s.Queues[1] = nil, []int{2} },
+		"queue with unknown job":            func(s *ClusterState) { s.Queues[0] = []int{42} },
+		"decision log with unknown job":     func(s *ClusterState) { s.Starts[0].Job = 42 },
+		"organization count":                func(s *ClusterState) { s.OrgAcct = s.OrgAcct[:1] },
+		"next release index out of range":   func(s *ClusterState) { s.NextRelease = 2 },
+		// The decision log against the other lists: engine.Waiting is
+		// jobs − starts − withdrawn, so each of these restored a wrong
+		// backlog before the partition check.
+		"decision log cut short":           func(s *ClusterState) { s.Starts = s.Starts[:1] },
+		"decision log emptied":             func(s *ClusterState) { s.Starts = nil },
+		"job started twice":                func(s *ClusterState) { s.Starts = append(s.Starts, s.Starts[0]) },
+		"queued job in the decision log":   func(s *ClusterState) { s.Starts = append(s.Starts, Start{Job: 2, At: 1}) },
+		"job neither started nor anywhere": func(s *ClusterState) { s.Queues[0] = nil },
+		"job pending and queued":           func(s *ClusterState) { s.ReleaseOrder = append(s.ReleaseOrder, 2) },
+		"job queued and withdrawn":         func(s *ClusterState) { s.Withdrawn = append(s.Withdrawn, 2) },
+		"job queued twice":                 func(s *ClusterState) { s.Queues[0] = []int{2, 2} },
+		"job running twice":                func(s *ClusterState) { s.Running[1].Job = s.Running[0].Job },
 	} {
-		bad = st
-		bad.Free = free
+		bad := cloneState(t, st, nil)
+		doctor(&bad)
 		if err := c.RestoreState(bad); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	bad = st
-	bad.Free = []int{0}
-	bad.Running = []RunEntryState{{End: 5, Machine: 0, Job: 0}}
-	if err := c.RestoreState(bad); err == nil {
-		t.Error("machine both free and running accepted")
+	if err := c.RestoreState(st); err != nil {
+		t.Fatalf("the undoctored capture is refused: %v", err)
 	}
-	bad = st
-	bad.Free = nil
-	bad.Running = []RunEntryState{{End: 5, Machine: 1, Job: 0}, {End: 6, Machine: 1, Job: 0}}
-	if err := c.RestoreState(bad); err == nil {
-		t.Error("two running entries on one machine accepted")
+}
+
+// The free list, the per-organization running counts, the total account,
+// the flush mark and the fired releases of a version-1 document are not
+// read: whatever they say, the restored cluster is the one the other
+// fields describe. A cluster that keeps no decision log drops a
+// document's, and still refuses a job in two places.
+func TestRestoreRecomputesDerivedFields(t *testing.T) {
+	c := midRunCluster()
+	clean := c.CaptureState()
+	want, err := json.Marshal(clean)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = st
-	bad.Queues = [][]int{nil, {0}} // job 0 belongs to org 0, queued under org 1
-	if err := c.RestoreState(bad); err == nil {
-		t.Error("job queued under wrong organization accepted")
+	v1 := cloneState(t, clean, map[string]string{
+		"free":            `[999,-1,0,0]`,
+		"running_per_org": `[7]`,
+		"total":           `{"U":123456,"S":-9}`,
+		"flushed_at":      `77`,
+		"release_order":   `[0,1,2,3,4]`,
+		"next_release":    `4`,
+	})
+	restored := New(c.inst, c.coal, fifoByID(), nil)
+	if err := restored.RestoreState(v1); err != nil {
+		t.Fatal(err)
 	}
-	bad = st
-	bad.Queues = [][]int{{42}, nil}
-	if err := c.RestoreState(bad); err == nil {
-		t.Error("queue with unknown job accepted")
+	if got, _ := json.Marshal(restored.CaptureState()); !bytes.Equal(got, want) {
+		t.Fatalf("restored from doctored derived fields:\n%s\nwant\n%s", got, want)
 	}
-	bad = st
-	bad.Starts = []Start{{Job: 42}}
-	if err := c.RestoreState(bad); err == nil {
-		t.Error("decision log with unknown job accepted")
+	if v := restored.View(); restored.Value() != c.Value() || v.Running(0) != 1 || v.Running(1) != 1 || len(restored.free) != 0 {
+		t.Fatalf("value %d (want %d), running %d and %d, free %v", restored.Value(), c.Value(), v.Running(0), v.Running(1), restored.free)
 	}
+	c.Run(40)
+	restored.Run(40)
+	if got, want := fmt.Sprint(restored.Starts(), restored.PsiVector(), restored.Value()), fmt.Sprint(c.Starts(), c.PsiVector(), c.Value()); got != want {
+		t.Fatalf("restored run ended\n%s\nwant\n%s", got, want)
+	}
+
+	silent := New(c.inst, c.coal, fifoByID(), nil)
+	silent.DiscardStarts()
+	garbage := cloneState(t, clean, nil)
+	garbage.Starts = []Start{{Job: 42}, {Job: 2}, {Job: 2}}
+	if err := silent.RestoreState(garbage); err != nil {
+		t.Fatalf("a cluster without a decision log read the document's: %v", err)
+	}
+	if got, _ := json.Marshal(silent.CaptureState()); bytes.Contains(got, []byte("starts")) {
+		t.Fatalf("a cluster without a decision log captured one: %s", got)
+	}
+	silent.Run(40)
+	if silent.Starts() != nil || silent.Value() != c.Value() {
+		t.Fatalf("log-less run: starts %v, value %d, want none and %d", silent.Starts(), silent.Value(), c.Value())
+	}
+	garbage.ReleaseOrder = append(garbage.ReleaseOrder, garbage.Running[0].Job)
+	if err := silent.RestoreState(garbage); err == nil {
+		t.Error("a job pending and running accepted by a cluster without a decision log")
+	}
+}
+
+// doctorNode returns the decoded JSON tree v with its n-th value — in
+// document order, object keys sorted — replaced by edit's result, and
+// how many values it walked (the whole tree when n is past the end).
+func doctorNode(v any, n int, edit func(any) any) (any, int) {
+	if n == 0 {
+		return edit(v), 1
+	}
+	seen := 1
+	walk := func(child any) any {
+		child, m := doctorNode(child, n-seen, edit)
+		seen += m
+		return child
+	}
+	switch x := v.(type) {
+	case map[string]any:
+		keys := make([]string, 0, len(x))
+		for k := range x {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if seen > n {
+				break
+			}
+			x[k] = walk(x[k])
+		}
+	case []any:
+		for i := 0; i < len(x) && seen <= n; i++ {
+			x[i] = walk(x[i])
+		}
+	}
+	return v, seen
+}
+
+// FuzzClusterRestore hands RestoreState doctored captures — numbers
+// overwritten, arrays cut short or stretched — of the mid-run
+// round-robin schedule committed under internal/core/testdata, as the
+// version-1 and as the version-2 document. RestoreState refuses, or the
+// restored cluster drains without a panic having executed exactly the
+// work the accepted state still owed, every member job started once.
+func FuzzClusterRestore(f *testing.F) {
+	type document struct {
+		Orgs     []model.Org
+		Jobs     []model.Job
+		Clusters []json.RawMessage
+	}
+	var docs []document
+	for _, name := range []string{"parent", "v2"} {
+		data, err := os.ReadFile("../core/testdata/ckpt_" + name + "_roundrobin.json")
+		if err != nil {
+			f.Fatal(err)
+		}
+		var doc document
+		if err := json.Unmarshal(data, &doc); err != nil || len(doc.Clusters) != 1 {
+			f.Fatalf("%s fixture: %d clusters, err %v", name, len(doc.Clusters), err)
+		}
+		docs = append(docs, doc)
+	}
+	for which := range docs {
+		f.Add(uint8(which), false, []byte{})
+		f.Add(uint8(which), true, []byte{0, 9, 0, 0, 3})
+		f.Add(uint8(which), false, []byte{0, 40, 1, 0, 7, 0, 2, 0, 255, 254, 0, 77, 0, 0, 1})
+	}
+	f.Fuzz(func(t *testing.T, which uint8, discard bool, edits []byte) {
+		doc := docs[int(which)%len(docs)]
+		var tree any
+		dec := json.NewDecoder(bytes.NewReader(doc.Clusters[0]))
+		dec.UseNumber() // keep int64s exact through the round trip
+		if err := dec.Decode(&tree); err != nil {
+			t.Fatal(err)
+		}
+		// One edit is five bytes: which value, how, and a small operand.
+		if len(edits) > 5*64 {
+			edits = edits[:5*64]
+		}
+		for ; len(edits) >= 5; edits = edits[5:] {
+			how, operand := edits[2], int64(int16(binary.BigEndian.Uint16(edits[3:])))
+			_, total := doctorNode(tree, math.MaxInt, nil)
+			tree, _ = doctorNode(tree, int(binary.BigEndian.Uint16(edits))%total, func(v any) any {
+				switch x := v.(type) {
+				case json.Number:
+					if how%2 == 1 {
+						operand <<= 40
+					}
+					return json.Number(strconv.FormatInt(operand, 10))
+				case []any:
+					n := int(uint16(operand)) % (len(x) + 3)
+					for len(x) < n {
+						if len(x) == 0 {
+							x = append(x, json.Number("0"))
+						} else {
+							x = append(x, x[len(x)-1])
+						}
+					}
+					return x[:n]
+				}
+				return v
+			})
+		}
+		posted, err := json.Marshal(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st ClusterState
+		if json.Unmarshal(posted, &st) != nil {
+			return // an edit changed a value's type
+		}
+		in := &model.Instance{Orgs: doc.Orgs, Jobs: doc.Jobs}
+		c := New(in, in.Grand(), lowestOrgPolicy(), nil)
+		if discard {
+			c.DiscardStarts()
+		}
+		if c.RestoreState(st) != nil {
+			return
+		}
+		// What the accepted state still owes: its unstarted jobs, and the
+		// rest of each running one.
+		done := c.ExecutedUnits()
+		var owed int64
+		for _, id := range c.releaseOrder[c.nextRelease:] {
+			owed += int64(in.Jobs[id].Size)
+		}
+		for _, id := range queuedJobs(c) {
+			owed += int64(in.Jobs[id].Size)
+		}
+		for _, r := range c.running {
+			owed += int64(in.Jobs[r.Job].Size) - int64(c.speeds[r.Machine])*int64(c.now-r.Start)
+		}
+		// Every step fires a release or a completion: two per job at most.
+		for steps := 0; c.Step(MaxTime - 1); steps++ {
+			if steps > 2*len(in.Jobs) {
+				t.Fatalf("no drain after %d steps; next event at %d, clock at %d", steps, c.NextEventTime(), c.now)
+			}
+		}
+		if got := c.ExecutedUnits() - done; got != owed {
+			t.Fatalf("executed %d units after restore, the restored state owed %d", got, owed)
+		}
+		if len(c.running) != 0 || c.totalWaiting != 0 || c.WithdrawnCount() != len(st.Withdrawn) {
+			t.Fatalf("drained with %d running, %d waiting, %d withdrawn of %d", len(c.running), c.totalWaiting, c.WithdrawnCount(), len(st.Withdrawn))
+		}
+		if discard {
+			if c.Starts() != nil {
+				t.Fatalf("a cluster without a decision log recorded %v", c.Starts())
+			}
+			return
+		}
+		started := make([]int, len(in.Jobs))
+		for _, s := range c.Starts() {
+			started[s.Job]++
+		}
+		for _, id := range st.Withdrawn {
+			started[id]++ // withdrawn for good: never started, so this makes one
+		}
+		for id, n := range started {
+			if n != 1 {
+				t.Fatalf("job %d started or withdrawn %d times after the drain", id, n)
+			}
+		}
+	})
 }

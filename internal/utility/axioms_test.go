@@ -196,17 +196,13 @@ func TestAddWindowEmpty(t *testing.T) {
 	}
 }
 
-func TestAccountAddAndReset(t *testing.T) {
+func TestAccountAdd(t *testing.T) {
 	var a, b Account
 	a.AddWindow(0, 3)
 	b.AddWindow(3, 5)
 	a.Add(b)
 	if a.U != 5 || a.S != 0+1+2+3+4 {
 		t.Fatalf("merged account = %+v", a)
-	}
-	a.Reset()
-	if a != (Account{}) {
-		t.Fatalf("Reset left %+v", a)
 	}
 }
 

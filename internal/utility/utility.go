@@ -127,6 +127,3 @@ func (a *Account) Add(b Account) {
 func (a *Account) PsiAt(t model.Time) int64 {
 	return int64(t)*a.U - a.S
 }
-
-// Reset returns the account to its zero state.
-func (a *Account) Reset() { *a = Account{} }
