@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -19,9 +20,9 @@ import (
 // (the last two at e0df78c by the per-instant worker pool —
 // RefOptions{Parallel: true, Workers: 2}, 5 organizations;
 // RandOptions{Workers: 2}, 6 organizations; t = 7, touched sets up to
-// 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json,
-// the same run captured at the same instant by the first version-2
-// writer. exact marks the version-1 files whose restored state must
+// 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json
+// and ckpt_v3_<key>.json, the same run captured at the same instant by
+// the first version-2 and version-3 writers. exact marks the version-1 files whose restored state must
 // re-capture like a fresh run's: RAND and NBS no longer flush untouched
 // hypothetical schedules at every instant, and the worker pool flushed
 // on the worker, so the accrual bookkeeping those files restore
@@ -110,11 +111,12 @@ func freshAt(t *testing.T, alg StepperAlgorithm, cp *Checkpoint) (*model.Instanc
 // The committed checkpoints were captured mid-run (half the jobs
 // started), one per stepper family and layout version. Each must
 // restore under the current code and run to the horizon with starts, ψ
-// and φ equal to an uninterrupted run. A version-2 file must also
+// and φ equal to an uninterrupted run. A version-3 file must also
 // re-capture — straight after restore, and from a fresh run stepped to
-// the same instant — to its own bytes; a version-1 file cannot (the
-// writer omits five of its fields), so its restored state must
-// re-capture to what the fresh run captures, for the exact families.
+// the same instant — to its own bytes; an older file cannot (the writer
+// omits five of a version-1 cluster's fields, every job's ID and every
+// start's Org), so its restored state must re-capture to what the fresh
+// run captures: version 1 for the exact families, version 2 for all.
 func TestParentCheckpointsRestore(t *testing.T) {
 	for _, fam := range ckptFamilies {
 		t.Run(fam.key, func(t *testing.T) {
@@ -135,30 +137,36 @@ func TestParentCheckpointsRestore(t *testing.T) {
 		if !fam.v2 {
 			continue
 		}
-		t.Run(fam.key+"/v2", func(t *testing.T) {
-			raw, cp := loadCheckpoint(t, "v2_"+fam.key)
-			if _, parent := loadParentCheckpoint(t, fam.key); cp.Version != 2 || cp.Now != parent.Now || len(cp.Jobs) != len(parent.Jobs) {
-				t.Fatalf("the v2 fixture (version %d, t=%d, %d jobs) is not the parent fixture's run at its instant", cp.Version, cp.Now, len(cp.Jobs))
-			}
-			restored, err := fam.alg.RestoreStepper(cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst, fresh := freshAt(t, fam.alg, cp)
-			if got := captureJSON(t, restored, cp.Now); !bytes.Equal(got, raw) {
-				t.Errorf("re-capture after restore differs from the fixture's bytes")
-			}
-			if got := captureJSON(t, fresh, cp.Now); !bytes.Equal(got, raw) {
-				t.Errorf("capture of a fresh run at t=%d differs from the fixture's bytes:\n%s", cp.Now, got)
-			}
-			assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
-		})
+		for _, version := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/v%d", fam.key, version), func(t *testing.T) {
+				raw, cp := loadCheckpoint(t, fmt.Sprintf("v%d_%s", version, fam.key))
+				if _, parent := loadParentCheckpoint(t, fam.key); cp.Version != version || cp.Now != parent.Now || len(cp.Jobs) != len(parent.Jobs) {
+					t.Fatalf("the fixture (version %d, t=%d, %d jobs) is not the parent fixture's run at its instant in version %d", cp.Version, cp.Now, len(cp.Jobs), version)
+				}
+				if old := bytes.Contains(raw, []byte(`"ID":`)) && bytes.Contains(raw, []byte(`"Org":0,"Machine":`)); old != (version == 2) {
+					t.Fatalf("the fixture carries job IDs and start organizations: %v", old)
+				}
+				restored, err := fam.alg.RestoreStepper(cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst, fresh := freshAt(t, fam.alg, cp)
+				want := captureJSON(t, fresh, cp.Now)
+				if version == CheckpointVersion && !bytes.Equal(want, raw) {
+					t.Errorf("capture of a fresh run at t=%d differs from the fixture's bytes (%d B, fixture %d B)", cp.Now, len(want), len(raw))
+				}
+				if got := captureJSON(t, restored, cp.Now); !bytes.Equal(got, want) {
+					t.Errorf("re-capture after restore differs from the capture of a fresh run at t=%d", cp.Now)
+				}
+				assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
+			})
+		}
 	}
 }
 
 // A version-1 document's free lists, per-organization running counts,
-// total accounts, flush marks and hypothetical decision logs are not
-// read: each parent fixture with all of them overwritten by garbage
+// total accounts, flush marks, hypothetical decision logs, job IDs and
+// start organizations are not read: each parent fixture with all of them overwritten by garbage
 // restores and finishes exactly as the uninterrupted run. (Before the
 // fields stopped being read, a doctored total was restored as the
 // coalition's value and the run diverged.)
@@ -195,6 +203,23 @@ func TestRestoreIgnoresDerivedFields(t *testing.T) {
 					c["starts"] = json.RawMessage(`[{"Job":999999,"Org":7,"Machine":-1,"At":5},{"Job":0},{"Job":0}]`)
 				}
 			}
+			// A job's ID is its position and a start's Org its job's.
+			garble := func(list json.RawMessage, key, junk string) json.RawMessage {
+				var rows []map[string]json.RawMessage
+				if err := json.Unmarshal(list, &rows); err != nil || len(rows) == 0 || rows[0][key] == nil {
+					t.Fatalf("the fixture has no %q to overwrite (err %v)", key, err)
+				}
+				for _, row := range rows {
+					row[key] = json.RawMessage(junk)
+				}
+				out, err := json.Marshal(rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			doc["jobs"] = garble(doc["jobs"], "ID", "424242")
+			clusters[decision]["starts"] = garble(clusters[decision]["starts"], "Org", "99")
 			var err error
 			if doc["clusters"], err = json.Marshal(clusters); err != nil {
 				t.Fatal(err)

@@ -83,8 +83,9 @@ type StepperAlgorithm interface {
 
 // CheckpointVersion identifies the serialized checkpoint layout. A
 // version-1 cluster state also carries derived fields and a decision
-// log per hypothetical schedule; none is read, so both restore alike.
-const CheckpointVersion = 2
+// log per hypothetical schedule, a job up to version 2 its ID and a
+// start its Org; none is read, so all three restore alike.
+const CheckpointVersion = 3
 
 // Checkpoint is the complete serializable state of a stepper mid-run:
 // the instance as fed so far (orgs plus every job, including online
@@ -119,6 +120,9 @@ func (cp *Checkpoint) RebuildInstance() (*model.Instance, error) {
 	}
 	for i := range inst.Orgs {
 		inst.Orgs[i].Speeds = append([]int(nil), cp.Orgs[i].Speeds...)
+	}
+	for i := range inst.Jobs {
+		inst.Jobs[i].ID = i // a job list does not carry positions
 	}
 	if err := inst.ValidateUnordered(); err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)

@@ -503,6 +503,44 @@ func TestPlaneRestoreRejectsForeignState(t *testing.T) {
 	}
 }
 
+// TestPlaneRestoreCountsParkedRetries: who waits on an admission retry
+// is the queue's to say. The deferred gauge of a document is not read —
+// garbage restores to the queue's count — and a gauge and a release
+// count that lie together (they satisfied the law on their own, and
+// restored) no longer do.
+func TestPlaneRestoreCountsParkedRetries(t *testing.T) {
+	build := func() *Plane {
+		return NewPlane(&TokenBucket{Rate: 1, Period: 10, Burst: 1}, directLoadProvider(), 3)
+	}
+	p := build()
+	p.Arrive(Job{Seq: -1, Org: 1, Size: 2}, 5)
+	p.Arrive(Job{Seq: -1, Org: 1, Size: 2}, 5)
+	if err := p.Advance(5, &planeSink{}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(st, []byte(`"released":[0,2,0],"admitted":[0,1,0],"rejected":[0,0,0],"deferred":[0,1,0]`)) {
+		t.Fatalf("the fixture is not one admitted and one deferred job: %s", st)
+	}
+	for _, junk := range []string{`"deferred":[7,-7,7]`, `"deferred":[]`, `"deferred":[0,1,0,5]`} {
+		q := build()
+		if err := q.RestoreState(bytes.Replace(st, []byte(`"deferred":[0,1,0]`), []byte(junk), 1)); err != nil {
+			t.Fatalf("the gauge %s was read: %v", junk, err)
+		}
+		if again, err := q.State(); err != nil || !bytes.Equal(again, st) {
+			t.Fatalf("restored past %s to (err %v)\n%s\nwant\n%s", junk, err, again, st)
+		}
+	}
+	lie := bytes.Replace(st, []byte(`"released":[0,2,0],"admitted":[0,1,0],"rejected":[0,0,0],"deferred":[0,1,0]`),
+		[]byte(`"released":[0,3,0],"admitted":[0,1,0],"rejected":[0,0,0],"deferred":[0,2,0]`), 1)
+	if err := build().RestoreState(lie); err == nil {
+		t.Error("two deferred jobs restored over a queue that parks one")
+	}
+}
+
 // TestPlaneRejectsStuckDefer: a policy deferring without advancing time
 // is an error, not a wedge.
 type stuckPolicy struct{ AlwaysAdmit }

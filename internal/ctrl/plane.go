@@ -197,17 +197,23 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 	if cp.Stats.Orgs() != p.stats.Orgs() {
 		return fmt.Errorf("ctrl: restore plane: checkpoint counts %d organizations, plane %d", cp.Stats.Orgs(), p.stats.Orgs())
 	}
-	if err := cp.Stats.CheckConserved(); err != nil {
-		return fmt.Errorf("ctrl: restore plane: %w", err)
-	}
 	// The queue is outside input: an event this plane could not have
 	// queued would index past the per-organization counters, or fall
-	// through the priority switch, at the next Advance.
+	// through the priority switch, at the next Advance. It is also the
+	// record of who waits on a retry; the stats' gauge is a copy.
+	parked := make([]int64, p.stats.Orgs())
 	for i, e := range cp.Queue.Events {
 		if e.Prio > PrioRouting || e.Job.Org < 0 || e.Job.Org >= p.stats.Orgs() || e.Job.Size < 1 || e.Attempt < 0 {
 			return fmt.Errorf("ctrl: restore plane: queued event %d (prio %d, org %d of %d, size %d, attempt %d) is not one the plane queues",
 				i, e.Prio, e.Job.Org, p.stats.Orgs(), e.Job.Size, e.Attempt)
 		}
+		if e.Prio == PrioAdmission && e.Attempt > 0 {
+			parked[e.Job.Org]++
+		}
+	}
+	cp.Stats.Deferred = parked
+	if err := cp.Stats.CheckConserved(); err != nil {
+		return fmt.Errorf("ctrl: restore plane: %w", err)
 	}
 	if err := p.policy.RestoreState(cp.PolicyS, p.stats.Orgs()); err != nil {
 		return err

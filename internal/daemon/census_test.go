@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -55,7 +56,10 @@ func census(path string, raw json.RawMessage, out map[string]int) {
 // `go test -run TestCheckpointByteCensus -v ./internal/daemon`). It
 // asserts the one-copy rule on the way: a cluster state carries the
 // seven stored keys, a decision log only where one is kept, a
-// withdrawn list only when a job was withdrawn — nothing derivable.
+// withdrawn list only when a job was withdrawn; no job carries its ID,
+// no start its Org; a federation has an order and no decisions,
+// next_seq or orgs of its own, and its ledger exactly its three keys of
+// history — nothing derivable.
 func TestCheckpointByteCensus(t *testing.T) {
 	members := make([]daemon.ClusterConfig, 8)
 	for i := range members {
@@ -103,6 +107,28 @@ func TestCheckpointByteCensus(t *testing.T) {
 		}
 		if got := bytes.Count(snap, []byte(`"starts":`)); got != c.logs {
 			t.Errorf("%s: %d cluster states carry a decision log, want %d", c.name, got, c.logs)
+		}
+		if bytes.Contains(snap, []byte(`"ID":`)) || bytes.Contains(snap, []byte(`"Org":0,"Machine":`)) || !bytes.Contains(snap, []byte(`{"Job":0,"Machine":`)) {
+			t.Errorf("%s: a job carries its ID or a start its Org (or no log line was found to look at)", c.name)
+		}
+		if c.members == 1 {
+			continue
+		}
+		var doc, ledger map[string]json.RawMessage
+		if err := json.Unmarshal(snap, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(doc["ledger"], &ledger); err != nil {
+			t.Fatal(err)
+		}
+		allowed := "version policy seed now pending order ledger members staleness ex_at ex_sums ex_routed admission ctrl"
+		for k := range doc {
+			if !slices.Contains(strings.Fields(allowed), k) {
+				t.Errorf("%s: the federation checkpoint carries %q", c.name, k)
+			}
+		}
+		if doc["order"] == nil || len(ledger) != 3 || ledger["submitted"] == nil || ledger["migrated"] == nil || ledger["migrated_work"] == nil {
+			t.Errorf("%s: order %s, ledger keys %v; want an order and a ledger of submitted, migrated, migrated_work", c.name, doc["order"], ledger)
 		}
 	}
 }

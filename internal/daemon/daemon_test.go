@@ -527,6 +527,24 @@ func TestSessionAPIValidation(t *testing.T) {
 	for _, doctored := range []string{`"starts":[$1]`, `"starts":[$1,$2,$1]`, `"starts":[$1,$2,{"Job":2,"Org":0,"Machine":0,"At":3}]`} {
 		rejected("tiny", "restore", string(log.ReplaceAll(snap, []byte(doctored))))
 	}
+	// What a log line says is read as well — /decisions serves it, a
+	// federation folds it into its own log — so a line on a machine the
+	// pool does not have, at an instant that has not come, out of start
+	// order, or at odds with the running entry it describes is refused.
+	// (Each restored before, and /decisions served the numbers.)
+	rejected("tiny", "restore", string(log.ReplaceAll(snap, []byte(`"starts":[$2,$1]`))))
+	for _, edit := range [][2]string{
+		{`{"Job":0,"Machine":0,"At":0}`, `{"Job":0,"Machine":-7,"At":0}`},
+		{`{"Job":0,"Machine":0,"At":0}`, `{"Job":0,"Machine":1,"At":0}`},
+		{`{"Job":0,"Machine":0,"At":0}`, `{"Job":0,"Machine":0,"At":123456}`},
+		{`{"Job":1,"Machine":0,"At":2}`, `{"Job":1,"Machine":0,"At":1}`},
+	} {
+		doctored := bytes.Replace(snap, []byte(edit[0]), []byte(edit[1]), 1)
+		if bytes.Equal(doctored, snap) {
+			t.Fatalf("checkpoint has no log line %s: %s", edit[0], snap)
+		}
+		rejected("tiny", "restore", string(doctored))
+	}
 	a.do("POST", "/v1/sessions/tiny/advance", `{"until":9}`, http.StatusOK)
 	a.do("GET", "/v1/healthz", "", http.StatusOK)
 
@@ -664,7 +682,7 @@ func TestHTTPStatusCodes(t *testing.T) {
 	// of its stream.
 	before := a.raw("/v1/sessions/fleet/state")
 	snap := a.raw("/v1/sessions/fleet/checkpoint")
-	streaming := bytes.Replace(snap, []byte(`{"version":4,`), []byte(`{"version":4,"source":{"cursor":2,"window":2},`), 1)
+	streaming := bytes.Replace(snap, []byte(`{"version":5,`), []byte(`{"version":5,"source":{"cursor":2,"window":2},`), 1)
 	if bytes.Equal(streaming, snap) {
 		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
 	}

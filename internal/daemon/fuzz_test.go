@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"testing"
 
 	"repro/internal/ctrl"
 	"repro/internal/daemon"
+	"repro/internal/model"
 )
 
 // gatedMigratingFedCfg is fedCfg with everything a federation
@@ -62,33 +63,70 @@ func editNode(v any, n int, edit func(any) any) (any, int) {
 	return v, seen
 }
 
+// benchShapes are the four session shapes the benchmark serves
+// (bench/workloads.go), each with a workload that keeps its machines
+// busy at the checkpoint.
+func benchShapes() (cfgs []daemon.SessionConfig, jobs [][]daemon.JobSubmission) {
+	fedGated := daemon.SessionConfig{Kind: daemon.KindFederation, Policy: "fednbs-migrate", Staleness: 25, Seed: 3,
+		Admission: &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 3, Period: 10, Burst: 6, MaxAttempts: 3}}
+	for o := 0; o < 6; o++ {
+		fedGated.OrgNames = append(fedGated.OrgNames, fmt.Sprintf("org%d", o))
+	}
+	for c := 0; c < 8; c++ {
+		machines := make([]int, 6)
+		for o := range machines {
+			if (o+c)%3 != 0 {
+				machines[o] = 1
+			}
+		}
+		fedGated.Clusters = append(fedGated.Clusters, daemon.ClusterConfig{Name: fmt.Sprintf("m%d", c), Alg: "nbs", Machines: machines})
+	}
+	cfgs = []daemon.SessionConfig{
+		{Kind: daemon.KindSingle, Alg: "fairshare", Orgs: 3, Machines: 6, Seed: 3},
+		{Kind: daemon.KindSingle, Alg: "ref", RefDriver: "heap", Orgs: 8, Machines: 16, Split: "zipf", Seed: 3},
+		{Kind: daemon.KindSingle, Alg: "rand", RandSamples: 15, Orgs: 8, Machines: 16, Split: "zipf", Seed: 3},
+		fedGated,
+		{Kind: daemon.KindSingle, Alg: "directcontr", Orgs: 4, Machines: 8, Split: "uniform", Seed: 3},
+	}
+	for _, cfg := range cfgs {
+		orgs, clusters := max(cfg.Orgs, len(cfg.OrgNames)), max(1, len(cfg.Clusters))
+		var batch []daemon.JobSubmission
+		for n := 0; n < 48; n++ {
+			batch = append(batch, daemon.JobSubmission{Cluster: n % clusters, Org: n % orgs, Size: model.Time(5 + n%9), Release: timePtr(model.Time(n / 2))})
+		}
+		jobs = append(jobs, batch)
+	}
+	return cfgs, jobs
+}
+
 // FuzzSessionRestore posts doctored checkpoints at a session: numbers
 // overwritten, booleans flipped, strings blanked, arrays cut short or
-// stretched. A wrong-but-well-shaped number may be accepted; whatever
-// is accepted must then serve a submit, two advances, a state read and
-// a checkpoint without crashing the process.
+// stretched — of the four session shapes the benchmark serves, a gated
+// single session, a gated, stale, migrating federation, and the
+// committed old documents (the version-1 gated engine envelope, the
+// version-4 federation). A doctored document is refused, or it is a
+// fixed point: the accepted session's checkpoint, posted to a fresh
+// session of the same configuration, is accepted and both answer
+// byte-equal /state and /decisions — a wrong-but-well-shaped number is
+// believed only where it is the one record of its fact. What is
+// accepted must then serve a submit, two advances, a state read and a
+// checkpoint without crashing the process.
 func FuzzSessionRestore(f *testing.F) {
-	cfgs := []daemon.SessionConfig{gatedSingleCfg(), gatedMigratingFedCfg()}
+	cfgs, jobs := benchShapes()
+	cfgs, jobs = append(cfgs, gatedSingleCfg(), gatedMigratingFedCfg()), append(jobs, overloadJobs(0), overloadJobs(0))
 	var seeds [][]byte
-	for _, cfg := range cfgs {
-		seeds = append(seeds, checkpointOf(f, cfg, overloadJobs(0), 30))
+	for i, cfg := range cfgs {
+		seeds = append(seeds, checkpointOf(f, cfg, jobs[i], 30))
 	}
-	// Old documents stay fuzzed: the committed version-1 gated engine
-	// envelope, under the session configuration that restores it.
-	v1, err := os.ReadFile("../engine/testdata/ckpt_parent_gated.json")
-	if err != nil {
-		f.Fatal(err)
-	}
-	v1 = bytes.ReplaceAll(bytes.ReplaceAll(v1, []byte(`"Name":"A"`), []byte(`"Name":"org0"`)), []byte(`"Name":"B"`), []byte(`"Name":"org1"`))
-	v1Cfg := daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "ref", Orgs: 2, Machines: 1, Seed: 7,
-		Admission: &ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}}
-	if sess, err := daemon.NewManager().Create("v1", v1Cfg); err != nil {
-		f.Fatal(err)
-	} else if err := sess.Restore(v1); err != nil {
-		f.Fatalf("the version-1 seed no longer restores undoctored: %v", err)
-	}
-	cfgs, seeds = append(cfgs, v1Cfg), append(seeds, v1)
+	// Old documents stay fuzzed, each under the session configuration
+	// that restores it.
+	v1, v1Cfg := engineFixture(f, "parent")
+	v4, v4Cfg := v4FedFixture(f)
+	cfgs, seeds = append(cfgs, v1Cfg, v4Cfg), append(seeds, v1, v4)
 	for which := range cfgs {
+		if _, err := readBack(mustSession(f, cfgs[which], seeds[which])); err != nil {
+			f.Fatalf("seed %d is not a fixed point undoctored: %v", which, err)
+		}
 		f.Add(uint8(which), []byte{})
 		f.Add(uint8(which), []byte{0, 40, 0, 0, 99, 1, 7, 2, 0, 0})
 		f.Add(uint8(which), []byte{3, 200, 1, 255, 255, 0, 90, 0, 0, 1, 2, 2, 3, 0, 0})
@@ -141,6 +179,9 @@ func FuzzSessionRestore(f *testing.F) {
 		if err := sess.Restore(posted); err != nil {
 			return
 		}
+		if _, err := readBack(sess); err != nil {
+			t.Fatal(err)
+		}
 		// Errors are fine from here on — a doctored run may refuse to go
 		// on — but every call has to come back.
 		_, _ = sess.Submit([]daemon.JobSubmission{{Org: 0, Size: 3}, {Cluster: 1, Org: 1, Size: 2}})
@@ -149,4 +190,32 @@ func FuzzSessionRestore(f *testing.F) {
 		sess.State()
 		_, _ = sess.Checkpoint()
 	})
+}
+
+// readBack posts sess's own checkpoint at a fresh session of its
+// configuration and returns that session: it must be accepted, and must
+// answer /state and /decisions byte for byte as sess does.
+func readBack(sess *daemon.Session) (*daemon.Session, error) {
+	ckpt, err := sess.Checkpoint()
+	if err != nil {
+		return nil, fmt.Errorf("an accepted session does not checkpoint: %w", err)
+	}
+	again, err := daemon.NewManager().Create(sess.ID(), sess.Config())
+	if err != nil {
+		return nil, err
+	}
+	if err := again.Restore(ckpt); err != nil {
+		return nil, fmt.Errorf("an accepted session's own checkpoint is refused: %w\n%s", err, ckpt)
+	}
+	for name, read := range map[string]func(*daemon.Session) any{
+		"/state":     func(s *daemon.Session) any { return s.State() },
+		"/decisions": func(s *daemon.Session) any { _, decs := s.Decisions(0); return decs },
+	} {
+		a, _ := json.Marshal(read(sess))
+		b, _ := json.Marshal(read(again))
+		if !bytes.Equal(a, b) {
+			return nil, fmt.Errorf("%s of an accepted session and of its checkpoint read back differ:\n%s\n%s", name, a, b)
+		}
+	}
+	return again, nil
 }

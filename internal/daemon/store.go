@@ -108,9 +108,9 @@ func (st *DirStore) Save(env Envelope) error {
 
 // Load reads every "*.session.json" envelope in name order. Stale temp
 // files from a crashed Save are swept; envelopes that fail to parse (or
-// carry no session id) are renamed aside with Quarantine semantics and
-// reported, not returned as errors — one bad file must not hold every
-// alphabetically-later session hostage.
+// are not named after their session id) are renamed aside with
+// Quarantine semantics and reported, not returned as errors — one bad
+// file must not hold every alphabetically-later session hostage.
 func (st *DirStore) Load() ([]Envelope, []Quarantined, error) {
 	entries, err := os.ReadDir(st.dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -155,8 +155,11 @@ func (st *DirStore) Load() ([]Envelope, []Quarantined, error) {
 			quarantine(fmt.Errorf("daemon: envelope %s: %w", name, err))
 			continue
 		}
-		if env.ID == "" {
-			quarantine(fmt.Errorf("daemon: envelope %s: missing session id", name))
+		// The file name is the id Save, Delete and Quarantine address: an
+		// envelope under another name would boot a session whose next flush
+		// lands beside it, and the stale file would win the boot after.
+		if env.ID == "" || env.ID+envelopeSuffix != name {
+			quarantine(fmt.Errorf("daemon: envelope %s holds session id %q", name, env.ID))
 			continue
 		}
 		envs = append(envs, env)

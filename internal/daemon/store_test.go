@@ -147,7 +147,7 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3 := bytes.Replace(snap, []byte(`{"version":4,`), []byte(`{"version":3,`), 1)
+	v3 := bytes.Replace(snap, []byte(`{"version":5,`), []byte(`{"version":3,`), 1)
 	if bytes.Equal(v3, snap) {
 		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
 	}
@@ -214,6 +214,68 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "bad.session.json.corrupt")); err != nil {
 		t.Fatalf("unrestorable envelope not quarantined: %v", err)
+	}
+}
+
+// TestLoadQuarantinesMisnamedEnvelope: an envelope's file name is its
+// session id. b.session.json renamed to a.session.json used to boot as
+// session b; b's next flush then wrote b.session.json beside it, and at
+// the boot after that the stale a-file loaded first, the fresh b-file
+// failed with ErrSessionExists and Quarantine("b") set the fresh one
+// aside — the stale copy won. The misnamed file is set aside instead.
+func TestLoadQuarantinesMisnamedEnvelope(t *testing.T) {
+	dir := t.TempDir()
+	st := daemon.NewDirStore(dir)
+	mgr := daemon.NewManager()
+	sess, err := mgr.Create("b", singleCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Submit([]daemon.JobSubmission{{Org: 0, Size: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.FlushTo(st, false); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, "a.session.json")
+	if err := os.Rename(filepath.Join(dir, "b.session.json"), stale); err != nil {
+		t.Fatal(err)
+	}
+	// The session moves on and is flushed under its own name.
+	if _, _, err := sess.Advance(timePtr(20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.FlushTo(st, false); err != nil {
+		t.Fatal(err)
+	}
+	want := mustJSON(t, sess.State())
+	// An envelope without an id is named after it too, and is still no
+	// session: restoring it would auto-assign one.
+	nameless := strings.Replace(mustJSON(t, daemon.Envelope{ID: "x", Config: singleCfg(), Snapshot: json.RawMessage(`{}`)}), `"id":"x"`, `"id":""`, 1)
+	if err := os.WriteFile(filepath.Join(dir, ".session.json"), []byte(nameless), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	boot := daemon.NewManager()
+	ids, quarantined, err := boot.LoadStore(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 || ids[0] != "b" || len(quarantined) != 2 || !strings.Contains(quarantined[1].Err.Error(), `holds session id "b"`) {
+		t.Fatalf("booted %v, quarantined %v; want session b, and the nameless and the misnamed file set aside", ids, quarantined)
+	}
+	if _, err := os.Stat(stale + ".corrupt"); err != nil {
+		t.Fatalf("the misnamed envelope was not renamed aside: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "b.session.json")); err != nil {
+		t.Fatalf("the fresh envelope did not survive the boot: %v", err)
+	}
+	got, ok := boot.Get("b")
+	if !ok {
+		t.Fatal("session b is not in the booted table")
+	}
+	if state := mustJSON(t, got.State()); state != want {
+		t.Fatalf("session b booted from the stale copy:\n%s\nwant\n%s", state, want)
 	}
 }
 

@@ -40,14 +40,16 @@ const parentCkptAt = model.Time(33)
 
 // testdata/ckpt_parent_gated.json was written by the commit before
 // Restore and RestoreGated became one, with version-1 cluster states;
-// ckpt_v2_gated.json is the same run at the same instant from the first
-// version-2 writer. Each must restore and finish exactly as an
-// uninterrupted run. The v2 envelope must also re-capture to its own
-// bytes, as must a fresh run stepped to the same instant; the v1
-// envelope cannot (five of its cluster fields are no longer written),
-// so its restored engine must snapshot to what the fresh run does.
+// ckpt_v2_gated.json and ckpt_v3_gated.json are the same run at the same
+// instant from the first version-2 and version-3 writers. Each must
+// restore and finish exactly as an uninterrupted run. The v3 envelope
+// must also re-capture to its own bytes, as must a fresh run stepped to
+// the same instant; the older ones cannot (five cluster fields of
+// version 1, the job IDs and start organizations of both are no longer
+// written), so their restored engines must snapshot to what the fresh
+// run does.
 func TestParentGatedCheckpointRestores(t *testing.T) {
-	for _, name := range []string{"parent", "v2"} {
+	for _, name := range []string{"parent", "v2", "v3"} {
 		t.Run(name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", "ckpt_"+name+"_gated.json"))
 			if err != nil {
@@ -75,8 +77,11 @@ func TestParentGatedCheckpointRestores(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if name == "v2" && !bytes.Equal(want, raw) {
-				t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes:\n%s", parentCkptAt, want)
+			if old := bytes.Contains(raw, []byte(`"ID":`)); old != (name != "v3") {
+				t.Fatalf("the %s envelope carries job IDs: %v", name, old)
+			}
+			if name == "v3" && !bytes.Equal(want, raw) {
+				t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
 			}
 			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {
 				t.Errorf("the restored run's snapshot differs from a fresh run's at t=%d (err %v)", parentCkptAt, err)

@@ -12,29 +12,31 @@ import (
 
 // CheckpointVersion identifies the serialized federation checkpoint
 // layout. Member engine snapshots carry their own core.CheckpointVersion.
-// Version 2 added the migration bookkeeping: per-member origin columns
-// and the ledger's Migrated/MigratedWork matrices. Version 3 added the
-// control plane: the admission spec and the plane's serialized state
-// (event queue, policy state, per-organization admission counters).
-// Restore accepts version 4 only, and refuses the job-source cursor
-// block that version once allowed (see Checkpoint.Source).
-const CheckpointVersion = 4
+// Version 2 added the migration bookkeeping (per-member origin columns,
+// the ledger's Migrated/MigratedWork matrices), version 3 the control
+// plane (admission spec, the plane's serialized state). Version 5 writes
+// each fact once: organization names, the sequence counter, the ledger's
+// placement and accounting columns and all of a decision but its cluster
+// are the members' to say, and Restore rebuilds them — from a version-4
+// document too, whose copies it ignores. It refuses the job-source
+// cursor block (see Checkpoint.Source).
+const CheckpointVersion = 5
 
 // Checkpoint is the complete serializable state of a federation: the
-// routing layer (pending queue, sequence counter, ledger counters,
-// decision log) plus one embedded engine snapshot per member. Like
-// engine checkpoints, it carries only dynamic state — restoring
-// requires the same static configuration (organization universe,
-// cluster specs, delegation policy) that captured it.
+// routing layer (pending queue, the order members' decisions were
+// logged in, the ledger's history) plus one embedded engine snapshot per
+// member. Like engine checkpoints, it carries only dynamic state —
+// restoring requires the same static configuration (organization
+// universe, cluster specs, delegation policy) that captured it.
 type Checkpoint struct {
-	Version int                `json:"version"`
-	Policy  string             `json:"policy"`
-	Seed    int64              `json:"seed"`
-	Now     model.Time         `json:"now"`
-	Orgs    []string           `json:"orgs"`
-	NextSeq int64              `json:"next_seq"`
-	Pending []Pending          `json:"pending,omitempty"`
-	Decs    []Decision         `json:"decisions,omitempty"`
+	Version int        `json:"version"`
+	Policy  string     `json:"policy"`
+	Seed    int64      `json:"seed"`
+	Now     model.Time `json:"now"`
+	Pending []Pending  `json:"pending,omitempty"`
+	// Order is the decision log as each line's executing cluster: the
+	// i-th c in it stands for the i-th line of member c's own log.
+	Order   []int              `json:"order,omitempty"`
 	Ledger  *Ledger            `json:"ledger"`
 	Members []MemberCheckpoint `json:"members"`
 
@@ -60,6 +62,8 @@ type Checkpoint struct {
 	// refuse a checkpoint taken while a job source was attached to the
 	// federation itself: the rest of that stream is not in the snapshot.
 	Source json.RawMessage `json:"source,omitempty"`
+	// Decs is version 4's Order: whole decisions, read for their Cluster.
+	Decs []Decision `json:"decisions,omitempty"`
 }
 
 // MemberCheckpoint is one member cluster's state: identity, the
@@ -83,13 +87,14 @@ func (f *Federation) Snapshot() ([]byte, error) {
 		Policy:    f.policy.Name(),
 		Seed:      f.seed,
 		Now:       f.now,
-		Orgs:      f.orgs,
-		NextSeq:   f.nextSeq,
 		Pending:   f.pending,
-		Decs:      f.decs,
+		Order:     make([]int, len(f.decs)),
 		Ledger:    f.Ledger(),
 		Staleness: f.provider.MaxAge(),
 		Admission: f.admission,
+	}
+	for i, d := range f.decs {
+		cp.Order[i] = d.Cluster
 	}
 	if v, ok := f.provider.Cached(); ok {
 		ex := v.Payload.(*exchange)
@@ -128,8 +133,8 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("fed: restore: %w", err)
 	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
+	if cp.Version != CheckpointVersion && cp.Version != 4 {
+		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want 4 or %d", cp.Version, CheckpointVersion)
 	}
 	if len(cp.Source) > 0 {
 		return nil, errors.New(`fed: restore: checkpoint has a "source" block: it was taken mid-stream by a federation that pulled its own job source, and the rest of that stream is not in it; feed sources with SubmitThrough`)
@@ -140,30 +145,27 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	if cp.Policy != policy.Name() {
 		return nil, fmt.Errorf("fed: restore: checkpoint routed by %q, federation configured with %q", cp.Policy, policy.Name())
 	}
-	if len(cp.Orgs) != len(orgs) {
-		return nil, fmt.Errorf("fed: restore: checkpoint has %d organizations, configuration %d", len(cp.Orgs), len(orgs))
-	}
-	for i := range orgs {
-		if cp.Orgs[i] != orgs[i] {
-			return nil, fmt.Errorf("fed: restore: organization %d is %q in checkpoint, %q in configuration", i, cp.Orgs[i], orgs[i])
-		}
-	}
 	if len(cp.Members) != len(specs) {
 		return nil, fmt.Errorf("fed: restore: checkpoint has %d clusters, configuration %d", len(cp.Members), len(specs))
 	}
-	if err := cp.Ledger.validate(len(specs), len(orgs)); err != nil {
+	if err := cp.Ledger.validate(len(specs)); err != nil {
 		return nil, fmt.Errorf("fed: restore: %w", err)
 	}
+	// History is read; placement is replayed from the members below.
+	ledger := newLedger(len(specs), len(orgs))
+	ledger.Submitted, ledger.Migrated, ledger.MigratedWork = cp.Ledger.Submitted, cp.Ledger.Migrated, cp.Ledger.MigratedWork
+	for _, row := range ledger.Migrated {
+		for _, n := range row {
+			ledger.Migrations += n
+		}
+	}
 	f := &Federation{
-		orgs:     append([]string(nil), orgs...),
-		policy:   policy,
-		seed:     cp.Seed,
-		now:      cp.Now,
-		nextSeq:  cp.NextSeq,
-		pending:  cp.Pending,
-		decs:     cp.Decs,
-		reported: len(cp.Decs),
-		ledger:   cp.Ledger,
+		orgs:    append([]string(nil), orgs...),
+		policy:  policy,
+		seed:    cp.Seed,
+		now:     cp.Now,
+		pending: cp.Pending,
+		ledger:  ledger,
 	}
 	f.sink = fedSink{f: f, memo: make([]int, len(orgs)*len(specs))}
 	f.provider = ctrl.NewCachedSnapshotProvider(f.captureExchange, cp.Staleness)
@@ -254,6 +256,9 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 				return nil, fmt.Errorf("fed: restore: cluster %d (%s) job %d has inconsistent origin %d for sequence %d",
 					i, spec.Name, id, origin, mc.SeqOf[id])
 			}
+			if origin >= 0 {
+				ledger.route(origin, i, int64(eng.Instance().Jobs[id].Size))
+			}
 		}
 		f.members = append(f.members, &Member{name: mc.Name, eng: eng, seqOf: mc.SeqOf, originOf: mc.OriginOf})
 	}
@@ -262,6 +267,34 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		if err := f.checkJob(SourceJob{Cluster: p.Cluster, Org: p.Org, Size: p.Size, Release: p.Release}); err != nil {
 			return nil, fmt.Errorf("fed: restore: pending job %d: %w", p.Seq, err)
 		}
+	}
+	// The decision log is the members' logs, interleaved in the recorded
+	// order as advanceMembers folded them.
+	if cp.Version == 4 {
+		cp.Order = nil
+		for _, d := range cp.Decs {
+			cp.Order = append(cp.Order, d.Cluster)
+		}
+	}
+	read := make([]int, len(specs))
+	for _, c := range cp.Order {
+		if c < 0 || c >= len(specs) || read[c] == len(f.members[c].eng.Decisions()) {
+			return nil, fmt.Errorf("fed: restore: decision order names cluster %d past the end of its log", c)
+		}
+		m := f.members[c]
+		s := m.eng.Decisions()[read[c]]
+		read[c]++
+		f.decs = append(f.decs, Decision{Seq: m.seqOf[s.Job], Org: s.Org, Cluster: c, Machine: s.Machine, At: s.At})
+	}
+	for c, m := range f.members {
+		if n := len(m.eng.Decisions()); read[c] != n {
+			return nil, fmt.Errorf("fed: restore: decision order holds %d of cluster %d's %d decisions", read[c], c, n)
+		}
+	}
+	f.reported = len(f.decs)
+	// What was assembled from the document's parts obeys the law a run does.
+	if err := f.CheckConservation(); err != nil {
+		return nil, fmt.Errorf("fed: restore: %w", err)
 	}
 	return f, nil
 }

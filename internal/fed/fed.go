@@ -131,7 +131,6 @@ type Federation struct {
 	policy   Policy
 	seed     int64
 	now      model.Time
-	nextSeq  int64
 	pending  []Pending // sorted by (Release, Seq) once sortPending runs
 	decs     []Decision
 	reported int
@@ -325,7 +324,7 @@ func (f *Federation) Now() model.Time { return f.now }
 func (f *Federation) PendingCount() int { return len(f.pending) }
 
 // Submitted returns the number of jobs accepted so far.
-func (f *Federation) Submitted() int64 { return f.nextSeq }
+func (f *Federation) Submitted() int64 { return f.ledger.Submitted }
 
 // Submit accepts one job at the origin cluster and returns its
 // federation sequence number. The job must name a valid origin and
@@ -375,10 +374,9 @@ func (f *Federation) checkJob(j SourceJob) error {
 
 // accept enqueues one checked job under the next sequence number.
 func (f *Federation) accept(j SourceJob) int64 {
-	p := Pending{Seq: f.nextSeq, Cluster: j.Cluster, Org: j.Org, Size: j.Size, Release: j.Release}
-	f.nextSeq++
-	f.appendPending(p)
+	p := Pending{Seq: f.ledger.Submitted, Cluster: j.Cluster, Org: j.Org, Size: j.Size, Release: j.Release}
 	f.ledger.Submitted++
+	f.appendPending(p)
 	return p.Seq
 }
 
@@ -840,7 +838,7 @@ func (f *Federation) CheckConservation() error {
 				tombstones++
 				continue
 			}
-			if seq >= f.nextSeq {
+			if seq >= l.Submitted {
 				return fmt.Errorf("fed: cluster %d maps a job to invalid sequence %d", c, seq)
 			}
 			if m.originOf[id] < 0 || m.originOf[id] >= len(f.members) {

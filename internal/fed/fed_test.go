@@ -85,9 +85,8 @@ func fingerprint(t testing.TB, f *fed.Federation) []byte {
 	if err := enc.Encode(f.Decisions()); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(f.Ledger()); err != nil {
-		t.Fatal(err)
-	}
+	// Printed, not encoded: only the ledger's history has JSON keys.
+	fmt.Fprintf(&buf, "%+v\n", *f.Ledger())
 	for _, m := range f.Members() {
 		if err := enc.Encode(m.Engine().Result().Psi); err != nil {
 			t.Fatal(err)
@@ -263,18 +262,85 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, gutted); err == nil {
 		t.Error("restore with an empty ledger accepted")
 	}
-	// There is one federation layout: the version-3 document an older
-	// build wrote is refused by version, and so is a version-4 one with
-	// the cursor of a job source the federation pulled itself — restored
-	// without the block, the run would go on without the rest of its
-	// stream.
-	v3 := bytes.Replace(snap, []byte(`{"version":4,`), []byte(`{"version":3,`), 1)
-	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, v3); err == nil || !strings.Contains(err.Error(), "checkpoint version 3, want 4") {
+	// Two federation layouts restore, 4 and 5: the version-3 document an
+	// older build wrote is refused by version, and so is a version-4 one
+	// with the cursor of a job source the federation pulled itself —
+	// restored without the block, the run would go on without the rest of
+	// its stream.
+	v3 := bytes.Replace(snap, []byte(`{"version":5,`), []byte(`{"version":3,`), 1)
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, v3); err == nil || !strings.Contains(err.Error(), "checkpoint version 3, want 4 or 5") {
 		t.Errorf("version-3 checkpoint: %v", err)
 	}
-	pulled := bytes.Replace(snap, []byte(`{"version":4,`), []byte(`{"version":4,"source":{"cursor":9,"window":4,"done":true},`), 1)
+	pulled := bytes.Replace(snap, []byte(`{"version":5,`), []byte(`{"version":4,"source":{"cursor":9,"window":4,"done":true},`), 1)
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, pulled); err == nil || !strings.Contains(err.Error(), "SubmitThrough") {
 		t.Errorf("checkpoint with a source block: %v", err)
+	}
+	// Restore ends on the conservation law and on a decision order that
+	// spends each member's log exactly: what the parts of a document say
+	// together is checked at the door, not by a post-run audit. (The
+	// ledger and sequence rows restored before.)
+	var clean fed.Checkpoint
+	if err := json.Unmarshal(snap, &clean); err != nil || len(clean.Order) < 2 || clean.Members[0].SeqOf[1] < 0 {
+		t.Fatalf("the snapshot has %d decisions (err %v)", len(clean.Order), err)
+	}
+	other := (clean.Order[0] + 1) % len(clean.Members)
+	for name, doctor := range map[string]func(*fed.Checkpoint){
+		"sequence number held twice":       func(cp *fed.Checkpoint) { cp.Members[0].SeqOf[0] = cp.Members[0].SeqOf[1] },
+		"sequence number never handed out": func(cp *fed.Checkpoint) { cp.Members[0].SeqOf[0] = cp.Ledger.Submitted },
+		"tombstone without a withdrawal":   func(cp *fed.Checkpoint) { cp.Members[0].SeqOf[1], cp.Members[0].OriginOf[1] = -1, -1 },
+		"submitted count off by one":       func(cp *fed.Checkpoint) { cp.Ledger.Submitted++ },
+		"pending job dropped":              func(cp *fed.Checkpoint) { cp.Pending = cp.Pending[1:] },
+		"migration of a cluster to itself": func(cp *fed.Checkpoint) { cp.Ledger.Migrated[0][0] = 1 },
+		"decision order cut short":         func(cp *fed.Checkpoint) { cp.Order = cp.Order[1:] },
+		"decision order one too long":      func(cp *fed.Checkpoint) { cp.Order = append(cp.Order, cp.Order[0]) },
+		"decision order of another log":    func(cp *fed.Checkpoint) { cp.Order[0] = other },
+		"decision order with no such log":  func(cp *fed.Checkpoint) { cp.Order[0] = len(cp.Members) },
+	} {
+		var cp fed.Checkpoint
+		if err := json.Unmarshal(snap, &cp); err != nil {
+			t.Fatal(err)
+		}
+		doctor(&cp)
+		bent, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, bent); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The plane's totals against what the members hold: one more job
+	// admitted (and released — the plane's own law holds) than was fed.
+	gated := parentCkptFederation(t, true)
+	if _, err := gated.Step(parentCkptAt); err != nil {
+		t.Fatal(err)
+	}
+	gatedSnap, err := gated.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gcp fed.Checkpoint
+	var plane ctrl.Checkpoint
+	if err := json.Unmarshal(gatedSnap, &gcp); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(gcp.Ctrl, &plane); err != nil {
+		t.Fatal(err)
+	}
+	plane.Stats.Released[0]++
+	plane.Stats.Admitted[0]++
+	if gcp.Ctrl, err = json.Marshal(plane); err != nil {
+		t.Fatal(err)
+	}
+	bumped, err := json.Marshal(gcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), gatedSnap); err != nil {
+		t.Fatalf("the gated snapshot does not restore: %v", err)
+	}
+	if _, err := fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), bumped); err == nil || !strings.Contains(err.Error(), "admitted") {
+		t.Errorf("plane counting a job the members do not hold: %v", err)
 	}
 	// A pending job is released into the code a submitted one is, and is
 	// held to the same checks (FuzzSessionRestore's finding: organization

@@ -15,19 +15,23 @@ import "fmt"
 // the ledger is accounting — like the simulator's ψsp accounts, it
 // tallies work only the executing side would eventually observe —
 // not scheduler input.
+//
+// A checkpoint carries the three fields that are history; where every
+// live job sits is the members' record, and Restore replays it.
 type Ledger struct {
-	Clusters  int   `json:"clusters"`
-	Orgs      int   `json:"orgs"`
+	Clusters int `json:"-"`
+	Orgs     int `json:"-"`
+	// Submitted counts accepted jobs: the next sequence number.
 	Submitted int64 `json:"submitted"`
 	// Routed[origin][target] counts jobs submitted at origin and routed
 	// to target; the diagonal is the non-delegated traffic.
-	Routed [][]int64 `json:"routed"`
+	Routed [][]int64 `json:"-"`
 	// RoutedWork is Routed weighted by job size (work units).
-	RoutedWork [][]int64 `json:"routed_work"`
+	RoutedWork [][]int64 `json:"-"`
 	// Fed[c] counts jobs fed to cluster c (the column sums of Routed).
-	Fed []int64 `json:"fed"`
+	Fed []int64 `json:"-"`
 	// Migrations counts re-delegations of queued jobs (Σ Migrated).
-	Migrations int64 `json:"migrations"`
+	Migrations int64 `json:"-"`
 	// Migrated[from][to] counts queued jobs withdrawn from `from` and
 	// re-fed to `to` at an exchange refresh. Routed/RoutedWork/Fed are
 	// re-pointed at migration time (the job's origin row moves a count
@@ -38,26 +42,26 @@ type Ledger struct {
 	MigratedWork [][]int64 `json:"migrated_work"`
 	// Psi[c][o] is organization o's ψsp earned at cluster c, refreshed
 	// at the federation clock.
-	Psi [][]int64 `json:"psi"`
+	Psi [][]int64 `json:"-"`
 	// Value[c] is cluster c's coalition value Σ_o Psi[c][o].
-	Value []int64 `json:"value"`
+	Value []int64 `json:"-"`
 	// Executed[c] is cluster c's executed unit slots.
-	Executed []int64 `json:"executed"`
+	Executed []int64 `json:"-"`
 }
 
 func newLedger(clusters, orgs int) *Ledger {
 	l := &Ledger{
-		Clusters:   clusters,
-		Orgs:       orgs,
-		Routed:     make([][]int64, clusters),
-		RoutedWork: make([][]int64, clusters),
-		Fed:        make([]int64, clusters),
-		Psi:        make([][]int64, clusters),
-		Value:      make([]int64, clusters),
-		Executed:   make([]int64, clusters),
+		Clusters:     clusters,
+		Orgs:         orgs,
+		Routed:       make([][]int64, clusters),
+		RoutedWork:   make([][]int64, clusters),
+		Fed:          make([]int64, clusters),
+		Psi:          make([][]int64, clusters),
+		Value:        make([]int64, clusters),
+		Executed:     make([]int64, clusters),
+		Migrated:     make([][]int64, clusters),
+		MigratedWork: make([][]int64, clusters),
 	}
-	l.Migrated = make([][]int64, clusters)
-	l.MigratedWork = make([][]int64, clusters)
 	for c := 0; c < clusters; c++ {
 		l.Routed[c] = make([]int64, clusters)
 		l.RoutedWork[c] = make([]int64, clusters)
@@ -68,27 +72,13 @@ func newLedger(clusters, orgs int) *Ledger {
 	return l
 }
 
-// validate checks a deserialized ledger's shape against the restoring
-// configuration, so a truncated or hand-edited checkpoint fails at
-// Restore instead of panicking mid-Step.
-func (l *Ledger) validate(clusters, orgs int) error {
-	if l == nil {
-		return fmt.Errorf("checkpoint has no ledger")
-	}
-	if l.Clusters != clusters || l.Orgs != orgs {
-		return fmt.Errorf("ledger is %d×%d, configuration is %d×%d clusters×orgs", l.Clusters, l.Orgs, clusters, orgs)
-	}
-	if len(l.Routed) != clusters || len(l.RoutedWork) != clusters || len(l.Fed) != clusters ||
-		len(l.Psi) != clusters || len(l.Value) != clusters || len(l.Executed) != clusters {
-		return fmt.Errorf("ledger columns truncated")
-	}
-	if len(l.Migrated) != clusters || len(l.MigratedWork) != clusters {
-		return fmt.Errorf("ledger migration columns truncated")
+// validate checks the migration matrices of a deserialized ledger — all
+// of it that Restore reads — against the restoring configuration.
+func (l *Ledger) validate(clusters int) error {
+	if l == nil || len(l.Migrated) != clusters || len(l.MigratedWork) != clusters {
+		return fmt.Errorf("checkpoint has no ledger, or its migration columns are truncated")
 	}
 	for c := 0; c < clusters; c++ {
-		if len(l.Routed[c]) != clusters || len(l.RoutedWork[c]) != clusters || len(l.Psi[c]) != orgs {
-			return fmt.Errorf("ledger row %d truncated", c)
-		}
 		if len(l.Migrated[c]) != clusters || len(l.MigratedWork[c]) != clusters {
 			return fmt.Errorf("ledger migration row %d truncated", c)
 		}

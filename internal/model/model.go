@@ -23,13 +23,14 @@ type Time int64
 // Job is a sequential job. Size is the processing time p; Release is the
 // release (submission) time r. ID is the job's index in Instance.Jobs and
 // doubles as the global submission sequence: for two jobs of the same
-// organization, the one with the smaller ID must start first.
+// organization, the one with the smaller ID must start first (and, being
+// the position, is left out of a serialized job list).
 //
 // Schedulers must not read Size before the job completes (the model is
 // non-clairvoyant); the simulator enforces this by exposing only queue
 // positions, never sizes, to policies.
 type Job struct {
-	ID      int
+	ID      int  `json:"-"`
 	Org     int  // index into Instance.Orgs
 	Release Time // r >= 0
 	Size    Time // p >= 1

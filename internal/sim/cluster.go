@@ -39,10 +39,10 @@ import (
 const MaxTime = model.Time(math.MaxInt64)
 
 // Start records one scheduling decision: job (by ID) started at At on
-// Machine.
+// Machine. Org is the job's; a capture leaves it out.
 type Start struct {
 	Job     int
-	Org     int
+	Org     int `json:"-"`
 	Machine int
 	At      model.Time
 }

@@ -134,8 +134,9 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		return fmt.Errorf("sim: restore: next release index %d out of range", st.NextRelease)
 	}
 	pending := st.ReleaseOrder[st.NextRelease:]
-	// listed[id]: 0 in no list yet, 1 in one, 2 running as well.
-	listed := make([]uint8, len(jobs))
+	// listed[id]: 0 in no list yet, n+1 on the decision log's line n, -1
+	// in another list — or running, once its entry has been seen.
+	listed := make([]int32, len(jobs))
 	list := func(where string, id int) error {
 		switch {
 		case id < 0 || id >= len(jobs):
@@ -145,7 +146,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		case listed[id] != 0:
 			return fmt.Errorf("sim: restore: job %d is in the %s and in another list, or twice", id, where)
 		}
-		listed[id] = 1
+		listed[id] = -1
 		return nil
 	}
 	// What runs was started: the decision log lists it, or — where none
@@ -153,10 +154,16 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	if c.noStarts {
 		st.Starts = nil
 	}
-	for _, s := range st.Starts {
+	for i, s := range st.Starts {
 		if err := list("decision log", s.Job); err != nil {
 			return err
 		}
+		// A line is read back by /decisions and the federation's log: on a
+		// pool machine, after the release, in the order starts were made.
+		if s.Machine < 0 || s.Machine >= len(c.owners) || s.At < jobs[s.Job].Release || s.At > st.Now || (i > 0 && s.At < st.Starts[i-1].At) {
+			return fmt.Errorf("sim: restore: decision log line %d starts job %d on machine %d at %d, outside the pool, [release, now] or the log's order", i, s.Job, s.Machine, s.At)
+		}
+		listed[s.Job] = int32(i + 1)
 	}
 	busy := make([]bool, len(c.owners))
 	for i, r := range st.Running {
@@ -164,9 +171,10 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 			if err := list("running entries", r.Job); err != nil {
 				return err
 			}
-		}
-		if r.Job < 0 || r.Job >= len(jobs) || listed[r.Job] != 1 {
+		} else if r.Job < 0 || r.Job >= len(jobs) || listed[r.Job] <= 0 {
 			return fmt.Errorf("sim: restore: running job %d is not in the decision log, or runs twice", r.Job)
+		} else if s := st.Starts[listed[r.Job]-1]; s.Machine != r.Machine || s.At != r.Start {
+			return fmt.Errorf("sim: restore: job %d runs on machine %d since %d, its log line says machine %d at %d", r.Job, r.Machine, r.Start, s.Machine, s.At)
 		}
 		if r.Machine < 0 || r.Machine >= len(c.owners) || busy[r.Machine] {
 			return fmt.Errorf("sim: restore: job %d runs on machine %d, unknown or taken", r.Job, r.Machine)
@@ -180,7 +188,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		if i > 0 && runHeap(st.Running).less(i, (i-1)/2) {
 			return fmt.Errorf("sim: restore: running entry %d is out of completion-heap order", i)
 		}
-		busy[r.Machine], listed[r.Job] = true, 2
+		busy[r.Machine], listed[r.Job] = true, -1
 	}
 	for _, id := range pending {
 		if err := list("release order", id); err != nil {
@@ -238,6 +246,9 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		c.total.Add(a)
 	}
 	c.starts = append([]Start(nil), st.Starts...)
+	for i := range c.starts {
+		c.starts[i].Org = jobs[c.starts[i].Job].Org // a capture does not carry it
+	}
 	c.withdrawn = append([]int(nil), st.Withdrawn...)
 	return nil
 }

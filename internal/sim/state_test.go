@@ -224,6 +224,42 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	if err := c.RestoreState(st); err != nil {
 		t.Fatalf("the undoctored capture is refused: %v", err)
 	}
+
+	// The decision log is read back too — by /decisions, by a federation's
+	// own log: four instants later jobs 0 and 1 have finished, 2 runs on
+	// machine 0 since 5, and each line is held to the pool, to
+	// [release, now], to the order starts are made in, and to the running
+	// entry it describes. (All of these restored before the check.)
+	c.Run(6)
+	st = c.CaptureState()
+	if len(st.Starts) != 3 || len(st.Running) != 1 || st.Starts[2] != (Start{Job: 2, Org: 0, Machine: 0, At: 5}) {
+		t.Fatalf("the later fixture is not two finished jobs and a running one: %+v", st)
+	}
+	for name, doctor := range map[string]func(*ClusterState){
+		"finished job on a machine outside the pool": func(s *ClusterState) { s.Starts[1].Machine = -7 },
+		"finished job on a machine past the pool":    func(s *ClusterState) { s.Starts[1].Machine = 2 },
+		"start after the clock":                      func(s *ClusterState) { s.Starts[1].At = 123456 },
+		"start before the release":                   func(s *ClusterState) { s.Starts[0].At = -1 },
+		"log out of start order":                     func(s *ClusterState) { s.Starts[0].At = 3 },
+		"running job logged on another machine":      func(s *ClusterState) { s.Starts[2].Machine = 1 },
+		"running job logged at another instant":      func(s *ClusterState) { s.Starts[2].At = 4 },
+	} {
+		bad := cloneState(t, st, nil)
+		doctor(&bad)
+		if err := c.RestoreState(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// A start's organization is its job's: the capture does not carry it,
+	// and one that does is not believed.
+	data, err := json.Marshal(st)
+	if err != nil || bytes.Contains(data, []byte("Org")) {
+		t.Fatalf("a capture writes a start's organization (err %v): %s", err, data)
+	}
+	st.Starts[2].Org = 99
+	if err := c.RestoreState(st); err != nil || c.Starts()[2].Org != 0 {
+		t.Fatalf("restored start %+v (err %v), want job 2's organization 0", c.Starts()[2], err)
+	}
 }
 
 // The free list, the per-organization running counts, the total account,
@@ -319,9 +355,10 @@ func doctorNode(v any, n int, edit func(any) any) (any, int) {
 // FuzzClusterRestore hands RestoreState doctored captures — numbers
 // overwritten, arrays cut short or stretched — of the mid-run
 // round-robin schedule committed under internal/core/testdata, as the
-// version-1 and as the version-2 document. RestoreState refuses, or the
-// restored cluster drains without a panic having executed exactly the
-// work the accepted state still owed, every member job started once.
+// version-1, version-2 and version-3 document. RestoreState refuses, or
+// every start it serves is on a pool machine at an instant ≤ now and
+// the restored cluster drains without a panic having executed exactly
+// the work the accepted state still owed, every member job started once.
 func FuzzClusterRestore(f *testing.F) {
 	type document struct {
 		Orgs     []model.Org
@@ -329,7 +366,7 @@ func FuzzClusterRestore(f *testing.F) {
 		Clusters []json.RawMessage
 	}
 	var docs []document
-	for _, name := range []string{"parent", "v2"} {
+	for _, name := range []string{"parent", "v2", "v3"} {
 		data, err := os.ReadFile("../core/testdata/ckpt_" + name + "_roundrobin.json")
 		if err != nil {
 			f.Fatal(err)
@@ -337,6 +374,9 @@ func FuzzClusterRestore(f *testing.F) {
 		var doc document
 		if err := json.Unmarshal(data, &doc); err != nil || len(doc.Clusters) != 1 {
 			f.Fatalf("%s fixture: %d clusters, err %v", name, len(doc.Clusters), err)
+		}
+		for i := range doc.Jobs {
+			doc.Jobs[i].ID = i // a job list does not carry positions
 		}
 		docs = append(docs, doc)
 	}
@@ -396,6 +436,13 @@ func FuzzClusterRestore(f *testing.F) {
 		}
 		if c.RestoreState(st) != nil {
 			return
+		}
+		// Every start the accepted state serves is on a pool machine, at an
+		// instant that has come, for the organization whose job it is.
+		for _, s := range c.Starts() {
+			if s.Machine < 0 || s.Machine >= len(c.owners) || s.At > c.now || s.Org != in.Jobs[s.Job].Org {
+				t.Fatalf("restored with start %+v; %d machines, clock at %d, job of organization %d", s, len(c.owners), c.now, in.Jobs[s.Job].Org)
+			}
 		}
 		// What the accepted state still owes: its unstarted jobs, and the
 		// rest of each running one.
