@@ -23,8 +23,7 @@ import (
 // TestControlPlaneAllocBudget: a fixed overload stream (two
 // organizations, 2× one machine's service rate) through a
 // policy-scheduled engine with the gate off, with always-admit (the
-// pure Arrival → Admission → Routing decomposition) and with the
-// shedding policies; plus the federated plane over the diurnal
+// bare queue-verdict-route pass) and with the shedding policies; plus the federated plane over the diurnal
 // scenario. A run may allocate less than its budget, never more.
 func TestControlPlaneAllocBudget(t *testing.T) {
 	gateOrgs := []model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 0}}

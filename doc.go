@@ -37,8 +37,8 @@
 //	internal/baseline — RoundRobin, FairShare, UtFairShare, CurrFairShare, FCFS
 //	internal/engine   — incremental run engine, a pure library:
 //	                    Feed/Step/Snapshot/Restore
-//	internal/ctrl     — cluster control plane: prioritized admission/
-//	                    routing event queue, pluggable admission
+//	internal/ctrl     — cluster control plane: one queue of jobs
+//	                    awaiting a verdict, pluggable admission
 //	                    policies (always-admit, per-org token bucket,
 //	                    queue-depth backpressure) and the
 //	                    bounded-staleness SnapshotProvider contract;

@@ -71,10 +71,19 @@ type AdmissionPolicy interface {
 	RestoreState(state []byte, orgs int) error
 }
 
+// stateless is the checkpoint half of a policy with nothing to store.
+type stateless struct{}
+
+// StateJSON implements AdmissionPolicy.
+func (stateless) StateJSON() ([]byte, error) { return nil, nil }
+
+// RestoreState implements AdmissionPolicy.
+func (stateless) RestoreState([]byte, int) error { return nil }
+
 // AlwaysAdmit admits everything — the pre-control-plane behavior, and
 // the differential baseline: a run gated by AlwaysAdmit at staleness 0
 // is byte-identical to the ungated run.
-type AlwaysAdmit struct{}
+type AlwaysAdmit struct{ stateless }
 
 // Name implements AdmissionPolicy.
 func (AlwaysAdmit) Name() string { return "always" }
@@ -83,12 +92,6 @@ func (AlwaysAdmit) Name() string { return "always" }
 func (AlwaysAdmit) Decide(Job, int, model.Time, View) Decision {
 	return Decision{Verdict: Admitted}
 }
-
-// StateJSON implements AdmissionPolicy.
-func (AlwaysAdmit) StateJSON() ([]byte, error) { return nil, nil }
-
-// RestoreState implements AdmissionPolicy.
-func (AlwaysAdmit) RestoreState([]byte, int) error { return nil }
 
 // TokenBucket is per-organization token-bucket admission: organization
 // o's bucket holds up to Burst tokens and refills at Rate tokens per
@@ -235,6 +238,7 @@ func (b *TokenBucket) RestoreState(data []byte, orgs int) error {
 // (0 = defer forever; the backlog draining over time is what
 // terminates the wait). It is stateless: the view carries everything.
 type Backpressure struct {
+	stateless
 	// MaxWaiting is the backlog bound; must be ≥ 1.
 	MaxWaiting int
 	// RetryAfter is the defer delay; must be ≥ 1.
@@ -259,12 +263,6 @@ func (p Backpressure) Decide(_ Job, attempt int, now model.Time, view View) Deci
 	}
 	return Decision{Verdict: Deferred, RetryAt: now + p.RetryAfter}
 }
-
-// StateJSON implements AdmissionPolicy.
-func (Backpressure) StateJSON() ([]byte, error) { return nil, nil }
-
-// RestoreState implements AdmissionPolicy.
-func (Backpressure) RestoreState([]byte, int) error { return nil }
 
 // PolicySpec is the serializable form of an admission policy — what
 // rides in daemon SessionConfigs and experiment configs. Build

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -12,62 +14,73 @@ import (
 	"repro/internal/model"
 )
 
-// TestEventQueueOrder drives random pushes through the queue and checks
-// the drain order is exactly (timestamp, priority, seqID) — the
-// control-plane decomposition contract: at an instant, every arrival
-// precedes every admission verdict precedes every routing decision, and
-// ties resolve FIFO.
-func TestEventQueueOrder(t *testing.T) {
+// TestVerdictQueueOrder interleaves random pushes and pops and checks
+// every pop against a sort oracle: the queue hands out (instant,
+// retries before arrivals, push order) — at an instant the jobs parked
+// on a retry are decided before the ones that arrive, each class in the
+// order it was queued. A plane restored from its state — the survivors
+// listed in verdict order, with no class, push number or counter —
+// pops the same, and numbers the next arrival released + queued.
+func TestVerdictQueueOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var q EventQueue
-	var pushed []Event
+	var q verdictQueue
+	var oracle []waiting // what is queued, in push order
+	popNext := func(q *verdictQueue) {
+		t.Helper()
+		sort.SliceStable(oracle, func(a, b int) bool {
+			x, y := oracle[a], oracle[b]
+			if x.At != y.At {
+				return x.At < y.At
+			}
+			return x.Attempt > 0 && y.Attempt == 0
+		})
+		want := oracle[0]
+		oracle = oracle[1:]
+		if got := q.pop(); got.Job.Seq != want.Job.Seq || got.At != want.At || got.Attempt != want.Attempt {
+			t.Fatalf("popped (at %d, attempt %d, job %d), want (at %d, attempt %d, job %d)",
+				got.At, got.Attempt, got.Job.Seq, want.At, want.Attempt, want.Job.Seq)
+		}
+	}
 	for i := 0; i < 500; i++ {
-		e := Event{
-			At:   model.Time(rng.Intn(40)),
-			Prio: uint8(rng.Intn(3)),
-			Job:  Job{Seq: int64(i)},
-		}
-		q.Push(e)
-		e.ID = int64(i) // Push assigns IDs in push order
-		pushed = append(pushed, e)
-	}
-	sort.SliceStable(pushed, func(a, b int) bool { return pushed[a].less(pushed[b]) })
-	for i, want := range pushed {
-		got, ok := q.Pop()
-		if !ok {
-			t.Fatalf("queue drained after %d of %d events", i, len(pushed))
-		}
-		if got.At != want.At || got.Prio != want.Prio || got.ID != want.ID {
-			t.Fatalf("pop %d: got (%d,%d,%d), want (%d,%d,%d)",
-				i, got.At, got.Prio, got.ID, want.At, want.Prio, want.ID)
+		w := waiting{At: model.Time(rng.Intn(40)), Attempt: rng.Intn(3) * rng.Intn(2), Job: Job{Seq: int64(i), Size: 1}}
+		q.push(w)
+		oracle = append(oracle, w)
+		if rng.Intn(4) == 0 {
+			popNext(&q)
 		}
 	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("queue not empty after draining every push")
-	}
-}
-
-// TestEventQueueInterleavedPushPop interleaves pushes with pops and
-// checks the monotonicity invariant: a popped event is never earlier
-// than the previously popped one when nothing earlier was pushed in
-// between.
-func TestEventQueueStateRoundTrip(t *testing.T) {
-	var q EventQueue
-	for i := 0; i < 20; i++ {
-		q.Push(Event{At: model.Time(20 - i), Prio: uint8(i % 3), Job: Job{Seq: int64(i)}})
-	}
-	st := q.state()
-	var r EventQueue
-	r.restore(st)
-	for q.Len() > 0 {
-		a, _ := q.Pop()
-		b, ok := r.Pop()
-		if !ok || a != b {
-			t.Fatalf("restored queue diverged: %+v vs %+v", a, b)
+	p := NewPlane(AlwaysAdmit{}, directLoadProvider(), 1)
+	p.q = q
+	for _, w := range q.h {
+		if w.Attempt > 0 {
+			p.stats.Deferred[0]++
+			p.stats.Released[0]++
 		}
 	}
-	if r.Len() != 0 {
-		t.Fatal("restored queue has leftover events")
+	state, err := p.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"id"`, `"prio"`, `"next_id"`, `"next_seq"`} {
+		if bytes.Contains(state, []byte(key)) {
+			t.Fatalf("the plane's state writes %s: %s", key, state)
+		}
+	}
+	r := NewPlane(AlwaysAdmit{}, directLoadProvider(), 1)
+	if err := r.RestoreState(state); err != nil {
+		t.Fatal(err)
+	}
+	if want := p.stats.TotalReleased() + int64(len(q.h)) - p.stats.TotalDeferred(); r.nextSeq != want {
+		t.Fatalf("restored next sequence number %d, want released + queued arrivals = %d", r.nextSeq, want)
+	}
+	late := waiting{At: 20, Job: Job{Seq: 1000, Size: 1}}
+	r.q.push(late) // behind every restored arrival of its instant
+	oracle = append(oracle, late)
+	for len(oracle) > 0 {
+		popNext(&r.q)
+	}
+	if len(r.q.h) != 0 {
+		t.Fatal("restored queue has leftover jobs")
 	}
 }
 
@@ -322,8 +335,8 @@ func directLoadProvider() SnapshotProvider {
 	return DirectProvider{Capture: func(model.Time) View { return View{} }}
 }
 
-// TestPlaneAlwaysAdmitRoutesEverything: the arrival→admission→routing
-// chain resolves same-instant and in arrival order under AlwaysAdmit,
+// TestPlaneAlwaysAdmitRoutesEverything: every job is decided and routed
+// at its own instant and in arrival order under AlwaysAdmit,
 // and the conservation law holds.
 func TestPlaneAlwaysAdmitRoutesEverything(t *testing.T) {
 	p := NewPlane(AlwaysAdmit{}, directLoadProvider(), 2)
@@ -384,8 +397,8 @@ func TestPlaneTokenBucketDefersAndConserves(t *testing.T) {
 	if st.LatencySum == 0 || st.LatencyMax == 0 {
 		t.Fatal("deferred admissions must accrue decision latency")
 	}
-	if p.Pending() != 0 {
-		t.Fatalf("%d events left after drain", p.Pending())
+	if n := len(p.q.h); n != 0 {
+		t.Fatalf("%d jobs left after drain", n)
 	}
 }
 
@@ -420,8 +433,8 @@ func TestPlaneDeterminismAndCheckpoint(t *testing.T) {
 	if err := b.Advance(25, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if b.Pending() == 0 {
-		t.Fatal("test needs pending control events at the checkpoint")
+	if len(b.q.h) == 0 {
+		t.Fatal("test needs queued jobs at the checkpoint")
 	}
 	st, err := b.State()
 	if err != nil {
@@ -439,6 +452,90 @@ func TestPlaneDeterminismAndCheckpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Stats(), c.Stats()) {
 		t.Fatalf("stats diverged:\n%+v\n%+v", a.Stats(), c.Stats())
+	}
+}
+
+// fixturePlane is the run behind testdata/ckpt_v{1,2}_plane.json: 40
+// jobs of three organizations, all queued up front for random instants
+// below 50, behind a size-cost token bucket, decided through instant 25
+// — future arrivals and parked retries share the queue.
+func fixturePlane(t *testing.T) (*Plane, *planeSink) {
+	t.Helper()
+	p := NewPlane(&TokenBucket{Rate: 1, Period: 7, Burst: 2, SizeCost: true}, directLoadProvider(), 3)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		p.Arrive(Job{Seq: -1, Org: rng.Intn(3), Size: model.Time(1 + rng.Intn(4))}, model.Time(rng.Intn(50)))
+	}
+	sink := &planeSink{}
+	if err := p.Advance(25, sink); err != nil {
+		t.Fatal(err)
+	}
+	return p, sink
+}
+
+// TestPlaneFixturesRestore: testdata/ckpt_v1_plane.json is the state
+// f912fcb, the last writer of control-block version 1, captured of
+// fixturePlane — a heap slice of events with their class, push number
+// and both counters — and ckpt_v2_plane.json the first version-2
+// writer's. Both restore; the restored plane captures the bytes a fresh
+// run does (which are the version-2 file's), hands the next arrival the
+// sequence number the fresh run does, and decides and routes the rest of
+// the queue as the fresh run does.
+func TestPlaneFixturesRestore(t *testing.T) {
+	fresh, _ := fixturePlane(t)
+	want, err := fresh.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals, retries := 0, 0
+	for _, w := range fresh.q.h {
+		if w.Attempt > 0 {
+			retries++
+		} else {
+			arrivals++
+		}
+	}
+	if arrivals == 0 || retries == 0 {
+		t.Fatalf("the fixture run queues %d arrivals and %d retries; it needs both", arrivals, retries)
+	}
+	for _, version := range []string{"v1", "v2"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "ckpt_"+version+"_plane.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = bytes.TrimSpace(raw)
+		if old := bytes.Contains(raw, []byte(`"next_id":`)) && bytes.Contains(raw, []byte(`"prio":`)); old != (version == "v1") {
+			t.Fatalf("%s: the fixture numbers its events: %v", version, old)
+		}
+		if version == "v2" && !bytes.Equal(raw, want) {
+			t.Errorf("a fresh run's state differs from the fixture's bytes:\n%s\nfixture\n%s", want, raw)
+		}
+		restored := NewPlane(&TokenBucket{Rate: 1, Period: 7, Burst: 2, SizeCost: true}, directLoadProvider(), 3)
+		if err := restored.RestoreState(raw); err != nil {
+			t.Fatalf("%s: %v", version, err)
+		}
+		if got, err := restored.State(); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: the restored plane's state differs from a fresh run's (err %v):\n%s\nwant\n%s", version, err, got, want)
+		}
+		straight, sa := fixturePlane(t)
+		sb := &planeSink{}
+		late := Job{Seq: -1, Org: 2, Size: 1}
+		if a, b := straight.Arrive(late, 36), restored.Arrive(late, 36); a != b {
+			t.Errorf("%s: the next arrival is job %d, in a fresh run %d", version, b, a)
+		}
+		sa.routed, sa.routedAt = nil, nil
+		if err := straight.Advance(1000, sa); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Advance(1000, sb); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sa.routed, sb.routed) || !reflect.DeepEqual(sa.routedAt, sb.routedAt) {
+			t.Errorf("%s: the restored plane routed differently from the uninterrupted run", version)
+		}
+		if !reflect.DeepEqual(straight.Stats(), restored.Stats()) {
+			t.Errorf("%s: stats diverged:\n%+v\n%+v", version, straight.Stats(), restored.Stats())
+		}
 	}
 }
 
@@ -479,7 +576,6 @@ func TestPlaneRestoreRejectsForeignState(t *testing.T) {
 	// The deferred second job is the one queued event; organizations 0
 	// and 1 have buckets.
 	for _, edit := range [][]string{
-		{`"prio":1`, `"prio":3`},
 		{`"org":1`, `"org":3`},
 		{`"org":1`, `"org":-1`},
 		{`"size":2`, `"size":0`},
@@ -497,8 +593,8 @@ func TestPlaneRestoreRejectsForeignState(t *testing.T) {
 		q := build()
 		if err := q.RestoreState(bad); err == nil {
 			t.Errorf("%v restored", edit)
-		} else if q.Pending() != 0 {
-			t.Errorf("%v: refused, but %d events were installed", edit, q.Pending())
+		} else if n := len(q.q.h); n != 0 {
+			t.Errorf("%v: refused, but %d jobs were installed", edit, n)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package ctrl
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -12,8 +14,8 @@ import (
 // executor the Plane hands admitted work to.
 type Sink interface {
 	// Route executes one admitted job at instant t, acting on view —
-	// pick a target and feed the job. Called at RoutingDecisionEvents,
-	// in (timestamp, priority, seqID) order.
+	// pick a target and feed the job. Called right after the job's
+	// admitting verdict, in verdict order.
 	Route(job Job, t model.Time, view View) error
 	// Refreshed fires when an observation captured a fresh snapshot,
 	// before any decision of the instant acts on it — the
@@ -22,13 +24,13 @@ type Sink interface {
 	Refreshed(t model.Time, view View) error
 }
 
-// Plane is one control plane: the prioritized event queue, the
-// admission policy, the snapshot provider the decisions observe
+// Plane is one control plane: the queue of jobs awaiting a verdict,
+// the admission policy, the snapshot provider the decisions observe
 // through, and the per-organization accounting. Single-goroutine, like
 // the engines it fronts; the owner serializes access and drives it
 // from its own step loop.
 type Plane struct {
-	q        EventQueue
+	q        verdictQueue
 	policy   AdmissionPolicy
 	provider SnapshotProvider
 	stats    *metrics.AdmissionStats
@@ -44,110 +46,97 @@ func NewPlane(policy AdmissionPolicy, provider SnapshotProvider, orgs int) *Plan
 // Stats returns the live admission accounting.
 func (p *Plane) Stats() *metrics.AdmissionStats { return p.stats }
 
-// Pending returns the number of queued control events (arrivals,
-// verdicts and routings not yet processed, including deferred retries).
-func (p *Plane) Pending() int { return p.q.Len() }
-
-// Arrive admits one job into the control plane at instant at: an
-// ArrivalEvent is queued and the job's sequence number returned. A
-// negative job.Seq asks the plane to assign one from its own counter
-// (single-cluster owners); non-negative sequence numbers pass through
-// (the federation numbers jobs itself).
+// Arrive queues one job for its verdict at instant at and returns its
+// sequence number. A negative job.Seq asks the plane to assign one from
+// its own counter (single-cluster owners); non-negative sequence
+// numbers pass through (the federation numbers jobs itself).
 func (p *Plane) Arrive(job Job, at model.Time) int64 {
 	if job.Seq < 0 {
 		job.Seq = p.nextSeq
 		p.nextSeq++
 	}
 	job.Arrived = at
-	p.q.Push(Event{At: at, Prio: PrioArrival, Job: job})
+	p.q.push(waiting{At: at, Job: job})
 	return job.Seq
 }
 
-// NextEventTime returns the earliest pending control event's instant.
+// NextEventTime returns the earliest instant a queued job is decided at.
 func (p *Plane) NextEventTime() (model.Time, bool) {
-	e, ok := p.q.Peek()
-	if !ok {
+	if len(p.q.h) == 0 {
 		return 0, false
 	}
-	return e.At, true
+	return p.q.h[0].At, true
 }
 
-// Advance processes every control event at or before now, in
-// (timestamp, priority, seqID) order: arrivals spawn admission
-// decisions, admission decisions consult the policy on the instant's
-// view and spawn routing decisions (or reject / defer), and routing
-// decisions hand the job to the sink. One view is observed per event
-// instant — all of an instant's decisions act on the same observation,
-// exactly as a batch routed on one exchange did pre-control-plane —
-// and a fresh observation fires sink.Refreshed before any decision
-// uses it. After the drain the admission conservation law is checked:
-// admitted + rejected + deferred == released, per organization.
+// Advance decides every queued job whose instant is at or before now,
+// in verdict order, one pass per job: count its release (or its
+// resumption from a deferral), ask the policy on the instant's view,
+// and hand an admitted job to the sink at once. Deciding and routing
+// job by job is the run that decides the whole instant and then routes
+// it: a verdict reads the instant's frozen view and the policy's own
+// state, routing reads that view and the sink, and a deferral lands
+// strictly later — neither sees what the other did at the instant. One
+// view is observed per instant, and a fresh observation fires
+// sink.Refreshed before any decision uses it. After the drain the
+// admission conservation law is checked: admitted + rejected + deferred
+// == released, per organization.
 func (p *Plane) Advance(now model.Time, sink Sink) error {
 	var (
-		view    View
-		viewAt  model.Time
-		haveRef bool
+		view     View
+		viewAt   model.Time
+		observed bool
 	)
-	for {
-		ev, ok := p.q.Peek()
-		if !ok || ev.At > now {
-			break
-		}
-		p.q.Pop()
-		t := ev.At
-		if !haveRef || viewAt != t {
+	for len(p.q.h) > 0 && p.q.h[0].At <= now {
+		w := p.q.pop()
+		t, job := w.At, w.Job
+		if !observed || viewAt != t {
 			var refreshed bool
 			view, refreshed = p.provider.Observe(t)
-			viewAt, haveRef = t, true
+			viewAt, observed = t, true
 			if refreshed {
 				if err := sink.Refreshed(t, view); err != nil {
 					return err
 				}
 			}
 		}
-		switch ev.Prio {
-		case PrioArrival:
-			// Release is counted here, not at Arrive: an arrival still
-			// queued is not yet in the system, and every processed
-			// arrival reaches a same-instant verdict within this drain —
-			// which is what keeps the conservation check below exact at
-			// every quiescent instant.
-			p.stats.Release(ev.Job.Org)
-			p.q.Push(Event{At: t, Prio: PrioAdmission, Job: ev.Job})
-		case PrioAdmission:
-			if ev.Attempt > 0 {
-				p.stats.Resume(ev.Job.Org)
-			}
-			d := p.policy.Decide(ev.Job, ev.Attempt, t, view)
-			switch d.Verdict {
-			case Admitted:
-				p.q.Push(Event{At: t, Prio: PrioRouting, Job: ev.Job})
-				p.stats.Admit(ev.Job.Org, int64(t-ev.Job.Arrived))
-			case Rejected:
-				p.stats.Reject(ev.Job.Org, int64(t-ev.Job.Arrived))
-			case Deferred:
-				if d.RetryAt <= t {
-					return fmt.Errorf("ctrl: policy %q deferred job %d to %d without advancing past %d",
-						p.policy.Name(), ev.Job.Seq, d.RetryAt, t)
-				}
-				p.stats.Defer(ev.Job.Org)
-				p.q.Push(Event{At: d.RetryAt, Prio: PrioAdmission, Job: ev.Job, Attempt: ev.Attempt + 1})
-			default:
-				return fmt.Errorf("ctrl: policy %q returned unknown verdict %d", p.policy.Name(), d.Verdict)
-			}
-		case PrioRouting:
-			if err := sink.Route(ev.Job, t, view); err != nil {
+		// A release is counted here, not at Arrive: an arrival still
+		// queued is not yet in the system, and every counted one has its
+		// verdict before Advance returns — which is what keeps the
+		// conservation check below exact at every quiescent instant.
+		if w.Attempt > 0 {
+			p.stats.Resume(job.Org)
+		} else {
+			p.stats.Release(job.Org)
+		}
+		d := p.policy.Decide(job, w.Attempt, t, view)
+		switch d.Verdict {
+		case Admitted:
+			p.stats.Admit(job.Org, int64(t-job.Arrived))
+			if err := sink.Route(job, t, view); err != nil {
 				return err
 			}
+		case Rejected:
+			p.stats.Reject(job.Org, int64(t-job.Arrived))
+		case Deferred:
+			if d.RetryAt <= t {
+				return fmt.Errorf("ctrl: policy %q deferred job %d to %d without advancing past %d",
+					p.policy.Name(), job.Seq, d.RetryAt, t)
+			}
+			p.stats.Defer(job.Org)
+			p.q.push(waiting{At: d.RetryAt, Job: job, Attempt: w.Attempt + 1})
 		default:
-			return fmt.Errorf("ctrl: unknown event priority %d", ev.Prio)
+			return fmt.Errorf("ctrl: policy %q returned unknown verdict %d", p.policy.Name(), d.Verdict)
 		}
 	}
 	return p.stats.CheckConserved()
 }
 
 // CheckpointVersion identifies the serialized control-plane layout.
-const CheckpointVersion = 1
+// Version 2 lists the queue in verdict order and writes nothing that
+// order, the counters and the list itself already say; version 1 wrote
+// a heap slice of events with their class, push number and the two
+// counters, none of which is read.
+const CheckpointVersion = 2
 
 // Checkpoint is the plane's complete serializable dynamic state. The
 // snapshot provider's cached view is owner state (the owner knows its
@@ -156,9 +145,14 @@ type Checkpoint struct {
 	Version int                     `json:"version"`
 	Policy  string                  `json:"policy"`
 	Queue   queueState              `json:"queue"`
-	NextSeq int64                   `json:"next_seq,omitempty"`
 	PolicyS json.RawMessage         `json:"policy_state,omitempty"`
 	Stats   *metrics.AdmissionStats `json:"stats"`
+}
+
+// queueState is the serialized queue: the waiting jobs, in verdict
+// order since version 2.
+type queueState struct {
+	Events []waiting `json:"events,omitempty"`
 }
 
 // State serializes the plane's dynamic state.
@@ -167,11 +161,12 @@ func (p *Plane) State() (json.RawMessage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: serialize policy %q: %w", p.policy.Name(), err)
 	}
+	events := slices.Clone(p.q.h)
+	slices.SortFunc(events, compareVerdict)
 	return json.Marshal(Checkpoint{
 		Version: CheckpointVersion,
 		Policy:  p.policy.Name(),
-		Queue:   p.q.state(),
-		NextSeq: p.nextSeq,
+		Queue:   queueState{Events: events},
 		PolicyS: ps,
 		Stats:   p.stats,
 	})
@@ -185,8 +180,8 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return fmt.Errorf("ctrl: restore plane: %w", err)
 	}
-	if cp.Version != CheckpointVersion {
-		return fmt.Errorf("ctrl: restore plane: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
+	if cp.Version < 1 || cp.Version > CheckpointVersion {
+		return fmt.Errorf("ctrl: restore plane: checkpoint version %d, want 1 to %d", cp.Version, CheckpointVersion)
 	}
 	if cp.Policy != p.policy.Name() {
 		return fmt.Errorf("ctrl: restore plane: checkpoint admitted by %q, plane configured with %q", cp.Policy, p.policy.Name())
@@ -197,18 +192,22 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 	if cp.Stats.Orgs() != p.stats.Orgs() {
 		return fmt.Errorf("ctrl: restore plane: checkpoint counts %d organizations, plane %d", cp.Stats.Orgs(), p.stats.Orgs())
 	}
-	// The queue is outside input: an event this plane could not have
-	// queued would index past the per-organization counters, or fall
-	// through the priority switch, at the next Advance. It is also the
-	// record of who waits on a retry; the stats' gauge is a copy.
+	// The queue is outside input: a job this plane could not have queued
+	// would index past the per-organization counters at the next Advance.
+	// It is also the record of who waits on a retry — the stats' gauge is
+	// a copy — and of how many arrivals were numbered but not released.
+	events := cp.Queue.Events
 	parked := make([]int64, p.stats.Orgs())
-	for i, e := range cp.Queue.Events {
-		if e.Prio > PrioRouting || e.Job.Org < 0 || e.Job.Org >= p.stats.Orgs() || e.Job.Size < 1 || e.Attempt < 0 {
-			return fmt.Errorf("ctrl: restore plane: queued event %d (prio %d, org %d of %d, size %d, attempt %d) is not one the plane queues",
-				i, e.Prio, e.Job.Org, p.stats.Orgs(), e.Job.Size, e.Attempt)
+	arrivals := int64(0)
+	for i, e := range events {
+		if e.Job.Org < 0 || e.Job.Org >= p.stats.Orgs() || e.Job.Size < 1 || e.Attempt < 0 {
+			return fmt.Errorf("ctrl: restore plane: queued job %d (org %d of %d, size %d, attempt %d) is not one the plane queues",
+				i, e.Job.Org, p.stats.Orgs(), e.Job.Size, e.Attempt)
 		}
-		if e.Prio == PrioAdmission && e.Attempt > 0 {
+		if e.Attempt > 0 {
 			parked[e.Job.Org]++
+		} else {
+			arrivals++
 		}
 	}
 	cp.Stats.Deferred = parked
@@ -218,8 +217,25 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 	if err := p.policy.RestoreState(cp.PolicyS, p.stats.Orgs()); err != nil {
 		return err
 	}
-	p.q.restore(cp.Queue)
-	p.nextSeq = cp.NextSeq
+	// Nothing decoded carries a push number, so position breaks the ties
+	// of a stable sort: the list is held to verdict order as written. A
+	// version-1 list is a heap slice, whose positions say nothing: there
+	// the order within an instant and class is (arrived, seq) — the order
+	// the plane numbers arrivals in, and the one a retry wave parked by a
+	// single instant's verdicts keeps.
+	slices.SortStableFunc(events, func(a, b waiting) int {
+		c := compareVerdict(a, b)
+		if c == 0 && cp.Version == 1 {
+			c = cmp.Or(cmp.Compare(a.Job.Arrived, b.Job.Arrived), cmp.Compare(a.Job.Seq, b.Job.Seq))
+		}
+		return c
+	})
+	for i := range events {
+		events[i].pushed = int64(i)
+	}
+	// Sorted is heap-ordered.
+	p.q = verdictQueue{h: events, pushes: int64(len(events))}
+	p.nextSeq = cp.Stats.TotalReleased() + arrivals
 	p.stats = cp.Stats
 	return nil
 }

@@ -1,17 +1,14 @@
 // Package ctrl is the cluster control plane: the layer that decides
 // whether and where work enters the system, separated from the data
-// plane that executes it. It is modeled on the inference-sim
-// ClusterEventQueue design: every released job decomposes into a chain
-// of prioritized control events —
-//
-//	ArrivalEvent (prio 0) → AdmissionDecisionEvent (prio 1) → RoutingDecisionEvent (prio 2)
-//
-// processed from one min-heap ordered by (timestamp, priority, seqID),
-// so all arrivals at an instant precede all admission decisions, which
-// precede all routing decisions, and within a priority class events
-// resolve in FIFO order. Admission is pluggable (AlwaysAdmit, per-org
-// TokenBucket, queue-depth Backpressure) and every admission and
-// routing decision acts on an explicitly aged View of system state
+// plane that executes it. A released job takes one pass through it:
+// it waits in one queue until its instant comes, the admission policy
+// gives its verdict, and an admitted job is routed at once; a deferred
+// one goes back into the queue for a strictly later instant. The queue
+// is ordered by (instant, retries before arrivals, push order), so at
+// an instant the jobs that have waited longest are decided first and
+// the whole order is total. Admission is pluggable (AlwaysAdmit,
+// per-org TokenBucket, queue-depth Backpressure) and every admission
+// and routing decision acts on an explicitly aged View of system state
 // obtained through a SnapshotProvider — the one staleness contract
 // that also subsumes the federation's summary-gossip knob.
 //
@@ -21,16 +18,10 @@
 // checkpointable machinery.
 package ctrl
 
-import "repro/internal/model"
+import (
+	"cmp"
 
-// Event priorities: the decomposition stages of one released job.
-// Priority is the second heap key, so at an instant the whole arrival
-// wave lands before any admission verdict, and every verdict before any
-// routing — decisions at t act on the complete picture of t's arrivals.
-const (
-	PrioArrival   uint8 = 0
-	PrioAdmission uint8 = 1
-	PrioRouting   uint8 = 2
+	"repro/internal/model"
 )
 
 // Job is the control plane's view of one unit of work: its identity
@@ -49,119 +40,71 @@ type Job struct {
 	Arrived model.Time `json:"arrived"`
 }
 
-// Event is one pending control-plane event. ID is the queue-assigned
-// push sequence — the third heap key, making same-(At, Prio) events
-// FIFO and the whole order total. Attempt counts admission retries
-// (0 on the first try), letting policies bound defer loops.
-type Event struct {
+// waiting is one job awaiting a verdict at instant At: an arrival not
+// yet released (Attempt 0) or a deferred job parked on its Attempt-th
+// retry. pushed is the queue's push counter — the last sort key, never
+// serialized: a checkpoint lists the queue in verdict order and restore
+// renumbers it by position.
+type waiting struct {
 	At      model.Time `json:"at"`
-	Prio    uint8      `json:"prio"`
-	ID      int64      `json:"id"`
 	Job     Job        `json:"job"`
 	Attempt int        `json:"attempt,omitempty"`
+	pushed  int64
 }
 
-// less is the control-plane event order: (timestamp, priority, seqID).
-func (e Event) less(o Event) bool {
-	if e.At != o.At {
-		return e.At < o.At
-	}
-	if e.Prio != o.Prio {
-		return e.Prio < o.Prio
-	}
-	return e.ID < o.ID
+// compareVerdict is the verdict order: by instant, then retries before
+// arrivals — a retry parked for t was deferred before t, so it has
+// waited longer than anything that arrives at t — then push order.
+func compareVerdict(a, b waiting) int {
+	return cmp.Or(
+		cmp.Compare(a.At, b.At),
+		cmp.Compare(min(b.Attempt, 1), min(a.Attempt, 1)),
+		cmp.Compare(a.pushed, b.pushed),
+	)
 }
 
-// EventQueue is the control plane's min-heap. The zero value is ready
-// to use. It is a single-goroutine object, like the engines it fronts.
-type EventQueue struct {
-	h      []Event
-	nextID int64
+// verdictQueue is the plane's min-heap of waiting jobs in verdict
+// order. The zero value is ready to use. It is a single-goroutine
+// object, like the engines it fronts.
+type verdictQueue struct {
+	h      []waiting
+	pushes int64
 }
 
-// Len returns the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
-
-// Push enqueues an event, assigning its queue ID. The caller's ID field
-// is overwritten — push order is the FIFO tie-break, not caller input.
-func (q *EventQueue) Push(e Event) {
-	e.ID = q.nextID
-	q.nextID++
-	q.h = append(q.h, e)
-	q.up(len(q.h) - 1)
-}
-
-// Peek returns the earliest event without removing it.
-func (q *EventQueue) Peek() (Event, bool) {
-	if len(q.h) == 0 {
-		return Event{}, false
-	}
-	return q.h[0], true
-}
-
-// Pop removes and returns the earliest event.
-func (q *EventQueue) Pop() (Event, bool) {
-	if len(q.h) == 0 {
-		return Event{}, false
-	}
-	top := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h = q.h[:last]
-	if last > 0 {
-		q.down(0)
-	}
-	return top, true
-}
-
-func (q *EventQueue) up(i int) {
-	for i > 0 {
+// push enqueues a job behind everything of its instant and class.
+func (q *verdictQueue) push(w waiting) {
+	w.pushed = q.pushes
+	q.pushes++
+	q.h = append(q.h, w)
+	for i := len(q.h) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !q.h[i].less(q.h[parent]) {
-			return
+		if compareVerdict(q.h[i], q.h[parent]) >= 0 {
+			break
 		}
 		q.h[i], q.h[parent] = q.h[parent], q.h[i]
 		i = parent
 	}
 }
 
-func (q *EventQueue) down(i int) {
-	n := len(q.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.h[l].less(q.h[smallest]) {
-			smallest = l
+// pop removes and returns the next job to decide; the queue must not
+// be empty.
+func (q *verdictQueue) pop() waiting {
+	top := q.h[0]
+	n := len(q.h) - 1
+	q.h[0] = q.h[n]
+	q.h = q.h[:n]
+	for i := 0; ; {
+		next := i
+		if l := 2*i + 1; l < n && compareVerdict(q.h[l], q.h[next]) < 0 {
+			next = l
 		}
-		if r < n && q.h[r].less(q.h[smallest]) {
-			smallest = r
+		if r := 2*i + 2; r < n && compareVerdict(q.h[r], q.h[next]) < 0 {
+			next = r
 		}
-		if smallest == i {
-			return
+		if next == i {
+			return top
 		}
-		q.h[i], q.h[smallest] = q.h[smallest], q.h[i]
-		i = smallest
-	}
-}
-
-// queueState is the serialized queue: the raw heap slice (a valid heap
-// restores as one) and the ID counter.
-type queueState struct {
-	Events []Event `json:"events,omitempty"`
-	NextID int64   `json:"next_id"`
-}
-
-func (q *EventQueue) state() queueState {
-	return queueState{Events: q.h, NextID: q.nextID}
-}
-
-func (q *EventQueue) restore(st queueState) {
-	q.h = append(q.h[:0], st.Events...)
-	q.nextID = st.NextID
-	// Re-heapify defensively: the serialized slice is heap-ordered as
-	// written, but a hand-edited checkpoint must not corrupt the order
-	// invariant silently.
-	for i := len(q.h)/2 - 1; i >= 0; i-- {
-		q.down(i)
+		q.h[i], q.h[next] = q.h[next], q.h[i]
+		i = next
 	}
 }

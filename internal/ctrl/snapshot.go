@@ -112,14 +112,9 @@ func (p *CachedSnapshotProvider) SetMaxAge(maxAge model.Time) {
 	}
 	if maxAge != p.maxAge {
 		p.maxAge = maxAge
-		p.Invalidate()
+		p.valid = false
+		p.view = View{}
 	}
-}
-
-// Invalidate drops the cached view; the next Observe captures fresh.
-func (p *CachedSnapshotProvider) Invalidate() {
-	p.valid = false
-	p.view = View{}
 }
 
 // Cached returns the live cached view, if any — the checkpoint export

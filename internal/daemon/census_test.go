@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ctrl"
 	"repro/internal/daemon"
 	"repro/internal/model"
 )
@@ -49,9 +50,10 @@ func census(path string, raw json.RawMessage, out map[string]int) {
 }
 
 // TestCheckpointByteCensus prints where a checkpoint's bytes go, field
-// by field, for one REF, one RAND, one NBS-federation and one policy
-// session run through the same 1 280 jobs and stopped at the last
-// round (EXPERIMENTS.md "Checkpoint compatibility" holds the table;
+// by field, for one REF, one RAND, one NBS-federation (bare, and behind
+// the benchmark's token bucket) and one policy session run through the
+// same 1 280 jobs and stopped at the last round (EXPERIMENTS.md
+// "Checkpoint compatibility" holds the table;
 // regenerate it with
 // `go test -run TestCheckpointByteCensus -v ./internal/daemon`). It
 // asserts the one-copy rule on the way: a cluster state carries the
@@ -59,12 +61,17 @@ func census(path string, raw json.RawMessage, out map[string]int) {
 // withdrawn list only when a job was withdrawn; no job carries its ID,
 // no start its Org; a federation has an order and no decisions,
 // next_seq or orgs of its own, and its ledger exactly its three keys of
-// history — nothing derivable.
+// history; a cached exchange summary is its five observations, a
+// control block its queue as {at, job, attempt} with no class, push
+// number or counter — nothing derivable.
 func TestCheckpointByteCensus(t *testing.T) {
 	members := make([]daemon.ClusterConfig, 8)
 	for i := range members {
 		members[i] = daemon.ClusterConfig{Name: fmt.Sprintf("m%d", i), Alg: "nbs", Machines: []int{1, 1, 1, 1, 0, 0}}
 	}
+	gated := daemon.SessionConfig{Kind: daemon.KindFederation, OrgNames: []string{"a", "b", "c", "d", "e", "f"},
+		Clusters: members, Policy: "fednbs-migrate", Staleness: 25,
+		Admission: &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 3, Period: 10, Burst: 6, MaxAttempts: 3}}
 	for _, c := range []struct {
 		name          string
 		cfg           daemon.SessionConfig
@@ -75,6 +82,7 @@ func TestCheckpointByteCensus(t *testing.T) {
 		{"rand", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "rand", Orgs: 8, Machines: 16, RandSamples: 15}, 8, 1, 1},
 		{"nbs-federation", daemon.SessionConfig{Kind: daemon.KindFederation, OrgNames: []string{"a", "b", "c", "d", "e", "f"},
 			Clusters: members, Policy: "fednbs-migrate", Staleness: 25}, 6, 8, 8},
+		{"nbs-federation, gated", gated, 6, 8, 8},
 		{"directcontr", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "directcontr", Orgs: 8, Machines: 16}, 8, 1, 1},
 	} {
 		snap := checkpointOf(t, c.cfg, censusJobs(c.orgs, c.members), 310)
@@ -126,6 +134,23 @@ func TestCheckpointByteCensus(t *testing.T) {
 			if !slices.Contains(strings.Fields(allowed), k) {
 				t.Errorf("%s: the federation checkpoint carries %q", c.name, k)
 			}
+		}
+		if c.cfg.Admission != nil {
+			t.Logf("  %d jobs parked on a retry in the control queue", bytes.Count(doc["ctrl"], []byte(`"attempt":`)))
+		}
+		observed := "waiting psi phi executed utilization"
+		control := "version policy policy_state stats queue.events.at queue.events.attempt"
+		for k := range sizes {
+			if key, ok := strings.CutPrefix(k, ".ex_sums."); ok && !slices.Contains(strings.Fields(observed), key) {
+				t.Errorf("%s: a cached exchange summary carries %q", c.name, key)
+			}
+			key, ok := strings.CutPrefix(k, ".ctrl.")
+			if ok && !slices.Contains(strings.Fields(control), key) && !strings.HasPrefix(key, "queue.events.job.") && !strings.HasPrefix(key, "policy_state.") && !strings.HasPrefix(key, "stats.") {
+				t.Errorf("%s: the control block carries %q", c.name, key)
+			}
+		}
+		if sizes[".ex_sums.psi"] == 0 || (c.cfg.Admission != nil) != (sizes[".ctrl.queue.events.at"] > 0) {
+			t.Errorf("%s: no cached exchange, or no queued control event in a gated run, to look at", c.name)
 		}
 		if doc["order"] == nil || len(ledger) != 3 || ledger["submitted"] == nil || ledger["migrated"] == nil || ledger["migrated_work"] == nil {
 			t.Errorf("%s: order %s, ledger keys %v; want an order and a ledger of submitted, migrated, migrated_work", c.name, doc["order"], ledger)

@@ -80,10 +80,9 @@ type SessionConfig struct {
 	MigrationBudget int `json:"migration_budget,omitempty"`
 
 	// Admission, when set, installs an internal/ctrl admission control
-	// plane in front of the session: releases decompose into prioritized
-	// arrival → admission → routing events and only admitted jobs reach
-	// the schedule (engine gate for single runs, federation control
-	// plane for federated ones). Spec.Staleness bounds the age of the
+	// plane in front of the session: a released job waits for the
+	// policy's verdict and only admitted jobs reach the schedule (engine
+	// gate for single runs, federation control plane for federated ones). Spec.Staleness bounds the age of the
 	// load view admission decisions observe.
 	Admission *ctrl.PolicySpec `json:"admission,omitempty"`
 

@@ -66,6 +66,16 @@ func staleFedCfg() daemon.SessionConfig {
 	return cfg
 }
 
+// staleLoadFedCfg is fedCfg gossiping every 15 ticks: under
+// overloadJobs(0) — a saturated east next to an idle west, routed by
+// load — a checkpoint at 30 caches the exchange of 16, and the next
+// release reads it.
+func staleLoadFedCfg() daemon.SessionConfig {
+	cfg := fedCfg()
+	cfg.Staleness = 15
+	return cfg
+}
+
 // forgeMachineRows gives a federation checkpoint the per-member
 // "machines" rows older builds wrote next to the engine snapshots,
 // claiming cfg's grid.
@@ -624,6 +634,31 @@ func TestSessionAPIValidation(t *testing.T) {
 		a.do("POST", "/v1/sessions/"+id+"/advance", `{"until":50}`, http.StatusOK)
 	}
 
+	// A queued instant lies after the clock: a control queue whose next
+	// job is due before it (in a federation, where a release enters the
+	// plane at its own instant, at it) is not this session's. It used to
+	// restore: the federation then failed every advance with "step to 3
+	// before engine time 30", the single session counted the job admitted
+	// and lost it. A job a single session was handed at its clock does
+	// wait at it, and restores.
+	create("late-one", gatedSingleCfg())
+	create("late-fed", gatedMigratingFedCfg())
+	firstAt := regexp.MustCompile(`"at":\d+`)
+	for id, at := range map[string]string{"late-one": `"at":3`, "late-fed": `"at":30`} {
+		a.do("POST", "/v1/sessions/"+id+"/jobs", mustJSON(t, map[string]any{"jobs": overloadJobs(0)}), http.StatusOK)
+		a.do("POST", "/v1/sessions/"+id+"/advance", `{"until":30}`, http.StatusOK)
+		snap := a.raw("/v1/sessions/" + id + "/checkpoint")
+		loc := firstAt.FindIndex(snap)
+		if loc == nil || !bytes.HasSuffix(snap[:loc[0]], []byte(`"queue":{"events":[{`)) {
+			t.Fatalf("%s queues no control event to move: %s", id, snap)
+		}
+		rejected(id, "restore", string(snap[:loc[0]])+at+string(snap[loc[1]:]))
+		a.do("POST", "/v1/sessions/"+id+"/restore", string(snap), http.StatusOK)
+	}
+	a.do("POST", "/v1/sessions/late-one/jobs", `{"jobs":[{"org":0,"size":2}]}`, http.StatusOK)
+	a.do("POST", "/v1/sessions/late-one/restore", string(a.raw("/v1/sessions/late-one/checkpoint")), http.StatusOK)
+	a.do("POST", "/v1/sessions/late-one/advance", `{"until":60}`, http.StatusOK)
+
 	// A batch with one bad job is refused whole, for federations as for
 	// single runs: a client that retries it must not duplicate the jobs
 	// that came before the bad one.
@@ -682,7 +717,7 @@ func TestHTTPStatusCodes(t *testing.T) {
 	// of its stream.
 	before := a.raw("/v1/sessions/fleet/state")
 	snap := a.raw("/v1/sessions/fleet/checkpoint")
-	streaming := bytes.Replace(snap, []byte(`{"version":5,`), []byte(`{"version":5,"source":{"cursor":2,"window":2},`), 1)
+	streaming := bytes.Replace(snap, []byte(`{"version":6,`), []byte(`{"version":6,"source":{"cursor":2,"window":2},`), 1)
 	if bytes.Equal(streaming, snap) {
 		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/ctrl"
@@ -112,15 +113,18 @@ func coreCheckpoints(doc jsonTree) []jsonTree {
 // repeat from elsewhere in the document — a job's ID, a start's Org, a
 // federation's sequence counter, organization names, the ledger's
 // placement and accounting columns, all of a logged decision but its
-// cluster — can say anything, in a document of the current layout
-// (which does not write them) as in the committed version-2 engine and
-// version-4 federation fixtures (which do): the restore answers the
-// same, and /state, /decisions, the next checkpoint and the next
-// submit's sequence number are byte for byte those of the clean
+// cluster, a queued control event's class and push number and the
+// plane's two counters, a cached exchange summary's cluster, instant,
+// capacities and Σ ψ — can say anything, in a document of the current
+// layout (which does not write them) as in the committed version-2
+// engine and version-4 federation fixtures (which do): the restore
+// answers the same, and /state, /decisions, the next checkpoint and the
+// next submit's sequence number are byte for byte those of the clean
 // document. (At 11e0d11 a posted "Org":99 was served by /decisions,
 // next_seq 2 handed the next job a sequence number already routed,
 // ledger.routed of 7s made /state report more offloaded jobs than
-// exist, and a decision's org was served as written.)
+// exist, and a decision's org was served as written; at f912fcb a
+// cached summary's "capacity":0 kept every later job at its origin.)
 func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 	sevens := func(n int) []any {
 		row := make([]any, n)
@@ -146,7 +150,56 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 			return true
 		}
 	}
+	// ctrlBlock is the control plane's state inside a gated document.
+	ctrlBlock := func(doc jsonTree) (block, queue jsonTree, events []any) {
+		block, _ = doc["ctrl"].(jsonTree)
+		if block != nil {
+			queue = block["queue"].(jsonTree)
+			events, _ = queue["events"].([]any)
+		}
+		return block, queue, events
+	}
+	eventKey := func(key string, junk any) func(jsonTree) bool {
+		return func(doc jsonTree) bool {
+			_, _, events := ctrlBlock(doc)
+			for _, e := range events {
+				e.(jsonTree)[key] = junk
+			}
+			return len(events) > 0
+		}
+	}
+	summaryKey := func(key string, junk any) func(jsonTree) bool {
+		return func(doc jsonTree) bool {
+			sums, _ := doc["ex_sums"].([]any)
+			if len(sums) < 2 {
+				return false
+			}
+			sums[1].(jsonTree)[key] = junk
+			return true
+		}
+	}
 	doctorings := map[string]func(jsonTree) bool{
+		"ctrl.queue.events[].id":   eventKey("id", 424242),
+		"ctrl.queue.events[].prio": eventKey("prio", 7),
+		"ctrl.queue.next_id": func(doc jsonTree) bool {
+			_, queue, _ := ctrlBlock(doc)
+			if queue != nil {
+				queue["next_id"] = -5
+			}
+			return queue != nil
+		},
+		"ctrl.next_seq": func(doc jsonTree) bool {
+			block, _, _ := ctrlBlock(doc)
+			if block != nil {
+				block["next_seq"] = 2
+			}
+			return block != nil
+		},
+		"ex_sums[1].cluster":      summaryKey("cluster", 0),
+		"ex_sums[1].now":          summaryKey("now", 123456),
+		"ex_sums[1].capacity":     summaryKey("capacity", 0),
+		"ex_sums[1].org_capacity": summaryKey("org_capacity", []any{9, 9, 9}),
+		"ex_sums[1].value":        summaryKey("value", -77),
 		"jobs[].ID": func(doc jsonTree) bool {
 			for _, cp := range coreCheckpoints(doc) {
 				jobs, _ := cp["jobs"].([]any) // null where nothing was fed
@@ -202,10 +255,12 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 		{"current single", gatedSingleCfg(), checkpointOf(t, gatedSingleCfg(), overloadJobs(0), 30)},
 		{"current federation", gatedMigratingFedCfg(), checkpointOf(t, gatedMigratingFedCfg(), overloadJobs(0), 30)},
 	}
+	docs = append(docs, document{"current stale least-loaded federation", staleLoadFedCfg(), checkpointOf(t, staleLoadFedCfg(), overloadJobs(0), 30)})
 	v2, v2Cfg := engineFixture(t, "v2")
 	docs = append(docs, document{"engine version-2 fixture", v2Cfg, v2})
 	v4, v4Cfg := v4FedFixture(t)
 	docs = append(docs, document{"federation version-4 fixture", v4Cfg, v4})
+	applied := map[string]int{}
 	for _, doc := range docs {
 		ok, cleanBefore, cleanAfter := restoreAndServe(t, doc.cfg, doc.data)
 		if !ok {
@@ -224,6 +279,7 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 			if !doctor(tree) {
 				continue // a federation's key, a single session's document
 			}
+			applied[key]++
 			ok, before, after := restoreAndServe(t, doc.cfg, []byte(mustJSON(t, tree)))
 			switch {
 			case !ok:
@@ -233,6 +289,17 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 			case after != cleanAfter:
 				t.Errorf("%s: a doctored %s surfaced after the next submit and advance:\n%s\nwant\n%s", doc.name, key, after.state, cleanAfter.state)
 			}
+		}
+	}
+	// The control block's keys meet both gated current documents and both
+	// old fixtures; a summary's, every federation that caches an exchange.
+	for key := range doctorings {
+		want := 1
+		if strings.HasPrefix(key, "ctrl.") {
+			want = 4
+		}
+		if applied[key] < want {
+			t.Errorf("%s was doctored in %d documents, want at least %d", key, applied[key], want)
 		}
 	}
 }

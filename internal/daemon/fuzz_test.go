@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"strconv"
 	"testing"
@@ -104,27 +105,50 @@ func benchShapes() (cfgs []daemon.SessionConfig, jobs [][]daemon.JobSubmission) 
 // stretched — of the four session shapes the benchmark serves, a gated
 // single session, a gated, stale, migrating federation, and the
 // committed old documents (the version-1 gated engine envelope, the
-// version-4 federation). A doctored document is refused, or it is a
-// fixed point: the accepted session's checkpoint, posted to a fresh
-// session of the same configuration, is accepted and both answer
-// byte-equal /state and /decisions — a wrong-but-well-shaped number is
-// believed only where it is the one record of its fact. What is
-// accepted must then serve a submit, two advances, a state read and a
-// checkpoint without crashing the process.
+// version-4 federation) and the two documents f912fcb restored and then
+// could not serve. A doctored document is refused, or it is a fixed
+// point: the accepted session's checkpoint, posted to a fresh session
+// of the same configuration, is accepted and both answer byte-equal
+// /state and /decisions — a wrong-but-well-shaped number is believed
+// only where it is the one record of its fact. What is accepted must
+// then serve: a submit, an advance to the next event, an advance 64
+// ticks on and a checkpoint all succeed.
 func FuzzSessionRestore(f *testing.F) {
 	cfgs, jobs := benchShapes()
+	gatedOnes := []int{len(cfgs), len(cfgs) + 1} // the gated single session and federation appended next
 	cfgs, jobs = append(cfgs, gatedSingleCfg(), gatedMigratingFedCfg()), append(jobs, overloadJobs(0), overloadJobs(0))
 	var seeds [][]byte
 	for i, cfg := range cfgs {
 		seeds = append(seeds, checkpointOf(f, cfg, jobs[i], 30))
 	}
 	// Old documents stay fuzzed, each under the session configuration
-	// that restores it.
+	// that restores it: version-1 control blocks with retries parked,
+	// around version-1 and version-3 cluster states and in a version-4
+	// federation.
 	v1, v1Cfg := engineFixture(f, "parent")
 	v4, v4Cfg := v4FedFixture(f)
-	cfgs, seeds = append(cfgs, v1Cfg, v4Cfg), append(seeds, v1, v4)
+	v3, v3Cfg := engineFixture(f, "v3")
+	cfgs, seeds = append(cfgs, v1Cfg, v4Cfg, v3Cfg), append(seeds, v1, v4, v3)
+	// So do the two documents that restored at f912fcb and then did not
+	// serve: a cached summary that says its cluster has no capacity (now
+	// not read), and a control queue due before the clock (now refused;
+	// an edit can move it back).
+	noCapacity := regexp.MustCompile(`("ex_sums":\[\{[^}]*\},\{)`).ReplaceAll(checkpointOf(f, staleLoadFedCfg(), overloadJobs(0), 30), []byte(`${1}"capacity":0,`))
+	if !bytes.Contains(noCapacity, []byte(`"capacity":0`)) {
+		f.Fatal("the stale federation's checkpoint caches no second summary to doctor")
+	}
+	cfgs, seeds = append(cfgs, staleLoadFedCfg()), append(seeds, noCapacity)
+	refused := len(cfgs)
+	at := regexp.MustCompile(`("queue":\{"events":\[\{"at":)\d+`)
+	for _, which := range gatedOnes {
+		cfgs, seeds = append(cfgs, cfgs[which]), append(seeds, at.ReplaceAll(seeds[which], []byte("${1}3")))
+	}
 	for which := range cfgs {
-		if _, err := readBack(mustSession(f, cfgs[which], seeds[which])); err != nil {
+		if which >= refused {
+			if sess, _ := daemon.NewManager().Create("s", cfgs[which]); sess.Restore(seeds[which]) == nil {
+				f.Fatalf("seed %d, a control queue due before the clock, restores", which)
+			}
+		} else if _, err := readBack(mustSession(f, cfgs[which], seeds[which])); err != nil {
 			f.Fatalf("seed %d is not a fixed point undoctored: %v", which, err)
 		}
 		f.Add(uint8(which), []byte{})
@@ -182,13 +206,21 @@ func FuzzSessionRestore(f *testing.F) {
 		if _, err := readBack(sess); err != nil {
 			t.Fatal(err)
 		}
-		// Errors are fine from here on — a doctored run may refuse to go
-		// on — but every call has to come back.
-		_, _ = sess.Submit([]daemon.JobSubmission{{Org: 0, Size: 3}, {Cluster: 1, Org: 1, Size: 2}})
-		_, _, _ = sess.Advance(nil)
-		_, _, _ = sess.Advance(timePtr(sess.State().Now + 64))
+		// An accepted document is a session like any other: it takes the
+		// next jobs and steps through them.
+		if _, err := sess.Submit([]daemon.JobSubmission{{Org: 0, Size: 3}, {Cluster: 1, Org: 1, Size: 2}}); err != nil {
+			t.Fatalf("an accepted session refuses a submit: %v\n%s", err, posted)
+		}
+		if _, _, err := sess.Advance(nil); err != nil {
+			t.Fatalf("an accepted session fails its next event: %v\n%s", err, posted)
+		}
+		if _, _, err := sess.Advance(timePtr(sess.State().Now + 64)); err != nil {
+			t.Fatalf("an accepted session fails an advance: %v\n%s", err, posted)
+		}
 		sess.State()
-		_, _ = sess.Checkpoint()
+		if _, err := sess.Checkpoint(); err != nil {
+			t.Fatalf("an accepted session does not checkpoint after serving: %v\n%s", err, posted)
+		}
 	})
 }
 

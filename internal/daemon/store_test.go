@@ -147,7 +147,7 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3 := bytes.Replace(snap, []byte(`{"version":5,`), []byte(`{"version":3,`), 1)
+	v3 := bytes.Replace(snap, []byte(`{"version":6,`), []byte(`{"version":3,`), 1)
 	if bytes.Equal(v3, snap) {
 		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
 	}
@@ -202,7 +202,7 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 		t.Fatalf("ids=%v quarantined=%v", ids, quarantined)
 	}
 	for _, q := range quarantined {
-		if why := map[string]string{"pool": "machines", "pace": "staleness", "queue": "queued event", "gossip": "exchange summary"}[q.ID]; !strings.Contains(q.Err.Error(), why) {
+		if why := map[string]string{"pool": "machines", "pace": "staleness", "queue": "queued job", "gossip": "exchange summary"}[q.ID]; !strings.Contains(q.Err.Error(), why) {
 			t.Fatalf("%s quarantined for another reason than its %s: %v", q.ID, why, q.Err)
 		}
 	}

@@ -201,6 +201,11 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		"clock behind its schedules": corrupt(func(cp *core.Checkpoint) {
 			cp.Now = -5
 		}),
+		// (This one restored until the fuzzer demanded service: every
+		// later step was "before engine time 12336".)
+		"clock past an event its schedules still hold": corrupt(func(cp *core.Checkpoint) {
+			cp.Now = 12336
+		}),
 		"running entry that already ended": corrupt(func(cp *core.Checkpoint) {
 			cp.Clusters[0].Running[0].End = -3
 		}),

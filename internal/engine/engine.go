@@ -40,7 +40,7 @@ type Engine struct {
 	feedIDs  []int // scratch for Feed's returned IDs, reused per call
 
 	// Optional admission gate (see gate.go). When nil — the default —
-	// Feed injects directly and Step never touches the event queue.
+	// Feed injects directly and Step never touches the plane's queue.
 	plane        *ctrl.Plane
 	admission    *ctrl.PolicySpec
 	gateProvider *ctrl.CachedSnapshotProvider
@@ -103,8 +103,8 @@ func (e *Engine) Feed(jobs []model.Job) ([]int, error) {
 		}
 	}
 	if e.plane != nil {
-		// Gated: jobs become ArrivalEvents at their release instants and
-		// are injected when the control plane admits them (drainGate). The
+		// Gated: jobs queue for their release instants and are injected
+		// when the control plane admits them (drainGate). The
 		// returned IDs are admission sequence numbers, not instance job
 		// IDs — a gated job may never get one.
 		e.feedIDs = e.feedIDs[:0]
@@ -283,6 +283,13 @@ func Restore(alg core.StepperAlgorithm, data []byte) (*Engine, error) {
 		if err := e.restoreGate(&doc.gatedCheckpoint); err != nil {
 			return nil, fmt.Errorf("engine: restore: %w", err)
 		}
+	}
+	// A job fed at the clock waits at it until the next Step; an event due
+	// earlier — a schedule's, or a job in the gate's queue — is one a Step
+	// to the clock would have processed, and stepping to it now would move
+	// the run backwards.
+	if t := e.NextEventTime(); t < e.now {
+		return nil, fmt.Errorf("engine: restore: an event is due at instant %d, before the checkpoint's clock %d", t, e.now)
 	}
 	return e, nil
 }

@@ -11,12 +11,12 @@ import (
 
 // This file is the single-cluster admission gate: an optional
 // internal/ctrl control plane in front of Feed. When installed, fed
-// jobs become ArrivalEvents at their release instants and only
-// admitted jobs are injected into the running schedule — rejected ones
-// never reach it, deferred ones enter at the instant the policy names.
-// With AlwaysAdmit and staleness 0 the gated run's decision trace is
+// jobs wait in its queue for their release instants and only admitted
+// jobs are injected into the running schedule — rejected ones never
+// reach it, deferred ones enter at the instant the policy names. With
+// AlwaysAdmit and staleness 0 the gated run's decision trace is
 // byte-identical to the ungated engine's (TestGateDifferential); an
-// ungated engine never touches the event queue.
+// ungated engine never touches the queue.
 
 // SetAdmission installs (or, with a nil spec, removes) an admission
 // gate. The gate observes the engine through a bounded-staleness
@@ -81,7 +81,7 @@ func (s gateSink) Route(job ctrl.Job, t model.Time, _ ctrl.View) error {
 // federation.
 func (gateSink) Refreshed(model.Time, ctrl.View) error { return nil }
 
-// drainGate processes every pending control event at or before until.
+// drainGate decides every queued job whose instant is at or before until.
 // Control precedes data within an instant: the schedule is advanced
 // only through t−1 before the plane acts at t, so a job admitted at t
 // is already queued when the schedule processes instant t — exactly

@@ -199,7 +199,7 @@ func TestGateCheckpointRestore(t *testing.T) {
 					t.Fatal(err)
 				}
 				if tm == restoreAt {
-					if e.plane.Pending() == 0 {
+					if _, queued := e.plane.NextEventTime(); !queued {
 						t.Fatal("checkpoint instant carries no pending control events — the test is not exercising mid-round state")
 					}
 					snap, err := e.Snapshot()

@@ -41,15 +41,17 @@ const parentCkptAt = model.Time(33)
 // testdata/ckpt_parent_gated.json was written by the commit before
 // Restore and RestoreGated became one, with version-1 cluster states;
 // ckpt_v2_gated.json and ckpt_v3_gated.json are the same run at the same
-// instant from the first version-2 and version-3 writers. Each must
-// restore and finish exactly as an uninterrupted run. The v3 envelope
-// must also re-capture to its own bytes, as must a fresh run stepped to
-// the same instant; the older ones cannot (five cluster fields of
-// version 1, the job IDs and start organizations of both are no longer
-// written), so their restored engines must snapshot to what the fresh
-// run does.
+// instant from the first version-2 and version-3 writers — all three
+// around a version-1 control block — and ckpt_ctrl2_gated.json from the
+// first writer of control-block version 2. Each must restore and finish
+// exactly as an uninterrupted run. The ctrl2 envelope must also
+// re-capture to its own bytes, as must a fresh run stepped to the same
+// instant; the older ones cannot (five cluster fields of version 1, the
+// job IDs and start organizations of the first two, the event classes,
+// push numbers and counters of all three are no longer written), so
+// their restored engines must snapshot to what the fresh run does.
 func TestParentGatedCheckpointRestores(t *testing.T) {
-	for _, name := range []string{"parent", "v2", "v3"} {
+	for _, name := range []string{"parent", "v2", "v3", "ctrl2"} {
 		t.Run(name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", "ckpt_"+name+"_gated.json"))
 			if err != nil {
@@ -77,10 +79,13 @@ func TestParentGatedCheckpointRestores(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if old := bytes.Contains(raw, []byte(`"ID":`)); old != (name != "v3") {
+			if old := bytes.Contains(raw, []byte(`"ID":`)); old != (name == "parent" || name == "v2") {
 				t.Fatalf("the %s envelope carries job IDs: %v", name, old)
 			}
-			if name == "v3" && !bytes.Equal(want, raw) {
+			if old := bytes.Contains(raw, []byte(`"next_id":`)); old != (name != "ctrl2") {
+				t.Fatalf("the %s envelope carries a version-1 control block: %v", name, old)
+			}
+			if name == "ctrl2" && !bytes.Equal(want, raw) {
 				t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
 			}
 			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {

@@ -18,9 +18,12 @@ import (
 // each fact once: organization names, the sequence counter, the ledger's
 // placement and accounting columns and all of a decision but its cluster
 // are the members' to say, and Restore rebuilds them — from a version-4
-// document too, whose copies it ignores. It refuses the job-source
-// cursor block (see Checkpoint.Source).
-const CheckpointVersion = 5
+// document too, whose copies it ignores. Version 6 applies the rule to
+// the cached exchange (a summary stores its observations, not its
+// cluster, instant, capacities or Σ ψ) and carries a version-2 control
+// block; versions 4 and 5 restore through the same code. It refuses the
+// job-source cursor block (see Checkpoint.Source).
+const CheckpointVersion = 6
 
 // Checkpoint is the complete serializable state of a federation: the
 // routing layer (pending queue, the order members' decisions were
@@ -52,9 +55,9 @@ type Checkpoint struct {
 	ExRouted  [][]int64  `json:"ex_routed,omitempty"`
 
 	// Control-plane state: the admission spec that was installed and the
-	// plane's serialized dynamic state (pending control events including
-	// deferred retries, mutable policy state, admission counters). Both
-	// empty when the plane is off.
+	// plane's serialized dynamic state (the jobs parked on a deferred
+	// retry, mutable policy state, admission counters). Both empty when
+	// the plane is off.
 	Admission *ctrl.PolicySpec `json:"admission,omitempty"`
 	Ctrl      json.RawMessage  `json:"ctrl,omitempty"`
 
@@ -133,8 +136,8 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("fed: restore: %w", err)
 	}
-	if cp.Version != CheckpointVersion && cp.Version != 4 {
-		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want 4 or %d", cp.Version, CheckpointVersion)
+	if cp.Version < 4 || cp.Version > CheckpointVersion {
+		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want 4 to %d", cp.Version, CheckpointVersion)
 	}
 	if len(cp.Source) > 0 {
 		return nil, errors.New(`fed: restore: checkpoint has a "source" block: it was taken mid-stream by a federation that pulled its own job source, and the rest of that stream is not in it; feed sources with SubmitThrough`)
@@ -169,43 +172,6 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	}
 	f.sink = fedSink{f: f, memo: make([]int, len(orgs)*len(specs))}
 	f.provider = ctrl.NewCachedSnapshotProvider(f.captureExchange, cp.Staleness)
-	if len(cp.ExSums) > 0 {
-		if len(cp.ExSums) != len(specs) {
-			return nil, fmt.Errorf("fed: restore: exchange snapshot has %d summaries for %d clusters",
-				len(cp.ExSums), len(specs))
-		}
-		// Policies index the per-organization vectors without looking:
-		// hold each summary to the shape summaries() produces.
-		for c, s := range cp.ExSums {
-			if n := len(orgs); s.Cluster != c || len(s.Psi) != n || len(s.OrgCapacity) != n || (len(s.Phi) != 0 && len(s.Phi) != n) {
-				return nil, fmt.Errorf("fed: restore: exchange summary %d names cluster %d with %d/%d/%d psi/org_capacity/phi entries for %d organizations",
-					c, s.Cluster, len(s.Psi), len(s.OrgCapacity), len(s.Phi), n)
-			}
-		}
-		// The routed-work matrix is captured only for ledger-aware
-		// policies; the policy name match above guarantees the restoring
-		// policy reads exactly what the capturing one did.
-		if usesLedger(policy) || len(cp.ExRouted) > 0 {
-			if len(cp.ExRouted) != len(specs) {
-				return nil, fmt.Errorf("fed: restore: exchange routed-work is %d×? for %d clusters",
-					len(cp.ExRouted), len(specs))
-			}
-			for c := range cp.ExRouted {
-				if len(cp.ExRouted[c]) != len(specs) {
-					return nil, fmt.Errorf("fed: restore: exchange routed-work row %d truncated", c)
-				}
-			}
-		}
-		// Re-prime the provider's cache: a run restored mid-staleness-
-		// period keeps deciding on the same aged view an uninterrupted
-		// run would. The Load column is a pure function of the summaries,
-		// so it is recomputed rather than persisted.
-		f.provider.Prime(ctrl.View{
-			TakenAt: cp.ExAt,
-			Load:    loadOf(cp.ExSums),
-			Payload: &exchange{Sums: cp.ExSums, Routed: cp.ExRouted},
-		})
-	}
 	if cp.Admission != nil {
 		if err := f.SetAdmission(cp.Admission); err != nil {
 			return nil, fmt.Errorf("fed: restore: %w", err)
@@ -215,6 +181,12 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		}
 		if err := f.plane.RestoreState(cp.Ctrl); err != nil {
 			return nil, fmt.Errorf("fed: restore: %w", err)
+		}
+		// Releases enter the plane at their instant and a deferral lands
+		// past it, so a Step leaves nothing queued at or before its clock;
+		// an earlier instant would step the members backwards.
+		if t, ok := f.plane.NextEventTime(); ok && t <= cp.Now {
+			return nil, fmt.Errorf("fed: restore: control queue holds a job for instant %d, not after the checkpoint's clock %d", t, cp.Now)
 		}
 	} else if len(cp.Ctrl) > 0 {
 		return nil, fmt.Errorf("fed: restore: checkpoint carries control-plane state but no admission spec")
@@ -242,6 +214,11 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 			return nil, fmt.Errorf("fed: restore: cluster %d (%s) snapshot runs organizations %+v, configuration %v with machines %v",
 				i, spec.Name, got, orgs, spec.Machines)
 		}
+		if eng.Now() != cp.Now {
+			// Members move in lockstep: Step leaves every engine at the
+			// federation's clock, and the next one starts from there.
+			return nil, fmt.Errorf("fed: restore: cluster %d (%s) stands at instant %d, the federation at %d", i, spec.Name, eng.Now(), cp.Now)
+		}
 		if eng.Admission() != nil {
 			// Admission is the federation's, in front of routing; a gate
 			// inside a member would shed jobs the ledger counts as fed.
@@ -261,6 +238,49 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 			}
 		}
 		f.members = append(f.members, &Member{name: mc.Name, eng: eng, seqOf: mc.SeqOf, originOf: mc.OriginOf})
+	}
+	if len(cp.ExSums) > 0 {
+		if len(cp.ExSums) != len(specs) {
+			return nil, fmt.Errorf("fed: restore: exchange snapshot has %d summaries for %d clusters",
+				len(cp.ExSums), len(specs))
+		}
+		// Policies index the per-organization vectors without looking:
+		// hold each summary to the shape summaries() produces. What a
+		// summary repeats — its cluster, the exchange instant, the
+		// configured capacities, Σ ψ — is filled in, not read: a stored
+		// capacity of 0 once sent every later job to the other member.
+		for c := range cp.ExSums {
+			s := &cp.ExSums[c]
+			if n := len(orgs); len(s.Psi) != n || (len(s.Phi) != 0 && len(s.Phi) != n) {
+				return nil, fmt.Errorf("fed: restore: exchange summary %d has %d/%d psi/phi entries for %d organizations",
+					c, len(s.Psi), len(s.Phi), n)
+			}
+			s.Now = cp.ExAt
+			f.fillConfigured(s, c)
+		}
+		// The routed-work matrix is captured only for ledger-aware
+		// policies; the policy name match above guarantees the restoring
+		// policy reads exactly what the capturing one did.
+		if usesLedger(policy) || len(cp.ExRouted) > 0 {
+			if len(cp.ExRouted) != len(specs) {
+				return nil, fmt.Errorf("fed: restore: exchange routed-work is %d×? for %d clusters",
+					len(cp.ExRouted), len(specs))
+			}
+			for c := range cp.ExRouted {
+				if len(cp.ExRouted[c]) != len(specs) {
+					return nil, fmt.Errorf("fed: restore: exchange routed-work row %d truncated", c)
+				}
+			}
+		}
+		// Re-prime the provider's cache: a run restored mid-staleness-
+		// period keeps deciding on the same aged view an uninterrupted
+		// run would. The Load column is a pure function of the summaries,
+		// so it is recomputed rather than persisted.
+		f.provider.Prime(ctrl.View{
+			TakenAt: cp.ExAt,
+			Load:    loadOf(cp.ExSums),
+			Payload: &exchange{Sums: cp.ExSums, Routed: cp.ExRouted},
+		})
 	}
 	// A pending job is released into the same code a submitted one is.
 	for _, p := range f.pending {

@@ -153,9 +153,9 @@ type Federation struct {
 
 	// Optional admission control plane, plugged in at the release loop's
 	// deliver step. When nil (the default) every release reaches the sink
-	// at its release instant; when set, releases decompose into
-	// prioritized arrival→admission→routing events driven through the
-	// plane, and only admitted jobs reach the sink.
+	// at its release instant; when set, each release waits in the plane
+	// for the admission policy's verdict, and only admitted jobs reach
+	// the sink.
 	plane     *ctrl.Plane
 	admission *ctrl.PolicySpec
 
@@ -281,10 +281,9 @@ func (f *Federation) Staleness() model.Time { return f.provider.MaxAge() }
 func (f *Federation) SetStaleness(dt model.Time) { f.provider.SetMaxAge(dt) }
 
 // SetAdmission installs (or, with a nil spec, removes) an admission
-// control plane: releases then decompose into prioritized
-// arrival → admission → routing events, and only admitted jobs reach
-// the members — rejected ones leave the system, deferred ones retry at
-// the instant the policy names. The plane observes the federation
+// control plane: each release then waits for the admission policy's
+// verdict, and only admitted jobs reach the members — rejected ones
+// leave the system, deferred ones retry at the instant the policy names. The plane observes the federation
 // through the same bounded-staleness provider routing uses. Configure
 // it before stepping: installing a plane mid-run would strand jobs
 // already routed outside its accounting.
@@ -498,7 +497,7 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 // arrivals and it calls the sink for each job it admits — among them
 // deferred ones whose retry falls on t, so the batch may be empty.
 // Plane off: the same observation, refresh edge and per-job routing,
-// without the event queue. With AlwaysAdmit the two are byte-identical
+// without the queue. With AlwaysAdmit the two are byte-identical
 // at any staleness (TestControlPlaneDifferential).
 func (f *Federation) deliver(t model.Time, batch []Pending) error {
 	// Every instant is delivered once per Step, on one frozen exchange.
@@ -718,25 +717,34 @@ func (f *Federation) summaries() []Summary {
 	sums := make([]Summary, len(f.members))
 	for i, m := range f.members {
 		res := m.eng.Result()
-		inst := m.eng.Instance()
-		orgCap := make([]int64, len(inst.Orgs))
-		for o := range inst.Orgs {
-			orgCap[o] = inst.Orgs[o].Capacity()
-		}
 		sums[i] = Summary{
-			Cluster:     i,
 			Now:         m.eng.Now(),
 			Waiting:     m.eng.Waiting(),
-			Capacity:    inst.TotalCapacity(),
-			OrgCapacity: orgCap,
 			Psi:         res.Psi,
 			Phi:         res.Phi,
-			Value:       res.Value,
 			Executed:    res.Ptot,
 			Utilization: res.Utilization,
 		}
+		f.fillConfigured(&sums[i], i)
 	}
 	return sums
+}
+
+// fillConfigured sets the columns of member c's summary that are not
+// observations: its index, the capacities its configuration gives it,
+// and the sum of the ψ vector next to them.
+func (f *Federation) fillConfigured(s *Summary, c int) {
+	inst := f.members[c].eng.Instance()
+	s.Cluster = c
+	s.Capacity = inst.TotalCapacity()
+	s.OrgCapacity = make([]int64, len(inst.Orgs))
+	for o := range inst.Orgs {
+		s.OrgCapacity[o] = inst.Orgs[o].Capacity()
+	}
+	s.Value = 0
+	for _, psi := range s.Psi {
+		s.Value += psi
+	}
 }
 
 // Ledger returns the federation ledger with the per-cluster accounting

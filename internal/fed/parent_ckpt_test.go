@@ -62,32 +62,38 @@ func parentCkptFederation(t testing.TB, gated bool) *fed.Federation {
 // version-1 member snapshots and the per-member "machines" rows that
 // duplicated them; ckpt_v2_*.json are the same runs at the same instant
 // from the first writer of version-2 member snapshots — both federation
-// version 4 — and ckpt_v5_*.json from the first writer of federation
-// version 5 (version-3 members). Each must restore under the current
-// code and run on to the horizon exactly as an uninterrupted run. A v5
-// file must also re-capture to its own bytes, as must a fresh run
-// stepped to the same instant; an older file cannot (rows, cluster
-// fields and the federation-level copies it carries are no longer
-// written), so its restored federation must snapshot to what the fresh
-// run does.
+// version 4 — ckpt_v5_*.json from the first writer of federation
+// version 5 (version-3 members) and ckpt_v6_*.json from the first
+// writer of version 6 (observation-only exchange summaries, a
+// version-2 control block). Each must restore under the current code
+// and run on to the horizon exactly as an uninterrupted run. A v6 file
+// must also re-capture to its own bytes, as must a fresh run stepped to
+// the same instant; an older file cannot (rows, cluster fields, the
+// federation-level copies, the summaries' configuration columns and
+// the control queue's numbering are no longer written), so its restored
+// federation must snapshot to what the fresh run does.
 func TestParentCheckpointsRestore(t *testing.T) {
-	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5"} {
-		gated, v2, v5 := strings.HasPrefix(name, "gated"), strings.HasSuffix(name, "/v2"), strings.HasSuffix(name, "/v5")
-		file := "ckpt_parent_" + name + ".json"
-		if v2 || v5 {
-			file = "ckpt_" + name[len(name)-2:] + "_" + name[:len(name)-3] + ".json"
+	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6"} {
+		run, version, old := strings.Cut(name, "/")
+		if !old {
+			version = "parent"
 		}
+		gated, v2, v5, v6 := run == "gated", version == "v2", version == "v5", version == "v6"
+		file := "ckpt_" + version + "_" + run + ".json"
 		t.Run(name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", file))
 			if err != nil {
 				t.Fatal(err)
 			}
 			raw = bytes.TrimSpace(raw)
-			if old := bytes.Contains(raw, []byte(`"machines":[`)) && bytes.Contains(raw, []byte("flushed_at")); old == (v2 || v5) {
+			if old := bytes.Contains(raw, []byte(`"machines":[`)) && bytes.Contains(raw, []byte("flushed_at")); old == (v2 || v5 || v6) {
 				t.Fatalf("the fixture carries machines rows and version-1 cluster states: %v", old)
 			}
-			if old := bytes.HasPrefix(raw, []byte(`{"version":4,`)) && bytes.Contains(raw, []byte(`"next_seq":`)) && bytes.Contains(raw, []byte(`"routed":`)); old == v5 {
+			if old := bytes.HasPrefix(raw, []byte(`{"version":4,`)) && bytes.Contains(raw, []byte(`"next_seq":`)) && bytes.Contains(raw, []byte(`"routed":`)); old == (v5 || v6) {
 				t.Fatalf("the fixture is a version-4 document with a sequence counter and a placement ledger: %v", old)
+			}
+			if old := bytes.Contains(raw, []byte(`"org_capacity":`)); old == v6 {
+				t.Fatalf("the fixture's exchange summaries carry their configuration: %v", old)
 			}
 			restored, err := fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), raw)
 			if err != nil {
@@ -110,7 +116,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v5 && !bytes.Equal(want, raw) {
+			if v6 && !bytes.Equal(want, raw) {
 				t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
 			}
 			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {

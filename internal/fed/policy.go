@@ -14,16 +14,19 @@ import (
 // the information clusters exchange in the federated model. It contains
 // queue backlog and capacity (the load signals) and the cluster's
 // per-organization ψ and φ vectors (the fairness signals); job sizes
-// are never part of it, keeping delegation non-clairvoyant.
+// are never part of it, keeping delegation non-clairvoyant. A cached
+// exchange stores only what was observed: which cluster, when, its
+// capacities and Σ ψ are the configuration's, the exchange instant's
+// and Psi's to say, and Restore fills them in from there.
 type Summary struct {
-	Cluster     int        `json:"cluster"`
-	Now         model.Time `json:"now"`
-	Waiting     int        `json:"waiting"`  // jobs fed to the cluster but not yet started
-	Capacity    int64      `json:"capacity"` // total work units per time unit at this cluster
-	OrgCapacity []int64    `json:"org_capacity"`
+	Cluster     int        `json:"-"`
+	Now         model.Time `json:"-"`
+	Waiting     int        `json:"waiting"` // jobs fed to the cluster but not yet started
+	Capacity    int64      `json:"-"`       // total work units per time unit at this cluster
+	OrgCapacity []int64    `json:"-"`
 	Psi         []int64    `json:"psi"`           // per-org ψsp earned at this cluster
 	Phi         []float64  `json:"phi,omitempty"` // per-org contribution estimate; nil when the algorithm computes none
-	Value       int64      `json:"value"`         // Σ ψ — the cluster's coalition value
+	Value       int64      `json:"-"`             // Σ ψ — the cluster's coalition value
 	Executed    int64      `json:"executed"`      // executed unit slots
 	Utilization float64    `json:"utilization"`
 }
