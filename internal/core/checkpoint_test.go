@@ -20,27 +20,23 @@ import (
 // (the last two at e0df78c by the per-instant worker pool —
 // RefOptions{Parallel: true, Workers: 2}, 5 organizations;
 // RandOptions{Workers: 2}, 6 organizations; t = 7, touched sets up to
-// 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json
-// and ckpt_v3_<key>.json, the same run captured at the same instant by
-// the first version-2 and version-3 writers. exact marks the version-1 files whose restored state must
-// re-capture like a fresh run's: RAND and NBS no longer flush untouched
-// hypothetical schedules at every instant, and the worker pool flushed
-// on the worker, so the accrual bookkeeping those files restore
-// (acc_from, the flushed/unflushed account split) differs from a fresh
-// run's while every derived value is equal. decisionFirst marks the
-// families that checkpoint the decision schedule first, not last.
+// 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json,
+// ckpt_v3_<key>.json and ckpt_v4_<key>.json, the same run captured at
+// the same instant by the first version-2, version-3 and version-4
+// writers. decisionFirst marks the families that checkpoint the
+// decision schedule first, not last.
 var ckptFamilies = []struct {
 	key           string
 	alg           StepperAlgorithm
-	exact, v2     bool
+	v2            bool
 	decisionFirst bool
 }{
-	{"ref", RefAlgorithm{}, true, true, false},
-	{"rand", RandAlgorithm{Samples: 12}, false, true, true},
-	{"nbs", NbsAlgorithm{}, false, true, false},
-	{"roundrobin", FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }), true, true, true},
-	{"ref_parallel", RefAlgorithm{}, false, false, false},
-	{"rand_workers", RandAlgorithm{Samples: 20}, false, false, true},
+	{"ref", RefAlgorithm{}, true, false},
+	{"rand", RandAlgorithm{Samples: 12}, true, true},
+	{"nbs", NbsAlgorithm{}, true, false},
+	{"roundrobin", FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }), true, true},
+	{"ref_parallel", RefAlgorithm{}, false, false},
+	{"rand_workers", RandAlgorithm{Samples: 20}, false, true},
 }
 
 func loadCheckpoint(t *testing.T, name string) ([]byte, *Checkpoint) {
@@ -110,13 +106,14 @@ func freshAt(t *testing.T, alg StepperAlgorithm, cp *Checkpoint) (*model.Instanc
 
 // The committed checkpoints were captured mid-run (half the jobs
 // started), one per stepper family and layout version. Each must
-// restore under the current code and run to the horizon with starts, ψ
-// and φ equal to an uninterrupted run. A version-3 file must also
-// re-capture — straight after restore, and from a fresh run stepped to
-// the same instant — to its own bytes; an older file cannot (the writer
-// omits five of a version-1 cluster's fields, every job's ID and every
-// start's Org), so its restored state must re-capture to what the fresh
-// run captures: version 1 for the exact families, version 2 for all.
+// restore under the current code, re-capture to what a fresh run
+// stepped to the same instant captures, and run to the horizon with
+// starts, ψ and φ equal to an uninterrupted run. A version-4 file is
+// that fresh capture byte for byte; an older file cannot be (the
+// writer omits five of a version-1 cluster's fields, every job's ID and
+// every start's Org of version 2, and a running entry's end and fold
+// mark and the decision schedule's running entries and accounts of
+// version 3).
 func TestParentCheckpointsRestore(t *testing.T) {
 	for _, fam := range ckptFamilies {
 		t.Run(fam.key, func(t *testing.T) {
@@ -129,7 +126,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			inst, fresh := freshAt(t, fam.alg, cp)
-			if fam.exact && !bytes.Equal(captureJSON(t, restored, cp.Now), captureJSON(t, fresh, cp.Now)) {
+			if !bytes.Equal(captureJSON(t, restored, cp.Now), captureJSON(t, fresh, cp.Now)) {
 				t.Errorf("re-capture after restore differs from the capture of a fresh run at t=%d", cp.Now)
 			}
 			assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
@@ -137,7 +134,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 		if !fam.v2 {
 			continue
 		}
-		for _, version := range []int{2, 3} {
+		for _, version := range []int{2, 3, 4} {
 			t.Run(fmt.Sprintf("%s/v%d", fam.key, version), func(t *testing.T) {
 				raw, cp := loadCheckpoint(t, fmt.Sprintf("v%d_%s", version, fam.key))
 				if _, parent := loadParentCheckpoint(t, fam.key); cp.Version != version || cp.Now != parent.Now || len(cp.Jobs) != len(parent.Jobs) {
@@ -145,6 +142,9 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				}
 				if old := bytes.Contains(raw, []byte(`"ID":`)) && bytes.Contains(raw, []byte(`"Org":0,"Machine":`)); old != (version == 2) {
 					t.Fatalf("the fixture carries job IDs and start organizations: %v", old)
+				}
+				if old := bytes.Contains(raw, []byte(`"end":`)) && bytes.Contains(raw, []byte(`"acc_from":`)); old != (version < 4) {
+					t.Fatalf("the fixture carries running entries' ends and fold marks: %v", old)
 				}
 				restored, err := fam.alg.RestoreStepper(cp)
 				if err != nil {

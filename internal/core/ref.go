@@ -18,12 +18,12 @@ const (
 	// schedule's next event time in a flat key array, finds the globally
 	// earliest event by scanning it, and advances and re-evaluates only
 	// the clusters that event touches; every other coalition's value is
-	// read from a cached ValuePoly in O(1). The name is the wire
+	// read from its own accounts in O(1). The name is the wire
 	// spelling, "ref_driver":"heap".
 	DriverHeap RefDriver = iota
 	// DriverScan is the loop's reference mode: scan every schedule for
-	// the minimum event time, advance every cluster to it and read
-	// every value live. It is kept as the oracle for differential
+	// the minimum event time and advance every cluster to it. It is
+	// kept as the oracle for differential
 	// testing; schedules and φ are identical to DriverHeap's.
 	DriverScan
 )
@@ -133,9 +133,9 @@ func NewRef(inst *model.Instance, opts RefOptions) *Ref {
 // orgGame is the org-level instance of shapley.ContribGame — the game
 // the paper's Section 2 defines, with organizations as players and
 // v(C, t) the ψsp-sum of coalition C's own greedy schedule at t,
-// answered by schedSet.valueAt: live when C's cluster stands at t, from
-// its cached polynomial otherwise. Callers outside this package should
-// query at the clusters' current instant — e.g. the horizon, after Run.
+// answered by schedSet.valueAt from C's cluster's accounts. Callers
+// outside this package should query at the clusters' current instant —
+// e.g. the horizon, after Run.
 type orgGame struct{ r *Ref }
 
 // Players implements shapley.ContribGame.

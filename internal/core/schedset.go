@@ -23,9 +23,10 @@ import (
 // By default the set keeps one key per slot, its NextEventTime, in a
 // flat array. A step scans the keys for the earliest instant and takes
 // exactly the slots keyed by it — the touched set, in slot order —
-// advances, dispatches and re-snapshots only those, and stores their
-// new keys; every other slot's value is read in O(1) from its cached
-// sim.ValuePoly, which stays exact until that slot's own next event.
+// advances and dispatches only those, and stores their new keys; every
+// other slot's value is read in O(1) from its own accounts at t
+// (sim.Cluster.ValueAt), which stay exact until that slot's own next
+// event.
 // The scan is 2^k compares of adjacent words; an ordered structure
 // would pay a re-sift per touched slot instead, and a release touches
 // half of REF's slots (DESIGN.md §2.1). Two sim.Cluster invariants
@@ -42,15 +43,12 @@ import (
 //
 // The reference mode (scan; RefOptions.Driver == DriverScan) is the
 // same loop with the acceleration removed: the instant is found by
-// asking every cluster, every slot is touched, values are read live —
-// never a key, never a polynomial. It is the oracle the differential
-// tests hold the default mode to, and what a one-slot set runs (there
-// is nothing to cache).
+// asking every cluster and every slot is touched — never a key. It is
+// the oracle the differential tests hold the default mode to, and what
+// a one-slot set runs (there is nothing to skip).
 //
-// Keys and polynomials are never serialized: they are a function of
-// the cluster states (a slot's key is its NextEventTime, a fresh
-// polynomial of an unchanged cluster evaluates identically on its
-// validity window), so restore rebuilds them and stays byte-identical.
+// Keys are never serialized: a slot's key is its NextEventTime, so
+// restore rebuilds them and stays byte-identical.
 type schedSet struct {
 	name string
 	seed int64
@@ -63,9 +61,8 @@ type schedSet struct {
 	scan  bool           // reference mode
 
 	keys    []model.Time // slot -> NextEventTime (sim.MaxTime: drained)
-	polys   []sim.ValuePoly
-	all     []int // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
-	touched []int // scratch
+	all     []int        // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
+	touched []int        // scratch
 }
 
 // plug is what an algorithm adds to the schedule-set core.
@@ -123,8 +120,7 @@ func (s *schedSet) set() *schedSet { return s }
 
 func (s *schedSet) decision() *sim.Cluster { return s.slots[len(s.slots)-1] }
 
-// rekeyAll (re)builds the keys and the polynomial cache from the
-// current cluster states — at construction and after restore. A step,
+// rekeyAll (re)builds the keys from the current cluster states — at construction and after restore. A step,
 // Inject and Withdraw re-key only the slots they change; the
 // differential tests hold the incrementally maintained keys to exactly
 // the state this rebuild produces.
@@ -134,23 +130,15 @@ func (s *schedSet) rekeyAll() {
 	}
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
-	s.polys = make([]sim.ValuePoly, n)
 	s.touched = make([]int, 0, n)
 	for i, c := range s.slots {
-		s.polys[i] = c.ValuePoly()
 		s.keys[i] = c.NextEventTime()
 	}
 }
 
-// valueAt is slot's coalition value at t: live when the slot stands at
-// t (it was touched at t, or FinishAt aligned it), from its cached
-// polynomial otherwise.
-func (s *schedSet) valueAt(slot int, t model.Time) int64 {
-	if c := s.slots[slot]; c.Now() == t {
-		return c.Value()
-	}
-	return s.polys[slot].At(t)
-}
+// valueAt is slot's coalition value at t. Every slot stands at t or
+// lags it with no event in between, where its accounts are exact.
+func (s *schedSet) valueAt(slot int, t model.Time) int64 { return s.slots[slot].ValueAt(t) }
 
 // Name implements Stepper.
 func (s *schedSet) Name() string { return s.name }
@@ -186,8 +174,7 @@ func (s *schedSet) NextEventTime() model.Time {
 
 // StepNext implements Stepper: take the touched set at the earliest
 // instant, advance it, let its dispatchable slots schedule in slot
-// order against freshly refreshed targets, then re-snapshot and re-key
-// it.
+// order against freshly refreshed targets, then re-key it.
 func (s *schedSet) StepNext(until model.Time) bool {
 	t := s.NextEventTime()
 	if t == sim.MaxTime || t > until {
@@ -212,7 +199,6 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	}
 	if !s.scan {
 		for _, i := range touched {
-			s.polys[i] = s.slots[i].ValuePoly()
 			s.keys[i] = s.slots[i].NextEventTime()
 		}
 	}
@@ -229,8 +215,8 @@ func (s *schedSet) advance(slots []int, t model.Time) {
 }
 
 // FinishAt implements Stepper: move every slot's clock to exactly t.
-// The caller has drained the events at or before t, so only clocks (and
-// lazy accrual) move: keys and polynomials stay exact.
+// The caller has drained the events at or before t, so only clocks
+// move: keys stay exact.
 func (s *schedSet) FinishAt(t model.Time) { s.advance(s.all, t) }
 
 // ResultAt implements Stepper.
@@ -240,8 +226,8 @@ func (s *schedSet) ResultAt(t model.Time) *Result {
 
 // Inject implements Stepper: register online arrivals (already appended
 // to the instance) with every slot; clusters ignore non-member jobs.
-// Cached polynomials stay exact — a pending release changes no executed
-// work — but keys go stale, so each slot is re-keyed in place.
+// A pending release changes no executed work, but keys go stale, so
+// each slot is re-keyed in place.
 func (s *schedSet) Inject(ids []int) error {
 	for i, c := range s.slots {
 		for _, id := range ids {
@@ -259,8 +245,7 @@ func (s *schedSet) Inject(ids []int) error {
 // caller withdrawing a job that is not queued there holds a stale view.
 // Hypothetical slots drop their queued copy alongside; one that already
 // started the job keeps it (non-preemptive counterfactual work stands).
-// No executed work moves, so polynomials stay exact; only slots that
-// really lost a pending release can change their next event, and each
+// No executed work moves; only slots that really lost a pending release can change their next event, and each
 // is re-keyed with one store (sim.MaxTime when the withdrawal drained
 // the slot's last event).
 func (s *schedSet) Withdraw(id int) error {

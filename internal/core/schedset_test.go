@@ -63,20 +63,19 @@ func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 }
 
 // A randomized interleaving of event stepping, withdrawal and
-// re-injection must leave the incrementally maintained keys in exactly
-// the state a fresh rekeyAll would produce after every operation, and
-// the run must end byte-identical to the reference mode under the same
+// injection must leave the incrementally maintained keys in exactly the
+// state a fresh rekeyAll would produce after every operation, and the
+// run must end byte-identical to the reference mode under the same
 // mutation sequence (the executable spec: the reference mode has no
 // keys to corrupt) — for every stepper family, since the keys belong to
-// the shared core.
+// the shared core. A withdrawn job comes back the way migration brings
+// work in: as a new job, released at the mutation instant.
 //
 // Mutations happen at synchronized instants — drain both runs to a
-// common time T, FinishAt(T), then withdraw/reinject on both. Mid-step
-// mutation acceptance is clock-dependent (a reinjection whose release
-// is now in the past is rejected per cluster), and the touched-set mode
-// deliberately lets untouched clusters' clocks lag, so only at
-// quiesced instants do the two modes define the same accept/reject
-// outcomes to compare.
+// common time T, FinishAt(T), then withdraw/inject on both. The
+// touched-set mode deliberately lets untouched clusters' clocks lag
+// mid-step, so only at quiesced instants do the two modes stand at the
+// same clock to mutate.
 func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
 	for _, alg := range diffFamilies() {
 		for seed := int64(0); seed < 25; seed++ {
@@ -118,16 +117,12 @@ func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
 						}
 					} else {
 						j := r.Intn(len(withdrawn))
-						id := withdrawn[j]
-						herr := heap.Inject([]int{id})
-						serr := scan.Inject([]int{id})
-						if (herr != nil) != (serr != nil) {
-							t.Fatalf("%s seed %d phase %d: reinject %d: heap err=%v, scan err=%v", alg.Name(), seed, phase, id, herr, serr)
-						}
-						if herr == nil {
-							// A rejected reinjection (release now in the past)
-							// stays withdrawn; it would keep failing.
-							withdrawn = append(withdrawn[:j], withdrawn[j+1:]...)
+						job := in.Jobs[withdrawn[j]]
+						withdrawn = append(withdrawn[:j], withdrawn[j+1:]...)
+						job.ID, job.Release = len(in.Jobs), target
+						in.Jobs = append(in.Jobs, job) // the instance both steppers share
+						if herr, serr := heap.Inject([]int{job.ID}), scan.Inject([]int{job.ID}); herr != nil || serr != nil {
+							t.Fatalf("%s seed %d phase %d: inject %d: heap err=%v, scan err=%v", alg.Name(), seed, phase, job.ID, herr, serr)
 						}
 					}
 					checkKeysMatchRebuild(t, hs)
@@ -141,7 +136,7 @@ func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
 			}
 			heap.FinishAt(horizon)
 			scan.FinishAt(horizon)
-			assertSameResult(t, alg.Name()+": incremental keys vs reference after withdraw/reinject", scan.ResultAt(horizon), heap.ResultAt(horizon))
+			assertSameResult(t, alg.Name()+": incremental keys vs reference after withdraw/inject", scan.ResultAt(horizon), heap.ResultAt(horizon))
 		}
 	}
 }
@@ -257,14 +252,13 @@ func steadyStepper(t *testing.T, alg StepperAlgorithm) Stepper {
 }
 
 // Steady-state stepping is zero-alloc by budget for every stepper
-// family: completions, accounting, value re-snapshots, re-keys, φ
-// fills and dispatch probes must all run out of the steppers'
-// preallocated scratch (the daemon's own configuration, on touched sets
-// of 16 and more, is held to it in daemon's
-// TestSessionAlgorithmsStepAllocFree). AllocsPerRun truncates its average,
-// so every measured call has to process a real event: the run count
-// stays below the fixture's 120 completions and the test checks that
-// events were still left afterwards.
+// family: completions, accounting, re-keys, φ fills and dispatch
+// probes must all run out of the steppers' preallocated scratch (the
+// daemon's own configuration, on touched sets of 16 and more, is held
+// to it in daemon's TestSessionAlgorithmsStepAllocFree). AllocsPerRun
+// truncates its average, so every measured call has to process a real
+// event: the run count stays below the fixture's 120 completions and
+// the test checks that events were still left afterwards.
 func TestSteadyStateStepAllocFree(t *testing.T) {
 	const horizon = model.Time(1 << 30)
 	cases := []struct {
@@ -290,12 +284,14 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 	}
 }
 
-// The incremental Withdraw path is on the same budget: one withdraw +
-// reinject cycle of a job queued in every schedule re-keys the slots
-// holding it (REF: the owner's 2^(k-1) masks) with in-place stores and
-// allocates nothing.
+// The incremental Withdraw path is on the same budget: the migration
+// cycle — withdraw a job, inject a new one — re-keys the slots holding
+// each (REF: the owner's 2^(k-1) masks) with in-place stores and
+// allocates nothing. Each cycle withdraws the pending job the previous
+// one injected, so the release lists keep their length; the withdrawn
+// lists only grow, and a warm-up gives them room first.
 func TestWithdrawReinjectAllocFree(t *testing.T) {
-	const k, jobsPerOrg = 8, 6
+	const k, jobsPerOrg, warmup, runs = 8, 6, 300, 100
 	orgs := make([]model.Org, k)
 	for i := range orgs {
 		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: 1}
@@ -319,16 +315,28 @@ func TestWithdrawReinjectAllocFree(t *testing.T) {
 			s := alg.NewStepper(in, 1)
 			for s.StepNext(0) { // dispatch the release instant; queues stay deep
 			}
-			id := in.Jobs[len(in.Jobs)-1].ID // last job: queued everywhere
-			reinject := []int{id}
-			if avg := testing.AllocsPerRun(100, func() {
-				if err := s.Withdraw(id); err != nil {
+			// The new jobs, appended up front: one pending release each.
+			first := len(in.Jobs)
+			for i := 0; i <= warmup+runs+1; i++ {
+				in.Jobs = append(in.Jobs, model.Job{ID: first + i, Org: i % k, Release: 1 << 20, Size: 7})
+			}
+			next := []int{first}
+			if err := s.Inject(next); err != nil {
+				t.Fatal(err)
+			}
+			cycle := func() {
+				if err := s.Withdraw(next[0]); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Inject(reinject); err != nil {
+				next[0]++
+				if err := s.Inject(next); err != nil {
 					t.Fatal(err)
 				}
-			}); avg != 0 {
+			}
+			for i := 0; i < warmup; i++ {
+				cycle()
+			}
+			if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
 				t.Errorf("Withdraw + Inject allocates %.2f times per cycle, budget is 0", avg)
 			}
 		})

@@ -53,7 +53,7 @@ type Stepper interface {
 	// The job stays in the instance as a tombstone: IDs are positional.
 	Withdraw(id int) error
 	// Withdrawn returns the number of jobs withdrawn from the decision
-	// schedule and not re-injected since.
+	// schedule.
 	Withdrawn() int
 	// Starts returns the decision schedule's starts so far.
 	Starts() []sim.Start
@@ -84,19 +84,21 @@ type StepperAlgorithm interface {
 // CheckpointVersion identifies the serialized checkpoint layout. A
 // version-1 cluster state also carries derived fields and a decision
 // log per hypothetical schedule, a job up to version 2 its ID and a
-// start its Org; none is read, so all three restore alike.
-const CheckpointVersion = 3
+// start its Org, and up to version 3 a running entry its end and fold
+// mark and the decision schedule its running entries and accounts;
+// only the fold marks are read, so all four restore alike.
+const CheckpointVersion = 4
 
 // Checkpoint is the complete serializable state of a stepper mid-run:
 // the instance as fed so far (orgs plus every job, including online
 // arrivals), one ClusterState per maintained schedule in a
 // stepper-defined deterministic order, the positions of the RNG streams
 // that influence decisions, and any stateful policy's own capture.
-// Driver acceleration state (slot keys, cached value polynomials, the
-// value snapshot) is deliberately not serialized: it is rebuilt from
-// the cluster states on restore, and the rebuilt caches evaluate to the
-// same values — checkpoint/restore is byte-identical to an
-// uninterrupted run (see TestCheckpointRestoreDeterminism).
+// Driver acceleration state (slot keys, the value snapshot) is
+// deliberately not serialized: it is rebuilt from the cluster states on
+// restore, and the rebuilt state evaluates to the same values —
+// checkpoint/restore is byte-identical to an uninterrupted run (see
+// TestCheckpointRestoreDeterminism).
 type Checkpoint struct {
 	Version   int                `json:"version"`
 	Algorithm string             `json:"algorithm"`

@@ -116,6 +116,27 @@ func TestCheckpointByteCensus(t *testing.T) {
 		if got := bytes.Count(snap, []byte(`"starts":`)); got != c.logs {
 			t.Errorf("%s: %d cluster states carry a decision log, want %d", c.name, got, c.logs)
 		}
+		// A running entry is {job, machine, start}; a decision schedule
+		// stores no running entry or account, its log says both, so only
+		// sessions with hypothetical schedules store running entries.
+		if bytes.Contains(snap, []byte(`"end":`)) || bytes.Contains(snap, []byte(`"acc_from":`)) || (c.name != "directcontr") != bytes.Contains(snap, []byte(`"running":[{"job":`)) {
+			t.Errorf("%s: a running entry stores its end or fold mark, or none is {job, machine, start}", c.name)
+		}
+		var tree jsonTree
+		if err := json.Unmarshal(snap, &tree); err != nil {
+			t.Fatal(err)
+		}
+		for _, cp := range coreCheckpoints(tree) {
+			for _, cl := range cp["clusters"].([]any) {
+				if cl := cl.(jsonTree); cl["starts"] != nil {
+					for k := range cl {
+						if !slices.Contains(strings.Fields("coalition now release_order queues starts withdrawn"), k) {
+							t.Errorf("%s: a decision schedule carries %q", c.name, k)
+						}
+					}
+				}
+			}
+		}
 		if bytes.Contains(snap, []byte(`"ID":`)) || bytes.Contains(snap, []byte(`"Org":0,"Machine":`)) || !bytes.Contains(snap, []byte(`{"Job":0,"Machine":`)) {
 			t.Errorf("%s: a job carries its ID or a start its Org (or no log line was found to look at)", c.name)
 		}

@@ -659,6 +659,30 @@ func TestSessionAPIValidation(t *testing.T) {
 	a.do("POST", "/v1/sessions/late-one/restore", string(a.raw("/v1/sessions/late-one/checkpoint")), http.StatusOK)
 	a.do("POST", "/v1/sessions/late-one/advance", `{"until":60}`, http.StatusOK)
 
+	// A pending release lies at or after the clock too. A single session
+	// holding a job for 50 at clock 20, posted with the release edited to
+	// 3, used to restore and start the job at 20; so did a federation
+	// whose member had a job it queued moved back to its pending
+	// releases.
+	create("early-one", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "directcontr", Orgs: 2, Machines: 2})
+	a.do("POST", "/v1/sessions/early-one/jobs", `{"jobs":[{"org":0,"size":2,"release":50}]}`, http.StatusOK)
+	a.do("POST", "/v1/sessions/early-one/advance", `{"until":20}`, http.StatusOK)
+	snap = a.raw("/v1/sessions/early-one/checkpoint")
+	early := bytes.Replace(snap, []byte(`"Release":50`), []byte(`"Release":3`), 1)
+	if bytes.Equal(early, snap) || !bytes.Contains(snap, []byte(`"release_order":[0]`)) {
+		t.Fatalf("early-one holds no pending release to move: %s", snap)
+	}
+	rejected("early-one", "restore", string(early))
+	create("early-fed", fedCfg())
+	var flood []daemon.JobSubmission
+	for i := 0; i < 20; i++ {
+		flood = append(flood, daemon.JobSubmission{Cluster: 1, Org: i % 2, Size: 10, Release: timePtr(0)})
+	}
+	a.do("POST", "/v1/sessions/early-fed/jobs", mustJSON(t, map[string]any{"jobs": flood}), http.StatusOK)
+	a.do("POST", "/v1/sessions/early-fed/advance", `{"until":20}`, http.StatusOK)
+	rejected("early-fed", "restore", string(unqueueFirst(t, a.raw("/v1/sessions/early-fed/checkpoint"))))
+	a.do("POST", "/v1/sessions/early-fed/restore", string(a.raw("/v1/sessions/early-fed/checkpoint")), http.StatusOK)
+
 	// A batch with one bad job is refused whole, for federations as for
 	// single runs: a client that retries it must not duplicate the jobs
 	// that came before the bad one.
@@ -668,6 +692,44 @@ func TestSessionAPIValidation(t *testing.T) {
 	}
 	rejected("fed-plain", "jobs", `{"jobs":[{"org":0,"size":2},{"cluster":9,"org":1,"size":2}]}`)
 	rejected("fed-plain", "jobs", `{"jobs":[{"org":0,"size":2},{"org":1,"size":2,"release":3}]}`)
+}
+
+// unqueueFirst moves the first job a federation member's decision
+// schedule queues back to that schedule's pending releases, asserting
+// its release is before the clock.
+func unqueueFirst(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	var doc jsonTree
+	dec := json.NewDecoder(bytes.NewReader(snap))
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, cp := range coreCheckpoints(doc) {
+		for _, c := range cp["clusters"].([]any) {
+			c := c.(jsonTree)
+			if c["starts"] == nil {
+				continue
+			}
+			queues := c["queues"].([]any)
+			for org := range queues {
+				q, _ := queues[org].([]any)
+				if len(q) < 2 {
+					continue
+				}
+				id, _ := q[0].(json.Number).Int64()
+				release, _ := cp["jobs"].([]any)[id].(jsonTree)["Release"].(json.Number).Int64()
+				if now, _ := c["now"].(json.Number).Int64(); release >= now {
+					t.Fatalf("queued job %d was released at %d, the clock is %d", id, release, now)
+				}
+				pending, _ := c["release_order"].([]any) // null when none is pending
+				queues[org], c["release_order"] = q[1:], append([]any{q[0]}, pending...)
+				return []byte(mustJSON(t, doc))
+			}
+		}
+	}
+	t.Fatalf("no member queues two jobs: %s", snap)
+	return nil
 }
 
 // TestSubmitAllOrNothing is the Session-level half of the batch

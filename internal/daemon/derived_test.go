@@ -3,12 +3,17 @@ package daemon_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/daemon"
+	"repro/internal/engine"
+	"repro/internal/sim"
 )
 
 // v4FedFixture reads testdata/ckpt_v4_fed.json — written by 11e0d11,
@@ -115,9 +120,11 @@ func coreCheckpoints(doc jsonTree) []jsonTree {
 // placement and accounting columns, all of a logged decision but its
 // cluster, a queued control event's class and push number and the
 // plane's two counters, a cached exchange summary's cluster, instant,
-// capacities and Σ ψ — can say anything, in a document of the current
-// layout (which does not write them) as in the committed version-2
-// engine and version-4 federation fixtures (which do): the restore
+// capacities and Σ ψ, a running entry's end, a decision schedule's
+// running entries and accounts (its log implies both) — can say
+// anything, in a document of the current layout (which does not write
+// them) as in the committed version-2 engine and version-4 federation
+// fixtures and the version-3 core fixtures (which do): the restore
 // answers the same, and /state, /decisions, the next checkpoint and the
 // next submit's sequence number are byte for byte those of the clean
 // document. (At 11e0d11 a posted "Org":99 was served by /decisions,
@@ -178,6 +185,22 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 			return true
 		}
 	}
+	// decisionKey overwrites key on every decision schedule — the cluster
+	// state that carries a log — whatever it stored there.
+	decisionKey := func(key string, junk any) func(jsonTree) bool {
+		return func(doc jsonTree) bool {
+			n := 0
+			for _, cp := range coreCheckpoints(doc) {
+				for _, c := range cp["clusters"].([]any) {
+					if c := c.(jsonTree); c["starts"] != nil {
+						c[key] = junk
+						n++
+					}
+				}
+			}
+			return n > 0
+		}
+	}
 	doctorings := map[string]func(jsonTree) bool{
 		"ctrl.queue.events[].id":   eventKey("id", 424242),
 		"ctrl.queue.events[].prio": eventKey("prio", 7),
@@ -220,8 +243,24 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 			}
 			return true
 		},
-		"next_seq": func(doc jsonTree) bool { doc["next_seq"] = 2; return federation(doc) },
-		"orgs":     func(doc jsonTree) bool { doc["orgs"] = []any{"mallory", 7}; return federation(doc) },
+		"running[].end": func(doc jsonTree) bool {
+			n := 0
+			for _, cp := range coreCheckpoints(doc) {
+				for _, c := range cp["clusters"].([]any) {
+					running, _ := c.(jsonTree)["running"].([]any)
+					for _, r := range running {
+						r.(jsonTree)["end"] = -424242
+						n++
+					}
+				}
+			}
+			return n > 0
+		},
+		"decision schedule's running":  decisionKey("running", []any{jsonTree{"job": 0, "machine": 0, "start": 0, "end": 1}, jsonTree{"job": 99}}),
+		"decision schedule's org_acct": decisionKey("org_acct", []any{jsonTree{"U": 7, "S": -7}}),
+		"decision schedule's own_acct": decisionKey("own_acct", []any{}),
+		"next_seq":                     func(doc jsonTree) bool { doc["next_seq"] = 2; return federation(doc) },
+		"orgs":                         func(doc jsonTree) bool { doc["orgs"] = []any{"mallory", 7}; return federation(doc) },
 		"decisions[].{seq,org,machine,at}": func(doc jsonTree) bool {
 			if !federation(doc) {
 				return false
@@ -261,6 +300,26 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 	v4, v4Cfg := v4FedFixture(t)
 	docs = append(docs, document{"federation version-4 fixture", v4Cfg, v4})
 	applied := map[string]int{}
+	defer func() {
+		// A decision schedule's keys meet the gated single session and both
+		// current federations; a running entry's end the gated single
+		// session and both old fixtures (the federations' schedules run
+		// nothing unlogged at 30).
+		for key := range doctorings {
+			want := 1
+			switch {
+			case strings.HasPrefix(key, "ctrl."):
+				want = 4
+			case strings.HasPrefix(key, "decision schedule's"):
+				want = 3
+			case key == "running[].end":
+				want = 3
+			}
+			if applied[key] < want {
+				t.Errorf("%s was doctored in %d documents, want at least %d", key, applied[key], want)
+			}
+		}
+	}()
 	for _, doc := range docs {
 		ok, cleanBefore, cleanAfter := restoreAndServe(t, doc.cfg, doc.data)
 		if !ok {
@@ -291,15 +350,49 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 			}
 		}
 	}
-	// The control block's keys meet both gated current documents and both
-	// old fixtures; a summary's, every federation that caches an exchange.
-	for key := range doctorings {
-		want := 1
-		if strings.HasPrefix(key, "ctrl.") {
-			want = 4
+
+	// The committed version-3 core checkpoints run related machines no
+	// session configuration can build: restored as engines, with the same
+	// rows for what a decision schedule and a running entry no longer
+	// store, each serves, re-captures and continues as the clean one.
+	for key, alg := range map[string]core.StepperAlgorithm{
+		"ref":        core.RefAlgorithm{},
+		"rand":       core.RandAlgorithm{Samples: 12},
+		"nbs":        core.NbsAlgorithm{},
+		"roundrobin": core.FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }),
+	} {
+		data, err := os.ReadFile("../core/testdata/ckpt_v3_" + key + ".json")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if applied[key] < want {
-			t.Errorf("%s was doctored in %d documents, want at least %d", key, applied[key], want)
+		serve := func(doc []byte) string {
+			e, err := engine.Restore(alg, doc)
+			if err != nil {
+				t.Fatalf("v3 %s: %v", key, err)
+			}
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Step(200); err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("%s\n%+v\n%+v", snap, e.Decisions(), e.Result())
+		}
+		clean := serve(data)
+		for _, name := range []string{"running[].end", "decision schedule's running", "decision schedule's org_acct", "decision schedule's own_acct"} {
+			var tree jsonTree
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.UseNumber()
+			if err := dec.Decode(&tree); err != nil {
+				t.Fatal(err)
+			}
+			if !doctorings[name](tree) {
+				t.Fatalf("v3 %s: nothing to doctor for %s", key, name)
+			}
+			if got := serve([]byte(mustJSON(t, tree))); got != clean {
+				t.Errorf("v3 %s: a doctored %s was read:\n%s\nwant\n%s", key, name, got, clean)
+			}
 		}
 	}
 }

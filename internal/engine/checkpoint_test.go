@@ -183,15 +183,14 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		return out
 	}
 	cases := map[string][]byte{
-		"running entry with unknown job": corrupt(func(cp *core.Checkpoint) {
-			cp.Clusters[0].Running[0].Job = 999999
+		"running job on an unknown machine": corrupt(func(cp *core.Checkpoint) {
+			cp.Clusters[0].Starts[0].Machine = 5
 		}),
 		"speeds shorter than machines": corrupt(func(cp *core.Checkpoint) {
 			cp.Orgs[0].Speeds = []int{2}
 		}),
 		"zero machines total": corrupt(func(cp *core.Checkpoint) {
 			cp.Orgs[0].Machines = 0
-			cp.Clusters[0].Running = nil
 		}),
 		"job for unknown org": corrupt(func(cp *core.Checkpoint) {
 			cp.Jobs[0].Org = 7
@@ -206,8 +205,14 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		"clock past an event its schedules still hold": corrupt(func(cp *core.Checkpoint) {
 			cp.Now = 12336
 		}),
-		"running entry that already ended": corrupt(func(cp *core.Checkpoint) {
-			cp.Clusters[0].Running[0].End = -3
+		"decision after the clock": corrupt(func(cp *core.Checkpoint) {
+			cp.Clusters[0].Starts[0].At = 3
+		}),
+		// A release the clock has passed was served late: the cluster
+		// answered it as due now.
+		"pending release before the clock": corrupt(func(cp *core.Checkpoint) {
+			cp.Jobs = append(cp.Jobs, model.Job{Org: 0, Release: 0, Size: 1})
+			cp.Clusters[0].ReleaseOrder = []int{1}
 		}),
 		"decision for an unknown job": corrupt(func(cp *core.Checkpoint) {
 			cp.Clusters[0].Starts[0].Job = 999999

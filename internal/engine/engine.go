@@ -149,7 +149,7 @@ func (e *Engine) Withdraw(id int) error {
 	return e.s.Withdraw(id)
 }
 
-// Withdrawn returns the number of withdrawn (and not re-injected) jobs.
+// Withdrawn returns the number of withdrawn jobs.
 func (e *Engine) Withdrawn() int { return e.s.Withdrawn() }
 
 // Step advances the run to exactly `until`: every release, completion

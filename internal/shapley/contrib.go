@@ -14,9 +14,9 @@ import (
 // value when the system's clock stands at t.
 //
 // Implementations must satisfy ValueAt(∅, t) = 0 and be deterministic.
-// They are encouraged to serve cached values for coalitions untouched
-// since their last event (internal/core's org-level game answers from
-// sim.ValuePoly snapshots in O(1); internal/fed's federation-level game
+// They are encouraged to answer coalitions untouched since their last
+// event in O(1) (internal/core's org-level game reads each schedule's
+// running ψsp polynomial, sim.Cluster.ValueAt; internal/fed's federation-level game
 // evaluates a closed form of the exchanged ledger columns). Both REF
 // drivers and the estimators below consume this interface, so every new
 // game variant plugs into the same contribution machinery.

@@ -17,11 +17,13 @@
 // invariant, not a policy obligation: the dispatch loop keeps starting
 // jobs while both a free machine and a waiting job exist.
 //
-// Utility accounting is lazy: execution windows of running jobs are
-// folded into the ψsp accounts only at completions and at value queries
-// (flush), so advancing a cluster through an uneventful period costs
-// O(1). This matters to the exponential REF scheduler, which maintains
-// 2^k−1 clusters but queries values only at dispatch instants.
+// Every ψsp account is a ValuePoly kept exact at all times: a start
+// adds its running term, a completion swaps that term for the job's
+// finished work. Advancing a cluster through an uneventful period costs
+// O(1), and every value read — at the clock or at any later instant
+// before the next event — is O(1) and mutates nothing. This matters to
+// the exponential REF scheduler, which maintains 2^k−1 clusters and
+// reads all of their values at every dispatch instant.
 package sim
 
 import (
@@ -70,11 +72,10 @@ type Cluster struct {
 
 	runningPerOrg []int
 
-	now       model.Time
-	flushedAt model.Time
-	orgAcct   []utility.Account // per job owner
-	ownAcct   []utility.Account // per machine owner
-	total     utility.Account
+	now     model.Time
+	orgAcct []ValuePoly // per job owner
+	ownAcct []ValuePoly // per machine owner
+	total   ValuePoly
 
 	policy   Policy
 	rng      *rand.Rand
@@ -95,8 +96,8 @@ func New(inst *model.Instance, coal model.Coalition, p Policy, rng *rand.Rand) *
 		queues:         make([][]int, k),
 		qHead:          make([]int, k),
 		runningPerOrg:  make([]int, k),
-		orgAcct:        make([]utility.Account, k),
-		ownAcct:        make([]utility.Account, k),
+		orgAcct:        make([]ValuePoly, k),
+		ownAcct:        make([]ValuePoly, k),
 		policy:         p,
 		rng:            rng,
 	}
@@ -154,16 +155,11 @@ func (c *Cluster) Now() model.Time { return c.now }
 func (c *Cluster) View() *View { return &c.view }
 
 // NextEventTime returns the earliest future release or completion, or
-// MaxTime when neither exists. A pending release in the clock's past —
-// only possible for a withdrawn job re-injected after time moved on —
-// fires at the current instant: no event precedes now.
+// MaxTime when neither exists.
 func (c *Cluster) NextEventTime() model.Time {
 	next := MaxTime
 	if c.nextRelease < len(c.releaseOrder) {
 		next = c.inst.Jobs[c.releaseOrder[c.nextRelease]].Release
-		if next < c.now {
-			next = c.now
-		}
 	}
 	if len(c.running) > 0 && c.running[0].End < next {
 		next = c.running[0].End
@@ -182,7 +178,7 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 	}
 	for len(c.running) > 0 && c.running[0].End <= t {
 		top := c.running.pop()
-		c.account(top, top.End)
+		c.finish(top)
 		c.free = append(c.free, top.Machine)
 		c.runningPerOrg[c.inst.Jobs[top.Job].Org]--
 	}
@@ -190,31 +186,34 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 	c.releaseUpTo(t)
 }
 
-// account folds the entry's execution window [accFrom, upTo) into the
-// owner accounts, scaled by the machine's speed.
-func (c *Cluster) account(r RunEntryState, upTo model.Time) {
-	if upTo <= r.AccFrom {
-		return
-	}
-	j := c.inst.Jobs[r.Job]
-	q := c.speeds[r.Machine]
-	c.orgAcct[j.Org].AddScaledWindow(r.Start, j.Size, q, r.AccFrom, upTo)
-	c.ownAcct[c.owners[r.Machine]].AddScaledWindow(r.Start, j.Size, q, r.AccFrom, upTo)
-	c.total.AddScaledWindow(r.Start, j.Size, q, r.AccFrom, upTo)
+// accounts returns the three accounts an execution of org's job on
+// machine m is booked to: its owner's, the machine owner's and the total.
+func (c *Cluster) accounts(org, m int) [3]*ValuePoly {
+	return [3]*ValuePoly{&c.orgAcct[org], &c.ownAcct[c.owners[m]], &c.total}
 }
 
-// flush folds the partial execution of still-running jobs into the
-// accounts up to the current time; every value query starts with it.
-func (c *Cluster) flush() {
-	if c.flushedAt == c.now {
-		return
+// start books r's running term into its accounts.
+func (c *Cluster) start(r RunEntryState) {
+	q := int64(c.speeds[r.Machine])
+	for _, a := range c.accounts(c.inst.Jobs[r.Job].Org, r.Machine) {
+		a.run(q, r.Start)
 	}
-	for i := range c.running {
-		r := &c.running[i]
-		c.account(*r, c.now) // running entries always satisfy end > now
-		r.AccFrom = c.now
+}
+
+// finish swaps r's running term for its finished work, the whole window
+// [Start, End) scaled by the machine's speed.
+func (c *Cluster) finish(r RunEntryState) {
+	j, q := c.inst.Jobs[r.Job], c.speeds[r.Machine]
+	for _, a := range c.accounts(j.Org, r.Machine) {
+		a.run(-int64(q), r.Start)
+		a.AddScaledWindow(r.Start, j.Size, q, r.Start, r.End)
 	}
-	c.flushedAt = c.now
+}
+
+// end returns the completion instant of r: its start plus ⌈size/speed⌉.
+func (c *Cluster) end(r RunEntryState) model.Time {
+	q := model.Time(c.speeds[r.Machine])
+	return r.Start + (c.inst.Jobs[r.Job].Size+q-1)/q
 }
 
 // releaseUpTo enqueues every job with Release ≤ t.
@@ -244,8 +243,8 @@ func (c *Cluster) CanDispatch() bool { return c.totalWaiting > 0 && len(c.free) 
 // Withdraw removes a not-yet-started job from the cluster: from the
 // organization's wait queue if it has been released, or from the
 // pending release order if it has not. The job's identity is retained
-// on a withdrawn list (checkpointed, and consulted by Inject for
-// re-injection), and no account is touched — a queued job has executed
+// on a withdrawn list (checkpointed; Inject refuses its ID for good),
+// and no account is touched — a queued job has executed
 // nothing, so ψsp bookkeeping is unaffected by construction.
 //
 // The first result reports whether the job was removed: false with a
@@ -287,27 +286,14 @@ func (c *Cluster) Withdraw(org, id int) (bool, error) {
 }
 
 // WithdrawnCount returns the number of jobs withdrawn from this
-// cluster (and not re-injected since).
+// cluster.
 func (c *Cluster) WithdrawnCount() int { return len(c.withdrawn) }
 
-// WithdrawnJobs appends the IDs of withdrawn (and not re-injected)
-// jobs, in withdrawal order, to buf and returns the result. Callers
+// WithdrawnJobs appends the IDs of withdrawn jobs, in withdrawal order, to buf and returns the result. Callers
 // polling every step pass a reused buffer (buf[:0]) to keep the read
 // allocation-free; pass nil for a fresh copy. Callers that only need
 // the count should use WithdrawnCount.
 func (c *Cluster) WithdrawnJobs(buf []int) []int { return append(buf, c.withdrawn...) }
-
-// unwithdraw removes id from the withdrawn list, reporting whether it
-// was there.
-func (c *Cluster) unwithdraw(id int) bool {
-	for i, w := range c.withdrawn {
-		if w == id {
-			c.withdrawn = append(c.withdrawn[:i], c.withdrawn[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
 
 // Dispatch runs the greedy loop at the current instant: while a free
 // machine and a waiting job exist, ask the policy and start the job.
@@ -353,10 +339,10 @@ func (c *Cluster) startHead(org int, m int) {
 		c.qHead[org] = 0
 	}
 	c.totalWaiting--
-	j := c.inst.Jobs[id]
-	q := model.Time(c.speeds[m])
-	dur := (j.Size + q - 1) / q
-	c.running.push(RunEntryState{End: c.now + dur, Machine: m, Job: id, Start: c.now, AccFrom: c.now})
+	r := RunEntryState{Job: id, Machine: m, Start: c.now}
+	r.End = c.end(r)
+	c.running.push(r)
+	c.start(r)
 	c.runningPerOrg[org]++
 	if !c.noStarts {
 		c.starts = append(c.starts, Start{Job: id, Org: org, Machine: m, At: c.now})
@@ -384,77 +370,67 @@ func (c *Cluster) Run(until model.Time) {
 	c.AdvanceTo(until)
 }
 
-// ValuePoly is the coalition value frozen as a closed-form function of
-// the evaluation time: with flushed account totals (U, S) and the
-// running set {(qᵣ, aᵣ)} of machine speeds and not-yet-accounted window
-// starts,
+// ValuePoly is one ψsp account as a closed-form function of the
+// evaluation time: with finished work (U, S) and the running set
+// {(qᵣ, sᵣ)} of machine speeds and start times,
 //
-//	v(t) = t·U − S + Σᵣ qᵣ·(t−aᵣ)(t−aᵣ+1)/2.
+//	ψ(t) = t·U − S + Σᵣ qᵣ·(t−sᵣ)(t−sᵣ+1)/2.
 //
-// The form is exact for any t in [Now, NextEventTime): past that, a
-// completion may cut a running job's final (remainder) slot short or a
-// release may precede a dispatch, so callers must re-snapshot after
-// every event or start in the cluster. The schedule-set loop caches
-// one ValuePoly per coalition and re-snapshots only dirty clusters —
-// the untouched 2^k−O(1) coalitions cost O(1) per value query instead
-// of an O(#running) flush.
+// The form is exact for any t from the cluster's clock up to, not
+// including, its next event: a running job executes q units in every
+// slot but possibly its last, which ends it. The cluster keeps every
+// account in this form at every instant — a start adds its term, a
+// completion swaps the term for the finished window — so reading a
+// value never folds anything.
 type ValuePoly struct {
-	U, S    int64 // flushed ψsp account totals
-	A, B, C int64 // Σq, Σq·a, Σq·a² over running entries
+	utility.Account       // finished work: U unit slots, S their index sum
+	A, B, C         int64 // Σq, Σq·s, Σq·s² over running entries
 }
 
-// At evaluates the polynomial at time t ≥ the snapshot time. The
-// numerator Σ q(t−a)(t−a+1) is a sum of products of consecutive
-// integers, hence even — the division is exact.
-func (p ValuePoly) At(t model.Time) int64 {
+// At evaluates the account at time t. The numerator Σ q(t−s)(t−s+1) is
+// a sum of products of consecutive integers, hence even — the division
+// is exact.
+func (p *ValuePoly) At(t model.Time) int64 {
 	tt := int64(t)
 	return tt*p.U - p.S + (p.A*tt*tt+(p.A-2*p.B)*tt+(p.C-p.B))/2
 }
 
-// ValuePoly snapshots the value function at the cluster's current
-// state. It does not mutate the cluster, so concurrent snapshots of
-// distinct clusters are safe.
-func (c *Cluster) ValuePoly() ValuePoly {
-	p := ValuePoly{U: c.total.U, S: c.total.S}
-	for i := range c.running {
-		r := &c.running[i]
-		q := int64(c.speeds[r.Machine])
-		a := int64(r.AccFrom)
-		p.A += q
-		p.B += q * a
-		p.C += q * a * a
-	}
-	return p
+// Units returns the unit slots executed before t: the finished ones and
+// q·(t−s) of each running entry.
+func (p *ValuePoly) Units(t model.Time) int64 { return p.U + p.A*int64(t) - p.B }
+
+// run adds the running term of an execution at speed q started at s;
+// run(−q, s) takes it back.
+func (p *ValuePoly) run(q int64, s model.Time) {
+	a := int64(s)
+	p.A += q
+	p.B += q * a
+	p.C += q * a * a
 }
 
+// ValueAt returns the coalition value at any t from Now up to, not
+// including, NextEventTime — what the value will be if nothing happens
+// before t.
+func (c *Cluster) ValueAt(t model.Time) int64 { return c.total.At(t) }
+
 // Psi returns organization org's ψsp at the current time.
-func (c *Cluster) Psi(org int) int64 {
-	c.flush()
-	return c.orgAcct[org].PsiAt(c.now)
-}
+func (c *Cluster) Psi(org int) int64 { return c.orgAcct[org].At(c.now) }
 
 // PsiVector returns every organization's ψsp at the current time.
 func (c *Cluster) PsiVector() []int64 {
-	c.flush()
 	out := make([]int64, len(c.orgAcct))
 	for i := range out {
-		out[i] = c.orgAcct[i].PsiAt(c.now)
+		out[i] = c.Psi(i)
 	}
 	return out
 }
 
 // Value returns the coalition value v(C, now) = Σ ψsp (Section 2).
-func (c *Cluster) Value() int64 {
-	c.flush()
-	return c.total.PsiAt(c.now)
-}
+func (c *Cluster) Value() int64 { return c.ValueAt(c.now) }
 
 // ExecutedUnits returns the total executed unit slots before now — the
 // paper's p_tot when evaluated on the reference schedule.
-func (c *Cluster) ExecutedUnits() int64 {
-	c.flush()
-	return c.total.U
-}
+func (c *Cluster) ExecutedUnits() int64 { return c.total.Units(c.now) }
 
 // Starts returns the recorded scheduling decisions in start order; nil
 // after DiscardStarts.
@@ -471,8 +447,7 @@ func (c *Cluster) Utilization() float64 {
 	if c.capacity == 0 || c.now == 0 {
 		return 0
 	}
-	c.flush()
-	return float64(c.total.U) / (float64(c.capacity) * float64(c.now))
+	return float64(c.ExecutedUnits()) / (float64(c.capacity) * float64(c.now))
 }
 
 // runHeap is a binary min-heap ordered by (end, machine) for

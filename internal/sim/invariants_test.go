@@ -232,13 +232,12 @@ func queuedJobs(c *Cluster) []int {
 }
 
 // checkWithdrawInvariants validates a fully drained run that saw
-// withdrawals and re-injections. The FIFO and greediness rules of
-// checkInvariants do not survive requeueing (a re-injected job joins
-// its queue's tail, behind younger IDs, and spends its withdrawn
-// interval legitimately unserved), but the conservation core must:
-// starts respect releases, no machine overlaps, every live member job
-// runs exactly once, no withdrawn job ever runs, and the executed unit
-// slots equal exactly the live jobs' total work.
+// withdrawals. The greediness rule of checkInvariants does not hold for
+// a withdrawn job, which waits from its release and never starts, but
+// the conservation core must: starts respect releases, no machine
+// overlaps, every live member job runs exactly once, no withdrawn job
+// ever runs, and the executed unit slots equal exactly the live jobs'
+// total work.
 func checkWithdrawInvariants(t *testing.T, in *model.Instance, c *Cluster, withdrawn map[int]bool) {
 	t.Helper()
 	starts := c.Starts()
@@ -256,7 +255,7 @@ func checkWithdrawInvariants(t *testing.T, in *model.Instance, c *Cluster, withd
 	}
 	for _, ss := range perMachine {
 		for i := 1; i < len(ss); i++ {
-			prevEnd := ss[i-1].At + in.Jobs[ss[i-1].Job].Size
+			prevEnd := c.end(RunEntryState{Job: ss[i-1].Job, Machine: ss[i-1].Machine, Start: ss[i-1].At})
 			if ss[i].At < prevEnd {
 				t.Fatalf("machine %d overlap: job %d (ends %d) and job %d (starts %d)",
 					ss[i].Machine, ss[i-1].Job, prevEnd, ss[i].Job, ss[i].At)
@@ -282,15 +281,17 @@ func checkWithdrawInvariants(t *testing.T, in *model.Instance, c *Cluster, withd
 }
 
 // TestWithdrawReinjectConservation: withdrawing queued jobs and
-// re-injecting some of them at arbitrary event times never loses,
-// duplicates or resurrects work — whatever the interleaving, the
-// drained schedule runs exactly the live jobs.
+// re-injecting some of them as new jobs — the way migration moves work
+// — at arbitrary event times never loses, duplicates or resurrects
+// work: whatever the interleaving, the drained schedule runs exactly
+// the live jobs, and the withdrawn ID itself is refused for good.
 func TestWithdrawReinjectConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randInstance(r, false)
 		c := New(in, in.Grand(), randPolicy(seed+1), stats.NewRand(seed+2))
 		withdrawn := map[int]bool{}
+		var moved []int // withdrawn, not yet re-injected
 		horizon := drainHorizon(in)
 		for step := 0; step < 300 && c.Step(horizon); step++ {
 			if q := queuedJobs(c); len(q) > 0 && r.Intn(3) == 0 {
@@ -307,21 +308,24 @@ func TestWithdrawReinjectConservation(t *testing.T) {
 					t.Fatalf("job %d withdrawn twice", id)
 				}
 				withdrawn[id] = true
+				moved = append(moved, id)
 			}
-			if len(withdrawn) > 0 && r.Intn(4) == 0 {
-				ids := make([]int, 0, len(withdrawn))
-				for id := range withdrawn {
-					ids = append(ids, id)
+			if len(moved) > 0 && r.Intn(4) == 0 {
+				i := r.Intn(len(moved))
+				old := moved[i]
+				moved = append(moved[:i], moved[i+1:]...)
+				if c.Inject(old) == nil {
+					t.Fatalf("withdrawn job %d re-injected under its own ID", old)
 				}
-				sort.Ints(ids)
-				id := ids[r.Intn(len(ids))]
-				if err := c.Inject(id); err != nil {
-					t.Fatalf("reinject job %d: %v", id, err)
+				j := in.Jobs[old]
+				j.ID, j.Release = len(in.Jobs), c.Now()
+				in.Jobs = append(in.Jobs, j)
+				if err := c.Inject(j.ID); err != nil {
+					t.Fatalf("inject job %d: %v", j.ID, err)
 				}
-				delete(withdrawn, id)
 			}
 		}
-		c.Run(horizon)
+		c.Run(horizon + drainHorizon(in))
 		checkWithdrawInvariants(t, in, c, withdrawn)
 		return true
 	}
@@ -432,18 +436,22 @@ func TestWithdrawArgumentValidation(t *testing.T) {
 	}
 }
 
-// FuzzWithdrawReinject drives an arbitrary byte-directed interleaving
-// of event stepping, withdrawals and re-injections, then drains and
-// checks the conservation invariants — the structured-random sibling of
-// TestWithdrawReinjectConservation for the corners a uniform RNG rarely
-// hits (withdraw storms, immediate reinjection, empty queues).
-func FuzzWithdrawReinject(f *testing.F) {
+// FuzzClusterAccounting drives an arbitrary byte-directed interleaving
+// of event stepping and withdrawals on identical or related machines,
+// holds every account to the from-scratch oracle after each operation
+// up to the next event, then drains and checks the conservation
+// invariants — for the corners a uniform RNG rarely hits (withdraw
+// storms, empty queues, completions on fast machines).
+func FuzzClusterAccounting(f *testing.F) {
 	f.Add(int64(1), []byte{0, 4, 8, 1, 2, 5})
 	f.Add(int64(7), []byte{1, 1, 1, 2, 2, 2, 0, 0})
 	f.Add(int64(42), []byte{})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		r := rand.New(rand.NewSource(seed))
 		in := randInstance(r, false)
+		if seed%2 != 0 {
+			withSpeeds(r, in)
+		}
 		c := New(in, in.Grand(), randPolicy(seed+1), stats.NewRand(seed+2))
 		withdrawn := map[int]bool{}
 		horizon := drainHorizon(in)
@@ -451,15 +459,10 @@ func FuzzWithdrawReinject(f *testing.F) {
 			ops = ops[:256]
 		}
 		for _, b := range ops {
-			switch b % 3 {
-			case 0:
+			if b%2 == 0 {
 				c.Step(horizon)
-			case 1:
-				q := queuedJobs(c)
-				if len(q) == 0 {
-					continue
-				}
-				id := q[int(b/3)%len(q)]
+			} else if q := queuedJobs(c); len(q) > 0 {
+				id := q[int(b/2)%len(q)]
 				ok, err := c.Withdraw(in.Jobs[id].Org, id)
 				if err != nil {
 					t.Fatal(err)
@@ -468,19 +471,11 @@ func FuzzWithdrawReinject(f *testing.F) {
 					t.Fatalf("queued job %d not withdrawable", id)
 				}
 				withdrawn[id] = true
-			case 2:
-				w := c.WithdrawnJobs(nil)
-				if len(w) == 0 {
-					continue
-				}
-				id := w[int(b/3)%len(w)]
-				if err := c.Inject(id); err != nil {
-					t.Fatalf("reinject job %d: %v", id, err)
-				}
-				delete(withdrawn, id)
 			}
+			checkAccountsToNextEvent(t, c, horizon)
 		}
 		c.Run(horizon)
+		checkAccountsToNextEvent(t, c, horizon)
 		checkWithdrawInvariants(t, in, c, withdrawn)
 	})
 }

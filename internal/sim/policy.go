@@ -92,25 +92,16 @@ func (v *View) Head(org int) (id int, release model.Time, ok bool) {
 }
 
 // Psi returns org's strategy-proof utility ψsp at the current time.
-func (v *View) Psi(org int) int64 {
-	v.c.flush()
-	return v.c.orgAcct[org].PsiAt(v.c.now)
-}
+func (v *View) Psi(org int) int64 { return v.c.Psi(org) }
 
 // Usage returns the number of unit slots executed so far by org's jobs —
 // the consumed-CPU-time notion of usage that fair-share policies meter.
-func (v *View) Usage(org int) int64 {
-	v.c.flush()
-	return v.c.orgAcct[org].U
-}
+func (v *View) Usage(org int) int64 { return v.c.orgAcct[org].Units(v.c.now) }
 
 // OwnerPsi returns the ψsp-style value of the unit slots executed on
 // org's machines (by anyone's jobs) — DIRECTCONTR's direct contribution
 // estimate.
-func (v *View) OwnerPsi(org int) int64 {
-	v.c.flush()
-	return v.c.ownAcct[org].PsiAt(v.c.now)
-}
+func (v *View) OwnerPsi(org int) int64 { return v.c.ownAcct[org].At(v.c.now) }
 
 // Running returns how many of org's jobs are currently executing.
 func (v *View) Running(org int) int { return v.c.runningPerOrg[org] }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -21,15 +22,8 @@ import (
 // the cluster's past: its release becomes a future event exactly as if
 // the job had been known from the start. A release equal to the current
 // time is allowed — NextEventTime then fires at the current instant and
-// the normal event path enqueues and dispatches it.
-//
-// A withdrawn job may be re-injected: it becomes a pending release
-// again and rides the normal event path — NextEventTime clamps a
-// by-now-past release to the current instant, so the job is
-// re-enqueued (at its queue's tail, exactly where a job released "now"
-// would land) and dispatched at the next event, whichever driver runs
-// the cluster. This is the unqueue/requeue round-trip federated
-// migration is built on.
+// the normal event path enqueues and dispatches it. A withdrawn job
+// stays withdrawn: work that moves elsewhere enters there as a new job.
 func (c *Cluster) Inject(id int) error {
 	if id < 0 || id >= len(c.inst.Jobs) {
 		return fmt.Errorf("sim: inject: job %d not in instance", id)
@@ -38,8 +32,11 @@ func (c *Cluster) Inject(id int) error {
 	if !c.coal.Has(j.Org) {
 		return nil
 	}
-	if !c.unwithdraw(id) && j.Release < c.now {
+	if j.Release < c.now {
 		return fmt.Errorf("sim: inject: job %d released at %d, before current time %d", id, j.Release, c.now)
+	}
+	if slices.Contains(c.withdrawn, id) {
+		return fmt.Errorf("sim: inject: job %d was withdrawn", id)
 	}
 	// Keep releaseOrder[nextRelease:] sorted by (Release, ID): the
 	// pending suffix is scanned in order by releaseUpTo.
@@ -59,14 +56,16 @@ func (c *Cluster) Inject(id int) error {
 }
 
 // RunEntryState is one executing job, in the completion heap and in a
-// capture. AccFrom is the start of its not-yet-accounted execution
-// window; Start places the remainder slot on fast machines.
+// capture. End, the completion its job, machine and start imply, is
+// not written.
 type RunEntryState struct {
-	End     model.Time `json:"end"`
-	Machine int        `json:"machine"`
 	Job     int        `json:"job"`
+	Machine int        `json:"machine"`
 	Start   model.Time `json:"start"`
-	AccFrom model.Time `json:"acc_from"`
+	End     model.Time `json:"-"`
+	// Folded is read, never written: a document of version 1 to 3 had
+	// already added the window [Start, Folded) to its accounts.
+	Folded *model.Time `json:"acc_from,omitempty"`
 }
 
 // ClusterState is the serializable simulation state of one cluster:
@@ -75,20 +74,23 @@ type RunEntryState struct {
 // arrivals) and the policy/RNG state captured by the driver, it
 // determines every future scheduling decision: restoring it into a
 // freshly built cluster resumes the run byte-identically. Free
-// machines, per-organization running counts, total account and flush
-// mark are functions of these fields, recomputed by RestoreState.
+// machines, per-organization running counts and the total account are
+// functions of these fields, recomputed by RestoreState; on a cluster
+// that keeps a decision log so are the running entries and the
+// accounts, which its capture leaves out.
 type ClusterState struct {
-	Coalition    model.Coalition   `json:"coalition"`
-	Now          model.Time        `json:"now"`
-	ReleaseOrder []int             `json:"release_order"` // pending releases, by (Release, ID)
-	Queues       [][]int           `json:"queues"`        // waiting job IDs per org, FIFO
-	Running      []RunEntryState   `json:"running"`       // heap array order
-	OrgAcct      []utility.Account `json:"org_acct"`
-	OwnAcct      []utility.Account `json:"own_acct"`
+	Coalition    model.Coalition `json:"coalition"`
+	Now          model.Time      `json:"now"`
+	ReleaseOrder []int           `json:"release_order"`     // pending releases, by (Release, ID)
+	Queues       [][]int         `json:"queues"`            // waiting job IDs per org, FIFO
+	Running      []RunEntryState `json:"running,omitempty"` // heap array order
+	// Finished work, per job owner and per machine owner.
+	OrgAcct []utility.Account `json:"org_acct,omitempty"`
+	OwnAcct []utility.Account `json:"own_acct,omitempty"`
 	// Starts is the decision log; absent after DiscardStarts.
 	Starts []Start `json:"starts,omitempty"`
-	// Withdrawn lists jobs removed by Withdraw (and not re-injected),
-	// in withdrawal order. Empty on clusters that never migrate.
+	// Withdrawn lists jobs removed by Withdraw, in withdrawal order.
+	// Empty on clusters that never migrate.
 	Withdrawn []int `json:"withdrawn,omitempty"`
 	// NextRelease is read, never written: a version-1 document's release
 	// order still began with the releases that had fired, this many.
@@ -103,14 +105,18 @@ func (c *Cluster) CaptureState() ClusterState {
 		Now:          c.now,
 		ReleaseOrder: append([]int(nil), c.releaseOrder[c.nextRelease:]...),
 		Queues:       make([][]int, len(c.queues)),
-		Running:      append([]RunEntryState{}, c.running...),
-		OrgAcct:      append([]utility.Account(nil), c.orgAcct...),
-		OwnAcct:      append([]utility.Account(nil), c.ownAcct...),
 		Starts:       append([]Start(nil), c.starts...),
 		Withdrawn:    append([]int(nil), c.withdrawn...),
 	}
 	for org, q := range c.queues {
 		st.Queues[org] = append([]int(nil), q[c.qHead[org]:]...)
+	}
+	if c.noStarts {
+		st.Running = append([]RunEntryState(nil), c.running...)
+		for i := range c.orgAcct {
+			st.OrgAcct = append(st.OrgAcct, c.orgAcct[i].Account)
+			st.OwnAcct = append(st.OwnAcct, c.ownAcct[i].Account)
+		}
 	}
 	return st
 }
@@ -120,81 +126,100 @@ func (c *Cluster) CaptureState() ClusterState {
 // injected jobs, same coalition, same policy kind). The policy's own
 // state, if any, is restored separately by the driver. A capture is
 // outside input: it is refused unless every member job is in exactly
-// one place — pending, queued, withdrawn or started — and every running
-// entry is the execution its job, machine and start time imply.
+// one place — pending, queued, withdrawn or started — no pending
+// release precedes the clock, no machine runs two jobs at once and none
+// idles while a job waits.
+//
+// On a cluster that keeps a decision log, each line's job, machine and
+// start give its window: the lines that ended by the clock are its
+// finished work, the rest its running entries, and the stored copies of
+// both are not read. A cluster without one reads them; an entry's
+// legacy fold mark says which part of its window the stored accounts
+// already hold.
 func (c *Cluster) RestoreState(st ClusterState) error {
 	k, jobs := len(c.inst.Orgs), c.inst.Jobs
 	if st.Coalition != c.coal {
 		return fmt.Errorf("sim: restore: coalition %v into cluster of %v", st.Coalition, c.coal)
 	}
-	if len(st.Queues) != k || len(st.OrgAcct) != k || len(st.OwnAcct) != k {
+	if len(st.Queues) != k || (c.noStarts && (len(st.OrgAcct) != k || len(st.OwnAcct) != k)) {
 		return fmt.Errorf("sim: restore: state sized for %d organizations, cluster has %d", len(st.Queues), k)
 	}
 	if st.NextRelease < 0 || st.NextRelease > len(st.ReleaseOrder) {
 		return fmt.Errorf("sim: restore: next release index %d out of range", st.NextRelease)
 	}
 	pending := st.ReleaseOrder[st.NextRelease:]
-	// listed[id]: 0 in no list yet, n+1 on the decision log's line n, -1
-	// in another list — or running, once its entry has been seen.
-	listed := make([]int32, len(jobs))
+	listed := make([]bool, len(jobs))
 	list := func(where string, id int) error {
 		switch {
 		case id < 0 || id >= len(jobs):
 			return fmt.Errorf("sim: restore: %s references unknown job %d", where, id)
 		case !c.coal.Has(jobs[id].Org):
 			return fmt.Errorf("sim: restore: %s holds job %d of non-member organization %d", where, id, jobs[id].Org)
-		case listed[id] != 0:
+		case listed[id]:
 			return fmt.Errorf("sim: restore: job %d is in the %s and in another list, or twice", id, where)
 		}
-		listed[id] = -1
+		listed[id] = true
 		return nil
 	}
-	// What runs was started: the decision log lists it, or — where none
-	// is kept, and an old document's is dropped — nothing else does.
+	// What runs: on a cluster with a decision log, the lines still open at
+	// the clock (the rest are finished work); elsewhere the stored entries.
+	var running, finished []RunEntryState
 	if c.noStarts {
-		st.Starts = nil
-	}
-	for i, s := range st.Starts {
-		if err := list("decision log", s.Job); err != nil {
-			return err
+		st.Starts = nil // an old document's is dropped
+		running = append(running, st.Running...)
+	} else {
+		freeAt := make([]model.Time, len(c.owners)) // machine -> end of its last logged job
+		for i, s := range st.Starts {
+			if err := list("decision log", s.Job); err != nil {
+				return err
+			}
+			// A line is read back by /decisions and the federation's log: on a
+			// pool machine, after the release and the machine's previous job,
+			// by the clock, in the order starts were made.
+			if s.Machine < 0 || s.Machine >= len(c.owners) || s.At < jobs[s.Job].Release || s.At < freeAt[s.Machine] || s.At > st.Now || (i > 0 && s.At < st.Starts[i-1].At) {
+				return fmt.Errorf("sim: restore: decision log line %d starts job %d on machine %d at %d, outside the pool, [release, now], the machine's idle time or the log's order", i, s.Job, s.Machine, s.At)
+			}
+			r := RunEntryState{Job: s.Job, Machine: s.Machine, Start: s.At}
+			r.End = c.end(r)
+			freeAt[s.Machine] = r.End
+			if r.End <= st.Now {
+				finished = append(finished, r)
+			} else {
+				running = append(running, r)
+			}
 		}
-		// A line is read back by /decisions and the federation's log: on a
-		// pool machine, after the release, in the order starts were made.
-		if s.Machine < 0 || s.Machine >= len(c.owners) || s.At < jobs[s.Job].Release || s.At > st.Now || (i > 0 && s.At < st.Starts[i-1].At) {
-			return fmt.Errorf("sim: restore: decision log line %d starts job %d on machine %d at %d, outside the pool, [release, now] or the log's order", i, s.Job, s.Machine, s.At)
-		}
-		listed[s.Job] = int32(i + 1)
 	}
 	busy := make([]bool, len(c.owners))
-	for i, r := range st.Running {
+	for i := range running {
+		r := &running[i]
 		if c.noStarts {
 			if err := list("running entries", r.Job); err != nil {
 				return err
 			}
-		} else if r.Job < 0 || r.Job >= len(jobs) || listed[r.Job] <= 0 {
-			return fmt.Errorf("sim: restore: running job %d is not in the decision log, or runs twice", r.Job)
-		} else if s := st.Starts[listed[r.Job]-1]; s.Machine != r.Machine || s.At != r.Start {
-			return fmt.Errorf("sim: restore: job %d runs on machine %d since %d, its log line says machine %d at %d", r.Job, r.Machine, r.Start, s.Machine, s.At)
 		}
 		if r.Machine < 0 || r.Machine >= len(c.owners) || busy[r.Machine] {
 			return fmt.Errorf("sim: restore: job %d runs on machine %d, unknown or taken", r.Job, r.Machine)
 		}
 		// The window its start implies, open at the clock (a past
-		// completion would be the next event), accounted from inside it.
-		q := model.Time(c.speeds[r.Machine])
-		if r.End != r.Start+(jobs[r.Job].Size+q-1)/q || r.End <= st.Now || r.AccFrom < r.Start || r.AccFrom > st.Now {
-			return fmt.Errorf("sim: restore: job %d runs over [%d,%d), accounted to %d, at time %d", r.Job, r.Start, r.End, r.AccFrom, st.Now)
+		// completion would be the next event), folded to inside it.
+		r.End = c.end(*r)
+		if r.Start > st.Now || r.End <= st.Now || (r.Folded != nil && (*r.Folded < r.Start || *r.Folded > st.Now)) {
+			return fmt.Errorf("sim: restore: job %d runs over [%d,%d) at time %d, or its window was folded outside it", r.Job, r.Start, r.End, st.Now)
 		}
-		if i > 0 && runHeap(st.Running).less(i, (i-1)/2) {
+		if c.noStarts && i > 0 && runHeap(running).less(i, (i-1)/2) {
 			return fmt.Errorf("sim: restore: running entry %d is out of completion-heap order", i)
 		}
-		busy[r.Machine], listed[r.Job] = true, -1
+		busy[r.Machine] = true
 	}
 	for _, id := range pending {
 		if err := list("release order", id); err != nil {
 			return err
 		}
+		if jobs[id].Release < st.Now {
+			return fmt.Errorf("sim: restore: job %d is pending release at %d, before the clock %d", id, jobs[id].Release, st.Now)
+		}
 	}
+	waiting := 0
 	for org, q := range st.Queues {
 		for _, id := range q {
 			if err := list("queues", id); err != nil {
@@ -204,6 +229,11 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 				return fmt.Errorf("sim: restore: job %d queued under organization %d, belongs to %d", id, org, jobs[id].Org)
 			}
 		}
+		waiting += len(q)
+	}
+	// Dispatch leaves no machine idle while a job waits.
+	if waiting > 0 && len(running) < len(c.owners) {
+		return fmt.Errorf("sim: restore: %d jobs wait while %d of %d machines idle", waiting, len(c.owners)-len(running), len(c.owners))
 	}
 	for _, id := range st.Withdrawn {
 		if err := list("withdrawn list", id); err != nil {
@@ -211,26 +241,44 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		}
 	}
 	for id, j := range jobs {
-		if !c.noStarts && listed[id] == 0 && c.coal.Has(j.Org) {
+		if !c.noStarts && !listed[id] && c.coal.Has(j.Org) {
 			return fmt.Errorf("sim: restore: job %d is neither started, pending, queued nor withdrawn", id)
 		}
 	}
 
 	c.now = st.Now
-	// Unflushed: the first value query folds the running windows, a
-	// no-op where the capturing cluster had already done so.
-	c.flushedAt = st.Now - 1
 	c.releaseOrder = append(c.releaseOrder[:0], pending...)
 	c.nextRelease = 0
-	c.totalWaiting = 0
+	c.totalWaiting = waiting
 	for org, q := range st.Queues {
 		c.queues[org] = append([]int(nil), q...)
 		c.qHead[org] = 0
-		c.totalWaiting += len(q)
 	}
-	c.running = append(runHeap(nil), st.Running...)
+	c.total = ValuePoly{}
+	for org := range c.orgAcct {
+		c.orgAcct[org], c.ownAcct[org] = ValuePoly{}, ValuePoly{}
+		if c.noStarts {
+			c.orgAcct[org].Account, c.ownAcct[org].Account = st.OrgAcct[org], st.OwnAcct[org]
+			c.total.Add(st.OrgAcct[org])
+		}
+	}
+	for _, r := range finished {
+		c.start(r)
+		c.finish(r)
+	}
+	c.running = c.running[:0]
 	clear(c.runningPerOrg)
-	for _, r := range st.Running {
+	for _, r := range running {
+		if r.Folded != nil {
+			var w utility.Account
+			w.AddScaledWindow(r.Start, jobs[r.Job].Size, c.speeds[r.Machine], r.Start, *r.Folded)
+			for _, a := range c.accounts(jobs[r.Job].Org, r.Machine) {
+				a.U, a.S = a.U-w.U, a.S-w.S
+			}
+			r.Folded = nil
+		}
+		c.running.push(r)
+		c.start(r)
 		c.runningPerOrg[jobs[r.Job].Org]++
 	}
 	c.free = c.free[:0]
@@ -238,12 +286,6 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		if !b {
 			c.free = append(c.free, m)
 		}
-	}
-	copy(c.orgAcct, st.OrgAcct)
-	copy(c.ownAcct, st.OwnAcct)
-	c.total = utility.Account{}
-	for _, a := range st.OrgAcct {
-		c.total.Add(a)
 	}
 	c.starts = append([]Start(nil), st.Starts...)
 	for i := range c.starts {

@@ -133,9 +133,10 @@ func TestCaptureRestoreMidRun(t *testing.T) {
 }
 
 // midRunCluster stops a two-machine run with a job in every place a
-// member job can be: 0 and 1 running (and in the decision log), 2
-// queued, 3 withdrawn from its queue, 4 pending.
-func midRunCluster() *Cluster {
+// member job can be: 0 and 1 running (and in the decision log, unless
+// the cluster keeps none), 2 queued, 3 withdrawn from its queue, 4
+// pending.
+func midRunCluster(discard bool) *Cluster {
 	in := model.MustNewInstance(
 		[]model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}},
 		[]model.Job{
@@ -147,6 +148,9 @@ func midRunCluster() *Cluster {
 		},
 	)
 	c := New(in, in.Grand(), fifoByID(), nil)
+	if discard {
+		c.DiscardStarts()
+	}
 	c.Run(2)
 	if ok, err := c.Withdraw(1, 3); !ok || err != nil {
 		panic("job 3 is not withdrawable")
@@ -180,59 +184,85 @@ func cloneState(t *testing.T, st ClusterState, extra map[string]string) ClusterS
 }
 
 func TestRestoreRejectsMismatchedState(t *testing.T) {
-	c := midRunCluster()
-	st := c.CaptureState()
-	if len(st.Running) != 2 || len(st.Starts) != 2 || len(st.Queues[0]) != 1 || len(st.Withdrawn) != 1 || len(st.ReleaseOrder) != 1 {
-		t.Fatalf("the fixture no longer holds a job in every list: %+v", st)
+	c, silent := midRunCluster(false), midRunCluster(true)
+	st, hyp := c.CaptureState(), silent.CaptureState()
+	if len(st.Running) != 0 || len(st.OrgAcct) != 0 || len(st.Starts) != 2 || len(st.Queues[0]) != 1 || len(st.Withdrawn) != 1 || len(st.ReleaseOrder) != 1 {
+		t.Fatalf("the fixture no longer holds a job in every list, or stores what its log says: %+v", st)
+	}
+	if len(hyp.Running) != 2 || len(hyp.OrgAcct) != 2 || len(hyp.Starts) != 0 {
+		t.Fatalf("the log-less fixture does not store its running entries and accounts: %+v", hyp)
 	}
 	if err := New(c.inst, model.Singleton(0), fifoByID(), nil).RestoreState(st); err == nil {
 		t.Error("coalition mismatch accepted")
 	}
-	for name, doctor := range map[string]func(*ClusterState){
-		"unknown job in release order":      func(s *ClusterState) { s.ReleaseOrder[0] = 99 },
-		"running entry with unknown job":    func(s *ClusterState) { s.Running[0].Job = 999 },
-		"running entry on unknown machine":  func(s *ClusterState) { s.Running[0].Machine = 2 },
-		"two running entries on a machine":  func(s *ClusterState) { s.Running[1].Machine = s.Running[0].Machine },
-		"completion in the clock's past":    func(s *ClusterState) { s.Now = 7 },
-		"running window longer than job":    func(s *ClusterState) { s.Running[0].End++ },
-		"accrual window before the start":   func(s *ClusterState) { s.Running[0].Start, s.Running[0].End = 1, 6 },
-		"running entries out of heap order": func(s *ClusterState) { s.Running[0].Start, s.Running[0].End, s.Running[0].AccFrom = 1, 6, 1 },
-		"job queued under another org":      func(s *ClusterState) { s.Queues[0], s.Queues[1] = nil, []int{2} },
-		"queue with unknown job":            func(s *ClusterState) { s.Queues[0] = []int{42} },
-		"decision log with unknown job":     func(s *ClusterState) { s.Starts[0].Job = 42 },
-		"organization count":                func(s *ClusterState) { s.OrgAcct = s.OrgAcct[:1] },
-		"next release index out of range":   func(s *ClusterState) { s.NextRelease = 2 },
-		// The decision log against the other lists: engine.Waiting is
-		// jobs − starts − withdrawn, so each of these restored a wrong
-		// backlog before the partition check.
-		"decision log cut short":           func(s *ClusterState) { s.Starts = s.Starts[:1] },
-		"decision log emptied":             func(s *ClusterState) { s.Starts = nil },
-		"job started twice":                func(s *ClusterState) { s.Starts = append(s.Starts, s.Starts[0]) },
-		"queued job in the decision log":   func(s *ClusterState) { s.Starts = append(s.Starts, Start{Job: 2, At: 1}) },
-		"job neither started nor anywhere": func(s *ClusterState) { s.Queues[0] = nil },
-		"job pending and queued":           func(s *ClusterState) { s.ReleaseOrder = append(s.ReleaseOrder, 2) },
-		"job queued and withdrawn":         func(s *ClusterState) { s.Withdrawn = append(s.Withdrawn, 2) },
-		"job queued twice":                 func(s *ClusterState) { s.Queues[0] = []int{2, 2} },
-		"job running twice":                func(s *ClusterState) { s.Running[1].Job = s.Running[0].Job },
+	for _, table := range []struct {
+		into   *Cluster
+		clean  ClusterState
+		doctor map[string]func(*ClusterState)
+	}{
+		{c, st, map[string]func(*ClusterState){
+			"unknown job in release order":    func(s *ClusterState) { s.ReleaseOrder[0] = 99 },
+			"job queued under another org":    func(s *ClusterState) { s.Queues[0], s.Queues[1] = nil, []int{2} },
+			"queue with unknown job":          func(s *ClusterState) { s.Queues[0] = []int{42} },
+			"decision log with unknown job":   func(s *ClusterState) { s.Starts[0].Job = 42 },
+			"organization count":              func(s *ClusterState) { s.Queues = s.Queues[:1] },
+			"next release index out of range": func(s *ClusterState) { s.NextRelease = 2 },
+			// The decision log against the other lists: engine.Waiting is
+			// jobs − starts − withdrawn, so each of these restored a wrong
+			// backlog before the partition check.
+			"decision log cut short":           func(s *ClusterState) { s.Starts = s.Starts[:1] },
+			"decision log emptied":             func(s *ClusterState) { s.Starts = nil },
+			"job started twice":                func(s *ClusterState) { s.Starts = append(s.Starts, s.Starts[0]) },
+			"queued job in the decision log":   func(s *ClusterState) { s.Starts = append(s.Starts, Start{Job: 2, At: 1}) },
+			"job neither started nor anywhere": func(s *ClusterState) { s.Queues[0] = nil },
+			"job pending and queued":           func(s *ClusterState) { s.ReleaseOrder = append(s.ReleaseOrder, 2) },
+			"job queued and withdrawn":         func(s *ClusterState) { s.Withdrawn = append(s.Withdrawn, 2) },
+			"job queued twice":                 func(s *ClusterState) { s.Queues[0] = []int{2, 2} },
+			"two logged jobs on a machine":     func(s *ClusterState) { s.Starts[1].Machine = 0 },
+			// Both logged jobs end at 5: at 7 machine 0 idles while job 2 waits.
+			"machine idle while a job waits": func(s *ClusterState) { s.Now = 7 },
+		}},
+		{silent, hyp, map[string]func(*ClusterState){
+			"running entry with unknown job":    func(s *ClusterState) { s.Running[0].Job = 999 },
+			"running entry on unknown machine":  func(s *ClusterState) { s.Running[0].Machine = 2 },
+			"two running entries on a machine":  func(s *ClusterState) { s.Running[1].Machine = s.Running[0].Machine },
+			"completion in the clock's past":    func(s *ClusterState) { s.Now = 7 },
+			"start after the clock":             func(s *ClusterState) { s.Running[0].Start = 3 },
+			"fold mark before the start":        func(s *ClusterState) { s.Running[0].Start, s.Running[0].Folded = 1, new(model.Time) },
+			"running entries out of heap order": func(s *ClusterState) { s.Running[0].Start = 1 },
+			"organization count":                func(s *ClusterState) { s.OrgAcct = s.OrgAcct[:1] },
+			"job running twice":                 func(s *ClusterState) { s.Running[1].Job = s.Running[0].Job },
+			"job running and queued":            func(s *ClusterState) { s.Queues[0] = append(s.Queues[0], s.Running[0].Job) },
+		}},
 	} {
-		bad := cloneState(t, st, nil)
-		doctor(&bad)
-		if err := c.RestoreState(bad); err == nil {
-			t.Errorf("%s accepted", name)
+		for name, doctor := range table.doctor {
+			bad := cloneState(t, table.clean, nil)
+			doctor(&bad)
+			if err := table.into.RestoreState(bad); err == nil {
+				t.Errorf("%s accepted", name)
+			}
+		}
+		if err := table.into.RestoreState(table.clean); err != nil {
+			t.Fatalf("the undoctored capture is refused: %v", err)
 		}
 	}
-	if err := c.RestoreState(st); err != nil {
-		t.Fatalf("the undoctored capture is refused: %v", err)
+
+	// A pending release the clock has passed was answered as due now and
+	// served late: job 4, released at 1 in this copy of the instance.
+	early := &model.Instance{Orgs: c.inst.Orgs, Jobs: append([]model.Job(nil), c.inst.Jobs...)}
+	early.Jobs[4].Release = 1
+	if err := New(early, early.Grand(), fifoByID(), nil).RestoreState(st); err == nil {
+		t.Error("pending release before the clock accepted")
 	}
 
 	// The decision log is read back too — by /decisions, by a federation's
 	// own log: four instants later jobs 0 and 1 have finished, 2 runs on
 	// machine 0 since 5, and each line is held to the pool, to
-	// [release, now], to the order starts are made in, and to the running
-	// entry it describes. (All of these restored before the check.)
+	// [release, now], to the order starts are made in, and to the
+	// machine's previous job. (All of these restored before the check.)
 	c.Run(6)
 	st = c.CaptureState()
-	if len(st.Starts) != 3 || len(st.Running) != 1 || st.Starts[2] != (Start{Job: 2, Org: 0, Machine: 0, At: 5}) {
+	if len(st.Starts) != 3 || st.Starts[2] != (Start{Job: 2, Org: 0, Machine: 0, At: 5}) || len(c.running) != 1 {
 		t.Fatalf("the later fixture is not two finished jobs and a running one: %+v", st)
 	}
 	for name, doctor := range map[string]func(*ClusterState){
@@ -241,8 +271,7 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 		"start after the clock":                      func(s *ClusterState) { s.Starts[1].At = 123456 },
 		"start before the release":                   func(s *ClusterState) { s.Starts[0].At = -1 },
 		"log out of start order":                     func(s *ClusterState) { s.Starts[0].At = 3 },
-		"running job logged on another machine":      func(s *ClusterState) { s.Starts[2].Machine = 1 },
-		"running job logged at another instant":      func(s *ClusterState) { s.Starts[2].At = 4 },
+		"running job started before its machine was": func(s *ClusterState) { s.Starts[2].At = 4 },
 	} {
 		bad := cloneState(t, st, nil)
 		doctor(&bad)
@@ -264,11 +293,13 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 
 // The free list, the per-organization running counts, the total account,
 // the flush mark and the fired releases of a version-1 document are not
-// read: whatever they say, the restored cluster is the one the other
-// fields describe. A cluster that keeps no decision log drops a
-// document's, and still refuses a job in two places.
+// read, nor — where a decision log is kept — running entries, their
+// ends and the accounts: whatever they say, the restored cluster is the
+// one the other fields describe. A cluster that keeps no decision log
+// drops a document's, subtracts what a legacy fold mark says its
+// accounts already hold, and still refuses a job in two places.
 func TestRestoreRecomputesDerivedFields(t *testing.T) {
-	c := midRunCluster()
+	c := midRunCluster(false)
 	clean := c.CaptureState()
 	want, err := json.Marshal(clean)
 	if err != nil {
@@ -281,6 +312,9 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 		"flushed_at":      `77`,
 		"release_order":   `[0,1,2,3,4]`,
 		"next_release":    `4`,
+		"running":         `[{"end":-4,"machine":1,"job":4,"start":-9,"acc_from":1}]`,
+		"org_acct":        `[{"U":5,"S":-5}]`,
+		"own_acct":        `[]`,
 	})
 	restored := New(c.inst, c.coal, fifoByID(), nil)
 	if err := restored.RestoreState(v1); err != nil {
@@ -298,22 +332,32 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 		t.Fatalf("restored run ended\n%s\nwant\n%s", got, want)
 	}
 
-	silent := New(c.inst, c.coal, fifoByID(), nil)
-	silent.DiscardStarts()
-	garbage := cloneState(t, clean, nil)
+	silent := midRunCluster(true)
+	hyp := silent.CaptureState()
+	wantHyp, _ := json.Marshal(hyp)
+	garbage := cloneState(t, hyp, nil)
 	garbage.Starts = []Start{{Job: 42}, {Job: 2}, {Job: 2}}
-	if err := silent.RestoreState(garbage); err != nil {
-		t.Fatalf("a cluster without a decision log read the document's: %v", err)
+	// A version-3 writer had folded job 0's first slot into its owner's
+	// accounts and marked it.
+	folded := model.Time(1)
+	garbage.Running[0].Folded = &folded
+	org, own := silent.inst.Jobs[garbage.Running[0].Job].Org, silent.owners[garbage.Running[0].Machine]
+	garbage.OrgAcct[org].AddWindow(0, 1)
+	garbage.OwnAcct[own].AddWindow(0, 1)
+	into := New(c.inst, c.coal, fifoByID(), nil)
+	into.DiscardStarts()
+	if err := into.RestoreState(garbage); err != nil {
+		t.Fatalf("a cluster without a decision log read the document's, or a fold mark: %v", err)
 	}
-	if got, _ := json.Marshal(silent.CaptureState()); bytes.Contains(got, []byte("starts")) {
-		t.Fatalf("a cluster without a decision log captured one: %s", got)
+	if got, _ := json.Marshal(into.CaptureState()); !bytes.Equal(got, wantHyp) {
+		t.Fatalf("a cluster without a decision log re-captured\n%s\nwant\n%s", got, wantHyp)
 	}
-	silent.Run(40)
-	if silent.Starts() != nil || silent.Value() != c.Value() {
-		t.Fatalf("log-less run: starts %v, value %d, want none and %d", silent.Starts(), silent.Value(), c.Value())
+	into.Run(40)
+	if into.Starts() != nil || into.Value() != c.Value() {
+		t.Fatalf("log-less run: starts %v, value %d, want none and %d", into.Starts(), into.Value(), c.Value())
 	}
 	garbage.ReleaseOrder = append(garbage.ReleaseOrder, garbage.Running[0].Job)
-	if err := silent.RestoreState(garbage); err == nil {
+	if err := into.RestoreState(garbage); err == nil {
 		t.Error("a job pending and running accepted by a cluster without a decision log")
 	}
 }
