@@ -162,10 +162,11 @@ func (r *Ref) Run(until model.Time) *Result { return runStepper(r, until) }
 // snapshot loads the engine with the values at t of every coalition up
 // to mask, in mask order — which puts every subcoalition of mask before
 // it. Values at t do not depend on what starts at t (schedSet invariant
-// 2), so the coalitions dispatching at one instant share a single pass
-// over the slots; it runs as far as the largest dispatching mask — all
-// 2^k−1 slots whenever the grand coalition dispatches — and each slot is
-// read once per instant however many coalitions dispatch at it.
+// 2), so the coalitions refreshed at one instant share a single pass
+// over the slots; it runs as far as the largest refreshed mask — all
+// 2^k−1 slots whenever the grand coalition's dispatch is contested —
+// and each slot is read once per instant however many coalitions are
+// refreshed at it.
 func (r *Ref) snapshot(mask model.Coalition, t model.Time) {
 	if r.snapAt != t {
 		r.snapAt, r.snapped = t, 0
@@ -193,19 +194,11 @@ func (r *Ref) phiAt(t model.Time) []float64 {
 }
 
 // PhiOf returns the most recently computed contribution vector for a
-// coalition (valid after Run for the grand coalition, or mid-run for
-// any coalition that has dispatched).
+// coalition. The grand coalition's is current after Run; any other
+// coalition's dates from its last contested dispatch (in the reference
+// mode, its last dispatch): an uncontested one does not refresh it.
 func (r *Ref) PhiOf(mask model.Coalition) []float64 {
 	return append([]float64(nil), r.phi[r.slotOf[mask]]...)
-}
-
-// ValueOf returns coalition mask's value at the cluster's current time.
-// The empty coalition has value 0.
-func (r *Ref) ValueOf(mask model.Coalition) int64 {
-	if mask.Empty() {
-		return 0
-	}
-	return r.Cluster(mask).Value()
 }
 
 // Cluster exposes a subcoalition's cluster (read-only use intended);

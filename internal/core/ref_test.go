@@ -11,6 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
+// ValueOf returns coalition mask's value at the cluster's current time.
+// The empty coalition has value 0.
+func (r *Ref) ValueOf(mask model.Coalition) int64 {
+	if mask.Empty() {
+		return 0
+	}
+	return r.Cluster(mask).Value()
+}
+
 func randCoreInstance(r *rand.Rand, k int, unit bool) *model.Instance {
 	orgs := make([]model.Org, k)
 	for i := range orgs {

@@ -41,9 +41,16 @@ import (
 //     are unaffected by same-instant starts — one value snapshot serves
 //     every slot dispatching at t, in any order.
 //
+// A dispatching slot's targets are refreshed only when the dispatch is
+// contested (sim.Cluster.Contested): with one organization waiting,
+// Select has one legal answer, and nothing arrives during Dispatch, so
+// targets cannot change a start. They are read by nothing else — phiAt
+// recomputes — and are not checkpointed.
+//
 // The reference mode (scan; RefOptions.Driver == DriverScan) is the
 // same loop with the acceleration removed: the instant is found by
-// asking every cluster and every slot is touched — never a key. It is
+// asking every cluster, every slot is touched — never a key — and
+// every dispatch refreshes its targets. It is
 // the oracle the differential tests hold the default mode to, and what
 // a one-slot set runs (there is nothing to skip).
 //
@@ -63,13 +70,15 @@ type schedSet struct {
 	keys    []model.Time // slot -> NextEventTime (sim.MaxTime: drained)
 	all     []int        // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
 	touched []int        // scratch
+	batch   []int        // scratch: an Inject batch in release order
 }
 
 // plug is what an algorithm adds to the schedule-set core.
 type plug interface {
 	// retarget refreshes the target vector the slot's policy selects
-	// by, at instant t. The loop calls it once per dispatching slot per
-	// instant, immediately before Dispatch.
+	// by, at instant t, immediately before Dispatch: at every dispatch
+	// in the reference mode, at a contested one otherwise. It writes
+	// only target vectors, from the values at t.
 	retarget(slot int, t model.Time)
 	// phiAt returns the contribution (or target) vector Result reports
 	// at t, nil for algorithms that compute none. Every slot stands at
@@ -174,7 +183,8 @@ func (s *schedSet) NextEventTime() model.Time {
 
 // StepNext implements Stepper: take the touched set at the earliest
 // instant, advance it, let its dispatchable slots schedule in slot
-// order against freshly refreshed targets, then re-key it.
+// order, against freshly refreshed targets where contested, then re-key
+// it.
 func (s *schedSet) StepNext(until model.Time) bool {
 	t := s.NextEventTime()
 	if t == sim.MaxTime || t > until {
@@ -193,7 +203,11 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	s.advance(touched, t)
 	for _, i := range touched {
 		if c := s.slots[i]; c.CanDispatch() {
-			s.plug.retarget(i, t)
+			// Uncontested, every start goes to the one organization
+			// waiting, whatever the targets say (DESIGN.md §2, step 3).
+			if s.scan || c.Contested() {
+				s.plug.retarget(i, t)
+			}
 			c.Dispatch()
 		}
 	}
@@ -226,14 +240,24 @@ func (s *schedSet) ResultAt(t model.Time) *Result {
 
 // Inject implements Stepper: register online arrivals (already appended
 // to the instance) with every slot; clusters ignore non-member jobs.
-// A pending release changes no executed work, but keys go stale, so
-// each slot is re-keyed in place.
+// A batch out of release order is sorted once, in the set's scratch,
+// so that each slot enters it in one merge. A pending release changes
+// no executed work, but keys go stale, so each slot is re-keyed in
+// place.
 func (s *schedSet) Inject(ids []int) error {
+	for _, id := range ids {
+		if id < 0 || id >= len(s.inst.Jobs) {
+			return fmt.Errorf("core: %s: inject: job %d not in instance", s.name, id)
+		}
+	}
+	if !sim.InReleaseOrder(s.inst.Jobs, ids) {
+		s.batch = append(s.batch[:0], ids...)
+		sim.SortByRelease(s.inst.Jobs, s.batch)
+		ids = s.batch
+	}
 	for i, c := range s.slots {
-		for _, id := range ids {
-			if err := c.Inject(id); err != nil {
-				return err
-			}
+		if err := c.Inject(ids...); err != nil {
+			return err
 		}
 		s.rekey(i)
 	}

@@ -60,7 +60,7 @@ type Cluster struct {
 	capacity       int64 // Σ speeds
 	machinesPerOrg []int
 	capacityPerOrg []int64
-	free           []int // free machine IDs, sorted at dispatch
+	free           []int // free machine IDs, ascending unless a MachineOrderer reordered them
 	running        runHeap
 
 	releaseOrder []int // job IDs of members, by (Release, ID)
@@ -78,6 +78,7 @@ type Cluster struct {
 	total   ValuePoly
 
 	policy   Policy
+	orderer  MachineOrderer // policy, when it reorders the free machines
 	rng      *rand.Rand
 	starts   []Start
 	noStarts bool // DiscardStarts: starts stays nil
@@ -132,6 +133,7 @@ func New(inst *model.Instance, coal model.Coalition, p Policy, rng *rand.Rand) *
 	}
 	c.view = View{c}
 	if p != nil {
+		c.orderer, _ = p.(MachineOrderer)
 		p.Attach(&c.view, rng)
 	}
 	return c
@@ -179,7 +181,7 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 	for len(c.running) > 0 && c.running[0].End <= t {
 		top := c.running.pop()
 		c.finish(top)
-		c.free = append(c.free, top.Machine)
+		c.freeMachine(int(top.Machine))
 		c.runningPerOrg[c.inst.Jobs[top.Job].Org]--
 	}
 	c.now = t
@@ -192,28 +194,40 @@ func (c *Cluster) accounts(org, m int) [3]*ValuePoly {
 	return [3]*ValuePoly{&c.orgAcct[org], &c.ownAcct[c.owners[m]], &c.total}
 }
 
+// freeMachine puts machine m back into the free list, in order: the
+// list stays ascending, and Dispatch sorts only after a MachineOrderer.
+func (c *Cluster) freeMachine(m int) {
+	i := len(c.free)
+	c.free = append(c.free, m)
+	for ; i > 0 && c.free[i-1] > m; i-- {
+		c.free[i] = c.free[i-1]
+	}
+	c.free[i] = m
+}
+
 // start books r's running term into its accounts.
-func (c *Cluster) start(r RunEntryState) {
+func (c *Cluster) start(r runEntry) {
 	q := int64(c.speeds[r.Machine])
-	for _, a := range c.accounts(c.inst.Jobs[r.Job].Org, r.Machine) {
+	for _, a := range c.accounts(c.inst.Jobs[r.Job].Org, int(r.Machine)) {
 		a.run(q, r.Start)
 	}
 }
 
 // finish swaps r's running term for its finished work, the whole window
 // [Start, End) scaled by the machine's speed.
-func (c *Cluster) finish(r RunEntryState) {
+func (c *Cluster) finish(r runEntry) {
 	j, q := c.inst.Jobs[r.Job], c.speeds[r.Machine]
-	for _, a := range c.accounts(j.Org, r.Machine) {
+	for _, a := range c.accounts(j.Org, int(r.Machine)) {
 		a.run(-int64(q), r.Start)
 		a.AddScaledWindow(r.Start, j.Size, q, r.Start, r.End)
 	}
 }
 
-// end returns the completion instant of r: its start plus ⌈size/speed⌉.
-func (c *Cluster) end(r RunEntryState) model.Time {
-	q := model.Time(c.speeds[r.Machine])
-	return r.Start + (c.inst.Jobs[r.Job].Size+q-1)/q
+// entry returns the execution of job on machine m from start, ending at
+// its start plus ⌈size/speed⌉.
+func (c *Cluster) entry(job, m int, start model.Time) runEntry {
+	q := model.Time(c.speeds[m])
+	return runEntry{End: start + (c.inst.Jobs[job].Size+q-1)/q, Start: start, Job: int32(job), Machine: int32(m)}
 }
 
 // releaseUpTo enqueues every job with Release ≤ t.
@@ -239,6 +253,27 @@ func (c *Cluster) releaseUpTo(t model.Time) {
 // CanDispatch reports whether the cluster currently has both a free
 // machine and a waiting job, i.e. Dispatch would start at least one job.
 func (c *Cluster) CanDispatch() bool { return c.totalWaiting > 0 && len(c.free) > 0 }
+
+// Contested reports whether two or more organizations have a waiting
+// job. When at most one does, a policy's Select has one legal answer —
+// it must name an organization with a waiting job — and Dispatch takes
+// nothing new in, so every start it makes is known before the policy is
+// asked.
+func (c *Cluster) Contested() bool {
+	if c.totalWaiting < 2 {
+		return false
+	}
+	waiting := 0
+	for org, q := range c.queues {
+		if len(q) > c.qHead[org] {
+			waiting++
+		}
+		if waiting == 2 {
+			return true
+		}
+	}
+	return false
+}
 
 // Withdraw removes a not-yet-started job from the cluster: from the
 // organization's wait queue if it has been released, or from the
@@ -289,26 +324,20 @@ func (c *Cluster) Withdraw(org, id int) (bool, error) {
 // cluster.
 func (c *Cluster) WithdrawnCount() int { return len(c.withdrawn) }
 
-// WithdrawnJobs appends the IDs of withdrawn jobs, in withdrawal order, to buf and returns the result. Callers
-// polling every step pass a reused buffer (buf[:0]) to keep the read
-// allocation-free; pass nil for a fresh copy. Callers that only need
-// the count should use WithdrawnCount.
-func (c *Cluster) WithdrawnJobs(buf []int) []int { return append(buf, c.withdrawn...) }
-
 // Dispatch runs the greedy loop at the current instant: while a free
 // machine and a waiting job exist, ask the policy and start the job.
 func (c *Cluster) Dispatch() {
 	if c.totalWaiting == 0 || len(c.free) == 0 {
 		return
 	}
-	// Completions pop in (end, machine) order and the compaction below
-	// keeps the rest in place, so the list is nearly always ascending
-	// already; sorting is for the instants that mix completion times.
-	if !sort.IntsAreSorted(c.free) {
-		sort.Ints(c.free)
-	}
-	if mo, ok := c.policy.(MachineOrderer); ok {
-		mo.OrderMachines(c.now, c.free)
+	if c.orderer != nil {
+		// Completions insert in order and the compaction below keeps the
+		// rest in place: only an earlier reordering can have left the
+		// list out of order.
+		if !sort.IntsAreSorted(c.free) {
+			sort.Ints(c.free)
+		}
+		c.orderer.OrderMachines(c.now, c.free)
 	}
 	used := 0
 	for _, m := range c.free {
@@ -339,8 +368,7 @@ func (c *Cluster) startHead(org int, m int) {
 		c.qHead[org] = 0
 	}
 	c.totalWaiting--
-	r := RunEntryState{Job: id, Machine: m, Start: c.now}
-	r.End = c.end(r)
+	r := c.entry(id, m, c.now)
 	c.running.push(r)
 	c.start(r)
 	c.runningPerOrg[org]++
@@ -450,9 +478,18 @@ func (c *Cluster) Utilization() float64 {
 	return float64(c.ExecutedUnits()) / (float64(c.capacity) * float64(c.now))
 }
 
+// runEntry is one executing job in the completion heap. It holds no
+// pointer, so a heap swap pays no write barrier and the collector never
+// scans the heap. Job and machine are indices into the instance's jobs
+// and the pool, which 32 bits hold on every platform.
+type runEntry struct {
+	End, Start   model.Time
+	Job, Machine int32
+}
+
 // runHeap is a binary min-heap ordered by (end, machine) for
 // deterministic completion processing.
-type runHeap []RunEntryState
+type runHeap []runEntry
 
 func (h runHeap) less(i, j int) bool {
 	if h[i].End != h[j].End {
@@ -461,7 +498,7 @@ func (h runHeap) less(i, j int) bool {
 	return h[i].Machine < h[j].Machine
 }
 
-func (h *runHeap) push(e RunEntryState) {
+func (h *runHeap) push(e runEntry) {
 	*h = append(*h, e)
 	i := len(*h) - 1
 	for i > 0 {
@@ -474,7 +511,7 @@ func (h *runHeap) push(e RunEntryState) {
 	}
 }
 
-func (h *runHeap) pop() RunEntryState {
+func (h *runHeap) pop() runEntry {
 	old := *h
 	top := old[0]
 	n := len(old) - 1

@@ -255,7 +255,7 @@ func checkWithdrawInvariants(t *testing.T, in *model.Instance, c *Cluster, withd
 	}
 	for _, ss := range perMachine {
 		for i := 1; i < len(ss); i++ {
-			prevEnd := c.end(RunEntryState{Job: ss[i-1].Job, Machine: ss[i-1].Machine, Start: ss[i-1].At})
+			prevEnd := c.entry(ss[i-1].Job, ss[i-1].Machine, ss[i-1].At).End
 			if ss[i].At < prevEnd {
 				t.Fatalf("machine %d overlap: job %d (ends %d) and job %d (starts %d)",
 					ss[i].Machine, ss[i-1].Job, prevEnd, ss[i].Job, ss[i].At)
@@ -437,15 +437,18 @@ func TestWithdrawArgumentValidation(t *testing.T) {
 }
 
 // FuzzClusterAccounting drives an arbitrary byte-directed interleaving
-// of event stepping and withdrawals on identical or related machines,
-// holds every account to the from-scratch oracle after each operation
-// up to the next event, then drains and checks the conservation
-// invariants — for the corners a uniform RNG rarely hits (withdraw
-// storms, empty queues, completions on fast machines).
+// of event stepping, withdrawals and batches of arrivals on identical
+// or related machines. After each operation it holds every account to
+// the from-scratch oracle up to the next event, Contested to a recount
+// of the queues and the free list to ascending order; then it drains
+// and checks the conservation invariants — for the corners a uniform
+// RNG rarely hits (withdraw storms, empty queues, completions on fast
+// machines, arrivals due at the clock).
 func FuzzClusterAccounting(f *testing.F) {
 	f.Add(int64(1), []byte{0, 4, 8, 1, 2, 5})
 	f.Add(int64(7), []byte{1, 1, 1, 2, 2, 2, 0, 0})
 	f.Add(int64(42), []byte{})
+	f.Add(int64(3), []byte{3, 0, 15, 1, 0, 7, 2, 11, 0, 0})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		r := rand.New(rand.NewSource(seed))
 		in := randInstance(r, false)
@@ -459,9 +462,22 @@ func FuzzClusterAccounting(f *testing.F) {
 			ops = ops[:256]
 		}
 		for _, b := range ops {
-			if b%2 == 0 {
+			switch q := queuedJobs(c); {
+			case b%2 == 0:
 				c.Step(horizon)
-			} else if q := queuedJobs(c); len(q) > 0 {
+			case b%4 == 3:
+				// 1 to 4 arrivals due within 5 ticks of the clock, in the
+				// order r shuffles them into.
+				batch := make([]int, 1+int(b/4)%4)
+				for i := range batch {
+					batch[i] = len(in.Jobs)
+					in.Jobs = append(in.Jobs, model.Job{ID: batch[i], Org: r.Intn(len(in.Orgs)), Release: c.Now() + model.Time(r.Intn(6)), Size: model.Time(1 + r.Intn(9))})
+				}
+				r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+				if err := c.Inject(batch...); err != nil {
+					t.Fatal(err)
+				}
+			case len(q) > 0:
 				id := q[int(b/2)%len(q)]
 				ok, err := c.Withdraw(in.Jobs[id].Org, id)
 				if err != nil {
@@ -472,9 +488,21 @@ func FuzzClusterAccounting(f *testing.F) {
 				}
 				withdrawn[id] = true
 			}
+			waiting := 0
+			for org := range in.Orgs {
+				if c.View().Waiting(org) > 0 {
+					waiting++
+				}
+			}
+			if c.Contested() != (waiting >= 2) {
+				t.Fatalf("Contested() = %v with %d organizations waiting", c.Contested(), waiting)
+			}
+			if !sort.IntsAreSorted(c.free) {
+				t.Fatalf("free machines %v out of order under a policy that does not reorder them", c.free)
+			}
 			checkAccountsToNextEvent(t, c, horizon)
 		}
-		c.Run(horizon)
+		c.Run(drainHorizon(in))
 		checkAccountsToNextEvent(t, c, horizon)
 		checkWithdrawInvariants(t, in, c, withdrawn)
 	})

@@ -75,9 +75,6 @@ func (v *View) Orgs() int { return len(v.c.inst.Orgs) }
 // Coalition returns the coalition this cluster simulates.
 func (v *View) Coalition() model.Coalition { return v.c.coal }
 
-// Machines returns the number of machines in the coalition pool.
-func (v *View) Machines() int { return len(v.c.owners) }
-
 // Waiting returns the number of released, not yet started jobs of org.
 func (v *View) Waiting(org int) int { return len(v.c.queues[org]) - v.c.qHead[org] }
 
@@ -117,6 +114,3 @@ func (v *View) Share(org int) float64 {
 	}
 	return float64(v.c.capacityPerOrg[org]) / float64(v.c.capacity)
 }
-
-// MachineSpeed returns machine m's speed (1 on identical machines).
-func (v *View) MachineSpeed(m int) int { return v.c.speeds[m] }

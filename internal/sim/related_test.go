@@ -9,6 +9,12 @@ import (
 	"repro/internal/utility"
 )
 
+// Machines returns the number of machines in the coalition pool.
+func (v *View) Machines() int { return len(v.c.owners) }
+
+// MachineSpeed returns machine m's speed (1 on identical machines).
+func (v *View) MachineSpeed(m int) int { return v.c.speeds[m] }
+
 // On a speed-q machine a size-p job runs for ⌈p/q⌉ time units and its
 // work units complete q per slot (remainder in the last slot). ψsp
 // counts work units, each worth t − (its completion slot).

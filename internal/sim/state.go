@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/utility"
@@ -15,54 +14,109 @@ import (
 // run can stop, persist, and resume byte-identically. Both are used by
 // internal/engine; batch runs never touch them.
 
-// Inject registers a job that was appended to the instance after the
-// cluster was built (an online arrival). The job must already be in
-// inst.Jobs at index id, must belong to a member organization (non-
-// member jobs are ignored, mirroring New), and must not be released in
-// the cluster's past: its release becomes a future event exactly as if
-// the job had been known from the start. A release equal to the current
-// time is allowed — NextEventTime then fires at the current instant and
-// the normal event path enqueues and dispatches it. A withdrawn job
-// stays withdrawn: work that moves elsewhere enters there as a new job.
-func (c *Cluster) Inject(id int) error {
-	if id < 0 || id >= len(c.inst.Jobs) {
-		return fmt.Errorf("sim: inject: job %d not in instance", id)
+// Inject registers jobs that were appended to the instance after the
+// cluster was built (online arrivals). Each must already be in
+// inst.Jobs at its index. Jobs of non-member organizations are ignored,
+// mirroring New; a member's must not be released in the cluster's past:
+// its release becomes a future event exactly as if the job had been
+// known from the start. A release equal to the current time is
+// allowed — NextEventTime then fires at the current instant and the
+// normal event path enqueues and dispatches it. A withdrawn job stays
+// withdrawn: work that moves elsewhere enters there as a new job.
+//
+// Every ID is checked before any is entered, so an error leaves the
+// cluster as it was. The members then enter the pending releases in one
+// merge: as given when they are InReleaseOrder, sorted first otherwise.
+func (c *Cluster) Inject(ids ...int) error {
+	jobs := c.inst.Jobs
+	members, last, sorted := 0, 0, true
+	for _, id := range ids {
+		if id < 0 || id >= len(jobs) {
+			return fmt.Errorf("sim: inject: job %d not in instance", id)
+		}
+		j := jobs[id]
+		if !c.coal.Has(j.Org) {
+			continue
+		}
+		if j.Release < c.now {
+			return fmt.Errorf("sim: inject: job %d released at %d, before current time %d", id, j.Release, c.now)
+		}
+		if slices.Contains(c.withdrawn, id) {
+			return fmt.Errorf("sim: inject: job %d was withdrawn", id)
+		}
+		if members > 0 && releaseLess(jobs, id, last) {
+			sorted = false
+		}
+		members, last = members+1, id
 	}
-	j := c.inst.Jobs[id]
-	if !c.coal.Has(j.Org) {
+	if members == 0 {
 		return nil
 	}
-	if j.Release < c.now {
-		return fmt.Errorf("sim: inject: job %d released at %d, before current time %d", id, j.Release, c.now)
+	if !sorted {
+		ids = slices.Clone(ids)
+		SortByRelease(jobs, ids)
 	}
-	if slices.Contains(c.withdrawn, id) {
-		return fmt.Errorf("sim: inject: job %d was withdrawn", id)
+	// Merge from the back into releaseOrder[nextRelease:], the pending
+	// releases releaseUpTo scans in (Release, ID) order: nothing is
+	// searched, and a pending job moves once, by the members after it.
+	n := len(c.releaseOrder)
+	// One append per member: slices.Grow's temporary slice allocates
+	// under the race detector, where the allocation budgets also run.
+	for range members {
+		c.releaseOrder = append(c.releaseOrder, 0)
 	}
-	// Keep releaseOrder[nextRelease:] sorted by (Release, ID): the
-	// pending suffix is scanned in order by releaseUpTo.
-	pending := c.releaseOrder[c.nextRelease:]
-	pos := sort.Search(len(pending), func(i int) bool {
-		o := c.inst.Jobs[pending[i]]
-		if o.Release != j.Release {
-			return o.Release > j.Release
+	order, w := c.releaseOrder, n+members-1
+	for b := len(ids) - 1; b >= 0; b-- {
+		id := ids[b]
+		if !c.coal.Has(jobs[id].Org) {
+			continue
 		}
-		return o.ID > id
-	})
-	at := c.nextRelease + pos
-	c.releaseOrder = append(c.releaseOrder, 0)
-	copy(c.releaseOrder[at+1:], c.releaseOrder[at:])
-	c.releaseOrder[at] = id
+		for ; n > c.nextRelease && releaseLess(jobs, id, order[n-1]); n-- {
+			order[w] = order[n-1]
+			w--
+		}
+		order[w] = id
+		w--
+	}
 	return nil
 }
 
-// RunEntryState is one executing job, in the completion heap and in a
-// capture. End, the completion its job, machine and start imply, is
-// not written.
+// InReleaseOrder reports whether job IDs are in the order a cluster
+// keeps its pending releases in: by release, then by ID.
+func InReleaseOrder(jobs []model.Job, ids []int) bool {
+	for i := 1; i < len(ids); i++ {
+		if releaseLess(jobs, ids[i], ids[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// SortByRelease sorts job IDs into release order (InReleaseOrder).
+func SortByRelease(jobs []model.Job, ids []int) {
+	slices.SortFunc(ids, func(a, b int) int {
+		switch {
+		case releaseLess(jobs, a, b):
+			return -1
+		case releaseLess(jobs, b, a):
+			return 1
+		}
+		return 0
+	})
+}
+
+// releaseLess reports whether job a comes before job b by (Release, ID).
+func releaseLess(jobs []model.Job, a, b int) bool {
+	ra, rb := jobs[a].Release, jobs[b].Release
+	return ra < rb || ra == rb && a < b
+}
+
+// RunEntryState is one executing job in a capture. End, the completion
+// its job, machine and start imply, is not written.
 type RunEntryState struct {
 	Job     int        `json:"job"`
 	Machine int        `json:"machine"`
 	Start   model.Time `json:"start"`
-	End     model.Time `json:"-"`
 	// Folded is read, never written: a document of version 1 to 3 had
 	// already added the window [Start, Folded) to its accounts.
 	Folded *model.Time `json:"acc_from,omitempty"`
@@ -112,7 +166,9 @@ func (c *Cluster) CaptureState() ClusterState {
 		st.Queues[org] = append([]int(nil), q[c.qHead[org]:]...)
 	}
 	if c.noStarts {
-		st.Running = append([]RunEntryState(nil), c.running...)
+		for _, r := range c.running {
+			st.Running = append(st.Running, RunEntryState{Job: int(r.Job), Machine: int(r.Machine), Start: r.Start})
+		}
 		for i := range c.orgAcct {
 			st.OrgAcct = append(st.OrgAcct, c.orgAcct[i].Account)
 			st.OwnAcct = append(st.OwnAcct, c.ownAcct[i].Account)
@@ -163,10 +219,11 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	}
 	// What runs: on a cluster with a decision log, the lines still open at
 	// the clock (the rest are finished work); elsewhere the stored entries.
-	var running, finished []RunEntryState
+	var running []RunEntryState
+	var finished []runEntry
 	if c.noStarts {
 		st.Starts = nil // an old document's is dropped
-		running = append(running, st.Running...)
+		running = st.Running
 	} else {
 		freeAt := make([]model.Time, len(c.owners)) // machine -> end of its last logged job
 		for i, s := range st.Starts {
@@ -179,19 +236,18 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 			if s.Machine < 0 || s.Machine >= len(c.owners) || s.At < jobs[s.Job].Release || s.At < freeAt[s.Machine] || s.At > st.Now || (i > 0 && s.At < st.Starts[i-1].At) {
 				return fmt.Errorf("sim: restore: decision log line %d starts job %d on machine %d at %d, outside the pool, [release, now], the machine's idle time or the log's order", i, s.Job, s.Machine, s.At)
 			}
-			r := RunEntryState{Job: s.Job, Machine: s.Machine, Start: s.At}
-			r.End = c.end(r)
+			r := c.entry(s.Job, s.Machine, s.At)
 			freeAt[s.Machine] = r.End
 			if r.End <= st.Now {
 				finished = append(finished, r)
 			} else {
-				running = append(running, r)
+				running = append(running, RunEntryState{Job: s.Job, Machine: s.Machine, Start: s.At})
 			}
 		}
 	}
 	busy := make([]bool, len(c.owners))
-	for i := range running {
-		r := &running[i]
+	entries := make([]runEntry, len(running))
+	for i, r := range running {
 		if c.noStarts {
 			if err := list("running entries", r.Job); err != nil {
 				return err
@@ -202,11 +258,11 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		}
 		// The window its start implies, open at the clock (a past
 		// completion would be the next event), folded to inside it.
-		r.End = c.end(*r)
-		if r.Start > st.Now || r.End <= st.Now || (r.Folded != nil && (*r.Folded < r.Start || *r.Folded > st.Now)) {
-			return fmt.Errorf("sim: restore: job %d runs over [%d,%d) at time %d, or its window was folded outside it", r.Job, r.Start, r.End, st.Now)
+		entries[i] = c.entry(r.Job, r.Machine, r.Start)
+		if end := entries[i].End; r.Start > st.Now || end <= st.Now || (r.Folded != nil && (*r.Folded < r.Start || *r.Folded > st.Now)) {
+			return fmt.Errorf("sim: restore: job %d runs over [%d,%d) at time %d, or its window was folded outside it", r.Job, r.Start, end, st.Now)
 		}
-		if c.noStarts && i > 0 && runHeap(running).less(i, (i-1)/2) {
+		if c.noStarts && i > 0 && runHeap(entries).less(i, (i-1)/2) {
 			return fmt.Errorf("sim: restore: running entry %d is out of completion-heap order", i)
 		}
 		busy[r.Machine] = true
@@ -268,14 +324,13 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	}
 	c.running = c.running[:0]
 	clear(c.runningPerOrg)
-	for _, r := range running {
-		if r.Folded != nil {
+	for i, r := range entries {
+		if folded := running[i].Folded; folded != nil {
 			var w utility.Account
-			w.AddScaledWindow(r.Start, jobs[r.Job].Size, c.speeds[r.Machine], r.Start, *r.Folded)
-			for _, a := range c.accounts(jobs[r.Job].Org, r.Machine) {
+			w.AddScaledWindow(r.Start, jobs[r.Job].Size, c.speeds[r.Machine], r.Start, *folded)
+			for _, a := range c.accounts(jobs[r.Job].Org, int(r.Machine)) {
 				a.U, a.S = a.U-w.U, a.S-w.S
 			}
-			r.Folded = nil
 		}
 		c.running.push(r)
 		c.start(r)

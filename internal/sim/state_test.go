@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -83,6 +85,119 @@ func TestInjectValidation(t *testing.T) {
 	}
 	if got := c.NextEventTime(); got != MaxTime {
 		t.Errorf("non-member injection created an event at %d", got)
+	}
+}
+
+// injectFixture is a cluster of organizations A and B — C is not a
+// member — standing at time 5 with releases still pending at 7 and 9,
+// and a batch of arrivals appended to its instance: release ties with
+// each other and with the pending jobs, a release at the clock, and two
+// jobs of the non-member.
+func injectFixture() (*Cluster, []int) {
+	in := model.MustNewInstance(
+		[]model.Org{{Name: "A", Machines: 2}, {Name: "B", Machines: 1}, {Name: "C", Machines: 1}},
+		[]model.Job{
+			{Org: 0, Release: 0, Size: 9},
+			{Org: 1, Release: 0, Size: 9},
+			{Org: 0, Release: 1, Size: 9},
+			{Org: 0, Release: 3, Size: 2},
+			{Org: 1, Release: 7, Size: 2},
+			{Org: 0, Release: 9, Size: 1},
+			{Org: 2, Release: 9, Size: 1},
+		},
+	)
+	c := New(in, model.Grand(3).Without(2), fifoByID(), nil)
+	c.Run(5)
+	var batch []int
+	for _, j := range []model.Job{
+		{Org: 1, Release: 9, Size: 3},
+		{Org: 0, Release: 5, Size: 2},
+		{Org: 2, Release: 6, Size: 1},
+		{Org: 0, Release: 7, Size: 4},
+		{Org: 1, Release: 5, Size: 1},
+		{Org: 0, Release: 12, Size: 2},
+		{Org: 1, Release: 7, Size: 2},
+		{Org: 2, Release: 5, Size: 3},
+		{Org: 0, Release: 9, Size: 1},
+	} {
+		j.ID = len(in.Jobs)
+		in.Jobs = append(in.Jobs, j)
+		batch = append(batch, j.ID)
+	}
+	return c, batch
+}
+
+// One Inject of a whole batch, in any order, leaves the cluster exactly
+// as one Inject per job does: the pending releases are the members in
+// (release, ID) order, and the runs go on alike.
+func TestInjectBatchMatchesPerJob(t *testing.T) {
+	perJob, batch := injectFixture()
+	for _, id := range batch {
+		if err := perJob.Inject(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := json.Marshal(perJob.CaptureState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pending := perJob.CaptureState().ReleaseOrder; fmt.Sprint(pending) != "[8 11 4 10 13 5 7 15 12]" {
+		t.Fatalf("pending releases %v, want the members in (release, ID) order", pending)
+	}
+	perJob.Run(60)
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		c, batch := injectFixture()
+		if trial == 0 {
+			SortByRelease(c.inst.Jobs, batch) // merged as given
+		} else {
+			r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		}
+		if err := c.Inject(batch...); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(c.CaptureState()); !bytes.Equal(got, want) {
+			t.Fatalf("batch %v captured\n%s\nwant\n%s", batch, got, want)
+		}
+		c.Run(60)
+		if got, want := fmt.Sprint(c.Starts(), c.PsiVector()), fmt.Sprint(perJob.Starts(), perJob.PsiVector()); got != want {
+			t.Fatalf("batch %v ran\n%s\nwant\n%s", batch, got, want)
+		}
+	}
+}
+
+// A batch with one bad ID is refused whole, with the error a single
+// Inject of that ID gives, and the cluster's state does not move.
+func TestInjectBatchAllOrNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  func(c *Cluster) int
+		want string
+	}{
+		{"out of range", func(c *Cluster) int { return len(c.inst.Jobs) + 3 }, "not in instance"},
+		{"released before the clock", func(c *Cluster) int {
+			c.inst.Jobs = append(c.inst.Jobs, model.Job{ID: len(c.inst.Jobs), Org: 1, Release: 4, Size: 1})
+			return len(c.inst.Jobs) - 1
+		}, "before current time 5"},
+		{"withdrawn", func(c *Cluster) int {
+			if ok, err := c.Withdraw(1, 4); !ok || err != nil {
+				t.Fatalf("pending job 4 not withdrawable: %v", err)
+			}
+			return 4
+		}, "was withdrawn"},
+	} {
+		c, batch := injectFixture()
+		bad := tc.bad(c)
+		before, _ := json.Marshal(c.CaptureState())
+		single := c.Inject(bad)
+		mixed := append(append(append([]int(nil), batch[:4]...), bad), batch[4:]...)
+		err := c.Inject(mixed...)
+		if err == nil || single == nil || err.Error() != single.Error() || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: batch error %v, single-job error %v, want both to say %q", tc.name, err, single, tc.want)
+		}
+		if after, _ := json.Marshal(c.CaptureState()); !bytes.Equal(after, before) {
+			t.Fatalf("%s: a refused batch moved the state:\n%s\nwas\n%s", tc.name, after, before)
+		}
 	}
 }
 
