@@ -289,3 +289,67 @@ func TestRestoreRejectsStrippedCheckpoint(t *testing.T) {
 		})
 	}
 }
+
+// Restore rebuilds the shared queues from the decision schedule and
+// holds every hypothetical schedule to its window of them: one that
+// lost a queued job behind its head, or a pending one, to its
+// withdrawn list — a document no run writes — is refused.
+func TestRestoreHoldsHypotheticalsToTheirWindow(t *testing.T) {
+	orgs := []model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}, {Name: "C", Machines: 1}}
+	var jobs []model.Job
+	for i := 0; i < 12; i++ {
+		jobs = append(jobs, model.Job{Org: i % 3, Release: 0, Size: model.Time(5 + i)})
+	}
+	for i := 0; i < 6; i++ {
+		jobs = append(jobs, model.Job{Org: i % 3, Release: model.Time(50 + i), Size: 3})
+	}
+	in := model.MustNewInstance(orgs, jobs)
+	s := RefAlgorithm{}.NewStepper(in, 1)
+	for s.StepNext(10) {
+	}
+	s.FinishAt(10)
+	clean := captureJSON(t, s, 10)
+	restore := func(doctor func(*sim.ClusterState) bool) error {
+		t.Helper()
+		var cp Checkpoint
+		if err := json.Unmarshal(clean, &cp); err != nil {
+			t.Fatal(err)
+		}
+		doctored := false
+		for i := range cp.Clusters[:len(cp.Clusters)-1] { // the grand coalition's is last
+			if doctored = doctor(&cp.Clusters[i]); doctored {
+				break
+			}
+		}
+		if !doctored {
+			t.Fatal("no hypothetical schedule to doctor")
+		}
+		_, err := RefAlgorithm{}.RestoreStepper(&cp)
+		return err
+	}
+	if err := restore(func(*sim.ClusterState) bool { return true }); err != nil {
+		t.Fatalf("the undoctored checkpoint is refused: %v", err)
+	}
+	for name, doctor := range map[string]func(*sim.ClusterState) bool{
+		"a queued job behind the head withdrawn": func(st *sim.ClusterState) bool {
+			for u, q := range st.Queues {
+				if len(q) >= 2 {
+					st.Queues[u], st.Withdrawn = q[:len(q)-1], append(st.Withdrawn, q[len(q)-1])
+					return true
+				}
+			}
+			return false
+		},
+		"a pending job withdrawn": func(st *sim.ClusterState) bool {
+			if len(st.ReleaseOrder) == 0 {
+				return false
+			}
+			st.ReleaseOrder, st.Withdrawn = st.ReleaseOrder[1:], append(st.Withdrawn, st.ReleaseOrder[0])
+			return true
+		},
+	} {
+		if err := restore(doctor); err == nil || !strings.Contains(err.Error(), "sim: restore") {
+			t.Errorf("%s in a hypothetical schedule: restore error %v, want a refusal", name, err)
+		}
+	}
+}

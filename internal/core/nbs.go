@@ -49,15 +49,16 @@ func NewNbs(inst *model.Instance) *Nbs {
 		x:    make([]float64, k),
 		maxs: make([]float64, k),
 	}
+	q := sim.NewQueues(inst)
 	slots := make([]*sim.Cluster, k+1)
 	for i := 0; i < k; i++ {
 		// The only member owns every waiting job: any policy selects it.
-		slots[i] = sim.New(inst, model.Singleton(i), baseline.NewFCFS(), nil)
+		slots[i] = q.NewCluster(model.Singleton(i), baseline.NewFCFS(), nil)
 		n.w[i] = float64(inst.Orgs[i].Capacity())
 		n.maxs[i] = math.Inf(1)
 	}
-	slots[k] = sim.New(inst, model.Grand(k), &deficitPolicy{name: "NBS", target: n.x}, nil)
-	n.schedSet = newSchedSet("NBS", 0, inst, n, slots, false)
+	slots[k] = q.NewCluster(model.Grand(k), &deficitPolicy{name: "NBS", target: n.x}, nil)
+	n.schedSet = newSchedSet("NBS", 0, inst, n, q, slots, false)
 	return n
 }
 

@@ -101,9 +101,10 @@ func NewRandSched(inst *model.Instance, samples int, seed int64, opts RandOption
 		}
 	}
 	slices.Sort(masks)
+	q := sim.NewQueues(inst)
 	slots := make([]*sim.Cluster, len(masks)+1)
 	for i, mask := range masks {
-		slots[i] = sim.New(inst, mask, baseline.NewFCFS(), nil)
+		slots[i] = q.NewCluster(mask, baseline.NewFCFS(), nil)
 		slotOf[mask] = i
 	}
 	for _, perm := range perms {
@@ -114,8 +115,8 @@ func NewRandSched(inst *model.Instance, samples int, seed int64, opts RandOption
 		}
 	}
 	src := stats.NewSource(seed)
-	slots[len(masks)] = sim.New(inst, model.Grand(k), &deficitPolicy{name: "RAND", target: r.phi}, rand.New(src))
-	r.schedSet = newSchedSet(randName(samples, opts), seed, inst, r, slots, false)
+	slots[len(masks)] = q.NewCluster(model.Grand(k), &deficitPolicy{name: "RAND", target: r.phi}, rand.New(src))
+	r.schedSet = newSchedSet(randName(samples, opts), seed, inst, r, q, slots, false)
 	r.src = src
 	r.ckpt = make([]int, len(slots)) // the decision cluster first, then the sampled ones
 	r.ckpt[0] = len(masks)

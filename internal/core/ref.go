@@ -115,6 +115,7 @@ func NewRef(inst *model.Instance, opts RefOptions) *Ref {
 			}
 		}
 	}
+	q := sim.NewQueues(inst)
 	slots := make([]*sim.Cluster, len(r.masks))
 	r.phi = make([][]float64, len(slots))
 	r.adj = make([][]float64, len(slots))
@@ -123,9 +124,9 @@ func NewRef(inst *model.Instance, opts RefOptions) *Ref {
 		if opts.Rotate {
 			r.adj[slot] = make([]float64, k)
 		}
-		slots[slot] = sim.New(inst, mask, &deficitPolicy{name: "REF", target: r.phi[slot], adj: r.adj[slot]}, nil)
+		slots[slot] = q.NewCluster(mask, &deficitPolicy{name: "REF", target: r.phi[slot], adj: r.adj[slot]}, nil)
 	}
-	r.schedSet = newSchedSet("REF", 0, inst, r, slots, opts.Driver == DriverScan)
+	r.schedSet = newSchedSet("REF", 0, inst, r, q, slots, opts.Driver == DriverScan)
 	r.ckpt = r.slotOf[1:] // checkpoints list the clusters in mask order
 	return r
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -20,23 +21,33 @@ import (
 // in which order they are checkpointed, and how a dispatching slot's
 // target vector is refreshed (see the plug table in DESIGN.md §2).
 //
-// By default the set keeps one key per slot, its NextEventTime, in a
-// flat array. A step scans the keys for the earliest instant and takes
-// exactly the slots keyed by it — the touched set, in slot order —
-// advances and dispatches only those, and stores their new keys; every
-// other slot's value is read in O(1) from its own accounts at t
-// (sim.Cluster.ValueAt), which stay exact until that slot's own next
-// event.
+// Every slot is built on one sim.Queues: an organization's jobs are
+// queued once, in release order, and a slot keeps a cursor into each
+// queue. The set releases the queues at every instant before any slot
+// advances, so a submission is entered, and a release queued, once.
+//
+// By default the set keeps one key per slot, its next completion, in a
+// flat array, and each slot's coalition while it has a free machine. A
+// step finds the earliest instant t — the smallest key or the next
+// release — and takes exactly the touched set, in slot order: the slots
+// keyed t, and the slots with a free machine whose coalition holds an
+// organization releasing a job at t. It advances and dispatches only
+// those, and stores their new keys; every other slot's value is read in
+// O(1) from its own accounts at t (sim.Cluster.ValueAt), which stay
+// exact until that slot's own next completion.
 // The scan is 2^k compares of adjacent words; an ordered structure
 // would pay a re-sift per touched slot instead, and a release touches
-// half of REF's slots (DESIGN.md §2.1). Two sim.Cluster invariants
-// make this equivalent to advancing everything (DESIGN.md §2.2):
+// up to half of REF's slots (DESIGN.md §2.1). Two sim.Cluster
+// invariants make this equivalent to advancing everything (DESIGN.md
+// §2.2):
 //
 //  1. A cluster can become dispatchable only through one of its own
-//     events: Dispatch always exhausts either the free machines or the
-//     waiting queue, and only the cluster's own releases and
-//     completions replenish them. So the dispatch candidates at t are
-//     exactly the touched slots.
+//     completions, or a release of a member while it has a free
+//     machine: Dispatch always exhausts either the free machines or the
+//     waiting jobs, and only completions free machines. A slot with no
+//     free machine starts nothing at a release, and a release changes
+//     nothing it stores but the shared queue. So the dispatch
+//     candidates at t are exactly the touched slots.
 //  2. Jobs started at t have executed nothing before t, so values at t
 //     are unaffected by same-instant starts — one value snapshot serves
 //     every slot dispatching at t, in any order.
@@ -49,12 +60,13 @@ import (
 //
 // The reference mode (scan; RefOptions.Driver == DriverScan) is the
 // same loop with the acceleration removed: the instant is found by
-// asking every cluster, every slot is touched — never a key — and
+// asking every cluster for its next completion, every slot is touched —
+// never a key — and
 // every dispatch refreshes its targets. It is
 // the oracle the differential tests hold the default mode to, and what
 // a one-slot set runs (there is nothing to skip).
 //
-// Keys are never serialized: a slot's key is its NextEventTime, so
+// Keys are never serialized: a slot's key is its next completion, so
 // restore rebuilds them and stays byte-identical.
 type schedSet struct {
 	name string
@@ -62,15 +74,16 @@ type schedSet struct {
 	inst *model.Instance
 	plug plug
 
+	q     *sim.Queues    // every slot's job queues
 	slots []*sim.Cluster // dispatch order; the last is the decision schedule
 	ckpt  []int          // checkpoint position -> slot; slot order unless the plug sets it
 	src   *stats.Source  // the decision schedule's RNG stream; nil when it has none
 	scan  bool           // reference mode
 
-	keys    []model.Time // slot -> NextEventTime (sim.MaxTime: drained)
-	all     []int        // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
-	touched []int        // scratch
-	batch   []int        // scratch: an Inject batch in release order
+	keys    []model.Time      // slot -> NextCompletion (sim.MaxTime: none running)
+	open    []model.Coalition // slot -> its coalition while it has a free machine, else empty
+	all     []int             // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
+	touched []int             // scratch
 }
 
 // plug is what an algorithm adds to the schedule-set core.
@@ -86,12 +99,14 @@ type plug interface {
 	phiAt(t model.Time) []float64
 }
 
-func newSchedSet(name string, seed int64, inst *model.Instance, p plug, slots []*sim.Cluster, scan bool) *schedSet {
+// newSchedSet builds a set on slots built on q.
+func newSchedSet(name string, seed int64, inst *model.Instance, p plug, q *sim.Queues, slots []*sim.Cluster, scan bool) *schedSet {
 	s := &schedSet{
 		name:  name,
 		seed:  seed,
 		inst:  inst,
 		plug:  p,
+		q:     q,
 		slots: slots,
 		scan:  scan || len(slots) == 1,
 		all:   identity(len(slots)),
@@ -129,19 +144,31 @@ func (s *schedSet) set() *schedSet { return s }
 
 func (s *schedSet) decision() *sim.Cluster { return s.slots[len(s.slots)-1] }
 
-// rekeyAll (re)builds the keys from the current cluster states — at construction and after restore. A step,
-// Inject and Withdraw re-key only the slots they change; the
-// differential tests hold the incrementally maintained keys to exactly
-// the state this rebuild produces.
+// rekeyAll (re)builds the keys from the current cluster states — at
+// construction and after restore. A step re-keys only the slots it
+// touches, and nothing else moves a key: Inject and Withdraw change no
+// running job and no free machine. The differential tests hold the
+// incrementally maintained keys to exactly the state this rebuild
+// produces.
 func (s *schedSet) rekeyAll() {
 	if s.scan {
 		return
 	}
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
+	s.open = make([]model.Coalition, n)
 	s.touched = make([]int, 0, n)
-	for i, c := range s.slots {
-		s.keys[i] = c.NextEventTime()
+	for i := range s.slots {
+		s.rekey(i)
+	}
+}
+
+// rekey stores slot's key and whether a release can touch it.
+func (s *schedSet) rekey(slot int) {
+	c := s.slots[slot]
+	s.keys[slot], s.open[slot] = c.NextCompletion(), 0
+	if c.FreeMachines() > 0 {
+		s.open[slot] = c.Coalition()
 	}
 }
 
@@ -161,40 +188,38 @@ func (s *schedSet) Starts() []sim.Start { return s.decision().Starts() }
 // Withdrawn implements Stepper.
 func (s *schedSet) Withdrawn() int { return s.decision().WithdrawnCount() }
 
-// NextEventTime implements Stepper: the smallest key, or in the
-// reference mode the smallest answer of the clusters themselves.
+// NextEventTime implements Stepper: the next release or the smallest
+// key, or in the reference mode the smallest completion the clusters
+// themselves answer.
 func (s *schedSet) NextEventTime() model.Time {
-	t := sim.MaxTime
+	t := s.q.NextRelease()
 	if !s.scan {
 		for _, k := range s.keys {
-			if k < t {
-				t = k
-			}
+			t = min(t, k)
 		}
 		return t
 	}
 	for _, c := range s.slots {
-		if e := c.NextEventTime(); e < t {
-			t = e
-		}
+		t = min(t, c.NextCompletion())
 	}
 	return t
 }
 
-// StepNext implements Stepper: take the touched set at the earliest
-// instant, advance it, let its dispatchable slots schedule in slot
-// order, against freshly refreshed targets where contested, then re-key
-// it.
+// StepNext implements Stepper: release the queues at the earliest
+// instant, take its touched set, advance it, let its dispatchable slots
+// schedule in slot order, against freshly refreshed targets where
+// contested, then re-key it.
 func (s *schedSet) StepNext(until model.Time) bool {
 	t := s.NextEventTime()
 	if t == sim.MaxTime || t > until {
 		return false
 	}
+	releasing := s.q.AdvanceTo(t)
 	touched := s.all
 	if !s.scan {
 		touched = s.touched[:0]
 		for i, k := range s.keys {
-			if k == t {
+			if k == t || s.open[i]&releasing != 0 {
 				touched = append(touched, i)
 			}
 		}
@@ -213,7 +238,7 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	}
 	if !s.scan {
 		for _, i := range touched {
-			s.keys[i] = s.slots[i].NextEventTime()
+			s.rekey(i)
 		}
 	}
 	return true
@@ -228,10 +253,13 @@ func (s *schedSet) advance(slots []int, t model.Time) {
 	}
 }
 
-// FinishAt implements Stepper: move every slot's clock to exactly t.
-// The caller has drained the events at or before t, so only clocks
-// move: keys stay exact.
-func (s *schedSet) FinishAt(t model.Time) { s.advance(s.all, t) }
+// FinishAt implements Stepper: move every slot's clock, and the queues',
+// to exactly t. The caller has drained the events at or before t, so
+// only clocks move: keys stay exact.
+func (s *schedSet) FinishAt(t model.Time) {
+	s.q.AdvanceTo(t)
+	s.advance(s.all, t)
+}
 
 // ResultAt implements Stepper.
 func (s *schedSet) ResultAt(t model.Time) *Result {
@@ -239,69 +267,31 @@ func (s *schedSet) ResultAt(t model.Time) *Result {
 }
 
 // Inject implements Stepper: register online arrivals (already appended
-// to the instance) with every slot; clusters ignore non-member jobs.
-// A batch out of release order is sorted once, in the set's scratch,
-// so that each slot enters it in one merge. A pending release changes
-// no executed work, but keys go stale, so each slot is re-keyed in
-// place.
-func (s *schedSet) Inject(ids []int) error {
-	for _, id := range ids {
-		if id < 0 || id >= len(s.inst.Jobs) {
-			return fmt.Errorf("core: %s: inject: job %d not in instance", s.name, id)
-		}
-	}
-	if !sim.InReleaseOrder(s.inst.Jobs, ids) {
-		s.batch = append(s.batch[:0], ids...)
-		sim.SortByRelease(s.inst.Jobs, s.batch)
-		ids = s.batch
-	}
-	for i, c := range s.slots {
-		if err := c.Inject(ids...); err != nil {
-			return err
-		}
-		s.rekey(i)
-	}
-	return nil
-}
+// to the instance) once, in the queues every slot shares. A pending
+// release changes no key: keys are completions, and the release is the
+// queues' next event.
+func (s *schedSet) Inject(ids []int) error { return s.q.Inject(ids...) }
 
 // Withdraw implements Stepper: the job must still be waiting in the
 // decision schedule — the schedule that actually executes work, so a
 // caller withdrawing a job that is not queued there holds a stale view.
-// Hypothetical slots drop their queued copy alongside; one that already
-// started the job keeps it (non-preemptive counterfactual work stands).
-// No executed work moves; only slots that really lost a pending release can change their next event, and each
-// is re-keyed with one store (sim.MaxTime when the withdrawal drained
-// the slot's last event).
+// It leaves the shared queue once: a hypothetical slot that already
+// started the job keeps it (non-preemptive counterfactual work stands)
+// and steps its cursor back over the gap, every other slot records it
+// as withdrawn. No executed work moves and no machine frees, so no key
+// changes.
 func (s *schedSet) Withdraw(id int) error {
 	if id < 0 || id >= len(s.inst.Jobs) {
 		return fmt.Errorf("core: %s: withdraw: job %d not in instance", s.name, id)
 	}
-	org := s.inst.Jobs[id].Org
-	last := len(s.slots) - 1
-	removed, err := s.slots[last].Withdraw(org, id)
+	removed, err := s.decision().Withdraw(s.inst.Jobs[id].Org, id)
 	if err != nil {
 		return err
 	}
 	if !removed {
 		return fmt.Errorf("core: %s: withdraw: job %d is not queued (already started, finished or withdrawn)", s.name, id)
 	}
-	s.rekey(last)
-	for i, c := range s.slots[:last] {
-		removed, err := c.Withdraw(org, id)
-		if err != nil {
-			return err
-		}
-		if removed {
-			s.rekey(i)
-		}
-	}
 	return nil
-}
-
-func (s *schedSet) rekey(slot int) {
-	if !s.scan {
-		s.keys[slot] = s.slots[slot].NextEventTime()
-	}
 }
 
 // Capture implements Stepper: one ClusterState per slot in the plug's
@@ -342,14 +332,23 @@ func (s *schedSet) restore(cp *Checkpoint) error {
 	if len(cp.Clusters) != len(s.slots) {
 		return fmt.Errorf("core: %s checkpoint has %d clusters, want %d", s.name, len(cp.Clusters), len(s.slots))
 	}
-	for pos, st := range cp.Clusters {
-		if st.Now > cp.Now {
-			// Schedules lag the run's clock or stand on it; the next
-			// step would move one that leads it backwards.
-			return fmt.Errorf("core: %s checkpoint at %d holds a schedule at %d", s.name, cp.Now, st.Now)
-		}
-		if err := s.slots[s.ckpt[pos]].RestoreState(st); err != nil {
-			return err
+	// The decision schedule rebuilds the shared queues; every other
+	// schedule is then held to its window of them.
+	last := len(s.slots) - 1
+	for _, decision := range []bool{true, false} {
+		for pos, st := range cp.Clusters {
+			slot := s.ckpt[pos]
+			if (slot == last) != decision {
+				continue
+			}
+			if st.Now > cp.Now {
+				// Schedules lag the run's clock or stand on it; the next
+				// step would move one that leads it backwards.
+				return fmt.Errorf("core: %s checkpoint at %d holds a schedule at %d", s.name, cp.Now, st.Now)
+			}
+			if err := s.slots[slot].RestoreState(st); err != nil {
+				return err
+			}
 		}
 	}
 	if s.src != nil {
@@ -391,8 +390,8 @@ func restoreStepper(a StepperAlgorithm, cp *Checkpoint) (Stepper, error) {
 // deficitPolicy is the SelectAndSchedule rule of Figures 3 and 6: start
 // a job of the waiting organization with the largest deficit target−ψ,
 // low index on ties. target is owned by the plug and refreshed by
-// retarget; non-members never wait, so scanning every organization
-// equals scanning the coalition.
+// retarget; only members wait, so it scans the coalition's members, in
+// index order.
 type deficitPolicy struct {
 	name   string
 	target []float64
@@ -413,10 +412,12 @@ func (p *deficitPolicy) Attach(v *sim.View, _ *rand.Rand) { p.view = v }
 func (p *deficitPolicy) Select(_ model.Time, _ int) int {
 	best := -1
 	var bestDeficit float64
-	for u, target := range p.target {
+	for m := uint32(p.view.Coalition()); m != 0; m &= m - 1 {
+		u := bits.TrailingZeros32(m)
 		if p.view.Waiting(u) == 0 {
 			continue
 		}
+		target := p.target[u]
 		if p.adj != nil {
 			target += p.adj[u]
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -42,22 +43,26 @@ func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan b
 	return st
 }
 
-// checkKeysMatchRebuild verifies the live key array against the keying
-// rule rekeyAll implements: keys[i] is slot i's cluster's NextEventTime
-// (sim.MaxTime when it is drained) — the whole invariant of the
-// touched-set mode, so equality here means the incrementally maintained
-// keys select the same touched sets a fresh rebuild would.
+// checkKeysMatchRebuild verifies the live key arrays against the keying
+// rule rekeyAll implements: keys[i] is slot i's cluster's next
+// completion (sim.MaxTime when nothing runs) and open[i] its coalition
+// while it has a free machine — the whole invariant of the touched-set
+// mode, so equality here means the incrementally maintained keys select
+// the same touched sets a fresh rebuild would.
 func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 	t.Helper()
 	if s.scan {
 		t.Fatal("key check on a reference-mode set")
 	}
-	if len(s.keys) != len(s.slots) {
-		t.Fatalf("%d keys for %d slots", len(s.keys), len(s.slots))
+	if len(s.keys) != len(s.slots) || len(s.open) != len(s.slots) {
+		t.Fatalf("%d keys and %d open masks for %d slots", len(s.keys), len(s.open), len(s.slots))
 	}
 	for slot, c := range s.slots {
-		if k := c.NextEventTime(); s.keys[slot] != k {
-			t.Fatalf("slot %d keyed %d, cluster's next event is %d", slot, s.keys[slot], k)
+		if k := c.NextCompletion(); s.keys[slot] != k {
+			t.Fatalf("slot %d keyed %d, cluster's next completion is %d", slot, s.keys[slot], k)
+		}
+		if free := c.FreeMachines() > 0; s.open[slot] != c.Coalition() && free || s.open[slot] != 0 && !free {
+			t.Fatalf("slot %d open to %v with %d free machines", slot, s.open[slot], c.FreeMachines())
 		}
 	}
 }
@@ -193,12 +198,15 @@ func (p *countingPolicy) Select(t model.Time, m int) int {
 // machines, 40 jobs of size 1..30 per 100 ticks, organizations drawn
 // with a tilt toward low indices — in both modes of the loop:
 //
-//   - touched slots per step: about half of the 255, which is why the
-//     default mode scans a flat key array instead of maintaining an
-//     ordered index (DESIGN.md §2); held well above 2^k/k, where
-//     k·log-cost re-sifts would have matched the 2^k scan;
-//   - dispatching slots, and among them the contested ones, where two
-//     or more organizations wait: only those need a target vector;
+//   - touched slots per step, in the default mode split by what touched
+//     them: a completion, or a release of a member while the slot had a
+//     free machine; and the release-member slots skipped because every
+//     machine was busy — none of which, recounted from its view, could
+//     have dispatched. The touched set stays well above 2^k/k, where
+//     k·log-cost re-sifts would have matched the flat 2^k key scan;
+//   - dispatching slots, equal per step in both modes, and among them
+//     the contested ones, where two or more organizations wait: only
+//     those need a target vector;
 //   - retarget calls: one per contested dispatch in the default mode,
 //     one per dispatch in the reference mode.
 //
@@ -212,42 +220,80 @@ func TestTouchedSetDensity(t *testing.T) {
 		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: m}
 	}
 	var jobs []model.Job
+	releasing := map[model.Time]model.Coalition{}
 	for round := 0; round < rounds; round++ {
 		for j := 0; j < perRound; j++ {
-			jobs = append(jobs, model.Job{
+			job := model.Job{
 				Org:     min(r.Intn(k), r.Intn(k)),
 				Release: model.Time(100*round + r.Intn(100)),
 				Size:    model.Time(1 + r.Intn(30)),
-			})
+			}
+			jobs = append(jobs, job)
+			releasing[job.Release] = releasing[job.Release].With(job.Org)
 		}
 	}
 	in := model.MustNewInstance(orgs, jobs)
+	dispatches := map[RefDriver][]int{} // per step
 	for _, driver := range []RefDriver{DriverHeap, DriverScan} {
 		ref := NewRef(in, RefOptions{Driver: driver})
 		s := ref.set()
 		plug := &countingPlug{plug: s.plug}
 		s.plug = plug
 		var count dispatchCount
+		s.q = sim.NewQueues(in)
 		for i, c := range s.slots {
-			s.slots[i] = sim.New(in, c.Coalition(), &countingPolicy{Policy: c.Policy(), count: &count}, nil)
+			s.slots[i] = s.q.NewCluster(c.Coalition(), &countingPolicy{Policy: c.Policy(), count: &count}, nil)
 			if i < len(s.slots)-1 {
 				s.slots[i].DiscardStarts()
 			}
 		}
 		s.rekeyAll()
 		steps, touched, slots := 0, 0, len(s.slots)
-		for s.StepNext(100 * rounds) {
+		var byCompletion, byRelease, skipped int
+		var skip []int
+		for at := s.NextEventTime(); at <= 100*rounds; at = s.NextEventTime() {
+			skip = skip[:0]
+			for i, key := range s.keys {
+				switch {
+				case key == at:
+					byCompletion++
+				case releasing[at]&s.slots[i].Coalition() == 0:
+				case s.open[i] != 0:
+					byRelease++
+				default:
+					skip = append(skip, i)
+				}
+			}
+			before := count.dispatches
+			s.StepNext(at)
 			steps++
+			dispatches[driver] = append(dispatches[driver], count.dispatches-before)
 			if s.scan {
 				touched += slots
-			} else {
-				touched += len(s.touched)
+				continue
+			}
+			touched += len(s.touched)
+			skipped += len(skip)
+			for _, i := range skip {
+				// Every machine of the coalition runs a job: nothing could start.
+				v, busy, pool := s.slots[i].View(), 0, 0
+				s.slots[i].Coalition().EachMember(func(u int) { busy, pool = busy+v.Running(u), pool+in.Orgs[u].Machines })
+				if busy < pool {
+					t.Fatalf("step at %d skipped slot %d with %d of %d machines busy", at, i, busy, pool)
+				}
 			}
 		}
 		per := func(n int) float64 { return float64(n) / float64(steps) }
 		uncontested := 1 - float64(count.contested)/float64(count.dispatches)
-		t.Logf("%s: %d steps; per step %.1f/%d slots touched, %.1f dispatch, %.1f contested, %.1f retargets; %.1f %% uncontested",
-			driver, steps, per(touched), slots, per(count.dispatches), per(count.contested), per(plug.retargets), 100*uncontested)
+		split := ""
+		if !s.scan {
+			split = fmt.Sprintf(" (%.1f by a completion, %.1f by a release with a free machine; %.1f release members skipped, no free machine)", per(byCompletion), per(byRelease), per(skipped))
+			if byCompletion+byRelease != touched {
+				t.Errorf("%d slots touched, %d by a completion and %d by a release", touched, byCompletion, byRelease)
+			}
+		}
+		t.Logf("%s: %d steps; per step %.1f/%d slots touched%s, %.1f dispatch, %.1f contested, %.1f retargets; %.1f %% uncontested",
+			driver, steps, per(touched), slots, split, per(count.dispatches), per(count.contested), per(plug.retargets), 100*uncontested)
 		if want := map[RefDriver]int{DriverHeap: count.contested, DriverScan: count.dispatches}[driver]; plug.retargets != want {
 			t.Errorf("%s mode: %d retargets, want %d (%d dispatches, %d contested)", driver, plug.retargets, want, count.dispatches, count.contested)
 		}
@@ -257,6 +303,9 @@ func TestTouchedSetDensity(t *testing.T) {
 		if driver == DriverHeap && per(touched) < float64(slots)/4 {
 			t.Errorf("mean touched set %.1f of %d slots: the stream is sparse, the premise of the flat key scan does not hold on it", per(touched), slots)
 		}
+	}
+	if !slices.Equal(dispatches[DriverHeap], dispatches[DriverScan]) {
+		t.Errorf("dispatches per step differ between the modes:\n%v\n%v", dispatches[DriverHeap], dispatches[DriverScan])
 	}
 }
 
@@ -410,7 +459,8 @@ func TestWithdrawReinjectAllocFree(t *testing.T) {
 // so neither its serialized size nor its in-memory lists grow with the
 // number of jobs it has finished: the same arrival rate run ten times
 // as long, then drained, leaves the same few hundred bytes per slot
-// (the accounts gain digits) and no longer a release list or log.
+// (the accounts gain digits), no log, a cursor per organization, and
+// shared per-organization queues no longer than they were after 200.
 func TestHypotheticalStateIsFlat(t *testing.T) {
 	const k = 5
 	steady := func(horizon model.Time) *model.Instance {
@@ -425,7 +475,8 @@ func TestHypotheticalStateIsFlat(t *testing.T) {
 		return model.MustNewInstance(orgs, jobs)
 	}
 	// measure drains a run and returns the summed JSON size of the
-	// hypothetical schedules' states and their longest in-memory list.
+	// hypothetical schedules' states and the longest in-memory list among
+	// their logs and cursor arrays and the shared queues.
 	measure := func(alg StepperAlgorithm, horizon model.Time) (size, longest int) {
 		in := steady(horizon)
 		st := alg.NewStepper(in, 3)
@@ -434,18 +485,23 @@ func TestHypotheticalStateIsFlat(t *testing.T) {
 			t.Fatalf("%s: %d of %d jobs started", alg.Name(), len(res.Starts), len(in.Jobs))
 		}
 		s := setOf(st)
+		// Len reads an unexported field's length without its contents.
 		for _, c := range s.slots[:len(s.slots)-1] {
 			data, err := json.Marshal(c.CaptureState())
 			if err != nil {
 				t.Fatal(err)
 			}
 			size += len(data)
-			for _, list := range []string{"releaseOrder", "starts"} {
-				// Len reads an unexported field's length without its contents.
-				if n := reflect.ValueOf(c).Elem().FieldByName(list).Len(); n > longest {
-					longest = n
-				}
+			for _, list := range []string{"starts", "cursor"} {
+				longest = max(longest, reflect.ValueOf(c).Elem().FieldByName(list).Len())
 			}
+		}
+		lists := reflect.ValueOf(s.q).Elem().FieldByName("lists")
+		if lists.Len() != k {
+			t.Fatalf("%s: %d shared queues for %d organizations", alg.Name(), lists.Len(), k)
+		}
+		for u := range k {
+			longest = max(longest, lists.Index(u).Len())
 		}
 		return size, longest
 	}
@@ -456,7 +512,7 @@ func TestHypotheticalStateIsFlat(t *testing.T) {
 			t.Errorf("%s: hypothetical states serialize to %d B after 200 jobs and %d B after 2000", alg.Name(), size1, size10)
 		}
 		if longest > 128 {
-			t.Errorf("%s: a drained hypothetical schedule still holds a %d-entry list after 2000 jobs", alg.Name(), longest)
+			t.Errorf("%s: a drained hypothetical schedule or shared queue still holds a %d-entry list after 2000 jobs", alg.Name(), longest)
 		}
 	}
 }

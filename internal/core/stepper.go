@@ -145,8 +145,9 @@ func (policyPlug) phiAt(model.Time) []float64 { return nil }
 // NewStepper implements StepperAlgorithm.
 func (a *policyAlgorithm) NewStepper(inst *model.Instance, seed int64) Stepper {
 	src := stats.NewSource(seed)
-	c := sim.New(inst, inst.Grand(), a.factory(), rand.New(src))
-	s := newSchedSet(a.name, seed, inst, policyPlug{}, []*sim.Cluster{c}, false)
+	q := sim.NewQueues(inst)
+	c := q.NewCluster(inst.Grand(), a.factory(), rand.New(src))
+	s := newSchedSet(a.name, seed, inst, policyPlug{}, q, []*sim.Cluster{c}, false)
 	s.src = src
 	return s
 }

@@ -8,29 +8,26 @@ import (
 
 // The 0 allocs/step budget (core's TestSteadyStateStepAllocFree) holds
 // for the steppers a session actually runs — built by buildAlg from a
-// config that sets no option — on touched sets large enough that a
-// per-instant fan-out would have engaged. Eight organizations keep every
-// machine busy from t=0 (40 long jobs each on 2 machines), then one job
-// per instant is released and queues: the release touches the owner's
+// config that sets no option — on release instants with large touched
+// sets. Eight organizations of 2 machines each run one long job each
+// from t=0, so every schedule keeps a free machine per member; then one
+// unit job per instant is released: the release touches the owner's
 // 128 REF schedules, or every sampled RAND coalition holding the owner,
-// and each is advanced, probed, re-snapshot and re-keyed. Nothing starts,
-// and the 13 late releases per organization fit the capacity the 40
-// early ones left in every wait queue, so a step that allocates at all
-// allocates in the loop itself.
+// each starts it, and it completes at the next instant, beside the next
+// release. So every measured step advances, dispatches and re-keys a
+// large touched set; only the decision log grows (amortized).
 func TestSessionAlgorithmsStepAllocFree(t *testing.T) {
-	const k, early, late = 8, 40, 104
+	const k, late = 8, 104
 	orgs := make([]model.Org, k)
 	for i := range orgs {
 		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: 2}
 	}
 	var jobs []model.Job
 	for o := 0; o < k; o++ {
-		for j := 0; j < early; j++ {
-			jobs = append(jobs, model.Job{Org: o, Release: 0, Size: 1 << 20})
-		}
+		jobs = append(jobs, model.Job{Org: o, Release: 0, Size: 1 << 20})
 	}
 	for i := 0; i < late; i++ {
-		jobs = append(jobs, model.Job{Org: i % k, Release: model.Time(1 + i), Size: 5})
+		jobs = append(jobs, model.Job{Org: i % k, Release: model.Time(1 + i), Size: 1})
 	}
 	for _, name := range []string{"ref", "rand"} {
 		t.Run(name, func(t *testing.T) {

@@ -7,11 +7,13 @@
 // The engine exposes two driving styles:
 //
 //   - Run(until): self-driving loop for standalone policies
-//     (round-robin, fair share, DIRECTCONTR, …).
-//   - NextEventTime / AdvanceTo / Dispatch: the primitives
-//     internal/core's schedule-set loop uses to step many coalition
-//     clusters event by event and interleave contribution computations
-//     between event processing and dispatch.
+//     (round-robin, fair share, DIRECTCONTR, …) on a cluster built by
+//     New, which owns its queues.
+//   - Queues.AdvanceTo / NextEventTime / AdvanceTo / Dispatch: the
+//     primitives internal/core's schedule-set loop uses to step many
+//     coalition clusters, built on one shared Queues, event by event and
+//     interleave contribution computations between event processing and
+//     dispatch.
 //
 // Greediness (no machine idles while a job waits) is an engine
 // invariant, not a policy obligation: the dispatch loop keeps starting
@@ -29,6 +31,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -49,30 +52,37 @@ type Start struct {
 	At      model.Time
 }
 
-// Cluster simulates one coalition. Create with New; the zero value is
-// not usable.
+// Cluster simulates one coalition. Create with New or Queues.NewCluster;
+// the zero value is not usable.
 type Cluster struct {
-	inst *model.Instance
-	coal model.Coalition
+	// What a schedule set's step and a policy's Select read, together.
+	view     View // the one read-only window handed to the policy and to View callers
+	coal     model.Coalition
+	inst     *model.Instance
+	now      model.Time
+	free     []int // free machine IDs, ascending unless a MachineOrderer reordered them
+	running  runHeap
+	q        *Queues
+	lists    [][]int // q's, shared: org -> job IDs by release
+	base     []int   // q's, shared: org -> absolute position of lists[org][0]
+	released []int   // q's, shared: org -> absolute position of its first pending job
+	cursor   []int   // org -> absolute position in q's list: its jobs started here
+	// The waiting jobs and the organizations they belong to, as of the
+	// queues' epoch seen; a start keeps them, anything else that moves a
+	// released count or a cursor moves the epoch.
+	seen               uint64
+	waitJobs, waitOrgs int
 
 	owners         []int // machine -> owning org
 	speeds         []int // machine -> work units per time unit
 	capacity       int64 // Σ speeds
 	machinesPerOrg []int
 	capacityPerOrg []int64
-	free           []int // free machine IDs, ascending unless a MachineOrderer reordered them
-	running        runHeap
+	runningPerOrg  []int
 
-	releaseOrder []int // job IDs of members, by (Release, ID)
-	nextRelease  int
-	queues       [][]int // per-org FIFO of job IDs
-	qHead        []int
-	totalWaiting int
-	withdrawn    []int // job IDs withdrawn via Withdraw, in withdrawal order
+	private   bool  // q is this cluster's alone: AdvanceTo releases it
+	withdrawn []int // job IDs withdrawn while still unstarted here, in withdrawal order
 
-	runningPerOrg []int
-
-	now     model.Time
 	orgAcct []ValuePoly // per job owner
 	ownAcct []ValuePoly // per machine owner
 	total   ValuePoly
@@ -82,20 +92,30 @@ type Cluster struct {
 	rng      *rand.Rand
 	starts   []Start
 	noStarts bool // DiscardStarts: starts stays nil
-	view     View // the one read-only window handed to the policy and to View callers
 }
 
 // New builds a cluster for the given coalition of the instance, driven
-// by the policy. rng may be nil when the policy is deterministic.
+// by the policy, on queues of its own. rng may be nil when the policy is
+// deterministic.
 func New(inst *model.Instance, coal model.Coalition, p Policy, rng *rand.Rand) *Cluster {
+	c := newQueues(inst, coal).NewCluster(coal, p, rng)
+	c.private = true
+	return c
+}
+
+func newCluster(q *Queues, coal model.Coalition, p Policy, rng *rand.Rand) *Cluster {
+	inst := q.inst
 	k := len(inst.Orgs)
 	c := &Cluster{
 		inst:           inst,
 		coal:           coal,
 		machinesPerOrg: make([]int, k),
 		capacityPerOrg: make([]int64, k),
-		queues:         make([][]int, k),
-		qHead:          make([]int, k),
+		q:              q,
+		lists:          q.lists,
+		base:           q.base,
+		released:       q.released,
+		cursor:         make([]int, k),
 		runningPerOrg:  make([]int, k),
 		orgAcct:        make([]ValuePoly, k),
 		ownAcct:        make([]ValuePoly, k),
@@ -126,11 +146,6 @@ func New(inst *model.Instance, coal model.Coalition, p Policy, rng *rand.Rand) *
 			c.free = append(c.free, m)
 		}
 	}
-	for _, j := range inst.Jobs {
-		if coal.Has(j.Org) {
-			c.releaseOrder = append(c.releaseOrder, j.ID)
-		}
-	}
 	c.view = View{c}
 	if p != nil {
 		c.orderer, _ = p.(MachineOrderer)
@@ -156,24 +171,31 @@ func (c *Cluster) Now() model.Time { return c.now }
 // receive).
 func (c *Cluster) View() *View { return &c.view }
 
-// NextEventTime returns the earliest future release or completion, or
-// MaxTime when neither exists.
+// NextEventTime returns the earliest future release of a member's job
+// or completion, or MaxTime when neither exists.
 func (c *Cluster) NextEventTime() model.Time {
-	next := MaxTime
-	if c.nextRelease < len(c.releaseOrder) {
-		next = c.inst.Jobs[c.releaseOrder[c.nextRelease]].Release
+	next := c.q.next
+	if c.coal != c.q.orgs {
+		next = c.q.earliest(c.coal)
 	}
-	if len(c.running) > 0 && c.running[0].End < next {
-		next = c.running[0].End
-	}
-	return next
+	return min(next, c.NextCompletion())
 }
 
-// AdvanceTo moves the clock to t, processing every release and
-// completion with time ≤ t, but performs no dispatch. External drivers
-// must advance event by event (t = the global minimum NextEventTime) so
-// that no dispatch opportunity is skipped; Run and Step do this
-// automatically.
+// NextCompletion returns the earliest completion, or MaxTime when no job
+// runs.
+func (c *Cluster) NextCompletion() model.Time {
+	if len(c.running) == 0 {
+		return MaxTime
+	}
+	return c.running[0].End
+}
+
+// AdvanceTo moves the clock to t, processing every completion with time
+// ≤ t — and, on queues of its own, every release — but performs no
+// dispatch. External drivers must advance event by event (t = the
+// global minimum NextEventTime) so that no dispatch opportunity is
+// skipped; Run and Step do this automatically. On shared queues the
+// owner releases them (Queues.AdvanceTo) first.
 func (c *Cluster) AdvanceTo(t model.Time) {
 	if t < c.now {
 		panic(fmt.Sprintf("sim: AdvanceTo(%d) before current time %d", t, c.now))
@@ -185,7 +207,9 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 		c.runningPerOrg[c.inst.Jobs[top.Job].Org]--
 	}
 	c.now = t
-	c.releaseUpTo(t)
+	if c.private {
+		c.q.AdvanceTo(t)
+	}
 }
 
 // accounts returns the three accounts an execution of org's job on
@@ -230,29 +254,41 @@ func (c *Cluster) entry(job, m int, start model.Time) runEntry {
 	return runEntry{End: start + (c.inst.Jobs[job].Size+q-1)/q, Start: start, Job: int32(job), Machine: int32(m)}
 }
 
-// releaseUpTo enqueues every job with Release ≤ t.
-func (c *Cluster) releaseUpTo(t model.Time) {
-	for c.nextRelease < len(c.releaseOrder) {
-		id := c.releaseOrder[c.nextRelease]
-		j := c.inst.Jobs[id]
-		if j.Release > t {
-			break
-		}
-		c.queues[j.Org] = append(c.queues[j.Org], id)
-		c.totalWaiting++
-		c.nextRelease++
-	}
-	// Compact the consumed prefix occasionally, as startHead does for the
-	// queues: the list holds pending releases, not the run's history.
-	if c.nextRelease > 64 && c.nextRelease*2 > len(c.releaseOrder) {
-		c.releaseOrder = append(c.releaseOrder[:0], c.releaseOrder[c.nextRelease:]...)
-		c.nextRelease = 0
-	}
+// waiting returns the number of org's released jobs not yet started
+// here. A policy asks it of every organization, members or not, so the
+// membership test is a mask rather than a branch: a non-member's count
+// is zeroed.
+func (c *Cluster) waiting(org int) int {
+	member := int(c.coal>>(uint(org)&31)) & 1
+	return (c.released[org] - c.cursor[org]) & -member
 }
+
+// head returns org's next job here.
+func (c *Cluster) head(org int) int { return c.lists[org][c.cursor[org]-c.base[org]] }
+
+// counts returns the waiting jobs and the organizations with one.
+func (c *Cluster) counts() (jobs, orgs int) {
+	if c.seen != c.q.epoch {
+		c.seen, c.waitJobs, c.waitOrgs = c.q.epoch, 0, 0
+		for m := uint32(c.coal); m != 0; m &= m - 1 {
+			u := bits.TrailingZeros32(m)
+			if w := c.released[u] - c.cursor[u]; w > 0 {
+				c.waitJobs, c.waitOrgs = c.waitJobs+w, c.waitOrgs+1
+			}
+		}
+	}
+	return c.waitJobs, c.waitOrgs
+}
+
+// FreeMachines returns the number of idle machines.
+func (c *Cluster) FreeMachines() int { return len(c.free) }
 
 // CanDispatch reports whether the cluster currently has both a free
 // machine and a waiting job, i.e. Dispatch would start at least one job.
-func (c *Cluster) CanDispatch() bool { return c.totalWaiting > 0 && len(c.free) > 0 }
+func (c *Cluster) CanDispatch() bool {
+	jobs, _ := c.counts()
+	return len(c.free) > 0 && jobs > 0
+}
 
 // Contested reports whether two or more organizations have a waiting
 // job. When at most one does, a policy's Select has one legal answer —
@@ -260,33 +296,24 @@ func (c *Cluster) CanDispatch() bool { return c.totalWaiting > 0 && len(c.free) 
 // nothing new in, so every start it makes is known before the policy is
 // asked.
 func (c *Cluster) Contested() bool {
-	if c.totalWaiting < 2 {
-		return false
-	}
-	waiting := 0
-	for org, q := range c.queues {
-		if len(q) > c.qHead[org] {
-			waiting++
-		}
-		if waiting == 2 {
-			return true
-		}
-	}
-	return false
+	_, orgs := c.counts()
+	return orgs >= 2
 }
 
-// Withdraw removes a not-yet-started job from the cluster: from the
-// organization's wait queue if it has been released, or from the
-// pending release order if it has not. The job's identity is retained
-// on a withdrawn list (checkpointed; Inject refuses its ID for good),
-// and no account is touched — a queued job has executed
-// nothing, so ψsp bookkeeping is unaffected by construction.
+// Withdraw removes a job not yet started here from the queues the
+// cluster schedules from — its organization's wait queue if it has been
+// released, its pending releases if it has not — for good: Inject
+// refuses its ID, and no account is touched (a queued job has executed
+// nothing). On shared queues it leaves every cluster on them: each
+// that had not started it records it on its withdrawn list
+// (checkpointed), as this one does, and each that had keeps it —
+// dispatch is non-preemptive.
 //
 // The first result reports whether the job was removed: false with a
 // nil error means the job is not withdrawable here — it already
-// started (dispatch is non-preemptive), was already withdrawn, or its
-// organization is not a coalition member (mirroring Inject, non-member
-// jobs are ignored). Errors are reserved for malformed arguments.
+// started, was already withdrawn, or its organization is not a
+// coalition member (mirroring Inject, non-member jobs are ignored).
+// Errors are reserved for malformed arguments.
 func (c *Cluster) Withdraw(org, id int) (bool, error) {
 	if id < 0 || id >= len(c.inst.Jobs) {
 		return false, fmt.Errorf("sim: withdraw: job %d not in instance", id)
@@ -297,27 +324,12 @@ func (c *Cluster) Withdraw(org, id int) (bool, error) {
 	if !c.coal.Has(org) {
 		return false, nil
 	}
-	q := c.queues[org]
-	for i := c.qHead[org]; i < len(q); i++ {
-		if q[i] != id {
-			continue
-		}
-		copy(q[i:], q[i+1:])
-		c.queues[org] = q[:len(q)-1]
-		c.totalWaiting--
-		c.withdrawn = append(c.withdrawn, id)
-		return true, nil
+	pos, ok := c.q.find(org, id)
+	if !ok || pos < c.cursor[org] {
+		return false, nil
 	}
-	for i := c.nextRelease; i < len(c.releaseOrder); i++ {
-		if c.releaseOrder[i] != id {
-			continue
-		}
-		copy(c.releaseOrder[i:], c.releaseOrder[i+1:])
-		c.releaseOrder = c.releaseOrder[:len(c.releaseOrder)-1]
-		c.withdrawn = append(c.withdrawn, id)
-		return true, nil
-	}
-	return false, nil
+	c.q.withdraw(org, pos)
+	return true, nil
 }
 
 // WithdrawnCount returns the number of jobs withdrawn from this
@@ -327,7 +339,8 @@ func (c *Cluster) WithdrawnCount() int { return len(c.withdrawn) }
 // Dispatch runs the greedy loop at the current instant: while a free
 // machine and a waiting job exist, ask the policy and start the job.
 func (c *Cluster) Dispatch() {
-	if c.totalWaiting == 0 || len(c.free) == 0 {
+	waiting, _ := c.counts()
+	if len(c.free) == 0 || waiting == 0 {
 		return
 	}
 	if c.orderer != nil {
@@ -340,10 +353,7 @@ func (c *Cluster) Dispatch() {
 		c.orderer.OrderMachines(c.now, c.free)
 	}
 	used := 0
-	for _, m := range c.free {
-		if c.totalWaiting == 0 {
-			break
-		}
+	for _, m := range c.free[:min(len(c.free), waiting)] {
 		org := c.policy.Select(c.now, m)
 		c.startHead(org, m)
 		used++
@@ -357,17 +367,15 @@ func (c *Cluster) Dispatch() {
 
 // startHead starts org's head job on machine m at the current time.
 func (c *Cluster) startHead(org int, m int) {
-	if len(c.queues[org])-c.qHead[org] == 0 {
+	if c.waiting(org) == 0 {
 		panic(fmt.Sprintf("sim: policy %q selected organization %d with no waiting jobs", c.policy.Name(), org))
 	}
-	id := c.queues[org][c.qHead[org]]
-	c.qHead[org]++
-	// Compact the queue occasionally so memory does not grow unbounded.
-	if c.qHead[org] > 64 && c.qHead[org]*2 > len(c.queues[org]) {
-		c.queues[org] = append(c.queues[org][:0], c.queues[org][c.qHead[org]:]...)
-		c.qHead[org] = 0
+	id := c.head(org)
+	c.cursor[org]++
+	c.waitJobs--
+	if c.released[org] == c.cursor[org] {
+		c.waitOrgs--
 	}
-	c.totalWaiting--
 	r := c.entry(id, m, c.now)
 	c.running.push(r)
 	c.start(r)

@@ -224,8 +224,10 @@ func drainHorizon(in *model.Instance) model.Time {
 // queue, ascending.
 func queuedJobs(c *Cluster) []int {
 	var out []int
-	for org := range c.queues {
-		out = append(out, c.queues[org][c.qHead[org]:]...)
+	for org := range c.cursor {
+		if c.coal.Has(org) {
+			out = append(out, c.q.window(org, c.cursor[org])...)
+		}
 	}
 	sort.Ints(out)
 	return out

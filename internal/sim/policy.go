@@ -76,16 +76,17 @@ func (v *View) Orgs() int { return len(v.c.inst.Orgs) }
 func (v *View) Coalition() model.Coalition { return v.c.coal }
 
 // Waiting returns the number of released, not yet started jobs of org.
-func (v *View) Waiting(org int) int { return len(v.c.queues[org]) - v.c.qHead[org] }
+func (v *View) Waiting(org int) int { return v.c.waiting(org) }
 
 // Head returns the ID and release time of org's next job in FIFO order.
 // The job's size is deliberately not exposed (non-clairvoyance).
 func (v *View) Head(org int) (id int, release model.Time, ok bool) {
-	if v.Waiting(org) == 0 {
+	c := v.c
+	if c.waiting(org) == 0 {
 		return 0, 0, false
 	}
-	j := v.c.inst.Jobs[v.c.queues[org][v.c.qHead[org]]]
-	return j.ID, j.Release, true
+	id = c.head(org)
+	return id, c.inst.Jobs[id].Release, true
 }
 
 // Psi returns org's strategy-proof utility ψsp at the current time.

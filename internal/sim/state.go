@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/model"
 	"repro/internal/utility"
@@ -15,101 +14,18 @@ import (
 // internal/engine; batch runs never touch them.
 
 // Inject registers jobs that were appended to the instance after the
-// cluster was built (online arrivals). Each must already be in
-// inst.Jobs at its index. Jobs of non-member organizations are ignored,
-// mirroring New; a member's must not be released in the cluster's past:
-// its release becomes a future event exactly as if the job had been
-// known from the start. A release equal to the current time is
-// allowed — NextEventTime then fires at the current instant and the
-// normal event path enqueues and dispatches it. A withdrawn job stays
-// withdrawn: work that moves elsewhere enters there as a new job.
-//
-// Every ID is checked before any is entered, so an error leaves the
-// cluster as it was. The members then enter the pending releases in one
-// merge: as given when they are InReleaseOrder, sorted first otherwise.
-func (c *Cluster) Inject(ids ...int) error {
-	jobs := c.inst.Jobs
-	members, last, sorted := 0, 0, true
-	for _, id := range ids {
-		if id < 0 || id >= len(jobs) {
-			return fmt.Errorf("sim: inject: job %d not in instance", id)
-		}
-		j := jobs[id]
-		if !c.coal.Has(j.Org) {
-			continue
-		}
-		if j.Release < c.now {
-			return fmt.Errorf("sim: inject: job %d released at %d, before current time %d", id, j.Release, c.now)
-		}
-		if slices.Contains(c.withdrawn, id) {
-			return fmt.Errorf("sim: inject: job %d was withdrawn", id)
-		}
-		if members > 0 && releaseLess(jobs, id, last) {
-			sorted = false
-		}
-		members, last = members+1, id
-	}
-	if members == 0 {
-		return nil
-	}
-	if !sorted {
-		ids = slices.Clone(ids)
-		SortByRelease(jobs, ids)
-	}
-	// Merge from the back into releaseOrder[nextRelease:], the pending
-	// releases releaseUpTo scans in (Release, ID) order: nothing is
-	// searched, and a pending job moves once, by the members after it.
-	n := len(c.releaseOrder)
-	// One append per member: slices.Grow's temporary slice allocates
-	// under the race detector, where the allocation budgets also run.
-	for range members {
-		c.releaseOrder = append(c.releaseOrder, 0)
-	}
-	order, w := c.releaseOrder, n+members-1
-	for b := len(ids) - 1; b >= 0; b-- {
-		id := ids[b]
-		if !c.coal.Has(jobs[id].Org) {
-			continue
-		}
-		for ; n > c.nextRelease && releaseLess(jobs, id, order[n-1]); n-- {
-			order[w] = order[n-1]
-			w--
-		}
-		order[w] = id
-		w--
-	}
-	return nil
-}
-
-// InReleaseOrder reports whether job IDs are in the order a cluster
-// keeps its pending releases in: by release, then by ID.
-func InReleaseOrder(jobs []model.Job, ids []int) bool {
-	for i := 1; i < len(ids); i++ {
-		if releaseLess(jobs, ids[i], ids[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// SortByRelease sorts job IDs into release order (InReleaseOrder).
-func SortByRelease(jobs []model.Job, ids []int) {
-	slices.SortFunc(ids, func(a, b int) int {
-		switch {
-		case releaseLess(jobs, a, b):
-			return -1
-		case releaseLess(jobs, b, a):
-			return 1
-		}
-		return 0
-	})
-}
-
-// releaseLess reports whether job a comes before job b by (Release, ID).
-func releaseLess(jobs []model.Job, a, b int) bool {
-	ra, rb := jobs[a].Release, jobs[b].Release
-	return ra < rb || ra == rb && a < b
-}
+// cluster was built (online arrivals): Queues.Inject on the queues it
+// schedules from — on shared queues, for every cluster on them. Jobs of
+// non-member organizations are ignored, mirroring New, on queues of its
+// own; a member's must not be released in the cluster's past: its
+// release becomes a future event exactly as if the job had been known
+// from the start. A release equal to the current time is allowed —
+// NextEventTime then fires at the current instant and the normal event
+// path enqueues and dispatches it. A job that has entered before —
+// pending, queued, started or withdrawn — is refused: work that moves
+// elsewhere enters there as a new job. An error leaves the cluster as it
+// was.
+func (c *Cluster) Inject(ids ...int) error { return c.q.Inject(ids...) }
 
 // RunEntryState is one executing job in a capture. End, the completion
 // its job, machine and start imply, is not written.
@@ -157,13 +73,15 @@ func (c *Cluster) CaptureState() ClusterState {
 	st := ClusterState{
 		Coalition:    c.coal,
 		Now:          c.now,
-		ReleaseOrder: append([]int(nil), c.releaseOrder[c.nextRelease:]...),
-		Queues:       make([][]int, len(c.queues)),
+		ReleaseOrder: c.q.pending(c.coal),
+		Queues:       make([][]int, len(c.cursor)),
 		Starts:       append([]Start(nil), c.starts...),
 		Withdrawn:    append([]int(nil), c.withdrawn...),
 	}
-	for org, q := range c.queues {
-		st.Queues[org] = append([]int(nil), q[c.qHead[org]:]...)
+	for org := range st.Queues {
+		if c.coal.Has(org) {
+			st.Queues[org] = append([]int(nil), c.q.window(org, c.cursor[org])...)
+		}
 	}
 	if c.noStarts {
 		for _, r := range c.running {
@@ -182,9 +100,16 @@ func (c *Cluster) CaptureState() ClusterState {
 // injected jobs, same coalition, same policy kind). The policy's own
 // state, if any, is restored separately by the driver. A capture is
 // outside input: it is refused unless every member job is in exactly
-// one place — pending, queued, withdrawn or started — no pending
+// one place — pending, queued, withdrawn or started — each
+// organization's jobs are by release as queues keep them, no pending
 // release precedes the clock, no machine runs two jobs at once and none
 // idles while a job waits.
+//
+// A cluster on queues of its own rebuilds them from the capture. On
+// shared queues the decision schedule — the cluster that keeps a
+// decision log, whose coalition spans the queues — does, and is restored
+// first; every other cluster's queued and pending jobs must then be its
+// window of them (Queues.checkWindow).
 //
 // On a cluster that keeps a decision log, each line's job, machine and
 // start give its window: the lines that ended by the clock are its
@@ -301,15 +226,38 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 			return fmt.Errorf("sim: restore: job %d is neither started, pending, queued nor withdrawn", id)
 		}
 	}
+	// Queues keep an organization's jobs by release: the released ones in
+	// the order they were, the pending ones by (Release, ID) after them.
+	for org, q := range st.Queues {
+		for i := 1; i < len(q); i++ {
+			if jobs[q[i]].Release < jobs[q[i-1]].Release {
+				return fmt.Errorf("sim: restore: organization %d's queue is out of release order at job %d", org, q[i])
+			}
+		}
+	}
+	for i, id := range pending {
+		if i > 0 && !releaseLess(jobs, pending[i-1], id) {
+			return fmt.Errorf("sim: restore: release order out of (release, ID) order at job %d", id)
+		}
+		if q := st.Queues[jobs[id].Org]; len(q) > 0 && jobs[q[len(q)-1]].Release > jobs[id].Release {
+			return fmt.Errorf("sim: restore: job %d is pending release before queued job %d's", id, q[len(q)-1])
+		}
+	}
+	rebuild := c.private || !c.noStarts
+	switch {
+	case rebuild && c.coal != c.q.orgs:
+		return fmt.Errorf("sim: restore: the decision schedule of shared queues is of %v, they serve %v", c.coal, c.q.orgs)
+	case !rebuild:
+		if err := c.q.checkWindow(c.coal, st.Queues, pending); err != nil {
+			return err
+		}
+	}
 
 	c.now = st.Now
-	c.releaseOrder = append(c.releaseOrder[:0], pending...)
-	c.nextRelease = 0
-	c.totalWaiting = waiting
-	for org, q := range st.Queues {
-		c.queues[org] = append([]int(nil), q...)
-		c.qHead[org] = 0
+	if rebuild {
+		c.q.reset(st.Now, st.Queues, pending, st.Withdrawn)
 	}
+	c.q.place(c, st.Queues, st.Now)
 	c.total = ValuePoly{}
 	for org := range c.orgAcct {
 		c.orgAcct[org], c.ownAcct[org] = ValuePoly{}, ValuePoly{}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,6 +87,24 @@ func TestInjectValidation(t *testing.T) {
 	if got := c.NextEventTime(); got != MaxTime {
 		t.Errorf("non-member injection created an event at %d", got)
 	}
+	// A job the cluster holds is refused, here job 0, started at 0.
+	if err := c.Inject(0); err == nil || !strings.Contains(err.Error(), "already entered") {
+		t.Errorf("started job re-injected: %v", err)
+	}
+
+	// A pending job entered again would be queued once per Inject and
+	// started as many times.
+	twice := model.MustNewInstance([]model.Org{{Name: "A", Machines: 2}}, []model.Job{{Org: 0, Release: 5, Size: 2}})
+	d := New(twice, twice.Grand(), fifoByID(), nil)
+	for range 2 {
+		if err := d.Inject(0); err == nil || !strings.Contains(err.Error(), "already entered") {
+			t.Errorf("pending job re-injected: %v", err)
+		}
+	}
+	d.Run(20)
+	if len(d.Starts()) != 1 {
+		t.Errorf("job 0 started %d times: %v", len(d.Starts()), d.Starts())
+	}
 }
 
 // injectFixture is a cluster of organizations A and B — C is not a
@@ -149,7 +168,7 @@ func TestInjectBatchMatchesPerJob(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		c, batch := injectFixture()
 		if trial == 0 {
-			SortByRelease(c.inst.Jobs, batch) // merged as given
+			slices.SortFunc(batch, c.q.compare) // merged as given
 		} else {
 			r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 		}
@@ -185,6 +204,14 @@ func TestInjectBatchAllOrNothing(t *testing.T) {
 			}
 			return 4
 		}, "was withdrawn"},
+		{"pending", func(c *Cluster) int { return 5 }, "already entered"},
+		{"queued", func(c *Cluster) int {
+			if w := c.View().Waiting(0); w != 1 {
+				t.Fatalf("organization 0 has %d jobs waiting, want job 3 alone", w)
+			}
+			return 3
+		}, "already entered"},
+		{"started", func(c *Cluster) int { return 0 }, "already entered"},
 	} {
 		c, batch := injectFixture()
 		bad := tc.bad(c)
@@ -198,6 +225,15 @@ func TestInjectBatchAllOrNothing(t *testing.T) {
 		if after, _ := json.Marshal(c.CaptureState()); !bytes.Equal(after, before) {
 			t.Fatalf("%s: a refused batch moved the state:\n%s\nwas\n%s", tc.name, after, before)
 		}
+	}
+	// A new job given twice in one batch is refused too.
+	c, batch := injectFixture()
+	before, _ := json.Marshal(c.CaptureState())
+	if err := c.Inject(batch[1], batch[0], batch[3], batch[0]); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("a batch naming job %d twice: %v", batch[0], err)
+	}
+	if after, _ := json.Marshal(c.CaptureState()); !bytes.Equal(after, before) {
+		t.Fatalf("a refused batch moved the state:\n%s\nwas\n%s", after, before)
 	}
 }
 
@@ -607,7 +643,7 @@ func FuzzClusterRestore(f *testing.F) {
 		// rest of each running one.
 		done := c.ExecutedUnits()
 		var owed int64
-		for _, id := range c.releaseOrder[c.nextRelease:] {
+		for _, id := range c.q.pending(c.coal) {
 			owed += int64(in.Jobs[id].Size)
 		}
 		for _, id := range queuedJobs(c) {
@@ -625,8 +661,8 @@ func FuzzClusterRestore(f *testing.F) {
 		if got := c.ExecutedUnits() - done; got != owed {
 			t.Fatalf("executed %d units after restore, the restored state owed %d", got, owed)
 		}
-		if len(c.running) != 0 || c.totalWaiting != 0 || c.WithdrawnCount() != len(st.Withdrawn) {
-			t.Fatalf("drained with %d running, %d waiting, %d withdrawn of %d", len(c.running), c.totalWaiting, c.WithdrawnCount(), len(st.Withdrawn))
+		if len(c.running) != 0 || len(queuedJobs(c)) != 0 || c.WithdrawnCount() != len(st.Withdrawn) {
+			t.Fatalf("drained with %d running, %d waiting, %d withdrawn of %d", len(c.running), len(queuedJobs(c)), c.WithdrawnCount(), len(st.Withdrawn))
 		}
 		if discard {
 			if c.Starts() != nil {
