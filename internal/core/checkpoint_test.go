@@ -12,6 +12,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/utility"
 )
 
 // ckptFamilies maps the committed checkpoints to the algorithm
@@ -20,11 +21,11 @@ import (
 // (the last two at e0df78c by the per-instant worker pool —
 // RefOptions{Parallel: true, Workers: 2}, 5 organizations;
 // RandOptions{Workers: 2}, 6 organizations; t = 7, touched sets up to
-// 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json,
-// ckpt_v3_<key>.json and ckpt_v4_<key>.json, the same run captured at
-// the same instant by the first version-2, version-3 and version-4
-// writers. decisionFirst marks the families that checkpoint the
-// decision schedule first, not last.
+// 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json
+// to ckpt_v5_<key>.json, the same run captured at the same instant by
+// the first version-2, version-3, version-4 and version-5 writers.
+// decisionFirst marks the families that checkpoint the decision schedule
+// first, not last.
 var ckptFamilies = []struct {
 	key           string
 	alg           StepperAlgorithm
@@ -108,12 +109,14 @@ func freshAt(t *testing.T, alg StepperAlgorithm, cp *Checkpoint) (*model.Instanc
 // started), one per stepper family and layout version. Each must
 // restore under the current code, re-capture to what a fresh run
 // stepped to the same instant captures, and run to the horizon with
-// starts, ψ and φ equal to an uninterrupted run. A version-4 file is
+// starts, ψ and φ equal to an uninterrupted run. A version-5 file is
 // that fresh capture byte for byte; an older file cannot be (the
 // writer omits five of a version-1 cluster's fields, every job's ID and
-// every start's Org of version 2, and a running entry's end and fold
-// mark and the decision schedule's running entries and accounts of
-// version 3).
+// every start's Org of version 2, a running entry's end and fold mark
+// and the decision schedule's running entries and accounts of version
+// 3, and a hypothetical schedule's queues, pending releases, withdrawn
+// list, machine-owner accounts and non-members' accounts of version 4,
+// where it writes waiting counts).
 func TestParentCheckpointsRestore(t *testing.T) {
 	for _, fam := range ckptFamilies {
 		t.Run(fam.key, func(t *testing.T) {
@@ -134,7 +137,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 		if !fam.v2 {
 			continue
 		}
-		for _, version := range []int{2, 3, 4} {
+		for _, version := range []int{2, 3, 4, 5} {
 			t.Run(fmt.Sprintf("%s/v%d", fam.key, version), func(t *testing.T) {
 				raw, cp := loadCheckpoint(t, fmt.Sprintf("v%d_%s", version, fam.key))
 				if _, parent := loadParentCheckpoint(t, fam.key); cp.Version != version || cp.Now != parent.Now || len(cp.Jobs) != len(parent.Jobs) {
@@ -145,6 +148,9 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				}
 				if old := bytes.Contains(raw, []byte(`"end":`)) && bytes.Contains(raw, []byte(`"acc_from":`)); old != (version < 4) {
 					t.Fatalf("the fixture carries running entries' ends and fold marks: %v", old)
+				}
+				if counts := bytes.Contains(raw, []byte(`"waiting":`)); counts != (version == 5 && fam.key != "roundrobin") {
+					t.Fatalf("the fixture's hypothetical schedules store waiting counts: %v", counts)
 				}
 				restored, err := fam.alg.RestoreStepper(cp)
 				if err != nil {
@@ -166,79 +172,99 @@ func TestParentCheckpointsRestore(t *testing.T) {
 
 // A version-1 document's free lists, per-organization running counts,
 // total accounts, flush marks, hypothetical decision logs, job IDs and
-// start organizations are not read: each parent fixture with all of them overwritten by garbage
-// restores and finishes exactly as the uninterrupted run. (Before the
-// fields stopped being read, a doctored total was restored as the
-// coalition's value and the run diverged.)
+// start organizations are not read, nor a version-4 hypothetical
+// schedule's machine-owner accounts and withdrawn list: each parent
+// fixture, and each version-4 fixture that keeps hypothetical schedules,
+// with all of them overwritten by garbage restores and finishes exactly
+// as the uninterrupted run. (Before the fields stopped being read, a
+// doctored total was restored as the coalition's value and the run
+// diverged.)
 func TestRestoreIgnoresDerivedFields(t *testing.T) {
 	for _, fam := range ckptFamilies {
-		t.Run(fam.key, func(t *testing.T) {
-			raw, clean := loadParentCheckpoint(t, fam.key)
-			garbage := map[string]string{
-				"total":           `{"U":3465034,"S":-17}`,
-				"running_per_org": "[9" + strings.Repeat(",9", len(clean.Orgs)-1) + "]",
-				"free":            `[999,-4,0,0]`,
-				"flushed_at":      `123456`,
+		for _, version := range []string{"parent", "v4"} {
+			v4 := version == "v4"
+			if v4 && (!fam.v2 || fam.key == "roundrobin") {
+				continue
 			}
-			var doc map[string]json.RawMessage
-			var clusters []map[string]json.RawMessage
-			if err := json.Unmarshal(raw, &doc); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(doc["clusters"], &clusters); err != nil {
-				t.Fatal(err)
-			}
-			decision := len(clusters) - 1
-			if fam.decisionFirst {
-				decision = 0
-			}
-			for pos, c := range clusters {
-				for key, junk := range garbage {
-					if _, ok := c[key]; !ok {
-						t.Fatalf("cluster %d of the fixture has no %q to overwrite", pos, key)
+			t.Run(strings.TrimSuffix(fam.key+"/"+version, "/parent"), func(t *testing.T) {
+				raw, clean := loadCheckpoint(t, version+"_"+fam.key)
+				garbage := map[string]string{
+					"total":           `{"U":3465034,"S":-17}`,
+					"running_per_org": "[9" + strings.Repeat(",9", len(clean.Orgs)-1) + "]",
+					"free":            `[999,-4,0,0]`,
+					"flushed_at":      `123456`,
+				}
+				if v4 {
+					garbage = map[string]string{"own_acct": `[{"U":999,"S":-3},{"U":5,"S":5}]`, "withdrawn": `[0,1,2]`}
+				}
+				var doc map[string]json.RawMessage
+				var clusters []map[string]json.RawMessage
+				if err := json.Unmarshal(raw, &doc); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(doc["clusters"], &clusters); err != nil {
+					t.Fatal(err)
+				}
+				decision := len(clusters) - 1
+				if fam.decisionFirst {
+					decision = 0
+				}
+				for pos, c := range clusters {
+					if v4 && pos == decision {
+						continue
 					}
-					c[key] = json.RawMessage(junk)
+					for key, junk := range garbage {
+						if _, ok := c[key]; !ok && key != "withdrawn" {
+							t.Fatalf("cluster %d of the fixture has no %q to overwrite", pos, key)
+						}
+						c[key] = json.RawMessage(junk)
+					}
+					if pos != decision {
+						c["starts"] = json.RawMessage(`[{"Job":999999,"Org":7,"Machine":-1,"At":5},{"Job":0},{"Job":0}]`)
+					}
 				}
-				if pos != decision {
-					c["starts"] = json.RawMessage(`[{"Job":999999,"Org":7,"Machine":-1,"At":5},{"Job":0},{"Job":0}]`)
+				// A job's ID is its position and a start's Org its job's.
+				garble := func(list json.RawMessage, key, junk string) json.RawMessage {
+					var rows []map[string]json.RawMessage
+					if err := json.Unmarshal(list, &rows); err != nil || len(rows) == 0 || rows[0][key] == nil {
+						t.Fatalf("the fixture has no %q to overwrite (err %v)", key, err)
+					}
+					for _, row := range rows {
+						row[key] = json.RawMessage(junk)
+					}
+					out, err := json.Marshal(rows)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out
 				}
-			}
-			// A job's ID is its position and a start's Org its job's.
-			garble := func(list json.RawMessage, key, junk string) json.RawMessage {
-				var rows []map[string]json.RawMessage
-				if err := json.Unmarshal(list, &rows); err != nil || len(rows) == 0 || rows[0][key] == nil {
-					t.Fatalf("the fixture has no %q to overwrite (err %v)", key, err)
+				if !v4 {
+					doc["jobs"] = garble(doc["jobs"], "ID", "424242")
+					clusters[decision]["starts"] = garble(clusters[decision]["starts"], "Org", "99")
 				}
-				for _, row := range rows {
-					row[key] = json.RawMessage(junk)
+				var err error
+				if doc["clusters"], err = json.Marshal(clusters); err != nil {
+					t.Fatal(err)
 				}
-				out, err := json.Marshal(rows)
+				doctored, err := json.Marshal(doc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return out
-			}
-			doc["jobs"] = garble(doc["jobs"], "ID", "424242")
-			clusters[decision]["starts"] = garble(clusters[decision]["starts"], "Org", "99")
-			var err error
-			if doc["clusters"], err = json.Marshal(clusters); err != nil {
-				t.Fatal(err)
-			}
-			doctored, err := json.Marshal(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp := new(Checkpoint)
-			if err := json.Unmarshal(doctored, cp); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := fam.alg.RestoreStepper(cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst, fresh := freshAt(t, fam.alg, clean)
-			assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
-		})
+				cp := new(Checkpoint)
+				if err := json.Unmarshal(doctored, cp); err != nil {
+					t.Fatal(err)
+				}
+				restored, err := fam.alg.RestoreStepper(cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst, fresh := freshAt(t, fam.alg, clean)
+				if !bytes.Equal(captureJSON(t, restored, cp.Now), captureJSON(t, fresh, cp.Now)) {
+					t.Errorf("re-capture after restore differs from the capture of a fresh run at t=%d", cp.Now)
+				}
+				assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
+			})
+		}
 	}
 }
 
@@ -290,10 +316,42 @@ func TestRestoreRejectsStrippedCheckpoint(t *testing.T) {
 	}
 }
 
+// legacyState rewrites a hypothetical schedule's state of cp the way a
+// version-4 writer wrote it: its window of the decision schedule's
+// released jobs as queues, the members' pending releases, and an
+// account for every organization.
+func legacyState(cp *Checkpoint, st *sim.ClusterState) {
+	decision := cp.Clusters[len(cp.Clusters)-1]
+	released := make([][]int, len(cp.Orgs))
+	for _, s := range decision.Starts {
+		u := cp.Jobs[s.Job].Org
+		released[u] = append(released[u], s.Job)
+	}
+	queues := &sim.QueueState{Queues: make([][]int, len(cp.Orgs))}
+	for _, id := range decision.ReleaseOrder {
+		if st.Coalition.Has(cp.Jobs[id].Org) {
+			queues.ReleaseOrder = append(queues.ReleaseOrder, id)
+		}
+	}
+	acct := make([]utility.Account, len(cp.Orgs))
+	for i, u := range st.Coalition.Members() {
+		list := append(released[u], decision.Queues[u]...)
+		queues.Queues[u], acct[u] = list[len(list)-st.Waiting[i]:], st.OrgAcct[i]
+	}
+	st.QueueState, st.Waiting, st.OrgAcct = queues, nil, acct
+}
+
 // Restore rebuilds the shared queues from the decision schedule and
-// holds every hypothetical schedule to its window of them: one that
-// lost a queued job behind its head, or a pending one, to its
-// withdrawn list — a document no run writes — is refused.
+// holds every hypothetical schedule to them. A waiting count that is
+// negative, missing or past the organization's released jobs is
+// refused, and so is one that queues again a job the schedule runs. An
+// older document restores when its queues and pending list are its
+// window of them, as every run writes it, and re-captures as the
+// current one; one that lost a queued job behind its head, or a pending
+// one, to its withdrawn list is refused, and so is one whose account of
+// a non-member is not empty. (That account was added into the
+// coalition's value: v({A}) read 10 048 instead of 55, and B's and C's
+// φ at t = 400 came out negative.)
 func TestRestoreHoldsHypotheticalsToTheirWindow(t *testing.T) {
 	orgs := []model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}, {Name: "C", Machines: 1}}
 	var jobs []model.Job
@@ -309,26 +367,60 @@ func TestRestoreHoldsHypotheticalsToTheirWindow(t *testing.T) {
 	}
 	s.FinishAt(10)
 	clean := captureJSON(t, s, 10)
-	restore := func(doctor func(*sim.ClusterState) bool) error {
+	restore := func(legacy bool, doctor func(*sim.ClusterState) bool) (Stepper, error) {
 		t.Helper()
 		var cp Checkpoint
 		if err := json.Unmarshal(clean, &cp); err != nil {
 			t.Fatal(err)
 		}
+		hypothetical := cp.Clusters[:len(cp.Clusters)-1] // the grand coalition's is last
+		for i := range hypothetical {
+			if legacy {
+				legacyState(&cp, &hypothetical[i])
+			}
+		}
 		doctored := false
-		for i := range cp.Clusters[:len(cp.Clusters)-1] { // the grand coalition's is last
-			if doctored = doctor(&cp.Clusters[i]); doctored {
+		for i := range hypothetical {
+			if doctored = doctor(&hypothetical[i]); doctored {
 				break
 			}
 		}
 		if !doctored {
 			t.Fatal("no hypothetical schedule to doctor")
 		}
-		_, err := RefAlgorithm{}.RestoreStepper(&cp)
-		return err
+		return RefAlgorithm{}.RestoreStepper(&cp)
 	}
-	if err := restore(func(*sim.ClusterState) bool { return true }); err != nil {
-		t.Fatalf("the undoctored checkpoint is refused: %v", err)
+	for _, legacy := range []bool{false, true} {
+		restored, err := restore(legacy, func(*sim.ClusterState) bool { return true })
+		if err != nil {
+			t.Fatalf("the undoctored checkpoint (legacy %v) is refused: %v", legacy, err)
+		}
+		if got := captureJSON(t, restored, 10); !bytes.Equal(got, clean) {
+			t.Fatalf("the undoctored checkpoint (legacy %v) re-captures\n%s\nwant\n%s", legacy, got, clean)
+		}
+	}
+	for name, doctor := range map[string]func(*sim.ClusterState) bool{
+		"a waiting count past the released jobs": func(st *sim.ClusterState) bool { st.Waiting[0] = 1000; return true },
+		"a negative waiting count":               func(st *sim.ClusterState) bool { st.Waiting[0] = -1; return true },
+		"a waiting count missing": func(st *sim.ClusterState) bool {
+			st.Waiting = st.Waiting[1:]
+			return true
+		},
+		"a running job queued again": func(st *sim.ClusterState) bool {
+			if len(st.Running) == 0 {
+				return false
+			}
+			for i, u := range st.Coalition.Members() {
+				if in.Jobs[st.Running[0].Job].Org == u {
+					st.Waiting[i] = 4 // every job of u released by 10
+				}
+			}
+			return true
+		},
+	} {
+		if _, err := restore(false, doctor); err == nil || !strings.Contains(err.Error(), "sim: restore") {
+			t.Errorf("%s in a hypothetical schedule: restore error %v, want a refusal", name, err)
+		}
 	}
 	for name, doctor := range map[string]func(*sim.ClusterState) bool{
 		"a queued job behind the head withdrawn": func(st *sim.ClusterState) bool {
@@ -347,9 +439,16 @@ func TestRestoreHoldsHypotheticalsToTheirWindow(t *testing.T) {
 			st.ReleaseOrder, st.Withdrawn = st.ReleaseOrder[1:], append(st.Withdrawn, st.ReleaseOrder[0])
 			return true
 		},
+		"a non-member's account": func(st *sim.ClusterState) bool {
+			if st.Coalition != model.Singleton(0) {
+				return false
+			}
+			st.OrgAcct[2] = utility.Account{U: 1000, S: 7}
+			return true
+		},
 	} {
-		if err := restore(doctor); err == nil || !strings.Contains(err.Error(), "sim: restore") {
-			t.Errorf("%s in a hypothetical schedule: restore error %v, want a refusal", name, err)
+		if _, err := restore(true, doctor); err == nil || !strings.Contains(err.Error(), "sim: restore") {
+			t.Errorf("%s in an older document's hypothetical schedule: restore error %v, want a refusal", name, err)
 		}
 	}
 }

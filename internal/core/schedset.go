@@ -277,9 +277,9 @@ func (s *schedSet) Inject(ids []int) error { return s.q.Inject(ids...) }
 // caller withdrawing a job that is not queued there holds a stale view.
 // It leaves the shared queue once: a hypothetical slot that already
 // started the job keeps it (non-preemptive counterfactual work stands)
-// and steps its cursor back over the gap, every other slot records it
-// as withdrawn. No executed work moves and no machine frees, so no key
-// changes.
+// and steps its cursor back over the gap; only the decision schedule
+// records it as withdrawn. No executed work moves and no machine frees,
+// so no key changes.
 func (s *schedSet) Withdraw(id int) error {
 	if id < 0 || id >= len(s.inst.Jobs) {
 		return fmt.Errorf("core: %s: withdraw: job %d not in instance", s.name, id)
@@ -332,8 +332,8 @@ func (s *schedSet) restore(cp *Checkpoint) error {
 	if len(cp.Clusters) != len(s.slots) {
 		return fmt.Errorf("core: %s checkpoint has %d clusters, want %d", s.name, len(cp.Clusters), len(s.slots))
 	}
-	// The decision schedule rebuilds the shared queues; every other
-	// schedule is then held to its window of them.
+	// The decision schedule rebuilds the shared queues from its log and
+	// queues; every other schedule's waiting counts then index them.
 	last := len(s.slots) - 1
 	for _, decision := range []bool{true, false} {
 		for pos, st := range cp.Clusters {

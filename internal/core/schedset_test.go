@@ -203,7 +203,9 @@ func (p *countingPolicy) Select(t model.Time, m int) int {
 //     free machine; and the release-member slots skipped because every
 //     machine was busy — none of which, recounted from its view, could
 //     have dispatched. The touched set stays well above 2^k/k, where
-//     k·log-cost re-sifts would have matched the flat 2^k key scan;
+//     k·log-cost re-sifts would have matched the flat 2^k key scan, and
+//     at most half of the reference mode's 2^k−1 — the counted form of
+//     the touched-set mode's cost claim (EXPERIMENTS.md §3);
 //   - dispatching slots, equal per step in both modes, and among them
 //     the contested ones, where two or more organizations wait: only
 //     those need a target vector;
@@ -302,6 +304,9 @@ func TestTouchedSetDensity(t *testing.T) {
 		}
 		if driver == DriverHeap && per(touched) < float64(slots)/4 {
 			t.Errorf("mean touched set %.1f of %d slots: the stream is sparse, the premise of the flat key scan does not hold on it", per(touched), slots)
+		}
+		if driver == DriverHeap && 2*touched > slots*steps {
+			t.Errorf("mean touched set %.1f of %d slots: the default mode does more than half the reference mode's slot-steps", per(touched), slots)
 		}
 	}
 	if !slices.Equal(dispatches[DriverHeap], dispatches[DriverScan]) {

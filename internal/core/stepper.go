@@ -84,10 +84,14 @@ type StepperAlgorithm interface {
 // CheckpointVersion identifies the serialized checkpoint layout. A
 // version-1 cluster state also carries derived fields and a decision
 // log per hypothetical schedule, a job up to version 2 its ID and a
-// start its Org, and up to version 3 a running entry its end and fold
-// mark and the decision schedule its running entries and accounts;
-// only the fold marks are read, so all four restore alike.
-const CheckpointVersion = 4
+// start its Org, up to version 3 a running entry its end and fold mark
+// and the decision schedule its running entries and accounts, and up to
+// version 4 a hypothetical schedule its queues, pending releases,
+// withdrawn list, machine-owner accounts and every organization's
+// account. The fold marks are read, and the queues and pending
+// releases, checked against the decision schedule's, become waiting
+// counts; so all five restore alike.
+const CheckpointVersion = 5
 
 // Checkpoint is the complete serializable state of a stepper mid-run:
 // the instance as fed so far (orgs plus every job, including online

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -57,9 +58,11 @@ func census(path string, raw json.RawMessage, out map[string]int) {
 // regenerate it with
 // `go test -run TestCheckpointByteCensus -v ./internal/daemon`). It
 // asserts the one-copy rule on the way: a cluster state carries the
-// seven stored keys, a decision log only where one is kept, a
-// withdrawn list only when a job was withdrawn; no job carries its ID,
-// no start its Org; a federation has an order and no decisions,
+// stored keys, a decision log only where one is kept, a withdrawn list
+// only when a job was withdrawn; a hypothetical schedule is its
+// coalition, clock, waiting counts, running entries and members'
+// accounts, one count and one account per member; no job carries its
+// ID, no start its Org; a federation has an order and no decisions,
 // next_seq or orgs of its own, and its ledger exactly its three keys of
 // history; a cached exchange summary is its five observations, a
 // control block its queue as {at, job, attempt} with no class, push
@@ -107,7 +110,7 @@ func TestCheckpointByteCensus(t *testing.T) {
 			}
 		}
 		t.Logf("  %-40s %9d B %5.1f %%", "(fields under 0.5 %, keys, punctuation)", rest, 100*float64(rest)/float64(len(snap)))
-		stored := map[string]bool{"coalition": true, "now": true, "release_order": true, "queues": true, "running": true, "org_acct": true, "own_acct": true, "starts": true, "withdrawn": true}
+		stored := map[string]bool{"coalition": true, "now": true, "release_order": true, "queues": true, "waiting": true, "running": true, "org_acct": true, "starts": true, "withdrawn": true}
 		for k := range sizes {
 			if i := strings.Index(k, "clusters."); i >= 0 && !stored[k[i+len("clusters."):]] {
 				t.Errorf("%s: a cluster state carries %q", c.name, k)
@@ -126,16 +129,31 @@ func TestCheckpointByteCensus(t *testing.T) {
 		if err := json.Unmarshal(snap, &tree); err != nil {
 			t.Fatal(err)
 		}
+		hypothetical := 0
 		for _, cp := range coreCheckpoints(tree) {
 			for _, cl := range cp["clusters"].([]any) {
-				if cl := cl.(jsonTree); cl["starts"] != nil {
-					for k := range cl {
-						if !slices.Contains(strings.Fields("coalition now release_order queues starts withdrawn"), k) {
-							t.Errorf("%s: a decision schedule carries %q", c.name, k)
-						}
+				cl := cl.(jsonTree)
+				keys := "coalition now release_order queues starts withdrawn"
+				if cl["starts"] == nil {
+					keys = "coalition now waiting running org_acct"
+					hypothetical++
+					members := bits.OnesCount(uint(cl["coalition"].(float64)))
+					if waiting, _ := cl["waiting"].([]any); len(waiting) != members {
+						t.Errorf("%s: a hypothetical schedule of %d members has waiting counts %v", c.name, members, cl["waiting"])
+					}
+					if acct, _ := cl["org_acct"].([]any); len(acct) != members {
+						t.Errorf("%s: a hypothetical schedule of %d members has %d accounts", c.name, members, len(acct))
+					}
+				}
+				for k := range cl {
+					if !slices.Contains(strings.Fields(keys), k) {
+						t.Errorf("%s: a schedule with decision log %v carries %q", c.name, cl["starts"] != nil, k)
 					}
 				}
 			}
+		}
+		if hypothetical == 0 && c.name != "directcontr" {
+			t.Errorf("%s: no hypothetical schedule to look at", c.name)
 		}
 		if bytes.Contains(snap, []byte(`"ID":`)) || bytes.Contains(snap, []byte(`"Org":0,"Machine":`)) || !bytes.Contains(snap, []byte(`{"Job":0,"Machine":`)) {
 			t.Errorf("%s: a job carries its ID or a start its Org (or no log line was found to look at)", c.name)

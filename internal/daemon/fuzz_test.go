@@ -103,10 +103,11 @@ func benchShapes() (cfgs []daemon.SessionConfig, jobs [][]daemon.JobSubmission) 
 // FuzzSessionRestore posts doctored checkpoints at a session: numbers
 // overwritten, booleans flipped, strings blanked, arrays cut short or
 // stretched — of the four session shapes the benchmark serves, a gated
-// single session, a gated, stale, migrating federation, and the
-// committed old documents (the version-1 gated engine envelope, the
-// version-4 federation) and the two documents f912fcb restored and then
-// could not serve. A doctored document is refused, or it is a fixed
+// single session, a gated, stale, migrating federation, the committed
+// core-5 gated engine envelope (hypothetical schedules as waiting
+// counts), the committed old documents (the version-1 gated engine
+// envelope, the version-4 federation) and the two documents f912fcb
+// restored and then could not serve. A doctored document is refused, or it is a fixed
 // point: the accepted session's checkpoint, posted to a fresh session
 // of the same configuration, is accepted and both answer byte-equal
 // /state and /decisions — a wrong-but-well-shaped number is believed
@@ -129,6 +130,10 @@ func FuzzSessionRestore(f *testing.F) {
 	v4, v4Cfg := v4FedFixture(f)
 	v3, v3Cfg := engineFixture(f, "v3")
 	cfgs, seeds = append(cfgs, v1Cfg, v4Cfg, v3Cfg), append(seeds, v1, v4, v3)
+	// And the committed current one, whose two hypothetical schedules
+	// store a waiting count and an account per member.
+	v5, v5Cfg := engineFixture(f, "core5")
+	cfgs, seeds = append(cfgs, v5Cfg), append(seeds, v5)
 	// So do the two documents that restored at f912fcb and then did not
 	// serve: a cached summary that says its cluster has no capacity (now
 	// not read), and a control queue due before the clock (now refused;

@@ -43,17 +43,19 @@ const parentCkptAt = model.Time(33)
 // ckpt_v2_gated.json and ckpt_v3_gated.json are the same run at the same
 // instant from the first version-2 and version-3 writers — all three
 // around a version-1 control block — ckpt_ctrl2_gated.json from the
-// first writer of control-block version 2 and ckpt_core4_gated.json
-// from the first writer of core version 4. Each must restore, snapshot
-// to what a fresh run stepped to the same instant does, and finish
-// exactly as an uninterrupted run. The core4 envelope is that fresh
-// snapshot byte for byte; the older ones cannot be (five cluster fields
-// of version 1, the job IDs and start organizations of the first two,
-// the event classes, push numbers and counters of the first three, the
-// running entries' ends and fold marks and the decision schedule's
-// running entries and accounts of all four are no longer written).
+// first writer of control-block version 2, and ckpt_core4_gated.json
+// and ckpt_core5_gated.json from the first writers of core versions 4
+// and 5. Each must restore, snapshot to what a fresh run stepped to the
+// same instant does, and finish exactly as an uninterrupted run. The
+// core5 envelope is that fresh snapshot byte for byte; the older ones
+// cannot be (five cluster fields of version 1, the job IDs and start
+// organizations of the first two, the event classes, push numbers and
+// counters of the first three, the running entries' ends and fold marks
+// and the decision schedule's running entries and accounts of all four,
+// and the hypothetical schedules' queues, pending releases and
+// machine-owner accounts of all five are no longer written).
 func TestParentGatedCheckpointRestores(t *testing.T) {
-	for _, name := range []string{"parent", "v2", "v3", "ctrl2", "core4"} {
+	for _, name := range []string{"parent", "v2", "v3", "ctrl2", "core4", "core5"} {
 		t.Run(name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", "ckpt_"+name+"_gated.json"))
 			if err != nil {
@@ -84,13 +86,16 @@ func TestParentGatedCheckpointRestores(t *testing.T) {
 			if old := bytes.Contains(raw, []byte(`"ID":`)); old != (name == "parent" || name == "v2") {
 				t.Fatalf("the %s envelope carries job IDs: %v", name, old)
 			}
-			if old := bytes.Contains(raw, []byte(`"next_id":`)); old != (name != "ctrl2" && name != "core4") {
+			if old := bytes.Contains(raw, []byte(`"next_id":`)); old != (name != "ctrl2" && name != "core4" && name != "core5") {
 				t.Fatalf("the %s envelope carries a version-1 control block: %v", name, old)
 			}
-			if old := bytes.Contains(raw, []byte(`"acc_from":`)); old != (name != "core4") {
+			if old := bytes.Contains(raw, []byte(`"acc_from":`)); old != (name != "core4" && name != "core5") {
 				t.Fatalf("the %s envelope carries running entries' fold marks: %v", name, old)
 			}
-			if name == "core4" && !bytes.Equal(want, raw) {
+			if old := bytes.Contains(raw, []byte(`"own_acct":`)); old != (name != "core5") {
+				t.Fatalf("the %s envelope carries machine-owner accounts: %v", name, old)
+			}
+			if name == "core5" && !bytes.Equal(want, raw) {
 				t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
 			}
 			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {

@@ -37,6 +37,8 @@ func algFactory(name string) core.StepperAlgorithm {
 		return core.RandAlgorithm{Samples: 5}
 	case "directcontr":
 		return core.DirectContrAlgorithm()
+	case "nbs":
+		return core.NbsAlgorithm{}
 	case "fairshare":
 		return core.FromPolicy("FairShare", func() sim.Policy { return baseline.NewFairShare() })
 	default:

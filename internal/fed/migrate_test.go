@@ -133,41 +133,72 @@ func TestMigrationBudgetCaps(t *testing.T) {
 // TestMigrationCheckpointMidRound: a snapshot taken mid-gossip-period
 // of a migrating federation — after some jobs already moved, with the
 // stale exchange cache live and tombstones in member engines — must
-// resume byte-identically with the uninterrupted run.
+// resume byte-identically with the uninterrupted run, and snapshot again
+// to its own bytes. On NBS members the migrations withdraw jobs from
+// schedules that keep a singleton coalition's value too; those write no
+// withdrawn list, and nothing they restore depends on one.
 func TestMigrationCheckpointMidRound(t *testing.T) {
-	policy := fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget}
-	straight := stalenessFederation(t, policy, 30)
-	if _, err := straight.Step(2000); err != nil {
-		t.Fatal(err)
-	}
-	if straight.Ledger().Migrations == 0 {
-		t.Fatal("scenario produced no migrations — the checkpoint test would be vacuous")
-	}
-
-	half := stalenessFederation(t, policy, 30)
-	if _, err := half.Step(47); err != nil { // refreshes at 0 and 30; 47 is mid-period with migrations behind it
-		t.Fatal(err)
-	}
-	snap, err := half.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []fed.ClusterSpec{
-		{Name: "busy", Alg: algFactory("directcontr"), Machines: []int{1, 1}},
-		{Name: "idle", Alg: algFactory("directcontr"), Machines: []int{2, 2}},
-	}
-	resumed, err := fed.Restore([]string{"o0", "o1"}, specs, policy, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := resumed.Step(2000); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fingerprint(t, resumed), fingerprint(t, straight)) {
-		t.Fatal("resumed migrating federation diverged from uninterrupted run")
-	}
-	if err := resumed.CheckConservation(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		policy fed.Policy
+		alg    string
+	}{
+		{fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget}, "directcontr"},
+		{fed.Migrating{Inner: fed.NBSPolicy{}, Budget: fed.DefaultMigrationBudget}, "nbs"},
+	} {
+		t.Run(tc.policy.Name()+"/"+tc.alg, func(t *testing.T) {
+			specs := []fed.ClusterSpec{
+				{Name: "busy", Alg: algFactory(tc.alg), Machines: []int{1, 1}},
+				{Name: "idle", Alg: algFactory(tc.alg), Machines: []int{2, 2}},
+			}
+			build := func() *fed.Federation {
+				f, err := fed.New([]string{"o0", "o1"}, specs, tc.policy, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.SetStaleness(30)
+				for i := 0; i < 40; i++ {
+					if _, err := f.Submit(0, i%2, 6, model.Time(2*i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return f
+			}
+			straight := build()
+			if _, err := straight.Step(2000); err != nil {
+				t.Fatal(err)
+			}
+			half := build()
+			if _, err := half.Step(47); err != nil { // refreshes at 0 and 30; 47 is mid-period with migrations behind it
+				t.Fatal(err)
+			}
+			if half.Ledger().Migrations == 0 {
+				t.Fatal("no migration before the snapshot — the checkpoint test would be vacuous")
+			}
+			snap, err := half.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every migration left busy: its decision schedule lists them.
+			if n := bytes.Count(snap, []byte(`"withdrawn":`)); n != 1 {
+				t.Fatalf("%d withdrawn lists in the snapshot, want busy's decision schedule's alone", n)
+			}
+			resumed, err := fed.Restore([]string{"o0", "o1"}, specs, tc.policy, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, err := resumed.Snapshot(); err != nil || !bytes.Equal(again, snap) {
+				t.Fatalf("the restored federation snapshots to other bytes (err %v)", err)
+			}
+			if _, err := resumed.Step(2000); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fingerprint(t, resumed), fingerprint(t, straight)) {
+				t.Fatal("resumed migrating federation diverged from uninterrupted run")
+			}
+			if err := resumed.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -65,23 +65,25 @@ func parentCkptFederation(t testing.TB, gated bool) *fed.Federation {
 // version 4 — ckpt_v5_*.json from the first writer of federation
 // version 5 (version-3 members), ckpt_v6_*.json from the first writer
 // of version 6 (observation-only exchange summaries, a version-2
-// control block) and ckpt_core4_*.json, still version 6, from the first
-// writer of version-4 members. Each must restore under the current
-// code, snapshot to what a fresh run stepped to the same instant does,
-// and run on to the horizon exactly as an uninterrupted run. A core4
-// file is that fresh snapshot byte for byte; an older file cannot be
-// (rows, cluster fields, the federation-level copies, the summaries'
-// configuration columns, the control queue's numbering and the
-// members' running-entry ends, fold marks and decision-schedule
-// accounts are no longer written).
+// control block), and ckpt_core4_*.json and ckpt_core5_*.json, still
+// version 6, from the first writers of version-4 and version-5 members.
+// Each must restore under the current code, snapshot to what a fresh run
+// stepped to the same instant does, and run on to the horizon exactly as
+// an uninterrupted run. A core5 file is that fresh snapshot byte for
+// byte; an older file cannot be (rows, cluster fields, the
+// federation-level copies, the summaries' configuration columns, the
+// control queue's numbering, the members' running-entry ends, fold marks
+// and decision-schedule accounts, and their hypothetical schedules'
+// queues, pending releases and machine-owner accounts are no longer
+// written).
 func TestParentCheckpointsRestore(t *testing.T) {
-	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6", "direct/core4", "gated/core4"} {
+	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6", "direct/core4", "gated/core4", "direct/core5", "gated/core5"} {
 		run, version, old := strings.Cut(name, "/")
 		if !old {
 			version = "parent"
 		}
-		gated, v2, v5, v6, core4 := run == "gated", version == "v2", version == "v5", version == "v6", version == "core4"
-		v6 = v6 || core4 // a core4 file is a version-6 document
+		gated, v2, v5, v6, core4, core5 := run == "gated", version == "v2", version == "v5", version == "v6", version == "core4", version == "core5"
+		v6 = v6 || core4 || core5 // a core4 or core5 file is a version-6 document
 		file := "ckpt_" + version + "_" + run + ".json"
 		t.Run(name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", file))
@@ -119,10 +121,13 @@ func TestParentCheckpointsRestore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if old := bytes.Contains(raw, []byte(`"acc_from":`)); old == core4 {
+			if old := bytes.Contains(raw, []byte(`"acc_from":`)); old == (core4 || core5) {
 				t.Fatalf("the fixture's members carry running entries' fold marks: %v", old)
 			}
-			if core4 && !bytes.Equal(want, raw) {
+			if old := bytes.Contains(raw, []byte(`"own_acct":`)); old == core5 {
+				t.Fatalf("the fixture's members carry machine-owner accounts: %v", old)
+			}
+			if core5 && !bytes.Equal(want, raw) {
 				t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
 			}
 			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {

@@ -76,15 +76,14 @@ type Cluster struct {
 	owners         []int // machine -> owning org
 	speeds         []int // machine -> work units per time unit
 	capacity       int64 // Σ speeds
-	machinesPerOrg []int
 	capacityPerOrg []int64
 	runningPerOrg  []int
 
 	private   bool  // q is this cluster's alone: AdvanceTo releases it
-	withdrawn []int // job IDs withdrawn while still unstarted here, in withdrawal order
+	withdrawn []int // job IDs withdrawn while unstarted here, in order; kept where the capture holds queues
 
 	orgAcct []ValuePoly // per job owner
-	ownAcct []ValuePoly // per machine owner
+	ownAcct []ValuePoly // per machine owner; nil after DiscardStarts
 	total   ValuePoly
 
 	policy   Policy
@@ -109,7 +108,6 @@ func newCluster(q *Queues, coal model.Coalition, p Policy, rng *rand.Rand) *Clus
 	c := &Cluster{
 		inst:           inst,
 		coal:           coal,
-		machinesPerOrg: make([]int, k),
 		capacityPerOrg: make([]int64, k),
 		q:              q,
 		lists:          q.lists,
@@ -136,7 +134,6 @@ func newCluster(q *Queues, coal model.Coalition, p Policy, rng *rand.Rand) *Clus
 			continue
 		}
 		o := inst.Orgs[org]
-		c.machinesPerOrg[org] = o.Machines
 		c.capacityPerOrg[org] = o.Capacity()
 		c.capacity += o.Capacity()
 		for i := 0; i < o.Machines; i++ {
@@ -212,10 +209,14 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 	}
 }
 
-// accounts returns the three accounts an execution of org's job on
-// machine m is booked to: its owner's, the machine owner's and the total.
-func (c *Cluster) accounts(org, m int) [3]*ValuePoly {
-	return [3]*ValuePoly{&c.orgAcct[org], &c.ownAcct[c.owners[m]], &c.total}
+// accounts returns the n accounts an execution of org's job on machine
+// m is booked to: its owner's, the total and, where machine-owner
+// accounts are kept, the machine owner's.
+func (c *Cluster) accounts(org, m int) (a [3]*ValuePoly, n int) {
+	if c.ownAcct == nil {
+		return [3]*ValuePoly{&c.orgAcct[org], &c.total}, 2
+	}
+	return [3]*ValuePoly{&c.orgAcct[org], &c.total, &c.ownAcct[c.owners[m]]}, 3
 }
 
 // freeMachine puts machine m back into the free list, in order: the
@@ -232,7 +233,8 @@ func (c *Cluster) freeMachine(m int) {
 // start books r's running term into its accounts.
 func (c *Cluster) start(r runEntry) {
 	q := int64(c.speeds[r.Machine])
-	for _, a := range c.accounts(c.inst.Jobs[r.Job].Org, int(r.Machine)) {
+	accounts, n := c.accounts(c.inst.Jobs[r.Job].Org, int(r.Machine))
+	for _, a := range accounts[:n] {
 		a.run(q, r.Start)
 	}
 }
@@ -241,7 +243,8 @@ func (c *Cluster) start(r runEntry) {
 // [Start, End) scaled by the machine's speed.
 func (c *Cluster) finish(r runEntry) {
 	j, q := c.inst.Jobs[r.Job], c.speeds[r.Machine]
-	for _, a := range c.accounts(j.Org, int(r.Machine)) {
+	accounts, n := c.accounts(j.Org, int(r.Machine))
+	for _, a := range accounts[:n] {
 		a.run(-int64(q), r.Start)
 		a.AddScaledWindow(r.Start, j.Size, q, r.Start, r.End)
 	}
@@ -304,10 +307,9 @@ func (c *Cluster) Contested() bool {
 // cluster schedules from — its organization's wait queue if it has been
 // released, its pending releases if it has not — for good: Inject
 // refuses its ID, and no account is touched (a queued job has executed
-// nothing). On shared queues it leaves every cluster on them: each
-// that had not started it records it on its withdrawn list
-// (checkpointed), as this one does, and each that had keeps it —
-// dispatch is non-preemptive.
+// nothing). On shared queues it leaves every cluster on them: the
+// decision schedule records it on its withdrawn list (checkpointed), and
+// each that had started it keeps it — dispatch is non-preemptive.
 //
 // The first result reports whether the job was removed: false with a
 // nil error means the job is not withdrawable here — it already
@@ -332,8 +334,9 @@ func (c *Cluster) Withdraw(org, id int) (bool, error) {
 	return true, nil
 }
 
-// WithdrawnCount returns the number of jobs withdrawn from this
-// cluster.
+// WithdrawnCount returns the number of jobs withdrawn from this cluster
+// before it started them: 0 on a hypothetical schedule of shared queues,
+// which keeps no list.
 func (c *Cluster) WithdrawnCount() int { return len(c.withdrawn) }
 
 // Dispatch runs the greedy loop at the current instant: while a free
@@ -352,11 +355,9 @@ func (c *Cluster) Dispatch() {
 		}
 		c.orderer.OrderMachines(c.now, c.free)
 	}
-	used := 0
-	for _, m := range c.free[:min(len(c.free), waiting)] {
-		org := c.policy.Select(c.now, m)
-		c.startHead(org, m)
-		used++
+	used := min(len(c.free), waiting)
+	for _, m := range c.free[:used] {
+		c.startHead(c.policy.Select(c.now, m), m)
 	}
 	// Compact in place instead of reslicing forward: c.free[used:] would
 	// permanently surrender the consumed capacity, so steady-state
@@ -472,10 +473,12 @@ func (c *Cluster) ExecutedUnits() int64 { return c.total.Units(c.now) }
 // after DiscardStarts.
 func (c *Cluster) Starts() []Start { return c.starts }
 
-// DiscardStarts makes the cluster keep no decision log: Starts stays
-// nil and CaptureState carries none. For a schedule kept only for its
+// DiscardStarts makes the cluster keep no decision log and no
+// machine-owner accounts: Starts stays nil, CaptureState carries
+// neither, and View.OwnerPsi panics. For a schedule kept only for its
 // value: the accounts are all a finished job leaves (ψsp = t·U − S).
-func (c *Cluster) DiscardStarts() { c.noStarts = true }
+// Call it before the first step.
+func (c *Cluster) DiscardStarts() { c.noStarts, c.ownAcct = true, nil }
 
 // Utilization returns the fraction of work capacity (Σ machine speeds ×
 // time) used up to the current time.

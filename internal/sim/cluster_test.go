@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -211,6 +213,22 @@ func TestOwnerAccounting(t *testing.T) {
 	if got := v.OwnerPsi(0); got != 0 {
 		t.Errorf("A's owner-ψ = %d, want 0", got)
 	}
+
+	// A schedule kept only for its value books no machine-owner account,
+	// so asking it for one is a programming error — while the job
+	// owner's account and the value are the same as above.
+	silent := New(in, in.Grand(), orgPriority(0, 1), nil)
+	silent.DiscardStarts()
+	silent.Run(10)
+	if silent.Psi(0) != c.Psi(0) || silent.Value() != c.Value() {
+		t.Errorf("without machine-owner accounts: ψ %d, value %d; want %d, %d", silent.Psi(0), silent.Value(), c.Psi(0), c.Value())
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "OwnerPsi") {
+			t.Errorf("OwnerPsi on a cluster without machine-owner accounts: recovered %v, want a panic naming it", r)
+		}
+	}()
+	silent.View().OwnerPsi(1)
 }
 
 func TestEmptyCoalitionPool(t *testing.T) {

@@ -7,6 +7,24 @@ import (
 	"repro/internal/model"
 )
 
+// SelectFunc adapts a plain function (plus a name) to the Policy
+// interface; the tests' priority rules.
+type SelectFunc struct {
+	PolicyName string
+	F          func(v *View, t model.Time, machine int) int
+
+	view *View
+}
+
+// Name implements Policy.
+func (p *SelectFunc) Name() string { return p.PolicyName }
+
+// Attach implements Policy.
+func (p *SelectFunc) Attach(view *View, _ *rand.Rand) { p.view = view }
+
+// Select implements Policy.
+func (p *SelectFunc) Select(t model.Time, machine int) int { return p.F(p.view, t, machine) }
+
 // hookedPolicy exercises the optional machine-ordering extension.
 type hookedPolicy struct {
 	view    *View

@@ -45,24 +45,6 @@ type StatefulPolicy interface {
 	RestorePolicyState(data []byte) error
 }
 
-// SelectFunc adapts a plain function (plus a name) to the Policy
-// interface; handy for tests and simple priority rules.
-type SelectFunc struct {
-	PolicyName string
-	F          func(v *View, t model.Time, machine int) int
-
-	view *View
-}
-
-// Name implements Policy.
-func (p *SelectFunc) Name() string { return p.PolicyName }
-
-// Attach implements Policy.
-func (p *SelectFunc) Attach(view *View, _ *rand.Rand) { p.view = view }
-
-// Select implements Policy.
-func (p *SelectFunc) Select(t model.Time, machine int) int { return p.F(p.view, t, machine) }
-
 // View is the read-only window a Policy gets onto a Cluster. All queries
 // are evaluated at the cluster's current time.
 type View struct{ c *Cluster }
@@ -98,8 +80,14 @@ func (v *View) Usage(org int) int64 { return v.c.orgAcct[org].Units(v.c.now) }
 
 // OwnerPsi returns the ψsp-style value of the unit slots executed on
 // org's machines (by anyone's jobs) — DIRECTCONTR's direct contribution
-// estimate.
-func (v *View) OwnerPsi(org int) int64 { return v.c.ownAcct[org].At(v.c.now) }
+// estimate. A cluster that keeps no decision log keeps no such account:
+// asking it is a programming error, and panics.
+func (v *View) OwnerPsi(org int) int64 {
+	if v.c.ownAcct == nil {
+		panic("sim: OwnerPsi on a cluster that keeps no machine-owner accounts (DiscardStarts)")
+	}
+	return v.c.ownAcct[org].At(v.c.now)
+}
 
 // Running returns how many of org's jobs are currently executing.
 func (v *View) Running(org int) int { return v.c.runningPerOrg[org] }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -122,13 +123,7 @@ func (q *Queues) NewCluster(coal model.Coalition, p Policy, rng *rand.Rand) *Clu
 
 // compare orders job IDs by (Release, ID).
 func (q *Queues) compare(a, b int) int {
-	switch {
-	case releaseLess(q.inst.Jobs, a, b):
-		return -1
-	case releaseLess(q.inst.Jobs, b, a):
-		return 1
-	}
-	return 0
+	return cmp.Or(cmp.Compare(q.inst.Jobs[a].Release, q.inst.Jobs[b].Release), cmp.Compare(a, b))
 }
 
 // releaseLess reports whether job a comes before job b by (Release, ID).
@@ -334,15 +329,7 @@ func grow[E any](s []E, n int) []E {
 func (q *Queues) find(org, id int) (int, bool) {
 	jobs, list := q.inst.Jobs, q.lists[org]
 	r := jobs[id].Release
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if jobs[list[mid]].Release < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	lo, _ := slices.BinarySearchFunc(list, r, func(id int, r model.Time) int { return cmp.Compare(jobs[id].Release, r) })
 	for ; lo < len(list) && jobs[list[lo]].Release == r; lo++ {
 		if list[lo] == id {
 			return q.base[org] + lo, true
@@ -353,7 +340,8 @@ func (q *Queues) find(org, id int) (int, bool) {
 
 // withdraw removes the job at absolute position pos of org's list for
 // good. Every member cluster that already started it steps its cursor
-// back over the gap; every other one records the withdrawal.
+// back over the gap; every other one that checkpoints its queues records
+// the withdrawal.
 func (q *Queues) withdraw(org, pos int) {
 	list, i := q.lists[org], pos-q.base[org]
 	id := list[i]
@@ -372,47 +360,37 @@ func (q *Queues) withdraw(org, pos int) {
 		case !c.coal.Has(org):
 		case c.cursor[org] > pos:
 			c.cursor[org]--
-		default:
+		case c.rebuilds():
 			c.withdrawn = append(c.withdrawn, id)
 		}
 	}
 }
 
-// pending returns the pending jobs of coal's members merged by
-// (Release, ID), nil when there are none.
+// pending returns the pending jobs of coal's members in (Release, ID)
+// order, nil when there are none.
 func (q *Queues) pending(coal model.Coalition) []int {
 	var out []int
-	next := make([]int, len(q.lists))
-	for {
-		best, bestID := -1, 0
-		for u := range q.lists {
-			if p := q.pendingOf(u); coal.Has(u) && next[u] < len(p) && (best < 0 || releaseLess(q.inst.Jobs, p[next[u]], bestID)) {
-				best, bestID = u, p[next[u]]
-			}
+	for u := range q.lists {
+		if coal.Has(u) {
+			out = append(out, q.pendingOf(u)...)
 		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, bestID)
-		next[best]++
 	}
+	slices.SortFunc(out, q.compare)
+	return out
 }
 
 // reset rebuilds the queues from a restored cluster state that spans
-// them: each organization's queued jobs, released, then its pending
-// ones. Every job of a served organization in the instance has entered
-// — it is in one of the cluster's lists or finished — and the withdrawn
-// ones are marked so.
-func (q *Queues) reset(now model.Time, queues [][]int, pending, withdrawn []int) {
+// them: each organization's released jobs, then its pending ones. Every
+// job of a served organization in the instance has entered — it is in
+// one of the lists or withdrawn — and the withdrawn ones are marked so.
+// The jobs every cluster has started are dropped at the next release.
+func (q *Queues) reset(now model.Time, released [][]int, pending, withdrawn []int) {
 	jobs := q.inst.Jobs
-	for u := range q.lists {
-		q.lists[u] = append(q.lists[u][:0], queues[u]...)
-		q.base[u], q.released[u] = 0, len(queues[u])
-		q.trimAt[u] = max(minTrim, 2*len(queues[u]))
+	for u, list := range released {
+		q.lists[u], q.base[u], q.released[u], q.trimAt[u] = list, 0, len(list), minTrim
 	}
 	for _, id := range pending {
-		u := jobs[id].Org
-		q.lists[u] = append(q.lists[u], id)
+		q.lists[jobs[id].Org] = append(q.lists[jobs[id].Org], id)
 	}
 	q.mark = make([]uint8, len(jobs))
 	for id, j := range jobs {
@@ -427,28 +405,13 @@ func (q *Queues) reset(now model.Time, queues [][]int, pending, withdrawn []int)
 	q.rehead()
 }
 
-// checkWindow reports whether a restored state of a cluster of coal is
-// its window of the queues: per member, the queued jobs a suffix of the
-// released ones — or the released ones a suffix of the queued jobs, the
-// cluster lagging every one restored before it — and the pending list
-// the members' pending jobs in (Release, ID) order. A queued job ahead
-// of the released ones must not have been withdrawn.
+// checkWindow reports whether an older document's state of a cluster of
+// coal is its window of the queues: per member, the queued jobs the last
+// of the released ones, and the pending list the members' pending jobs
+// in (Release, ID) order.
 func (q *Queues) checkWindow(coal model.Coalition, queues [][]int, pending []int) error {
 	for u, w := range queues {
-		if !coal.Has(u) {
-			continue
-		}
-		released := q.window(u, q.base[u])
-		short, long := w, released
-		if len(w) > len(released) {
-			short, long = released, w
-			for _, id := range w[:len(w)-len(released)] {
-				if q.mark[id] == withdrawnJob {
-					return fmt.Errorf("sim: restore: job %d is queued, and withdrawn from the decision schedule", id)
-				}
-			}
-		}
-		if !slices.Equal(short, long[len(long)-len(short):]) {
+		if released := q.window(u, q.base[u]); coal.Has(u) && (len(w) > len(released) || !slices.Equal(w, released[len(released)-len(w):])) {
 			return fmt.Errorf("sim: restore: organization %d's queue %v is not a window of its released jobs %v", u, w, released)
 		}
 	}
@@ -456,22 +419,4 @@ func (q *Queues) checkWindow(coal model.Coalition, queues [][]int, pending []int
 		return fmt.Errorf("sim: restore: pending releases %v, the decision schedule's are %v", pending, want)
 	}
 	return nil
-}
-
-// place sets a restored cluster's cursors to its window, which
-// checkWindow accepted, extending a list at its front by the queued jobs
-// the cluster has not started and every cluster restored before it has.
-func (q *Queues) place(c *Cluster, queues [][]int, now model.Time) {
-	for u, w := range queues {
-		if !c.coal.Has(u) {
-			continue
-		}
-		if extra := len(w) - (q.released[u] - q.base[u]); extra > 0 {
-			q.lists[u] = append(w[:extra:extra], q.lists[u]...) // a copy: the prefix is at capacity
-			q.base[u] -= extra
-		}
-		c.cursor[u] = q.released[u] - len(w)
-	}
-	q.now = max(q.now, now)
-	q.epoch++
 }

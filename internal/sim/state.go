@@ -14,17 +14,10 @@ import (
 // internal/engine; batch runs never touch them.
 
 // Inject registers jobs that were appended to the instance after the
-// cluster was built (online arrivals): Queues.Inject on the queues it
-// schedules from — on shared queues, for every cluster on them. Jobs of
-// non-member organizations are ignored, mirroring New, on queues of its
-// own; a member's must not be released in the cluster's past: its
-// release becomes a future event exactly as if the job had been known
-// from the start. A release equal to the current time is allowed —
-// NextEventTime then fires at the current instant and the normal event
-// path enqueues and dispatches it. A job that has entered before —
-// pending, queued, started or withdrawn — is refused: work that moves
-// elsewhere enters there as a new job. An error leaves the cluster as it
-// was.
+// cluster was built (online arrivals): Queues.Inject, which says what is
+// refused, on the queues it schedules from — on shared queues, for every
+// cluster on them. On queues of its own, non-members' jobs are ignored,
+// mirroring New. An error leaves the cluster as it was.
 func (c *Cluster) Inject(ids ...int) error { return c.q.Inject(ids...) }
 
 // RunEntryState is one executing job in a capture. End, the completion
@@ -47,49 +40,64 @@ type RunEntryState struct {
 // machines, per-organization running counts and the total account are
 // functions of these fields, recomputed by RestoreState; on a cluster
 // that keeps a decision log so are the running entries and the
-// accounts, which its capture leaves out.
+// accounts, which its capture leaves out. A cluster that rebuilds its
+// queues writes them; one on shared queues that does not (see
+// RestoreState) writes waiting counts instead, and no withdrawn list.
 type ClusterState struct {
-	Coalition    model.Coalition `json:"coalition"`
-	Now          model.Time      `json:"now"`
-	ReleaseOrder []int           `json:"release_order"`     // pending releases, by (Release, ID)
-	Queues       [][]int         `json:"queues"`            // waiting job IDs per org, FIFO
-	Running      []RunEntryState `json:"running,omitempty"` // heap array order
-	// Finished work, per job owner and per machine owner.
+	Coalition   model.Coalition `json:"coalition"`
+	Now         model.Time      `json:"now"`
+	*QueueState                 // nil on a hypothetical schedule of shared queues
+	// Per member in index order: how many released jobs wait here, the
+	// last of the shared queue's; and the finished work (up to version 4
+	// per organization).
+	Waiting []int             `json:"waiting,omitempty"`
+	Running []RunEntryState   `json:"running,omitempty"` // heap array order
 	OrgAcct []utility.Account `json:"org_acct,omitempty"`
-	OwnAcct []utility.Account `json:"own_acct,omitempty"`
-	// Starts is the decision log; absent after DiscardStarts.
-	Starts []Start `json:"starts,omitempty"`
-	// Withdrawn lists jobs removed by Withdraw, in withdrawal order.
-	// Empty on clusters that never migrate.
+	Starts  []Start           `json:"starts,omitempty"` // the decision log; absent after DiscardStarts
+	// Withdrawn lists jobs removed by Withdraw, in withdrawal order, where
+	// the queues are written. Empty on clusters that never migrate.
 	Withdrawn []int `json:"withdrawn,omitempty"`
+}
+
+// QueueState is the job lists a cluster rebuilds its queues from.
+type QueueState struct {
+	ReleaseOrder []int   `json:"release_order"` // pending releases, by (Release, ID)
+	Queues       [][]int `json:"queues"`        // waiting job IDs per org, FIFO
 	// NextRelease is read, never written: a version-1 document's release
 	// order still began with the releases that had fired, this many.
 	NextRelease int `json:"next_release,omitempty"`
 }
 
+// rebuilds reports whether the cluster's capture holds its queues: on
+// queues of its own, or as the decision schedule of shared ones.
+func (c *Cluster) rebuilds() bool { return c.private || !c.noStarts }
+
 // CaptureState snapshots the cluster's simulation state. The cluster is
 // not mutated, so concurrent captures of distinct clusters are safe.
 func (c *Cluster) CaptureState() ClusterState {
 	st := ClusterState{
-		Coalition:    c.coal,
-		Now:          c.now,
-		ReleaseOrder: c.q.pending(c.coal),
-		Queues:       make([][]int, len(c.cursor)),
-		Starts:       append([]Start(nil), c.starts...),
-		Withdrawn:    append([]int(nil), c.withdrawn...),
+		Coalition: c.coal,
+		Now:       c.now,
+		Starts:    append([]Start(nil), c.starts...),
+		Withdrawn: append([]int(nil), c.withdrawn...),
 	}
-	for org := range st.Queues {
-		if c.coal.Has(org) {
-			st.Queues[org] = append([]int(nil), c.q.window(org, c.cursor[org])...)
+	if c.rebuilds() {
+		st.QueueState = &QueueState{ReleaseOrder: c.q.pending(c.coal), Queues: make([][]int, len(c.cursor))}
+		for org := range st.Queues {
+			if c.coal.Has(org) {
+				st.Queues[org] = append([]int(nil), c.q.window(org, c.cursor[org])...)
+			}
 		}
 	}
 	if c.noStarts {
 		for _, r := range c.running {
 			st.Running = append(st.Running, RunEntryState{Job: int(r.Job), Machine: int(r.Machine), Start: r.Start})
 		}
-		for i := range c.orgAcct {
-			st.OrgAcct = append(st.OrgAcct, c.orgAcct[i].Account)
-			st.OwnAcct = append(st.OwnAcct, c.ownAcct[i].Account)
+		for _, u := range c.coal.Members() {
+			st.OrgAcct = append(st.OrgAcct, c.orgAcct[u].Account)
+			if st.QueueState == nil {
+				st.Waiting = append(st.Waiting, c.waiting(u))
+			}
 		}
 	}
 	return st
@@ -108,27 +116,52 @@ func (c *Cluster) CaptureState() ClusterState {
 // A cluster on queues of its own rebuilds them from the capture. On
 // shared queues the decision schedule — the cluster that keeps a
 // decision log, whose coalition spans the queues — does, and is restored
-// first; every other cluster's queued and pending jobs must then be its
-// window of them (Queues.checkWindow).
+// first: an organization's released jobs are the ones its log started,
+// then its queued ones. Every other cluster waits for the last of those,
+// as many as its count says; an older document's queues and pending list
+// must be that window (Queues.checkWindow), its withdrawn list is not
+// read and its non-members' accounts must be empty.
 //
 // On a cluster that keeps a decision log, each line's job, machine and
 // start give its window: the lines that ended by the clock are its
-// finished work, the rest its running entries, and the stored copies of
-// both are not read. A cluster without one reads them; an entry's
-// legacy fold mark says which part of its window the stored accounts
-// already hold.
+// finished work, the rest its running entries. A cluster without one
+// reads them; a legacy fold mark says which part of an entry's window
+// the stored accounts already hold.
 func (c *Cluster) RestoreState(st ClusterState) error {
-	k, jobs := len(c.inst.Orgs), c.inst.Jobs
-	if st.Coalition != c.coal {
+	k, jobs, members := len(c.inst.Orgs), c.inst.Jobs, c.coal.Members()
+	rebuild, qs, acct := c.rebuilds(), st.QueueState, st.OrgAcct
+	switch {
+	case st.Coalition != c.coal:
 		return fmt.Errorf("sim: restore: coalition %v into cluster of %v", st.Coalition, c.coal)
+	case qs == nil && (rebuild || len(st.Waiting) != len(members)):
+		return fmt.Errorf("sim: restore: no queues, and %d waiting counts for %d members of a schedule that does not rebuild them", len(st.Waiting), len(members))
+	case qs == nil:
+		qs = &QueueState{}
+	case len(qs.Queues) != k:
+		return fmt.Errorf("sim: restore: state sized for %d organizations, cluster has %d", len(qs.Queues), k)
+	case qs.NextRelease < 0 || qs.NextRelease > len(qs.ReleaseOrder):
+		return fmt.Errorf("sim: restore: next release index %d out of range", qs.NextRelease)
 	}
-	if len(st.Queues) != k || (c.noStarts && (len(st.OrgAcct) != k || len(st.OwnAcct) != k)) {
-		return fmt.Errorf("sim: restore: state sized for %d organizations, cluster has %d", len(st.Queues), k)
+	if c.noStarts && len(acct) == k && len(members) < k {
+		acct = nil // an older document's lists every organization
+		for org, a := range st.OrgAcct {
+			if c.coal.Has(org) {
+				acct = append(acct, a)
+			} else if a != (utility.Account{}) {
+				return fmt.Errorf("sim: restore: non-member organization %d has finished work here", org)
+			}
+		}
 	}
-	if st.NextRelease < 0 || st.NextRelease > len(st.ReleaseOrder) {
-		return fmt.Errorf("sim: restore: next release index %d out of range", st.NextRelease)
+	if c.noStarts && len(acct) != len(members) {
+		return fmt.Errorf("sim: restore: %d accounts for %d members", len(acct), len(members))
 	}
-	pending := st.ReleaseOrder[st.NextRelease:]
+	if st.QueueState != nil {
+		st.Waiting = nil
+		for _, u := range members {
+			st.Waiting = append(st.Waiting, len(qs.Queues[u]))
+		}
+	}
+	pending := qs.ReleaseOrder[qs.NextRelease:]
 	listed := make([]bool, len(jobs))
 	list := func(where string, id int) error {
 		switch {
@@ -170,12 +203,86 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 			}
 		}
 	}
+	// Where the cluster rebuilds the queues, each organization's released
+	// jobs by release: the ones its log started, then the queued ones, and
+	// its pending ones by (Release, ID) after them. (An older document's
+	// window of them is checked whole.)
+	var lists [][]int
+	if rebuild {
+		if c.coal != c.q.orgs {
+			return fmt.Errorf("sim: restore: the decision schedule of shared queues is of %v, they serve %v", c.coal, c.q.orgs)
+		}
+		lists = make([][]int, k)
+		for _, s := range st.Starts {
+			lists[jobs[s.Job].Org] = append(lists[jobs[s.Job].Org], s.Job)
+		}
+		for org, q := range qs.Queues {
+			for _, id := range q {
+				if err := list("queues", id); err != nil {
+					return err
+				}
+				if jobs[id].Org != org {
+					return fmt.Errorf("sim: restore: job %d queued under organization %d, belongs to %d", id, org, jobs[id].Org)
+				}
+			}
+			lists[org] = append(lists[org], q...)
+			for i := 1; i < len(lists[org]); i++ {
+				if jobs[lists[org][i]].Release < jobs[lists[org][i-1]].Release {
+					return fmt.Errorf("sim: restore: organization %d's jobs are started or queued out of release order at job %d", org, lists[org][i])
+				}
+			}
+		}
+		for i, id := range pending {
+			if err := list("release order", id); err != nil {
+				return err
+			}
+			if l := lists[jobs[id].Org]; jobs[id].Release < st.Now || i > 0 && !releaseLess(jobs, pending[i-1], id) || len(l) > 0 && jobs[l[len(l)-1]].Release > jobs[id].Release {
+				return fmt.Errorf("sim: restore: job %d is pending release at %d: before the clock %d, out of (release, ID) order, or before a released job of its organization", id, jobs[id].Release, st.Now)
+			}
+		}
+		for _, id := range st.Withdrawn {
+			if err := list("withdrawn list", id); err != nil {
+				return err
+			}
+		}
+		for id, j := range jobs {
+			if !c.noStarts && !listed[id] && c.coal.Has(j.Org) {
+				return fmt.Errorf("sim: restore: job %d is neither started, pending, queued nor withdrawn", id)
+			}
+		}
+	} else if st.QueueState != nil {
+		if err := c.q.checkWindow(c.coal, qs.Queues, pending); err != nil {
+			return err
+		}
+	}
+	// Each member's cursor, from the start of its released jobs: before
+	// the last ones, as many as wait here.
+	cursor, waiting := make([]int, k), 0
+	for i, u := range members {
+		released, w := c.q.released[u]-c.q.base[u], st.Waiting[i]
+		if rebuild {
+			released = len(lists[u])
+		}
+		if w < 0 || w > released {
+			return fmt.Errorf("sim: restore: %d of organization %d's jobs wait, %d are released", w, u, released)
+		}
+		cursor[u], waiting = released-w, waiting+w
+	}
+	if next := c.q.earliest(c.coal); !rebuild && next < st.Now {
+		return fmt.Errorf("sim: restore: a member's job is pending release at %d, before the clock %d", next, st.Now)
+	}
 	busy := make([]bool, len(c.owners))
 	entries := make([]runEntry, len(running))
 	for i, r := range running {
 		if c.noStarts {
 			if err := list("running entries", r.Job); err != nil {
 				return err
+			}
+		}
+		// A schedule does not run a job it has yet to start.
+		if u := jobs[r.Job].Org; !rebuild {
+			if pos, ok := c.q.find(u, r.Job); ok && pos >= c.q.base[u]+cursor[u] {
+				return fmt.Errorf("sim: restore: job %d runs, and waits or is pending", r.Job)
 			}
 		}
 		if r.Machine < 0 || r.Machine >= len(c.owners) || busy[r.Machine] {
@@ -192,78 +299,27 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		}
 		busy[r.Machine] = true
 	}
-	for _, id := range pending {
-		if err := list("release order", id); err != nil {
-			return err
-		}
-		if jobs[id].Release < st.Now {
-			return fmt.Errorf("sim: restore: job %d is pending release at %d, before the clock %d", id, jobs[id].Release, st.Now)
-		}
-	}
-	waiting := 0
-	for org, q := range st.Queues {
-		for _, id := range q {
-			if err := list("queues", id); err != nil {
-				return err
-			}
-			if jobs[id].Org != org {
-				return fmt.Errorf("sim: restore: job %d queued under organization %d, belongs to %d", id, org, jobs[id].Org)
-			}
-		}
-		waiting += len(q)
-	}
 	// Dispatch leaves no machine idle while a job waits.
 	if waiting > 0 && len(running) < len(c.owners) {
 		return fmt.Errorf("sim: restore: %d jobs wait while %d of %d machines idle", waiting, len(c.owners)-len(running), len(c.owners))
 	}
-	for _, id := range st.Withdrawn {
-		if err := list("withdrawn list", id); err != nil {
-			return err
-		}
-	}
-	for id, j := range jobs {
-		if !c.noStarts && !listed[id] && c.coal.Has(j.Org) {
-			return fmt.Errorf("sim: restore: job %d is neither started, pending, queued nor withdrawn", id)
-		}
-	}
-	// Queues keep an organization's jobs by release: the released ones in
-	// the order they were, the pending ones by (Release, ID) after them.
-	for org, q := range st.Queues {
-		for i := 1; i < len(q); i++ {
-			if jobs[q[i]].Release < jobs[q[i-1]].Release {
-				return fmt.Errorf("sim: restore: organization %d's queue is out of release order at job %d", org, q[i])
-			}
-		}
-	}
-	for i, id := range pending {
-		if i > 0 && !releaseLess(jobs, pending[i-1], id) {
-			return fmt.Errorf("sim: restore: release order out of (release, ID) order at job %d", id)
-		}
-		if q := st.Queues[jobs[id].Org]; len(q) > 0 && jobs[q[len(q)-1]].Release > jobs[id].Release {
-			return fmt.Errorf("sim: restore: job %d is pending release before queued job %d's", id, q[len(q)-1])
-		}
-	}
-	rebuild := c.private || !c.noStarts
-	switch {
-	case rebuild && c.coal != c.q.orgs:
-		return fmt.Errorf("sim: restore: the decision schedule of shared queues is of %v, they serve %v", c.coal, c.q.orgs)
-	case !rebuild:
-		if err := c.q.checkWindow(c.coal, st.Queues, pending); err != nil {
-			return err
-		}
-	}
 
-	c.now = st.Now
+	c.now, c.withdrawn = st.Now, nil
 	if rebuild {
-		c.q.reset(st.Now, st.Queues, pending, st.Withdrawn)
+		c.q.reset(st.Now, lists, pending, st.Withdrawn)
+		c.withdrawn = append(c.withdrawn, st.Withdrawn...)
 	}
-	c.q.place(c, st.Queues, st.Now)
+	for _, u := range members {
+		c.cursor[u] = c.q.base[u] + cursor[u]
+	}
+	c.q.now, c.q.epoch = max(c.q.now, st.Now), c.q.epoch+1
+	clear(c.orgAcct)
+	clear(c.ownAcct)
 	c.total = ValuePoly{}
-	for org := range c.orgAcct {
-		c.orgAcct[org], c.ownAcct[org] = ValuePoly{}, ValuePoly{}
-		if c.noStarts {
-			c.orgAcct[org].Account, c.ownAcct[org].Account = st.OrgAcct[org], st.OwnAcct[org]
-			c.total.Add(st.OrgAcct[org])
+	if c.noStarts {
+		for i, a := range acct {
+			c.orgAcct[members[i]].Account = a
+			c.total.Add(a)
 		}
 	}
 	for _, r := range finished {
@@ -276,7 +332,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		if folded := running[i].Folded; folded != nil {
 			var w utility.Account
 			w.AddScaledWindow(r.Start, jobs[r.Job].Size, c.speeds[r.Machine], r.Start, *folded)
-			for _, a := range c.accounts(jobs[r.Job].Org, int(r.Machine)) {
+			for _, a := range []*ValuePoly{&c.orgAcct[jobs[r.Job].Org], &c.total} {
 				a.U, a.S = a.U-w.U, a.S-w.S
 			}
 		}
@@ -294,6 +350,5 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	for i := range c.starts {
 		c.starts[i].Org = jobs[c.starts[i].Job].Org // a capture does not carry it
 	}
-	c.withdrawn = append([]int(nil), st.Withdrawn...)
 	return nil
 }

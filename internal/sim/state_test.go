@@ -492,9 +492,7 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 	// accounts and marked it.
 	folded := model.Time(1)
 	garbage.Running[0].Folded = &folded
-	org, own := silent.inst.Jobs[garbage.Running[0].Job].Org, silent.owners[garbage.Running[0].Machine]
-	garbage.OrgAcct[org].AddWindow(0, 1)
-	garbage.OwnAcct[own].AddWindow(0, 1)
+	garbage.OrgAcct[silent.inst.Jobs[garbage.Running[0].Job].Org].AddWindow(0, 1)
 	into := New(c.inst, c.coal, fifoByID(), nil)
 	into.DiscardStarts()
 	if err := into.RestoreState(garbage); err != nil {
@@ -550,7 +548,9 @@ func doctorNode(v any, n int, edit func(any) any) (any, int) {
 // FuzzClusterRestore hands RestoreState doctored captures — numbers
 // overwritten, arrays cut short or stretched — of the mid-run
 // round-robin schedule committed under internal/core/testdata, as the
-// version-1, version-2 and version-3 document. RestoreState refuses, or
+// version-1, version-2 and version-3 document, and of the version-5
+// REF document's schedule of {A, B}, a hypothetical one on queues the
+// undoctored decision schedule rebuilds. RestoreState refuses, or
 // every start it serves is on a pool machine at an instant ≤ now and
 // the restored cluster drains without a panic having executed exactly
 // the work the accepted state still owed, every member job started once.
@@ -561,13 +561,13 @@ func FuzzClusterRestore(f *testing.F) {
 		Clusters []json.RawMessage
 	}
 	var docs []document
-	for _, name := range []string{"parent", "v2", "v3"} {
-		data, err := os.ReadFile("../core/testdata/ckpt_" + name + "_roundrobin.json")
+	for _, name := range []string{"parent_roundrobin", "v2_roundrobin", "v3_roundrobin", "v5_ref"} {
+		data, err := os.ReadFile("../core/testdata/ckpt_" + name + ".json")
 		if err != nil {
 			f.Fatal(err)
 		}
 		var doc document
-		if err := json.Unmarshal(data, &doc); err != nil || len(doc.Clusters) != 1 {
+		if err := json.Unmarshal(data, &doc); err != nil || len(doc.Clusters) != 1 && len(doc.Clusters) != 15 {
 			f.Fatalf("%s fixture: %d clusters, err %v", name, len(doc.Clusters), err)
 		}
 		for i := range doc.Jobs {
@@ -582,8 +582,11 @@ func FuzzClusterRestore(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, discard bool, edits []byte) {
 		doc := docs[int(which)%len(docs)]
+		// The REF document's clusters are in mask order: {A, B} is the
+		// third, the decision schedule the last.
+		fuzzed := min(2, len(doc.Clusters)-1)
 		var tree any
-		dec := json.NewDecoder(bytes.NewReader(doc.Clusters[0]))
+		dec := json.NewDecoder(bytes.NewReader(doc.Clusters[fuzzed]))
 		dec.UseNumber() // keep int64s exact through the round trip
 		if err := dec.Decode(&tree); err != nil {
 			t.Fatal(err)
@@ -626,6 +629,17 @@ func FuzzClusterRestore(f *testing.F) {
 		}
 		in := &model.Instance{Orgs: doc.Orgs, Jobs: doc.Jobs}
 		c := New(in, in.Grand(), lowestOrgPolicy(), nil)
+		if fuzzed > 0 {
+			var decision ClusterState
+			if err := json.Unmarshal(doc.Clusters[len(doc.Clusters)-1], &decision); err != nil {
+				t.Fatal(err)
+			}
+			q := NewQueues(in)
+			c, discard = q.NewCluster(model.Coalition(3), lowestOrgPolicy(), nil), true
+			if err := q.NewCluster(in.Grand(), lowestOrgPolicy(), nil).RestoreState(decision); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if discard {
 			c.DiscardStarts()
 		}
@@ -653,7 +667,19 @@ func FuzzClusterRestore(f *testing.F) {
 			owed += int64(in.Jobs[r.Job].Size) - int64(c.speeds[r.Machine])*int64(c.now-r.Start)
 		}
 		// Every step fires a release or a completion: two per job at most.
-		for steps := 0; c.Step(MaxTime - 1); steps++ {
+		// The queues are released first, as a schedule set does; on queues
+		// of the cluster's own, its AdvanceTo then finds nothing to release.
+		step := func() bool {
+			at := c.NextEventTime()
+			if at == MaxTime {
+				return false
+			}
+			c.q.AdvanceTo(at)
+			c.AdvanceTo(at)
+			c.Dispatch()
+			return true
+		}
+		for steps := 0; step(); steps++ {
 			if steps > 2*len(in.Jobs) {
 				t.Fatalf("no drain after %d steps; next event at %d, clock at %d", steps, c.NextEventTime(), c.now)
 			}
