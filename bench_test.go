@@ -198,9 +198,10 @@ func BenchmarkAblationREF(b *testing.B) {
 // BenchmarkAblationREFScaling measures REF's FPT scaling in the number
 // of organizations (Proposition 3.4: O(k·3^k) per decision) for both
 // drivers. The scan driver's per-event O(2^k) scan-and-advance overtakes
-// the dispatch work as k grows; the touched-set mode ("heap") only
-// advances the clusters whose events fire, so its advantage widens with
-// k (≥2× at k = 8 is the DESIGN.md acceptance line).
+// the dispatch work as k grows; the touched-set mode ("heap") steps only
+// to instants where a schedule can decide and advances only the
+// clusters they touch, so its advantage widens with k. An illustration:
+// the cost claim is core's TestTouchedSetDensity counter.
 func BenchmarkAblationREFScaling(b *testing.B) {
 	fam := gen.LPCEGEE().Scale(0.2)
 	drivers := []core.RefDriver{core.DriverHeap, core.DriverScan}

@@ -1,0 +1,184 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/model"
+)
+
+// fuzzInstance decodes an instance: the first byte picks 2 to 5
+// organizations, the next one per organization its 1 to 3 machines
+// (related ones of speed 1 or 2 when the high bit is set), and each
+// following triple one job — organization, release in 0..19, size in
+// 1..8 — up to 24 jobs.
+func fuzzInstance(data []byte) *model.Instance {
+	if len(data) == 0 {
+		data = []byte{0}
+	}
+	k := 2 + int(data[0])%4
+	data = data[1:]
+	orgs := make([]model.Org, k)
+	for i := range orgs {
+		var b byte
+		if i < len(data) {
+			b = data[i]
+		}
+		o := model.Org{Name: string(rune('A' + i)), Machines: 1 + int(b)%3}
+		if b&0x80 != 0 {
+			o.Speeds = make([]int, o.Machines)
+			for m := range o.Speeds {
+				o.Speeds[m] = 1 + int(b>>(4+m))&1
+			}
+		}
+		orgs[i] = o
+	}
+	data = data[min(k, len(data)):]
+	var jobs []model.Job
+	for ; len(data) >= 3 && len(jobs) < 24; data = data[3:] {
+		jobs = append(jobs, model.Job{Org: int(data[0]) % k, Release: model.Time(data[1] % 20), Size: model.Time(1 + data[2]%8)})
+	}
+	return model.MustNewInstance(orgs, jobs)
+}
+
+// cloneInstance copies an instance, so two steppers own one each.
+func cloneInstance(in *model.Instance) *model.Instance {
+	out := &model.Instance{Orgs: slices.Clone(in.Orgs), Jobs: slices.Clone(in.Jobs)}
+	for i := range out.Orgs {
+		out.Orgs[i].Speeds = slices.Clone(in.Orgs[i].Speeds)
+	}
+	return out
+}
+
+// FuzzStepperModes holds the touched-set mode to the reference mode
+// under arbitrary use, for REF (Rotate off and on), RAND (both samplers)
+// and NBS: a byte-coded instance (fuzzInstance) and a byte-coded stream
+// of operations — advance to a later instant, inject a batch of jobs
+// released at or after the clock, withdraw a job, capture and restore
+// both runs through JSON. After every operation both runs report the
+// same starts, NextEventTime and φ bits; after every advance, before
+// FinishAt and after it, the same NextEventTime, and after FinishAt
+// byte-equal captures.
+func FuzzStepperModes(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 2, 0, 0, 5, 1, 0, 3, 2, 5, 7, 0, 5, 2}, []byte{4, 8, 1, 12, 2, 60, 3, 4, 64})
+	f.Add([]byte{3, 0x81, 0x92, 2, 0, 1, 7, 1, 1, 3, 2, 1, 6, 3, 9, 1, 4, 4, 4, 0, 12, 5}, []byte{0, 0, 5, 9, 6, 3, 14, 2, 62, 60, 7, 11})
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 7, 1, 0, 7, 2, 0, 7, 0, 3, 1}, []byte{60, 1, 5, 0, 13, 3, 2, 9, 60})
+	f.Fuzz(func(t *testing.T, instance, ops []byte) {
+		base := fuzzInstance(instance)
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		for _, alg := range []StepperAlgorithm{
+			RefAlgorithm{},
+			RefAlgorithm{Opts: RefOptions{Rotate: true}},
+			RandAlgorithm{Samples: 6},
+			RandAlgorithm{Samples: 6, Opts: RandOptions{Stratified: true}},
+			NbsAlgorithm{},
+		} {
+			runs := [2]Stepper{newModeStepper(alg, cloneInstance(base), 3, false), newModeStepper(alg, cloneInstance(base), 3, true)}
+			var now model.Time
+			check := func(op string) {
+				t.Helper()
+				a, b := runs[0].ResultAt(now), runs[1].ResultAt(now)
+				assertSameResult(t, alg.Name()+" after "+op, b, a)
+				for u := range a.Phi {
+					if math.Float64bits(a.Phi[u]) != math.Float64bits(b.Phi[u]) {
+						t.Fatalf("%s after %s: φ[%d] %v, reference mode %v", alg.Name(), op, u, a.Phi[u], b.Phi[u])
+					}
+				}
+				if x, y := runs[0].NextEventTime(), runs[1].NextEventTime(); x != y {
+					t.Fatalf("%s after %s: next event %d, reference mode %d", alg.Name(), op, x, y)
+				}
+			}
+			capture := func(op string) [2][]byte {
+				t.Helper()
+				var out [2][]byte
+				for i, st := range runs {
+					cp, err := st.Capture(now)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out[i], err = json.Marshal(cp); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(out[0], out[1]) {
+					t.Fatalf("%s after %s: captures differ:\n%s\nreference mode:\n%s", alg.Name(), op, out[0], out[1])
+				}
+				return out
+			}
+			for i, b := range ops {
+				arg := int(b >> 2)
+				switch b % 4 {
+				case 0: // advance 1 to 15 instants, or 64
+					until := now + 1 + model.Time(arg%15)
+					if arg%16 == 15 {
+						until = now + 64
+					}
+					for _, st := range runs {
+						for st.StepNext(until) {
+						}
+					}
+					if x, y := runs[0].NextEventTime(), runs[1].NextEventTime(); x != y {
+						t.Fatalf("%s: drained to %d, next event %d, reference mode %d", alg.Name(), until, x, y)
+					}
+					for _, st := range runs {
+						st.FinishAt(until)
+					}
+					now = until
+					check("an advance")
+					capture("an advance")
+				case 1: // a batch of 1 to 3 jobs
+					r := rand.New(rand.NewSource(int64(i)<<8 | int64(b)))
+					batch := make([]model.Job, 1+arg%3)
+					for j := range batch {
+						batch[j] = model.Job{Org: r.Intn(len(base.Orgs)), Release: now + model.Time(r.Intn(5)), Size: model.Time(1 + r.Intn(8))}
+					}
+					for _, st := range runs {
+						inst := st.Instance()
+						ids := make([]int, len(batch))
+						for j, job := range batch {
+							job.ID = len(inst.Jobs)
+							ids[j] = job.ID
+							inst.Jobs = append(inst.Jobs, job)
+						}
+						if err := st.Inject(ids); err != nil {
+							t.Fatal(err)
+						}
+					}
+					check("a batch")
+				case 2: // withdraw a job, which may be refused
+					jobs := len(runs[0].Instance().Jobs)
+					if jobs == 0 {
+						continue
+					}
+					id := arg % jobs
+					if x, y := runs[0].Withdraw(id), runs[1].Withdraw(id); (x == nil) != (y == nil) {
+						t.Fatalf("%s: withdraw %d: %v, reference mode %v", alg.Name(), id, x, y)
+					}
+					check("a withdrawal")
+				case 3: // capture, restore both through JSON
+					for j, data := range capture("a capture") {
+						var cp Checkpoint
+						if err := json.Unmarshal(data, &cp); err != nil {
+							t.Fatal(err)
+						}
+						st, err := alg.RestoreStepper(&cp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						s := setOf(st)
+						s.scan = j == 1
+						s.rekeyAll()
+						runs[j] = st
+					}
+					check("a restore")
+				}
+			}
+		}
+	})
+}

@@ -94,9 +94,7 @@ func (g *GeneralRef) Run(until model.Time) *Result {
 		// refreshing its values and contributions before scheduling.
 		for _, mask := range g.bySize {
 			g.updateVals(mask, t)
-			if g.sims[mask].CanDispatch() {
-				g.sims[mask].Dispatch()
-			}
+			g.sims[mask].Dispatch()
 		}
 	}
 	for mask := model.Coalition(1); mask <= g.grand; mask++ {

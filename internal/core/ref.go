@@ -14,12 +14,13 @@ import (
 type RefDriver int
 
 const (
-	// DriverHeap (the default) is the touched-set mode: it keeps every
-	// schedule's next event time in a flat key array, finds the globally
-	// earliest event by scanning it, and advances and re-evaluates only
-	// the clusters that event touches; every other coalition's value is
-	// read from its own accounts in O(1). The name is the wire
-	// spelling, "ref_driver":"heap".
+	// DriverHeap (the default) is the touched-set mode: it keys every
+	// schedule with a job waiting at its next completion in a flat
+	// array, finds the earliest instant by scanning it, and advances and
+	// dispatches only the clusters that instant touches; a schedule with
+	// nothing waiting folds its completions when next touched or read,
+	// and every coalition's value is read from its own accounts in O(1).
+	// The name is the wire spelling, "ref_driver":"heap".
 	DriverHeap RefDriver = iota
 	// DriverScan is the loop's reference mode: scan every schedule for
 	// the minimum event time and advance every cluster to it. It is

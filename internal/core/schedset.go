@@ -26,48 +26,53 @@ import (
 // queue. The set releases the queues at every instant before any slot
 // advances, so a submission is entered, and a release queued, once.
 //
-// By default the set keeps one key per slot, its next completion, in a
-// flat array, and each slot's coalition while it has a free machine. A
-// step finds the earliest instant t — the smallest key or the next
-// release — and takes exactly the touched set, in slot order: the slots
-// keyed t, and the slots with a free machine whose coalition holds an
-// organization releasing a job at t. It advances and dispatches only
-// those, and stores their new keys; every other slot's value is read in
-// O(1) from its own accounts at t (sim.Cluster.ValueAt), which stay
-// exact until that slot's own next completion.
-// The scan is 2^k compares of adjacent words; an ordered structure
-// would pay a re-sift per touched slot instead, and a release touches
-// up to half of REF's slots (DESIGN.md §2.1). Two sim.Cluster
-// invariants make this equivalent to advancing everything (DESIGN.md
-// §2.2):
+// By default the set steps only what can decide. A slot with a job
+// waiting is keyed at its next completion, in a flat array; a slot with
+// nothing waiting is dormant: keyed at no instant, and open, beside the
+// keys, to its members' releases. A step finds the earliest instant t —
+// the smallest key or the next release — and takes exactly the touched
+// set, in slot order: the slots keyed t and the dormant slots whose
+// coalition holds an organization releasing a job at t. It advances and
+// dispatches only those, and stores their new keys. A dormant slot's
+// completions decide nothing, so they wait in it until the next touch
+// or value read (valueAt), which folds them; an instant with nothing
+// else to do is never stepped to. Every slot's value is read in O(1)
+// from its own accounts (sim.Cluster.ValueAt). The scan is 2^k compares
+// of adjacent words; an ordered structure would pay a re-sift per
+// touched slot instead (DESIGN.md §2.3). Three sim.Cluster invariants
+// make this equivalent to advancing everything (DESIGN.md §2.2):
 //
 //  1. A cluster can become dispatchable only through one of its own
 //     completions, or a release of a member while it has a free
 //     machine: Dispatch always exhausts either the free machines or the
-//     waiting jobs, and only completions free machines. A slot with no
-//     free machine starts nothing at a release, and a release changes
-//     nothing it stores but the shared queue. So the dispatch
-//     candidates at t are exactly the touched slots.
+//     waiting jobs, and only completions free machines. A slot with a
+//     job waiting has no free machine, so it starts nothing before its
+//     next completion, and a release changes nothing it stores but the
+//     shared queue.
 //  2. Jobs started at t have executed nothing before t, so values at t
 //     are unaffected by same-instant starts — one value snapshot serves
 //     every slot dispatching at t, in any order.
+//  3. A slot with nothing waiting decides nothing until a member
+//     releases: its completions only free machines, and they are booked
+//     the same whenever they are processed.
 //
-// A dispatching slot's targets are refreshed only when the dispatch is
-// contested (sim.Cluster.Contested): with one organization waiting,
-// Select has one legal answer, and nothing arrives during Dispatch, so
-// targets cannot change a start. They are read by nothing else — phiAt
-// recomputes — and are not checkpointed.
+// A dispatch with one organization waiting asks nothing: Select must
+// name an organization with a waiting job and nothing arrives during a
+// dispatch, so the slot starts that organization's head jobs
+// (sim.Cluster.StartHeads) without a target refresh or a Select. A
+// contested dispatch refreshes its slot's targets first. They are read
+// by nothing else — phiAt recomputes — and are not checkpointed.
 //
 // The reference mode (scan; RefOptions.Driver == DriverScan) is the
 // same loop with the acceleration removed: the instant is found by
-// asking every cluster for its next completion, every slot is touched —
-// never a key — and
-// every dispatch refreshes its targets. It is
-// the oracle the differential tests hold the default mode to, and what
-// a one-slot set runs (there is nothing to skip).
+// asking every cluster for its next completion, every slot is touched
+// at every instant — never a key, never a fold — and every dispatch
+// refreshes its targets and asks the policy for every start. It is the
+// oracle the differential tests hold the default mode to, and what a
+// one-slot set runs (there is nothing to skip).
 //
-// Keys are never serialized: a slot's key is its next completion, so
-// restore rebuilds them and stays byte-identical.
+// Keys are never serialized: restore rebuilds them from the cluster
+// states and stays byte-identical.
 type schedSet struct {
 	name string
 	seed int64
@@ -79,9 +84,18 @@ type schedSet struct {
 	ckpt  []int          // checkpoint position -> slot; slot order unless the plug sets it
 	src   *stats.Source  // the decision schedule's RNG stream; nil when it has none
 	scan  bool           // reference mode
+	// ask: every start asks the policy, uncontested or not. A policy
+	// plug's policy may keep state per Select (RoundRobin's rotation);
+	// every other plug's slots select by targets or FCFS, from the view.
+	ask bool
+	// now is the latest instant stepped or finished to, or drained to by
+	// a StepNext that found nothing to step: every event up to it is
+	// processed, or a completion in a dormant slot.
+	now model.Time
 
-	keys    []model.Time      // slot -> NextCompletion (sim.MaxTime: none running)
-	open    []model.Coalition // slot -> its coalition while it has a free machine, else empty
+	keys    []model.Time      // slot -> its next completion while a job waits in it, else sim.MaxTime
+	open    []model.Coalition // slot -> its coalition while nothing waits in it, else empty
+	due     []model.Time      // slot -> its earliest unfolded completion while nothing waits in it, else sim.MaxTime
 	all     []int             // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
 	touched []int             // scratch
 }
@@ -89,7 +103,7 @@ type schedSet struct {
 // plug is what an algorithm adds to the schedule-set core.
 type plug interface {
 	// retarget refreshes the target vector the slot's policy selects
-	// by, at instant t, immediately before Dispatch: at every dispatch
+	// by, at instant t, immediately before a dispatch: at every dispatch
 	// in the reference mode, at a contested one otherwise. It writes
 	// only target vectors, from the values at t.
 	retarget(slot int, t model.Time)
@@ -111,6 +125,7 @@ func newSchedSet(name string, seed int64, inst *model.Instance, p plug, q *sim.Q
 		scan:  scan || len(slots) == 1,
 		all:   identity(len(slots)),
 	}
+	_, s.ask = p.(policyPlug)
 	s.ckpt = s.all
 	// Only the decision schedule's starts are ever read.
 	for _, c := range slots[:len(slots)-1] {
@@ -146,10 +161,11 @@ func (s *schedSet) decision() *sim.Cluster { return s.slots[len(s.slots)-1] }
 
 // rekeyAll (re)builds the keys from the current cluster states — at
 // construction and after restore. A step re-keys only the slots it
-// touches, and nothing else moves a key: Inject and Withdraw change no
-// running job and no free machine. The differential tests hold the
-// incrementally maintained keys to exactly the state this rebuild
-// produces.
+// touches, and nothing else moves a key: Inject adds no waiting job and
+// Withdraw frees no machine. A withdrawal can leave a keyed slot with
+// nothing waiting; its key is then early, never late: the slot is
+// touched at a completion where it decides nothing, and goes dormant.
+// The differential tests hold the maintained keys to this rule.
 func (s *schedSet) rekeyAll() {
 	if s.scan {
 		return
@@ -157,24 +173,40 @@ func (s *schedSet) rekeyAll() {
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
 	s.open = make([]model.Coalition, n)
+	s.due = make([]model.Time, n)
 	s.touched = make([]int, 0, n)
-	for i := range s.slots {
-		s.rekey(i)
+	for i, c := range s.slots {
+		jobs, _ := c.Waiting()
+		s.rekey(i, jobs > 0)
 	}
 }
 
-// rekey stores slot's key and whether a release can touch it.
-func (s *schedSet) rekey(slot int) {
+// rekey stores slot's key, whether a release touches it and when it has
+// a completion to fold: keyed at its next completion while a job waits
+// (no machine is free then), dormant otherwise.
+func (s *schedSet) rekey(slot int, waiting bool) {
 	c := s.slots[slot]
-	s.keys[slot], s.open[slot] = c.NextCompletion(), 0
-	if c.FreeMachines() > 0 {
-		s.open[slot] = c.Coalition()
+	if waiting {
+		s.keys[slot], s.open[slot], s.due[slot] = c.NextCompletion(), 0, sim.MaxTime
+	} else {
+		s.keys[slot], s.open[slot], s.due[slot] = sim.MaxTime, c.Coalition(), c.NextCompletion()
 	}
 }
 
-// valueAt is slot's coalition value at t. Every slot stands at t or
-// lags it with no event in between, where its accounts are exact.
-func (s *schedSet) valueAt(slot int, t model.Time) int64 { return s.slots[slot].ValueAt(t) }
+// valueAt is slot's coalition value at t, an instant the set has
+// reached. A dormant slot may hold completions up to t; it is folded to
+// t first, which is all a step there would have done: nothing waits in
+// it, and no member has released since its last touch (a release
+// touches it). Every other slot stands at t or lags it with no event in
+// between, where its accounts are exact.
+func (s *schedSet) valueAt(slot int, t model.Time) int64 {
+	c := s.slots[slot]
+	if !s.scan && s.due[slot] <= t && t <= s.now {
+		c.AdvanceTo(t)
+		s.due[slot] = c.NextCompletion()
+	}
+	return c.ValueAt(t)
+}
 
 // Name implements Stepper.
 func (s *schedSet) Name() string { return s.name }
@@ -188,10 +220,21 @@ func (s *schedSet) Starts() []sim.Start { return s.decision().Starts() }
 // Withdrawn implements Stepper.
 func (s *schedSet) Withdrawn() int { return s.decision().WithdrawnCount() }
 
-// NextEventTime implements Stepper: the next release or the smallest
-// key, or in the reference mode the smallest completion the clusters
-// themselves answer.
+// NextEventTime implements Stepper: the next release or completion after
+// the set's instant in any slot — what the reference mode steps to next,
+// a dormant slot's completions included, which StepNext folds instead.
 func (s *schedSet) NextEventTime() model.Time {
+	t := s.q.NextRelease()
+	for _, c := range s.slots {
+		t = min(t, c.NextCompletionAfter(s.now))
+	}
+	return t
+}
+
+// instant returns the instant StepNext takes next: the next release or
+// the smallest key, or in the reference mode the smallest completion the
+// clusters themselves answer.
+func (s *schedSet) instant() model.Time {
 	t := s.q.NextRelease()
 	if !s.scan {
 		for _, k := range s.keys {
@@ -207,13 +250,16 @@ func (s *schedSet) NextEventTime() model.Time {
 
 // StepNext implements Stepper: release the queues at the earliest
 // instant, take its touched set, advance it, let its dispatchable slots
-// schedule in slot order, against freshly refreshed targets where
-// contested, then re-key it.
+// schedule in slot order — an uncontested one without asking, a
+// contested one against freshly refreshed targets — then re-key it.
 func (s *schedSet) StepNext(until model.Time) bool {
-	t := s.NextEventTime()
+	t := s.instant()
 	if t == sim.MaxTime || t > until {
+		// What is left up to until are completions in dormant slots.
+		s.now = max(s.now, until)
 		return false
 	}
+	s.now = t
 	releasing := s.q.AdvanceTo(t)
 	touched := s.all
 	if !s.scan {
@@ -227,18 +273,23 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	}
 	s.advance(touched, t)
 	for _, i := range touched {
-		if c := s.slots[i]; c.CanDispatch() {
-			// Uncontested, every start goes to the one organization
-			// waiting, whatever the targets say (DESIGN.md §2, step 3).
-			if s.scan || c.Contested() {
+		c := s.slots[i]
+		jobs, orgs := c.Waiting()
+		free := c.FreeMachines()
+		switch {
+		case jobs == 0 || free == 0:
+		case orgs.Size() == 1 && !s.scan && !s.ask:
+			// Every start goes to the one organization waiting, whatever
+			// the targets say (DESIGN.md §2, step 3).
+			c.StartHeads(bits.TrailingZeros32(uint32(orgs)))
+		default:
+			if s.scan || orgs.Size() > 1 {
 				s.plug.retarget(i, t)
 			}
-			c.Dispatch()
+			c.DispatchCount(jobs)
 		}
-	}
-	if !s.scan {
-		for _, i := range touched {
-			s.rekey(i)
+		if !s.scan {
+			s.rekey(i, jobs > free)
 		}
 	}
 	return true
@@ -255,10 +306,16 @@ func (s *schedSet) advance(slots []int, t model.Time) {
 
 // FinishAt implements Stepper: move every slot's clock, and the queues',
 // to exactly t. The caller has drained the events at or before t, so
-// only clocks move: keys stay exact.
+// only clocks move and dormant slots fold: keys stay as they are.
 func (s *schedSet) FinishAt(t model.Time) {
+	s.now = t
 	s.q.AdvanceTo(t)
 	s.advance(s.all, t)
+	for i, due := range s.due {
+		if due <= t {
+			s.due[i] = s.slots[i].NextCompletion()
+		}
+	}
 }
 
 // ResultAt implements Stepper.
@@ -268,7 +325,7 @@ func (s *schedSet) ResultAt(t model.Time) *Result {
 
 // Inject implements Stepper: register online arrivals (already appended
 // to the instance) once, in the queues every slot shares. A pending
-// release changes no key: keys are completions, and the release is the
+// release changes no key: it waits in no slot yet, and it is the
 // queues' next event.
 func (s *schedSet) Inject(ids []int) error { return s.q.Inject(ids...) }
 
@@ -279,7 +336,7 @@ func (s *schedSet) Inject(ids []int) error { return s.q.Inject(ids...) }
 // started the job keeps it (non-preemptive counterfactual work stands)
 // and steps its cursor back over the gap; only the decision schedule
 // records it as withdrawn. No executed work moves and no machine frees,
-// so no key changes.
+// so no key changes; one may be left early (rekeyAll).
 func (s *schedSet) Withdraw(id int) error {
 	if id < 0 || id >= len(s.inst.Jobs) {
 		return fmt.Errorf("core: %s: withdraw: job %d not in instance", s.name, id)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -16,8 +17,9 @@ import (
 )
 
 // diffFamilies lists one algorithm per stepper family (RAND twice, for
-// both samplers) — the rows of every touched-set-vs-reference
-// differential.
+// both samplers; REF again under the rotation ablation, whose Selects
+// book adjustments an uncontested dispatch no longer asks for) — the
+// rows of every touched-set-vs-reference differential.
 func diffFamilies() []StepperAlgorithm {
 	return []StepperAlgorithm{
 		RefAlgorithm{},
@@ -25,6 +27,7 @@ func diffFamilies() []StepperAlgorithm {
 		RandAlgorithm{Samples: 12, Opts: RandOptions{Stratified: true}},
 		NbsAlgorithm{},
 		FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }),
+		RefAlgorithm{Opts: RefOptions{Rotate: true}},
 	}
 }
 
@@ -44,25 +47,28 @@ func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan b
 }
 
 // checkKeysMatchRebuild verifies the live key arrays against the keying
-// rule rekeyAll implements: keys[i] is slot i's cluster's next
-// completion (sim.MaxTime when nothing runs) and open[i] its coalition
-// while it has a free machine — the whole invariant of the touched-set
-// mode, so equality here means the incrementally maintained keys select
-// the same touched sets a fresh rebuild would.
+// rule rekeyAll implements — the whole invariant of the touched-set
+// mode. A slot with a job waiting has no free machine, is keyed at its
+// next completion and is closed to releases. A slot with nothing
+// waiting is dormant (keyed sim.MaxTime, open to its coalition's
+// releases, due at its next completion, which may have come) or, after
+// a withdrawal emptied it, still keyed as if a job waited: a key may be
+// early, never late.
 func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 	t.Helper()
 	if s.scan {
 		t.Fatal("key check on a reference-mode set")
 	}
-	if len(s.keys) != len(s.slots) || len(s.open) != len(s.slots) {
-		t.Fatalf("%d keys and %d open masks for %d slots", len(s.keys), len(s.open), len(s.slots))
+	if len(s.keys) != len(s.slots) || len(s.open) != len(s.slots) || len(s.due) != len(s.slots) {
+		t.Fatalf("%d keys, %d open masks and %d due times for %d slots", len(s.keys), len(s.open), len(s.due), len(s.slots))
 	}
 	for slot, c := range s.slots {
-		if k := c.NextCompletion(); s.keys[slot] != k {
-			t.Fatalf("slot %d keyed %d, cluster's next completion is %d", slot, s.keys[slot], k)
-		}
-		if free := c.FreeMachines() > 0; s.open[slot] != c.Coalition() && free || s.open[slot] != 0 && !free {
-			t.Fatalf("slot %d open to %v with %d free machines", slot, s.open[slot], c.FreeMachines())
+		jobs, _ := c.Waiting()
+		keyed := s.keys[slot] == c.NextCompletion() && s.open[slot] == 0 && s.due[slot] == sim.MaxTime
+		dormant := s.keys[slot] == sim.MaxTime && s.open[slot] == c.Coalition() && s.due[slot] == c.NextCompletion()
+		if jobs > 0 && (!keyed || c.FreeMachines() > 0) || jobs == 0 && !keyed && !dormant {
+			t.Fatalf("slot %d keyed %d and open to %v, with %d jobs waiting, %d machines free and its next completion at %d",
+				slot, s.keys[slot], s.open[slot], jobs, c.FreeMachines(), c.NextCompletion())
 		}
 	}
 }
@@ -101,6 +107,12 @@ func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
 					checkKeysMatchRebuild(t, hs)
 				}
 				for scan.StepNext(target) {
+				}
+				// Drained, the default mode may still hold completions it
+				// folds instead of stepping to; it reports what comes after
+				// them, as the reference mode does, before FinishAt and after.
+				if h, s := heap.NextEventTime(), scan.NextEventTime(); h != s {
+					t.Fatalf("%s seed %d phase %d: next event before FinishAt heap=%d scan=%d", alg.Name(), seed, phase, h, s)
 				}
 				heap.FinishAt(target)
 				scan.FinishAt(target)
@@ -157,18 +169,19 @@ func (p *countingPlug) retarget(slot int, t model.Time) {
 	p.plug.retarget(slot, t)
 }
 
-// dispatchCount is what countingPolicy observes across a set's slots.
-type dispatchCount struct{ dispatches, contested int }
+// selectCount is what countingPolicy observes across a set's slots.
+type selectCount struct{ selects, contested int }
 
-// countingPolicy forwards to a policy and counts dispatches: the first
-// Select a slot makes at an instant opens one, and the dispatch is
-// contested when two or more organizations wait at that moment —
-// recounted from the view, not asked of the cluster.
+// countingPolicy forwards to a policy and counts its Select calls and
+// contested dispatches: the first Select a slot makes at an instant
+// opens a dispatch, contested when two or more organizations wait at
+// that moment — recounted from the view, not asked of the cluster. An
+// uncontested dispatch of the default mode asks no Select at all.
 type countingPolicy struct {
 	sim.Policy
 	view  *sim.View
 	at    model.Time
-	count *dispatchCount
+	count *selectCount
 }
 
 func (p *countingPolicy) Attach(v *sim.View, rng *rand.Rand) {
@@ -177,9 +190,9 @@ func (p *countingPolicy) Attach(v *sim.View, rng *rand.Rand) {
 }
 
 func (p *countingPolicy) Select(t model.Time, m int) int {
+	p.count.selects++
 	if t != p.at {
 		p.at = t
-		p.count.dispatches++
 		waiting := 0
 		for u := 0; u < p.view.Orgs(); u++ {
 			if p.view.Waiting(u) > 0 {
@@ -196,26 +209,36 @@ func (p *countingPolicy) Select(t model.Time, m int) int {
 // The work a REF step does, counted on a stream shaped like the
 // shapley-k8 benchmark workload — 8 organizations on 16 Zipf-split
 // machines, 40 jobs of size 1..30 per 100 ticks, organizations drawn
-// with a tilt toward low indices — in both modes of the loop:
+// with a tilt toward low indices — in both modes of the loop. Starts and
+// completions are recounted from each slot's view (released jobs of its
+// members minus those waiting, minus those running), not asked of the
+// set:
 //
+//   - steps: the default mode steps only to a keyed completion or a
+//     release, so it takes fewer than the reference mode, which steps to
+//     every completion of every slot;
 //   - touched slots per step, in the default mode split by what touched
-//     them: a completion, or a release of a member while the slot had a
-//     free machine; and the release-member slots skipped because every
-//     machine was busy — none of which, recounted from its view, could
-//     have dispatched. The touched set stays well above 2^k/k, where
-//     k·log-cost re-sifts would have matched the flat 2^k key scan, and
-//     at most half of the reference mode's 2^k−1 — the counted form of
-//     the touched-set mode's cost claim (EXPERIMENTS.md §3);
-//   - dispatching slots, equal per step in both modes, and among them
+//     them: a completion in a slot with a job waiting, or a member's
+//     release in a dormant slot. The total is at most half the reference
+//     mode's 2^k−1 per step over the reference mode's steps — the counted
+//     form of the touched-set mode's cost claim (EXPERIMENTS.md §3) — and
+//     stays above 2^k/k, where k·log-cost re-sifts would match the flat
+//     key scan;
+//   - completions folded without a touch of their own: every completion
+//     but those in keyed slots at their instant. Both modes complete the
+//     same jobs by the horizon;
+//   - dispatching slots per instant, equal in both modes, and among them
 //     the contested ones, where two or more organizations wait: only
-//     those need a target vector;
-//   - retarget calls: one per contested dispatch in the default mode,
-//     one per dispatch in the reference mode.
+//     those refresh targets (one retarget each) and ask Select in the
+//     default mode; the reference mode retargets at every dispatch and
+//     asks Select for every start.
 //
 // Most dispatches are uncontested; the test fails if fewer than 80 % are,
-// since skipping their refresh is what the default mode saves.
+// since skipping their refresh and their Selects is what the default
+// mode saves.
 func TestTouchedSetDensity(t *testing.T) {
 	const k, machines, rounds, perRound = 8, 16, 60, 40
+	const horizon = model.Time(100 * rounds)
 	r := rand.New(rand.NewSource(7000))
 	orgs := make([]model.Org, k)
 	for i, m := range stats.ZipfSplit(machines, k, 1) {
@@ -223,6 +246,7 @@ func TestTouchedSetDensity(t *testing.T) {
 	}
 	var jobs []model.Job
 	releasing := map[model.Time]model.Coalition{}
+	releases := make([][]model.Time, k) // per organization, ascending
 	for round := 0; round < rounds; round++ {
 		for j := 0; j < perRound; j++ {
 			job := model.Job{
@@ -232,16 +256,37 @@ func TestTouchedSetDensity(t *testing.T) {
 			}
 			jobs = append(jobs, job)
 			releasing[job.Release] = releasing[job.Release].With(job.Org)
+			releases[job.Org] = append(releases[job.Org], job.Release)
 		}
 	}
+	for _, rs := range releases {
+		slices.Sort(rs)
+	}
 	in := model.MustNewInstance(orgs, jobs)
-	dispatches := map[RefDriver][]int{} // per step
+	// counts returns how many jobs a slot has started and completed, with
+	// the queues released up to t.
+	counts := func(c *sim.Cluster, t model.Time) (started, completed int) {
+		v := c.View()
+		running := 0
+		for u := range k {
+			if c.Coalition().Has(u) {
+				released, _ := slices.BinarySearch(releases[u], t+1)
+				started += released - v.Waiting(u)
+				running += v.Running(u)
+			}
+		}
+		return started, started - running
+	}
+	dispatches := map[RefDriver]map[model.Time]int{} // slots starting a job, per instant
+	completed := map[RefDriver]int{}
+	steps := map[RefDriver]int{}
+	var touchedHeap int
 	for _, driver := range []RefDriver{DriverHeap, DriverScan} {
 		ref := NewRef(in, RefOptions{Driver: driver})
 		s := ref.set()
 		plug := &countingPlug{plug: s.plug}
 		s.plug = plug
-		var count dispatchCount
+		var count selectCount
 		s.q = sim.NewQueues(in)
 		for i, c := range s.slots {
 			s.slots[i] = s.q.NewCluster(c.Coalition(), &countingPolicy{Policy: c.Policy(), count: &count}, nil)
@@ -250,67 +295,90 @@ func TestTouchedSetDensity(t *testing.T) {
 			}
 		}
 		s.rekeyAll()
-		steps, touched, slots := 0, 0, len(s.slots)
-		var byCompletion, byRelease, skipped int
-		var skip []int
-		for at := s.NextEventTime(); at <= 100*rounds; at = s.NextEventTime() {
-			skip = skip[:0]
-			for i, key := range s.keys {
-				switch {
-				case key == at:
-					byCompletion++
-				case releasing[at]&s.slots[i].Coalition() == 0:
-				case s.open[i] != 0:
-					byRelease++
-				default:
-					skip = append(skip, i)
+		slots := len(s.slots)
+		started := make([]int, slots)
+		dispatches[driver] = map[model.Time]int{}
+		var touched, byCompletion, byRelease, onTime, starts, n int
+		var keyed, before []int
+		for at := s.instant(); at <= horizon; at = s.instant() {
+			keyed, before = keyed[:0], before[:0]
+			if !s.scan {
+				for i, key := range s.keys {
+					switch {
+					case key == at:
+						_, done := counts(s.slots[i], at-1)
+						keyed, before = append(keyed, i), append(before, done)
+					case s.open[i]&releasing[at] != 0:
+						byRelease++
+					}
 				}
 			}
-			before := count.dispatches
-			s.StepNext(at)
-			steps++
-			dispatches[driver] = append(dispatches[driver], count.dispatches-before)
+			if !s.StepNext(horizon) {
+				t.Fatalf("%s mode: no step at instant %d", driver, at)
+			}
+			steps[driver]++
 			if s.scan {
 				touched += slots
-				continue
+			} else {
+				touched += len(s.touched)
+				byCompletion += len(keyed)
+				for j, i := range keyed {
+					_, done := counts(s.slots[i], at)
+					onTime += done - before[j]
+				}
 			}
-			touched += len(s.touched)
-			skipped += len(skip)
-			for _, i := range skip {
-				// Every machine of the coalition runs a job: nothing could start.
-				v, busy, pool := s.slots[i].View(), 0, 0
-				s.slots[i].Coalition().EachMember(func(u int) { busy, pool = busy+v.Running(u), pool+in.Orgs[u].Machines })
-				if busy < pool {
-					t.Fatalf("step at %d skipped slot %d with %d of %d machines busy", at, i, busy, pool)
+			for i, c := range s.slots {
+				if st, _ := counts(c, at); st > started[i] {
+					dispatches[driver][at]++
+					starts += st - started[i]
+					started[i] = st
 				}
 			}
 		}
-		per := func(n int) float64 { return float64(n) / float64(steps) }
-		uncontested := 1 - float64(count.contested)/float64(count.dispatches)
+		s.FinishAt(horizon)
+		for _, c := range s.slots {
+			_, done := counts(c, horizon)
+			completed[driver] += done
+		}
+		for _, d := range dispatches[driver] {
+			n += d
+		}
+		per := func(x int) float64 { return float64(x) / float64(steps[driver]) }
+		uncontested := 1 - float64(count.contested)/float64(n)
 		split := ""
 		if !s.scan {
-			split = fmt.Sprintf(" (%.1f by a completion, %.1f by a release with a free machine; %.1f release members skipped, no free machine)", per(byCompletion), per(byRelease), per(skipped))
+			touchedHeap = touched
+			split = fmt.Sprintf(" (%.1f by a completion with a job waiting, %.1f by a member release), %.1f completions folded without a touch", per(byCompletion), per(byRelease), per(completed[driver]-onTime))
 			if byCompletion+byRelease != touched {
 				t.Errorf("%d slots touched, %d by a completion and %d by a release", touched, byCompletion, byRelease)
 			}
 		}
-		t.Logf("%s: %d steps; per step %.1f/%d slots touched%s, %.1f dispatch, %.1f contested, %.1f retargets; %.1f %% uncontested",
-			driver, steps, per(touched), slots, split, per(count.dispatches), per(count.contested), per(plug.retargets), 100*uncontested)
-		if want := map[RefDriver]int{DriverHeap: count.contested, DriverScan: count.dispatches}[driver]; plug.retargets != want {
-			t.Errorf("%s mode: %d retargets, want %d (%d dispatches, %d contested)", driver, plug.retargets, want, count.dispatches, count.contested)
+		t.Logf("%s: %d steps, %.1f per 100 ticks; per step %.1f/%d slots touched%s; %d dispatches, %d contested, %d retargets; %.1f %% uncontested; %d starts, %d skipped Select",
+			driver, steps[driver], float64(steps[driver])/rounds, per(touched), slots, split, n, count.contested, plug.retargets, 100*uncontested, starts, starts-count.selects)
+		if want := map[RefDriver]int{DriverHeap: count.contested, DriverScan: n}[driver]; plug.retargets != want {
+			t.Errorf("%s mode: %d retargets, want %d (%d dispatches, %d contested)", driver, plug.retargets, want, n, count.contested)
+		}
+		if s.scan && count.selects != starts {
+			t.Errorf("reference mode: %d Selects for %d starts", count.selects, starts)
 		}
 		if uncontested < 0.8 {
-			t.Errorf("%s mode: %.1f %% of dispatches uncontested, below 80 %%: the refresh the default mode skips is no longer the common case", driver, 100*uncontested)
+			t.Errorf("%s mode: %.1f %% of dispatches uncontested, below 80 %%: the work the default mode skips is no longer the common case", driver, 100*uncontested)
 		}
-		if driver == DriverHeap && per(touched) < float64(slots)/4 {
+		if !s.scan && per(touched) < float64(slots)/k {
 			t.Errorf("mean touched set %.1f of %d slots: the stream is sparse, the premise of the flat key scan does not hold on it", per(touched), slots)
 		}
-		if driver == DriverHeap && 2*touched > slots*steps {
-			t.Errorf("mean touched set %.1f of %d slots: the default mode does more than half the reference mode's slot-steps", per(touched), slots)
-		}
 	}
-	if !slices.Equal(dispatches[DriverHeap], dispatches[DriverScan]) {
-		t.Errorf("dispatches per step differ between the modes:\n%v\n%v", dispatches[DriverHeap], dispatches[DriverScan])
+	if !maps.Equal(dispatches[DriverHeap], dispatches[DriverScan]) {
+		t.Errorf("dispatching slots per instant differ between the modes:\n%v\n%v", dispatches[DriverHeap], dispatches[DriverScan])
+	}
+	if completed[DriverHeap] != completed[DriverScan] {
+		t.Errorf("%d jobs completed by the horizon in the default mode, %d in the reference mode", completed[DriverHeap], completed[DriverScan])
+	}
+	if steps[DriverHeap] >= steps[DriverScan] {
+		t.Errorf("the default mode took %d steps, the reference mode %d", steps[DriverHeap], steps[DriverScan])
+	}
+	if slots := 1<<k - 1; 2*touchedHeap > slots*steps[DriverScan] {
+		t.Errorf("the default mode touched %d slots, more than half the reference mode's %d slot-steps", touchedHeap, slots*steps[DriverScan])
 	}
 }
 
@@ -339,24 +407,25 @@ func TestHeapDriverMatchesScanDriverRandNbs(t *testing.T) {
 	}
 }
 
-// steadyStepper builds a stepper on a workload whose every subcoalition
-// starts all of its jobs at release (per-org machines ≥ per-org jobs),
-// primed past the release-instant dispatches: the remaining event
-// stream is pure completions, one per instant (sizes are distinct) —
-// the steady serving state.
+// steadyStepper builds a stepper on a saturated workload, primed past
+// the release instant: A and B queue 60 jobs each on two machines
+// apiece, so every completion in a slot holding either starts a queued
+// job, and the grand coalition's dispatches are contested. C's one job
+// runs in C's singleton, which then waits for nothing: dormant, its
+// completion is folded by the first contested retarget that reads its
+// value past it. C's job runs at speed 1 for its size, so the completion
+// is due at that instant.
 func steadyStepper(t *testing.T, alg StepperAlgorithm) Stepper {
 	t.Helper()
-	const k, jobsPerOrg = 3, 40
-	orgs := make([]model.Org, k)
-	for i := range orgs {
-		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: jobsPerOrg}
-	}
+	const jobsPerOrg = 60
+	orgs := []model.Org{{Name: "A", Machines: 2}, {Name: "B", Machines: 2}, {Name: "C", Machines: 1}}
 	var jobs []model.Job
-	for o := 0; o < k; o++ {
+	for o := 0; o < 2; o++ {
 		for j := 0; j < jobsPerOrg; j++ {
 			jobs = append(jobs, model.Job{Org: o, Release: 0, Size: model.Time(5 + 4*j + o)})
 		}
 	}
+	jobs = append(jobs, model.Job{Org: 2, Release: 0, Size: steadyFold})
 	in, err := model.NewInstance(orgs, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -367,14 +436,19 @@ func steadyStepper(t *testing.T, alg StepperAlgorithm) Stepper {
 	return s
 }
 
+// steadyFold is the instant C's job completes in steadyStepper.
+const steadyFold = 30
+
 // Steady-state stepping is zero-alloc by budget for every stepper
-// family: completions, accounting, re-keys, φ fills and dispatch
-// probes must all run out of the steppers' preallocated scratch (the
+// family: completions that start queued jobs, accounting, re-keys,
+// contested φ fills with a fold of a dormant slot, and uncontested
+// starts must all run out of the steppers' preallocated scratch (the
 // daemon's own configuration, on touched sets of 16 and more, is held
 // to it in daemon's TestSessionAlgorithmsStepAllocFree). AllocsPerRun
 // truncates its average, so every measured call has to process a real
-// event: the run count stays below the fixture's 120 completions and
-// the test checks that events were still left afterwards.
+// event: the test checks that events were still left afterwards, and
+// that C's singleton, where a set has one, was folded during the
+// measurement and not before.
 func TestSteadyStateStepAllocFree(t *testing.T) {
 	const horizon = model.Time(1 << 30)
 	cases := []struct {
@@ -390,11 +464,23 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := steadyStepper(t, tc.alg)
+			var dormant *sim.Cluster
+			for _, c := range setOf(s).slots {
+				if c.Coalition() == model.Singleton(2) {
+					dormant = c
+				}
+			}
+			if dormant != nil && dormant.NextCompletion() != steadyFold {
+				t.Fatalf("C's singleton completes at %d before the measurement, want %d", dormant.NextCompletion(), steadyFold)
+			}
 			if avg := testing.AllocsPerRun(100, func() { s.StepNext(horizon) }); avg != 0 {
 				t.Errorf("steady-state StepNext allocates %.2f times per run, budget is 0", avg)
 			}
 			if !s.StepNext(horizon) {
 				t.Fatal("events drained during measurement")
+			}
+			if dormant != nil && dormant.NextCompletion() != sim.MaxTime {
+				t.Errorf("C's singleton still holds a completion at %d: no retarget folded it", dormant.NextCompletion())
 			}
 		})
 	}

@@ -9,11 +9,11 @@
 //   - Run(until): self-driving loop for standalone policies
 //     (round-robin, fair share, DIRECTCONTR, …) on a cluster built by
 //     New, which owns its queues.
-//   - Queues.AdvanceTo / NextEventTime / AdvanceTo / Dispatch: the
-//     primitives internal/core's schedule-set loop uses to step many
-//     coalition clusters, built on one shared Queues, event by event and
-//     interleave contribution computations between event processing and
-//     dispatch.
+//   - Queues.AdvanceTo / NextCompletion / AdvanceTo / Waiting /
+//     StartHeads / DispatchCount: the primitives internal/core's
+//     schedule-set loop uses to step many coalition clusters, built on
+//     one shared Queues, event by event and interleave contribution
+//     computations between event processing and dispatch.
 //
 // Greediness (no machine idles while a job waits) is an engine
 // invariant, not a policy obligation: the dispatch loop keeps starting
@@ -67,11 +67,6 @@ type Cluster struct {
 	base     []int   // q's, shared: org -> absolute position of lists[org][0]
 	released []int   // q's, shared: org -> absolute position of its first pending job
 	cursor   []int   // org -> absolute position in q's list: its jobs started here
-	// The waiting jobs and the organizations they belong to, as of the
-	// queues' epoch seen; a start keeps them, anything else that moves a
-	// released count or a cursor moves the epoch.
-	seen               uint64
-	waitJobs, waitOrgs int
 
 	owners         []int // machine -> owning org
 	speeds         []int // machine -> work units per time unit
@@ -187,6 +182,22 @@ func (c *Cluster) NextCompletion() model.Time {
 	return c.running[0].End
 }
 
+// NextCompletionAfter returns the earliest completion later than t, or
+// MaxTime: the next completion for a driver that leaves those up to t
+// unprocessed until it next reads the cluster. It mutates nothing.
+func (c *Cluster) NextCompletionAfter(t model.Time) model.Time {
+	if next := c.NextCompletion(); next > t {
+		return next
+	}
+	next := MaxTime
+	for _, r := range c.running {
+		if r.End > t {
+			next = min(next, r.End)
+		}
+	}
+	return next
+}
+
 // AdvanceTo moves the clock to t, processing every completion with time
 // ≤ t — and, on queues of its own, every release — but performs no
 // dispatch. External drivers must advance event by event (t = the
@@ -199,9 +210,10 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 	}
 	for len(c.running) > 0 && c.running[0].End <= t {
 		top := c.running.pop()
-		c.finish(top)
+		j := c.inst.Jobs[top.Job]
+		c.finish(top, j)
 		c.freeMachine(int(top.Machine))
-		c.runningPerOrg[c.inst.Jobs[top.Job].Org]--
+		c.runningPerOrg[j.Org]--
 	}
 	c.now = t
 	if c.private {
@@ -209,14 +221,15 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 	}
 }
 
-// accounts returns the n accounts an execution of org's job on machine
-// m is booked to: its owner's, the total and, where machine-owner
-// accounts are kept, the machine owner's.
-func (c *Cluster) accounts(org, m int) (a [3]*ValuePoly, n int) {
-	if c.ownAcct == nil {
-		return [3]*ValuePoly{&c.orgAcct[org], &c.total}, 2
+// book adds d to the accounts an execution of org's job on machine m is
+// booked to: its owner's, the total and, where machine-owner accounts
+// are kept, the machine owner's.
+func (c *Cluster) book(org, m int, d *ValuePoly) {
+	c.orgAcct[org].add(d)
+	c.total.add(d)
+	if c.ownAcct != nil {
+		c.ownAcct[c.owners[m]].add(d)
 	}
-	return [3]*ValuePoly{&c.orgAcct[org], &c.total, &c.ownAcct[c.owners[m]]}, 3
 }
 
 // freeMachine puts machine m back into the free list, in order: the
@@ -230,31 +243,31 @@ func (c *Cluster) freeMachine(m int) {
 	c.free[i] = m
 }
 
-// start books r's running term into its accounts.
-func (c *Cluster) start(r runEntry) {
-	q := int64(c.speeds[r.Machine])
-	accounts, n := c.accounts(c.inst.Jobs[r.Job].Org, int(r.Machine))
-	for _, a := range accounts[:n] {
-		a.run(q, r.Start)
-	}
+// start books r, an execution of org's job, as running.
+func (c *Cluster) start(r runEntry, org int) {
+	var d ValuePoly
+	d.run(int64(c.speeds[r.Machine]), r.Start)
+	c.book(org, int(r.Machine), &d)
 }
 
 // finish swaps r's running term for its finished work, the whole window
-// [Start, End) scaled by the machine's speed.
-func (c *Cluster) finish(r runEntry) {
-	j, q := c.inst.Jobs[r.Job], c.speeds[r.Machine]
-	accounts, n := c.accounts(j.Org, int(r.Machine))
-	for _, a := range accounts[:n] {
-		a.run(-int64(q), r.Start)
-		a.AddScaledWindow(r.Start, j.Size, q, r.Start, r.End)
-	}
+// [Start, End) of job j scaled by the machine's speed.
+func (c *Cluster) finish(r runEntry, j model.Job) {
+	q := c.speeds[r.Machine]
+	var d ValuePoly
+	d.run(-int64(q), r.Start)
+	d.AddScaledWindow(r.Start, j.Size, q, r.Start, r.End)
+	c.book(j.Org, int(r.Machine), &d)
 }
 
 // entry returns the execution of job on machine m from start, ending at
 // its start plus ⌈size/speed⌉.
 func (c *Cluster) entry(job, m int, start model.Time) runEntry {
-	q := model.Time(c.speeds[m])
-	return runEntry{End: start + (c.inst.Jobs[job].Size+q-1)/q, Start: start, Job: int32(job), Machine: int32(m)}
+	dur, q := c.inst.Jobs[job].Size, model.Time(c.speeds[m])
+	if q > 1 {
+		dur = (dur + q - 1) / q
+	}
+	return runEntry{End: start + dur, Start: start, Job: int32(job), Machine: int32(m)}
 }
 
 // waiting returns the number of org's released jobs not yet started
@@ -269,39 +282,20 @@ func (c *Cluster) waiting(org int) int {
 // head returns org's next job here.
 func (c *Cluster) head(org int) int { return c.lists[org][c.cursor[org]-c.base[org]] }
 
-// counts returns the waiting jobs and the organizations with one.
-func (c *Cluster) counts() (jobs, orgs int) {
-	if c.seen != c.q.epoch {
-		c.seen, c.waitJobs, c.waitOrgs = c.q.epoch, 0, 0
-		for m := uint32(c.coal); m != 0; m &= m - 1 {
-			u := bits.TrailingZeros32(m)
-			if w := c.released[u] - c.cursor[u]; w > 0 {
-				c.waitJobs, c.waitOrgs = c.waitJobs+w, c.waitOrgs+1
-			}
+// Waiting returns the number of released jobs not yet started here and
+// the organizations they belong to, counted over the members.
+func (c *Cluster) Waiting() (jobs int, orgs model.Coalition) {
+	for m := uint32(c.coal); m != 0; m &= m - 1 {
+		u := bits.TrailingZeros32(m)
+		if w := c.released[u] - c.cursor[u]; w > 0 {
+			jobs, orgs = jobs+w, orgs.With(u)
 		}
 	}
-	return c.waitJobs, c.waitOrgs
+	return jobs, orgs
 }
 
 // FreeMachines returns the number of idle machines.
 func (c *Cluster) FreeMachines() int { return len(c.free) }
-
-// CanDispatch reports whether the cluster currently has both a free
-// machine and a waiting job, i.e. Dispatch would start at least one job.
-func (c *Cluster) CanDispatch() bool {
-	jobs, _ := c.counts()
-	return len(c.free) > 0 && jobs > 0
-}
-
-// Contested reports whether two or more organizations have a waiting
-// job. When at most one does, a policy's Select has one legal answer —
-// it must name an organization with a waiting job — and Dispatch takes
-// nothing new in, so every start it makes is known before the policy is
-// asked.
-func (c *Cluster) Contested() bool {
-	_, orgs := c.counts()
-	return orgs >= 2
-}
 
 // Withdraw removes a job not yet started here from the queues the
 // cluster schedules from — its organization's wait queue if it has been
@@ -342,8 +336,27 @@ func (c *Cluster) WithdrawnCount() int { return len(c.withdrawn) }
 // Dispatch runs the greedy loop at the current instant: while a free
 // machine and a waiting job exist, ask the policy and start the job.
 func (c *Cluster) Dispatch() {
-	waiting, _ := c.counts()
-	if len(c.free) == 0 || waiting == 0 {
+	jobs, _ := c.Waiting()
+	c.dispatch(jobs, -1)
+}
+
+// DispatchCount is Dispatch for a driver that has just read Waiting:
+// jobs is its count, which nothing has moved since.
+func (c *Cluster) DispatchCount(jobs int) { c.dispatch(jobs, -1) }
+
+// StartHeads is Dispatch when org is the only organization with a
+// waiting job: it starts org's head jobs until the free machines or its
+// jobs run out, without asking the policy. Select must name an
+// organization with a waiting job and nothing arrives during a
+// dispatch, so the policy's answer is forced; a policy that keeps state
+// per Select (RoundRobin's rotation) must be asked anyway, through
+// Dispatch. A MachineOrderer still orders the machines.
+func (c *Cluster) StartHeads(org int) { c.dispatch(c.waiting(org), org) }
+
+// dispatch starts min(free machines, jobs) waiting jobs, each the head
+// job of org, or of the organization the policy selects when org is -1.
+func (c *Cluster) dispatch(jobs, org int) {
+	if len(c.free) == 0 || jobs == 0 {
 		return
 	}
 	if c.orderer != nil {
@@ -355,9 +368,13 @@ func (c *Cluster) Dispatch() {
 		}
 		c.orderer.OrderMachines(c.now, c.free)
 	}
-	used := min(len(c.free), waiting)
+	used := min(len(c.free), jobs)
 	for _, m := range c.free[:used] {
-		c.startHead(c.policy.Select(c.now, m), m)
+		u := org
+		if u < 0 {
+			u = c.policy.Select(c.now, m)
+		}
+		c.startHead(u, m)
 	}
 	// Compact in place instead of reslicing forward: c.free[used:] would
 	// permanently surrender the consumed capacity, so steady-state
@@ -373,13 +390,9 @@ func (c *Cluster) startHead(org int, m int) {
 	}
 	id := c.head(org)
 	c.cursor[org]++
-	c.waitJobs--
-	if c.released[org] == c.cursor[org] {
-		c.waitOrgs--
-	}
 	r := c.entry(id, m, c.now)
 	c.running.push(r)
-	c.start(r)
+	c.start(r, org)
 	c.runningPerOrg[org]++
 	if !c.noStarts {
 		c.starts = append(c.starts, Start{Job: id, Org: org, Machine: m, At: c.now})
@@ -443,6 +456,11 @@ func (p *ValuePoly) run(q int64, s model.Time) {
 	p.A += q
 	p.B += q * a
 	p.C += q * a * a
+}
+
+// add adds d's terms.
+func (p *ValuePoly) add(d *ValuePoly) {
+	p.U, p.S, p.A, p.B, p.C = p.U+d.U, p.S+d.S, p.A+d.A, p.B+d.B, p.C+d.C
 }
 
 // ValueAt returns the coalition value at any t from Now up to, not

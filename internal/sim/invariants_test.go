@@ -490,14 +490,14 @@ func FuzzClusterAccounting(f *testing.F) {
 				}
 				withdrawn[id] = true
 			}
-			waiting := 0
+			jobs, orgs := 0, model.Coalition(0)
 			for org := range in.Orgs {
-				if c.View().Waiting(org) > 0 {
-					waiting++
+				if w := c.View().Waiting(org); w > 0 {
+					jobs, orgs = jobs+w, orgs.With(org)
 				}
 			}
-			if c.Contested() != (waiting >= 2) {
-				t.Fatalf("Contested() = %v with %d organizations waiting", c.Contested(), waiting)
+			if gotJobs, gotOrgs := c.Waiting(); gotJobs != jobs || gotOrgs != orgs {
+				t.Fatalf("Waiting() = %d jobs of %v, the queues hold %d of %v", gotJobs, gotOrgs, jobs, orgs)
 			}
 			if !sort.IntsAreSorted(c.free) {
 				t.Fatalf("free machines %v out of order under a policy that does not reorder them", c.free)

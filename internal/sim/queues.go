@@ -38,7 +38,6 @@ type Queues struct {
 	now      model.Time      // the latest instant released up to
 	heads    []model.Time    // org -> its earliest pending release, MaxTime when none
 	next     model.Time      // the earliest of heads
-	epoch    uint64          // moves whenever a released count or a cursor does, but by a start
 	clusters []*Cluster      // every cluster built on these queues
 
 	batch    []int // scratch: an Inject batch's members in release order
@@ -79,7 +78,6 @@ func newQueues(inst *model.Instance, orgs model.Coalition) *Queues {
 		arrivals: perOrg[5*k:],
 		heads:    make([]model.Time, k),
 		mark:     make([]uint8, len(inst.Jobs)),
-		epoch:    1, // a new cluster's counts, seen at 0, are taken at once
 	}
 	for _, j := range inst.Jobs {
 		q.arrivals[j.Org]++
@@ -190,7 +188,6 @@ func (q *Queues) AdvanceTo(t model.Time) model.Coalition {
 			}
 			releasing = releasing.With(u)
 			q.released[u] += n
-			q.epoch++
 			q.rehead1(u)
 			if q.released[u]-q.base[u] >= q.trimAt[u] {
 				q.trim(u)
@@ -354,7 +351,6 @@ func (q *Queues) withdraw(org, pos int) {
 		q.next = q.earliest(q.orgs)
 	}
 	q.mark[id] = withdrawnJob
-	q.epoch++
 	for _, c := range q.clusters {
 		switch {
 		case !c.coal.Has(org):

@@ -312,7 +312,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	for _, u := range members {
 		c.cursor[u] = c.q.base[u] + cursor[u]
 	}
-	c.q.now, c.q.epoch = max(c.q.now, st.Now), c.q.epoch+1
+	c.q.now = max(c.q.now, st.Now)
 	clear(c.orgAcct)
 	clear(c.ownAcct)
 	c.total = ValuePoly{}
@@ -323,8 +323,9 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		}
 	}
 	for _, r := range finished {
-		c.start(r)
-		c.finish(r)
+		j := jobs[r.Job]
+		c.start(r, j.Org)
+		c.finish(r, j)
 	}
 	c.running = c.running[:0]
 	clear(c.runningPerOrg)
@@ -337,7 +338,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 			}
 		}
 		c.running.push(r)
-		c.start(r)
+		c.start(r, jobs[r.Job].Org)
 		c.runningPerOrg[jobs[r.Job].Org]++
 	}
 	c.free = c.free[:0]
