@@ -95,7 +95,6 @@ type schedSet struct {
 
 	keys    []model.Time      // slot -> its next completion while a job waits in it, else sim.MaxTime
 	open    []model.Coalition // slot -> its coalition while nothing waits in it, else empty
-	due     []model.Time      // slot -> its earliest unfolded completion while nothing waits in it, else sim.MaxTime
 	all     []int             // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
 	touched []int             // scratch
 }
@@ -173,7 +172,6 @@ func (s *schedSet) rekeyAll() {
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
 	s.open = make([]model.Coalition, n)
-	s.due = make([]model.Time, n)
 	s.touched = make([]int, 0, n)
 	for i, c := range s.slots {
 		jobs, _ := c.Waiting()
@@ -181,15 +179,15 @@ func (s *schedSet) rekeyAll() {
 	}
 }
 
-// rekey stores slot's key, whether a release touches it and when it has
-// a completion to fold: keyed at its next completion while a job waits
-// (no machine is free then), dormant otherwise.
+// rekey stores slot's key and whether a release touches it: keyed at its
+// next completion while a job waits (no machine is free then), dormant
+// otherwise.
 func (s *schedSet) rekey(slot int, waiting bool) {
 	c := s.slots[slot]
 	if waiting {
-		s.keys[slot], s.open[slot], s.due[slot] = c.NextCompletion(), 0, sim.MaxTime
+		s.keys[slot], s.open[slot] = c.NextCompletion(), 0
 	} else {
-		s.keys[slot], s.open[slot], s.due[slot] = sim.MaxTime, c.Coalition(), c.NextCompletion()
+		s.keys[slot], s.open[slot] = sim.MaxTime, c.Coalition()
 	}
 }
 
@@ -198,12 +196,13 @@ func (s *schedSet) rekey(slot int, waiting bool) {
 // t first, which is all a step there would have done: nothing waits in
 // it, and no member has released since its last touch (a release
 // touches it). Every other slot stands at t or lags it with no event in
-// between, where its accounts are exact.
+// between, where its accounts are exact: a keyed slot's next completion
+// is after every instant the set has reached, so the test below folds
+// dormant slots only.
 func (s *schedSet) valueAt(slot int, t model.Time) int64 {
 	c := s.slots[slot]
-	if !s.scan && s.due[slot] <= t && t <= s.now {
+	if !s.scan && t <= s.now && c.NextCompletion() <= t {
 		c.AdvanceTo(t)
-		s.due[slot] = c.NextCompletion()
 	}
 	return c.ValueAt(t)
 }
@@ -311,11 +310,6 @@ func (s *schedSet) FinishAt(t model.Time) {
 	s.now = t
 	s.q.AdvanceTo(t)
 	s.advance(s.all, t)
-	for i, due := range s.due {
-		if due <= t {
-			s.due[i] = s.slots[i].NextCompletion()
-		}
-	}
 }
 
 // ResultAt implements Stepper.

@@ -51,7 +51,7 @@ func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan b
 // mode. A slot with a job waiting has no free machine, is keyed at its
 // next completion and is closed to releases. A slot with nothing
 // waiting is dormant (keyed sim.MaxTime, open to its coalition's
-// releases, due at its next completion, which may have come) or, after
+// releases, its next completion possibly already come) or, after
 // a withdrawal emptied it, still keyed as if a job waited: a key may be
 // early, never late.
 func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
@@ -59,13 +59,13 @@ func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 	if s.scan {
 		t.Fatal("key check on a reference-mode set")
 	}
-	if len(s.keys) != len(s.slots) || len(s.open) != len(s.slots) || len(s.due) != len(s.slots) {
-		t.Fatalf("%d keys, %d open masks and %d due times for %d slots", len(s.keys), len(s.open), len(s.due), len(s.slots))
+	if len(s.keys) != len(s.slots) || len(s.open) != len(s.slots) {
+		t.Fatalf("%d keys and %d open masks for %d slots", len(s.keys), len(s.open), len(s.slots))
 	}
 	for slot, c := range s.slots {
 		jobs, _ := c.Waiting()
-		keyed := s.keys[slot] == c.NextCompletion() && s.open[slot] == 0 && s.due[slot] == sim.MaxTime
-		dormant := s.keys[slot] == sim.MaxTime && s.open[slot] == c.Coalition() && s.due[slot] == c.NextCompletion()
+		keyed := s.keys[slot] == c.NextCompletion() && s.open[slot] == 0
+		dormant := s.keys[slot] == sim.MaxTime && s.open[slot] == c.Coalition()
 		if jobs > 0 && (!keyed || c.FreeMachines() > 0) || jobs == 0 && !keyed && !dormant {
 			t.Fatalf("slot %d keyed %d and open to %v, with %d jobs waiting, %d machines free and its next completion at %d",
 				slot, s.keys[slot], s.open[slot], jobs, c.FreeMachines(), c.NextCompletion())
@@ -222,8 +222,8 @@ func (p *countingPolicy) Select(t model.Time, m int) int {
 //     release in a dormant slot. The total is at most half the reference
 //     mode's 2^k−1 per step over the reference mode's steps — the counted
 //     form of the touched-set mode's cost claim (EXPERIMENTS.md §3) — and
-//     stays above 2^k/k, where k·log-cost re-sifts would match the flat
-//     key scan;
+//     stays above a quarter of 2^k−1, well above 2^k/k, where k·log-cost
+//     re-sifts would match the flat key scan;
 //   - completions folded without a touch of their own: every completion
 //     but those in keyed slots at their instant. Both modes complete the
 //     same jobs by the horizon;
@@ -364,7 +364,7 @@ func TestTouchedSetDensity(t *testing.T) {
 		if uncontested < 0.8 {
 			t.Errorf("%s mode: %.1f %% of dispatches uncontested, below 80 %%: the work the default mode skips is no longer the common case", driver, 100*uncontested)
 		}
-		if !s.scan && per(touched) < float64(slots)/k {
+		if !s.scan && per(touched) < float64(slots)/4 {
 			t.Errorf("mean touched set %.1f of %d slots: the stream is sparse, the premise of the flat key scan does not hold on it", per(touched), slots)
 		}
 	}
