@@ -273,8 +273,11 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	s.advance(touched, t)
 	for _, i := range touched {
 		c := s.slots[i]
-		jobs, orgs := c.Waiting()
 		free := c.FreeMachines()
+		if s.scan && free == 0 {
+			continue // nothing to start and no key to store: skip the count
+		}
+		jobs, orgs := c.Waiting()
 		switch {
 		case jobs == 0 || free == 0:
 		case orgs.Size() == 1 && !s.scan && !s.ask:
