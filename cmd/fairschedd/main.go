@@ -64,9 +64,18 @@ type app struct {
 	pipe    *daemon.Pipeline
 }
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so idle or trickling clients cannot pin goroutines.
-const readHeaderTimeout = 10 * time.Second
+// The server's connection timeouts, so that no client that trickles,
+// stalls or idles pins a connection and its goroutine for good:
+// readHeaderTimeout bounds a request's headers, readTimeout the whole
+// request with its body, idleTimeout a keep-alive connection's wait for
+// its next request. Each sits far above a healthy client's pauses (the
+// benchmark client keeps its connections open across laps seconds
+// apart).
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 5 * time.Minute
+)
 
 func main() {
 	a, err := build(os.Args[1:], os.Stderr)
@@ -74,7 +83,7 @@ func main() {
 		return
 	}
 	fail(err)
-	httpSrv := &http.Server{Addr: a.addr, Handler: a.srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := a.httpServer()
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -88,6 +97,11 @@ func main() {
 		fail(err)
 	}
 	<-done
+}
+
+// httpServer returns the daemon's HTTP server on its address.
+func (a *app) httpServer() *http.Server {
+	return &http.Server{Addr: a.addr, Handler: a.srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
 // shutdown drains the HTTP server, stops the background flusher and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -323,5 +324,38 @@ func TestParentDefaultEnvelopeBoots(t *testing.T) {
 		if got := must(t, ts, http.StatusOK, step.method, step.path, step.body); got != step.want+"\n" {
 			t.Fatalf("%s %s:\n%s\nwant the parent's\n%s", step.method, step.path, got, step.want)
 		}
+	}
+}
+
+// A client that sends its headers and then stalls mid-body is cut off:
+// the daemon's server bounds the whole request, not only its headers.
+// The server under test is the daemon's, with readTimeout scaled down.
+func TestStalledBodyIsDisconnected(t *testing.T) {
+	a, err := build(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := a.httpServer()
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts header %v, read %v, idle %v; want %v, %v, %v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout, readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	srv.ReadTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/sessions HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"id\":"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with a stalled body still open after 10 s: %v", err)
 	}
 }

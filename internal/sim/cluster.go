@@ -1,8 +1,10 @@
 // Package sim is the event-driven simulator of one coalition's cluster:
-// identical machines contributed by the member organizations, per-
-// organization FIFO job queues, greedy non-preemptive dispatch through a
-// pluggable Policy, and exact integer ψsp accounting per job owner and
-// per machine owner.
+// identical machines contributed by the member organizations, job
+// queues split as the on-line model splits a job's life — future
+// releases in one (release, ID)-ordered list, released jobs in
+// per-organization FIFO queues — greedy non-preemptive dispatch through
+// a pluggable Policy, and exact integer ψsp accounting per job owner
+// and per machine owner.
 //
 // The engine exposes two driving styles:
 //
@@ -56,17 +58,16 @@ type Start struct {
 // the zero value is not usable.
 type Cluster struct {
 	// What a schedule set's step and a policy's Select read, together.
-	view     View // the one read-only window handed to the policy and to View callers
-	coal     model.Coalition
-	inst     *model.Instance
-	now      model.Time
-	free     []int // free machine IDs, ascending unless a MachineOrderer reordered them
-	running  runHeap
-	q        *Queues
-	lists    [][]int // q's, shared: org -> job IDs by release
-	base     []int   // q's, shared: org -> absolute position of lists[org][0]
-	released []int   // q's, shared: org -> absolute position of its first pending job
-	cursor   []int   // org -> absolute position in q's list: its jobs started here
+	view    View // the one read-only window handed to the policy and to View callers
+	coal    model.Coalition
+	inst    *model.Instance
+	now     model.Time
+	free    []int // free machine IDs, ascending unless a MachineOrderer reordered them
+	running runHeap
+	q       *Queues
+	lists   [][]int // q's, shared: org -> released job IDs by release
+	base    []int   // q's, shared: org -> absolute position of lists[org][0]
+	cursor  []int   // org -> absolute position in q's list: its jobs started here
 
 	owners         []int // machine -> owning org
 	speeds         []int // machine -> work units per time unit
@@ -107,7 +108,6 @@ func newCluster(q *Queues, coal model.Coalition, p Policy, rng *rand.Rand) *Clus
 		q:              q,
 		lists:          q.lists,
 		base:           q.base,
-		released:       q.released,
 		cursor:         make([]int, k),
 		runningPerOrg:  make([]int, k),
 		orgAcct:        make([]ValuePoly, k),
@@ -166,11 +166,7 @@ func (c *Cluster) View() *View { return &c.view }
 // NextEventTime returns the earliest future release of a member's job
 // or completion, or MaxTime when neither exists.
 func (c *Cluster) NextEventTime() model.Time {
-	next := c.q.next
-	if c.coal != c.q.orgs {
-		next = c.q.earliest(c.coal)
-	}
-	return min(next, c.NextCompletion())
+	return min(c.q.earliest(c.coal), c.NextCompletion())
 }
 
 // NextCompletion returns the earliest completion, or MaxTime when no job
@@ -276,7 +272,7 @@ func (c *Cluster) entry(job, m int, start model.Time) runEntry {
 // is zeroed.
 func (c *Cluster) waiting(org int) int {
 	member := int(c.coal>>(uint(org)&31)) & 1
-	return (c.released[org] - c.cursor[org]) & -member
+	return (c.base[org] + len(c.lists[org]) - c.cursor[org]) & -member
 }
 
 // head returns org's next job here.
@@ -287,7 +283,7 @@ func (c *Cluster) head(org int) int { return c.lists[org][c.cursor[org]-c.base[o
 func (c *Cluster) Waiting() (jobs int, orgs model.Coalition) {
 	for m := uint32(c.coal); m != 0; m &= m - 1 {
 		u := bits.TrailingZeros32(m)
-		if w := c.released[u] - c.cursor[u]; w > 0 {
+		if w := c.base[u] + len(c.lists[u]) - c.cursor[u]; w > 0 {
 			jobs, orgs = jobs+w, orgs.With(u)
 		}
 	}

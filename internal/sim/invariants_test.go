@@ -442,10 +442,11 @@ func TestWithdrawArgumentValidation(t *testing.T) {
 // of event stepping, withdrawals and batches of arrivals on identical
 // or related machines. After each operation it holds every account to
 // the from-scratch oracle up to the next event, Contested to a recount
-// of the queues and the free list to ascending order; then it drains
-// and checks the conservation invariants — for the corners a uniform
-// RNG rarely hits (withdraw storms, empty queues, completions on fast
-// machines, arrivals due at the clock).
+// of the queues, the queues to checkQueues and the free list to
+// ascending order; then it drains and checks the conservation
+// invariants — for the corners a uniform RNG rarely hits (withdraw
+// storms, empty queues, completions on fast machines, arrivals due at
+// the clock).
 func FuzzClusterAccounting(f *testing.F) {
 	f.Add(int64(1), []byte{0, 4, 8, 1, 2, 5})
 	f.Add(int64(7), []byte{1, 1, 1, 2, 2, 2, 0, 0})
@@ -464,9 +465,10 @@ func FuzzClusterAccounting(f *testing.F) {
 			ops = ops[:256]
 		}
 		for _, b := range ops {
+			stepped := false
 			switch q := queuedJobs(c); {
 			case b%2 == 0:
-				c.Step(horizon)
+				stepped = c.Step(horizon)
 			case b%4 == 3:
 				// 1 to 4 arrivals due within 5 ticks of the clock, in the
 				// order r shuffles them into.
@@ -503,6 +505,7 @@ func FuzzClusterAccounting(f *testing.F) {
 				t.Fatalf("free machines %v out of order under a policy that does not reorder them", c.free)
 			}
 			checkAccountsToNextEvent(t, c, horizon)
+			checkQueues(t, c.q, stepped)
 		}
 		c.Run(drainHorizon(in))
 		checkAccountsToNextEvent(t, c, horizon)

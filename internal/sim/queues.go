@@ -3,23 +3,25 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
 	"repro/internal/model"
 )
 
-// Queues holds the per-organization job queues of the clusters that
-// schedule one job stream. Every coalition schedule of a set serves an
-// organization's jobs in the same release order — releases append in
-// it and Inject merges by it — so two clusters' queues for an
-// organization differ only in how far each has started. The queue is
-// kept once; a cluster keeps a cursor per organization, the number of
-// its jobs it has started.
+// Queues holds the job queues of the clusters that schedule one job
+// stream, split as the on-line model splits a job's life: a job is a
+// future event until its release, then waits in its organization's FIFO
+// queue. Pending keeps every entered, unreleased job in one (Release,
+// ID)-ordered list; AdvanceTo moves its due prefix onto the
+// organizations' lists, which hold released jobs only. Every coalition
+// schedule of a set serves an organization's jobs in this release
+// order, so two clusters' queues for an organization differ only in how
+// far each has started. The queue is kept once; a cluster keeps a
+// cursor per organization, the number of its jobs it has started.
 //
-// An organization's list holds its live jobs by release: the released
-// ones first, in the order they were released, then the pending ones in
-// (Release, ID) order. Positions are absolute — the list drops the
+// Positions in an organization's list are absolute — the list drops the
 // prefix every cluster has started past, and base is the position of
 // its first entry — so a cluster's cursor survives the drop.
 //
@@ -30,20 +32,15 @@ import (
 type Queues struct {
 	inst     *model.Instance
 	orgs     model.Coalition // organizations whose jobs enter
-	lists    [][]int         // org -> job IDs by release
+	pending  []int           // entered, unreleased job IDs by (Release, ID)
+	lists    [][]int         // org -> released job IDs by release
 	base     []int           // org -> absolute position of lists[org][0]
-	released []int           // org -> absolute position of its first pending job
-	trimAt   []int           // org -> released length at which the started prefix is dropped next
+	trimAt   []int           // org -> list length at which the started prefix is dropped next
 	mark     []uint8         // job ID -> entered or withdrawn
 	now      model.Time      // the latest instant released up to
-	heads    []model.Time    // org -> its earliest pending release, MaxTime when none
-	next     model.Time      // the earliest of heads
 	clusters []*Cluster      // every cluster built on these queues
 
-	batch    []int // scratch: an Inject batch's members in release order
-	read     []int // scratch: org -> merge read position
-	write    []int // scratch: org -> merge write position
-	arrivals []int // scratch: org -> members of the batch
+	batch []int // scratch: an Inject batch's members in release order
 }
 
 // A job's mark: not yet entered, entered (pending, queued, started or
@@ -65,44 +62,29 @@ func NewQueues(inst *model.Instance) *Queues { return newQueues(inst, inst.Grand
 
 func newQueues(inst *model.Instance, orgs model.Coalition) *Queues {
 	k := len(inst.Orgs)
-	perOrg := make([]int, 6*k)
+	perOrg := make([]int, 2*k)
 	q := &Queues{
-		inst:     inst,
-		orgs:     orgs,
-		lists:    make([][]int, k),
-		base:     perOrg[:k:k],
-		released: perOrg[k : 2*k : 2*k],
-		trimAt:   perOrg[2*k : 3*k : 3*k],
-		read:     perOrg[3*k : 4*k : 4*k],
-		write:    perOrg[4*k : 5*k : 5*k],
-		arrivals: perOrg[5*k:],
-		heads:    make([]model.Time, k),
-		mark:     make([]uint8, len(inst.Jobs)),
+		inst:   inst,
+		orgs:   orgs,
+		lists:  make([][]int, k),
+		base:   perOrg[:k:k],
+		trimAt: perOrg[k:],
+		mark:   make([]uint8, len(inst.Jobs)),
 	}
-	for _, j := range inst.Jobs {
-		q.arrivals[j.Org]++
-	}
-	for u, n := range q.arrivals {
-		if orgs.Has(u) {
-			q.lists[u] = make([]int, 0, n)
-		}
-		q.arrivals[u] = 0
+	for u := range q.trimAt {
+		q.trimAt[u] = minTrim
 	}
 	for _, j := range inst.Jobs {
 		if orgs.Has(j.Org) {
-			q.lists[j.Org] = append(q.lists[j.Org], j.ID)
+			q.pending = append(q.pending, j.ID)
 			q.mark[j.ID] = entered
 		}
 	}
-	for u, list := range q.lists {
-		// An instance in feed order (a rebuilt checkpoint's) need not be in
-		// release order; restore overwrites it, but keep the rule anyway.
-		if !slices.IsSortedFunc(list, q.compare) {
-			slices.SortFunc(list, q.compare)
-		}
-		q.trimAt[u] = minTrim
+	// An instance in feed order (a rebuilt checkpoint's) need not be in
+	// release order; restore overwrites it, but keep the rule anyway.
+	if !slices.IsSortedFunc(q.pending, q.compare) {
+		slices.SortFunc(q.pending, q.compare)
 	}
-	q.rehead()
 	return q
 }
 
@@ -131,42 +113,20 @@ func releaseLess(jobs []model.Job, a, b int) bool {
 }
 
 // window returns org's released jobs from absolute position cursor on.
-func (q *Queues) window(org, cursor int) []int {
-	return q.lists[org][cursor-q.base[org] : q.released[org]-q.base[org]]
-}
-
-// pendingOf returns org's jobs not yet released.
-func (q *Queues) pendingOf(org int) []int { return q.lists[org][q.released[org]-q.base[org]:] }
+func (q *Queues) window(org, cursor int) []int { return q.lists[org][cursor-q.base[org]:] }
 
 // NextRelease returns the earliest pending release, or MaxTime.
-func (q *Queues) NextRelease() model.Time { return q.next }
+func (q *Queues) NextRelease() model.Time { return q.earliest(q.orgs) }
 
-// earliest returns the earliest pending release of a member of coal.
+// earliest returns the earliest pending release of a member of coal, or
+// MaxTime: the head's, unless coal is narrower than the queues.
 func (q *Queues) earliest(coal model.Coalition) model.Time {
-	next := MaxTime
-	for u, h := range q.heads {
-		if coal.Has(u) {
-			next = min(next, h)
+	for _, id := range q.pending {
+		if j := q.inst.Jobs[id]; coal.Has(j.Org) {
+			return j.Release
 		}
 	}
-	return next
-}
-
-// rehead1 sets org's earliest pending release from its list.
-func (q *Queues) rehead1(org int) {
-	q.heads[org] = MaxTime
-	if p := q.pendingOf(org); len(p) > 0 {
-		q.heads[org] = q.inst.Jobs[p[0]].Release
-	}
-}
-
-// rehead sets every organization's earliest pending release, and the
-// earliest of them, from the lists.
-func (q *Queues) rehead() {
-	for u := range q.heads {
-		q.rehead1(u)
-	}
-	q.next = q.earliest(q.orgs)
+	return MaxTime
 }
 
 // AdvanceTo releases every pending job with Release ≤ t and returns the
@@ -174,45 +134,50 @@ func (q *Queues) rehead() {
 // every instant it steps to, before advancing any cluster there.
 func (q *Queues) AdvanceTo(t model.Time) model.Coalition {
 	q.now = max(q.now, t)
-	if t < q.next {
+	jobs := q.inst.Jobs
+	var releasing model.Coalition
+	n := 0
+	for ; n < len(q.pending) && jobs[q.pending[n]].Release <= t; n++ {
+		id := q.pending[n]
+		u := jobs[id].Org
+		list := grow(q.lists[u], 1) // doubling: append's first steps allocate more often
+		list[len(list)-1] = id
+		q.lists[u] = list
+		releasing = releasing.With(u)
+	}
+	if n == 0 {
 		return 0
 	}
-	var releasing model.Coalition
-	q.next = MaxTime
-	for u, h := range q.heads {
-		if h <= t {
-			p := q.pendingOf(u)
-			n := 1
-			for n < len(p) && q.inst.Jobs[p[n]].Release <= t {
-				n++
-			}
-			releasing = releasing.With(u)
-			q.released[u] += n
-			q.rehead1(u)
-			if q.released[u]-q.base[u] >= q.trimAt[u] {
-				q.trim(u)
-			}
+	// Copying the rest down costs no more than the releases did; else the
+	// list moves on, and Inject's next growth reclaims the space.
+	if rest := q.pending[n:]; len(rest) <= n {
+		q.pending = append(q.pending[:0], rest...)
+	} else {
+		q.pending = rest
+	}
+	for m := uint32(releasing); m != 0; m &= m - 1 {
+		if u := bits.TrailingZeros32(m); len(q.lists[u]) >= q.trimAt[u] {
+			q.trim(u)
 		}
-		q.next = min(q.next, q.heads[u])
 	}
 	return releasing
 }
 
 // trim drops the prefix of org's list that every member cluster has
-// started past, and sets the next trim for when the released part has
-// doubled. The pass over the clusters is amortized over the releases
-// between two trims.
+// started past, and sets the next trim for when the list has doubled.
+// The pass over the clusters is amortized over the releases between two
+// trims.
 func (q *Queues) trim(org int) {
-	least := q.released[org]
+	list := q.lists[org]
+	least := q.base[org] + len(list)
 	for _, c := range q.clusters {
 		if c.coal.Has(org) {
 			least = min(least, c.cursor[org])
 		}
 	}
-	list := q.lists[org]
 	q.lists[org] = append(list[:0], list[least-q.base[org]:]...)
 	q.base[org] = least
-	q.trimAt[org] = max(minTrim, 2*(q.released[org]-least))
+	q.trimAt[org] = max(minTrim, 2*len(q.lists[org]))
 }
 
 // Inject enters jobs that were appended to the instance after the
@@ -227,7 +192,7 @@ func (q *Queues) trim(org int) {
 //
 // Every ID is checked before any is entered, so an error leaves the
 // queues as they were. The batch is then sorted into release order once
-// and merged into each organization's pending jobs from the back.
+// and merged into the pending list from the back.
 func (q *Queues) Inject(ids ...int) error {
 	jobs := q.inst.Jobs
 	q.batch = grow(q.batch[:0], len(ids))[:0]
@@ -270,36 +235,20 @@ func (q *Queues) Inject(ids ...int) error {
 	q.mark = grow(q.mark, len(jobs)-len(q.mark))
 	for _, id := range batch {
 		q.mark[id] = entered
-		q.arrivals[jobs[id].Org]++
-	}
-	for u, n := range q.arrivals {
-		if n == 0 {
-			continue
-		}
-		q.read[u], q.write[u] = len(q.lists[u]), len(q.lists[u])+n
-		q.lists[u] = grow(q.lists[u], n)
 	}
 	// Merge from the back: nothing is searched, and a pending job moves
 	// once, by the arrivals after it.
+	n := len(q.pending)
+	q.pending = grow(q.pending, len(batch))
+	p, w := q.pending, len(q.pending)-1
 	for b := len(batch) - 1; b >= 0; b-- {
-		id := batch[b]
-		u := jobs[id].Org
-		list, pending := q.lists[u], q.released[u]-q.base[u]
-		n, w := q.read[u], q.write[u]-1
-		for ; n > pending && releaseLess(jobs, id, list[n-1]); n-- {
-			list[w] = list[n-1]
+		for ; n > 0 && releaseLess(jobs, batch[b], p[n-1]); n-- {
+			p[w] = p[n-1]
 			w--
 		}
-		list[w] = id
-		q.read[u], q.write[u] = n, w
+		p[w] = batch[b]
+		w--
 	}
-	for u, n := range q.arrivals {
-		if n > 0 {
-			q.arrivals[u] = 0
-			q.rehead1(u)
-		}
-	}
-	q.next = min(q.next, jobs[batch[0]].Release)
 	return nil
 }
 
@@ -320,11 +269,16 @@ func grow[E any](s []E, n int) []E {
 	return s
 }
 
-// find returns the absolute position of job id in org's list. The list
+// find returns the absolute position of job id in org's list, or past
+// its end for a pending job: the released length plus its index in the
+// pending list. The pending list is searched exactly; a released list
 // is ordered by release, so a search finds the job's release and a scan
 // of its ties the job.
 func (q *Queues) find(org, id int) (int, bool) {
 	jobs, list := q.inst.Jobs, q.lists[org]
+	if i, ok := slices.BinarySearchFunc(q.pending, id, q.compare); ok {
+		return q.base[org] + len(list) + i, true
+	}
 	r := jobs[id].Release
 	lo, _ := slices.BinarySearchFunc(list, r, func(id int, r model.Time) int { return cmp.Compare(jobs[id].Release, r) })
 	for ; lo < len(list) && jobs[list[lo]].Release == r; lo++ {
@@ -335,20 +289,19 @@ func (q *Queues) find(org, id int) (int, bool) {
 	return 0, false
 }
 
-// withdraw removes the job at absolute position pos of org's list for
+// withdraw removes the job at position pos (as find returns it) for
 // good. Every member cluster that already started it steps its cursor
 // back over the gap; every other one that checkpoints its queues records
 // the withdrawal.
 func (q *Queues) withdraw(org, pos int) {
-	list, i := q.lists[org], pos-q.base[org]
-	id := list[i]
-	copy(list[i:], list[i+1:])
-	q.lists[org] = list[:len(list)-1]
-	if pos < q.released[org] {
-		q.released[org]--
+	var id int
+	if i := pos - q.base[org]; i < len(q.lists[org]) {
+		id = q.lists[org][i]
+		q.lists[org] = slices.Delete(q.lists[org], i, i+1)
 	} else {
-		q.rehead1(org)
-		q.next = q.earliest(q.orgs)
+		i -= len(q.lists[org])
+		id = q.pending[i]
+		q.pending = slices.Delete(q.pending, i, i+1)
 	}
 	q.mark[id] = withdrawnJob
 	for _, c := range q.clusters {
@@ -362,32 +315,30 @@ func (q *Queues) withdraw(org, pos int) {
 	}
 }
 
-// pending returns the pending jobs of coal's members in (Release, ID)
+// pendingOf returns the pending jobs of coal's members in (Release, ID)
 // order, nil when there are none.
-func (q *Queues) pending(coal model.Coalition) []int {
+func (q *Queues) pendingOf(coal model.Coalition) []int {
 	var out []int
-	for u := range q.lists {
-		if coal.Has(u) {
-			out = append(out, q.pendingOf(u)...)
+	for _, id := range q.pending {
+		if coal.Has(q.inst.Jobs[id].Org) {
+			out = append(out, id)
 		}
 	}
-	slices.SortFunc(out, q.compare)
 	return out
 }
 
 // reset rebuilds the queues from a restored cluster state that spans
-// them: each organization's released jobs, then its pending ones. Every
-// job of a served organization in the instance has entered — it is in
-// one of the lists or withdrawn — and the withdrawn ones are marked so.
-// The jobs every cluster has started are dropped at the next release.
+// them: each organization's released jobs, and the pending ones in
+// (Release, ID) order. Every job of a served organization in the
+// instance has entered — it is in one of the lists or withdrawn — and
+// the withdrawn ones are marked so. The jobs every cluster has started
+// are dropped at the next release.
 func (q *Queues) reset(now model.Time, released [][]int, pending, withdrawn []int) {
 	jobs := q.inst.Jobs
 	for u, list := range released {
-		q.lists[u], q.base[u], q.released[u], q.trimAt[u] = list, 0, len(list), minTrim
+		q.lists[u], q.base[u], q.trimAt[u] = list, 0, minTrim
 	}
-	for _, id := range pending {
-		q.lists[jobs[id].Org] = append(q.lists[jobs[id].Org], id)
-	}
+	q.pending = append(q.pending[:0], pending...)
 	q.mark = make([]uint8, len(jobs))
 	for id, j := range jobs {
 		if q.orgs.Has(j.Org) {
@@ -398,7 +349,6 @@ func (q *Queues) reset(now model.Time, released [][]int, pending, withdrawn []in
 		q.mark[id] = withdrawnJob
 	}
 	q.now = now
-	q.rehead()
 }
 
 // checkWindow reports whether an older document's state of a cluster of
@@ -407,11 +357,11 @@ func (q *Queues) reset(now model.Time, released [][]int, pending, withdrawn []in
 // in (Release, ID) order.
 func (q *Queues) checkWindow(coal model.Coalition, queues [][]int, pending []int) error {
 	for u, w := range queues {
-		if released := q.window(u, q.base[u]); coal.Has(u) && (len(w) > len(released) || !slices.Equal(w, released[len(released)-len(w):])) {
+		if released := q.lists[u]; coal.Has(u) && (len(w) > len(released) || !slices.Equal(w, released[len(released)-len(w):])) {
 			return fmt.Errorf("sim: restore: organization %d's queue %v is not a window of its released jobs %v", u, w, released)
 		}
 	}
-	if want := q.pending(coal); !slices.Equal(pending, want) {
+	if want := q.pendingOf(coal); !slices.Equal(pending, want) {
 		return fmt.Errorf("sim: restore: pending releases %v, the decision schedule's are %v", pending, want)
 	}
 	return nil

@@ -10,19 +10,77 @@ import (
 	"repro/internal/model"
 )
 
+// checkQueues holds q to its layout, independently of how it got there:
+// the pending list is strictly by (Release, ID), entered and not before
+// the latest instant released up to; each organization's list holds
+// released jobs of its own by release; no job is in two places; and an
+// organization's entered jobs are its pending ones, its listed ones and
+// base more — the prefix every member cluster has started past — with
+// the withdrawn ones in none of them. released reports that the
+// operation checked released the queues to q.now, so that nothing due
+// by then may still be pending (a job injected later may be).
+func checkQueues(t *testing.T, q *Queues, released bool) {
+	t.Helper()
+	jobs := q.inst.Jobs
+	unplaced := make([]int, len(q.lists)) // org -> entered jobs in no list
+	for id, m := range q.mark {
+		if m == entered {
+			unplaced[jobs[id].Org]++
+		}
+	}
+	placed := make([]bool, len(q.mark))
+	place := func(id int, where string) {
+		t.Helper()
+		if q.mark[id] != entered || placed[id] {
+			t.Fatalf("job %d (mark %d) in the %s is not entered, or is in two places", id, q.mark[id], where)
+		}
+		placed[id] = true
+		unplaced[jobs[id].Org]--
+	}
+	for i, id := range q.pending {
+		place(id, "pending list")
+		if r := jobs[id].Release; r < q.now || released && r == q.now || i > 0 && !releaseLess(jobs, q.pending[i-1], id) {
+			t.Fatalf("pending list %v: job %d released at %d, due by %d or out of (release, ID) order", q.pending, id, r, q.now)
+		}
+	}
+	for u, list := range q.lists {
+		for i, id := range list {
+			place(id, "released lists")
+			if j := jobs[id]; j.Org != u || j.Release > q.now || i > 0 && j.Release < jobs[list[i-1]].Release {
+				t.Fatalf("organization %d's list %v: job %d of organization %d released at %d, after %d or out of release order", u, list, id, j.Org, j.Release, q.now)
+			}
+		}
+		if unplaced[u] != q.base[u] {
+			t.Fatalf("organization %d has %d entered jobs in no list, %d trimmed", u, unplaced[u], q.base[u])
+		}
+		for _, c := range q.clusters {
+			if c.coal.Has(u) && (c.cursor[u] < q.base[u] || c.cursor[u] > q.base[u]+len(list)) {
+				t.Fatalf("cluster of %v: organization %d's cursor %d outside [%d, %d]", c.coal, u, c.cursor[u], q.base[u], q.base[u]+len(list))
+			}
+		}
+	}
+}
+
 // FuzzSharedQueues holds clusters that share one Queues to the same
 // coalitions each built by New on queues of its own: 2 to 4 distinct
 // coalitions, driven by a byte-coded interleaving of steps to the next
 // common instant, shuffled batches of arrivals, a re-injection of a job
 // that has entered, and withdrawals of a pending job, of a queued one
 // and of one another cluster has already started. After every operation
-// each pair's capture is byte-equal: the shared layout stores, releases,
-// starts and withdraws exactly what the private one does.
+// each pair's capture is byte-equal — the shared layout stores, releases,
+// starts and withdraws exactly what the private one does — and every
+// Queues passes checkQueues, which catches what both sides would get
+// wrong alike.
 func FuzzSharedQueues(f *testing.F) {
 	f.Add(int64(1), []byte{0, 2, 0, 3, 7, 11, 0, 1, 6, 15, 0})
 	f.Add(int64(2), []byte{2, 2, 0, 1, 3, 0, 7, 0, 11, 1, 19, 23})
 	f.Add(int64(5), []byte{6, 0, 0, 10, 1, 15, 7, 0, 0, 27, 31, 35, 1})
 	f.Add(int64(9), []byte{})
+	// Withdraws a pending job released at the clock, tied on release with
+	// a released job of its organization.
+	f.Add(int64(19), []byte{0x7a, 0xa3, 0xd5, 0xf2, 0x16, 0x2f, 0xb3, 0x03, 0x7e, 0xf7, 0x26, 0x21, 0x33, 0xf2, 0x62})
+	// Injects a job released at the clock straight after a withdrawal.
+	f.Add(int64(13), []byte{0xc4, 0xc1, 0x63, 0x6e, 0x92, 0xc0, 0x10, 0xd4, 0x0e, 0xcb, 0xd7, 0xe7})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		r := rand.New(rand.NewSource(seed))
 		in := randInstance(r, false)
@@ -42,7 +100,9 @@ func FuzzSharedQueues(f *testing.F) {
 		}
 		check := func(op string) {
 			t.Helper()
+			checkQueues(t, q, op == "a step")
 			for i := range shared {
+				checkQueues(t, private[i].q, op == "a step")
 				s, _ := json.Marshal(shared[i].CaptureState())
 				p, _ := json.Marshal(private[i].CaptureState())
 				if !bytes.Equal(s, p) {

@@ -82,7 +82,7 @@ func (c *Cluster) CaptureState() ClusterState {
 		Withdrawn: append([]int(nil), c.withdrawn...),
 	}
 	if c.rebuilds() {
-		st.QueueState = &QueueState{ReleaseOrder: c.q.pending(c.coal), Queues: make([][]int, len(c.cursor))}
+		st.QueueState = &QueueState{ReleaseOrder: c.q.pendingOf(c.coal), Queues: make([][]int, len(c.cursor))}
 		for org := range st.Queues {
 			if c.coal.Has(org) {
 				st.Queues[org] = append([]int(nil), c.q.window(org, c.cursor[org])...)
@@ -259,7 +259,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	// the last ones, as many as wait here.
 	cursor, waiting := make([]int, k), 0
 	for i, u := range members {
-		released, w := c.q.released[u]-c.q.base[u], st.Waiting[i]
+		released, w := len(c.q.lists[u]), st.Waiting[i]
 		if rebuild {
 			released = len(lists[u])
 		}
@@ -268,8 +268,11 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		}
 		cursor[u], waiting = released-w, waiting+w
 	}
-	if next := c.q.earliest(c.coal); !rebuild && next < st.Now {
-		return fmt.Errorf("sim: restore: a member's job is pending release at %d, before the clock %d", next, st.Now)
+	// Any pending release, not only a member's: the set releases the
+	// queues through every instant it steps a slot to, so no valid
+	// capture has one before its clock.
+	if next := c.q.NextRelease(); !rebuild && next < st.Now {
+		return fmt.Errorf("sim: restore: a job is pending release at %d, before the clock %d", next, st.Now)
 	}
 	busy := make([]bool, len(c.owners))
 	entries := make([]runEntry, len(running))

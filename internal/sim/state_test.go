@@ -657,7 +657,7 @@ func FuzzClusterRestore(f *testing.F) {
 		// rest of each running one.
 		done := c.ExecutedUnits()
 		var owed int64
-		for _, id := range c.q.pending(c.coal) {
+		for _, id := range c.q.pendingOf(c.coal) {
 			owed += int64(in.Jobs[id].Size)
 		}
 		for _, id := range queuedJobs(c) {
