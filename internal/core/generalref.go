@@ -35,6 +35,7 @@ type GeneralRef struct {
 	grand model.Coalition
 	util  utility.Func
 
+	q      *sim.Queues // shared by every coalition's cluster
 	sims   []*sim.Cluster
 	bySize []model.Coalition
 	execs  [][][]utility.Execution // [mask][org] -> executions
@@ -51,6 +52,7 @@ func NewGeneralRef(inst *model.Instance, util utility.Func) *GeneralRef {
 		k:     k,
 		grand: model.Grand(k),
 		util:  util,
+		q:     sim.NewQueues(inst),
 		sims:  make([]*sim.Cluster, 1<<uint(k)),
 		execs: make([][][]utility.Execution, 1<<uint(k)),
 		psi:   make([][]int64, 1<<uint(k)),
@@ -58,7 +60,7 @@ func NewGeneralRef(inst *model.Instance, util utility.Func) *GeneralRef {
 		ct:    shapley.NewContrib(k),
 	}
 	for mask := model.Coalition(1); mask <= g.grand; mask++ {
-		g.sims[mask] = sim.New(inst, mask, &generalRefPolicy{g: g, mask: mask}, nil)
+		g.sims[mask] = g.q.NewCluster(mask, &generalRefPolicy{g: g, mask: mask}, nil)
 		g.execs[mask] = make([][]utility.Execution, k)
 		g.psi[mask] = make([]int64, k)
 		g.phi[mask] = make([]float64, k)
@@ -87,6 +89,7 @@ func (g *GeneralRef) Run(until model.Time) *Result {
 		if t == sim.MaxTime || t > until {
 			break
 		}
+		g.q.AdvanceTo(t)
 		for mask := model.Coalition(1); mask <= g.grand; mask++ {
 			g.sims[mask].AdvanceTo(t)
 		}
@@ -97,6 +100,7 @@ func (g *GeneralRef) Run(until model.Time) *Result {
 			g.sims[mask].Dispatch()
 		}
 	}
+	g.q.AdvanceTo(until)
 	for mask := model.Coalition(1); mask <= g.grand; mask++ {
 		g.sims[mask].AdvanceTo(until)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -217,5 +218,51 @@ func TestRefDummyOrganization(t *testing.T) {
 	}
 	if res.Psi[1] != 0 {
 		t.Errorf("dummy organization has ψ = %d, want 0", res.Psi[1])
+	}
+}
+
+// A cluster alone on its queues steps at every release of its instance,
+// a non-member's too. That step starts nothing, and the lone cluster
+// schedules exactly as its coalition's slot of a schedule set does.
+func TestNarrowSelfDrivenClusterMatchesRefSlot(t *testing.T) {
+	in := model.MustNewInstance(
+		[]model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}},
+		[]model.Job{
+			{Org: 1, Release: 0, Size: 4},
+			{Org: 0, Release: 2, Size: 3},
+			{Org: 0, Release: 2, Size: 1},
+			{Org: 1, Release: 3, Size: 2},
+			{Org: 0, Release: 4, Size: 2},
+			{Org: 1, Release: 7, Size: 5},
+		},
+	)
+	const h = 20
+	lone := sim.New(in, model.Singleton(0), baseline.NewFCFS(), nil)
+	if !lone.Step(h) || lone.Now() != 0 || len(lone.Starts()) != 0 {
+		t.Fatalf("first step to %d with starts %v; want organization B's release at 0, starting nothing", lone.Now(), lone.Starts())
+	}
+	lone.Run(h)
+
+	// The reference mode steps every slot at every instant, so each start
+	// of the {A} slot, which keeps no log, is among its running entries
+	// straight after the step that made it.
+	r := NewRef(in, RefOptions{Driver: DriverScan})
+	slot := r.Cluster(model.Singleton(0))
+	var starts []sim.Start
+	seen := map[sim.Start]bool{}
+	for r.StepNext(h) {
+		for _, e := range slot.CaptureState().Running {
+			if s := (sim.Start{Job: e.Job, Org: in.Jobs[e.Job].Org, Machine: e.Machine, At: e.Start}); !seen[s] {
+				seen[s] = true
+				starts = append(starts, s)
+			}
+		}
+	}
+	r.FinishAt(h)
+	if got, want := fmt.Sprint(lone.Starts()), fmt.Sprint(starts); got != want || len(starts) != 3 {
+		t.Errorf("lone cluster of {A} started %s, the REF slot %s", got, want)
+	}
+	if lone.Psi(0) != slot.Psi(0) || lone.Value() != slot.Value() {
+		t.Errorf("lone cluster: ψ_A %d, value %d; REF slot: ψ_A %d, value %d", lone.Psi(0), lone.Value(), slot.Psi(0), slot.Value())
 	}
 }

@@ -531,11 +531,18 @@ type Manager struct {
 	seq      uint64          // sessions created so far
 	nextID   int             // last auto-assigned "s<N>"
 	store    CheckpointStore // optional; Delete drops envelopes through it
+	limit    int             // live sessions beyond which Create refuses
 }
+
+// maxSessions is the number of live sessions beyond which Create
+// refuses a new one, so that clients cannot create sessions until the
+// process runs out of memory. Sessions restored from a store are not
+// counted against it.
+const maxSessions = 1 << 16
 
 // NewManager returns an empty session manager.
 func NewManager() *Manager {
-	return &Manager{sessions: make(map[string]*Session)}
+	return &Manager{sessions: make(map[string]*Session), limit: maxSessions}
 }
 
 // SetStore attaches the checkpoint store session deletions propagate
@@ -550,6 +557,10 @@ func (m *Manager) SetStore(store CheckpointStore) {
 // ErrSessionExists marks a Create whose explicit id is already taken —
 // a conflict with the session table (409), not a malformed request.
 var ErrSessionExists = errors.New("daemon: session already exists")
+
+// errSessionsFull marks a Create refused because the table holds the
+// most live sessions it serves (503): a later delete makes room.
+var errSessionsFull = errors.New("daemon: session table full")
 
 // Create builds a new session from cfg. id may be empty, in which case
 // a fresh "s<N>" identifier is assigned. Identifiers must be usable in
@@ -582,6 +593,9 @@ func (m *Manager) create(id string, cfg SessionConfig, snapshot []byte) (*Sessio
 	s.dirty.Store(snapshot == nil) // a resumed session's stored state already matches
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if snapshot == nil && len(m.sessions) >= m.limit {
+		return nil, fmt.Errorf("%w: %d sessions", errSessionsFull, len(m.sessions))
+	}
 	if id == "" {
 		// Auto ids skip over names explicit creates already took.
 		for taken := true; taken; {

@@ -133,8 +133,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Create(req.ID, req.SessionConfig)
 	if err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, ErrSessionExists) {
+		switch {
+		case errors.Is(err, ErrSessionExists):
 			status = http.StatusConflict
+		case errors.Is(err, errSessionsFull):
+			status = http.StatusServiceUnavailable
 		}
 		s.writeError(w, status, "%v", err)
 		return

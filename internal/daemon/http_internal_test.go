@@ -67,3 +67,49 @@ func TestOversizedBodyRejected(t *testing.T) {
 		}
 	}
 }
+
+// A create beyond the session cap answers 503 and leaves the table as it
+// was, the next auto id included; a delete makes room again. Sessions a
+// store holds are restored whatever the cap. The cap is lowered to 2 so
+// the test need not build 65 536 sessions.
+func TestSessionCap(t *testing.T) {
+	mgr := NewManager()
+	if mgr.limit != maxSessions || maxSessions < 10_000 {
+		t.Fatalf("managers start with a cap of %d sessions (maxSessions %d), want one above the 10 000 of a load run", mgr.limit, maxSessions)
+	}
+	mgr.limit = 2
+	h := NewServer(mgr).Handler()
+	do := func(method, path, body string, want int) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s %s: status %d, want %d: %s", method, path, rec.Code, want, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	const cfg = `"kind":"single","alg":"fcfs","orgs":2,"machines":2`
+	do("POST", "/v1/sessions", `{"id":"a",`+cfg+`}`, http.StatusCreated)
+	do("POST", "/v1/sessions", `{`+cfg+`}`, http.StatusCreated) // s1
+	before := do("GET", "/v1/sessions", "", http.StatusOK)
+	do("POST", "/v1/sessions", `{`+cfg+`}`, http.StatusServiceUnavailable)
+	do("POST", "/v1/sessions", `{"id":"b",`+cfg+`}`, http.StatusServiceUnavailable)
+	if after := do("GET", "/v1/sessions", "", http.StatusOK); after != before {
+		t.Fatalf("a refused create changed the table:\n%s\nwas\n%s", after, before)
+	}
+	do("DELETE", "/v1/sessions/a", "", http.StatusOK)
+	if body := do("POST", "/v1/sessions", `{`+cfg+`}`, http.StatusCreated); !strings.Contains(body, `"s2"`) {
+		t.Fatalf("the create after a delete is not session s2: %s", body)
+	}
+
+	store := NewDirStore(t.TempDir())
+	if _, err := mgr.FlushTo(store, false); err != nil {
+		t.Fatal(err)
+	}
+	reboot := NewManager()
+	reboot.limit = 1
+	ids, quarantined, err := reboot.LoadStore(store)
+	if err != nil || len(ids) != 2 || len(quarantined) != 0 {
+		t.Fatalf("a store of 2 sessions under a cap of 1 loaded %v (quarantined %v, err %v)", ids, quarantined, err)
+	}
+}

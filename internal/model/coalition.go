@@ -77,16 +77,6 @@ func (c Coalition) EachSubset(f func(sub Coalition)) {
 	}
 }
 
-// EachNonemptySubset calls f for every non-empty subset of c, including c
-// itself.
-func (c Coalition) EachNonemptySubset(f func(sub Coalition)) {
-	c.EachSubset(func(sub Coalition) {
-		if sub != 0 {
-			f(sub)
-		}
-	})
-}
-
 // String renders the coalition as "{0,2,5}".
 func (c Coalition) String() string {
 	var b strings.Builder

@@ -68,16 +68,6 @@ func TestEachSubsetCount(t *testing.T) {
 	if n != 32 {
 		t.Fatalf("EachSubset visited %d subsets, want 32", n)
 	}
-	n = 0
-	c.EachNonemptySubset(func(sub Coalition) {
-		if sub.Empty() {
-			t.Error("EachNonemptySubset yielded the empty coalition")
-		}
-		n++
-	})
-	if n != 31 {
-		t.Fatalf("EachNonemptySubset visited %d subsets, want 31", n)
-	}
 }
 
 func TestEachSubsetIsSubset(t *testing.T) {

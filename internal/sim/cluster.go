@@ -2,15 +2,15 @@
 // identical machines contributed by the member organizations, job
 // queues split as the on-line model splits a job's life — future
 // releases in one (release, ID)-ordered list, released jobs in
-// per-organization FIFO queues — greedy non-preemptive dispatch through
-// a pluggable Policy, and exact integer ψsp accounting per job owner
-// and per machine owner.
+// per-organization FIFO queues, kept for every organization of the
+// instance — greedy non-preemptive dispatch through a pluggable Policy,
+// and exact integer ψsp accounting per job owner and per machine owner.
 //
 // The engine exposes two driving styles:
 //
 //   - Run(until): self-driving loop for standalone policies
-//     (round-robin, fair share, DIRECTCONTR, …) on a cluster built by
-//     New, which owns its queues.
+//     (round-robin, fair share, DIRECTCONTR, …) on a cluster alone on
+//     its queues, releasing them as it steps.
 //   - Queues.AdvanceTo / NextCompletion / AdvanceTo / Waiting /
 //     StartHeads / DispatchCount: the primitives internal/core's
 //     schedule-set loop uses to step many coalition clusters, built on
@@ -75,7 +75,6 @@ type Cluster struct {
 	capacityPerOrg []int64
 	runningPerOrg  []int
 
-	private   bool  // q is this cluster's alone: AdvanceTo releases it
 	withdrawn []int // job IDs withdrawn while unstarted here, in order; kept where the capture holds queues
 
 	orgAcct []ValuePoly // per job owner
@@ -90,12 +89,10 @@ type Cluster struct {
 }
 
 // New builds a cluster for the given coalition of the instance, driven
-// by the policy, on queues of its own. rng may be nil when the policy is
-// deterministic.
+// by the policy, alone on queues of the whole instance (NewQueues), which
+// Step and Run release. rng may be nil when the policy is deterministic.
 func New(inst *model.Instance, coal model.Coalition, p Policy, rng *rand.Rand) *Cluster {
-	c := newQueues(inst, coal).NewCluster(coal, p, rng)
-	c.private = true
-	return c
+	return NewQueues(inst).NewCluster(coal, p, rng)
 }
 
 func newCluster(q *Queues, coal model.Coalition, p Policy, rng *rand.Rand) *Cluster {
@@ -163,10 +160,10 @@ func (c *Cluster) Now() model.Time { return c.now }
 // receive).
 func (c *Cluster) View() *View { return &c.view }
 
-// NextEventTime returns the earliest future release of a member's job
-// or completion, or MaxTime when neither exists.
+// NextEventTime returns the earliest pending release on the queues or
+// completion here, or MaxTime when neither exists.
 func (c *Cluster) NextEventTime() model.Time {
-	return min(c.q.earliest(c.coal), c.NextCompletion())
+	return min(c.q.NextRelease(), c.NextCompletion())
 }
 
 // NextCompletion returns the earliest completion, or MaxTime when no job
@@ -195,11 +192,11 @@ func (c *Cluster) NextCompletionAfter(t model.Time) model.Time {
 }
 
 // AdvanceTo moves the clock to t, processing every completion with time
-// ≤ t — and, on queues of its own, every release — but performs no
-// dispatch. External drivers must advance event by event (t = the
-// global minimum NextEventTime) so that no dispatch opportunity is
-// skipped; Run and Step do this automatically. On shared queues the
-// owner releases them (Queues.AdvanceTo) first.
+// ≤ t, but releases nothing and performs no dispatch: the driver
+// releases the queues (Queues.AdvanceTo) first. External drivers must
+// advance event by event (t = the global minimum NextEventTime) so that
+// no dispatch opportunity is skipped; Run and Step do this
+// automatically.
 func (c *Cluster) AdvanceTo(t model.Time) {
 	if t < c.now {
 		panic(fmt.Sprintf("sim: AdvanceTo(%d) before current time %d", t, c.now))
@@ -212,9 +209,6 @@ func (c *Cluster) AdvanceTo(t model.Time) {
 		c.runningPerOrg[j.Org]--
 	}
 	c.now = t
-	if c.private {
-		c.q.AdvanceTo(t)
-	}
 }
 
 // book adds d to the accounts an execution of org's job on machine m is
@@ -297,15 +291,14 @@ func (c *Cluster) FreeMachines() int { return len(c.free) }
 // cluster schedules from — its organization's wait queue if it has been
 // released, its pending releases if it has not — for good: Inject
 // refuses its ID, and no account is touched (a queued job has executed
-// nothing). On shared queues it leaves every cluster on them: the
-// decision schedule records it on its withdrawn list (checkpointed), and
-// each that had started it keeps it — dispatch is non-preemptive.
+// nothing). It leaves every cluster on the queues: the decision schedule
+// records it on its withdrawn list (checkpointed), and each that had
+// started it keeps it — dispatch is non-preemptive.
 //
 // The first result reports whether the job was removed: false with a
 // nil error means the job is not withdrawable here — it already
 // started, was already withdrawn, or its organization is not a
-// coalition member (mirroring Inject, non-member jobs are ignored).
-// Errors are reserved for malformed arguments.
+// coalition member. Errors are reserved for malformed arguments.
 func (c *Cluster) Withdraw(org, id int) (bool, error) {
 	if id < 0 || id >= len(c.inst.Jobs) {
 		return false, fmt.Errorf("sim: withdraw: job %d not in instance", id)
@@ -325,8 +318,8 @@ func (c *Cluster) Withdraw(org, id int) (bool, error) {
 }
 
 // WithdrawnCount returns the number of jobs withdrawn from this cluster
-// before it started them: 0 on a hypothetical schedule of shared queues,
-// which keeps no list.
+// before it started them: 0 on a hypothetical schedule, which keeps no
+// list.
 func (c *Cluster) WithdrawnCount() int { return len(c.withdrawn) }
 
 // Dispatch runs the greedy loop at the current instant: while a free
@@ -395,24 +388,29 @@ func (c *Cluster) startHead(org int, m int) {
 	}
 }
 
-// Step processes the single earliest pending event: advance, dispatch. It reports whether an event existed at or before `until`.
+// Step processes the single earliest pending event of a cluster alone on
+// its queues: release, advance, dispatch. It reports whether an event
+// existed at or before `until`. A release of a non-member's job is an
+// event that starts nothing here.
 func (c *Cluster) Step(until model.Time) bool {
 	e := c.NextEventTime()
 	if e == MaxTime || e > until {
 		return false
 	}
+	c.q.AdvanceTo(e)
 	c.AdvanceTo(e)
 	c.Dispatch()
 	return true
 }
 
-// Run drives the simulation until no event remains at or before `until`,
-// then advances the clock to exactly `until` so that utilities are
-// evaluated at the experiment horizon. Run is resumable: calling it
-// again with a later horizon continues the same simulation.
+// Run drives a cluster alone on its queues until no event remains at or
+// before `until`, then releases and advances to exactly `until` so that
+// utilities are evaluated at the experiment horizon. Run is resumable:
+// calling it again with a later horizon continues the same simulation.
 func (c *Cluster) Run(until model.Time) {
 	for c.Step(until) {
 	}
+	c.q.AdvanceTo(until)
 	c.AdvanceTo(until)
 }
 

@@ -25,22 +25,20 @@ import (
 // prefix every cluster has started past, and base is the position of
 // its first entry — so a cluster's cursor survives the drop.
 //
-// Clusters on shared queues advance in lockstep: the owner releases the
-// queues (AdvanceTo) before it advances and dispatches any cluster at
-// the instant. A cluster built by New owns private queues and releases
-// them itself.
+// Queues serve every organization of the instance. The clusters on them
+// advance in lockstep: their driver releases the queues (AdvanceTo)
+// before it advances and dispatches any cluster at the instant.
 type Queues struct {
 	inst     *model.Instance
-	orgs     model.Coalition // organizations whose jobs enter
-	pending  []int           // entered, unreleased job IDs by (Release, ID)
-	lists    [][]int         // org -> released job IDs by release
-	base     []int           // org -> absolute position of lists[org][0]
-	trimAt   []int           // org -> list length at which the started prefix is dropped next
-	mark     []uint8         // job ID -> entered or withdrawn
-	now      model.Time      // the latest instant released up to
-	clusters []*Cluster      // every cluster built on these queues
+	pending  []int      // entered, unreleased job IDs by (Release, ID)
+	lists    [][]int    // org -> released job IDs by release
+	base     []int      // org -> absolute position of lists[org][0]
+	trimAt   []int      // org -> list length at which the started prefix is dropped next
+	mark     []uint8    // job ID -> entered or withdrawn
+	now      model.Time // the latest instant released up to
+	clusters []*Cluster // every cluster built on these queues
 
-	batch []int // scratch: an Inject batch's members in release order
+	batch []int // scratch: an Inject batch in release order
 }
 
 // A job's mark: not yet entered, entered (pending, queued, started or
@@ -58,14 +56,11 @@ const minTrim = 64
 
 // NewQueues builds the shared queues of a job stream over every
 // organization of the instance, entering the jobs it already holds.
-func NewQueues(inst *model.Instance) *Queues { return newQueues(inst, inst.Grand()) }
-
-func newQueues(inst *model.Instance, orgs model.Coalition) *Queues {
+func NewQueues(inst *model.Instance) *Queues {
 	k := len(inst.Orgs)
 	perOrg := make([]int, 2*k)
 	q := &Queues{
 		inst:   inst,
-		orgs:   orgs,
 		lists:  make([][]int, k),
 		base:   perOrg[:k:k],
 		trimAt: perOrg[k:],
@@ -75,10 +70,8 @@ func newQueues(inst *model.Instance, orgs model.Coalition) *Queues {
 		q.trimAt[u] = minTrim
 	}
 	for _, j := range inst.Jobs {
-		if orgs.Has(j.Org) {
-			q.pending = append(q.pending, j.ID)
-			q.mark[j.ID] = entered
-		}
+		q.pending = append(q.pending, j.ID)
+		q.mark[j.ID] = entered
 	}
 	// An instance in feed order (a rebuilt checkpoint's) need not be in
 	// release order; restore overwrites it, but keep the rule anyway.
@@ -92,8 +85,8 @@ func newQueues(inst *model.Instance, orgs model.Coalition) *Queues {
 // by the policy; rng may be nil when the policy is deterministic. Every
 // cluster of a set is built before its first step.
 func (q *Queues) NewCluster(coal model.Coalition, p Policy, rng *rand.Rand) *Cluster {
-	if !coal.SubsetOf(q.orgs) {
-		panic(fmt.Sprintf("sim: coalition %v outside the queues' organizations %v", coal, q.orgs))
+	if !coal.SubsetOf(q.inst.Grand()) {
+		panic(fmt.Sprintf("sim: coalition %v outside the instance's organizations %v", coal, q.inst.Grand()))
 	}
 	c := newCluster(q, coal, p, rng)
 	copy(c.cursor, q.base)
@@ -116,22 +109,16 @@ func releaseLess(jobs []model.Job, a, b int) bool {
 func (q *Queues) window(org, cursor int) []int { return q.lists[org][cursor-q.base[org]:] }
 
 // NextRelease returns the earliest pending release, or MaxTime.
-func (q *Queues) NextRelease() model.Time { return q.earliest(q.orgs) }
-
-// earliest returns the earliest pending release of a member of coal, or
-// MaxTime: the head's, unless coal is narrower than the queues.
-func (q *Queues) earliest(coal model.Coalition) model.Time {
-	for _, id := range q.pending {
-		if j := q.inst.Jobs[id]; coal.Has(j.Org) {
-			return j.Release
-		}
+func (q *Queues) NextRelease() model.Time {
+	if len(q.pending) == 0 {
+		return MaxTime
 	}
-	return MaxTime
+	return q.inst.Jobs[q.pending[0]].Release
 }
 
 // AdvanceTo releases every pending job with Release ≤ t and returns the
-// organizations that had one. The owner of shared queues calls it at
-// every instant it steps to, before advancing any cluster there.
+// organizations that had one. The driver of the clusters on the queues
+// calls it at every instant it steps to, before advancing any of them.
 func (q *Queues) AdvanceTo(t model.Time) model.Coalition {
 	q.now = max(q.now, t)
 	jobs := q.inst.Jobs
@@ -182,8 +169,7 @@ func (q *Queues) trim(org int) {
 
 // Inject enters jobs that were appended to the instance after the
 // queues were built (online arrivals), for every cluster on them. Each
-// must already be in inst.Jobs at its index. Jobs of organizations the
-// queues do not serve are ignored; any other must not be released
+// must already be in inst.Jobs at its index, must not be released
 // before the latest instant released up to — its release becomes a
 // future event exactly as if the job had been known from the start, and
 // a release at that instant is due at once — and must not have entered
@@ -200,10 +186,6 @@ func (q *Queues) Inject(ids ...int) error {
 		if id < 0 || id >= len(jobs) {
 			return fmt.Errorf("sim: inject: job %d not in instance", id)
 		}
-		j := jobs[id]
-		if !q.orgs.Has(j.Org) {
-			continue
-		}
 		if id < len(q.mark) {
 			switch q.mark[id] {
 			case withdrawnJob:
@@ -212,8 +194,8 @@ func (q *Queues) Inject(ids ...int) error {
 				return fmt.Errorf("sim: inject: job %d has already entered", id)
 			}
 		}
-		if j.Release < q.now {
-			return fmt.Errorf("sim: inject: job %d released at %d, before current time %d", id, j.Release, q.now)
+		if r := jobs[id].Release; r < q.now {
+			return fmt.Errorf("sim: inject: job %d released at %d, before current time %d", id, r, q.now)
 		}
 		q.batch = append(q.batch, id)
 	}
@@ -309,7 +291,7 @@ func (q *Queues) withdraw(org, pos int) {
 		case !c.coal.Has(org):
 		case c.cursor[org] > pos:
 			c.cursor[org]--
-		case c.rebuilds():
+		case !c.noStarts:
 			c.withdrawn = append(c.withdrawn, id)
 		}
 	}
@@ -329,21 +311,17 @@ func (q *Queues) pendingOf(coal model.Coalition) []int {
 
 // reset rebuilds the queues from a restored cluster state that spans
 // them: each organization's released jobs, and the pending ones in
-// (Release, ID) order. Every job of a served organization in the
-// instance has entered — it is in one of the lists or withdrawn — and
-// the withdrawn ones are marked so. The jobs every cluster has started
-// are dropped at the next release.
+// (Release, ID) order. Every job in the instance has entered — it is in
+// one of the lists or withdrawn — and the withdrawn ones are marked so.
+// The jobs every cluster has started are dropped at the next release.
 func (q *Queues) reset(now model.Time, released [][]int, pending, withdrawn []int) {
-	jobs := q.inst.Jobs
 	for u, list := range released {
 		q.lists[u], q.base[u], q.trimAt[u] = list, 0, minTrim
 	}
 	q.pending = append(q.pending[:0], pending...)
-	q.mark = make([]uint8, len(jobs))
-	for id, j := range jobs {
-		if q.orgs.Has(j.Org) {
-			q.mark[id] = entered
-		}
+	q.mark = make([]uint8, len(q.inst.Jobs))
+	for id := range q.mark {
+		q.mark[id] = entered
 	}
 	for _, id := range withdrawn {
 		q.mark[id] = withdrawnJob

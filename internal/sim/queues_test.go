@@ -62,15 +62,15 @@ func checkQueues(t *testing.T, q *Queues, released bool) {
 }
 
 // FuzzSharedQueues holds clusters that share one Queues to the same
-// coalitions each built by New on queues of its own: 2 to 4 distinct
-// coalitions, driven by a byte-coded interleaving of steps to the next
-// common instant, shuffled batches of arrivals, a re-injection of a job
-// that has entered, and withdrawals of a pending job, of a queued one
-// and of one another cluster has already started. After every operation
-// each pair's capture is byte-equal — the shared layout stores, releases,
-// starts and withdraws exactly what the private one does — and every
-// Queues passes checkQueues, which catches what both sides would get
-// wrong alike.
+// coalitions each built by New alone on whole-instance queues its driver
+// releases: 2 to 4 distinct coalitions, driven by a byte-coded
+// interleaving of steps to the next common instant, shuffled batches of
+// arrivals, a re-injection of a job that has entered, and withdrawals
+// of a pending job, of a queued one and of one another cluster has
+// already started. After every operation each pair's capture is
+// byte-equal — the shared layout stores, releases, starts and withdraws
+// exactly what a lone cluster's does — and every Queues passes
+// checkQueues, which catches what both sides would get wrong alike.
 func FuzzSharedQueues(f *testing.F) {
 	f.Add(int64(1), []byte{0, 2, 0, 3, 7, 11, 0, 1, 6, 15, 0})
 	f.Add(int64(2), []byte{2, 2, 0, 1, 3, 0, 7, 0, 11, 1, 19, 23})
@@ -93,27 +93,27 @@ func FuzzSharedQueues(f *testing.F) {
 		}
 		masks = masks[:min(len(masks), 2+r.Intn(3))]
 		q := NewQueues(in)
-		shared, private := make([]*Cluster, len(masks)), make([]*Cluster, len(masks))
+		shared, lone := make([]*Cluster, len(masks)), make([]*Cluster, len(masks))
 		for i, mask := range masks {
 			shared[i] = q.NewCluster(mask, randPolicy(seed+int64(i)), nil)
-			private[i] = New(in, mask, randPolicy(seed+int64(i)), nil)
+			lone[i] = New(in, mask, randPolicy(seed+int64(i)), nil)
 		}
 		check := func(op string) {
 			t.Helper()
 			checkQueues(t, q, op == "a step")
 			for i := range shared {
-				checkQueues(t, private[i].q, op == "a step")
+				checkQueues(t, lone[i].q, op == "a step")
 				s, _ := json.Marshal(shared[i].CaptureState())
-				p, _ := json.Marshal(private[i].CaptureState())
+				p, _ := json.Marshal(lone[i].CaptureState())
 				if !bytes.Equal(s, p) {
-					t.Fatalf("after %s, cluster of %v on shared queues:\n%s\non its own:\n%s", op, masks[i], s, p)
+					t.Fatalf("after %s, cluster of %v on shared queues:\n%s\nalone on its queues:\n%s", op, masks[i], s, p)
 				}
 			}
 		}
 		// unstarted lists what cluster i has not started: its queued jobs,
 		// then its pending ones.
 		unstarted := func(i int) []int {
-			st := private[i].CaptureState()
+			st := lone[i].CaptureState()
 			return append(slices.Concat(st.Queues...), st.ReleaseOrder...)
 		}
 		if len(ops) > 256 {
@@ -123,19 +123,20 @@ func FuzzSharedQueues(f *testing.F) {
 			x, arg := int(b>>2)%len(masks), int(b>>4)
 			switch b % 4 {
 			case 0, 1: // step every cluster to the next instant any has
-				at, atPrivate := MaxTime, MaxTime
+				at, atLone := MaxTime, MaxTime
 				for i := range shared {
-					at, atPrivate = min(at, shared[i].NextEventTime()), min(atPrivate, private[i].NextEventTime())
+					at, atLone = min(at, shared[i].NextEventTime()), min(atLone, lone[i].NextEventTime())
 				}
-				if at != atPrivate {
-					t.Fatalf("next instant %d on shared queues, %d on private ones", at, atPrivate)
+				if at != atLone {
+					t.Fatalf("next instant %d on shared queues, %d on lone ones", at, atLone)
 				}
 				if at == MaxTime {
 					continue
 				}
 				q.AdvanceTo(at)
 				for i := range shared {
-					for _, c := range []*Cluster{shared[i], private[i]} {
+					lone[i].q.AdvanceTo(at) // its driver releases its queues first
+					for _, c := range []*Cluster{shared[i], lone[i]} {
 						c.AdvanceTo(at)
 						c.Dispatch()
 					}
@@ -146,9 +147,9 @@ func FuzzSharedQueues(f *testing.F) {
 				if arg%4 == 3 {
 					id := arg % len(in.Jobs)
 					err := q.Inject(id)
-					for i := range private {
-						if perr := private[i].Inject(id); (perr != nil) != (err != nil) && masks[i].Has(in.Jobs[id].Org) {
-							t.Fatalf("re-injecting job %d: %v on shared queues, %v on private ones", id, err, perr)
+					for i := range lone {
+						if perr := lone[i].Inject(id); (perr != nil) != (err != nil) {
+							t.Fatalf("re-injecting job %d: %v on shared queues, %v on lone ones", id, err, perr)
 						}
 					}
 					if err == nil {
@@ -166,7 +167,7 @@ func FuzzSharedQueues(f *testing.F) {
 				if err := q.Inject(batch...); err != nil {
 					t.Fatal(err)
 				}
-				for _, c := range private {
+				for _, c := range lone {
 					if err := c.Inject(batch...); err != nil {
 						t.Fatal(err)
 					}
@@ -174,18 +175,18 @@ func FuzzSharedQueues(f *testing.F) {
 				check("a batch of arrivals")
 			case 3: // withdraw through cluster x a job it has not started
 				var pick []int
-				switch st := private[x].CaptureState(); arg % 3 {
+				switch st := lone[x].CaptureState(); arg % 3 {
 				case 0: // pending
 					pick = st.ReleaseOrder
 				case 1: // queued
 					pick = slices.Concat(st.Queues...)
 				case 2: // one another member cluster has started
-					others := make([][]int, len(private))
-					for y := range private {
+					others := make([][]int, len(lone))
+					for y := range lone {
 						others[y] = unstarted(y)
 					}
 					for _, id := range others[x] {
-						for y := range private {
+						for y := range lone {
 							if y != x && masks[y].Has(in.Jobs[id].Org) && !slices.Contains(others[y], id) {
 								pick = append(pick, id)
 								break
@@ -202,9 +203,15 @@ func FuzzSharedQueues(f *testing.F) {
 				if err != nil || !ok {
 					t.Fatalf("job %d, unstarted in cluster %v, not withdrawn from the shared queues: %v", id, masks[x], err)
 				}
-				for _, c := range private {
-					if _, err := c.Withdraw(org, id); err != nil {
+				// Through a lone cluster that has it unstarted; from the others'
+				// queues, which hold it too, their driver withdraws it itself.
+				for _, c := range lone {
+					ok, err := c.Withdraw(org, id)
+					if err != nil {
 						t.Fatal(err)
+					}
+					if pos, found := c.q.find(org, id); !ok && found {
+						c.q.withdraw(org, pos)
 					}
 				}
 				check("a withdrawal")

@@ -15,9 +15,9 @@ import (
 
 // Inject registers jobs that were appended to the instance after the
 // cluster was built (online arrivals): Queues.Inject, which says what is
-// refused, on the queues it schedules from — on shared queues, for every
-// cluster on them. On queues of its own, non-members' jobs are ignored,
-// mirroring New. An error leaves the cluster as it was.
+// refused, on the queues it schedules from, for every cluster on them. A
+// non-member's job enters too; this cluster never starts it. An error
+// leaves the cluster as it was.
 func (c *Cluster) Inject(ids ...int) error { return c.q.Inject(ids...) }
 
 // RunEntryState is one executing job in a capture. End, the completion
@@ -40,13 +40,13 @@ type RunEntryState struct {
 // machines, per-organization running counts and the total account are
 // functions of these fields, recomputed by RestoreState; on a cluster
 // that keeps a decision log so are the running entries and the
-// accounts, which its capture leaves out. A cluster that rebuilds its
-// queues writes them; one on shared queues that does not (see
+// accounts, which its capture leaves out. A cluster that keeps a
+// decision log writes the queues it rebuilds; one that does not (see
 // RestoreState) writes waiting counts instead, and no withdrawn list.
 type ClusterState struct {
 	Coalition   model.Coalition `json:"coalition"`
 	Now         model.Time      `json:"now"`
-	*QueueState                 // nil on a hypothetical schedule of shared queues
+	*QueueState                 // nil on a hypothetical schedule
 	// Per member in index order: how many released jobs wait here, the
 	// last of the shared queue's; and the finished work (up to version 4
 	// per organization).
@@ -68,10 +68,6 @@ type QueueState struct {
 	NextRelease int `json:"next_release,omitempty"`
 }
 
-// rebuilds reports whether the cluster's capture holds its queues: on
-// queues of its own, or as the decision schedule of shared ones.
-func (c *Cluster) rebuilds() bool { return c.private || !c.noStarts }
-
 // CaptureState snapshots the cluster's simulation state. The cluster is
 // not mutated, so concurrent captures of distinct clusters are safe.
 func (c *Cluster) CaptureState() ClusterState {
@@ -81,7 +77,7 @@ func (c *Cluster) CaptureState() ClusterState {
 		Starts:    append([]Start(nil), c.starts...),
 		Withdrawn: append([]int(nil), c.withdrawn...),
 	}
-	if c.rebuilds() {
+	if !c.noStarts {
 		st.QueueState = &QueueState{ReleaseOrder: c.q.pendingOf(c.coal), Queues: make([][]int, len(c.cursor))}
 		for org := range st.Queues {
 			if c.coal.Has(org) {
@@ -113,11 +109,10 @@ func (c *Cluster) CaptureState() ClusterState {
 // release precedes the clock, no machine runs two jobs at once and none
 // idles while a job waits.
 //
-// A cluster on queues of its own rebuilds them from the capture. On
-// shared queues the decision schedule — the cluster that keeps a
-// decision log, whose coalition spans the queues — does, and is restored
-// first: an organization's released jobs are the ones its log started,
-// then its queued ones. Every other cluster waits for the last of those,
+// The decision schedule — the cluster that keeps a decision log, whose
+// coalition must span the queues — rebuilds them from the capture, and
+// is restored first: an organization's released jobs are the ones its
+// log started, then its queued ones. Every other cluster waits for the last of those,
 // as many as its count says; an older document's queues and pending list
 // must be that window (Queues.checkWindow), its withdrawn list is not
 // read and its non-members' accounts must be empty.
@@ -129,7 +124,7 @@ func (c *Cluster) CaptureState() ClusterState {
 // the stored accounts already hold.
 func (c *Cluster) RestoreState(st ClusterState) error {
 	k, jobs, members := len(c.inst.Orgs), c.inst.Jobs, c.coal.Members()
-	rebuild, qs, acct := c.rebuilds(), st.QueueState, st.OrgAcct
+	rebuild, qs, acct := !c.noStarts, st.QueueState, st.OrgAcct
 	switch {
 	case st.Coalition != c.coal:
 		return fmt.Errorf("sim: restore: coalition %v into cluster of %v", st.Coalition, c.coal)
@@ -209,8 +204,8 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	// window of them is checked whole.)
 	var lists [][]int
 	if rebuild {
-		if c.coal != c.q.orgs {
-			return fmt.Errorf("sim: restore: the decision schedule of shared queues is of %v, they serve %v", c.coal, c.q.orgs)
+		if grand := c.inst.Grand(); c.coal != grand {
+			return fmt.Errorf("sim: restore: the decision schedule of the queues is of %v, they serve %v", c.coal, grand)
 		}
 		lists = make([][]int, k)
 		for _, s := range st.Starts {

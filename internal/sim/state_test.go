@@ -79,13 +79,16 @@ func TestInjectValidation(t *testing.T) {
 	if err := c.Inject(1); err == nil {
 		t.Error("past release accepted")
 	}
-	// A non-member's job is ignored without error (mirrors New).
+	// A non-member's job enters without error; its release is a step
+	// that starts nothing here.
 	in.Jobs = append(in.Jobs, model.Job{ID: 2, Org: 1, Release: 10, Size: 1})
 	if err := c.Inject(2); err != nil {
 		t.Errorf("non-member injection errored: %v", err)
 	}
-	if got := c.NextEventTime(); got != MaxTime {
-		t.Errorf("non-member injection created an event at %d", got)
+	before := slices.Clone(c.Starts())
+	c.Run(20)
+	if !slices.Equal(c.Starts(), before) {
+		t.Errorf("non-member injection moved the starts: %v, were %v", c.Starts(), before)
 	}
 	// A job the cluster holds is refused, here job 0, started at 0.
 	if err := c.Inject(0); err == nil || !strings.Contains(err.Error(), "already entered") {
@@ -283,10 +286,49 @@ func TestCaptureRestoreMidRun(t *testing.T) {
 	}
 }
 
+// runSet drives every cluster on q to until as a schedule set does: the
+// queues are released at each instant before any cluster there advances
+// and dispatches.
+func runSet(q *Queues, until model.Time) {
+	for {
+		at := MaxTime
+		for _, c := range q.clusters {
+			at = min(at, c.NextEventTime())
+		}
+		if at > until {
+			break
+		}
+		q.AdvanceTo(at)
+		for _, c := range q.clusters {
+			c.AdvanceTo(at)
+			c.Dispatch()
+		}
+	}
+	q.AdvanceTo(until)
+	for _, c := range q.clusters {
+		c.AdvanceTo(until)
+	}
+}
+
+// hypotheticalSlot builds a cluster of coal that keeps no decision log
+// on fresh queues, behind a decision schedule restored from decision
+// first — as a schedule set restores its slots.
+func hypotheticalSlot(t *testing.T, inst *model.Instance, coal model.Coalition, decision ClusterState, p func() Policy) *Cluster {
+	t.Helper()
+	q := NewQueues(inst)
+	c := q.NewCluster(coal, p(), nil)
+	c.DiscardStarts()
+	if err := q.NewCluster(inst.Grand(), p(), nil).RestoreState(decision); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // midRunCluster stops a two-machine run with a job in every place a
 // member job can be: 0 and 1 running (and in the decision log, unless
 // the cluster keeps none), 2 queued, 3 withdrawn from its queue, 4
-// pending.
+// pending. A cluster that keeps no log is a hypothetical slot on the
+// queues of a decision schedule stepped beside it.
 func midRunCluster(discard bool) *Cluster {
 	in := model.MustNewInstance(
 		[]model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}},
@@ -298,11 +340,13 @@ func midRunCluster(discard bool) *Cluster {
 			{Org: 0, Release: 9, Size: 1},
 		},
 	)
-	c := New(in, in.Grand(), fifoByID(), nil)
+	q := NewQueues(in)
+	c := q.NewCluster(in.Grand(), fifoByID(), nil)
 	if discard {
 		c.DiscardStarts()
+		q.NewCluster(in.Grand(), fifoByID(), nil)
 	}
-	c.Run(2)
+	runSet(q, 2)
 	if ok, err := c.Withdraw(1, 3); !ok || err != nil {
 		panic("job 3 is not withdrawable")
 	}
@@ -335,14 +379,18 @@ func cloneState(t *testing.T, st ClusterState, extra map[string]string) ClusterS
 }
 
 func TestRestoreRejectsMismatchedState(t *testing.T) {
-	c, silent := midRunCluster(false), midRunCluster(true)
-	st, hyp := c.CaptureState(), silent.CaptureState()
+	c := midRunCluster(false)
+	st, hyp := c.CaptureState(), midRunCluster(true).CaptureState()
 	if len(st.Running) != 0 || len(st.OrgAcct) != 0 || len(st.Starts) != 2 || len(st.Queues[0]) != 1 || len(st.Withdrawn) != 1 || len(st.ReleaseOrder) != 1 {
 		t.Fatalf("the fixture no longer holds a job in every list, or stores what its log says: %+v", st)
 	}
-	if len(hyp.Running) != 2 || len(hyp.OrgAcct) != 2 || len(hyp.Starts) != 0 {
-		t.Fatalf("the log-less fixture does not store its running entries and accounts: %+v", hyp)
+	if len(hyp.Running) != 2 || len(hyp.OrgAcct) != 2 || len(hyp.Starts) != 0 || hyp.QueueState != nil || fmt.Sprint(hyp.Waiting) != "[1 0]" {
+		t.Fatalf("the log-less fixture does not store its running entries, accounts and waiting counts alone: %+v", hyp)
 	}
+	// A version-4 writer wrote the log-less schedule's window of the
+	// decision schedule's queues and pending list.
+	legacy := cloneState(t, hyp, nil)
+	legacy.QueueState, legacy.Waiting = cloneState(t, st, nil).QueueState, nil
 	if err := New(c.inst, model.Singleton(0), fifoByID(), nil).RestoreState(st); err == nil {
 		t.Error("coalition mismatch accepted")
 	}
@@ -373,7 +421,7 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 			// Both logged jobs end at 5: at 7 machine 0 idles while job 2 waits.
 			"machine idle while a job waits": func(s *ClusterState) { s.Now = 7 },
 		}},
-		{silent, hyp, map[string]func(*ClusterState){
+		{hypotheticalSlot(t, c.inst, c.coal, st, fifoByID), hyp, map[string]func(*ClusterState){
 			"running entry with unknown job":    func(s *ClusterState) { s.Running[0].Job = 999 },
 			"running entry on unknown machine":  func(s *ClusterState) { s.Running[0].Machine = 2 },
 			"two running entries on a machine":  func(s *ClusterState) { s.Running[1].Machine = s.Running[0].Machine },
@@ -383,7 +431,9 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 			"running entries out of heap order": func(s *ClusterState) { s.Running[0].Start = 1 },
 			"organization count":                func(s *ClusterState) { s.OrgAcct = s.OrgAcct[:1] },
 			"job running twice":                 func(s *ClusterState) { s.Running[1].Job = s.Running[0].Job },
-			"job running and queued":            func(s *ClusterState) { s.Queues[0] = append(s.Queues[0], s.Running[0].Job) },
+		}},
+		{hypotheticalSlot(t, c.inst, c.coal, st, fifoByID), legacy, map[string]func(*ClusterState){
+			"job running and queued": func(s *ClusterState) { s.Queues[0] = append(s.Queues[0], s.Running[0].Job) },
 		}},
 	} {
 		for name, doctor := range table.doctor {
@@ -483,8 +533,7 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 		t.Fatalf("restored run ended\n%s\nwant\n%s", got, want)
 	}
 
-	silent := midRunCluster(true)
-	hyp := silent.CaptureState()
+	hyp := midRunCluster(true).CaptureState()
 	wantHyp, _ := json.Marshal(hyp)
 	garbage := cloneState(t, hyp, nil)
 	garbage.Starts = []Start{{Job: 42}, {Job: 2}, {Job: 2}}
@@ -492,9 +541,8 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 	// accounts and marked it.
 	folded := model.Time(1)
 	garbage.Running[0].Folded = &folded
-	garbage.OrgAcct[silent.inst.Jobs[garbage.Running[0].Job].Org].AddWindow(0, 1)
-	into := New(c.inst, c.coal, fifoByID(), nil)
-	into.DiscardStarts()
+	garbage.OrgAcct[c.inst.Jobs[garbage.Running[0].Job].Org].AddWindow(0, 1)
+	into := hypotheticalSlot(t, c.inst, c.coal, clean, fifoByID)
 	if err := into.RestoreState(garbage); err != nil {
 		t.Fatalf("a cluster without a decision log read the document's, or a fold mark: %v", err)
 	}
@@ -505,8 +553,10 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 	if into.Starts() != nil || into.Value() != c.Value() {
 		t.Fatalf("log-less run: starts %v, value %d, want none and %d", into.Starts(), into.Value(), c.Value())
 	}
+	// A version-4 document's pending list that also holds a running job.
+	garbage.QueueState = cloneState(t, clean, nil).QueueState
 	garbage.ReleaseOrder = append(garbage.ReleaseOrder, garbage.Running[0].Job)
-	if err := into.RestoreState(garbage); err == nil {
+	if err := hypotheticalSlot(t, c.inst, c.coal, clean, fifoByID).RestoreState(garbage); err == nil {
 		t.Error("a job pending and running accepted by a cluster without a decision log")
 	}
 }
@@ -549,8 +599,10 @@ func doctorNode(v any, n int, edit func(any) any) (any, int) {
 // overwritten, arrays cut short or stretched — of the mid-run
 // round-robin schedule committed under internal/core/testdata, as the
 // version-1, version-2 and version-3 document, and of the version-5
-// REF document's schedule of {A, B}, a hypothetical one on queues the
-// undoctored decision schedule rebuilds. RestoreState refuses, or
+// REF document's schedule of {A, B}. A cluster that keeps no decision
+// log — that schedule of {A, B}, or the round-robin one with discard —
+// is a hypothetical slot on queues the undoctored decision schedule
+// rebuilds first. RestoreState refuses, or
 // every start it serves is on a pool machine at an instant ≤ now and
 // the restored cluster drains without a panic having executed exactly
 // the work the accepted state still owed, every member job started once.
@@ -629,19 +681,16 @@ func FuzzClusterRestore(f *testing.F) {
 		}
 		in := &model.Instance{Orgs: doc.Orgs, Jobs: doc.Jobs}
 		c := New(in, in.Grand(), lowestOrgPolicy(), nil)
-		if fuzzed > 0 {
+		if fuzzed > 0 || discard {
 			var decision ClusterState
 			if err := json.Unmarshal(doc.Clusters[len(doc.Clusters)-1], &decision); err != nil {
 				t.Fatal(err)
 			}
-			q := NewQueues(in)
-			c, discard = q.NewCluster(model.Coalition(3), lowestOrgPolicy(), nil), true
-			if err := q.NewCluster(in.Grand(), lowestOrgPolicy(), nil).RestoreState(decision); err != nil {
-				t.Fatal(err)
+			coal := in.Grand()
+			if fuzzed > 0 {
+				coal = model.Coalition(3)
 			}
-		}
-		if discard {
-			c.DiscardStarts()
+			c, discard = hypotheticalSlot(t, in, coal, decision, lowestOrgPolicy), true
 		}
 		if c.RestoreState(st) != nil {
 			return
@@ -667,8 +716,7 @@ func FuzzClusterRestore(f *testing.F) {
 			owed += int64(in.Jobs[r.Job].Size) - int64(c.speeds[r.Machine])*int64(c.now-r.Start)
 		}
 		// Every step fires a release or a completion: two per job at most.
-		// The queues are released first, as a schedule set does; on queues
-		// of the cluster's own, its AdvanceTo then finds nothing to release.
+		// The queues are released first, as a schedule set does.
 		step := func() bool {
 			at := c.NextEventTime()
 			if at == MaxTime {

@@ -119,17 +119,6 @@ func (t *Trace) Window(start, end model.Time) *Trace {
 	return out
 }
 
-// MaxSubmit returns the latest submission time (0 when empty).
-func (t *Trace) MaxSubmit() model.Time {
-	var m model.Time
-	for _, j := range t.Jobs {
-		if j.Submit > m {
-			m = j.Submit
-		}
-	}
-	return m
-}
-
 // TotalWork returns Σ runtime·procs.
 func (t *Trace) TotalWork() int64 {
 	var w int64

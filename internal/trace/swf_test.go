@@ -90,9 +90,6 @@ func TestUsersAndAggregates(t *testing.T) {
 	if len(users) != 3 || users[0] != 10 || users[1] != 11 || users[2] != 12 {
 		t.Fatalf("users = %v", users)
 	}
-	if got := tr.MaxSubmit(); got != 30 {
-		t.Errorf("MaxSubmit = %d", got)
-	}
 	if got := tr.TotalWork(); got != 100+50*2+70*3 {
 		t.Errorf("TotalWork = %d", got)
 	}
