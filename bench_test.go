@@ -28,7 +28,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/shapley"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/utility"
@@ -234,40 +233,6 @@ func BenchmarkAblationRandSamples(b *testing.B) {
 			benchUnfairness(b, fam, benchHorizon1, benchOrgs, alg)
 		})
 	}
-}
-
-// BenchmarkAblationShapley compares the generic Shapley evaluators on a
-// 14-player random game: exact and the two Monte-Carlo
-// samplers (plain and position-stratified) at the theorem's sample size.
-func BenchmarkAblationShapley(b *testing.B) {
-	const n = 14
-	rng := stats.NewRand(9)
-	g := shapley.NewMapGame(n)
-	for mask := 1; mask < 1<<n; mask++ {
-		g.Set(model.Coalition(mask), float64(rng.Intn(1000)))
-	}
-	b.Run("Exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			shapley.Exact(g)
-		}
-	})
-	b.Run("Sample", func(b *testing.B) {
-		n := shapley.SampleSize(n, 0.1, 0.95)
-		r := stats.NewRand(11)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			shapley.Sample(g, n, r)
-		}
-	})
-	b.Run("SampleStratified", func(b *testing.B) {
-		// Same permutation budget as Sample: rounds·k ≈ SampleSize.
-		rounds := (shapley.SampleSize(n, 0.1, 0.95) + n - 1) / n
-		r := stats.NewRand(11)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			shapley.SampleStratified(g, rounds, r)
-		}
-	})
 }
 
 // BenchmarkFederation measures federated multi-cluster scheduling

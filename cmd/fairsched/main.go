@@ -20,7 +20,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -65,6 +64,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("invalid arguments")
 	}
 
+	if *orgs < 1 {
+		return fmt.Errorf("-orgs must be at least 1, got %d", *orgs)
+	}
+	if *horizon < 0 {
+		return fmt.Errorf("-horizon must not be negative, got %d", *horizon)
+	}
 	inst, err := buildInstance(*swfPath, *family, *orgs, *split, *machines, model.Time(*horizon), *seed, stderr)
 	if err != nil {
 		return err
@@ -74,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	refOpts := core.RefOptions{Driver: refDriver}
-	alg, err := exp.AlgorithmByName(*algName, *samples, refOpts, core.RandOptions{Stratified: *strat})
+	alg, err := core.AlgorithmByName(*algName, *samples, refOpts, core.RandOptions{Stratified: *strat})
 	if err != nil {
 		return err
 	}

@@ -90,3 +90,29 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		t.Fatalf("-workers did not produce the unknown-flag usage error: %s", stderr.String())
 	}
 }
+
+// Inputs the library refuses by panicking are CLI errors: each row
+// must return an error naming the flag's problem, not panic.
+func TestRunRefusesOutOfRangeInputs(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-alg", "rand", "-rand-n", "0"}, "at least one sampled permutation"},
+		{[]string{"-orgs", "0"}, "-orgs must be at least 1"},
+		{[]string{"-horizon", "-5"}, "-horizon must not be negative"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := func() (err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%v panicked: %v", c.args, p)
+				}
+			}()
+			return run(append([]string{"-horizon", "300"}, c.args...), &stdout, &stderr)
+		}()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want one containing %q", c.args, err, c.want)
+		}
+	}
+}

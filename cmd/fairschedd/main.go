@@ -145,7 +145,7 @@ func build(args []string, stderr io.Writer) (*app, error) {
 		flushInt = fs.Duration("flush-interval", 0, "background flush period for dirty sessions (0 = flush only at shutdown; needs -checkpoint-dir)")
 		pipeW    = fs.Int("pipeline-workers", 0, "async advance pipeline workers (0 = advance synchronously in the handler)")
 	)
-	// Ignored, declared only because bench/child.go passes it (ROADMAP item 1(a) unpins it).
+	// Ignored, declared only because bench/child.go passes it; goes when bench/ stops passing it.
 	fs.Bool("no-default-session", false, "ignored; every session is created via the API")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

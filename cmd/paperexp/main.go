@@ -107,6 +107,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("nothing selected (want -table1, -table2, -fig10, -fig7, -fig2, -fed, -admission or -all)")
 	}
+	if *samples < 1 {
+		return fmt.Errorf("-rand-n must be at least 1, got %d", *samples)
+	}
 	refDriver, err := core.ParseRefDriver(*driver)
 	if err != nil {
 		return err

@@ -90,6 +90,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-fed", "-fed-policies", "bogus", "-instances", "1"}, &stdout, &stderr); err == nil {
 		t.Fatal("unknown delegation policy accepted")
 	}
+	// RAND needs a sampled permutation: an error before any table
+	// starts, not a panic in an instance worker.
+	for _, n := range []string{"0", "-1"} {
+		err := run([]string{"-table1", "-horizon1", "200", "-instances", "1", "-rand-n", n}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-rand-n must be at least 1") {
+			t.Fatalf("-rand-n %s: err = %v", n, err)
+		}
+	}
 }
 
 // The admission ablation at a toy budget: every (variant × load) row

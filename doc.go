@@ -30,7 +30,8 @@
 //	                    schedule-set event loop (schedSet: touched-set
 //	                    stepping, inject/withdraw, checkpoints),
 //	                    runnable incrementally as a core.Stepper and
-//	                    always on the caller's goroutine
+//	                    always on the caller's goroutine; AlgorithmByName
+//	                    resolves every algorithm name
 //	internal/bargain  — deterministic weighted Nash Bargaining Solution
 //	                    solver (water-filling with disagreement points
 //	                    and per-agent caps, zero-alloc SolveInto)

@@ -1,8 +1,7 @@
 // Package bargain implements the weighted Nash Bargaining Solution by
 // deterministic water-filling — the alternative cooperative solution
-// concept the ContribGame layer was built to host alongside the Shapley
-// value (ROADMAP: "Nash bargaining allocators on the ContribGame
-// layer"; SNIPPETS.md Snippet 1, the MBCAS allocator).
+// concept the ContribGame layer hosts alongside the Shapley value, in
+// the manner of the MBCAS allocator.
 //
 // The problem solved is
 //
@@ -51,17 +50,6 @@ const feasTol = 1e-9
 // single-goroutine object.
 type Solver struct {
 	active []bool
-}
-
-// Solve is the allocating convenience form of SolveInto. maxs may be
-// nil (no per-agent caps).
-func Solve(w, d, maxs []float64, capacity float64) ([]float64, error) {
-	x := make([]float64, len(w))
-	var s Solver
-	if err := s.SolveInto(x, w, d, maxs, capacity); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // SolveInto fills x with the weighted Nash bargaining allocation for

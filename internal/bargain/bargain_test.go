@@ -6,11 +6,18 @@ import (
 	"testing"
 )
 
+// solveFresh solves on a fresh Solver into a new allocation vector.
+func solveFresh(w, d, maxs []float64, capacity float64) ([]float64, error) {
+	x := make([]float64, len(w))
+	var s Solver
+	return x, s.SolveInto(x, w, d, maxs, capacity)
+}
+
 func solve(t *testing.T, w, d, maxs []float64, capacity float64) []float64 {
 	t.Helper()
-	x, err := Solve(w, d, maxs, capacity)
+	x, err := solveFresh(w, d, maxs, capacity)
 	if err != nil {
-		t.Fatalf("Solve(%v, %v, %v, %v): %v", w, d, maxs, capacity, err)
+		t.Fatalf("SolveInto(%v, %v, %v, %v): %v", w, d, maxs, capacity, err)
 	}
 	return x
 }
@@ -89,7 +96,7 @@ func TestSingleAgentDegenerate(t *testing.T) {
 }
 
 func TestInfeasibleErrors(t *testing.T) {
-	if _, err := Solve([]float64{1, 1}, []float64{5, 6}, nil, 10); !errors.Is(err, ErrInfeasible) {
+	if _, err := solveFresh([]float64{1, 1}, []float64{5, 6}, nil, 10); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("Σd > C must return ErrInfeasible, got %v", err)
 	}
 }
@@ -98,7 +105,7 @@ func TestNearFeasibleTolerated(t *testing.T) {
 	// Superadditive games round-trip through float64; a few ulps of
 	// Σd > C must degrade to the disagreement vector, not error.
 	d := []float64{1e15, 2e15}
-	x, err := Solve([]float64{1, 1}, d, nil, 3e15-0.25)
+	x, err := solveFresh([]float64{1, 1}, d, nil, 3e15-0.25)
 	if err != nil {
 		t.Fatalf("ulp-level infeasibility must be tolerated: %v", err)
 	}
@@ -122,7 +129,7 @@ func TestInputValidation(t *testing.T) {
 		{"infinite capacity", []float64{1, 1}, []float64{0, 0}, nil, math.Inf(1)},
 	}
 	for _, c := range cases {
-		if _, err := Solve(c.w, c.d, c.mx, c.c); err == nil {
+		if _, err := solveFresh(c.w, c.d, c.mx, c.c); err == nil {
 			t.Errorf("%s: expected an error", c.name)
 		}
 	}
@@ -142,7 +149,7 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 	if err := s.SolveInto(x2, []float64{1, 1}, []float64{0, 0}, nil, 2); err != nil {
 		t.Fatal(err)
 	}
-	x3, err := Solve(w, d, mx, 20)
+	x3, err := solveFresh(w, d, mx, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestHeapDriverMatchesScanDriverOnFamilyWorkload(t *testing.T) {
 }
 
 // The touched-set mode's φ must equal the generic Shapley value of the
-// induced game (the MapGame tabulating every coalition's final value)
+// induced game (every coalition's final value)
 // within 1e-9 — Figure 1's incremental computation against Equation 1.
 func TestHeapDriverPhiMatchesExactShapleyOnMapGame(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
@@ -133,14 +133,12 @@ func TestHeapDriverPhiMatchesExactShapleyOnMapGame(t *testing.T) {
 		horizon := in.Horizon() + 2
 		ref := NewRef(in, RefOptions{})
 		res := ref.Run(horizon)
-		game := shapley.NewMapGame(k)
-		for mask := model.Coalition(1); mask <= model.Grand(k); mask++ {
-			game.Set(mask, float64(ref.ValueOf(mask)))
-		}
-		exact := shapley.Exact(game)
+		exact := shapley.Exact(shapley.FuncGame{N: k, F: func(c model.Coalition) float64 {
+			return float64(ref.ValueOf(c))
+		}})
 		for u := 0; u < k; u++ {
 			if math.Abs(res.Phi[u]-exact[u]) > 1e-9 {
-				t.Fatalf("seed %d: φ[%d] = %v, Exact(MapGame) = %v", seed, u, res.Phi[u], exact[u])
+				t.Fatalf("seed %d: φ[%d] = %v, Exact = %v", seed, u, res.Phi[u], exact[u])
 			}
 		}
 	}

@@ -16,11 +16,12 @@ import (
 // permutation is drawn from its own SplitMix64-derived RNG stream.
 type RandOptions struct {
 	// Workers is ignored: RAND runs on the caller's goroutine. Declared
-	// only because bench/replay.go sets it (ROADMAP item 1(a) unpins it).
+	// only because bench/replay.go sets it; goes when bench/ stops
+	// naming it.
 	Workers int
 	// Stratified draws the N permutations as cyclic rotations of
-	// ⌈N/k⌉ uniform base permutations (shapley.SampleStratified's
-	// scheme): when k divides N every organization appears at every
+	// ⌈N/k⌉ uniform base permutations (position-stratified
+	// sampling): when k divides N every organization appears at every
 	// predecessor-set size equally often (the last round is truncated
 	// otherwise), cutting the estimate's variance at an equal
 	// permutation budget. Each rotation of a uniform permutation is

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/shapley"
 )
 
 func l1(a, b []int64) int64 {
@@ -33,7 +33,7 @@ func TestRandFPRASBoundUnitJobs(t *testing.T) {
 		in := randCoreInstance(r, k, true)
 		horizon := in.Horizon() + 1
 		refRes := RefAlgorithm{}.Run(in, horizon, 0)
-		n := shapley.SampleSize(k, eps, lambda)
+		n := int(float64(k*k)/(eps*eps)*math.Log(float64(k)/(1-lambda))) + 1
 		randRes := RandAlgorithm{Samples: n}.Run(in, horizon, seed)
 		if float64(l1(randRes.Psi, refRes.Psi)) > eps*float64(refRes.Value) {
 			failures++

@@ -63,7 +63,7 @@ type RefOptions struct {
 	Rotate bool
 	// Parallel and Workers are ignored: REF runs on the caller's
 	// goroutine. Declared only because bench/replay.go and
-	// bench/kernels.go set them (ROADMAP item 1(a) unpins them).
+	// bench/kernels.go set them; they go when bench/ stops naming them.
 	Parallel bool
 	Workers  int
 }

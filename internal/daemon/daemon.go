@@ -32,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/engine"
-	"repro/internal/exp"
 	"repro/internal/fed"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -93,7 +92,7 @@ type SessionConfig struct {
 	RefDriver   string `json:"ref_driver,omitempty"`
 	// Workers is ignored: steppers run on the advancing goroutine.
 	// Declared only because bench/replay.go reads it and stored
-	// envelopes may carry it (ROADMAP item 1(a) unpins it).
+	// envelopes may carry it; goes when bench/ stops naming it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -143,7 +142,7 @@ func (c SessionConfig) buildAlg(name string) (core.StepperAlgorithm, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exp.AlgorithmByName(name, samples,
+	return core.AlgorithmByName(name, samples,
 		core.RefOptions{Driver: driver}, core.RandOptions{Stratified: c.Stratified})
 }
 

@@ -17,12 +17,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -53,18 +51,19 @@ func DefaultConfig(f gen.Family) Config {
 }
 
 // DefaultAlgorithms returns the compared algorithms in the tables' row
-// order (Section 7.1). randSamples parameterizes RAND (the paper uses
-// 15 and 75).
+// order (Section 7.1), resolved by core.AlgorithmByName. randSamples
+// parameterizes RAND (the paper uses 15 and 75); it panics if
+// randSamples < 1, which the registry refuses.
 func DefaultAlgorithms(randSamples int) []core.Algorithm {
-	return []core.Algorithm{
-		core.FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }),
-		core.RandAlgorithm{Samples: randSamples},
-		core.DirectContrAlgorithm(),
-		core.FromPolicy("FairShare", func() sim.Policy { return baseline.NewFairShare() }),
-		core.FromPolicy("UtFairShare", func() sim.Policy { return baseline.NewUtFairShare() }),
-		core.FromPolicy("CurrFairShare", func() sim.Policy { return baseline.NewCurrFairShare() }),
-		core.NbsAlgorithm{},
+	var algs []core.Algorithm
+	for _, name := range []string{"roundrobin", "rand", "directcontr", "fairshare", "utfairshare", "currfairshare", "nbs"} {
+		alg, err := core.AlgorithmByName(name, randSamples, core.RefOptions{}, core.RandOptions{})
+		if err != nil {
+			panic("exp: " + err.Error())
+		}
+		algs = append(algs, alg)
 	}
+	return algs
 }
 
 // Table is a workloads × algorithms grid of unfairness summaries.

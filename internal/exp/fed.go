@@ -29,7 +29,7 @@ type FedConfig struct {
 	Horizon   model.Time
 	Instances int
 	Seed      int64
-	// Alg names the per-member scheduling algorithm (AlgorithmByName);
+	// Alg names the per-member scheduling algorithm (core.AlgorithmByName);
 	// Samples and RefOpts parameterize it.
 	Alg     string
 	Samples int
@@ -64,7 +64,7 @@ func (cfg FedConfig) memberAlg() (core.StepperAlgorithm, error) {
 	if samples <= 0 {
 		samples = 15
 	}
-	return AlgorithmByName(cfg.Alg, samples, cfg.RefOpts, core.RandOptions{})
+	return core.AlgorithmByName(cfg.Alg, samples, cfg.RefOpts, core.RandOptions{})
 }
 
 // runFederated routes one generated workload under one delegation

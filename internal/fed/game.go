@@ -39,15 +39,6 @@ type Game struct {
 
 var _ shapley.ContribGame = (*Game)(nil)
 
-// NewGame builds the federation game from per-member demand and
-// capacity columns. The slices are retained, not copied.
-func NewGame(demand, capacity []int64) *Game {
-	if len(demand) != len(capacity) {
-		panic("fed: demand and capacity columns differ in length")
-	}
-	return &Game{Demand: demand, Cap: capacity}
-}
-
 // GameFromExchange derives the game from one exchanged snapshot: the
 // routed-work matrix supplies per-origin demand (row sums), the member
 // summaries supply capacity.

@@ -23,7 +23,7 @@ func randFedGame(r *rand.Rand, k int) *fed.Game {
 		demand[c] = int64(r.Intn(400))
 		capacity[c] = int64(1 + r.Intn(6))
 	}
-	return fed.NewGame(demand, capacity)
+	return &fed.Game{Demand: demand, Cap: capacity}
 }
 
 // Efficiency on the federation-level game: the members' exact Shapley
@@ -100,7 +100,7 @@ func TestFedGameAxiomsOnLiveLedger(t *testing.T) {
 			demand[c] += w
 		}
 	}
-	g := fed.NewGame(demand, capacity)
+	g := &fed.Game{Demand: demand, Cap: capacity}
 	phi := shapley.ExactAt(g, f.Now())
 	var sum float64
 	for _, p := range phi {

@@ -49,27 +49,6 @@ func (f *Federation) SubmitThrough(src JobSource, t model.Time) (done bool, err 
 	}
 }
 
-// SliceSource serves a pre-built job slice as a JobSource — the adapter
-// for in-memory streams (tests, small scenarios). The slice must be in
-// nondecreasing Release order; it is served as-is, not copied.
-type SliceSource struct {
-	jobs []SourceJob
-	i    int
-}
-
-// NewSliceSource wraps jobs as a replayable source.
-func NewSliceSource(jobs []SourceJob) *SliceSource { return &SliceSource{jobs: jobs} }
-
-// Next implements JobSource.
-func (s *SliceSource) Next() (SourceJob, bool, error) {
-	if s.i >= len(s.jobs) {
-		return SourceJob{}, false, nil
-	}
-	j := s.jobs[s.i]
-	s.i++
-	return j, true, nil
-}
-
 // DefaultSWFSlack is the reorder buffer NewSWFSource uses: real SWF
 // archives are submit-ordered up to small local jitter, and a buffer of
 // this many records re-sorts any disorder narrower than itself.

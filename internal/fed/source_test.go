@@ -295,14 +295,29 @@ func TestStreamingCheckpointRestore(t *testing.T) {
 	}
 }
 
+// sliceSource serves a pre-built job slice, in nondecreasing Release
+// order, as a fed.JobSource.
+type sliceSource struct {
+	jobs []fed.SourceJob
+	i    int
+}
+
+func (s *sliceSource) Next() (fed.SourceJob, bool, error) {
+	if s.i >= len(s.jobs) {
+		return fed.SourceJob{}, false, nil
+	}
+	s.i++
+	return s.jobs[s.i-1], true, nil
+}
+
 // failingSource yields its jobs and then an error.
 type failingSource struct {
-	fed.SliceSource
+	sliceSource
 	err error
 }
 
 func (s *failingSource) Next() (fed.SourceJob, bool, error) {
-	j, ok, _ := s.SliceSource.Next()
+	j, ok, _ := s.sliceSource.Next()
 	if !ok {
 		return fed.SourceJob{}, false, s.err
 	}
@@ -322,7 +337,7 @@ func TestSourceValidation(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			f, _ := emptyFederation(t, []string{"fairshare"}, fed.LocalOnly{}, 3)
-			src := fed.NewSliceSource([]fed.SourceJob{good, bad, good})
+			src := &sliceSource{jobs: []fed.SourceJob{good, bad, good}}
 			// The first call stops at the good job, released after 7; by
 			// the second the clock has passed the bad job's release of 5.
 			if done, err := f.SubmitThrough(src, 7); err != nil || done {
@@ -351,7 +366,7 @@ func TestSourceValidation(t *testing.T) {
 	t.Run("source error", func(t *testing.T) {
 		f, _ := emptyFederation(t, []string{"fairshare"}, fed.LocalOnly{}, 3)
 		broken := errors.New("disk on fire")
-		src := &failingSource{SliceSource: *fed.NewSliceSource([]fed.SourceJob{good}), err: broken}
+		src := &failingSource{sliceSource: sliceSource{jobs: []fed.SourceJob{good}}, err: broken}
 		if _, err := f.SubmitThrough(src, 50); !errors.Is(err, broken) {
 			t.Fatalf("source failure not surfaced: %v", err)
 		}

@@ -144,3 +144,29 @@ func TestFullScaleFactor(t *testing.T) {
 		}
 	}
 }
+
+func TestFamilyByName(t *testing.T) {
+	cases := map[string]string{
+		"lpc-egee":       "LPC-EGEE",
+		"LPC EGEE":       "LPC-EGEE",
+		"lpc":            "LPC-EGEE",
+		"pik_iplex":      "PIK-IPLEX",
+		"pik":            "PIK-IPLEX",
+		"sharcnet-whale": "SHARCNET-Whale",
+		"whale":          "SHARCNET-Whale",
+		"ricc":           "RICC",
+	}
+	for in, want := range cases {
+		f, err := FamilyByName(in)
+		if err != nil {
+			t.Errorf("FamilyByName(%q): %v", in, err)
+			continue
+		}
+		if f.Name != want {
+			t.Errorf("FamilyByName(%q) = %s, want %s", in, f.Name, want)
+		}
+	}
+	if _, err := FamilyByName("kraken"); err == nil {
+		t.Error("unknown family accepted")
+	}
+}

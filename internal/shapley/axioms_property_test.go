@@ -24,8 +24,8 @@ func evaluators() []struct {
 		eval  func(g Game, seed int64) []float64
 	}{
 		{"Exact", true, func(g Game, _ int64) []float64 { return Exact(g) }},
-		{"SampleStratified", false, func(g Game, seed int64) []float64 {
-			return SampleStratified(g, 40, stats.NewRand(seed))
+		{"sampleStratified", false, func(g Game, seed int64) []float64 {
+			return sampleStratified(g, 40, stats.NewRand(seed))
 		}},
 	}
 }
@@ -117,7 +117,7 @@ func TestStratifiedExactOnAdditiveGames(t *testing.T) {
 		c.EachMember(func(u int) { sum += w[u] })
 		return sum
 	}}
-	phi := SampleStratified(g, 1, stats.NewRand(1))
+	phi := sampleStratified(g, 1, stats.NewRand(1))
 	for u := 0; u < n; u++ {
 		if !almostEqual(phi[u], w[u]) {
 			t.Errorf("additive game: φ[%d] = %v, want %v", u, phi[u], w[u])
@@ -131,7 +131,7 @@ func TestStratifiedConverges(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	g := randomGame(r, 5)
 	want := Exact(g)
-	got := SampleStratified(g, 4000, stats.NewRand(2))
+	got := sampleStratified(g, 4000, stats.NewRand(2))
 	for u := range want {
 		if math.Abs(got[u]-want[u]) > 2 {
 			t.Errorf("φ[%d] = %v, exact %v", u, got[u], want[u])
@@ -150,7 +150,7 @@ func TestStratifiedExactOnSizeGames(t *testing.T) {
 		return s * s
 	}}
 	want := Exact(g)
-	got := SampleStratified(g, 1, stats.NewRand(5))
+	got := sampleStratified(g, 1, stats.NewRand(5))
 	for u := 0; u < n; u++ {
 		if !almostEqual(got[u], want[u]) {
 			t.Errorf("size game: φ[%d] = %v, want %v", u, got[u], want[u])
@@ -163,8 +163,8 @@ func TestStratifiedExactOnSizeGames(t *testing.T) {
 func TestStratifiedDeterministicPerSeed(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := randomGame(r, 6)
-	a := SampleStratified(g, 25, stats.NewRand(21))
-	b := SampleStratified(g, 25, stats.NewRand(21))
+	a := sampleStratified(g, 25, stats.NewRand(21))
+	b := sampleStratified(g, 25, stats.NewRand(21))
 	for u := range a {
 		if math.Float64bits(a[u]) != math.Float64bits(b[u]) {
 			t.Fatalf("φ[%d] differs across identically seeded runs", u)

@@ -8,7 +8,6 @@
 package shapley
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/model"
@@ -20,27 +19,6 @@ type Game interface {
 	Players() int
 	Value(c model.Coalition) float64
 }
-
-// MapGame is an in-memory game backed by a dense table indexed by
-// coalition mask. It implements Game.
-type MapGame struct {
-	N      int
-	Values []float64 // length 1<<N, Values[0] must be 0
-}
-
-// NewMapGame allocates a zero game over n players.
-func NewMapGame(n int) *MapGame {
-	return &MapGame{N: n, Values: make([]float64, 1<<uint(n))}
-}
-
-// Players implements Game.
-func (g *MapGame) Players() int { return g.N }
-
-// Value implements Game.
-func (g *MapGame) Value(c model.Coalition) float64 { return g.Values[c] }
-
-// Set assigns the coalition's value.
-func (g *MapGame) Set(c model.Coalition, v float64) { g.Values[c] = v }
 
 // FuncGame adapts a plain function to the Game interface.
 type FuncGame struct {
@@ -80,6 +58,11 @@ func tabulate(g Game) []float64 {
 
 // Exact computes the Shapley value of every player by the subset formula
 // (Equation 1). Cost: O(n·2ⁿ) plus 2ⁿ Value evaluations.
+//
+// No program calls Exact: the schedulers read φ from Contrib. It stays
+// exported, the one entry on the root reachability test's allowlist,
+// because core's tests hold REF's exact φ to this float formula, an
+// oracle computed independently of the engine it checks.
 func Exact(g Game) []float64 {
 	n := g.Players()
 	vals := tabulate(g)
@@ -140,18 +123,4 @@ func Sample(g Game, samples int, r *rand.Rand) []float64 {
 		}
 	}
 	return phi
-}
-
-// SampleSize returns the number of permutations N the FPRAS of Theorem
-// 5.6 prescribes for k players, accuracy ε and confidence λ:
-// N = ⌈k²/ε² · ln(k/(1−λ))⌉.
-func SampleSize(k int, eps, lambda float64) int {
-	if k <= 0 || eps <= 0 || lambda <= 0 || lambda >= 1 {
-		panic("shapley: invalid FPRAS parameters")
-	}
-	n := float64(k) * float64(k) / (eps * eps) * math.Log(float64(k)/(1-lambda))
-	if n < 1 {
-		return 1
-	}
-	return int(n) + 1
 }

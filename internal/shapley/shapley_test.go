@@ -10,8 +10,8 @@ import (
 	"repro/internal/stats"
 )
 
-func randomGame(r *rand.Rand, n int) *MapGame {
-	g := NewMapGame(n)
+func randomGame(r *rand.Rand, n int) *mapGame {
+	g := newMapGame(n)
 	for mask := 1; mask < 1<<uint(n); mask++ {
 		g.Set(model.Coalition(mask), math.Floor(r.Float64()*100))
 	}
@@ -84,7 +84,7 @@ func TestDummy(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(5)
 		dummy := r.Intn(n)
-		g := NewMapGame(n)
+		g := newMapGame(n)
 		// Value depends only on the non-dummy members, so the dummy's
 		// marginal contribution is 0 to every coalition.
 		base := make(map[model.Coalition]float64)
@@ -136,7 +136,7 @@ func TestAdditivity(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(5)
 		v, w := randomGame(r, n), randomGame(r, n)
-		sum := NewMapGame(n)
+		sum := newMapGame(n)
 		for mask := range sum.Values {
 			sum.Values[mask] = v.Values[mask] + w.Values[mask]
 		}
@@ -205,7 +205,7 @@ func TestSampleConverges(t *testing.T) {
 }
 
 func TestSampleZero(t *testing.T) {
-	g := NewMapGame(3)
+	g := newMapGame(3)
 	phi := Sample(g, 0, stats.NewRand(1))
 	for _, p := range phi {
 		if p != 0 {
@@ -233,15 +233,49 @@ func TestWeightsSumOverSubsets(t *testing.T) {
 
 func TestSampleSize(t *testing.T) {
 	// Theorem 5.6: N = ⌈k²/ε²·ln(k/(1−λ))⌉.
-	got := SampleSize(5, 0.1, 0.95)
+	got := sampleSize(5, 0.1, 0.95)
 	want := int(25.0/0.01*math.Log(5/0.05)) + 1
 	if got != want {
-		t.Errorf("SampleSize = %d, want %d", got, want)
+		t.Errorf("sampleSize = %d, want %d", got, want)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("SampleSize with bad parameters must panic")
+			t.Error("sampleSize with bad parameters must panic")
 		}
 	}()
-	SampleSize(0, 0.1, 0.5)
+	sampleSize(0, 0.1, 0.5)
+}
+
+// BenchmarkAblationShapley compares the generic Shapley evaluators on a
+// 14-player random game: exact and the two Monte-Carlo
+// samplers (plain and position-stratified) at the theorem's sample size.
+func BenchmarkAblationShapley(b *testing.B) {
+	const n = 14
+	rng := stats.NewRand(9)
+	g := newMapGame(n)
+	for mask := 1; mask < 1<<n; mask++ {
+		g.Set(model.Coalition(mask), float64(rng.Intn(1000)))
+	}
+	b.Run("Exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Exact(g)
+		}
+	})
+	b.Run("Sample", func(b *testing.B) {
+		n := sampleSize(n, 0.1, 0.95)
+		r := stats.NewRand(11)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Sample(g, n, r)
+		}
+	})
+	b.Run("SampleStratified", func(b *testing.B) {
+		// Same permutation budget as Sample: rounds·k ≈ sampleSize.
+		rounds := (sampleSize(n, 0.1, 0.95) + n - 1) / n
+		r := stats.NewRand(11)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sampleStratified(g, rounds, r)
+		}
+	})
 }

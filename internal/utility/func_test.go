@@ -6,35 +6,6 @@ import (
 	"repro/internal/model"
 )
 
-func TestFuncImplementations(t *testing.T) {
-	execs := []Execution{{Start: 0, Size: 3}, {Start: 5, Size: 2}, {Start: 9, Size: 4}}
-	cases := []struct {
-		f    Func
-		name string
-		at6  int64
-	}{
-		{SP{}, "psi_sp", Psi(execs, 6)},
-		{Starts{}, "starts", 2},
-		{CompletedWork{}, "completed_work", 3 + 1},
-	}
-	for _, c := range cases {
-		if c.f.Name() != c.name {
-			t.Errorf("Name = %q, want %q", c.f.Name(), c.name)
-		}
-		if got := c.f.Eval(execs, 6); got != c.at6 {
-			t.Errorf("%s.Eval(6) = %d, want %d", c.name, got, c.at6)
-		}
-	}
-	// Starts counts a job started exactly at t (it reacts to the
-	// decision instant), unlike the execution-based utilities.
-	if got := (Starts{}).Eval([]Execution{{Start: 6, Size: 1}}, 6); got != 1 {
-		t.Errorf("Starts at its own start = %d, want 1", got)
-	}
-	if got := (SP{}).Eval([]Execution{{Start: 6, Size: 1}}, 6); got != 0 {
-		t.Errorf("ψsp at its own start = %d, want 0", got)
-	}
-}
-
 func TestAddScaledWindowEdges(t *testing.T) {
 	// q=1 delegates to the plain window.
 	var a, b Account
