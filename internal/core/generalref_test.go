@@ -354,24 +354,39 @@ func TestGeneralRefReportsConfiguredUtility(t *testing.T) {
 	}
 }
 
+// The utility functions generalRef accepts, evaluated just after the
+// first execution completes.
 func TestUtilityFuncs(t *testing.T) {
+	execs := []utility.Execution{{Start: 0, Size: 3}, {Start: 5, Size: 2}, {Start: 9, Size: 4}}
+	cases := []struct {
+		f   utilityFunc
+		at3 int64
+	}{
+		{spUtility{}, utility.Psi(execs, 3)},
+		{startsUtility{}, 1},
+		{completedWorkUtility{}, 3},
+	}
+	for _, c := range cases {
+		if got := c.f.Eval(execs, 3); got != c.at3 {
+			t.Errorf("%s.Eval(3) = %d, want %d", c.f.Name(), got, c.at3)
+		}
+	}
+}
+
+func TestFuncImplementations(t *testing.T) {
 	execs := []utility.Execution{{Start: 0, Size: 3}, {Start: 5, Size: 2}, {Start: 9, Size: 4}}
 	cases := []struct {
 		f    utilityFunc
 		name string
-		at3  int64
 		at6  int64
 	}{
-		{spUtility{}, "psi_sp", utility.Psi(execs, 3), utility.Psi(execs, 6)},
-		{startsUtility{}, "starts", 1, 2},
-		{completedWorkUtility{}, "completed_work", 3, 3 + 1},
+		{spUtility{}, "psi_sp", utility.Psi(execs, 6)},
+		{startsUtility{}, "starts", 2},
+		{completedWorkUtility{}, "completed_work", 3 + 1},
 	}
 	for _, c := range cases {
 		if c.f.Name() != c.name {
 			t.Errorf("Name = %q, want %q", c.f.Name(), c.name)
-		}
-		if got := c.f.Eval(execs, 3); got != c.at3 {
-			t.Errorf("%s.Eval(3) = %d, want %d", c.name, got, c.at3)
 		}
 		if got := c.f.Eval(execs, 6); got != c.at6 {
 			t.Errorf("%s.Eval(6) = %d, want %d", c.name, got, c.at6)
