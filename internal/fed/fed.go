@@ -445,11 +445,14 @@ func (f *Federation) NextEventTime() model.Time {
 // Step advances the federation to exactly `until`. Members move in
 // lockstep through every decision instant at or before `until` — each
 // pending release instant and, with a control plane installed, each
-// pending control event (a deferred admission retrying): the engines
-// first advance to the instant, the instant's releases are delivered,
-// the jobs that reached a member are dispatched, and the loop
-// continues. It returns the federated scheduling decisions made since
-// the previous Step (or since Restore).
+// pending control event (a deferred admission retrying). Control
+// precedes data within an instant: the members advance only through
+// t−1, the instant's releases are delivered (routed, or admitted and
+// routed) on a view of that state, and the members then process t once,
+// jobs that were waiting and jobs that just reached them together — the
+// order a single cluster sees when every job is fed before its release.
+// It returns the federated scheduling decisions made since the previous
+// Step (or since Restore).
 //
 // The returned slice aliases the federation's decision log — the same
 // read-only contract engine.Step documents: it is valid until the next
@@ -461,13 +464,18 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 		return nil, fmt.Errorf("fed: step to %d before federation time %d", until, f.now)
 	}
 	f.sortPending()
-	for {
+	for at := until; ; {
 		t := f.nextInstant()
 		if t > until {
-			break
+			at = until
+		} else if at = t - 1; at < f.now {
+			at = f.now // an instant the members already stand at
 		}
-		if err := f.advanceMembers(t); err != nil {
+		if err := f.advanceMembers(at); err != nil {
 			return nil, err
+		}
+		if t > until {
+			break
 		}
 		n := 0
 		for n < len(f.pending) && f.pending[n].Release == t {
@@ -477,16 +485,7 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 			return nil, err
 		}
 		f.pending = append(f.pending[:0], f.pending[n:]...)
-		// Same-instant dispatch of the jobs that just reached a member.
-		if err := f.advanceMembers(t); err != nil {
-			return nil, err
-		}
-		f.now = t
 	}
-	if err := f.advanceMembers(until); err != nil {
-		return nil, err
-	}
-	f.now = until
 	fresh := f.decs[f.reported:]
 	f.reported = len(f.decs)
 	return fresh, nil
@@ -607,8 +606,9 @@ func (f *Federation) StepToNextEvent() ([]Decision, bool, error) {
 	return decs, true, err
 }
 
-// advanceMembers steps every member engine to t and folds their fresh
-// starts into the federated decision log in configuration order.
+// advanceMembers steps every member engine to t, folds their fresh
+// starts into the federated decision log in configuration order and
+// lands the federation clock on t.
 func (f *Federation) advanceMembers(t model.Time) error {
 	for c, m := range f.members {
 		starts, err := m.eng.Step(t)
@@ -624,6 +624,7 @@ func (f *Federation) advanceMembers(t model.Time) error {
 			})
 		}
 	}
+	f.now = t
 	return nil
 }
 

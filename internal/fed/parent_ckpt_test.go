@@ -67,23 +67,28 @@ func parentCkptFederation(t testing.TB, gated bool) *fed.Federation {
 // of version 6 (observation-only exchange summaries, a version-2
 // control block), and ckpt_core4_*.json and ckpt_core5_*.json, still
 // version 6, from the first writers of version-4 and version-5 members.
-// Each must restore under the current code, snapshot to what a fresh run
-// stepped to the same instant does, and run on to the horizon exactly as
-// an uninterrupted run. A core5 file is that fresh snapshot byte for
-// byte; an older file cannot be (rows, cluster fields, the
+// All of them were stepped with members dispatching an instant before
+// its releases were delivered, so the state they hold is not one the
+// current loop reaches: each must restore under the current code,
+// conserve work, re-capture to a document that restores to the same
+// bytes, and run on to the horizon identically from either. An older
+// file cannot re-capture to its own bytes (rows, cluster fields, the
 // federation-level copies, the summaries' configuration columns, the
 // control queue's numbering, the members' running-entry ends, fold marks
 // and decision-schedule accounts, and their hypothetical schedules'
 // queues, pending releases and machine-owner accounts are no longer
-// written).
+// written). ckpt_order_*.json are the same runs from the first writer
+// of the current instant order: each is a fresh run's snapshot byte for
+// byte, and its restore runs on exactly as an uninterrupted run.
 func TestParentCheckpointsRestore(t *testing.T) {
-	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6", "direct/core4", "gated/core4", "direct/core5", "gated/core5"} {
+	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6", "direct/core4", "gated/core4", "direct/core5", "gated/core5", "direct/order", "gated/order"} {
 		run, version, old := strings.Cut(name, "/")
 		if !old {
 			version = "parent"
 		}
-		gated, v2, v5, v6, core4, core5 := run == "gated", version == "v2", version == "v5", version == "v6", version == "core4", version == "core5"
-		v6 = v6 || core4 || core5 // a core4 or core5 file is a version-6 document
+		gated, v2, v5, v6, core4, core5, order := run == "gated", version == "v2", version == "v5", version == "v6", version == "core4", version == "core5", version == "order"
+		core5 = core5 || order    // an order file has version-5 members
+		v6 = v6 || core4 || core5 // a core4, core5 or order file is a version-6 document
 		file := "ckpt_" + version + "_" + run + ".json"
 		t.Run(name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", file))
@@ -100,6 +105,12 @@ func TestParentCheckpointsRestore(t *testing.T) {
 			if old := bytes.Contains(raw, []byte(`"org_capacity":`)); old == v6 {
 				t.Fatalf("the fixture's exchange summaries carry their configuration: %v", old)
 			}
+			if old := bytes.Contains(raw, []byte(`"acc_from":`)); old == (core4 || core5) {
+				t.Fatalf("the fixture's members carry running entries' fold marks: %v", old)
+			}
+			if old := bytes.Contains(raw, []byte(`"own_acct":`)); old == core5 {
+				t.Fatalf("the fixture's members carry machine-owner accounts: %v", old)
+			}
 			restored, err := fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), raw)
 			if err != nil {
 				t.Fatal(err)
@@ -113,39 +124,48 @@ func TestParentCheckpointsRestore(t *testing.T) {
 			if ledger := restored.Ledger(); ledger.Migrations == 0 {
 				t.Fatal("the checkpoint predates the first migration — it does not exercise re-delegation")
 			}
-			straight := parentCkptFederation(t, gated)
-			if _, err := straight.Step(parentCkptAt); err != nil {
+			if err := restored.CheckConservation(); err != nil {
 				t.Fatal(err)
 			}
-			want, err := straight.Snapshot()
+			recaptured, err := restored.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if old := bytes.Contains(raw, []byte(`"acc_from":`)); old == (core4 || core5) {
-				t.Fatalf("the fixture's members carry running entries' fold marks: %v", old)
+			again, err := fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), recaptured)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if old := bytes.Contains(raw, []byte(`"own_acct":`)); old == core5 {
-				t.Fatalf("the fixture's members carry machine-owner accounts: %v", old)
+			if got, err := again.Snapshot(); err != nil || !bytes.Equal(got, recaptured) {
+				t.Errorf("the re-captured document is not a fixed point of restore (err %v)", err)
 			}
-			if core5 && !bytes.Equal(want, raw) {
-				t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
+			other := again
+			if order {
+				straight := parentCkptFederation(t, gated)
+				if _, err := straight.Step(parentCkptAt); err != nil {
+					t.Fatal(err)
+				}
+				want, err := straight.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, raw) {
+					t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
+				}
+				other = straight
 			}
-			if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, want) {
-				t.Errorf("the restored run's snapshot differs from a fresh run's at t=%d (err %v)", parentCkptAt, err)
-			}
-			if _, err := straight.Step(parentCkptHorizon); err != nil {
+			if _, err := other.Step(parentCkptHorizon); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := restored.Step(parentCkptHorizon); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(fingerprint(t, restored), fingerprint(t, straight)) {
-				t.Fatal("restored run diverged from the uninterrupted one")
+			if !bytes.Equal(fingerprint(t, restored), fingerprint(t, other)) {
+				t.Fatal("restored run diverged from its twin")
 			}
 			if err := restored.CheckConservation(); err != nil {
 				t.Fatal(err)
 			}
-			if a, b := fmt.Sprintf("%+v", straight.AdmissionStats()), fmt.Sprintf("%+v", restored.AdmissionStats()); a != b {
+			if a, b := fmt.Sprintf("%+v", other.AdmissionStats()), fmt.Sprintf("%+v", restored.AdmissionStats()); a != b {
 				t.Fatalf("admission stats diverged:\n%s\n%s", a, b)
 			}
 		})
