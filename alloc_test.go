@@ -2,7 +2,7 @@
 // bounds on a whole construct → feed → step run. The steady-state
 // 0-alloc budgets live next to the code they pin (internal/core,
 // internal/engine, internal/fed, internal/bargain); these rows span
-// engine + ctrl and fed + ctrl, so they sit at the module root.
+// engine, fed and ctrl, so they sit at the module root.
 package repro_test
 
 import (
@@ -22,29 +22,48 @@ import (
 
 // TestControlPlaneAllocBudget: a fixed overload stream (two
 // organizations, 2× one machine's service rate) through a
-// policy-scheduled engine with the gate off, with always-admit (the
-// bare queue-verdict-route pass) and with the shedding policies; plus the federated plane over the diurnal
-// scenario. A run may allocate less than its budget, never more.
+// policy-scheduled engine, and through the same cluster gated — a
+// one-member federation — with always-admit (the bare
+// queue-verdict-route pass) and with the shedding policies; plus the
+// federated plane over the diurnal scenario. A run may allocate less
+// than its budget, never more.
 func TestControlPlaneAllocBudget(t *testing.T) {
 	gateOrgs := []model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 0}}
 	var gateJobs []model.Job
 	for i := 0; i < 40; i++ {
 		gateJobs = append(gateJobs, model.Job{Org: i % 2, Size: 4, Release: model.Time(2 * i)})
 	}
-	engineRun := func(spec *ctrl.PolicySpec) func() {
+	fcfs := core.FromPolicy("FCFS", func() sim.Policy { return baseline.NewFCFS() })
+	engineRun := func() {
+		inst, err := model.NewInstance(gateOrgs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := engine.New(fcfs, inst, 1)
+		if _, err := e.Feed(gateJobs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Step(400); err != nil {
+			t.Fatal(err)
+		}
+	}
+	singleRun := func(spec *ctrl.PolicySpec) func() {
 		return func() {
-			inst, err := model.NewInstance(gateOrgs, nil)
+			cluster := []fed.ClusterSpec{{Name: "cluster0", Alg: fcfs, Machines: []int{1, 0}}}
+			f, err := fed.New([]string{"A", "B"}, cluster, fed.LocalOnly{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := engine.New(core.FromPolicy("FCFS", func() sim.Policy { return baseline.NewFCFS() }), inst, 1)
-			if err := e.SetAdmission(spec); err != nil {
+			f.SetStaleness(spec.Staleness)
+			if err := f.SetAdmission(spec); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.Feed(gateJobs); err != nil {
-				t.Fatal(err)
+			for _, j := range gateJobs {
+				if _, err := f.Submit(0, j.Org, j.Size, j.Release); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if _, err := e.Step(400); err != nil {
+			if _, err := f.Step(400); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -92,10 +111,10 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 		run    func()
 		budget float64
 	}{
-		{"engine/off", engineRun(nil), 61},
-		{"engine/always", engineRun(&ctrl.PolicySpec{Policy: "always"}), 78},
-		{"engine/tokenbucket", engineRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 8, Burst: 1, MaxAttempts: 2}), 78},
-		{"engine/backpressure-stale", engineRun(&ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}), 74},
+		{"engine/off", engineRun, 61},
+		{"single/always", singleRun(&ctrl.PolicySpec{Policy: "always"}), 320},
+		{"single/tokenbucket", singleRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 8, Burst: 1, MaxAttempts: 2}), 340},
+		{"single/backpressure-stale", singleRun(&ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}), 140},
 		{"fed/off", fedRun(nil), 475},
 		{"fed/always", fedRun(&ctrl.PolicySpec{Policy: "always"}), 484},
 		{"fed/tokenbucket", fedRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 12, Burst: 2, MaxAttempts: 3}), 496},

@@ -43,7 +43,8 @@
 //	                    policies (always-admit, per-org token bucket,
 //	                    queue-depth backpressure) and the
 //	                    bounded-staleness SnapshotProvider contract;
-//	                    gates engine.Feed and federation submission
+//	                    gates federation submission (a gated single
+//	                    cluster is a one-member federation)
 //	internal/fed      — federated multi-cluster scheduling: N member
 //	                    clusters, pluggable delegation policies (local,
 //	                    least-loaded, fairness-aware + pricing ablations,

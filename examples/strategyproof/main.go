@@ -25,7 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ctrl"
-	"repro/internal/engine"
+	"repro/internal/fed"
 	"repro/internal/model"
 	"repro/internal/utility"
 )
@@ -113,33 +113,34 @@ func workload(count int, size, gap model.Time, split bool) []model.Job {
 
 // runGated schedules org 0's stream alongside a fixed honest bystander
 // (org 1) on a REF-fair two-machine cluster behind the given admission
-// gate, returning org 0's ψsp at the horizon and its admitted/released
-// counts.
+// gate — a one-member federation, whose control plane admits each
+// release before the cluster dispatches its instant — returning org 0's
+// ψsp at the horizon and its admitted/released counts.
 func runGated(spec *ctrl.PolicySpec, org0 []model.Job) (psi int64, admitted, released int64) {
 	const horizon = 200
-	inst, err := model.NewInstance([]model.Org{
-		{Name: "manipulator", Machines: 1},
-		{Name: "bystander", Machines: 1},
-	}, nil)
+	cluster := []fed.ClusterSpec{{Name: "cluster", Alg: core.RefAlgorithm{}, Machines: []int{1, 1}}}
+	f, err := fed.New([]string{"manipulator", "bystander"}, cluster, fed.LocalOnly{}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	e := engine.New(core.RefAlgorithm{}, inst, 1)
-	if err := e.SetAdmission(spec); err != nil {
+	f.SetStaleness(spec.Staleness)
+	if err := f.SetAdmission(spec); err != nil {
 		log.Fatal(err)
 	}
 	jobs := append([]model.Job(nil), org0...)
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, model.Job{Org: 1, Size: 8, Release: model.Time(i) * 10})
 	}
-	if _, err := e.Feed(jobs); err != nil {
+	for _, j := range jobs {
+		if _, err := f.Submit(0, j.Org, j.Size, j.Release); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if _, err := f.Step(horizon); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := e.Step(horizon); err != nil {
-		log.Fatal(err)
-	}
-	st := e.AdmissionStats()
-	return e.Result().Psi[0], st.Admitted[0], st.Released[0]
+	st := f.AdmissionStats()
+	return f.Members()[0].Engine().Result().Psi[0], st.Admitted[0], st.Released[0]
 }
 
 // admissionBattery replays the split-your-jobs misreport against three

@@ -171,7 +171,10 @@ func (g *generalRef) Run(until model.Time) *Result {
 	grand := g.sims[g.grand]
 	res := resultFromCluster("GeneralREF("+g.util.Name()+")", grand, until, append([]float64(nil), g.phi[g.grand]...))
 	res.Psi = append([]int64(nil), g.psi[g.grand]...)
-	res.Value = g.ct.Value(g.grand)
+	res.Value = 0
+	for _, psi := range res.Psi {
+		res.Value += psi
+	}
 	return res
 }
 

@@ -203,12 +203,6 @@ func (r *Ref) PhiOf(mask model.Coalition) []float64 {
 	return append([]float64(nil), r.phi[r.slotOf[mask]]...)
 }
 
-// Cluster exposes a subcoalition's cluster (read-only use intended);
-// tests compare subcoalition schedules against independent simulations.
-// Only the grand coalition's keeps a decision log: Starts() is nil for
-// every other mask.
-func (r *Ref) Cluster(mask model.Coalition) *sim.Cluster { return r.slots[r.slotOf[mask]] }
-
 // RefAlgorithm adapts Ref to the Algorithm interface (REF is
 // deterministic; the seed is recorded in checkpoints and otherwise
 // ignored).

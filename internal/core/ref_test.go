@@ -266,3 +266,9 @@ func TestNarrowSelfDrivenClusterMatchesRefSlot(t *testing.T) {
 		t.Errorf("lone cluster: ψ_A %d, value %d; REF slot: ψ_A %d, value %d", lone.Psi(0), lone.Value(), slot.Psi(0), slot.Value())
 	}
 }
+
+// Cluster exposes a subcoalition's cluster (read-only use intended);
+// tests compare subcoalition schedules against independent simulations.
+// Only the grand coalition's keeps a decision log: Starts() is nil for
+// every other mask.
+func (r *Ref) Cluster(mask model.Coalition) *sim.Cluster { return r.slots[r.slotOf[mask]] }

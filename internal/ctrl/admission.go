@@ -284,10 +284,10 @@ type PolicySpec struct {
 	// Shared retry bound (TokenBucket.MaxDefers / Backpressure.MaxAttempts).
 	MaxAttempts int `json:"max_attempts,omitempty"`
 
-	// Staleness is the admission view's max age for owners that build
-	// their own snapshot provider from the spec (single-cluster engine
-	// gates); federated planes observe through the federation's
-	// exchange provider and ignore it.
+	// Staleness is the admission view's max age for an owner that sets
+	// its snapshot provider from the spec: a gated single session, a
+	// one-member federation, gossips at it. A federated session's plane
+	// observes at the federation's own gossip staleness and ignores it.
 	Staleness model.Time `json:"staleness,omitempty"`
 }
 

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/model"
 )
 
@@ -20,7 +21,7 @@ import (
 // on a retry are decided before the ones that arrive, each class in the
 // order it was queued. A plane restored from its state — the survivors
 // listed in verdict order, with no class, push number or counter —
-// pops the same, and numbers the next arrival released + queued.
+// pops the same.
 func TestVerdictQueueOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var q verdictQueue
@@ -69,9 +70,6 @@ func TestVerdictQueueOrder(t *testing.T) {
 	r := NewPlane(AlwaysAdmit{}, directLoadProvider(), 1)
 	if err := r.RestoreState(state); err != nil {
 		t.Fatal(err)
-	}
-	if want := p.stats.TotalReleased() + int64(len(q.h)) - p.stats.TotalDeferred(); r.nextSeq != want {
-		t.Fatalf("restored next sequence number %d, want released + queued arrivals = %d", r.nextSeq, want)
 	}
 	late := waiting{At: 20, Job: Job{Seq: 1000, Size: 1}}
 	r.q.push(late) // behind every restored arrival of its instant
@@ -342,7 +340,7 @@ func TestPlaneAlwaysAdmitRoutesEverything(t *testing.T) {
 	p := NewPlane(AlwaysAdmit{}, directLoadProvider(), 2)
 	var sink planeSink
 	for i := 0; i < 5; i++ {
-		p.Arrive(Job{Seq: -1, Org: i % 2, Size: 3}, model.Time(10*i)) // Seq assigned by the plane
+		p.Arrive(Job{Seq: int64(i), Org: i % 2, Size: 3}, model.Time(10*i))
 	}
 	if err := p.Advance(100, &sink); err != nil {
 		t.Fatal(err)
@@ -359,7 +357,7 @@ func TestPlaneAlwaysAdmitRoutesEverything(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.TotalReleased() != 5 || st.TotalAdmitted() != 5 || st.TotalRejected() != 0 || st.TotalDeferred() != 0 {
+	if st.TotalReleased() != 5 || st.TotalAdmitted() != 5 || st.TotalRejected() != 0 || deferred(st) != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.LatencyMax != 0 {
@@ -374,21 +372,21 @@ func TestPlaneTokenBucketDefersAndConserves(t *testing.T) {
 	p := NewPlane(&TokenBucket{Rate: 1, Period: 10, Burst: 1}, directLoadProvider(), 1)
 	var sink planeSink
 	for i := 0; i < 4; i++ {
-		p.Arrive(Job{Seq: -1, Org: 0, Size: 1}, 0) // burst of 4 at t=0 against 1 token + 1/10 rate
+		p.Arrive(Job{Seq: int64(i), Org: 0, Size: 1}, 0) // burst of 4 at t=0 against 1 token + 1/10 rate
 	}
 	if err := p.Advance(0, &sink); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.TotalAdmitted() != 1 || st.TotalDeferred() != 3 {
-		t.Fatalf("at t=0: admitted %d deferred %d, want 1/3", st.TotalAdmitted(), st.TotalDeferred())
+	if st.TotalAdmitted() != 1 || deferred(st) != 3 {
+		t.Fatalf("at t=0: admitted %d deferred %d, want 1/3", st.TotalAdmitted(), deferred(st))
 	}
 	// Deferred retries land at refill instants; drain far enough and
 	// everything eventually admits, one per refill.
 	if err := p.Advance(1000, &sink); err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalAdmitted() != 4 || st.TotalDeferred() != 0 || st.TotalRejected() != 0 {
+	if st.TotalAdmitted() != 4 || deferred(st) != 0 || st.TotalRejected() != 0 {
 		t.Fatalf("after drain: %+v", st)
 	}
 	if len(sink.routed) != 4 {
@@ -412,7 +410,7 @@ func TestPlaneDeterminismAndCheckpoint(t *testing.T) {
 	feed := func(p *Plane) {
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 40; i++ {
-			p.Arrive(Job{Seq: -1, Org: rng.Intn(3), Size: model.Time(1 + rng.Intn(4))}, model.Time(rng.Intn(50)))
+			p.Arrive(Job{Seq: int64(i), Org: rng.Intn(3), Size: model.Time(1 + rng.Intn(4))}, model.Time(rng.Intn(50)))
 		}
 	}
 	// Uninterrupted run.
@@ -464,7 +462,7 @@ func fixturePlane(t *testing.T) (*Plane, *planeSink) {
 	p := NewPlane(&TokenBucket{Rate: 1, Period: 7, Burst: 2, SizeCost: true}, directLoadProvider(), 3)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 40; i++ {
-		p.Arrive(Job{Seq: -1, Org: rng.Intn(3), Size: model.Time(1 + rng.Intn(4))}, model.Time(rng.Intn(50)))
+		p.Arrive(Job{Seq: int64(i), Org: rng.Intn(3), Size: model.Time(1 + rng.Intn(4))}, model.Time(rng.Intn(50)))
 	}
 	sink := &planeSink{}
 	if err := p.Advance(25, sink); err != nil {
@@ -478,9 +476,8 @@ func fixturePlane(t *testing.T) (*Plane, *planeSink) {
 // fixturePlane — a heap slice of events with their class, push number
 // and both counters — and ckpt_v2_plane.json the first version-2
 // writer's. Both restore; the restored plane captures the bytes a fresh
-// run does (which are the version-2 file's), hands the next arrival the
-// sequence number the fresh run does, and decides and routes the rest of
-// the queue as the fresh run does.
+// run does (which are the version-2 file's), and decides and routes the
+// rest of the queue, and one more arrival, as the fresh run does.
 func TestPlaneFixturesRestore(t *testing.T) {
 	fresh, _ := fixturePlane(t)
 	want, err := fresh.State()
@@ -519,10 +516,9 @@ func TestPlaneFixturesRestore(t *testing.T) {
 		}
 		straight, sa := fixturePlane(t)
 		sb := &planeSink{}
-		late := Job{Seq: -1, Org: 2, Size: 1}
-		if a, b := straight.Arrive(late, 36), restored.Arrive(late, 36); a != b {
-			t.Errorf("%s: the next arrival is job %d, in a fresh run %d", version, b, a)
-		}
+		late := Job{Seq: 40, Org: 2, Size: 1}
+		straight.Arrive(late, 36)
+		restored.Arrive(late, 36)
 		sa.routed, sa.routedAt = nil, nil
 		if err := straight.Advance(1000, sa); err != nil {
 			t.Fatal(err)
@@ -561,8 +557,8 @@ func TestPlaneRestoreRejectsForeignState(t *testing.T) {
 		return NewPlane(&TokenBucket{Rate: 1, Period: 10, Burst: 1}, directLoadProvider(), 3)
 	}
 	p := build()
-	p.Arrive(Job{Seq: -1, Org: 1, Size: 2}, 5)
-	p.Arrive(Job{Seq: -1, Org: 1, Size: 2}, 5)
+	p.Arrive(Job{Seq: 0, Org: 1, Size: 2}, 5)
+	p.Arrive(Job{Seq: 1, Org: 1, Size: 2}, 5)
 	if err := p.Advance(5, &planeSink{}); err != nil {
 		t.Fatal(err)
 	}
@@ -609,8 +605,8 @@ func TestPlaneRestoreCountsParkedRetries(t *testing.T) {
 		return NewPlane(&TokenBucket{Rate: 1, Period: 10, Burst: 1}, directLoadProvider(), 3)
 	}
 	p := build()
-	p.Arrive(Job{Seq: -1, Org: 1, Size: 2}, 5)
-	p.Arrive(Job{Seq: -1, Org: 1, Size: 2}, 5)
+	p.Arrive(Job{Seq: 0, Org: 1, Size: 2}, 5)
+	p.Arrive(Job{Seq: 1, Org: 1, Size: 2}, 5)
 	if err := p.Advance(5, &planeSink{}); err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +644,7 @@ func (stuckPolicy) Decide(_ Job, _ int, now model.Time, _ View) Decision {
 
 func TestPlaneRejectsStuckDefer(t *testing.T) {
 	p := NewPlane(stuckPolicy{}, directLoadProvider(), 1)
-	p.Arrive(Job{Seq: -1}, 0)
+	p.Arrive(Job{}, 0)
 	if err := p.Advance(10, &planeSink{}); err == nil {
 		t.Fatal("same-instant defer must surface as an error")
 	}
@@ -695,4 +691,13 @@ func TestVerdictString(t *testing.T) {
 	if got := Verdict(9).String(); got != fmt.Sprintf("verdict(%d)", 9) {
 		t.Fatalf("unknown verdict formatted as %q", got)
 	}
+}
+
+// deferred is Σ Deferred: the jobs parked on an admission retry.
+func deferred(st *metrics.AdmissionStats) int64 {
+	var n int64
+	for _, d := range st.Deferred {
+		n += d
+	}
+	return n
 }

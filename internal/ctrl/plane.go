@@ -34,7 +34,6 @@ type Plane struct {
 	policy   AdmissionPolicy
 	provider SnapshotProvider
 	stats    *metrics.AdmissionStats
-	nextSeq  int64
 }
 
 // NewPlane builds a control plane over the given policy and provider
@@ -46,18 +45,11 @@ func NewPlane(policy AdmissionPolicy, provider SnapshotProvider, orgs int) *Plan
 // Stats returns the live admission accounting.
 func (p *Plane) Stats() *metrics.AdmissionStats { return p.stats }
 
-// Arrive queues one job for its verdict at instant at and returns its
-// sequence number. A negative job.Seq asks the plane to assign one from
-// its own counter (single-cluster owners); non-negative sequence
-// numbers pass through (the federation numbers jobs itself).
-func (p *Plane) Arrive(job Job, at model.Time) int64 {
-	if job.Seq < 0 {
-		job.Seq = p.nextSeq
-		p.nextSeq++
-	}
+// Arrive queues one job, numbered by its owner, for its verdict at
+// instant at.
+func (p *Plane) Arrive(job Job, at model.Time) {
 	job.Arrived = at
 	p.q.push(waiting{At: at, Job: job})
-	return job.Seq
 }
 
 // NextEventTime returns the earliest instant a queued job is decided at.
@@ -195,10 +187,9 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 	// The queue is outside input: a job this plane could not have queued
 	// would index past the per-organization counters at the next Advance.
 	// It is also the record of who waits on a retry — the stats' gauge is
-	// a copy — and of how many arrivals were numbered but not released.
+	// a copy.
 	events := cp.Queue.Events
 	parked := make([]int64, p.stats.Orgs())
-	arrivals := int64(0)
 	for i, e := range events {
 		if e.Job.Org < 0 || e.Job.Org >= p.stats.Orgs() || e.Job.Size < 1 || e.Attempt < 0 {
 			return fmt.Errorf("ctrl: restore plane: queued job %d (org %d of %d, size %d, attempt %d) is not one the plane queues",
@@ -206,8 +197,6 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 		}
 		if e.Attempt > 0 {
 			parked[e.Job.Org]++
-		} else {
-			arrivals++
 		}
 	}
 	cp.Stats.Deferred = parked
@@ -235,7 +224,6 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 	}
 	// Sorted is heap-ordered.
 	p.q = verdictQueue{h: events, pushes: int64(len(events))}
-	p.nextSeq = cp.Stats.TotalReleased() + arrivals
 	p.stats = cp.Stats
 	return nil
 }

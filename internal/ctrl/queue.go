@@ -12,10 +12,9 @@
 // obtained through a SnapshotProvider — the one staleness contract
 // that also subsumes the federation's summary-gossip knob.
 //
-// The package is deliberately owner-agnostic: internal/engine gates a
-// single cluster's feed with a Plane, internal/fed gates federated
-// routing with one, and both drive the same deterministic, fully
-// checkpointable machinery.
+// The package is deliberately owner-agnostic: internal/fed gates
+// routing with a Plane — a gated single cluster is a one-member
+// federation — through deterministic, fully checkpointable machinery.
 package ctrl
 
 import (
@@ -26,7 +25,7 @@ import (
 
 // Job is the control plane's view of one unit of work: its identity
 // (Seq, assigned by the owner), the submitting organization, the origin
-// cluster (0 for single-cluster owners), its size, the release instant
+// cluster (0 for an owner of one), its size, the release instant
 // it arrived with, and Arrived — the instant it entered the control
 // plane, from which decision latency is measured. Size is carried for
 // feeding the executing side and for size-cost token buckets; routing

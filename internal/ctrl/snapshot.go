@@ -16,7 +16,8 @@ type Load struct {
 // when the observation was captured, and a decision at instant t acts
 // on a view of age t−TakenAt. Payload carries the owner's full
 // observation (internal/fed stores its exchange — member summaries and
-// the routed-work matrix); single-cluster owners leave it nil.
+// the routed-work matrix); an owner with no more than Load leaves it
+// nil.
 type View struct {
 	TakenAt model.Time `json:"taken_at"`
 	Load    Load       `json:"load"`

@@ -14,8 +14,8 @@ import (
 // backend is the run behind a Session: one engine or one federation,
 // in the session's wire vocabulary. SessionConfig.open builds it; the
 // Session serializes access and never asks which kind it holds. Engines
-// and federations share the clock, snapshot and admission methods by
-// name, so each backend embeds its run and adds the rest.
+// and federations share the clock and snapshot methods by name, so each
+// backend embeds its run and adds the rest.
 type backend interface {
 	Now() model.Time
 	NextEventTime() model.Time
@@ -45,8 +45,12 @@ func (j JobSubmission) releaseAt(now model.Time) model.Time {
 	return now
 }
 
-// singleRun is a single-cluster session's backend.
+// singleRun is an ungated single-cluster session's backend.
 type singleRun struct{ *engine.Engine }
+
+func (singleRun) Admission() *ctrl.PolicySpec { return nil }
+
+func (singleRun) AdmissionStats() *metrics.AdmissionStats { return nil }
 
 func fromStarts(starts []sim.Start) []Decision {
 	out := make([]Decision, len(starts))
@@ -159,3 +163,26 @@ func (r *fedRun) decisions(since int) (int, []Decision) {
 	all := r.Decisions()
 	return len(all), fromFedDecisions(all[min(since, len(all)):])
 }
+
+// gatedRun is a gated single session's backend: a one-member federation
+// under local routing behind the session's admission control plane,
+// whose member answers for the session's counts and state. Its
+// decisions name jobs by the sequence numbers submit returned.
+type gatedRun struct {
+	fedRun
+	member singleRun
+}
+
+// submit hands every job in at the one member: a single run ignores
+// JobSubmission.Cluster.
+func (r *gatedRun) submit(jobs []JobSubmission) ([]int64, error) {
+	r.batch = slices.Grow(r.batch[:0], len(jobs))
+	for _, j := range jobs {
+		r.batch = append(r.batch, fed.SourceJob{Org: j.Org, Size: j.Size, Release: j.releaseAt(r.Now())})
+	}
+	return r.SubmitJobs(r.batch)
+}
+
+func (r *gatedRun) counts() (jobs, decisions int) { return r.member.counts() }
+
+func (r *gatedRun) state() StateReply { return r.member.state() }

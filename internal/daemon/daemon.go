@@ -80,9 +80,9 @@ type SessionConfig struct {
 
 	// Admission, when set, installs an internal/ctrl admission control
 	// plane in front of the session: a released job waits for the
-	// policy's verdict and only admitted jobs reach the schedule (engine
-	// gate for single runs, federation control plane for federated ones). Spec.Staleness bounds the age of the
-	// load view admission decisions observe.
+	// policy's verdict and only admitted jobs reach the schedule. A gated
+	// single run is a one-member federation, whose gossip staleness is
+	// Spec.Staleness; a federation observes at its own Staleness.
 	Admission *ctrl.PolicySpec `json:"admission,omitempty"`
 
 	// Shared algorithm options.
@@ -235,6 +235,10 @@ var errRestoreConfig = errors.New("daemon: session configuration no longer build
 // depends on them, and a snapshot taken under a different spec (or
 // none, or one where the config has none) or staleness is rejected
 // rather than allowed to re-gate or re-pace the session.
+//
+// A gated single session is a one-member federation: the session's
+// organizations and machines as its one cluster, local routing, and the
+// admission view's staleness as the gossip staleness.
 func (c SessionConfig) open(snapshot []byte) (backend, error) {
 	// A configuration that does not build is the request's fault on
 	// create and the server's on restore: it built once.
@@ -255,6 +259,25 @@ func (c SessionConfig) open(snapshot []byte) (backend, error) {
 		if err != nil {
 			return bad(err)
 		}
+		if c.Admission != nil {
+			orgs := make([]string, len(inst.Orgs))
+			machines := make([]int, len(inst.Orgs))
+			for o, org := range inst.Orgs {
+				orgs[o], machines[o] = org.Name, org.Machines
+			}
+			if snapshot != nil {
+				if snapshot, err = upgradeGateEnvelope(snapshot, alg, c.Seed); err != nil {
+					return nil, err
+				}
+			}
+			specs := []fed.ClusterSpec{{Name: gatedMember, Alg: alg, Machines: machines}}
+			f, err := c.openFed(orgs, specs, fed.LocalOnly{}, c.Admission.Staleness, snapshot)
+			if err != nil {
+				return nil, err
+			}
+			run = &gatedRun{fedRun{Federation: f}, singleRun{f.Members()[0].Engine()}}
+			break
+		}
 		var eng *engine.Engine
 		if snapshot != nil {
 			// The config owns the organizations and the machine pool too
@@ -265,7 +288,6 @@ func (c SessionConfig) open(snapshot []byte) (backend, error) {
 			}
 		} else {
 			eng = engine.New(alg, inst, c.Seed)
-			err = eng.SetAdmission(c.Admission)
 		}
 		if err != nil {
 			return nil, err
@@ -280,17 +302,7 @@ func (c SessionConfig) open(snapshot []byte) (backend, error) {
 		if err != nil {
 			return bad(err)
 		}
-		var f *fed.Federation
-		if snapshot != nil {
-			// The config owns the staleness too; SetStaleness reads < 0 as 0.
-			f, err = fed.Restore(c.OrgNames, specs, policy, snapshot)
-			if want := max(c.Staleness, 0); err == nil && f.Staleness() != want {
-				err = fmt.Errorf("daemon: restore: snapshot taken under staleness %d, session configured with %d", f.Staleness(), want)
-			}
-		} else if f, err = fed.New(c.OrgNames, specs, policy, c.Seed); err == nil {
-			f.SetStaleness(c.Staleness)
-			err = f.SetAdmission(c.Admission)
-		}
+		f, err := c.openFed(c.OrgNames, specs, policy, c.Staleness, snapshot)
 		if err != nil {
 			return nil, err
 		}
@@ -302,6 +314,28 @@ func (c SessionConfig) open(snapshot []byte) (backend, error) {
 		return nil, fmt.Errorf("daemon: restore: snapshot taken under admission %+v, session configured with %+v", got, c.Admission)
 	}
 	return run, nil
+}
+
+// gatedMember names the one cluster of a gated single session.
+const gatedMember = "cluster0"
+
+// openFed builds the federation of the given members, or restores the
+// snapshot's. The config owns the staleness too; SetStaleness reads < 0
+// as 0.
+func (c SessionConfig) openFed(orgs []string, specs []fed.ClusterSpec, policy fed.Policy, staleness model.Time, snapshot []byte) (*fed.Federation, error) {
+	if snapshot == nil {
+		f, err := fed.New(orgs, specs, policy, c.Seed)
+		if err != nil {
+			return nil, err
+		}
+		f.SetStaleness(staleness)
+		return f, f.SetAdmission(c.Admission)
+	}
+	f, err := fed.Restore(orgs, specs, policy, snapshot)
+	if want := max(staleness, 0); err == nil && f.Staleness() != want {
+		err = fmt.Errorf("daemon: restore: snapshot taken under staleness %d, session configured with %d", f.Staleness(), want)
+	}
+	return f, err
 }
 
 func sameOrg(a, b model.Org) bool {
@@ -347,10 +381,10 @@ type JobSubmission struct {
 	Release *model.Time `json:"release,omitempty"`
 }
 
-// Decision is the wire form of one scheduling decision. Job is the
-// engine job ID for single runs and the federation sequence number for
-// federated runs; Cluster identifies the executing cluster (always 0
-// for single runs).
+// Decision is the wire form of one scheduling decision. Job is the ID
+// the job's submit returned: the engine job ID for ungated single runs,
+// the federation sequence number for gated ones and federated runs;
+// Cluster identifies the executing cluster (always 0 for single runs).
 type Decision struct {
 	Job     int64      `json:"job"`
 	Org     int        `json:"org"`
@@ -360,7 +394,8 @@ type Decision struct {
 }
 
 // Submit feeds jobs into the session and returns their IDs (engine job
-// IDs or federation sequence numbers). The batch is all-or-nothing: one
+// IDs for ungated single runs, federation sequence numbers otherwise).
+// The batch is all-or-nothing: one
 // invalid job rejects it whole and leaves the session untouched.
 func (s *Session) Submit(jobs []JobSubmission) ([]int64, error) {
 	if len(jobs) == 0 {

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/ctrl"
 	"repro/internal/daemon"
+	"repro/internal/metrics"
 	"repro/internal/model"
 )
 
@@ -141,12 +142,13 @@ func bucketCfg() daemon.SessionConfig {
 		Admission: &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 10, Burst: 1}}
 }
 
-// foreignQueueEvent is a bucketCfg checkpoint whose first queued
-// control event belongs to an organization the session does not have.
+// foreignQueueEvent is a bucketCfg checkpoint whose queued control
+// event — the second of two same-instant jobs, deferred — belongs to an
+// organization the session does not have.
 func foreignQueueEvent(t testing.TB) []byte {
 	t.Helper()
 	at := timePtr(5)
-	snap := checkpointOf(t, bucketCfg(), []daemon.JobSubmission{{Org: 1, Size: 2, Release: at}, {Org: 1, Size: 2, Release: at}}, 0)
+	snap := checkpointOf(t, bucketCfg(), []daemon.JobSubmission{{Org: 1, Size: 2, Release: at}, {Org: 1, Size: 2, Release: at}}, 5)
 	bad := bytes.Replace(snap, []byte(`"org":1`), []byte(`"org":99`), 1)
 	if !bytes.Contains(snap, []byte(`"events":[{`)) || bytes.Equal(bad, snap) {
 		t.Fatalf("checkpoint queues no organization-1 event: %s", snap)
@@ -1257,7 +1259,7 @@ func TestAdmissionSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	adm := checkAdmissionReply(t, solo.State(), "tokenbucket")
-	if adm.Stats.TotalDeferred() == 0 {
+	if deferred(adm.Stats) == 0 {
 		t.Fatal("flush instant carries no deferred admissions — the test is not exercising mid-round state")
 	}
 	checkAdmissionReply(t, fleet.State(), "backpressure")
@@ -1307,8 +1309,8 @@ func TestAdmissionSessions(t *testing.T) {
 	if adm.Stats.TotalRejected() == 0 || adm.Stats.TotalAdmitted() == 0 {
 		t.Fatalf("overload shed nothing or everything: %+v", adm.Stats)
 	}
-	if adm.Stats.TotalDeferred() != 0 {
-		t.Fatalf("%d jobs still deferred after a full drain", adm.Stats.TotalDeferred())
+	if deferred(adm.Stats) != 0 {
+		t.Fatalf("%d jobs still deferred after a full drain", deferred(adm.Stats))
 	}
 	fadm := checkAdmissionReply(t, fleet.State(), "backpressure")
 	if fadm.Stats.TotalReleased() != 40 {
@@ -1365,4 +1367,60 @@ func TestAdmissionSessionHTTP(t *testing.T) {
 	// A bad admission spec fails session creation with a client error.
 	a.do("POST", "/v1/sessions", `{"id":"bad","kind":"single","admission":{"policy":"tokenbucket","rate":0}}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"id":"worse","kind":"single","admission":{"policy":"nope"}}`, http.StatusBadRequest)
+}
+
+// TestGatedDecisionsNameSubmittedJobs: a gated single session's
+// /decisions name each job by the ID its /jobs submit returned, also
+// after the token bucket has rejected some. (When the engine carried
+// the gate, /decisions named jobs by their position in the schedule,
+// which runs apart from the submit IDs at the first rejection.)
+func TestGatedDecisionsNameSubmittedJobs(t *testing.T) {
+	a := newAPI(t)
+	a.do("POST", "/v1/sessions", `{"id":"gated",`+mustJSON(t, gatedSingleCfg())[1:], http.StatusCreated)
+	var subs []string
+	orgOf := map[float64]float64{}
+	for i := 0; i < 20; i++ {
+		subs = append(subs, fmt.Sprintf(`{"org":%d,"size":4,"release":%d}`, i%2, 2*i))
+	}
+	reply := a.do("POST", "/v1/sessions/gated/jobs", `{"jobs":[`+strings.Join(subs, ",")+`]}`, http.StatusOK)
+	for i, id := range reply["ids"].([]any) {
+		orgOf[id.(float64)] = float64(i % 2)
+	}
+	a.do("POST", "/v1/sessions/gated/advance", `{"until":300}`, http.StatusOK)
+	stats := a.do("GET", "/v1/sessions/gated/state", "", http.StatusOK)["admission"].(map[string]any)["stats"].(map[string]any)
+	var admitted, rejected float64
+	for o := range 2 {
+		admitted += stats["admitted"].([]any)[o].(float64)
+		rejected += stats["rejected"].([]any)[o].(float64)
+	}
+	if rejected == 0 {
+		t.Fatal("the token bucket rejected nothing: the test does not exercise a rejection")
+	}
+	decs := a.do("GET", "/v1/sessions/gated/decisions", "", http.StatusOK)["decisions"].([]any)
+	if float64(len(decs)) != admitted {
+		t.Fatalf("%d decisions for %v admitted jobs", len(decs), admitted)
+	}
+	named := map[float64]bool{}
+	positional := true
+	for i, d := range decs {
+		d := d.(map[string]any)
+		job, org := d["job"].(float64), d["org"].(float64)
+		if want, ok := orgOf[job]; !ok || want != org || named[job] {
+			t.Fatalf("decision %d names job %v of organization %v: submitted %v (org %v), named before %v", i, job, org, ok, want, named[job])
+		}
+		named[job] = true
+		positional = positional && job < admitted
+	}
+	if positional {
+		t.Fatal("every decision names a job below the admitted count, as schedule positions would")
+	}
+}
+
+// deferred is Σ Deferred: the jobs parked on an admission retry.
+func deferred(st *metrics.AdmissionStats) int64 {
+	var n int64
+	for _, d := range st.Deferred {
+		n += d
+	}
+	return n
 }

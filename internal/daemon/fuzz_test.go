@@ -103,11 +103,13 @@ func benchShapes() (cfgs []daemon.SessionConfig, jobs [][]daemon.JobSubmission) 
 // FuzzSessionRestore posts doctored checkpoints at a session: numbers
 // overwritten, booleans flipped, strings blanked, arrays cut short or
 // stretched — of the four session shapes the benchmark serves, a gated
-// single session, a gated, stale, migrating federation, the committed
-// core-5 gated engine envelope (hypothetical schedules as waiting
-// counts), the committed old documents (the version-1 gated engine
-// envelope, the version-4 federation) and the two documents f912fcb
-// restored and then could not serve. A doctored document is refused, or it is a fixed
+// single session (a one-member federation), a gated, stale, migrating
+// federation, the committed envelopes of the engine's former admission
+// gate (a version-1 control block around version-1 and version-3
+// cluster states, and the core-5 envelope, hypothetical schedules as
+// waiting counts), which restore through the daemon's conversion, the
+// version-4 federation and the two documents f912fcb restored and then
+// could not serve. A doctored document is refused, or it is a fixed
 // point: the accepted session's checkpoint, posted to a fresh session
 // of the same configuration, is accepted and both answer byte-equal
 // /state and /decisions — a wrong-but-well-shaped number is believed

@@ -127,3 +127,33 @@ func readGolden(t testing.TB) map[string]string {
 	}
 	return out
 }
+
+// TestGatedSingleSessionsMatchGolden: a gated single session is a
+// one-member federation, and it runs exactly as the single-cluster
+// admission gate it replaced did — same decisions, ψ, φ and admission
+// counters on every (algorithm, admission spec, seed) of the golden
+// grid, its member on the seed the gate's engine ran with.
+func TestGatedSingleSessionsMatchGolden(t *testing.T) {
+	golden := readGolden(t)
+	if want := len(goldenAlgs) * len(goldenSpecs) * goldenSeeds; len(golden) != want {
+		t.Fatalf("%s holds %d runs, want %d", goldenFile, len(golden), want)
+	}
+	for _, alg := range goldenAlgs {
+		for _, sp := range goldenSpecs {
+			for seed := int64(0); seed < goldenSeeds; seed++ {
+				name := fmt.Sprintf("%s/%s/%d", alg, sp.name, seed)
+				orgs, machines, jobs := goldenWorkload(seed)
+				spec := sp.spec
+				s, err := NewManager().Create("g", SessionConfig{Kind: KindSingle, Alg: alg, Orgs: orgs, Machines: machines, Seed: seed, Admission: &spec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				driveOnline(t, s, jobs)
+				run := s.run.(*gatedRun)
+				if got := goldenLine(name, run.member.Engine, run.AdmissionStats()); got != golden[name] {
+					t.Errorf("gated single session differs from the gate's run:\n got %s\nwant %s", got, golden[name])
+				}
+			}
+		}
+	}
+}

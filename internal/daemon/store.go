@@ -234,9 +234,6 @@ func (f *Flusher) run() {
 	}
 }
 
-// Flushed returns the number of envelopes written so far.
-func (f *Flusher) Flushed() int64 { return f.flushed.Load() }
-
 // Stop halts the periodic flush and waits for an in-progress pass to
 // finish. It does not flush: callers wanting a final complete snapshot
 // call Manager.FlushTo afterwards.

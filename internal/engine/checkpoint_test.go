@@ -24,12 +24,12 @@ func TestCheckpointRestoreDeterminism(t *testing.T) {
 				horizon := inst.Horizon() + 2
 				mid := horizon / 2
 
-				uninterrupted := New(alg, inst.Clone(), seed)
+				uninterrupted := New(alg, clone(inst), seed)
 				if _, err := uninterrupted.Step(horizon); err != nil {
 					t.Fatal(err)
 				}
 
-				paused := New(alg, inst.Clone(), seed)
+				paused := New(alg, clone(inst), seed)
 				if _, err := paused.Step(mid); err != nil {
 					t.Fatal(err)
 				}
@@ -84,7 +84,7 @@ func TestCheckpointWithOnlineArrivals(t *testing.T) {
 			}
 
 			run := func(pause bool) *Engine {
-				e := New(alg, empty.Clone(), 5)
+				e := New(alg, clone(empty), 5)
 				if _, err := e.Feed(early); err != nil {
 					t.Fatal(err)
 				}

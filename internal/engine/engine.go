@@ -20,6 +20,7 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -38,13 +39,6 @@ type Engine struct {
 	now      model.Time
 	reported int   // starts already handed out by Step
 	feedIDs  []int // scratch for Feed's returned IDs, reused per call
-
-	// Optional admission gate (see gate.go). When nil — the default —
-	// Feed injects directly and Step never touches the plane's queue.
-	plane        *ctrl.Plane
-	admission    *ctrl.PolicySpec
-	gateProvider *ctrl.CachedSnapshotProvider
-	gateID       [1]int // the gate sink's ID scratch; feedIDs is the caller's until the next Feed
 }
 
 // New starts an incremental run of alg on inst. The engine takes
@@ -64,18 +58,20 @@ func (e *Engine) Seed() int64 { return e.seed }
 func (e *Engine) Instance() *model.Instance { return e.s.Instance() }
 
 // NextEventTime returns the earliest pending event across every
-// schedule the algorithm maintains — including, on a gated engine,
-// pending control events (queued arrivals and deferred admission
-// retries) — or sim.MaxTime when none remains (the run is drained
-// until more jobs are fed).
-func (e *Engine) NextEventTime() model.Time {
-	next := e.s.NextEventTime()
-	if e.plane != nil {
-		if t, ok := e.plane.NextEventTime(); ok && t < next {
-			next = t
-		}
+// schedule the algorithm maintains, or sim.MaxTime when none remains
+// (the run is drained until more jobs are fed).
+func (e *Engine) NextEventTime() model.Time { return e.s.NextEventTime() }
+
+// SetAdmission accepts only a nil spec: an engine runs ungated, and a
+// gated single-cluster run is a one-member fed.Federation, whose control
+// plane delivers each release before the member dispatches its instant.
+// Declared only because bench/replay.go configures its engines through
+// it; goes when bench/ stops naming it.
+func (e *Engine) SetAdmission(spec *ctrl.PolicySpec) error {
+	if spec != nil {
+		return errors.New("engine: admission control is a federation's; run a gated single cluster as a one-member fed.Federation")
 	}
-	return next
+	return nil
 }
 
 // Feed injects newly arrived jobs into the running simulation. Job IDs
@@ -102,35 +98,13 @@ func (e *Engine) Feed(jobs []model.Job) ([]int, error) {
 			return nil, fmt.Errorf("engine: feed: release %d before engine time %d", j.Release, e.now)
 		}
 	}
-	if e.plane != nil {
-		// Gated: jobs queue for their release instants and are injected
-		// when the control plane admits them (drainGate). The
-		// returned IDs are admission sequence numbers, not instance job
-		// IDs — a gated job may never get one.
-		e.feedIDs = e.feedIDs[:0]
-		for _, j := range jobs {
-			seq := e.plane.Arrive(ctrl.Job{Seq: -1, Org: j.Org, Size: j.Size, Release: j.Release}, j.Release)
-			e.feedIDs = append(e.feedIDs, int(seq))
-		}
-		return e.feedIDs, nil
-	}
-	ids, err := e.inject(e.feedIDs, jobs)
-	e.feedIDs = ids
-	return ids, err
-}
-
-// inject appends jobs to the live instance under the next job IDs
-// (returned in ids' backing array) and enters them into the running
-// schedule — the one way in, fed directly or admitted by the gate.
-func (e *Engine) inject(ids []int, jobs []model.Job) ([]int, error) {
-	inst := e.s.Instance()
-	ids = ids[:0]
+	e.feedIDs = e.feedIDs[:0]
 	for _, j := range jobs {
 		j.ID = len(inst.Jobs)
-		ids = append(ids, j.ID)
+		e.feedIDs = append(e.feedIDs, j.ID)
 		inst.Jobs = append(inst.Jobs, j)
 	}
-	return ids, e.s.Inject(ids)
+	return e.feedIDs, e.s.Inject(e.feedIDs)
 }
 
 // Withdraw removes a fed-but-not-yet-started job from the run: the job
@@ -168,26 +142,14 @@ func (e *Engine) Step(until model.Time) ([]sim.Start, error) {
 	if until < e.now {
 		return nil, fmt.Errorf("engine: step to %d before engine time %d", until, e.now)
 	}
-	if e.plane != nil {
-		if err := e.drainGate(until); err != nil {
-			return nil, err
-		}
-	}
-	e.advanceTo(until)
-	all := e.s.Starts()
-	fresh := all[e.reported:]
-	e.reported = len(all)
-	return fresh, nil
-}
-
-// advanceTo is the core stepping loop Step and the admission gate
-// share: process every schedule event at or before until and land the
-// clock on it.
-func (e *Engine) advanceTo(until model.Time) {
 	for e.s.StepNext(until) {
 	}
 	e.s.FinishAt(until)
 	e.now = until
+	all := e.s.Starts()
+	fresh := all[e.reported:]
+	e.reported = len(all)
+	return fresh, nil
 }
 
 // StepToNextEvent advances to the next pending event instant, if one
@@ -220,52 +182,30 @@ func (e *Engine) Result() *core.Result { return e.s.ResultAt(e.now) }
 
 // Snapshot serializes the run's complete deterministic state as JSON.
 // Restoring it — in this process or another — resumes the run
-// byte-identically: same future decisions, same ψ and φ. An ungated
-// engine emits a bare core checkpoint, a gated one wraps it in the
-// control-plane envelope (gate.go); Restore reads either.
+// byte-identically: same future decisions, same ψ and φ.
 func (e *Engine) Snapshot() ([]byte, error) {
 	cp, err := e.s.Capture(e.now)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := json.Marshal(cp)
-	if err != nil {
-		return nil, err
-	}
-	if e.plane != nil {
-		return e.snapshotGated(raw)
-	}
-	return raw, nil
+	return json.Marshal(cp)
 }
 
-// Restore rebuilds the engine that wrote a Snapshot: ungated from a bare
-// core checkpoint; from a gate envelope, gated under the spec it carries,
-// with pending control events, policy state, counters and cached view
-// resumed mid-round. The algorithm configuration must match the
-// capturing one (checkpoints carry only dynamic state).
+// Restore rebuilds the engine that wrote a Snapshot. The algorithm
+// configuration must match the capturing one (checkpoints carry only
+// dynamic state). It refuses the envelope a gated engine once wrapped
+// around its checkpoint: that run restores as a one-member federation.
 func Restore(alg core.StepperAlgorithm, data []byte) (*Engine, error) {
-	// The layouts share no key, so one document reads both: a bare
-	// checkpoint fills the embedded core.Checkpoint, an envelope the gate
-	// fields, leaving its core to be parsed once.
 	var doc struct {
 		core.Checkpoint
-		gatedCheckpoint
+		GateVersion int             `json:"gate_version"`
+		GateCore    json.RawMessage `json:"core"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
 	}
-	gated := doc.GateVersion != 0 || doc.Core != nil
-	if gated {
-		if doc.GateVersion != GateCheckpointVersion {
-			return nil, fmt.Errorf("engine: restore: gate envelope version %d, want %d", doc.GateVersion, GateCheckpointVersion)
-		}
-		if doc.Admission == nil || len(doc.Ctrl) == 0 {
-			return nil, fmt.Errorf("engine: restore: gate envelope carries no control-plane state")
-		}
-		doc.Checkpoint = core.Checkpoint{} // only the envelope's core counts
-		if err := json.Unmarshal(doc.Core, &doc.Checkpoint); err != nil {
-			return nil, fmt.Errorf("engine: restore: gate envelope core: %w", err)
-		}
+	if doc.GateVersion != 0 || doc.GateCore != nil {
+		return nil, errors.New("engine: restore: an admission gate envelope; a gated run restores as a one-member federation")
 	}
 	cp := &doc.Checkpoint
 	if cp.Version < 1 || cp.Version > core.CheckpointVersion {
@@ -279,15 +219,9 @@ func Restore(alg core.StepperAlgorithm, data []byte) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{s: s, seed: cp.Seed, now: cp.Now, reported: len(s.Starts())}
-	if gated {
-		if err := e.restoreGate(&doc.gatedCheckpoint); err != nil {
-			return nil, fmt.Errorf("engine: restore: %w", err)
-		}
-	}
 	// A job fed at the clock waits at it until the next Step; an event due
-	// earlier — a schedule's, or a job in the gate's queue — is one a Step
-	// to the clock would have processed, and stepping to it now would move
-	// the run backwards.
+	// earlier is one a Step to the clock would have processed, and
+	// stepping to it now would move the run backwards.
 	if t := e.NextEventTime(); t < e.now {
 		return nil, fmt.Errorf("engine: restore: an event is due at instant %d, before the checkpoint's clock %d", t, e.now)
 	}

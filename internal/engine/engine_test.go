@@ -62,6 +62,16 @@ func testInstance(r *rand.Rand, k int) *model.Instance {
 	return model.MustNewInstance(orgs, jobs)
 }
 
+// clone copies an instance, so that runs compared with one another
+// each own the one they append arrivals to.
+func clone(in *model.Instance) *model.Instance {
+	out := &model.Instance{Orgs: append([]model.Org(nil), in.Orgs...), Jobs: append([]model.Job(nil), in.Jobs...)}
+	for i := range out.Orgs {
+		out.Orgs[i].Speeds = append([]int(nil), in.Orgs[i].Speeds...)
+	}
+	return out
+}
+
 func assertSameRun(t *testing.T, label string, want, got *core.Result, wantStarts, gotStarts []sim.Start) {
 	t.Helper()
 	if len(wantStarts) != len(gotStarts) {
@@ -103,7 +113,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 				k := 2 + r.Intn(4)
 				inst := testInstance(r, k)
 				horizon := inst.Horizon() + 2
-				batch := alg.Run(inst.Clone(), horizon, seed)
+				batch := alg.Run(clone(inst), horizon, seed)
 
 				empty, err := model.NewInstance(inst.Orgs, nil)
 				if err != nil {
@@ -151,11 +161,11 @@ func TestStepGranularityInvariance(t *testing.T) {
 			r := rand.New(rand.NewSource(77))
 			inst := testInstance(r, 3)
 			horizon := inst.Horizon() + 1
-			coarse := New(alg, inst.Clone(), 3)
+			coarse := New(alg, clone(inst), 3)
 			if _, err := coarse.Step(horizon); err != nil {
 				t.Fatal(err)
 			}
-			fine := New(alg, inst.Clone(), 3)
+			fine := New(alg, clone(inst), 3)
 			var collected []sim.Start
 			for tm := model.Time(0); tm <= horizon; tm++ {
 				starts, err := fine.Step(tm)
@@ -223,8 +233,8 @@ func TestMidRunResultMatchesTruncatedBatch(t *testing.T) {
 	inst := testInstance(r, 3)
 	horizon := inst.Horizon()/2 + 1
 	for _, alg := range steppers() {
-		batch := alg.Run(inst.Clone(), horizon, 9)
-		e := New(alg, inst.Clone(), 9)
+		batch := alg.Run(clone(inst), horizon, 9)
+		e := New(alg, clone(inst), 9)
 		if _, err := e.Step(horizon); err != nil {
 			t.Fatal(err)
 		}

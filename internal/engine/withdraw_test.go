@@ -43,7 +43,7 @@ func TestWithdrawCheckpointDeterminism(t *testing.T) {
 					return -1
 				}
 
-				straight := New(alg, inst.Clone(), seed)
+				straight := New(alg, clone(inst), seed)
 				if _, err := straight.Step(mid); err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +77,7 @@ func TestWithdrawCheckpointDeterminism(t *testing.T) {
 				// Interrupted twin: same prefix, withdraw, snapshot,
 				// restore, and the snapshot of the restored engine must be
 				// byte-identical — the tombstone survives serialization.
-				paused := New(alg, inst.Clone(), seed)
+				paused := New(alg, clone(inst), seed)
 				if _, err := paused.Step(mid); err != nil {
 					t.Fatal(err)
 				}

@@ -219,11 +219,6 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 			// federation's clock, and the next one starts from there.
 			return nil, fmt.Errorf("fed: restore: cluster %d (%s) stands at instant %d, the federation at %d", i, spec.Name, eng.Now(), cp.Now)
 		}
-		if eng.Admission() != nil {
-			// Admission is the federation's, in front of routing; a gate
-			// inside a member would shed jobs the ledger counts as fed.
-			return nil, fmt.Errorf("fed: restore: cluster %d (%s) carries an admission gate; member engines are never gated", i, spec.Name)
-		}
 		if got := len(eng.Instance().Jobs); len(mc.SeqOf) != got || len(mc.OriginOf) != got {
 			return nil, fmt.Errorf("fed: restore: cluster %d (%s) has %d/%d sequence/origin mappings for %d jobs",
 				i, spec.Name, len(mc.SeqOf), len(mc.OriginOf), got)

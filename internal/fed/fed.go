@@ -464,14 +464,11 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 		return nil, fmt.Errorf("fed: step to %d before federation time %d", until, f.now)
 	}
 	f.sortPending()
-	for at := until; ; {
+	for {
 		t := f.nextInstant()
-		if t > until {
-			at = until
-		} else if at = t - 1; at < f.now {
-			at = f.now // an instant the members already stand at
-		}
-		if err := f.advanceMembers(at); err != nil {
+		// Through t−1, or to until once nothing is due by then; never
+		// back before the instant the members stand at.
+		if err := f.advanceMembers(max(min(t-1, until), f.now)); err != nil {
 			return nil, err
 		}
 		if t > until {
@@ -592,18 +589,6 @@ func (s *fedSink) Route(job ctrl.Job, t model.Time, view ctrl.View) error {
 	}
 	s.f.ledger.route(job.Origin, target, int64(job.Size))
 	return nil
-}
-
-// StepToNextEvent advances to the next pending event instant, if one
-// exists, and returns its decisions. The second result reports whether
-// an event existed.
-func (f *Federation) StepToNextEvent() ([]Decision, bool, error) {
-	t := f.NextEventTime()
-	if t == sim.MaxTime {
-		return nil, false, nil
-	}
-	decs, err := f.Step(t)
-	return decs, true, err
 }
 
 // advanceMembers steps every member engine to t, folds their fresh

@@ -10,7 +10,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/ctrl"
-	"repro/internal/engine"
 	"repro/internal/fed"
 	"repro/internal/gen"
 	"repro/internal/metrics"
@@ -403,24 +402,8 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Admission belongs to the federation, in front of routing: a member
-	// snapshot wrapped in a gate envelope is refused, though an engine on
-	// its own would restore gated from it.
-	orgList := make([]model.Org, len(w.Orgs))
-	for o, name := range w.Orgs {
-		orgList[o] = model.Org{Name: name, Machines: w.Machines[0][o]}
-	}
-	gatedEng := engine.New(algFactory("directcontr"), model.MustNewInstance(orgList, nil), 1)
-	if err := gatedEng.SetAdmission(&ctrl.PolicySpec{Policy: "always"}); err != nil {
-		t.Fatal(err)
-	}
-	envelope, err := gatedEng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env map[string]json.RawMessage
-	if err := json.Unmarshal(envelope, &env); err != nil {
-		t.Fatal(err)
-	}
+	// snapshot wrapped in the envelope a gated engine once wrote is
+	// refused — engines run ungated.
 	if err := json.Unmarshal(snap, &cp); err != nil {
 		t.Fatal(err)
 	}
@@ -428,13 +411,7 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 	if err := json.Unmarshal(cp["members"], &members); err != nil {
 		t.Fatal(err)
 	}
-	env["core"] = members[0]["engine"]
-	if members[0]["engine"], err = json.Marshal(env); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.Restore(algFactory("directcontr"), members[0]["engine"]); err != nil {
-		t.Fatalf("the wrapped member snapshot is not a valid gate envelope: %v", err)
-	}
+	members[0]["engine"] = json.RawMessage(`{"gate_version":1,"admission":{"policy":"always"},"ctrl":{},"core":` + string(members[0]["engine"]) + `}`)
 	if cp["members"], err = json.Marshal(members); err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +419,7 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, wrapped); err == nil || !strings.Contains(err.Error(), "never gated") {
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, wrapped); err == nil || !strings.Contains(err.Error(), "gate envelope") {
 		t.Errorf("gated member snapshot: %v", err)
 	}
 }

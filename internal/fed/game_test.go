@@ -1,14 +1,10 @@
 package fed_test
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fed"
 	"repro/internal/model"
 	"repro/internal/shapley"
@@ -146,102 +142,10 @@ func TestFedRefRouteLedger(t *testing.T) {
 	}
 }
 
-// A 1-member federation under FedREF must reproduce single-cluster REF
-// byte for byte: identical decisions, ψ and exact φ — the differential
-// anchor tying the federation-level game back to the paper's
-// single-cluster algorithm.
+// A 1-member federation under FedREF must reproduce its member's
+// single-cluster run byte for byte, whatever the member's algorithm:
+// identical decisions, ψ and exact φ — the differential anchor tying the
+// federation-level game back to the paper's single-cluster algorithm.
 func TestOneMemberFedRefMatchesSingleClusterRef(t *testing.T) {
-	assertOneMemberMatchesRef(t, fed.RefPolicy{}, 0)
-}
-
-// assertOneMemberMatchesRef runs a 1-member federation under the given
-// policy/staleness and requires it to reproduce a standalone
-// single-cluster REF engine byte for byte. Shared with the migration
-// differential: with one member there is nowhere to migrate, so an
-// enabled migration pass must be inert.
-func assertOneMemberMatchesRef(t *testing.T, policy fed.Policy, staleness model.Time) {
-	t.Helper()
-	const horizon = 500
-	r := rand.New(rand.NewSource(77))
-	jobs := make([]model.Job, 60)
-	for i := range jobs {
-		jobs[i] = model.Job{
-			Org:     r.Intn(3),
-			Size:    model.Time(1 + r.Intn(9)),
-			Release: model.Time(r.Intn(horizon / 2)),
-		}
-	}
-	// Pre-sort by release so federation sequence numbers equal the
-	// standalone engine's feed order.
-	for i := 1; i < len(jobs); i++ {
-		for j := i; j > 0 && jobs[j].Release < jobs[j-1].Release; j-- {
-			jobs[j], jobs[j-1] = jobs[j-1], jobs[j]
-		}
-	}
-	machines := []int{2, 1, 1}
-
-	specs := []fed.ClusterSpec{{Name: "solo", Alg: core.RefAlgorithm{}, Machines: machines}}
-	f, err := fed.New([]string{"o0", "o1", "o2"}, specs, policy, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetStaleness(staleness)
-	for _, j := range jobs {
-		if _, err := f.Submit(0, j.Org, j.Size, j.Release); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f.Step(horizon); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Ledger().Migrations; got != 0 {
-		t.Fatalf("1-member federation migrated %d jobs", got)
-	}
-
-	orgs := make([]model.Org, len(machines))
-	for i, m := range machines {
-		orgs[i] = model.Org{Name: fmt.Sprintf("o%d", i), Machines: m}
-	}
-	inst, err := model.NewInstance(orgs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(core.RefAlgorithm{}, inst, 5)
-	if _, err := eng.Feed(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Step(horizon); err != nil {
-		t.Fatal(err)
-	}
-
-	fedDecs := f.Decisions()
-	engDecs := eng.Decisions()
-	if len(fedDecs) == 0 {
-		t.Fatal("federated run made no decisions")
-	}
-	if len(fedDecs) != len(engDecs) {
-		t.Fatalf("federation made %d decisions, single-cluster REF %d", len(fedDecs), len(engDecs))
-	}
-	for i := range fedDecs {
-		fd, ed := fedDecs[i], engDecs[i]
-		if fd.Cluster != 0 || fd.Seq != int64(ed.Job) || fd.Org != ed.Org || fd.Machine != ed.Machine || fd.At != ed.At {
-			t.Fatalf("decision %d differs: federation %+v, engine %+v", i, fd, ed)
-		}
-	}
-	fedRes := f.Members()[0].Engine().Result()
-	engRes := eng.Result()
-	a, err := json.Marshal(fedRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(engRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("1-member FedREF result diverged from single-cluster REF:\n%s\nvs\n%s", a, b)
-	}
+	assertOneMemberMatchesSingleCluster(t, fed.RefPolicy{}, 0, oneMemberSeeds)
 }

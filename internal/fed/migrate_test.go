@@ -52,11 +52,12 @@ func TestMigrationDisabledMatchesBase(t *testing.T) {
 
 // TestOneMemberMigrationMatchesSingleClusterRef: the second migration
 // differential — a 1-member federation with migration enabled has
-// nowhere to move anything, so it must still reproduce single-cluster
-// REF byte for byte, stale gossip and all.
+// nowhere to move anything, so it must still reproduce its member's
+// single-cluster run byte for byte, stale gossip and all.
 func TestOneMemberMigrationMatchesSingleClusterRef(t *testing.T) {
-	assertOneMemberMatchesRef(t, fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget}, 0)
-	assertOneMemberMatchesRef(t, fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget}, 35)
+	migrating := fed.Migrating{Inner: fed.RefPolicy{}, Budget: fed.DefaultMigrationBudget}
+	assertOneMemberMatchesSingleCluster(t, migrating, 0, oneMemberSeeds/4)
+	assertOneMemberMatchesSingleCluster(t, migrating, 35, oneMemberSeeds/4)
 }
 
 // TestMigrationMovesQueuedJobs: on the deliberately imbalanced

@@ -30,7 +30,8 @@ import (
 //
 // Ties prefer the origin cluster, then the lowest index; a fresh
 // federation (zero time, zero ledger) routes every job home, and a
-// 1-member federation reproduces single-cluster behavior exactly.
+// 1-member federation reproduces single-cluster behavior exactly
+// (TestOneMemberFedNbsMatchesSingleClusterRef, every algorithm).
 type NBSPolicy struct{}
 
 // Name implements Policy.

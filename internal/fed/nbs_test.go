@@ -59,11 +59,11 @@ func TestFedNbsIndividualRationality(t *testing.T) {
 	}
 }
 
-// A 1-member federation under FedNBS must reproduce single-cluster REF
-// byte for byte, exactly as FedREF does — the differential anchor for
-// the bargaining policy. The migrating composition must be inert with
-// nowhere to migrate.
+// A 1-member federation under FedNBS must reproduce its member's
+// single-cluster run byte for byte, exactly as FedREF does — the
+// differential anchor for the bargaining policy. The migrating
+// composition must be inert with nowhere to migrate.
 func TestOneMemberFedNbsMatchesSingleClusterRef(t *testing.T) {
-	assertOneMemberMatchesRef(t, fed.NBSPolicy{}, 0)
-	assertOneMemberMatchesRef(t, fed.Migrating{Inner: fed.NBSPolicy{}, Budget: fed.DefaultMigrationBudget}, 0)
+	assertOneMemberMatchesSingleCluster(t, fed.NBSPolicy{}, 0, oneMemberSeeds)
+	assertOneMemberMatchesSingleCluster(t, fed.Migrating{Inner: fed.NBSPolicy{}, Budget: fed.DefaultMigrationBudget}, 0, oneMemberSeeds/4)
 }

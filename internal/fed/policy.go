@@ -296,7 +296,8 @@ const fedRefSampleBudget = 256
 //
 // Ties prefer the origin cluster, then the lowest index; a fresh
 // federation (all zeros) therefore routes every job home, and a
-// 1-member federation reproduces single-cluster behavior exactly. The
+// 1-member federation reproduces single-cluster behavior exactly
+// (TestOneMemberFedRefMatchesSingleClusterRef, every algorithm). The
 // exact evaluator is shapley.Contrib — φ_c is an integer numerator over
 // lcm(1..k) — so members symmetric in the game tie bit for bit and the
 // rule above, not rounding, decides between them.

@@ -101,18 +101,6 @@ func NewSWFSource(r io.Reader, clusters, orgs int, seed int64) (*SWFSource, erro
 	}, nil
 }
 
-// SetSlack overrides the reorder buffer size (records held back to
-// re-sort local submit-order jitter). Call before the first Next.
-func (s *SWFSource) SetSlack(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.slack = n
-}
-
-// Skipped returns the number of unusable archive records skipped so far.
-func (s *SWFSource) Skipped() int { return s.r.Skipped() }
-
 // Next implements JobSource. Disorder wider than the reorder slack is
 // detected here, at the pull: the record about to be emitted cannot
 // precede one already emitted, or the downstream federation would see

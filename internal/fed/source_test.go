@@ -179,7 +179,7 @@ func TestStreamingMatchesEager(t *testing.T) {
 			if len(chunked.Decisions()) == 0 {
 				t.Fatal("chunked run made no decisions")
 			}
-			if st := chunked.AdmissionStats(); sc.admission != nil && st.TotalDeferred() == 0 {
+			if st := chunked.AdmissionStats(); sc.admission != nil && deferred(st) == 0 {
 				t.Fatal("the gate deferred nothing — the case does not exercise admission")
 			}
 			if _, ok := sc.policy.(fed.MigratingPolicy); ok && chunked.Ledger().Migrations == 0 {

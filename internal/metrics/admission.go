@@ -101,10 +101,6 @@ func (s *AdmissionStats) TotalAdmitted() int64 { return sum(s.Admitted) }
 // TotalRejected returns Σ Rejected.
 func (s *AdmissionStats) TotalRejected() int64 { return sum(s.Rejected) }
 
-// TotalDeferred returns Σ Deferred — the jobs currently parked in the
-// control plane awaiting an admission retry.
-func (s *AdmissionStats) TotalDeferred() int64 { return sum(s.Deferred) }
-
 func sum(xs []int64) int64 {
 	var t int64
 	for _, x := range xs {

@@ -64,19 +64,6 @@ func (c Coalition) EachMember(f func(i int)) {
 	}
 }
 
-// EachSubset calls f for every subset of c, including the empty coalition
-// and c itself. The enumeration order is decreasing as masks.
-func (c Coalition) EachSubset(f func(sub Coalition)) {
-	sub := c
-	for {
-		f(sub)
-		if sub == 0 {
-			return
-		}
-		sub = (sub - 1) & c
-	}
-}
-
 // String renders the coalition as "{0,2,5}".
 func (c Coalition) String() string {
 	var b strings.Builder

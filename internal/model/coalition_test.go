@@ -114,3 +114,16 @@ func TestString(t *testing.T) {
 		t.Errorf("singleton = %q", got)
 	}
 }
+
+// EachSubset calls f for every subset of c, including the empty coalition
+// and c itself. The enumeration order is decreasing as masks.
+func (c Coalition) EachSubset(f func(sub Coalition)) {
+	sub := c
+	for {
+		f(sub)
+		if sub == 0 {
+			return
+		}
+		sub = (sub - 1) & c
+	}
+}

@@ -228,18 +228,6 @@ func (in *Instance) TotalCapacity() int64 {
 	return c
 }
 
-// Clone returns a deep copy of the instance.
-func (in *Instance) Clone() *Instance {
-	out := &Instance{
-		Orgs: append([]Org(nil), in.Orgs...),
-		Jobs: append([]Job(nil), in.Jobs...),
-	}
-	for i := range out.Orgs {
-		out.Orgs[i].Speeds = append([]int(nil), in.Orgs[i].Speeds...)
-	}
-	return out
-}
-
 // Restrict returns the sub-instance visible to coalition c: only the
 // members' organizations keep machines and only their jobs remain. The
 // organization indexing is preserved (non-members keep their slots with

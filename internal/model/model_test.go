@@ -140,3 +140,15 @@ func TestClone(t *testing.T) {
 		t.Fatal("Clone shares memory with source")
 	}
 }
+
+// Clone returns a deep copy of the instance.
+func (in *Instance) Clone() *Instance {
+	out := &Instance{
+		Orgs: append([]Org(nil), in.Orgs...),
+		Jobs: append([]Job(nil), in.Jobs...),
+	}
+	for i := range out.Orgs {
+		out.Orgs[i].Speeds = append([]int(nil), in.Orgs[i].Speeds...)
+	}
+	return out
+}

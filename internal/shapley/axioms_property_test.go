@@ -65,7 +65,7 @@ func TestAxiomSymmetry(t *testing.T) {
 		g := randomGame(r, n)
 		i, j := 0, 1+r.Intn(n-1)
 		rest := model.Grand(n).Without(i).Without(j)
-		rest.EachSubset(func(s model.Coalition) {
+		eachSubset(rest, func(s model.Coalition) {
 			g.Set(s.With(j), g.Value(s.With(i)))
 		})
 		for _, e := range evaluators() {
@@ -91,7 +91,7 @@ func TestAxiomDummyPlayerAllEvaluators(t *testing.T) {
 		c := math.Floor(r.Float64() * 50)
 		g := randomGame(r, n)
 		rest := model.Grand(n).Without(d)
-		rest.EachSubset(func(s model.Coalition) {
+		eachSubset(rest, func(s model.Coalition) {
 			g.Set(s.With(d), g.Value(s)+c)
 		})
 		for _, e := range evaluators() {

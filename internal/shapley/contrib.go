@@ -141,9 +141,6 @@ func (ct *Contrib) SetValue(c model.Coalition, v int64) {
 	}
 }
 
-// Value reads coalition c's snapshot value.
-func (ct *Contrib) Value(c model.Coalition) int64 { return ct.vals[c] }
-
 // Refresh snapshots every non-empty coalition's value from the game at
 // time t.
 func (ct *Contrib) Refresh(g ContribGame, t model.Time) {

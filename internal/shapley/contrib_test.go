@@ -138,7 +138,7 @@ func subsetWeights(k int) [][]float64 {
 func subsetSumPhi(ct *Contrib, mask model.Coalition) []float64 {
 	phi := make([]float64, ct.players())
 	w := subsetWeights(ct.players())[mask.Size()]
-	mask.EachSubset(func(sub model.Coalition) { // the empty one, last, adds nothing
+	eachSubset(mask, func(sub model.Coalition) { // the empty one, last, adds nothing
 		weight := w[sub.Size()]
 		sub.EachMember(func(u int) {
 			phi[u] += weight * float64(ct.vals[sub]-ct.vals[sub.Without(u)])

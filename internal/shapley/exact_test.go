@@ -47,7 +47,7 @@ func ratPhi(vals []int64, mask model.Coalition, u int) *big.Rat {
 	for s := range bySize {
 		bySize[s] = new(big.Int)
 	}
-	mask.Without(u).EachSubset(func(sub model.Coalition) {
+	eachSubset(mask.Without(u), func(sub model.Coalition) {
 		m := new(big.Int).Sub(big.NewInt(vals[sub.With(u)]), big.NewInt(vals[sub]))
 		bySize[sub.Size()].Add(bySize[sub.Size()], m)
 	})
@@ -368,5 +368,16 @@ func BenchmarkContribGrand(b *testing.B) {
 			ct.SetValue(mask, vals[mask])
 		}
 		ct.PhiInto(model.Grand(n), phi)
+	}
+}
+
+// eachSubset calls f for every subset of c, including the empty
+// coalition and c itself, in decreasing mask order.
+func eachSubset(c model.Coalition, f func(sub model.Coalition)) {
+	for sub := c; ; sub = (sub - 1) & c {
+		f(sub)
+		if sub == 0 {
+			return
+		}
 	}
 }

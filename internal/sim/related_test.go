@@ -69,7 +69,7 @@ func TestRelatedSpeedOneEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randInstance(r, false)
-		ones := in.Clone()
+		ones := &model.Instance{Orgs: append([]model.Org(nil), in.Orgs...), Jobs: append([]model.Job(nil), in.Jobs...)}
 		for i := range ones.Orgs {
 			ones.Orgs[i].Speeds = make([]int, ones.Orgs[i].Machines)
 			for m := range ones.Orgs[i].Speeds {

@@ -38,3 +38,9 @@ func TestAddScaledWindowEdges(t *testing.T) {
 		t.Fatalf("ψ = %d", got)
 	}
 }
+
+// PsiAt evaluates ψsp at time t given the recorded slots. Every recorded
+// slot must satisfy τ < t for the value to correspond to Equation 3.
+func (a *Account) PsiAt(t model.Time) int64 {
+	return int64(t)*a.U - a.S
+}

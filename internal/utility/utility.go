@@ -121,9 +121,3 @@ func (a *Account) Add(b Account) {
 	a.U += b.U
 	a.S += b.S
 }
-
-// PsiAt evaluates ψsp at time t given the recorded slots. Every recorded
-// slot must satisfy τ < t for the value to correspond to Equation 3.
-func (a *Account) PsiAt(t model.Time) int64 {
-	return int64(t)*a.U - a.S
-}

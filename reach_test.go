@@ -2,7 +2,10 @@
 // a non-test file under internal/ must be reached from some program —
 // a main package under cmd/, examples/ or bench/ — through non-test
 // code. A function only tests call is an oracle, and an oracle lives in
-// the _test.go file of the package whose tests use it.
+// the _test.go file of the package whose tests use it. A method counts
+// as reached when reached code names it, or when its type is reached
+// and an interface reached code uses requires it: a method no program
+// calls, directly or through an interface, is an oracle too.
 package repro_test
 
 import (
@@ -25,10 +28,15 @@ import (
 	"time"
 )
 
-// reachAllowlist names identifiers that stay in shipped code although
-// no program reaches them: each is an extra root, with the reason.
+// reachAllowlist names identifiers (path.Name, or path.Type.Method)
+// that stay in shipped code although no program reaches them: each is
+// an extra root, with the reason.
 var reachAllowlist = map[string]string{
-	"repro/internal/shapley.Exact": "the float subset formula (Equation 1): core's tests hold REF's exact φ to it, an oracle computed apart from the Contrib engine",
+	"repro/internal/shapley.Exact":                "the float subset formula (Equation 1): core's tests hold REF's exact φ to it, an oracle computed apart from the Contrib engine",
+	"repro/internal/model.Instance.Restrict":      "the sub-instance a coalition schedules alone, the paper's v(C): core's tests hold REF's embedded subcoalition schedules to an independent run on it, and model's to its definition",
+	"repro/internal/sim.Cluster.Now":              "a cluster's clock: core's tests read a subcoalition slot's between steps, as sim's read their own clusters'",
+	"repro/internal/sim.Cluster.View":             "the read-only view a cluster's policy reads: core's tests count a subcoalition slot's waiting and running jobs through it, as sim's do",
+	"repro/internal/fed.Federation.SubmitThrough": "streaming ingestion: a driver alternates it with Step to replay a job source in one step's memory (the SWF and scenario sources implement its JobSource); its tests and fuzzer hold it to eager submission, and no shipped program replays a stream yet",
 }
 
 // listedPackage is the part of `go list -json` the check reads.
@@ -81,8 +89,28 @@ func TestShippedCodeIsReachable(t *testing.T) {
 	})
 
 	decls := map[types.Object]declared{}
-	methods := map[*types.TypeName][]types.Object{}
 	var roots, shipped []types.Object
+	// Interfaces a value of a reached type may be called through: the
+	// standard library's (its code calls String, Error, MarshalJSON,
+	// ServeHTTP and the like on values handed to it), and the module's
+	// that reached code names or calls a method of.
+	ifaces := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
+	for _, p := range pkgs {
+		if !p.Standard {
+			continue
+		}
+		pkg, err := std.Import(p.ImportPath)
+		if err != nil {
+			continue // a package without export data declares nothing the module links
+		}
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces[it] = true
+				}
+			}
+		}
+	}
 	for _, p := range pkgs {
 		if p.Standard {
 			continue
@@ -110,14 +138,7 @@ func TestShippedCodeIsReachable(t *testing.T) {
 					obj := info.Defs[d.Name]
 					decls[obj] = declared{d, info}
 					switch {
-					case d.Recv != nil:
-						recv := obj.Type().(*types.Signature).Recv().Type()
-						if ptr, ok := recv.(*types.Pointer); ok {
-							recv = ptr.Elem()
-						}
-						named := recv.(*types.Named).Obj()
-						methods[named] = append(methods[named], obj)
-					case d.Name.Name == "init", p.Name == "main" && d.Name.Name == "main":
+					case d.Name.Name == "init" && d.Recv == nil, p.Name == "main" && d.Name.Name == "main":
 						roots = append(roots, obj)
 					case internal:
 						shipped = append(shipped, obj)
@@ -147,6 +168,7 @@ func TestShippedCodeIsReachable(t *testing.T) {
 		}
 	}
 	reached := map[types.Object]bool{}
+	var reachedTypes []*types.TypeName
 	var reach func(types.Object)
 	reach = func(obj types.Object) {
 		switch o := obj.(type) {
@@ -160,31 +182,60 @@ func TestShippedCodeIsReachable(t *testing.T) {
 			return
 		}
 		reached[obj] = true
+		if tn, ok := obj.(*types.TypeName); ok {
+			reachedTypes = append(reachedTypes, tn)
+		}
 		ast.Inspect(d.node, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				if used := d.info.Uses[id]; used != nil {
+					if sig, ok := used.Type().(*types.Signature); ok && sig.Recv() != nil {
+						if it, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
+							ifaces[it] = true // a method called through an interface
+						}
+					}
+					if it, ok := used.Type().Underlying().(*types.Interface); ok {
+						if _, named := used.(*types.TypeName); named {
+							ifaces[it] = true
+						}
+					}
 					reach(used)
 				}
 			}
 			return true
 		})
-		// A reached type may be called through any interface it
-		// satisfies, so all its methods count as reached.
-		if tn, ok := obj.(*types.TypeName); ok {
-			for _, m := range methods[tn] {
-				reach(m)
+	}
+	// reachInterfaces reaches, for every reached type and every
+	// interface it satisfies, the methods the interface requires, until
+	// a pass reaches nothing new (a method may name new types and
+	// interfaces).
+	reachInterfaces := func() {
+		for before := -1; before != len(reached); {
+			before = len(reached)
+			for _, tn := range reachedTypes {
+				ptr := types.NewPointer(tn.Type())
+				for it := range ifaces {
+					if types.IsInterface(tn.Type()) || !types.Implements(ptr, it) {
+						continue
+					}
+					for i := 0; i < it.NumMethods(); i++ {
+						m := it.Method(i)
+						obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+						reach(obj)
+					}
+				}
 			}
 		}
 	}
 	for _, r := range roots {
 		reach(r)
 	}
+	reachInterfaces()
+	byName := map[string]types.Object{}
+	for _, obj := range shipped {
+		byName[qualified(obj)] = obj
+	}
 	for name, reason := range reachAllowlist {
-		dot := strings.LastIndex(name, ".")
-		var obj types.Object
-		if pkg := checked[name[:dot]]; pkg != nil {
-			obj = pkg.Scope().Lookup(name[dot+1:])
-		}
+		obj := byName[name]
 		switch {
 		case obj == nil || reason == "":
 			t.Errorf("allowlist entry %s: no such identifier, or no reason given", name)
@@ -194,12 +245,13 @@ func TestShippedCodeIsReachable(t *testing.T) {
 			reach(obj)
 		}
 	}
+	reachInterfaces()
 
 	var orphans []string
 	for _, obj := range shipped {
 		if !reached[obj] {
-			orphans = append(orphans, fmt.Sprintf("%s: %s.%s is reached by no program",
-				fset.Position(obj.Pos()), obj.Pkg().Path(), obj.Name()))
+			orphans = append(orphans, fmt.Sprintf("%s: %s is reached by no program",
+				fset.Position(obj.Pos()), qualified(obj)))
 		}
 	}
 	sort.Strings(orphans)
@@ -234,6 +286,20 @@ func listModule(t *testing.T) []listedPackage {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs
+}
+
+// qualified names obj as the allowlist does: path.Name, or
+// path.Type.Method for a method.
+func qualified(obj types.Object) string {
+	name := obj.Name()
+	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+		recv := sig.Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		name = recv.(*types.Named).Obj().Name() + "." + name
+	}
+	return obj.Pkg().Path() + "." + name
 }
 
 type importerFunc func(path string) (*types.Package, error)
