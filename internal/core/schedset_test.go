@@ -2,12 +2,15 @@ package core
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -206,69 +209,84 @@ func (p *countingPolicy) Select(t model.Time, m int) int {
 	return p.Policy.Select(t, m)
 }
 
-// The work a REF step does, counted on a stream shaped like the
-// shapley-k8 benchmark workload — 8 organizations on 16 Zipf-split
-// machines, 40 jobs of size 1..30 per 100 ticks, organizations drawn
-// with a tilt toward low indices — in both modes of the loop. Starts and
-// completions are recounted from each slot's view (released jobs of its
-// members minus those waiting, minus those running), not asked of the
-// set:
-//
-//   - steps: the default mode steps only to a keyed completion or a
-//     release, so it takes fewer than the reference mode, which steps to
-//     every completion of every slot;
-//   - touched slots per step, in the default mode split by what touched
-//     them: a completion in a slot with a job waiting, or a member's
-//     release in a dormant slot. The total is at most half the reference
-//     mode's 2^k−1 per step over the reference mode's steps — the counted
-//     form of the touched-set mode's cost claim (EXPERIMENTS.md §3) — and
-//     stays above a quarter of 2^k−1, well above 2^k/k, where k·log-cost
-//     re-sifts would match the flat key scan;
-//   - completions folded without a touch of their own: every completion
-//     but those in keyed slots at their instant. Both modes complete the
-//     same jobs by the horizon;
-//   - dispatching slots per instant, equal in both modes, and among them
-//     the contested ones, where two or more organizations wait: only
-//     those refresh targets (one retarget each) and ask Select in the
-//     default mode; the reference mode retargets at every dispatch and
-//     asks Select for every start.
-//
-// Most dispatches are uncontested; the test fails if fewer than 80 % are,
-// since skipping their refresh and their Selects is what the default
-// mode saves.
-func TestTouchedSetDensity(t *testing.T) {
-	const k, machines, rounds, perRound = 8, 16, 60, 40
-	const horizon = model.Time(100 * rounds)
+// densityOrgs and densityRounds shape the stream of densityStream.
+const densityOrgs, densityRounds = 8, 60
+
+// densityStream returns a stream shaped like the shapley-k8 benchmark
+// workload — 8 organizations on 16 Zipf-split machines, 40 jobs of size
+// 1..30 per 100 ticks for 60 rounds, organizations drawn with a tilt
+// toward low indices — and each organization's release instants in
+// ascending order.
+func densityStream() (*model.Instance, [][]model.Time) {
+	const machines, perRound = 16, 40
 	r := rand.New(rand.NewSource(7000))
-	orgs := make([]model.Org, k)
-	for i, m := range stats.ZipfSplit(machines, k, 1) {
+	orgs := make([]model.Org, densityOrgs)
+	for i, m := range stats.ZipfSplit(machines, densityOrgs, 1) {
 		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: m}
 	}
 	var jobs []model.Job
-	releasing := map[model.Time]model.Coalition{}
-	releases := make([][]model.Time, k) // per organization, ascending
-	for round := 0; round < rounds; round++ {
+	releases := make([][]model.Time, densityOrgs)
+	for round := 0; round < densityRounds; round++ {
 		for j := 0; j < perRound; j++ {
 			job := model.Job{
-				Org:     min(r.Intn(k), r.Intn(k)),
+				Org:     min(r.Intn(densityOrgs), r.Intn(densityOrgs)),
 				Release: model.Time(100*round + r.Intn(100)),
 				Size:    model.Time(1 + r.Intn(30)),
 			}
 			jobs = append(jobs, job)
-			releasing[job.Release] = releasing[job.Release].With(job.Org)
 			releases[job.Org] = append(releases[job.Org], job.Release)
 		}
 	}
 	for _, rs := range releases {
 		slices.Sort(rs)
 	}
-	in := model.MustNewInstance(orgs, jobs)
+	return model.MustNewInstance(orgs, jobs), releases
+}
+
+// work is what one schedule set did over the density stream, counted
+// from outside the set. Starts and completions are recounted from each
+// slot's view (released jobs of its members minus those waiting, minus
+// those running), not asked of the set.
+type work struct {
+	steps, touched int
+	// byCompletion and byRelease split the default mode's touches by
+	// cause; folded counts the completions processed without a touch of
+	// their own. The reference mode touches every slot and folds nothing.
+	byCompletion, byRelease, folded    int
+	dispatches, contested, retargets   int
+	starts, selects, completed, allocs int
+	perInstant                         map[model.Time]int // dispatching slots per instant
+}
+
+// line is w as a ledger line of exact integers, the form work.golden
+// keeps.
+func (w *work) line(label string, scan bool) string {
+	split := ""
+	if !scan {
+		split = fmt.Sprintf(" by_completion=%d by_release=%d folded=%d", w.byCompletion, w.byRelease, w.folded)
+	}
+	return fmt.Sprintf("%s steps=%d touched=%d%s dispatches=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d",
+		label, w.steps, w.touched, split, w.dispatches, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs)
+}
+
+// measureWork steps a set build returns over the density stream to its
+// horizon, its slots rebuilt on counting policies and its plug wrapped
+// in a countingPlug, and counts the work. allocs is
+// testing.AllocsPerRun of one step on a second set as build returns it,
+// mid-stream.
+func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, build func() *schedSet) *work {
+	t.Helper()
+	const horizon = model.Time(100 * densityRounds)
+	releasing := map[model.Time]model.Coalition{}
+	for _, j := range in.Jobs {
+		releasing[j.Release] = releasing[j.Release].With(j.Org)
+	}
 	// counts returns how many jobs a slot has started and completed, with
 	// the queues released up to t.
 	counts := func(c *sim.Cluster, t model.Time) (started, completed int) {
 		v := c.View()
 		running := 0
-		for u := range k {
+		for u := range releases {
 			if c.Coalition().Has(u) {
 				released, _ := slices.BinarySearch(releases[u], t+1)
 				started += released - v.Waiting(u)
@@ -277,108 +295,202 @@ func TestTouchedSetDensity(t *testing.T) {
 		}
 		return started, started - running
 	}
-	dispatches := map[RefDriver]map[model.Time]int{} // slots starting a job, per instant
-	completed := map[RefDriver]int{}
-	steps := map[RefDriver]int{}
-	var touchedHeap int
-	for _, driver := range []RefDriver{DriverHeap, DriverScan} {
-		ref := NewRef(in, RefOptions{Driver: driver})
-		s := ref.set()
-		plug := &countingPlug{plug: s.plug}
-		s.plug = plug
-		var count selectCount
-		s.q = sim.NewQueues(in)
-		for i, c := range s.slots {
-			s.slots[i] = s.q.NewCluster(c.Coalition(), &countingPolicy{Policy: c.Policy(), count: &count}, nil)
-			if i < len(s.slots)-1 {
-				s.slots[i].DiscardStarts()
-			}
+	s := build()
+	plug := &countingPlug{plug: s.plug}
+	s.plug = plug
+	var count selectCount
+	s.q = sim.NewQueues(in)
+	for i, c := range s.slots {
+		s.slots[i] = s.q.NewCluster(c.Coalition(), &countingPolicy{Policy: c.Policy(), count: &count}, nil)
+		if i < len(s.slots)-1 {
+			s.slots[i].DiscardStarts()
 		}
-		s.rekeyAll()
-		slots := len(s.slots)
-		started := make([]int, slots)
-		dispatches[driver] = map[model.Time]int{}
-		var touched, byCompletion, byRelease, onTime, starts, n int
-		var keyed, before []int
-		for at := s.instant(); at <= horizon; at = s.instant() {
-			keyed, before = keyed[:0], before[:0]
-			if !s.scan {
-				for i, key := range s.keys {
-					switch {
-					case key == at:
-						_, done := counts(s.slots[i], at-1)
-						keyed, before = append(keyed, i), append(before, done)
-					case s.open[i]&releasing[at] != 0:
-						byRelease++
-					}
-				}
-			}
-			if !s.StepNext(horizon) {
-				t.Fatalf("%s mode: no step at instant %d", driver, at)
-			}
-			steps[driver]++
-			if s.scan {
-				touched += slots
-			} else {
-				touched += len(s.touched)
-				byCompletion += len(keyed)
-				for j, i := range keyed {
-					_, done := counts(s.slots[i], at)
-					onTime += done - before[j]
-				}
-			}
-			for i, c := range s.slots {
-				if st, _ := counts(c, at); st > started[i] {
-					dispatches[driver][at]++
-					starts += st - started[i]
-					started[i] = st
-				}
-			}
-		}
-		s.FinishAt(horizon)
-		for _, c := range s.slots {
-			_, done := counts(c, horizon)
-			completed[driver] += done
-		}
-		for _, d := range dispatches[driver] {
-			n += d
-		}
-		per := func(x int) float64 { return float64(x) / float64(steps[driver]) }
-		uncontested := 1 - float64(count.contested)/float64(n)
-		split := ""
+	}
+	s.rekeyAll()
+	w := &work{perInstant: map[model.Time]int{}}
+	started := make([]int, len(s.slots))
+	var onTime int
+	var keyed, before []int
+	for at := s.instant(); at <= horizon; at = s.instant() {
+		keyed, before = keyed[:0], before[:0]
 		if !s.scan {
-			touchedHeap = touched
-			split = fmt.Sprintf(" (%.1f by a completion with a job waiting, %.1f by a member release), %.1f completions folded without a touch", per(byCompletion), per(byRelease), per(completed[driver]-onTime))
-			if byCompletion+byRelease != touched {
-				t.Errorf("%d slots touched, %d by a completion and %d by a release", touched, byCompletion, byRelease)
+			for i, key := range s.keys {
+				switch {
+				case key == at:
+					_, done := counts(s.slots[i], at-1)
+					keyed, before = append(keyed, i), append(before, done)
+				case s.open[i]&releasing[at] != 0:
+					w.byRelease++
+				}
 			}
 		}
-		t.Logf("%s: %d steps, %.1f per 100 ticks; per step %.1f/%d slots touched%s; %d dispatches, %d contested, %d retargets; %.1f %% uncontested; %d starts, %d skipped Select",
-			driver, steps[driver], float64(steps[driver])/rounds, per(touched), slots, split, n, count.contested, plug.retargets, 100*uncontested, starts, starts-count.selects)
-		if want := map[RefDriver]int{DriverHeap: count.contested, DriverScan: n}[driver]; plug.retargets != want {
-			t.Errorf("%s mode: %d retargets, want %d (%d dispatches, %d contested)", driver, plug.retargets, want, n, count.contested)
+		if !s.StepNext(horizon) {
+			t.Fatalf("no step at instant %d", at)
 		}
-		if s.scan && count.selects != starts {
-			t.Errorf("reference mode: %d Selects for %d starts", count.selects, starts)
+		w.steps++
+		if s.scan {
+			w.touched += len(s.slots)
+		} else {
+			w.touched += len(s.touched)
+			w.byCompletion += len(keyed)
+			for j, i := range keyed {
+				_, done := counts(s.slots[i], at)
+				onTime += done - before[j]
+			}
 		}
-		if uncontested < 0.8 {
+		for i, c := range s.slots {
+			if st, _ := counts(c, at); st > started[i] {
+				w.perInstant[at]++
+				w.starts += st - started[i]
+				started[i] = st
+			}
+		}
+	}
+	s.FinishAt(horizon)
+	for _, c := range s.slots {
+		_, done := counts(c, horizon)
+		w.completed += done
+	}
+	for _, d := range w.perInstant {
+		w.dispatches += d
+	}
+	w.contested, w.retargets, w.selects = count.contested, plug.retargets, count.selects
+	if !s.scan {
+		w.folded = w.completed - onTime
+		if w.byCompletion+w.byRelease != w.touched {
+			t.Errorf("%d slots touched, %d by a completion and %d by a release", w.touched, w.byCompletion, w.byRelease)
+		}
+	}
+	if want := map[bool]int{false: w.contested, true: w.dispatches}[s.scan]; w.retargets != want {
+		t.Errorf("%d retargets, want %d (%d dispatches, %d contested)", w.retargets, want, w.dispatches, w.contested)
+	}
+	if s.scan && w.selects != w.starts {
+		t.Errorf("reference mode: %d Selects for %d starts", w.selects, w.starts)
+	}
+	m := build()
+	for m.instant() < horizon/2 {
+		m.StepNext(horizon)
+	}
+	const runs = 100
+	stepped := 0
+	w.allocs = int(testing.AllocsPerRun(runs, func() {
+		if m.StepNext(horizon) {
+			stepped++
+		}
+	}))
+	if stepped != runs+1 { // AllocsPerRun warms up with one call
+		t.Fatalf("%d of %d measured calls stepped", stepped, runs+1)
+	}
+	return w
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/work.golden")
+
+// The work REF does per step, in both modes of the loop, and RAND(N=15)
+// in the default mode, counted on densityStream (measureWork) and held
+// to testdata/work.golden (go test -run TestTouchedSetDensity -update
+// rewrites it): a change that claims a cheaper step and leaves the file
+// as it is did the same work more cheaply. Per mode:
+//
+//   - steps: the default mode steps only to a keyed completion or a
+//     release, so it takes fewer than the reference mode, which steps to
+//     every completion of every slot;
+//   - touched slots, in the default mode split by what touched them: a
+//     completion in a slot with a job waiting, or a member's release in
+//     a dormant slot. REF's total is at most half the reference mode's
+//     2^k−1 per step over the reference mode's steps — the counted form
+//     of the touched-set mode's cost claim (EXPERIMENTS.md §3) — and
+//     stays above a quarter of 2^k−1 per step, well above 2^k/k, where
+//     k·log-cost re-sifts would match the flat key scan;
+//   - completions folded without a touch of their own: every completion
+//     but those in keyed slots at their instant. Both modes complete the
+//     same jobs by the horizon;
+//   - dispatching slots per instant, equal in both modes, and among them
+//     the contested ones, where two or more organizations wait: only
+//     those refresh targets (one retarget each) and ask Select in the
+//     default mode; the reference mode retargets at every dispatch and
+//     asks Select for every start;
+//   - allocations per step, mid-stream.
+//
+// Most of REF's dispatches are uncontested; the test fails if fewer
+// than 80 % are, since skipping their refresh and their Selects is what
+// the default mode saves.
+func TestTouchedSetDensity(t *testing.T) {
+	in, releases := densityStream()
+	slots := 1<<densityOrgs - 1
+	ledger := []string{
+		fmt.Sprintf("# Work over densityStream: %d organizations, %d jobs, %d rounds of 100 ticks; REF has %d slots.", densityOrgs, len(in.Jobs), densityRounds, slots),
+		"# Counts are totals over the stream; allocs_per_step is testing.AllocsPerRun of one step, mid-stream.",
+	}
+	ref := map[RefDriver]*work{}
+	for _, driver := range []RefDriver{DriverHeap, DriverScan} {
+		w := measureWork(t, in, releases, func() *schedSet { return NewRef(in, RefOptions{Driver: driver}).set() })
+		ref[driver] = w
+		ledger = append(ledger, w.line("REF/"+driver.String(), driver == DriverScan))
+		if uncontested := 1 - float64(w.contested)/float64(w.dispatches); uncontested < 0.8 {
 			t.Errorf("%s mode: %.1f %% of dispatches uncontested, below 80 %%: the work the default mode skips is no longer the common case", driver, 100*uncontested)
 		}
-		if !s.scan && per(touched) < float64(slots)/4 {
-			t.Errorf("mean touched set %.1f of %d slots: the stream is sparse, the premise of the flat key scan does not hold on it", per(touched), slots)
+	}
+	rnd := measureWork(t, in, releases, func() *schedSet { return NewRandSched(in, 15, 1, RandOptions{}).set() })
+	ledger = append(ledger, rnd.line("RAND(N=15)/heap", false))
+	heap, scan := ref[DriverHeap], ref[DriverScan]
+	if 4*heap.touched < slots*heap.steps {
+		t.Errorf("mean touched set %.1f of %d slots: the stream is sparse, the premise of the flat key scan does not hold on it", float64(heap.touched)/float64(heap.steps), slots)
+	}
+	if !maps.Equal(heap.perInstant, scan.perInstant) {
+		t.Errorf("dispatching slots per instant differ between the modes:\n%v\n%v", heap.perInstant, scan.perInstant)
+	}
+	if heap.completed != scan.completed {
+		t.Errorf("%d jobs completed by the horizon in the default mode, %d in the reference mode", heap.completed, scan.completed)
+	}
+	if heap.steps >= scan.steps {
+		t.Errorf("the default mode took %d steps, the reference mode %d", heap.steps, scan.steps)
+	}
+	if 2*heap.touched > slots*scan.steps {
+		t.Errorf("the default mode touched %d slots, more than half the reference mode's %d slot-steps", heap.touched, slots*scan.steps)
+	}
+	got := strings.Join(ledger, "\n") + "\n"
+	t.Log("\n" + got)
+	const golden = "testdata/work.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		return
 	}
-	if !maps.Equal(dispatches[DriverHeap], dispatches[DriverScan]) {
-		t.Errorf("dispatching slots per instant differ between the modes:\n%v\n%v", dispatches[DriverHeap], dispatches[DriverScan])
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if completed[DriverHeap] != completed[DriverScan] {
-		t.Errorf("%d jobs completed by the horizon in the default mode, %d in the reference mode", completed[DriverHeap], completed[DriverScan])
+	if got != string(want) {
+		t.Errorf("the work ledger moved (rewrite with -update if that is meant):\ngot:\n%swant:\n%s", got, want)
 	}
-	if steps[DriverHeap] >= steps[DriverScan] {
-		t.Errorf("the default mode took %d steps, the reference mode %d", steps[DriverHeap], steps[DriverScan])
-	}
-	if slots := 1<<k - 1; 2*touchedHeap > slots*steps[DriverScan] {
-		t.Errorf("the default mode touched %d slots, more than half the reference mode's %d slot-steps", touchedHeap, slots*steps[DriverScan])
+}
+
+// BenchmarkScheduleSetStep is the stepping kernel TestTouchedSetDensity
+// counts: REF and RAND(N=15) in the default mode, stepped over
+// densityStream to its horizon. It reports ns per 100-tick round;
+// building the stepper is not timed.
+func BenchmarkScheduleSetStep(b *testing.B) {
+	in, _ := densityStream()
+	const horizon = model.Time(100 * densityRounds)
+	for _, bc := range []struct {
+		name  string
+		build func() Stepper
+	}{
+		{"ref", func() Stepper { return NewRef(in, RefOptions{}) }},
+		{"rand", func() Stepper { return NewRandSched(in, 15, 1, RandOptions{}) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := bc.build()
+				b.StartTimer()
+				for st.StepNext(horizon) {
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*densityRounds), "ns/round")
+		})
 	}
 }
 
