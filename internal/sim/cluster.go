@@ -35,7 +35,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/utility"
@@ -62,7 +62,7 @@ type Cluster struct {
 	coal    model.Coalition
 	inst    *model.Instance
 	now     model.Time
-	free    []int // free machine IDs, ascending unless a MachineOrderer reordered them
+	free    []int // free machine IDs, a stack: strictly descending, the lowest on top (last)
 	running runHeap
 	q       *Queues
 	lists   [][]int // q's, shared: org -> released job IDs by release
@@ -120,7 +120,6 @@ func newCluster(q *Queues, coal model.Coalition, p Policy, rng *rand.Rand) *Clus
 	}
 	c.owners = make([]int, 0, machines)
 	c.speeds = make([]int, 0, machines)
-	c.free = make([]int, 0, machines)
 	for org := 0; org < k; org++ {
 		if !coal.Has(org) {
 			continue
@@ -129,11 +128,13 @@ func newCluster(q *Queues, coal model.Coalition, p Policy, rng *rand.Rand) *Clus
 		c.capacityPerOrg[org] = o.Capacity()
 		c.capacity += o.Capacity()
 		for i := 0; i < o.Machines; i++ {
-			m := len(c.owners)
 			c.owners = append(c.owners, org)
 			c.speeds = append(c.speeds, o.Speed(i))
-			c.free = append(c.free, m)
 		}
+	}
+	c.free = make([]int, machines) // every machine, the lowest on top
+	for i := range c.free {
+		c.free[i] = machines - 1 - i
 	}
 	c.view = View{c}
 	if p != nil {
@@ -222,12 +223,13 @@ func (c *Cluster) book(org, m int, d *ValuePoly) {
 	}
 }
 
-// freeMachine puts machine m back into the free list, in order: the
-// list stays ascending, and Dispatch sorts only after a MachineOrderer.
+// freeMachine pushes machine m back onto the free stack, in order: it
+// is inserted from the top, past the free machines with lower IDs, so the
+// stack stays strictly descending.
 func (c *Cluster) freeMachine(m int) {
 	i := len(c.free)
 	c.free = append(c.free, m)
-	for ; i > 0 && c.free[i-1] > m; i-- {
+	for ; i > 0 && c.free[i-1] < m; i-- {
 		c.free[i] = c.free[i-1]
 	}
 	c.free[i] = m
@@ -344,32 +346,33 @@ func (c *Cluster) StartHeads(org int) { c.dispatch(c.waiting(org), org) }
 
 // dispatch starts min(free machines, jobs) waiting jobs, each the head
 // job of org, or of the organization the policy selects when org is -1.
+// It pops the machines off the free stack, in ascending ID order unless
+// a MachineOrderer reorders them.
 func (c *Cluster) dispatch(jobs, org int) {
-	if len(c.free) == 0 || jobs == 0 {
+	n := len(c.free)
+	if n == 0 || jobs == 0 {
 		return
 	}
 	if c.orderer != nil {
-		// Completions insert in order and the compaction below keeps the
-		// rest in place: only an earlier reordering can have left the
-		// list out of order.
-		if !sort.IntsAreSorted(c.free) {
-			sort.Ints(c.free)
-		}
+		// The orderer is handed the free machines ascending, and the
+		// stack then pops them in the order it leaves.
+		slices.Reverse(c.free)
 		c.orderer.OrderMachines(c.now, c.free)
+		slices.Reverse(c.free)
 	}
-	used := min(len(c.free), jobs)
-	for _, m := range c.free[:used] {
+	used := min(n, jobs)
+	for i := n - 1; i >= n-used; i-- {
+		m := c.free[i]
 		u := org
 		if u < 0 {
 			u = c.policy.Select(c.now, m)
 		}
 		c.startHead(u, m)
 	}
-	// Compact in place instead of reslicing forward: c.free[used:] would
-	// permanently surrender the consumed capacity, so steady-state
-	// completion appends (AdvanceTo) reallocate forever.
-	n := copy(c.free, c.free[used:])
-	c.free = c.free[:n]
+	c.free = c.free[:n-used]
+	if c.orderer != nil {
+		slices.SortFunc(c.free, func(a, b int) int { return b - a })
+	}
 }
 
 // startHead starts org's head job on machine m at the current time.
@@ -510,51 +513,58 @@ type runEntry struct {
 	Job, Machine int32
 }
 
-// runHeap is a binary min-heap ordered by (end, machine) for
-// deterministic completion processing.
-type runHeap []runEntry
-
-func (h runHeap) less(i, j int) bool {
-	if h[i].End != h[j].End {
-		return h[i].End < h[j].End
-	}
-	return h[i].Machine < h[j].Machine
+// before reports whether e completes before f: by end, then machine.
+func (e *runEntry) before(f *runEntry) bool {
+	return e.End < f.End || e.End == f.End && e.Machine < f.Machine
 }
+
+// runHeap is a binary min-heap ordered by (end, machine) for
+// deterministic completion processing. Both sifts move a hole and write
+// the moving entry once, where the hole stops; each level makes the
+// comparisons a swap would and moves the same entry, so the array —
+// which ClusterState.Running stores in order — is the one a swapping
+// heap leaves.
+type runHeap []runEntry
 
 func (h *runHeap) push(e runEntry) {
 	*h = append(*h, e)
-	i := len(*h) - 1
+	a := *h
+	i := len(a) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := (i - 1) / 2
+		if !e.before(&a[p]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+		a[i] = a[p]
+		i = p
 	}
+	a[i] = e
 }
 
 func (h *runHeap) pop() runEntry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
+	a := *h
+	top, n := a[0], len(a)-1
+	e := a[n]
+	a = a[:n]
+	*h = a
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h).less(l, smallest) {
-			smallest = l
-		}
-		if r < n && (*h).less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
+		if r := c + 1; r < n && a[r].before(&a[c]) {
+			c = r
+		}
+		if !a[c].before(&e) {
+			break
+		}
+		a[i] = a[c]
+		i = c
 	}
+	a[i] = e
 	return top
 }

@@ -442,8 +442,8 @@ func TestWithdrawArgumentValidation(t *testing.T) {
 // of event stepping, withdrawals and batches of arrivals on identical
 // or related machines. After each operation it holds every account to
 // the from-scratch oracle up to the next event, Contested to a recount
-// of the queues, the queues to checkQueues and the free list to
-// ascending order; then it drains and checks the conservation
+// of the queues, the queues to checkQueues and the free machines to
+// checkFreeStack; then it drains and checks the conservation
 // invariants — for the corners a uniform RNG rarely hits (withdraw
 // storms, empty queues, completions on fast machines, arrivals due at
 // the clock).
@@ -501,9 +501,7 @@ func FuzzClusterAccounting(f *testing.F) {
 			if gotJobs, gotOrgs := c.Waiting(); gotJobs != jobs || gotOrgs != orgs {
 				t.Fatalf("Waiting() = %d jobs of %v, the queues hold %d of %v", gotJobs, gotOrgs, jobs, orgs)
 			}
-			if !sort.IntsAreSorted(c.free) {
-				t.Fatalf("free machines %v out of order under a policy that does not reorder them", c.free)
-			}
+			checkFreeStack(t, c)
 			checkAccountsToNextEvent(t, c, horizon)
 			checkQueues(t, c.q, stepped)
 		}
@@ -511,6 +509,27 @@ func FuzzClusterAccounting(f *testing.F) {
 		checkAccountsToNextEvent(t, c, horizon)
 		checkWithdrawInvariants(t, in, c, withdrawn)
 	})
+}
+
+// checkFreeStack holds the free machines to the stack dispatch pops:
+// exactly the pool machines no running job holds, strictly descending,
+// so that the lowest ID is on top and the machines are taken in
+// ascending order. Dispatch restores the order after a MachineOrderer,
+// so it holds under every policy.
+func checkFreeStack(t *testing.T, c *Cluster) {
+	t.Helper()
+	busy := make([]bool, len(c.owners))
+	for _, r := range c.running {
+		busy[r.Machine] = true
+	}
+	for i, m := range c.free {
+		if m < 0 || m >= len(c.owners) || busy[m] || i > 0 && c.free[i-1] <= m {
+			t.Fatalf("free machines %v are not a strictly descending stack of idle pool machines (%d machines, %d running)", c.free, len(c.owners), len(c.running))
+		}
+	}
+	if len(c.free)+len(c.running) != len(c.owners) {
+		t.Fatalf("%d machines free and %d running in a pool of %d", len(c.free), len(c.running), len(c.owners))
+	}
 }
 
 // The Figure 7 pair is exactly tight: ratio 3/4. Keep it as the extremal

@@ -26,9 +26,12 @@ type Policy interface {
 }
 
 // MachineOrderer is an optional Policy extension: before the dispatch
-// loop consumes the free machines (sorted ascending), the policy may
-// reorder them in place. DIRECTCONTR uses this to visit processors in
-// random order, per Figure 9 of the paper.
+// loop consumes the free machines, the policy is handed them in
+// ascending ID order — whatever order the cluster keeps them in — and
+// may reorder them in place; the loop takes them in the order it
+// leaves. DIRECTCONTR uses this to visit processors in random order,
+// per Figure 9 of the paper: its shuffle depends on the order it is
+// handed.
 type MachineOrderer interface {
 	OrderMachines(t model.Time, free []int)
 }

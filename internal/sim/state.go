@@ -292,7 +292,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		if end := entries[i].End; r.Start > st.Now || end <= st.Now || (r.Folded != nil && (*r.Folded < r.Start || *r.Folded > st.Now)) {
 			return fmt.Errorf("sim: restore: job %d runs over [%d,%d) at time %d, or its window was folded outside it", r.Job, r.Start, end, st.Now)
 		}
-		if c.noStarts && i > 0 && runHeap(entries).less(i, (i-1)/2) {
+		if c.noStarts && i > 0 && entries[i].before(&entries[(i-1)/2]) {
 			return fmt.Errorf("sim: restore: running entry %d is out of completion-heap order", i)
 		}
 		busy[r.Machine] = true
@@ -340,8 +340,8 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		c.runningPerOrg[jobs[r.Job].Org]++
 	}
 	c.free = c.free[:0]
-	for m, b := range busy {
-		if !b {
+	for m := len(busy) - 1; m >= 0; m-- {
+		if !busy[m] {
 			c.free = append(c.free, m)
 		}
 	}

@@ -602,8 +602,10 @@ func doctorNode(v any, n int, edit func(any) any) (any, int) {
 // REF document's schedule of {A, B}. A cluster that keeps no decision
 // log — that schedule of {A, B}, or the round-robin one with discard —
 // is a hypothetical slot on queues the undoctored decision schedule
-// rebuilds first. RestoreState refuses, or
-// every start it serves is on a pool machine at an instant ≤ now and
+// rebuilds first. RestoreState refuses, or its free machines are the
+// stack checkFreeStack describes — after the restore and after every
+// drain step — every start it serves is on a pool machine at an
+// instant ≤ now and
 // the restored cluster drains without a panic having executed exactly
 // the work the accepted state still owed, every member job started once.
 func FuzzClusterRestore(f *testing.F) {
@@ -695,6 +697,7 @@ func FuzzClusterRestore(f *testing.F) {
 		if c.RestoreState(st) != nil {
 			return
 		}
+		checkFreeStack(t, c)
 		// Every start the accepted state serves is on a pool machine, at an
 		// instant that has come, for the organization whose job it is.
 		for _, s := range c.Starts() {
@@ -725,6 +728,7 @@ func FuzzClusterRestore(f *testing.F) {
 			c.q.AdvanceTo(at)
 			c.AdvanceTo(at)
 			c.Dispatch()
+			checkFreeStack(t, c)
 			return true
 		}
 		for steps := 0; step(); steps++ {
