@@ -192,16 +192,19 @@ func (s *schedSet) rekey(slot int, waiting bool) {
 }
 
 // valueAt is slot's coalition value at t, an instant the set has
-// reached. A dormant slot may hold completions up to t; it is folded to
-// t first, which is all a step there would have done: nothing waits in
-// it, and no member has released since its last touch (a release
-// touches it). Every other slot stands at t or lags it with no event in
-// between, where its accounts are exact: a keyed slot's next completion
-// is after every instant the set has reached, so the test below folds
-// dormant slots only.
+// reached. A slot with a completion due by t is advanced to t first. A
+// dormant slot may hold completions up to t, and folding them is all a
+// step there would have done: nothing waits in it, and no member has
+// released since its last touch (a release touches it). Mid-step, a
+// touched slot the pass has not reached yet lags t too — StepNext
+// advances each slot just before it dispatches, and a contested
+// dispatch reads other slots' values — and advancing it is the first
+// thing the pass would do there: its own AdvanceTo(t) then finds
+// nothing left. Every other slot stands at t or lags it with no event
+// in between, where its accounts are exact.
 func (s *schedSet) valueAt(slot int, t model.Time) int64 {
 	c := s.slots[slot]
-	if !s.scan && t <= s.now && c.NextCompletion() <= t {
+	if t <= s.now && c.NextCompletion() <= t {
 		c.AdvanceTo(t)
 	}
 	return c.ValueAt(t)
@@ -248,9 +251,12 @@ func (s *schedSet) instant() model.Time {
 }
 
 // StepNext implements Stepper: release the queues at the earliest
-// instant, take its touched set, advance it, let its dispatchable slots
-// schedule in slot order — an uncontested one without asking, a
-// contested one against freshly refreshed targets — then re-key it.
+// instant, take its touched set and, in one pass in slot order, advance
+// each touched slot, let it schedule if it can — an uncontested one
+// without asking, a contested one against freshly refreshed targets —
+// and re-key it. One pass serves because a refresh reads values through
+// valueAt, which advances a slot the pass has not reached yet, and
+// values at t do not depend on what starts at t (invariant 2).
 func (s *schedSet) StepNext(until model.Time) bool {
 	t := s.instant()
 	if t == sim.MaxTime || t > until {
@@ -270,14 +276,21 @@ func (s *schedSet) StepNext(until model.Time) bool {
 		}
 		s.touched = touched
 	}
-	s.advance(touched, t)
 	for _, i := range touched {
 		c := s.slots[i]
+		c.AdvanceTo(t)
 		free := c.FreeMachines()
 		if s.scan && free == 0 {
 			continue // nothing to start and no key to store: skip the count
 		}
-		jobs, orgs := c.Waiting()
+		// A dormant slot had nothing waiting when last touched, and every
+		// member release since has touched it: only the members releasing
+		// now can have a job waiting.
+		among := c.Coalition()
+		if !s.scan && s.open[i] != 0 {
+			among = s.open[i] & releasing
+		}
+		jobs, orgs := c.WaitingAmong(among)
 		switch {
 		case jobs == 0 || free == 0:
 		case orgs.Size() == 1 && !s.scan && !s.ask:
@@ -297,22 +310,15 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	return true
 }
 
-// advance moves the given slots to time t, one after the other on the
-// caller's goroutine: a touched set is too little work per instant to
-// amortise a hand-off (DESIGN.md §2.4).
-func (s *schedSet) advance(slots []int, t model.Time) {
-	for _, i := range slots {
-		s.slots[i].AdvanceTo(t)
-	}
-}
-
 // FinishAt implements Stepper: move every slot's clock, and the queues',
 // to exactly t. The caller has drained the events at or before t, so
 // only clocks move and dormant slots fold: keys stay as they are.
 func (s *schedSet) FinishAt(t model.Time) {
 	s.now = t
 	s.q.AdvanceTo(t)
-	s.advance(s.all, t)
+	for _, c := range s.slots {
+		c.AdvanceTo(t)
+	}
 }
 
 // ResultAt implements Stepper.

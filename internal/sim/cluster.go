@@ -276,8 +276,12 @@ func (c *Cluster) head(org int) int { return c.lists[org][c.cursor[org]-c.base[o
 
 // Waiting returns the number of released jobs not yet started here and
 // the organizations they belong to, counted over the members.
-func (c *Cluster) Waiting() (jobs int, orgs model.Coalition) {
-	for m := uint32(c.coal); m != 0; m &= m - 1 {
+func (c *Cluster) Waiting() (jobs int, orgs model.Coalition) { return c.WaitingAmong(c.coal) }
+
+// WaitingAmong is Waiting counted over the members in among only, for a
+// driver that knows no other member has a job waiting.
+func (c *Cluster) WaitingAmong(among model.Coalition) (jobs int, orgs model.Coalition) {
+	for m := uint32(c.coal & among); m != 0; m &= m - 1 {
 		u := bits.TrailingZeros32(m)
 		if w := c.base[u] + len(c.lists[u]) - c.cursor[u]; w > 0 {
 			jobs, orgs = jobs+w, orgs.With(u)
@@ -545,11 +549,11 @@ func (h *runHeap) pop() runEntry {
 	a := *h
 	top, n := a[0], len(a)-1
 	e := a[n]
-	a = a[:n]
-	*h = a
+	*h = (*h)[:n] // a length store: no write barrier
 	if n == 0 {
 		return top
 	}
+	a = a[:n]
 	i := 0
 	for {
 		c := 2*i + 1
