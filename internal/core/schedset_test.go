@@ -388,8 +388,8 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 
 // The work REF does per step, in both modes of the loop, and RAND(N=15)
 // in the default mode, counted on densityStream (measureWork) and held
-// to testdata/work.golden (go test -run TestTouchedSetDensity -update
-// rewrites it): a change that claims a cheaper step and leaves the file
+// to testdata/work.golden (go test ./internal/core -run
+// TestTouchedSetDensity -update rewrites it): a change that claims a cheaper step and leaves the file
 // as it is did the same work more cheaply. Per mode:
 //
 //   - steps: the default mode steps only to a keyed completion or a

@@ -11,7 +11,7 @@
 //   - Run(until): self-driving loop for standalone policies
 //     (round-robin, fair share, DIRECTCONTR, …) on a cluster alone on
 //     its queues, releasing them as it steps.
-//   - Queues.AdvanceTo / NextCompletion / AdvanceTo / Waiting /
+//   - Queues.AdvanceTo / NextCompletion / AdvanceTo / WaitingAmong /
 //     StartHeads / DispatchCount: the primitives internal/core's
 //     schedule-set loop uses to step many coalition clusters, built on
 //     one shared Queues, event by event and interleave contribution
