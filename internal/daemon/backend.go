@@ -24,8 +24,9 @@ type backend interface {
 	Admission() *ctrl.PolicySpec
 	AdmissionStats() *metrics.AdmissionStats
 
-	// submit accepts the whole batch or none of it.
-	submit(jobs []JobSubmission) ([]int64, error)
+	// submit accepts the whole batch or none of it, releasing a job
+	// that names no release at now, the run's clock.
+	submit(now model.Time, jobs []JobSubmission) ([]int64, error)
 	// step advances to until and returns the fresh decisions.
 	step(until model.Time) ([]Decision, error)
 	// counts returns the jobs accepted and the decisions logged so far.
@@ -60,10 +61,10 @@ func fromStarts(starts []sim.Start) []Decision {
 	return out
 }
 
-func (r singleRun) submit(jobs []JobSubmission) ([]int64, error) {
+func (r singleRun) submit(now model.Time, jobs []JobSubmission) ([]int64, error) {
 	batch := make([]model.Job, len(jobs))
 	for i, j := range jobs {
-		batch[i] = model.Job{Org: j.Org, Size: j.Size, Release: j.releaseAt(r.Now())}
+		batch[i] = model.Job{Org: j.Org, Size: j.Size, Release: j.releaseAt(now)}
 	}
 	ids, err := r.Feed(batch)
 	if err != nil {
@@ -116,10 +117,10 @@ func fromFedDecisions(decs []fed.Decision) []Decision {
 	return out
 }
 
-func (r *fedRun) submit(jobs []JobSubmission) ([]int64, error) {
+func (r *fedRun) submit(now model.Time, jobs []JobSubmission) ([]int64, error) {
 	r.batch = slices.Grow(r.batch[:0], len(jobs))
 	for _, j := range jobs {
-		r.batch = append(r.batch, fed.SourceJob{Cluster: j.Cluster, Org: j.Org, Size: j.Size, Release: j.releaseAt(r.Now())})
+		r.batch = append(r.batch, fed.SourceJob{Cluster: j.Cluster, Org: j.Org, Size: j.Size, Release: j.releaseAt(now)})
 	}
 	return r.SubmitJobs(r.batch)
 }
@@ -175,10 +176,10 @@ type gatedRun struct {
 
 // submit hands every job in at the one member: a single run ignores
 // JobSubmission.Cluster.
-func (r *gatedRun) submit(jobs []JobSubmission) ([]int64, error) {
+func (r *gatedRun) submit(now model.Time, jobs []JobSubmission) ([]int64, error) {
 	r.batch = slices.Grow(r.batch[:0], len(jobs))
 	for _, j := range jobs {
-		r.batch = append(r.batch, fed.SourceJob{Org: j.Org, Size: j.Size, Release: j.releaseAt(r.Now())})
+		r.batch = append(r.batch, fed.SourceJob{Org: j.Org, Size: j.Size, Release: j.releaseAt(now)})
 	}
 	return r.SubmitJobs(r.batch)
 }

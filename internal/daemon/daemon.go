@@ -398,13 +398,23 @@ type Decision struct {
 // The batch is all-or-nothing: one
 // invalid job rejects it whole and leaves the session untouched.
 func (s *Session) Submit(jobs []JobSubmission) ([]int64, error) {
+	ids, _, err := s.submit(jobs)
+	return ids, err
+}
+
+// submit is Submit that also returns the clock a job without a release
+// was stamped with, read under the same lock hold: an advance between
+// the submit and a second read would report a later one.
+func (s *Session) submit(jobs []JobSubmission) ([]int64, model.Time, error) {
 	if len(jobs) == 0 {
-		return nil, fmt.Errorf("daemon: no jobs submitted")
+		return nil, 0, fmt.Errorf("daemon: no jobs submitted")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dirty.Store(true)
-	return s.run.submit(jobs)
+	now := s.run.Now()
+	ids, err := s.run.submit(now, jobs)
+	return ids, now, err
 }
 
 // Advance moves the session clock to *until, or to the next pending

@@ -950,6 +950,90 @@ func TestAdvanceEmptyBody(t *testing.T) {
 	a.do("POST", "/v1/sessions/e/advance", `{"until":`, http.StatusBadRequest)
 }
 
+// A body is one JSON value: whatever follows it but whitespace makes
+// the request a 400 that changes nothing, on every route that takes a
+// body, instead of being dropped unread.
+func TestOneValuePerBody(t *testing.T) {
+	a := newAPI(t)
+	cfg := `{"id":"v",` + mustJSON(t, singleCfg())[1:]
+	a.do("POST", "/v1/sessions", cfg+` {"id":"w"}`, http.StatusBadRequest)
+	a.do("POST", "/v1/sessions", cfg+" \n", http.StatusCreated)
+	a.do("POST", "/v1/sessions/v/jobs", `{"jobs":[{"org":0,"size":5,"release":3}]}`, http.StatusOK)
+	before := a.raw("/v1/sessions/v/state")
+	snap := string(a.raw("/v1/sessions/v/checkpoint"))
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sessions/v/advance", `{"until":7}{"until":9}`},
+		{"/v1/sessions/v/jobs", `{"jobs":[{"org":0,"size":5}]} garbage`},
+		{"/v1/sessions/v/restore", snap + "x"},
+	} {
+		reply := a.do("POST", tc.path, tc.body, http.StatusBadRequest)
+		if msg, _ := reply["error"].(string); !strings.Contains(msg, "after top-level value") {
+			t.Errorf("POST %s %q: the error does not name the trailing data: %v", tc.path, tc.body, reply)
+		}
+		if after := a.raw("/v1/sessions/v/state"); !bytes.Equal(after, before) {
+			t.Fatalf("POST %s %q changed the session:\n%s\nwas\n%s", tc.path, tc.body, after, before)
+		}
+	}
+	if list := a.raw("/v1/sessions"); bytes.Contains(list, []byte(`"w"`)) {
+		t.Fatalf("a refused create made a session: %s", list)
+	}
+	a.do("POST", "/v1/sessions/v/advance", "{\"until\":7}\r\n\t ", http.StatusOK)
+}
+
+// A submit reply's now is the clock the batch's release-less jobs were
+// stamped with, read under the submission's own lock: advances running
+// beside the submits cannot slip in between.
+func TestSubmitReplyNowIsStampedClock(t *testing.T) {
+	h := daemon.NewServer(daemon.NewManager()).Handler()
+	post := func(path, body string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	if code, body := post("/v1/sessions", `{"id":"c","kind":"single","alg":"fcfs","orgs":2,"machines":2}`); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	const rounds = 300
+	type reply struct {
+		IDs []int64    `json:"ids"`
+		Now model.Time `json:"now"`
+	}
+	replies := make([]reply, rounds)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= rounds; i++ {
+			if code, body := post("/v1/sessions/c/advance", fmt.Sprintf(`{"until":%d}`, i)); code != http.StatusOK {
+				t.Errorf("advance to %d: %d %s", i, code, body)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := range replies {
+			code, body := post("/v1/sessions/c/jobs", `{"jobs":[{"org":1,"size":1}]}`)
+			if code != http.StatusOK || json.Unmarshal(body, &replies[i]) != nil || len(replies[i].IDs) != 1 {
+				t.Errorf("submit %d: %d %s", i, code, body)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sessions/c/checkpoint", nil))
+	var ckpt struct{ Jobs []model.Job }
+	if err := json.Unmarshal(rec.Body.Bytes(), &ckpt); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range replies {
+		if id := r.IDs[0]; ckpt.Jobs[id].Release != r.Now {
+			t.Fatalf("job %d was released at %d, its submit reply says now %d", id, ckpt.Jobs[id].Release, r.Now)
+		}
+	}
+}
+
 // A checkpoint is a function of the request stream alone, not of the
 // box that served it: the same 60 jobs and one advance on a 6-org REF
 // and a 6-org RAND session (releases touch 32 REF schedules — the

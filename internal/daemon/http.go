@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -32,7 +31,10 @@ import (
 //
 // Creating over a taken id answers 409, with an id that holds a slash
 // or space or starts with a dot 400; a request body over maxBodyBytes
-// answers 413.
+// answers 413. A body is one JSON value: anything but whitespace after
+// it answers 400. Jobs and advance bodies and replies go through the
+// wire codec (wire.go), every other route through decodeBody and
+// writeJSON; encoding/json defines the format of both.
 //
 // Every run is reached through its session id: the create body is the
 // only source of a session's static configuration, and no route names a
@@ -106,9 +108,14 @@ func (s *Server) withSession(h func(*Server, http.ResponseWriter, *http.Request,
 // the process's memory.
 const maxBodyBytes = 64 << 20
 
-// decodeBody decodes the size-capped JSON request body into v.
+// decodeBody decodes the size-capped request body, one JSON value,
+// into v.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
+	body, err := s.readBody(w, r)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(body, v)
 }
 
 // bodyStatus maps a body-decode failure onto its status: 413 when the
@@ -163,47 +170,49 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, sess *Session) {
-	var req struct {
-		Jobs []JobSubmission `json:"jobs"`
+	body, err := s.readBody(w, r)
+	var jobs []JobSubmission
+	if err == nil {
+		jobs, err = decodeJobs(body)
 	}
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err != nil {
 		s.writeError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
-	ids, err := sess.Submit(req.Jobs)
+	ids, now, err := sess.submit(jobs)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "now": sess.summary().Now})
+	s.writeBody(w, http.StatusOK, appendIDsReply(nil, ids, now))
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, sess *Session) {
-	var req struct {
-		Until *model.Time `json:"until"`
-	}
 	// An empty POST body is the documented advance-to-next-event form
-	// (same as {}), so a bare io.EOF is not an error; a truncated JSON
-	// document still is (ErrUnexpectedEOF).
-	if err := s.decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+	// (same as {}); a truncated JSON document is still an error.
+	body, err := s.readBody(w, r)
+	var until *model.Time
+	if err == nil {
+		until, err = decodeUntil(body)
+	}
+	if err != nil {
 		s.writeError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	var (
 		now  model.Time
 		decs []Decision
-		err  error
 	)
 	if s.pipe != nil {
-		now, decs, err = s.pipe.Advance(sess, req.Until)
+		now, decs, err = s.pipe.Advance(sess, until)
 	} else {
-		now, decs, err = sess.Advance(req.Until)
+		now, decs, err = sess.Advance(until)
 	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"now": now, "decisions": decs})
+	s.writeBody(w, http.StatusOK, appendAdvanceReply(nil, decs, now))
 }
 
 func (s *Server) handleState(w http.ResponseWriter, _ *http.Request, sess *Session) {
@@ -268,9 +277,13 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		status = http.StatusInternalServerError
 		data = []byte(`{"error":"internal: response serialization failed"}`)
 	}
+	s.writeBody(w, status, append(data, '\n'))
+}
+
+// writeBody sends data, a whole JSON reply, with status.
+func (s *Server) writeBody(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	data = append(data, '\n')
 	if _, err := w.Write(data); err != nil {
 		s.logf("daemon: writing response: %v", err)
 	}
