@@ -26,6 +26,10 @@ import (
 // Every body the server decodes is one JSON value: anything but
 // whitespace after it is a 400 (decodeJSON).
 
+// firstRead caps the buffer readBody allocates before any body byte
+// has arrived. A round's bodies are a few KiB.
+const firstRead = 64 << 10
+
 // jobsRequest and advanceRequest are the two bodies. They are aliases
 // of unnamed struct types because encoding/json's error texts name
 // the type a body failed to decode into.
@@ -39,12 +43,15 @@ type (
 )
 
 // readBody reads the whole request body, capped at s.maxBody: a longer
-// one is a *http.MaxBytesError. A declared length sizes the buffer once.
+// one is a *http.MaxBytesError. A declared length up to firstRead sizes
+// the buffer once; past that the buffer grows with the bytes that
+// arrive, so a client that declares a large body and sends little holds
+// little.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	size := int64(512)
-	if r.ContentLength > 0 && r.ContentLength <= s.maxBody {
-		size = r.ContentLength + 1 // room for the read that sees EOF
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength+1, firstRead) // room for the read that sees EOF
 	}
 	b := make([]byte, 0, size)
 	for {
@@ -183,7 +190,11 @@ func (s *scanner) integer(bits int) (int64, bool) {
 	return int64(u), u < limit
 }
 
-// scanJobs reads {"jobs":[{"cluster":c,"org":o,"size":n,"release":r},…]}.
+// scanJobs reads {"jobs":[{"cluster":c,"org":o,"size":n,"release":r},…]}
+// in two passes over the array: the first checks the whole body and
+// counts its jobs, so a body the scanner does not take allocates
+// nothing, and the second fills one batch and one array of releases
+// sized to the count.
 func scanJobs(b []byte) ([]JobSubmission, bool) {
 	s := scanner{b: b}
 	if !s.eat('{') {
@@ -198,20 +209,35 @@ func scanJobs(b []byte) ([]JobSubmission, bool) {
 	if k, ok := s.key(); !ok || string(k) != "jobs" || !s.eat('[') {
 		return nil, false
 	}
-	// Every job opens a brace, so the body's braces bound the batch:
-	// jobs and the releases they point into never move.
-	n := bytes.Count(b, []byte{'{'}) - 1
-	jobs := make([]JobSubmission, 0, n)
+	start := s.i
+	n, released, ok := s.jobs(nil, nil)
+	if !ok || !s.eat('}') || !s.end() {
+		return nil, false
+	}
+	jobs := make([]JobSubmission, n)
 	var releases []model.Time
-	for more := !s.eat(']'); more; {
+	if released {
+		releases = make([]model.Time, n)
+	}
+	s.i = start
+	s.jobs(jobs, releases)
+	return jobs, true
+}
+
+// jobs reads a job array's members and its closing bracket, and
+// reports how many jobs it holds and whether any names a release. A
+// nil batch only counts them; otherwise the k-th job goes to batch[k],
+// its Release, when set, pointing at releases[k].
+func (s *scanner) jobs(batch []JobSubmission, releases []model.Time) (n int, released, ok bool) {
+	for more := !s.eat(']'); more; n++ {
 		if !s.eat('{') {
-			return nil, false
+			return n, released, false
 		}
 		var j JobSubmission
 		for fields := !s.eat('}'); fields; {
 			k, ok := s.key()
 			if !ok {
-				return nil, false
+				return n, released, false
 			}
 			var v int64
 			switch string(k) {
@@ -226,31 +252,29 @@ func scanJobs(b []byte) ([]JobSubmission, bool) {
 				j.Size = model.Time(v)
 			case "release":
 				v, ok = s.integer(64)
-				if releases == nil {
-					releases = make([]model.Time, n)
+				released = true
+				if releases != nil {
+					releases[n] = model.Time(v)
+					j.Release = &releases[n]
 				}
-				releases[len(jobs)] = model.Time(v)
-				j.Release = &releases[len(jobs)]
 			default:
 				ok = false
 			}
 			if !ok {
-				return nil, false
+				return n, released, false
 			}
 			if fields, ok = s.more('}'); !ok {
-				return nil, false
+				return n, released, false
 			}
 		}
-		jobs = append(jobs, j)
-		var ok bool
+		if batch != nil {
+			batch[n] = j
+		}
 		if more, ok = s.more(']'); !ok {
-			return nil, false
+			return n, released, false
 		}
 	}
-	if !s.eat('}') || !s.end() {
-		return nil, false
-	}
-	return jobs, true
+	return n, released, true
 }
 
 // scanUntil reads {"until":t}, {} or a blank body.

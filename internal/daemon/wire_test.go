@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -157,6 +158,7 @@ var wireSeeds = []string{
 	`{"until":2147483648}`, `{"until":18446744073709551617}`, `{"jobs":[{"org":0,"size":18446744073709551617}]}`,
 	`{"until ":7}`, `{"jobs ":[{"org":0}]}`, `{"jobs":[{"org" :0,"size ":1}]}`,
 	`{"until":7,"jobs":[]}`, `{"until":7} x`, `{"until":7}` + "\n\n",
+	`{"jobs":[{"release":1{{{{`, `{"jobs":[{"org":0,"release":1},{"org":1,"size":2}],"x":1}`,
 }
 
 // FuzzSubmitBody holds the submit route to its oracle on arbitrary
@@ -256,6 +258,43 @@ func TestReplyBytesMatchMarshal(t *testing.T) {
 }
 
 var update = flag.Bool("update", false, "rewrite testdata/work.golden")
+
+// allocated is the heap bytes run allocates.
+func allocated(run func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// Neither the scanner nor readBody sizes memory from bytes it has not
+// read and checked: a submit body that seems to open a million jobs but
+// breaks at the second brace, and a request that declares 64 MiB and
+// sends a few bytes, each cost a few KiB. The bound, 1 MiB, leaves room
+// for whatever else the process allocates meanwhile.
+func TestBodiesAllocateWhatTheyHold(t *testing.T) {
+	const bound = 1 << 20
+	body := append([]byte(`{"jobs":[{"release":1`), bytes.Repeat([]byte{'{'}, 1<<20)...)
+	if n := allocated(func() {
+		if _, err := decodeJobs(body); err == nil {
+			t.Error("a broken body decoded")
+		}
+	}); n > bound {
+		t.Errorf("refusing a %d-byte body allocated %d bytes", len(body), n)
+	}
+
+	s := NewServer(nil)
+	r := httptest.NewRequest("POST", "/v1/sessions/w/advance", strings.NewReader(`{"until":7}`))
+	r.ContentLength = maxBodyBytes - 1
+	if n := allocated(func() {
+		if b, err := s.readBody(httptest.NewRecorder(), r); err != nil || string(b) != `{"until":7}` {
+			t.Errorf("read %q, %v", b, err)
+		}
+	}); n > bound {
+		t.Errorf("reading an 11-byte body that declared %d allocated %d bytes", r.ContentLength, n)
+	}
+}
 
 // replySink keeps TestWireWork's encoded replies live.
 var replySink []byte
