@@ -25,8 +25,10 @@ import (
 // policy-scheduled engine, and through the same cluster gated — a
 // one-member federation — with always-admit (the bare
 // queue-verdict-route pass) and with the shedding policies; plus the
-// federated plane over the diurnal scenario. A run may allocate less
-// than its budget, never more.
+// federated plane over the diurnal scenario, routed by load and, gated,
+// by fednbs-migrate, whose budget holds FedNBS to one bargaining solve
+// per gossip (per-job solves cost 1 710). A run may allocate less than
+// its budget, never more.
 func TestControlPlaneAllocBudget(t *testing.T) {
 	gateOrgs := []model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 0}}
 	var gateJobs []model.Job
@@ -76,7 +78,7 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fedRun := func(spec *ctrl.PolicySpec) func() {
+	fedRun := func(policy fed.Policy, spec *ctrl.PolicySpec) func() {
 		return func() {
 			specs := make([]fed.ClusterSpec, len(w.Machines))
 			for c := range specs {
@@ -85,7 +87,7 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 					Alg:  core.DirectContrAlgorithm(), Machines: w.Machines[c],
 				}
 			}
-			f, err := fed.New(w.Orgs, specs, fed.LeastLoaded{}, 42)
+			f, err := fed.New(w.Orgs, specs, policy, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,6 +108,8 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 		}
 	}
 
+	tokenBucket := &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 12, Burst: 2, MaxAttempts: 3}
+	fednbsMigrate := fed.Migrating{Inner: fed.NBSPolicy{}, Budget: fed.DefaultMigrationBudget}
 	for _, tc := range []struct {
 		name   string
 		run    func()
@@ -115,9 +119,10 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 		{"single/always", singleRun(&ctrl.PolicySpec{Policy: "always"}), 320},
 		{"single/tokenbucket", singleRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 8, Burst: 1, MaxAttempts: 2}), 340},
 		{"single/backpressure-stale", singleRun(&ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}), 140},
-		{"fed/off", fedRun(nil), 475},
-		{"fed/always", fedRun(&ctrl.PolicySpec{Policy: "always"}), 484},
-		{"fed/tokenbucket", fedRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 12, Burst: 2, MaxAttempts: 3}), 496},
+		{"fed/off", fedRun(fed.LeastLoaded{}, nil), 475},
+		{"fed/always", fedRun(fed.LeastLoaded{}, &ctrl.PolicySpec{Policy: "always"}), 484},
+		{"fed/tokenbucket", fedRun(fed.LeastLoaded{}, tokenBucket), 496},
+		{"fed/fednbs-migrate-tokenbucket", fedRun(fednbsMigrate, tokenBucket), 690},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := testing.AllocsPerRun(10, tc.run); got > tc.budget {

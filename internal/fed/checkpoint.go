@@ -232,7 +232,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 				ledger.route(origin, i, int64(eng.Instance().Jobs[id].Size))
 			}
 		}
-		f.members = append(f.members, &Member{name: mc.Name, eng: eng, seqOf: mc.SeqOf, originOf: mc.OriginOf})
+		f.members = append(f.members, &Member{name: mc.Name, eng: eng, seqOf: mc.SeqOf, originOf: mc.OriginOf, orgCapacity: orgCapacities(eng.Instance())})
 	}
 	if len(cp.ExSums) > 0 {
 		if len(cp.ExSums) != len(specs) {

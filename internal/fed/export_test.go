@@ -1,6 +1,10 @@
 package fed
 
-import "repro/internal/sim"
+import (
+	"repro/internal/ctrl"
+	"repro/internal/model"
+	"repro/internal/sim"
+)
 
 // StepToNextEvent advances to the next pending event instant, if one
 // exists, and returns its decisions. The second result reports whether
@@ -25,3 +29,16 @@ func (s *SWFSource) SetSlack(n int) {
 
 // Skipped returns the number of unusable archive records skipped so far.
 func (s *SWFSource) Skipped() int { return s.r.Skipped() }
+
+// CountCaptures makes every exchange capture add one to *captures and
+// the members' queued jobs — what a migration pass on that exchange
+// scans — to *queued. Call it before SetAdmission: a plane keeps the
+// provider it was built with.
+func (f *Federation) CountCaptures(captures, queued *int) {
+	f.provider = ctrl.NewCachedSnapshotProvider(func(t model.Time) ctrl.View {
+		v := f.captureExchange(t)
+		*captures++
+		*queued += v.Load.Waiting
+		return v
+	}, f.provider.MaxAge())
+}

@@ -94,6 +94,10 @@ type Member struct {
 	eng      *engine.Engine
 	seqOf    []int64 // cluster-local job ID -> federation sequence number; -1 = withdrawn
 	originOf []int   // cluster-local job ID -> origin (submitting) cluster; -1 = withdrawn
+	// orgCapacity is the member's capacity per organization, taken from
+	// its configuration once (New, Restore) and shared by every summary
+	// of it.
+	orgCapacity []int64
 	// started marks the local jobs that reached a machine and so can no
 	// longer migrate. Only a migration pass reads it: the column is built
 	// from the engine's decision log the first time one asks (New and
@@ -162,6 +166,9 @@ type Federation struct {
 	// sink is the federation's data-plane half — the one place jobs are
 	// routed and fed to members, with or without a plane in front of it.
 	sink fedSink
+
+	// cands is redelegate's scratch: the queued jobs one pass scans.
+	cands []candidate
 }
 
 // exchange is the federation's observation payload: what one summary
@@ -170,6 +177,10 @@ type Federation struct {
 type exchange struct {
 	Sums   []Summary
 	Routed [][]int64
+	// scores is a Scorer policy's vector on this exchange, evaluated by
+	// the first route that needs it. It is derived, so no checkpoint
+	// carries it: a restored exchange evaluates it again.
+	scores []float64
 }
 
 // captureExchange is the federation's ctrl.CaptureFunc: a fresh
@@ -244,8 +255,9 @@ func New(orgs []string, specs []ClusterSpec, policy Policy, seed int64) (*Federa
 			return nil, fmt.Errorf("fed: cluster %d (%s): %w", i, spec.Name, err)
 		}
 		f.members = append(f.members, &Member{
-			name: spec.Name,
-			eng:  engine.New(spec.Alg, inst, memberSeed(seed, i)),
+			name:        spec.Name,
+			eng:         engine.New(spec.Alg, inst, memberSeed(seed, i)),
+			orgCapacity: orgCapacities(inst),
 		})
 	}
 	return f, nil
@@ -496,8 +508,6 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 // without the queue. With AlwaysAdmit the two are byte-identical
 // at any staleness (TestControlPlaneDifferential).
 func (f *Federation) deliver(t model.Time, batch []Pending) error {
-	// Every instant is delivered once per Step, on one frozen exchange.
-	clear(f.sink.memo)
 	if f.plane != nil {
 		for _, p := range batch {
 			f.plane.Arrive(p.job(), t)
@@ -522,23 +532,38 @@ func (f *Federation) deliver(t model.Time, batch []Pending) error {
 // delegation policy for a target, checks it and feeds a member.
 type fedSink struct {
 	f *Federation
-	// memo holds the instant's policy evaluations as target+1 (0 = none
-	// yet) at [org*members+origin]. Policies are pure functions of (org,
-	// origin, exchange) and the exchange is frozen per instant, so one
-	// evaluation covers every same-instant job, routed or re-delegated,
-	// with that owner and origin (FedREF's exact Shapley pass is the
-	// expensive case this saves).
+	// memo holds the policy's answers on exchange ex as target+1 (0 =
+	// none yet) at [org*members+origin]. Policies are pure functions of
+	// (org, origin, exchange) and an exchange is frozen until the next
+	// gossip, so one evaluation covers every job, routed or re-delegated,
+	// with that owner and origin until then. A Scorer policy needs none of
+	// it: the exchange keeps its score vector.
 	memo []int
+	ex   *exchange
 }
 
 // target returns the member the policy sends org's jobs from origin to
-// on the instant's exchange.
+// on the exchange.
 func (s *fedSink) target(org, origin int, ex *exchange) (int, error) {
 	f := s.f
 	if org < 0 || org >= len(f.orgs) || origin < 0 || origin >= len(f.members) {
 		// Only a doctored control-plane queue gets here: accepted jobs
 		// passed checkJob.
 		return 0, fmt.Errorf("fed: job of organization %d from cluster %d is outside the federation", org, origin)
+	}
+	if sc, ok := scorerOf(f.policy); ok {
+		if ex.scores == nil {
+			scores := sc.Scores(ex.Sums, ex.Routed)
+			if len(scores) != len(f.members) {
+				return 0, fmt.Errorf("fed: policy %q scored %d clusters of %d", f.policy.Name(), len(scores), len(f.members))
+			}
+			ex.scores = scores
+		}
+		return bestScore(origin, ex.scores), nil
+	}
+	if s.ex != ex {
+		clear(s.memo)
+		s.ex = ex
 	}
 	slot := &s.memo[org*len(f.members)+origin]
 	if *slot == 0 {
@@ -642,8 +667,7 @@ func (f *Federation) redelegate(t model.Time, ex *exchange) error {
 	// Snapshot the queued candidates before moving anything: a job
 	// migrated this round must not be re-scored at its new home within
 	// the same round.
-	type candidate struct{ cluster, id int }
-	var cands []candidate
+	cands := f.cands[:0]
 	for c, m := range f.members {
 		if m.started == nil {
 			m.started = make([]bool, len(m.seqOf))
@@ -657,6 +681,7 @@ func (f *Federation) redelegate(t model.Time, ex *exchange) error {
 			}
 		}
 	}
+	f.cands = cands
 	moved := 0
 	for _, cand := range cands {
 		if moved >= budget {
@@ -685,12 +710,20 @@ func (f *Federation) redelegate(t model.Time, ex *exchange) error {
 	return nil
 }
 
+// candidate is one queued job a migration pass scans: its holder and
+// local ID.
+type candidate struct{ cluster, id int }
+
 // routedWorkCopy snapshots the ledger's routed-work matrix, so the
-// exchange stays frozen while routing appends to the live ledger.
+// exchange stays frozen while routing appends to the live ledger. The
+// rows share one backing array.
 func (f *Federation) routedWorkCopy() [][]int64 {
-	out := make([][]int64, len(f.ledger.RoutedWork))
+	k := len(f.ledger.RoutedWork)
+	out := make([][]int64, k)
+	flat := make([]int64, 0, k*k)
 	for i, row := range f.ledger.RoutedWork {
-		out[i] = append([]int64(nil), row...)
+		flat = append(flat, row...)
+		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
 	}
 	return out
 }
@@ -720,17 +753,23 @@ func (f *Federation) summaries() []Summary {
 // observations: its index, the capacities its configuration gives it,
 // and the sum of the ψ vector next to them.
 func (f *Federation) fillConfigured(s *Summary, c int) {
-	inst := f.members[c].eng.Instance()
+	m := f.members[c]
 	s.Cluster = c
-	s.Capacity = inst.TotalCapacity()
-	s.OrgCapacity = make([]int64, len(inst.Orgs))
-	for o := range inst.Orgs {
-		s.OrgCapacity[o] = inst.Orgs[o].Capacity()
-	}
+	s.Capacity = m.eng.Instance().TotalCapacity()
+	s.OrgCapacity = m.orgCapacity
 	s.Value = 0
 	for _, psi := range s.Psi {
 		s.Value += psi
 	}
+}
+
+// orgCapacities is each organization's capacity in inst.
+func orgCapacities(inst *model.Instance) []int64 {
+	caps := make([]int64, len(inst.Orgs))
+	for o := range inst.Orgs {
+		caps[o] = inst.Orgs[o].Capacity()
+	}
+	return caps
 }
 
 // Ledger returns the federation ledger with the per-cluster accounting

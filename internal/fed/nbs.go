@@ -24,7 +24,7 @@ import (
 // largest-deficit rule with φ swapped for x. Because the min-structured
 // game is superadditive, Σd ≤ v(grand) always holds and the solve
 // never degenerates on live exchanges. Where FedREF pays O(k·2^k) (or
-// samples) per routing instant, the water-filling solve is O(k²) —
+// samples) per exchange, the water-filling solve is O(k²) —
 // FedNBS is the tractable bargaining ablation of the same two-level
 // design.
 //
@@ -43,13 +43,19 @@ func (NBSPolicy) Name() string { return "fednbs" }
 func (NBSPolicy) Route(_, origin int, _ []Summary) int { return origin }
 
 // RouteLedger implements LedgerPolicy.
-func (NBSPolicy) RouteLedger(_, origin int, sums []Summary, routedWork [][]int64) int {
-	if len(sums) <= 1 {
-		return origin
+func (p NBSPolicy) RouteLedger(_, origin int, sums []Summary, routedWork [][]int64) int {
+	return bestScore(origin, p.Scores(sums, routedWork))
+}
+
+// Scores implements Scorer: x_c − assigned_c per member. A one-member
+// federation has nothing to bargain over; its one score is 0.
+func (NBSPolicy) Scores(sums []Summary, routedWork [][]int64) []float64 {
+	k := len(sums)
+	if k <= 1 {
+		return make([]float64, k)
 	}
 	g := GameFromExchange(sums, routedWork)
-	t := sums[origin].Now
-	k := len(sums)
+	t := sums[0].Now // every summary of an exchange carries its instant
 	w := make([]float64, k)
 	d := make([]float64, k)
 	maxs := make([]float64, k)
@@ -66,6 +72,5 @@ func (NBSPolicy) RouteLedger(_, origin int, sums []Summary, routedWork [][]int64
 		// surplus if float rounding ever disagrees.
 		copy(x, d)
 	}
-	assigned := assignedWork(routedWork)
-	return argmaxFromOrigin(origin, k, func(c int) float64 { return x[c] - float64(assigned[c]) }, 0)
+	return subtractAssigned(x, routedWork)
 }

@@ -53,6 +53,30 @@ type LedgerPolicy interface {
 	RouteLedger(org, origin int, sums []Summary, routedWork [][]int64) int
 }
 
+// Scorer is implemented by a LedgerPolicy whose choice depends on the
+// exchange alone, not on the job's organization: one score per member,
+// and a job routes to the origin-preferring largest score
+// (argmaxFromOrigin: ties to the origin, then the lowest index). The
+// exchange is frozen between gossips, so the federation evaluates
+// Scores once per exchange and routes every job on it — own releases
+// and re-delegated ones alike — by an O(k) scan; RouteLedger must be
+// that scan over Scores. Like RouteLedger, Scores must be a
+// deterministic pure function of its arguments, and it returns
+// len(sums) scores.
+type Scorer interface {
+	Scores(sums []Summary, routedWork [][]int64) []float64
+}
+
+// scorerOf returns the Scorer that really routes for p: Migrating
+// forwards to its inner policy, so it answers for it.
+func scorerOf(p Policy) (Scorer, bool) {
+	if m, ok := p.(Migrating); ok {
+		p = m.Inner
+	}
+	s, ok := p.(Scorer)
+	return s, ok
+}
+
 // LocalOnly never delegates: every job runs at its origin cluster.
 // This is the no-federation baseline the other policies are measured
 // against.
@@ -128,16 +152,26 @@ func argmaxFromOrigin(origin, n int, score func(c int) float64, margin float64) 
 	return best
 }
 
-// assignedWork is the routed-work matrix's column sums: the work
-// already routed to each member, whatever its origin.
-func assignedWork(routedWork [][]int64) []int64 {
-	assigned := make([]int64, len(routedWork))
+// bestScore is argmaxFromOrigin over a Scorer's vector: the route
+// RouteLedger answers and the federation's per-job scan.
+func bestScore(origin int, scores []float64) int {
+	return argmaxFromOrigin(origin, len(scores), func(c int) float64 { return scores[c] }, 0)
+}
+
+// subtractAssigned turns a value share per member into its deficit:
+// share_c − assigned_c, where assigned_c is the routed-work matrix's
+// column sum — the work already routed to c, whatever its origin.
+func subtractAssigned(share []float64, routedWork [][]int64) []float64 {
+	assigned := make([]int64, len(share))
 	for o := range routedWork {
 		for c, w := range routedWork[o] {
 			assigned[c] += w
 		}
 	}
-	return assigned
+	for c := range share {
+		share[c] -= float64(assigned[c])
+	}
+	return share
 }
 
 // deficit is organization org's contribution credit at the summarized
@@ -275,11 +309,11 @@ const maxExactFedPlayers = 16
 const fedRefSampleBudget = 256
 
 // RefPolicy is FedREF: Algorithm REF lifted one level, from
-// organizations inside a cluster to clusters inside the federation. At
-// each routing instant it evaluates the federation-level cooperative
+// organizations inside a cluster to clusters inside the federation. On
+// each exchange it evaluates the federation-level cooperative
 // game (fed.Game — members as players, v(S,t) the completed-work
 // utility the coalition could realize alone), computes each member's
-// Shapley contribution φ_c with the generic estimators, and routes the
+// Shapley contribution φ_c with the generic estimators, and routes each
 // job to the member with the largest federation-level deficit
 //
 //	φ_c − assigned_c,
@@ -336,11 +370,17 @@ func (RefPolicy) Route(_, origin int, _ []Summary) int { return origin }
 
 // RouteLedger implements LedgerPolicy.
 func (p RefPolicy) RouteLedger(_, origin int, sums []Summary, routedWork [][]int64) int {
+	return bestScore(origin, p.Scores(sums, routedWork))
+}
+
+// Scores implements Scorer: φ_c − assigned_c per member. A one-member
+// federation has no game to value; its one score is 0.
+func (p RefPolicy) Scores(sums []Summary, routedWork [][]int64) []float64 {
 	if len(sums) <= 1 {
-		return origin
+		return make([]float64, len(sums))
 	}
 	g := GameFromExchange(sums, routedWork)
-	t := sums[origin].Now
+	t := sums[0].Now // every summary of an exchange carries its instant
 	var phi []float64
 	if len(sums) <= maxExactFedPlayers && p.Samples <= 0 {
 		phi = shapley.ExactAt(g, t)
@@ -349,8 +389,7 @@ func (p RefPolicy) RouteLedger(_, origin int, sums []Summary, routedWork [][]int
 		// stream is derived from the exchange instant alone.
 		phi = shapley.SampleAt(g, t, p.sampleBudget(), rand.New(rand.NewSource(int64(t))))
 	}
-	assigned := assignedWork(routedWork)
-	return argmaxFromOrigin(origin, len(sums), func(c int) float64 { return phi[c] - float64(assigned[c]) }, 0)
+	return subtractAssigned(phi, routedWork)
 }
 
 // PolicyByName resolves a delegation policy from its wire name.
