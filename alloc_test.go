@@ -6,7 +6,10 @@
 package repro_test
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -28,7 +31,9 @@ import (
 // federated plane over the diurnal scenario, routed by load and, gated,
 // by fednbs-migrate, whose budget holds FedNBS to one bargaining solve
 // per gossip (per-job solves cost 1 710). A run may allocate less than
-// its budget, never more.
+// its budget, never more; testdata/work.golden holds each exact count
+// (go test . -run TestControlPlaneAllocBudget -update rewrites it), so a
+// change that moves one names the move.
 func TestControlPlaneAllocBudget(t *testing.T) {
 	gateOrgs := []model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 0}}
 	var gateJobs []model.Job
@@ -78,12 +83,19 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The names are made once, outside the runs: fmt's buffer pool drops
+	// a random share of its buffers under the race detector, which would
+	// make the counts vary from run to run there.
+	siteNames := make([]string, len(w.Machines))
+	for c := range siteNames {
+		siteNames[c] = fmt.Sprintf("site%d", c)
+	}
 	fedRun := func(policy fed.Policy, spec *ctrl.PolicySpec) func() {
 		return func() {
 			specs := make([]fed.ClusterSpec, len(w.Machines))
 			for c := range specs {
 				specs[c] = fed.ClusterSpec{
-					Name: fmt.Sprintf("site%d", c),
+					Name: siteNames[c],
 					Alg:  core.DirectContrAlgorithm(), Machines: w.Machines[c],
 				}
 			}
@@ -110,7 +122,8 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 
 	tokenBucket := &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 12, Burst: 2, MaxAttempts: 3}
 	fednbsMigrate := fed.Migrating{Inner: fed.NBSPolicy{}, Budget: fed.DefaultMigrationBudget}
-	for _, tc := range []struct {
+	lines := []string{"# Allocations per run (testing.AllocsPerRun, 10 runs) of TestControlPlaneAllocBudget's construct → feed → step rows, beside each row's budget."}
+	rows := []struct {
 		name   string
 		run    func()
 		budget float64
@@ -123,13 +136,35 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 		{"fed/always", fedRun(fed.LeastLoaded{}, &ctrl.PolicySpec{Policy: "always"}), 484},
 		{"fed/tokenbucket", fedRun(fed.LeastLoaded{}, tokenBucket), 496},
 		{"fed/fednbs-migrate-tokenbucket", fedRun(fednbsMigrate, tokenBucket), 690},
-	} {
+	}
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := testing.AllocsPerRun(10, tc.run); got > tc.budget {
+			got := testing.AllocsPerRun(10, tc.run)
+			if got > tc.budget {
 				t.Errorf("%.0f allocs per run, budget is %.0f", got, tc.budget)
-			} else {
-				t.Logf("%.0f allocs per run (budget %.0f)", got, tc.budget)
 			}
+			lines = append(lines, fmt.Sprintf("%s allocs=%.0f budget=%.0f", tc.name, got, tc.budget))
 		})
 	}
+	if len(lines) != 1+len(rows) { // a -run filter that selects some rows checks only their budgets
+		return
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	t.Log("\n" + got)
+	const golden = "testdata/work.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("the allocation counts moved (rewrite with -update if that is meant):\ngot:\n%swant:\n%s", got, want)
+	}
 }
+
+var update = flag.Bool("update", false, "rewrite testdata/work.golden")
