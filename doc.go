@@ -45,14 +45,17 @@
 //	                    bounded-staleness SnapshotProvider contract;
 //	                    gates federation submission (a gated single
 //	                    cluster is a one-member federation)
-//	internal/fed      — federated multi-cluster scheduling: N member
-//	                    clusters, pluggable delegation policies (local,
-//	                    least-loaded, fairness-aware + pricing ablations,
-//	                    federation-level Shapley routing via fed.Game and
-//	                    RefPolicy, Nash-bargaining routing via
-//	                    NBSPolicy), summary-gossip staleness, queued-job
-//	                    migration at gossip refreshes (Migrating
-//	                    policies), federation-wide contribution ledger,
+//	internal/fed      — federated multi-cluster scheduling: 1 to 30
+//	                    member clusters, pluggable delegation policies
+//	                    (local, least-loaded, fairness-aware + pricing
+//	                    ablations, federation-level Shapley routing via
+//	                    fed.Game and RefPolicy, Nash-bargaining routing
+//	                    via NBSPolicy) resolved once into one routing
+//	                    path (a Scorer's per-exchange argmax, else one
+//	                    policy call per job), summary-gossip staleness,
+//	                    migration of the jobs members hold queued at
+//	                    gossip refreshes (Migrating), federation-wide
+//	                    contribution ledger,
 //	                    lockstep checkpoints, and replayable job
 //	                    sources (JobSource, SWF adapter) fed one step
 //	                    ahead of the clock by SubmitThrough

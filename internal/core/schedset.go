@@ -222,6 +222,9 @@ func (s *schedSet) Starts() []sim.Start { return s.decision().Starts() }
 // Withdrawn implements Stepper.
 func (s *schedSet) Withdrawn() int { return s.decision().WithdrawnCount() }
 
+// Queued implements Stepper.
+func (s *schedSet) Queued(dst []int) []int { return s.decision().Queued(dst) }
+
 // NextEventTime implements Stepper: the next release or completion after
 // the set's instant in any slot — what the reference mode steps to next,
 // a dormant slot's completions included, which StepNext folds instead.

@@ -55,6 +55,9 @@ type Stepper interface {
 	// Withdrawn returns the number of jobs withdrawn from the decision
 	// schedule.
 	Withdrawn() int
+	// Queued appends to dst the jobs the decision schedule holds and has
+	// not started — released and waiting, or pending — by ascending ID.
+	Queued(dst []int) []int
 	// Starts returns the decision schedule's starts so far.
 	Starts() []sim.Start
 	// ResultAt builds the standard result at time t. Callers must have

@@ -442,6 +442,15 @@ func TestSessionAPIValidation(t *testing.T) {
 	  "clusters":[{"name":"x","alg":"ref","machines":[1]}]}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"kind":"federation","org_names":["a"],
 	  "clusters":[{"name":"x","alg":"ref","machines":[0]}]}`, http.StatusBadRequest)
+	// A federation's members are the players of its game: one past the
+	// cap is a 400, not a panic at the first advance.
+	wide := make([]string, model.MaxOrgs+1)
+	for c := range wide {
+		wide[c] = fmt.Sprintf(`{"name":"m%d","alg":"nbs","machines":[1]}`, c)
+	}
+	if msg := a.do("POST", "/v1/sessions", `{"kind":"federation","org_names":["a"],"policy":"fednbs","clusters":[`+strings.Join(wide, ",")+`]}`, http.StatusBadRequest)["error"]; !strings.Contains(fmt.Sprint(msg), "maximum") {
+		t.Fatalf("a %d-member federation refused with %q, want the maximum named", len(wide), msg)
+	}
 	a.do("POST", "/v1/sessions", `{"id":"has space","kind":"single"}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"id":".tmp-x","kind":"single"}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"id":"dup","kind":"single"}`, http.StatusCreated)

@@ -176,6 +176,12 @@ func (e *Engine) Waiting() int {
 	return len(e.s.Instance().Jobs) - len(e.s.Starts()) - e.s.Withdrawn()
 }
 
+// Queued appends to dst the fed jobs that have neither started nor been
+// withdrawn, by ascending ID: the jobs Waiting counts, released or not.
+// It reads the decision schedule's queues, so its cost follows the
+// backlog, not the number of jobs ever fed.
+func (e *Engine) Queued(dst []int) []int { return e.s.Queued(dst) }
+
 // Result evaluates utilities, contributions and the schedule at the
 // current engine clock.
 func (e *Engine) Result() *core.Result { return e.s.ResultAt(e.now) }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -14,7 +15,8 @@ import (
 // of the deterministic state — and (b) replays the identical future
 // schedule whether or not the run was interrupted at the withdrawal
 // point. The withdrawn job must never start, and Waiting must not count
-// it.
+// it. At every stop Queued is the brute-force set — the fed jobs neither
+// started nor withdrawn — and as long as Waiting.
 func TestWithdrawCheckpointDeterminism(t *testing.T) {
 	for _, alg := range steppers() {
 		alg := alg
@@ -28,6 +30,29 @@ func TestWithdrawCheckpointDeterminism(t *testing.T) {
 				// is a drain bound, so pause early enough that some jobs
 				// are still queued or pending.
 				mid := model.Time(4)
+
+				// checkQueued holds e.Queued to the fed jobs that have
+				// neither started nor been withdrawn, by ascending ID.
+				checkQueued := func(e *Engine, withdrawn ...int) {
+					t.Helper()
+					gone := make(map[int]bool)
+					for _, s := range e.Decisions() {
+						gone[s.Job] = true
+					}
+					for _, id := range withdrawn {
+						gone[id] = true
+					}
+					var want []int
+					for id := range e.Instance().Jobs {
+						if !gone[id] {
+							want = append(want, id)
+						}
+					}
+					got := e.Queued([]int{-1})[1:] // appends to what it is given
+					if !slices.Equal(got, want) || len(got) != e.Waiting() {
+						t.Fatalf("seed %d at %d: Queued %v, want %v (Waiting %d)", seed, e.Now(), got, want, e.Waiting())
+					}
+				}
 
 				// notStarted picks the lowest fed job with no decision yet.
 				notStarted := func(e *Engine) int {
@@ -52,10 +77,12 @@ func TestWithdrawCheckpointDeterminism(t *testing.T) {
 					continue // everything already started by mid — try another seed
 				}
 				exercised = true
+				checkQueued(straight)
 				waitingBefore := straight.Waiting()
 				if err := straight.Withdraw(id); err != nil {
 					t.Fatalf("seed %d: withdraw job %d: %v", seed, id, err)
 				}
+				checkQueued(straight, id)
 				if got := straight.Waiting(); got != waitingBefore-1 {
 					t.Fatalf("seed %d: waiting %d after withdraw, want %d", seed, got, waitingBefore-1)
 				}
@@ -95,6 +122,7 @@ func TestWithdrawCheckpointDeterminism(t *testing.T) {
 				if resumed.Withdrawn() != 1 {
 					t.Fatalf("seed %d: restored withdrawn count %d, want 1", seed, resumed.Withdrawn())
 				}
+				checkQueued(resumed, id)
 				resnap, err := resumed.Snapshot()
 				if err != nil {
 					t.Fatal(err)
@@ -109,6 +137,8 @@ func TestWithdrawCheckpointDeterminism(t *testing.T) {
 				if _, err := resumed.Step(horizon); err != nil {
 					t.Fatal(err)
 				}
+				checkQueued(straight, id)
+				checkQueued(resumed, id)
 				assertSameRun(t, "resumed-after-withdraw vs uninterrupted",
 					straight.Result(), resumed.Result(), straight.Decisions(), resumed.Decisions())
 				for _, s := range straight.Decisions() {

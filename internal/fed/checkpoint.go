@@ -89,7 +89,7 @@ func (f *Federation) Snapshot() ([]byte, error) {
 		Version:   CheckpointVersion,
 		Policy:    f.policy.Name(),
 		Seed:      f.seed,
-		Now:       f.now,
+		Now:       f.Now(),
 		Pending:   f.pending,
 		Order:     make([]int, len(f.decs)),
 		Ledger:    f.Ledger(),
@@ -148,6 +148,9 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	if cp.Policy != policy.Name() {
 		return nil, fmt.Errorf("fed: restore: checkpoint routed by %q, federation configured with %q", cp.Policy, policy.Name())
 	}
+	if err := checkMembers(len(specs)); err != nil {
+		return nil, fmt.Errorf("fed: restore: %w", err)
+	}
 	if len(cp.Members) != len(specs) {
 		return nil, fmt.Errorf("fed: restore: checkpoint has %d clusters, configuration %d", len(cp.Members), len(specs))
 	}
@@ -165,12 +168,12 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	f := &Federation{
 		orgs:    append([]string(nil), orgs...),
 		policy:  policy,
+		routing: resolve(policy),
 		seed:    cp.Seed,
-		now:     cp.Now,
 		pending: cp.Pending,
 		ledger:  ledger,
 	}
-	f.sink = fedSink{f: f, memo: make([]int, len(orgs)*len(specs))}
+	f.sink = fedSink{f: f}
 	f.provider = ctrl.NewCachedSnapshotProvider(f.captureExchange, cp.Staleness)
 	if cp.Admission != nil {
 		if err := f.SetAdmission(cp.Admission); err != nil {
@@ -256,7 +259,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		// The routed-work matrix is captured only for ledger-aware
 		// policies; the policy name match above guarantees the restoring
 		// policy reads exactly what the capturing one did.
-		if usesLedger(policy) || len(cp.ExRouted) > 0 {
+		if f.routing.ledger != nil || len(cp.ExRouted) > 0 {
 			if len(cp.ExRouted) != len(specs) {
 				return nil, fmt.Errorf("fed: restore: exchange routed-work is %d×? for %d clusters",
 					len(cp.ExRouted), len(specs))

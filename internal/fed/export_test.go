@@ -1,6 +1,9 @@
 package fed
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/ctrl"
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -41,4 +44,26 @@ func (f *Federation) CountCaptures(captures, queued *int) {
 		*queued += v.Load.Waiting
 		return v
 	}, f.provider.MaxAge())
+}
+
+// CheckQueued holds every member's Engine.Queued to the brute-force set
+// a migration pass must scan: the jobs the member was fed that neither
+// started nor migrated away, by ascending local ID, as many as Waiting.
+func (f *Federation) CheckQueued() error {
+	for c, m := range f.members {
+		started := make(map[int]bool)
+		for _, s := range m.eng.Decisions() {
+			started[s.Job] = true
+		}
+		var want []int
+		for id, seq := range m.seqOf {
+			if seq >= 0 && !started[id] {
+				want = append(want, id)
+			}
+		}
+		if got := m.eng.Queued(nil); !slices.Equal(got, want) || len(got) != m.eng.Waiting() {
+			return fmt.Errorf("cluster %d at %d: Queued %v, want %v (Waiting %d)", c, m.eng.Now(), got, want, m.eng.Waiting())
+		}
+	}
+	return nil
 }

@@ -14,13 +14,14 @@
 // the site where the owning organization hands them in — and at each
 // release instant a pluggable delegation Policy inspects the current
 // per-cluster Summaries (queue backlog, capacity, exchanged ψ/φ
-// vectors) and picks the cluster that executes the job. A job that has
-// started never moves (engines are non-preemptive), but a *queued* job
-// can: under a MigratingPolicy, each staleness-delimited exchange
-// refresh re-scores every still-queued job on the freshly gossiped
-// view and migrates up to a per-round budget of them to strictly
-// better members (engine-level queue withdrawal + re-feed, re-pointed
-// in the ledger).
+// vectors) and picks the cluster that executes the job: by the largest
+// of a Scorer's per-exchange scores, or else by one Route or RouteLedger
+// call. A job that has started never moves (engines are
+// non-preemptive), but a *queued* job can: under Migrating, each
+// staleness-delimited exchange refresh re-scores the jobs the members
+// hold queued on the freshly gossiped view and migrates up to a
+// per-round budget of them to strictly better members (engine-level
+// queue withdrawal + re-feed, re-pointed in the ledger).
 //
 // All member engines advance in lockstep: Federation.Step(until) moves
 // every cluster through the same sequence of release instants, so a
@@ -98,25 +99,9 @@ type Member struct {
 	// its configuration once (New, Restore) and shared by every summary
 	// of it.
 	orgCapacity []int64
-	// started marks the local jobs that reached a machine and so can no
-	// longer migrate. Only a migration pass reads it: the column is built
-	// from the engine's decision log the first time one asks (New and
-	// Restore leave it nil) and kept current from then on, so a
-	// federation that never migrates never pays for it.
-	started []bool
-}
-
-// setSeq records the federation identity of a freshly fed local job.
-func (m *Member) setSeq(id int, seq int64, origin int) {
-	for len(m.seqOf) <= id {
-		m.seqOf = append(m.seqOf, -1)
-		m.originOf = append(m.originOf, -1)
-		if m.started != nil {
-			m.started = append(m.started, false)
-		}
-	}
-	m.seqOf[id] = seq
-	m.originOf[id] = origin
+	// queued is a migration pass's scratch: the member's queued jobs,
+	// snapshot before anything moves.
+	queued []int
 }
 
 // Name returns the member's configured name.
@@ -132,9 +117,9 @@ func (m *Member) Engine() *engine.Engine { return m.eng }
 type Federation struct {
 	orgs     []string
 	members  []*Member
-	policy   Policy
+	policy   Policy  // as configured; checkpoints carry its name
+	routing  routing // policy, resolved
 	seed     int64
-	now      model.Time
 	pending  []Pending // sorted by (Release, Seq) once sortPending runs
 	decs     []Decision
 	reported int
@@ -166,9 +151,28 @@ type Federation struct {
 	// sink is the federation's data-plane half — the one place jobs are
 	// routed and fed to members, with or without a plane in front of it.
 	sink fedSink
+}
 
-	// cands is redelegate's scratch: the queued jobs one pass scans.
-	cands []candidate
+// routing is a delegation policy resolved once, by New and Restore: the
+// policy that routes — a Migrating wrapper's Inner — with its Scorer and
+// LedgerPolicy sides, nil when it has none, and the migration budget.
+type routing struct {
+	policy Policy
+	scorer Scorer
+	ledger LedgerPolicy
+	budget int // migrations per exchange refresh; ≤ 0 disables the pass
+}
+
+// resolve unwraps p into the routing the federation runs.
+func resolve(p Policy) routing {
+	var r routing
+	if m, ok := p.(Migrating); ok {
+		p, r.budget = m.Inner, m.Budget
+	}
+	r.policy = p
+	r.scorer, _ = p.(Scorer)
+	r.ledger, _ = p.(LedgerPolicy)
+	return r
 }
 
 // exchange is the federation's observation payload: what one summary
@@ -188,7 +192,7 @@ type exchange struct {
 // copied only for ledger-aware policies — everyone else never reads it.
 func (f *Federation) captureExchange(model.Time) ctrl.View {
 	ex := &exchange{Sums: f.summaries()}
-	if usesLedger(f.policy) {
+	if f.routing.ledger != nil {
 		ex.Routed = f.routedWorkCopy()
 	}
 	return ctrl.View{Load: loadOf(ex.Sums), Payload: ex}
@@ -216,19 +220,20 @@ func New(orgs []string, specs []ClusterSpec, policy Policy, seed int64) (*Federa
 	if len(orgs) > model.MaxOrgs {
 		return nil, fmt.Errorf("fed: %d organizations exceed the maximum of %d", len(orgs), model.MaxOrgs)
 	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("fed: no member clusters")
+	if err := checkMembers(len(specs)); err != nil {
+		return nil, err
 	}
 	if policy == nil {
 		return nil, fmt.Errorf("fed: nil delegation policy")
 	}
 	f := &Federation{
-		orgs:   append([]string(nil), orgs...),
-		policy: policy,
-		seed:   seed,
-		ledger: newLedger(len(specs), len(orgs)),
+		orgs:    append([]string(nil), orgs...),
+		policy:  policy,
+		routing: resolve(policy),
+		seed:    seed,
+		ledger:  newLedger(len(specs), len(orgs)),
 	}
-	f.sink = fedSink{f: f, memo: make([]int, len(orgs)*len(specs))}
+	f.sink = fedSink{f: f}
 	f.provider = ctrl.NewCachedSnapshotProvider(f.captureExchange, 0)
 	orgList := make([]model.Org, len(orgs)) // NewInstance copies it: one scratch for every member
 	for i, spec := range specs {
@@ -261,6 +266,15 @@ func New(orgs []string, specs []ClusterSpec, policy Policy, seed int64) (*Federa
 		})
 	}
 	return f, nil
+}
+
+// checkMembers refuses a member count the federation game cannot hold:
+// members are its players.
+func checkMembers(n int) error {
+	if n < 1 || n > model.MaxOrgs {
+		return fmt.Errorf("fed: %d member clusters; the federation game takes 1 to a maximum of %d players", n, model.MaxOrgs)
+	}
+	return nil
 }
 
 // memberSeed derives member i's engine seed from the federation seed —
@@ -328,8 +342,9 @@ func (f *Federation) AdmissionStats() *metrics.AdmissionStats {
 	return f.plane.Stats()
 }
 
-// Now returns the federation clock: the instant of the last Step.
-func (f *Federation) Now() model.Time { return f.now }
+// Now returns the federation clock: the instant of the last Step, at
+// which every member stands.
+func (f *Federation) Now() model.Time { return f.members[0].eng.Now() }
 
 // PendingCount returns the number of accepted-but-unreleased jobs.
 func (f *Federation) PendingCount() int { return len(f.pending) }
@@ -377,8 +392,8 @@ func (f *Federation) checkJob(j SourceJob) error {
 		return fmt.Errorf("unknown organization %d", j.Org)
 	case j.Size < 1:
 		return fmt.Errorf("job size %d; sizes must be >= 1", j.Size)
-	case j.Release < f.now:
-		return fmt.Errorf("release %d before federation time %d", j.Release, f.now)
+	case j.Release < f.Now():
+		return fmt.Errorf("release %d before federation time %d", j.Release, f.Now())
 	}
 	return nil
 }
@@ -472,15 +487,15 @@ func (f *Federation) NextEventTime() model.Time {
 // across steps copy what they need (the daemon's wire conversion
 // already does); the steady-state hot path allocates nothing.
 func (f *Federation) Step(until model.Time) ([]Decision, error) {
-	if until < f.now {
-		return nil, fmt.Errorf("fed: step to %d before federation time %d", until, f.now)
+	if until < f.Now() {
+		return nil, fmt.Errorf("fed: step to %d before federation time %d", until, f.Now())
 	}
 	f.sortPending()
 	for {
 		t := f.nextInstant()
 		// Through t−1, or to until once nothing is due by then; never
 		// back before the instant the members stand at.
-		if err := f.advanceMembers(max(min(t-1, until), f.now)); err != nil {
+		if err := f.advanceMembers(max(min(t-1, until), f.Now())); err != nil {
 			return nil, err
 		}
 		if t > until {
@@ -530,30 +545,21 @@ func (f *Federation) deliver(t model.Time, batch []Pending) error {
 
 // fedSink is the federation's ctrl.Sink: the only code that asks the
 // delegation policy for a target, checks it and feeds a member.
-type fedSink struct {
-	f *Federation
-	// memo holds the policy's answers on exchange ex as target+1 (0 =
-	// none yet) at [org*members+origin]. Policies are pure functions of
-	// (org, origin, exchange) and an exchange is frozen until the next
-	// gossip, so one evaluation covers every job, routed or re-delegated,
-	// with that owner and origin until then. A Scorer policy needs none of
-	// it: the exchange keeps its score vector.
-	memo []int
-	ex   *exchange
-}
+type fedSink struct{ f *Federation }
 
 // target returns the member the policy sends org's jobs from origin to
-// on the exchange.
+// on the exchange: a Scorer's largest score, evaluated once per
+// exchange, or else the policy's answer to one call.
 func (s *fedSink) target(org, origin int, ex *exchange) (int, error) {
-	f := s.f
+	f, r := s.f, &s.f.routing
 	if org < 0 || org >= len(f.orgs) || origin < 0 || origin >= len(f.members) {
 		// Only a doctored control-plane queue gets here: accepted jobs
 		// passed checkJob.
 		return 0, fmt.Errorf("fed: job of organization %d from cluster %d is outside the federation", org, origin)
 	}
-	if sc, ok := scorerOf(f.policy); ok {
+	if r.scorer != nil {
 		if ex.scores == nil {
-			scores := sc.Scores(ex.Sums, ex.Routed)
+			scores := r.scorer.Scores(ex.Sums, ex.Routed)
 			if len(scores) != len(f.members) {
 				return 0, fmt.Errorf("fed: policy %q scored %d clusters of %d", f.policy.Name(), len(scores), len(f.members))
 			}
@@ -561,37 +567,29 @@ func (s *fedSink) target(org, origin int, ex *exchange) (int, error) {
 		}
 		return bestScore(origin, ex.scores), nil
 	}
-	if s.ex != ex {
-		clear(s.memo)
-		s.ex = ex
+	var target int
+	if r.ledger != nil {
+		target = r.ledger.RouteLedger(org, origin, ex.Sums, ex.Routed)
+	} else {
+		target = r.policy.Route(org, origin, ex.Sums)
 	}
-	slot := &s.memo[org*len(f.members)+origin]
-	if *slot == 0 {
-		var target int
-		if lp, ok := f.policy.(LedgerPolicy); ok {
-			// Policies that read federation-level accounting (FedREF).
-			target = lp.RouteLedger(org, origin, ex.Sums, ex.Routed)
-		} else {
-			target = f.policy.Route(org, origin, ex.Sums)
-		}
-		if target < 0 || target >= len(f.members) {
-			return 0, fmt.Errorf("fed: policy %q routed organization %d's jobs at cluster %d to unknown cluster %d",
-				f.policy.Name(), org, origin, target)
-		}
-		*slot = target + 1
+	if target < 0 || target >= len(f.members) {
+		return 0, fmt.Errorf("fed: policy %q routed organization %d's jobs at cluster %d to unknown cluster %d",
+			f.policy.Name(), org, origin, target)
 	}
-	return *slot - 1, nil
+	return target, nil
 }
 
 // feed hands job to member target at instant t; the member's local job
-// ID keeps its federation identity (sequence number and origin).
+// ID, the next position, keeps its federation identity (sequence number
+// and origin).
 func (s *fedSink) feed(target int, job ctrl.Job, t model.Time) error {
 	m := s.f.members[target]
-	ids, err := m.eng.Feed([]model.Job{{Org: job.Org, Size: job.Size, Release: t}})
-	if err != nil {
+	if _, err := m.eng.Feed([]model.Job{{Org: job.Org, Size: job.Size, Release: t}}); err != nil {
 		return fmt.Errorf("fed: feed cluster %d (%s): %w", target, m.name, err)
 	}
-	m.setSeq(ids[0], job.Seq, job.Origin)
+	m.seqOf = append(m.seqOf, job.Seq)
+	m.originOf = append(m.originOf, job.Origin)
 	return nil
 }
 
@@ -616,9 +614,9 @@ func (s *fedSink) Route(job ctrl.Job, t model.Time, view ctrl.View) error {
 	return nil
 }
 
-// advanceMembers steps every member engine to t, folds their fresh
-// starts into the federated decision log in configuration order and
-// lands the federation clock on t.
+// advanceMembers steps every member engine to t — the federation clock
+// lands there with them — and folds their fresh starts into the
+// federated decision log in configuration order.
 func (f *Federation) advanceMembers(t model.Time) error {
 	for c, m := range f.members {
 		starts, err := m.eng.Step(t)
@@ -626,15 +624,11 @@ func (f *Federation) advanceMembers(t model.Time) error {
 			return fmt.Errorf("fed: advance cluster %d (%s): %w", c, m.name, err)
 		}
 		for _, s := range starts {
-			if m.started != nil {
-				m.started[s.Job] = true
-			}
 			f.decs = append(f.decs, Decision{
 				Seq: m.seqOf[s.Job], Org: s.Org, Cluster: c, Machine: s.Machine, At: s.At,
 			})
 		}
 	}
-	f.now = t
 	return nil
 }
 
@@ -642,77 +636,57 @@ func (f *Federation) advanceMembers(t model.Time) error {
 func (f *Federation) Decisions() []Decision { return f.decs }
 
 // redelegate is the migration pass: fired at each exchange refresh, it
-// re-scores every still-queued routed job under the delegation policy
-// — the job's current holder playing the origin role, so the policies'
-// origin-preferring tie-breaks make "stay" the default — and migrates
-// it when the policy now picks a different (strictly better) member:
-// the queued job is withdrawn from its holder's engine, re-fed to the
-// new member at the current instant, and re-pointed in the ledger. At
-// most budget jobs move per refresh, in deterministic (member, local
-// job ID) order.
+// re-scores the jobs the members hold queued under the delegation
+// policy — the job's current holder playing the origin role, so the
+// policies' origin-preferring tie-breaks make "stay" the default — and
+// migrates one when the policy now picks a different (strictly better)
+// member: the queued job is withdrawn from its holder's engine, re-fed
+// to the new member at the current instant, and re-pointed in the
+// ledger. At most budget jobs move per refresh, in deterministic
+// (member, local job ID) order; a pass costs the backlog, not history.
 //
 // The whole pass scores against the one frozen exchange snapshot —
 // migrations do not update the view mid-round, exactly as routing a
 // same-instant batch doesn't. The budget is what bounds the herd a
 // stale view could otherwise stampede.
 func (f *Federation) redelegate(t model.Time, ex *exchange) error {
-	mp, ok := f.policy.(MigratingPolicy)
-	if !ok {
-		return nil
-	}
-	budget := mp.MigrationBudget()
+	budget := f.routing.budget
 	if budget <= 0 || len(f.members) <= 1 {
 		return nil
 	}
-	// Snapshot the queued candidates before moving anything: a job
-	// migrated this round must not be re-scored at its new home within
-	// the same round.
-	cands := f.cands[:0]
-	for c, m := range f.members {
-		if m.started == nil {
-			m.started = make([]bool, len(m.seqOf))
-			for _, s := range m.eng.Decisions() {
-				m.started[s.Job] = true
-			}
-		}
-		for id, seq := range m.seqOf {
-			if seq >= 0 && !m.started[id] {
-				cands = append(cands, candidate{c, id})
-			}
-		}
+	// Snapshot the queues before moving anything: a job migrated this
+	// round must not be re-scored at its new home within the same round.
+	for _, m := range f.members {
+		m.queued = m.eng.Queued(m.queued[:0])
 	}
-	f.cands = cands
 	moved := 0
-	for _, cand := range cands {
-		if moved >= budget {
-			break
+	for c, m := range f.members {
+		for _, id := range m.queued {
+			if moved >= budget {
+				return nil
+			}
+			job := m.eng.Instance().Jobs[id]
+			target, err := f.sink.target(job.Org, c, ex)
+			if err != nil {
+				return err
+			}
+			if target == c {
+				continue
+			}
+			if err := m.eng.Withdraw(id); err != nil {
+				return fmt.Errorf("fed: withdraw from cluster %d (%s): %w", c, m.name, err)
+			}
+			moving := ctrl.Job{Seq: m.seqOf[id], Origin: m.originOf[id], Org: job.Org, Size: job.Size}
+			m.seqOf[id], m.originOf[id] = -1, -1
+			if err := f.sink.feed(target, moving, t); err != nil {
+				return err
+			}
+			f.ledger.migrate(moving.Origin, c, target, int64(job.Size))
+			moved++
 		}
-		m := f.members[cand.cluster]
-		job := m.eng.Instance().Jobs[cand.id]
-		target, err := f.sink.target(job.Org, cand.cluster, ex)
-		if err != nil {
-			return err
-		}
-		if target == cand.cluster {
-			continue
-		}
-		if err := m.eng.Withdraw(cand.id); err != nil {
-			return fmt.Errorf("fed: withdraw from cluster %d (%s): %w", cand.cluster, m.name, err)
-		}
-		moving := ctrl.Job{Seq: m.seqOf[cand.id], Origin: m.originOf[cand.id], Org: job.Org, Size: job.Size}
-		m.seqOf[cand.id], m.originOf[cand.id] = -1, -1
-		if err := f.sink.feed(target, moving, t); err != nil {
-			return err
-		}
-		f.ledger.migrate(moving.Origin, cand.cluster, target, int64(job.Size))
-		moved++
 	}
 	return nil
 }
-
-// candidate is one queued job a migration pass scans: its holder and
-// local ID.
-type candidate struct{ cluster, id int }
 
 // routedWorkCopy snapshots the ledger's routed-work matrix, so the
 // exchange stays frozen while routing appends to the live ledger. The

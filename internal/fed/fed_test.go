@@ -586,4 +586,35 @@ func TestFederationNewValidation(t *testing.T) {
 	if _, err := fed.New([]string{"o"}, []fed.ClusterSpec{{Name: "a", Alg: alg, Machines: []int{0}}}, fed.LocalOnly{}, 1); err == nil {
 		t.Error("machineless cluster accepted")
 	}
+
+	// Members are the players of the federation game: model.MaxOrgs of
+	// them route and step, one more is refused by New and by Restore
+	// before the game's coalitions could overflow.
+	wide := make([]fed.ClusterSpec, model.MaxOrgs+1)
+	for c := range wide {
+		wide[c] = fed.ClusterSpec{Name: fmt.Sprintf("m%d", c), Alg: alg, Machines: []int{1}}
+	}
+	f, err := fed.New([]string{"o"}, wide[:model.MaxOrgs], fed.NBSPolicy{}, 1)
+	if err != nil {
+		t.Fatalf("%d members refused: %v", model.MaxOrgs, err)
+	}
+	if _, err := f.Submit(0, 0, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Step(10); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fed.Restore([]string{"o"}, wide[:model.MaxOrgs], fed.NBSPolicy{}, snap); err != nil {
+		t.Fatalf("%d members refused on restore: %v", model.MaxOrgs, err)
+	}
+	if _, err := fed.New([]string{"o"}, wide, fed.NBSPolicy{}, 1); err == nil || !strings.Contains(err.Error(), "maximum") {
+		t.Errorf("%d members: %v, want a refusal naming the maximum", len(wide), err)
+	}
+	if _, err := fed.Restore([]string{"o"}, wide, fed.NBSPolicy{}, snap); err == nil || !strings.Contains(err.Error(), "maximum") {
+		t.Errorf("%d members on restore: %v, want a refusal naming the maximum", len(wide), err)
+	}
 }

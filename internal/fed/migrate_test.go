@@ -235,8 +235,8 @@ func TestPolicyByNameMigrateVariants(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s resolved to %T", name, p)
 		}
-		if m.Name() != name || m.Inner.Name() != inner || m.MigrationBudget() != fed.DefaultMigrationBudget {
-			t.Fatalf("%s resolved to %s over %s with budget %d", name, m.Name(), m.Inner.Name(), m.MigrationBudget())
+		if m.Name() != name || m.Inner.Name() != inner || m.Budget != fed.DefaultMigrationBudget {
+			t.Fatalf("%s resolved to %s over %s with budget %d", name, m.Name(), m.Inner.Name(), m.Budget)
 		}
 	}
 }

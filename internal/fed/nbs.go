@@ -39,7 +39,7 @@ func (NBSPolicy) Name() string { return "fednbs" }
 
 // Route implements Policy. Without the exchanged ledger there is no
 // federation game to bargain over, so the degenerate form keeps the
-// job home; the federation always calls RouteLedger.
+// job home; a federation routes by Scores.
 func (NBSPolicy) Route(_, origin int, _ []Summary) int { return origin }
 
 // RouteLedger implements LedgerPolicy.

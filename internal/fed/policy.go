@@ -67,16 +67,6 @@ type Scorer interface {
 	Scores(sums []Summary, routedWork [][]int64) []float64
 }
 
-// scorerOf returns the Scorer that really routes for p: Migrating
-// forwards to its inner policy, so it answers for it.
-func scorerOf(p Policy) (Scorer, bool) {
-	if m, ok := p.(Migrating); ok {
-		p = m.Inner
-	}
-	s, ok := p.(Scorer)
-	return s, ok
-}
-
 // LocalOnly never delegates: every job runs at its origin cluster.
 // This is the no-federation baseline the other policies are measured
 // against.
@@ -238,26 +228,17 @@ func (FairnessDecayed) Route(org, origin int, sums []Summary) int {
 // refresh cannot reshuffle a whole backlog on a single stale view.
 const DefaultMigrationBudget = 8
 
-// MigratingPolicy is a Policy that opts into the re-delegation pass:
+// Migrating wraps any delegation policy with queued-job re-delegation:
 // at each staleness-delimited exchange refresh the federation re-scores
-// every still-queued routed job under the policy (with the job's
-// current holder as the tie-preferred origin) and migrates up to
-// MigrationBudget jobs per refresh to strictly better members.
-type MigratingPolicy interface {
-	Policy
-	// MigrationBudget returns the per-refresh migration cap; values
-	// ≤ 0 disable migration (the pass never fires).
-	MigrationBudget() int
-}
-
-// Migrating wraps any delegation policy with queued-job re-delegation.
-// Routing is delegated verbatim to Inner — with Budget 0 a Migrating
-// federation is byte-identical to the bare Inner federation — and the
-// migration pass reuses the same Route/RouteLedger scoring: a queued
-// job held at cluster c migrates exactly when the policy, asked to
-// route it with origin c on the freshly refreshed exchange, picks a
-// different cluster (every shipped policy breaks ties toward the
-// origin, so "different" means "strictly better").
+// the jobs its members hold queued and migrates up to Budget of them to
+// strictly better members. The federation unwraps it when it is built
+// and routes by Inner — with Budget 0 a Migrating federation is
+// byte-identical to the bare Inner federation — and the migration pass
+// asks Inner the same way: a queued job held at cluster c migrates
+// exactly when the policy, asked to route it with origin c on the
+// freshly refreshed exchange, picks a different cluster (every shipped
+// policy breaks ties toward the origin, so "different" means "strictly
+// better").
 type Migrating struct {
 	Inner Policy
 	// Budget caps migrations per exchange refresh; ≤ 0 disables.
@@ -271,32 +252,6 @@ func (m Migrating) Name() string { return m.Inner.Name() + "-migrate" }
 // Route implements Policy.
 func (m Migrating) Route(org, origin int, sums []Summary) int {
 	return m.Inner.Route(org, origin, sums)
-}
-
-// RouteLedger implements LedgerPolicy, forwarding to the inner policy's
-// ledger-aware entry point when it has one.
-func (m Migrating) RouteLedger(org, origin int, sums []Summary, routedWork [][]int64) int {
-	if lp, ok := m.Inner.(LedgerPolicy); ok {
-		return lp.RouteLedger(org, origin, sums, routedWork)
-	}
-	return m.Inner.Route(org, origin, sums)
-}
-
-// MigrationBudget implements MigratingPolicy.
-func (m Migrating) MigrationBudget() int { return m.Budget }
-
-// usesLedger reports whether the policy actually reads the exchanged
-// routed-work matrix. Migrating implements LedgerPolicy to forward it,
-// so a plain interface assertion would make every "-migrate" wrapper
-// pay the per-exchange matrix copy (and carry ExRouted in checkpoints)
-// even when the inner policy never looks at it; unwrapping answers for
-// the policy that really routes.
-func usesLedger(p Policy) bool {
-	if m, ok := p.(Migrating); ok {
-		p = m.Inner
-	}
-	_, ok := p.(LedgerPolicy)
-	return ok
 }
 
 // maxExactFedPlayers bounds the member count for which FedREF runs the
@@ -365,7 +320,7 @@ func (p RefPolicy) Name() string {
 
 // Route implements Policy. Without the exchanged ledger there is no
 // federation game to value, so the degenerate form keeps the job home;
-// the federation always calls RouteLedger.
+// a federation routes by Scores.
 func (RefPolicy) Route(_, origin int, _ []Summary) int { return origin }
 
 // RouteLedger implements LedgerPolicy.

@@ -9,8 +9,8 @@ import (
 )
 
 // opaque shows the federation only Name, Route and RouteLedger of a
-// Scorer, so its jobs route the per-job way, through the sink's memo,
-// as every policy that is not a Scorer does. Each call checks that the
+// Scorer, so each of its jobs routes by one RouteLedger call, as every
+// ledger policy that is not a Scorer does. Each call checks that the
 // exchange's summaries carry one instant: Scores reads it from any.
 type opaque struct {
 	inner fed.LedgerPolicy
@@ -45,7 +45,7 @@ func hide(t *testing.T, p fed.Policy) fed.Policy {
 // TestScorerMatchesPerJobRouting: a Scorer's federation, which scores
 // each exchange once and routes every job by an argmax over the
 // vector, decides, accounts and checkpoints byte for byte as the same
-// policy asked per (organization, origin) through RouteLedger — fresh
+// policy asked once per job through RouteLedger — fresh
 // and stale gossip, plane off and token-bucket gated, and across a
 // Snapshot → Restore in the middle of a staleness period, which
 // re-scores the restored exchange.

@@ -182,7 +182,7 @@ func TestStreamingMatchesEager(t *testing.T) {
 			if st := chunked.AdmissionStats(); sc.admission != nil && deferred(st) == 0 {
 				t.Fatal("the gate deferred nothing — the case does not exercise admission")
 			}
-			if _, ok := sc.policy.(fed.MigratingPolicy); ok && chunked.Ledger().Migrations == 0 {
+			if _, ok := sc.policy.(fed.Migrating); ok && chunked.Ledger().Migrations == 0 {
 				t.Fatal("nothing migrated — the case does not exercise re-delegation")
 			}
 			want, err := eager.Snapshot()
@@ -587,7 +587,9 @@ func TestSWFSourceDisorderBeyondSlack(t *testing.T) {
 // source has yet to yield, whose Submit is then refused — over a
 // migrating federation, and asserts the two invariants everything else
 // rests on: job conservation, and determinism — the same op sequence
-// replays to identical bytes.
+// replays to identical bytes. After every op each member's queued jobs,
+// which a migration pass scans, are the ones it was fed that neither
+// started nor migrated away (CheckQueued).
 func FuzzFedStreamStep(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, int64(1))
 	f.Add([]byte{2, 2, 2, 9, 0, 7, 1}, int64(3))
@@ -642,6 +644,9 @@ func FuzzFedStreamStep(f *testing.F) {
 					}
 				case 3:
 					through(fd.Now() + model.Time(b-2))
+				}
+				if err := fd.CheckQueued(); err != nil {
+					t.Fatal(err)
 				}
 			}
 			// Drain everything, including submits released past 6000.

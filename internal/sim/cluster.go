@@ -290,6 +290,24 @@ func (c *Cluster) WaitingAmong(among model.Coalition) (jobs int, orgs model.Coal
 	return jobs, orgs
 }
 
+// Queued appends to dst the member jobs the cluster has neither started
+// nor seen withdrawn — each member's released jobs past its cursor and
+// the members' pending releases — in ascending ID order.
+func (c *Cluster) Queued(dst []int) []int {
+	n := len(dst)
+	for m := uint32(c.coal); m != 0; m &= m - 1 {
+		u := bits.TrailingZeros32(m)
+		dst = append(dst, c.q.window(u, c.cursor[u])...)
+	}
+	for _, id := range c.q.pending {
+		if c.coal.Has(c.inst.Jobs[id].Org) {
+			dst = append(dst, id)
+		}
+	}
+	slices.Sort(dst[n:])
+	return dst
+}
+
 // FreeMachines returns the number of idle machines.
 func (c *Cluster) FreeMachines() int { return len(c.free) }
 
