@@ -251,7 +251,7 @@ func fedWork(t *testing.T, rounds int) work {
 // interleaved so that both see the same load. A migration pass scans
 // the jobs its members hold queued, not their history; when it walked
 // every job ever fed, the old round cost 11 to 14× the young one. What
-// is left, 1.5 to 1.9× in a 2-core container, is the growth of the
+// is left, 1.4 to 1.9× in a 2-core container, is the growth of the
 // per-job logs every session appends to (engine decision logs and job
 // lists, the federation's sequence and origin columns): several of them
 // outgrow their arrays within those 32 rounds, and the fednbs round
