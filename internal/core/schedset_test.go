@@ -209,6 +209,24 @@ func (p *countingPolicy) Select(t model.Time, m int) int {
 	return p.Policy.Select(t, m)
 }
 
+// countingOrderer is a countingPolicy over a policy that orders the
+// free machines, which it still does.
+type countingOrderer struct{ *countingPolicy }
+
+func (p countingOrderer) OrderMachines(t model.Time, free []int) {
+	p.Policy.(sim.MachineOrderer).OrderMachines(t, free)
+}
+
+// counted wraps a slot's policy in a countingPolicy, an orderer's in a
+// countingOrderer.
+func counted(p sim.Policy, count *selectCount) sim.Policy {
+	c := &countingPolicy{Policy: p, count: count}
+	if _, ok := p.(sim.MachineOrderer); ok {
+		return countingOrderer{c}
+	}
+	return c
+}
+
 // densityOrgs and densityRounds shape the stream of densityStream.
 const densityOrgs, densityRounds = 8, 60
 
@@ -255,7 +273,11 @@ type work struct {
 	byCompletion, byRelease, folded    int
 	dispatches, contested, retargets   int
 	starts, selects, completed, allocs int
-	perInstant                         map[model.Time]int // dispatching slots per instant
+	// eager counts the dispatches of hypothetical schedules (every slot
+	// but the decision schedule) that a touch made; materialized, the
+	// slots that left free flow.
+	eager, materialized int
+	perInstant          map[model.Time]int // dispatching slots per instant
 }
 
 // line is w as a ledger line of exact integers, the form work.golden
@@ -265,8 +287,8 @@ func (w *work) line(label string, scan bool) string {
 	if !scan {
 		split = fmt.Sprintf(" by_completion=%d by_release=%d folded=%d", w.byCompletion, w.byRelease, w.folded)
 	}
-	return fmt.Sprintf("%s steps=%d touched=%d%s dispatches=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d",
-		label, w.steps, w.touched, split, w.dispatches, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs)
+	return fmt.Sprintf("%s steps=%d touched=%d%s dispatches=%d eager_dispatches=%d materialized=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d",
+		label, w.steps, w.touched, split, w.dispatches, w.eager, w.materialized, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs)
 }
 
 // measureWork steps a set build returns over the density stream to its
@@ -300,15 +322,21 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	s.plug = plug
 	var count selectCount
 	s.q = sim.NewQueues(in)
+	last := len(s.slots) - 1
 	for i, c := range s.slots {
-		s.slots[i] = s.q.NewCluster(c.Coalition(), &countingPolicy{Policy: c.Policy(), count: &count}, nil)
-		if i < len(s.slots)-1 {
+		var rng *rand.Rand
+		if i == last && s.src != nil {
+			rng = rand.New(s.src) // the decision schedule's stream, unstepped
+		}
+		s.slots[i] = s.q.NewCluster(c.Coalition(), counted(c.Policy(), &count), rng)
+		if i < last {
 			s.slots[i].DiscardStarts()
 		}
 	}
 	s.rekeyAll()
 	w := &work{perInstant: map[model.Time]int{}}
 	started := make([]int, len(s.slots))
+	touchedNow := make([]bool, len(s.slots))
 	var onTime int
 	var keyed, before []int
 	for at := s.instant(); at <= horizon; at = s.instant() {
@@ -328,9 +356,13 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 			t.Fatalf("no step at instant %d", at)
 		}
 		w.steps++
+		clear(touchedNow)
 		if s.scan {
 			w.touched += len(s.slots)
 		} else {
+			for _, i := range s.touched {
+				touchedNow[i] = true
+			}
 			w.touched += len(s.touched)
 			w.byCompletion += len(keyed)
 			for j, i := range keyed {
@@ -343,6 +375,9 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 				w.perInstant[at]++
 				w.starts += st - started[i]
 				started[i] = st
+				if i < last && (s.scan || touchedNow[i]) {
+					w.eager++
+				}
 			}
 		}
 	}
@@ -386,8 +421,9 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 
 var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 
-// The work REF does per step, in both modes of the loop, and RAND(N=15)
-// in the default mode, counted on densityStream (measureWork) and held
+// The work REF does per step, in both modes of the loop, RAND(N=15) and
+// NBS in the default mode and DIRECTCONTR, a one-slot set, in the
+// reference mode, counted on densityStream (measureWork) and held
 // to testdata/work.golden (go test ./internal/core -run
 // TestTouchedSetDensity -update rewrites it): a change that claims a cheaper step and leaves the file
 // as it is did the same work more cheaply. Per mode:
@@ -405,7 +441,8 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 //   - completions folded without a touch of their own: every completion
 //     but those in keyed slots at their instant. Both modes complete the
 //     same jobs by the horizon;
-//   - dispatching slots per instant, equal in both modes, and among them
+//   - dispatching slots per instant, equal in both modes; among them
+//     the hypothetical schedules' dispatches a touch made (eager), and
 //     the contested ones, where two or more organizations wait: only
 //     those refresh targets (one retarget each) and ask Select in the
 //     default mode; the reference mode retargets at every dispatch and
@@ -433,6 +470,11 @@ func TestTouchedSetDensity(t *testing.T) {
 	}
 	rnd := measureWork(t, in, releases, func() *schedSet { return NewRandSched(in, 15, 1, RandOptions{}).set() })
 	ledger = append(ledger, rnd.line("RAND(N=15)/heap", false))
+	nbs := measureWork(t, in, releases, func() *schedSet { return NewNbs(in).set() })
+	ledger = append(ledger, nbs.line("NBS/heap", false))
+	// A one-slot set runs the reference mode: it has nothing to skip.
+	direct := measureWork(t, in, releases, func() *schedSet { return setOf(DirectContrAlgorithm().NewStepper(in, 1)) })
+	ledger = append(ledger, direct.line("DIRECTCONTR/scan", true))
 	heap, scan := ref[DriverHeap], ref[DriverScan]
 	if 4*heap.touched < slots*heap.steps {
 		t.Errorf("mean touched set %.1f of %d slots: the stream is sparse, the premise of the flat key scan does not hold on it", float64(heap.touched)/float64(heap.steps), slots)
