@@ -22,8 +22,8 @@ import (
 // RefOptions{Parallel: true, Workers: 2}, 5 organizations;
 // RandOptions{Workers: 2}, 6 organizations; t = 7, touched sets up to
 // 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json
-// to ckpt_v5_<key>.json, the same run captured at the same instant by
-// the first version-2, version-3, version-4 and version-5 writers.
+// to ckpt_v6_<key>.json, the same run captured at the same instant by
+// the first version-2 to version-6 writers.
 // decisionFirst marks the families that checkpoint the decision schedule
 // first, not last.
 var ckptFamilies = []struct {
@@ -109,8 +109,11 @@ func freshAt(t *testing.T, alg StepperAlgorithm, cp *Checkpoint) (*model.Instanc
 // started), one per stepper family and layout version. Each must
 // restore under the current code, re-capture to what a fresh run
 // stepped to the same instant captures, and run to the horizon with
-// starts, ψ and φ equal to an uninterrupted run. A version-5 file is
-// that fresh capture byte for byte; an older file cannot be (the
+// starts, ψ and φ equal to an uninterrupted run. A version-6 file is
+// that fresh capture byte for byte; a version-5 one differs in its
+// version only (the run is on related machines, where version 6 keeps
+// the machines a hypothetical schedule's entries ran on), and an older
+// file cannot be (the
 // writer omits five of a version-1 cluster's fields, every job's ID and
 // every start's Org of version 2, a running entry's end and fold mark
 // and the decision schedule's running entries and accounts of version
@@ -137,7 +140,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 		if !fam.v2 {
 			continue
 		}
-		for _, version := range []int{2, 3, 4, 5} {
+		for _, version := range []int{2, 3, 4, 5, 6} {
 			t.Run(fmt.Sprintf("%s/v%d", fam.key, version), func(t *testing.T) {
 				raw, cp := loadCheckpoint(t, fmt.Sprintf("v%d_%s", version, fam.key))
 				if _, parent := loadParentCheckpoint(t, fam.key); cp.Version != version || cp.Now != parent.Now || len(cp.Jobs) != len(parent.Jobs) {
@@ -149,7 +152,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				if old := bytes.Contains(raw, []byte(`"end":`)) && bytes.Contains(raw, []byte(`"acc_from":`)); old != (version < 4) {
 					t.Fatalf("the fixture carries running entries' ends and fold marks: %v", old)
 				}
-				if counts := bytes.Contains(raw, []byte(`"waiting":`)); counts != (version == 5 && fam.key != "roundrobin") {
+				if counts := bytes.Contains(raw, []byte(`"waiting":`)); counts != (version >= 5 && fam.key != "roundrobin") {
 					t.Fatalf("the fixture's hypothetical schedules store waiting counts: %v", counts)
 				}
 				restored, err := fam.alg.RestoreStepper(cp)

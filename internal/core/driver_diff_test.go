@@ -14,15 +14,18 @@ import (
 )
 
 // diffInstance builds a randomized instance exercising the driver edge
-// cases: same-instant release bursts, heterogeneous machine speeds
-// (remainder slots are where a stale value polynomial would first go
-// wrong), idle stretches and organizations with no machines or no jobs.
+// cases: same-instant release bursts, heterogeneous machine speeds in
+// half the instances (remainder slots are where a stale value
+// polynomial would first go wrong) and identical machines, where slots
+// enter free flow, in the other half, idle stretches and organizations
+// with no machines or no jobs.
 func diffInstance(r *rand.Rand, k int) *model.Instance {
 	orgs := make([]model.Org, k)
+	related := r.Intn(2) == 0 // else identical machines, where the sets keep a release-start ledger
 	for i := range orgs {
 		m := r.Intn(3) // 0 machines is a legal, interesting degenerate
 		o := model.Org{Name: string(rune('A' + i)), Machines: m}
-		if m > 0 && r.Intn(2) == 0 {
+		if related && m > 0 && r.Intn(2) == 0 {
 			o.Speeds = make([]int, m)
 			for s := range o.Speeds {
 				o.Speeds[s] = 1 + r.Intn(3)

@@ -9,18 +9,21 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 // fuzzInstance decodes an instance: the first byte picks 2 to 5
-// organizations, the next one per organization its 1 to 3 machines
-// (related ones of speed 1 or 2 when the high bit is set), and each
-// following triple one job — organization, release in 0..19, size in
-// 1..8 — up to 24 jobs.
+// organizations and, by its high bit, related machines — identical ones,
+// where the set keeps a release-start ledger, when it is clear — the
+// next one per organization its 1 to 3 machines (on related machines, of
+// speed 1 or 2 when that byte's high bit is set), and each following
+// triple one job — organization, release in 0..19, size in 1..8 — up to
+// 24 jobs.
 func fuzzInstance(data []byte) *model.Instance {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
-	k := 2 + int(data[0])%4
+	k, related := 2+int(data[0]&0x7f)%4, data[0]&0x80 != 0
 	data = data[1:]
 	orgs := make([]model.Org, k)
 	for i := range orgs {
@@ -29,7 +32,7 @@ func fuzzInstance(data []byte) *model.Instance {
 			b = data[i]
 		}
 		o := model.Org{Name: string(rune('A' + i)), Machines: 1 + int(b)%3}
-		if b&0x80 != 0 {
+		if related && b&0x80 != 0 {
 			o.Speeds = make([]int, o.Machines)
 			for m := range o.Speeds {
 				o.Speeds[m] = 1 + int(b>>(4+m))&1
@@ -58,15 +61,26 @@ func cloneInstance(in *model.Instance) *model.Instance {
 // under arbitrary use, for REF (Rotate off and on), RAND (both samplers)
 // and NBS: a byte-coded instance (fuzzInstance) and a byte-coded stream
 // of operations — advance to a later instant, inject a batch of jobs
-// released at or after the clock, withdraw a job, capture and restore
-// both runs through JSON. After every operation both runs report the
-// same starts, NextEventTime and φ bits; after every advance, before
-// FinishAt and after it, the same NextEventTime, and after FinishAt
-// byte-equal captures.
+// released at or after the clock, withdraw a job (any, or one queued in
+// the decision schedule that a slot in free flow already runs), capture
+// and restore both runs through JSON (where it stands, or first at the
+// next event, inside a free-flow period). After every operation both
+// runs report the same starts, NextEventTime and φ bits; after every
+// advance, before FinishAt and after it, the same NextEventTime, and
+// after FinishAt byte-equal captures.
+//
+// The last two seeds fail scratch mutations of free flow: a
+// materialization that drops a running release-start job (A's first job
+// runs from its release when A's second one overflows A's singleton),
+// and a re-entry that ignores a withdrawn job still running in the
+// ledger (A's third job, withdrawn while it waits, runs in the ledger to
+// 8, past A's singleton going idle at 6).
 func FuzzStepperModes(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 2, 0, 0, 5, 1, 0, 3, 2, 5, 7, 0, 5, 2}, []byte{4, 8, 1, 12, 2, 60, 3, 4, 64})
-	f.Add([]byte{3, 0x81, 0x92, 2, 0, 1, 7, 1, 1, 3, 2, 1, 6, 3, 9, 1, 4, 4, 4, 0, 12, 5}, []byte{0, 0, 5, 9, 6, 3, 14, 2, 62, 60, 7, 11})
+	f.Add([]byte{0x83, 0x81, 0x92, 2, 0, 1, 7, 1, 1, 3, 2, 1, 6, 3, 9, 1, 4, 4, 4, 0, 12, 5}, []byte{0, 0, 5, 9, 6, 3, 14, 2, 62, 60, 7, 11})
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 7, 1, 0, 7, 2, 0, 7, 0, 3, 1}, []byte{60, 1, 5, 0, 13, 3, 2, 9, 60})
+	f.Add([]byte{0, 0, 0, 0, 0, 3, 0, 2, 0}, []byte{8})
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 7}, []byte{0, 18, 20})
 	f.Fuzz(func(t *testing.T, instance, ops []byte) {
 		base := fuzzInstance(instance)
 		if len(ops) > 64 {
@@ -156,12 +170,44 @@ func FuzzStepperModes(f *testing.F) {
 					if jobs == 0 {
 						continue
 					}
-					id := arg % jobs
+					id := (arg >> 1) % jobs
+					if arg&1 == 1 {
+						// One waiting in the decision schedule, released to a
+						// slot in free flow, which started it then.
+						s := setOf(runs[0])
+						var flowing model.Coalition
+						for _, c := range s.slots {
+							if c.Flowing() {
+								flowing |= c.Coalition()
+							}
+						}
+						var started []int
+						for _, id := range runs[0].Queued(nil) {
+							if j := runs[0].Instance().Jobs[id]; j.Release <= now && flowing.Has(j.Org) {
+								started = append(started, id)
+							}
+						}
+						if len(started) == 0 {
+							continue
+						}
+						id = started[(arg>>1)%len(started)]
+					}
 					if x, y := runs[0].Withdraw(id), runs[1].Withdraw(id); (x == nil) != (y == nil) {
 						t.Fatalf("%s: withdraw %d: %v, reference mode %v", alg.Name(), id, x, y)
 					}
 					check("a withdrawal")
 				case 3: // capture, restore both through JSON
+					if next := runs[0].NextEventTime(); arg&1 == 1 && next != sim.MaxTime {
+						// At the next event: a release into slots in free flow,
+						// or a completion inside a free-flow period.
+						for _, st := range runs {
+							for st.StepNext(next) {
+							}
+							st.FinishAt(next)
+						}
+						now = next
+						check("an advance to the next event")
+					}
 					for j, data := range capture("a capture") {
 						var cp Checkpoint
 						if err := json.Unmarshal(data, &cp); err != nil {

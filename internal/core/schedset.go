@@ -94,7 +94,8 @@ type schedSet struct {
 	now model.Time
 
 	keys    []model.Time      // slot -> its next completion while a job waits in it, else sim.MaxTime
-	open    []model.Coalition // slot -> its coalition while nothing waits in it, else empty
+	open    []model.Coalition // slot -> its coalition while nothing waits in it and it is not in free flow, else empty
+	flow    []model.Coalition // slot -> its coalition while it is in free flow, else empty
 	all     []int             // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
 	touched []int             // scratch
 }
@@ -165,17 +166,42 @@ func (s *schedSet) decision() *sim.Cluster { return s.slots[len(s.slots)-1] }
 // nothing waiting; its key is then early, never late: the slot is
 // touched at a completion where it decides nothing, and goes dormant.
 // The differential tests hold the maintained keys to this rule.
+//
+// It also settles free flow: the reference mode keeps no release-start
+// ledger, so its slots leave free flow; the default mode keeps one
+// where there are hypothetical schedules and the machines share one
+// speed, and every hypothetical schedule that qualifies enters it.
 func (s *schedSet) rekeyAll() {
 	if s.scan {
+		for _, c := range s.slots {
+			if c.Flowing() {
+				c.Materialize()
+			}
+		}
+		s.q.KeepReleaseStarts(false)
 		return
 	}
+	ledger := s.q.KeepReleaseStarts(len(s.slots) > 1)
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
 	s.open = make([]model.Coalition, n)
+	s.flow = make([]model.Coalition, n)
 	s.touched = make([]int, 0, n)
 	for i, c := range s.slots {
+		if ledger && c.Flow() {
+			s.keys[i], s.flow[i] = sim.MaxTime, c.Coalition()
+			continue
+		}
 		jobs, _ := c.Waiting()
 		s.rekey(i, jobs > 0)
+	}
+}
+
+// reflow puts slot, which has nothing waiting, into free flow if it
+// qualifies (sim.Cluster.Flow).
+func (s *schedSet) reflow(slot int) {
+	if c := s.slots[slot]; c.Flow() {
+		s.keys[slot], s.open[slot], s.flow[slot] = sim.MaxTime, 0, c.Coalition()
 	}
 }
 
@@ -202,10 +228,16 @@ func (s *schedSet) rekey(slot int, waiting bool) {
 // thing the pass would do there: its own AdvanceTo(t) then finds
 // nothing left. Every other slot stands at t or lags it with no event
 // in between, where its accounts are exact.
+//
+// A dormant slot whose fold leaves it qualified goes back to free flow;
+// a slot in free flow reads the ledger (sim.Cluster.ValueAt).
 func (s *schedSet) valueAt(slot int, t model.Time) int64 {
 	c := s.slots[slot]
 	if t <= s.now && c.NextCompletion() <= t {
 		c.AdvanceTo(t)
+		if !s.scan && s.open[slot] != 0 {
+			s.reflow(slot)
+		}
 	}
 	return c.ValueAt(t)
 }
@@ -230,10 +262,15 @@ func (s *schedSet) Queued(dst []int) []int { return s.decision().Queued(dst) }
 // a dormant slot's completions included, which StepNext folds instead.
 func (s *schedSet) NextEventTime() model.Time {
 	t := s.q.NextRelease()
-	for _, c := range s.slots {
+	var flowing model.Coalition // the organizations of the slots in free flow
+	for i, c := range s.slots {
+		if !s.scan && s.flow[i] != 0 {
+			flowing |= s.flow[i]
+			continue
+		}
 		t = min(t, c.NextCompletionAfter(s.now))
 	}
-	return t
+	return min(t, s.q.StartsCompletionAfter(flowing, s.now))
 }
 
 // instant returns the instant StepNext takes next: the next release or
@@ -273,14 +310,25 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	if !s.scan {
 		touched = s.touched[:0]
 		for i, k := range s.keys {
-			if k == t || s.open[i]&releasing != 0 {
+			switch {
+			case k == t || s.open[i]&releasing != 0:
+				touched = append(touched, i)
+			case s.flow[i]&releasing != 0 && s.slots[i].Overflows():
+				// Free flow ends here: the slot is materialized with the
+				// releases waiting, and steps as a dormant slot would.
+				s.slots[i].Materialize()
+				s.open[i], s.flow[i] = s.flow[i], 0
 				touched = append(touched, i)
 			}
 		}
 		s.touched = touched
+		s.q.BookReleases()
 	}
 	for _, i := range touched {
 		c := s.slots[i]
+		if !s.scan && s.flow[i] != 0 {
+			continue // back in free flow through a value read's fold
+		}
 		c.AdvanceTo(t)
 		free := c.FreeMachines()
 		if s.scan && free == 0 {
@@ -308,6 +356,9 @@ func (s *schedSet) StepNext(until model.Time) bool {
 		}
 		if !s.scan {
 			s.rekey(i, jobs > free)
+			if jobs <= free {
+				s.reflow(i)
+			}
 		}
 	}
 	return true
@@ -319,8 +370,12 @@ func (s *schedSet) StepNext(until model.Time) bool {
 func (s *schedSet) FinishAt(t model.Time) {
 	s.now = t
 	s.q.AdvanceTo(t)
-	for _, c := range s.slots {
+	s.q.BookReleases()
+	for i, c := range s.slots {
 		c.AdvanceTo(t)
+		if !s.scan && s.open[i] != 0 {
+			s.reflow(i)
+		}
 	}
 }
 

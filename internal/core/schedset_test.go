@@ -56,16 +56,23 @@ func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan b
 // waiting is dormant (keyed sim.MaxTime, open to its coalition's
 // releases, its next completion possibly already come) or, after
 // a withdrawal emptied it, still keyed as if a job waited: a key may be
-// early, never late.
+// early, never late. A slot in free flow is keyed sim.MaxTime and
+// closed to releases, and the set knows it is.
 func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 	t.Helper()
 	if s.scan {
 		t.Fatal("key check on a reference-mode set")
 	}
-	if len(s.keys) != len(s.slots) || len(s.open) != len(s.slots) {
-		t.Fatalf("%d keys and %d open masks for %d slots", len(s.keys), len(s.open), len(s.slots))
+	if len(s.keys) != len(s.slots) || len(s.open) != len(s.slots) || len(s.flow) != len(s.slots) {
+		t.Fatalf("%d keys, %d open masks and %d free-flow masks for %d slots", len(s.keys), len(s.open), len(s.flow), len(s.slots))
 	}
 	for slot, c := range s.slots {
+		if flow := s.flow[slot] == c.Coalition(); flow != c.Flowing() || s.flow[slot] != 0 && !flow || flow && (s.keys[slot] != sim.MaxTime || s.open[slot] != 0) {
+			t.Fatalf("slot %d (in free flow: %v) keyed %d, open to %v, in the set's free flow as %v", slot, c.Flowing(), s.keys[slot], s.open[slot], s.flow[slot])
+		}
+		if c.Flowing() {
+			continue
+		}
 		jobs, _ := c.Waiting()
 		keyed := s.keys[slot] == c.NextCompletion() && s.open[slot] == 0
 		dormant := s.keys[slot] == sim.MaxTime && s.open[slot] == c.Coalition()
@@ -267,17 +274,19 @@ func densityStream() (*model.Instance, [][]model.Time) {
 // those running), not asked of the set.
 type work struct {
 	steps, touched int
-	// byCompletion and byRelease split the default mode's touches by
-	// cause; folded counts the completions processed without a touch of
-	// their own. The reference mode touches every slot and folds nothing.
-	byCompletion, byRelease, folded    int
-	dispatches, contested, retargets   int
-	starts, selects, completed, allocs int
-	// eager counts the dispatches of hypothetical schedules (every slot
-	// but the decision schedule) that a touch made; materialized, the
-	// slots that left free flow.
-	eager, materialized int
-	perInstant          map[model.Time]int // dispatching slots per instant
+	// byCompletion, byRelease and byOverflow split the default mode's
+	// touches by cause; folded counts the completions processed without
+	// a touch of their own. The reference mode touches every slot and
+	// folds nothing.
+	byCompletion, byRelease, byOverflow, folded int
+	dispatches, contested, retargets            int
+	starts, selects, completed, allocs          int
+	// hypothetical counts the dispatches of hypothetical schedules
+	// (every slot but the decision schedule), eager those of them a touch
+	// made — the rest free flow made, in the release-start ledger — and
+	// materialized the slots that left free flow.
+	hypothetical, eager, materialized int
+	perInstant                        map[model.Time]int // dispatching slots per instant
 }
 
 // line is w as a ledger line of exact integers, the form work.golden
@@ -285,7 +294,7 @@ type work struct {
 func (w *work) line(label string, scan bool) string {
 	split := ""
 	if !scan {
-		split = fmt.Sprintf(" by_completion=%d by_release=%d folded=%d", w.byCompletion, w.byRelease, w.folded)
+		split = fmt.Sprintf(" by_completion=%d by_release=%d by_overflow=%d folded=%d", w.byCompletion, w.byRelease, w.byOverflow, w.folded)
 	}
 	return fmt.Sprintf("%s steps=%d touched=%d%s dispatches=%d eager_dispatches=%d materialized=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d",
 		label, w.steps, w.touched, split, w.dispatches, w.eager, w.materialized, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs)
@@ -338,9 +347,9 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	started := make([]int, len(s.slots))
 	touchedNow := make([]bool, len(s.slots))
 	var onTime int
-	var keyed, before []int
+	var keyed, before, flowing []int
 	for at := s.instant(); at <= horizon; at = s.instant() {
-		keyed, before = keyed[:0], before[:0]
+		keyed, before, flowing = keyed[:0], before[:0], flowing[:0]
 		if !s.scan {
 			for i, key := range s.keys {
 				switch {
@@ -349,6 +358,8 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 					keyed, before = append(keyed, i), append(before, done)
 				case s.open[i]&releasing[at] != 0:
 					w.byRelease++
+				case s.flow[i] != 0:
+					flowing = append(flowing, i)
 				}
 			}
 		}
@@ -363,6 +374,14 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 			for _, i := range s.touched {
 				touchedNow[i] = true
 			}
+			for _, i := range flowing {
+				if touchedNow[i] {
+					w.byOverflow++
+				}
+				if !s.slots[i].Flowing() {
+					w.materialized++
+				}
+			}
 			w.touched += len(s.touched)
 			w.byCompletion += len(keyed)
 			for j, i := range keyed {
@@ -375,8 +394,11 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 				w.perInstant[at]++
 				w.starts += st - started[i]
 				started[i] = st
-				if i < last && (s.scan || touchedNow[i]) {
-					w.eager++
+				if i < last {
+					w.hypothetical++
+					if s.scan || touchedNow[i] {
+						w.eager++
+					}
 				}
 			}
 		}
@@ -392,8 +414,11 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	w.contested, w.retargets, w.selects = count.contested, plug.retargets, count.selects
 	if !s.scan {
 		w.folded = w.completed - onTime
-		if w.byCompletion+w.byRelease != w.touched {
-			t.Errorf("%d slots touched, %d by a completion and %d by a release", w.touched, w.byCompletion, w.byRelease)
+		if w.byCompletion+w.byRelease+w.byOverflow != w.touched {
+			t.Errorf("%d slots touched, %d by a completion, %d by a release and %d by an overflow", w.touched, w.byCompletion, w.byRelease, w.byOverflow)
+		}
+		if w.byOverflow != w.materialized {
+			t.Errorf("%d slots touched by an overflow, %d materialized", w.byOverflow, w.materialized)
 		}
 	}
 	if want := map[bool]int{false: w.contested, true: w.dispatches}[s.scan]; w.retargets != want {
@@ -432,17 +457,18 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 //     release, so it takes fewer than the reference mode, which steps to
 //     every completion of every slot;
 //   - touched slots, in the default mode split by what touched them: a
-//     completion in a slot with a job waiting, or a member's release in
-//     a dormant slot. REF's total is at most half the reference mode's
-//     2^k−1 per step over the reference mode's steps — the counted form
-//     of the touched-set mode's cost claim (EXPERIMENTS.md §3) — and
-//     stays above a quarter of 2^k−1 per step, well above 2^k/k, where
-//     k·log-cost re-sifts would match the flat key scan;
+//     completion in a slot with a job waiting, a member's release in a
+//     dormant slot, or a member's release that overflows a slot in free
+//     flow and materializes it (materialized counts those, so the two
+//     agree). REF's total is at most half the reference mode's 2^k−1
+//     per step over the reference mode's steps;
 //   - completions folded without a touch of their own: every completion
-//     but those in keyed slots at their instant. Both modes complete the
-//     same jobs by the horizon;
+//     but those in keyed slots at their instant, the ones the
+//     release-start ledger books for slots in free flow included. Both
+//     modes complete the same jobs by the horizon;
 //   - dispatching slots per instant, equal in both modes; among them
-//     the hypothetical schedules' dispatches a touch made (eager), and
+//     the hypothetical schedules' dispatches a touch made (eager) —
+//     the rest are free flow's, booked once per job in the ledger — and
 //     the contested ones, where two or more organizations wait: only
 //     those refresh targets (one retarget each) and ask Select in the
 //     default mode; the reference mode retargets at every dispatch and
@@ -451,7 +477,9 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 //
 // Most of REF's dispatches are uncontested; the test fails if fewer
 // than 80 % are, since skipping their refresh and their Selects is what
-// the default mode saves.
+// the default mode saves. Free flow is the premise of the default
+// mode's cost (EXPERIMENTS.md §3): the test fails if touches make more
+// than a tenth of REF's or RAND's hypothetical dispatches.
 func TestTouchedSetDensity(t *testing.T) {
 	in, releases := densityStream()
 	slots := 1<<densityOrgs - 1
@@ -476,8 +504,10 @@ func TestTouchedSetDensity(t *testing.T) {
 	direct := measureWork(t, in, releases, func() *schedSet { return setOf(DirectContrAlgorithm().NewStepper(in, 1)) })
 	ledger = append(ledger, direct.line("DIRECTCONTR/scan", true))
 	heap, scan := ref[DriverHeap], ref[DriverScan]
-	if 4*heap.touched < slots*heap.steps {
-		t.Errorf("mean touched set %.1f of %d slots: the stream is sparse, the premise of the flat key scan does not hold on it", float64(heap.touched)/float64(heap.steps), slots)
+	for name, w := range map[string]*work{"REF": heap, "RAND(N=15)": rnd} {
+		if 10*w.eager > w.hypothetical {
+			t.Errorf("%s: %d of %d hypothetical dispatches made by a touch: free flow takes less than 90 %% of them", name, w.eager, w.hypothetical)
+		}
 	}
 	if !maps.Equal(heap.perInstant, scan.perInstant) {
 		t.Errorf("dispatching slots per instant differ between the modes:\n%v\n%v", heap.perInstant, scan.perInstant)
@@ -565,10 +595,10 @@ func TestHeapDriverMatchesScanDriverRandNbs(t *testing.T) {
 // the release instant: A and B queue 60 jobs each on two machines
 // apiece, so every completion in a slot holding either starts a queued
 // job, and the grand coalition's dispatches are contested. C's one job
-// runs in C's singleton, which then waits for nothing: dormant, its
-// completion is folded by the first contested retarget that reads its
-// value past it. C's job runs at speed 1 for its size, so the completion
-// is due at that instant.
+// starts at its release in C's singleton, which then waits for nothing:
+// in free flow, its completion is folded in the release-start ledger by
+// the first step past it. C's job runs at speed 1 for its size, so the
+// completion is due at that instant.
 func steadyStepper(t *testing.T, alg StepperAlgorithm) Stepper {
 	t.Helper()
 	const jobsPerOrg = 60
@@ -595,14 +625,15 @@ const steadyFold = 30
 
 // Steady-state stepping is zero-alloc by budget for every stepper
 // family: completions that start queued jobs, accounting, re-keys,
-// contested φ fills with a fold of a dormant slot, and uncontested
-// starts must all run out of the steppers' preallocated scratch (the
-// daemon's own configuration, on touched sets of 16 and more, is held
-// to it in daemon's TestSessionAlgorithmsStepAllocFree). AllocsPerRun
-// truncates its average, so every measured call has to process a real
-// event: the test checks that events were still left afterwards, and
-// that C's singleton, where a set has one, was folded during the
-// measurement and not before.
+// contested φ fills that read a slot in free flow, a fold of the
+// release-start ledger, and uncontested starts must all run out of the
+// steppers' preallocated scratch (the daemon's own configuration, on
+// touched sets of 16 and more, is held to it in daemon's
+// TestSessionAlgorithmsStepAllocFree). AllocsPerRun truncates its
+// average, so every measured call has to process a real event: the
+// test checks that events were still left afterwards, and that C's
+// singleton, where a set has one, was in free flow and its job folded
+// during the measurement and not before.
 func TestSteadyStateStepAllocFree(t *testing.T) {
 	const horizon = model.Time(1 << 30)
 	cases := []struct {
@@ -624,8 +655,9 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 					dormant = c
 				}
 			}
-			if dormant != nil && dormant.NextCompletion() != steadyFold {
-				t.Fatalf("C's singleton completes at %d before the measurement, want %d", dormant.NextCompletion(), steadyFold)
+			if dormant != nil && (!dormant.Flowing() || dormant.View().Running(2) != 1 || dormant.NextCompletionAfter(0) != steadyFold) {
+				t.Fatalf("C's singleton (in free flow: %v) runs %d jobs and completes at %d before the measurement, want one in free flow, at %d",
+					dormant.Flowing(), dormant.View().Running(2), dormant.NextCompletionAfter(0), steadyFold)
 			}
 			if avg := testing.AllocsPerRun(100, func() { s.StepNext(horizon) }); avg != 0 {
 				t.Errorf("steady-state StepNext allocates %.2f times per run, budget is 0", avg)
@@ -633,8 +665,8 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 			if !s.StepNext(horizon) {
 				t.Fatal("events drained during measurement")
 			}
-			if dormant != nil && dormant.NextCompletion() != sim.MaxTime {
-				t.Errorf("C's singleton still holds a completion at %d: no retarget folded it", dormant.NextCompletion())
+			if dormant != nil && dormant.View().Running(2) != 0 {
+				t.Errorf("C's singleton still runs C's job: the ledger did not fold it")
 			}
 		})
 	}
@@ -759,5 +791,69 @@ func TestHypotheticalStateIsFlat(t *testing.T) {
 		if longest > 128 {
 			t.Errorf("%s: a drained hypothetical schedule or shared queue still holds a %d-entry list after 2000 jobs", alg.Name(), longest)
 		}
+	}
+}
+
+// Free flow costs nothing where it cannot apply: a one-slot set has no
+// hypothetical schedule, a set on related machines has no schedule a
+// release-start ledger describes, and the reference mode is the eager
+// oracle; none of them builds a ledger, and none of their slots ever
+// enters free flow. On identical machines the default mode of REF, RAND
+// and NBS keeps one, and its slots flow.
+func TestReleaseStartLedgerOnlyWhereFreeFlowApplies(t *testing.T) {
+	const horizon = model.Time(400)
+	instance := func(speeds []int) *model.Instance {
+		orgs := []model.Org{{Name: "A", Machines: 2, Speeds: speeds}, {Name: "B", Machines: 1}, {Name: "C", Machines: 2}}
+		r := rand.New(rand.NewSource(11))
+		var jobs []model.Job
+		for i := 0; i < 60; i++ {
+			jobs = append(jobs, model.Job{Org: r.Intn(len(orgs)), Release: model.Time(r.Intn(300)), Size: model.Time(1 + r.Intn(20))})
+		}
+		return model.MustNewInstance(orgs, jobs)
+	}
+	for _, tc := range []struct {
+		name   string
+		alg    StepperAlgorithm
+		speeds []int
+		scan   bool
+		ledger bool
+	}{
+		{"REF", RefAlgorithm{}, nil, false, true},
+		{"RAND", RandAlgorithm{Samples: 6}, nil, false, true},
+		{"NBS", NbsAlgorithm{}, nil, false, true},
+		{"REF/scan", RefAlgorithm{}, nil, true, false},
+		{"DIRECTCONTR", DirectContrAlgorithm(), nil, false, false},
+		{"FCFS", FromPolicy("FCFS", func() sim.Policy { return baseline.NewFCFS() }), nil, false, false},
+		{"REF/related", RefAlgorithm{}, []int{1, 2}, false, false},
+		{"RAND/related", RandAlgorithm{Samples: 6}, []int{1, 2}, false, false},
+		{"NBS/related", NbsAlgorithm{}, []int{1, 2}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.alg.NewStepper(instance(tc.speeds), 1)
+			s := setOf(st)
+			if tc.scan {
+				s.scan = true
+				s.rekeyAll()
+			}
+			flowed := false
+			check := func() {
+				t.Helper()
+				if kept := !reflect.ValueOf(s.q).Elem().FieldByName("starts").IsNil(); kept != tc.ledger {
+					t.Fatalf("release-start ledger kept: %v, want %v", kept, tc.ledger)
+				}
+				for _, c := range s.slots {
+					flowed = flowed || c.Flowing()
+				}
+			}
+			check()
+			for st.StepNext(horizon) {
+				check()
+			}
+			st.FinishAt(horizon)
+			check()
+			if flowed != tc.ledger {
+				t.Errorf("a slot in free flow: %v, want %v", flowed, tc.ledger)
+			}
+		})
 	}
 }

@@ -91,10 +91,13 @@ type StepperAlgorithm interface {
 // and the decision schedule its running entries and accounts, and up to
 // version 4 a hypothetical schedule its queues, pending releases,
 // withdrawn list, machine-owner accounts and every organization's
-// account. The fold marks are read, and the queues and pending
-// releases, checked against the decision schedule's, become waiting
-// counts; so all five restore alike.
-const CheckpointVersion = 5
+// account, and up to version 5 a hypothetical schedule on machines of
+// one speed its running entries on the machines its run gave them, where
+// version 6 writes them by (end, job) on machines 0, 1, 2, … The fold
+// marks are read, and the queues and pending releases, checked against
+// the decision schedule's, become waiting counts; so all six restore
+// alike.
+const CheckpointVersion = 6
 
 // Checkpoint is the complete serializable state of a stepper mid-run:
 // the instance as fed so far (orgs plus every job, including online

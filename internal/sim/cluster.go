@@ -86,6 +86,13 @@ type Cluster struct {
 	rng      *rand.Rand
 	starts   []Start
 	noStarts bool // DiscardStarts: starts stays nil
+
+	// flow: the cluster is in free flow (see releaseStarts). It then
+	// holds no running entry, machine identity or cursor of its own —
+	// its members' release-start jobs are all its work and it has started
+	// every released job — and its accounts hold only the finished-work
+	// offset to the ledger's.
+	flow bool
 }
 
 // New builds a cluster for the given coalition of the instance, driven
@@ -180,6 +187,9 @@ func (c *Cluster) NextCompletion() model.Time {
 // MaxTime: the next completion for a driver that leaves those up to t
 // unprocessed until it next reads the cluster. It mutates nothing.
 func (c *Cluster) NextCompletionAfter(t model.Time) model.Time {
+	if c.flow {
+		return c.q.StartsCompletionAfter(c.coal, t)
+	}
 	if next := c.NextCompletion(); next > t {
 		return next
 	}
@@ -281,6 +291,9 @@ func (c *Cluster) Waiting() (jobs int, orgs model.Coalition) { return c.WaitingA
 // WaitingAmong is Waiting counted over the members in among only, for a
 // driver that knows no other member has a job waiting.
 func (c *Cluster) WaitingAmong(among model.Coalition) (jobs int, orgs model.Coalition) {
+	if c.flow {
+		return 0, 0
+	}
 	for m := uint32(c.coal & among); m != 0; m &= m - 1 {
 		u := bits.TrailingZeros32(m)
 		if w := c.base[u] + len(c.lists[u]) - c.cursor[u]; w > 0 {
@@ -482,13 +495,48 @@ func (p *ValuePoly) add(d *ValuePoly) {
 	p.U, p.S, p.A, p.B, p.C = p.U+d.U, p.S+d.S, p.A+d.A, p.B+d.B, p.C+d.C
 }
 
+// sub subtracts d's terms.
+func (p *ValuePoly) sub(d *ValuePoly) {
+	p.U, p.S, p.A, p.B, p.C = p.U-d.U, p.S-d.S, p.A-d.A, p.B-d.B, p.C-d.C
+}
+
 // ValueAt returns the coalition value at any t from Now up to, not
 // including, NextEventTime — what the value will be if nothing happens
-// before t.
-func (c *Cluster) ValueAt(t model.Time) int64 { return c.total.At(t) }
+// before t. In free flow it is the offset plus the members' ledger
+// accounts, whose completions up to t it folds first.
+func (c *Cluster) ValueAt(t model.Time) int64 {
+	if !c.flow {
+		return c.total.At(t)
+	}
+	f := c.q.starts
+	f.fold(c.inst.Jobs, t)
+	sum := c.total
+	for m := uint32(c.coal); m != 0; m &= m - 1 {
+		sum.add(&f.acct[bits.TrailingZeros32(m)])
+	}
+	return sum.At(t)
+}
+
+// account returns org's ψsp account at the current time: in free flow
+// the offset plus its ledger account, folded to the clock.
+func (c *Cluster) account(org int) ValuePoly {
+	a := c.orgAcct[org]
+	if c.flow && c.coal.Has(org) {
+		f := c.q.starts
+		f.fold(c.inst.Jobs, c.now)
+		a.add(&f.acct[org])
+	}
+	return a
+}
 
 // Psi returns organization org's ψsp at the current time.
-func (c *Cluster) Psi(org int) int64 { return c.orgAcct[org].At(c.now) }
+func (c *Cluster) Psi(org int) int64 {
+	if !c.flow {
+		return c.orgAcct[org].At(c.now)
+	}
+	a := c.account(org)
+	return a.At(c.now)
+}
 
 // PsiVector returns every organization's ψsp at the current time.
 func (c *Cluster) PsiVector() []int64 {
@@ -516,6 +564,93 @@ func (c *Cluster) Starts() []Start { return c.starts }
 // value: the accounts are all a finished job leaves (ψsp = t·U − S).
 // Call it before the first step.
 func (c *Cluster) DiscardStarts() { c.noStarts, c.ownAcct = true, nil }
+
+// Flowing reports whether the cluster is in free flow.
+func (c *Cluster) Flowing() bool { return c.flow }
+
+// Flow puts a hypothetical schedule (DiscardStarts) on queues that keep
+// a release-start ledger into free flow if it qualifies, and reports
+// whether it is in free flow: nothing waits in it, its clock is the
+// ledger's, the releases are booked, and it runs exactly its members'
+// booked running jobs — as many, each started at its release. Its
+// running entries then go, and its accounts keep the offset to the
+// members' ledger accounts, whose running terms are exactly its own.
+func (c *Cluster) Flow() bool {
+	f := c.q.starts
+	if c.flow || f == nil || !c.noStarts || c.now != f.now || len(f.batch) > 0 {
+		return c.flow
+	}
+	if jobs, _ := c.WaitingAmong(c.coal); jobs > 0 {
+		return false
+	}
+	booked := 0
+	for m := uint32(c.coal); m != 0; m &= m - 1 {
+		booked += f.running[bits.TrailingZeros32(m)]
+	}
+	if booked != len(c.running) {
+		return false
+	}
+	for _, r := range c.running {
+		if r.Start != c.inst.Jobs[r.Job].Release {
+			return false
+		}
+	}
+	for m := uint32(c.coal); m != 0; m &= m - 1 {
+		u := bits.TrailingZeros32(m)
+		c.orgAcct[u].sub(&f.acct[u])
+		c.total.sub(&f.acct[u])
+		c.runningPerOrg[u] = 0
+	}
+	c.running = c.running[:0]
+	c.flow = true
+	return true
+}
+
+// Overflows reports whether the latest releases overflow a cluster in
+// free flow: its members' booked running jobs and the releases the
+// ledger holds apart outnumber its machines.
+func (c *Cluster) Overflows() bool {
+	f := c.q.starts
+	n := 0
+	for m := uint32(c.coal); m != 0; m &= m - 1 {
+		u := bits.TrailingZeros32(m)
+		n += f.running[u] + f.fresh[u]
+	}
+	return n > len(c.owners)
+}
+
+// Materialize takes a cluster out of free flow at the ledger's clock:
+// its running entries become its members' booked running jobs, on
+// machines 0, 1, 2, … in the ledger's heap order (on machines of one
+// speed any assignment schedules alike), its accounts the offset plus
+// the members' ledger accounts, and its cursors stand past every
+// released job but the ones the ledger holds apart, which wait.
+func (c *Cluster) Materialize() {
+	f := c.q.starts
+	c.flow, c.now = false, max(c.now, f.now)
+	n := 0
+	for _, r := range f.heap {
+		if c.coal.Has(c.inst.Jobs[r.Job].Org) {
+			r.Machine = int32(n)
+			c.running.push(r)
+			n++
+		}
+	}
+	if n > len(c.owners) {
+		panic(fmt.Sprintf("sim: a cluster in free flow runs %d jobs on %d machines", n, len(c.owners)))
+	}
+	c.free = c.free[:0]
+	for m := len(c.owners) - 1; m >= n; m-- {
+		c.free = append(c.free, m)
+	}
+	for m := uint32(c.coal); m != 0; m &= m - 1 {
+		u := bits.TrailingZeros32(m)
+		c.orgAcct[u].add(&f.acct[u])
+		c.total.add(&f.acct[u])
+		c.runningPerOrg[u] = f.running[u]
+		c.cursor[u] = c.base[u] + len(c.lists[u]) - f.fresh[u]
+	}
+}
 
 // Utilization returns the fraction of work capacity (Σ machine speeds ×
 // time) used up to the current time.

@@ -61,13 +61,18 @@ func (v *View) Orgs() int { return len(v.c.inst.Orgs) }
 func (v *View) Coalition() model.Coalition { return v.c.coal }
 
 // Waiting returns the number of released, not yet started jobs of org.
-func (v *View) Waiting(org int) int { return v.c.waiting(org) }
+func (v *View) Waiting(org int) int {
+	if v.c.flow {
+		return 0
+	}
+	return v.c.waiting(org)
+}
 
 // Head returns the ID and release time of org's next job in FIFO order.
 // The job's size is deliberately not exposed (non-clairvoyance).
 func (v *View) Head(org int) (id int, release model.Time, ok bool) {
 	c := v.c
-	if c.waiting(org) == 0 {
+	if v.Waiting(org) == 0 {
 		return 0, 0, false
 	}
 	id = c.head(org)
@@ -79,7 +84,10 @@ func (v *View) Psi(org int) int64 { return v.c.Psi(org) }
 
 // Usage returns the number of unit slots executed so far by org's jobs —
 // the consumed-CPU-time notion of usage that fair-share policies meter.
-func (v *View) Usage(org int) int64 { return v.c.orgAcct[org].Units(v.c.now) }
+func (v *View) Usage(org int) int64 {
+	a := v.c.account(org)
+	return a.Units(v.c.now)
+}
 
 // OwnerPsi returns the ψsp-style value of the unit slots executed on
 // org's machines (by anyone's jobs) — DIRECTCONTR's direct contribution
@@ -93,7 +101,12 @@ func (v *View) OwnerPsi(org int) int64 {
 }
 
 // Running returns how many of org's jobs are currently executing.
-func (v *View) Running(org int) int { return v.c.runningPerOrg[org] }
+func (v *View) Running(org int) int {
+	if c := v.c; c.flow && c.coal.Has(org) {
+		return c.q.starts.running[org]
+	}
+	return v.c.runningPerOrg[org]
+}
 
 // Share returns org's fraction of the coalition's work capacity — the
 // target share used by the fair-share family (0 when the pool is

@@ -39,6 +39,9 @@ type Queues struct {
 	clusters []*Cluster // every cluster built on these queues
 
 	batch []int // scratch: an Inject batch in release order
+
+	speed  int            // the one speed every machine of the instance runs at; 0 when they differ
+	starts *releaseStarts // the release-start ledger, when a set keeps one (KeepReleaseStarts)
 }
 
 // A job's mark: not yet entered, entered (pending, queued, started or
@@ -69,6 +72,17 @@ func NewQueues(inst *model.Instance) *Queues {
 	for u := range q.trimAt {
 		q.trimAt[u] = minTrim
 	}
+	q.speed = -1
+	for _, o := range inst.Orgs {
+		for i := 0; i < o.Machines; i++ {
+			if q.speed < 0 {
+				q.speed = o.Speed(i)
+			} else if o.Speed(i) != q.speed {
+				q.speed = 0
+			}
+		}
+	}
+	q.speed = max(q.speed, 0)
 	for _, j := range inst.Jobs {
 		q.pending = append(q.pending, j.ID)
 		q.mark[j.ID] = entered
@@ -119,8 +133,18 @@ func (q *Queues) NextRelease() model.Time {
 // AdvanceTo releases every pending job with Release ≤ t and returns the
 // organizations that had one. The driver of the clusters on the queues
 // calls it at every instant it steps to, before advancing any of them.
+//
+// Where a release-start ledger is kept, it books the releases of the
+// call before, folds its completions up to t and holds this call's
+// releases apart until BookReleases: a cluster in free flow that they
+// overflow is materialized from the ledger as it stood before them.
 func (q *Queues) AdvanceTo(t model.Time) model.Coalition {
 	q.now = max(q.now, t)
+	f := q.starts
+	if f != nil {
+		f.book(q.inst.Jobs)
+		f.fold(q.inst.Jobs, t)
+	}
 	jobs := q.inst.Jobs
 	var releasing model.Coalition
 	n := 0
@@ -131,6 +155,10 @@ func (q *Queues) AdvanceTo(t model.Time) model.Coalition {
 		list[len(list)-1] = id
 		q.lists[u] = list
 		releasing = releasing.With(u)
+		if f != nil {
+			f.batch = append(f.batch, id)
+			f.fresh[u]++
+		}
 	}
 	if n == 0 {
 		return 0
@@ -158,7 +186,7 @@ func (q *Queues) trim(org int) {
 	list := q.lists[org]
 	least := q.base[org] + len(list)
 	for _, c := range q.clusters {
-		if c.coal.Has(org) {
+		if c.coal.Has(org) && !c.flow { // a cluster in free flow started every released job
 			least = min(least, c.cursor[org])
 		}
 	}
@@ -288,7 +316,7 @@ func (q *Queues) withdraw(org, pos int) {
 	q.mark[id] = withdrawnJob
 	for _, c := range q.clusters {
 		switch {
-		case !c.coal.Has(org):
+		case !c.coal.Has(org) || c.flow: // in free flow: started if released, and it records nothing
 		case c.cursor[org] > pos:
 			c.cursor[org]--
 		case !c.noStarts:
@@ -327,6 +355,9 @@ func (q *Queues) reset(now model.Time, released [][]int, pending, withdrawn []in
 		q.mark[id] = withdrawnJob
 	}
 	q.now = now
+	if q.starts != nil {
+		q.starts = q.newReleaseStarts()
+	}
 }
 
 // checkWindow reports whether an older document's state of a cluster of
@@ -343,4 +374,123 @@ func (q *Queues) checkWindow(coal model.Coalition, queues [][]int, pending []int
 		return fmt.Errorf("sim: restore: pending releases %v, the decision schedule's are %v", pending, want)
 	}
 	return nil
+}
+
+// releaseStarts is the release-start ledger of a set whose machines all
+// run at one speed: every released job taken as started at its release.
+// A hypothetical schedule in free flow — nothing waits in it, and it
+// runs exactly its members' jobs that started at their release — is
+// that schedule for its members plus a finished-work offset, so the
+// set books each job here once, at its release and at its completion,
+// instead of once per coalition schedule. A released job that is
+// withdrawn stays: a schedule that started it keeps it.
+//
+// Nothing of it is checkpointed: restore rebuilds it from the released
+// jobs (Queues.reset).
+type releaseStarts struct {
+	speed   int
+	now     model.Time  // every completion up to it is folded
+	acct    []ValuePoly // org -> its booked jobs' work
+	running []int       // org -> how many of its booked jobs run
+	fresh   []int       // org -> released by the latest AdvanceTo, not booked yet
+	batch   []int       // those jobs
+	heap    runHeap     // the booked jobs that run, by completion
+}
+
+// KeepReleaseStarts makes the queues keep a release-start ledger when on
+// and every machine of the instance runs at one speed, and drops it
+// otherwise; it reports whether one is kept. A ledger is built from the
+// released jobs, so it is turned on before the first release or right
+// after a restore, when the lists hold every released job; it is turned
+// off only when no cluster on the queues is in free flow.
+func (q *Queues) KeepReleaseStarts(on bool) bool {
+	switch {
+	case !on || q.speed == 0:
+		q.starts = nil
+	case q.starts == nil:
+		q.starts = q.newReleaseStarts()
+	}
+	return q.starts != nil
+}
+
+// newReleaseStarts builds the ledger of the released jobs at q.now, the
+// withdrawn ones released by then included. A withdrawn job's release
+// is not recorded, so one withdrawn before it was released is booked
+// too: every schedule of its organization then runs one job fewer than
+// the ledger until it ends, and none enters free flow with a wrong
+// running set.
+func (q *Queues) newReleaseStarts() *releaseStarts {
+	k := len(q.inst.Orgs)
+	f := &releaseStarts{
+		speed:   q.speed,
+		now:     q.now,
+		acct:    make([]ValuePoly, k),
+		running: make([]int, k),
+		fresh:   make([]int, k),
+	}
+	jobs := q.inst.Jobs
+	for _, list := range q.lists {
+		f.batch = append(f.batch, list...)
+	}
+	for id, m := range q.mark {
+		if m == withdrawnJob && jobs[id].Release <= q.now {
+			f.batch = append(f.batch, id)
+		}
+	}
+	f.book(jobs)
+	f.fold(jobs, q.now)
+	return f
+}
+
+// book enters the held releases as started at their release.
+func (f *releaseStarts) book(jobs []model.Job) {
+	for _, id := range f.batch {
+		j := jobs[id]
+		dur, q := j.Size, model.Time(f.speed)
+		if q > 1 {
+			dur = (dur + q - 1) / q
+		}
+		f.heap.push(runEntry{End: j.Release + dur, Start: j.Release, Job: int32(id)})
+		f.acct[j.Org].run(int64(f.speed), j.Release)
+		f.running[j.Org]++
+	}
+	f.batch = f.batch[:0]
+	clear(f.fresh)
+}
+
+// fold processes every booked completion up to t.
+func (f *releaseStarts) fold(jobs []model.Job, t model.Time) {
+	for len(f.heap) > 0 && f.heap[0].End <= t {
+		r := f.heap.pop()
+		j := jobs[r.Job]
+		var d ValuePoly
+		d.run(-int64(f.speed), r.Start)
+		d.AddScaledWindow(r.Start, j.Size, f.speed, r.Start, r.End)
+		f.acct[j.Org].add(&d)
+		f.running[j.Org]--
+	}
+	f.now = max(f.now, t)
+}
+
+// BookReleases books the releases the latest AdvanceTo held apart. The
+// driver calls it once it has materialized the clusters they overflow.
+func (q *Queues) BookReleases() {
+	if q.starts != nil {
+		q.starts.book(q.inst.Jobs)
+	}
+}
+
+// StartsCompletionAfter returns the earliest completion later than t of
+// a booked job of an organization in orgs, or MaxTime: the next
+// completion of the clusters of those organizations in free flow.
+func (q *Queues) StartsCompletionAfter(orgs model.Coalition, t model.Time) model.Time {
+	next := MaxTime
+	if f := q.starts; f != nil && orgs != 0 {
+		for _, r := range f.heap {
+			if r.End > t && r.End < next && orgs.Has(q.inst.Jobs[r.Job].Org) {
+				next = r.End
+			}
+		}
+	}
+	return next
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/utility"
@@ -86,13 +88,43 @@ func (c *Cluster) CaptureState() ClusterState {
 		}
 	}
 	if c.noStarts {
-		for _, r := range c.running {
+		running := c.running
+		if c.flow {
+			f := c.q.starts
+			f.fold(c.inst.Jobs, c.now)
+			st.Now = f.now
+			running = nil
+			for _, r := range f.heap {
+				if c.coal.Has(c.inst.Jobs[r.Job].Org) {
+					running = append(running, r)
+				}
+			}
+		}
+		if c.q.speed > 0 {
+			// On machines of one speed which machine runs a job changes
+			// nothing a hypothetical schedule will do, and a schedule in
+			// free flow has no machines of its own: the entries are
+			// written by (end, job) on machines 0, 1, 2, …, whatever the
+			// mode of the set and the path the schedule took.
+			running = slices.Clone(running)
+			slices.SortFunc(running, func(a, b runEntry) int {
+				return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Job, b.Job))
+			})
+			for i := range running {
+				running[i].Machine = int32(i)
+			}
+		}
+		for _, r := range running {
 			st.Running = append(st.Running, RunEntryState{Job: int(r.Job), Machine: int(r.Machine), Start: r.Start})
 		}
 		for _, u := range c.coal.Members() {
-			st.OrgAcct = append(st.OrgAcct, c.orgAcct[u].Account)
+			st.OrgAcct = append(st.OrgAcct, c.account(u).Account)
 			if st.QueueState == nil {
-				st.Waiting = append(st.Waiting, c.waiting(u))
+				w := 0
+				if !c.flow {
+					w = c.waiting(u)
+				}
+				st.Waiting = append(st.Waiting, w)
 			}
 		}
 	}
@@ -302,7 +334,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		return fmt.Errorf("sim: restore: %d jobs wait while %d of %d machines idle", waiting, len(c.owners)-len(running), len(c.owners))
 	}
 
-	c.now, c.withdrawn = st.Now, nil
+	c.now, c.withdrawn, c.flow = st.Now, nil, false
 	if rebuild {
 		c.q.reset(st.Now, lists, pending, st.Withdrawn)
 		c.withdrawn = append(c.withdrawn, st.Withdrawn...)

@@ -762,3 +762,37 @@ func FuzzClusterRestore(f *testing.F) {
 		}
 	})
 }
+
+// A hypothetical schedule on machines of one speed writes its running
+// entries by (end, job) on machines 0, 1, 2, …: which machine runs a job
+// changes nothing it will do, and one in free flow has no machines of
+// its own. On related machines it writes its heap array, on the
+// machines the jobs run on.
+func TestHypotheticalCaptureMachines(t *testing.T) {
+	jobs := []model.Job{
+		{Org: 0, Release: 0, Size: 9},
+		{Org: 0, Release: 0, Size: 3},
+		{Org: 1, Release: 0, Size: 6},
+		{Org: 0, Release: 1, Size: 4},
+	}
+	for _, speeds := range [][]int{nil, {2, 1, 1}} {
+		in := model.MustNewInstance([]model.Org{{Name: "A", Machines: 3, Speeds: speeds}, {Name: "B", Machines: 1}}, jobs)
+		c := NewQueues(in).NewCluster(in.Grand(), fifoByID(), nil)
+		c.DiscardStarts()
+		c.Run(1)
+		var want []RunEntryState
+		for _, r := range c.running {
+			want = append(want, RunEntryState{Job: int(r.Job), Machine: int(r.Machine), Start: r.Start})
+		}
+		if speeds == nil {
+			// Ends 9, 3, 6 and 5: by end on machines 0 to 3.
+			want = []RunEntryState{{Job: 1, Machine: 0, Start: 0}, {Job: 3, Machine: 1, Start: 1}, {Job: 2, Machine: 2, Start: 0}, {Job: 0, Machine: 3, Start: 0}}
+			if slices.EqualFunc(c.running, want, func(r runEntry, w RunEntryState) bool { return int(r.Job) == w.Job && int(r.Machine) == w.Machine }) {
+				t.Fatal("the run already holds its entries in the canonical order: the case tests nothing")
+			}
+		}
+		if got := c.CaptureState().Running; !slices.Equal(got, want) {
+			t.Errorf("speeds %v: running entries captured as %+v, want %+v", speeds, got, want)
+		}
+	}
+}
