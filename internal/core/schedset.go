@@ -36,11 +36,24 @@ import (
 // dispatches only those, and stores their new keys. A dormant slot's
 // completions decide nothing, so they wait in it until the next touch
 // or value read (valueAt), which folds them; an instant with nothing
-// else to do is never stepped to. Every slot's value is read in O(1)
-// from its own accounts (sim.Cluster.ValueAt). The scan is 2^k compares
-// of adjacent words; an ordered structure would pay a re-sift per
-// touched slot instead (DESIGN.md §2.3). Three sim.Cluster invariants
-// make this equivalent to advancing everything (DESIGN.md §2.2):
+// else to do is never stepped to. Every slot's value is read from its
+// own accounts (sim.Cluster.ValueAt). The scan is 2^k compares of
+// adjacent words; an ordered structure would pay a re-sift per touched
+// slot instead (DESIGN.md §2.3).
+//
+// Where every machine runs at one speed and an organization belongs to
+// two or more hypothetical schedules, a hypothetical schedule with
+// nothing waiting that runs exactly its members' jobs started at their
+// release is in free flow: the queues keep one release-start ledger for
+// the set, which books each released job once as started at its
+// release, and the slot keeps only a finished-work offset to it, keyed
+// at no instant and closed to releases. A step asks each slot in free
+// flow holding a releasing organization whether the releases, held
+// apart until then (sim.Queues.BookReleases), overflow its machines; one
+// that overflows is materialized and touched as a dormant slot. A touch,
+// fold or restore that leaves a slot qualified puts it back. Four
+// sim.Cluster invariants make this equivalent to advancing everything
+// (DESIGN.md §2.2):
 //
 //  1. A cluster can become dispatchable only through one of its own
 //     completions, or a release of a member while it has a free
@@ -55,6 +68,9 @@ import (
 //  3. A slot with nothing waiting decides nothing until a member
 //     releases: its completions only free machines, and they are booked
 //     the same whenever they are processed.
+//  4. A slot in free flow is the release-start schedule of its members
+//     plus a finished offset: while their releases fit its pool each
+//     starts at its release, as the ledger books it.
 //
 // A dispatch with one organization waiting asks nothing: Select must
 // name an organization with a waiting job and nothing arrives during a
@@ -66,13 +82,13 @@ import (
 // The reference mode (scan; RefOptions.Driver == DriverScan) is the
 // same loop with the acceleration removed: the instant is found by
 // asking every cluster for its next completion, every slot is touched
-// at every instant — never a key, never a fold — and every dispatch
-// refreshes its targets and asks the policy for every start. It is the
-// oracle the differential tests hold the default mode to, and what a
-// one-slot set runs (there is nothing to skip).
+// at every instant — never a key, a fold or free flow — and every
+// dispatch refreshes its targets and asks the policy for every start.
+// It is the oracle the differential tests hold the default mode to,
+// and what a one-slot set runs (there is nothing to skip).
 //
-// Keys are never serialized: restore rebuilds them from the cluster
-// states and stays byte-identical.
+// Keys, free flow and the ledger are never serialized: restore rebuilds
+// them from the cluster states and stays byte-identical.
 type schedSet struct {
 	name string
 	seed int64
@@ -169,8 +185,8 @@ func (s *schedSet) decision() *sim.Cluster { return s.slots[len(s.slots)-1] }
 //
 // It also settles free flow: the reference mode keeps no release-start
 // ledger, so its slots leave free flow; the default mode keeps one
-// where there are hypothetical schedules and the machines share one
-// speed, and every hypothetical schedule that qualifies enters it.
+// where it saves work (shared) and the machines share one speed, and
+// every hypothetical schedule that qualifies enters it.
 func (s *schedSet) rekeyAll() {
 	if s.scan {
 		for _, c := range s.slots {
@@ -181,7 +197,7 @@ func (s *schedSet) rekeyAll() {
 		s.q.KeepReleaseStarts(false)
 		return
 	}
-	ledger := s.q.KeepReleaseStarts(len(s.slots) > 1)
+	ledger := s.q.KeepReleaseStarts(s.shared())
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
 	s.open = make([]model.Coalition, n)
@@ -195,6 +211,19 @@ func (s *schedSet) rekeyAll() {
 		jobs, _ := c.Waiting()
 		s.rekey(i, jobs > 0)
 	}
+}
+
+// shared reports whether some organization belongs to two or more
+// hypothetical schedules. Only then does a release-start ledger save
+// work: it books a job once where each of those schedules would start
+// it (NBS's singletons, one per organization, gain nothing).
+func (s *schedSet) shared() bool {
+	var once, twice model.Coalition
+	for _, c := range s.slots[:len(s.slots)-1] {
+		twice |= once & c.Coalition()
+		once |= c.Coalition()
+	}
+	return twice != 0
 }
 
 // reflow puts slot, which has nothing waiting, into free flow if it
@@ -326,9 +355,6 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	}
 	for _, i := range touched {
 		c := s.slots[i]
-		if !s.scan && s.flow[i] != 0 {
-			continue // back in free flow through a value read's fold
-		}
 		c.AdvanceTo(t)
 		free := c.FreeMachines()
 		if s.scan && free == 0 {

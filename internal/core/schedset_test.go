@@ -596,9 +596,11 @@ func TestHeapDriverMatchesScanDriverRandNbs(t *testing.T) {
 // apiece, so every completion in a slot holding either starts a queued
 // job, and the grand coalition's dispatches are contested. C's one job
 // starts at its release in C's singleton, which then waits for nothing:
-// in free flow, its completion is folded in the release-start ledger by
-// the first step past it. C's job runs at speed 1 for its size, so the
-// completion is due at that instant.
+// in free flow (REF, RAND) its completion is folded in the release-start
+// ledger by the first step past it; dormant (NBS, which keeps no ledger)
+// by the first contested retarget that reads its value past it. C's job
+// runs at speed 1 for its size, so the completion is due at that
+// instant.
 func steadyStepper(t *testing.T, alg StepperAlgorithm) Stepper {
 	t.Helper()
 	const jobsPerOrg = 60
@@ -625,15 +627,15 @@ const steadyFold = 30
 
 // Steady-state stepping is zero-alloc by budget for every stepper
 // family: completions that start queued jobs, accounting, re-keys,
-// contested φ fills that read a slot in free flow, a fold of the
-// release-start ledger, and uncontested starts must all run out of the
-// steppers' preallocated scratch (the daemon's own configuration, on
-// touched sets of 16 and more, is held to it in daemon's
-// TestSessionAlgorithmsStepAllocFree). AllocsPerRun truncates its
-// average, so every measured call has to process a real event: the
-// test checks that events were still left afterwards, and that C's
-// singleton, where a set has one, was in free flow and its job folded
-// during the measurement and not before.
+// contested φ fills that read a slot in free flow or fold a dormant
+// one, a fold of the release-start ledger, and uncontested starts must
+// all run out of the steppers' preallocated scratch (the daemon's own
+// configuration, on touched sets of 16 and more, is held to it in
+// daemon's TestSessionAlgorithmsStepAllocFree). AllocsPerRun truncates
+// its average, so every measured call has to process a real event: the
+// test checks that events were still left afterwards, and that C's job
+// in C's singleton, where a set has one, was folded during the
+// measurement and not before.
 func TestSteadyStateStepAllocFree(t *testing.T) {
 	const horizon = model.Time(1 << 30)
 	cases := []struct {
@@ -655,9 +657,9 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 					dormant = c
 				}
 			}
-			if dormant != nil && (!dormant.Flowing() || dormant.View().Running(2) != 1 || dormant.NextCompletionAfter(0) != steadyFold) {
-				t.Fatalf("C's singleton (in free flow: %v) runs %d jobs and completes at %d before the measurement, want one in free flow, at %d",
-					dormant.Flowing(), dormant.View().Running(2), dormant.NextCompletionAfter(0), steadyFold)
+			if dormant != nil && (dormant.View().Running(2) != 1 || dormant.NextCompletionAfter(0) != steadyFold) {
+				t.Fatalf("C's singleton runs %d jobs and completes at %d before the measurement, want one, at %d",
+					dormant.View().Running(2), dormant.NextCompletionAfter(0), steadyFold)
 			}
 			if avg := testing.AllocsPerRun(100, func() { s.StepNext(horizon) }); avg != 0 {
 				t.Errorf("steady-state StepNext allocates %.2f times per run, budget is 0", avg)
@@ -666,7 +668,7 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 				t.Fatal("events drained during measurement")
 			}
 			if dormant != nil && dormant.View().Running(2) != 0 {
-				t.Errorf("C's singleton still runs C's job: the ledger did not fold it")
+				t.Errorf("C's singleton still runs C's job: nothing folded it")
 			}
 		})
 	}
@@ -794,12 +796,14 @@ func TestHypotheticalStateIsFlat(t *testing.T) {
 	}
 }
 
-// Free flow costs nothing where it cannot apply: a one-slot set has no
-// hypothetical schedule, a set on related machines has no schedule a
-// release-start ledger describes, and the reference mode is the eager
-// oracle; none of them builds a ledger, and none of their slots ever
-// enters free flow. On identical machines the default mode of REF, RAND
-// and NBS keeps one, and its slots flow.
+// Free flow costs nothing where it cannot apply or pay: a one-slot set
+// has no hypothetical schedule, a set on related machines has no
+// schedule a release-start ledger describes, NBS has one hypothetical
+// schedule per organization, whose jobs the ledger would book as often,
+// and the reference mode is the eager oracle; none of them builds a
+// ledger, and none of their slots ever enters free flow. On identical
+// machines the default mode of REF and RAND keeps one, and its slots
+// flow.
 func TestReleaseStartLedgerOnlyWhereFreeFlowApplies(t *testing.T) {
 	const horizon = model.Time(400)
 	instance := func(speeds []int) *model.Instance {
@@ -820,7 +824,7 @@ func TestReleaseStartLedgerOnlyWhereFreeFlowApplies(t *testing.T) {
 	}{
 		{"REF", RefAlgorithm{}, nil, false, true},
 		{"RAND", RandAlgorithm{Samples: 6}, nil, false, true},
-		{"NBS", NbsAlgorithm{}, nil, false, true},
+		{"NBS", NbsAlgorithm{}, nil, false, false},
 		{"REF/scan", RefAlgorithm{}, nil, true, false},
 		{"DIRECTCONTR", DirectContrAlgorithm(), nil, false, false},
 		{"FCFS", FromPolicy("FCFS", func() sim.Policy { return baseline.NewFCFS() }), nil, false, false},

@@ -27,7 +27,10 @@
 // O(1), and every value read — at the clock or at any later instant
 // before the next event — is O(1) and mutates nothing. This matters to
 // the exponential REF scheduler, which maintains 2^k−1 clusters and
-// reads all of their values at every dispatch instant.
+// reads all of their values at every dispatch instant. On machines of
+// one speed a hypothetical cluster whose members' jobs all start at
+// their release is in free flow: one release-start ledger of its queues
+// (releaseStarts) does its bookkeeping for every such cluster at once.
 package sim
 
 import (
@@ -88,8 +91,8 @@ type Cluster struct {
 	noStarts bool // DiscardStarts: starts stays nil
 
 	// flow: the cluster is in free flow (see releaseStarts). It then
-	// holds no running entry, machine identity or cursor of its own —
-	// its members' release-start jobs are all its work and it has started
+	// holds no running entry, free machine or cursor of its own — its
+	// members' release-start jobs are all its work and it has started
 	// every released job — and its accounts hold only the finished-work
 	// offset to the ledger's.
 	flow bool
@@ -531,9 +534,6 @@ func (c *Cluster) account(org int) ValuePoly {
 
 // Psi returns organization org's ψsp at the current time.
 func (c *Cluster) Psi(org int) int64 {
-	if !c.flow {
-		return c.orgAcct[org].At(c.now)
-	}
 	a := c.account(org)
 	return a.At(c.now)
 }

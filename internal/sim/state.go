@@ -53,7 +53,7 @@ type ClusterState struct {
 	// last of the shared queue's; and the finished work (up to version 4
 	// per organization).
 	Waiting []int             `json:"waiting,omitempty"`
-	Running []RunEntryState   `json:"running,omitempty"` // heap array order
+	Running []RunEntryState   `json:"running,omitempty"` // heap array order; by (end, job) on machines 0, 1, … where all share one speed
 	OrgAcct []utility.Account `json:"org_acct,omitempty"`
 	Starts  []Start           `json:"starts,omitempty"` // the decision log; absent after DiscardStarts
 	// Withdrawn lists jobs removed by Withdraw, in withdrawal order, where
