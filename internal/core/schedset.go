@@ -112,6 +112,7 @@ type schedSet struct {
 	keys    []model.Time      // slot -> its next completion while a job waits in it, else sim.MaxTime
 	open    []model.Coalition // slot -> its coalition while nothing waits in it and it is not in free flow, else empty
 	flow    []model.Coalition // slot -> its coalition while it is in free flow, else empty
+	ledger  bool              // the queues keep a release-start ledger: slots may flow
 	all     []int             // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
 	touched []int             // scratch
 }
@@ -194,17 +195,17 @@ func (s *schedSet) rekeyAll() {
 				c.Materialize()
 			}
 		}
-		s.q.KeepReleaseStarts(false)
+		s.ledger = s.q.KeepReleaseStarts(false)
 		return
 	}
-	ledger := s.q.KeepReleaseStarts(s.shared())
+	s.ledger = s.q.KeepReleaseStarts(s.shared())
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
 	s.open = make([]model.Coalition, n)
 	s.flow = make([]model.Coalition, n)
 	s.touched = make([]int, 0, n)
 	for i, c := range s.slots {
-		if ledger && c.Flow() {
+		if s.ledger && c.Flow() {
 			s.keys[i], s.flow[i] = sim.MaxTime, c.Coalition()
 			continue
 		}
@@ -264,7 +265,7 @@ func (s *schedSet) valueAt(slot int, t model.Time) int64 {
 	c := s.slots[slot]
 	if t <= s.now && c.NextCompletion() <= t {
 		c.AdvanceTo(t)
-		if !s.scan && s.open[slot] != 0 {
+		if s.ledger && s.open[slot] != 0 {
 			s.reflow(slot)
 		}
 	}
@@ -382,7 +383,7 @@ func (s *schedSet) StepNext(until model.Time) bool {
 		}
 		if !s.scan {
 			s.rekey(i, jobs > free)
-			if jobs <= free {
+			if s.ledger && jobs <= free {
 				s.reflow(i)
 			}
 		}
@@ -397,10 +398,14 @@ func (s *schedSet) FinishAt(t model.Time) {
 	s.now = t
 	s.q.AdvanceTo(t)
 	s.q.BookReleases()
-	for i, c := range s.slots {
+	for _, c := range s.slots {
 		c.AdvanceTo(t)
-		if !s.scan && s.open[i] != 0 {
-			s.reflow(i)
+	}
+	if s.ledger {
+		for i, open := range s.open {
+			if open != 0 {
+				s.reflow(i)
+			}
 		}
 	}
 }

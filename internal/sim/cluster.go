@@ -95,7 +95,8 @@ type Cluster struct {
 	// members' release-start jobs are all its work and it has started
 	// every released job — and its accounts hold only the finished-work
 	// offset to the ledger's.
-	flow bool
+	flow    bool
+	scratch ValuePoly // acct's, in free flow
 }
 
 // New builds a cluster for the given coalition of the instance, driven
@@ -508,9 +509,13 @@ func (p *ValuePoly) sub(d *ValuePoly) {
 // before t. In free flow it is the offset plus the members' ledger
 // accounts, whose completions up to t it folds first.
 func (c *Cluster) ValueAt(t model.Time) int64 {
-	if !c.flow {
-		return c.total.At(t)
+	if c.flow {
+		return c.flowValueAt(t)
 	}
+	return c.total.At(t)
+}
+
+func (c *Cluster) flowValueAt(t model.Time) int64 {
 	f := c.q.starts
 	f.fold(c.inst.Jobs, t)
 	sum := c.total
@@ -520,23 +525,28 @@ func (c *Cluster) ValueAt(t model.Time) int64 {
 	return sum.At(t)
 }
 
-// account returns org's ψsp account at the current time: in free flow
-// the offset plus its ledger account, folded to the clock.
-func (c *Cluster) account(org int) ValuePoly {
-	a := c.orgAcct[org]
-	if c.flow && c.coal.Has(org) {
+// acct returns org's ψsp account. In free flow it is the offset plus a
+// member's ledger account, folded to the clock, written to a scratch
+// the next call overwrites.
+func (c *Cluster) acct(org int) *ValuePoly {
+	if !c.flow {
+		return &c.orgAcct[org]
+	}
+	return c.flowAcct(org)
+}
+
+func (c *Cluster) flowAcct(org int) *ValuePoly {
+	c.scratch = c.orgAcct[org]
+	if c.coal.Has(org) {
 		f := c.q.starts
 		f.fold(c.inst.Jobs, c.now)
-		a.add(&f.acct[org])
+		c.scratch.add(&f.acct[org])
 	}
-	return a
+	return &c.scratch
 }
 
 // Psi returns organization org's ψsp at the current time.
-func (c *Cluster) Psi(org int) int64 {
-	a := c.account(org)
-	return a.At(c.now)
-}
+func (c *Cluster) Psi(org int) int64 { return c.acct(org).At(c.now) }
 
 // PsiVector returns every organization's ψsp at the current time.
 func (c *Cluster) PsiVector() []int64 {

@@ -84,10 +84,7 @@ func (v *View) Psi(org int) int64 { return v.c.Psi(org) }
 
 // Usage returns the number of unit slots executed so far by org's jobs —
 // the consumed-CPU-time notion of usage that fair-share policies meter.
-func (v *View) Usage(org int) int64 {
-	a := v.c.account(org)
-	return a.Units(v.c.now)
-}
+func (v *View) Usage(org int) int64 { return v.c.acct(org).Units(v.c.now) }
 
 // OwnerPsi returns the ψsp-style value of the unit slots executed on
 // org's machines (by anyone's jobs) — DIRECTCONTR's direct contribution

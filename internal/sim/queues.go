@@ -72,17 +72,7 @@ func NewQueues(inst *model.Instance) *Queues {
 	for u := range q.trimAt {
 		q.trimAt[u] = minTrim
 	}
-	q.speed = -1
-	for _, o := range inst.Orgs {
-		for i := 0; i < o.Machines; i++ {
-			if q.speed < 0 {
-				q.speed = o.Speed(i)
-			} else if o.Speed(i) != q.speed {
-				q.speed = 0
-			}
-		}
-	}
-	q.speed = max(q.speed, 0)
+	q.speed = uniformSpeed(inst)
 	for _, j := range inst.Jobs {
 		q.pending = append(q.pending, j.ID)
 		q.mark[j.ID] = entered
@@ -93,6 +83,22 @@ func NewQueues(inst *model.Instance) *Queues {
 		slices.SortFunc(q.pending, q.compare)
 	}
 	return q
+}
+
+// uniformSpeed returns the one speed every machine of the instance runs
+// at, or 0 when they differ or there are none.
+func uniformSpeed(inst *model.Instance) int {
+	speed := 0
+	for _, o := range inst.Orgs {
+		for i := 0; i < o.Machines; i++ {
+			if speed == 0 {
+				speed = o.Speed(i)
+			} else if o.Speed(i) != speed {
+				return 0
+			}
+		}
+	}
+	return speed
 }
 
 // NewCluster builds a cluster of the coalition on these queues, driven

@@ -71,7 +71,9 @@ type QueueState struct {
 }
 
 // CaptureState snapshots the cluster's simulation state. The cluster is
-// not mutated, so concurrent captures of distinct clusters are safe.
+// not mutated — one in free flow folds its queues' release-start ledger
+// up to its clock, which changes no value — so concurrent captures of
+// clusters on distinct queues are safe.
 func (c *Cluster) CaptureState() ClusterState {
 	st := ClusterState{
 		Coalition: c.coal,
@@ -118,13 +120,9 @@ func (c *Cluster) CaptureState() ClusterState {
 			st.Running = append(st.Running, RunEntryState{Job: int(r.Job), Machine: int(r.Machine), Start: r.Start})
 		}
 		for _, u := range c.coal.Members() {
-			st.OrgAcct = append(st.OrgAcct, c.account(u).Account)
+			st.OrgAcct = append(st.OrgAcct, c.acct(u).Account)
 			if st.QueueState == nil {
-				w := 0
-				if !c.flow {
-					w = c.waiting(u)
-				}
-				st.Waiting = append(st.Waiting, w)
+				st.Waiting = append(st.Waiting, c.view.Waiting(u))
 			}
 		}
 	}
