@@ -259,21 +259,31 @@ func (c *Cluster) start(r runEntry, org int) {
 // finish swaps r's running term for its finished work, the whole window
 // [Start, End) of job j scaled by the machine's speed.
 func (c *Cluster) finish(r runEntry, j model.Job) {
-	q := c.speeds[r.Machine]
-	var d ValuePoly
-	d.run(-int64(q), r.Start)
-	d.AddScaledWindow(r.Start, j.Size, q, r.Start, r.End)
+	d := finished(r, j.Size, c.speeds[r.Machine])
 	c.book(j.Org, int(r.Machine), &d)
 }
 
-// entry returns the execution of job on machine m from start, ending at
-// its start plus ⌈size/speed⌉.
+// finished returns the delta that swaps r's running term at speed q for
+// its finished work, the whole window [Start, End) of a job of the size.
+func finished(r runEntry, size model.Time, q int) ValuePoly {
+	var d ValuePoly
+	d.run(-int64(q), r.Start)
+	d.AddScaledWindow(r.Start, size, q, r.Start, r.End)
+	return d
+}
+
+// entry returns the execution of job on machine m from start.
 func (c *Cluster) entry(job, m int, start model.Time) runEntry {
-	dur, q := c.inst.Jobs[job].Size, model.Time(c.speeds[m])
-	if q > 1 {
-		dur = (dur + q - 1) / q
+	return execution(job, c.inst.Jobs[job].Size, m, c.speeds[m], start)
+}
+
+// execution returns the execution of a job of the size on machine m of
+// speed q from start, ending at its start plus ⌈size/q⌉.
+func execution(job int, size model.Time, m, q int, start model.Time) runEntry {
+	if s := model.Time(q); s > 1 {
+		size = (size + s - 1) / s
 	}
-	return runEntry{End: start + dur, Start: start, Job: int32(job), Machine: int32(m)}
+	return runEntry{End: start + size, Start: start, Job: int32(job), Machine: int32(m)}
 }
 
 // waiting returns the number of org's released jobs not yet started

@@ -452,11 +452,7 @@ func (q *Queues) newReleaseStarts() *releaseStarts {
 func (f *releaseStarts) book(jobs []model.Job) {
 	for _, id := range f.batch {
 		j := jobs[id]
-		dur, q := j.Size, model.Time(f.speed)
-		if q > 1 {
-			dur = (dur + q - 1) / q
-		}
-		f.heap.push(runEntry{End: j.Release + dur, Start: j.Release, Job: int32(id)})
+		f.heap.push(execution(id, j.Size, 0, f.speed, j.Release))
 		f.acct[j.Org].run(int64(f.speed), j.Release)
 		f.running[j.Org]++
 	}
@@ -469,9 +465,7 @@ func (f *releaseStarts) fold(jobs []model.Job, t model.Time) {
 	for len(f.heap) > 0 && f.heap[0].End <= t {
 		r := f.heap.pop()
 		j := jobs[r.Job]
-		var d ValuePoly
-		d.run(-int64(f.speed), r.Start)
-		d.AddScaledWindow(r.Start, j.Size, f.speed, r.Start, r.End)
+		d := finished(r, j.Size, f.speed)
 		f.acct[j.Org].add(&d)
 		f.running[j.Org]--
 	}
