@@ -274,6 +274,11 @@ func densityStream() (*model.Instance, [][]model.Time) {
 // those running), not asked of the set.
 type work struct {
 	steps, touched int
+	// examined counts the slot states the default mode's selection reads
+	// to find a step's touched set, overflowChecks the slots in free flow
+	// among them whose members' load it sums (a release of a member may
+	// overflow them). The reference mode selects nothing.
+	examined, overflowChecks int
 	// byCompletion, byRelease and byOverflow split the default mode's
 	// touches by cause; folded counts the completions processed without
 	// a touch of their own. The reference mode touches every slot and
@@ -296,8 +301,8 @@ func (w *work) line(label string, scan bool) string {
 	if !scan {
 		split = fmt.Sprintf(" by_completion=%d by_release=%d by_overflow=%d folded=%d", w.byCompletion, w.byRelease, w.byOverflow, w.folded)
 	}
-	return fmt.Sprintf("%s steps=%d touched=%d%s dispatches=%d eager_dispatches=%d materialized=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d",
-		label, w.steps, w.touched, split, w.dispatches, w.eager, w.materialized, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs)
+	return fmt.Sprintf("%s steps=%d touched=%d examined=%d overflow_checks=%d%s dispatches=%d eager_dispatches=%d materialized=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d",
+		label, w.steps, w.touched, w.examined, w.overflowChecks, split, w.dispatches, w.eager, w.materialized, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs)
 }
 
 // measureWork steps a set build returns over the density stream to its
@@ -351,7 +356,14 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	for at := s.instant(); at <= horizon; at = s.instant() {
 		keyed, before, flowing = keyed[:0], before[:0], flowing[:0]
 		if !s.scan {
+			// The selection reads every slot's key and masks, and asks each
+			// slot in free flow holding a releasing organization whether
+			// the releases overflow it.
+			w.examined += len(s.keys)
 			for i, key := range s.keys {
+				if s.flow[i]&releasing[at] != 0 {
+					w.overflowChecks++
+				}
 				switch {
 				case key == at:
 					_, done := counts(s.slots[i], at-1)
@@ -462,6 +474,10 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 //     flow and materializes it (materialized counts those, so the two
 //     agree). REF's total is at most half the reference mode's 2^k−1
 //     per step over the reference mode's steps;
+//   - slots examined: the slot states the default mode's selection
+//     reads to find the touched set, and among them the overflow
+//     checks, slots in free flow whose members' load it sums (0 in the
+//     reference mode, which touches every slot);
 //   - completions folded without a touch of their own: every completion
 //     but those in keyed slots at their instant, the ones the
 //     release-start ledger books for slots in free flow included. Both
