@@ -67,7 +67,9 @@ func cloneInstance(in *model.Instance) *model.Instance {
 // next event, inside a free-flow period). After every operation both
 // runs report the same starts, NextEventTime and φ bits; after every
 // advance, before FinishAt and after it, the same NextEventTime, and
-// after FinishAt byte-equal captures.
+// after FinishAt byte-equal captures. The default-mode run's keys and
+// slot bitsets hold checkKeysMatchRebuild after every step, FinishAt
+// and restore.
 //
 // The last two seeds fail scratch mutations of free flow: a
 // materialization that drops a running release-start job (A's first job
@@ -133,9 +135,10 @@ func FuzzStepperModes(f *testing.F) {
 					if arg%16 == 15 {
 						until = now + 64
 					}
-					for _, st := range runs {
-						for st.StepNext(until) {
-						}
+					for runs[0].StepNext(until) {
+						checkKeysMatchRebuild(t, setOf(runs[0]))
+					}
+					for runs[1].StepNext(until) {
 					}
 					if x, y := runs[0].NextEventTime(), runs[1].NextEventTime(); x != y {
 						t.Fatalf("%s: drained to %d, next event %d, reference mode %d", alg.Name(), until, x, y)
@@ -143,6 +146,7 @@ func FuzzStepperModes(f *testing.F) {
 					for _, st := range runs {
 						st.FinishAt(until)
 					}
+					checkKeysMatchRebuild(t, setOf(runs[0]))
 					now = until
 					check("an advance")
 					capture("an advance")
@@ -205,6 +209,7 @@ func FuzzStepperModes(f *testing.F) {
 							}
 							st.FinishAt(next)
 						}
+						checkKeysMatchRebuild(t, setOf(runs[0]))
 						now = next
 						check("an advance to the next event")
 					}
@@ -222,6 +227,7 @@ func FuzzStepperModes(f *testing.F) {
 						s.rekeyAll()
 						runs[j] = st
 					}
+					checkKeysMatchRebuild(t, setOf(runs[0]))
 					check("a restore")
 				}
 			}

@@ -37,9 +37,13 @@ import (
 // completions decide nothing, so they wait in it until the next touch
 // or value read (valueAt), which folds them; an instant with nothing
 // else to do is never stepped to. Every slot's value is read from its
-// own accounts (sim.Cluster.ValueAt). The scan is 2^k compares of
-// adjacent words; an ordered structure would pay a re-sift per touched
-// slot instead (DESIGN.md §2.3).
+// own accounts (sim.Cluster.ValueAt). The instant is a scan of adjacent
+// keys; an ordered structure would pay a re-sift per touched slot
+// instead. The touched set is found by organization, not by slot: the
+// set keeps its slots' states as bitsets, and one bitset per
+// organization of the slots holding it, so a step reads only the slots
+// with a key and those holding a releasing organization (DESIGN.md
+// §2.3).
 //
 // Where every machine runs at one speed and an organization belongs to
 // two or more hypothetical schedules, a hypothetical schedule with
@@ -48,10 +52,11 @@ import (
 // the set, which books each released job once as started at its
 // release, and the slot keeps only a finished-work offset to it, keyed
 // at no instant and closed to releases. A step asks each slot in free
-// flow holding a releasing organization whether the releases, held
-// apart until then (sim.Queues.BookReleases), overflow its machines; one
-// that overflows is materialized and touched as a dormant slot. A touch,
-// fold or restore that leaves a slot qualified puts it back. Four
+// flow holding a releasing and an overloaded organization whether the
+// releases, held apart until then (sim.Queues.BookReleases), overflow
+// its machines (sim.Queues.Overflows, a subset sum over its members);
+// one that overflows is materialized and touched as a dormant slot. A
+// touch, fold or restore that leaves a slot qualified puts it back. Four
 // sim.Cluster invariants make this equivalent to advancing everything
 // (DESIGN.md §2.2):
 //
@@ -70,7 +75,10 @@ import (
 //     the same whenever they are processed.
 //  4. A slot in free flow is the release-start schedule of its members
 //     plus a finished offset: while their releases fit its pool each
-//     starts at its release, as the ledger books it.
+//     starts at its release, as the ledger books it. Its pool is its
+//     members' machines, so it overflows exactly when its members'
+//     running and fresh jobs less their machines sum above 0, which
+//     needs a member whose own term is above 0 (an overloaded one).
 //
 // A dispatch with one organization waiting asks nothing: Select must
 // name an organization with a waiting job and nothing arrives during a
@@ -87,8 +95,8 @@ import (
 // It is the oracle the differential tests hold the default mode to,
 // and what a one-slot set runs (there is nothing to skip).
 //
-// Keys, free flow and the ledger are never serialized: restore rebuilds
-// them from the cluster states and stays byte-identical.
+// Keys, bitsets, free flow and the ledger are never serialized: restore
+// rebuilds them from the cluster states and stays byte-identical.
 type schedSet struct {
 	name string
 	seed int64
@@ -109,12 +117,17 @@ type schedSet struct {
 	// processed, or a completion in a dormant slot.
 	now model.Time
 
-	keys    []model.Time      // slot -> its next completion while a job waits in it, else sim.MaxTime
-	open    []model.Coalition // slot -> its coalition while nothing waits in it and it is not in free flow, else empty
-	flow    []model.Coalition // slot -> its coalition while it is in free flow, else empty
-	ledger  bool              // the queues keep a release-start ledger: slots may flow
-	all     []int             // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
-	touched []int             // scratch
+	keys []model.Time      // slot -> its next completion while a job waits in it, else sim.MaxTime
+	open []model.Coalition // slot -> its coalition while nothing waits in it and it is not in free flow, else empty
+	flow []model.Coalition // slot -> its coalition while it is in free flow, else empty
+	// The same states as slot bitsets, bit i%64 of word i/64 for slot i:
+	// keyedBits the slots with a key, openBits and flowBits the slots
+	// open to releases and in free flow; memberBits holds organization
+	// u's slots, those whose coalition has u, at words u·w to u·w+w−1.
+	keyedBits, openBits, flowBits, memberBits []uint64
+	ledger                                    bool  // the queues keep a release-start ledger: slots may flow
+	all                                       []int // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
+	touched                                   []int // scratch
 }
 
 // plug is what an algorithm adds to the schedule-set core.
@@ -204,13 +217,29 @@ func (s *schedSet) rekeyAll() {
 	s.open = make([]model.Coalition, n)
 	s.flow = make([]model.Coalition, n)
 	s.touched = make([]int, 0, n)
+	w := (n + 63) / 64
+	b := make([]uint64, (3+len(s.inst.Orgs))*w)
+	s.keyedBits, s.openBits, s.flowBits, s.memberBits = b[:w:w], b[w:2*w:2*w], b[2*w:3*w:3*w], b[3*w:]
 	for i, c := range s.slots {
+		for m := uint32(c.Coalition()); m != 0; m &= m - 1 {
+			setBit(s.memberBits[bits.TrailingZeros32(m)*w:], i, true)
+		}
 		if s.ledger && c.Flow() {
 			s.keys[i], s.flow[i] = sim.MaxTime, c.Coalition()
+			setBit(s.flowBits, i, true)
 			continue
 		}
 		jobs, _ := c.Waiting()
 		s.rekey(i, jobs > 0)
+	}
+}
+
+// setBit sets or clears bit i of the slot bitset b.
+func setBit(b []uint64, i int, on bool) {
+	if on {
+		b[i>>6] |= 1 << (i & 63)
+	} else {
+		b[i>>6] &^= 1 << (i & 63)
 	}
 }
 
@@ -232,6 +261,9 @@ func (s *schedSet) shared() bool {
 func (s *schedSet) reflow(slot int) {
 	if c := s.slots[slot]; c.Flow() {
 		s.keys[slot], s.open[slot], s.flow[slot] = sim.MaxTime, 0, c.Coalition()
+		setBit(s.keyedBits, slot, false)
+		setBit(s.openBits, slot, false)
+		setBit(s.flowBits, slot, true)
 	}
 }
 
@@ -245,6 +277,8 @@ func (s *schedSet) rekey(slot int, waiting bool) {
 	} else {
 		s.keys[slot], s.open[slot] = sim.MaxTime, c.Coalition()
 	}
+	setBit(s.keyedBits, slot, s.keys[slot] != sim.MaxTime)
+	setBit(s.openBits, slot, !waiting)
 }
 
 // valueAt is slot's coalition value at t, an instant the set has
@@ -339,16 +373,36 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	touched := s.all
 	if !s.scan {
 		touched = s.touched[:0]
-		for i, k := range s.keys {
-			switch {
-			case k == t || s.open[i]&releasing != 0:
-				touched = append(touched, i)
-			case s.flow[i]&releasing != 0 && s.slots[i].Overflows():
-				// Free flow ends here: the slot is materialized with the
-				// releases waiting, and steps as a dormant slot would.
-				s.slots[i].Materialize()
-				s.open[i], s.flow[i] = s.flow[i], 0
-				touched = append(touched, i)
+		// Only a slot with a key, or one holding a releasing organization
+		// that is open or — when one of its members is overloaded — in free
+		// flow, can be touched: the selection reads those, in slot order.
+		var over model.Coalition
+		if s.ledger && releasing != 0 {
+			over = s.q.Overloaded()
+		}
+		words := len(s.keyedBits)
+		for w := range s.keyedBits {
+			var rel, ovl uint64
+			for m := uint32(releasing); m != 0; m &= m - 1 {
+				rel |= s.memberBits[bits.TrailingZeros32(m)*words+w]
+			}
+			for m := uint32(over); m != 0; m &= m - 1 {
+				ovl |= s.memberBits[bits.TrailingZeros32(m)*words+w]
+			}
+			for m := s.keyedBits[w] | rel&(s.openBits[w]|s.flowBits[w]&ovl); m != 0; m &= m - 1 {
+				i := w<<6 | bits.TrailingZeros64(m)
+				switch {
+				case s.keys[i] == t || s.open[i]&releasing != 0:
+					touched = append(touched, i)
+				case s.flow[i] != 0 && s.q.Overflows(s.flow[i]):
+					// Free flow ends here: the slot is materialized with the
+					// releases waiting, and steps as a dormant slot would.
+					s.slots[i].Materialize()
+					s.open[i], s.flow[i] = s.flow[i], 0
+					setBit(s.openBits, i, true)
+					setBit(s.flowBits, i, false)
+					touched = append(touched, i)
+				}
 			}
 		}
 		s.touched = touched

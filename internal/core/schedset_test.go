@@ -57,14 +57,40 @@ func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan b
 // releases, its next completion possibly already come) or, after
 // a withdrawal emptied it, still keyed as if a job waited: a key may be
 // early, never late. A slot in free flow is keyed sim.MaxTime and
-// closed to releases, and the set knows it is.
+// closed to releases, and the set knows it is. The slot bitsets the
+// selection reads say the same: a slot's keyed, open and free-flow bits
+// are set exactly when it has a key, an open mask and a free-flow mask,
+// organization u's membership bits exactly for the slots whose coalition
+// has u, and no bit past the last slot is set.
 func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 	t.Helper()
 	if s.scan {
 		t.Fatal("key check on a reference-mode set")
 	}
-	if len(s.keys) != len(s.slots) || len(s.open) != len(s.slots) || len(s.flow) != len(s.slots) {
-		t.Fatalf("%d keys, %d open masks and %d free-flow masks for %d slots", len(s.keys), len(s.open), len(s.flow), len(s.slots))
+	n := len(s.slots)
+	if len(s.keys) != n || len(s.open) != n || len(s.flow) != n {
+		t.Fatalf("%d keys, %d open masks and %d free-flow masks for %d slots", len(s.keys), len(s.open), len(s.flow), n)
+	}
+	words, k := (n+63)/64, len(s.inst.Orgs)
+	if len(s.keyedBits) != words || len(s.openBits) != words || len(s.flowBits) != words || len(s.memberBits) != k*words {
+		t.Fatalf("bitsets of %d, %d, %d and %d words for %d slots and %d organizations", len(s.keyedBits), len(s.openBits), len(s.flowBits), len(s.memberBits), n, k)
+	}
+	// want rebuilds each bitset from the arrays; the live one must equal it.
+	want := make([]uint64, len(s.keyedBits)+len(s.openBits)+len(s.flowBits)+len(s.memberBits))
+	for i, c := range s.slots {
+		for b, on := range []bool{s.keys[i] != sim.MaxTime, s.open[i] != 0, s.flow[i] != 0} {
+			if on {
+				want[b*words+i/64] |= 1 << (i % 64)
+			}
+		}
+		for u := 0; u < k; u++ {
+			if c.Coalition().Has(u) {
+				want[(3+u)*words+i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	if got := slices.Concat(s.keyedBits, s.openBits, s.flowBits, s.memberBits); !slices.Equal(got, want) {
+		t.Fatalf("keyed, open, free-flow and membership bitsets\n%x\nrebuilt from the arrays and coalitions:\n%x", got, want)
 	}
 	for slot, c := range s.slots {
 		if flow := s.flow[slot] == c.Coalition(); flow != c.Flowing() || s.flow[slot] != 0 && !flow || flow && (s.keys[slot] != sim.MaxTime || s.open[slot] != 0) {
@@ -331,6 +357,26 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 		}
 		return started, started - running
 	}
+	// overloaded returns the organizations whose jobs that would run at t
+	// had each started at its release, those released at t included,
+	// outnumber their machines: a release-start ledger's overloaded
+	// organizations (sim.Queues.Overloaded) while it holds t's releases
+	// apart, recounted from the stream.
+	overloaded := func(t model.Time) model.Coalition {
+		load := make([]int, len(in.Orgs))
+		for _, j := range in.Jobs {
+			if j.Release <= t && t < j.Release+j.Size {
+				load[j.Org]++
+			}
+		}
+		var over model.Coalition
+		for u, o := range in.Orgs {
+			if load[u] > o.Machines {
+				over = over.With(u)
+			}
+		}
+		return over
+	}
 	s := build()
 	plug := &countingPlug{plug: s.plug}
 	s.plug = plug
@@ -356,12 +402,17 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	for at := s.instant(); at <= horizon; at = s.instant() {
 		keyed, before, flowing = keyed[:0], before[:0], flowing[:0]
 		if !s.scan {
-			// The selection reads every slot's key and masks, and asks each
-			// slot in free flow holding a releasing organization whether
-			// the releases overflow it.
-			w.examined += len(s.keys)
+			// The selection reads the slots with a key and those holding a
+			// releasing organization that are open or in free flow with an
+			// overloaded member, and sums the load of the latter.
+			over := overloaded(at)
 			for i, key := range s.keys {
-				if s.flow[i]&releasing[at] != 0 {
+				coal := s.slots[i].Coalition()
+				check := s.flow[i] != 0 && coal&releasing[at] != 0 && coal&over != 0
+				if key != sim.MaxTime || s.open[i]&releasing[at] != 0 || check {
+					w.examined++
+				}
+				if check {
 					w.overflowChecks++
 				}
 				switch {
@@ -475,8 +526,10 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 //     agree). REF's total is at most half the reference mode's 2^k−1
 //     per step over the reference mode's steps;
 //   - slots examined: the slot states the default mode's selection
-//     reads to find the touched set, and among them the overflow
-//     checks, slots in free flow whose members' load it sums (0 in the
+//     reads to find the touched set — the slots with a key, and those
+//     holding a releasing organization that are open, or in free flow
+//     with an overloaded member — and among them the overflow checks,
+//     the slots in free flow whose members' load it sums (0 in the
 //     reference mode, which touches every slot);
 //   - completions folded without a touch of their own: every completion
 //     but those in keyed slots at their instant, the ones the
@@ -556,9 +609,10 @@ func TestTouchedSetDensity(t *testing.T) {
 }
 
 // BenchmarkScheduleSetStep is the stepping kernel TestTouchedSetDensity
-// counts: REF and RAND(N=15) in the default mode, stepped over
-// densityStream to its horizon. It reports ns per 100-tick round;
-// building the stepper is not timed.
+// counts: REF, RAND(N=15) and NBS — a set that keeps no release-start
+// ledger — in the default mode, stepped over densityStream to its
+// horizon. It reports ns per 100-tick round; building the stepper is
+// not timed.
 func BenchmarkScheduleSetStep(b *testing.B) {
 	in, _ := densityStream()
 	const horizon = model.Time(100 * densityRounds)
@@ -568,6 +622,7 @@ func BenchmarkScheduleSetStep(b *testing.B) {
 	}{
 		{"ref", func() Stepper { return NewRef(in, RefOptions{}) }},
 		{"rand", func() Stepper { return NewRandSched(in, 15, 1, RandOptions{}) }},
+		{"nbs", func() Stepper { return NewNbs(in) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -525,14 +525,14 @@ func (c *Cluster) ValueAt(t model.Time) int64 {
 	return c.total.At(t)
 }
 
+// flowValueAt is ValueAt in free flow: the offset's value plus the
+// members' ledger values, a subset sum (releaseStarts.valueOf). The
+// offset's running terms cancel, so its At numerator is 0, and the sum
+// of the values is the value of the sum.
 func (c *Cluster) flowValueAt(t model.Time) int64 {
 	f := c.q.starts
 	f.fold(c.inst.Jobs, t)
-	sum := c.total
-	for m := uint32(c.coal); m != 0; m &= m - 1 {
-		sum.add(&f.acct[bits.TrailingZeros32(m)])
-	}
-	return sum.At(t)
+	return c.total.At(t) + f.valueOf(c.coal, t)
 }
 
 // acct returns org's ψsp account. In free flow it is the offset plus a
@@ -624,19 +624,6 @@ func (c *Cluster) Flow() bool {
 	c.running = c.running[:0]
 	c.flow = true
 	return true
-}
-
-// Overflows reports whether the latest releases overflow a cluster in
-// free flow: its members' booked running jobs and the releases the
-// ledger holds apart outnumber its machines.
-func (c *Cluster) Overflows() bool {
-	f := c.q.starts
-	n := 0
-	for m := uint32(c.coal); m != 0; m &= m - 1 {
-		u := bits.TrailingZeros32(m)
-		n += f.running[u] + f.fresh[u]
-	}
-	return n > len(c.owners)
 }
 
 // Materialize takes a cluster out of free flow at the ledger's clock:

@@ -164,6 +164,7 @@ func (q *Queues) AdvanceTo(t model.Time) model.Coalition {
 		if f != nil {
 			f.batch = append(f.batch, id)
 			f.fresh[u]++
+			f.loadsOK = false
 		}
 	}
 	if n == 0 {
@@ -391,16 +392,33 @@ func (q *Queues) checkWindow(coal model.Coalition, queues [][]int, pending []int
 // instead of once per coalition schedule. A released job that is
 // withdrawn stays: a schedule that started it keeps it.
 //
+// What a coalition in free flow reads of it is a sum over its members:
+// its load (Overflows) and its accounts' value at an instant
+// (Cluster.ValueAt). Each is kept as subset-sum tables over the
+// organization index in chunks of four — entry m of chunk c sums the
+// per-organization terms of the bits of m, organizations 4c to 4c+3 —
+// so a coalition's sum is one lookup per chunk. A table is rebuilt when
+// it is next read after book, fold or a held release changed its terms.
+//
 // Nothing of it is checkpointed: restore rebuilds it from the released
 // jobs (Queues.reset).
 type releaseStarts struct {
-	speed   int
-	now     model.Time  // every completion up to it is folded
-	acct    []ValuePoly // org -> its booked jobs' work
-	running []int       // org -> how many of its booked jobs run
-	fresh   []int       // org -> released by the latest AdvanceTo, not booked yet
-	batch   []int       // those jobs
-	heap    runHeap     // the booked jobs that run, by completion
+	speed    int
+	now      model.Time  // every completion up to it is folded
+	acct     []ValuePoly // org -> its booked jobs' work
+	running  []int       // org -> how many of its booked jobs run
+	fresh    []int       // org -> released by the latest AdvanceTo, not booked yet
+	batch    []int       // those jobs
+	heap     runHeap     // the booked jobs that run, by completion
+	machines []int       // org -> its machines
+
+	terms    []int64     // scratch: a table's per-organization terms, 4 per chunk
+	loads    [][16]int64 // chunk -> Σ running + fresh − machines over the bits
+	over     model.Coalition
+	loadsOK  bool        // loads and over hold the current counts
+	values   [][16]int64 // chunk -> Σ acct.At(valuesAt) over the bits
+	valuesAt model.Time
+	valuesOK bool // values hold the current accounts at valuesAt
 }
 
 // KeepReleaseStarts makes the queues keep a release-start ledger when on
@@ -427,12 +445,22 @@ func (q *Queues) KeepReleaseStarts(on bool) bool {
 // running set.
 func (q *Queues) newReleaseStarts() *releaseStarts {
 	k := len(q.inst.Orgs)
+	chunks := (k + 3) / 4
+	tables := make([][16]int64, 2*chunks)
+	perOrg := make([]int, 3*k)
 	f := &releaseStarts{
-		speed:   q.speed,
-		now:     q.now,
-		acct:    make([]ValuePoly, k),
-		running: make([]int, k),
-		fresh:   make([]int, k),
+		speed:    q.speed,
+		now:      q.now,
+		acct:     make([]ValuePoly, k),
+		running:  perOrg[:k:k],
+		fresh:    perOrg[k : 2*k : 2*k],
+		machines: perOrg[2*k:],
+		terms:    make([]int64, 4*chunks),
+		loads:    tables[:chunks:chunks],
+		values:   tables[chunks:],
+	}
+	for u, o := range q.inst.Orgs {
+		f.machines[u] = o.Machines
 	}
 	jobs := q.inst.Jobs
 	for _, list := range q.lists {
@@ -456,6 +484,9 @@ func (f *releaseStarts) book(jobs []model.Job) {
 		f.acct[j.Org].run(int64(f.speed), j.Release)
 		f.running[j.Org]++
 	}
+	if len(f.batch) > 0 {
+		f.loadsOK, f.valuesOK = false, false
+	}
 	f.batch = f.batch[:0]
 	clear(f.fresh)
 }
@@ -468,8 +499,65 @@ func (f *releaseStarts) fold(jobs []model.Job, t model.Time) {
 		d := finished(r, j.Size, f.speed)
 		f.acct[j.Org].add(&d)
 		f.running[j.Org]--
+		f.loadsOK, f.valuesOK = false, false
 	}
 	f.now = max(f.now, t)
+}
+
+// subsetSums fills each chunk's table from f.terms: entry m of chunk c
+// is the sum of the terms of organizations 4c+b over the bits b of m.
+func (f *releaseStarts) subsetSums(tables [][16]int64) {
+	for c := range tables {
+		tab, terms := &tables[c], f.terms[4*c:4*c+4]
+		for m := 1; m < 16; m++ {
+			tab[m] = tab[m&(m-1)] + terms[bits.TrailingZeros(uint(m))]
+		}
+	}
+}
+
+// chunkSum returns the sum of coal's members' terms in the tables: one
+// lookup per chunk up to its highest member.
+func chunkSum(tables [][16]int64, coal model.Coalition) int64 {
+	var sum int64
+	for c, m := 0, uint32(coal); m != 0; c, m = c+1, m>>4 {
+		sum += tables[c][m&15]
+	}
+	return sum
+}
+
+// overloaded returns the organizations whose booked running jobs and
+// held releases outnumber their machines, rebuilding the load tables
+// if they are stale.
+func (f *releaseStarts) overloaded() model.Coalition {
+	if !f.loadsOK {
+		f.over = 0
+		for u, n := range f.running {
+			load := n + f.fresh[u] - f.machines[u]
+			f.terms[u] = int64(load)
+			if load > 0 {
+				f.over = f.over.With(u)
+			}
+		}
+		f.subsetSums(f.loads)
+		f.loadsOK = true
+	}
+	return f.over
+}
+
+// valueOf returns Σ_{u∈coal} acct[u].At(t) from the value tables,
+// rebuilding them at t if t is another instant or they are stale. Every
+// account's At numerator, Σ q(t−s)(t−s+1) over its running terms, is
+// even, so the sum of the members' values is the value of the sum of
+// their accounts, exactly.
+func (f *releaseStarts) valueOf(coal model.Coalition, t model.Time) int64 {
+	if !f.valuesOK || f.valuesAt != t {
+		for u := range f.acct {
+			f.terms[u] = f.acct[u].At(t)
+		}
+		f.subsetSums(f.values)
+		f.valuesAt, f.valuesOK = t, true
+	}
+	return chunkSum(f.values, coal)
 }
 
 // BookReleases books the releases the latest AdvanceTo held apart. The
@@ -478,6 +566,29 @@ func (q *Queues) BookReleases() {
 	if q.starts != nil {
 		q.starts.book(q.inst.Jobs)
 	}
+}
+
+// Overloaded returns the organizations whose booked running jobs and
+// releases held apart outnumber their own machines: a coalition in free
+// flow can overflow only through one of them (Overflows). It is empty
+// where no release-start ledger is kept.
+func (q *Queues) Overloaded() model.Coalition {
+	if q.starts == nil {
+		return 0
+	}
+	return q.starts.overloaded()
+}
+
+// Overflows reports whether the latest releases overflow the pool of a
+// coalition in free flow: its members' booked running jobs and the
+// releases the ledger holds apart outnumber its machines. On machines
+// of one speed the pool is the members' machines, so that is a subset
+// sum of the members' loads, running + fresh − machines, being
+// positive: a mask test, then one lookup per chunk of four
+// organizations.
+func (q *Queues) Overflows(coal model.Coalition) bool {
+	f := q.starts
+	return coal&f.overloaded() != 0 && chunkSum(f.loads, coal) > 0
 }
 
 // StartsCompletionAfter returns the earliest completion later than t of

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -70,7 +72,11 @@ func checkQueues(t *testing.T, q *Queues, released bool) {
 // already started. After every operation each pair's capture is
 // byte-equal — the shared layout stores, releases, starts and withdraws
 // exactly what a lone cluster's does — and every Queues passes
-// checkQueues, which catches what both sides would get wrong alike.
+// checkQueues, which catches what both sides would get wrong alike. The
+// shared queues keep a release-start ledger, and one kind of step ends
+// by holding its subset-sum tables (Overflows, Overloaded, the value
+// table) to direct sums for a random coalition (checkReleaseStarts), and
+// those of a second, stepped ledger of up to 30 organizations.
 func FuzzSharedQueues(f *testing.F) {
 	f.Add(int64(1), []byte{0, 2, 0, 3, 7, 11, 0, 1, 6, 15, 0})
 	f.Add(int64(2), []byte{2, 2, 0, 1, 3, 0, 7, 0, 11, 1, 19, 23})
@@ -93,6 +99,16 @@ func FuzzSharedQueues(f *testing.F) {
 		}
 		masks = masks[:min(len(masks), 2+r.Intn(3))]
 		q := NewQueues(in)
+		if !q.KeepReleaseStarts(true) { // randInstance's machines all run at speed 1
+			t.Fatal("no release-start ledger on identical machines")
+		}
+		// The ledger checks draw from their own stream, so r's draws are
+		// what they were without them, and check a second ledger too, of
+		// up to 30 organizations.
+		lr := rand.New(rand.NewSource(^seed))
+		wide := NewQueues(identicalStream(lr, 1+lr.Intn(30), 1+lr.Intn(80), 30))
+		wide.KeepReleaseStarts(true)
+		var wideAt model.Time
 		shared, lone := make([]*Cluster, len(masks)), make([]*Cluster, len(masks))
 		for i, mask := range masks {
 			shared[i] = q.NewCluster(mask, randPolicy(seed+int64(i)), nil)
@@ -122,7 +138,7 @@ func FuzzSharedQueues(f *testing.F) {
 		for _, b := range ops {
 			x, arg := int(b>>2)%len(masks), int(b>>4)
 			switch b % 4 {
-			case 0, 1: // step every cluster to the next instant any has
+			case 0, 1: // step every cluster to the next instant any has; 1 then checks the ledgers
 				at, atLone := MaxTime, MaxTime
 				for i := range shared {
 					at, atLone = min(at, shared[i].NextEventTime()), min(atLone, lone[i].NextEventTime())
@@ -142,6 +158,21 @@ func FuzzSharedQueues(f *testing.F) {
 					}
 				}
 				check("a step")
+				if b%4 == 1 {
+					// Then the ledger's tables against direct sums, for a random
+					// coalition: these queues' at the clock, with the releases
+					// held apart; the wide queues' at their next release, held
+					// apart and booked.
+					checkReleaseStarts(t, q, at, []model.Coalition{model.Coalition(lr.Uint32()) & in.Grand()})
+					if next := wide.NextRelease(); next != MaxTime {
+						coals := []model.Coalition{model.Coalition(lr.Uint32()) & wide.inst.Grand()}
+						wide.AdvanceTo(next)
+						checkReleaseStarts(t, wide, wideAt, coals)
+						wide.BookReleases()
+						checkReleaseStarts(t, wide, next, coals)
+						wideAt = next
+					}
+				}
 			case 2: // a shuffled batch of 1 to 4 arrivals, or a job that has entered
 				now := shared[0].Now()
 				if arg%4 == 3 {
@@ -253,5 +284,111 @@ func TestSharedQueuesTrimToSlowestCluster(t *testing.T) {
 	}
 	if got := fast.View().Waiting(1); got != 0 {
 		t.Errorf("%d of organization 1's jobs wait on the cluster with a machine", got)
+	}
+}
+
+// checkReleaseStarts holds q's release-start ledger tables to direct
+// sums over its per-organization counts and accounts: Overloaded to the
+// organizations whose booked running jobs and held releases outnumber
+// their machines, and for each coalition Overflows to the same count
+// summed over its members against their machines, and the value table
+// at `at` to the value at `at` of the sum of their accounts. The tables
+// are caches of those sums, so they must agree at any instant asked,
+// the ledger's clock or an earlier one.
+func checkReleaseStarts(t *testing.T, q *Queues, at model.Time, coals []model.Coalition) {
+	t.Helper()
+	f := q.starts
+	var over model.Coalition
+	for u, n := range f.running {
+		if n+f.fresh[u] > q.inst.Orgs[u].Machines {
+			over = over.With(u)
+		}
+	}
+	if got := q.Overloaded(); got != over {
+		t.Fatalf("at %d (ledger at %d): overloaded organizations %v, direct count %v", at, f.now, got, over)
+	}
+	for _, coal := range coals {
+		jobs, machines := 0, 0
+		var sum ValuePoly
+		for m := uint32(coal); m != 0; m &= m - 1 {
+			u := bits.TrailingZeros32(m)
+			jobs += f.running[u] + f.fresh[u]
+			machines += q.inst.Orgs[u].Machines
+			sum.add(&f.acct[u])
+		}
+		if got, want := q.Overflows(coal), jobs > machines; got != want {
+			t.Fatalf("at %d: coalition %v runs and holds %d jobs on %d machines, Overflows %v", at, coal, jobs, machines, got)
+		}
+		if got, want := f.valueOf(coal, at), sum.At(at); got != want {
+			t.Fatalf("at %d (ledger at %d): coalition %v's value table reads %d, its accounts sum to %d", at, f.now, coal, got, want)
+		}
+	}
+}
+
+// identicalStream builds k organizations of 0 to 3 machines of speed 1
+// and n jobs released in [0, horizon), sizes 1 to 12: busy enough that
+// releases overload organizations and coalitions.
+func identicalStream(r *rand.Rand, k, n int, horizon model.Time) *model.Instance {
+	orgs := make([]model.Org, k)
+	for u := range orgs {
+		orgs[u] = model.Org{Name: fmt.Sprint("O", u), Machines: r.Intn(4)}
+	}
+	orgs[0].Machines++
+	jobs := make([]model.Job, n)
+	for i := range jobs {
+		jobs[i] = model.Job{Org: r.Intn(k), Release: model.Time(r.Int63n(int64(horizon))), Size: model.Time(1 + r.Intn(12))}
+	}
+	return model.MustNewInstance(orgs, jobs)
+}
+
+// On machines of one speed a coalition's pool is its members' machines,
+// so the ledger answers Overflows and a free-flow value as subset sums
+// over chunks of four organizations. At every release instant of
+// identical-machine streams whose organization counts straddle the
+// chunk edges, the tables agree with direct sums for every coalition
+// (k ≤ 9) or 10⁴ random ones (k = 30): while the releases are held apart
+// (the overflow test, and the values at the previous release instant,
+// after the fold past it), and once they are booked (the values at the
+// instant).
+func TestReleaseStartSubsetSums(t *testing.T) {
+	for _, k := range []int{1, 3, 4, 5, 8, 9, 30} {
+		t.Run(fmt.Sprint("k=", k), func(t *testing.T) { checkSubsetSumsOver(t, k) })
+	}
+}
+
+// checkSubsetSumsOver runs TestReleaseStartSubsetSums on a stream of k
+// organizations.
+func checkSubsetSumsOver(t *testing.T, k int) {
+	r := rand.New(rand.NewSource(int64(k)))
+	in := identicalStream(r, k, 20*k, 60)
+	q := NewQueues(in)
+	if !q.KeepReleaseStarts(true) {
+		t.Fatal("no release-start ledger on identical machines")
+	}
+	var coals []model.Coalition
+	if k <= 9 {
+		for c := model.Coalition(1); c <= in.Grand(); c++ {
+			coals = append(coals, c)
+		}
+	}
+	overloaded, prev := 0, model.Time(0)
+	for at := q.NextRelease(); at != MaxTime; at = q.NextRelease() {
+		if k > 9 {
+			coals = coals[:0]
+			for len(coals) < 10000 {
+				coals = append(coals, model.Coalition(r.Uint32())&in.Grand())
+			}
+		}
+		q.AdvanceTo(at)
+		checkReleaseStarts(t, q, prev, coals)
+		if q.Overloaded() != 0 {
+			overloaded++
+		}
+		q.BookReleases()
+		checkReleaseStarts(t, q, at, coals)
+		prev = at
+	}
+	if overloaded == 0 {
+		t.Error("no release instant overloaded an organization")
 	}
 }
