@@ -28,8 +28,8 @@ import (
 //
 // By default the set steps only what can decide. A slot with a job
 // waiting is keyed at its next completion, in a flat array; a slot with
-// nothing waiting is dormant: keyed at no instant, and open, beside the
-// keys, to its members' releases. A step finds the earliest instant t —
+// nothing waiting is dormant: keyed at no instant, and open to its
+// members' releases. A step finds the earliest instant t —
 // the smallest key or the next release — and takes exactly the touched
 // set, in slot order: the slots keyed t and the dormant slots whose
 // coalition holds an organization releasing a job at t. It advances and
@@ -117,17 +117,16 @@ type schedSet struct {
 	// processed, or a completion in a dormant slot.
 	now model.Time
 
-	keys []model.Time      // slot -> its next completion while a job waits in it, else sim.MaxTime
-	open []model.Coalition // slot -> its coalition while nothing waits in it and it is not in free flow, else empty
-	flow []model.Coalition // slot -> its coalition while it is in free flow, else empty
-	// The same states as slot bitsets, bit i%64 of word i/64 for slot i:
-	// keyedBits the slots with a key, openBits and flowBits the slots
-	// open to releases and in free flow; memberBits holds organization
-	// u's slots, those whose coalition has u, at words u·w to u·w+w−1.
-	keyedBits, openBits, flowBits, memberBits []uint64
-	ledger                                    bool  // the queues keep a release-start ledger: slots may flow
-	all                                       []int // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
-	touched                                   []int // scratch
+	keys []model.Time // slot -> its next completion while a job waits in it, else sim.MaxTime
+	// Slot bitsets, bit i%64 of word i/64 for slot i: keyed holds the
+	// slots with a key, open those with nothing waiting and not in free
+	// flow (dormant: open to their members' releases), flow those in free
+	// flow; member holds organization u's slots, those whose coalition
+	// has u, at words u·w to u·w+w−1.
+	keyed, open, flow, member []uint64
+	ledger                    bool  // the queues keep a release-start ledger: slots may flow
+	all                       []int // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
+	touched                   []int // scratch
 }
 
 // plug is what an algorithm adds to the schedule-set core.
@@ -189,8 +188,8 @@ func (s *schedSet) set() *schedSet { return s }
 
 func (s *schedSet) decision() *sim.Cluster { return s.slots[len(s.slots)-1] }
 
-// rekeyAll (re)builds the keys from the current cluster states — at
-// construction and after restore. A step re-keys only the slots it
+// rekeyAll (re)builds the keys and slot bitsets from the current
+// cluster states — at construction and after restore. A step re-keys only the slots it
 // touches, and nothing else moves a key: Inject adds no waiting job and
 // Withdraw frees no machine. A withdrawal can leave a keyed slot with
 // nothing waiting; its key is then early, never late: the slot is
@@ -214,19 +213,17 @@ func (s *schedSet) rekeyAll() {
 	s.ledger = s.q.KeepReleaseStarts(s.shared())
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
-	s.open = make([]model.Coalition, n)
-	s.flow = make([]model.Coalition, n)
 	s.touched = make([]int, 0, n)
 	w := (n + 63) / 64
 	b := make([]uint64, (3+len(s.inst.Orgs))*w)
-	s.keyedBits, s.openBits, s.flowBits, s.memberBits = b[:w:w], b[w:2*w:2*w], b[2*w:3*w:3*w], b[3*w:]
+	s.keyed, s.open, s.flow, s.member = b[:w:w], b[w:2*w:2*w], b[2*w:3*w:3*w], b[3*w:]
 	for i, c := range s.slots {
 		for m := uint32(c.Coalition()); m != 0; m &= m - 1 {
-			setBit(s.memberBits[bits.TrailingZeros32(m)*w:], i, true)
+			setBit(s.member[bits.TrailingZeros32(m)*w:], i, true)
 		}
 		if s.ledger && c.Flow() {
-			s.keys[i], s.flow[i] = sim.MaxTime, c.Coalition()
-			setBit(s.flowBits, i, true)
+			s.keys[i] = sim.MaxTime
+			setBit(s.flow, i, true)
 			continue
 		}
 		jobs, _ := c.Waiting()
@@ -242,6 +239,9 @@ func setBit(b []uint64, i int, on bool) {
 		b[i>>6] &^= 1 << (i & 63)
 	}
 }
+
+// hasBit reports whether bit i of the slot bitset b is set.
+func hasBit(b []uint64, i int) bool { return b[i>>6]>>(i&63)&1 != 0 }
 
 // shared reports whether some organization belongs to two or more
 // hypothetical schedules. Only then does a release-start ledger save
@@ -259,11 +259,11 @@ func (s *schedSet) shared() bool {
 // reflow puts slot, which has nothing waiting, into free flow if it
 // qualifies (sim.Cluster.Flow).
 func (s *schedSet) reflow(slot int) {
-	if c := s.slots[slot]; c.Flow() {
-		s.keys[slot], s.open[slot], s.flow[slot] = sim.MaxTime, 0, c.Coalition()
-		setBit(s.keyedBits, slot, false)
-		setBit(s.openBits, slot, false)
-		setBit(s.flowBits, slot, true)
+	if s.slots[slot].Flow() {
+		s.keys[slot] = sim.MaxTime
+		setBit(s.keyed, slot, false)
+		setBit(s.open, slot, false)
+		setBit(s.flow, slot, true)
 	}
 }
 
@@ -271,14 +271,15 @@ func (s *schedSet) reflow(slot int) {
 // next completion while a job waits (no machine is free then), dormant
 // otherwise.
 func (s *schedSet) rekey(slot int, waiting bool) {
-	c := s.slots[slot]
-	if waiting {
-		s.keys[slot], s.open[slot] = c.NextCompletion(), 0
-	} else {
-		s.keys[slot], s.open[slot] = sim.MaxTime, c.Coalition()
+	w, bit := slot>>6, uint64(1)<<(slot&63)
+	s.keyed[w] &^= bit
+	s.open[w] &^= bit
+	if !waiting {
+		s.keys[slot] = sim.MaxTime
+		s.open[w] |= bit
+	} else if s.keys[slot] = s.slots[slot].NextCompletion(); s.keys[slot] != sim.MaxTime {
+		s.keyed[w] |= bit
 	}
-	setBit(s.keyedBits, slot, s.keys[slot] != sim.MaxTime)
-	setBit(s.openBits, slot, !waiting)
 }
 
 // valueAt is slot's coalition value at t, an instant the set has
@@ -299,7 +300,7 @@ func (s *schedSet) valueAt(slot int, t model.Time) int64 {
 	c := s.slots[slot]
 	if t <= s.now && c.NextCompletion() <= t {
 		c.AdvanceTo(t)
-		if s.ledger && s.open[slot] != 0 {
+		if s.ledger && hasBit(s.open, slot) {
 			s.reflow(slot)
 		}
 	}
@@ -328,8 +329,8 @@ func (s *schedSet) NextEventTime() model.Time {
 	t := s.q.NextRelease()
 	var flowing model.Coalition // the organizations of the slots in free flow
 	for i, c := range s.slots {
-		if !s.scan && s.flow[i] != 0 {
-			flowing |= s.flow[i]
+		if !s.scan && hasBit(s.flow, i) {
+			flowing |= c.Coalition()
 			continue
 		}
 		t = min(t, c.NextCompletionAfter(s.now))
@@ -380,27 +381,29 @@ func (s *schedSet) StepNext(until model.Time) bool {
 		if s.ledger && releasing != 0 {
 			over = s.q.Overloaded()
 		}
-		words := len(s.keyedBits)
-		for w := range s.keyedBits {
+		words := len(s.keyed)
+		for w := range s.keyed {
 			var rel, ovl uint64
 			for m := uint32(releasing); m != 0; m &= m - 1 {
-				rel |= s.memberBits[bits.TrailingZeros32(m)*words+w]
+				rel |= s.member[bits.TrailingZeros32(m)*words+w]
 			}
 			for m := uint32(over); m != 0; m &= m - 1 {
-				ovl |= s.memberBits[bits.TrailingZeros32(m)*words+w]
+				ovl |= s.member[bits.TrailingZeros32(m)*words+w]
 			}
-			for m := s.keyedBits[w] | rel&(s.openBits[w]|s.flowBits[w]&ovl); m != 0; m &= m - 1 {
+			// The three states are disjoint: a candidate in open or flow
+			// holds a releasing organization.
+			open, flow := s.open[w]&rel, s.flow[w]&rel&ovl
+			for m := s.keyed[w] | open | flow; m != 0; m &= m - 1 {
 				i := w<<6 | bits.TrailingZeros64(m)
-				switch {
-				case s.keys[i] == t || s.open[i]&releasing != 0:
+				switch bit := m & -m; {
+				case s.keys[i] == t || open&bit != 0:
 					touched = append(touched, i)
-				case s.flow[i] != 0 && s.q.Overflows(s.flow[i]):
+				case flow&bit != 0 && s.q.Overflows(s.slots[i].Coalition()):
 					// Free flow ends here: the slot is materialized with the
 					// releases waiting, and steps as a dormant slot would.
 					s.slots[i].Materialize()
-					s.open[i], s.flow[i] = s.flow[i], 0
-					setBit(s.openBits, i, true)
-					setBit(s.flowBits, i, false)
+					s.open[w] |= bit
+					s.flow[w] &^= bit
 					touched = append(touched, i)
 				}
 			}
@@ -419,8 +422,8 @@ func (s *schedSet) StepNext(until model.Time) bool {
 		// member release since has touched it: only the members releasing
 		// now can have a job waiting.
 		among := c.Coalition()
-		if !s.scan && s.open[i] != 0 {
-			among = s.open[i] & releasing
+		if !s.scan && hasBit(s.open, i) {
+			among &= releasing
 		}
 		jobs, orgs := c.WaitingAmong(among)
 		switch {
@@ -456,9 +459,9 @@ func (s *schedSet) FinishAt(t model.Time) {
 		c.AdvanceTo(t)
 	}
 	if s.ledger {
-		for i, open := range s.open {
-			if open != 0 {
-				s.reflow(i)
+		for w, open := range s.open {
+			for m := open; m != 0; m &= m - 1 {
+				s.reflow(w<<6 | bits.TrailingZeros64(m))
 			}
 		}
 	}

@@ -49,36 +49,33 @@ func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan b
 	return st
 }
 
-// checkKeysMatchRebuild verifies the live key arrays against the keying
-// rule rekeyAll implements — the whole invariant of the touched-set
-// mode. A slot with a job waiting has no free machine, is keyed at its
-// next completion and is closed to releases. A slot with nothing
-// waiting is dormant (keyed sim.MaxTime, open to its coalition's
-// releases, its next completion possibly already come) or, after
-// a withdrawal emptied it, still keyed as if a job waited: a key may be
-// early, never late. A slot in free flow is keyed sim.MaxTime and
-// closed to releases, and the set knows it is. The slot bitsets the
-// selection reads say the same: a slot's keyed, open and free-flow bits
-// are set exactly when it has a key, an open mask and a free-flow mask,
-// organization u's membership bits exactly for the slots whose coalition
-// has u, and no bit past the last slot is set.
+// checkKeysMatchRebuild verifies the live keys and slot bitsets against
+// the keying rule rekeyAll implements — the whole invariant of the
+// touched-set mode. A slot with a job waiting has no free machine, is
+// keyed at its next completion and is closed to releases. A slot with
+// nothing waiting is dormant (keyed sim.MaxTime, open to its coalition's
+// releases, its next completion possibly already come) or, after a
+// withdrawal emptied it, still keyed as if a job waited: a key may be
+// early, never late. A slot is in the set's free flow exactly when it is
+// in free flow, keyed sim.MaxTime and closed to releases. The keyed bits
+// are the slots whose key is not sim.MaxTime, organization u's
+// membership bits the slots whose coalition has u, and no bit past the
+// last slot is set.
 func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 	t.Helper()
 	if s.scan {
 		t.Fatal("key check on a reference-mode set")
 	}
 	n := len(s.slots)
-	if len(s.keys) != n || len(s.open) != n || len(s.flow) != n {
-		t.Fatalf("%d keys, %d open masks and %d free-flow masks for %d slots", len(s.keys), len(s.open), len(s.flow), n)
-	}
 	words, k := (n+63)/64, len(s.inst.Orgs)
-	if len(s.keyedBits) != words || len(s.openBits) != words || len(s.flowBits) != words || len(s.memberBits) != k*words {
-		t.Fatalf("bitsets of %d, %d, %d and %d words for %d slots and %d organizations", len(s.keyedBits), len(s.openBits), len(s.flowBits), len(s.memberBits), n, k)
+	if len(s.keys) != n || len(s.keyed) != words || len(s.open) != words || len(s.flow) != words || len(s.member) != k*words {
+		t.Fatalf("%d keys and bitsets of %d, %d, %d and %d words for %d slots and %d organizations", len(s.keys), len(s.keyed), len(s.open), len(s.flow), len(s.member), n, k)
 	}
-	// want rebuilds each bitset from the arrays; the live one must equal it.
-	want := make([]uint64, len(s.keyedBits)+len(s.openBits)+len(s.flowBits)+len(s.memberBits))
+	// want is the bitsets rebuilt slot by slot: keyed from the keys, open
+	// and free flow as the set holds them, membership from the coalitions.
+	want := make([]uint64, (3+k)*words)
 	for i, c := range s.slots {
-		for b, on := range []bool{s.keys[i] != sim.MaxTime, s.open[i] != 0, s.flow[i] != 0} {
+		for b, on := range []bool{s.keys[i] != sim.MaxTime, hasBit(s.open, i), hasBit(s.flow, i)} {
 			if on {
 				want[b*words+i/64] |= 1 << (i % 64)
 			}
@@ -89,22 +86,23 @@ func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 			}
 		}
 	}
-	if got := slices.Concat(s.keyedBits, s.openBits, s.flowBits, s.memberBits); !slices.Equal(got, want) {
-		t.Fatalf("keyed, open, free-flow and membership bitsets\n%x\nrebuilt from the arrays and coalitions:\n%x", got, want)
+	if got := slices.Concat(s.keyed, s.open, s.flow, s.member); !slices.Equal(got, want) {
+		t.Fatalf("keyed, open, free-flow and membership bitsets\n%x\nrebuilt slot by slot:\n%x", got, want)
 	}
 	for slot, c := range s.slots {
-		if flow := s.flow[slot] == c.Coalition(); flow != c.Flowing() || s.flow[slot] != 0 && !flow || flow && (s.keys[slot] != sim.MaxTime || s.open[slot] != 0) {
-			t.Fatalf("slot %d (in free flow: %v) keyed %d, open to %v, in the set's free flow as %v", slot, c.Flowing(), s.keys[slot], s.open[slot], s.flow[slot])
+		open, flow := hasBit(s.open, slot), hasBit(s.flow, slot)
+		if flow != c.Flowing() || flow && (s.keys[slot] != sim.MaxTime || open) {
+			t.Fatalf("slot %d (in free flow: %v) keyed %d, open %v, in the set's free flow %v", slot, c.Flowing(), s.keys[slot], open, flow)
 		}
-		if c.Flowing() {
+		if flow {
 			continue
 		}
 		jobs, _ := c.Waiting()
-		keyed := s.keys[slot] == c.NextCompletion() && s.open[slot] == 0
-		dormant := s.keys[slot] == sim.MaxTime && s.open[slot] == c.Coalition()
+		keyed := s.keys[slot] == c.NextCompletion() && !open
+		dormant := s.keys[slot] == sim.MaxTime && open
 		if jobs > 0 && (!keyed || c.FreeMachines() > 0) || jobs == 0 && !keyed && !dormant {
-			t.Fatalf("slot %d keyed %d and open to %v, with %d jobs waiting, %d machines free and its next completion at %d",
-				slot, s.keys[slot], s.open[slot], jobs, c.FreeMachines(), c.NextCompletion())
+			t.Fatalf("slot %d keyed %d and open %v, with %d jobs waiting, %d machines free and its next completion at %d",
+				slot, s.keys[slot], open, jobs, c.FreeMachines(), c.NextCompletion())
 		}
 	}
 }
@@ -408,8 +406,9 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 			over := overloaded(at)
 			for i, key := range s.keys {
 				coal := s.slots[i].Coalition()
-				check := s.flow[i] != 0 && coal&releasing[at] != 0 && coal&over != 0
-				if key != sim.MaxTime || s.open[i]&releasing[at] != 0 || check {
+				open := hasBit(s.open, i) && coal&releasing[at] != 0
+				check := hasBit(s.flow, i) && coal&releasing[at] != 0 && coal&over != 0
+				if key != sim.MaxTime || open || check {
 					w.examined++
 				}
 				if check {
@@ -419,9 +418,9 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 				case key == at:
 					_, done := counts(s.slots[i], at-1)
 					keyed, before = append(keyed, i), append(before, done)
-				case s.open[i]&releasing[at] != 0:
+				case open:
 					w.byRelease++
-				case s.flow[i] != 0:
+				case hasBit(s.flow, i):
 					flowing = append(flowing, i)
 				}
 			}

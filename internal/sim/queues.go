@@ -569,15 +569,10 @@ func (q *Queues) BookReleases() {
 }
 
 // Overloaded returns the organizations whose booked running jobs and
-// releases held apart outnumber their own machines: a coalition in free
-// flow can overflow only through one of them (Overflows). It is empty
-// where no release-start ledger is kept.
-func (q *Queues) Overloaded() model.Coalition {
-	if q.starts == nil {
-		return 0
-	}
-	return q.starts.overloaded()
-}
+// releases held apart outnumber their own machines, on queues that keep
+// a release-start ledger: a coalition in free flow can overflow only
+// through one of them (Overflows).
+func (q *Queues) Overloaded() model.Coalition { return q.starts.overloaded() }
 
 // Overflows reports whether the latest releases overflow the pool of a
 // coalition in free flow: its members' booked running jobs and the
