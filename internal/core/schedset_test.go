@@ -316,6 +316,8 @@ type work struct {
 	// materialized the slots that left free flow.
 	hypothetical, eager, materialized int
 	perInstant                        map[model.Time]int // dispatching slots per instant
+	// ckptBytes is checkpointBytes of the same sets.
+	ckptBytes int
 }
 
 // line is w as a ledger line of exact integers, the form work.golden
@@ -325,8 +327,8 @@ func (w *work) line(label string, scan bool) string {
 	if !scan {
 		split = fmt.Sprintf(" by_completion=%d by_release=%d by_overflow=%d folded=%d", w.byCompletion, w.byRelease, w.byOverflow, w.folded)
 	}
-	return fmt.Sprintf("%s steps=%d touched=%d examined=%d overflow_checks=%d%s dispatches=%d eager_dispatches=%d materialized=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d",
-		label, w.steps, w.touched, w.examined, w.overflowChecks, split, w.dispatches, w.eager, w.materialized, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs)
+	return fmt.Sprintf("%s steps=%d touched=%d examined=%d overflow_checks=%d%s dispatches=%d eager_dispatches=%d materialized=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d ckpt_bytes=%d",
+		label, w.steps, w.touched, w.examined, w.overflowChecks, split, w.dispatches, w.eager, w.materialized, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs, w.ckptBytes)
 }
 
 // measureWork steps a set build returns over the density stream to its
@@ -334,7 +336,7 @@ func (w *work) line(label string, scan bool) string {
 // in a countingPlug, and counts the work. allocs is
 // testing.AllocsPerRun of one step on a second set as build returns it,
 // mid-stream.
-func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, build func() *schedSet) *work {
+func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, build func(*model.Instance) *schedSet) *work {
 	t.Helper()
 	const horizon = model.Time(100 * densityRounds)
 	releasing := map[model.Time]model.Coalition{}
@@ -375,7 +377,7 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 		}
 		return over
 	}
-	s := build()
+	s := build(in)
 	plug := &countingPlug{plug: s.plug}
 	s.plug = plug
 	var count selectCount
@@ -489,7 +491,7 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	if s.scan && w.selects != w.starts {
 		t.Errorf("reference mode: %d Selects for %d starts", w.selects, w.starts)
 	}
-	m := build()
+	m := build(in)
 	for m.instant() < horizon/2 {
 		m.StepNext(horizon)
 	}
@@ -503,7 +505,45 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	if stepped != runs+1 { // AllocsPerRun warms up with one call
 		t.Fatalf("%d of %d measured calls stepped", stepped, runs+1)
 	}
+	w.ckptBytes = checkpointBytes(t, in, build)
 	return w
+}
+
+// ckptRounds is how many session ages checkpointBytes captures.
+const ckptRounds = 32
+
+// captureAged returns a set build makes on the first 40·r jobs of the
+// density stream in, stepped to 100·r as an engine steps, and its
+// checkpoint there as JSON: a session of the age shapley-k8's census
+// sees after r rounds.
+func captureAged(t testing.TB, in *model.Instance, r int, build func(*model.Instance) *schedSet) (*schedSet, []byte) {
+	t.Helper()
+	now := model.Time(100 * r)
+	s := build(model.MustNewInstance(in.Orgs, in.Jobs[:40*r]))
+	for s.StepNext(now) {
+	}
+	s.FinishAt(now)
+	cp, err := s.Capture(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, data
+}
+
+// checkpointBytes sums the JSON bytes of captureAged's checkpoints for
+// r = 1..ckptRounds: what a checkpoint stores, summed over session ages.
+func checkpointBytes(t testing.TB, in *model.Instance, build func(*model.Instance) *schedSet) int {
+	t.Helper()
+	total := 0
+	for r := 1; r <= ckptRounds; r++ {
+		_, data := captureAged(t, in, r, build)
+		total += len(data)
+	}
+	return total
 }
 
 var update = flag.Bool("update", false, "rewrite testdata/work.golden")
@@ -541,7 +581,9 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 //     those refresh targets (one retarget each) and ask Select in the
 //     default mode; the reference mode retargets at every dispatch and
 //     asks Select for every start;
-//   - allocations per step, mid-stream.
+//   - allocations per step, mid-stream;
+//   - checkpoint bytes, summed over 32 session ages (checkpointBytes):
+//     equal in both modes, since a capture does not depend on the mode.
 //
 // Most of REF's dispatches are uncontested; the test fails if fewer
 // than 80 % are, since skipping their refresh and their Selects is what
@@ -554,22 +596,23 @@ func TestTouchedSetDensity(t *testing.T) {
 	ledger := []string{
 		fmt.Sprintf("# Work over densityStream: %d organizations, %d jobs, %d rounds of 100 ticks; REF has %d slots.", densityOrgs, len(in.Jobs), densityRounds, slots),
 		"# Counts are totals over the stream; allocs_per_step is testing.AllocsPerRun of one step, mid-stream.",
+		fmt.Sprintf("# ckpt_bytes sums the JSON checkpoints of sets on the first 40·r jobs stepped to 100·r, r = 1..%d.", ckptRounds),
 	}
 	ref := map[RefDriver]*work{}
 	for _, driver := range []RefDriver{DriverHeap, DriverScan} {
-		w := measureWork(t, in, releases, func() *schedSet { return NewRef(in, RefOptions{Driver: driver}).set() })
+		w := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewRef(in, RefOptions{Driver: driver}).set() })
 		ref[driver] = w
 		ledger = append(ledger, w.line("REF/"+driver.String(), driver == DriverScan))
 		if uncontested := 1 - float64(w.contested)/float64(w.dispatches); uncontested < 0.8 {
 			t.Errorf("%s mode: %.1f %% of dispatches uncontested, below 80 %%: the work the default mode skips is no longer the common case", driver, 100*uncontested)
 		}
 	}
-	rnd := measureWork(t, in, releases, func() *schedSet { return NewRandSched(in, 15, 1, RandOptions{}).set() })
+	rnd := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewRandSched(in, 15, 1, RandOptions{}).set() })
 	ledger = append(ledger, rnd.line("RAND(N=15)/heap", false))
-	nbs := measureWork(t, in, releases, func() *schedSet { return NewNbs(in).set() })
+	nbs := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewNbs(in).set() })
 	ledger = append(ledger, nbs.line("NBS/heap", false))
 	// A one-slot set runs the reference mode: it has nothing to skip.
-	direct := measureWork(t, in, releases, func() *schedSet { return setOf(DirectContrAlgorithm().NewStepper(in, 1)) })
+	direct := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return setOf(DirectContrAlgorithm().NewStepper(in, 1)) })
 	ledger = append(ledger, direct.line("DIRECTCONTR/scan", true))
 	heap, scan := ref[DriverHeap], ref[DriverScan]
 	for name, w := range map[string]*work{"REF": heap, "RAND(N=15)": rnd} {
@@ -579,6 +622,9 @@ func TestTouchedSetDensity(t *testing.T) {
 	}
 	if !maps.Equal(heap.perInstant, scan.perInstant) {
 		t.Errorf("dispatching slots per instant differ between the modes:\n%v\n%v", heap.perInstant, scan.perInstant)
+	}
+	if heap.ckptBytes != scan.ckptBytes {
+		t.Errorf("REF checkpoints %d bytes in the default mode, %d in the reference mode: a capture depends on the mode", heap.ckptBytes, scan.ckptBytes)
 	}
 	if heap.completed != scan.completed {
 		t.Errorf("%d jobs completed by the horizon in the default mode, %d in the reference mode", heap.completed, scan.completed)
@@ -632,6 +678,43 @@ func BenchmarkScheduleSetStep(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*densityRounds), "ns/round")
+		})
+	}
+}
+
+// BenchmarkCheckpointRoundTrip is what a checkpoint costs the layers
+// that store and serve it: REF and RAND(N=15) on the first 640 jobs of
+// densityStream stepped to 1 600 (captureAged at r = 16), captured,
+// marshaled, unmarshaled and restored per op. It reports the document's
+// bytes.
+func BenchmarkCheckpointRoundTrip(b *testing.B) {
+	in, _ := densityStream()
+	for _, bc := range []struct {
+		name string
+		alg  StepperAlgorithm
+	}{
+		{"ref", RefAlgorithm{}},
+		{"rand", RandAlgorithm{Samples: 15}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, data := captureAged(b, in, 16, func(in *model.Instance) *schedSet { return setOf(bc.alg.NewStepper(in, 1)) })
+			for i := 0; i < b.N; i++ {
+				cp, err := s.Capture(s.now)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if data, err = json.Marshal(cp); err != nil {
+					b.Fatal(err)
+				}
+				back := new(Checkpoint)
+				if err := json.Unmarshal(data, back); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := bc.alg.RestoreStepper(back); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(data)), "B/doc")
 		})
 	}
 }
