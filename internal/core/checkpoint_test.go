@@ -22,8 +22,8 @@ import (
 // RefOptions{Parallel: true, Workers: 2}, 5 organizations;
 // RandOptions{Workers: 2}, 6 organizations; t = 7, touched sets up to
 // 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json
-// to ckpt_v6_<key>.json, the same run captured at the same instant by
-// the first version-2 to version-6 writers.
+// to ckpt_v7_<key>.json, the same run captured at the same instant by
+// the first version-2 to version-7 writers.
 // decisionFirst marks the families that checkpoint the decision schedule
 // first, not last.
 var ckptFamilies = []struct {
@@ -109,10 +109,11 @@ func freshAt(t *testing.T, alg StepperAlgorithm, cp *Checkpoint) (*model.Instanc
 // started), one per stepper family and layout version. Each must
 // restore under the current code, re-capture to what a fresh run
 // stepped to the same instant captures, and run to the horizon with
-// starts, ψ and φ equal to an uninterrupted run. A version-6 file is
-// that fresh capture byte for byte; a version-5 one differs in its
-// version only (the run is on related machines, where version 6 keeps
-// the machines a hypothetical schedule's entries ran on), and an older
+// starts, ψ and φ equal to an uninterrupted run. A version-7 file is
+// that fresh capture byte for byte; a version-5 or version-6 one differs
+// in its version only (the run is on related machines, where version 6
+// keeps the machines a hypothetical schedule's entries ran on and
+// version 7 writes none as its release-start schedule), and an older
 // file cannot be (the
 // writer omits five of a version-1 cluster's fields, every job's ID and
 // every start's Org of version 2, a running entry's end and fold mark
@@ -140,7 +141,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 		if !fam.v2 {
 			continue
 		}
-		for _, version := range []int{2, 3, 4, 5, 6} {
+		for _, version := range []int{2, 3, 4, 5, 6, 7} {
 			t.Run(fmt.Sprintf("%s/v%d", fam.key, version), func(t *testing.T) {
 				raw, cp := loadCheckpoint(t, fmt.Sprintf("v%d_%s", version, fam.key))
 				if _, parent := loadParentCheckpoint(t, fam.key); cp.Version != version || cp.Now != parent.Now || len(cp.Jobs) != len(parent.Jobs) {
@@ -314,6 +315,86 @@ func TestRestoreRejectsStrippedCheckpoint(t *testing.T) {
 				t.Fatal("restore accepted a checkpoint without its " + tc.strip + " field")
 			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
 				t.Fatalf("restore error %q, want it to mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// A version-7 hypothetical schedule on machines of one speed that is its
+// members' release-start schedule is written as its coalition, clock and
+// finished-work offset, and restore expands it from the job list. A
+// compact entry is outside input like the rest: restore refuses one that
+// no capture writes — in a version-6 document, on related machines, for
+// the decision schedule, next to running entries or waiting counts, one
+// whose release-start jobs overrun its pool, or one whose offset leaves
+// negative finished work — with an error, never a panic.
+func TestRestoreRefusesHostileReleaseStartEntries(t *testing.T) {
+	// A, with one machine, releases three long jobs at once and queues
+	// them alone; B's and C's jobs have finished by 5 in every schedule.
+	in := model.MustNewInstance([]model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}, {Name: "C", Machines: 2}}, []model.Job{
+		{Org: 0, Release: 0, Size: 10}, {Org: 0, Release: 0, Size: 10}, {Org: 0, Release: 0, Size: 10},
+		{Org: 1, Release: 0, Size: 3}, {Org: 2, Release: 1, Size: 2},
+	})
+	const now = 5
+	s := RefAlgorithm{}.NewStepper(in, 1)
+	for s.StepNext(now) {
+	}
+	s.FinishAt(now)
+	clean := captureJSON(t, s, now)
+	// entry returns the state of coal's schedule in a fresh copy of the
+	// clean document.
+	entry := func(cp *Checkpoint, coal model.Coalition) *sim.ClusterState {
+		for i := range cp.Clusters {
+			if cp.Clusters[i].Coalition == coal {
+				return &cp.Clusters[i]
+			}
+		}
+		t.Fatalf("no schedule of %v", coal)
+		return nil
+	}
+	a, b, grand := model.Coalition(1), model.Coalition(2), in.Grand()
+	var doc Checkpoint
+	if err := json.Unmarshal(clean, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if !entry(&doc, b).AtRelease || entry(&doc, a).AtRelease {
+		t.Fatalf("B's schedule is not written as its release-start schedule, or A's is: %s", clean)
+	}
+	if _, err := (RefAlgorithm{}).RestoreStepper(&doc); err != nil {
+		t.Fatalf("the clean document is refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name, wantErr string
+		doctor        func(*Checkpoint)
+	}{
+		{"in a version-6 document", "which version 7 introduced", func(cp *Checkpoint) { cp.Version = 6 }},
+		{"on related machines", "more than one speed", func(cp *Checkpoint) { cp.Orgs[2].Speeds = []int{1, 2} }},
+		{"for the decision schedule", "decision schedule", func(cp *Checkpoint) {
+			*entry(cp, grand) = sim.ClusterState{Coalition: grand, Now: now, AtRelease: true}
+		}},
+		{"next to running entries", "carries queues, waiting counts, running entries", func(cp *Checkpoint) {
+			entry(cp, b).Running = []sim.RunEntryState{{Job: 3, Machine: 0, Start: 0}}
+		}},
+		{"next to waiting counts", "carries queues, waiting counts, running entries", func(cp *Checkpoint) { entry(cp, b).Waiting = []int{1} }},
+		{"overrunning its pool", "runs 3 jobs at 5 on 1 machines", func(cp *Checkpoint) {
+			*entry(cp, a) = sim.ClusterState{Coalition: a, Now: now, AtRelease: true}
+		}},
+		{"with negative finished work", "finished work offset leaves", func(cp *Checkpoint) {
+			entry(cp, b).OrgAcct = []utility.Account{{U: -4, S: 0}}
+		}},
+		{"with an offset per organization", "finished-work offsets for", func(cp *Checkpoint) {
+			entry(cp, b).OrgAcct = make([]utility.Account, 3)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cp Checkpoint
+			if err := json.Unmarshal(clean, &cp); err != nil {
+				t.Fatal(err)
+			}
+			tc.doctor(&cp)
+			_, err := (RefAlgorithm{}).RestoreStepper(&cp)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("restore answered %v, want an error mentioning %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -67,11 +67,15 @@ func cloneInstance(in *model.Instance) *model.Instance {
 // next event, inside a free-flow period). After every operation both
 // runs report the same starts, NextEventTime and φ bits; after every
 // advance, before FinishAt and after it, the same NextEventTime, and
-// after FinishAt byte-equal captures. The default-mode run's keys and
-// slot bitsets hold checkKeysMatchRebuild after every step, FinishAt
-// and restore.
+// after FinishAt byte-equal captures; and a restored run re-captures
+// the bytes it was restored from. The default-mode run's keys and slot
+// bitsets hold checkKeysMatchRebuild after every step, FinishAt and
+// restore.
 //
-// The last two seeds fail scratch mutations of free flow: a
+// The sixth seed round-trips release-start schedules: at 6, A's
+// singleton has run its second job from 3, not from its release, so
+// its compact entry carries a finished-work offset, and B's carries
+// none. The fourth and fifth seeds fail scratch mutations of free flow: a
 // materialization that drops a running release-start job (A's first job
 // runs from its release when A's second one overflows A's singleton),
 // and a re-entry that ignores a withdrawn job still running in the
@@ -83,6 +87,7 @@ func FuzzStepperModes(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 7, 1, 0, 7, 2, 0, 7, 0, 3, 1}, []byte{60, 1, 5, 0, 13, 3, 2, 9, 60})
 	f.Add([]byte{0, 0, 0, 0, 0, 3, 0, 2, 0}, []byte{8})
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 7}, []byte{0, 18, 20})
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 0, 1, 1, 1, 0, 0}, []byte{20, 3, 20, 3})
 	f.Fuzz(func(t *testing.T, instance, ops []byte) {
 		base := fuzzInstance(instance)
 		if len(ops) > 64 {
@@ -213,7 +218,8 @@ func FuzzStepperModes(f *testing.F) {
 						now = next
 						check("an advance to the next event")
 					}
-					for j, data := range capture("a capture") {
+					before := capture("a capture")
+					for j, data := range before {
 						var cp Checkpoint
 						if err := json.Unmarshal(data, &cp); err != nil {
 							t.Fatal(err)
@@ -229,6 +235,9 @@ func FuzzStepperModes(f *testing.F) {
 					}
 					checkKeysMatchRebuild(t, setOf(runs[0]))
 					check("a restore")
+					if after := capture("a restore"); !bytes.Equal(after[0], before[0]) {
+						t.Fatalf("%s: a restored run re-captures\n%s\nnot\n%s", alg.Name(), after[0], before[0])
+					}
 				}
 			}
 		}

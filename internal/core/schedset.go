@@ -552,6 +552,9 @@ func (s *schedSet) restore(cp *Checkpoint) error {
 				// step would move one that leads it backwards.
 				return fmt.Errorf("core: %s checkpoint at %d holds a schedule at %d", s.name, cp.Now, st.Now)
 			}
+			if st.AtRelease && cp.Version < 7 {
+				return fmt.Errorf("core: %s checkpoint of version %d holds a release-start schedule, which version 7 introduced", s.name, cp.Version)
+			}
 			if err := s.slots[slot].RestoreState(st); err != nil {
 				return err
 			}

@@ -93,11 +93,14 @@ type StepperAlgorithm interface {
 // withdrawn list, machine-owner accounts and every organization's
 // account, and up to version 5 a hypothetical schedule on machines of
 // one speed its running entries on the machines its run gave them, where
-// version 6 writes them by (end, job) on machines 0, 1, 2, … The fold
-// marks are read, and the queues and pending releases, checked against
-// the decision schedule's, become waiting counts; so all six restore
-// alike.
-const CheckpointVersion = 6
+// version 6 writes them by (end, job) on machines 0, 1, 2, …, and up to
+// version 6 such a schedule in full where version 7 writes one that is
+// its members' release-start schedule as its coalition, clock and
+// finished-work offset (sim.ClusterState.AtRelease). The fold marks are
+// read, the queues and pending releases, checked against the decision
+// schedule's, become waiting counts, and a compact entry expands to the
+// full one; so all seven restore alike.
+const CheckpointVersion = 7
 
 // Checkpoint is the complete serializable state of a stepper mid-run:
 // the instance as fed so far (orgs plus every job, including online

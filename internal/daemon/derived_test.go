@@ -295,6 +295,15 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 		{"current federation", gatedMigratingFedCfg(), checkpointOf(t, gatedMigratingFedCfg(), overloadJobs(0), 30)},
 	}
 	docs = append(docs, document{"current stale least-loaded federation", staleLoadFedCfg(), checkpointOf(t, staleLoadFedCfg(), overloadJobs(0), 30)})
+	// Jobs of size 9 every 2 ticks outgrow each organization's own
+	// machines, so its hypothetical schedules queue and are written in
+	// full, running entries and all.
+	var saturating []daemon.JobSubmission
+	for _, j := range overloadJobs(0) {
+		j.Size = 9
+		saturating = append(saturating, j)
+	}
+	docs = append(docs, document{"current saturated single", singleCfg(), checkpointOf(t, singleCfg(), saturating, 30)})
 	v2, v2Cfg := engineFixture(t, "v2")
 	docs = append(docs, document{"engine version-2 fixture", v2Cfg, v2})
 	v4, v4Cfg := v4FedFixture(t)
@@ -302,9 +311,11 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 	applied := map[string]int{}
 	defer func() {
 		// A decision schedule's keys meet the gated single session and both
-		// current federations; a running entry's end the gated single
-		// session and both old fixtures (the federations' schedules run
-		// nothing unlogged at 30).
+		// current federations; a running entry's end the saturated single
+		// session and both old fixtures (the other current documents'
+		// hypothetical schedules are their release-start schedules at 30,
+		// written without running entries, and the federations' schedules
+		// run nothing unlogged).
 		for key := range doctorings {
 			want := 1
 			switch {

@@ -78,20 +78,22 @@ func parentCkptFederation(t testing.TB, gated bool) *fed.Federation {
 // and decision-schedule accounts, and their hypothetical schedules'
 // queues, pending releases and machine-owner accounts are no longer
 // written). ckpt_order_*.json are the same runs from the first writer
-// of the current instant order, and ckpt_core6_*.json from the first
-// writer of version-6 members: the restore of either runs on exactly as
-// an uninterrupted run, and a core6 file is a fresh run's snapshot byte
-// for byte (an order file's members say version 5).
+// of the current instant order, ckpt_core6_*.json from the first writer
+// of version-6 members and ckpt_core7_*.json from the first writer of
+// version-7 members (the busy site's singletons written as release-start
+// schedules): the restore of each runs on exactly as an uninterrupted
+// run, and a core7 file is a fresh run's snapshot byte for byte (an
+// order file's members say version 5, a core6 file's version 6).
 func TestParentCheckpointsRestore(t *testing.T) {
-	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6", "direct/core4", "gated/core4", "direct/core5", "gated/core5", "direct/order", "gated/order", "direct/core6", "gated/core6"} {
+	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6", "direct/core4", "gated/core4", "direct/core5", "gated/core5", "direct/order", "gated/order", "direct/core6", "gated/core6", "direct/core7", "gated/core7"} {
 		run, version, old := strings.Cut(name, "/")
 		if !old {
 			version = "parent"
 		}
-		gated, v2, v5, v6, core4, core5, order, core6 := run == "gated", version == "v2", version == "v5", version == "v6", version == "core4", version == "core5", version == "order", version == "core6"
-		order = order || core6    // a core6 file is of the current instant order too
-		core5 = core5 || order    // its members are version 5 or later
-		v6 = v6 || core4 || core5 // a core4, core5, order or core6 file is a version-6 document
+		gated, v2, v5, v6, core4, core5, order, core7 := run == "gated", version == "v2", version == "v5", version == "v6", version == "core4", version == "core5", version == "order", version == "core7"
+		order = order || version == "core6" || core7 // a core6 or core7 file is of the current instant order too
+		core5 = core5 || order                       // its members are version 5 or later
+		v6 = v6 || core4 || core5                    // a core4, core5, order or core6 file is a version-6 document
 		file := "ckpt_" + version + "_" + run + ".json"
 		t.Run(name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", file))
@@ -151,7 +153,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if core6 && !bytes.Equal(want, raw) {
+				if core7 && !bytes.Equal(want, raw) {
 					t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
 				}
 				other = straight

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"repro/internal/model"
+	"repro/internal/utility"
 )
 
 // Queues holds the job queues of the clusters that schedule one job
@@ -42,6 +43,7 @@ type Queues struct {
 
 	speed  int            // the one speed every machine of the instance runs at; 0 when they differ
 	starts *releaseStarts // the release-start ledger, when a set keeps one (KeepReleaseStarts)
+	form   releaseForm    // the release-start schedules a capture or restore last derived
 }
 
 // A job's mark: not yet entered, entered (pending, queued, started or
@@ -599,4 +601,61 @@ func (q *Queues) StartsCompletionAfter(orgs model.Coalition, t model.Time) model
 		}
 	}
 	return next
+}
+
+// releaseForm is every organization's release-start schedule at one
+// instant, derived from the instance's jobs alone — not from a ledger,
+// which books a job withdrawn while pending once restored: each job
+// released by then, withdrawn or not, taken as started at its release on
+// a machine of the queues' one speed.
+type releaseForm struct {
+	at      model.Time
+	jobs    int               // the job list's length when derived
+	running [][]runEntry      // org -> its jobs still running at `at`, by (end, job); nil before the first
+	done    []utility.Account // org -> its finished work at `at`
+}
+
+// releaseStartOf returns coal's release-start schedule at t on queues
+// whose machines share one speed: its members' running jobs by (end,
+// job) on machines 0, 1, …, as a capture writes them, and each member's
+// finished work, in fresh slices. The organizations' schedules are
+// derived once per instant and job list, so the slots of a set pay one
+// pass over the jobs per capture or restore.
+func (q *Queues) releaseStartOf(coal model.Coalition, t model.Time) ([]RunEntryState, []utility.Account) {
+	f := &q.form
+	if jobs := q.inst.Jobs; f.running == nil || f.jobs != len(jobs) || f.at != t {
+		if f.running == nil {
+			f.running, f.done = make([][]runEntry, len(q.inst.Orgs)), make([]utility.Account, len(q.inst.Orgs))
+		}
+		f.at, f.jobs = t, len(jobs)
+		for u := range f.running {
+			f.running[u] = f.running[u][:0]
+		}
+		clear(f.done)
+		for id, j := range jobs {
+			if j.Release > t {
+				continue
+			}
+			if r := execution(id, j.Size, 0, q.speed, j.Release); r.End > t {
+				f.running[j.Org] = append(f.running[j.Org], r)
+			} else {
+				f.done[j.Org].AddScaledWindow(j.Release, j.Size, q.speed, j.Release, r.End)
+			}
+		}
+		for _, rs := range f.running {
+			slices.SortFunc(rs, byEndJob)
+		}
+	}
+	var running []runEntry
+	var done []utility.Account
+	for _, u := range coal.Members() {
+		running = append(running, f.running[u]...)
+		done = append(done, f.done[u])
+	}
+	slices.SortFunc(running, byEndJob)
+	var out []RunEntryState
+	for i, r := range running {
+		out = append(out, RunEntryState{Job: int(r.Job), Machine: i, Start: r.Start})
+	}
+	return out, done
 }

@@ -45,9 +45,18 @@ type RunEntryState struct {
 // accounts, which its capture leaves out. A cluster that keeps a
 // decision log writes the queues it rebuilds; one that does not (see
 // RestoreState) writes waiting counts instead, and no withdrawn list.
+//
+// On machines of one speed, a hypothetical schedule that is its members'
+// release-start schedule at its clock — nothing waits, and it runs
+// exactly their jobs released by then that are still running had each
+// started at its release — is written compactly: AtRelease, and in
+// OrgAcct its finished work less the release-start schedule's, left out
+// when that is zero for every member. The job list implies the rest
+// (Queues.releaseStartOf).
 type ClusterState struct {
 	Coalition   model.Coalition `json:"coalition"`
 	Now         model.Time      `json:"now"`
+	AtRelease   bool            `json:"at_release,omitempty"`
 	*QueueState                 // nil on a hypothetical schedule
 	// Per member in index order: how many released jobs wait here, the
 	// last of the shared queue's; and the finished work (up to version 4
@@ -69,6 +78,10 @@ type QueueState struct {
 	// order still began with the releases that had fired, this many.
 	NextRelease int `json:"next_release,omitempty"`
 }
+
+// byEndJob orders executions by (end, job), as a capture on machines of
+// one speed writes them.
+func byEndJob(a, b runEntry) int { return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Job, b.Job)) }
 
 // CaptureState snapshots the cluster's simulation state. The cluster is
 // not mutated — one in free flow folds its queues' release-start ledger
@@ -109,9 +122,7 @@ func (c *Cluster) CaptureState() ClusterState {
 			// written by (end, job) on machines 0, 1, 2, …, whatever the
 			// mode of the set and the path the schedule took.
 			running = slices.Clone(running)
-			slices.SortFunc(running, func(a, b runEntry) int {
-				return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Job, b.Job))
-			})
+			slices.SortFunc(running, byEndJob)
 			for i := range running {
 				running[i].Machine = int32(i)
 			}
@@ -125,8 +136,72 @@ func (c *Cluster) CaptureState() ClusterState {
 				st.Waiting = append(st.Waiting, c.view.Waiting(u))
 			}
 		}
+		if c.q.speed > 0 {
+			c.q.compact(&st)
+		}
 	}
 	return st
+}
+
+// compact rewrites st, a hypothetical schedule's capture on machines of
+// one speed, in its compact form (ClusterState.AtRelease) when the job
+// list reproduces it exactly: nothing waits, and its running entries are
+// the release-start ones. Whatever path the schedule took — free flow,
+// the reference mode, a restore — the same state writes the same bytes.
+func (q *Queues) compact(st *ClusterState) {
+	for _, w := range st.Waiting {
+		if w != 0 {
+			return
+		}
+	}
+	running, done := q.releaseStartOf(st.Coalition, st.Now)
+	if !slices.Equal(running, st.Running) {
+		return
+	}
+	zero := true
+	for i, a := range st.OrgAcct {
+		done[i] = utility.Account{U: a.U - done[i].U, S: a.S - done[i].S}
+		zero = zero && done[i] == utility.Account{}
+	}
+	st.AtRelease, st.Waiting, st.Running, st.OrgAcct = true, nil, nil, done
+	if zero {
+		st.OrgAcct = nil
+	}
+}
+
+// expand rewrites st, a compact capture, as the state it stands for:
+// its members' release-start schedule at its clock, nothing waiting, the
+// stored offset added to the release-start finished work. A compact
+// state is refused where no capture writes one — on the decision
+// schedule, on machines of more than one speed, next to queues, waiting
+// counts, running entries, a decision log or a withdrawn list — and
+// where it would run more jobs than its pool has machines or leave a
+// member negative finished work.
+func (c *Cluster) expand(st *ClusterState) error {
+	members := c.coal.Members()
+	switch {
+	case !c.noStarts:
+		return fmt.Errorf("sim: restore: the decision schedule of %v is written as a release-start schedule", c.coal)
+	case c.q.speed == 0:
+		return fmt.Errorf("sim: restore: a release-start schedule of %v on machines of more than one speed", c.coal)
+	case st.QueueState != nil || st.Waiting != nil || st.Running != nil || st.Starts != nil || st.Withdrawn != nil:
+		return fmt.Errorf("sim: restore: a release-start schedule of %v carries queues, waiting counts, running entries, a decision log or a withdrawn list", c.coal)
+	case st.OrgAcct != nil && len(st.OrgAcct) != len(members):
+		return fmt.Errorf("sim: restore: %d finished-work offsets for %d members", len(st.OrgAcct), len(members))
+	}
+	running, done := c.q.releaseStartOf(c.coal, st.Now)
+	if len(running) > len(c.owners) {
+		return fmt.Errorf("sim: restore: the release-start schedule of %v runs %d jobs at %d on %d machines", c.coal, len(running), st.Now, len(c.owners))
+	}
+	for i, a := range st.OrgAcct {
+		done[i].U += a.U
+		done[i].S += a.S
+		if done[i].U < 0 || done[i].S < 0 {
+			return fmt.Errorf("sim: restore: organization %d's finished work offset leaves %+v", members[i], done[i])
+		}
+	}
+	st.AtRelease, st.Waiting, st.Running, st.OrgAcct = false, make([]int, len(members)), running, done
+	return nil
 }
 
 // RestoreState overwrites the cluster's simulation state with a capture
@@ -153,6 +228,11 @@ func (c *Cluster) CaptureState() ClusterState {
 // reads them; a legacy fold mark says which part of an entry's window
 // the stored accounts already hold.
 func (c *Cluster) RestoreState(st ClusterState) error {
+	if st.AtRelease {
+		if err := c.expand(&st); err != nil {
+			return err
+		}
+	}
 	k, jobs, members := len(c.inst.Orgs), c.inst.Jobs, c.coal.Members()
 	rebuild, qs, acct := !c.noStarts, st.QueueState, st.OrgAcct
 	switch {

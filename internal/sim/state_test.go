@@ -595,12 +595,68 @@ func doctorNode(v any, n int, edit func(any) any) (any, int) {
 	return v, seen
 }
 
+// releaseStartDocument runs the fifteen coalition schedules of four
+// organizations of one machine each on shared queues, every one but the
+// grand coalition's a hypothetical schedule, to 8 and captures them, in
+// mask order. By then A's two jobs have run from 0 on {A, B}'s two
+// machines and B's job, released at 1, from 4: that schedule is written
+// as its release-start schedule with an offset to B's finished work.
+func releaseStartDocument(f *testing.F) (doc struct {
+	Orgs     []model.Org
+	Jobs     []model.Job
+	Clusters []json.RawMessage
+}) {
+	const until = 8
+	in := model.MustNewInstance(
+		[]model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}, {Name: "C", Machines: 1}, {Name: "D", Machines: 1}},
+		[]model.Job{{Org: 0, Release: 0, Size: 4}, {Org: 0, Release: 0, Size: 4}, {Org: 1, Release: 1, Size: 2}, {Org: 2, Release: 2, Size: 9}, {Org: 3, Release: 3, Size: 1}},
+	)
+	q := NewQueues(in)
+	var set []*Cluster
+	for coal := model.Coalition(1); coal <= in.Grand(); coal++ {
+		c := q.NewCluster(coal, lowestOrgPolicy(), nil)
+		if coal != in.Grand() {
+			c.DiscardStarts()
+		}
+		set = append(set, c)
+	}
+	for {
+		at := MaxTime
+		for _, c := range set {
+			at = min(at, c.NextEventTime())
+		}
+		if at > until {
+			break
+		}
+		q.AdvanceTo(at)
+		for _, c := range set {
+			c.AdvanceTo(at)
+			c.Dispatch()
+		}
+	}
+	for _, c := range set {
+		c.AdvanceTo(until)
+		data, err := json.Marshal(c.CaptureState())
+		if err != nil {
+			f.Fatal(err)
+		}
+		doc.Clusters = append(doc.Clusters, data)
+	}
+	if ab := string(doc.Clusters[2]); !strings.Contains(ab, `"at_release":true,"org_acct":[`) {
+		f.Fatalf("the schedule of {A, B} is not written as its release-start schedule with an offset: %s", ab)
+	}
+	doc.Orgs, doc.Jobs = in.Orgs, in.Jobs
+	return doc
+}
+
 // FuzzClusterRestore hands RestoreState doctored captures — numbers
 // overwritten, arrays cut short or stretched — of the mid-run
 // round-robin schedule committed under internal/core/testdata, as the
-// version-1, version-2 and version-3 document, and of the version-5
-// REF document's schedule of {A, B}. A cluster that keeps no decision
-// log — that schedule of {A, B}, or the round-robin one with discard —
+// version-1, version-2 and version-3 document, of the version-5 REF
+// document's schedule of {A, B}, and of the schedule of {A, B} that
+// releaseStartDocument writes as its release-start schedule with a
+// finished-work offset. A cluster that keeps no decision log — a
+// schedule of {A, B}, or the round-robin one with discard —
 // is a hypothetical slot on queues the undoctored decision schedule
 // rebuilds first. RestoreState refuses, or its free machines are the
 // stack checkFreeStack describes — after the restore and after every
@@ -629,6 +685,7 @@ func FuzzClusterRestore(f *testing.F) {
 		}
 		docs = append(docs, doc)
 	}
+	docs = append(docs, releaseStartDocument(f))
 	for which := range docs {
 		f.Add(uint8(which), false, []byte{})
 		f.Add(uint8(which), true, []byte{0, 9, 0, 0, 3})
@@ -767,13 +824,15 @@ func FuzzClusterRestore(f *testing.F) {
 // entries by (end, job) on machines 0, 1, 2, …: which machine runs a job
 // changes nothing it will do, and one in free flow has no machines of
 // its own. On related machines it writes its heap array, on the
-// machines the jobs run on.
+// machines the jobs run on. (The last job waits, so the schedule is
+// not its release-start one and is written in full.)
 func TestHypotheticalCaptureMachines(t *testing.T) {
 	jobs := []model.Job{
 		{Org: 0, Release: 0, Size: 9},
 		{Org: 0, Release: 0, Size: 3},
 		{Org: 1, Release: 0, Size: 6},
 		{Org: 0, Release: 1, Size: 4},
+		{Org: 1, Release: 1, Size: 2},
 	}
 	for _, speeds := range [][]int{nil, {2, 1, 1}} {
 		in := model.MustNewInstance([]model.Org{{Name: "A", Machines: 3, Speeds: speeds}, {Name: "B", Machines: 1}}, jobs)
