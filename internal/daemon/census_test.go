@@ -183,7 +183,7 @@ func TestCheckpointByteCensus(t *testing.T) {
 		if err := json.Unmarshal(doc["ledger"], &ledger); err != nil {
 			t.Fatal(err)
 		}
-		allowed := "version policy seed now pending order ledger members staleness ex_at ex_sums ex_routed admission ctrl"
+		allowed := "version policy seed now pending order ledger members staleness ex_at ex_now ex_sums ex_routed admission ctrl"
 		for k := range doc {
 			if !slices.Contains(strings.Fields(allowed), k) {
 				t.Errorf("%s: the federation checkpoint carries %q", c.name, k)

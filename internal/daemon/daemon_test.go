@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/ctrl"
 	"repro/internal/daemon"
+	"repro/internal/fed"
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
@@ -790,7 +791,7 @@ func TestHTTPStatusCodes(t *testing.T) {
 	// of its stream.
 	before := a.raw("/v1/sessions/fleet/state")
 	snap := a.raw("/v1/sessions/fleet/checkpoint")
-	streaming := bytes.Replace(snap, []byte(`{"version":6,`), []byte(`{"version":6,"source":{"cursor":2,"window":2},`), 1)
+	streaming := bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)), []byte(`{"version":6,"source":{"cursor":2,"window":2},`), 1)
 	if bytes.Equal(streaming, snap) {
 		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
 	}

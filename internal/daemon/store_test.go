@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/daemon"
+	"repro/internal/fed"
 )
 
 // TestDirStoreAtomicSave: a save lands as exactly one complete
@@ -147,7 +148,7 @@ func TestLoadQuarantinesUnrestorableEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3 := bytes.Replace(snap, []byte(`{"version":6,`), []byte(`{"version":3,`), 1)
+	v3 := bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)), []byte(`{"version":3,`), 1)
 	if bytes.Equal(v3, snap) {
 		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
 	}

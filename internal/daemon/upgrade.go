@@ -98,7 +98,9 @@ func upgradeGateEnvelope(data []byte, alg core.StepperAlgorithm, seed int64) ([]
 		return nil, err
 	}
 	if v := env.View; v != nil {
-		cp.ExAt = v.TakenAt
+		// The gate read the load it cached, never the instant, so the
+		// exchange observes the one it was taken at.
+		cp.ExAt, cp.ExNow = v.TakenAt, &v.TakenAt
 		cp.ExSums = []fed.Summary{{Waiting: v.Load.Waiting, Psi: make([]int64, len(eng.Instance().Orgs))}}
 	}
 	return json.Marshal(cp)

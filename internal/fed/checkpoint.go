@@ -21,9 +21,15 @@ import (
 // document too, whose copies it ignores. Version 6 applies the rule to
 // the cached exchange (a summary stores its observations, not its
 // cluster, instant, capacities or Σ ψ) and carries a version-2 control
-// block; versions 4 and 5 restore through the same code. It refuses the
-// job-source cursor block (see Checkpoint.Source).
-const CheckpointVersion = 6
+// block. Version 7 stores the instant a cached exchange observed — the
+// members' clock when it was taken, once per exchange — where versions
+// 4 to 6 restored it as the instant the exchange was taken at, one tick
+// late whenever the members stood at t−1; and its decision order is by
+// instant, then member, whatever the Steps' chunks (Federation.Step).
+// Versions 4 to 6 restore through the same code, their order as
+// written. It refuses the job-source cursor block (see
+// Checkpoint.Source).
+const CheckpointVersion = 7
 
 // Checkpoint is the complete serializable state of a federation: the
 // routing layer (pending queue, the order members' decisions were
@@ -44,15 +50,22 @@ type Checkpoint struct {
 	Members []MemberCheckpoint `json:"members"`
 
 	// Summary-gossip staleness state: the knob itself and, when a
-	// cached exchange snapshot is live, the snapshot and its timestamp —
-	// restoring mid-gossip-period must route on the same stale view an
-	// uninterrupted run would. The cached view lives in the snapshot
-	// provider; it is persisted here (not in Ctrl) because only the
-	// federation knows its payload type.
-	Staleness model.Time `json:"staleness,omitempty"`
-	ExAt      model.Time `json:"ex_at,omitempty"`
-	ExSums    []Summary  `json:"ex_sums,omitempty"`
-	ExRouted  [][]int64  `json:"ex_routed,omitempty"`
+	// cached exchange snapshot is live, the snapshot, the instant it was
+	// taken at (its age is counted from there) and the instant it
+	// observed: the members' clock then, which every summary's Now
+	// reports and FedREF and the decaying fairness policy read. A Step
+	// takes an exchange at a release instant t with the members at t−1,
+	// or at t when the federation already stood there, so the two
+	// differ; the observed one is present whenever an exchange is (0 is
+	// an instant). Restoring mid-gossip-period must route on the same
+	// stale view an uninterrupted run would. The cached view lives in the
+	// snapshot provider; it is persisted here (not in Ctrl) because only
+	// the federation knows its payload type.
+	Staleness model.Time  `json:"staleness,omitempty"`
+	ExAt      model.Time  `json:"ex_at,omitempty"`
+	ExNow     *model.Time `json:"ex_now,omitempty"`
+	ExSums    []Summary   `json:"ex_sums,omitempty"`
+	ExRouted  [][]int64   `json:"ex_routed,omitempty"`
 
 	// Control-plane state: the admission spec that was installed and the
 	// plane's serialized dynamic state (the jobs parked on a deferred
@@ -102,6 +115,7 @@ func (f *Federation) Snapshot() ([]byte, error) {
 	if v, ok := f.provider.Cached(); ok {
 		ex := v.Payload.(*exchange)
 		cp.ExAt = v.TakenAt
+		cp.ExNow = &ex.Sums[0].Now
 		cp.ExSums = ex.Sums
 		cp.ExRouted = ex.Routed
 	}
@@ -242,6 +256,18 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 			return nil, fmt.Errorf("fed: restore: exchange snapshot has %d summaries for %d clusters",
 				len(cp.ExSums), len(specs))
 		}
+		// The instant the exchange observed: stored since version 7, the
+		// instant it was taken at before.
+		seen := cp.ExAt
+		switch {
+		case cp.ExNow != nil:
+			seen = *cp.ExNow
+		case cp.Version >= 7:
+			return nil, fmt.Errorf("fed: restore: a cached exchange without the instant it observed")
+		}
+		if seen < 0 || seen < cp.ExAt-1 || seen > cp.ExAt {
+			return nil, fmt.Errorf("fed: restore: an exchange taken at %d observed instant %d, not the members' clock then", cp.ExAt, seen)
+		}
 		// Policies index the per-organization vectors without looking:
 		// hold each summary to the shape summaries() produces. What a
 		// summary repeats — its cluster, the exchange instant, the
@@ -253,7 +279,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 				return nil, fmt.Errorf("fed: restore: exchange summary %d has %d/%d psi/phi entries for %d organizations",
 					c, len(s.Psi), len(s.Phi), n)
 			}
-			s.Now = cp.ExAt
+			s.Now = seen
 			f.fillConfigured(s, c)
 		}
 		// The routed-work matrix is captured only for ledger-aware
@@ -287,7 +313,8 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		}
 	}
 	// The decision log is the members' logs, interleaved in the recorded
-	// order as advanceMembers folded them.
+	// order: by instant, then member, since version 7; as advanceMembers
+	// folded them before.
 	if cp.Version == 4 {
 		cp.Order = nil
 		for _, d := range cp.Decs {

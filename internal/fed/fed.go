@@ -479,7 +479,10 @@ func (f *Federation) NextEventTime() model.Time {
 // jobs that were waiting and jobs that just reached them together — the
 // order a single cluster sees when every job is fed before its release.
 // It returns the federated scheduling decisions made since the previous
-// Step (or since Restore).
+// Step (or since Restore), ordered by instant, then member, each
+// member's in its own order: members are advanced window by window, and
+// a window ends at each delivery instant and at until, so the order they
+// were folded in would depend on how a caller chunks its Steps.
 //
 // The returned slice aliases the federation's decision log — the same
 // read-only contract engine.Step documents: it is valid until the next
@@ -511,6 +514,7 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 		f.pending = append(f.pending[:0], f.pending[n:]...)
 	}
 	fresh := f.decs[f.reported:]
+	slices.SortStableFunc(fresh, func(a, b Decision) int { return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Cluster, b.Cluster)) })
 	f.reported = len(f.decs)
 	return fresh, nil
 }

@@ -263,16 +263,16 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, gutted); err == nil {
 		t.Error("restore with an empty ledger accepted")
 	}
-	// Two federation layouts restore, 4 and 5: the version-3 document an
+	// Layouts 4 and later restore: the version-3 document an
 	// older build wrote is refused by version, and so is a version-4 one
 	// with the cursor of a job source the federation pulled itself —
 	// restored without the block, the run would go on without the rest of
 	// its stream.
-	v3 := bytes.Replace(snap, []byte(`{"version":6,`), []byte(`{"version":3,`), 1)
-	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, v3); err == nil || !strings.Contains(err.Error(), "checkpoint version 3, want 4 to 6") {
+	v3 := bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)), []byte(`{"version":3,`), 1)
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, v3); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("checkpoint version 3, want 4 to %d", fed.CheckpointVersion)) {
 		t.Errorf("version-3 checkpoint: %v", err)
 	}
-	pulled := bytes.Replace(snap, []byte(`{"version":6,`), []byte(`{"version":4,"source":{"cursor":9,"window":4,"done":true},`), 1)
+	pulled := bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)), []byte(`{"version":4,"source":{"cursor":9,"window":4,"done":true},`), 1)
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, pulled); err == nil || !strings.Contains(err.Error(), "SubmitThrough") {
 		t.Errorf("checkpoint with a source block: %v", err)
 	}

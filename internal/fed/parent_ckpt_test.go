@@ -2,12 +2,14 @@ package fed_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/fed"
 	"repro/internal/model"
@@ -79,21 +81,23 @@ func parentCkptFederation(t testing.TB, gated bool) *fed.Federation {
 // queues, pending releases and machine-owner accounts are no longer
 // written). ckpt_order_*.json are the same runs from the first writer
 // of the current instant order, ckpt_core6_*.json from the first writer
-// of version-6 members and ckpt_core7_*.json from the first writer of
+// of version-6 members, ckpt_core7_*.json from the first writer of
 // version-7 members (the busy site's singletons written as release-start
-// schedules): the restore of each runs on exactly as an uninterrupted
-// run, and a core7 file is a fresh run's snapshot byte for byte (an
-// order file's members say version 5, a core6 file's version 6).
+// schedules) and ckpt_v7_*.json from the first writer of version 7 (the
+// instant the cached exchange observed): the restore of each runs on
+// exactly as an uninterrupted run, and a v7 file is a fresh run's
+// snapshot byte for byte (an order file's members say version 5, a
+// core6 file's version 6, and a core7 file is a version-6 document).
 func TestParentCheckpointsRestore(t *testing.T) {
-	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6", "direct/core4", "gated/core4", "direct/core5", "gated/core5", "direct/order", "gated/order", "direct/core6", "gated/core6", "direct/core7", "gated/core7"} {
+	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6", "direct/core4", "gated/core4", "direct/core5", "gated/core5", "direct/order", "gated/order", "direct/core6", "gated/core6", "direct/core7", "gated/core7", "direct/v7", "gated/v7"} {
 		run, version, old := strings.Cut(name, "/")
 		if !old {
 			version = "parent"
 		}
-		gated, v2, v5, v6, core4, core5, order, core7 := run == "gated", version == "v2", version == "v5", version == "v6", version == "core4", version == "core5", version == "order", version == "core7"
-		order = order || version == "core6" || core7 // a core6 or core7 file is of the current instant order too
-		core5 = core5 || order                       // its members are version 5 or later
-		v6 = v6 || core4 || core5                    // a core4, core5, order or core6 file is a version-6 document
+		gated, v2, v5, v6, core4, core5, order, v7 := run == "gated", version == "v2", version == "v5", version == "v6", version == "core4", version == "core5", version == "order", version == "v7"
+		order = order || version == "core6" || version == "core7" || v7 // of the current instant order too
+		core5 = core5 || order                                          // its members are version 5 or later
+		v6 = v6 || core4 || core5                                       // a core4, core5, order, core6, core7 or v7 file is a version-6 document or later
 		file := "ckpt_" + version + "_" + run + ".json"
 		t.Run(name, func(t *testing.T) {
 			raw, err := os.ReadFile(filepath.Join("testdata", file))
@@ -153,7 +157,7 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if core7 && !bytes.Equal(want, raw) {
+				if v7 && !bytes.Equal(want, raw) {
 					t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
 				}
 				other = straight
@@ -174,5 +178,70 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				t.Fatalf("admission stats diverged:\n%s\n%s", a, b)
 			}
 		})
+	}
+}
+
+// TestCurrentVersionsHaveFixtures fails when a checkpoint layout has no
+// committed document: core.CheckpointVersion needs a core fixture of its
+// version (internal/core/testdata/ckpt_v<N>_*.json) and a federation
+// fixture whose members are of it, and fed.CheckpointVersion a
+// federation fixture of its own (testdata/ckpt_v<N>_*.json). A version
+// bump then lands with the documents the restore tests hold every later
+// build to.
+func TestCurrentVersionsHaveFixtures(t *testing.T) {
+	version := func(t *testing.T, data []byte) int {
+		t.Helper()
+		var doc struct {
+			Version int `json:"version"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Version
+	}
+	fixtures := func(pattern string) map[string][]byte {
+		t.Helper()
+		names, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, name := range names {
+			if out[name], err = os.ReadFile(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	coreDocs := fixtures(filepath.Join("..", "core", "testdata", fmt.Sprintf("ckpt_v%d_*.json", core.CheckpointVersion)))
+	if len(coreDocs) == 0 {
+		t.Errorf("core checkpoint version %d has no fixture under internal/core/testdata", core.CheckpointVersion)
+	}
+	for name, data := range coreDocs {
+		if v := version(t, data); v != core.CheckpointVersion {
+			t.Errorf("%s is a version-%d document", name, v)
+		}
+	}
+	fedDocs := fixtures(filepath.Join("testdata", fmt.Sprintf("ckpt_v%d_*.json", fed.CheckpointVersion)))
+	if len(fedDocs) == 0 {
+		t.Errorf("federation checkpoint version %d has no fixture under internal/fed/testdata", fed.CheckpointVersion)
+	}
+	for name, data := range fedDocs {
+		if v := version(t, data); v != fed.CheckpointVersion {
+			t.Errorf("%s is a version-%d document", name, v)
+		}
+	}
+	members := false
+	for _, data := range fixtures(filepath.Join("testdata", "ckpt_*.json")) {
+		var doc fed.Checkpoint
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range doc.Members {
+			members = members || version(t, m.Engine) == core.CheckpointVersion
+		}
+	}
+	if !members {
+		t.Errorf("no federation fixture under internal/fed/testdata has members of core checkpoint version %d", core.CheckpointVersion)
 	}
 }
