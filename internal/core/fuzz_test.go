@@ -64,18 +64,22 @@ func cloneInstance(in *model.Instance) *model.Instance {
 // released at or after the clock, withdraw a job (any, or one queued in
 // the decision schedule that a slot in free flow already runs), capture
 // and restore both runs through JSON (where it stands, or first at the
-// next event, inside a free-flow period). After every operation both
-// runs report the same starts, NextEventTime and φ bits; after every
-// advance, before FinishAt and after it, the same NextEventTime, and
-// after FinishAt byte-equal captures; and a restored run re-captures
-// the bytes it was restored from. The default-mode run's keys and slot
-// bitsets hold checkKeysMatchRebuild after every step, FinishAt and
-// restore.
+// next event, inside a free-flow period). A third run, in the default
+// mode, takes every operation but the restores. After every operation
+// the three report the same starts, NextEventTime and φ bits; after
+// every advance, before FinishAt and after it, the same NextEventTime,
+// and after FinishAt byte-equal captures; and a restored run
+// re-captures the bytes it was restored from. The default-mode run's
+// keys and slot bitsets hold checkKeysMatchRebuild after every step,
+// FinishAt and restore.
 //
 // The sixth seed round-trips release-start schedules: at 6, A's
 // singleton has run its second job from 3, not from its release, so
 // its compact entry carries a finished-work offset, and B's carries
-// none. The fourth and fifth seeds fail scratch mutations of free flow: a
+// none. In the seventh, at 4, A's singleton runs as many jobs as its
+// release-start schedule, but its second from 3, not 1: a capture that
+// compacts on the count alone restores a run that diverges from the
+// unrestored one. The fourth and fifth seeds fail scratch mutations of free flow: a
 // materialization that drops a running release-start job (A's first job
 // runs from its release when A's second one overflows A's singleton),
 // and a re-entry that ignores a withdrawn job still running in the
@@ -88,6 +92,7 @@ func FuzzStepperModes(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 3, 0, 2, 0}, []byte{8})
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 7}, []byte{0, 18, 20})
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 0, 1, 1, 1, 0, 0}, []byte{20, 3, 20, 3})
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 0, 1, 4, 1, 0, 0}, []byte{12, 3, 60, 3})
 	f.Fuzz(func(t *testing.T, instance, ops []byte) {
 		base := fuzzInstance(instance)
 		if len(ops) > 64 {
@@ -100,24 +105,29 @@ func FuzzStepperModes(f *testing.F) {
 			RandAlgorithm{Samples: 6, Opts: RandOptions{Stratified: true}},
 			NbsAlgorithm{},
 		} {
-			runs := [2]Stepper{newModeStepper(alg, cloneInstance(base), 3, false), newModeStepper(alg, cloneInstance(base), 3, true)}
+			// The default mode, the reference mode, and the default mode
+			// never restored.
+			runs := [3]Stepper{newModeStepper(alg, cloneInstance(base), 3, false), newModeStepper(alg, cloneInstance(base), 3, true), newModeStepper(alg, cloneInstance(base), 3, false)}
 			var now model.Time
 			check := func(op string) {
 				t.Helper()
-				a, b := runs[0].ResultAt(now), runs[1].ResultAt(now)
-				assertSameResult(t, alg.Name()+" after "+op, b, a)
-				for u := range a.Phi {
-					if math.Float64bits(a.Phi[u]) != math.Float64bits(b.Phi[u]) {
-						t.Fatalf("%s after %s: φ[%d] %v, reference mode %v", alg.Name(), op, u, a.Phi[u], b.Phi[u])
+				a := runs[0].ResultAt(now)
+				for i, other := range []string{"reference mode", "unrestored run"} {
+					b := runs[i+1].ResultAt(now)
+					assertSameResult(t, alg.Name()+" after "+op+" against the "+other, b, a)
+					for u := range a.Phi {
+						if math.Float64bits(a.Phi[u]) != math.Float64bits(b.Phi[u]) {
+							t.Fatalf("%s after %s: φ[%d] %v, %s %v", alg.Name(), op, u, a.Phi[u], other, b.Phi[u])
+						}
+					}
+					if x, y := runs[0].NextEventTime(), runs[i+1].NextEventTime(); x != y {
+						t.Fatalf("%s after %s: next event %d, %s %d", alg.Name(), op, x, other, y)
 					}
 				}
-				if x, y := runs[0].NextEventTime(), runs[1].NextEventTime(); x != y {
-					t.Fatalf("%s after %s: next event %d, reference mode %d", alg.Name(), op, x, y)
-				}
 			}
-			capture := func(op string) [2][]byte {
+			capture := func(op string) [3][]byte {
 				t.Helper()
-				var out [2][]byte
+				var out [3][]byte
 				for i, st := range runs {
 					cp, err := st.Capture(now)
 					if err != nil {
@@ -127,8 +137,10 @@ func FuzzStepperModes(f *testing.F) {
 						t.Fatal(err)
 					}
 				}
-				if !bytes.Equal(out[0], out[1]) {
-					t.Fatalf("%s after %s: captures differ:\n%s\nreference mode:\n%s", alg.Name(), op, out[0], out[1])
+				for i := 1; i < len(out); i++ {
+					if !bytes.Equal(out[0], out[i]) {
+						t.Fatalf("%s after %s: captures differ:\n%s\nrun %d:\n%s", alg.Name(), op, out[0], i, out[i])
+					}
 				}
 				return out
 			}
@@ -143,10 +155,12 @@ func FuzzStepperModes(f *testing.F) {
 					for runs[0].StepNext(until) {
 						checkKeysMatchRebuild(t, setOf(runs[0]))
 					}
-					for runs[1].StepNext(until) {
-					}
-					if x, y := runs[0].NextEventTime(), runs[1].NextEventTime(); x != y {
-						t.Fatalf("%s: drained to %d, next event %d, reference mode %d", alg.Name(), until, x, y)
+					for _, st := range runs[1:] {
+						for st.StepNext(until) {
+						}
+						if x, y := runs[0].NextEventTime(), st.NextEventTime(); x != y {
+							t.Fatalf("%s: drained to %d, next event %d, other run %d", alg.Name(), until, x, y)
+						}
 					}
 					for _, st := range runs {
 						st.FinishAt(until)
@@ -201,8 +215,8 @@ func FuzzStepperModes(f *testing.F) {
 						}
 						id = started[(arg>>1)%len(started)]
 					}
-					if x, y := runs[0].Withdraw(id), runs[1].Withdraw(id); (x == nil) != (y == nil) {
-						t.Fatalf("%s: withdraw %d: %v, reference mode %v", alg.Name(), id, x, y)
+					if x, y, z := runs[0].Withdraw(id), runs[1].Withdraw(id), runs[2].Withdraw(id); (x == nil) != (y == nil) || (x == nil) != (z == nil) {
+						t.Fatalf("%s: withdraw %d: %v, reference mode %v, unrestored run %v", alg.Name(), id, x, y, z)
 					}
 					check("a withdrawal")
 				case 3: // capture, restore both through JSON
@@ -219,7 +233,7 @@ func FuzzStepperModes(f *testing.F) {
 						check("an advance to the next event")
 					}
 					before := capture("a capture")
-					for j, data := range before {
+					for j, data := range before[:2] {
 						var cp Checkpoint
 						if err := json.Unmarshal(data, &cp); err != nil {
 							t.Fatal(err)

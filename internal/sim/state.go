@@ -226,7 +226,8 @@ func (c *Cluster) expand(st *ClusterState) error {
 // start give its window: the lines that ended by the clock are its
 // finished work, the rest its running entries. A cluster without one
 // reads them; a legacy fold mark says which part of an entry's window
-// the stored accounts already hold.
+// the stored accounts already hold. A compact state (AtRelease) is
+// expanded to the full one first, and that is held to the same rule.
 func (c *Cluster) RestoreState(st ClusterState) error {
 	if st.AtRelease {
 		if err := c.expand(&st); err != nil {
