@@ -25,12 +25,7 @@ var cutPolicies = []string{
 // gossips the members' values move at every tick.
 func cutFederation(t testing.TB, policy fed.Policy, s int64) *fed.Federation {
 	t.Helper()
-	specs := []fed.ClusterSpec{
-		{Name: "c0", Alg: algFactory("directcontr"), Machines: []int{1, 1}},
-		{Name: "c1", Alg: algFactory("directcontr"), Machines: []int{2, 0}},
-		{Name: "c2", Alg: algFactory("directcontr"), Machines: []int{0, 2}},
-	}
-	f, err := fed.New([]string{"o0", "o1"}, specs, policy, 1)
+	f, err := fed.New(cutOrgs, cutSpecs(), policy, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +52,9 @@ func cutFederation(t testing.TB, policy fed.Policy, s int64) *fed.Federation {
 // instant where the live one read the members' clock, one tick
 // earlier, and the log's order followed the Steps' chunks.)
 func TestRestoreAtEveryInstant(t *testing.T) {
-	orgs := []string{"o0", "o1"}
 	for _, name := range cutPolicies {
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			policy, err := fed.PolicyByName(name)
 			if err != nil {
 				t.Fatal(err)
@@ -76,7 +71,7 @@ func TestRestoreAtEveryInstant(t *testing.T) {
 					if _, err := cut.Step(at); err != nil {
 						t.Fatal(err)
 					}
-					restored, err := fed.Restore(orgs, cutSpecs(cut), policy, snapshot(t, cut))
+					restored, err := fed.Restore(cutOrgs, cutSpecs(), policy, snapshot(t, cut))
 					if err != nil {
 						t.Fatalf("seed %d, cut %d: %v", s, at, err)
 					}
@@ -101,17 +96,14 @@ func TestRestoreAtEveryInstant(t *testing.T) {
 	}
 }
 
-// cutSpecs returns f's member configuration, as Restore wants it.
-func cutSpecs(f *fed.Federation) []fed.ClusterSpec {
-	var specs []fed.ClusterSpec
-	for _, m := range f.Members() {
-		var machines []int
-		for _, o := range m.Engine().Instance().Orgs {
-			machines = append(machines, o.Machines)
-		}
-		specs = append(specs, fed.ClusterSpec{Name: m.Name(), Alg: algFactory("directcontr"), Machines: machines})
+var cutOrgs = []string{"o0", "o1"}
+
+func cutSpecs() []fed.ClusterSpec {
+	return []fed.ClusterSpec{
+		{Name: "c0", Alg: algFactory("directcontr"), Machines: []int{1, 1}},
+		{Name: "c1", Alg: algFactory("directcontr"), Machines: []int{2, 0}},
+		{Name: "c2", Alg: algFactory("directcontr"), Machines: []int{0, 2}},
 	}
-	return specs
 }
 
 func snapshot(t testing.TB, f *fed.Federation) []byte {
