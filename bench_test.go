@@ -164,11 +164,8 @@ func BenchmarkFigure2(b *testing.B) {
 	b.ReportMetric(float64(psi), "psi14")
 }
 
-// BenchmarkAblationREF compares the REF driver variants DESIGN.md calls
-// out: the touched-set mode ("heap") vs the full-scan reference mode, and
-// the faithful Figure 3 selection vs the Distance-style rotation. heap
-// and scan produce identical schedules (see
-// TestHeapDriverMatchesScanDriver); only wall-clock time differs.
+// BenchmarkAblationREF compares the faithful Figure 3 selection ("heap",
+// the touched-set loop's wire name) with the Distance-style rotation.
 func BenchmarkAblationREF(b *testing.B) {
 	fam := gen.LPCEGEE().Scale(benchScale)
 	machines := stats.ZipfSplit(fam.Procs, benchOrgs, 1)
@@ -181,7 +178,6 @@ func BenchmarkAblationREF(b *testing.B) {
 		opts core.RefOptions
 	}{
 		{"heap", core.RefOptions{}},
-		{"scan", core.RefOptions{Driver: core.DriverScan}},
 		{"rotate", core.RefOptions{Rotate: true}},
 	}
 	for _, v := range variants {
@@ -195,30 +191,25 @@ func BenchmarkAblationREF(b *testing.B) {
 }
 
 // BenchmarkAblationREFScaling measures REF's FPT scaling in the number
-// of organizations (Proposition 3.4: O(k·3^k) per decision) for both
-// drivers. The scan driver's per-event O(2^k) scan-and-advance overtakes
-// the dispatch work as k grows; the touched-set mode ("heap") steps only
-// to instants where a schedule can decide and advances only the
-// clusters they touch, so its advantage widens with k. An illustration:
-// the cost claim is core's TestTouchedSetDensity counter.
+// of organizations (Proposition 3.4: O(k·3^k) per decision). The
+// touched-set loop steps only to instants where a schedule can decide
+// and advances only the clusters they touch; what that saves against
+// stepping every schedule to every event is core's TestTouchedSetDensity
+// counter.
 func BenchmarkAblationREFScaling(b *testing.B) {
 	fam := gen.LPCEGEE().Scale(0.2)
-	drivers := []core.RefDriver{core.DriverHeap, core.DriverScan}
 	for k := 2; k <= 8; k++ {
-		for _, d := range drivers {
-			k, d := k, d
-			b.Run(fmt.Sprintf("orgs=%d/%s", k, d), func(b *testing.B) {
-				machines := stats.ZipfSplit(fam.Procs, k, 1)
-				inst, err := fam.Instance(5000, k, machines, stats.NewRand(4))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					core.RefAlgorithm{Opts: core.RefOptions{Driver: d}}.Run(inst, 5000, 0)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("orgs=%d", k), func(b *testing.B) {
+			machines := stats.ZipfSplit(fam.Procs, k, 1)
+			inst, err := fam.Instance(5000, k, machines, stats.NewRand(4))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.RefAlgorithm{}.Run(inst, 5000, 0)
+			}
+		})
 	}
 }
 

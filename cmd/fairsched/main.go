@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		samples  = fs.Int("rand-n", 15, "RAND sample count")
 		strat    = fs.Bool("rand-stratified", false, "RAND: draw permutations in position-stratified rotations")
-		driver   = fs.String("ref-driver", "heap", "REF event loop: heap (the touched-set mode, the default) or scan (the reference mode)")
 		split    = fs.String("split", "zipf", "machine split among organizations: zipf | uniform")
 		machines = fs.Int("machines", 0, "total machines when using -swf (0 = #orgs)")
 		gantt    = fs.Bool("gantt", false, "print an ASCII Gantt chart (small runs only)")
@@ -74,12 +73,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	refDriver, err := core.ParseRefDriver(*driver)
-	if err != nil {
-		return err
-	}
-	refOpts := core.RefOptions{Driver: refDriver}
-	alg, err := core.AlgorithmByName(*algName, *samples, refOpts, core.RandOptions{Stratified: *strat})
+	alg, err := core.AlgorithmByName(*algName, *samples, core.RefOptions{}, core.RandOptions{Stratified: *strat})
 	if err != nil {
 		return err
 	}
@@ -108,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	w.Flush()
 
 	if *compare {
-		ref := core.RefAlgorithm{Opts: refOpts}.Run(inst, model.Time(*horizon), *seed)
+		ref := core.RefAlgorithm{}.Run(inst, model.Time(*horizon), *seed)
 		fmt.Fprintf(stdout, "\nREF reference value : %d\n", ref.Value)
 		fmt.Fprintf(stdout, "Δψ (L1 distance)    : %d\n", metrics.DeltaPsi(res.Psi, ref.Psi))
 		fmt.Fprintf(stdout, "Δψ/p_tot            : %.3f\n", metrics.UnfairnessPerUnit(res.Psi, ref.Psi, ref.Ptot))

@@ -69,8 +69,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-alg", "nope"}, &stdout, &stderr); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if err := run([]string{"-ref-driver", "bogus", "-alg", "ref"}, &stdout, &stderr); err == nil {
-		t.Fatal("unknown driver accepted")
+	// REF has one event loop and no flag to choose one.
+	if err := run([]string{"-ref-driver", "heap", "-alg", "ref"}, &stdout, &stderr); err == nil {
+		t.Fatal("removed -ref-driver flag accepted")
 	}
 	if err := run([]string{"-swf", "/nonexistent.swf"}, &stdout, &stderr); err == nil {
 		t.Fatal("missing trace file accepted")

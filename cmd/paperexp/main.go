@@ -80,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxOrgs   = fs.Int("max-orgs", 7, "largest organization count for -fig10 (paper: 10)")
 		workers   = fs.Int("workers", 0, "parallel instance workers (0 = GOMAXPROCS)")
 		rotate    = fs.Bool("rotate", false, "use REF's within-instant rotation mode")
-		driver    = fs.String("ref-driver", "heap", "REF event loop: heap (the touched-set mode, the default) or scan (the reference mode)")
 		horizon1  = fs.Int64("horizon1", 50000, "Table 1 / Figure 10 horizon")
 		horizon2  = fs.Int64("horizon2", 500000, "Table 2 horizon")
 
@@ -110,11 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *samples < 1 {
 		return fmt.Errorf("-rand-n must be at least 1, got %d", *samples)
 	}
-	refDriver, err := core.ParseRefDriver(*driver)
-	if err != nil {
-		return err
-	}
-	refOpts := core.RefOptions{Rotate: *rotate, Driver: refDriver}
+	refOpts := core.RefOptions{Rotate: *rotate}
 	configs := func(horizon model.Time) []exp.Config {
 		var out []exp.Config
 		for _, f := range gen.Families() {

@@ -85,9 +85,10 @@ func TestFairShareProportionalUsage(t *testing.T) {
 		jobs = append(jobs, model.Job{Org: i % 2, Release: 0, Size: 4})
 	}
 	in := instance(jobs, 3, 1)
-	c := sim.New(in, in.Grand(), NewFairShare(), nil)
+	p := NewFairShare().(*shareRatioPolicy)
+	c := sim.New(in, in.Grand(), p, nil)
 	c.Run(100)
-	v := c.View()
+	v := p.view
 	u0, u1 := float64(v.Usage(0)), float64(v.Usage(1))
 	ratio := u0 / (u0 + u1)
 	if ratio < 0.70 || ratio > 0.80 {
@@ -122,9 +123,10 @@ func TestCurrFairShareRunningCounts(t *testing.T) {
 		jobs = append(jobs, model.Job{Org: i % 2, Release: 0, Size: 50})
 	}
 	in := instance(jobs, 3, 1)
-	c := sim.New(in, in.Grand(), NewCurrFairShare(), nil)
+	p := NewCurrFairShare().(*shareRatioPolicy)
+	c := sim.New(in, in.Grand(), p, nil)
 	c.Run(10)
-	v := c.View()
+	v := p.view
 	if v.Running(0) != 3 || v.Running(1) != 1 {
 		t.Fatalf("running = %d/%d, want 3/1", v.Running(0), v.Running(1))
 	}

@@ -78,22 +78,22 @@ func assertSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// The touched-set mode must reproduce the scan driver's schedules,
-// utilities and contributions exactly on every instance with n ≤ 6
-// organizations — the scan driver is the executable spec of Figure 1.
+// The touched-set loop must reproduce the oracle's schedules, utilities
+// and contributions exactly on every instance with n ≤ 6 organizations —
+// the oracle is the executable spec of Figure 1.
 func TestHeapDriverMatchesScanDriver(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(1000 + seed))
 		k := 2 + r.Intn(5) // 2..6 organizations
 		in := diffInstance(r, k)
 		horizon := in.Horizon() + 2
-		scan := RefAlgorithm{Opts: RefOptions{Driver: DriverScan}}.Run(in, horizon, 0)
-		heap := RefAlgorithm{Opts: RefOptions{Driver: DriverHeap}}.Run(in, horizon, 0)
-		assertSameResult(t, "heap vs scan", scan, heap)
+		scan := runStepper(oracleOf(RefAlgorithm{}, in, 0), horizon)
+		heap := RefAlgorithm{}.Run(in, horizon, 0)
+		assertSameResult(t, "loop vs oracle", scan, heap)
 	}
 }
 
-// The two drivers must also agree mid-trace (a horizon cutting through
+// The loop and the oracle must also agree mid-trace (a horizon cutting through
 // running jobs), not only after every job completed.
 func TestHeapDriverMatchesScanDriverTruncatedHorizon(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -101,15 +101,15 @@ func TestHeapDriverMatchesScanDriverTruncatedHorizon(t *testing.T) {
 		k := 2 + r.Intn(5)
 		in := diffInstance(r, k)
 		horizon := in.Horizon()/2 + 1
-		scan := RefAlgorithm{Opts: RefOptions{Driver: DriverScan}}.Run(in, horizon, 0)
+		scan := runStepper(oracleOf(RefAlgorithm{}, in, 0), horizon)
 		heap := RefAlgorithm{}.Run(in, horizon, 0)
 		assertSameResult(t, "truncated horizon", scan, heap)
 	}
 }
 
 // On a realistic generated workload (bursty sessions, heavy-tailed
-// sizes, Zipf machine split) the drivers must agree as well; rotation
-// mode is included since it perturbs within-instant selection.
+// sizes, Zipf machine split) the loop and the oracle must agree as well;
+// rotation mode is included since it perturbs within-instant selection.
 func TestHeapDriverMatchesScanDriverOnFamilyWorkload(t *testing.T) {
 	fam := gen.LPCEGEE().Scale(0.1)
 	const orgs, horizon = 5, 3000
@@ -119,13 +119,14 @@ func TestHeapDriverMatchesScanDriverOnFamilyWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rotate := range []bool{false, true} {
-		scan := RefAlgorithm{Opts: RefOptions{Driver: DriverScan, Rotate: rotate}}.Run(inst, horizon, 0)
-		heap := RefAlgorithm{Opts: RefOptions{Rotate: rotate}}.Run(inst, horizon, 0)
+		alg := RefAlgorithm{Opts: RefOptions{Rotate: rotate}}
+		scan := runStepper(oracleOf(alg, inst, 0), horizon)
+		heap := alg.Run(inst, horizon, 0)
 		assertSameResult(t, "family workload", scan, heap)
 	}
 }
 
-// The touched-set mode's φ must equal the generic Shapley value of the
+// The touched-set loop's φ must equal the generic Shapley value of the
 // induced game (every coalition's final value)
 // within 1e-9 — Figure 1's incremental computation against Equation 1.
 func TestHeapDriverPhiMatchesExactShapleyOnMapGame(t *testing.T) {
@@ -148,22 +149,23 @@ func TestHeapDriverPhiMatchesExactShapleyOnMapGame(t *testing.T) {
 }
 
 // Every embedded subschedule — not just the grand result — must agree
-// between the drivers, as full cluster states (queues, running entries
-// with their start times, per-owner accounts, the decision log on the
-// schedule that keeps one), mid-run and at the horizon. The scan driver
-// reads every value at every instant and the touched-set driver does
-// not, so the two differ in when accrual was last folded; reading the
-// values first folds both at the compared instant.
+// between the loop and the oracle, as full cluster states (queues,
+// running entries with their start times, per-owner accounts, the
+// decision log on the schedule that keeps one), mid-run and at the
+// horizon. The oracle reads every value at every instant and the loop
+// does not, so the two differ in when accrual was last folded; reading
+// the values first folds both at the compared instant.
 func TestHeapDriverSubcoalitionValuesMatchScan(t *testing.T) {
 	r := rand.New(rand.NewSource(4000))
 	for trial := 0; trial < 8; trial++ {
 		k := 2 + r.Intn(5)
 		in := diffInstance(r, k)
 		horizon := in.Horizon() + 1
-		scan := NewRef(in, RefOptions{Driver: DriverScan})
+		scan := NewRef(in, RefOptions{})
 		heap := NewRef(in, RefOptions{})
+		oracle := newOracle(scan.set())
 		for _, at := range []model.Time{horizon / 4, horizon / 2, 3 * horizon / 4, horizon} {
-			for _, s := range []*Ref{scan, heap} {
+			for _, s := range []Stepper{oracle, heap} {
 				for s.StepNext(at) {
 				}
 				s.FinishAt(at)

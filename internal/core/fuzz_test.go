@@ -57,21 +57,22 @@ func cloneInstance(in *model.Instance) *model.Instance {
 	return out
 }
 
-// FuzzStepperModes holds the touched-set mode to the reference mode
-// under arbitrary use, for REF (Rotate off and on), RAND (both samplers)
-// and NBS: a byte-coded instance (fuzzInstance) and a byte-coded stream
-// of operations — advance to a later instant, inject a batch of jobs
+// FuzzStepperModes holds the touched-set loop to the oracle under
+// arbitrary use, for every configuration diffFamilies lists — REF
+// (Rotate off and on), RAND (both samplers), NBS and every policy plug:
+// a byte-coded instance (fuzzInstance) and a byte-coded stream of
+// operations — advance to a later instant, inject a batch of jobs
 // released at or after the clock, withdraw a job (any, or one queued in
 // the decision schedule that a slot in free flow already runs), capture
 // and restore both runs through JSON (where it stands, or first at the
-// next event, inside a free-flow period). A third run, in the default
-// mode, takes every operation but the restores. After every operation
-// the three report the same starts, NextEventTime and φ bits; after
-// every advance, before FinishAt and after it, the same NextEventTime,
-// and after FinishAt byte-equal captures; and a restored run
-// re-captures the bytes it was restored from. The default-mode run's
-// keys and slot bitsets hold checkKeysMatchRebuild after every step,
-// FinishAt and restore.
+// next event, inside a free-flow period). A third run, on the loop,
+// takes every operation but the restores. After every operation the
+// three report the same starts, NextEventTime and φ bits; after every
+// advance, before FinishAt and after it, the same NextEventTime, and
+// after FinishAt byte-equal captures — the decision RNG's position and
+// a stateful policy's capture included; and a restored run re-captures
+// the bytes it was restored from. The first run's keys and slot bitsets
+// hold checkKeysMatchRebuild after every step, FinishAt and restore.
 //
 // The sixth seed round-trips release-start schedules: at 6, A's
 // singleton has run its second job from 3, not from its release, so
@@ -98,21 +99,14 @@ func FuzzStepperModes(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		for _, alg := range []StepperAlgorithm{
-			RefAlgorithm{},
-			RefAlgorithm{Opts: RefOptions{Rotate: true}},
-			RandAlgorithm{Samples: 6},
-			RandAlgorithm{Samples: 6, Opts: RandOptions{Stratified: true}},
-			NbsAlgorithm{},
-		} {
-			// The default mode, the reference mode, and the default mode
-			// never restored.
-			runs := [3]Stepper{newModeStepper(alg, cloneInstance(base), 3, false), newModeStepper(alg, cloneInstance(base), 3, true), newModeStepper(alg, cloneInstance(base), 3, false)}
+		for _, alg := range diffFamilies(6) {
+			// The loop, the oracle, and the loop never restored.
+			runs := [3]Stepper{alg.NewStepper(cloneInstance(base), 3), oracleOf(alg, cloneInstance(base), 3), alg.NewStepper(cloneInstance(base), 3)}
 			var now model.Time
 			check := func(op string) {
 				t.Helper()
 				a := runs[0].ResultAt(now)
-				for i, other := range []string{"reference mode", "unrestored run"} {
+				for i, other := range []string{"oracle", "unrestored run"} {
 					b := runs[i+1].ResultAt(now)
 					assertSameResult(t, alg.Name()+" after "+op+" against the "+other, b, a)
 					for u := range a.Phi {
@@ -198,15 +192,15 @@ func FuzzStepperModes(f *testing.F) {
 						// One waiting in the decision schedule, released to a
 						// slot in free flow, which started it then.
 						s := setOf(runs[0])
-						var flowing model.Coalition
+						var inFlow model.Coalition
 						for _, c := range s.slots {
-							if c.Flowing() {
-								flowing |= c.Coalition()
+							if flowing(c) {
+								inFlow |= c.Coalition()
 							}
 						}
 						var started []int
 						for _, id := range runs[0].Queued(nil) {
-							if j := runs[0].Instance().Jobs[id]; j.Release <= now && flowing.Has(j.Org) {
+							if j := runs[0].Instance().Jobs[id]; j.Release <= now && inFlow.Has(j.Org) {
 								started = append(started, id)
 							}
 						}
@@ -216,7 +210,7 @@ func FuzzStepperModes(f *testing.F) {
 						id = started[(arg>>1)%len(started)]
 					}
 					if x, y, z := runs[0].Withdraw(id), runs[1].Withdraw(id), runs[2].Withdraw(id); (x == nil) != (y == nil) || (x == nil) != (z == nil) {
-						t.Fatalf("%s: withdraw %d: %v, reference mode %v, unrestored run %v", alg.Name(), id, x, y, z)
+						t.Fatalf("%s: withdraw %d: %v, oracle %v, unrestored run %v", alg.Name(), id, x, y, z)
 					}
 					check("a withdrawal")
 				case 3: // capture, restore both through JSON
@@ -242,9 +236,9 @@ func FuzzStepperModes(f *testing.F) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						s := setOf(st)
-						s.scan = j == 1
-						s.rekeyAll()
+						if j == 1 {
+							st = newOracle(setOf(st))
+						}
 						runs[j] = st
 					}
 					checkKeysMatchRebuild(t, setOf(runs[0]))

@@ -17,18 +17,22 @@ func TestOrgGameMatchesRefPhi(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(5100 + seed))
 		inst := randCoreInstance(r, 2+int(seed%3), false)
-		for _, driver := range []RefDriver{DriverHeap, DriverScan} {
-			ref := NewRef(inst, RefOptions{Driver: driver})
-			res := ref.Run(200)
+		for _, byOracle := range []bool{false, true} {
+			ref := NewRef(inst, RefOptions{})
+			var st Stepper = ref
+			if byOracle {
+				st = newOracle(ref.set())
+			}
+			res := runStepper(st, 200)
 			phi := shapley.ExactAt(ref.Game(), 200)
 			for u := range phi {
 				if math.Abs(phi[u]-res.Phi[u]) > 1e-9 {
-					t.Fatalf("seed %d driver %v: φ[%d] = %v via ExactAt, %v via REF", seed, driver, u, phi[u], res.Phi[u])
+					t.Fatalf("seed %d, by the oracle %v: φ[%d] = %v via ExactAt, %v via REF", seed, byOracle, u, phi[u], res.Phi[u])
 				}
 			}
 			// The game's grand value is the scheduled coalition value.
 			if got := ref.Game().ValueAt(model.Grand(len(inst.Orgs)), 200); got != res.Value {
-				t.Fatalf("seed %d driver %v: grand value %d via game, %d via result", seed, driver, got, res.Value)
+				t.Fatalf("seed %d, by the oracle %v: grand value %d via game, %d via result", seed, byOracle, got, res.Value)
 			}
 		}
 	}

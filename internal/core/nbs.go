@@ -58,7 +58,7 @@ func NewNbs(inst *model.Instance) *Nbs {
 		n.maxs[i] = math.Inf(1)
 	}
 	slots[k] = q.NewCluster(model.Grand(k), &deficitPolicy{name: "NBS", target: n.x}, nil)
-	n.schedSet = newSchedSet("NBS", 0, inst, n, q, slots, false)
+	n.schedSet = newSchedSet("NBS", 0, inst, n, q, slots)
 	return n
 }
 

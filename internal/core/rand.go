@@ -117,7 +117,7 @@ func NewRandSched(inst *model.Instance, samples int, seed int64, opts RandOption
 	}
 	src := stats.NewSource(seed)
 	slots[len(masks)] = q.NewCluster(model.Grand(k), &deficitPolicy{name: "RAND", target: r.phi}, rand.New(src))
-	r.schedSet = newSchedSet(randName(samples, opts), seed, inst, r, q, slots, false)
+	r.schedSet = newSchedSet(randName(samples, opts), seed, inst, r, q, slots)
 	r.src = src
 	r.ckpt = make([]int, len(slots)) // the decision cluster first, then the sampled ones
 	r.ckpt[0] = len(masks)

@@ -9,27 +9,20 @@ import (
 	"repro/internal/sim"
 )
 
-// RefDriver selects the mode of the schedule-set loop (schedSet) that
-// drives the 2^k−1 subcoalition schedules.
+// RefDriver is inert: every schedule set steps the one touched-set loop
+// (schedSet), whatever the value. The type, its two values and
+// ParseRefDriver stay declared only because bench/replay.go parses a
+// driver into RefOptions.Driver; they go when bench/ stops doing so.
 type RefDriver int
 
+// The values ParseRefDriver returns for "heap" and "scan".
 const (
-	// DriverHeap (the default) is the touched-set mode: it keys every
-	// schedule with a job waiting at its next completion in a flat
-	// array, finds the earliest instant by scanning it, and advances and
-	// dispatches only the clusters that instant touches; a schedule with
-	// nothing waiting folds its completions when next touched or read,
-	// and every coalition's value is read from its own accounts in O(1).
-	// The name is the wire spelling, "ref_driver":"heap".
 	DriverHeap RefDriver = iota
-	// DriverScan is the loop's reference mode: scan every schedule for
-	// the minimum event time and advance every cluster to it. It is
-	// kept as the oracle for differential
-	// testing; schedules and φ are identical to DriverHeap's.
 	DriverScan
 )
 
-// ParseRefDriver resolves a command-line driver name.
+// ParseRefDriver resolves a driver name, the wire's "ref_driver": empty,
+// "heap" or "scan", in any case; it refuses any other.
 func ParseRefDriver(name string) (RefDriver, error) {
 	switch strings.ToLower(name) {
 	case "", "heap":
@@ -41,18 +34,9 @@ func ParseRefDriver(name string) (RefDriver, error) {
 	}
 }
 
-// String renders the driver name.
-func (d RefDriver) String() string {
-	if d == DriverScan {
-		return "scan"
-	}
-	return "heap"
-}
-
 // RefOptions tunes the reference algorithm.
 type RefOptions struct {
-	// Driver selects the event loop; see RefDriver. The zero value is
-	// the touched-set mode.
+	// Driver is ignored; see RefDriver.
 	Driver RefDriver
 	// Rotate enables the within-instant deficit rotation ablation: after
 	// each start, the chosen organization's standing is provisionally
@@ -127,7 +111,7 @@ func NewRef(inst *model.Instance, opts RefOptions) *Ref {
 		}
 		slots[slot] = q.NewCluster(mask, &deficitPolicy{name: "REF", target: r.phi[slot], adj: r.adj[slot]}, nil)
 	}
-	r.schedSet = newSchedSet("REF", 0, inst, r, q, slots, opts.Driver == DriverScan)
+	r.schedSet = newSchedSet("REF", 0, inst, r, q, slots)
 	r.ckpt = r.slotOf[1:] // checkpoints list the clusters in mask order
 	return r
 }
@@ -197,8 +181,8 @@ func (r *Ref) phiAt(t model.Time) []float64 {
 
 // PhiOf returns the most recently computed contribution vector for a
 // coalition. The grand coalition's is current after Run; any other
-// coalition's dates from its last contested dispatch (in the reference
-// mode, its last dispatch): an uncontested one does not refresh it.
+// coalition's dates from its last contested dispatch: an uncontested one
+// does not refresh it.
 func (r *Ref) PhiOf(mask model.Coalition) []float64 {
 	return append([]float64(nil), r.phi[r.slotOf[mask]]...)
 }

@@ -238,19 +238,20 @@ func TestNarrowSelfDrivenClusterMatchesRefSlot(t *testing.T) {
 	)
 	const h = 20
 	lone := sim.New(in, model.Singleton(0), baseline.NewFCFS(), nil)
-	if !lone.Step(h) || lone.Now() != 0 || len(lone.Starts()) != 0 {
-		t.Fatalf("first step to %d with starts %v; want organization B's release at 0, starting nothing", lone.Now(), lone.Starts())
+	if !lone.Step(h) || lone.CaptureState().Now != 0 || len(lone.Starts()) != 0 {
+		t.Fatalf("first step to %d with starts %v; want organization B's release at 0, starting nothing", lone.CaptureState().Now, lone.Starts())
 	}
 	lone.Run(h)
 
-	// The reference mode steps every slot at every instant, so each start
-	// of the {A} slot, which keeps no log, is among its running entries
-	// straight after the step that made it.
-	r := NewRef(in, RefOptions{Driver: DriverScan})
+	// The oracle steps every slot at every instant, so each start of the
+	// {A} slot, which keeps no log, is among its running entries straight
+	// after the step that made it.
+	r := NewRef(in, RefOptions{})
+	o := newOracle(r.set())
 	slot := r.Cluster(model.Singleton(0))
 	var starts []sim.Start
 	seen := map[sim.Start]bool{}
-	for r.StepNext(h) {
+	for o.StepNext(h) {
 		for _, e := range slot.CaptureState().Running {
 			if s := (sim.Start{Job: e.Job, Org: in.Jobs[e.Job].Org, Machine: e.Machine, At: e.Start}); !seen[s] {
 				seen[s] = true
@@ -258,7 +259,7 @@ func TestNarrowSelfDrivenClusterMatchesRefSlot(t *testing.T) {
 			}
 		}
 	}
-	r.FinishAt(h)
+	o.FinishAt(h)
 	if got, want := fmt.Sprint(lone.Starts()), fmt.Sprint(starts); got != want || len(starts) != 3 {
 		t.Errorf("lone cluster of {A} started %s, the REF slot %s", got, want)
 	}

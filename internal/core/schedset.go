@@ -87,13 +87,10 @@ import (
 // contested dispatch refreshes its slot's targets first. They are read
 // by nothing else — phiAt recomputes — and are not checkpointed.
 //
-// The reference mode (scan; RefOptions.Driver == DriverScan) is the
-// same loop with the acceleration removed: the instant is found by
-// asking every cluster for its next completion, every slot is touched
-// at every instant — never a key, a fold or free flow — and every
-// dispatch refreshes its targets and asks the policy for every start.
-// It is the oracle the differential tests hold the default mode to,
-// and what a one-slot set runs (there is nothing to skip).
+// Every set steps this one loop, a one-slot set (a FromPolicy baseline)
+// included. The differential tests hold it to an oracle that advances
+// every slot to every event and refreshes targets at every dispatch
+// (oracle_test.go).
 //
 // Keys, bitsets, free flow and the ledger are never serialized: restore
 // rebuilds them from the cluster states and stays byte-identical.
@@ -107,7 +104,6 @@ type schedSet struct {
 	slots []*sim.Cluster // dispatch order; the last is the decision schedule
 	ckpt  []int          // checkpoint position -> slot; slot order unless the plug sets it
 	src   *stats.Source  // the decision schedule's RNG stream; nil when it has none
-	scan  bool           // reference mode
 	// ask: every start asks the policy, uncontested or not. A policy
 	// plug's policy may keep state per Select (RoundRobin's rotation);
 	// every other plug's slots select by targets or FCFS, from the view.
@@ -125,16 +121,14 @@ type schedSet struct {
 	// has u, at words u·w to u·w+w−1.
 	keyed, open, flow, member []uint64
 	ledger                    bool  // the queues keep a release-start ledger: slots may flow
-	all                       []int // 0..len(slots)-1: the touched set of the reference mode and of FinishAt
 	touched                   []int // scratch
 }
 
 // plug is what an algorithm adds to the schedule-set core.
 type plug interface {
 	// retarget refreshes the target vector the slot's policy selects
-	// by, at instant t, immediately before a dispatch: at every dispatch
-	// in the reference mode, at a contested one otherwise. It writes
-	// only target vectors, from the values at t.
+	// by, at instant t, immediately before a contested dispatch. It
+	// writes only target vectors, from the values at t.
 	retarget(slot int, t model.Time)
 	// phiAt returns the contribution (or target) vector Result reports
 	// at t, nil for algorithms that compute none. Every slot stands at
@@ -143,7 +137,7 @@ type plug interface {
 }
 
 // newSchedSet builds a set on slots built on q.
-func newSchedSet(name string, seed int64, inst *model.Instance, p plug, q *sim.Queues, slots []*sim.Cluster, scan bool) *schedSet {
+func newSchedSet(name string, seed int64, inst *model.Instance, p plug, q *sim.Queues, slots []*sim.Cluster) *schedSet {
 	s := &schedSet{
 		name:  name,
 		seed:  seed,
@@ -151,11 +145,9 @@ func newSchedSet(name string, seed int64, inst *model.Instance, p plug, q *sim.Q
 		plug:  p,
 		q:     q,
 		slots: slots,
-		scan:  scan || len(slots) == 1,
-		all:   identity(len(slots)),
+		ckpt:  identity(len(slots)),
 	}
 	_, s.ask = p.(policyPlug)
-	s.ckpt = s.all
 	// Only the decision schedule's starts are ever read.
 	for _, c := range slots[:len(slots)-1] {
 		c.DiscardStarts()
@@ -164,11 +156,11 @@ func newSchedSet(name string, seed int64, inst *model.Instance, p plug, q *sim.Q
 	return s
 }
 
-// identity returns the slot list 0..n-1. Every set of a given size
-// sweeps the same list, so one immutable, append-only table serves them
-// all (prefixes handed out earlier stay valid when it grows) and
-// building a set — the daemon builds one per session — does not pay an
-// allocation for it.
+// identity returns the slot list 0..n-1, the checkpoint order of a set
+// whose plug sets none. Every set of a given size holds the same list,
+// so one immutable, append-only table serves them all (prefixes handed
+// out earlier stay valid when it grows) and building a set — the daemon
+// builds one per session — does not pay an allocation for it.
 func identity(n int) []int {
 	identityTable.Lock()
 	defer identityTable.Unlock()
@@ -196,20 +188,10 @@ func (s *schedSet) decision() *sim.Cluster { return s.slots[len(s.slots)-1] }
 // touched at a completion where it decides nothing, and goes dormant.
 // The differential tests hold the maintained keys to this rule.
 //
-// It also settles free flow: the reference mode keeps no release-start
-// ledger, so its slots leave free flow; the default mode keeps one
-// where it saves work (shared) and the machines share one speed, and
-// every hypothetical schedule that qualifies enters it.
+// It also settles free flow: the set keeps a release-start ledger where
+// it saves work (shared) and the machines share one speed, and every
+// hypothetical schedule that qualifies enters it.
 func (s *schedSet) rekeyAll() {
-	if s.scan {
-		for _, c := range s.slots {
-			if c.Flowing() {
-				c.Materialize()
-			}
-		}
-		s.ledger = s.q.KeepReleaseStarts(false)
-		return
-	}
 	s.ledger = s.q.KeepReleaseStarts(s.shared())
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
@@ -323,13 +305,13 @@ func (s *schedSet) Withdrawn() int { return s.decision().WithdrawnCount() }
 func (s *schedSet) Queued(dst []int) []int { return s.decision().Queued(dst) }
 
 // NextEventTime implements Stepper: the next release or completion after
-// the set's instant in any slot — what the reference mode steps to next,
-// a dormant slot's completions included, which StepNext folds instead.
+// the set's instant in any slot, a dormant slot's completions included,
+// which StepNext folds instead of stepping to.
 func (s *schedSet) NextEventTime() model.Time {
 	t := s.q.NextRelease()
 	var flowing model.Coalition // the organizations of the slots in free flow
 	for i, c := range s.slots {
-		if !s.scan && hasBit(s.flow, i) {
+		if hasBit(s.flow, i) {
 			flowing |= c.Coalition()
 			continue
 		}
@@ -339,18 +321,11 @@ func (s *schedSet) NextEventTime() model.Time {
 }
 
 // instant returns the instant StepNext takes next: the next release or
-// the smallest key, or in the reference mode the smallest completion the
-// clusters themselves answer.
+// the smallest key.
 func (s *schedSet) instant() model.Time {
 	t := s.q.NextRelease()
-	if !s.scan {
-		for _, k := range s.keys {
-			t = min(t, k)
-		}
-		return t
-	}
-	for _, c := range s.slots {
-		t = min(t, c.NextCompletion())
+	for _, k := range s.keys {
+		t = min(t, k)
 	}
 	return t
 }
@@ -371,78 +346,70 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	}
 	s.now = t
 	releasing := s.q.AdvanceTo(t)
-	touched := s.all
-	if !s.scan {
-		touched = s.touched[:0]
-		// Only a slot with a key, or one holding a releasing organization
-		// that is open or — when one of its members is overloaded — in free
-		// flow, can be touched: the selection reads those, in slot order.
-		var over model.Coalition
-		if s.ledger && releasing != 0 {
-			over = s.q.Overloaded()
-		}
-		words := len(s.keyed)
-		for w := range s.keyed {
-			var rel, ovl uint64
-			for m := uint32(releasing); m != 0; m &= m - 1 {
-				rel |= s.member[bits.TrailingZeros32(m)*words+w]
-			}
-			for m := uint32(over); m != 0; m &= m - 1 {
-				ovl |= s.member[bits.TrailingZeros32(m)*words+w]
-			}
-			// The three states are disjoint: a candidate in open or flow
-			// holds a releasing organization.
-			open, flow := s.open[w]&rel, s.flow[w]&rel&ovl
-			for m := s.keyed[w] | open | flow; m != 0; m &= m - 1 {
-				i := w<<6 | bits.TrailingZeros64(m)
-				switch bit := m & -m; {
-				case s.keys[i] == t || open&bit != 0:
-					touched = append(touched, i)
-				case flow&bit != 0 && s.q.Overflows(s.slots[i].Coalition()):
-					// Free flow ends here: the slot is materialized with the
-					// releases waiting, and steps as a dormant slot would.
-					s.slots[i].Materialize()
-					s.open[w] |= bit
-					s.flow[w] &^= bit
-					touched = append(touched, i)
-				}
-			}
-		}
-		s.touched = touched
-		s.q.BookReleases()
+	touched := s.touched[:0]
+	// Only a slot with a key, or one holding a releasing organization that
+	// is open or — when one of its members is overloaded — in free flow,
+	// can be touched: the selection reads those, in slot order.
+	var over model.Coalition
+	if s.ledger && releasing != 0 {
+		over = s.q.Overloaded()
 	}
+	words := len(s.keyed)
+	for w := range s.keyed {
+		var rel, ovl uint64
+		for m := uint32(releasing); m != 0; m &= m - 1 {
+			rel |= s.member[bits.TrailingZeros32(m)*words+w]
+		}
+		for m := uint32(over); m != 0; m &= m - 1 {
+			ovl |= s.member[bits.TrailingZeros32(m)*words+w]
+		}
+		// The three states are disjoint: a candidate in open or flow holds
+		// a releasing organization.
+		open, flow := s.open[w]&rel, s.flow[w]&rel&ovl
+		for m := s.keyed[w] | open | flow; m != 0; m &= m - 1 {
+			i := w<<6 | bits.TrailingZeros64(m)
+			switch bit := m & -m; {
+			case s.keys[i] == t || open&bit != 0:
+				touched = append(touched, i)
+			case flow&bit != 0 && s.q.Overflows(s.slots[i].Coalition()):
+				// Free flow ends here: the slot is materialized with the
+				// releases waiting, and steps as a dormant slot would.
+				s.slots[i].Materialize()
+				s.open[w] |= bit
+				s.flow[w] &^= bit
+				touched = append(touched, i)
+			}
+		}
+	}
+	s.touched = touched
+	s.q.BookReleases()
 	for _, i := range touched {
 		c := s.slots[i]
 		c.AdvanceTo(t)
 		free := c.FreeMachines()
-		if s.scan && free == 0 {
-			continue // nothing to start and no key to store: skip the count
-		}
 		// A dormant slot had nothing waiting when last touched, and every
 		// member release since has touched it: only the members releasing
 		// now can have a job waiting.
 		among := c.Coalition()
-		if !s.scan && hasBit(s.open, i) {
+		if hasBit(s.open, i) {
 			among &= releasing
 		}
 		jobs, orgs := c.WaitingAmong(among)
 		switch {
 		case jobs == 0 || free == 0:
-		case orgs.Size() == 1 && !s.scan && !s.ask:
+		case orgs.Size() == 1 && !s.ask:
 			// Every start goes to the one organization waiting, whatever
 			// the targets say (DESIGN.md §2, step 3).
 			c.StartHeads(bits.TrailingZeros32(uint32(orgs)))
 		default:
-			if s.scan || orgs.Size() > 1 {
+			if orgs.Size() > 1 {
 				s.plug.retarget(i, t)
 			}
 			c.DispatchCount(jobs)
 		}
-		if !s.scan {
-			s.rekey(i, jobs > free)
-			if s.ledger && jobs <= free {
-				s.reflow(i)
-			}
+		s.rekey(i, jobs > free)
+		if s.ledger && jobs <= free {
+			s.reflow(i)
 		}
 	}
 	return true

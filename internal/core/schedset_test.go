@@ -19,35 +19,33 @@ import (
 	"repro/internal/stats"
 )
 
-// diffFamilies lists one algorithm per stepper family (RAND twice, for
-// both samplers; REF again under the rotation ablation, whose Selects
-// book adjustments an uncontested dispatch no longer asks for) — the
-// rows of every touched-set-vs-reference differential.
-func diffFamilies() []StepperAlgorithm {
-	return []StepperAlgorithm{
+// diffFamilies lists every stepper configuration, RAND with the given
+// sample count — the rows of every differential against the oracle: REF
+// (again under the rotation ablation, whose Selects book adjustments an
+// uncontested dispatch no longer asks for), RAND under both samplers,
+// NBS, and every FromPolicy plug: FCFS, the three fair-share policies,
+// RoundRobin (stateful: every start asks it) and DIRECTCONTR (it orders
+// the free machines from the RNG).
+func diffFamilies(samples int) []StepperAlgorithm {
+	algs := []StepperAlgorithm{
 		RefAlgorithm{},
-		RandAlgorithm{Samples: 12},
-		RandAlgorithm{Samples: 12, Opts: RandOptions{Stratified: true}},
-		NbsAlgorithm{},
-		FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }),
 		RefAlgorithm{Opts: RefOptions{Rotate: true}},
+		RandAlgorithm{Samples: samples},
+		RandAlgorithm{Samples: samples, Opts: RandOptions{Stratified: true}},
+		NbsAlgorithm{},
 	}
+	for _, name := range []string{"fcfs", "fairshare", "utfairshare", "currfairshare", "roundrobin", "directcontr"} {
+		alg, err := AlgorithmByName(name, samples, RefOptions{}, RandOptions{})
+		if err != nil {
+			panic(err)
+		}
+		algs = append(algs, alg)
+	}
+	return algs
 }
 
 // setOf returns the schedule set under a stepper.
 func setOf(st Stepper) *schedSet { return st.(interface{ set() *schedSet }).set() }
-
-// newModeStepper starts a run in the touched-set mode or in the
-// in-package reference mode, whatever the algorithm's own default (a
-// one-slot policy set defaults to the reference mode; forcing it onto
-// the keys exercises the one-key array too).
-func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan bool) Stepper {
-	st := alg.NewStepper(in, seed)
-	s := setOf(st)
-	s.scan = scan
-	s.rekeyAll()
-	return st
-}
 
 // checkKeysMatchRebuild verifies the live keys and slot bitsets against
 // the keying rule rekeyAll implements — the whole invariant of the
@@ -63,9 +61,6 @@ func newModeStepper(alg StepperAlgorithm, in *model.Instance, seed int64, scan b
 // last slot is set.
 func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 	t.Helper()
-	if s.scan {
-		t.Fatal("key check on a reference-mode set")
-	}
 	n := len(s.slots)
 	words, k := (n+63)/64, len(s.inst.Orgs)
 	if len(s.keys) != n || len(s.keyed) != words || len(s.open) != words || len(s.flow) != words || len(s.member) != k*words {
@@ -91,8 +86,8 @@ func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 	}
 	for slot, c := range s.slots {
 		open, flow := hasBit(s.open, slot), hasBit(s.flow, slot)
-		if flow != c.Flowing() || flow && (s.keys[slot] != sim.MaxTime || open) {
-			t.Fatalf("slot %d (in free flow: %v) keyed %d, open %v, in the set's free flow %v", slot, c.Flowing(), s.keys[slot], open, flow)
+		if flow != flowing(c) || flow && (s.keys[slot] != sim.MaxTime || open) {
+			t.Fatalf("slot %d (in free flow: %v) keyed %d, open %v, in the set's free flow %v", slot, flowing(c), s.keys[slot], open, flow)
 		}
 		if flow {
 			continue
@@ -110,26 +105,26 @@ func checkKeysMatchRebuild(t *testing.T, s *schedSet) {
 // A randomized interleaving of event stepping, withdrawal and
 // injection must leave the incrementally maintained keys in exactly the
 // state a fresh rekeyAll would produce after every operation, and the
-// run must end byte-identical to the reference mode under the same
-// mutation sequence (the executable spec: the reference mode has no
-// keys to corrupt) — for every stepper family, since the keys belong to
-// the shared core. A withdrawn job comes back the way migration brings
+// run must end byte-identical to the oracle under the same mutation
+// sequence (the executable spec: the oracle has no keys to corrupt) —
+// for every stepper configuration, since the keys belong to the shared
+// core. A withdrawn job comes back the way migration brings
 // work in: as a new job, released at the mutation instant.
 //
 // Mutations happen at synchronized instants — drain both runs to a
 // common time T, FinishAt(T), then withdraw/inject on both. The
-// touched-set mode deliberately lets untouched clusters' clocks lag
-// mid-step, so only at quiesced instants do the two modes stand at the
+// touched-set loop deliberately lets untouched clusters' clocks lag
+// mid-step, so only at quiesced instants do the two runs stand at the
 // same clock to mutate.
 func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
-	for _, alg := range diffFamilies() {
+	for _, alg := range diffFamilies(12) {
 		for seed := int64(0); seed < 25; seed++ {
 			r := rand.New(rand.NewSource(5000 + seed))
 			k := 2 + r.Intn(5)
 			in := diffInstance(r, k)
 			horizon := in.Horizon() + 2
-			heap := newModeStepper(alg, in, seed, false)
-			scan := newModeStepper(alg, in, seed, true)
+			heap := alg.NewStepper(in, seed)
+			scan := oracleOf(alg, in, seed)
 			hs := setOf(heap)
 			checkKeysMatchRebuild(t, hs)
 
@@ -142,9 +137,9 @@ func TestIncrementalWithdrawHeapDifferential(t *testing.T) {
 				}
 				for scan.StepNext(target) {
 				}
-				// Drained, the default mode may still hold completions it
+				// Drained, the touched-set loop may still hold completions it
 				// folds instead of stepping to; it reports what comes after
-				// them, as the reference mode does, before FinishAt and after.
+				// them, as the oracle does, before FinishAt and after.
 				if h, s := heap.NextEventTime(), scan.NextEventTime(); h != s {
 					t.Fatalf("%s seed %d phase %d: next event before FinishAt heap=%d scan=%d", alg.Name(), seed, phase, h, s)
 				}
@@ -210,7 +205,9 @@ type selectCount struct{ selects, contested int }
 // contested dispatches: the first Select a slot makes at an instant
 // opens a dispatch, contested when two or more organizations wait at
 // that moment — recounted from the view, not asked of the cluster. An
-// uncontested dispatch of the default mode asks no Select at all.
+// uncontested dispatch of the touched-set loop asks no Select at all
+// (but a policy plug's does). It keeps the view its cluster attaches,
+// for measureWork's counts.
 type countingPolicy struct {
 	sim.Policy
 	view  *sim.View
@@ -249,13 +246,13 @@ func (p countingOrderer) OrderMachines(t model.Time, free []int) {
 }
 
 // counted wraps a slot's policy in a countingPolicy, an orderer's in a
-// countingOrderer.
-func counted(p sim.Policy, count *selectCount) sim.Policy {
+// countingOrderer, and returns the wrapper and what to install.
+func counted(p sim.Policy, count *selectCount) (*countingPolicy, sim.Policy) {
 	c := &countingPolicy{Policy: p, count: count}
 	if _, ok := p.(sim.MachineOrderer); ok {
-		return countingOrderer{c}
+		return c, countingOrderer{c}
 	}
-	return c
+	return c, c
 }
 
 // densityOrgs and densityRounds shape the stream of densityStream.
@@ -298,15 +295,14 @@ func densityStream() (*model.Instance, [][]model.Time) {
 // those running), not asked of the set.
 type work struct {
 	steps, touched int
-	// examined counts the slot states the default mode's selection reads
-	// to find a step's touched set, overflowChecks the slots in free flow
-	// among them whose members' load it sums (a release of a member may
-	// overflow them). The reference mode selects nothing.
+	// examined counts the slot states the touched-set loop's selection
+	// reads to find a step's touched set, overflowChecks the slots in free
+	// flow among them whose members' load it sums (a release of a member
+	// may overflow them). The oracle selects nothing.
 	examined, overflowChecks int
-	// byCompletion, byRelease and byOverflow split the default mode's
-	// touches by cause; folded counts the completions processed without
-	// a touch of their own. The reference mode touches every slot and
-	// folds nothing.
+	// byCompletion, byRelease and byOverflow split the touched-set loop's
+	// touches by cause; folded counts the completions processed without a
+	// touch of their own. The oracle touches every slot and folds nothing.
 	byCompletion, byRelease, byOverflow, folded int
 	dispatches, contested, retargets            int
 	starts, selects, completed, allocs          int
@@ -321,35 +317,68 @@ type work struct {
 }
 
 // line is w as a ledger line of exact integers, the form work.golden
-// keeps.
-func (w *work) line(label string, scan bool) string {
+// keeps; the oracle's has no touch split.
+func (w *work) line(label string, ref bool) string {
 	split := ""
-	if !scan {
+	if !ref {
 		split = fmt.Sprintf(" by_completion=%d by_release=%d by_overflow=%d folded=%d", w.byCompletion, w.byRelease, w.byOverflow, w.folded)
 	}
 	return fmt.Sprintf("%s steps=%d touched=%d examined=%d overflow_checks=%d%s dispatches=%d eager_dispatches=%d materialized=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d ckpt_bytes=%d",
 		label, w.steps, w.touched, w.examined, w.overflowChecks, split, w.dispatches, w.eager, w.materialized, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs, w.ckptBytes)
 }
 
+// stepping is a loop measureWork drives: a set's own, or the oracle.
+type stepping interface {
+	Stepper
+	instant() model.Time
+}
+
 // measureWork steps a set build returns over the density stream to its
-// horizon, its slots rebuilt on counting policies and its plug wrapped
-// in a countingPlug, and counts the work. allocs is
-// testing.AllocsPerRun of one step on a second set as build returns it,
-// mid-stream.
-func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, build func(*model.Instance) *schedSet) *work {
+// horizon — by the set's own loop, or by the oracle when ref — its slots
+// rebuilt on counting policies and its plug wrapped in a countingPlug,
+// and counts the work. allocs is testing.AllocsPerRun of one step on a
+// second set as build returns it, mid-stream.
+func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, build func(*model.Instance) *schedSet, ref bool) *work {
 	t.Helper()
 	const horizon = model.Time(100 * densityRounds)
+	loop := func(s *schedSet) stepping {
+		if ref {
+			return newOracle(s)
+		}
+		return s
+	}
 	releasing := map[model.Time]model.Coalition{}
 	for _, j := range in.Jobs {
 		releasing[j.Release] = releasing[j.Release].With(j.Org)
 	}
-	// counts returns how many jobs a slot has started and completed, with
+	s := build(in)
+	plug := &countingPlug{plug: s.plug}
+	s.plug = plug
+	var count selectCount
+	s.q = sim.NewQueues(in)
+	last := len(s.slots) - 1
+	views := make([]*sim.View, len(s.slots))
+	for i, c := range s.slots {
+		var rng *rand.Rand
+		if i == last && s.src != nil {
+			rng = rand.New(s.src) // the decision schedule's stream, unstepped
+		}
+		policy, install := counted(c.Policy(), &count)
+		s.slots[i] = s.q.NewCluster(c.Coalition(), install, rng)
+		views[i] = policy.view
+		if i < last {
+			s.slots[i].DiscardStarts()
+		}
+	}
+	s.rekeyAll()
+	l := loop(s)
+	// counts returns how many jobs slot i has started and completed, with
 	// the queues released up to t.
-	counts := func(c *sim.Cluster, t model.Time) (started, completed int) {
-		v := c.View()
+	counts := func(i int, t model.Time) (started, completed int) {
+		v := views[i]
 		running := 0
 		for u := range releases {
-			if c.Coalition().Has(u) {
+			if v.Coalition().Has(u) {
 				released, _ := slices.BinarySearch(releases[u], t+1)
 				started += released - v.Waiting(u)
 				running += v.Running(u)
@@ -377,31 +406,14 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 		}
 		return over
 	}
-	s := build(in)
-	plug := &countingPlug{plug: s.plug}
-	s.plug = plug
-	var count selectCount
-	s.q = sim.NewQueues(in)
-	last := len(s.slots) - 1
-	for i, c := range s.slots {
-		var rng *rand.Rand
-		if i == last && s.src != nil {
-			rng = rand.New(s.src) // the decision schedule's stream, unstepped
-		}
-		s.slots[i] = s.q.NewCluster(c.Coalition(), counted(c.Policy(), &count), rng)
-		if i < last {
-			s.slots[i].DiscardStarts()
-		}
-	}
-	s.rekeyAll()
 	w := &work{perInstant: map[model.Time]int{}}
 	started := make([]int, len(s.slots))
 	touchedNow := make([]bool, len(s.slots))
 	var onTime int
-	var keyed, before, flowing []int
-	for at := s.instant(); at <= horizon; at = s.instant() {
-		keyed, before, flowing = keyed[:0], before[:0], flowing[:0]
-		if !s.scan {
+	var keyed, before, inFlow []int
+	for at := l.instant(); at <= horizon; at = l.instant() {
+		keyed, before, inFlow = keyed[:0], before[:0], inFlow[:0]
+		if !ref {
 			// The selection reads the slots with a key and those holding a
 			// releasing organization that are open or in free flow with an
 			// overloaded member, and sums the load of the latter.
@@ -418,65 +430,65 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 				}
 				switch {
 				case key == at:
-					_, done := counts(s.slots[i], at-1)
+					_, done := counts(i, at-1)
 					keyed, before = append(keyed, i), append(before, done)
 				case open:
 					w.byRelease++
 				case hasBit(s.flow, i):
-					flowing = append(flowing, i)
+					inFlow = append(inFlow, i)
 				}
 			}
 		}
-		if !s.StepNext(horizon) {
+		if !l.StepNext(horizon) {
 			t.Fatalf("no step at instant %d", at)
 		}
 		w.steps++
 		clear(touchedNow)
-		if s.scan {
+		if ref {
 			w.touched += len(s.slots)
 		} else {
 			for _, i := range s.touched {
 				touchedNow[i] = true
 			}
-			for _, i := range flowing {
+			for _, i := range inFlow {
 				if touchedNow[i] {
 					w.byOverflow++
 				}
-				if !s.slots[i].Flowing() {
+				if !flowing(s.slots[i]) {
 					w.materialized++
 				}
 			}
 			w.touched += len(s.touched)
 			w.byCompletion += len(keyed)
 			for j, i := range keyed {
-				_, done := counts(s.slots[i], at)
+				_, done := counts(i, at)
 				onTime += done - before[j]
 			}
 		}
-		for i, c := range s.slots {
-			if st, _ := counts(c, at); st > started[i] {
+		for i := range s.slots {
+			if st, _ := counts(i, at); st > started[i] {
 				w.perInstant[at]++
 				w.starts += st - started[i]
 				started[i] = st
 				if i < last {
 					w.hypothetical++
-					if s.scan || touchedNow[i] {
+					if ref || touchedNow[i] {
 						w.eager++
 					}
 				}
 			}
 		}
 	}
-	s.FinishAt(horizon)
-	for _, c := range s.slots {
-		_, done := counts(c, horizon)
+	l.FinishAt(horizon)
+	for i := range s.slots {
+		_, done := counts(i, horizon)
 		w.completed += done
 	}
 	for _, d := range w.perInstant {
 		w.dispatches += d
 	}
 	w.contested, w.retargets, w.selects = count.contested, plug.retargets, count.selects
-	if !s.scan {
+	if !ref {
 		w.folded = w.completed - onTime
 		if w.byCompletion+w.byRelease+w.byOverflow != w.touched {
 			t.Errorf("%d slots touched, %d by a completion, %d by a release and %d by an overflow", w.touched, w.byCompletion, w.byRelease, w.byOverflow)
@@ -485,13 +497,13 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 			t.Errorf("%d slots touched by an overflow, %d materialized", w.byOverflow, w.materialized)
 		}
 	}
-	if want := map[bool]int{false: w.contested, true: w.dispatches}[s.scan]; w.retargets != want {
+	if want := map[bool]int{false: w.contested, true: w.dispatches}[ref]; w.retargets != want {
 		t.Errorf("%d retargets, want %d (%d dispatches, %d contested)", w.retargets, want, w.dispatches, w.contested)
 	}
-	if s.scan && w.selects != w.starts {
-		t.Errorf("reference mode: %d Selects for %d starts", w.selects, w.starts)
+	if (ref || s.ask) && w.selects != w.starts {
+		t.Errorf("%d Selects for %d starts: the oracle, and a policy plug's set, ask for every start", w.selects, w.starts)
 	}
-	m := build(in)
+	m := loop(build(in))
 	for m.instant() < horizon/2 {
 		m.StepNext(horizon)
 	}
@@ -505,18 +517,18 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	if stepped != runs+1 { // AllocsPerRun warms up with one call
 		t.Fatalf("%d of %d measured calls stepped", stepped, runs+1)
 	}
-	w.ckptBytes = checkpointBytes(t, in, build)
+	w.ckptBytes = checkpointBytes(t, in, func(in *model.Instance) Stepper { return loop(build(in)) })
 	return w
 }
 
 // ckptRounds is how many session ages checkpointBytes captures.
 const ckptRounds = 32
 
-// captureAged returns a set build makes on the first 40·r jobs of the
-// density stream in, stepped to 100·r as an engine steps, and its
+// captureAged returns a stepper build makes on the first 40·r jobs of
+// the density stream in, stepped to 100·r as an engine steps, and its
 // checkpoint there as JSON: a session of the age shapley-k8's census
 // sees after r rounds.
-func captureAged(t testing.TB, in *model.Instance, r int, build func(*model.Instance) *schedSet) (*schedSet, []byte) {
+func captureAged(t testing.TB, in *model.Instance, r int, build func(*model.Instance) Stepper) (Stepper, []byte) {
 	t.Helper()
 	now := model.Time(100 * r)
 	s := build(model.MustNewInstance(in.Orgs, in.Jobs[:40*r]))
@@ -536,7 +548,7 @@ func captureAged(t testing.TB, in *model.Instance, r int, build func(*model.Inst
 
 // checkpointBytes sums the JSON bytes of captureAged's checkpoints for
 // r = 1..ckptRounds: what a checkpoint stores, summed over session ages.
-func checkpointBytes(t testing.TB, in *model.Instance, build func(*model.Instance) *schedSet) int {
+func checkpointBytes(t testing.TB, in *model.Instance, build func(*model.Instance) Stepper) int {
 	t.Helper()
 	total := 0
 	for r := 1; r <= ckptRounds; r++ {
@@ -548,48 +560,50 @@ func checkpointBytes(t testing.TB, in *model.Instance, build func(*model.Instanc
 
 var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 
-// The work REF does per step, in both modes of the loop, RAND(N=15) and
-// NBS in the default mode and DIRECTCONTR, a one-slot set, in the
-// reference mode, counted on densityStream (measureWork) and held
-// to testdata/work.golden (go test ./internal/core -run
-// TestTouchedSetDensity -update rewrites it): a change that claims a cheaper step and leaves the file
-// as it is did the same work more cheaply. Per mode:
+// The work REF does per step, in the touched-set loop and in the
+// oracle, and RAND(N=15), NBS and DIRECTCONTR — a one-slot set — in the
+// touched-set loop, counted on densityStream (measureWork) and held to
+// testdata/work.golden (go test ./internal/core -run
+// TestTouchedSetDensity -update rewrites it): a change that claims a
+// cheaper step and leaves the file as it is did the same work more
+// cheaply. Per line:
 //
-//   - steps: the default mode steps only to a keyed completion or a
-//     release, so it takes fewer than the reference mode, which steps to
-//     every completion of every slot;
-//   - touched slots, in the default mode split by what touched them: a
-//     completion in a slot with a job waiting, a member's release in a
+//   - steps: the touched-set loop steps only to a keyed completion or a
+//     release, so it takes fewer than the oracle, which steps to every
+//     completion of every slot;
+//   - touched slots, in the touched-set loop split by what touched them:
+//     a completion in a slot with a job waiting, a member's release in a
 //     dormant slot, or a member's release that overflows a slot in free
 //     flow and materializes it (materialized counts those, so the two
-//     agree). REF's total is at most half the reference mode's 2^k−1
-//     per step over the reference mode's steps;
-//   - slots examined: the slot states the default mode's selection
+//     agree). REF's total is at most half the oracle's 2^k−1 per step
+//     over the oracle's steps;
+//   - slots examined: the slot states the touched-set loop's selection
 //     reads to find the touched set — the slots with a key, and those
 //     holding a releasing organization that are open, or in free flow
 //     with an overloaded member — and among them the overflow checks,
 //     the slots in free flow whose members' load it sums (0 in the
-//     reference mode, which touches every slot);
+//     oracle, which touches every slot);
 //   - completions folded without a touch of their own: every completion
 //     but those in keyed slots at their instant, the ones the
-//     release-start ledger books for slots in free flow included. Both
-//     modes complete the same jobs by the horizon;
-//   - dispatching slots per instant, equal in both modes; among them
-//     the hypothetical schedules' dispatches a touch made (eager) —
-//     the rest are free flow's, booked once per job in the ledger — and
-//     the contested ones, where two or more organizations wait: only
-//     those refresh targets (one retarget each) and ask Select in the
-//     default mode; the reference mode retargets at every dispatch and
-//     asks Select for every start;
+//     release-start ledger books for slots in free flow included. The
+//     loop and the oracle complete the same jobs by the horizon;
+//   - dispatching slots per instant, equal in the loop and the oracle;
+//     among them the hypothetical schedules' dispatches a touch made
+//     (eager) — the rest are free flow's, booked once per job in the
+//     ledger — and the contested ones, where two or more organizations
+//     wait: only those refresh targets (one retarget each) and, but in a
+//     policy plug's set, ask Select in the touched-set loop; the oracle
+//     retargets at every dispatch and asks Select for every start;
 //   - allocations per step, mid-stream;
 //   - checkpoint bytes, summed over 32 session ages (checkpointBytes):
-//     equal in both modes, since a capture does not depend on the mode.
+//     equal in the loop and the oracle, since a capture does not depend
+//     on how the set was stepped.
 //
 // Most of REF's dispatches are uncontested; the test fails if fewer
 // than 80 % are, since skipping their refresh and their Selects is what
-// the default mode saves. Free flow is the premise of the default
-// mode's cost (EXPERIMENTS.md §3): the test fails if touches make more
-// than a tenth of REF's or RAND's hypothetical dispatches.
+// the touched-set loop saves. Free flow is the premise of its cost
+// (EXPERIMENTS.md §3): the test fails if touches make more than a tenth
+// of REF's or RAND's hypothetical dispatches.
 func TestTouchedSetDensity(t *testing.T) {
 	in, releases := densityStream()
 	slots := 1<<densityOrgs - 1
@@ -598,42 +612,40 @@ func TestTouchedSetDensity(t *testing.T) {
 		"# Counts are totals over the stream; allocs_per_step is testing.AllocsPerRun of one step, mid-stream.",
 		fmt.Sprintf("# ckpt_bytes sums the JSON checkpoints of sets on the first 40·r jobs stepped to 100·r, r = 1..%d.", ckptRounds),
 	}
-	ref := map[RefDriver]*work{}
-	for _, driver := range []RefDriver{DriverHeap, DriverScan} {
-		w := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewRef(in, RefOptions{Driver: driver}).set() })
-		ref[driver] = w
-		ledger = append(ledger, w.line("REF/"+driver.String(), driver == DriverScan))
+	newRef := func(in *model.Instance) *schedSet { return NewRef(in, RefOptions{}).set() }
+	heap := measureWork(t, in, releases, newRef, false)
+	scan := measureWork(t, in, releases, newRef, true)
+	ledger = append(ledger, heap.line("REF/heap", false), scan.line("REF/scan", true))
+	for name, w := range map[string]*work{"touched-set loop": heap, "oracle": scan} {
 		if uncontested := 1 - float64(w.contested)/float64(w.dispatches); uncontested < 0.8 {
-			t.Errorf("%s mode: %.1f %% of dispatches uncontested, below 80 %%: the work the default mode skips is no longer the common case", driver, 100*uncontested)
+			t.Errorf("REF, %s: %.1f %% of dispatches uncontested, below 80 %%: the work the touched-set loop skips is no longer the common case", name, 100*uncontested)
 		}
 	}
-	rnd := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewRandSched(in, 15, 1, RandOptions{}).set() })
+	rnd := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewRandSched(in, 15, 1, RandOptions{}).set() }, false)
 	ledger = append(ledger, rnd.line("RAND(N=15)/heap", false))
-	nbs := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewNbs(in).set() })
+	nbs := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewNbs(in).set() }, false)
 	ledger = append(ledger, nbs.line("NBS/heap", false))
-	// A one-slot set runs the reference mode: it has nothing to skip.
-	direct := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return setOf(DirectContrAlgorithm().NewStepper(in, 1)) })
-	ledger = append(ledger, direct.line("DIRECTCONTR/scan", true))
-	heap, scan := ref[DriverHeap], ref[DriverScan]
+	direct := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return setOf(DirectContrAlgorithm().NewStepper(in, 1)) }, false)
+	ledger = append(ledger, direct.line("DIRECTCONTR/heap", false))
 	for name, w := range map[string]*work{"REF": heap, "RAND(N=15)": rnd} {
 		if 10*w.eager > w.hypothetical {
 			t.Errorf("%s: %d of %d hypothetical dispatches made by a touch: free flow takes less than 90 %% of them", name, w.eager, w.hypothetical)
 		}
 	}
 	if !maps.Equal(heap.perInstant, scan.perInstant) {
-		t.Errorf("dispatching slots per instant differ between the modes:\n%v\n%v", heap.perInstant, scan.perInstant)
+		t.Errorf("dispatching slots per instant differ between the loop and the oracle:\n%v\n%v", heap.perInstant, scan.perInstant)
 	}
 	if heap.ckptBytes != scan.ckptBytes {
-		t.Errorf("REF checkpoints %d bytes in the default mode, %d in the reference mode: a capture depends on the mode", heap.ckptBytes, scan.ckptBytes)
+		t.Errorf("REF checkpoints %d bytes stepped by the loop, %d by the oracle: a capture depends on the stepping", heap.ckptBytes, scan.ckptBytes)
 	}
 	if heap.completed != scan.completed {
-		t.Errorf("%d jobs completed by the horizon in the default mode, %d in the reference mode", heap.completed, scan.completed)
+		t.Errorf("%d jobs completed by the horizon in the loop, %d in the oracle", heap.completed, scan.completed)
 	}
 	if heap.steps >= scan.steps {
-		t.Errorf("the default mode took %d steps, the reference mode %d", heap.steps, scan.steps)
+		t.Errorf("the loop took %d steps, the oracle %d", heap.steps, scan.steps)
 	}
 	if 2*heap.touched > slots*scan.steps {
-		t.Errorf("the default mode touched %d slots, more than half the reference mode's %d slot-steps", heap.touched, slots*scan.steps)
+		t.Errorf("the loop touched %d slots, more than half the oracle's %d slot-steps", heap.touched, slots*scan.steps)
 	}
 	got := strings.Join(ledger, "\n") + "\n"
 	t.Log("\n" + got)
@@ -697,9 +709,9 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 		{"rand", RandAlgorithm{Samples: 15}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s, data := captureAged(b, in, 16, func(in *model.Instance) *schedSet { return setOf(bc.alg.NewStepper(in, 1)) })
+			s, data := captureAged(b, in, 16, func(in *model.Instance) Stepper { return bc.alg.NewStepper(in, 1) })
 			for i := 0; i < b.N; i++ {
-				cp, err := s.Capture(s.now)
+				cp, err := s.Capture(1600)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -719,19 +731,19 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	}
 }
 
-// RAND (both samplers) and NBS, which before the shared core advanced
-// every schedule at every event, must reproduce the reference mode
-// exactly through the touched-set loop: same starts, ψ and bit-equal
-// φ/targets, at full and truncated horizons.
+// RAND (both samplers), NBS and every policy plug, which before the
+// shared core advanced every schedule at every event, must reproduce the
+// oracle exactly through the touched-set loop: same starts, ψ and
+// bit-equal φ/targets, at full and truncated horizons.
 func TestHeapDriverMatchesScanDriverRandNbs(t *testing.T) {
-	for _, alg := range diffFamilies()[1:4] {
+	for _, alg := range diffFamilies(12)[2:] {
 		for seed := int64(0); seed < 30; seed++ {
 			r := rand.New(rand.NewSource(6000 + seed))
 			k := 2 + r.Intn(5)
 			in := diffInstance(r, k)
 			for _, horizon := range []model.Time{in.Horizon() + 2, in.Horizon()/2 + 1} {
-				scan := runStepper(newModeStepper(alg, in, seed, true), horizon)
-				heap := runStepper(newModeStepper(alg, in, seed, false), horizon)
+				scan := runStepper(oracleOf(alg, in, seed), horizon)
+				heap := runStepper(alg.NewStepper(in, seed), horizon)
 				label := fmt.Sprintf("%s seed %d horizon %d", alg.Name(), seed, horizon)
 				assertSameResult(t, label, scan, heap)
 				for u := range scan.Phi {
@@ -810,9 +822,12 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 					dormant = c
 				}
 			}
-			if dormant != nil && (dormant.View().Running(2) != 1 || dormant.NextCompletionAfter(0) != steadyFold) {
-				t.Fatalf("C's singleton runs %d jobs and completes at %d before the measurement, want one, at %d",
-					dormant.View().Running(2), dormant.NextCompletionAfter(0), steadyFold)
+			// C's singleton holds C's one job until a fold processes its
+			// completion.
+			if dormant != nil {
+				if next := dormant.NextCompletionAfter(steadyFold - 1); next != steadyFold {
+					t.Fatalf("C's singleton completes next at %d before the measurement, want %d", next, steadyFold)
+				}
 			}
 			if avg := testing.AllocsPerRun(100, func() { s.StepNext(horizon) }); avg != 0 {
 				t.Errorf("steady-state StepNext allocates %.2f times per run, budget is 0", avg)
@@ -820,7 +835,7 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 			if !s.StepNext(horizon) {
 				t.Fatal("events drained during measurement")
 			}
-			if dormant != nil && dormant.View().Running(2) != 0 {
+			if dormant != nil && dormant.NextCompletionAfter(steadyFold-1) != sim.MaxTime {
 				t.Errorf("C's singleton still runs C's job: nothing folded it")
 			}
 		})
@@ -953,10 +968,9 @@ func TestHypotheticalStateIsFlat(t *testing.T) {
 // has no hypothetical schedule, a set on related machines has no
 // schedule a release-start ledger describes, NBS has one hypothetical
 // schedule per organization, whose jobs the ledger would book as often,
-// and the reference mode is the eager oracle; none of them builds a
-// ledger, and none of their slots ever enters free flow. On identical
-// machines the default mode of REF and RAND keeps one, and its slots
-// flow.
+// and the oracle steps eagerly; none of them builds a ledger, and none
+// of their slots ever enters free flow. On identical machines REF and
+// RAND keep one, and their slots flow.
 func TestReleaseStartLedgerOnlyWhereFreeFlowApplies(t *testing.T) {
 	const horizon = model.Time(400)
 	instance := func(speeds []int) *model.Instance {
@@ -972,7 +986,7 @@ func TestReleaseStartLedgerOnlyWhereFreeFlowApplies(t *testing.T) {
 		name   string
 		alg    StepperAlgorithm
 		speeds []int
-		scan   bool
+		oracle bool
 		ledger bool
 	}{
 		{"REF", RefAlgorithm{}, nil, false, true},
@@ -988,9 +1002,8 @@ func TestReleaseStartLedgerOnlyWhereFreeFlowApplies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			st := tc.alg.NewStepper(instance(tc.speeds), 1)
 			s := setOf(st)
-			if tc.scan {
-				s.scan = true
-				s.rekeyAll()
+			if tc.oracle {
+				st = newOracle(s)
 			}
 			flowed := false
 			check := func() {
@@ -999,7 +1012,7 @@ func TestReleaseStartLedgerOnlyWhereFreeFlowApplies(t *testing.T) {
 					t.Fatalf("release-start ledger kept: %v, want %v", kept, tc.ledger)
 				}
 				for _, c := range s.slots {
-					flowed = flowed || c.Flowing()
+					flowed = flowed || flowing(c)
 				}
 			}
 			check()

@@ -12,8 +12,8 @@ import (
 
 // This file defines the incremental driving contract the streaming
 // engine (internal/engine) consumes. Every algorithm in this package —
-// REF with either driver, RAND, NBS, DIRECTCONTR and the policy-backed
-// baselines — implements Stepper through the one schedSet loop
+// REF, RAND, NBS, DIRECTCONTR and the policy-backed baselines —
+// implements Stepper through the one schedSet loop
 // (schedset.go), and the batch Algorithm.Run entry points are thin
 // wrappers over the same stepping code, so the batch and streaming
 // paths cannot diverge.
@@ -71,7 +71,7 @@ type Stepper interface {
 
 // StepperAlgorithm is an Algorithm that can also run incrementally and
 // resume from a checkpoint. The algorithm value carries the static
-// configuration (driver, sample count, worker options); the Checkpoint
+// configuration (sample count, sampler, rotation); the Checkpoint
 // carries only dynamic state, so restoring requires the same algorithm
 // configuration that captured it.
 type StepperAlgorithm interface {
@@ -107,7 +107,7 @@ const CheckpointVersion = 7
 // arrivals), one ClusterState per maintained schedule in a
 // stepper-defined deterministic order, the positions of the RNG streams
 // that influence decisions, and any stateful policy's own capture.
-// Driver acceleration state (slot keys, the value snapshot) is
+// The loop's acceleration state (slot keys, the value snapshot) is
 // deliberately not serialized: it is rebuilt from the cluster states on
 // restore, and the rebuilt state evaluates to the same values —
 // checkpoint/restore is byte-identical to an uninterrupted run (see
@@ -160,7 +160,7 @@ func (a *policyAlgorithm) NewStepper(inst *model.Instance, seed int64) Stepper {
 	src := stats.NewSource(seed)
 	q := sim.NewQueues(inst)
 	c := q.NewCluster(inst.Grand(), a.factory(), rand.New(src))
-	s := newSchedSet(a.name, seed, inst, policyPlug{}, q, []*sim.Cluster{c}, false)
+	s := newSchedSet(a.name, seed, inst, policyPlug{}, q, []*sim.Cluster{c})
 	s.src = src
 	return s
 }

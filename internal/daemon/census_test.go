@@ -29,6 +29,26 @@ func censusJobs(orgs, clusters int) []daemon.JobSubmission {
 	return jobs
 }
 
+// drainedAt returns the instant a session of cfg fed jobs stands at
+// once every event is processed: advances with no until, to the next
+// event, until none is left.
+func drainedAt(t *testing.T, cfg daemon.SessionConfig, jobs []daemon.JobSubmission) model.Time {
+	t.Helper()
+	sess, err := daemon.NewManager().Create("drained", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Submit(jobs); err != nil {
+		t.Fatal(err)
+	}
+	for sess.State().NextEvent != nil {
+		if _, _, err := sess.Advance(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sess.State().Now
+}
+
 // census adds the serialized size of every field of a checkpoint to
 // out, keyed by its path with array positions dropped; the fields of a
 // cluster state, the job list and the organization list are leaves.
@@ -53,11 +73,16 @@ func census(path string, raw json.RawMessage, out map[string]int) {
 // TestCheckpointByteCensus prints where a checkpoint's bytes go, field
 // by field, for one REF, one RAND, one NBS-federation (bare, and behind
 // the benchmark's token bucket) and one policy session run through the
-// same 1 280 jobs and stopped at the last round (EXPERIMENTS.md
-// "Checkpoint compatibility" holds the table;
-// regenerate it with
-// `go test -run TestCheckpointByteCensus -v ./internal/daemon`). It
-// asserts the one-copy rule on the way: a cluster state carries the
+// same 1 280 jobs and stopped at the last round, and for the REF and
+// RAND sessions again once drained (EXPERIMENTS.md "Checkpoint
+// compatibility" holds the table; regenerate it with
+// `go test -run TestCheckpointByteCensus -v ./internal/daemon`). At the
+// last round every hypothetical schedule has a backlog — 40 jobs of mean
+// size 4.5 every 10 ticks outrun 16 machines — so none is its members'
+// release-start schedule; a drained one has nothing waiting or running,
+// as the idle stretches of the benchmark's shapley-k8 sessions (about
+// 40 % load) do, and the drained rows must write some schedules as
+// their release-start schedule. It asserts the one-copy rule on the way: a cluster state carries the
 // stored keys, a decision log only where one is kept, a withdrawn list
 // only when a job was withdrawn; a hypothetical schedule is its
 // coalition, clock, waiting counts, running entries and members'
@@ -75,20 +100,29 @@ func TestCheckpointByteCensus(t *testing.T) {
 	gated := daemon.SessionConfig{Kind: daemon.KindFederation, OrgNames: []string{"a", "b", "c", "d", "e", "f"},
 		Clusters: members, Policy: "fednbs-migrate", Staleness: 25,
 		Admission: &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 3, Period: 10, Burst: 6, MaxAttempts: 3}}
+	ref := daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "ref", Orgs: 8, Machines: 16}
+	rand := daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "rand", Orgs: 8, Machines: 16, RandSamples: 15}
 	for _, c := range []struct {
 		name          string
 		cfg           daemon.SessionConfig
 		orgs, members int
-		logs          int // cluster states that carry a decision log
+		logs          int  // cluster states that carry a decision log
+		drained       bool // stepped past the last event, not stopped at the last round
 	}{
-		{"ref", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "ref", Orgs: 8, Machines: 16}, 8, 1, 1},
-		{"rand", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "rand", Orgs: 8, Machines: 16, RandSamples: 15}, 8, 1, 1},
+		{"ref", ref, 8, 1, 1, false},
+		{"rand", rand, 8, 1, 1, false},
 		{"nbs-federation", daemon.SessionConfig{Kind: daemon.KindFederation, OrgNames: []string{"a", "b", "c", "d", "e", "f"},
-			Clusters: members, Policy: "fednbs-migrate", Staleness: 25}, 6, 8, 8},
-		{"nbs-federation, gated", gated, 6, 8, 8},
-		{"directcontr", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "directcontr", Orgs: 8, Machines: 16}, 8, 1, 1},
+			Clusters: members, Policy: "fednbs-migrate", Staleness: 25}, 6, 8, 8, false},
+		{"nbs-federation, gated", gated, 6, 8, 8, false},
+		{"directcontr", daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "directcontr", Orgs: 8, Machines: 16}, 8, 1, 1, false},
+		{"ref, drained", ref, 8, 1, 1, true},
+		{"rand, drained", rand, 8, 1, 1, true},
 	} {
-		snap := checkpointOf(t, c.cfg, censusJobs(c.orgs, c.members), 310)
+		until := model.Time(310)
+		if c.drained {
+			until = drainedAt(t, c.cfg, censusJobs(c.orgs, c.members))
+		}
+		snap := checkpointOf(t, c.cfg, censusJobs(c.orgs, c.members), until)
 		sizes := map[string]int{}
 		census("", snap, sizes)
 		keys := make([]string, 0, len(sizes))
@@ -101,7 +135,7 @@ func TestCheckpointByteCensus(t *testing.T) {
 			}
 			return keys[i] < keys[j]
 		})
-		t.Logf("%s: %d B", c.name, len(snap))
+		t.Logf("%s: %d B at %d", c.name, len(snap), until)
 		rest := len(snap)
 		for _, k := range keys {
 			if 200*sizes[k] >= len(snap) {
@@ -122,7 +156,7 @@ func TestCheckpointByteCensus(t *testing.T) {
 		// A running entry is {job, machine, start}; a decision schedule
 		// stores no running entry or account, its log says both, so only
 		// hypothetical schedules written in full store running entries
-		// (REF's and RAND's here, whose sessions are saturated).
+		// (REF's and RAND's here while their sessions are saturated).
 		entries := bytes.Count(snap, []byte(`"running":[{"job":`))
 		if bytes.Contains(snap, []byte(`"end":`)) || bytes.Contains(snap, []byte(`"acc_from":`)) || entries != bytes.Count(snap, []byte(`"running":`)) ||
 			c.name == "directcontr" && entries > 0 || (c.name == "ref" || c.name == "rand") && entries == 0 {
@@ -170,6 +204,9 @@ func TestCheckpointByteCensus(t *testing.T) {
 			t.Errorf("%s: no hypothetical schedule to look at", c.name)
 		}
 		t.Logf("  %d of %d hypothetical schedules written as their release-start schedule", compact, hypothetical)
+		if c.drained && compact == 0 {
+			t.Errorf("%s: no hypothetical schedule written as its release-start schedule", c.name)
+		}
 		if bytes.Contains(snap, []byte(`"ID":`)) || bytes.Contains(snap, []byte(`"Org":0,"Machine":`)) || !bytes.Contains(snap, []byte(`{"Job":0,"Machine":`)) {
 			t.Errorf("%s: a job carries its ID or a start its Org (or no log line was found to look at)", c.name)
 		}

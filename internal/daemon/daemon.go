@@ -89,7 +89,7 @@ type SessionConfig struct {
 	Seed        int64  `json:"seed,omitempty"`
 	RandSamples int    `json:"rand_samples,omitempty"`
 	Stratified  bool   `json:"rand_stratified,omitempty"`
-	RefDriver   string `json:"ref_driver,omitempty"`
+	RefDriver   string `json:"ref_driver,omitempty"` // checked and ignored: bench/ and stored envelopes set it; REF has one loop
 	// Workers is ignored: steppers run on the advancing goroutine.
 	// Declared only because bench/replay.go reads it and stored
 	// envelopes may carry it; goes when bench/ stops naming it.
@@ -138,12 +138,10 @@ func (c SessionConfig) buildAlg(name string) (core.StepperAlgorithm, error) {
 	if samples <= 0 {
 		samples = 15
 	}
-	driver, err := core.ParseRefDriver(defaultStr(c.RefDriver, "heap"))
-	if err != nil {
+	if _, err := core.ParseRefDriver(c.RefDriver); err != nil {
 		return nil, err
 	}
-	return core.AlgorithmByName(name, samples,
-		core.RefOptions{Driver: driver}, core.RandOptions{Stratified: c.Stratified})
+	return core.AlgorithmByName(name, samples, core.RefOptions{}, core.RandOptions{Stratified: c.Stratified})
 }
 
 func defaultStr(s, def string) string {

@@ -425,6 +425,9 @@ func TestSessionAPIValidation(t *testing.T) {
 	a.do("POST", "/v1/sessions", `{"kind":"single","alg":"nope"}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"kind":"single","orgs":-1}`, http.StatusBadRequest)
 	a.do("POST", "/v1/sessions", `{"kind":"single","ref_driver":"bogus"}`, http.StatusBadRequest)
+	// Both driver names still parse; they select the one event loop.
+	a.do("POST", "/v1/sessions", `{"id":"scan","kind":"single","alg":"ref","ref_driver":"scan"}`, http.StatusCreated)
+	a.do("DELETE", "/v1/sessions/scan", "", http.StatusOK)
 	a.do("POST", "/v1/sessions", `{"kind":"single","split":"unifrom"}`, http.StatusBadRequest)
 	// A machine pool no allocation can hold is a 400, not a makeslice
 	// panic that drops the connection.

@@ -12,12 +12,13 @@ import (
 )
 
 // steppers returns every incremental algorithm configuration the engine
-// must drive byte-identically to the batch path: REF with both drivers,
-// RAND, DIRECTCONTR, NBS and the five policy baselines.
+// must drive byte-identically to the batch path: REF (and again under
+// the rotation ablation), RAND, DIRECTCONTR, NBS and the five policy
+// baselines.
 func steppers() []core.StepperAlgorithm {
 	return []core.StepperAlgorithm{
 		core.RefAlgorithm{},
-		core.RefAlgorithm{Opts: core.RefOptions{Driver: core.DriverScan}},
+		core.RefAlgorithm{Opts: core.RefOptions{Rotate: true}},
 		core.RandAlgorithm{Samples: 7},
 		core.RandAlgorithm{Samples: 6, Opts: core.RandOptions{Stratified: true}},
 		core.DirectContrAlgorithm(),

@@ -165,13 +165,6 @@ func (c *Cluster) Coalition() model.Coalition { return c.coal }
 // accessor; policies see only the non-clairvoyant View.
 func (c *Cluster) Instance() *model.Instance { return c.inst }
 
-// Now returns the current simulation time.
-func (c *Cluster) Now() model.Time { return c.now }
-
-// View returns a read-only view of the cluster (the same one policies
-// receive).
-func (c *Cluster) View() *View { return &c.view }
-
 // NextEventTime returns the earliest pending release on the queues or
 // completion here, or MaxTime when neither exists.
 func (c *Cluster) NextEventTime() model.Time {
@@ -584,9 +577,6 @@ func (c *Cluster) Starts() []Start { return c.starts }
 // value: the accounts are all a finished job leaves (ψsp = t·U − S).
 // Call it before the first step.
 func (c *Cluster) DiscardStarts() { c.noStarts, c.ownAcct = true, nil }
-
-// Flowing reports whether the cluster is in free flow.
-func (c *Cluster) Flowing() bool { return c.flow }
 
 // Flow puts a hypothetical schedule (DiscardStarts) on queues that keep
 // a release-start ledger into free flow if it qualifies, and reports

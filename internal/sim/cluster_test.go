@@ -91,7 +91,7 @@ func TestNonClairvoyantView(t *testing.T) {
 		[]model.Job{{Org: 0, Release: 2, Size: 9}},
 	)
 	c := New(in, in.Grand(), orgPriority(0), nil)
-	v := c.View()
+	v := &c.view
 	if _, _, ok := v.Head(0); ok {
 		t.Fatal("Head visible before release")
 	}
@@ -165,8 +165,8 @@ func TestCoalitionRestriction(t *testing.T) {
 	if got := len(c.Starts()); got != 4 {
 		t.Fatalf("singleton coalition started %d jobs, want 4", got)
 	}
-	if c.View().Machines() != 2 {
-		t.Fatalf("singleton coalition has %d machines", c.View().Machines())
+	if c.view.Machines() != 2 {
+		t.Fatalf("singleton coalition has %d machines", c.view.Machines())
 	}
 	if c.Psi(1) != 0 {
 		t.Fatal("non-member accrued utility")
@@ -183,7 +183,7 @@ func TestCoalitionRestriction(t *testing.T) {
 func TestMachineOwnersAndShares(t *testing.T) {
 	in := figure7Instance()
 	c := New(in, model.Grand(2), orgPriority(0, 1), nil)
-	v := c.View()
+	v := &c.view
 	if v.Machines() != 4 {
 		t.Fatalf("machines = %d", v.Machines())
 	}
@@ -207,7 +207,7 @@ func TestOwnerAccounting(t *testing.T) {
 	if got := c.Psi(1); got != 0 {
 		t.Errorf("B's ψ = %d, want 0", got)
 	}
-	v := c.View()
+	v := &c.view
 	if got := v.OwnerPsi(1); got != utility.PsiJob(0, 4, 10) {
 		t.Errorf("B's owner-ψ = %d", got)
 	}
@@ -229,7 +229,7 @@ func TestOwnerAccounting(t *testing.T) {
 			t.Errorf("OwnerPsi on a cluster without machine-owner accounts: recovered %v, want a panic naming it", r)
 		}
 	}()
-	silent.View().OwnerPsi(1)
+	silent.view.OwnerPsi(1)
 }
 
 func TestEmptyCoalitionPool(t *testing.T) {
@@ -243,7 +243,7 @@ func TestEmptyCoalitionPool(t *testing.T) {
 	if c.Value() != 0 || len(c.Starts()) != 0 {
 		t.Fatalf("machine-less coalition ran jobs: value=%d", c.Value())
 	}
-	if c.View().Waiting(0) != 1 {
+	if c.view.Waiting(0) != 1 {
 		t.Fatal("job should still be queued")
 	}
 }

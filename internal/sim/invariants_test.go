@@ -90,9 +90,9 @@ func checkInvariants(t *testing.T, in *model.Instance, c *Cluster) {
 	// 4. Greediness: no machine idle interval may intersect any job's
 	// waiting interval [release, start).
 	type interval struct{ lo, hi model.Time }
-	horizon := c.Now()
+	horizon := c.now
 	var idles []interval
-	for m := 0; m < c.View().Machines(); m++ {
+	for m := 0; m < c.view.Machines(); m++ {
 		cur := model.Time(0)
 		for _, s := range perMachine[m] {
 			if s.At > cur {
@@ -320,7 +320,7 @@ func TestWithdrawReinjectConservation(t *testing.T) {
 					t.Fatalf("withdrawn job %d re-injected under its own ID", old)
 				}
 				j := in.Jobs[old]
-				j.ID, j.Release = len(in.Jobs), c.Now()
+				j.ID, j.Release = len(in.Jobs), c.now
 				in.Jobs = append(in.Jobs, j)
 				if err := c.Inject(j.ID); err != nil {
 					t.Fatalf("inject job %d: %v", j.ID, err)
@@ -481,7 +481,7 @@ func FuzzClusterAccounting(f *testing.F) {
 				batch := make([]int, 1+int(b/4)%4)
 				for i := range batch {
 					batch[i] = len(in.Jobs)
-					in.Jobs = append(in.Jobs, model.Job{ID: batch[i], Org: r.Intn(len(in.Orgs)), Release: c.Now() + model.Time(r.Intn(6)), Size: model.Time(1 + r.Intn(9))})
+					in.Jobs = append(in.Jobs, model.Job{ID: batch[i], Org: r.Intn(len(in.Orgs)), Release: c.now + model.Time(r.Intn(6)), Size: model.Time(1 + r.Intn(9))})
 				}
 				r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 				if err := c.Inject(batch...); err != nil {
@@ -500,7 +500,7 @@ func FuzzClusterAccounting(f *testing.F) {
 			}
 			jobs, orgs := 0, model.Coalition(0)
 			for org := range in.Orgs {
-				if w := c.View().Waiting(org); w > 0 {
+				if w := c.view.Waiting(org); w > 0 {
 					jobs, orgs = jobs+w, orgs.With(org)
 				}
 			}

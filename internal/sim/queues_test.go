@@ -174,7 +174,7 @@ func FuzzSharedQueues(f *testing.F) {
 					}
 				}
 			case 2: // a shuffled batch of 1 to 4 arrivals, or a job that has entered
-				now := shared[0].Now()
+				now := shared[0].now
 				if arg%4 == 3 {
 					id := arg % len(in.Jobs)
 					err := q.Inject(id)
@@ -279,10 +279,10 @@ func TestSharedQueuesTrimToSlowestCluster(t *testing.T) {
 	if got := len(q.lists[0]); got >= 2*minTrim {
 		t.Errorf("organization 0's list holds %d jobs, every cluster started all but the last", got)
 	}
-	if got, want := len(q.lists[1]), 150; got != want || idle.View().Waiting(1) != want {
-		t.Errorf("organization 1's list holds %d jobs, %d wait in the machineless cluster; want %d", got, idle.View().Waiting(1), want)
+	if got, want := len(q.lists[1]), 150; got != want || idle.view.Waiting(1) != want {
+		t.Errorf("organization 1's list holds %d jobs, %d wait in the machineless cluster; want %d", got, idle.view.Waiting(1), want)
 	}
-	if got := fast.View().Waiting(1); got != 0 {
+	if got := fast.view.Waiting(1); got != 0 {
 		t.Errorf("%d of organization 1's jobs wait on the cluster with a machine", got)
 	}
 }

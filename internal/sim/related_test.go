@@ -119,7 +119,7 @@ func TestRelatedAccountingMatchesBruteForce(t *testing.T) {
 		c.Run(eval)
 		// Brute force from the recorded starts.
 		psi := make([]int64, len(in.Orgs))
-		v := c.View()
+		v := &c.view
 		for _, s := range c.Starts() {
 			j := in.Jobs[s.Job]
 			q := model.Time(v.MachineSpeed(s.Machine))
@@ -192,7 +192,7 @@ func TestRelatedCapacityShares(t *testing.T) {
 		[]model.Job{{Org: 0, Release: 0, Size: 1}},
 	)
 	c := New(in, in.Grand(), orgPriority(0, 1), nil)
-	v := c.View()
+	v := &c.view
 	if v.Share(0) != 0.5 || v.Share(1) != 0.5 {
 		t.Fatalf("shares = %v/%v, want 0.5/0.5", v.Share(0), v.Share(1))
 	}

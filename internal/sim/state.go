@@ -147,7 +147,7 @@ func (c *Cluster) CaptureState() ClusterState {
 // one speed, in its compact form (ClusterState.AtRelease) when the job
 // list reproduces it exactly: nothing waits, and its running entries are
 // the release-start ones. Whatever path the schedule took — free flow,
-// the reference mode, a restore — the same state writes the same bytes.
+// eager stepping, a restore — the same state writes the same bytes.
 func (q *Queues) compact(st *ClusterState) {
 	for _, w := range st.Waiting {
 		if w != 0 {

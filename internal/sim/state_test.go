@@ -209,7 +209,7 @@ func TestInjectBatchAllOrNothing(t *testing.T) {
 		}, "was withdrawn"},
 		{"pending", func(c *Cluster) int { return 5 }, "already entered"},
 		{"queued", func(c *Cluster) int {
-			if w := c.View().Waiting(0); w != 1 {
+			if w := c.view.Waiting(0); w != 1 {
 				t.Fatalf("organization 0 has %d jobs waiting, want job 3 alone", w)
 			}
 			return 3
@@ -524,7 +524,7 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 	if got, _ := json.Marshal(restored.CaptureState()); !bytes.Equal(got, want) {
 		t.Fatalf("restored from doctored derived fields:\n%s\nwant\n%s", got, want)
 	}
-	if v := restored.View(); restored.Value() != c.Value() || v.Running(0) != 1 || v.Running(1) != 1 || len(restored.free) != 0 {
+	if v := &restored.view; restored.Value() != c.Value() || v.Running(0) != 1 || v.Running(1) != 1 || len(restored.free) != 0 {
 		t.Fatalf("value %d (want %d), running %d and %d, free %v", restored.Value(), c.Value(), v.Running(0), v.Running(1), restored.free)
 	}
 	c.Run(40)

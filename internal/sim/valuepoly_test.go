@@ -72,7 +72,7 @@ func oracleAt(c *Cluster, t model.Time) oracle {
 // instant checked.
 func checkAccountsToNextEvent(t *testing.T, c *Cluster, stop model.Time) {
 	t.Helper()
-	from := c.Now()
+	from := c.now
 	stop = max(from, min(stop, c.NextEventTime()-1))
 	for tm := from; tm <= stop; tm++ {
 		want := oracleAt(c, tm)
@@ -82,7 +82,7 @@ func checkAccountsToNextEvent(t *testing.T, c *Cluster, stop model.Time) {
 		if tm > from {
 			c.AdvanceTo(tm) // before the next event: only the clock moves
 		}
-		v := c.View()
+		v := &c.view
 		for org := range want.orgPsi {
 			if c.Psi(org) != want.orgPsi[org] || v.OwnerPsi(org) != want.ownPsi[org] || v.Usage(org) != want.usage[org] {
 				t.Fatalf("t=%d org %d: ψ %d, owner ψ %d, usage %d; oracle %d, %d, %d",

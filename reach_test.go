@@ -34,8 +34,6 @@ import (
 var reachAllowlist = map[string]string{
 	"repro/internal/shapley.Exact":                "the float subset formula (Equation 1): core's tests hold REF's exact φ to it, an oracle computed apart from the Contrib engine",
 	"repro/internal/model.Instance.Restrict":      "the sub-instance a coalition schedules alone, the paper's v(C): core's tests hold REF's embedded subcoalition schedules to an independent run on it, and model's to its definition",
-	"repro/internal/sim.Cluster.Now":              "a cluster's clock: core's tests read a subcoalition slot's between steps, as sim's read their own clusters'",
-	"repro/internal/sim.Cluster.View":             "the read-only view a cluster's policy reads: core's tests count a subcoalition slot's waiting and running jobs through it, as sim's do",
 	"repro/internal/fed.Federation.SubmitThrough": "streaming ingestion: a driver alternates it with Step to replay a job source in one step's memory (the SWF and scenario sources implement its JobSource); its tests and fuzzer hold it to eager submission, and no shipped program replays a stream yet",
 }
 
