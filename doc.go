@@ -55,10 +55,7 @@
 //	                    policy call per job), summary-gossip staleness,
 //	                    migration of the jobs members hold queued at
 //	                    gossip refreshes (Migrating), federation-wide
-//	                    contribution ledger,
-//	                    lockstep checkpoints, and replayable job
-//	                    sources (JobSource, SWF adapter) fed one step
-//	                    ahead of the clock by SubmitThrough
+//	                    contribution ledger and lockstep checkpoints
 //	internal/daemon   — the HTTP serving layer: many concurrent
 //	                    runs (single or federated) over HTTP in one
 //	                    session table, persisted through a
@@ -70,8 +67,7 @@
 //	                    the O(1)-memory streaming Reader
 //	internal/gen      — synthetic workload families and federated
 //	                    scenario generation (arrival skew, diurnal
-//	                    phase offsets, heterogeneous sites), both eager
-//	                    and as a replayable streaming fed.JobSource
+//	                    phase offsets, heterogeneous sites)
 //	internal/exp      — Table 1/2, Figure 7/10, federated delegation
 //	                    (policy × metric) and admission-control
 //	                    (variant × load) experiment runners

@@ -255,8 +255,13 @@ func counted(p sim.Policy, count *selectCount) (*countingPolicy, sim.Policy) {
 	return c, c
 }
 
-// densityOrgs and densityRounds shape the stream of densityStream.
-const densityOrgs, densityRounds = 8, 60
+// densityOrgs and densityRounds shape the stream of densityStream,
+// wideOrgs and wideRounds the wide stream of the work ledger's REF/k12
+// line.
+const (
+	densityOrgs, densityRounds = 8, 60
+	wideOrgs, wideRounds       = 12, 20
+)
 
 // densityStream returns a stream shaped like the shapley-k8 benchmark
 // workload — 8 organizations on 16 Zipf-split machines, 40 jobs of size
@@ -264,18 +269,24 @@ const densityOrgs, densityRounds = 8, 60
 // toward low indices — and each organization's release instants in
 // ascending order.
 func densityStream() (*model.Instance, [][]model.Time) {
-	const machines, perRound = 16, 40
+	return wideStream(densityOrgs, densityRounds)
+}
+
+// wideStream is densityStream widened to k organizations: 2k
+// Zipf-split machines and 5k jobs per round of 100 ticks, for rounds
+// rounds.
+func wideStream(k, rounds int) (*model.Instance, [][]model.Time) {
 	r := rand.New(rand.NewSource(7000))
-	orgs := make([]model.Org, densityOrgs)
-	for i, m := range stats.ZipfSplit(machines, densityOrgs, 1) {
+	orgs := make([]model.Org, k)
+	for i, m := range stats.ZipfSplit(2*k, k, 1) {
 		orgs[i] = model.Org{Name: string(rune('A' + i)), Machines: m}
 	}
 	var jobs []model.Job
-	releases := make([][]model.Time, densityOrgs)
-	for round := 0; round < densityRounds; round++ {
-		for j := 0; j < perRound; j++ {
+	releases := make([][]model.Time, k)
+	for round := 0; round < rounds; round++ {
+		for j := 0; j < 5*k; j++ {
 			job := model.Job{
-				Org:     min(r.Intn(densityOrgs), r.Intn(densityOrgs)),
+				Org:     min(r.Intn(k), r.Intn(k)),
 				Release: model.Time(100*round + r.Intn(100)),
 				Size:    model.Time(1 + r.Intn(30)),
 			}
@@ -312,8 +323,8 @@ type work struct {
 	// materialized the slots that left free flow.
 	hypothetical, eager, materialized int
 	perInstant                        map[model.Time]int // dispatching slots per instant
-	// ckptBytes is checkpointBytes of the same sets.
-	ckptBytes int
+	// ckpt is the census of the same sets' aged captures.
+	ckpt census
 }
 
 // line is w as a ledger line of exact integers, the form work.golden
@@ -324,7 +335,13 @@ func (w *work) line(label string, ref bool) string {
 		split = fmt.Sprintf(" by_completion=%d by_release=%d by_overflow=%d folded=%d", w.byCompletion, w.byRelease, w.byOverflow, w.folded)
 	}
 	return fmt.Sprintf("%s steps=%d touched=%d examined=%d overflow_checks=%d%s dispatches=%d eager_dispatches=%d materialized=%d contested=%d retargets=%d starts=%d skipped_selects=%d allocs_per_step=%d ckpt_bytes=%d",
-		label, w.steps, w.touched, w.examined, w.overflowChecks, split, w.dispatches, w.eager, w.materialized, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs, w.ckptBytes)
+		label, w.steps, w.touched, w.examined, w.overflowChecks, split, w.dispatches, w.eager, w.materialized, w.contested, w.retargets, w.starts, w.starts-w.selects, w.allocs, w.ckpt.bytes)
+}
+
+// schedules is the ledger's census columns: how the captures wrote
+// their hypothetical schedules.
+func (w *work) schedules() string {
+	return fmt.Sprintf(" implicit=%d deviating=%d", w.ckpt.implicit, w.ckpt.deviating)
 }
 
 // stepping is a loop measureWork drives: a set's own, or the oracle.
@@ -333,14 +350,15 @@ type stepping interface {
 	instant() model.Time
 }
 
-// measureWork steps a set build returns over the density stream to its
-// horizon — by the set's own loop, or by the oracle when ref — its slots
-// rebuilt on counting policies and its plug wrapped in a countingPlug,
-// and counts the work. allocs is testing.AllocsPerRun of one step on a
-// second set as build returns it, mid-stream.
-func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, build func(*model.Instance) *schedSet, ref bool) *work {
+// measureWork steps a set build returns over a density stream of
+// rounds rounds to its horizon — by the set's own loop, or by the oracle
+// when ref — its slots rebuilt on counting policies and its plug wrapped
+// in a countingPlug, and counts the work. allocs is testing.AllocsPerRun
+// of one step on a second set as build returns it, mid-stream; ckpt the
+// census of its captures at the given ages, in rounds.
+func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, rounds int, ages []int, build func(*model.Instance) *schedSet, ref bool) *work {
 	t.Helper()
-	const horizon = model.Time(100 * densityRounds)
+	horizon := model.Time(100 * rounds)
 	loop := func(s *schedSet) stepping {
 		if ref {
 			return newOracle(s)
@@ -374,13 +392,19 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	l := loop(s)
 	// counts returns how many jobs slot i has started and completed, with
 	// the queues released up to t.
+	released, releasedBy := make([]int, len(releases)), model.Time(-1) // per organization, its jobs released by releasedBy (none by −1)
 	counts := func(i int, t model.Time) (started, completed int) {
+		if t != releasedBy {
+			for u, rs := range releases {
+				released[u], _ = slices.BinarySearch(rs, t+1)
+			}
+			releasedBy = t
+		}
 		v := views[i]
 		running := 0
 		for u := range releases {
 			if v.Coalition().Has(u) {
-				released, _ := slices.BinarySearch(releases[u], t+1)
-				started += released - v.Waiting(u)
+				started += released[u] - v.Waiting(u)
 				running += v.Running(u)
 			}
 		}
@@ -454,7 +478,7 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 				if touchedNow[i] {
 					w.byOverflow++
 				}
-				if !flowing(s.slots[i]) {
+				if !hasBit(s.flow, i) { // the set's free flow is its slots' (checkKeysMatchRebuild)
 					w.materialized++
 				}
 			}
@@ -517,21 +541,32 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, buil
 	if stepped != runs+1 { // AllocsPerRun warms up with one call
 		t.Fatalf("%d of %d measured calls stepped", stepped, runs+1)
 	}
-	w.ckptBytes = checkpointBytes(t, in, func(in *model.Instance) Stepper { return loop(build(in)) })
+	w.ckpt = captureCensus(t, in, ages, func(in *model.Instance) Stepper { return loop(build(in)) })
 	return w
 }
 
-// ckptRounds is how many session ages checkpointBytes captures.
-const ckptRounds = 32
+// densityAges are the session ages, in rounds, the work ledger's
+// densityStream lines capture at, wideAges the REF/k12 line's: five, to
+// its horizon.
+var densityAges, wideAges = agesUpTo(32, 1), agesUpTo(wideRounds, 4)
 
-// captureAged returns a stepper build makes on the first 40·r jobs of
-// the density stream in, stepped to 100·r as an engine steps, and its
-// checkpoint there as JSON: a session of the age shapley-k8's census
-// sees after r rounds.
-func captureAged(t testing.TB, in *model.Instance, r int, build func(*model.Instance) Stepper) (Stepper, []byte) {
+// agesUpTo returns the ages step, 2·step, … up to last.
+func agesUpTo(last, step int) []int {
+	var ages []int
+	for r := step; r <= last; r += step {
+		ages = append(ages, r)
+	}
+	return ages
+}
+
+// captureAged returns a stepper build makes on the first r rounds of
+// the density stream in (5k·r jobs over k organizations), stepped to
+// 100·r as an engine steps, and its checkpoint there, also as JSON: a
+// session of the age shapley-k8's census sees after r rounds.
+func captureAged(t testing.TB, in *model.Instance, r int, build func(*model.Instance) Stepper) (Stepper, *Checkpoint, []byte) {
 	t.Helper()
 	now := model.Time(100 * r)
-	s := build(model.MustNewInstance(in.Orgs, in.Jobs[:40*r]))
+	s := build(model.MustNewInstance(in.Orgs, in.Jobs[:5*len(in.Orgs)*r]))
 	for s.StepNext(now) {
 	}
 	s.FinishAt(now)
@@ -543,19 +578,37 @@ func captureAged(t testing.TB, in *model.Instance, r int, build func(*model.Inst
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, data
+	return s, cp, data
 }
 
-// checkpointBytes sums the JSON bytes of captureAged's checkpoints for
-// r = 1..ckptRounds: what a checkpoint stores, summed over session ages.
-func checkpointBytes(t testing.TB, in *model.Instance, build func(*model.Instance) Stepper) int {
+// census is what captureAged's checkpoints at several ages store,
+// summed over them: their JSON bytes, the hypothetical schedules written
+// as their members' release-start schedule with no finished-work offset
+// (implicit: the job list alone implies them), and the other
+// hypothetical schedules (deviating).
+type census struct {
+	bytes, implicit, deviating int
+}
+
+// captureCensus takes the census of captureAged's checkpoints at the
+// given ages: what a checkpoint stores, summed over session ages.
+func captureCensus(t testing.TB, in *model.Instance, ages []int, build func(*model.Instance) Stepper) census {
 	t.Helper()
-	total := 0
-	for r := 1; r <= ckptRounds; r++ {
-		_, data := captureAged(t, in, r, build)
-		total += len(data)
+	var c census
+	for _, r := range ages {
+		_, cp, data := captureAged(t, in, r, build)
+		c.bytes += len(data)
+		for _, cs := range cp.Clusters {
+			switch {
+			case cs.QueueState != nil: // the decision schedule
+			case cs.AtRelease && len(cs.OrgAcct) == 0:
+				c.implicit++
+			default:
+				c.deviating++
+			}
+		}
 	}
-	return total
+	return c
 }
 
 var update = flag.Bool("update", false, "rewrite testdata/work.golden")
@@ -595,9 +648,15 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden")
 //     policy plug's set, ask Select in the touched-set loop; the oracle
 //     retargets at every dispatch and asks Select for every start;
 //   - allocations per step, mid-stream;
-//   - checkpoint bytes, summed over 32 session ages (checkpointBytes):
+//   - checkpoint bytes, summed over 32 session ages (captureCensus):
 //     equal in the loop and the oracle, since a capture does not depend
-//     on how the set was stepped.
+//     on how the set was stepped; and on the REF, RAND and NBS lines the
+//     hypothetical schedules those captures write as their release-start
+//     schedule with no offset (implicit) and the rest (deviating), the
+//     census ROADMAP item 10 starts from.
+//
+// REF/k12 is REF's line on densityStream widened to 12 organizations
+// (wideStream), 4 095 slots, stepped to 2 000 and captured at five ages.
 //
 // Most of REF's dispatches are uncontested; the test fails if fewer
 // than 80 % are, since skipping their refresh and their Selects is what
@@ -610,23 +669,28 @@ func TestTouchedSetDensity(t *testing.T) {
 	ledger := []string{
 		fmt.Sprintf("# Work over densityStream: %d organizations, %d jobs, %d rounds of 100 ticks; REF has %d slots.", densityOrgs, len(in.Jobs), densityRounds, slots),
 		"# Counts are totals over the stream; allocs_per_step is testing.AllocsPerRun of one step, mid-stream.",
-		fmt.Sprintf("# ckpt_bytes sums the JSON checkpoints of sets on the first 40·r jobs stepped to 100·r, r = 1..%d.", ckptRounds),
+		fmt.Sprintf("# ckpt_bytes sums the JSON checkpoints of sets on the first 40·r jobs stepped to 100·r, r = 1..%d.", len(densityAges)),
+		"# implicit and deviating split the hypothetical schedules those checkpoints write: as the release-start schedule with no offset, or not.",
+		fmt.Sprintf("# REF/k12 is densityStream widened to %d organizations on %d machines, %d jobs per round, %d rounds (%d slots); it captures at r = %v.", wideOrgs, 2*wideOrgs, 5*wideOrgs, wideRounds, 1<<wideOrgs-1, wideAges),
 	}
 	newRef := func(in *model.Instance) *schedSet { return NewRef(in, RefOptions{}).set() }
-	heap := measureWork(t, in, releases, newRef, false)
-	scan := measureWork(t, in, releases, newRef, true)
-	ledger = append(ledger, heap.line("REF/heap", false), scan.line("REF/scan", true))
+	heap := measureWork(t, in, releases, densityRounds, densityAges, newRef, false)
+	scan := measureWork(t, in, releases, densityRounds, densityAges, newRef, true)
+	ledger = append(ledger, heap.line("REF/heap", false)+heap.schedules(), scan.line("REF/scan", true))
 	for name, w := range map[string]*work{"touched-set loop": heap, "oracle": scan} {
 		if uncontested := 1 - float64(w.contested)/float64(w.dispatches); uncontested < 0.8 {
 			t.Errorf("REF, %s: %.1f %% of dispatches uncontested, below 80 %%: the work the touched-set loop skips is no longer the common case", name, 100*uncontested)
 		}
 	}
-	rnd := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewRandSched(in, 15, 1, RandOptions{}).set() }, false)
-	ledger = append(ledger, rnd.line("RAND(N=15)/heap", false))
-	nbs := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return NewNbs(in).set() }, false)
-	ledger = append(ledger, nbs.line("NBS/heap", false))
-	direct := measureWork(t, in, releases, func(in *model.Instance) *schedSet { return setOf(DirectContrAlgorithm().NewStepper(in, 1)) }, false)
+	rnd := measureWork(t, in, releases, densityRounds, densityAges, func(in *model.Instance) *schedSet { return NewRandSched(in, 15, 1, RandOptions{}).set() }, false)
+	ledger = append(ledger, rnd.line("RAND(N=15)/heap", false)+rnd.schedules())
+	nbs := measureWork(t, in, releases, densityRounds, densityAges, func(in *model.Instance) *schedSet { return NewNbs(in).set() }, false)
+	ledger = append(ledger, nbs.line("NBS/heap", false)+nbs.schedules())
+	direct := measureWork(t, in, releases, densityRounds, densityAges, func(in *model.Instance) *schedSet { return setOf(DirectContrAlgorithm().NewStepper(in, 1)) }, false)
 	ledger = append(ledger, direct.line("DIRECTCONTR/heap", false))
+	wide, wideReleases := wideStream(wideOrgs, wideRounds)
+	k12 := measureWork(t, wide, wideReleases, wideRounds, wideAges, newRef, false)
+	ledger = append(ledger, k12.line("REF/k12", false)+k12.schedules())
 	for name, w := range map[string]*work{"REF": heap, "RAND(N=15)": rnd} {
 		if 10*w.eager > w.hypothetical {
 			t.Errorf("%s: %d of %d hypothetical dispatches made by a touch: free flow takes less than 90 %% of them", name, w.eager, w.hypothetical)
@@ -635,8 +699,8 @@ func TestTouchedSetDensity(t *testing.T) {
 	if !maps.Equal(heap.perInstant, scan.perInstant) {
 		t.Errorf("dispatching slots per instant differ between the loop and the oracle:\n%v\n%v", heap.perInstant, scan.perInstant)
 	}
-	if heap.ckptBytes != scan.ckptBytes {
-		t.Errorf("REF checkpoints %d bytes stepped by the loop, %d by the oracle: a capture depends on the stepping", heap.ckptBytes, scan.ckptBytes)
+	if heap.ckpt != scan.ckpt {
+		t.Errorf("REF checkpoints %+v stepped by the loop, %+v by the oracle: a capture depends on the stepping", heap.ckpt, scan.ckpt)
 	}
 	if heap.completed != scan.completed {
 		t.Errorf("%d jobs completed by the horizon in the loop, %d in the oracle", heap.completed, scan.completed)
@@ -694,6 +758,23 @@ func BenchmarkScheduleSetStep(b *testing.B) {
 	}
 }
 
+// BenchmarkReleaseStartCensus takes the REF/k12 line's capture census
+// at k = 16 (65 535 slots; 25 s a run on two cores): REF on
+// wideStream(16, 20) captured at wideAges. It reports the hypothetical
+// schedules written implicit and deviating per capture, and the share
+// deviating of 2^16; ROADMAP item 10(b) stops if that share exceeds one
+// half. Run it with -benchtime=1x.
+func BenchmarkReleaseStartCensus(b *testing.B) {
+	in, _ := wideStream(16, 20)
+	for i := 0; i < b.N; i++ {
+		c := captureCensus(b, in, wideAges, func(in *model.Instance) Stepper { return NewRef(in, RefOptions{}) })
+		per := float64(len(wideAges))
+		b.ReportMetric(float64(c.implicit)/per, "implicit/capture")
+		b.ReportMetric(float64(c.deviating)/per, "deviating/capture")
+		b.ReportMetric(float64(c.deviating)/per/(1<<16), "deviating/2^16")
+	}
+}
+
 // BenchmarkCheckpointRoundTrip is what a checkpoint costs the layers
 // that store and serve it: REF and RAND(N=15) on the first 640 jobs of
 // densityStream stepped to 1 600 (captureAged at r = 16), captured,
@@ -709,7 +790,7 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 		{"rand", RandAlgorithm{Samples: 15}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s, data := captureAged(b, in, 16, func(in *model.Instance) Stepper { return bc.alg.NewStepper(in, 1) })
+			s, _, data := captureAged(b, in, 16, func(in *model.Instance) Stepper { return bc.alg.NewStepper(in, 1) })
 			for i := 0; i < b.N; i++ {
 				cp, err := s.Capture(1600)
 				if err != nil {

@@ -799,8 +799,8 @@ func TestHTTPStatusCodes(t *testing.T) {
 		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
 	}
 	reply := a.do("POST", "/v1/sessions/fleet/restore", string(streaming), http.StatusBadRequest)
-	if msg, _ := reply["error"].(string); !strings.Contains(msg, "SubmitThrough") {
-		t.Fatalf("refusal does not name SubmitThrough: %v", reply)
+	if msg, _ := reply["error"].(string); !strings.Contains(msg, `has a "source" block`) {
+		t.Fatalf("refusal does not name the source block: %v", reply)
 	}
 	if after := a.raw("/v1/sessions/fleet/state"); !bytes.Equal(before, after) {
 		t.Fatalf("refused restore changed the session:\n%s\n%s", before, after)

@@ -154,7 +154,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want 4 to %d", cp.Version, CheckpointVersion)
 	}
 	if len(cp.Source) > 0 {
-		return nil, errors.New(`fed: restore: checkpoint has a "source" block: it was taken mid-stream by a federation that pulled its own job source, and the rest of that stream is not in it; feed sources with SubmitThrough`)
+		return nil, errors.New(`fed: restore: checkpoint has a "source" block: it was taken mid-stream by a federation that pulled its own job source, and the rest of that stream is not in it`)
 	}
 	if policy == nil {
 		return nil, fmt.Errorf("fed: restore: nil delegation policy")

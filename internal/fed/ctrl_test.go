@@ -37,7 +37,7 @@ func TestControlPlaneDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for until := model.Time(250); until <= 6000; until += 250 {
-					if _, err := f.SubmitThrough(src, until); err != nil {
+					if _, err := submitThrough(f, src, until); err != nil {
 						t.Fatal(err)
 					}
 					if _, err := f.Step(until); err != nil {

@@ -29,9 +29,7 @@
 // seed, submission sequence) — byte-identical across reruns and across
 // Snapshot/Restore (see TestFederationDeterminism).
 //
-// Submit is the one way a job enters. SubmitThrough (source.go) is a
-// loop over it that feeds a JobSource one step ahead of Step, so a long
-// trace is replayed with only a step's worth of releases pending.
+// Submit and SubmitJobs, its batch form, are the only ways a job enters.
 //
 // The Ledger records every routing decision and aggregates per-cluster
 // ψ-vectors into federation-wide totals, so the existing

@@ -273,7 +273,7 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 		t.Errorf("version-3 checkpoint: %v", err)
 	}
 	pulled := bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)), []byte(`{"version":4,"source":{"cursor":9,"window":4,"done":true},`), 1)
-	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, pulled); err == nil || !strings.Contains(err.Error(), "SubmitThrough") {
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, pulled); err == nil || !strings.Contains(err.Error(), `has a "source" block`) {
 		t.Errorf("checkpoint with a source block: %v", err)
 	}
 	// Restore ends on the conservation law and on a decision order that

@@ -9,45 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// SourceJob is one job yielded by a JobSource: where it was handed in,
-// who owns it, how big it is and when it becomes available — the
-// arguments of one Submit call. Aliased from model so that source
-// producers (internal/gen) need not import this package.
+// SourceJob is one job a stream yields: where it was handed in, who
+// owns it, how big it is and when it becomes available — the arguments
+// of one Submit call. Aliased from model so that stream producers
+// (internal/gen) need not import this package.
 type SourceJob = model.SourceJob
-
-// JobSource is the pull-based ingestion contract SubmitThrough
-// consumes: jobs in nondecreasing Release order from a deterministic,
-// replayable stream. See model.JobSource for the full contract.
-type JobSource = model.JobSource
-
-// SubmitThrough pulls src and Submits each job, in stream order, up to
-// and including the first one released after t, and reports whether the
-// stream ended instead. Releases are nondecreasing, so on return every
-// release at or before t is pending: a caller alternating
-// SubmitThrough(src, t) and Step(t) delivers whole release instants and
-// ends in the Snapshot bytes of submitting the entire stream up front
-// (TestStreamingMatchesEager), holding one step's releases at a time.
-// An error — the source's own, or Submit's on a job it yielded — leaves
-// every earlier job accepted. The federation keeps no cursor: to resume
-// a restored run, re-open the source and discard the jobs already
-// accepted (Submitted() of them, when nothing else was submitted).
-func (f *Federation) SubmitThrough(src JobSource, t model.Time) (done bool, err error) {
-	for {
-		j, ok, err := src.Next()
-		if err != nil {
-			return false, fmt.Errorf("fed: job source: %w", err)
-		}
-		if !ok {
-			return true, nil
-		}
-		if _, err := f.Submit(j.Cluster, j.Org, j.Size, j.Release); err != nil {
-			return false, err
-		}
-		if j.Release > t {
-			return false, nil
-		}
-	}
-}
 
 // DefaultSWFSlack is the reorder buffer NewSWFSource uses: real SWF
 // archives are submit-ordered up to small local jitter, and a buffer of
@@ -101,7 +67,8 @@ func NewSWFSource(r io.Reader, clusters, orgs int, seed int64) (*SWFSource, erro
 	}, nil
 }
 
-// Next implements JobSource. Disorder wider than the reorder slack is
+// Next returns the next job, ok=false at the end of the archive, or an
+// error; releases are nondecreasing. Disorder wider than the reorder slack is
 // detected here, at the pull: the record about to be emitted cannot
 // precede one already emitted, or the downstream federation would see
 // a release going backwards mid-stream. Errors are sticky — a source

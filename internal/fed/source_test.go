@@ -112,8 +112,39 @@ func streamSteps(horizon model.Time, n int) []model.Time {
 	return steps
 }
 
+// jobStream is what the scenario and SWF sources offer: jobs in
+// nondecreasing release order, ok=false at the end.
+type jobStream interface {
+	Next() (fed.SourceJob, bool, error)
+}
+
+// submitThrough pulls src and Submits each job, in stream order, up to
+// and including the first one released after t, and reports whether the
+// stream ended instead. Releases are nondecreasing, so on return every
+// release at or before t is pending: alternating submitThrough(f, src, t)
+// and Step(t) delivers whole release instants while holding one step's
+// releases at a time. An error — the stream's own, or Submit's on a job
+// it yielded — leaves every earlier job accepted.
+func submitThrough(f *fed.Federation, src jobStream, t model.Time) (done bool, err error) {
+	for {
+		j, ok, err := src.Next()
+		if err != nil {
+			return false, fmt.Errorf("job stream: %w", err)
+		}
+		if !ok {
+			return true, nil
+		}
+		if _, err := f.Submit(j.Cluster, j.Org, j.Size, j.Release); err != nil {
+			return false, err
+		}
+		if j.Release > t {
+			return false, nil
+		}
+	}
+}
+
 // newScenarioSource opens a fresh replay of the test scenario's stream.
-func newScenarioSource(t testing.TB, horizon model.Time, seed int64) fed.JobSource {
+func newScenarioSource(t testing.TB, horizon model.Time, seed int64) jobStream {
 	t.Helper()
 	src, err := testScenario().Source(horizon, seed)
 	if err != nil {
@@ -122,13 +153,13 @@ func newScenarioSource(t testing.TB, horizon model.Time, seed int64) fed.JobSour
 	return src
 }
 
-// stepChunked alternates SubmitThrough(src, t) and Step(t) over steps
-// and returns the largest pending queue it saw (right after a
-// SubmitThrough, where it peaks).
-func stepChunked(t testing.TB, f *fed.Federation, src fed.JobSource, steps []model.Time) (peak int) {
+// stepChunked alternates submitThrough(f, src, t) and Step(t) over
+// steps and returns the largest pending queue it saw (right after a
+// submitThrough, where it peaks).
+func stepChunked(t testing.TB, f *fed.Federation, src jobStream, steps []model.Time) (peak int) {
 	t.Helper()
 	for _, until := range steps {
-		if _, err := f.SubmitThrough(src, until); err != nil {
+		if _, err := submitThrough(f, src, until); err != nil {
 			t.Fatal(err)
 		}
 		peak = max(peak, f.PendingCount())
@@ -139,8 +170,8 @@ func stepChunked(t testing.TB, f *fed.Federation, src fed.JobSource, steps []mod
 	return peak
 }
 
-// TestStreamingMatchesEager: feeding a JobSource through SubmitThrough
-// one step ahead of Step ends in the Snapshot bytes of Submitting the
+// TestStreamingMatchesEager: feeding a job stream through Submit one
+// step ahead of Step ends in the Snapshot bytes of Submitting the
 // whole stream up front and stepping through the same instants —
 // sequence numbers are assigned in stream order either way, and every
 // release instant is complete before it is delivered.
@@ -167,7 +198,7 @@ func TestStreamingMatchesEager(t *testing.T) {
 			chunked, _, _ := sc.build(t)
 			src := newScenarioSource(t, 6000, 11)
 			stepChunked(t, chunked, src, steps)
-			if done, err := chunked.SubmitThrough(src, 6000); err != nil || !done {
+			if done, err := submitThrough(chunked, src, 6000); err != nil || !done {
 				t.Fatalf("stream not drained at the horizon: done=%v err=%v", done, err)
 			}
 			if got, want := chunked.Submitted(), int64(len(jobs)); got != want {
@@ -296,7 +327,7 @@ func TestStreamingCheckpointRestore(t *testing.T) {
 }
 
 // sliceSource serves a pre-built job slice, in nondecreasing Release
-// order, as a fed.JobSource.
+// order, as a jobStream.
 type sliceSource struct {
 	jobs []fed.SourceJob
 	i    int
@@ -325,7 +356,7 @@ func (s *failingSource) Next() (fed.SourceJob, bool, error) {
 }
 
 // TestSourceValidation: a job the source yields passes the same checks
-// as a submitted one. The Submit error surfaces from SubmitThrough, the
+// as a submitted one. The Submit error surfaces from the feed, the
 // jobs before it stay accepted, and the federation steps on.
 func TestSourceValidation(t *testing.T) {
 	good := fed.SourceJob{Cluster: 0, Org: 0, Size: 1, Release: 10}
@@ -340,19 +371,19 @@ func TestSourceValidation(t *testing.T) {
 			src := &sliceSource{jobs: []fed.SourceJob{good, bad, good}}
 			// The first call stops at the good job, released after 7; by
 			// the second the clock has passed the bad job's release of 5.
-			if done, err := f.SubmitThrough(src, 7); err != nil || done {
+			if done, err := submitThrough(f, src, 7); err != nil || done {
 				t.Fatalf("good job: done=%v err=%v", done, err)
 			}
 			if _, err := f.Step(7); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.SubmitThrough(src, 20); err == nil || !strings.Contains(err.Error(), "fed: submit") {
+			if _, err := submitThrough(f, src, 20); err == nil || !strings.Contains(err.Error(), "fed: submit") {
 				t.Fatalf("invalid job accepted from the source: err = %v", err)
 			}
 			if got := f.Submitted(); got != 1 {
 				t.Fatalf("%d jobs accepted around the bad one, want the 1 before it", got)
 			}
-			if done, err := f.SubmitThrough(src, 20); err != nil || !done {
+			if done, err := submitThrough(f, src, 20); err != nil || !done {
 				t.Fatalf("rest of the stream: done=%v err=%v", done, err)
 			}
 			if decs, err := f.Step(100); err != nil || len(decs) != 2 {
@@ -367,7 +398,7 @@ func TestSourceValidation(t *testing.T) {
 		f, _ := emptyFederation(t, []string{"fairshare"}, fed.LocalOnly{}, 3)
 		broken := errors.New("disk on fire")
 		src := &failingSource{sliceSource: sliceSource{jobs: []fed.SourceJob{good}}, err: broken}
-		if _, err := f.SubmitThrough(src, 50); !errors.Is(err, broken) {
+		if _, err := submitThrough(f, src, 50); !errors.Is(err, broken) {
 			t.Fatalf("source failure not surfaced: %v", err)
 		}
 		if got := f.Submitted(); got != 1 {
@@ -377,7 +408,7 @@ func TestSourceValidation(t *testing.T) {
 }
 
 // TestStreamingWithExplicitSubmits: Submit stays usable between
-// SubmitThrough calls (a serving tier interleaves API submissions with
+// submitThrough calls (a serving tier interleaves API submissions with
 // a replay feed); the merged run conserves jobs and is deterministic.
 func TestStreamingWithExplicitSubmits(t *testing.T) {
 	run := func() []byte {
@@ -402,7 +433,7 @@ func TestStreamingWithExplicitSubmits(t *testing.T) {
 		return fingerprint(t, f)
 	}
 	if !bytes.Equal(run(), run()) {
-		t.Fatal("interleaved Submit + SubmitThrough runs diverged")
+		t.Fatal("interleaved Submit + submitThrough runs diverged")
 	}
 }
 
@@ -493,7 +524,7 @@ func TestSWFSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		src.SetSlack(4)
-		if done, err := f.SubmitThrough(src, 100); err != nil || !done {
+		if done, err := submitThrough(f, src, 100); err != nil || !done {
 			t.Fatalf("archive not drained: done=%v err=%v", done, err)
 		}
 		if _, err := f.Step(100); err != nil {
@@ -582,12 +613,12 @@ func TestSWFSourceDisorderBeyondSlack(t *testing.T) {
 	}
 }
 
-// FuzzFedStreamStep interleaves Step, StepToNextEvent, Submit and
-// SubmitThrough in any order — including stepping past releases the
-// source has yet to yield, whose Submit is then refused — over a
-// migrating federation, and asserts the two invariants everything else
-// rests on: job conservation, and determinism — the same op sequence
-// replays to identical bytes. After every op each member's queued jobs,
+// FuzzFedStreamStep interleaves Step, StepToNextEvent, Submit and a
+// scenario stream fed through submitThrough, in any order — including
+// stepping past releases the stream has yet to yield, whose Submit is
+// then refused — over a migrating federation, and asserts the two
+// invariants everything else rests on: job conservation, and
+// determinism — the same op sequence replays to identical bytes. After every op each member's queued jobs,
 // which a migration pass scans, are the ones it was fed that neither
 // started nor migrated away (CheckQueued).
 func FuzzFedStreamStep(f *testing.F) {
@@ -595,7 +626,7 @@ func FuzzFedStreamStep(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 9, 0, 7, 1}, int64(3))
 	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1}, int64(7))
 	f.Add([]byte{}, int64(5))
-	f.Add([]byte{203, 201, 251, 249, 3, 0, 103, 101, 2, 255, 253}, int64(11)) // SubmitThrough(t) then Step(t)
+	f.Add([]byte{203, 201, 251, 249, 3, 0, 103, 101, 2, 255, 253}, int64(11)) // submitThrough(t) then Step(t)
 	f.Fuzz(func(t *testing.T, ops []byte, seed int64) {
 		if len(ops) > 48 {
 			ops = ops[:48]
@@ -619,7 +650,7 @@ func FuzzFedStreamStep(f *testing.F) {
 			// clock has already passed is refused and dropped, like any
 			// late Submit; nothing else may fail.
 			through := func(t0 model.Time) (done bool) {
-				done, err := fd.SubmitThrough(src, t0)
+				done, err := submitThrough(fd, src, t0)
 				if err != nil && !strings.Contains(err.Error(), "before federation time") {
 					t.Fatal(err)
 				}

@@ -21,22 +21,19 @@ func (s FedScenario) OrgNames() []string {
 	return names
 }
 
-// FedSource streams a FedScenario as a model.JobSource: each user is an
+// FedSource streams a FedScenario job by job: each user is an
 // independent lazy burst process on its own decorrelated substream
 // (stats.NewStreamRand), and a release-keyed min-heap merges the user
 // processes into one globally nondecreasing job stream. Memory is
-// O(Users), independent of horizon and therefore of trace length — the
-// property that lets a federated replay feed a multi-million-job
-// scenario one step at a time (fed.Federation.SubmitThrough).
+// O(Users), independent of horizon and therefore of trace length.
 //
-// The stream is deterministic and replayable: two sources built from
-// the same (scenario, horizon, seed) yield identical streams, which is
-// what lets a restored run skip a fresh source past the jobs it had
-// already accepted. It is a workload of the scenario's family — same burst
-// structure, size distribution, diurnal thinning, cluster/org homing
-// distributions — but not byte-identical to Generate's output: the
-// batch generator draws every user from one shared rng in trace order,
-// which is exactly the coupling a lazy per-user merge cannot replay.
+// The stream is deterministic: two sources built from the same
+// (scenario, horizon, seed) yield identical streams. It is a workload
+// of the scenario's family — same burst structure, size distribution,
+// diurnal thinning, cluster/org homing distributions — but not
+// byte-identical to Generate's output: the batch generator draws every
+// user from one shared rng in trace order, which is exactly the
+// coupling a lazy per-user merge cannot replay.
 type FedSource struct {
 	sc      FedScenario
 	horizon model.Time
@@ -91,9 +88,9 @@ func (s FedScenario) Source(horizon model.Time, seed int64) (*FedSource, error) 
 	return src, nil
 }
 
-// Next implements model.JobSource: pop the earliest staged job, restage
-// its user, and re-insert. Ties break on user index, a fixed key, so
-// the merge order is deterministic.
+// Next yields the next job, or ok=false at the end of the stream: pop
+// the earliest staged job, restage its user, and re-insert. Ties break
+// on user index, a fixed key, so the merge order is deterministic.
 func (s *FedSource) Next() (model.SourceJob, bool, error) {
 	if len(s.h) == 0 {
 		return model.SourceJob{}, false, nil

@@ -25,7 +25,7 @@ func drainFedSource(t *testing.T, s *FedSource) []model.SourceJob {
 
 // TestFedSourceReplayable: the streaming scenario source is a pure
 // function of (scenario, horizon, seed) — two drains are identical —
-// and honors the JobSource contract: nondecreasing releases inside the
+// and yields a valid stream: nondecreasing releases inside the
 // horizon, valid (cluster, org, size) coordinates.
 func TestFedSourceReplayable(t *testing.T) {
 	sc := DefaultFedScenario()

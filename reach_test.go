@@ -1,11 +1,13 @@
 // Reachability of shipped code: every top-level identifier declared in
 // a non-test file under internal/ must be reached from some program —
-// a main package under cmd/, examples/ or bench/ — through non-test
-// code. A function only tests call is an oracle, and an oracle lives in
-// the _test.go file of the package whose tests use it. A method counts
-// as reached when reached code names it, or when its type is reached
-// and an interface reached code uses requires it: a method no program
-// calls, directly or through an interface, is an oracle too.
+// a main package under cmd/ or examples/ — through non-test code, or
+// be listed in benchOnly when only the benchmark's main (bench/)
+// reaches it. A function only tests call is an oracle, and an oracle
+// lives in the _test.go file of the package whose tests use it. A
+// method counts as reached when reached code names it, or when its
+// type is reached and an interface reached code uses requires it: a
+// method no program calls, directly or through an interface, is an
+// oracle too.
 package repro_test
 
 import (
@@ -19,6 +21,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -32,9 +35,61 @@ import (
 // that stay in shipped code although no program reaches them: each is
 // an extra root, with the reason.
 var reachAllowlist = map[string]string{
-	"repro/internal/shapley.Exact":                "the float subset formula (Equation 1): core's tests hold REF's exact φ to it, an oracle computed apart from the Contrib engine",
-	"repro/internal/model.Instance.Restrict":      "the sub-instance a coalition schedules alone, the paper's v(C): core's tests hold REF's embedded subcoalition schedules to an independent run on it, and model's to its definition",
-	"repro/internal/fed.Federation.SubmitThrough": "streaming ingestion: a driver alternates it with Step to replay a job source in one step's memory (the SWF and scenario sources implement its JobSource); its tests and fuzzer hold it to eager submission, and no shipped program replays a stream yet",
+	"repro/internal/shapley.Exact":           "the float subset formula (Equation 1): core's tests hold REF's exact φ to it, an oracle computed apart from the Contrib engine",
+	"repro/internal/model.Instance.Restrict": "the sub-instance a coalition schedules alone, the paper's v(C): core's tests hold REF's embedded subcoalition schedules to an independent run on it, and model's to its definition",
+}
+
+// benchOnly names, with the reason, every identifier that only the
+// benchmark's main (bench/) reaches: code no cmd/ or examples/ program
+// runs, kept because the benchmark drives or times it. The check fails
+// on a bench-only identifier missing here, and on an entry a cmd/ or
+// examples/ program reaches, so the list is exactly that debt.
+var benchOnly = map[string]string{
+	"repro/internal/core.Ref.Game":               "the shapley.refresh_phi_us.k8 and shapley.sample_us.k8.n15 kernels hand REF's game to shapley.Contrib and SampleAt directly; programs read φ through the stepper",
+	"repro/internal/ctrl.DirectProvider":         "the ctrl.plane kernel's zero-staleness provider; federations observe through CachedSnapshotProvider, which equals it at max age 0",
+	"repro/internal/ctrl.DirectProvider.MaxAge":  "part of ctrl.DirectProvider, the ctrl.plane kernel's provider",
+	"repro/internal/ctrl.DirectProvider.Observe": "part of ctrl.DirectProvider, the ctrl.plane kernel's provider",
+	"repro/internal/daemon.DirStore.Dir":         "the trace's timed store sizes each saved envelope file in the store's directory (daemon.store.save_bytes)",
+	"repro/internal/daemon.LoadConfig":           "configures RunLoad, the in-process burst behind daemon.pipeline.burst_p99_ms",
+	"repro/internal/daemon.LoadReport":           "what RunLoad reports",
+	"repro/internal/daemon.RunLoad":              "the in-process 10k-session burst behind daemon.pipeline.burst_p99_ms; no command runs it",
+	"repro/internal/daemon.loadClients":          "a RunLoad default",
+	"repro/internal/daemon.loadJobs":             "a RunLoad default",
+	"repro/internal/daemon.loadSessionConfig":    "the session RunLoad creates",
+	"repro/internal/daemon.loadStepSize":         "a RunLoad default",
+	"repro/internal/daemon.loadSteps":            "a RunLoad default",
+	"repro/internal/daemon.Pipeline.Stats":       "the pipeline counters behind daemon.pipeline.coalesced_ratio and wakeups_per_adv",
+	"repro/internal/daemon.PipelineStats":        "what Pipeline.Stats returns",
+	"repro/internal/daemon.Session.Submit":       "the trace's in-process session target submits through it; fairschedd's handler calls the unexported submit it wraps",
+	"repro/internal/engine.Engine.Seed":          "the trace mirrors a federation's member engines, rebuilt from their seeds",
+	"repro/internal/engine.Engine.SetAdmission":  "inert (accepts only nil): bench/replay.go configures its engines through it",
+	"repro/internal/exp.AlgorithmByName":         "forwards to core.AlgorithmByName: bench/replay.go builds its algorithms through it",
+	"repro/internal/fed.DefaultSWFSlack":         "the SWF source's reorder buffer, timed by fed.swfsource.pull_ns_per_job",
+	"repro/internal/fed.NewSWFSource":            "opens the SWF source that fed.swfsource.pull_ns_per_job times; no command replays an archive into a federation",
+	"repro/internal/fed.SWFSource":               "the SWF archive stream fed.swfsource.pull_ns_per_job times",
+	"repro/internal/fed.SWFSource.Next":          "the pull fed.swfsource.pull_ns_per_job times",
+	"repro/internal/fed.SWFSource.readOne":       "part of SWFSource.Next",
+	"repro/internal/fed.SWFSource.userHash":      "part of SWFSource.Next",
+	"repro/internal/fed.swfHeap":                 "SWFSource's reorder buffer",
+	"repro/internal/fed.swfHeap.Len":             "SWFSource's reorder buffer, through container/heap",
+	"repro/internal/fed.swfHeap.Less":            "SWFSource's reorder buffer, through container/heap",
+	"repro/internal/fed.swfHeap.Pop":             "SWFSource's reorder buffer, through container/heap",
+	"repro/internal/fed.swfHeap.Push":            "SWFSource's reorder buffer, through container/heap",
+	"repro/internal/fed.swfHeap.Swap":            "SWFSource's reorder buffer, through container/heap",
+	"repro/internal/fed.swfItem":                 "an entry of SWFSource's reorder buffer",
+	"repro/internal/gen.FedScenario.Source":      "opens the scenario stream gen.fedsource.next_ns_per_job times; programs generate scenarios eagerly",
+	"repro/internal/gen.FedSource":               "the scenario stream gen.fedsource.next_ns_per_job times",
+	"repro/internal/gen.FedSource.Next":          "the pull gen.fedsource.next_ns_per_job times",
+	"repro/internal/gen.FedSource.advance":       "part of FedSource.Next",
+	"repro/internal/gen.fedUser":                 "one user process of FedSource",
+	"repro/internal/gen.fedUserHeap":             "FedSource's merge heap",
+	"repro/internal/gen.fedUserHeap.Len":         "FedSource's merge heap, through container/heap",
+	"repro/internal/gen.fedUserHeap.Less":        "FedSource's merge heap, through container/heap",
+	"repro/internal/gen.fedUserHeap.Pop":         "FedSource's merge heap, through container/heap",
+	"repro/internal/gen.fedUserHeap.Push":        "FedSource's merge heap, through container/heap",
+	"repro/internal/gen.fedUserHeap.Swap":        "FedSource's merge heap, through container/heap",
+	"repro/internal/gen.fedUserRef":              "an entry of FedSource's merge heap",
+	"repro/internal/sim.Cluster.Inject":          "timed by sim.cluster.inject_ns; programs inject through a schedule set's Queues.Inject",
 }
 
 // listedPackage is the part of `go list -json` the check reads.
@@ -87,7 +142,7 @@ func TestShippedCodeIsReachable(t *testing.T) {
 	})
 
 	decls := map[types.Object]declared{}
-	var roots, shipped []types.Object
+	var roots, benchRoots, shipped []types.Object
 	// Interfaces a value of a reached type may be called through: the
 	// standard library's (its code calls String, Error, MarshalJSON,
 	// ServeHTTP and the like on values handed to it), and the module's
@@ -136,6 +191,8 @@ func TestShippedCodeIsReachable(t *testing.T) {
 					obj := info.Defs[d.Name]
 					decls[obj] = declared{d, info}
 					switch {
+					case p.ImportPath == "repro/bench" && (d.Name.Name == "init" || d.Name.Name == "main") && d.Recv == nil:
+						benchRoots = append(benchRoots, obj)
 					case d.Name.Name == "init" && d.Recv == nil, p.Name == "main" && d.Name.Name == "main":
 						roots = append(roots, obj)
 					case internal:
@@ -244,11 +301,28 @@ func TestShippedCodeIsReachable(t *testing.T) {
 		}
 	}
 	reachInterfaces()
+	programs := maps.Clone(reached)
+	for _, r := range benchRoots {
+		reach(r)
+	}
+	reachInterfaces()
+	for name, reason := range benchOnly {
+		switch obj := byName[name]; {
+		case obj == nil || reason == "":
+			t.Errorf("bench-only entry %s: no such identifier, or no reason given", name)
+		case programs[obj]:
+			t.Errorf("bench-only entry %s is reached by a cmd/ or examples/ program; drop it", name)
+		}
+	}
 
 	var orphans []string
 	for _, obj := range shipped {
-		if !reached[obj] {
+		switch {
+		case !reached[obj]:
 			orphans = append(orphans, fmt.Sprintf("%s: %s is reached by no program",
+				fset.Position(obj.Pos()), qualified(obj)))
+		case !programs[obj] && benchOnly[qualified(obj)] == "":
+			orphans = append(orphans, fmt.Sprintf("%s: %s is reached only by bench/; list it in benchOnly with the reason",
 				fset.Position(obj.Pos()), qualified(obj)))
 		}
 	}
