@@ -203,8 +203,8 @@ func FuzzStepperModes(f *testing.F) {
 					// slot in free flow, which started it then.
 					s := setOf(runs[0])
 					var inFlow model.Coalition
-					for _, c := range s.slots {
-						if flowing(c) {
+					for i, c := range s.slots {
+						if hasBit(s.flow, i) {
 							inFlow |= c.Coalition()
 						}
 					}

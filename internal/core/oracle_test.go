@@ -1,8 +1,6 @@
 package core
 
 import (
-	"reflect"
-
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -22,19 +20,21 @@ type oracle struct{ *schedSet }
 // its slots leave free flow and its queues drop the release-start
 // ledger. From then on only the oracle may step s.
 func newOracle(s *schedSet) oracle {
-	for _, c := range s.slots {
-		if flowing(c) {
-			c.Materialize()
-		}
-	}
+	materialize(s)
 	s.ledger = s.q.KeepReleaseStarts(false)
 	return oracle{s}
 }
 
-// flowing reports whether a slot is in free flow. No program asks a
-// cluster that, so the tests read its unexported state, as
-// TestHypotheticalStateIsFlat reads its lists.
-func flowing(c *sim.Cluster) bool { return reflect.ValueOf(c).Elem().FieldByName("flow").Bool() }
+// materialize takes every slot of s out of free flow, so each reads its
+// own accounts.
+func materialize(s *schedSet) {
+	for i, c := range s.slots {
+		if hasBit(s.flow, i) {
+			c.Materialize()
+		}
+	}
+	clear(s.flow)
+}
 
 // oracleOf builds alg's stepper on in and hands it to an oracle.
 func oracleOf(alg StepperAlgorithm, in *model.Instance, seed int64) oracle {

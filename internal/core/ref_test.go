@@ -12,13 +12,13 @@ import (
 	"repro/internal/sim"
 )
 
-// ValueOf returns coalition mask's value at the cluster's current time.
-// The empty coalition has value 0.
+// ValueOf returns coalition mask's value at the set's instant, as the
+// plug reads it. The empty coalition has value 0.
 func (r *Ref) ValueOf(mask model.Coalition) int64 {
 	if mask.Empty() {
 		return 0
 	}
-	return r.Cluster(mask).Value()
+	return r.valueAt(r.slotOf[mask], r.now)
 }
 
 func randCoreInstance(r *rand.Rand, k int, unit bool) *model.Instance {
@@ -142,6 +142,7 @@ func TestRefSubcoalitionSelfSimilar(t *testing.T) {
 	horizon := in.Horizon() + 1
 	ref := NewRef(in, RefOptions{})
 	ref.Run(horizon)
+	materialize(ref.set()) // every slot then holds its own accounts
 	for mask := model.Coalition(1); mask < model.Grand(3); mask++ {
 		sub := NewRef(in.Restrict(mask), RefOptions{})
 		subRes := sub.Run(horizon)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -36,14 +35,15 @@ import (
 // dispatches only those, and stores their new keys. A dormant slot's
 // completions decide nothing, so they wait in it until the next touch
 // or value read (valueAt), which folds them; an instant with nothing
-// else to do is never stepped to. Every slot's value is read from its
-// own accounts (sim.Cluster.ValueAt). The instant is a scan of adjacent
-// keys; an ordered structure would pay a re-sift per touched slot
-// instead. The touched set is found by organization, not by slot: the
-// set keeps its slots' states as bitsets, and one bitset per
-// organization of the slots holding it, so a step reads only the slots
-// with a key and those holding a releasing organization (DESIGN.md
-// §2.3).
+// else to do is never stepped to. A slot's value is read from its own
+// accounts (sim.Cluster.ValueAt), or, in free flow, which only the set
+// tracks, with the ledger's (sim.Cluster.FlowValueAt). The instant is a
+// scan of adjacent keys; an ordered structure would pay a re-sift per
+// touched slot instead. The touched set is found by organization, not
+// by slot: the set keeps its slots' states as bitsets, and one bitset
+// per organization of the slots holding it, so a step reads only the
+// slots with a key and those holding a releasing organization
+// (DESIGN.md §2.3).
 //
 // Where every machine runs at one speed and an organization belongs to
 // two or more hypothetical schedules, a hypothetical schedule with
@@ -102,7 +102,7 @@ type schedSet struct {
 
 	q     *sim.Queues    // every slot's job queues
 	slots []*sim.Cluster // dispatch order; the last is the decision schedule
-	ckpt  []int          // checkpoint position -> slot; slot order unless the plug sets it
+	ckpt  []int          // checkpoint position -> slot, set by the plug; nil is slot order
 	src   *stats.Source  // the decision schedule's RNG stream; nil when it has none
 	// ask: every start asks the policy, uncontested or not. A policy
 	// plug's policy may keep state per Select (RoundRobin's rotation);
@@ -145,7 +145,6 @@ func newSchedSet(name string, seed int64, inst *model.Instance, p plug, q *sim.Q
 		plug:  p,
 		q:     q,
 		slots: slots,
-		ckpt:  identity(len(slots)),
 	}
 	_, s.ask = p.(policyPlug)
 	// Only the decision schedule's starts are ever read.
@@ -156,23 +155,12 @@ func newSchedSet(name string, seed int64, inst *model.Instance, p plug, q *sim.Q
 	return s
 }
 
-// identity returns the slot list 0..n-1, the checkpoint order of a set
-// whose plug sets none. Every set of a given size holds the same list,
-// so one immutable, append-only table serves them all (prefixes handed
-// out earlier stay valid when it grows) and building a set — the daemon
-// builds one per session — does not pay an allocation for it.
-func identity(n int) []int {
-	identityTable.Lock()
-	defer identityTable.Unlock()
-	for len(identityTable.s) < n {
-		identityTable.s = append(identityTable.s, len(identityTable.s))
+// slotAt returns the slot at checkpoint position pos.
+func (s *schedSet) slotAt(pos int) int {
+	if s.ckpt == nil {
+		return pos
 	}
-	return identityTable.s[:n:n]
-}
-
-var identityTable struct {
-	sync.Mutex
-	s []int
+	return s.ckpt[pos]
 }
 
 // set exposes the core through the algorithm types that embed it.
@@ -277,7 +265,7 @@ func (s *schedSet) rekey(slot int, waiting bool) {
 // in between, where its accounts are exact.
 //
 // A dormant slot whose fold leaves it qualified goes back to free flow;
-// a slot in free flow reads the ledger (sim.Cluster.ValueAt).
+// a slot in free flow reads the ledger (sim.Cluster.FlowValueAt).
 func (s *schedSet) valueAt(slot int, t model.Time) int64 {
 	c := s.slots[slot]
 	if t <= s.now && c.NextCompletion() <= t {
@@ -285,6 +273,9 @@ func (s *schedSet) valueAt(slot int, t model.Time) int64 {
 		if s.ledger && hasBit(s.open, slot) {
 			s.reflow(slot)
 		}
+	}
+	if hasBit(s.flow, slot) {
+		return c.FlowValueAt(t)
 	}
 	return c.ValueAt(t)
 }
@@ -482,7 +473,7 @@ func (s *schedSet) Capture(now model.Time) (*Checkpoint, error) {
 		Clusters:  make([]sim.ClusterState, len(s.slots)),
 	}
 	for pos := range cp.Clusters {
-		cp.Clusters[pos] = s.slots[s.ckpt[pos]].CaptureState()
+		cp.Clusters[pos] = s.slots[s.slotAt(pos)].CaptureState()
 	}
 	if s.src != nil {
 		cp.RNG = []uint64{s.src.State()}
@@ -510,7 +501,7 @@ func (s *schedSet) restore(cp *Checkpoint) error {
 	last := len(s.slots) - 1
 	for _, decision := range []bool{true, false} {
 		for pos, st := range cp.Clusters {
-			slot := s.ckpt[pos]
+			slot := s.slotAt(pos)
 			if (slot == last) != decision {
 				continue
 			}

@@ -20,7 +20,7 @@ type gateEnvelope struct {
 	Admission   *ctrl.PolicySpec `json:"admission"`
 	Ctrl        json.RawMessage  `json:"ctrl"`
 	View        *ctrl.View       `json:"view"`
-	Core        json.RawMessage  `json:"core"`
+	Core        *core.Checkpoint `json:"core"`
 }
 
 // upgradeGateEnvelope converts a gate envelope into the checkpoint of
@@ -44,7 +44,7 @@ func upgradeGateEnvelope(data []byte, alg core.StepperAlgorithm, seed int64) ([]
 	if env.GateVersion != 1 || env.Admission == nil || json.Unmarshal(env.Ctrl, &plane) != nil || plane.Stats == nil {
 		return nil, fmt.Errorf("daemon: restore: not a version-1 gate envelope with an admission spec and control-plane state")
 	}
-	eng, err := engine.Restore(alg, env.Core)
+	eng, err := engine.Resume(alg, env.Core)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: restore: gate envelope core: %w", err)
 	}

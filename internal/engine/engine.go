@@ -186,38 +186,42 @@ func (e *Engine) Queued(dst []int) []int { return e.s.Queued(dst) }
 // current engine clock.
 func (e *Engine) Result() *core.Result { return e.s.ResultAt(e.now) }
 
+// Capture returns the run's complete deterministic state, which
+// Snapshot serializes and Resume resumes.
+func (e *Engine) Capture() (*core.Checkpoint, error) { return e.s.Capture(e.now) }
+
 // Snapshot serializes the run's complete deterministic state as JSON.
 // Restoring it — in this process or another — resumes the run
 // byte-identically: same future decisions, same ψ and φ.
 func (e *Engine) Snapshot() ([]byte, error) {
-	cp, err := e.s.Capture(e.now)
+	cp, err := e.Capture()
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(cp)
 }
 
-// Restore rebuilds the engine that wrote a Snapshot. The algorithm
-// configuration must match the capturing one (checkpoints carry only
-// dynamic state). It refuses the envelope a gated engine once wrapped
-// around its checkpoint: that run restores as a one-member federation.
+// Restore rebuilds the engine that wrote a Snapshot (Resume).
 func Restore(alg core.StepperAlgorithm, data []byte) (*Engine, error) {
-	var doc struct {
-		core.Checkpoint
-		GateVersion int             `json:"gate_version"`
-		GateCore    json.RawMessage `json:"core"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
+	var cp core.Checkpoint
+	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
 	}
-	if doc.GateVersion != 0 || doc.GateCore != nil {
-		return nil, errors.New("engine: restore: an admission gate envelope; a gated run restores as a one-member federation")
-	}
-	cp := &doc.Checkpoint
-	if cp.Version < 1 || cp.Version > core.CheckpointVersion {
+	return Resume(alg, &cp)
+}
+
+// Resume rebuilds the engine that captured cp, which it takes over. The
+// algorithm configuration must match the capturing one (checkpoints
+// carry only dynamic state). It refuses a document with no version, as
+// the envelope a gated engine once wrapped around its checkpoint is:
+// that run restores as a one-member federation.
+func Resume(alg core.StepperAlgorithm, cp *core.Checkpoint) (*Engine, error) {
+	switch {
+	case cp == nil || cp.Version == 0:
+		return nil, errors.New("engine: restore: no checkpoint version: not an engine checkpoint (a gated run's admission gate envelope restores as a one-member federation)")
+	case cp.Version < 1 || cp.Version > core.CheckpointVersion:
 		return nil, fmt.Errorf("engine: restore: checkpoint version %d, want 1 to %d", cp.Version, core.CheckpointVersion)
-	}
-	if cp.Algorithm != alg.Name() {
+	case cp.Algorithm != alg.Name():
 		return nil, fmt.Errorf("engine: restore: checkpoint for %q, engine configured as %q", cp.Algorithm, alg.Name())
 	}
 	s, err := alg.RestoreStepper(cp)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/engine"
 	"repro/internal/model"
@@ -84,13 +85,13 @@ type Checkpoint struct {
 
 // MemberCheckpoint is one member cluster's state: identity, the
 // local-ID→sequence and local-ID→origin mappings (−1 = migrated-away
-// tombstone), and the engine snapshot — the one record of the member's
-// organizations and machine pool.
+// tombstone), and the engine's checkpoint, decoded with the document —
+// the one record of the member's organizations and machine pool.
 type MemberCheckpoint struct {
-	Name     string          `json:"name"`
-	SeqOf    []int64         `json:"seq_of,omitempty"`
-	OriginOf []int           `json:"origin_of,omitempty"`
-	Engine   json.RawMessage `json:"engine"`
+	Name     string           `json:"name"`
+	SeqOf    []int64          `json:"seq_of,omitempty"`
+	OriginOf []int            `json:"origin_of,omitempty"`
+	Engine   *core.Checkpoint `json:"engine"`
 }
 
 // Snapshot serializes the federation's complete deterministic state as
@@ -127,7 +128,7 @@ func (f *Federation) Snapshot() ([]byte, error) {
 		cp.Ctrl = st
 	}
 	for i, m := range f.members {
-		snap, err := m.eng.Snapshot()
+		snap, err := m.eng.Capture()
 		if err != nil {
 			return nil, fmt.Errorf("fed: snapshot cluster %d (%s): %w", i, m.name, err)
 		}
@@ -216,7 +217,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		if spec.Alg == nil {
 			return nil, fmt.Errorf("fed: restore: cluster %d (%s) has no algorithm", i, spec.Name)
 		}
-		eng, err := engine.Restore(spec.Alg, mc.Engine)
+		eng, err := engine.Resume(spec.Alg, mc.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("fed: restore cluster %d (%s): %w", i, spec.Name, err)
 		}

@@ -41,33 +41,40 @@ func cutFederation(t testing.TB, policy fed.Policy, s int64) *fed.Federation {
 	return f
 }
 
-// cutSamples is how many of a seed's 199 cuts restore and run on to 400.
-const cutSamples = 8
+// A seed of the cut battery is cut at every instant for one policy in
+// eight (fullSeed) and at cutSamples instants for the others; the first
+// longSamples of those also run on to 400 (sampleCuts).
+const cutSamples, longSamples = 16, 8
 
-// longCuts is seed s's sample of cuts whose restored run goes on to 400:
-// cutSamples of the instants 1..199, drawn from rand.NewSource(-s), so
-// the seed alone fixes the sample, before any federation runs.
-func longCuts(s int64) map[model.Time]bool {
+// fullSeed is the seed policy i of cutPolicies cuts at every instant:
+// the twelve policies spread over all eight seeds.
+func fullSeed(i int) int64 { return int64(1 + i%8) }
+
+// sampleCuts is seed s's first n cuts in sample order: n of the instants
+// 1..199, drawn from rand.NewSource(-s), so the seed alone fixes the
+// sample, before any federation runs.
+func sampleCuts(s int64, n int) map[model.Time]bool {
 	cuts := map[model.Time]bool{}
-	for _, i := range rand.New(rand.NewSource(-s)).Perm(199)[:cutSamples] {
+	for _, i := range rand.New(rand.NewSource(-s)).Perm(199)[:n] {
 		cuts[model.Time(i+1)] = true
 	}
 	return cuts
 }
 
-// TestRestoreAtEveryInstant cuts each policy's federation at every
-// instant 1..199 — inside gossip periods and on their edges, with values
-// moving every tick — and restores the checkpoint. One instant on, the
-// restored federation's decision log, ledger, every member's ψ
-// (fingerprint) and checkpoint must equal the cut run's, byte for byte;
-// at longCuts, restored again and run to 400, they must equal the
-// uninterrupted run's. The cut run is stepped one instant at a time, so
-// its log must also come out as the uninterrupted run's however the
+// TestRestoreAtEveryInstant cuts each policy's federation at instants
+// 1..199 — inside gossip periods and on their edges, with values moving
+// every tick — and restores the checkpoint: at every instant in the
+// policy's fullSeed, at a fixed sample of instants in the other seven.
+// One instant on, the restored federation's decision log, ledger, every
+// member's ψ (fingerprint) and checkpoint must equal the cut run's, byte
+// for byte; at the sample's long cuts, run on to 400, they must equal
+// the uninterrupted run's. The cut run is stepped one instant at a time,
+// so its log must also come out as the uninterrupted run's however the
 // Steps are chunked. (A restored federation used to route on the
 // exchange instant where the live one read the members' clock, one tick
 // earlier, and the log's order followed the Steps' chunks.)
 func TestRestoreAtEveryInstant(t *testing.T) {
-	for _, name := range cutPolicies {
+	for i, name := range cutPolicies {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			policy, err := fed.PolicyByName(name)
@@ -79,34 +86,37 @@ func TestRestoreAtEveryInstant(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			restore := func(s int64, at model.Time, snap []byte) *fed.Federation {
-				f, err := fed.Restore(cutOrgs, cutSpecs(), policy, snap)
-				if err != nil {
-					t.Fatalf("seed %d, cut %d: %v", s, at, err)
-				}
-				return f
-			}
 			for s := int64(1); s <= 8; s++ {
-				long := longCuts(s)
+				cuts, long := sampleCuts(s, cutSamples), sampleCuts(s, longSamples)
 				straight := cutFederation(t, policy, s)
 				step(straight, 400)
 				want, wantSnap := fingerprint(t, straight), snapshot(t, straight)
 				cut := cutFederation(t, policy, s)
 				step(cut, 1)
-				snap := snapshot(t, cut)
+				var snap []byte // the cut run's checkpoint at `at`, once taken
 				var failed []string
 				for at := model.Time(1); at < 200; at++ {
-					restored := restore(s, at, snap)
+					if s != fullSeed(i) && !cuts[at] {
+						step(cut, at+1)
+						snap = nil
+						continue
+					}
+					if snap == nil {
+						snap = snapshot(t, cut)
+					}
+					restored, err := fed.Restore(cutOrgs, cutSpecs(), policy, snap)
+					if err != nil {
+						t.Fatalf("seed %d, cut %d: %v", s, at, err)
+					}
 					step(restored, at+1)
 					step(cut, at+1)
-					same := bytes.Equal(fingerprint(t, restored), fingerprint(t, cut))
-					if long[at] {
-						again := restore(s, at, snap)
-						step(again, 400)
-						same = same && bytes.Equal(fingerprint(t, again), want) && bytes.Equal(snapshot(t, again), wantSnap)
-					}
 					snap = snapshot(t, cut)
-					if !same || !bytes.Equal(snapshot(t, restored), snap) {
+					same := bytes.Equal(fingerprint(t, restored), fingerprint(t, cut)) && bytes.Equal(snapshot(t, restored), snap)
+					if long[at] {
+						step(restored, 400)
+						same = same && bytes.Equal(fingerprint(t, restored), want) && bytes.Equal(snapshot(t, restored), wantSnap)
+					}
+					if !same {
 						failed = append(failed, fmt.Sprint(at))
 					}
 				}
@@ -115,7 +125,7 @@ func TestRestoreAtEveryInstant(t *testing.T) {
 					t.Errorf("seed %d: stepped one instant at a time, the run logs another fingerprint", s)
 				}
 				if len(failed) > 0 {
-					t.Errorf("seed %d: restored at %d of 199 cuts (the first at %s), the run diverges from the cut run one instant on, or at 400 from the uninterrupted one", s, len(failed), failed[0])
+					t.Errorf("seed %d: restored at %d of its cuts (the first at %s), the run diverges from the cut run one instant on, or at 400 from the uninterrupted one", s, len(failed), failed[0])
 				}
 			}
 		})

@@ -238,7 +238,7 @@ func TestCurrentVersionsHaveFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range doc.Members {
-			members = members || version(t, m.Engine) == core.CheckpointVersion
+			members = members || m.Engine != nil && m.Engine.Version == core.CheckpointVersion
 		}
 	}
 	if !members {

@@ -94,9 +94,9 @@ type Cluster struct {
 	// holds no running entry, free machine or cursor of its own — its
 	// members' release-start jobs are all its work and it has started
 	// every released job — and its accounts hold only the finished-work
-	// offset to the ledger's.
-	flow    bool
-	scratch ValuePoly // acct's, in free flow
+	// offset to the ledger's. Its reads (ValueAt, Psi, Waiting, the View)
+	// then answer for the offset alone: its driver reads FlowValueAt.
+	flow bool
 }
 
 // New builds a cluster for the given coalition of the instance, driven
@@ -184,9 +184,6 @@ func (c *Cluster) NextCompletion() model.Time {
 // MaxTime: the next completion for a driver that leaves those up to t
 // unprocessed until it next reads the cluster. It mutates nothing.
 func (c *Cluster) NextCompletionAfter(t model.Time) model.Time {
-	if c.flow {
-		return c.q.StartsCompletionAfter(c.coal, t)
-	}
 	if next := c.NextCompletion(); next > t {
 		return next
 	}
@@ -298,9 +295,6 @@ func (c *Cluster) Waiting() (jobs int, orgs model.Coalition) { return c.WaitingA
 // WaitingAmong is Waiting counted over the members in among only, for a
 // driver that knows no other member has a job waiting.
 func (c *Cluster) WaitingAmong(among model.Coalition) (jobs int, orgs model.Coalition) {
-	if c.flow {
-		return 0, 0
-	}
 	for m := uint32(c.coal & among); m != 0; m &= m - 1 {
 		u := bits.TrailingZeros32(m)
 		if w := c.base[u] + len(c.lists[u]) - c.cursor[u]; w > 0 {
@@ -509,47 +503,22 @@ func (p *ValuePoly) sub(d *ValuePoly) {
 
 // ValueAt returns the coalition value at any t from Now up to, not
 // including, NextEventTime — what the value will be if nothing happens
-// before t. In free flow it is the offset plus the members' ledger
-// accounts, whose completions up to t it folds first.
-func (c *Cluster) ValueAt(t model.Time) int64 {
-	if c.flow {
-		return c.flowValueAt(t)
-	}
-	return c.total.At(t)
-}
+// before t.
+func (c *Cluster) ValueAt(t model.Time) int64 { return c.total.At(t) }
 
-// flowValueAt is ValueAt in free flow: the offset's value plus the
-// members' ledger values, a subset sum (releaseStarts.valueOf). The
-// offset's running terms cancel, so its At numerator is 0, and the sum
-// of the values is the value of the sum.
-func (c *Cluster) flowValueAt(t model.Time) int64 {
+// FlowValueAt is ValueAt of a cluster in free flow: the offset's value
+// plus the members' ledger values, a subset sum (releaseStarts.valueOf),
+// after folding the ledger's completions up to t. The offset's running
+// terms cancel, so its At numerator is 0, and the sum of the values is
+// the value of the sum.
+func (c *Cluster) FlowValueAt(t model.Time) int64 {
 	f := c.q.starts
 	f.fold(c.inst.Jobs, t)
 	return c.total.At(t) + f.valueOf(c.coal, t)
 }
 
-// acct returns org's ψsp account. In free flow it is the offset plus a
-// member's ledger account, folded to the clock, written to a scratch
-// the next call overwrites.
-func (c *Cluster) acct(org int) *ValuePoly {
-	if !c.flow {
-		return &c.orgAcct[org]
-	}
-	return c.flowAcct(org)
-}
-
-func (c *Cluster) flowAcct(org int) *ValuePoly {
-	c.scratch = c.orgAcct[org]
-	if c.coal.Has(org) {
-		f := c.q.starts
-		f.fold(c.inst.Jobs, c.now)
-		c.scratch.add(&f.acct[org])
-	}
-	return &c.scratch
-}
-
 // Psi returns organization org's ψsp at the current time.
-func (c *Cluster) Psi(org int) int64 { return c.acct(org).At(c.now) }
+func (c *Cluster) Psi(org int) int64 { return c.orgAcct[org].At(c.now) }
 
 // PsiVector returns every organization's ψsp at the current time.
 func (c *Cluster) PsiVector() []int64 {

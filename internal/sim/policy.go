@@ -49,7 +49,8 @@ type StatefulPolicy interface {
 }
 
 // View is the read-only window a Policy gets onto a Cluster. All queries
-// are evaluated at the cluster's current time.
+// are evaluated at the cluster's current time. A policy reads it while
+// its cluster dispatches, which a cluster in free flow never does.
 type View struct{ c *Cluster }
 
 // Orgs returns the number of organizations in the instance (including
@@ -61,12 +62,7 @@ func (v *View) Orgs() int { return len(v.c.inst.Orgs) }
 func (v *View) Coalition() model.Coalition { return v.c.coal }
 
 // Waiting returns the number of released, not yet started jobs of org.
-func (v *View) Waiting(org int) int {
-	if v.c.flow {
-		return 0
-	}
-	return v.c.waiting(org)
-}
+func (v *View) Waiting(org int) int { return v.c.waiting(org) }
 
 // Head returns the ID and release time of org's next job in FIFO order.
 // The job's size is deliberately not exposed (non-clairvoyance).
@@ -84,7 +80,7 @@ func (v *View) Psi(org int) int64 { return v.c.Psi(org) }
 
 // Usage returns the number of unit slots executed so far by org's jobs —
 // the consumed-CPU-time notion of usage that fair-share policies meter.
-func (v *View) Usage(org int) int64 { return v.c.acct(org).Units(v.c.now) }
+func (v *View) Usage(org int) int64 { return v.c.orgAcct[org].Units(v.c.now) }
 
 // OwnerPsi returns the ψsp-style value of the unit slots executed on
 // org's machines (by anyone's jobs) — DIRECTCONTR's direct contribution
@@ -98,12 +94,7 @@ func (v *View) OwnerPsi(org int) int64 {
 }
 
 // Running returns how many of org's jobs are currently executing.
-func (v *View) Running(org int) int {
-	if c := v.c; c.flow && c.coal.Has(org) {
-		return c.q.starts.running[org]
-	}
-	return v.c.runningPerOrg[org]
-}
+func (v *View) Running(org int) int { return v.c.runningPerOrg[org] }
 
 // Share returns org's fraction of the coalition's work capacity — the
 // target share used by the fair-share family (0 when the pool is

@@ -103,9 +103,8 @@ func (c *Cluster) CaptureState() ClusterState {
 		}
 	}
 	if c.noStarts {
-		running := c.running
+		running, f := c.running, c.q.starts
 		if c.flow {
-			f := c.q.starts
 			f.fold(c.inst.Jobs, c.now)
 			st.Now = f.now
 			running = nil
@@ -130,11 +129,17 @@ func (c *Cluster) CaptureState() ClusterState {
 		for _, r := range running {
 			st.Running = append(st.Running, RunEntryState{Job: int(r.Job), Machine: int(r.Machine), Start: r.Start})
 		}
+		// In free flow nothing waits, and a member's account is the offset
+		// plus its ledger account.
 		for _, u := range c.coal.Members() {
-			st.OrgAcct = append(st.OrgAcct, c.acct(u).Account)
-			if st.QueueState == nil {
-				st.Waiting = append(st.Waiting, c.view.Waiting(u))
+			a, waiting := c.orgAcct[u].Account, 0
+			if c.flow {
+				a.Add(f.acct[u].Account)
+			} else {
+				waiting = c.waiting(u)
 			}
+			st.OrgAcct = append(st.OrgAcct, a)
+			st.Waiting = append(st.Waiting, waiting)
 		}
 		if c.q.speed > 0 {
 			c.q.compact(&st)
