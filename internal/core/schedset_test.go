@@ -47,10 +47,14 @@ func diffFamilies(samples int) []StepperAlgorithm {
 // setOf returns the schedule set under a stepper.
 func setOf(st Stepper) *schedSet { return st.(interface{ set() *schedSet }).set() }
 
-// ledgerRunning returns how many of u's jobs the release-start ledger of
-// q runs, as of its last fold.
-func ledgerRunning(q *sim.Queues, u int) int {
-	return int(reflect.ValueOf(q).Elem().FieldByName("starts").Elem().FieldByName("running").Index(u).Int())
+// ledgerRunning sets running[u] to how many of u's jobs the
+// release-start ledger of q runs, as of its last fold, for every
+// organization u.
+func ledgerRunning(q *sim.Queues, running []int) {
+	counts := reflect.ValueOf(q).Elem().FieldByName("starts").Elem().FieldByName("running")
+	for u := range running {
+		running[u] = int(counts.Index(u).Int())
+	}
 }
 
 // flowing reports whether a slot is in free flow. No program asks a
@@ -402,8 +406,12 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, roun
 	s.rekeyAll()
 	l := loop(s)
 	// counts returns how many jobs slot i has started and completed, with
-	// the queues released up to t.
+	// the queues released up to t. Only a step or FinishAt moves the
+	// ledger, and every read at one instant falls between the same two
+	// of those, so its running counts are read once per instant, as the
+	// released counts are.
 	released, releasedBy := make([]int, len(releases)), model.Time(-1) // per organization, its jobs released by releasedBy (none by −1)
+	ledger, ledgerBy := make([]int, len(releases)), model.Time(-1)     // per organization, its jobs the ledger runs at ledgerBy (unread by −1)
 	counts := func(i int, t model.Time) (started, completed int) {
 		if t != releasedBy {
 			for u, rs := range releases {
@@ -419,8 +427,12 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, roun
 			case hasBit(s.flow, i):
 				// In free flow every released job has started, and the
 				// members' ledger jobs are what runs.
+				if t != ledgerBy {
+					ledgerRunning(s.q, ledger)
+					ledgerBy = t
+				}
 				started += released[u]
-				running += ledgerRunning(s.q, u)
+				running += ledger[u]
 			default:
 				started += released[u] - v.Waiting(u)
 				running += v.Running(u)
@@ -522,6 +534,7 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, roun
 		}
 	}
 	l.FinishAt(horizon)
+	ledgerBy = -1
 	for i := range s.slots {
 		_, done := counts(i, horizon)
 		w.completed += done

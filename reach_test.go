@@ -7,24 +7,15 @@
 // method counts as reached when reached code names it, or when its
 // type is reached and an interface reached code uses requires it: a
 // method no program calls, directly or through an interface, is an
-// oracle too.
+// oracle too. So is every declaration of a package only tests import:
+// no program reaches it.
 package repro_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"io"
 	"maps"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -92,16 +83,6 @@ var benchOnly = map[string]string{
 	"repro/internal/sim.Cluster.Inject":          "timed by sim.cluster.inject_ns; programs inject through a schedule set's Queues.Inject",
 }
 
-// listedPackage is the part of `go list -json` the check reads.
-type listedPackage struct {
-	ImportPath string
-	Name       string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	Standard   bool
-}
-
 // declared is one package-level declaration: the syntax whose
 // identifiers a reached object reaches, and the package that resolves
 // them.
@@ -111,35 +92,9 @@ type declared struct {
 }
 
 func TestShippedCodeIsReachable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the reachability check spawns the go tool; skipped in -short")
-	}
 	start := time.Now()
-	pkgs := listModule(t)
-
-	// Standard packages come from the compiler's export data; the
-	// module's are type-checked from source, each once, in dependency
-	// order, so that every use resolves to the object it denotes.
-	fset := token.NewFileSet()
-	exports := map[string]string{}
-	for _, p := range pkgs {
-		if p.Standard {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if f, ok := exports[path]; ok && f != "" {
-			return os.Open(f)
-		}
-		return nil, fmt.Errorf("no export data for %q", path)
-	})
-	checked := map[string]*types.Package{}
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := checked[path]; ok {
-			return p, nil
-		}
-		return std.Import(path)
-	})
+	m := loadModule(t)
+	pkgs, fset, std := m.pkgs, m.fset, m.std
 
 	decls := map[types.Object]declared{}
 	var roots, benchRoots, shipped []types.Object
@@ -168,23 +123,10 @@ func TestShippedCodeIsReachable(t *testing.T) {
 		if p.Standard {
 			continue
 		}
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
-		}
-		checked[p.ImportPath] = pkg
+		info := m.info[p.ImportPath]
 		internal := strings.HasPrefix(p.ImportPath, "repro/internal/")
 
-		for _, f := range files {
+		for _, f := range m.files[p.ImportPath] {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -334,32 +276,6 @@ func TestShippedCodeIsReachable(t *testing.T) {
 		len(pkgs), len(shipped), time.Since(start).Round(time.Millisecond))
 }
 
-// listModule lists every package of the module and its dependencies in
-// dependency order, with the export data of the standard ones.
-func listModule(t *testing.T) []listedPackage {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,GoFiles,Export,Standard", "./...")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, stderr.String())
-	}
-	var pkgs []listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs
-}
-
 // qualified names obj as the allowlist does: path.Name, or
 // path.Type.Method for a method.
 func qualified(obj types.Object) string {
@@ -373,7 +289,3 @@ func qualified(obj types.Object) string {
 	}
 	return obj.Pkg().Path() + "." + name
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
