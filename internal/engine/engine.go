@@ -168,10 +168,11 @@ func (e *Engine) StepToNextEvent() ([]sim.Start, bool, error) {
 func (e *Engine) Decisions() []sim.Start { return e.s.Starts() }
 
 // Waiting returns the number of fed jobs not yet started — the queue
-// backlog load signal peers see (under the feed-at-release discipline
-// of internal/fed every fed job is already released, so this is exactly
-// the waiting-queue length). Withdrawn jobs will never start and do not
-// count.
+// backlog load signal peers see. internal/fed steps a member on demand,
+// so it may feed one a job before its release; but it reads Waiting
+// only where the member stands past every release it was fed, so there
+// this is exactly the waiting-queue length. Withdrawn jobs will never
+// start and do not count.
 func (e *Engine) Waiting() int {
 	return len(e.s.Instance().Jobs) - len(e.s.Starts()) - e.s.Withdrawn()
 }

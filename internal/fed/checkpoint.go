@@ -314,8 +314,8 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		}
 	}
 	// The decision log is the members' logs, interleaved in the recorded
-	// order: by instant, then member, since version 7; as advanceMembers
-	// folded them before.
+	// order: by instant, then member, since version 7; in the order the
+	// members were stepped before.
 	if cp.Version == 4 {
 		cp.Order = nil
 		for _, d := range cp.Decs {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -34,7 +35,7 @@ func (s *SWFSource) SetSlack(n int) {
 func (s *SWFSource) Skipped() int { return s.r.Skipped() }
 
 // CountCaptures makes every exchange capture add one to *captures and
-// the members' queued jobs — what a migration pass on that exchange
+// the members' queued jobs — the most a migration pass on that exchange
 // scans — to *queued. Call it before SetAdmission: a plane keeps the
 // provider it was built with.
 func (f *Federation) CountCaptures(captures, queued *int) {
@@ -44,6 +45,38 @@ func (f *Federation) CountCaptures(captures, queued *int) {
 		*queued += v.Load.Waiting
 		return v
 	}, f.provider.MaxAge())
+}
+
+// CountMemberWork wraps alg so that a member engine built on it adds
+// one to *steps each time the federation steps it (Engine.Step) and one
+// to *snapshots per queue a migration pass reads (Engine.Queued).
+func CountMemberWork(alg core.StepperAlgorithm, steps, snapshots *int) core.StepperAlgorithm {
+	return countingAlg{alg, steps, snapshots}
+}
+
+type countingAlg struct {
+	core.StepperAlgorithm
+	steps, snapshots *int
+}
+
+func (a countingAlg) NewStepper(inst *model.Instance, seed int64) core.Stepper {
+	return countingStepper{a.StepperAlgorithm.NewStepper(inst, seed), a.steps, a.snapshots}
+}
+
+// countingStepper counts FinishAt, which every engine Step calls once.
+type countingStepper struct {
+	core.Stepper
+	steps, snapshots *int
+}
+
+func (s countingStepper) FinishAt(t model.Time) {
+	*s.steps++
+	s.Stepper.FinishAt(t)
+}
+
+func (s countingStepper) Queued(dst []int) []int {
+	*s.snapshots++
+	return s.Stepper.Queued(dst)
 }
 
 // CheckQueued holds every member's Engine.Queued to the brute-force set

@@ -23,11 +23,13 @@
 // per-round budget of them to strictly better members (engine-level
 // queue withdrawal + re-feed, re-pointed in the ledger).
 //
-// All member engines advance in lockstep: Federation.Step(until) moves
-// every cluster through the same sequence of release instants, so a
-// federated run is a pure function of (member configurations, policy,
-// seed, submission sequence) — byte-identical across reruns and across
-// Snapshot/Restore (see TestFederationDeterminism).
+// Member engines are stepped on demand: to t−1 by a capture of the
+// exchange at instant t, and to until at the end of Step(until). A
+// member may stand before the release of a job it is fed; the engine's
+// streaming guarantee makes that the lockstep run. So a federated
+// run is a pure function of (member configurations, policy, seed,
+// submission sequence) — byte-identical across reruns, Step chunkings
+// (TestChunkedStepping) and Snapshot/Restore (TestFederationDeterminism).
 //
 // Submit and SubmitJobs, its batch form, are the only ways a job enters.
 //
@@ -97,21 +99,22 @@ type Member struct {
 	// its configuration once (New, Restore) and shared by every summary
 	// of it.
 	orgCapacity []int64
-	// queued is a migration pass's scratch: the member's queued jobs,
-	// snapshot before anything moves.
+	// queued is a migration pass's scratch: the member's queued jobs.
+	// held is how many jobs the member had been fed when the pass began.
 	queued []int
+	held   int
 }
 
 // Name returns the member's configured name.
 func (m *Member) Name() string { return m.name }
 
 // Engine returns the member's scheduling engine. Callers must not feed
-// or step it directly — the federation drives all members in lockstep.
+// or step it directly — the federation steps its members itself.
 func (m *Member) Engine() *engine.Engine { return m.eng }
 
-// Federation drives N member clusters in lockstep under one delegation
-// policy. Like engines, federations are single-goroutine objects: the
-// caller (the daemon's session lock, a test) serializes access.
+// Federation drives N member clusters under one delegation policy.
+// Like engines, federations are single-goroutine objects: the caller
+// (the daemon's session lock, a test) serializes access.
 type Federation struct {
 	orgs     []string
 	members  []*Member
@@ -149,6 +152,8 @@ type Federation struct {
 	// sink is the federation's data-plane half — the one place jobs are
 	// routed and fed to members, with or without a plane in front of it.
 	sink fedSink
+	// stepErr is the first error stepping a member inside a capture.
+	stepErr error
 }
 
 // routing is a delegation policy resolved once, by New and Restore: the
@@ -186,9 +191,12 @@ type exchange struct {
 }
 
 // captureExchange is the federation's ctrl.CaptureFunc: a fresh
-// observation of every member at instant t. The routed-work matrix is
-// copied only for ledger-aware policies — everyone else never reads it.
-func (f *Federation) captureExchange(model.Time) ctrl.View {
+// observation of every member at instant t, stepped to t−1 first (an
+// error sticks until Refreshed, which fires next, returns it). The
+// routed-work matrix is copied only for ledger-aware policies —
+// everyone else never reads it.
+func (f *Federation) captureExchange(t model.Time) ctrl.View {
+	f.stepErr = cmp.Or(f.stepErr, f.stepMembers(t-1))
 	ex := &exchange{Sums: f.summaries()}
 	if f.routing.ledger != nil {
 		ex.Routed = f.routedWorkCopy()
@@ -341,7 +349,9 @@ func (f *Federation) AdmissionStats() *metrics.AdmissionStats {
 }
 
 // Now returns the federation clock: the instant of the last Step, at
-// which every member stands.
+// which every member stands. It reads member 0: members stand apart
+// only inside a Step, between a capture and the Step's end, where
+// nothing calls Now.
 func (f *Federation) Now() model.Time { return f.members[0].eng.Now() }
 
 // PendingCount returns the number of accepted-but-unreleased jobs.
@@ -467,20 +477,21 @@ func (f *Federation) NextEventTime() model.Time {
 	return next
 }
 
-// Step advances the federation to exactly `until`. Members move in
-// lockstep through every decision instant at or before `until` — each
-// pending release instant and, with a control plane installed, each
-// pending control event (a deferred admission retrying). Control
-// precedes data within an instant: the members advance only through
-// t−1, the instant's releases are delivered (routed, or admitted and
-// routed) on a view of that state, and the members then process t once,
-// jobs that were waiting and jobs that just reached them together — the
-// order a single cluster sees when every job is fed before its release.
-// It returns the federated scheduling decisions made since the previous
-// Step (or since Restore), ordered by instant, then member, each
-// member's in its own order: members are advanced window by window, and
-// a window ends at each delivery instant and at until, so the order they
-// were folded in would depend on how a caller chunks its Steps.
+// Step advances the federation to exactly `until`, delivering every
+// decision instant at or before it — each pending release instant and,
+// with a control plane installed, each pending control event (a
+// deferred admission retrying). Control precedes data within an
+// instant: the instant's releases are delivered (routed, or admitted
+// and routed) on a view of the members through t−1, and the members
+// process t later, jobs that were waiting and jobs that just reached
+// them together — the order a single cluster sees when every job is fed
+// before its release. Members are stepped on demand: to t−1 when a
+// capture at t reads them, and to until at the end. It returns the
+// federated scheduling decisions made since the previous Step (or since
+// Restore), ordered by instant, then member, each member's in its own
+// order: members are stepped window by window, so the order they were
+// folded in would depend on when captures fell and how a caller chunks
+// its Steps.
 //
 // The returned slice aliases the federation's decision log — the same
 // read-only contract engine.Step documents: it is valid until the next
@@ -492,16 +503,7 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 		return nil, fmt.Errorf("fed: step to %d before federation time %d", until, f.Now())
 	}
 	f.sortPending()
-	for {
-		t := f.nextInstant()
-		// Through t−1, or to until once nothing is due by then; never
-		// back before the instant the members stand at.
-		if err := f.advanceMembers(max(min(t-1, until), f.Now())); err != nil {
-			return nil, err
-		}
-		if t > until {
-			break
-		}
+	for t := f.nextInstant(); t <= until; t = f.nextInstant() {
 		n := 0
 		for n < len(f.pending) && f.pending[n].Release == t {
 			n++
@@ -510,6 +512,9 @@ func (f *Federation) Step(until model.Time) ([]Decision, error) {
 			return nil, err
 		}
 		f.pending = append(f.pending[:0], f.pending[n:]...)
+	}
+	if err := f.stepMembers(until); err != nil {
+		return nil, err
 	}
 	fresh := f.decs[f.reported:]
 	slices.SortStableFunc(fresh, func(a, b Decision) int { return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Cluster, b.Cluster)) })
@@ -599,6 +604,9 @@ func (s *fedSink) feed(target int, job ctrl.Job, t model.Time) error {
 // trigger — queued jobs are re-scored on the newly gossiped view before
 // any of the instant's releases route on it.
 func (s *fedSink) Refreshed(t model.Time, view ctrl.View) error {
+	if err := s.f.stepErr; err != nil {
+		return err
+	}
 	return s.f.redelegate(t, view.Payload.(*exchange))
 }
 
@@ -616,12 +624,12 @@ func (s *fedSink) Route(job ctrl.Job, t model.Time, view ctrl.View) error {
 	return nil
 }
 
-// advanceMembers steps every member engine to t — the federation clock
-// lands there with them — and folds their fresh starts into the
-// federated decision log in configuration order.
-func (f *Federation) advanceMembers(t model.Time) error {
+// stepMembers steps every member engine to t, or leaves one standing
+// where it already is, and folds their fresh starts into the federated
+// decision log in configuration order.
+func (f *Federation) stepMembers(t model.Time) error {
 	for c, m := range f.members {
-		starts, err := m.eng.Step(t)
+		starts, err := m.eng.Step(max(t, m.eng.Now()))
 		if err != nil {
 			return fmt.Errorf("fed: advance cluster %d (%s): %w", c, m.name, err)
 		}
@@ -656,16 +664,35 @@ func (f *Federation) redelegate(t model.Time, ex *exchange) error {
 	if budget <= 0 || len(f.members) <= 1 {
 		return nil
 	}
-	// Snapshot the queues before moving anything: a job migrated this
-	// round must not be re-scored at its new home within the same round.
+	// A job migrated this round must not be re-scored at its new home
+	// within the same round, so a member's queue is scanned only up to
+	// the jobs it held when the pass began; it is read when its turn
+	// comes. A Scorer routes a queued job by its holder's score alone,
+	// so the queue of a member that keeps its jobs is not read at all.
 	for _, m := range f.members {
-		m.queued = m.eng.Queued(m.queued[:0])
+		m.held = len(m.seqOf)
 	}
 	moved := 0
 	for c, m := range f.members {
+		if moved >= budget {
+			return nil
+		}
+		if m.eng.Waiting() == 0 {
+			continue
+		}
+		if f.routing.scorer != nil {
+			target, err := f.sink.target(0, c, ex) // any organization: the holder alone decides
+			if err != nil {
+				return err
+			}
+			if target == c {
+				continue
+			}
+		}
+		m.queued = m.eng.Queued(m.queued[:0])
 		for _, id := range m.queued {
-			if moved >= budget {
-				return nil
+			if moved >= budget || id >= m.held { // IDs ascend, and a job migrated here has a new one
+				break
 			}
 			job := m.eng.Instance().Jobs[id]
 			target, err := f.sink.target(job.Org, c, ex)
@@ -704,10 +731,10 @@ func (f *Federation) routedWorkCopy() [][]int64 {
 	return out
 }
 
-// summaries exports every member's Summary at the current lockstep
-// instant. Engines stand exactly at the routing instant, so the
-// exchanged ψ/φ vectors are the values a real federation peer would
-// have just gossiped.
+// summaries exports every member's Summary where it stands. A capture
+// steps every member to the instant before the routing one first, so
+// the exchanged ψ/φ vectors are the values a real federation peer
+// would have just gossiped.
 func (f *Federation) summaries() []Summary {
 	sums := make([]Summary, len(f.members))
 	for i, m := range f.members {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fed"
 	"repro/internal/model"
 )
@@ -99,6 +100,45 @@ func TestMigrationMovesQueuedJobs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// ring routes every job to the member after its origin. In a migration
+// pass a queued job's holder plays the origin, so every queued job
+// wants to move on, wherever it is held.
+type ring struct{}
+
+func (ring) Name() string { return "ring" }
+
+func (ring) Route(_, origin int, sums []fed.Summary) int { return (origin + 1) % len(sums) }
+
+// TestMigrationMovesAJobOncePerPass: a job migrated in a pass is not
+// re-scored at its new home in the same pass, although that member's
+// queue is read after the move and the policy would pass the job on.
+func TestMigrationMovesAJobOncePerPass(t *testing.T) {
+	specs := make([]fed.ClusterSpec, 3)
+	for c := range specs {
+		specs[c] = fed.ClusterSpec{Name: fmt.Sprintf("m%d", c), Alg: core.RefAlgorithm{}, Machines: []int{1}}
+	}
+	f, err := fed.New([]string{"a"}, specs, fed.Migrating{Inner: ring{}, Budget: 100}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, release := range []model.Time{0, 0, 0, 0, 0, 0, 1} {
+		if _, err := f.Submit(0, 0, 10, release); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	// At 0 the six jobs went to member 1, which started one; at 1 each of
+	// the five it holds queued moves once, to member 2.
+	if l := f.Ledger(); l.Migrations != 5 || l.Migrated[1][2] != 5 {
+		t.Fatalf("%d migrations, %v by member: want the five queued jobs moved once, from member 1 to 2", l.Migrations, l.Migrated)
 	}
 }
 

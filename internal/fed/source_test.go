@@ -100,10 +100,8 @@ func (sc streamCase) build(t testing.TB) (*fed.Federation, []string, []fed.Clust
 	return f, w.Orgs, scenarioSpecs(w, algs)
 }
 
-// streamSteps are the instants every chunked run steps through: the
-// decision log records starts in discovery order (one advanceMembers
-// burst per stepped instant, member-major), so two runs compare as
-// bytes only when they share the stepping sequence.
+// streamSteps are the instants every chunked run steps through, so
+// that the runs a test compares as bytes share one stepping sequence.
 func streamSteps(horizon model.Time, n int) []model.Time {
 	steps := make([]model.Time, n)
 	for i := range steps {
@@ -616,11 +614,16 @@ func TestSWFSourceDisorderBeyondSlack(t *testing.T) {
 // FuzzFedStreamStep interleaves Step, StepToNextEvent, Submit and a
 // scenario stream fed through submitThrough, in any order — including
 // stepping past releases the stream has yet to yield, whose Submit is
-// then refused — over a migrating federation, and asserts the two
+// then refused — over a migrating federation, and asserts the
 // invariants everything else rests on: job conservation, and
-// determinism — the same op sequence replays to identical bytes. After every op each member's queued jobs,
-// which a migration pass scans, are the ones it was fed that neither
-// started nor migrated away (CheckQueued).
+// determinism. The same ops run twice, the second time with every Step
+// and StepToNextEvent split into one-instant Steps, and Snapshot bytes
+// must agree after every op: members are stepped only where they are
+// read, so how a caller chunks its Steps must not show. The seed picks
+// the staleness (0, 7 or 25) and the policy (fairness-migrate or
+// fednbs-migrate). After every op each member's queued jobs, which a
+// migration pass scans, are the ones it was fed that neither started
+// nor migrated away (CheckQueued).
 func FuzzFedStreamStep(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, int64(1))
 	f.Add([]byte{2, 2, 2, 9, 0, 7, 1}, int64(3))
@@ -631,17 +634,25 @@ func FuzzFedStreamStep(f *testing.F) {
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
+		staleness := []model.Time{0, 7, 25}[uint64(seed)%3]
+		policy, err := fed.PolicyByName([]string{"fairness-migrate", "fednbs-migrate"}[uint64(seed)/3%2])
+		if err != nil {
+			t.Fatal(err)
+		}
 		sc := testScenario()
-		run := func() []byte {
+		// run plays ops and returns the Snapshot after each, then the
+		// fingerprint after a drain.
+		run := func(split bool) [][]byte {
 			w, err := sc.Generate(6000, stats.NewRand(seed))
 			if err != nil {
 				t.Skip("scenario rejected seed")
 			}
 			specs := scenarioSpecs(w, []string{"fairshare"})
-			fd, err := fed.New(w.Orgs, specs, fed.Migrating{Inner: fed.FairnessAware{}, Budget: fed.DefaultMigrationBudget}, seed)
+			fd, err := fed.New(w.Orgs, specs, policy, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fd.SetStaleness(staleness)
 			src, err := sc.Source(6000, seed)
 			if err != nil {
 				t.Fatal(err)
@@ -656,16 +667,28 @@ func FuzzFedStreamStep(f *testing.F) {
 				}
 				return done
 			}
+			// step moves the clock to u, in one Step or one instant at a
+			// time.
+			step := func(u model.Time) {
+				from := u
+				if split {
+					from = min(fd.Now()+1, u)
+				}
+				for v := from; v <= u; v++ {
+					if _, err := fd.Step(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var snaps [][]byte
 			for _, b := range ops {
 				switch b % 4 {
 				case 0:
-					if _, _, err := fd.StepToNextEvent(); err != nil {
-						t.Fatal(err)
+					if u := fd.NextEventTime(); u != sim.MaxTime {
+						step(u)
 					}
 				case 1:
-					if _, err := fd.Step(fd.Now() + model.Time(b)); err != nil {
-						t.Fatal(err)
-					}
+					step(fd.Now() + model.Time(b))
 				case 2:
 					org := int(b/3) % len(w.Orgs)
 					cluster := int(b/5) % len(specs)
@@ -679,6 +702,11 @@ func FuzzFedStreamStep(f *testing.F) {
 				if err := fd.CheckQueued(); err != nil {
 					t.Fatal(err)
 				}
+				snap, err := fd.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				snaps = append(snaps, snap)
 			}
 			// Drain everything, including submits released past 6000.
 			for !through(sim.MaxTime) {
@@ -696,10 +724,13 @@ func FuzzFedStreamStep(f *testing.F) {
 			if fd.PendingCount() != 0 {
 				t.Fatalf("%d jobs still pending after the drain", fd.PendingCount())
 			}
-			return fingerprint(t, fd)
+			return append(snaps, fingerprint(t, fd))
 		}
-		if !bytes.Equal(run(), run()) {
-			t.Fatal("identical op sequences diverged")
+		whole, split := run(false), run(true)
+		for i := range whole {
+			if !bytes.Equal(whole[i], split[i]) {
+				t.Fatalf("after op %d of %d, one-instant Steps diverge from whole ones", i, len(ops))
+			}
 		}
 	})
 }

@@ -91,7 +91,13 @@ func gatedStream(rounds int) [][]fed.SourceJob {
 // federation before a plane takes its snapshot provider.
 func gatedFederation(t testing.TB, policy fed.Policy, staleness model.Time, gate bool, stream [][]fed.SourceJob, count func(*fed.Federation)) *fed.Federation {
 	t.Helper()
-	f, err := fed.New(gatedOrgNames(), gatedClusters(), policy, 7)
+	return gatedFederationOf(t, gatedClusters(), policy, staleness, gate, stream, count)
+}
+
+// gatedFederationOf is gatedFederation over the given members.
+func gatedFederationOf(t testing.TB, specs []fed.ClusterSpec, policy fed.Policy, staleness model.Time, gate bool, stream [][]fed.SourceJob, count func(*fed.Federation)) *fed.Federation {
+	t.Helper()
+	f, err := fed.New(gatedOrgNames(), specs, policy, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +156,17 @@ func (p *countingScorer) Scores(sums []fed.Summary, routed [][]int64) []float64 
 // testdata/work.golden (go test ./internal/fed -run TestFedWork -update
 // rewrites it), counted from outside the federation: exchanges captured,
 // score evaluations (Scores calls), per-job policy calls, jobs routed,
-// the queued jobs migration passes scan, migrations, and allocations
-// per round, mid-stream. FedNBS scores an exchange at most once and
-// routes no job by a policy call. The second line is the same session
-// at ten times the age: a migration pass scans what its members hold
-// queued, so the jobs it scans per exchange follow the backlog, which
-// grows by less than half as the saturated members fill up, and a round
-// allocates no more than a young one.
+// the queued jobs migration passes may scan, migrations, the member
+// engine Steps, the member queues migration passes read, and
+// allocations per round, mid-stream. FedNBS scores an exchange at most
+// once and routes no job by a policy call. Members are stepped only at
+// a capture and at a Step's end: one Step per member at each, not one
+// per decision instant. A pass reads a member's queue only when FedNBS
+// would move its jobs and the budget is not spent. The second line is
+// the same session at ten times the age: a migration pass scans what
+// its members hold queued, so the jobs it may scan per exchange follow
+// the backlog, which grows by less than half as the saturated members
+// fill up, and a round allocates no more than a young one.
 func TestFedWork(t *testing.T) {
 	young, old := fedWork(t, 32), fedWork(t, 320)
 	if old.perExchange > 1.5*young.perExchange {
@@ -202,8 +212,12 @@ func fedWork(t *testing.T, rounds int) work {
 	const runs = 16
 	stream := gatedStream(rounds + runs)
 	policy := &countingScorer{}
-	var exchanges, queued int
-	f := gatedFederation(t, fed.Migrating{Inner: policy, Budget: fed.DefaultMigrationBudget}, gatedStaleness, true, stream, func(f *fed.Federation) { f.CountCaptures(&exchanges, &queued) })
+	var exchanges, queued, steps, snapshots int
+	specs := gatedClusters()
+	for c := range specs {
+		specs[c].Alg = fed.CountMemberWork(specs[c].Alg, &steps, &snapshots)
+	}
+	f := gatedFederationOf(t, specs, fed.Migrating{Inner: policy, Budget: fed.DefaultMigrationBudget}, gatedStaleness, true, stream, func(f *fed.Federation) { f.CountCaptures(&exchanges, &queued) })
 	for r := 0; r < rounds; r++ {
 		gatedRound(t, f, stream, r)
 	}
@@ -213,6 +227,9 @@ func fedWork(t *testing.T, rounds int) work {
 	routed := f.AdmissionStats().TotalAdmitted()
 	if policy.scores > exchanges {
 		t.Errorf("%d score evaluations on %d exchanges: an exchange was scored twice", policy.scores, exchanges)
+	}
+	if want := gatedMembers * (exchanges + rounds); steps != want {
+		t.Errorf("%d member engine Steps, want %d: one per member at each of %d captures and %d Step ends", steps, want, exchanges, rounds)
 	}
 	if policy.perJob != 0 {
 		t.Errorf("%d per-job policy calls: a Scorer's jobs route on its exchange's scores", policy.perJob)
@@ -236,7 +253,7 @@ func fedWork(t *testing.T, rounds int) work {
 	}
 	return work{
 		rounds: rounds, allocs: allocs, perExchange: float64(queued) / float64(exchanges),
-		line: fmt.Sprintf("fednbs-migrate rounds=%d exchanges=%d score_evaluations=%d per_job_policy_calls=%d routed=%d redelegate_candidates=%d migrations=%d allocs_per_round=%d",
-			rounds, exchanges, policy.scores, policy.perJob, routed, queued, f.Ledger().Migrations, allocs),
+		line: fmt.Sprintf("fednbs-migrate rounds=%d exchanges=%d score_evaluations=%d per_job_policy_calls=%d routed=%d redelegate_candidates=%d migrations=%d member_steps=%d queue_snapshots=%d allocs_per_round=%d",
+			rounds, exchanges, policy.scores, policy.perJob, routed, queued, f.Ledger().Migrations, steps, snapshots, allocs),
 	}
 }

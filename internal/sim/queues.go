@@ -32,6 +32,7 @@ import (
 type Queues struct {
 	inst     *model.Instance
 	pending  []int      // entered, unreleased job IDs by (Release, ID)
+	buf      []int      // the buffer Inject last grew pending into; AdvanceTo moves pending forward through it
 	lists    [][]int    // org -> released job IDs by release
 	base     []int      // org -> absolute position of lists[org][0]
 	trimAt   []int      // org -> list length at which the started prefix is dropped next
@@ -58,6 +59,10 @@ const (
 // a trim costs a pass over the clusters, so it waits for this many
 // releases at least.
 const minTrim = 64
+
+// minPending is the smallest buffer Inject grows the pending list into:
+// a driver that steps on demand lets releases pile up between its steps.
+const minPending = 16
 
 // NewQueues builds the shared queues of a job stream over every
 // organization of the instance, entering the jobs it already holds.
@@ -173,7 +178,7 @@ func (q *Queues) AdvanceTo(t model.Time) model.Coalition {
 		return 0
 	}
 	// Copying the rest down costs no more than the releases did; else the
-	// list moves on, and Inject's next growth reclaims the space.
+	// list moves on, and Inject's next growth reuses the front it left.
 	if rest := q.pending[n:]; len(rest) <= n {
 		q.pending = append(q.pending[:0], rest...)
 	} else {
@@ -258,7 +263,13 @@ func (q *Queues) Inject(ids ...int) error {
 	// Merge from the back: nothing is searched, and a pending job moves
 	// once, by the arrivals after it.
 	n := len(q.pending)
-	q.pending = grow(q.pending, len(batch))
+	if need := n + len(batch); need > cap(q.pending) {
+		if need > cap(q.buf) {
+			q.buf = make([]int, 0, max(2*need, minPending))
+		}
+		q.pending = append(q.buf[:0], q.pending...)
+	}
+	q.pending = q.pending[:n+len(batch)]
 	p, w := q.pending, len(q.pending)-1
 	for b := len(batch) - 1; b >= 0; b-- {
 		for ; n > 0 && releaseLess(jobs, batch[b], p[n-1]); n-- {
