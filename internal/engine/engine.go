@@ -170,9 +170,10 @@ func (e *Engine) Decisions() []sim.Start { return e.s.Starts() }
 // Waiting returns the number of fed jobs not yet started — the queue
 // backlog load signal peers see. internal/fed steps a member on demand,
 // so it may feed one a job before its release; but it reads Waiting
-// only where the member stands past every release it was fed, so there
-// this is exactly the waiting-queue length. Withdrawn jobs will never
-// start and do not count.
+// only right after a capture, before the instant's jobs or migrations
+// reach the member, where it stands at or past every release it was
+// fed, so there this is exactly the waiting-queue length. Withdrawn
+// jobs will never start and do not count.
 func (e *Engine) Waiting() int {
 	return len(e.s.Instance().Jobs) - len(e.s.Starts()) - e.s.Withdrawn()
 }

@@ -99,10 +99,9 @@ type Member struct {
 	// its configuration once (New, Restore) and shared by every summary
 	// of it.
 	orgCapacity []int64
-	// queued is a migration pass's scratch: the member's queued jobs.
-	// held is how many jobs the member had been fed when the pass began.
+	// queued is a migration pass's scratch: the member's queued jobs,
+	// snapshot before anything moves.
 	queued []int
-	held   int
 }
 
 // Name returns the member's configured name.
@@ -664,19 +663,12 @@ func (f *Federation) redelegate(t model.Time, ex *exchange) error {
 	if budget <= 0 || len(f.members) <= 1 {
 		return nil
 	}
-	// A job migrated this round must not be re-scored at its new home
-	// within the same round, so a member's queue is scanned only up to
-	// the jobs it held when the pass began; it is read when its turn
-	// comes. A Scorer routes a queued job by its holder's score alone,
-	// so the queue of a member that keeps its jobs is not read at all.
-	for _, m := range f.members {
-		m.held = len(m.seqOf)
-	}
-	moved := 0
+	// Snapshot the queues before moving anything: a job migrated this
+	// round must not be re-scored at its new home within the same round.
+	// A Scorer routes a queued job by its holder's score alone, so the
+	// queue of a member that keeps its jobs is not read, nor an empty one.
 	for c, m := range f.members {
-		if moved >= budget {
-			return nil
-		}
+		m.queued = m.queued[:0]
 		if m.eng.Waiting() == 0 {
 			continue
 		}
@@ -689,10 +681,13 @@ func (f *Federation) redelegate(t model.Time, ex *exchange) error {
 				continue
 			}
 		}
-		m.queued = m.eng.Queued(m.queued[:0])
+		m.queued = m.eng.Queued(m.queued)
+	}
+	moved := 0
+	for c, m := range f.members {
 		for _, id := range m.queued {
-			if moved >= budget || id >= m.held { // IDs ascend, and a job migrated here has a new one
-				break
+			if moved >= budget {
+				return nil
 			}
 			job := m.eng.Instance().Jobs[id]
 			target, err := f.sink.target(job.Org, c, ex)

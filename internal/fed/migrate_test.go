@@ -113,8 +113,8 @@ func (ring) Name() string { return "ring" }
 func (ring) Route(_, origin int, sums []fed.Summary) int { return (origin + 1) % len(sums) }
 
 // TestMigrationMovesAJobOncePerPass: a job migrated in a pass is not
-// re-scored at its new home in the same pass, although that member's
-// queue is read after the move and the policy would pass the job on.
+// re-scored at its new home in the same pass, although that member
+// comes later in the pass and the policy would pass the job on.
 func TestMigrationMovesAJobOncePerPass(t *testing.T) {
 	specs := make([]fed.ClusterSpec, 3)
 	for c := range specs {

@@ -634,7 +634,7 @@ func FuzzFedStreamStep(f *testing.F) {
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
-		staleness := []model.Time{0, 7, 25}[uint64(seed)%3]
+		staleness := []model.Time{0, 7, 25}[uint64(seed-1)%3]
 		policy, err := fed.PolicyByName([]string{"fairness-migrate", "fednbs-migrate"}[uint64(seed)/3%2])
 		if err != nil {
 			t.Fatal(err)
