@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,7 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/daemon"
+	"repro/internal/model"
 )
 
 // must sends one request, demands the given status and returns the raw
@@ -284,16 +288,32 @@ func TestKillAndRestartUnderPeriodicFlush(t *testing.T) {
 	}
 }
 
-// testdata/ckptdir/default.session.json is the store the parent
-// commit's `fairschedd -alg ref -orgs 3 -machines 6 -checkpoint-dir`
-// left behind (14 jobs, one advance to t=6, SIGTERM) when the flags
-// still built a "default" session. It boots as an ordinary session and
-// continues with the decisions the parent's own reboot made. The φ of
-// the last reply are 5963/6, 5015/6 and 4358/6 correctly rounded; the
-// commit that wrote the envelope summed float marginals and printed
-// each one ulp lower.
+// testdata/ckptdir/default.session.json is the store an early commit's
+// `fairschedd -alg ref -orgs 3 -machines 6 -checkpoint-dir` left behind
+// (14 jobs, one advance to t=6, SIGTERM): a core checkpoint of version
+// 1, a layout restore no longer reads (DESIGN.md §7.1). Booted beside a
+// current envelope of the same shape, it is quarantined as
+// default.session.json.corrupt, named in the boot log with the version
+// restore reads, and the current session boots and serves as the one
+// that wrote it.
 func TestParentDefaultEnvelopeBoots(t *testing.T) {
 	dir := t.TempDir()
+	mgr := daemon.NewManager()
+	cfg := daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "ref", Orgs: 3, Machines: 6, Seed: 1}
+	writer, err := mgr.Create("current", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := model.Time(6)
+	if _, err := writer.Submit([]daemon.JobSubmission{{Org: 0, Size: 3}, {Org: 1, Size: 9}, {Org: 2, Size: 5, Release: &until}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := writer.Advance(&until); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.FlushTo(daemon.NewDirStore(dir), false); err != nil {
+		t.Fatal(err)
+	}
 	env, err := os.ReadFile(filepath.Join("testdata", "ckptdir", "default.session.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -306,24 +326,24 @@ func TestParentDefaultEnvelopeBoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stderr.String(), "restored session(s) default from") {
-		t.Fatalf("boot log: %q", stderr.String())
+	log := stderr.String()
+	if !strings.Contains(log, "quarantined corrupt envelope default: ") || !strings.Contains(log, fmt.Sprintf("checkpoint version 1, want %d", core.CheckpointVersion)) || !strings.Contains(log, "restored session(s) current from") {
+		t.Fatalf("boot log: %q", log)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "default.session.json.corrupt")); err != nil {
+		t.Fatalf("the retired envelope was not set aside: %v", err)
 	}
 	ts := httptest.NewServer(a.srv.Handler())
 	defer ts.Close()
-	for _, step := range []struct{ method, path, body, want string }{
-		{"GET", "/v1/sessions", "",
-			`{"sessions":[{"id":"default","kind":"single","now":6,"jobs":14,"decisions":10}]}`},
-		{"POST", "/v1/sessions/default/jobs", `{"jobs":[{"org":0,"size":3},{"org":1,"size":2},{"org":2,"size":5,"release":9}]}`,
-			`{"ids":[14,15,16],"now":6}`},
-		{"POST", "/v1/sessions/default/advance", `{"until":40}`,
-			`{"decisions":[{"job":6,"org":1,"cluster":0,"machine":0,"at":7},{"job":11,"org":1,"cluster":0,"machine":1,"at":7},{"job":15,"org":1,"cluster":0,"machine":4,"at":7},{"job":10,"org":0,"cluster":0,"machine":5,"at":8},{"job":16,"org":2,"cluster":0,"machine":3,"at":9},{"job":14,"org":0,"cluster":0,"machine":4,"at":9},{"job":13,"org":2,"cluster":0,"machine":0,"at":20}],"now":40}`},
-		{"GET", "/v1/sessions/default/state", "",
-			`{"id":"default","kind":"single","algorithm":"REF","now":40,"jobs":17,"decisions":17,"psi":[981,812,763],"phi":[993.8333333333334,835.8333333333334,726.3333333333334],"value":2556,"utilization":0.3125}`},
-	} {
-		if got := must(t, ts, http.StatusOK, step.method, step.path, step.body); got != step.want+"\n" {
-			t.Fatalf("%s %s:\n%s\nwant the parent's\n%s", step.method, step.path, got, step.want)
-		}
+	if got, want := must(t, ts, http.StatusOK, "GET", "/v1/sessions", ""), `{"sessions":[{"id":"current","kind":"single","now":6,"jobs":3,"decisions":3}]}`+"\n"; got != want {
+		t.Fatalf("sessions after boot:\n%s\nwant\n%s", got, want)
+	}
+	state, err := json.Marshal(writer.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := must(t, ts, http.StatusOK, "GET", "/v1/sessions/current/state", ""); got != string(state)+"\n" {
+		t.Fatalf("the booted session's state:\n%s\nwant the writer's\n%s", got, state)
 	}
 }
 

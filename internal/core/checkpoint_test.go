@@ -15,34 +15,26 @@ import (
 	"repro/internal/utility"
 )
 
-// ckptFamilies maps the committed checkpoints to the algorithm
-// configuration that captured them: testdata/ckpt_parent_<key>.json,
-// version 1, written by the commit before the schedule-set refactor
-// (the last two at e0df78c by the per-instant worker pool —
-// RefOptions{Parallel: true, Workers: 2}, 5 organizations;
-// RandOptions{Workers: 2}, 6 organizations; t = 7, touched sets up to
-// 28 and 47 slots), and for the v2 families testdata/ckpt_v2_<key>.json
-// to ckpt_v7_<key>.json, the same run captured at the same instant by
-// the first version-2 to version-7 writers.
-// decisionFirst marks the families that checkpoint the decision schedule
-// first, not last.
+// ckptFamilies maps the committed checkpoints, testdata/ckpt_v7_<key>.json,
+// to the algorithm configuration that captured them: one run on related
+// machines, stopped with half its jobs started, captured by the first
+// writer of the current layout. decisionFirst marks the families that
+// checkpoint the decision schedule first, not last.
 var ckptFamilies = []struct {
 	key           string
 	alg           StepperAlgorithm
-	v2            bool
 	decisionFirst bool
 }{
-	{"ref", RefAlgorithm{}, true, false},
-	{"rand", RandAlgorithm{Samples: 12}, true, true},
-	{"nbs", NbsAlgorithm{}, true, false},
-	{"roundrobin", FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }), true, true},
-	{"ref_parallel", RefAlgorithm{}, false, false},
-	{"rand_workers", RandAlgorithm{Samples: 20}, false, true},
+	{"ref", RefAlgorithm{}, false},
+	{"rand", RandAlgorithm{Samples: 12}, true},
+	{"nbs", NbsAlgorithm{}, false},
+	{"roundrobin", FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }), true},
 }
 
-func loadCheckpoint(t *testing.T, name string) ([]byte, *Checkpoint) {
+// loadFixture reads the committed checkpoint of a family.
+func loadFixture(t *testing.T, key string) ([]byte, *Checkpoint) {
 	t.Helper()
-	data, err := os.ReadFile("testdata/ckpt_" + name + ".json")
+	data, err := os.ReadFile("testdata/ckpt_v7_" + key + ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +43,6 @@ func loadCheckpoint(t *testing.T, name string) ([]byte, *Checkpoint) {
 		t.Fatal(err)
 	}
 	return bytes.TrimSpace(data), cp
-}
-
-func loadParentCheckpoint(t *testing.T, key string) ([]byte, *Checkpoint) {
-	t.Helper()
-	return loadCheckpoint(t, "parent_"+key)
 }
 
 func captureJSON(t *testing.T, s Stepper, now model.Time) []byte {
@@ -105,64 +92,37 @@ func freshAt(t *testing.T, alg StepperAlgorithm, cp *Checkpoint) (*model.Instanc
 	return inst, fresh
 }
 
-// The committed checkpoints were captured mid-run (half the jobs
-// started), one per stepper family and layout version. Each must
-// restore under the current code, re-capture to what a fresh run
-// stepped to the same instant captures, and run to the horizon with
-// starts, ψ and φ equal to an uninterrupted run. A version-7 file is
-// that fresh capture byte for byte; a version-5 or version-6 one differs
-// in its version only (the run is on related machines, where version 6
-// keeps the machines a hypothetical schedule's entries ran on and
-// version 7 writes none as its release-start schedule), and an older
-// file cannot be (the
-// writer omits five of a version-1 cluster's fields, every job's ID and
-// every start's Org of version 2, a running entry's end and fold mark
-// and the decision schedule's running entries and accounts of version
-// 3, and a hypothetical schedule's queues, pending releases, withdrawn
-// list, machine-owner accounts and non-members' accounts of version 4,
-// where it writes waiting counts).
+// Each committed checkpoint is the capture of a fresh run stepped to its
+// instant, byte for byte; it restores, re-captures to the same bytes and
+// runs to the horizon with starts, ψ and φ equal to an uninterrupted
+// run. Restore reads the current layout alone (DESIGN.md §7.1): the
+// same document under each retired version, 1 to 6, is refused with an
+// error naming the version it reads.
 func TestParentCheckpointsRestore(t *testing.T) {
 	for _, fam := range ckptFamilies {
 		t.Run(fam.key, func(t *testing.T) {
-			_, cp := loadParentCheckpoint(t, fam.key)
-			if cp.Version != 1 {
-				t.Fatalf("the parent fixture is version %d, want 1", cp.Version)
+			raw, cp := loadFixture(t, fam.key)
+			if cp.Version != CheckpointVersion {
+				t.Fatalf("the fixture is version %d, want %d", cp.Version, CheckpointVersion)
 			}
-			restored, err := fam.alg.RestoreStepper(cp)
-			if err != nil {
-				t.Fatal(err)
+			for version := 1; version < CheckpointVersion; version++ {
+				t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+					retired := *cp
+					retired.Version = version
+					_, err := fam.alg.RestoreStepper(&retired)
+					if want := fmt.Sprintf("checkpoint version %d, want %d", version, CheckpointVersion); err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("restore answered %v, want an error mentioning %q", err, want)
+					}
+				})
 			}
-			inst, fresh := freshAt(t, fam.alg, cp)
-			if !bytes.Equal(captureJSON(t, restored, cp.Now), captureJSON(t, fresh, cp.Now)) {
-				t.Errorf("re-capture after restore differs from the capture of a fresh run at t=%d", cp.Now)
-			}
-			assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
-		})
-		if !fam.v2 {
-			continue
-		}
-		for _, version := range []int{2, 3, 4, 5, 6, 7} {
-			t.Run(fmt.Sprintf("%s/v%d", fam.key, version), func(t *testing.T) {
-				raw, cp := loadCheckpoint(t, fmt.Sprintf("v%d_%s", version, fam.key))
-				if _, parent := loadParentCheckpoint(t, fam.key); cp.Version != version || cp.Now != parent.Now || len(cp.Jobs) != len(parent.Jobs) {
-					t.Fatalf("the fixture (version %d, t=%d, %d jobs) is not the parent fixture's run at its instant in version %d", cp.Version, cp.Now, len(cp.Jobs), version)
-				}
-				if old := bytes.Contains(raw, []byte(`"ID":`)) && bytes.Contains(raw, []byte(`"Org":0,"Machine":`)); old != (version == 2) {
-					t.Fatalf("the fixture carries job IDs and start organizations: %v", old)
-				}
-				if old := bytes.Contains(raw, []byte(`"end":`)) && bytes.Contains(raw, []byte(`"acc_from":`)); old != (version < 4) {
-					t.Fatalf("the fixture carries running entries' ends and fold marks: %v", old)
-				}
-				if counts := bytes.Contains(raw, []byte(`"waiting":`)); counts != (version >= 5 && fam.key != "roundrobin") {
-					t.Fatalf("the fixture's hypothetical schedules store waiting counts: %v", counts)
-				}
+			t.Run(fmt.Sprintf("v%d", CheckpointVersion), func(t *testing.T) {
 				restored, err := fam.alg.RestoreStepper(cp)
 				if err != nil {
 					t.Fatal(err)
 				}
 				inst, fresh := freshAt(t, fam.alg, cp)
 				want := captureJSON(t, fresh, cp.Now)
-				if version == CheckpointVersion && !bytes.Equal(want, raw) {
+				if !bytes.Equal(want, raw) {
 					t.Errorf("capture of a fresh run at t=%d differs from the fixture's bytes (%d B, fixture %d B)", cp.Now, len(want), len(raw))
 				}
 				if got := captureJSON(t, restored, cp.Now); !bytes.Equal(got, want) {
@@ -170,28 +130,32 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				}
 				assertResumesLikeFresh(t, fam.key, inst, fresh, restored)
 			})
-		}
+		})
 	}
 }
 
-// A version-1 document's free lists, per-organization running counts,
-// total accounts, flush marks, hypothetical decision logs, job IDs and
-// start organizations are not read, nor a version-4 hypothetical
-// schedule's machine-owner accounts and withdrawn list: each parent
-// fixture, and each version-4 fixture that keeps hypothetical schedules,
-// with all of them overwritten by garbage restores and finishes exactly
-// as the uninterrupted run. (Before the fields stopped being read, a
-// doctored total was restored as the coalition's value and the run
-// diverged.)
+// What a retired layout wrote and the current one derives is not read
+// where a document carries it: every cluster state's free list,
+// per-organization running counts, total account and flush mark, every
+// running entry's end and fold mark, every job's ID and every start's
+// Org (versions 1 to 3), and, in the /v4 rows, a hypothetical
+// schedule's machine-owner accounts (version 4). Each committed
+// checkpoint with all of them overwritten by garbage restores and
+// finishes exactly as the uninterrupted run. (Before the fields stopped
+// being read, a doctored total was restored as the coalition's value
+// and the run diverged.)
 func TestRestoreIgnoresDerivedFields(t *testing.T) {
 	for _, fam := range ckptFamilies {
-		for _, version := range []string{"parent", "v4"} {
-			v4 := version == "v4"
-			if v4 && (!fam.v2 || fam.key == "roundrobin") {
-				continue
+		for _, v4 := range []bool{false, true} {
+			if v4 && fam.key == "roundrobin" {
+				continue // no hypothetical schedule
 			}
-			t.Run(strings.TrimSuffix(fam.key+"/"+version, "/parent"), func(t *testing.T) {
-				raw, clean := loadCheckpoint(t, version+"_"+fam.key)
+			name := fam.key
+			if v4 {
+				name += "/v4"
+			}
+			t.Run(name, func(t *testing.T) {
+				raw, clean := loadFixture(t, fam.key)
 				garbage := map[string]string{
 					"total":           `{"U":3465034,"S":-17}`,
 					"running_per_org": "[9" + strings.Repeat(",9", len(clean.Orgs)-1) + "]",
@@ -199,7 +163,7 @@ func TestRestoreIgnoresDerivedFields(t *testing.T) {
 					"flushed_at":      `123456`,
 				}
 				if v4 {
-					garbage = map[string]string{"own_acct": `[{"U":999,"S":-3},{"U":5,"S":5}]`, "withdrawn": `[0,1,2]`}
+					garbage = map[string]string{"own_acct": `[{"U":999,"S":-3},{"U":5,"S":5}]`}
 				}
 				var doc map[string]json.RawMessage
 				var clusters []map[string]json.RawMessage
@@ -213,28 +177,16 @@ func TestRestoreIgnoresDerivedFields(t *testing.T) {
 				if fam.decisionFirst {
 					decision = 0
 				}
-				for pos, c := range clusters {
-					if v4 && pos == decision {
-						continue
-					}
-					for key, junk := range garbage {
-						if _, ok := c[key]; !ok && key != "withdrawn" {
-							t.Fatalf("cluster %d of the fixture has no %q to overwrite", pos, key)
-						}
-						c[key] = json.RawMessage(junk)
-					}
-					if pos != decision {
-						c["starts"] = json.RawMessage(`[{"Job":999999,"Org":7,"Machine":-1,"At":5},{"Job":0},{"Job":0}]`)
-					}
-				}
-				// A job's ID is its position and a start's Org its job's.
-				garble := func(list json.RawMessage, key, junk string) json.RawMessage {
+				// garble sets key to junk in every row of a list.
+				garble := func(list json.RawMessage, junk map[string]string) json.RawMessage {
 					var rows []map[string]json.RawMessage
-					if err := json.Unmarshal(list, &rows); err != nil || len(rows) == 0 || rows[0][key] == nil {
-						t.Fatalf("the fixture has no %q to overwrite (err %v)", key, err)
+					if err := json.Unmarshal(list, &rows); err != nil {
+						t.Fatal(err)
 					}
 					for _, row := range rows {
-						row[key] = json.RawMessage(junk)
+						for key, v := range junk {
+							row[key] = json.RawMessage(v)
+						}
 					}
 					out, err := json.Marshal(rows)
 					if err != nil {
@@ -242,9 +194,20 @@ func TestRestoreIgnoresDerivedFields(t *testing.T) {
 					}
 					return out
 				}
+				for pos, c := range clusters {
+					if v4 && pos == decision {
+						continue
+					}
+					for key, junk := range garbage {
+						c[key] = json.RawMessage(junk)
+					}
+					if running := c["running"]; !v4 && running != nil {
+						c["running"] = garble(running, map[string]string{"end": "-4", "acc_from": "1"})
+					}
+				}
 				if !v4 {
-					doc["jobs"] = garble(doc["jobs"], "ID", "424242")
-					clusters[decision]["starts"] = garble(clusters[decision]["starts"], "Org", "99")
+					doc["jobs"] = garble(doc["jobs"], map[string]string{"ID": "424242"})
+					clusters[decision]["starts"] = garble(clusters[decision]["starts"], map[string]string{"Org": "99"})
 				}
 				var err error
 				if doc["clusters"], err = json.Marshal(clusters); err != nil {
@@ -294,7 +257,7 @@ func TestRestoreRejectsStrippedCheckpoint(t *testing.T) {
 					alg = fam.alg
 				}
 			}
-			_, cp := loadParentCheckpoint(t, tc.key)
+			_, cp := loadFixture(t, tc.key)
 			stripped := 0
 			if tc.strip != "policy" {
 				stripped += len(cp.RNG)
@@ -324,10 +287,11 @@ func TestRestoreRejectsStrippedCheckpoint(t *testing.T) {
 // members' release-start schedule is written as its coalition, clock and
 // finished-work offset, and restore expands it from the job list. A
 // compact entry is outside input like the rest: restore refuses one that
-// no capture writes — in a version-6 document, on related machines, for
-// the decision schedule, next to running entries or waiting counts, one
-// whose release-start jobs overrun its pool, or one whose offset leaves
-// negative finished work — with an error, never a panic.
+// no capture writes — in a version-6 document (a retired layout), on
+// related machines, for the decision schedule, next to running entries
+// or waiting counts, one whose release-start jobs overrun its pool, or
+// one whose offset leaves negative finished work — with an error, never
+// a panic.
 func TestRestoreRefusesHostileReleaseStartEntries(t *testing.T) {
 	// A, with one machine, releases three long jobs at once and queues
 	// them alone; B's and C's jobs have finished by 5 in every schedule.
@@ -367,19 +331,19 @@ func TestRestoreRefusesHostileReleaseStartEntries(t *testing.T) {
 		name, wantErr string
 		doctor        func(*Checkpoint)
 	}{
-		{"in a version-6 document", "which version 7 introduced", func(cp *Checkpoint) { cp.Version = 6 }},
+		{"in a version-6 document", "checkpoint version 6, want 7", func(cp *Checkpoint) { cp.Version = 6 }},
 		{"on related machines", "more than one speed", func(cp *Checkpoint) { cp.Orgs[2].Speeds = []int{1, 2} }},
 		{"for the decision schedule", "decision schedule", func(cp *Checkpoint) {
 			*entry(cp, grand) = sim.ClusterState{Coalition: grand, Now: now, AtRelease: true}
 		}},
-		{"next to running entries", "carries queues, waiting counts, running entries", func(cp *Checkpoint) {
+		{"next to running entries", "carries waiting counts or running entries", func(cp *Checkpoint) {
 			entry(cp, b).Running = []sim.RunEntryState{{Job: 3, Machine: 0, Start: 0}}
 		}},
-		{"next to waiting counts", "carries queues, waiting counts, running entries", func(cp *Checkpoint) { entry(cp, b).Waiting = []int{1} }},
+		{"next to waiting counts", "carries waiting counts or running entries", func(cp *Checkpoint) { entry(cp, b).Waiting = []int{1} }},
 		{"overrunning its pool", "runs 3 jobs at 5 on 1 machines", func(cp *Checkpoint) {
 			*entry(cp, a) = sim.ClusterState{Coalition: a, Now: now, AtRelease: true}
 		}},
-		{"with negative finished work", "finished work offset leaves", func(cp *Checkpoint) {
+		{"with negative finished work", "finished work {U:-", func(cp *Checkpoint) {
 			entry(cp, b).OrgAcct = []utility.Account{{U: -4, S: 0}}
 		}},
 		{"with an offset per organization", "finished-work offsets for", func(cp *Checkpoint) {
@@ -428,14 +392,14 @@ func legacyState(cp *Checkpoint, st *sim.ClusterState) {
 // Restore rebuilds the shared queues from the decision schedule and
 // holds every hypothetical schedule to them. A waiting count that is
 // negative, missing or past the organization's released jobs is
-// refused, and so is one that queues again a job the schedule runs. An
-// older document restores when its queues and pending list are its
-// window of them, as every run writes it, and re-captures as the
-// current one; one that lost a queued job behind its head, or a pending
-// one, to its withdrawn list is refused, and so is one whose account of
-// a non-member is not empty. (That account was added into the
-// coalition's value: v({A}) read 10 048 instead of 55, and B's and C's
-// φ at t = 400 came out negative.)
+// refused, and so is one that queues again a job the schedule runs. A
+// hypothetical schedule as the retired version-4 layout wrote it — its
+// window of the queues and pending list in place of waiting counts, an
+// account for every organization — is refused whole and in each part,
+// in a document of the current version. (That layout's reader once
+// added a non-member's account into the coalition's value: v({A}) read
+// 10 048 instead of 55, and B's and C's φ at t = 400 came out
+// negative.)
 func TestRestoreHoldsHypotheticalsToTheirWindow(t *testing.T) {
 	orgs := []model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}, {Name: "C", Machines: 1}}
 	var jobs []model.Job
@@ -451,21 +415,16 @@ func TestRestoreHoldsHypotheticalsToTheirWindow(t *testing.T) {
 	}
 	s.FinishAt(10)
 	clean := captureJSON(t, s, 10)
-	restore := func(legacy bool, doctor func(*sim.ClusterState) bool) (Stepper, error) {
+	restore := func(doctor func(*Checkpoint, *sim.ClusterState) bool) (Stepper, error) {
 		t.Helper()
 		var cp Checkpoint
 		if err := json.Unmarshal(clean, &cp); err != nil {
 			t.Fatal(err)
 		}
 		hypothetical := cp.Clusters[:len(cp.Clusters)-1] // the grand coalition's is last
-		for i := range hypothetical {
-			if legacy {
-				legacyState(&cp, &hypothetical[i])
-			}
-		}
 		doctored := false
 		for i := range hypothetical {
-			if doctored = doctor(&hypothetical[i]); doctored {
+			if doctored = doctor(&cp, &hypothetical[i]); doctored {
 				break
 			}
 		}
@@ -474,23 +433,32 @@ func TestRestoreHoldsHypotheticalsToTheirWindow(t *testing.T) {
 		}
 		return RefAlgorithm{}.RestoreStepper(&cp)
 	}
-	for _, legacy := range []bool{false, true} {
-		restored, err := restore(legacy, func(*sim.ClusterState) bool { return true })
-		if err != nil {
-			t.Fatalf("the undoctored checkpoint (legacy %v) is refused: %v", legacy, err)
-		}
-		if got := captureJSON(t, restored, 10); !bytes.Equal(got, clean) {
-			t.Fatalf("the undoctored checkpoint (legacy %v) re-captures\n%s\nwant\n%s", legacy, got, clean)
+	restored, err := restore(func(*Checkpoint, *sim.ClusterState) bool { return true })
+	if err != nil {
+		t.Fatalf("the undoctored checkpoint is refused: %v", err)
+	}
+	if got := captureJSON(t, restored, 10); !bytes.Equal(got, clean) {
+		t.Fatalf("the undoctored checkpoint re-captures\n%s\nwant\n%s", got, clean)
+	}
+	// singleton picks the schedule of {A}, whose waiting count says one
+	// of A's released jobs waits.
+	singleton := func(edit func(*Checkpoint, *sim.ClusterState)) func(*Checkpoint, *sim.ClusterState) bool {
+		return func(cp *Checkpoint, st *sim.ClusterState) bool {
+			if st.Coalition != model.Singleton(0) || st.AtRelease || st.Waiting[0] == 0 {
+				return false
+			}
+			edit(cp, st)
+			return true
 		}
 	}
-	for name, doctor := range map[string]func(*sim.ClusterState) bool{
-		"a waiting count past the released jobs": func(st *sim.ClusterState) bool { st.Waiting[0] = 1000; return true },
-		"a negative waiting count":               func(st *sim.ClusterState) bool { st.Waiting[0] = -1; return true },
-		"a waiting count missing": func(st *sim.ClusterState) bool {
+	for name, doctor := range map[string]func(*Checkpoint, *sim.ClusterState) bool{
+		"a waiting count past the released jobs": func(_ *Checkpoint, st *sim.ClusterState) bool { st.Waiting[0] = 1000; return true },
+		"a negative waiting count":               func(_ *Checkpoint, st *sim.ClusterState) bool { st.Waiting[0] = -1; return true },
+		"a waiting count missing": func(_ *Checkpoint, st *sim.ClusterState) bool {
 			st.Waiting = st.Waiting[1:]
 			return true
 		},
-		"a running job queued again": func(st *sim.ClusterState) bool {
+		"a running job queued again": func(_ *Checkpoint, st *sim.ClusterState) bool {
 			if len(st.Running) == 0 {
 				return false
 			}
@@ -501,38 +469,24 @@ func TestRestoreHoldsHypotheticalsToTheirWindow(t *testing.T) {
 			}
 			return true
 		},
+		"the version-4 layout": singleton(legacyState),
+		"its window of the queues": singleton(func(cp *Checkpoint, st *sim.ClusterState) {
+			legacyState(cp, st)
+			st.ReleaseOrder, st.Waiting, st.OrgAcct = nil, []int{len(st.Queues[0])}, st.OrgAcct[:1]
+		}),
+		"its pending list": singleton(func(cp *Checkpoint, st *sim.ClusterState) {
+			waiting, acct := st.Waiting, st.OrgAcct
+			legacyState(cp, st)
+			st.Queues, st.Waiting, st.OrgAcct = nil, waiting, acct
+		}),
+		"an account for every organization": singleton(func(cp *Checkpoint, st *sim.ClusterState) {
+			waiting := st.Waiting
+			legacyState(cp, st)
+			st.QueueState, st.Waiting = nil, waiting
+		}),
 	} {
-		if _, err := restore(false, doctor); err == nil || !strings.Contains(err.Error(), "sim: restore") {
+		if _, err := restore(doctor); err == nil || !strings.Contains(err.Error(), "sim: restore") {
 			t.Errorf("%s in a hypothetical schedule: restore error %v, want a refusal", name, err)
-		}
-	}
-	for name, doctor := range map[string]func(*sim.ClusterState) bool{
-		"a queued job behind the head withdrawn": func(st *sim.ClusterState) bool {
-			for u, q := range st.Queues {
-				if len(q) >= 2 {
-					st.Queues[u], st.Withdrawn = q[:len(q)-1], append(st.Withdrawn, q[len(q)-1])
-					return true
-				}
-			}
-			return false
-		},
-		"a pending job withdrawn": func(st *sim.ClusterState) bool {
-			if len(st.ReleaseOrder) == 0 {
-				return false
-			}
-			st.ReleaseOrder, st.Withdrawn = st.ReleaseOrder[1:], append(st.Withdrawn, st.ReleaseOrder[0])
-			return true
-		},
-		"a non-member's account": func(st *sim.ClusterState) bool {
-			if st.Coalition != model.Singleton(0) {
-				return false
-			}
-			st.OrgAcct[2] = utility.Account{U: 1000, S: 7}
-			return true
-		},
-	} {
-		if _, err := restore(true, doctor); err == nil || !strings.Contains(err.Error(), "sim: restore") {
-			t.Errorf("%s in an older document's hypothetical schedule: restore error %v, want a refusal", name, err)
 		}
 	}
 }

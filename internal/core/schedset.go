@@ -510,9 +510,6 @@ func (s *schedSet) restore(cp *Checkpoint) error {
 				// step would move one that leads it backwards.
 				return fmt.Errorf("core: %s checkpoint at %d holds a schedule at %d", s.name, cp.Now, st.Now)
 			}
-			if st.AtRelease && cp.Version < 7 {
-				return fmt.Errorf("core: %s checkpoint of version %d holds a release-start schedule, which version 7 introduced", s.name, cp.Version)
-			}
 			if err := s.slots[slot].RestoreState(st); err != nil {
 				return err
 			}
@@ -536,11 +533,15 @@ func (s *schedSet) restore(cp *Checkpoint) error {
 	return nil
 }
 
-// restoreStepper is every algorithm's RestoreStepper: rebuild the
-// instance, build the stepper the algorithm's configuration describes,
-// overwrite its set.
+// restoreStepper is every algorithm's RestoreStepper: check the
+// document is of the one layout it reads (CheckpointVersion), rebuild
+// the instance, build the stepper the algorithm's configuration
+// describes, overwrite its set.
 func restoreStepper(a StepperAlgorithm, cp *Checkpoint) (Stepper, error) {
-	if cp.Algorithm != a.Name() {
+	switch {
+	case cp.Version != CheckpointVersion:
+		return nil, fmt.Errorf("core: restore: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
+	case cp.Algorithm != a.Name():
 		return nil, fmt.Errorf("core: checkpoint for %q restored as %q", cp.Algorithm, a.Name())
 	}
 	inst, err := cp.RebuildInstance()

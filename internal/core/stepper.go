@@ -84,22 +84,17 @@ type StepperAlgorithm interface {
 	RestoreStepper(cp *Checkpoint) (Stepper, error)
 }
 
-// CheckpointVersion identifies the serialized checkpoint layout. A
-// version-1 cluster state also carries derived fields and a decision
-// log per hypothetical schedule, a job up to version 2 its ID and a
-// start its Org, up to version 3 a running entry its end and fold mark
-// and the decision schedule its running entries and accounts, and up to
-// version 4 a hypothetical schedule its queues, pending releases,
-// withdrawn list, machine-owner accounts and every organization's
-// account, and up to version 5 a hypothetical schedule on machines of
-// one speed its running entries on the machines its run gave them, where
-// version 6 writes them by (end, job) on machines 0, 1, 2, …, and up to
-// version 6 such a schedule in full where version 7 writes one that is
-// its members' release-start schedule as its coalition, clock and
-// finished-work offset (sim.ClusterState.AtRelease). The fold marks are
-// read, the queues and pending releases, checked against the decision
-// schedule's, become waiting counts, and a compact entry expands to the
-// full one; so all seven restore alike.
+// CheckpointVersion identifies the serialized checkpoint layout, the
+// one RestoreStepper reads: the decision schedule as its queues,
+// pending releases, withdrawn list and decision log; every hypothetical
+// schedule as a waiting count and a finished-work account per member
+// and its running entries — on machines of one speed by (end, job) on
+// machines 0, 1, 2, …, and as its coalition, clock and finished-work
+// offset where it is its members' release-start schedule
+// (sim.ClusterState.AtRelease). A document of any other version is
+// refused: a change of layout may keep reading the one before it, and
+// the next re-anchor retires that reader with its fixtures (DESIGN.md
+// §7.1).
 const CheckpointVersion = 7
 
 // Checkpoint is the complete serializable state of a stepper mid-run:

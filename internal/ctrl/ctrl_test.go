@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -453,7 +454,7 @@ func TestPlaneDeterminismAndCheckpoint(t *testing.T) {
 	}
 }
 
-// fixturePlane is the run behind testdata/ckpt_v{1,2}_plane.json: 40
+// fixturePlane is the run behind testdata/ckpt_v2_plane.json: 40
 // jobs of three organizations, all queued up front for random instants
 // below 50, behind a size-cost token bucket, decided through instant 25
 // — future arrivals and parked retries share the queue.
@@ -471,13 +472,13 @@ func fixturePlane(t *testing.T) (*Plane, *planeSink) {
 	return p, sink
 }
 
-// TestPlaneFixturesRestore: testdata/ckpt_v1_plane.json is the state
-// f912fcb, the last writer of control-block version 1, captured of
-// fixturePlane — a heap slice of events with their class, push number
-// and both counters — and ckpt_v2_plane.json the first version-2
-// writer's. Both restore; the restored plane captures the bytes a fresh
-// run does (which are the version-2 file's), and decides and routes the
-// rest of the queue, and one more arrival, as the fresh run does.
+// TestPlaneFixturesRestore: testdata/ckpt_v2_plane.json is the state
+// the first writer of the current layout captured of fixturePlane, the
+// bytes a fresh run captures. It restores, the restored plane captures
+// them again, and decides and routes the rest of the queue, and one
+// more arrival, as the fresh run does. Restore reads the current layout
+// alone (DESIGN.md §7.1): the same state with its version edited down
+// by one is refused with an error naming the version it reads.
 func TestPlaneFixturesRestore(t *testing.T) {
 	fresh, _ := fixturePlane(t)
 	want, err := fresh.State()
@@ -495,43 +496,44 @@ func TestPlaneFixturesRestore(t *testing.T) {
 	if arrivals == 0 || retries == 0 {
 		t.Fatalf("the fixture run queues %d arrivals and %d retries; it needs both", arrivals, retries)
 	}
-	for _, version := range []string{"v1", "v2"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "ckpt_"+version+"_plane.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw = bytes.TrimSpace(raw)
-		if old := bytes.Contains(raw, []byte(`"next_id":`)) && bytes.Contains(raw, []byte(`"prio":`)); old != (version == "v1") {
-			t.Fatalf("%s: the fixture numbers its events: %v", version, old)
-		}
-		if version == "v2" && !bytes.Equal(raw, want) {
-			t.Errorf("a fresh run's state differs from the fixture's bytes:\n%s\nfixture\n%s", want, raw)
-		}
-		restored := NewPlane(&TokenBucket{Rate: 1, Period: 7, Burst: 2, SizeCost: true}, directLoadProvider(), 3)
-		if err := restored.RestoreState(raw); err != nil {
-			t.Fatalf("%s: %v", version, err)
-		}
-		if got, err := restored.State(); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%s: the restored plane's state differs from a fresh run's (err %v):\n%s\nwant\n%s", version, err, got, want)
-		}
-		straight, sa := fixturePlane(t)
-		sb := &planeSink{}
-		late := Job{Seq: 40, Org: 2, Size: 1}
-		straight.Arrive(late, 36)
-		restored.Arrive(late, 36)
-		sa.routed, sa.routedAt = nil, nil
-		if err := straight.Advance(1000, sa); err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.Advance(1000, sb); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sa.routed, sb.routed) || !reflect.DeepEqual(sa.routedAt, sb.routedAt) {
-			t.Errorf("%s: the restored plane routed differently from the uninterrupted run", version)
-		}
-		if !reflect.DeepEqual(straight.Stats(), restored.Stats()) {
-			t.Errorf("%s: stats diverged:\n%+v\n%+v", version, straight.Stats(), restored.Stats())
-		}
+	raw, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("ckpt_v%d_plane.json", CheckpointVersion)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.TrimSpace(raw)
+	if !bytes.Equal(raw, want) {
+		t.Errorf("a fresh run's state differs from the fixture's bytes:\n%s\nfixture\n%s", want, raw)
+	}
+	header := func(v int) []byte { return []byte(fmt.Sprintf(`{"version":%d,`, v)) }
+	retired := bytes.Replace(raw, header(CheckpointVersion), header(CheckpointVersion-1), 1)
+	wantErr := fmt.Sprintf("checkpoint version %d, want %d", CheckpointVersion-1, CheckpointVersion)
+	if err := NewPlane(&TokenBucket{Rate: 1, Period: 7, Burst: 2, SizeCost: true}, directLoadProvider(), 3).RestoreState(retired); err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("the fixture as version %d: restore answered %v, want an error mentioning %q", CheckpointVersion-1, err, wantErr)
+	}
+	restored := NewPlane(&TokenBucket{Rate: 1, Period: 7, Burst: 2, SizeCost: true}, directLoadProvider(), 3)
+	if err := restored.RestoreState(raw); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := restored.State(); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the restored plane's state differs from a fresh run's (err %v):\n%s\nwant\n%s", err, got, want)
+	}
+	straight, sa := fixturePlane(t)
+	sb := &planeSink{}
+	late := Job{Seq: 40, Org: 2, Size: 1}
+	straight.Arrive(late, 36)
+	restored.Arrive(late, 36)
+	sa.routed, sa.routedAt = nil, nil
+	if err := straight.Advance(1000, sa); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Advance(1000, sb); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sa.routed, sb.routed) || !reflect.DeepEqual(sa.routedAt, sb.routedAt) {
+		t.Error("the restored plane routed differently from the uninterrupted run")
+	}
+	if !reflect.DeepEqual(straight.Stats(), restored.Stats()) {
+		t.Errorf("stats diverged:\n%+v\n%+v", straight.Stats(), restored.Stats())
 	}
 }
 

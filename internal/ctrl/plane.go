@@ -1,7 +1,6 @@
 package ctrl
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -123,11 +122,12 @@ func (p *Plane) Advance(now model.Time, sink Sink) error {
 	return p.stats.CheckConserved()
 }
 
-// CheckpointVersion identifies the serialized control-plane layout.
-// Version 2 lists the queue in verdict order and writes nothing that
-// order, the counters and the list itself already say; version 1 wrote
-// a heap slice of events with their class, push number and the two
-// counters, none of which is read.
+// CheckpointVersion identifies the serialized control-plane layout, the
+// one RestoreState reads: the queue listed in verdict order, and nothing
+// that order, the counters and the list itself already say. A document
+// of any other version is refused: a change of layout may keep reading
+// the one before it, and the next re-anchor retires that reader with
+// its fixtures (DESIGN.md §7.1).
 const CheckpointVersion = 2
 
 // Checkpoint is the plane's complete serializable dynamic state. The
@@ -142,7 +142,7 @@ type Checkpoint struct {
 }
 
 // queueState is the serialized queue: the waiting jobs, in verdict
-// order since version 2.
+// order.
 type queueState struct {
 	Events []waiting `json:"events,omitempty"`
 }
@@ -172,8 +172,8 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return fmt.Errorf("ctrl: restore plane: %w", err)
 	}
-	if cp.Version < 1 || cp.Version > CheckpointVersion {
-		return fmt.Errorf("ctrl: restore plane: checkpoint version %d, want 1 to %d", cp.Version, CheckpointVersion)
+	if cp.Version != CheckpointVersion {
+		return fmt.Errorf("ctrl: restore plane: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
 	if cp.Policy != p.policy.Name() {
 		return fmt.Errorf("ctrl: restore plane: checkpoint admitted by %q, plane configured with %q", cp.Policy, p.policy.Name())
@@ -207,18 +207,8 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 		return err
 	}
 	// Nothing decoded carries a push number, so position breaks the ties
-	// of a stable sort: the list is held to verdict order as written. A
-	// version-1 list is a heap slice, whose positions say nothing: there
-	// the order within an instant and class is (arrived, seq) — the order
-	// the plane numbers arrivals in, and the one a retry wave parked by a
-	// single instant's verdicts keeps.
-	slices.SortStableFunc(events, func(a, b waiting) int {
-		c := compareVerdict(a, b)
-		if c == 0 && cp.Version == 1 {
-			c = cmp.Or(cmp.Compare(a.Job.Arrived, b.Job.Arrived), cmp.Compare(a.Job.Seq, b.Job.Seq))
-		}
-		return c
-	})
+	// of a stable sort: the list is held to verdict order as written.
+	slices.SortStableFunc(events, compareVerdict)
 	for i := range events {
 		events[i].pushed = int64(i)
 	}

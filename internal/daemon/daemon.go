@@ -263,11 +263,6 @@ func (c SessionConfig) open(snapshot []byte) (backend, error) {
 			for o, org := range inst.Orgs {
 				orgs[o], machines[o] = org.Name, org.Machines
 			}
-			if snapshot != nil {
-				if snapshot, err = upgradeGateEnvelope(snapshot, alg, c.Seed); err != nil {
-					return nil, err
-				}
-			}
 			specs := []fed.ClusterSpec{{Name: gatedMember, Alg: alg, Machines: machines}}
 			f, err := c.openFed(orgs, specs, fed.LocalOnly{}, c.Admission.Staleness, snapshot)
 			if err != nil {

@@ -794,7 +794,8 @@ func TestHTTPStatusCodes(t *testing.T) {
 	// of its stream.
 	before := a.raw("/v1/sessions/fleet/state")
 	snap := a.raw("/v1/sessions/fleet/checkpoint")
-	streaming := bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)), []byte(`{"version":6,"source":{"cursor":2,"window":2},`), 1)
+	header := fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)
+	streaming := bytes.Replace(snap, []byte(header), []byte(header+`"source":{"cursor":2,"window":2},`), 1)
 	if bytes.Equal(streaming, snap) {
 		t.Fatalf("federation checkpoint does not open with its version: %.40s", snap)
 	}

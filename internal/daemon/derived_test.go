@@ -2,9 +2,11 @@ package daemon_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,50 +15,11 @@ import (
 	"repro/internal/ctrl"
 	"repro/internal/daemon"
 	"repro/internal/engine"
+	"repro/internal/fed"
+	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/utility"
 )
-
-// v4FedFixture reads testdata/ckpt_v4_fed.json — written by 11e0d11,
-// the last writer of federation version 4: 60 size-9 jobs handed in at
-// east, one a tick, stopped at t=40 with 13 jobs offloaded, 2 migrated
-// (tombstones in east's seq_of), 7 parked on a token-bucket retry, 4
-// rejected and the exchange cached at 25 — and the session
-// configuration that restores it. (internal/fed's own version-4
-// fixtures route by a policy no session configuration can name.)
-func v4FedFixture(t testing.TB) ([]byte, daemon.SessionConfig) {
-	t.Helper()
-	data, err := os.ReadFile("testdata/ckpt_v4_fed.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte(`{"version":4,`)) || !bytes.Contains(data, []byte(`"next_seq":60,`)) {
-		t.Fatal("testdata/ckpt_v4_fed.json is not the version-4 document")
-	}
-	return data, daemon.SessionConfig{
-		Kind:     daemon.KindFederation,
-		OrgNames: []string{"alpha", "beta"},
-		Policy:   "fednbs-migrate", Staleness: 25, MigrationBudget: 2, Seed: 7,
-		Clusters: []daemon.ClusterConfig{
-			{Name: "east", Alg: "ref", Machines: []int{1, 1}},
-			{Name: "west", Alg: "directcontr", Machines: []int{2, 2}},
-		},
-		Admission: &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 3, Burst: 2, MaxAttempts: 3},
-	}
-}
-
-// engineFixture reads internal/engine/testdata/ckpt_<name>_gated.json
-// with its organizations renamed to a session's, and the session
-// configuration that restores it.
-func engineFixture(t testing.TB, name string) ([]byte, daemon.SessionConfig) {
-	t.Helper()
-	data, err := os.ReadFile("../engine/testdata/ckpt_" + name + "_gated.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = bytes.ReplaceAll(bytes.ReplaceAll(data, []byte(`"Name":"A"`), []byte(`"Name":"org0"`)), []byte(`"Name":"B"`), []byte(`"Name":"org1"`))
-	return data, daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "ref", Orgs: 2, Machines: 1, Seed: 7,
-		Admission: &ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}}
-}
 
 // served is everything a client can read off a session, and what its
 // next flush would store.
@@ -123,10 +86,9 @@ func coreCheckpoints(doc jsonTree) []jsonTree {
 // capacities and Σ ψ, a running entry's end, a decision schedule's
 // running entries and accounts (its log implies both) — can say
 // anything, in a document of the current layout (which does not write
-// them) as in the committed version-2 engine and version-4 federation
-// fixtures and the version-3 core fixtures (which do): the restore
-// answers the same, and /state, /decisions, the next checkpoint and the
-// next submit's sequence number are byte for byte those of the clean
+// them), and in the committed core checkpoints: the restore answers the
+// same, and /state, /decisions, the next checkpoint and the next
+// submit's sequence number are byte for byte those of the clean
 // document. (At 11e0d11 a posted "Org":99 was served by /decisions,
 // next_seq 2 handed the next job a sequence number already routed,
 // ledger.routed of 7s made /state report more offloaded jobs than
@@ -304,26 +266,20 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 		saturating = append(saturating, j)
 	}
 	docs = append(docs, document{"current saturated single", singleCfg(), checkpointOf(t, singleCfg(), saturating, 30)})
-	v2, v2Cfg := engineFixture(t, "v2")
-	docs = append(docs, document{"engine version-2 fixture", v2Cfg, v2})
-	v4, v4Cfg := v4FedFixture(t)
-	docs = append(docs, document{"federation version-4 fixture", v4Cfg, v4})
 	applied := map[string]int{}
 	defer func() {
-		// A decision schedule's keys meet the gated single session and both
-		// current federations; a running entry's end the saturated single
-		// session and both old fixtures (the other current documents'
-		// hypothetical schedules are their release-start schedules at 30,
-		// written without running entries, and the federations' schedules
-		// run nothing unlogged).
+		// A control block's keys meet both gated documents; a decision
+		// schedule's the gated single session and both federations; a
+		// running entry's end the saturated single session alone (the other
+		// documents' hypothetical schedules are their release-start
+		// schedules at 30, written without running entries, and the
+		// federations' schedules run nothing unlogged).
 		for key := range doctorings {
 			want := 1
 			switch {
 			case strings.HasPrefix(key, "ctrl."):
-				want = 4
+				want = 2
 			case strings.HasPrefix(key, "decision schedule's"):
-				want = 3
-			case key == "running[].end":
 				want = 3
 			}
 			if applied[key] < want {
@@ -362,24 +318,24 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 		}
 	}
 
-	// The committed version-3 core checkpoints run related machines no
-	// session configuration can build: restored as engines, with the same
-	// rows for what a decision schedule and a running entry no longer
-	// store, each serves, re-captures and continues as the clean one.
+	// The committed core checkpoints run related machines no session
+	// configuration can build: restored as engines, with the same rows for
+	// what a decision schedule and a running entry do not store, each
+	// serves, re-captures and continues as the clean one.
 	for key, alg := range map[string]core.StepperAlgorithm{
 		"ref":        core.RefAlgorithm{},
 		"rand":       core.RandAlgorithm{Samples: 12},
 		"nbs":        core.NbsAlgorithm{},
 		"roundrobin": core.FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }),
 	} {
-		data, err := os.ReadFile("../core/testdata/ckpt_v3_" + key + ".json")
+		data, err := os.ReadFile(fmt.Sprintf("../core/testdata/ckpt_v%d_%s.json", core.CheckpointVersion, key))
 		if err != nil {
 			t.Fatal(err)
 		}
 		serve := func(doc []byte) string {
 			e, err := engine.Restore(alg, doc)
 			if err != nil {
-				t.Fatalf("v3 %s: %v", key, err)
+				t.Fatalf("%s: %v", key, err)
 			}
 			snap, err := e.Snapshot()
 			if err != nil {
@@ -399,10 +355,11 @@ func TestRestoreIgnoresDerivedCopies(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !doctorings[name](tree) {
-				t.Fatalf("v3 %s: nothing to doctor for %s", key, name)
+				continue // the round-robin set keeps no hypothetical schedule: nothing runs unlogged
 			}
+			applied[name]++
 			if got := serve([]byte(mustJSON(t, tree))); got != clean {
-				t.Errorf("v3 %s: a doctored %s was read:\n%s\nwant\n%s", key, name, got, clean)
+				t.Errorf("%s: a doctored %s was read:\n%s\nwant\n%s", key, name, got, clean)
 			}
 		}
 	}
@@ -419,4 +376,167 @@ func mustSession(t testing.TB, cfg daemon.SessionConfig, doc []byte) *daemon.Ses
 		t.Fatal(err)
 	}
 	return sess
+}
+
+// retiredGateRun is the run the engine's retired admission-gate
+// envelopes held, as a gated single session: a saturated REF cluster,
+// org0 with its one machine and org1 with none, behind a backpressure
+// gate that reads a load view up to 20 ticks old, handed 40 jobs, one
+// every 2 ticks. At 33 six admissions wait on their retries and the
+// cached view is 13 ticks old.
+func retiredGateRun() (daemon.SessionConfig, []daemon.JobSubmission) {
+	var jobs []daemon.JobSubmission
+	for i := 0; i < 40; i++ {
+		jobs = append(jobs, daemon.JobSubmission{Org: i % 2, Size: 4, Release: timePtr(model.Time(2 * i))})
+	}
+	return daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "ref", Orgs: 2, Machines: 1, Seed: 7,
+		Admission: &ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}}, jobs
+}
+
+// retiredFedRun is the run the retired version-4 federation document
+// held: 60 size-9 jobs handed in at east, one a tick, under
+// fednbs-migrate and a token bucket. By 40 jobs have been offloaded,
+// migrated, parked on a retry and rejected, and the exchange is cached.
+func retiredFedRun() (daemon.SessionConfig, []daemon.JobSubmission) {
+	var jobs []daemon.JobSubmission
+	for i := 0; i < 60; i++ {
+		jobs = append(jobs, daemon.JobSubmission{Org: i % 2, Size: 9, Release: timePtr(model.Time(i))})
+	}
+	return daemon.SessionConfig{
+		Kind:     daemon.KindFederation,
+		OrgNames: []string{"alpha", "beta"},
+		Policy:   "fednbs-migrate", Staleness: 25, MigrationBudget: 2, Seed: 7,
+		Clusters: []daemon.ClusterConfig{
+			{Name: "east", Alg: "ref", Machines: []int{1, 1}},
+			{Name: "west", Alg: "directcontr", Machines: []int{2, 2}},
+		},
+		Admission: &ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 3, Burst: 2, MaxAttempts: 3},
+	}, jobs
+}
+
+// gateEnvelope wraps a gated single session's checkpoint the way the
+// engine's retired admission gate stored one: its control block, the
+// cached view and the member's core checkpoint under a gate version,
+// with no version of the document's own.
+func gateEnvelope(t testing.TB, snap []byte) []byte {
+	t.Helper()
+	var cp fed.Checkpoint
+	if err := json.Unmarshal(snap, &cp); err != nil || len(cp.Members) != 1 || cp.Admission == nil {
+		t.Fatalf("not a gated single session's checkpoint (err %v)", err)
+	}
+	return []byte(mustJSON(t, jsonTree{
+		"gate_version": 1,
+		"admission":    cp.Admission,
+		"ctrl":         cp.Ctrl,
+		"view":         jsonTree{"taken_at": cp.ExAt},
+		"core":         cp.Members[0].Engine,
+	}))
+}
+
+// fullForm returns a gated single session's checkpoint with the first
+// hypothetical schedule written as its release-start schedule rewritten
+// in full — its members' released jobs still running from their release
+// on machines 0, 1, … by (end, job), nothing waiting, and as finished
+// work the release-start schedule's plus the stored offset — and its
+// first member's finished work then moved by du.
+func fullForm(t testing.TB, snap []byte, du int64) []byte {
+	t.Helper()
+	var cp fed.Checkpoint
+	if err := json.Unmarshal(snap, &cp); err != nil || len(cp.Members) != 1 {
+		t.Fatalf("not a gated single session's checkpoint (err %v)", err)
+	}
+	eng := cp.Members[0].Engine
+	for i := range eng.Clusters {
+		st := &eng.Clusters[i]
+		if !st.AtRelease {
+			continue
+		}
+		members := st.Coalition.Members()
+		acct := make([]utility.Account, len(members))
+		var running []sim.RunEntryState
+		for id, j := range eng.Jobs {
+			at := slices.Index(members, j.Org)
+			switch {
+			case at < 0 || j.Release > st.Now:
+			case j.Release+j.Size > st.Now:
+				running = append(running, sim.RunEntryState{Job: id, Start: j.Release})
+			default:
+				acct[at].AddWindow(j.Release, j.Release+j.Size)
+			}
+		}
+		end := func(r sim.RunEntryState) model.Time { return r.Start + eng.Jobs[r.Job].Size }
+		slices.SortFunc(running, func(a, b sim.RunEntryState) int {
+			return cmp.Or(cmp.Compare(end(a), end(b)), cmp.Compare(a.Job, b.Job))
+		})
+		for m := range running {
+			running[m].Machine = m
+		}
+		for m, off := range st.OrgAcct {
+			acct[m].U, acct[m].S = acct[m].U+off.U, acct[m].S+off.S
+		}
+		acct[0].U += du
+		st.AtRelease, st.Waiting, st.Running, st.OrgAcct = false, make([]int, len(members)), running, acct
+		return []byte(mustJSON(t, cp))
+	}
+	t.Fatal("no hypothetical schedule is written as its release-start schedule")
+	return nil
+}
+
+// Session.Restore reads the layouts the daemon writes alone (DESIGN.md
+// §7.1): a federation checkpoint or a single session's core checkpoint
+// with its version edited down by one, and the envelope the engine's
+// retired admission gate stored, are refused with an error naming the
+// version restore reads, and leave the session as it was.
+func TestSessionRefusesRetiredLayouts(t *testing.T) {
+	gateCfg, gateJobs := retiredGateRun()
+	gated := checkpointOf(t, gateCfg, gateJobs, 33)
+	single := checkpointOf(t, singleCfg(), overloadJobs(0), 30)
+	down := func(snap []byte, version int) []byte {
+		return bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, version)), []byte(fmt.Sprintf(`{"version":%d,`, version-1)), 1)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  daemon.SessionConfig
+		doc  []byte
+		want string
+	}{
+		{"federation version", gateCfg, down(gated, fed.CheckpointVersion), fmt.Sprintf("fed: restore: checkpoint version %d, want %d", fed.CheckpointVersion-1, fed.CheckpointVersion)},
+		{"core version", singleCfg(), down(single, core.CheckpointVersion), fmt.Sprintf("core: restore: checkpoint version %d, want %d", core.CheckpointVersion-1, core.CheckpointVersion)},
+		{"gate envelope", gateCfg, gateEnvelope(t, gated), fmt.Sprintf("fed: restore: checkpoint version 0, want %d", fed.CheckpointVersion)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := daemon.NewManager().Create("s", tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := mustJSON(t, sess.State())
+			if err := sess.Restore(tc.doc); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore answered %v, want an error mentioning %q", err, tc.want)
+			}
+			if after := mustJSON(t, sess.State()); after != before {
+				t.Fatalf("a refused restore changed the session:\n%s\n%s", before, after)
+			}
+		})
+	}
+}
+
+// A hypothetical schedule's finished work is never negative in either
+// form a capture writes: the gated single session's checkpoint with a
+// release-start schedule rewritten in full restores, re-capturing the
+// clean document, and with its first member's finished work below zero
+// is refused. (It was accepted once, and the session's own re-capture,
+// compacted, was then refused: restore was no fixed point.)
+func TestSessionRefusesNegativeFinishedWork(t *testing.T) {
+	clean := checkpointOf(t, gatedSingleCfg(), overloadJobs(0), 30)
+	sess := mustSession(t, gatedSingleCfg(), fullForm(t, clean, 0))
+	if got, err := sess.Checkpoint(); err != nil || !bytes.Equal(got, clean) {
+		t.Fatalf("the full form re-captures as\n%s\nwant\n%s\n(err %v)", got, clean, err)
+	}
+	sess, err := daemon.NewManager().Create("s", gatedSingleCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Restore(fullForm(t, clean, -1<<20)); err == nil || !strings.Contains(err.Error(), "finished work") {
+		t.Fatalf("restore answered %v, want a refusal of negative finished work", err)
+	}
 }

@@ -104,12 +104,13 @@ func benchShapes() (cfgs []daemon.SessionConfig, jobs [][]daemon.JobSubmission) 
 // overwritten, booleans flipped, strings blanked, arrays cut short or
 // stretched — of the four session shapes the benchmark serves, a gated
 // single session (a one-member federation), a gated, stale, migrating
-// federation, the committed envelopes of the engine's former admission
-// gate (a version-1 control block around version-1 and version-3
-// cluster states, and the core-5 envelope, hypothetical schedules as
-// waiting counts), which restore through the daemon's conversion, the
-// version-4 federation and the two documents f912fcb restored and then
-// could not serve. A doctored document is refused, or it is a fixed
+// federation, the runs the retired gate envelopes and version-4
+// federation held (retiredGateRun, retiredFedRun) in the current
+// layout, and the two documents f912fcb restored and then could not
+// serve; and, refused undoctored, the gated documents with a control
+// queue due before the clock, the gated single session with negative
+// finished work in a full-form release-start schedule, and the retired
+// gate envelope. A doctored document is refused, or it is a fixed
 // point: the accepted session's checkpoint, posted to a fresh session
 // of the same configuration, is accepted and both answer byte-equal
 // /state and /decisions — a wrong-but-well-shaped number is believed
@@ -124,18 +125,15 @@ func FuzzSessionRestore(f *testing.F) {
 	for i, cfg := range cfgs {
 		seeds = append(seeds, checkpointOf(f, cfg, jobs[i], 30))
 	}
-	// Old documents stay fuzzed, each under the session configuration
-	// that restores it: version-1 control blocks with retries parked,
-	// around version-1 and version-3 cluster states and in a version-4
-	// federation.
-	v1, v1Cfg := engineFixture(f, "parent")
-	v4, v4Cfg := v4FedFixture(f)
-	v3, v3Cfg := engineFixture(f, "v3")
-	cfgs, seeds = append(cfgs, v1Cfg, v4Cfg, v3Cfg), append(seeds, v1, v4, v3)
-	// And the committed current one, whose two hypothetical schedules
-	// store a waiting count and an account per member.
-	v5, v5Cfg := engineFixture(f, "core5")
-	cfgs, seeds = append(cfgs, v5Cfg), append(seeds, v5)
+	// The runs the retired documents held stay fuzzed in the current
+	// layout: retries parked and a view cached mid-period in a gated
+	// single session; offloads, migrations, retries and rejections in a
+	// two-member federation.
+	gateCfg, gateJobs := retiredGateRun()
+	fedRunCfg, fedRunJobs := retiredFedRun()
+	gateSnap := checkpointOf(f, gateCfg, gateJobs, 33)
+	cfgs = append(cfgs, gateCfg, fedRunCfg)
+	seeds = append(seeds, gateSnap, checkpointOf(f, fedRunCfg, fedRunJobs, 40))
 	// So do the two documents that restored at f912fcb and then did not
 	// serve: a cached summary that says its cluster has no capacity (now
 	// not read), and a control queue due before the clock (now refused;
@@ -150,10 +148,14 @@ func FuzzSessionRestore(f *testing.F) {
 	for _, which := range gatedOnes {
 		cfgs, seeds = append(cfgs, cfgs[which]), append(seeds, at.ReplaceAll(seeds[which], []byte("${1}3")))
 	}
+	// Refused too: negative finished work in a release-start schedule
+	// written in full, and the retired gate envelope.
+	negative := fullForm(f, checkpointOf(f, gatedSingleCfg(), overloadJobs(0), 30), -1<<20)
+	cfgs, seeds = append(cfgs, gatedSingleCfg(), gateCfg), append(seeds, negative, gateEnvelope(f, gateSnap))
 	for which := range cfgs {
 		if which >= refused {
 			if sess, _ := daemon.NewManager().Create("s", cfgs[which]); sess.Restore(seeds[which]) == nil {
-				f.Fatalf("seed %d, a control queue due before the clock, restores", which)
+				f.Fatalf("seed %d, refused undoctored, restores", which)
 			}
 		} else if _, err := readBack(mustSession(f, cfgs[which], seeds[which])); err != nil {
 			f.Fatalf("seed %d is not a fixed point undoctored: %v", which, err)

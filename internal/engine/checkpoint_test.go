@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -140,20 +144,27 @@ func TestSnapshotValidation(t *testing.T) {
 	if _, err := Restore(core.RandAlgorithm{Samples: 3}, snap); err == nil {
 		t.Fatal("REF snapshot restored as RAND")
 	}
-	// Versions 1 and 2 restore through the same code
-	// (TestParentGatedCheckpointRestores reads a committed version 1);
-	// anything else is another document.
-	for _, version := range []int{0, core.CheckpointVersion + 1, 99} {
+	// Restore reads the current layout alone: a retired version, one
+	// not yet written and none at all are refused by name.
+	for _, version := range []int{0, 1, core.CheckpointVersion - 1, core.CheckpointVersion + 1, 99} {
 		cp.Version = version
 		bad, _ := json.Marshal(cp)
-		if _, err := Restore(core.RefAlgorithm{}, bad); err == nil {
-			t.Fatalf("checkpoint version %d accepted", version)
+		if _, err := Restore(core.RefAlgorithm{}, bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("checkpoint version %d, want %d", version, core.CheckpointVersion)) {
+			t.Fatalf("checkpoint version %d: restore answered %v", version, err)
 		}
 	}
-	cp.Version = 1
-	old, _ := json.Marshal(cp)
-	if _, err := Restore(core.RefAlgorithm{}, old); err != nil {
-		t.Fatalf("checkpoint version 1 refused: %v", err)
+	// So is a committed checkpoint of the current layout with its version
+	// edited down by one; unedited, it restores.
+	fixture, err := os.ReadFile("../core/testdata/ckpt_v7_ref.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(core.RefAlgorithm{}, fixture); err != nil {
+		t.Fatalf("the committed checkpoint is refused: %v", err)
+	}
+	retired := bytes.Replace(fixture, []byte(fmt.Sprintf(`{"version":%d,`, core.CheckpointVersion)), []byte(fmt.Sprintf(`{"version":%d,`, core.CheckpointVersion-1)), 1)
+	if _, err := Restore(core.RefAlgorithm{}, retired); bytes.Equal(retired, fixture) || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("want %d", core.CheckpointVersion)) {
+		t.Fatalf("the committed checkpoint as version %d: restore answered %v", core.CheckpointVersion-1, err)
 	}
 }
 

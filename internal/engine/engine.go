@@ -214,17 +214,11 @@ func Restore(alg core.StepperAlgorithm, data []byte) (*Engine, error) {
 
 // Resume rebuilds the engine that captured cp, which it takes over. The
 // algorithm configuration must match the capturing one (checkpoints
-// carry only dynamic state). It refuses a document with no version, as
-// the envelope a gated engine once wrapped around its checkpoint is:
-// that run restores as a one-member federation.
+// carry only dynamic state), and the layout must be the current one
+// (core.CheckpointVersion): RestoreStepper refuses any other.
 func Resume(alg core.StepperAlgorithm, cp *core.Checkpoint) (*Engine, error) {
-	switch {
-	case cp == nil || cp.Version == 0:
-		return nil, errors.New("engine: restore: no checkpoint version: not an engine checkpoint (a gated run's admission gate envelope restores as a one-member federation)")
-	case cp.Version < 1 || cp.Version > core.CheckpointVersion:
-		return nil, fmt.Errorf("engine: restore: checkpoint version %d, want 1 to %d", cp.Version, core.CheckpointVersion)
-	case cp.Algorithm != alg.Name():
-		return nil, fmt.Errorf("engine: restore: checkpoint for %q, engine configured as %q", cp.Algorithm, alg.Name())
+	if cp == nil {
+		return nil, errors.New("engine: restore: no checkpoint")
 	}
 	s, err := alg.RestoreStepper(cp)
 	if err != nil {

@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -251,9 +250,8 @@ func TestGateCheckpointRestore(t *testing.T) {
 // TestGateSnapshotEnvelopes: an engine writes one layout, a bare core
 // checkpoint, which restores to an ungated engine that re-captures it
 // byte for byte. The engine takes no admission spec, and it refuses
-// the envelope gated engines once wrapped around their checkpoints
-// (testdata/ckpt_*_gated.json: those restore as a one-member
-// federation, TestParentGatedCheckpointRestores) and a truncated
+// the retired envelope gated engines once wrapped around their
+// checkpoints, which carries no version of its own, and a truncated
 // checkpoint.
 func TestGateSnapshotEnvelopes(t *testing.T) {
 	orgs, jobs := gateWorkload()
@@ -289,12 +287,9 @@ func TestGateSnapshotEnvelopes(t *testing.T) {
 	if _, err := engine.Restore(alg, snap[:len(snap)/2]); err == nil {
 		t.Error("Restore accepted a truncated checkpoint")
 	}
-	envelope, err := os.ReadFile(filepath.Join("testdata", "ckpt_core5_gated.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.Restore(core.RefAlgorithm{}, envelope); err == nil {
-		t.Error("Restore accepted a gate envelope")
+	envelope := []byte(`{"gate_version":1,"admission":{"policy":"always"},"ctrl":{},"core":` + string(snap) + `}`)
+	if _, err := engine.Restore(alg, envelope); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("checkpoint version 0, want %d", core.CheckpointVersion)) {
+		t.Errorf("Restore answered a gate envelope with %v, want a refusal naming version %d", err, core.CheckpointVersion)
 	}
 }
 

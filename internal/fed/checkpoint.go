@@ -12,24 +12,19 @@ import (
 )
 
 // CheckpointVersion identifies the serialized federation checkpoint
-// layout. Member engine snapshots carry their own core.CheckpointVersion.
-// Version 2 added the migration bookkeeping (per-member origin columns,
-// the ledger's Migrated/MigratedWork matrices), version 3 the control
-// plane (admission spec, the plane's serialized state). Version 5 writes
-// each fact once: organization names, the sequence counter, the ledger's
-// placement and accounting columns and all of a decision but its cluster
-// are the members' to say, and Restore rebuilds them — from a version-4
-// document too, whose copies it ignores. Version 6 applies the rule to
-// the cached exchange (a summary stores its observations, not its
-// cluster, instant, capacities or Σ ψ) and carries a version-2 control
-// block. Version 7 stores the instant a cached exchange observed — the
-// members' clock when it was taken, once per exchange — where versions
-// 4 to 6 restored it as the instant the exchange was taken at, one tick
-// late whenever the members stood at t−1; and its decision order is by
-// instant, then member, whatever the Steps' chunks (Federation.Step).
-// Versions 4 to 6 restore through the same code, their order as
-// written. It refuses the job-source cursor block (see
-// Checkpoint.Source).
+// layout, the one Restore reads. Member engine snapshots carry their own
+// core.CheckpointVersion, and the control block its
+// ctrl.CheckpointVersion. Each fact is written once: organization
+// names, the sequence counter, the ledger's placement and accounting
+// columns and all of a decision but its cluster are the members' to
+// say, and a cached exchange stores its summaries' observations and the
+// instant it observed — the members' clock when it was taken — not
+// their cluster, capacities or Σ ψ. The decision order is by instant,
+// then member, whatever the Steps' chunks (Federation.Step). A document
+// of any other version is refused, and so is the job-source cursor
+// block (see Checkpoint.Source): a change of layout may keep reading
+// the one before it, and the next re-anchor retires that reader with
+// its fixtures (DESIGN.md §7.1).
 const CheckpointVersion = 7
 
 // Checkpoint is the complete serializable state of a federation: the
@@ -79,8 +74,6 @@ type Checkpoint struct {
 	// refuse a checkpoint taken while a job source was attached to the
 	// federation itself: the rest of that stream is not in the snapshot.
 	Source json.RawMessage `json:"source,omitempty"`
-	// Decs is version 4's Order: whole decisions, read for their Cluster.
-	Decs []Decision `json:"decisions,omitempty"`
 }
 
 // MemberCheckpoint is one member cluster's state: identity, the
@@ -151,8 +144,8 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("fed: restore: %w", err)
 	}
-	if cp.Version < 4 || cp.Version > CheckpointVersion {
-		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want 4 to %d", cp.Version, CheckpointVersion)
+	if cp.Version != CheckpointVersion {
+		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
 	if len(cp.Source) > 0 {
 		return nil, errors.New(`fed: restore: checkpoint has a "source" block: it was taken mid-stream by a federation that pulled its own job source, and the rest of that stream is not in it`)
@@ -257,16 +250,10 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 			return nil, fmt.Errorf("fed: restore: exchange snapshot has %d summaries for %d clusters",
 				len(cp.ExSums), len(specs))
 		}
-		// The instant the exchange observed: stored since version 7, the
-		// instant it was taken at before.
-		seen := cp.ExAt
-		switch {
-		case cp.ExNow != nil:
-			seen = *cp.ExNow
-		case cp.Version >= 7:
+		if cp.ExNow == nil {
 			return nil, fmt.Errorf("fed: restore: a cached exchange without the instant it observed")
 		}
-		if seen < 0 || seen < cp.ExAt-1 || seen > cp.ExAt {
+		if seen := *cp.ExNow; seen < 0 || seen < cp.ExAt-1 || seen > cp.ExAt {
 			return nil, fmt.Errorf("fed: restore: an exchange taken at %d observed instant %d, not the members' clock then", cp.ExAt, seen)
 		}
 		// Policies index the per-organization vectors without looking:
@@ -280,7 +267,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 				return nil, fmt.Errorf("fed: restore: exchange summary %d has %d/%d psi/phi entries for %d organizations",
 					c, len(s.Psi), len(s.Phi), n)
 			}
-			s.Now = seen
+			s.Now = *cp.ExNow
 			f.fillConfigured(s, c)
 		}
 		// The routed-work matrix is captured only for ledger-aware
@@ -314,14 +301,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		}
 	}
 	// The decision log is the members' logs, interleaved in the recorded
-	// order: by instant, then member, since version 7; in the order the
-	// members were stepped before.
-	if cp.Version == 4 {
-		cp.Order = nil
-		for _, d := range cp.Decs {
-			cp.Order = append(cp.Order, d.Cluster)
-		}
-	}
+	// order.
 	read := make([]int, len(specs))
 	for _, c := range cp.Order {
 		if c < 0 || c >= len(specs) || read[c] == len(f.members[c].eng.Decisions()) {

@@ -263,16 +263,15 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, gutted); err == nil {
 		t.Error("restore with an empty ledger accepted")
 	}
-	// Layouts 4 and later restore: the version-3 document an
-	// older build wrote is refused by version, and so is a version-4 one
-	// with the cursor of a job source the federation pulled itself —
-	// restored without the block, the run would go on without the rest of
-	// its stream.
+	// The current layout alone restores: the version-3 document an older
+	// build wrote is refused by version, and so is one with the cursor of
+	// a job source the federation pulled itself — restored without the
+	// block, the run would go on without the rest of its stream.
 	v3 := bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)), []byte(`{"version":3,`), 1)
-	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, v3); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("checkpoint version 3, want 4 to %d", fed.CheckpointVersion)) {
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, v3); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("checkpoint version 3, want %d", fed.CheckpointVersion)) {
 		t.Errorf("version-3 checkpoint: %v", err)
 	}
-	pulled := bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)), []byte(`{"version":4,"source":{"cursor":9,"window":4,"done":true},`), 1)
+	pulled := bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, fed.CheckpointVersion)), []byte(fmt.Sprintf(`{"version":%d,"source":{"cursor":9,"window":4,"done":true},`, fed.CheckpointVersion)), 1)
 	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, pulled); err == nil || !strings.Contains(err.Error(), `has a "source" block`) {
 		t.Errorf("checkpoint with a source block: %v", err)
 	}
@@ -402,8 +401,8 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Admission belongs to the federation, in front of routing: a member
-	// snapshot wrapped in the envelope a gated engine once wrote is
-	// refused — engines run ungated.
+	// snapshot wrapped in the envelope a gated engine once wrote, which
+	// carries no version, is refused — engines run ungated.
 	if err := json.Unmarshal(snap, &cp); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +418,7 @@ func TestFederationRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, wrapped); err == nil || !strings.Contains(err.Error(), "gate envelope") {
+	if _, err := fed.Restore(w.Orgs, goodSpecs(), fed.LeastLoaded{}, wrapped); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("checkpoint version 0, want %d", core.CheckpointVersion)) {
 		t.Errorf("gated member snapshot: %v", err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"repro/internal/model"
 )
 
-// parentCkpt is the run behind testdata/ckpt_parent_{direct,gated}.json:
+// parentCkpt is the run behind testdata/ckpt_v7_{direct,gated}.json:
 // a saturated two-machine REF site next to an idle four-machine one,
 // every job handed in at the busy site, under migrating least-loaded
 // routing at staleness 30, stopped at parentCkptAt — mid gossip period,
@@ -59,124 +59,97 @@ func parentCkptFederation(t testing.TB, gated bool) *fed.Federation {
 	return f
 }
 
-// testdata/ckpt_parent_*.json were written by the commit before the
-// direct and plane release loops became one, gated and ungated, with
-// version-1 member snapshots and the per-member "machines" rows that
-// duplicated them; ckpt_v2_*.json are the same runs at the same instant
-// from the first writer of version-2 member snapshots — both federation
-// version 4 — ckpt_v5_*.json from the first writer of federation
-// version 5 (version-3 members), ckpt_v6_*.json from the first writer
-// of version 6 (observation-only exchange summaries, a version-2
-// control block), and ckpt_core4_*.json and ckpt_core5_*.json, still
-// version 6, from the first writers of version-4 and version-5 members.
-// All of them were stepped with members dispatching an instant before
-// its releases were delivered, so the state they hold is not one the
-// current loop reaches: each must restore under the current code,
-// conserve work, re-capture to a document that restores to the same
-// bytes, and run on to the horizon identically from either. An older
-// file cannot re-capture to its own bytes (rows, cluster fields, the
-// federation-level copies, the summaries' configuration columns, the
-// control queue's numbering, the members' running-entry ends, fold marks
-// and decision-schedule accounts, and their hypothetical schedules'
-// queues, pending releases and machine-owner accounts are no longer
-// written). ckpt_order_*.json are the same runs from the first writer
-// of the current instant order, ckpt_core6_*.json from the first writer
-// of version-6 members, ckpt_core7_*.json from the first writer of
-// version-7 members (the busy site's singletons written as release-start
-// schedules) and ckpt_v7_*.json from the first writer of version 7 (the
-// instant the cached exchange observed): the restore of each runs on
-// exactly as an uninterrupted run, and a v7 file is a fresh run's
-// snapshot byte for byte (an order file's members say version 5, a
-// core6 file's version 6, and a core7 file is a version-6 document).
+// testdata/ckpt_v7_{direct,gated}.json are parentCkptFederation
+// stepped to parentCkptAt, from the first writer of the current layout.
+// Each is a fresh run's snapshot byte for byte; it restores with its
+// migrations, cached exchange and, gated, deferred admissions, conserves
+// work, re-captures to its own bytes and runs on to the horizon exactly
+// as the uninterrupted run. Restore reads the current layout alone
+// (DESIGN.md §7.1): the same document under a retired federation
+// version, 1 to 6, or with its members under a retired core version
+// (coreN), is refused with an error naming the version it reads.
 func TestParentCheckpointsRestore(t *testing.T) {
-	for _, name := range []string{"direct", "gated", "direct/v2", "gated/v2", "direct/v5", "gated/v5", "direct/v6", "gated/v6", "direct/core4", "gated/core4", "direct/core5", "gated/core5", "direct/order", "gated/order", "direct/core6", "gated/core6", "direct/core7", "gated/core7", "direct/v7", "gated/v7"} {
-		run, version, old := strings.Cut(name, "/")
-		if !old {
-			version = "parent"
+	restore := func(doc []byte) (*fed.Federation, error) {
+		return fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), doc)
+	}
+	refused := func(t *testing.T, doc []byte, want string) {
+		t.Helper()
+		if _, err := restore(doc); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("restore answered %v, want an error mentioning %q", err, want)
 		}
-		gated, v2, v5, v6, core4, core5, order, v7 := run == "gated", version == "v2", version == "v5", version == "v6", version == "core4", version == "core5", version == "order", version == "v7"
-		order = order || version == "core6" || version == "core7" || v7 // of the current instant order too
-		core5 = core5 || order                                          // its members are version 5 or later
-		v6 = v6 || core4 || core5                                       // a core4, core5, order, core6, core7 or v7 file is a version-6 document or later
-		file := "ckpt_" + version + "_" + run + ".json"
-		t.Run(name, func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join("testdata", file))
+	}
+	for _, run := range []string{"direct", "gated"} {
+		t.Run(run, func(t *testing.T) {
+			gated := run == "gated"
+			raw, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("ckpt_v%d_%s.json", fed.CheckpointVersion, run)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			raw = bytes.TrimSpace(raw)
-			if old := bytes.Contains(raw, []byte(`"machines":[`)) && bytes.Contains(raw, []byte("flushed_at")); old == (v2 || v5 || v6) {
-				t.Fatalf("the fixture carries machines rows and version-1 cluster states: %v", old)
+			for version := 1; version < fed.CheckpointVersion; version++ {
+				t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+					header := func(v int) []byte { return []byte(fmt.Sprintf(`{"version":%d,`, v)) }
+					refused(t, bytes.Replace(raw, header(fed.CheckpointVersion), header(version), 1), fmt.Sprintf("fed: restore: checkpoint version %d, want %d", version, fed.CheckpointVersion))
+				})
 			}
-			if old := bytes.HasPrefix(raw, []byte(`{"version":4,`)) && bytes.Contains(raw, []byte(`"next_seq":`)) && bytes.Contains(raw, []byte(`"routed":`)); old == (v5 || v6) {
-				t.Fatalf("the fixture is a version-4 document with a sequence counter and a placement ledger: %v", old)
+			for version := 1; version < core.CheckpointVersion; version++ {
+				t.Run(fmt.Sprintf("core%d", version), func(t *testing.T) {
+					var cp fed.Checkpoint
+					if err := json.Unmarshal(raw, &cp); err != nil {
+						t.Fatal(err)
+					}
+					for _, m := range cp.Members {
+						m.Engine.Version = version
+					}
+					doc, err := json.Marshal(cp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refused(t, doc, fmt.Sprintf("core: restore: checkpoint version %d, want %d", version, core.CheckpointVersion))
+				})
 			}
-			if old := bytes.Contains(raw, []byte(`"org_capacity":`)); old == v6 {
-				t.Fatalf("the fixture's exchange summaries carry their configuration: %v", old)
-			}
-			if old := bytes.Contains(raw, []byte(`"acc_from":`)); old == (core4 || core5) {
-				t.Fatalf("the fixture's members carry running entries' fold marks: %v", old)
-			}
-			if old := bytes.Contains(raw, []byte(`"own_acct":`)); old == core5 {
-				t.Fatalf("the fixture's members carry machine-owner accounts: %v", old)
-			}
-			restored, err := fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (restored.Admission() != nil) != gated {
-				t.Fatalf("restored with admission %+v", restored.Admission())
-			}
-			if gated && deferred(restored.AdmissionStats()) == 0 {
-				t.Fatal("the gated checkpoint carries no deferred admission — it does not exercise the plane's event queue")
-			}
-			if ledger := restored.Ledger(); ledger.Migrations == 0 {
-				t.Fatal("the checkpoint predates the first migration — it does not exercise re-delegation")
-			}
-			if err := restored.CheckConservation(); err != nil {
-				t.Fatal(err)
-			}
-			recaptured, err := restored.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), recaptured)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, err := again.Snapshot(); err != nil || !bytes.Equal(got, recaptured) {
-				t.Errorf("the re-captured document is not a fixed point of restore (err %v)", err)
-			}
-			other := again
-			if order {
+			t.Run(fmt.Sprintf("v%d", fed.CheckpointVersion), func(t *testing.T) {
+				restored, err := restore(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (restored.Admission() != nil) != gated {
+					t.Fatalf("restored with admission %+v", restored.Admission())
+				}
+				if gated && deferred(restored.AdmissionStats()) == 0 {
+					t.Fatal("the gated checkpoint carries no deferred admission — it does not exercise the plane's event queue")
+				}
+				if ledger := restored.Ledger(); ledger.Migrations == 0 {
+					t.Fatal("the checkpoint predates the first migration — it does not exercise re-delegation")
+				}
+				if err := restored.CheckConservation(); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, raw) {
+					t.Errorf("the restored federation's snapshot is not the fixture's bytes (err %v)", err)
+				}
 				straight := parentCkptFederation(t, gated)
 				if _, err := straight.Step(parentCkptAt); err != nil {
 					t.Fatal(err)
 				}
-				want, err := straight.Snapshot()
-				if err != nil {
+				if want, err := straight.Snapshot(); err != nil || !bytes.Equal(want, raw) {
+					t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B, err %v)", parentCkptAt, len(want), len(raw), err)
+				}
+				for _, f := range []*fed.Federation{straight, restored} {
+					if _, err := f.Step(parentCkptHorizon); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(fingerprint(t, restored), fingerprint(t, straight)) {
+					t.Fatal("restored run diverged from the uninterrupted one")
+				}
+				if err := restored.CheckConservation(); err != nil {
 					t.Fatal(err)
 				}
-				if v7 && !bytes.Equal(want, raw) {
-					t.Errorf("a fresh run's snapshot at t=%d differs from the fixture's bytes (%d B, fixture %d B)", parentCkptAt, len(want), len(raw))
+				if a, b := fmt.Sprintf("%+v", straight.AdmissionStats()), fmt.Sprintf("%+v", restored.AdmissionStats()); a != b {
+					t.Fatalf("admission stats diverged:\n%s\n%s", a, b)
 				}
-				other = straight
-			}
-			if _, err := other.Step(parentCkptHorizon); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := restored.Step(parentCkptHorizon); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(fingerprint(t, restored), fingerprint(t, other)) {
-				t.Fatal("restored run diverged from its twin")
-			}
-			if err := restored.CheckConservation(); err != nil {
-				t.Fatal(err)
-			}
-			if a, b := fmt.Sprintf("%+v", other.AdmissionStats()), fmt.Sprintf("%+v", restored.AdmissionStats()); a != b {
-				t.Fatalf("admission stats diverged:\n%s\n%s", a, b)
-			}
+			})
 		})
 	}
 }

@@ -380,22 +380,6 @@ func (q *Queues) reset(now model.Time, released [][]int, pending, withdrawn []in
 	}
 }
 
-// checkWindow reports whether an older document's state of a cluster of
-// coal is its window of the queues: per member, the queued jobs the last
-// of the released ones, and the pending list the members' pending jobs
-// in (Release, ID) order.
-func (q *Queues) checkWindow(coal model.Coalition, queues [][]int, pending []int) error {
-	for u, w := range queues {
-		if released := q.lists[u]; coal.Has(u) && (len(w) > len(released) || !slices.Equal(w, released[len(released)-len(w):])) {
-			return fmt.Errorf("sim: restore: organization %d's queue %v is not a window of its released jobs %v", u, w, released)
-		}
-	}
-	if want := q.pendingOf(coal); !slices.Equal(pending, want) {
-		return fmt.Errorf("sim: restore: pending releases %v, the decision schedule's are %v", pending, want)
-	}
-	return nil
-}
-
 // releaseStarts is the release-start ledger of a set whose machines all
 // run at one speed: every released job taken as started at its release.
 // A hypothetical schedule in free flow — nothing waits in it, and it

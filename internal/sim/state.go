@@ -28,9 +28,6 @@ type RunEntryState struct {
 	Job     int        `json:"job"`
 	Machine int        `json:"machine"`
 	Start   model.Time `json:"start"`
-	// Folded is read, never written: a document of version 1 to 3 had
-	// already added the window [Start, Folded) to its accounts.
-	Folded *model.Time `json:"acc_from,omitempty"`
 }
 
 // ClusterState is the serializable simulation state of one cluster:
@@ -59,8 +56,7 @@ type ClusterState struct {
 	AtRelease   bool            `json:"at_release,omitempty"`
 	*QueueState                 // nil on a hypothetical schedule
 	// Per member in index order: how many released jobs wait here, the
-	// last of the shared queue's; and the finished work (up to version 4
-	// per organization).
+	// last of the shared queue's; and the finished work.
 	Waiting []int             `json:"waiting,omitempty"`
 	Running []RunEntryState   `json:"running,omitempty"` // heap array order; by (end, job) on machines 0, 1, … where all share one speed
 	OrgAcct []utility.Account `json:"org_acct,omitempty"`
@@ -74,9 +70,6 @@ type ClusterState struct {
 type QueueState struct {
 	ReleaseOrder []int   `json:"release_order"` // pending releases, by (Release, ID)
 	Queues       [][]int `json:"queues"`        // waiting job IDs per org, FIFO
-	// NextRelease is read, never written: a version-1 document's release
-	// order still began with the releases that had fired, this many.
-	NextRelease int `json:"next_release,omitempty"`
 }
 
 // byEndJob orders executions by (end, job), as a capture on machines of
@@ -178,10 +171,9 @@ func (q *Queues) compact(st *ClusterState) {
 // its members' release-start schedule at its clock, nothing waiting, the
 // stored offset added to the release-start finished work. A compact
 // state is refused where no capture writes one — on the decision
-// schedule, on machines of more than one speed, next to queues, waiting
-// counts, running entries, a decision log or a withdrawn list — and
-// where it would run more jobs than its pool has machines or leave a
-// member negative finished work.
+// schedule, on machines of more than one speed, next to waiting counts
+// or running entries — and where it would run more jobs than its pool
+// has machines; RestoreState holds the expanded state to the rest.
 func (c *Cluster) expand(st *ClusterState) error {
 	members := c.coal.Members()
 	switch {
@@ -189,8 +181,8 @@ func (c *Cluster) expand(st *ClusterState) error {
 		return fmt.Errorf("sim: restore: the decision schedule of %v is written as a release-start schedule", c.coal)
 	case c.q.speed == 0:
 		return fmt.Errorf("sim: restore: a release-start schedule of %v on machines of more than one speed", c.coal)
-	case st.QueueState != nil || st.Waiting != nil || st.Running != nil || st.Starts != nil || st.Withdrawn != nil:
-		return fmt.Errorf("sim: restore: a release-start schedule of %v carries queues, waiting counts, running entries, a decision log or a withdrawn list", c.coal)
+	case st.Waiting != nil || st.Running != nil:
+		return fmt.Errorf("sim: restore: a release-start schedule of %v carries waiting counts or running entries", c.coal)
 	case st.OrgAcct != nil && len(st.OrgAcct) != len(members):
 		return fmt.Errorf("sim: restore: %d finished-work offsets for %d members", len(st.OrgAcct), len(members))
 	}
@@ -201,9 +193,6 @@ func (c *Cluster) expand(st *ClusterState) error {
 	for i, a := range st.OrgAcct {
 		done[i].U += a.U
 		done[i].S += a.S
-		if done[i].U < 0 || done[i].S < 0 {
-			return fmt.Errorf("sim: restore: organization %d's finished work offset leaves %+v", members[i], done[i])
-		}
 	}
 	st.AtRelease, st.Waiting, st.Running, st.OrgAcct = false, make([]int, len(members)), running, done
 	return nil
@@ -222,17 +211,17 @@ func (c *Cluster) expand(st *ClusterState) error {
 // The decision schedule — the cluster that keeps a decision log, whose
 // coalition must span the queues — rebuilds them from the capture, and
 // is restored first: an organization's released jobs are the ones its
-// log started, then its queued ones. Every other cluster waits for the last of those,
-// as many as its count says; an older document's queues and pending list
-// must be that window (Queues.checkWindow), its withdrawn list is not
-// read and its non-members' accounts must be empty.
+// log started, then its queued ones. Every other cluster — a
+// hypothetical schedule, which carries no queues, pending list,
+// decision log or withdrawn list — waits for the last of those, as many
+// as its count says, and holds an account per member, none of them
+// negative.
 //
 // On a cluster that keeps a decision log, each line's job, machine and
 // start give its window: the lines that ended by the clock are its
 // finished work, the rest its running entries. A cluster without one
-// reads them; a legacy fold mark says which part of an entry's window
-// the stored accounts already hold. A compact state (AtRelease) is
-// expanded to the full one first, and that is held to the same rule.
+// reads them. A compact state (AtRelease) is expanded to the full one
+// first, and that is held to the same rule.
 func (c *Cluster) RestoreState(st ClusterState) error {
 	if st.AtRelease {
 		if err := c.expand(&st); err != nil {
@@ -240,39 +229,31 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 		}
 	}
 	k, jobs, members := len(c.inst.Orgs), c.inst.Jobs, c.coal.Members()
-	rebuild, qs, acct := !c.noStarts, st.QueueState, st.OrgAcct
+	rebuild, qs := !c.noStarts, st.QueueState
 	switch {
 	case st.Coalition != c.coal:
 		return fmt.Errorf("sim: restore: coalition %v into cluster of %v", st.Coalition, c.coal)
-	case qs == nil && (rebuild || len(st.Waiting) != len(members)):
-		return fmt.Errorf("sim: restore: no queues, and %d waiting counts for %d members of a schedule that does not rebuild them", len(st.Waiting), len(members))
-	case qs == nil:
-		qs = &QueueState{}
-	case len(qs.Queues) != k:
+	case rebuild && qs == nil:
+		return fmt.Errorf("sim: restore: the decision schedule of %v has no queues", c.coal)
+	case rebuild && len(qs.Queues) != k:
 		return fmt.Errorf("sim: restore: state sized for %d organizations, cluster has %d", len(qs.Queues), k)
-	case qs.NextRelease < 0 || qs.NextRelease > len(qs.ReleaseOrder):
-		return fmt.Errorf("sim: restore: next release index %d out of range", qs.NextRelease)
+	case !rebuild && (qs != nil || st.Starts != nil || st.Withdrawn != nil):
+		return fmt.Errorf("sim: restore: a hypothetical schedule of %v carries queues, a pending list, a decision log or a withdrawn list", c.coal)
+	case !rebuild && (len(st.Waiting) != len(members) || len(st.OrgAcct) != len(members)):
+		return fmt.Errorf("sim: restore: %d waiting counts and %d accounts for %d members", len(st.Waiting), len(st.OrgAcct), len(members))
 	}
-	if c.noStarts && len(acct) == k && len(members) < k {
-		acct = nil // an older document's lists every organization
-		for org, a := range st.OrgAcct {
-			if c.coal.Has(org) {
-				acct = append(acct, a)
-			} else if a != (utility.Account{}) {
-				return fmt.Errorf("sim: restore: non-member organization %d has finished work here", org)
-			}
-		}
-	}
-	if c.noStarts && len(acct) != len(members) {
-		return fmt.Errorf("sim: restore: %d accounts for %d members", len(acct), len(members))
-	}
-	if st.QueueState != nil {
+	if rebuild {
 		st.Waiting = nil
 		for _, u := range members {
 			st.Waiting = append(st.Waiting, len(qs.Queues[u]))
 		}
+	} else {
+		for i, a := range st.OrgAcct {
+			if a.U < 0 || a.S < 0 {
+				return fmt.Errorf("sim: restore: organization %d's finished work %+v is negative", members[i], a)
+			}
+		}
 	}
-	pending := qs.ReleaseOrder[qs.NextRelease:]
 	listed := make([]bool, len(jobs))
 	list := func(where string, id int) error {
 		switch {
@@ -291,7 +272,6 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	var running []RunEntryState
 	var finished []runEntry
 	if c.noStarts {
-		st.Starts = nil // an old document's is dropped
 		running = st.Running
 	} else {
 		freeAt := make([]model.Time, len(c.owners)) // machine -> end of its last logged job
@@ -316,8 +296,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	}
 	// Where the cluster rebuilds the queues, each organization's released
 	// jobs by release: the ones its log started, then the queued ones, and
-	// its pending ones by (Release, ID) after them. (An older document's
-	// window of them is checked whole.)
+	// its pending ones by (Release, ID) after them.
 	var lists [][]int
 	if rebuild {
 		if grand := c.inst.Grand(); c.coal != grand {
@@ -343,6 +322,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 				}
 			}
 		}
+		pending := qs.ReleaseOrder
 		for i, id := range pending {
 			if err := list("release order", id); err != nil {
 				return err
@@ -360,10 +340,6 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 			if !c.noStarts && !listed[id] && c.coal.Has(j.Org) {
 				return fmt.Errorf("sim: restore: job %d is neither started, pending, queued nor withdrawn", id)
 			}
-		}
-	} else if st.QueueState != nil {
-		if err := c.q.checkWindow(c.coal, qs.Queues, pending); err != nil {
-			return err
 		}
 	}
 	// Each member's cursor, from the start of its released jobs: before
@@ -403,10 +379,10 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 			return fmt.Errorf("sim: restore: job %d runs on machine %d, unknown or taken", r.Job, r.Machine)
 		}
 		// The window its start implies, open at the clock (a past
-		// completion would be the next event), folded to inside it.
+		// completion would be the next event).
 		entries[i] = c.entry(r.Job, r.Machine, r.Start)
-		if end := entries[i].End; r.Start > st.Now || end <= st.Now || (r.Folded != nil && (*r.Folded < r.Start || *r.Folded > st.Now)) {
-			return fmt.Errorf("sim: restore: job %d runs over [%d,%d) at time %d, or its window was folded outside it", r.Job, r.Start, end, st.Now)
+		if end := entries[i].End; r.Start > st.Now || end <= st.Now {
+			return fmt.Errorf("sim: restore: job %d runs over [%d,%d) at time %d", r.Job, r.Start, end, st.Now)
 		}
 		if c.noStarts && i > 0 && entries[i].before(&entries[(i-1)/2]) {
 			return fmt.Errorf("sim: restore: running entry %d is out of completion-heap order", i)
@@ -420,7 +396,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 
 	c.now, c.withdrawn, c.flow = st.Now, nil, false
 	if rebuild {
-		c.q.reset(st.Now, lists, pending, st.Withdrawn)
+		c.q.reset(st.Now, lists, qs.ReleaseOrder, st.Withdrawn)
 		c.withdrawn = append(c.withdrawn, st.Withdrawn...)
 	}
 	for _, u := range members {
@@ -431,7 +407,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	clear(c.ownAcct)
 	c.total = ValuePoly{}
 	if c.noStarts {
-		for i, a := range acct {
+		for i, a := range st.OrgAcct {
 			c.orgAcct[members[i]].Account = a
 			c.total.Add(a)
 		}
@@ -443,14 +419,7 @@ func (c *Cluster) RestoreState(st ClusterState) error {
 	}
 	c.running = c.running[:0]
 	clear(c.runningPerOrg)
-	for i, r := range entries {
-		if folded := running[i].Folded; folded != nil {
-			var w utility.Account
-			w.AddScaledWindow(r.Start, jobs[r.Job].Size, c.speeds[r.Machine], r.Start, *folded)
-			for _, a := range []*ValuePoly{&c.orgAcct[jobs[r.Job].Org], &c.total} {
-				a.U, a.S = a.U-w.U, a.S-w.S
-			}
-		}
+	for _, r := range entries {
 		c.running.push(r)
 		c.start(r, jobs[r.Job].Org)
 		c.runningPerOrg[jobs[r.Job].Org]++

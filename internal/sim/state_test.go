@@ -387,10 +387,6 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	if len(hyp.Running) != 2 || len(hyp.OrgAcct) != 2 || len(hyp.Starts) != 0 || hyp.QueueState != nil || fmt.Sprint(hyp.Waiting) != "[1 0]" {
 		t.Fatalf("the log-less fixture does not store its running entries, accounts and waiting counts alone: %+v", hyp)
 	}
-	// A version-4 writer wrote the log-less schedule's window of the
-	// decision schedule's queues and pending list.
-	legacy := cloneState(t, hyp, nil)
-	legacy.QueueState, legacy.Waiting = cloneState(t, st, nil).QueueState, nil
 	if err := New(c.inst, model.Singleton(0), fifoByID(), nil).RestoreState(st); err == nil {
 		t.Error("coalition mismatch accepted")
 	}
@@ -400,12 +396,12 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 		doctor map[string]func(*ClusterState)
 	}{
 		{c, st, map[string]func(*ClusterState){
-			"unknown job in release order":    func(s *ClusterState) { s.ReleaseOrder[0] = 99 },
-			"job queued under another org":    func(s *ClusterState) { s.Queues[0], s.Queues[1] = nil, []int{2} },
-			"queue with unknown job":          func(s *ClusterState) { s.Queues[0] = []int{42} },
-			"decision log with unknown job":   func(s *ClusterState) { s.Starts[0].Job = 42 },
-			"organization count":              func(s *ClusterState) { s.Queues = s.Queues[:1] },
-			"next release index out of range": func(s *ClusterState) { s.NextRelease = 2 },
+			"unknown job in release order":  func(s *ClusterState) { s.ReleaseOrder[0] = 99 },
+			"job queued under another org":  func(s *ClusterState) { s.Queues[0], s.Queues[1] = nil, []int{2} },
+			"queue with unknown job":        func(s *ClusterState) { s.Queues[0] = []int{42} },
+			"decision log with unknown job": func(s *ClusterState) { s.Starts[0].Job = 42 },
+			"organization count":            func(s *ClusterState) { s.Queues = s.Queues[:1] },
+			"no queues":                     func(s *ClusterState) { s.QueueState = nil },
 			// The decision log against the other lists: engine.Waiting is
 			// jobs − starts − withdrawn, so each of these restored a wrong
 			// backlog before the partition check.
@@ -427,13 +423,15 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 			"two running entries on a machine":  func(s *ClusterState) { s.Running[1].Machine = s.Running[0].Machine },
 			"completion in the clock's past":    func(s *ClusterState) { s.Now = 7 },
 			"start after the clock":             func(s *ClusterState) { s.Running[0].Start = 3 },
-			"fold mark before the start":        func(s *ClusterState) { s.Running[0].Start, s.Running[0].Folded = 1, new(model.Time) },
 			"running entries out of heap order": func(s *ClusterState) { s.Running[0].Start = 1 },
 			"organization count":                func(s *ClusterState) { s.OrgAcct = s.OrgAcct[:1] },
 			"job running twice":                 func(s *ClusterState) { s.Running[1].Job = s.Running[0].Job },
-		}},
-		{hypotheticalSlot(t, c.inst, c.coal, st, fifoByID), legacy, map[string]func(*ClusterState){
-			"job running and queued": func(s *ClusterState) { s.Queues[0] = append(s.Queues[0], s.Running[0].Job) },
+			"negative finished work":            func(s *ClusterState) { s.OrgAcct[0].U = -1 },
+			// What only the decision schedule writes.
+			"queues":           func(s *ClusterState) { s.QueueState = &QueueState{Queues: make([][]int, 2)} },
+			"a pending list":   func(s *ClusterState) { s.QueueState = &QueueState{ReleaseOrder: []int{4}} },
+			"a decision log":   func(s *ClusterState) { s.Starts = []Start{{Job: 0}} },
+			"a withdrawn list": func(s *ClusterState) { s.Withdrawn = []int{3} },
 		}},
 	} {
 		for name, doctor := range table.doctor {
@@ -492,13 +490,11 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	}
 }
 
-// The free list, the per-organization running counts, the total account,
-// the flush mark and the fired releases of a version-1 document are not
-// read, nor — where a decision log is kept — running entries, their
-// ends and the accounts: whatever they say, the restored cluster is the
-// one the other fields describe. A cluster that keeps no decision log
-// drops a document's, subtracts what a legacy fold mark says its
-// accounts already hold, and still refuses a job in two places.
+// What a capture does not write — a free list, per-organization running
+// counts, a total account, a flush mark, machine-owner accounts, a
+// running entry's end and fold mark — is not read, nor, where a
+// decision log is kept, running entries and accounts: whatever they
+// say, the restored cluster is the one the other fields describe.
 func TestRestoreRecomputesDerivedFields(t *testing.T) {
 	c := midRunCluster(false)
 	clean := c.CaptureState()
@@ -506,19 +502,17 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := cloneState(t, clean, map[string]string{
+	doctored := cloneState(t, clean, map[string]string{
 		"free":            `[999,-1,0,0]`,
 		"running_per_org": `[7]`,
 		"total":           `{"U":123456,"S":-9}`,
 		"flushed_at":      `77`,
-		"release_order":   `[0,1,2,3,4]`,
-		"next_release":    `4`,
 		"running":         `[{"end":-4,"machine":1,"job":4,"start":-9,"acc_from":1}]`,
 		"org_acct":        `[{"U":5,"S":-5}]`,
 		"own_acct":        `[]`,
 	})
 	restored := New(c.inst, c.coal, fifoByID(), nil)
-	if err := restored.RestoreState(v1); err != nil {
+	if err := restored.RestoreState(doctored); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := json.Marshal(restored.CaptureState()); !bytes.Equal(got, want) {
@@ -535,16 +529,21 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 
 	hyp := midRunCluster(true).CaptureState()
 	wantHyp, _ := json.Marshal(hyp)
-	garbage := cloneState(t, hyp, nil)
-	garbage.Starts = []Start{{Job: 42}, {Job: 2}, {Job: 2}}
-	// A version-3 writer had folded job 0's first slot into its owner's
-	// accounts and marked it.
-	folded := model.Time(1)
-	garbage.Running[0].Folded = &folded
-	garbage.OrgAcct[c.inst.Jobs[garbage.Running[0].Job].Org].AddWindow(0, 1)
+	var running []map[string]any
+	if data, err := json.Marshal(hyp.Running); err != nil || json.Unmarshal(data, &running) != nil {
+		t.Fatal(err)
+	}
+	for _, r := range running {
+		r["end"], r["acc_from"] = -4, 1
+	}
+	entries, err := json.Marshal(running)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := cloneState(t, hyp, map[string]string{"running": string(entries), "own_acct": `[{"U":999,"S":-3}]`})
 	into := hypotheticalSlot(t, c.inst, c.coal, clean, fifoByID)
 	if err := into.RestoreState(garbage); err != nil {
-		t.Fatalf("a cluster without a decision log read the document's, or a fold mark: %v", err)
+		t.Fatalf("a cluster without a decision log read an entry's end, a fold mark or owner accounts: %v", err)
 	}
 	if got, _ := json.Marshal(into.CaptureState()); !bytes.Equal(got, wantHyp) {
 		t.Fatalf("a cluster without a decision log re-captured\n%s\nwant\n%s", got, wantHyp)
@@ -552,12 +551,6 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 	into.Run(40)
 	if into.Starts() != nil || into.Value() != c.Value() {
 		t.Fatalf("log-less run: starts %v, value %d, want none and %d", into.Starts(), into.Value(), c.Value())
-	}
-	// A version-4 document's pending list that also holds a running job.
-	garbage.QueueState = cloneState(t, clean, nil).QueueState
-	garbage.ReleaseOrder = append(garbage.ReleaseOrder, garbage.Running[0].Job)
-	if err := hypotheticalSlot(t, c.inst, c.coal, clean, fifoByID).RestoreState(garbage); err == nil {
-		t.Error("a job pending and running accepted by a cluster without a decision log")
 	}
 }
 
@@ -601,7 +594,7 @@ func doctorNode(v any, n int, edit func(any) any) (any, int) {
 // mask order. By then A's two jobs have run from 0 on {A, B}'s two
 // machines and B's job, released at 1, from 4: that schedule is written
 // as its release-start schedule with an offset to B's finished work.
-func releaseStartDocument(f *testing.F) (doc struct {
+func releaseStartDocument(f testing.TB) (doc struct {
 	Orgs     []model.Org
 	Jobs     []model.Job
 	Clusters []json.RawMessage
@@ -649,43 +642,93 @@ func releaseStartDocument(f *testing.F) (doc struct {
 	return doc
 }
 
+// A hypothetical schedule's finished work is never negative, in either
+// form a capture writes it: the schedule of {A, B} that
+// releaseStartDocument writes as its release-start schedule restores
+// from its full form and re-captures compact, and with organization
+// A's finished work below zero it is refused in both forms. (The full
+// form was accepted once, and the session's own re-capture, compacted,
+// was then refused: restore was no fixed point.)
+func TestRestoreRefusesNegativeFinishedWork(t *testing.T) {
+	doc := releaseStartDocument(t)
+	var decision, compact ClusterState
+	if json.Unmarshal(doc.Clusters[len(doc.Clusters)-1], &decision) != nil || json.Unmarshal(doc.Clusters[2], &compact) != nil {
+		t.Fatal("the document does not decode")
+	}
+	in := &model.Instance{Orgs: doc.Orgs, Jobs: doc.Jobs}
+	c := hypotheticalSlot(t, in, compact.Coalition, decision, lowestOrgPolicy)
+	full := cloneState(t, compact, nil)
+	if err := c.expand(&full); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestoreState(full); err != nil {
+		t.Fatalf("the full form is refused: %v", err)
+	}
+	if got, _ := json.Marshal(c.CaptureState()); !bytes.Equal(got, doc.Clusters[2]) {
+		t.Fatalf("the full form re-captures as\n%s\nwant\n%s", got, doc.Clusters[2])
+	}
+	for form, st := range map[string]ClusterState{"full": full, "compact": compact} {
+		bad := cloneState(t, st, nil)
+		bad.OrgAcct[0].U -= full.OrgAcct[0].U + 1
+		if err := c.RestoreState(bad); err == nil || !strings.Contains(err.Error(), "finished work") {
+			t.Errorf("the %s form with negative finished work: restore answered %v, want a refusal", form, err)
+		}
+	}
+}
+
 // FuzzClusterRestore hands RestoreState doctored captures — numbers
-// overwritten, arrays cut short or stretched — of the mid-run
-// round-robin schedule committed under internal/core/testdata, as the
-// version-1, version-2 and version-3 document, of the version-5 REF
-// document's schedule of {A, B}, and of the schedule of {A, B} that
+// overwritten, arrays cut short or stretched — of the third schedule
+// (the only one of the round-robin document) in each mid-run checkpoint
+// committed under internal/core/testdata — the round-robin decision
+// schedule, RAND's schedule of {B}, NBS's of {C} and REF's of {A, B},
+// on related machines — and of the schedule of {A, B} that
 // releaseStartDocument writes as its release-start schedule with a
 // finished-work offset. A cluster that keeps no decision log — a
-// schedule of {A, B}, or the round-robin one with discard —
-// is a hypothetical slot on queues the undoctored decision schedule
-// rebuilds first. RestoreState refuses, or its free machines are the
-// stack checkFreeStack describes — after the restore and after every
-// drain step — every start it serves is on a pool machine at an
-// instant ≤ now and
-// the restored cluster drains without a panic having executed exactly
-// the work the accepted state still owed, every member job started once.
+// hypothetical schedule, or the round-robin one with discard — is a
+// hypothetical slot on queues the undoctored decision schedule rebuilds
+// first. RestoreState refuses, or its free machines are the stack
+// checkFreeStack describes — after the restore and after every drain
+// step — every start it serves is on a pool machine at an instant ≤ now
+// and the restored cluster drains without a panic having executed
+// exactly the work the accepted state still owed, every member job
+// started once.
 func FuzzClusterRestore(f *testing.F) {
 	type document struct {
 		Orgs     []model.Org
 		Jobs     []model.Job
 		Clusters []json.RawMessage
+		// The decision schedule's and the fuzzed schedule's positions.
+		decision, fuzzed int
 	}
 	var docs []document
-	for _, name := range []string{"parent_roundrobin", "v2_roundrobin", "v3_roundrobin", "v5_ref"} {
-		data, err := os.ReadFile("../core/testdata/ckpt_" + name + ".json")
+	for _, name := range []string{"roundrobin", "rand", "nbs", "ref"} {
+		data, err := os.ReadFile("../core/testdata/ckpt_v7_" + name + ".json")
 		if err != nil {
 			f.Fatal(err)
 		}
-		var doc document
-		if err := json.Unmarshal(data, &doc); err != nil || len(doc.Clusters) != 1 && len(doc.Clusters) != 15 {
-			f.Fatalf("%s fixture: %d clusters, err %v", name, len(doc.Clusters), err)
+		doc := document{decision: -1}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			f.Fatalf("%s fixture: %v", name, err)
+		}
+		for i, raw := range doc.Clusters {
+			var st ClusterState
+			if err := json.Unmarshal(raw, &st); err != nil {
+				f.Fatal(err)
+			}
+			if st.QueueState != nil {
+				doc.decision = i
+			}
+		}
+		if doc.fuzzed = min(2, len(doc.Clusters)-1); doc.decision < 0 {
+			f.Fatalf("%s fixture: no decision schedule", name)
 		}
 		for i := range doc.Jobs {
 			doc.Jobs[i].ID = i // a job list does not carry positions
 		}
 		docs = append(docs, doc)
 	}
-	docs = append(docs, releaseStartDocument(f))
+	rs := releaseStartDocument(f)
+	docs = append(docs, document{Orgs: rs.Orgs, Jobs: rs.Jobs, Clusters: rs.Clusters, decision: len(rs.Clusters) - 1, fuzzed: 2})
 	for which := range docs {
 		f.Add(uint8(which), false, []byte{})
 		f.Add(uint8(which), true, []byte{0, 9, 0, 0, 3})
@@ -693,11 +736,8 @@ func FuzzClusterRestore(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, discard bool, edits []byte) {
 		doc := docs[int(which)%len(docs)]
-		// The REF document's clusters are in mask order: {A, B} is the
-		// third, the decision schedule the last.
-		fuzzed := min(2, len(doc.Clusters)-1)
 		var tree any
-		dec := json.NewDecoder(bytes.NewReader(doc.Clusters[fuzzed]))
+		dec := json.NewDecoder(bytes.NewReader(doc.Clusters[doc.fuzzed]))
 		dec.UseNumber() // keep int64s exact through the round trip
 		if err := dec.Decode(&tree); err != nil {
 			t.Fatal(err)
@@ -740,16 +780,12 @@ func FuzzClusterRestore(f *testing.F) {
 		}
 		in := &model.Instance{Orgs: doc.Orgs, Jobs: doc.Jobs}
 		c := New(in, in.Grand(), lowestOrgPolicy(), nil)
-		if fuzzed > 0 || discard {
-			var decision ClusterState
-			if err := json.Unmarshal(doc.Clusters[len(doc.Clusters)-1], &decision); err != nil {
-				t.Fatal(err)
+		if doc.fuzzed != doc.decision || discard {
+			var decision, clean ClusterState
+			if json.Unmarshal(doc.Clusters[doc.decision], &decision) != nil || json.Unmarshal(doc.Clusters[doc.fuzzed], &clean) != nil {
+				t.Fatal("the undoctored document does not decode")
 			}
-			coal := in.Grand()
-			if fuzzed > 0 {
-				coal = model.Coalition(3)
-			}
-			c, discard = hypotheticalSlot(t, in, coal, decision, lowestOrgPolicy), true
+			c, discard = hypotheticalSlot(t, in, clean.Coalition, decision, lowestOrgPolicy), true
 		}
 		if c.RestoreState(st) != nil {
 			return

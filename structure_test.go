@@ -35,6 +35,7 @@ func TestStructure(t *testing.T) {
 		{"One routing path", oneRoutingPath},
 		{"One stepping mode", oneSteppingMode},
 		{"Free flow stays in the set", freeFlowStaysInTheSet},
+		{"One version check per format", oneVersionCheckPerFormat},
 		{"Design doc size", designDocSize},
 	} {
 		t.Run(r.name, func(t *testing.T) { r.rule(t, m) })
@@ -109,10 +110,8 @@ var freeFlowKeyParts = []string{"flow", "release_start", "ledger", "offset"}
 // oneCopyOfEachFact: a checkpoint stores what is history and rebuilds
 // the rest. No struct that fed, ctrl, sim or core declares, or that a
 // federation checkpoint, a control block or a cluster state reaches,
-// carries a derivedKeys, reachedKeys or freeFlowKeyParts tag — but
-// sim.RunEntryState.Folded, which keeps `acc_from` as the read-only
-// decode field of version-1 to 3 documents (no non-test code writes it).
-// The release-start ledger (sim.releaseStarts) and a schedule set (its
+// carries a derivedKeys, reachedKeys or freeFlowKeyParts tag. The
+// release-start ledger (sim.releaseStarts) and a schedule set (its
 // keys and slot bitsets rebuilt by rekeyAll from the cluster states)
 // carry no JSON tag at all. A cluster's queues serve every organization
 // of the instance and the driver of the clusters on them releases them,
@@ -120,13 +119,6 @@ var freeFlowKeyParts = []string{"flow", "release_start", "ledger", "offset"}
 // `newQueues`) comes back in sim; and fed keeps no sequence counter
 // (`nextSeq`): restore rebuilds it from the members.
 func oneCopyOfEachFact(t *testing.T, m *module) {
-	folded := m.lookup(t, "sim.RunEntryState.Folded").(*types.Var)
-	entry := m.lookup(t, "sim.RunEntryState").Type().Underlying().(*types.Struct)
-	for i := 0; i < entry.NumFields(); i++ {
-		if key, _ := jsonKey(entry.Tag(i)); entry.Field(i) == folded && (key != "acc_from" || types.TypeString(folded.Type(), nil) != "*repro/internal/model.Time") {
-			t.Errorf("%s: sim.RunEntryState.Folded is a %s keyed %q, want a *model.Time keyed \"acc_from\"", m.at(folded.Pos()), folded.Type(), key)
-		}
-	}
 	structs := map[*types.Struct]*types.TypeName{} // -> the named type declaring it
 	var walk func(ty types.Type, owner *types.TypeName)
 	walk = func(ty types.Type, owner *types.TypeName) {
@@ -199,7 +191,6 @@ func oneCopyOfEachFact(t *testing.T, m *module) {
 				forbidden = append(slices.Clip(forbidden), reachedKeys...)
 			}
 			switch {
-			case f == folded && key == "acc_from":
 			case slices.Contains(forbidden, key):
 				found[f.Pos()] = fmt.Sprintf("the derived key %q", key)
 			case pkg == "sim" || pkg == "core":
@@ -212,7 +203,6 @@ func oneCopyOfEachFact(t *testing.T, m *module) {
 		}
 	}
 	m.reportEach(t, found)
-	m.report(t, m.writes(folded), "writes sim.RunEntryState.Folded, a read-only decode field")
 	m.forbidDeclarations(t, "sim", "private", "earliest", "newQueues")
 	m.forbidDeclarations(t, "fed", "nextSeq")
 }
@@ -340,6 +330,52 @@ func freeFlowStaysInTheSet(t *testing.T, m *module) {
 		m.lookup(t, "sim.Cluster."+name)
 		if !regexp.MustCompile(`(?m)can inline \(\*Cluster\)\.` + name + `( |$)`).Match(out) {
 			t.Errorf("the compiler does not inline (*sim.Cluster).%s", name)
+		}
+	}
+}
+
+// oneVersionCheckPerFormat: each checkpoint format restores the one
+// layout it writes (DESIGN.md §7.1), so each has one version check, in
+// its restore: core's in restoreStepper, which every RestoreStepper
+// runs, the federation's in fed.Restore and the control block's in
+// (*ctrl.Plane).RestoreState. No other non-test function reads the
+// Version field of core.Checkpoint, fed.Checkpoint or ctrl.Checkpoint
+// through a selector — a second reader of a retired layout would — and
+// each restore compares it once. (A capture writes it as a keyed
+// composite-literal field, which is no selector.)
+func oneVersionCheckPerFormat(t *testing.T, m *module) {
+	for _, format := range []struct{ field, check string }{
+		{"core.Checkpoint.Version", "core.restoreStepper"},
+		{"fed.Checkpoint.Version", "fed.Restore"},
+		{"ctrl.Checkpoint.Version", "ctrl.Plane.RestoreState"},
+	} {
+		field, check := m.lookup(t, format.field), m.decl(t, m.lookup(t, format.check))
+		var outside []token.Pos
+		compared := 0
+		for path, files := range m.files {
+			reads := func(e ast.Expr) bool {
+				sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+				return ok && origin(m.info[path].Uses[sel.Sel]) == field
+			}
+			for _, f := range files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						if reads(n) && (n.Pos() < check.Pos() || n.End() > check.End()) {
+							outside = append(outside, n.Pos())
+						}
+					case *ast.BinaryExpr:
+						if reads(n.X) || reads(n.Y) {
+							compared++
+						}
+					}
+					return true
+				})
+			}
+		}
+		m.report(t, outside, "reads "+format.field+" outside "+format.check)
+		if compared != 1 {
+			t.Errorf("%s is compared %d times, want once, in %s", format.field, compared, format.check)
 		}
 	}
 }
