@@ -128,14 +128,14 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 		run    func()
 		budget float64
 	}{
-		{"engine/off", engineRun, 61},
-		{"single/always", singleRun(&ctrl.PolicySpec{Policy: "always"}), 320},
-		{"single/tokenbucket", singleRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 8, Burst: 1, MaxAttempts: 2}), 340},
-		{"single/backpressure-stale", singleRun(&ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}), 140},
-		{"fed/off", fedRun(fed.LeastLoaded{}, nil), 475},
-		{"fed/always", fedRun(fed.LeastLoaded{}, &ctrl.PolicySpec{Policy: "always"}), 484},
-		{"fed/tokenbucket", fedRun(fed.LeastLoaded{}, tokenBucket), 496},
-		{"fed/fednbs-migrate-tokenbucket", fedRun(fednbsMigrate, tokenBucket), 690},
+		{"engine/off", engineRun, 48},
+		{"single/always", singleRun(&ctrl.PolicySpec{Policy: "always"}), 273},
+		{"single/tokenbucket", singleRun(&ctrl.PolicySpec{Policy: "tokenbucket", Rate: 1, Period: 8, Burst: 1, MaxAttempts: 2}), 290},
+		{"single/backpressure-stale", singleRun(&ctrl.PolicySpec{Policy: "backpressure", MaxWaiting: 2, RetryAfter: 3, MaxAttempts: 4, Staleness: 20}), 129},
+		{"fed/off", fedRun(fed.LeastLoaded{}, nil), 414},
+		{"fed/always", fedRun(fed.LeastLoaded{}, &ctrl.PolicySpec{Policy: "always"}), 423},
+		{"fed/tokenbucket", fedRun(fed.LeastLoaded{}, tokenBucket), 429},
+		{"fed/fednbs-migrate-tokenbucket", fedRun(fednbsMigrate, tokenBucket), 666},
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {

@@ -67,7 +67,7 @@ func referenceFor(b *testing.B, fam gen.Family, horizon model.Time, orgs int, se
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref := core.RefAlgorithm{}.Run(inst, horizon, seed)
+	ref := core.Run(core.RefAlgorithm{}, inst, horizon, seed)
 	v := benchRef{inst: inst, ref: ref}
 	benchCache.Store(key, v)
 	return v
@@ -76,11 +76,11 @@ func referenceFor(b *testing.B, fam gen.Family, horizon model.Time, orgs int, se
 // benchUnfairness is the shared body of the table/figure benchmarks:
 // every iteration runs the algorithm on a fresh seeded instance and the
 // average Δψ/p_tot is reported as delay/job.
-func benchUnfairness(b *testing.B, fam gen.Family, horizon model.Time, orgs int, alg core.Algorithm) {
+func benchUnfairness(b *testing.B, fam gen.Family, horizon model.Time, orgs int, alg core.StepperAlgorithm) {
 	var sum float64
 	for i := 0; i < b.N; i++ {
 		r := referenceFor(b, fam, horizon, orgs, int64(1+i%4)) // cycle 4 instances
-		res := alg.Run(r.inst, horizon, int64(i))
+		res := core.Run(alg, r.inst, horizon, int64(i))
 		sum += metrics.UnfairnessPerUnit(res.Psi, r.ref.Psi, r.ref.Ptot)
 	}
 	b.ReportMetric(sum/float64(b.N), "delay/job")
@@ -184,7 +184,7 @@ func BenchmarkAblationREF(b *testing.B) {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.RefAlgorithm{Opts: v.opts}.Run(inst, benchHorizon1, 0)
+				core.Run(core.RefAlgorithm{Opts: v.opts}, inst, benchHorizon1, 0)
 			}
 		})
 	}
@@ -207,7 +207,7 @@ func BenchmarkAblationREFScaling(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.RefAlgorithm{}.Run(inst, 5000, 0)
+				core.Run(core.RefAlgorithm{}, inst, 5000, 0)
 			}
 		})
 	}
@@ -300,7 +300,8 @@ func BenchmarkFederation(b *testing.B) {
 }
 
 // BenchmarkSimulator measures raw engine throughput (job starts per
-// second) for each per-decision policy on a fixed loaded workload.
+// second) for each per-decision policy on a fixed loaded workload, run
+// as the one-slot schedule set FromPolicy builds.
 func BenchmarkSimulator(b *testing.B) {
 	fam := gen.RICC().Scale(0.2)
 	machines := stats.ZipfSplit(fam.Procs, benchOrgs, 1)
@@ -324,9 +325,7 @@ func BenchmarkSimulator(b *testing.B) {
 		b.Run(p.name, func(b *testing.B) {
 			var starts int
 			for i := 0; i < b.N; i++ {
-				c := sim.New(inst, inst.Grand(), p.mk(), stats.NewRand(1))
-				c.Run(20000)
-				starts = len(c.Starts())
+				starts = len(core.Run(core.FromPolicy(p.name, p.mk), inst, 20000, 1).Starts)
 			}
 			b.ReportMetric(float64(starts), "jobs")
 		})

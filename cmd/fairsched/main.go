@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	res := alg.Run(inst, model.Time(*horizon), *seed)
+	res := core.Run(alg, inst, model.Time(*horizon), *seed)
 	fmt.Fprintf(stdout, "algorithm   : %s\n", res.Algorithm)
 	fmt.Fprintf(stdout, "jobs        : %d started of %d\n", len(res.Starts), len(inst.Jobs))
 	fmt.Fprintf(stdout, "machines    : %d\n", inst.TotalMachines())
@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	w.Flush()
 
 	if *compare {
-		ref := core.RefAlgorithm{}.Run(inst, model.Time(*horizon), *seed)
+		ref := core.Run(core.RefAlgorithm{}, inst, model.Time(*horizon), *seed)
 		fmt.Fprintf(stdout, "\nREF reference value : %d\n", ref.Value)
 		fmt.Fprintf(stdout, "Δψ (L1 distance)    : %d\n", metrics.DeltaPsi(res.Psi, ref.Psi))
 		fmt.Fprintf(stdout, "Δψ/p_tot            : %.3f\n", metrics.UnfairnessPerUnit(res.Psi, ref.Psi, ref.Ptot))

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden")
 
 // tinyRun executes the CLI with scaled-down budgets and returns stdout.
 func tinyRun(t *testing.T, args ...string) string {
@@ -16,8 +20,9 @@ func tinyRun(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
-// The worked examples (Figures 2 and 7) are exact: the smoke test pins
-// the paper's numbers, not just the rendering.
+// The worked examples (Figures 2 and 7) are exact: the test pins the
+// paper's numbers, and the whole output — every Gantt row — to
+// testdata/figures.golden (rewritten with -update).
 func TestRunFigures(t *testing.T) {
 	out := tinyRun(t, "-fig2", "-fig7")
 	for _, want := range []string{
@@ -30,6 +35,20 @@ func TestRunFigures(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+	const golden = "testdata/figures.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("-fig2 -fig7 output moved (rewrite with -update if that is meant):\ngot:\n%swant:\n%s", out, want)
 	}
 }
 

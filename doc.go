@@ -24,12 +24,13 @@
 //	                    formula kept as the tests' independent oracle
 //	internal/sim      — event-driven cluster simulator with greedy dispatch,
 //	                    online job injection/withdrawal and state
-//	                    capture/restore
+//	                    capture/restore, stepped by core's schedule set
 //	internal/core     — the paper's contribution: REF, RAND, DIRECTCONTR
 //	                    and the NBS allocator, each a plug on one
 //	                    schedule-set event loop (schedSet: touched-set
-//	                    stepping, inject/withdraw, checkpoints),
-//	                    runnable incrementally as a core.Stepper and
+//	                    stepping, inject/withdraw, checkpoints), each a
+//	                    core.StepperAlgorithm: runnable incrementally as
+//	                    a core.Stepper, or in batch through core.Run,
 //	                    always on the caller's goroutine; AlgorithmByName
 //	                    resolves every algorithm name
 //	internal/bargain  — deterministic weighted Nash Bargaining Solution

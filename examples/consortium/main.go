@@ -41,7 +41,7 @@ func main() {
 		orgs, inst.TotalMachines(), machines, len(inst.Jobs), horizon)
 
 	fmt.Println("Reference run (REF, exact Shapley contributions):")
-	ref := core.RefAlgorithm{}.Run(inst, horizon, seed)
+	ref := core.Run(core.RefAlgorithm{}, inst, horizon, seed)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  org\tmachines\tψ (utility)\tφ (contribution)\tφ−ψ")
 	for i, o := range inst.Orgs {
@@ -53,7 +53,7 @@ func main() {
 
 	fmt.Println("Unfairness Δψ/p_tot of the practical algorithms on this instance:")
 	for _, alg := range exp.DefaultAlgorithms(15) {
-		res := alg.Run(inst, horizon, seed)
+		res := core.Run(alg, inst, horizon, seed)
 		fmt.Printf("  %-16s %8.2f\n", res.Algorithm,
 			metrics.UnfairnessPerUnit(res.Psi, ref.Psi, ref.Ptot))
 	}

@@ -110,7 +110,7 @@ func CountOrderings(S []int64, x int64) int64 {
 // plain Figure 3 rule, one organization may take several machines in
 // the same instant and the delicate L-job start-time gadget shifts.
 func (r *SubsetSumReduction) RecoverCount() int64 {
-	res := core.RefAlgorithm{Opts: core.RefOptions{Rotate: true}}.Run(r.Inst, r.Horizon(), 0)
+	res := core.Run(core.RefAlgorithm{Opts: core.RefOptions{Rotate: true}}, r.Inst, r.Horizon(), 0)
 	v := float64(r.Fact) * res.Phi[r.A] / float64(r.L)
 	if v < 0 {
 		return 0

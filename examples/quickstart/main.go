@@ -41,14 +41,14 @@ func buildInstance() *model.Instance {
 
 func main() {
 	const horizon = 60
-	algorithms := []core.Algorithm{
+	algorithms := []core.StepperAlgorithm{
 		core.RefAlgorithm{},
 		core.DirectContrAlgorithm(),
 		core.FromPolicy("RoundRobin", func() sim.Policy { return baseline.NewRoundRobin() }),
 	}
-	ref := algorithms[0].Run(buildInstance(), horizon, 1)
+	ref := core.Run(algorithms[0], buildInstance(), horizon, 1)
 	for _, alg := range algorithms {
-		res := alg.Run(buildInstance(), horizon, 1)
+		res := core.Run(alg, buildInstance(), horizon, 1)
 		fmt.Printf("=== %s ===\n", res.Algorithm)
 		for i, psi := range res.Psi {
 			name := buildInstance().Orgs[i].Name
@@ -65,7 +65,7 @@ func main() {
 	// Show when A's five jobs started under each algorithm.
 	fmt.Println("Start times of A's jobs (released at 8, 9, 16, 17, 24):")
 	for _, alg := range algorithms {
-		res := alg.Run(buildInstance(), horizon, 1)
+		res := core.Run(alg, buildInstance(), horizon, 1)
 		var starts []model.Time
 		for _, s := range res.Starts {
 			if s.Org == 0 {
@@ -75,7 +75,7 @@ func main() {
 		fmt.Printf("  %-14s %v\n", res.Algorithm, starts)
 	}
 	fmt.Println()
-	res := core.DirectContrAlgorithm().Run(buildInstance(), horizon, 1)
+	res := core.Run(core.DirectContrAlgorithm(), buildInstance(), horizon, 1)
 	fmt.Println("DIRECTCONTR schedule:")
 	fmt.Print(vis.Gantt(buildInstance(), res.Starts, 4, horizon, 80))
 }

@@ -15,6 +15,18 @@ func instance(jobs []model.Job, machines ...int) *model.Instance {
 	return model.MustNewInstance(orgs, jobs)
 }
 
+// run drives a cluster of the grand coalition, alone on its queues, by
+// the policy to until.
+func run(in *model.Instance, p sim.Policy, until model.Time) *sim.Cluster {
+	q := sim.NewQueues(in)
+	c := q.NewCluster(in.Grand(), p, nil)
+	for c.Step(until) {
+	}
+	q.AdvanceTo(until)
+	c.AdvanceTo(until)
+	return c
+}
+
 func TestFCFSOrdersByReleaseThenID(t *testing.T) {
 	in := instance([]model.Job{
 		{Org: 1, Release: 0, Size: 5},
@@ -23,8 +35,7 @@ func TestFCFSOrdersByReleaseThenID(t *testing.T) {
 	}, 1, 1)
 	// One machine only (give org B zero): rebuild with a single machine.
 	in = instance(in.Jobs, 1, 0)
-	c := sim.New(in, in.Grand(), NewFCFS(), nil)
-	c.Run(100)
+	c := run(in, NewFCFS(), 100)
 	starts := c.Starts()
 	wantOrgs := []int{1, 0, 1}
 	for i, s := range starts {
@@ -42,8 +53,7 @@ func TestRoundRobinAlternates(t *testing.T) {
 	in := instance(jobs, 1, 1, 1)
 	// Single machine: all three orgs always waiting → strict rotation.
 	in = instance(jobs, 1, 0, 0)
-	c := sim.New(in, in.Grand(), NewRoundRobin(), nil)
-	c.Run(100)
+	c := run(in, NewRoundRobin(), 100)
 	var orgs []int
 	for _, s := range c.Starts() {
 		orgs = append(orgs, s.Org)
@@ -63,8 +73,7 @@ func TestRoundRobinSkipsEmpty(t *testing.T) {
 		{Org: 2, Release: 0, Size: 2},
 	}
 	in := instance(jobs, 1, 0, 0)
-	c := sim.New(in, in.Grand(), NewRoundRobin(), nil)
-	c.Run(100)
+	c := run(in, NewRoundRobin(), 100)
 	var orgs []int
 	for _, s := range c.Starts() {
 		orgs = append(orgs, s.Org)
@@ -86,8 +95,7 @@ func TestFairShareProportionalUsage(t *testing.T) {
 	}
 	in := instance(jobs, 3, 1)
 	p := NewFairShare().(*shareRatioPolicy)
-	c := sim.New(in, in.Grand(), p, nil)
-	c.Run(100)
+	run(in, p, 100)
 	v := p.view
 	u0, u1 := float64(v.Usage(0)), float64(v.Usage(1))
 	ratio := u0 / (u0 + u1)
@@ -104,8 +112,7 @@ func TestUtFairShareBalancesUtility(t *testing.T) {
 		jobs = append(jobs, model.Job{Org: i % 2, Release: 0, Size: 3})
 	}
 	in := instance(jobs, 1, 1)
-	c := sim.New(in, in.Grand(), NewUtFairShare(), nil)
-	c.Run(120)
+	c := run(in, NewUtFairShare(), 120)
 	p0, p1 := c.Psi(0), c.Psi(1)
 	diff := p0 - p1
 	if diff < 0 {
@@ -124,8 +131,7 @@ func TestCurrFairShareRunningCounts(t *testing.T) {
 	}
 	in := instance(jobs, 3, 1)
 	p := NewCurrFairShare().(*shareRatioPolicy)
-	c := sim.New(in, in.Grand(), p, nil)
-	c.Run(10)
+	run(in, p, 10)
 	v := p.view
 	if v.Running(0) != 3 || v.Running(1) != 1 {
 		t.Fatalf("running = %d/%d, want 3/1", v.Running(0), v.Running(1))
@@ -137,8 +143,7 @@ func TestFairShareZeroShareOrgStillRuns(t *testing.T) {
 	jobs := []model.Job{{Org: 1, Release: 0, Size: 2}}
 	in := instance(jobs, 1, 0)
 	for _, p := range []sim.Policy{NewFairShare(), NewUtFairShare(), NewCurrFairShare()} {
-		c := sim.New(in, in.Grand(), p, nil)
-		c.Run(10)
+		c := run(in, p, 10)
 		if len(c.Starts()) != 1 {
 			t.Fatalf("%s did not run the zero-share org's job", p.Name())
 		}
@@ -151,8 +156,7 @@ func TestPriorityOrder(t *testing.T) {
 		{Org: 1, Release: 0, Size: 2},
 	}
 	in := instance(jobs, 1, 0)
-	c := sim.New(in, in.Grand(), NewPriority(1, 0), nil)
-	c.Run(10)
+	c := run(in, NewPriority(1, 0), 10)
 	if c.Starts()[0].Org != 1 {
 		t.Fatalf("priority(1,0) started org %d first", c.Starts()[0].Org)
 	}

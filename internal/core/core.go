@@ -19,12 +19,13 @@
 //
 // Nbs, the Nash-bargaining allocator, joins them as a non-Shapley
 // solution concept on the same game. Every scheduler, and every
-// baseline wrapped with FromPolicy, is exposed through the uniform
-// Algorithm interface the experiment harness consumes, and steps through
-// the one schedule-set event loop in schedset.go: Ref, RandSched, Nbs
-// and the FromPolicy algorithms are plugs on it that say which schedules
-// exist and what the largest-deficit rule aims at. (DirectContr itself
-// is a sim.Policy, run through FromPolicy.)
+// baseline wrapped with FromPolicy, is a StepperAlgorithm: Run drives
+// one to a horizon for the experiment harness, the engine steps one
+// event by event, and both step the one schedule-set event loop in
+// schedset.go: Ref, RandSched, Nbs and the FromPolicy algorithms are
+// plugs on it that say which schedules exist and what the
+// largest-deficit rule aims at. (DirectContr itself is a sim.Policy,
+// run through FromPolicy.)
 package core
 
 import (
@@ -56,18 +57,18 @@ type Result struct {
 	Utilization float64
 }
 
-// Algorithm is a complete scheduling algorithm: given an instance it
-// produces a grand-coalition schedule and the associated utilities.
-// Implementations must be deterministic given (instance, until, seed).
-type Algorithm interface {
-	Name() string
-	Run(inst *model.Instance, until model.Time, seed int64) *Result
+// Run is the batch contract: it runs alg on the instance from scratch
+// to the horizon and reports the grand-coalition schedule and its
+// utilities, deterministically given (instance, until, seed). It drains
+// the stepper the engine steps event by event, so batch and streaming
+// runs execute identical code.
+func Run(alg StepperAlgorithm, inst *model.Instance, until model.Time, seed int64) *Result {
+	return runStepper(alg.NewStepper(inst, seed), until)
 }
 
-// FromPolicy wraps a per-decision sim.Policy as an Algorithm running on
-// the grand coalition. factory must return a fresh policy per run. The
-// returned algorithm is a StepperAlgorithm: it can run incrementally
-// under internal/engine.
+// FromPolicy wraps a per-decision sim.Policy as an algorithm running on
+// the grand coalition, one schedule stepped by the schedule-set loop.
+// factory must return a fresh policy per run.
 func FromPolicy(name string, factory func() sim.Policy) StepperAlgorithm {
 	return &policyAlgorithm{name: name, factory: factory}
 }
@@ -78,14 +79,6 @@ type policyAlgorithm struct {
 }
 
 func (a *policyAlgorithm) Name() string { return a.name }
-
-// Run implements Algorithm as a thin wrapper over the incremental
-// stepper: drain every event up to the horizon, finish the clock there,
-// report. runStepper is the single driving loop shared by every batch
-// entry point, so batch and streaming runs execute identical code.
-func (a *policyAlgorithm) Run(inst *model.Instance, until model.Time, seed int64) *Result {
-	return runStepper(a.NewStepper(inst, seed), until)
-}
 
 // runStepper drains s to the horizon and builds the result — the batch
 // contract expressed in the incremental vocabulary.

@@ -23,7 +23,7 @@ func TestDirectContrRewardsLenders(t *testing.T) {
 		[]model.Org{{Name: "A", Machines: 1}, {Name: "B", Machines: 1}},
 		jobs,
 	)
-	res := DirectContrAlgorithm().Run(in, 60, 1)
+	res := Run(DirectContrAlgorithm(), in, 60, 1)
 	var aStart model.Time = -1
 	for _, s := range res.Starts {
 		if s.Org == 0 {
@@ -39,8 +39,8 @@ func TestDirectContrDeterministicPerSeed(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	in := randCoreInstance(r, 4, false)
 	horizon := in.Horizon()
-	a := DirectContrAlgorithm().Run(in, horizon, 9)
-	b := DirectContrAlgorithm().Run(in, horizon, 9)
+	a := Run(DirectContrAlgorithm(), in, horizon, 9)
+	b := Run(DirectContrAlgorithm(), in, horizon, 9)
 	for i := range a.Starts {
 		if a.Starts[i] != b.Starts[i] {
 			t.Fatalf("DIRECTCONTR with equal seeds diverged at start %d", i)
@@ -54,8 +54,8 @@ func TestResultValueConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	in := randCoreInstance(r, 3, false)
 	horizon := in.Horizon() + 3
-	for _, a := range []Algorithm{RefAlgorithm{}, RandAlgorithm{Samples: 8}, DirectContrAlgorithm()} {
-		res := a.Run(in, horizon, 2)
+	for _, a := range []StepperAlgorithm{RefAlgorithm{}, RandAlgorithm{Samples: 8}, DirectContrAlgorithm()} {
+		res := Run(a, in, horizon, 2)
 		var sum int64
 		for _, p := range res.Psi {
 			sum += p

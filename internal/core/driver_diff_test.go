@@ -88,7 +88,7 @@ func TestHeapDriverMatchesScanDriver(t *testing.T) {
 		in := diffInstance(r, k)
 		horizon := in.Horizon() + 2
 		scan := runStepper(oracleOf(RefAlgorithm{}, in, 0), horizon)
-		heap := RefAlgorithm{}.Run(in, horizon, 0)
+		heap := Run(RefAlgorithm{}, in, horizon, 0)
 		assertSameResult(t, "loop vs oracle", scan, heap)
 	}
 }
@@ -102,7 +102,7 @@ func TestHeapDriverMatchesScanDriverTruncatedHorizon(t *testing.T) {
 		in := diffInstance(r, k)
 		horizon := in.Horizon()/2 + 1
 		scan := runStepper(oracleOf(RefAlgorithm{}, in, 0), horizon)
-		heap := RefAlgorithm{}.Run(in, horizon, 0)
+		heap := Run(RefAlgorithm{}, in, horizon, 0)
 		assertSameResult(t, "truncated horizon", scan, heap)
 	}
 }
@@ -121,7 +121,7 @@ func TestHeapDriverMatchesScanDriverOnFamilyWorkload(t *testing.T) {
 	for _, rotate := range []bool{false, true} {
 		alg := RefAlgorithm{Opts: RefOptions{Rotate: rotate}}
 		scan := runStepper(oracleOf(alg, inst, 0), horizon)
-		heap := alg.Run(inst, horizon, 0)
+		heap := Run(alg, inst, horizon, 0)
 		assertSameResult(t, "family workload", scan, heap)
 	}
 }
@@ -136,7 +136,7 @@ func TestHeapDriverPhiMatchesExactShapleyOnMapGame(t *testing.T) {
 		in := diffInstance(r, k)
 		horizon := in.Horizon() + 2
 		ref := NewRef(in, RefOptions{})
-		res := ref.Run(horizon)
+		res := runStepper(ref, horizon)
 		exact := shapley.Exact(shapley.FuncGame{N: k, F: func(c model.Coalition) float64 {
 			return float64(ref.ValueOf(c))
 		}})

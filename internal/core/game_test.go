@@ -46,7 +46,7 @@ func TestOrgGameSampledEfficiency(t *testing.T) {
 	r := rand.New(rand.NewSource(5200))
 	inst := randCoreInstance(r, 3, false)
 	ref := NewRef(inst, RefOptions{})
-	res := ref.Run(150)
+	res := runStepper(ref, 150)
 	phi := shapley.SampleAt(ref.Game(), 150, 40, rand.New(rand.NewSource(1)))
 	var sum float64
 	for _, p := range phi {

@@ -276,7 +276,7 @@ func TestGeneralRefMatchesRefForPsiSP(t *testing.T) {
 		k := 2 + r.Intn(3)
 		in := randCoreInstance(r, k, false)
 		horizon := in.Horizon() + 1
-		a := RefAlgorithm{}.Run(in, horizon, 0)
+		a := Run(RefAlgorithm{}, in, horizon, 0)
 		b := newGeneralRef(in, spUtility{}).Run(horizon)
 		if len(a.Starts) != len(b.Starts) {
 			t.Fatalf("seed %d: start counts %d vs %d", seed, len(a.Starts), len(b.Starts))

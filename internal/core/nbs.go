@@ -62,10 +62,6 @@ func NewNbs(inst *model.Instance) *Nbs {
 	return n
 }
 
-// Run drives the schedules to the horizon — the batch entry point is
-// the stepping loop, so batch and streaming cannot diverge.
-func (n *Nbs) Run(until model.Time) *Result { return runStepper(n, until) }
-
 // retarget implements plug: only the pooled schedule bargains. Targets
 // are refreshed once per dispatch instant, not per machine: ψ does not
 // move within an instant, so one solve serves the whole batch.
@@ -99,18 +95,12 @@ func (n *Nbs) refreshTargets(t model.Time) {
 	}
 }
 
-// NbsAlgorithm adapts Nbs to the Algorithm interface (NBS is
-// deterministic; the seed is recorded in checkpoints and otherwise
-// ignored).
+// NbsAlgorithm is NBS as a StepperAlgorithm (NBS is deterministic; the
+// seed is recorded in checkpoints and otherwise ignored).
 type NbsAlgorithm struct{}
 
-// Name implements Algorithm.
+// Name implements StepperAlgorithm.
 func (NbsAlgorithm) Name() string { return "NBS" }
-
-// Run implements Algorithm.
-func (NbsAlgorithm) Run(inst *model.Instance, until model.Time, _ int64) *Result {
-	return NewNbs(inst).Run(until)
-}
 
 // NewStepper implements StepperAlgorithm.
 func (NbsAlgorithm) NewStepper(inst *model.Instance, seed int64) Stepper {

@@ -127,12 +127,6 @@ func NewRandSched(inst *model.Instance, samples int, seed int64, opts RandOption
 	return r
 }
 
-// Run drives the decision schedule and every sampled coalition schedule
-// to the horizon and returns the decision schedule's result with the
-// final sampled contribution estimates — the stepping loop the
-// streaming engine executes one event at a time.
-func (r *RandSched) Run(until model.Time) *Result { return runStepper(r, until) }
-
 // retarget implements plug: only the decision schedule selects by φ;
 // the sampled schedules dispatch FCFS.
 func (r *RandSched) retarget(slot int, t model.Time) {
@@ -173,19 +167,14 @@ func randName(samples int, opts RandOptions) string {
 	return fmt.Sprintf("Rand(N=%d)", samples)
 }
 
-// RandAlgorithm adapts RandSched to the Algorithm interface.
+// RandAlgorithm is RAND as a StepperAlgorithm.
 type RandAlgorithm struct {
 	Samples int
 	Opts    RandOptions
 }
 
-// Name implements Algorithm.
+// Name implements StepperAlgorithm.
 func (a RandAlgorithm) Name() string { return randName(a.Samples, a.Opts) }
-
-// Run implements Algorithm.
-func (a RandAlgorithm) Run(inst *model.Instance, until model.Time, seed int64) *Result {
-	return NewRandSched(inst, a.Samples, seed, a.Opts).Run(until)
-}
 
 // NewStepper implements StepperAlgorithm.
 func (a RandAlgorithm) NewStepper(inst *model.Instance, seed int64) Stepper {

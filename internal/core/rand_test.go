@@ -33,9 +33,9 @@ func TestRandFPRASBoundUnitJobs(t *testing.T) {
 		k := 3
 		in := randCoreInstance(r, k, true)
 		horizon := in.Horizon() + 1
-		refRes := RefAlgorithm{}.Run(in, horizon, 0)
+		refRes := Run(RefAlgorithm{}, in, horizon, 0)
 		n := int(float64(k*k)/(eps*eps)*math.Log(float64(k)/(1-lambda))) + 1
-		randRes := RandAlgorithm{Samples: n}.Run(in, horizon, seed)
+		randRes := Run(RandAlgorithm{Samples: n}, in, horizon, seed)
 		if float64(l1(randRes.Psi, refRes.Psi)) > eps*float64(refRes.Value) {
 			failures++
 		}
@@ -53,8 +53,8 @@ func TestRandPhiConvergesToExact(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	in := randCoreInstance(r, 3, true)
 	horizon := in.Horizon() + 1
-	refRes := RefAlgorithm{}.Run(in, horizon, 0)
-	randRes := RandAlgorithm{Samples: 4000}.Run(in, horizon, 7)
+	refRes := Run(RefAlgorithm{}, in, horizon, 0)
+	randRes := Run(RandAlgorithm{Samples: 4000}, in, horizon, 7)
 	for u := range refRes.Phi {
 		diff := refRes.Phi[u] - randRes.Phi[u]
 		if diff < 0 {
@@ -75,8 +75,8 @@ func TestRandStratifiedPhiConvergesToExact(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	in := randCoreInstance(r, 3, true)
 	horizon := in.Horizon() + 1
-	refRes := RefAlgorithm{}.Run(in, horizon, 0)
-	randRes := RandAlgorithm{Samples: 4000, Opts: RandOptions{Stratified: true}}.Run(in, horizon, 7)
+	refRes := Run(RefAlgorithm{}, in, horizon, 0)
+	randRes := Run(RandAlgorithm{Samples: 4000, Opts: RandOptions{Stratified: true}}, in, horizon, 7)
 	for u := range refRes.Phi {
 		diff := refRes.Phi[u] - randRes.Phi[u]
 		if diff < 0 {
@@ -144,9 +144,9 @@ func TestRandControlUnitJobs(t *testing.T) {
 				}
 				in := model.MustNewInstance(orgs, set.jobs(r, orgs))
 				horizon := in.Horizon() + 1
-				ref := RefAlgorithm{}.Run(in, horizon, 0)
+				ref := Run(RefAlgorithm{}, in, horizon, 0)
 				for n, samples := range samples {
-					res := RandAlgorithm{Samples: samples}.Run(in, horizon, int64(i))
+					res := Run(RandAlgorithm{Samples: samples}, in, horizon, int64(i))
 					for u := range ref.Phi {
 						phiErr[n] += math.Abs(res.Phi[u]-ref.Phi[u]) / float64(ref.Value) / instances
 					}
@@ -170,14 +170,14 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	in := randCoreInstance(r, 4, false)
 	horizon := in.Horizon()
-	a := RandAlgorithm{Samples: 15}.Run(in, horizon, 5)
-	b := RandAlgorithm{Samples: 15}.Run(in, horizon, 5)
+	a := Run(RandAlgorithm{Samples: 15}, in, horizon, 5)
+	b := Run(RandAlgorithm{Samples: 15}, in, horizon, 5)
 	for i := range a.Starts {
 		if a.Starts[i] != b.Starts[i] {
 			t.Fatalf("RAND with equal seeds diverged at start %d", i)
 		}
 	}
-	c := RandAlgorithm{Samples: 15}.Run(in, horizon, 6)
+	c := Run(RandAlgorithm{Samples: 15}, in, horizon, 6)
 	if len(c.Starts) != len(a.Starts) {
 		t.Fatalf("different job counts across seeds: %d vs %d", len(c.Starts), len(a.Starts))
 	}
@@ -189,13 +189,13 @@ func TestAllAlgorithmsCompleteAllJobs(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	in := randCoreInstance(r, 3, false)
 	horizon := in.Horizon() + 1
-	algs := []Algorithm{
+	algs := []StepperAlgorithm{
 		RefAlgorithm{},
 		RandAlgorithm{Samples: 10},
 		DirectContrAlgorithm(),
 	}
 	for _, a := range algs {
-		res := a.Run(in, horizon, 1)
+		res := Run(a, in, horizon, 1)
 		if res.Ptot != int64(in.TotalWork()) {
 			t.Errorf("%s executed %d units, want %d", a.Name(), res.Ptot, in.TotalWork())
 		}

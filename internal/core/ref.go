@@ -121,7 +121,7 @@ func NewRef(inst *model.Instance, opts RefOptions) *Ref {
 // v(C, t) the ψsp-sum of coalition C's own greedy schedule at t,
 // answered by schedSet.valueAt from C's cluster's accounts. Callers
 // outside this package should query at the clusters' current instant —
-// e.g. the horizon, after Run.
+// e.g. the horizon, after a run.
 type orgGame struct{ r *Ref }
 
 // Players implements shapley.ContribGame.
@@ -139,11 +139,6 @@ func (g orgGame) ValueAt(c model.Coalition, t model.Time) int64 {
 // estimators (shapley.ExactAt, shapley.SampleAt) can consume the same
 // coalition values the drivers schedule by.
 func (r *Ref) Game() shapley.ContribGame { return r.game }
-
-// Run drives every subcoalition schedule to the horizon and returns the
-// grand coalition's result, with exact Shapley contributions — the
-// stepping loop the streaming engine executes one event at a time.
-func (r *Ref) Run(until model.Time) *Result { return runStepper(r, until) }
 
 // snapshot loads the engine with the values at t of every coalition up
 // to mask, in mask order — which puts every subcoalition of mask before
@@ -180,25 +175,19 @@ func (r *Ref) phiAt(t model.Time) []float64 {
 }
 
 // PhiOf returns the most recently computed contribution vector for a
-// coalition. The grand coalition's is current after Run; any other
+// coalition. The grand coalition's is current after a run; any other
 // coalition's dates from its last contested dispatch: an uncontested one
 // does not refresh it.
 func (r *Ref) PhiOf(mask model.Coalition) []float64 {
 	return append([]float64(nil), r.phi[r.slotOf[mask]]...)
 }
 
-// RefAlgorithm adapts Ref to the Algorithm interface (REF is
-// deterministic; the seed is recorded in checkpoints and otherwise
-// ignored).
+// RefAlgorithm is REF as a StepperAlgorithm (REF is deterministic; the
+// seed is recorded in checkpoints and otherwise ignored).
 type RefAlgorithm struct{ Opts RefOptions }
 
-// Name implements Algorithm.
+// Name implements StepperAlgorithm.
 func (a RefAlgorithm) Name() string { return "REF" }
-
-// Run implements Algorithm.
-func (a RefAlgorithm) Run(inst *model.Instance, until model.Time, _ int64) *Result {
-	return NewRef(inst, a.Opts).Run(until)
-}
 
 // NewStepper implements StepperAlgorithm.
 func (a RefAlgorithm) NewStepper(inst *model.Instance, seed int64) Stepper {

@@ -47,7 +47,7 @@ func TestRefPhiMatchesGenericShapley(t *testing.T) {
 		in := randCoreInstance(r, k, false)
 		horizon := in.Horizon() + 2
 		ref := NewRef(in, RefOptions{})
-		res := ref.Run(horizon)
+		res := runStepper(ref, horizon)
 		game := shapley.FuncGame{N: k, F: func(c model.Coalition) float64 {
 			return float64(ref.ValueOf(c))
 		}}
@@ -67,7 +67,7 @@ func TestRefEfficiency(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		k := 2 + r.Intn(4)
 		in := randCoreInstance(r, k, false)
-		res := RefAlgorithm{}.Run(in, in.Horizon()+1, 0)
+		res := Run(RefAlgorithm{}, in, in.Horizon()+1, 0)
 		var sum float64
 		for _, p := range res.Phi {
 			sum += p
@@ -96,7 +96,7 @@ func TestNonSupermodularExample(t *testing.T) {
 		},
 	)
 	ref := NewRef(in, RefOptions{})
-	ref.Run(2)
+	runStepper(ref, 2)
 	ac := model.Singleton(0).With(2)
 	bc := model.Singleton(1).With(2)
 	abc := model.Grand(3)
@@ -126,9 +126,8 @@ func TestRefSingleOrgMatchesGreedy(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	in := randCoreInstance(r, 1, false)
 	horizon := in.Horizon() + 1
-	res := RefAlgorithm{}.Run(in, horizon, 0)
-	plain := FromPolicy("priority", func() sim.Policy { return baseline.NewPriority(0) }).
-		Run(in, horizon, 0)
+	res := Run(RefAlgorithm{}, in, horizon, 0)
+	plain := Run(FromPolicy("priority", func() sim.Policy { return baseline.NewPriority(0) }), in, horizon, 0)
 	if res.Psi[0] != plain.Psi[0] {
 		t.Fatalf("REF ψ = %d, plain greedy ψ = %d", res.Psi[0], plain.Psi[0])
 	}
@@ -141,11 +140,11 @@ func TestRefSubcoalitionSelfSimilar(t *testing.T) {
 	in := randCoreInstance(r, 3, false)
 	horizon := in.Horizon() + 1
 	ref := NewRef(in, RefOptions{})
-	ref.Run(horizon)
+	runStepper(ref, horizon)
 	materialize(ref.set()) // every slot then holds its own accounts
 	for mask := model.Coalition(1); mask < model.Grand(3); mask++ {
 		sub := NewRef(in.Restrict(mask), RefOptions{})
-		subRes := sub.Run(horizon)
+		subRes := runStepper(sub, horizon)
 		embedded := ref.Cluster(mask).PsiVector()
 		for u := 0; u < 3; u++ {
 			if embedded[u] != subRes.Psi[u] {
@@ -170,11 +169,11 @@ func TestRefRotationEqualizesSymmetricOrgs(t *testing.T) {
 			{Org: 1, Release: 0, Size: 1},
 		},
 	)
-	rotate := RefAlgorithm{Opts: RefOptions{Rotate: true}}.Run(in, 2, 0)
+	rotate := Run(RefAlgorithm{Opts: RefOptions{Rotate: true}}, in, 2, 0)
 	if rotate.Psi[0] != rotate.Psi[1] {
 		t.Errorf("rotation: ψ = %v, want equal", rotate.Psi)
 	}
-	faithful := RefAlgorithm{}.Run(in, 2, 0)
+	faithful := Run(RefAlgorithm{}, in, 2, 0)
 	if faithful.Psi[0] == faithful.Psi[1] {
 		t.Log("faithful selection also equalized (acceptable, tie-break dependent)")
 	}
@@ -189,8 +188,8 @@ func TestRefRotationEqualizesSymmetricOrgs(t *testing.T) {
 func TestRefDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	in := randCoreInstance(r, 3, false)
-	a := RefAlgorithm{}.Run(in, in.Horizon(), 1)
-	b := RefAlgorithm{}.Run(in, in.Horizon(), 2) // seed must not matter
+	a := Run(RefAlgorithm{}, in, in.Horizon(), 1)
+	b := Run(RefAlgorithm{}, in, in.Horizon(), 2) // seed must not matter
 	for i := range a.Starts {
 		if a.Starts[i] != b.Starts[i] {
 			t.Fatalf("REF not deterministic at start %d", i)
@@ -213,7 +212,7 @@ func TestRefDummyOrganization(t *testing.T) {
 			{Org: 0, Release: 2, Size: 4},
 		},
 	)
-	res := RefAlgorithm{}.Run(in, in.Horizon()+1, 0)
+	res := Run(RefAlgorithm{}, in, in.Horizon()+1, 0)
 	if math.Abs(res.Phi[1]) > 1e-9 {
 		t.Errorf("dummy organization has φ = %v, want 0", res.Phi[1])
 	}
@@ -238,11 +237,15 @@ func TestNarrowSelfDrivenClusterMatchesRefSlot(t *testing.T) {
 		},
 	)
 	const h = 20
-	lone := sim.New(in, model.Singleton(0), baseline.NewFCFS(), nil)
+	q := sim.NewQueues(in)
+	lone := q.NewCluster(model.Singleton(0), baseline.NewFCFS(), nil)
 	if !lone.Step(h) || lone.CaptureState().Now != 0 || len(lone.Starts()) != 0 {
 		t.Fatalf("first step to %d with starts %v; want organization B's release at 0, starting nothing", lone.CaptureState().Now, lone.Starts())
 	}
-	lone.Run(h)
+	for lone.Step(h) {
+	}
+	q.AdvanceTo(h)
+	lone.AdvanceTo(h)
 
 	// The oracle steps every slot at every instant, so each start of the
 	// {A} slot, which keeps no log, is among its running entries straight

@@ -26,7 +26,7 @@ func TestRefOnRelatedMachines(t *testing.T) {
 		}
 		horizon := in.Horizon() + 1
 		ref := NewRef(in, RefOptions{})
-		res := ref.Run(horizon)
+		res := runStepper(ref, horizon)
 		var sum float64
 		for _, p := range res.Phi {
 			sum += p

@@ -117,11 +117,11 @@ type schedSet struct {
 	// Slot bitsets, bit i%64 of word i/64 for slot i: keyed holds the
 	// slots with a key, open those with nothing waiting and not in free
 	// flow (dormant: open to their members' releases), flow those in free
-	// flow; member holds organization u's slots, those whose coalition
-	// has u, at words u·w to u·w+w−1.
-	keyed, open, flow, member []uint64
-	ledger                    bool  // the queues keep a release-start ledger: slots may flow
-	touched                   []int // scratch
+	// flow, touched those the last step touched (StepNext's scratch);
+	// member holds organization u's slots, those whose coalition has u,
+	// at words u·w to u·w+w−1.
+	keyed, open, flow, touched, member []uint64
+	ledger                             bool // the queues keep a release-start ledger: slots may flow
 }
 
 // plug is what an algorithm adds to the schedule-set core.
@@ -183,10 +183,9 @@ func (s *schedSet) rekeyAll() {
 	s.ledger = s.q.KeepReleaseStarts(s.shared())
 	n := len(s.slots)
 	s.keys = make([]model.Time, n)
-	s.touched = make([]int, 0, n)
 	w := (n + 63) / 64
-	b := make([]uint64, (3+len(s.inst.Orgs))*w)
-	s.keyed, s.open, s.flow, s.member = b[:w:w], b[w:2*w:2*w], b[2*w:3*w:3*w], b[3*w:]
+	b := make([]uint64, (4+len(s.inst.Orgs))*w)
+	s.keyed, s.open, s.flow, s.touched, s.member = b[:w:w], b[w:2*w:2*w], b[2*w:3*w:3*w], b[3*w:4*w:4*w], b[4*w:]
 	for i, c := range s.slots {
 		for m := uint32(c.Coalition()); m != 0; m &= m - 1 {
 			setBit(s.member[bits.TrailingZeros32(m)*w:], i, true)
@@ -337,10 +336,10 @@ func (s *schedSet) StepNext(until model.Time) bool {
 	}
 	s.now = t
 	releasing := s.q.AdvanceTo(t)
-	touched := s.touched[:0]
+	clear(s.touched)
 	// Only a slot with a key, or one holding a releasing organization that
 	// is open or — when one of its members is overloaded — in free flow,
-	// can be touched: the selection reads those, in slot order.
+	// can be touched: the selection reads those.
 	var over model.Coalition
 	if s.ledger && releasing != 0 {
 		over = s.q.Overloaded()
@@ -361,46 +360,49 @@ func (s *schedSet) StepNext(until model.Time) bool {
 			i := w<<6 | bits.TrailingZeros64(m)
 			switch bit := m & -m; {
 			case s.keys[i] == t || open&bit != 0:
-				touched = append(touched, i)
+				s.touched[w] |= bit
 			case flow&bit != 0 && s.q.Overflows(s.slots[i].Coalition()):
 				// Free flow ends here: the slot is materialized with the
 				// releases waiting, and steps as a dormant slot would.
 				s.slots[i].Materialize()
 				s.open[w] |= bit
 				s.flow[w] &^= bit
-				touched = append(touched, i)
+				s.touched[w] |= bit
 			}
 		}
 	}
-	s.touched = touched
 	s.q.BookReleases()
-	for _, i := range touched {
-		c := s.slots[i]
-		c.AdvanceTo(t)
-		free := c.FreeMachines()
-		// A dormant slot had nothing waiting when last touched, and every
-		// member release since has touched it: only the members releasing
-		// now can have a job waiting.
-		among := c.Coalition()
-		if hasBit(s.open, i) {
-			among &= releasing
-		}
-		jobs, orgs := c.WaitingAmong(among)
-		switch {
-		case jobs == 0 || free == 0:
-		case orgs.Size() == 1 && !s.ask:
-			// Every start goes to the one organization waiting, whatever
-			// the targets say (DESIGN.md §2, step 3).
-			c.StartHeads(bits.TrailingZeros32(uint32(orgs)))
-		default:
-			if orgs.Size() > 1 {
-				s.plug.retarget(i, t)
+	// The touched slots step in slot order.
+	for w, m := range s.touched {
+		for ; m != 0; m &= m - 1 {
+			i := w<<6 | bits.TrailingZeros64(m)
+			c := s.slots[i]
+			c.AdvanceTo(t)
+			free := c.FreeMachines()
+			// A dormant slot had nothing waiting when last touched, and
+			// every member release since has touched it: only the members
+			// releasing now can have a job waiting.
+			among := c.Coalition()
+			if hasBit(s.open, i) {
+				among &= releasing
 			}
-			c.DispatchCount(jobs)
-		}
-		s.rekey(i, jobs > free)
-		if s.ledger && jobs <= free {
-			s.reflow(i)
+			jobs, orgs := c.WaitingAmong(among)
+			switch {
+			case jobs == 0 || free == 0:
+			case orgs.Size() == 1 && !s.ask:
+				// Every start goes to the one organization waiting,
+				// whatever the targets say (DESIGN.md §2, step 3).
+				c.StartHeads(bits.TrailingZeros32(uint32(orgs)))
+			default:
+				if orgs.Size() > 1 {
+					s.plug.retarget(i, t)
+				}
+				c.DispatchCount(jobs)
+			}
+			s.rekey(i, jobs > free)
+			if s.ledger && jobs <= free {
+				s.reflow(i)
+			}
 		}
 	}
 	return true

@@ -501,8 +501,10 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, roun
 		if ref {
 			w.touched += len(s.slots)
 		} else {
-			for _, i := range s.touched {
-				touchedNow[i] = true
+			for i := range touchedNow {
+				if touchedNow[i] = hasBit(s.touched, i); touchedNow[i] {
+					w.touched++
+				}
 			}
 			for _, i := range inFlow {
 				if touchedNow[i] {
@@ -512,7 +514,6 @@ func measureWork(t *testing.T, in *model.Instance, releases [][]model.Time, roun
 					w.materialized++
 				}
 			}
-			w.touched += len(s.touched)
 			w.byCompletion += len(keyed)
 			for j, i := range keyed {
 				_, done := counts(i, at)

@@ -14,16 +14,15 @@ import (
 // engine (internal/engine) consumes. Every algorithm in this package —
 // REF, RAND, NBS, DIRECTCONTR and the policy-backed baselines —
 // implements Stepper through the one schedSet loop
-// (schedset.go), and the batch Algorithm.Run entry points are thin
-// wrappers over the same stepping code, so the batch and streaming
-// paths cannot diverge.
+// (schedset.go), and the batch entry point Run drains the same stepper,
+// so the batch and streaming paths cannot diverge.
 
 // Stepper is an algorithm run held open: events are processed one
 // decision instant at a time, jobs can be injected mid-run, and the
 // complete deterministic state can be captured for checkpointing.
 // Steppers are single-goroutine objects; the caller serializes access.
 type Stepper interface {
-	// Name labels the algorithm configuration (same as Algorithm.Name).
+	// Name labels the algorithm configuration (StepperAlgorithm.Name).
 	Name() string
 	// Instance returns the live instance, including injected jobs. The
 	// stepper owns it; callers append jobs only through Inject.
@@ -69,13 +68,15 @@ type Stepper interface {
 	Capture(now model.Time) (*Checkpoint, error)
 }
 
-// StepperAlgorithm is an Algorithm that can also run incrementally and
-// resume from a checkpoint. The algorithm value carries the static
-// configuration (sample count, sampler, rotation); the Checkpoint
-// carries only dynamic state, so restoring requires the same algorithm
-// configuration that captured it.
+// StepperAlgorithm is a complete scheduling algorithm: it runs
+// incrementally, resumes from a checkpoint, and runs in batch through
+// Run. The algorithm value carries the static configuration (sample
+// count, sampler, rotation); the Checkpoint carries only dynamic state,
+// so restoring requires the same algorithm configuration that captured
+// it. Runs are deterministic given (instance, seed) and the calls made.
 type StepperAlgorithm interface {
-	Algorithm
+	// Name labels the algorithm configuration.
+	Name() string
 	// NewStepper starts an incremental run. The stepper takes ownership
 	// of inst: online arrivals are appended to it via the engine.
 	NewStepper(inst *model.Instance, seed int64) Stepper

@@ -3,7 +3,7 @@
 // explicit instants (Step), and the complete deterministic state can be
 // serialized and resumed byte-identically (Snapshot/Restore).
 //
-// The batch contract — core.Algorithm.Run(inst, horizon, seed) — is a
+// The batch contract — core.Run(alg, inst, horizon, seed) — is a
 // degenerate use of this engine: construct it with the full job list
 // and Step once to the horizon. The engine exists for everything the
 // batch contract cannot express: online arrivals unknown at start,
@@ -97,6 +97,9 @@ func (e *Engine) Feed(jobs []model.Job) ([]int, error) {
 		if j.Release < e.now {
 			return nil, fmt.Errorf("engine: feed: release %d before engine time %d", j.Release, e.now)
 		}
+	}
+	if cap(e.feedIDs) < len(jobs) {
+		e.feedIDs = make([]int, 0, len(jobs))
 	}
 	e.feedIDs = e.feedIDs[:0]
 	for _, j := range jobs {

@@ -114,7 +114,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 				k := 2 + r.Intn(4)
 				inst := testInstance(r, k)
 				horizon := inst.Horizon() + 2
-				batch := alg.Run(clone(inst), horizon, seed)
+				batch := core.Run(alg, clone(inst), horizon, seed)
 
 				empty, err := model.NewInstance(inst.Orgs, nil)
 				if err != nil {
@@ -234,7 +234,7 @@ func TestMidRunResultMatchesTruncatedBatch(t *testing.T) {
 	inst := testInstance(r, 3)
 	horizon := inst.Horizon()/2 + 1
 	for _, alg := range steppers() {
-		batch := alg.Run(clone(inst), horizon, 9)
+		batch := core.Run(alg, clone(inst), horizon, 9)
 		e := New(alg, clone(inst), 9)
 		if _, err := e.Step(horizon); err != nil {
 			t.Fatal(err)

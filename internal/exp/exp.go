@@ -54,8 +54,8 @@ func DefaultConfig(f gen.Family) Config {
 // order (Section 7.1), resolved by core.AlgorithmByName. randSamples
 // parameterizes RAND (the paper uses 15 and 75); it panics if
 // randSamples < 1, which the registry refuses.
-func DefaultAlgorithms(randSamples int) []core.Algorithm {
-	var algs []core.Algorithm
+func DefaultAlgorithms(randSamples int) []core.StepperAlgorithm {
+	var algs []core.StepperAlgorithm
 	for _, name := range []string{"roundrobin", "rand", "directcontr", "fairshare", "utfairshare", "currfairshare", "nbs"} {
 		alg, err := core.AlgorithmByName(name, randSamples, core.RefOptions{}, core.RandOptions{})
 		if err != nil {
@@ -135,7 +135,7 @@ func forInstances(n, workers int, fn func(idx int) error) error {
 // RunUnfairness measures Δψ/p_tot for every algorithm over
 // cfg.Instances generated instances. The returned matrix is indexed
 // [algorithm][instance].
-func RunUnfairness(cfg Config, algs []core.Algorithm) ([][]float64, error) {
+func RunUnfairness(cfg Config, algs []core.StepperAlgorithm) ([][]float64, error) {
 	values := make([][]float64, len(algs))
 	for i := range values {
 		values[i] = make([]float64, cfg.Instances)
@@ -148,16 +148,16 @@ func RunUnfairness(cfg Config, algs []core.Algorithm) ([][]float64, error) {
 
 // runInstance generates instance idx, computes the REF reference and
 // fills values[alg][idx] for every algorithm.
-func runInstance(cfg Config, algs []core.Algorithm, idx int, values [][]float64) error {
+func runInstance(cfg Config, algs []core.StepperAlgorithm, idx int, values [][]float64) error {
 	seed := cfg.Seed + int64(idx)*1009
 	rng := stats.NewRand(seed)
 	inst, err := cfg.Family.Instance(cfg.Horizon, cfg.Orgs, stats.ZipfSplit(cfg.Family.Procs, cfg.Orgs, 1), rng)
 	if err != nil {
 		return fmt.Errorf("exp: instance %d: %w", idx, err)
 	}
-	refRes := core.RefAlgorithm{Opts: cfg.RefOpts}.Run(inst, cfg.Horizon, seed)
+	refRes := core.Run(core.RefAlgorithm{Opts: cfg.RefOpts}, inst, cfg.Horizon, seed)
 	for a, alg := range algs {
-		res := alg.Run(inst, cfg.Horizon, seed*31+int64(a))
+		res := core.Run(alg, inst, cfg.Horizon, seed*31+int64(a))
 		values[a][idx] = metrics.UnfairnessPerUnit(res.Psi, refRes.Psi, refRes.Ptot)
 	}
 	return nil
@@ -166,7 +166,7 @@ func runInstance(cfg Config, algs []core.Algorithm, idx int, values [][]float64)
 // UnfairnessTable runs the full table experiment: every family config
 // against every algorithm (Tables 1 and 2 of the paper, depending on
 // the configs' horizon).
-func UnfairnessTable(cfgs []Config, algs []core.Algorithm) (*Table, error) {
+func UnfairnessTable(cfgs []Config, algs []core.StepperAlgorithm) (*Table, error) {
 	t := newTable()
 	for _, cfg := range cfgs {
 		vals, err := RunUnfairness(cfg, algs)
@@ -182,7 +182,7 @@ func UnfairnessTable(cfgs []Config, algs []core.Algorithm) (*Table, error) {
 
 // OrgCountSweep is the Figure 10 experiment: unfairness as a function
 // of the number of organizations, on one family.
-func OrgCountSweep(base Config, orgCounts []int, algs []core.Algorithm) (*Table, error) {
+func OrgCountSweep(base Config, orgCounts []int, algs []core.StepperAlgorithm) (*Table, error) {
 	t := newTable()
 	for _, k := range orgCounts {
 		cfg := base

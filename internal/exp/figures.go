@@ -2,6 +2,7 @@ package exp
 
 import (
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/utility"
@@ -100,15 +101,17 @@ func Figure7() Figure7Result {
 		)
 	}
 	const T = 6
-	a := sim.New(build(), model.Grand(2), baseline.NewPriority(1, 0), nil)
-	a.Run(T)
-	b := sim.New(build(), model.Grand(2), baseline.NewPriority(0, 1), nil)
-	b.Run(T)
+	// The greedy loop on one cluster (a one-slot schedule set) to T.
+	run := func(order ...int) *core.Result {
+		prio := core.FromPolicy("Priority", func() sim.Policy { return baseline.NewPriority(order...) })
+		return core.Run(prio, build(), T, 0)
+	}
+	a, b, inst := run(1, 0), run(0, 1), build()
 	return Figure7Result{
-		Instance:           build(),
-		UtilizationO2First: a.Utilization(),
-		UtilizationO1First: b.Utilization(),
-		GanttO2First:       vis.Gantt(a.Instance(), a.Starts(), 4, T, 80),
-		GanttO1First:       vis.Gantt(b.Instance(), b.Starts(), 4, T, 80),
+		Instance:           inst,
+		UtilizationO2First: a.Utilization,
+		UtilizationO1First: b.Utilization,
+		GanttO2First:       vis.Gantt(inst, a.Starts, 4, T, 80),
+		GanttO1First:       vis.Gantt(inst, b.Starts, 4, T, 80),
 	}
 }

@@ -19,12 +19,12 @@ import (
 // columns and all of a decision but its cluster are the members' to
 // say, and a cached exchange stores its summaries' observations and the
 // instant it observed — the members' clock when it was taken — not
-// their cluster, capacities or Σ ψ. The decision order is by instant,
-// then member, whatever the Steps' chunks (Federation.Step). A document
-// of any other version is refused, and so is the job-source cursor
-// block (see Checkpoint.Source): a change of layout may keep reading
-// the one before it, and the next re-anchor retires that reader with
-// its fixtures (DESIGN.md §7.1).
+// their cluster, capacities or Σ ψ. The decision order's instants never
+// decrease; each Step's chunk of it is by instant, then member
+// (Federation.Step). A document of any other version is refused, and so
+// is the job-source cursor block (see Checkpoint.Source): a change of
+// layout may keep reading the one before it, and the next re-anchor
+// retires that reader with its fixtures (DESIGN.md §7.1).
 const CheckpointVersion = 7
 
 // Checkpoint is the complete serializable state of a federation: the
@@ -301,7 +301,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		}
 	}
 	// The decision log is the members' logs, interleaved in the recorded
-	// order.
+	// order, whose instants never decrease (Federation.Step).
 	read := make([]int, len(specs))
 	for _, c := range cp.Order {
 		if c < 0 || c >= len(specs) || read[c] == len(f.members[c].eng.Decisions()) {
@@ -310,6 +310,9 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		m := f.members[c]
 		s := m.eng.Decisions()[read[c]]
 		read[c]++
+		if n := len(f.decs); n > 0 && s.At < f.decs[n-1].At {
+			return nil, fmt.Errorf("fed: restore: decision order puts cluster %d's start at %d after a start at %d", c, s.At, f.decs[n-1].At)
+		}
 		f.decs = append(f.decs, Decision{Seq: m.seqOf[s.Job], Org: s.Org, Cluster: c, Machine: s.Machine, At: s.At})
 	}
 	for c, m := range f.members {

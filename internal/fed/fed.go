@@ -490,7 +490,9 @@ func (f *Federation) NextEventTime() model.Time {
 // Restore), ordered by instant, then member, each member's in its own
 // order: members are stepped window by window, so the order they were
 // folded in would depend on when captures fell and how a caller chunks
-// its Steps.
+// its Steps. Across Steps only instants are ordered: members start
+// nothing before the last Step's until, where a job released then can
+// put a lower member after a higher one in the log.
 //
 // The returned slice aliases the federation's decision log — the same
 // read-only contract engine.Step documents: it is valid until the next

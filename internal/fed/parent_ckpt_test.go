@@ -128,6 +128,37 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, raw) {
 					t.Errorf("the restored federation's snapshot is not the fixture's bytes (err %v)", err)
 				}
+				// Two adjacent decisions of different members swap places
+				// in the order without touching either member's log: the
+				// swap is refused where it makes the instants fall, and
+				// taken at one instant.
+				decs := restored.Decisions()
+				falls := 0
+				for i := 0; i+1 < len(decs); i++ {
+					if decs[i].Cluster == decs[i+1].Cluster {
+						continue
+					}
+					var cp fed.Checkpoint
+					if err := json.Unmarshal(raw, &cp); err != nil {
+						t.Fatal(err)
+					}
+					cp.Order[i], cp.Order[i+1] = cp.Order[i+1], cp.Order[i]
+					doc, err := json.Marshal(cp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if decs[i].At == decs[i+1].At {
+						if _, err := restore(doc); err != nil {
+							t.Errorf("order swapped at instant %d: %v", decs[i].At, err)
+						}
+						continue
+					}
+					refused(t, doc, fmt.Sprintf("fed: restore: decision order puts cluster %d's start at %d after a start at %d", decs[i].Cluster, decs[i].At, decs[i+1].At))
+					falls++
+				}
+				if falls == 0 {
+					t.Fatal("no two adjacent decisions of different members at different instants: the order check goes unexercised")
+				}
 				straight := parentCkptFederation(t, gated)
 				if _, err := straight.Step(parentCkptAt); err != nil {
 					t.Fatal(err)
@@ -151,6 +182,61 @@ func TestParentCheckpointsRestore(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// The decision log's instants never decrease, but only each Step's
+// chunk of it is by (instant, member): a job submitted for release at
+// the clock lets the next Step log member 0 after member 1 at that
+// instant. Restore takes the order such a run writes, re-captures it
+// byte for byte with the same decisions, and takes the two decisions
+// swapped too: at one instant either order is a run's.
+func TestDecisionOrderAcrossSteps(t *testing.T) {
+	orgs := []string{"o0", "o1"}
+	specs := []fed.ClusterSpec{
+		{Name: "a", Alg: algFactory("directcontr"), Machines: []int{1, 1}},
+		{Name: "b", Alg: algFactory("directcontr"), Machines: []int{1, 1}},
+	}
+	f, err := fed.New(orgs, specs, fed.LocalOnly{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, origin := range []int{1, 0} {
+		if _, err := f.Submit(origin, 0, 3, 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Step(5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp fed.Checkpoint
+	if err := json.Unmarshal(snap, &cp); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(cp.Order) != "[1 0]" {
+		t.Fatalf("decision order %v, want [1 0]: member 1 started at 5 a Step before member 0 did", cp.Order)
+	}
+	restored, err := fed.Restore(orgs, specs, fed.LocalOnly{}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, snap) {
+		t.Errorf("re-captured %s (err %v), want %s", got, err, snap)
+	}
+	if got, want := fmt.Sprintf("%+v", restored.Decisions()), fmt.Sprintf("%+v", f.Decisions()); got != want {
+		t.Errorf("restored decisions %s, want %s", got, want)
+	}
+	cp.Order[0], cp.Order[1] = cp.Order[1], cp.Order[0]
+	doc, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fed.Restore(orgs, specs, fed.LocalOnly{}, doc); err != nil {
+		t.Errorf("the same-instant swap is refused: %v", err)
 	}
 }
 

@@ -6,16 +6,14 @@
 // instance — greedy non-preemptive dispatch through a pluggable Policy,
 // and exact integer ψsp accounting per job owner and per machine owner.
 //
-// The engine exposes two driving styles:
-//
-//   - Run(until): self-driving loop for standalone policies
-//     (round-robin, fair share, DIRECTCONTR, …) on a cluster alone on
-//     its queues, releasing them as it steps.
-//   - Queues.AdvanceTo / NextCompletion / AdvanceTo / WaitingAmong /
-//     StartHeads / DispatchCount: the primitives internal/core's
-//     schedule-set loop uses to step many coalition clusters, built on
-//     one shared Queues, event by event and interleave contribution
-//     computations between event processing and dispatch.
+// Every program drives clusters through internal/core's schedule-set
+// loop, a policy baseline's one cluster included: built on one shared
+// Queues, it steps the clusters event by event with the primitives
+// Queues.AdvanceTo, NextCompletion, AdvanceTo, WaitingAmong, StartHeads
+// and DispatchCount, and interleaves contribution computations between
+// event processing and dispatch. Step, a cluster alone on its queues
+// releasing them as it steps, remains for the benchmark's cluster
+// kernel and the tests.
 //
 // Greediness (no machine idles while a job waits) is an engine
 // invariant, not a policy obligation: the dispatch loop keeps starting
@@ -101,7 +99,7 @@ type Cluster struct {
 
 // New builds a cluster for the given coalition of the instance, driven
 // by the policy, alone on queues of the whole instance (NewQueues), which
-// Step and Run release. rng may be nil when the policy is deterministic.
+// Step releases. rng may be nil when the policy is deterministic.
 func New(inst *model.Instance, coal model.Coalition, p Policy, rng *rand.Rand) *Cluster {
 	return NewQueues(inst).NewCluster(coal, p, rng)
 }
@@ -109,6 +107,7 @@ func New(inst *model.Instance, coal model.Coalition, p Policy, rng *rand.Rand) *
 func newCluster(q *Queues, coal model.Coalition, p Policy, rng *rand.Rand) *Cluster {
 	inst := q.inst
 	k := len(inst.Orgs)
+	perOrg := make([]int, 2*k)
 	c := &Cluster{
 		inst:           inst,
 		coal:           coal,
@@ -116,8 +115,8 @@ func newCluster(q *Queues, coal model.Coalition, p Policy, rng *rand.Rand) *Clus
 		q:              q,
 		lists:          q.lists,
 		base:           q.base,
-		cursor:         make([]int, k),
-		runningPerOrg:  make([]int, k),
+		cursor:         perOrg[:k:k],
+		runningPerOrg:  perOrg[k:],
 		orgAcct:        make([]ValuePoly, k),
 		ownAcct:        make([]ValuePoly, k),
 		policy:         p,
@@ -161,10 +160,6 @@ func (c *Cluster) Policy() Policy { return c.policy }
 // Coalition returns the simulated coalition.
 func (c *Cluster) Coalition() model.Coalition { return c.coal }
 
-// Instance returns the instance being simulated. It is a driver-level
-// accessor; policies see only the non-clairvoyant View.
-func (c *Cluster) Instance() *model.Instance { return c.inst }
-
 // NextEventTime returns the earliest pending release on the queues or
 // completion here, or MaxTime when neither exists.
 func (c *Cluster) NextEventTime() model.Time {
@@ -200,8 +195,7 @@ func (c *Cluster) NextCompletionAfter(t model.Time) model.Time {
 // ≤ t, but releases nothing and performs no dispatch: the driver
 // releases the queues (Queues.AdvanceTo) first. External drivers must
 // advance event by event (t = the global minimum NextEventTime) so that
-// no dispatch opportunity is skipped; Run and Step do this
-// automatically.
+// no dispatch opportunity is skipped; Step does this automatically.
 func (c *Cluster) AdvanceTo(t model.Time) {
 	if t < c.now {
 		panic(fmt.Sprintf("sim: AdvanceTo(%d) before current time %d", t, c.now))
@@ -440,17 +434,6 @@ func (c *Cluster) Step(until model.Time) bool {
 	c.AdvanceTo(e)
 	c.Dispatch()
 	return true
-}
-
-// Run drives a cluster alone on its queues until no event remains at or
-// before `until`, then releases and advances to exactly `until` so that
-// utilities are evaluated at the experiment horizon. Run is resumable:
-// calling it again with a later horizon continues the same simulation.
-func (c *Cluster) Run(until model.Time) {
-	for c.Step(until) {
-	}
-	c.q.AdvanceTo(until)
-	c.AdvanceTo(until)
 }
 
 // ValuePoly is one ψsp account as a closed-form function of the

@@ -9,6 +9,16 @@ import (
 	"repro/internal/utility"
 )
 
+// run drives a cluster alone on its queues until no event remains at or
+// before until, then releases and advances to exactly until, where its
+// utilities are read. It resumes: a later until continues the run.
+func run(c *Cluster, until model.Time) {
+	for c.Step(until) {
+	}
+	c.q.AdvanceTo(until)
+	c.AdvanceTo(until)
+}
+
 // orgPriority prefers organizations in the given fixed order.
 func orgPriority(order ...int) Policy {
 	return &SelectFunc{
@@ -34,7 +44,7 @@ func TestSingleMachineSequence(t *testing.T) {
 		},
 	)
 	c := New(in, in.Grand(), orgPriority(0), nil)
-	c.Run(20)
+	run(c, 20)
 	starts := c.Starts()
 	if len(starts) != 3 {
 		t.Fatalf("starts = %+v", starts)
@@ -71,7 +81,7 @@ func TestFIFOWithinOrganization(t *testing.T) {
 		},
 	)
 	c := New(in, in.Grand(), orgPriority(0), nil)
-	c.Run(10)
+	run(c, 10)
 	starts := c.Starts()
 	// Job IDs must start in increasing order (FIFO).
 	for i := 1; i < len(starts); i++ {
@@ -131,12 +141,12 @@ func figure7Instance() *model.Instance {
 
 func TestFigure7Utilization(t *testing.T) {
 	a := New(figure7Instance(), model.Grand(2), orgPriority(1, 0), nil)
-	a.Run(6)
+	run(a, 6)
 	if got := a.Utilization(); got != 1.0 {
 		t.Errorf("O2-first utilization at 6 = %v, want 1.0 (paper, Figure 7a)", got)
 	}
 	b := New(figure7Instance(), model.Grand(2), orgPriority(0, 1), nil)
-	b.Run(6)
+	run(b, 6)
 	if got := b.Utilization(); got != 0.75 {
 		t.Errorf("O1-first utilization at 6 = %v, want 0.75 (paper, Figure 7b)", got)
 	}
@@ -145,10 +155,10 @@ func TestFigure7Utilization(t *testing.T) {
 func TestRunIsResumable(t *testing.T) {
 	in := figure7Instance()
 	whole := New(in, model.Grand(2), orgPriority(0, 1), nil)
-	whole.Run(9)
+	run(whole, 9)
 	stepped := New(in, model.Grand(2), orgPriority(0, 1), nil)
 	for ti := model.Time(1); ti <= 9; ti++ {
-		stepped.Run(ti)
+		run(stepped, ti)
 	}
 	if whole.Value() != stepped.Value() {
 		t.Errorf("resumed run diverged: %d vs %d", stepped.Value(), whole.Value())
@@ -161,7 +171,7 @@ func TestRunIsResumable(t *testing.T) {
 func TestCoalitionRestriction(t *testing.T) {
 	in := figure7Instance()
 	c := New(in, model.Singleton(0), orgPriority(0), nil)
-	c.Run(100)
+	run(c, 100)
 	if got := len(c.Starts()); got != 4 {
 		t.Fatalf("singleton coalition started %d jobs, want 4", got)
 	}
@@ -200,7 +210,7 @@ func TestOwnerAccounting(t *testing.T) {
 		[]model.Job{{Org: 0, Release: 0, Size: 4}},
 	)
 	c := New(in, in.Grand(), orgPriority(0, 1), nil)
-	c.Run(10)
+	run(c, 10)
 	if got := c.Psi(0); got != utility.PsiJob(0, 4, 10) {
 		t.Errorf("A's ψ = %d", got)
 	}
@@ -220,7 +230,7 @@ func TestOwnerAccounting(t *testing.T) {
 	// owner's account and the value are the same as above.
 	silent := New(in, in.Grand(), orgPriority(0, 1), nil)
 	silent.DiscardStarts()
-	silent.Run(10)
+	run(silent, 10)
 	if silent.Psi(0) != c.Psi(0) || silent.Value() != c.Value() {
 		t.Errorf("without machine-owner accounts: ψ %d, value %d; want %d, %d", silent.Psi(0), silent.Value(), c.Psi(0), c.Value())
 	}
@@ -239,7 +249,7 @@ func TestEmptyCoalitionPool(t *testing.T) {
 	)
 	// Coalition {A} has a job but no machines: nothing ever runs.
 	c := New(in, model.Singleton(0), orgPriority(0), nil)
-	c.Run(50)
+	run(c, 50)
 	if c.Value() != 0 || len(c.Starts()) != 0 {
 		t.Fatalf("machine-less coalition ran jobs: value=%d", c.Value())
 	}
@@ -257,7 +267,7 @@ func TestPanicOnBadPolicy(t *testing.T) {
 			t.Fatal("engine did not reject selection of org without waiting jobs")
 		}
 	}()
-	c.Run(10)
+	run(c, 10)
 }
 
 // placed converts the recorded schedule to utility.Placed records, for
@@ -280,7 +290,7 @@ func placed(c *Cluster, org int) []utility.Placed {
 func TestPlacedExport(t *testing.T) {
 	in := figure7Instance()
 	c := New(in, model.Grand(2), orgPriority(1, 0), nil)
-	c.Run(20)
+	run(c, 20)
 	all := placed(c, -1)
 	if len(all) != 6 {
 		t.Fatalf("Placed(-1) = %d records", len(all))
@@ -301,7 +311,7 @@ func TestPlacedExport(t *testing.T) {
 func TestAdvanceToPanicsOnPast(t *testing.T) {
 	in := figure7Instance()
 	c := New(in, model.Grand(2), orgPriority(0, 1), nil)
-	c.Run(5)
+	run(c, 5)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("AdvanceTo into the past did not panic")

@@ -54,7 +54,7 @@ func TestPolicyHooks(t *testing.T) {
 	)
 	p := &hookedPolicy{}
 	c := New(in, in.Grand(), p, nil)
-	c.Run(10)
+	run(c, 10)
 	if s := c.Starts(); len(s) != 2 || s[0].Job != 0 || s[1].Job != 1 {
 		t.Fatalf("starts = %v", s)
 	}
@@ -69,7 +69,7 @@ func TestNextEventTimeSentinel(t *testing.T) {
 		[]model.Job{{Org: 0, Release: 0, Size: 1}},
 	)
 	c := New(in, in.Grand(), orgPriority(0), nil)
-	c.Run(5)
+	run(c, 5)
 	if got := c.NextEventTime(); got != MaxTime {
 		t.Fatalf("NextEventTime after quiescence = %d, want MaxTime", got)
 	}
@@ -94,7 +94,7 @@ func TestSelectFuncAdapter(t *testing.T) {
 		t.Fatalf("Name = %q", p.Name())
 	}
 	c := New(in, in.Grand(), p, nil)
-	c.Run(3)
+	run(c, 3)
 	if len(c.Starts()) != 1 {
 		t.Fatal("SelectFunc policy did not schedule")
 	}

@@ -137,7 +137,7 @@ func TestSimulatorInvariants(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		in := randInstance(r, false)
 		c := New(in, in.Grand(), randPolicy(seed+1), stats.NewRand(seed+2))
-		c.Run(in.Horizon() + 5)
+		run(c, in.Horizon()+5)
 		checkInvariants(t, in, c)
 		if got := len(c.Starts()); got != len(in.Jobs) {
 			t.Fatalf("only %d of %d jobs started by the horizon", got, len(in.Jobs))
@@ -159,8 +159,8 @@ func TestUnitJobValueScheduleIndependent(t *testing.T) {
 		b := New(in, in.Grand(), randPolicy(seed+20), nil)
 		horizon := in.Horizon() + 3
 		for ti := model.Time(0); ti <= horizon; ti++ {
-			a.Run(ti)
-			b.Run(ti)
+			run(a, ti)
+			run(b, ti)
 			if a.Value() != b.Value() {
 				t.Fatalf("seed %d: values diverge at t=%d: %d vs %d", seed, ti, a.Value(), b.Value())
 			}
@@ -184,7 +184,7 @@ func TestGreedyThreeQuartersCompetitive(t *testing.T) {
 		var busies []int64
 		for p := 0; p < 4; p++ {
 			c := New(in, in.Grand(), randPolicy(seed+int64(p)*7), nil)
-			c.Run(T)
+			run(c, T)
 			busies = append(busies, c.ExecutedUnits())
 		}
 		lo, hi := busies[0], busies[0]
@@ -327,7 +327,7 @@ func TestWithdrawReinjectConservation(t *testing.T) {
 				}
 			}
 		}
-		c.Run(horizon + drainHorizon(in))
+		run(c, horizon+drainHorizon(in))
 		checkWithdrawInvariants(t, in, c, withdrawn)
 		return true
 	}
@@ -360,7 +360,7 @@ func TestWithdrawCheckpointRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(3000 + seed))
 		in := randInstance(r, false)
 		a := New(in, in.Grand(), lowestOrgPolicy(), nil)
-		a.Run(in.Horizon() / 2)
+		run(a, in.Horizon()/2)
 		q := queuedJobs(a)
 		if len(q) == 0 {
 			continue
@@ -386,8 +386,8 @@ func TestWithdrawCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: restored capture differs:\n%s\nvs\n%s", seed, aj, bj)
 		}
 		horizon := drainHorizon(in)
-		a.Run(horizon)
-		b.Run(horizon)
+		run(a, horizon)
+		run(b, horizon)
 		as, bs := a.Starts(), b.Starts()
 		if len(as) != len(bs) {
 			t.Fatalf("seed %d: %d vs %d starts after restore", seed, len(as), len(bs))
@@ -412,7 +412,7 @@ func TestWithdrawArgumentValidation(t *testing.T) {
 		},
 	)
 	c := New(in, in.Grand(), lowestOrgPolicy(), nil)
-	c.Run(0) // jobs 0,1 start (two machines), job 2 queues, job 3 pending
+	run(c, 0) // jobs 0,1 start (two machines), job 2 queues, job 3 pending
 	if _, err := c.Withdraw(0, 99); err == nil {
 		t.Error("unknown job accepted")
 	}
@@ -511,7 +511,7 @@ func FuzzClusterAccounting(f *testing.F) {
 			checkAccountsToNextEvent(t, c, horizon)
 			checkQueues(t, c.q, stepped)
 		}
-		c.Run(drainHorizon(in))
+		run(c, drainHorizon(in))
 		checkAccountsToNextEvent(t, c, horizon)
 		checkWithdrawInvariants(t, in, c, withdrawn)
 	})
@@ -542,9 +542,9 @@ func checkFreeStack(t *testing.T, c *Cluster) {
 // witness for the bound above.
 func TestFigure7IsTight(t *testing.T) {
 	a := New(figure7Instance(), model.Grand(2), orgPriority(1, 0), nil)
-	a.Run(6)
+	run(a, 6)
 	b := New(figure7Instance(), model.Grand(2), orgPriority(0, 1), nil)
-	b.Run(6)
+	run(b, 6)
 	if 4*b.ExecutedUnits() != 3*a.ExecutedUnits() {
 		t.Fatalf("Figure 7 not tight: %d vs %d", b.ExecutedUnits(), a.ExecutedUnits())
 	}

@@ -24,7 +24,7 @@ func TestRelatedMachineSingleJob(t *testing.T) {
 		[]model.Job{{Org: 0, Release: 0, Size: 10}},
 	)
 	c := New(in, in.Grand(), orgPriority(0), nil)
-	c.Run(20)
+	run(c, 20)
 	// Duration ⌈10/3⌉ = 4: units 3@0, 3@1, 3@2, 1@3.
 	want := int64(3*(20-0) + 3*(20-1) + 3*(20-2) + 1*(20-3))
 	if got := c.Psi(0); got != want {
@@ -49,7 +49,7 @@ func TestRelatedMachineMidJobAccounting(t *testing.T) {
 		[]model.Job{{Org: 0, Release: 0, Size: 10}},
 	)
 	c := New(in, in.Grand(), orgPriority(0), nil)
-	c.Run(2) // 2 slots executed: 8 units
+	run(c, 2) // 2 slots executed: 8 units
 	if got := c.ExecutedUnits(); got != 8 {
 		t.Fatalf("units after 2 slots = %d, want 8", got)
 	}
@@ -57,7 +57,7 @@ func TestRelatedMachineMidJobAccounting(t *testing.T) {
 	if got := c.Psi(0); got != want {
 		t.Fatalf("ψ(2) = %d, want %d", got, want)
 	}
-	c.Run(3) // third slot completes the remaining 2 units
+	run(c, 3) // third slot completes the remaining 2 units
 	if got := c.ExecutedUnits(); got != 10 {
 		t.Fatalf("units after 3 slots = %d, want 10", got)
 	}
@@ -78,9 +78,9 @@ func TestRelatedSpeedOneEquivalence(t *testing.T) {
 		}
 		horizon := in.Horizon() + 1
 		a := New(in, in.Grand(), randPolicy(seed), nil)
-		a.Run(horizon)
+		run(a, horizon)
 		b := New(ones, ones.Grand(), randPolicy(seed), nil)
-		b.Run(horizon)
+		run(b, horizon)
 		if a.Value() != b.Value() || a.ExecutedUnits() != b.ExecutedUnits() {
 			return false
 		}
@@ -116,7 +116,7 @@ func TestRelatedAccountingMatchesBruteForce(t *testing.T) {
 		horizon := in.Horizon() + 1 // generous: speeds only shorten jobs
 		eval := model.Time(1 + r.Int63n(int64(horizon)))
 		c := New(in, in.Grand(), randPolicy(seed+3), nil)
-		c.Run(eval)
+		run(c, eval)
 		// Brute force from the recorded starts.
 		psi := make([]int64, len(in.Orgs))
 		v := &c.view
@@ -158,10 +158,10 @@ func TestRelatedMachinesBreakThreeQuarterBound(t *testing.T) {
 		)
 	}
 	slowFirst := New(build(), model.Grand(1), orgPriority(0), nil) // default machine order: M0 (slow)
-	slowFirst.Run(10)
+	run(slowFirst, 10)
 	fastPref := &SelectFunc{PolicyName: "fast", F: func(v *View, _ model.Time, _ int) int { return 0 }}
 	fastCluster := New(build(), model.Grand(1), &machineReverser{fastPref}, nil)
-	fastCluster.Run(10)
+	run(fastCluster, 10)
 	lo, hi := slowFirst.ExecutedUnits(), fastCluster.ExecutedUnits()
 	if lo != 10 || hi != 100 {
 		t.Fatalf("executed units = %d vs %d, want 10 vs 100", lo, hi)

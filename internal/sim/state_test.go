@@ -42,7 +42,7 @@ func TestInjectBeforePendingRelease(t *testing.T) {
 		[]model.Job{{Org: 0, Release: 20, Size: 2}},
 	)
 	c := New(in, in.Grand(), fifoByID(), nil)
-	c.Run(5)
+	run(c, 5)
 
 	in.Jobs = append(in.Jobs, model.Job{ID: 1, Org: 0, Release: 10, Size: 3})
 	if err := c.Inject(1); err != nil {
@@ -51,7 +51,7 @@ func TestInjectBeforePendingRelease(t *testing.T) {
 	if got := c.NextEventTime(); got != 10 {
 		t.Fatalf("next event = %d, want the injected release 10", got)
 	}
-	c.Run(30)
+	run(c, 30)
 	starts := c.Starts()
 	if len(starts) != 2 {
 		t.Fatalf("%d starts, want 2", len(starts))
@@ -70,7 +70,7 @@ func TestInjectValidation(t *testing.T) {
 		[]model.Job{{Org: 0, Release: 0, Size: 2}},
 	)
 	c := New(in, model.Singleton(0), fifoByID(), nil)
-	c.Run(6)
+	run(c, 6)
 
 	if err := c.Inject(7); err == nil {
 		t.Error("unknown job ID accepted")
@@ -86,7 +86,7 @@ func TestInjectValidation(t *testing.T) {
 		t.Errorf("non-member injection errored: %v", err)
 	}
 	before := slices.Clone(c.Starts())
-	c.Run(20)
+	run(c, 20)
 	if !slices.Equal(c.Starts(), before) {
 		t.Errorf("non-member injection moved the starts: %v, were %v", c.Starts(), before)
 	}
@@ -104,7 +104,7 @@ func TestInjectValidation(t *testing.T) {
 			t.Errorf("pending job re-injected: %v", err)
 		}
 	}
-	d.Run(20)
+	run(d, 20)
 	if len(d.Starts()) != 1 {
 		t.Errorf("job 0 started %d times: %v", len(d.Starts()), d.Starts())
 	}
@@ -129,7 +129,7 @@ func injectFixture() (*Cluster, []int) {
 		},
 	)
 	c := New(in, model.Grand(3).Without(2), fifoByID(), nil)
-	c.Run(5)
+	run(c, 5)
 	var batch []int
 	for _, j := range []model.Job{
 		{Org: 1, Release: 9, Size: 3},
@@ -166,7 +166,7 @@ func TestInjectBatchMatchesPerJob(t *testing.T) {
 	if pending := perJob.CaptureState().ReleaseOrder; fmt.Sprint(pending) != "[8 11 4 10 13 5 7 15 12]" {
 		t.Fatalf("pending releases %v, want the members in (release, ID) order", pending)
 	}
-	perJob.Run(60)
+	run(perJob, 60)
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		c, batch := injectFixture()
@@ -181,7 +181,7 @@ func TestInjectBatchMatchesPerJob(t *testing.T) {
 		if got, _ := json.Marshal(c.CaptureState()); !bytes.Equal(got, want) {
 			t.Fatalf("batch %v captured\n%s\nwant\n%s", batch, got, want)
 		}
-		c.Run(60)
+		run(c, 60)
 		if got, want := fmt.Sprint(c.Starts(), c.PsiVector()), fmt.Sprint(perJob.Starts(), perJob.PsiVector()); got != want {
 			t.Fatalf("batch %v ran\n%s\nwant\n%s", batch, got, want)
 		}
@@ -252,21 +252,21 @@ func TestCaptureRestoreMidRun(t *testing.T) {
 			{Org: 1, Release: 8, Size: 2},
 		},
 	)
-	run := func(pause model.Time) *Cluster {
+	resume := func(pause model.Time) *Cluster {
 		c := New(in, in.Grand(), fifoByID(), nil)
-		c.Run(pause)
+		run(c, pause)
 		st := c.CaptureState()
 		restored := New(in, in.Grand(), fifoByID(), nil)
 		if err := restored.RestoreState(st); err != nil {
 			t.Fatal(err)
 		}
-		restored.Run(40)
+		run(restored, 40)
 		return restored
 	}
 	want := New(in, in.Grand(), fifoByID(), nil)
-	want.Run(40)
+	run(want, 40)
 	for pause := model.Time(0); pause <= 12; pause++ {
-		got := run(pause)
+		got := resume(pause)
 		if len(got.Starts()) != len(want.Starts()) {
 			t.Fatalf("pause %d: %d starts, want %d", pause, len(got.Starts()), len(want.Starts()))
 		}
@@ -459,7 +459,7 @@ func TestRestoreRejectsMismatchedState(t *testing.T) {
 	// machine 0 since 5, and each line is held to the pool, to
 	// [release, now], to the order starts are made in, and to the
 	// machine's previous job. (All of these restored before the check.)
-	c.Run(6)
+	run(c, 6)
 	st = c.CaptureState()
 	if len(st.Starts) != 3 || st.Starts[2] != (Start{Job: 2, Org: 0, Machine: 0, At: 5}) || len(c.running) != 1 {
 		t.Fatalf("the later fixture is not two finished jobs and a running one: %+v", st)
@@ -521,8 +521,8 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 	if v := &restored.view; restored.Value() != c.Value() || v.Running(0) != 1 || v.Running(1) != 1 || len(restored.free) != 0 {
 		t.Fatalf("value %d (want %d), running %d and %d, free %v", restored.Value(), c.Value(), v.Running(0), v.Running(1), restored.free)
 	}
-	c.Run(40)
-	restored.Run(40)
+	run(c, 40)
+	run(restored, 40)
 	if got, want := fmt.Sprint(restored.Starts(), restored.PsiVector(), restored.Value()), fmt.Sprint(c.Starts(), c.PsiVector(), c.Value()); got != want {
 		t.Fatalf("restored run ended\n%s\nwant\n%s", got, want)
 	}
@@ -548,7 +548,7 @@ func TestRestoreRecomputesDerivedFields(t *testing.T) {
 	if got, _ := json.Marshal(into.CaptureState()); !bytes.Equal(got, wantHyp) {
 		t.Fatalf("a cluster without a decision log re-captured\n%s\nwant\n%s", got, wantHyp)
 	}
-	into.Run(40)
+	run(into, 40)
 	if into.Starts() != nil || into.Value() != c.Value() {
 		t.Fatalf("log-less run: starts %v, value %d, want none and %d", into.Starts(), into.Value(), c.Value())
 	}
@@ -874,7 +874,7 @@ func TestHypotheticalCaptureMachines(t *testing.T) {
 		in := model.MustNewInstance([]model.Org{{Name: "A", Machines: 3, Speeds: speeds}, {Name: "B", Machines: 1}}, jobs)
 		c := NewQueues(in).NewCluster(in.Grand(), fifoByID(), nil)
 		c.DiscardStarts()
-		c.Run(1)
+		run(c, 1)
 		var want []RunEntryState
 		for _, r := range c.running {
 			want = append(want, RunEntryState{Job: int(r.Job), Machine: int(r.Machine), Start: r.Start})

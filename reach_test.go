@@ -80,7 +80,11 @@ var benchOnly = map[string]string{
 	"repro/internal/gen.fedUserHeap.Push":        "FedSource's merge heap, through container/heap",
 	"repro/internal/gen.fedUserHeap.Swap":        "FedSource's merge heap, through container/heap",
 	"repro/internal/gen.fedUserRef":              "an entry of FedSource's merge heap",
+	"repro/internal/sim.Cluster.Dispatch":        "part of Cluster.Step, the loop of a cluster alone that sim.cluster.step_ns times; programs dispatch a schedule set's slots through DispatchCount and StartHeads",
 	"repro/internal/sim.Cluster.Inject":          "timed by sim.cluster.inject_ns; programs inject through a schedule set's Queues.Inject",
+	"repro/internal/sim.Cluster.NextEventTime":   "part of Cluster.Step, the loop of a cluster alone that sim.cluster.step_ns times; a schedule set reads its queues' next release and each slot's NextCompletionAfter",
+	"repro/internal/sim.Cluster.Step":            "the loop of a cluster alone, timed by sim.cluster.step_ns; programs step a one-slot schedule set (core.FromPolicy) instead",
+	"repro/internal/sim.New":                     "builds the cluster alone that sim.cluster.step_ns and sim.cluster.inject_ns time; programs build clusters on a schedule set's Queues",
 }
 
 // declared is one package-level declaration: the syntax whose

@@ -36,6 +36,7 @@ func TestStructure(t *testing.T) {
 		{"One stepping mode", oneSteppingMode},
 		{"Free flow stays in the set", freeFlowStaysInTheSet},
 		{"One version check per format", oneVersionCheckPerFormat},
+		{"One batch contract", oneBatchContract},
 		{"Design doc size", designDocSize},
 	} {
 		t.Run(r.name, func(t *testing.T) { r.rule(t, m) })
@@ -378,6 +379,32 @@ func oneVersionCheckPerFormat(t *testing.T, m *module) {
 			t.Errorf("%s is compared %d times, want once, in %s", format.field, compared, format.check)
 		}
 	}
+}
+
+// oneBatchContract: the paper defines one scheduling loop, and a batch
+// run is that loop drained to a horizon. core.Run, a package-level
+// function, drains any StepperAlgorithm's stepper, and StepperAlgorithm
+// is core's only algorithm interface: core declares no Algorithm type
+// and no method named Run on any type, interfaces included, so no
+// per-algorithm "build a stepper, drain it" copy comes back.
+func oneBatchContract(t *testing.T, m *module) {
+	if fn, ok := m.lookup(t, "core.Run").(*types.Func); !ok || fn.Type().(*types.Signature).Recv() != nil {
+		t.Errorf("anchor core.Run: not a package-level function")
+	}
+	found := map[token.Pos]string{}
+	for id, obj := range m.info[internal+"core"].Defs {
+		switch obj := obj.(type) {
+		case *types.TypeName:
+			if obj.Name() == "Algorithm" {
+				found[id.Pos()] = "core declares an Algorithm type"
+			}
+		case *types.Func:
+			if recv := obj.Type().(*types.Signature).Recv(); recv != nil && obj.Name() == "Run" {
+				found[id.Pos()] = "core declares a Run method on " + types.TypeString(recv.Type(), types.RelativeTo(obj.Pkg()))
+			}
+		}
+	}
+	m.reportEach(t, found)
 }
 
 // designDocSize: DESIGN.md stays at 850 lines or fewer.
