@@ -167,4 +167,4 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/work.golden")
+var update = flag.Bool("update", false, "rewrite testdata/work.golden and testdata/examples/")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +19,41 @@ func tinyRun(t *testing.T, args ...string) string {
 		t.Fatalf("run(%v): %v (stderr: %s)", args, err, stderr.String())
 	}
 	return stdout.String()
+}
+
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
+
+// Every algorithm on one RICC instance, and RAND against REF, print
+// byte for byte what testdata/<name>.golden holds (rewritten with
+// -update).
+func TestRunGoldens(t *testing.T) {
+	base := []string{"-family", "ricc", "-orgs", "5", "-horizon", "6000", "-seed", "2"}
+	runs := map[string][]string{"rand-compare": {"-alg", "rand", "-compare"}}
+	for _, alg := range []string{"ref", "rand", "directcontr", "nbs", "fairshare", "utfairshare", "currfairshare", "roundrobin", "fcfs"} {
+		runs[alg] = []string{"-alg", alg}
+	}
+	for name, args := range runs {
+		t.Run(name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if err := run(append(base[:len(base):len(base)], args...), &stdout, &stderr); err != nil {
+				t.Fatalf("run(%v): %v (stderr: %s)", args, err, stderr.String())
+			}
+			golden := filepath.Join("testdata", name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("%s moved (rewrite with -update if that is meant):\ngot:\n%swant:\n%s", golden, stdout.Bytes(), want)
+			}
+		})
+	}
 }
 
 func TestRunFamilyEndToEnd(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/figures.golden")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
 
 // tinyRun executes the CLI with scaled-down budgets and returns stdout.
 func tinyRun(t *testing.T, args ...string) string {
@@ -36,7 +36,20 @@ func TestRunFigures(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	const golden = "testdata/figures.golden"
+	checkGolden(t, "testdata/figures.golden", out)
+}
+
+// Every table and figure at one instance, Table 2 at a horizon of 5 000
+// ticks instead of 500 000, printed byte for byte as
+// testdata/all.golden holds it.
+func TestRunAllGolden(t *testing.T) {
+	checkGolden(t, "testdata/all.golden", tinyRun(t, "-all", "-instances", "1", "-horizon2", "5000"))
+}
+
+// checkGolden compares out with the golden file, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, golden, out string) {
+	t.Helper()
 	if *update {
 		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
 			t.Fatal(err)
@@ -48,7 +61,7 @@ func TestRunFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out != string(want) {
-		t.Errorf("-fig2 -fig7 output moved (rewrite with -update if that is meant):\ngot:\n%swant:\n%s", out, want)
+		t.Errorf("%s moved (rewrite with -update if that is meant):\ngot:\n%swant:\n%s", golden, out, want)
 	}
 }
 

@@ -1,12 +1,15 @@
-// Examples smoke harness: every examples/* main must build and run to
-// completion within a small budget, so the demos cannot silently rot
-// as the packages underneath them evolve. The examples are tiny by
+// Examples smoke harness: every examples/* main must build, run to
+// completion within a small budget and print byte for byte what
+// testdata/examples/<name>.golden holds (rewritten with -update), so
+// the demos cannot silently rot or drift as the packages underneath
+// them evolve. The examples are tiny by
 // design (sub-second runs); the generous timeout only guards against
 // hangs. Run by plain `go test` at the module root and therefore by
 // the CI race job.
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"os/exec"
@@ -43,15 +46,31 @@ func TestExamplesSmoke(t *testing.T) {
 			defer cancel()
 			cmd := exec.CommandContext(ctx, "go", "run", "./examples/"+name)
 			cmd.Dir = root
-			out, err := cmd.CombinedOutput()
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
 			if ctx.Err() != nil {
 				t.Fatalf("example %s exceeded its time budget", name)
 			}
 			if err != nil {
-				t.Fatalf("example %s failed: %v\n%s", name, err, out)
+				t.Fatalf("example %s failed: %v\n%s%s", name, err, out, stderr.Bytes())
 			}
 			if len(out) == 0 {
 				t.Fatalf("example %s produced no output", name)
+			}
+			golden := filepath.Join("testdata", "examples", name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, out, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Errorf("example %s's stdout moved (rewrite with -update if that is meant):\ngot:\n%swant:\n%s", name, out, want)
 			}
 		})
 	}
