@@ -9,7 +9,7 @@
 package baseline
 
 import (
-	"encoding/json"
+	"fmt"
 	"math/rand"
 
 	"repro/internal/model"
@@ -78,22 +78,16 @@ func (p *RoundRobin) Select(_ model.Time, _ int) int {
 	return -1 // unreachable: the engine calls Select only with waiting jobs
 }
 
-// roundRobinState is RoundRobin's serialized checkpoint form.
-type roundRobinState struct {
-	Next int `json:"next"`
-}
+// SavePolicy implements sim.StatefulPolicy: the rotation cursor is the
+// only state a resumed run needs.
+func (p *RoundRobin) SavePolicy() sim.PolicyState { return sim.PolicyState{Next: p.next} }
 
-// CapturePolicyState implements sim.StatefulPolicy: the rotation cursor
-// is the only state a resumed run needs.
-func (p *RoundRobin) CapturePolicyState() ([]byte, error) {
-	return json.Marshal(roundRobinState{Next: p.next})
-}
-
-// RestorePolicyState implements sim.StatefulPolicy.
-func (p *RoundRobin) RestorePolicyState(data []byte) error {
-	var st roundRobinState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
+// RestorePolicy implements sim.StatefulPolicy. The cursor names an
+// organization: any other would index outside the rotation at the next
+// Select.
+func (p *RoundRobin) RestorePolicy(st sim.PolicyState) error {
+	if k := p.view.Orgs(); st.Next < 0 || st.Next >= k {
+		return fmt.Errorf("baseline: round-robin cursor %d outside the %d organizations", st.Next, k)
 	}
 	p.next = st.Next
 	return nil

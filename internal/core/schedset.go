@@ -462,7 +462,7 @@ func (s *schedSet) Withdraw(id int) error {
 
 // Capture implements Stepper: one ClusterState per slot in the plug's
 // checkpoint order, the decision RNG stream position, and a stateful
-// decision policy's own capture. Target vectors carry no state — they
+// decision policy's saved state. Target vectors carry no state — they
 // are recomputed at every dispatch instant before they are read.
 func (s *schedSet) Capture(now model.Time) (*Checkpoint, error) {
 	cp := &Checkpoint{
@@ -481,17 +481,14 @@ func (s *schedSet) Capture(now model.Time) (*Checkpoint, error) {
 		cp.RNG = []uint64{s.src.State()}
 	}
 	if sp, ok := s.decision().Policy().(sim.StatefulPolicy); ok {
-		data, err := sp.CapturePolicyState()
-		if err != nil {
-			return nil, fmt.Errorf("core: capture policy state: %w", err)
-		}
-		cp.Policy = data
+		st := sp.SavePolicy()
+		cp.Policy = &st
 	}
 	return cp, nil
 }
 
 // restore overwrites a freshly built set with a captured one. It fails
-// closed: a set that captures an RNG position or a policy blob rejects
+// closed: a set that captures an RNG position or a policy state rejects
 // a checkpoint lacking it rather than restarting that state from the
 // seed.
 func (s *schedSet) restore(cp *Checkpoint) error {
@@ -524,10 +521,10 @@ func (s *schedSet) restore(cp *Checkpoint) error {
 		s.src.SetState(cp.RNG[0])
 	}
 	if sp, ok := s.decision().Policy().(sim.StatefulPolicy); ok {
-		if len(cp.Policy) == 0 {
+		if cp.Policy == nil {
 			return fmt.Errorf("core: %s checkpoint lacks the policy state", s.name)
 		}
-		if err := sp.RestorePolicyState(cp.Policy); err != nil {
+		if err := sp.RestorePolicy(*cp.Policy); err != nil {
 			return fmt.Errorf("core: restore policy state: %w", err)
 		}
 	}
@@ -540,9 +537,9 @@ func (s *schedSet) restore(cp *Checkpoint) error {
 // the instance, build the stepper the algorithm's configuration
 // describes, overwrite its set.
 func restoreStepper(a StepperAlgorithm, cp *Checkpoint) (Stepper, error) {
-	switch {
-	case cp.Version != CheckpointVersion:
-		return nil, fmt.Errorf("core: restore: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
+	switch v := cp.Version; {
+	case v != CheckpointVersion:
+		return nil, fmt.Errorf("core: restore: checkpoint version %d, want %d", v, CheckpointVersion)
 	case cp.Algorithm != a.Name():
 		return nil, fmt.Errorf("core: checkpoint for %q restored as %q", cp.Algorithm, a.Name())
 	}

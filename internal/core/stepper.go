@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
@@ -102,7 +101,7 @@ const CheckpointVersion = 7
 // the instance as fed so far (orgs plus every job, including online
 // arrivals), one ClusterState per maintained schedule in a
 // stepper-defined deterministic order, the positions of the RNG streams
-// that influence decisions, and any stateful policy's own capture.
+// that influence decisions, and any stateful policy's saved state.
 // The loop's acceleration state (slot keys, the value snapshot) is
 // deliberately not serialized: it is rebuilt from the cluster states on
 // restore, and the rebuilt state evaluates to the same values —
@@ -117,7 +116,7 @@ type Checkpoint struct {
 	Jobs      []model.Job        `json:"jobs"`
 	Clusters  []sim.ClusterState `json:"clusters"`
 	RNG       []uint64           `json:"rng,omitempty"`
-	Policy    json.RawMessage    `json:"policy,omitempty"`
+	Policy    *sim.PolicyState   `json:"policy,omitempty"`
 }
 
 // RebuildInstance reconstructs the live instance from the checkpoint.

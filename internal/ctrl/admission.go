@@ -1,7 +1,6 @@
 package ctrl
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -60,30 +59,17 @@ type Decision struct {
 // Decide receives the job, its retry attempt (0 first try), the
 // decision instant and the current — possibly stale — View, and must be
 // deterministic: the Plane's determinism and checkpoint guarantees
-// depend on it. Policies may carry mutable state (token-bucket levels);
-// that state rides in control-plane checkpoints through StateJSON /
-// RestoreState, which is told the size of the organization universe
-// (stateless policies return nil and accept anything).
+// depend on it. Only the token bucket carries mutable state, its
+// levels, and the Plane's checkpoint holds them as a typed block.
 type AdmissionPolicy interface {
 	Name() string
 	Decide(job Job, attempt int, now model.Time, view View) Decision
-	StateJSON() ([]byte, error)
-	RestoreState(state []byte, orgs int) error
 }
-
-// stateless is the checkpoint half of a policy with nothing to store.
-type stateless struct{}
-
-// StateJSON implements AdmissionPolicy.
-func (stateless) StateJSON() ([]byte, error) { return nil, nil }
-
-// RestoreState implements AdmissionPolicy.
-func (stateless) RestoreState([]byte, int) error { return nil }
 
 // AlwaysAdmit admits everything — the pre-control-plane behavior, and
 // the differential baseline: a run gated by AlwaysAdmit at staleness 0
 // is byte-identical to the ungated run.
-type AlwaysAdmit struct{ stateless }
+type AlwaysAdmit struct{}
 
 // Name implements AdmissionPolicy.
 func (AlwaysAdmit) Name() string { return "always" }
@@ -131,19 +117,25 @@ type TokenBucket struct {
 // Name implements AdmissionPolicy.
 func (b *TokenBucket) Name() string { return "tokenbucket" }
 
-// init validates the configuration and sizes the state.
+// capacity is a full bucket's level, Burst·Period token-ticks. A
+// capacity beyond int64 is unreachable by any refill: it saturates.
+func (b *TokenBucket) capacity() int64 {
+	full, ok := mulInt64(b.Burst, int64(b.Period))
+	if !ok {
+		return math.MaxInt64
+	}
+	return full
+}
+
+// ensure validates the configuration and sizes the state.
 func (b *TokenBucket) ensure(org int) error {
 	if b.Rate < 1 || b.Period < 1 || b.Burst < 1 {
 		return fmt.Errorf("ctrl: token bucket needs rate, period and burst >= 1 (have %d/%d/%d)", b.Rate, b.Period, b.Burst)
 	}
-	full, ok := mulInt64(b.Burst, int64(b.Period))
-	if !ok {
-		full = math.MaxInt64
-	}
 	for len(b.levels) <= org {
 		// New buckets start full at time 0: a fresh system admits an
 		// initial burst, as a long-idle bucket would.
-		b.levels = append(b.levels, full)
+		b.levels = append(b.levels, b.capacity())
 		b.synced = append(b.synced, 0)
 	}
 	return nil
@@ -155,12 +147,7 @@ func (b *TokenBucket) Decide(job Job, attempt int, now model.Time, _ View) Decis
 		// Invalid configuration fails closed, deterministically.
 		return Decision{Verdict: Rejected}
 	}
-	o := job.Org
-	capacity, ok := mulInt64(b.Burst, int64(b.Period))
-	if !ok {
-		// A capacity beyond int64 is unreachable by any refill: saturate.
-		capacity = math.MaxInt64
-	}
+	o, capacity := job.Org, b.capacity()
 	if dt := now - b.synced[o]; dt > 0 {
 		// Refill saturates at the capacity; an accrual too large to
 		// represent certainly fills the bucket. levels[o] ≥ 0 and
@@ -178,8 +165,8 @@ func (b *TokenBucket) Decide(job Job, attempt int, now model.Time, _ View) Decis
 		// negative or tiny and slip past the capacity check, admitting
 		// exactly the jobs the bucket exists to reject. A cost too
 		// large to represent can never fit: fail closed.
-		cost, ok = mulInt64(int64(job.Size), int64(b.Period))
-		if !ok {
+		var ok bool
+		if cost, ok = mulInt64(int64(job.Size), int64(b.Period)); !ok {
 			return Decision{Verdict: Rejected}
 		}
 	}
@@ -200,31 +187,30 @@ func (b *TokenBucket) Decide(job Job, attempt int, now model.Time, _ View) Decis
 	return Decision{Verdict: Deferred, RetryAt: now + model.Time(wait)}
 }
 
-// tokenBucketState is the serialized mutable state.
-type tokenBucketState struct {
+// bucketLevels is a token bucket's mutable state as its checkpoint
+// holds it.
+type bucketLevels struct {
 	Levels []int64      `json:"levels,omitempty"`
 	Synced []model.Time `json:"synced,omitempty"`
 }
 
-// StateJSON implements AdmissionPolicy.
-func (b *TokenBucket) StateJSON() ([]byte, error) {
-	return json.Marshal(tokenBucketState{Levels: b.levels, Synced: b.synced})
-}
-
-// RestoreState implements AdmissionPolicy.
-func (b *TokenBucket) RestoreState(data []byte, orgs int) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var st tokenBucketState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("ctrl: restore token bucket: %w", err)
+// restore installs checkpointed levels for an organization universe of
+// the given size. A level is one Decide could leave: between empty and
+// the bucket's capacity.
+func (b *TokenBucket) restore(st *bucketLevels, orgs int) error {
+	if st == nil {
+		return fmt.Errorf("ctrl: restore token bucket: the checkpoint holds no levels")
 	}
 	if len(st.Levels) != len(st.Synced) {
 		return fmt.Errorf("ctrl: restore token bucket: %d levels for %d sync marks", len(st.Levels), len(st.Synced))
 	}
 	if len(st.Levels) > orgs {
 		return fmt.Errorf("ctrl: restore token bucket: %d buckets for %d organizations", len(st.Levels), orgs)
+	}
+	for o, level := range st.Levels {
+		if level < 0 || level > b.capacity() {
+			return fmt.Errorf("ctrl: restore token bucket: organization %d holds %d token-ticks, outside [0, %d]", o, level, b.capacity())
+		}
 	}
 	b.levels = st.Levels
 	b.synced = st.Synced
@@ -238,7 +224,6 @@ func (b *TokenBucket) RestoreState(data []byte, orgs int) error {
 // (0 = defer forever; the backlog draining over time is what
 // terminates the wait). It is stateless: the view carries everything.
 type Backpressure struct {
-	stateless
 	// MaxWaiting is the backlog bound; must be ≥ 1.
 	MaxWaiting int
 	// RetryAfter is the defer delay; must be ≥ 1.

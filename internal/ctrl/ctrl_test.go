@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,12 +10,31 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
+
+// state encodes the plane's state as its owner's document holds it.
+func state(t *testing.T, p *Plane) []byte {
+	t.Helper()
+	data, err := json.Marshal(p.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// restore decodes a control block as its owner's document does and
+// restores it into p.
+func restore(p *Plane, data []byte) error {
+	var cp Checkpoint
+	if err := json.Unmarshal(data, &cp); err != nil {
+		return err
+	}
+	return p.RestoreState(&cp)
+}
 
 // TestVerdictQueueOrder interleaves random pushes and pops and checks
 // every pop against a sort oracle: the queue hands out (instant,
@@ -59,17 +79,14 @@ func TestVerdictQueueOrder(t *testing.T) {
 			p.stats.Released[0]++
 		}
 	}
-	state, err := p.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := state(t, p)
 	for _, key := range []string{`"id"`, `"prio"`, `"next_id"`, `"next_seq"`} {
 		if bytes.Contains(state, []byte(key)) {
 			t.Fatalf("the plane's state writes %s: %s", key, state)
 		}
 	}
 	r := NewPlane(AlwaysAdmit{}, directLoadProvider(), 1)
-	if err := r.RestoreState(state); err != nil {
+	if err := restore(r, state); err != nil {
 		t.Fatal(err)
 	}
 	late := waiting{At: 20, Job: Job{Seq: 1000, Size: 1}}
@@ -435,12 +452,9 @@ func TestPlaneDeterminismAndCheckpoint(t *testing.T) {
 	if len(b.q.h) == 0 {
 		t.Fatal("test needs queued jobs at the checkpoint")
 	}
-	st, err := b.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := state(t, b)
 	c := build()
-	if err := c.RestoreState(st); err != nil {
+	if err := restore(c, st); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Advance(1000, &sb); err != nil {
@@ -473,18 +487,14 @@ func fixturePlane(t *testing.T) (*Plane, *planeSink) {
 }
 
 // TestPlaneFixturesRestore: testdata/ckpt_v2_plane.json is the state
-// the first writer of the current layout captured of fixturePlane, the
-// bytes a fresh run captures. It restores, the restored plane captures
-// them again, and decides and routes the rest of the queue, and one
-// more arrival, as the fresh run does. Restore reads the current layout
-// alone (DESIGN.md §7.1): the same state with its version edited down
-// by one is refused with an error naming the version it reads.
+// fixturePlane captured when the control block carried its own version
+// and policy keys: a fresh run's bytes are the fixture's without them.
+// It restores unedited through the typed decode, the restored plane
+// captures a fresh run's bytes, and decides and routes the rest of the
+// queue, and one more arrival, as the fresh run does.
 func TestPlaneFixturesRestore(t *testing.T) {
 	fresh, _ := fixturePlane(t)
-	want, err := fresh.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := state(t, fresh)
 	arrivals, retries := 0, 0
 	for _, w := range fresh.q.h {
 		if w.Attempt > 0 {
@@ -496,26 +506,20 @@ func TestPlaneFixturesRestore(t *testing.T) {
 	if arrivals == 0 || retries == 0 {
 		t.Fatalf("the fixture run queues %d arrivals and %d retries; it needs both", arrivals, retries)
 	}
-	raw, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("ckpt_v%d_plane.json", CheckpointVersion)))
+	raw, err := os.ReadFile(filepath.Join("testdata", "ckpt_v2_plane.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw = bytes.TrimSpace(raw)
-	if !bytes.Equal(raw, want) {
-		t.Errorf("a fresh run's state differs from the fixture's bytes:\n%s\nfixture\n%s", want, raw)
-	}
-	header := func(v int) []byte { return []byte(fmt.Sprintf(`{"version":%d,`, v)) }
-	retired := bytes.Replace(raw, header(CheckpointVersion), header(CheckpointVersion-1), 1)
-	wantErr := fmt.Sprintf("checkpoint version %d, want %d", CheckpointVersion-1, CheckpointVersion)
-	if err := NewPlane(&TokenBucket{Rate: 1, Period: 7, Burst: 2, SizeCost: true}, directLoadProvider(), 3).RestoreState(retired); err == nil || !strings.Contains(err.Error(), wantErr) {
-		t.Errorf("the fixture as version %d: restore answered %v, want an error mentioning %q", CheckpointVersion-1, err, wantErr)
+	if got := bytes.Replace(raw, []byte(`{"version":2,"policy":"tokenbucket",`), []byte(`{`), 1); !bytes.Equal(got, want) {
+		t.Errorf("a fresh run's state differs from the fixture's bytes without its version and policy:\n%s\nfixture\n%s", want, raw)
 	}
 	restored := NewPlane(&TokenBucket{Rate: 1, Period: 7, Burst: 2, SizeCost: true}, directLoadProvider(), 3)
-	if err := restored.RestoreState(raw); err != nil {
+	if err := restore(restored, raw); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := restored.State(); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("the restored plane's state differs from a fresh run's (err %v):\n%s\nwant\n%s", err, got, want)
+	if got := state(t, restored); !bytes.Equal(got, want) {
+		t.Errorf("the restored plane's state differs from a fresh run's:\n%s\nwant\n%s", got, want)
 	}
 	straight, sa := fixturePlane(t)
 	sb := &planeSink{}
@@ -537,23 +541,24 @@ func TestPlaneFixturesRestore(t *testing.T) {
 	}
 }
 
-// TestPlaneRestoreRejectsMismatchedPolicy: checkpoints name their
-// admission policy and refuse to restore under a different one.
+// TestPlaneRestoreRejectsMismatchedPolicy: a token bucket's checkpoint
+// holds its levels and no other policy's does, so neither restores
+// under the other.
 func TestPlaneRestoreRejectsMismatchedPolicy(t *testing.T) {
-	p := NewPlane(AlwaysAdmit{}, directLoadProvider(), 1)
-	st, err := p.State()
-	if err != nil {
-		t.Fatal(err)
+	always := func() *Plane { return NewPlane(AlwaysAdmit{}, directLoadProvider(), 1) }
+	bucket := func() *Plane { return NewPlane(&TokenBucket{Rate: 1, Period: 1, Burst: 1}, directLoadProvider(), 1) }
+	if err := restore(bucket(), state(t, always())); err == nil {
+		t.Error("restoring an always-admit checkpoint into a token-bucket plane must fail")
 	}
-	q := NewPlane(&TokenBucket{Rate: 1, Period: 1, Burst: 1}, directLoadProvider(), 1)
-	if err := q.RestoreState(st); err == nil {
-		t.Fatal("restoring an always-admit checkpoint into a token-bucket plane must fail")
+	if err := restore(always(), state(t, bucket())); err == nil {
+		t.Error("restoring a token-bucket checkpoint into an always-admit plane must fail")
 	}
 }
 
 // TestPlaneRestoreRejectsForeignState: the serialized queue and policy
-// state are outside input; an event the plane could not have queued, or
-// more buckets than organizations, is refused before it is installed.
+// state are outside input; an event the plane could not have queued,
+// more buckets than organizations, or a level outside [0, Burst·Period]
+// is refused before it is installed.
 func TestPlaneRestoreRejectsForeignState(t *testing.T) {
 	build := func() *Plane {
 		return NewPlane(&TokenBucket{Rate: 1, Period: 10, Burst: 1}, directLoadProvider(), 3)
@@ -564,11 +569,8 @@ func TestPlaneRestoreRejectsForeignState(t *testing.T) {
 	if err := p.Advance(5, &planeSink{}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := build().RestoreState(st); err != nil {
+	st := state(t, p)
+	if err := restore(build(), st); err != nil {
 		t.Fatalf("the plane's own state does not restore: %v", err)
 	}
 	// The deferred second job is the one queued event; organizations 0
@@ -579,6 +581,9 @@ func TestPlaneRestoreRejectsForeignState(t *testing.T) {
 		{`"size":2`, `"size":0`},
 		{`"attempt":1`, `"attempt":-1`},
 		{`"levels":[`, `"levels":[0,0,`, `"synced":[`, `"synced":[0,0,`},
+		{`"levels":[`, `"levels":[-1,`, `"synced":[`, `"synced":[0,`},
+		{`"levels":[`, `"levels":[11,`, `"synced":[`, `"synced":[0,`},
+		{`"levels":[`, `"levels":[-9223372036854775808,`, `"synced":[`, `"synced":[0,`},
 	} {
 		bad := st
 		for i := 0; i < len(edit); i += 2 {
@@ -589,7 +594,7 @@ func TestPlaneRestoreRejectsForeignState(t *testing.T) {
 			bad = next
 		}
 		q := build()
-		if err := q.RestoreState(bad); err == nil {
+		if err := restore(q, bad); err == nil {
 			t.Errorf("%v restored", edit)
 		} else if n := len(q.q.h); n != 0 {
 			t.Errorf("%v: refused, but %d jobs were installed", edit, n)
@@ -612,25 +617,22 @@ func TestPlaneRestoreCountsParkedRetries(t *testing.T) {
 	if err := p.Advance(5, &planeSink{}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := state(t, p)
 	if !bytes.Contains(st, []byte(`"released":[0,2,0],"admitted":[0,1,0],"rejected":[0,0,0],"deferred":[0,1,0]`)) {
 		t.Fatalf("the fixture is not one admitted and one deferred job: %s", st)
 	}
 	for _, junk := range []string{`"deferred":[7,-7,7]`, `"deferred":[]`, `"deferred":[0,1,0,5]`} {
 		q := build()
-		if err := q.RestoreState(bytes.Replace(st, []byte(`"deferred":[0,1,0]`), []byte(junk), 1)); err != nil {
+		if err := restore(q, bytes.Replace(st, []byte(`"deferred":[0,1,0]`), []byte(junk), 1)); err != nil {
 			t.Fatalf("the gauge %s was read: %v", junk, err)
 		}
-		if again, err := q.State(); err != nil || !bytes.Equal(again, st) {
-			t.Fatalf("restored past %s to (err %v)\n%s\nwant\n%s", junk, err, again, st)
+		if again := state(t, q); !bytes.Equal(again, st) {
+			t.Fatalf("restored past %s to\n%s\nwant\n%s", junk, again, st)
 		}
 	}
 	lie := bytes.Replace(st, []byte(`"released":[0,2,0],"admitted":[0,1,0],"rejected":[0,0,0],"deferred":[0,1,0]`),
 		[]byte(`"released":[0,3,0],"admitted":[0,1,0],"rejected":[0,0,0],"deferred":[0,2,0]`), 1)
-	if err := build().RestoreState(lie); err == nil {
+	if err := restore(build(), lie); err == nil {
 		t.Error("two deferred jobs restored over a queue that parks one")
 	}
 }

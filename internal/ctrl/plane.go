@@ -1,7 +1,6 @@
 package ctrl
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -122,23 +121,17 @@ func (p *Plane) Advance(now model.Time, sink Sink) error {
 	return p.stats.CheckConserved()
 }
 
-// CheckpointVersion identifies the serialized control-plane layout, the
-// one RestoreState reads: the queue listed in verdict order, and nothing
-// that order, the counters and the list itself already say. A document
-// of any other version is refused: a change of layout may keep reading
-// the one before it, and the next re-anchor retires that reader with
-// its fixtures (DESIGN.md §7.1).
-const CheckpointVersion = 2
-
-// Checkpoint is the plane's complete serializable dynamic state. The
-// snapshot provider's cached view is owner state (the owner knows its
-// payload type) and is persisted by the owner, not here.
+// Checkpoint is the plane's complete dynamic state, a typed part of its
+// owner's document: the queue listed in verdict order, a token bucket's
+// levels and the admission counters, and nothing that order, the
+// counters and the list itself already say. The owner's document names
+// the policy and versions the layout. The snapshot provider's cached
+// view is owner state (the owner knows its payload type) and is
+// persisted by the owner, not here.
 type Checkpoint struct {
-	Version int                     `json:"version"`
-	Policy  string                  `json:"policy"`
-	Queue   queueState              `json:"queue"`
-	PolicyS json.RawMessage         `json:"policy_state,omitempty"`
-	Stats   *metrics.AdmissionStats `json:"stats"`
+	Queue  queueState              `json:"queue"`
+	Bucket *bucketLevels           `json:"policy_state,omitempty"`
+	Stats  *metrics.AdmissionStats `json:"stats"`
 }
 
 // queueState is the serialized queue: the waiting jobs, in verdict
@@ -147,37 +140,23 @@ type queueState struct {
 	Events []waiting `json:"events,omitempty"`
 }
 
-// State serializes the plane's dynamic state.
-func (p *Plane) State() (json.RawMessage, error) {
-	ps, err := p.policy.StateJSON()
-	if err != nil {
-		return nil, fmt.Errorf("ctrl: serialize policy %q: %w", p.policy.Name(), err)
-	}
+// State returns the plane's dynamic state. It shares the plane's
+// counters and bucket levels, so it is encoded before the plane moves
+// again.
+func (p *Plane) State() *Checkpoint {
 	events := slices.Clone(p.q.h)
 	slices.SortFunc(events, compareVerdict)
-	return json.Marshal(Checkpoint{
-		Version: CheckpointVersion,
-		Policy:  p.policy.Name(),
-		Queue:   queueState{Events: events},
-		PolicyS: ps,
-		Stats:   p.stats,
-	})
+	cp := &Checkpoint{Queue: queueState{Events: events}, Stats: p.stats}
+	if b, ok := p.policy.(*TokenBucket); ok {
+		cp.Bucket = &bucketLevels{Levels: b.levels, Synced: b.synced}
+	}
+	return cp
 }
 
-// RestoreState rebuilds the plane's dynamic state from a State
-// serialization. The configured policy must match the one that
-// captured it.
-func (p *Plane) RestoreState(data json.RawMessage) error {
-	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return fmt.Errorf("ctrl: restore plane: %w", err)
-	}
-	if cp.Version != CheckpointVersion {
-		return fmt.Errorf("ctrl: restore plane: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
-	}
-	if cp.Policy != p.policy.Name() {
-		return fmt.Errorf("ctrl: restore plane: checkpoint admitted by %q, plane configured with %q", cp.Policy, p.policy.Name())
-	}
+// RestoreState rebuilds the plane's dynamic state from a State capture
+// taken under the same admission policy: a token bucket's capture holds
+// its levels, and any other's holds none.
+func (p *Plane) RestoreState(cp *Checkpoint) error {
 	if cp.Stats == nil {
 		return fmt.Errorf("ctrl: restore plane: checkpoint has no admission stats")
 	}
@@ -203,8 +182,12 @@ func (p *Plane) RestoreState(data json.RawMessage) error {
 	if err := cp.Stats.CheckConserved(); err != nil {
 		return fmt.Errorf("ctrl: restore plane: %w", err)
 	}
-	if err := p.policy.RestoreState(cp.PolicyS, p.stats.Orgs()); err != nil {
-		return err
+	if b, ok := p.policy.(*TokenBucket); ok {
+		if err := b.restore(cp.Bucket, p.stats.Orgs()); err != nil {
+			return err
+		}
+	} else if cp.Bucket != nil {
+		return fmt.Errorf("ctrl: restore plane: token-bucket levels for a plane admitting by %q", p.policy.Name())
 	}
 	// Nothing decoded carries a push number, so position breaks the ties
 	// of a stable sort: the list is held to verdict order as written.

@@ -482,17 +482,22 @@ func fullForm(t testing.TB, snap []byte, du int64) []byte {
 	return nil
 }
 
-// Session.Restore reads the layouts the daemon writes alone (DESIGN.md
-// §7.1): a federation checkpoint or a single session's core checkpoint
-// with its version edited down by one, and the envelope the engine's
-// retired admission gate stored, are refused with an error naming the
-// version restore reads, and leave the session as it was.
+// Session.Restore reads the layouts the daemon writes, and the
+// federation layout before the current one, alone (DESIGN.md §7.1): a
+// federation checkpoint with its version edited down by two, a single
+// session's core checkpoint with its version edited down by one, and
+// the envelope the engine's retired admission gate stored, are refused
+// with an error naming the versions restore reads, and leave the
+// session as it was.
 func TestSessionRefusesRetiredLayouts(t *testing.T) {
 	gateCfg, gateJobs := retiredGateRun()
 	gated := checkpointOf(t, gateCfg, gateJobs, 33)
 	single := checkpointOf(t, singleCfg(), overloadJobs(0), 30)
-	down := func(snap []byte, version int) []byte {
-		return bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, version)), []byte(fmt.Sprintf(`{"version":%d,`, version-1)), 1)
+	down := func(snap []byte, version, by int) []byte {
+		return bytes.Replace(snap, []byte(fmt.Sprintf(`{"version":%d,`, version)), []byte(fmt.Sprintf(`{"version":%d,`, version-by)), 1)
+	}
+	fedWant := func(v int) string {
+		return fmt.Sprintf("fed: restore: checkpoint version %d, want %d or %d", v, fed.CheckpointVersion-1, fed.CheckpointVersion)
 	}
 	for _, tc := range []struct {
 		name string
@@ -500,9 +505,9 @@ func TestSessionRefusesRetiredLayouts(t *testing.T) {
 		doc  []byte
 		want string
 	}{
-		{"federation version", gateCfg, down(gated, fed.CheckpointVersion), fmt.Sprintf("fed: restore: checkpoint version %d, want %d", fed.CheckpointVersion-1, fed.CheckpointVersion)},
-		{"core version", singleCfg(), down(single, core.CheckpointVersion), fmt.Sprintf("core: restore: checkpoint version %d, want %d", core.CheckpointVersion-1, core.CheckpointVersion)},
-		{"gate envelope", gateCfg, gateEnvelope(t, gated), fmt.Sprintf("fed: restore: checkpoint version 0, want %d", fed.CheckpointVersion)},
+		{"federation version", gateCfg, down(gated, fed.CheckpointVersion, 2), fedWant(fed.CheckpointVersion - 2)},
+		{"core version", singleCfg(), down(single, core.CheckpointVersion, 1), fmt.Sprintf("core: restore: checkpoint version %d, want %d", core.CheckpointVersion-1, core.CheckpointVersion)},
+		{"gate envelope", gateCfg, gateEnvelope(t, gated), fedWant(0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sess, err := daemon.NewManager().Create("s", tc.cfg)

@@ -104,7 +104,7 @@ func benchShapes() (cfgs []daemon.SessionConfig, jobs [][]daemon.JobSubmission) 
 // overwritten, booleans flipped, strings blanked, arrays cut short or
 // stretched — of the four session shapes the benchmark serves, a gated
 // single session (a one-member federation), a gated, stale, migrating
-// federation, the runs the retired gate envelopes and version-4
+// federation, a round-robin single session, the runs the retired gate envelopes and version-4
 // federation held (retiredGateRun, retiredFedRun) in the current
 // layout, and the two documents f912fcb restored and then could not
 // serve; and, refused undoctored, the gated documents with a control
@@ -121,6 +121,16 @@ func FuzzSessionRestore(f *testing.F) {
 	cfgs, jobs := benchShapes()
 	gatedOnes := []int{len(cfgs), len(cfgs) + 1} // the gated single session and federation appended next
 	cfgs, jobs = append(cfgs, gatedSingleCfg(), gatedMigratingFedCfg()), append(jobs, overloadJobs(0), overloadJobs(0))
+	// A round-robin single session, with both organizations waiting on
+	// its one machine: its rotation cursor is the policy state a core
+	// checkpoint carries.
+	var contested []daemon.JobSubmission
+	for n := 0; n < 8; n++ {
+		contested = append(contested, daemon.JobSubmission{Org: n % 2, Size: 6})
+	}
+	roundRobin := len(cfgs)
+	cfgs = append(cfgs, daemon.SessionConfig{Kind: daemon.KindSingle, Alg: "roundrobin", Orgs: 2, Machines: 1, Seed: 3})
+	jobs = append(jobs, contested)
 	var seeds [][]byte
 	for i, cfg := range cfgs {
 		seeds = append(seeds, checkpointOf(f, cfg, jobs[i], 30))
@@ -164,6 +174,10 @@ func FuzzSessionRestore(f *testing.F) {
 		f.Add(uint8(which), []byte{0, 40, 0, 0, 99, 1, 7, 2, 0, 0})
 		f.Add(uint8(which), []byte{3, 200, 1, 255, 255, 0, 90, 0, 0, 1, 2, 2, 3, 0, 0})
 	}
+	// The edit that once restored and then panicked the next contested
+	// dispatch: the rotation cursor set to −7.
+	cursor := nodeOf(f, seeds[roundRobin], `"policy":{"next":-7}`)
+	f.Add(uint8(roundRobin), []byte{byte(cursor >> 8), byte(cursor), 0, 0xff, 0xf9})
 	f.Fuzz(func(t *testing.T, which uint8, edits []byte) {
 		cfg, seed := cfgs[int(which)%len(cfgs)], seeds[int(which)%len(cfgs)]
 		var doc any
@@ -231,6 +245,27 @@ func FuzzSessionRestore(f *testing.F) {
 			t.Fatalf("an accepted session does not checkpoint after serving: %v\n%s", err, posted)
 		}
 	})
+}
+
+// nodeOf returns the index, in editNode's order, of the value of doc
+// that written as −7 makes doc hold want.
+func nodeOf(t testing.TB, doc []byte, want string) int {
+	t.Helper()
+	for n := 0; ; n++ {
+		var tree any
+		dec := json.NewDecoder(bytes.NewReader(doc))
+		dec.UseNumber()
+		if err := dec.Decode(&tree); err != nil {
+			t.Fatal(err)
+		}
+		edited, total := editNode(tree, n, func(any) any { return json.Number("-7") })
+		if n >= total {
+			t.Fatalf("no value of the document written as -7 makes it hold %s", want)
+		}
+		if out, _ := json.Marshal(edited); bytes.Contains(out, []byte(want)) {
+			return n
+		}
+	}
 }
 
 // readBack posts sess's own checkpoint at a fresh session of its

@@ -247,12 +247,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, sess *
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, sess *Session) {
-	var buf json.RawMessage
-	if err := s.decodeBody(w, r, &buf); err != nil {
+	body, err := s.readBody(w, r)
+	if err != nil {
 		s.writeError(w, bodyStatus(err), "bad snapshot: %v", err)
 		return
 	}
-	if err := sess.Restore(buf); err != nil {
+	if err := sess.Restore(body); err != nil {
 		// A snapshot the session rejects is the client's problem; a
 		// session whose own configuration no longer rebuilds is ours.
 		status := http.StatusBadRequest

@@ -2,7 +2,6 @@ package fed
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -12,20 +11,21 @@ import (
 )
 
 // CheckpointVersion identifies the serialized federation checkpoint
-// layout, the one Restore reads. Member engine snapshots carry their own
-// core.CheckpointVersion, and the control block its
-// ctrl.CheckpointVersion. Each fact is written once: organization
-// names, the sequence counter, the ledger's placement and accounting
-// columns and all of a decision but its cluster are the members' to
-// say, and a cached exchange stores its summaries' observations and the
-// instant it observed — the members' clock when it was taken — not
-// their cluster, capacities or Σ ψ. The decision order's instants never
-// decrease; each Step's chunk of it is by instant, then member
-// (Federation.Step). A document of any other version is refused, and so
-// is the job-source cursor block (see Checkpoint.Source): a change of
-// layout may keep reading the one before it, and the next re-anchor
-// retires that reader with its fixtures (DESIGN.md §7.1).
-const CheckpointVersion = 7
+// layout, the one Restore reads, control block included. Member engine
+// snapshots carry their own core.CheckpointVersion. Each fact is written
+// once: organization names, the sequence counter, the ledger's placement
+// and accounting columns and all of a decision but its cluster are the
+// members' to say, and a cached exchange stores its summaries'
+// observations and the instant it observed — the members' clock when it
+// was taken — not their cluster, capacities or Σ ψ. The decision order's
+// instants never decrease; each Step's chunk of it is by instant, then
+// member (Federation.Step). Version 8 dropped the control block's own
+// version and policy keys; Restore reads a version-7 document through
+// the same decode, which ignores them. A document of any other version
+// is refused: a change of layout may keep reading the one before it, and
+// the next re-anchor retires that reader with its fixtures (DESIGN.md
+// §7.1).
+const CheckpointVersion = 8
 
 // Checkpoint is the complete serializable state of a federation: the
 // routing layer (pending queue, the order members' decisions were
@@ -64,16 +64,11 @@ type Checkpoint struct {
 	ExRouted  [][]int64   `json:"ex_routed,omitempty"`
 
 	// Control-plane state: the admission spec that was installed and the
-	// plane's serialized dynamic state (the jobs parked on a deferred
-	// retry, mutable policy state, admission counters). Both empty when
-	// the plane is off.
+	// plane's dynamic state (the jobs parked on a deferred retry, the
+	// token bucket's levels, admission counters). Both absent when the
+	// plane is off.
 	Admission *ctrl.PolicySpec `json:"admission,omitempty"`
-	Ctrl      json.RawMessage  `json:"ctrl,omitempty"`
-
-	// Source is never written. It is decoded only so that Restore can
-	// refuse a checkpoint taken while a job source was attached to the
-	// federation itself: the rest of that stream is not in the snapshot.
-	Source json.RawMessage `json:"source,omitempty"`
+	Ctrl      *ctrl.Checkpoint `json:"ctrl,omitempty"`
 }
 
 // MemberCheckpoint is one member cluster's state: identity, the
@@ -114,11 +109,7 @@ func (f *Federation) Snapshot() ([]byte, error) {
 		cp.ExRouted = ex.Routed
 	}
 	if f.plane != nil {
-		st, err := f.plane.State()
-		if err != nil {
-			return nil, fmt.Errorf("fed: snapshot control plane: %w", err)
-		}
-		cp.Ctrl = st
+		cp.Ctrl = f.plane.State()
 	}
 	for i, m := range f.members {
 		snap, err := m.eng.Capture()
@@ -144,11 +135,8 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("fed: restore: %w", err)
 	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
-	}
-	if len(cp.Source) > 0 {
-		return nil, errors.New(`fed: restore: checkpoint has a "source" block: it was taken mid-stream by a federation that pulled its own job source, and the rest of that stream is not in it`)
+	if v := cp.Version; v != CheckpointVersion && v != CheckpointVersion-1 {
+		return nil, fmt.Errorf("fed: restore: checkpoint version %d, want %d or %d", v, CheckpointVersion-1, CheckpointVersion)
 	}
 	if policy == nil {
 		return nil, fmt.Errorf("fed: restore: nil delegation policy")
@@ -187,7 +175,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		if err := f.SetAdmission(cp.Admission); err != nil {
 			return nil, fmt.Errorf("fed: restore: %w", err)
 		}
-		if len(cp.Ctrl) == 0 {
+		if cp.Ctrl == nil {
 			return nil, fmt.Errorf("fed: restore: checkpoint names admission policy %q but carries no control-plane state", cp.Admission.Policy)
 		}
 		if err := f.plane.RestoreState(cp.Ctrl); err != nil {
@@ -199,7 +187,7 @@ func Restore(orgs []string, specs []ClusterSpec, policy Policy, data []byte) (*F
 		if t, ok := f.plane.NextEventTime(); ok && t <= cp.Now {
 			return nil, fmt.Errorf("fed: restore: control queue holds a job for instant %d, not after the checkpoint's clock %d", t, cp.Now)
 		}
-	} else if len(cp.Ctrl) > 0 {
+	} else if cp.Ctrl != nil {
 		return nil, fmt.Errorf("fed: restore: checkpoint carries control-plane state but no admission spec")
 	}
 	for i, spec := range specs {

@@ -15,7 +15,7 @@ import (
 	"repro/internal/model"
 )
 
-// parentCkpt is the run behind testdata/ckpt_v7_{direct,gated}.json:
+// parentCkpt is the run behind testdata/ckpt_v{7,8}_{direct,gated}.json:
 // a saturated two-machine REF site next to an idle four-machine one,
 // every job handed in at the busy site, under migrating least-loaded
 // routing at staleness 30, stopped at parentCkptAt — mid gossip period,
@@ -59,15 +59,18 @@ func parentCkptFederation(t testing.TB, gated bool) *fed.Federation {
 	return f
 }
 
-// testdata/ckpt_v7_{direct,gated}.json are parentCkptFederation
+// testdata/ckpt_v8_{direct,gated}.json are parentCkptFederation
 // stepped to parentCkptAt, from the first writer of the current layout.
 // Each is a fresh run's snapshot byte for byte; it restores with its
 // migrations, cached exchange and, gated, deferred admissions, conserves
 // work, re-captures to its own bytes and runs on to the horizon exactly
-// as the uninterrupted run. Restore reads the current layout alone
-// (DESIGN.md §7.1): the same document under a retired federation
-// version, 1 to 6, or with its members under a retired core version
-// (coreN), is refused with an error naming the version it reads.
+// as the uninterrupted run. testdata/ckpt_v7_*.json are the same states
+// in the previous layout, whose control block also carried its own
+// version and policy: within DESIGN.md §7.1's window each restores
+// unedited, through the same decode, to the state that re-captures as
+// its version-8 twin. Every other federation version, 1 to 6 and 9, or
+// members under a retired core version (coreN), is refused with an
+// error naming the version it reads.
 func TestParentCheckpointsRestore(t *testing.T) {
 	restore := func(doc []byte) (*fed.Federation, error) {
 		return fed.Restore(parentCkptOrgs, parentCkptSpecs(), parentCkptPolicy(), doc)
@@ -78,20 +81,38 @@ func TestParentCheckpointsRestore(t *testing.T) {
 			t.Fatalf("restore answered %v, want an error mentioning %q", err, want)
 		}
 	}
+	fixture := func(t *testing.T, version int, run string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("ckpt_v%d_%s.json", version, run)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.TrimSpace(raw)
+	}
 	for _, run := range []string{"direct", "gated"} {
 		t.Run(run, func(t *testing.T) {
 			gated := run == "gated"
-			raw, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("ckpt_v%d_%s.json", fed.CheckpointVersion, run)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw = bytes.TrimSpace(raw)
-			for version := 1; version < fed.CheckpointVersion; version++ {
+			raw := fixture(t, fed.CheckpointVersion, run)
+			for _, version := range []int{1, 2, 3, 4, 5, 6, fed.CheckpointVersion + 1} {
 				t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 					header := func(v int) []byte { return []byte(fmt.Sprintf(`{"version":%d,`, v)) }
-					refused(t, bytes.Replace(raw, header(fed.CheckpointVersion), header(version), 1), fmt.Sprintf("fed: restore: checkpoint version %d, want %d", version, fed.CheckpointVersion))
+					refused(t, bytes.Replace(raw, header(fed.CheckpointVersion), header(version), 1),
+						fmt.Sprintf("fed: restore: checkpoint version %d, want %d or %d", version, fed.CheckpointVersion-1, fed.CheckpointVersion))
 				})
 			}
+			t.Run(fmt.Sprintf("v%d", fed.CheckpointVersion-1), func(t *testing.T) {
+				prev := fixture(t, fed.CheckpointVersion-1, run)
+				if gated != bytes.Contains(prev, []byte(`"ctrl":{"version":2,"policy":"tokenbucket",`)) {
+					t.Fatal("the previous layout's gated fixture carries the control block's own version and policy, the direct one no block")
+				}
+				restored, err := restore(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := restored.Snapshot(); err != nil || !bytes.Equal(got, raw) {
+					t.Errorf("the version-%d fixture re-captures other than its version-%d twin (err %v):\n%s", fed.CheckpointVersion-1, fed.CheckpointVersion, err, got)
+				}
+			})
 			for version := 1; version < core.CheckpointVersion; version++ {
 				t.Run(fmt.Sprintf("core%d", version), func(t *testing.T) {
 					var cp fed.Checkpoint

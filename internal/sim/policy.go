@@ -42,10 +42,17 @@ type MachineOrderer interface {
 // whose state is derived from the cluster or driver at every decision —
 // need not implement it.
 type StatefulPolicy interface {
-	// CapturePolicyState serializes the policy's mutable state.
-	CapturePolicyState() ([]byte, error)
-	// RestorePolicyState resumes from a capture.
-	RestorePolicyState(data []byte) error
+	// SavePolicy returns the policy's mutable state.
+	SavePolicy() PolicyState
+	// RestorePolicy resumes from a saved state, refusing one the
+	// attached policy could not have saved.
+	RestorePolicy(st PolicyState) error
+}
+
+// PolicyState is a stateful policy's part of a checkpoint: RoundRobin's
+// rotation cursor, the organization its next turn starts from.
+type PolicyState struct {
+	Next int `json:"next"`
 }
 
 // View is the read-only window a Policy gets onto a Cluster. All queries

@@ -36,6 +36,7 @@ func TestStructure(t *testing.T) {
 		{"One stepping mode", oneSteppingMode},
 		{"Free flow stays in the set", freeFlowStaysInTheSet},
 		{"One version check per format", oneVersionCheckPerFormat},
+		{"One decode per checkpoint", oneDecodePerCheckpoint},
 		{"One batch contract", oneBatchContract},
 		{"Design doc size", designDocSize},
 	} {
@@ -336,38 +337,31 @@ func freeFlowStaysInTheSet(t *testing.T, m *module) {
 }
 
 // oneVersionCheckPerFormat: each checkpoint format restores the one
-// layout it writes (DESIGN.md §7.1), so each has one version check, in
-// its restore: core's in restoreStepper, which every RestoreStepper
-// runs, the federation's in fed.Restore and the control block's in
-// (*ctrl.Plane).RestoreState. No other non-test function reads the
-// Version field of core.Checkpoint, fed.Checkpoint or ctrl.Checkpoint
-// through a selector — a second reader of a retired layout would — and
-// each restore compares it once. (A capture writes it as a keyed
-// composite-literal field, which is no selector.)
+// layout it writes (DESIGN.md §7.1), and the federation also the layout
+// before it, so each has one version check, in its restore: core's in
+// restoreStepper, which every RestoreStepper runs, and the federation's
+// in fed.Restore, whose one read accepts both layouts. The control block
+// is a typed part of the federation's document and has no version of its
+// own. No other non-test function reads the Version field of
+// core.Checkpoint or fed.Checkpoint through a selector — a second reader
+// of a retired layout would — and each restore reads it once. (A capture
+// writes it as a keyed composite-literal field, which is no selector.)
 func oneVersionCheckPerFormat(t *testing.T, m *module) {
 	for _, format := range []struct{ field, check string }{
 		{"core.Checkpoint.Version", "core.restoreStepper"},
 		{"fed.Checkpoint.Version", "fed.Restore"},
-		{"ctrl.Checkpoint.Version", "ctrl.Plane.RestoreState"},
 	} {
 		field, check := m.lookup(t, format.field), m.decl(t, m.lookup(t, format.check))
 		var outside []token.Pos
-		compared := 0
+		read := 0
 		for path, files := range m.files {
-			reads := func(e ast.Expr) bool {
-				sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-				return ok && origin(m.info[path].Uses[sel.Sel]) == field
-			}
 			for _, f := range files {
 				ast.Inspect(f, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.SelectorExpr:
-						if reads(n) && (n.Pos() < check.Pos() || n.End() > check.End()) {
+					if sel, ok := n.(*ast.SelectorExpr); ok && origin(m.info[path].Uses[sel.Sel]) == field {
+						if n.Pos() < check.Pos() || n.End() > check.End() {
 							outside = append(outside, n.Pos())
-						}
-					case *ast.BinaryExpr:
-						if reads(n.X) || reads(n.Y) {
-							compared++
+						} else {
+							read++
 						}
 					}
 					return true
@@ -375,10 +369,87 @@ func oneVersionCheckPerFormat(t *testing.T, m *module) {
 			}
 		}
 		m.report(t, outside, "reads "+format.field+" outside "+format.check)
-		if compared != 1 {
-			t.Errorf("%s is compared %d times, want once, in %s", format.field, compared, format.check)
+		if read != 1 {
+			t.Errorf("%s is read %d times, want once, in %s", format.field, read, format.check)
 		}
 	}
+}
+
+// oneDecodePerCheckpoint: a checkpoint is one typed document, encoded
+// once and decoded once. No struct a core checkpoint, a federation
+// checkpoint or a cluster state reaches holds a json.RawMessage — a part
+// that is re-encoded or re-decoded on its own, with a version or a codec
+// of its own — so the control block, a token bucket's levels and a
+// stateful policy's state are typed fields; ctrl declares no
+// CheckpointVersion; and no method serializes a policy's state to bytes
+// (StateJSON, CapturePolicyState).
+func oneDecodePerCheckpoint(t *testing.T, m *module) {
+	isRaw := func(ty types.Type) bool {
+		for {
+			switch u := ty.(type) {
+			case *types.Pointer:
+				ty = u.Elem()
+				continue
+			case *types.Slice:
+				ty = u.Elem()
+				continue
+			case *types.Array:
+				ty = u.Elem()
+				continue
+			case *types.Map:
+				ty = u.Elem()
+				continue
+			case *types.Named:
+				obj := u.Obj()
+				return obj.Pkg() != nil && obj.Pkg().Path() == "encoding/json" && obj.Name() == "RawMessage"
+			}
+			return false
+		}
+	}
+	found := map[token.Pos]string{}
+	seen := map[*types.Struct]bool{}
+	var walk func(ty types.Type)
+	walk = func(ty types.Type) {
+		switch ty := ty.(type) {
+		case *types.Named:
+			if ty.Obj().Pkg() != nil && strings.HasPrefix(ty.Obj().Pkg().Path(), "repro/") {
+				walk(ty.Underlying())
+			}
+		case *types.Pointer:
+			walk(ty.Elem())
+		case *types.Slice:
+			walk(ty.Elem())
+		case *types.Array:
+			walk(ty.Elem())
+		case *types.Map:
+			walk(ty.Key())
+			walk(ty.Elem())
+		case *types.Struct:
+			if seen[ty] {
+				return
+			}
+			seen[ty] = true
+			for i := 0; i < ty.NumFields(); i++ {
+				f := ty.Field(i)
+				if isRaw(f.Type()) {
+					found[f.Pos()] = "a checkpoint reaches the json.RawMessage field " + f.Name()
+				}
+				walk(f.Type())
+			}
+		}
+	}
+	for _, root := range []string{"core.Checkpoint", "fed.Checkpoint", "sim.ClusterState"} {
+		walk(m.lookup(t, root).Type())
+	}
+	for _, info := range m.info {
+		for id, obj := range info.Defs {
+			if fn, ok := obj.(*types.Func); ok && (fn.Name() == "StateJSON" || fn.Name() == "CapturePolicyState") {
+				found[id.Pos()] = "declares " + fn.Name()
+			}
+		}
+	}
+	m.reportEach(t, found)
+	m.forbidDeclarations(t, "ctrl", "CheckpointVersion")
 }
 
 // oneBatchContract: the paper defines one scheduling loop, and a batch
