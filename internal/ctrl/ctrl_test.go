@@ -79,14 +79,14 @@ func TestVerdictQueueOrder(t *testing.T) {
 			p.stats.Released[0]++
 		}
 	}
-	state := state(t, p)
+	st := state(t, p)
 	for _, key := range []string{`"id"`, `"prio"`, `"next_id"`, `"next_seq"`} {
-		if bytes.Contains(state, []byte(key)) {
-			t.Fatalf("the plane's state writes %s: %s", key, state)
+		if bytes.Contains(st, []byte(key)) {
+			t.Fatalf("the plane's state writes %s: %s", key, st)
 		}
 	}
 	r := NewPlane(AlwaysAdmit{}, directLoadProvider(), 1)
-	if err := restore(r, state); err != nil {
+	if err := restore(r, st); err != nil {
 		t.Fatal(err)
 	}
 	late := waiting{At: 20, Job: Job{Seq: 1000, Size: 1}}
