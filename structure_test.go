@@ -122,45 +122,19 @@ var freeFlowKeyParts = []string{"flow", "release_start", "ledger", "offset"}
 // (`nextSeq`): restore rebuilds it from the members.
 func oneCopyOfEachFact(t *testing.T, m *module) {
 	structs := map[*types.Struct]*types.TypeName{} // -> the named type declaring it
-	var walk func(ty types.Type, owner *types.TypeName)
-	walk = func(ty types.Type, owner *types.TypeName) {
-		switch ty := ty.(type) {
-		case *types.Named:
-			if ty.Obj().Pkg() != nil && strings.HasPrefix(ty.Obj().Pkg().Path(), "repro/") {
-				walk(ty.Underlying(), ty.Obj())
-			}
-		case *types.Pointer:
-			walk(ty.Elem(), owner)
-		case *types.Slice:
-			walk(ty.Elem(), owner)
-		case *types.Array:
-			walk(ty.Elem(), owner)
-		case *types.Map:
-			walk(ty.Key(), owner)
-			walk(ty.Elem(), owner)
-		case *types.Struct:
-			if _, ok := structs[ty]; ok {
-				return
-			}
-			structs[ty] = owner
-			for i := 0; i < ty.NumFields(); i++ {
-				walk(ty.Field(i).Type(), owner)
-			}
-		}
-	}
 	for _, root := range []string{"fed.Checkpoint", "ctrl.Checkpoint", "sim.ClusterState"} {
-		walk(m.lookup(t, root).Type(), nil)
+		structsOf(m.lookup(t, root).Type(), nil, structs)
 	}
 	reached := maps.Clone(structs)
 	for _, p := range []string{"fed", "ctrl", "sim", "core"} {
 		m.pkg(t, "internal/"+p)
 		for _, obj := range m.info[internal+p].Defs {
 			if tn, ok := obj.(*types.TypeName); ok {
-				walk(tn.Type(), nil)
+				structsOf(tn.Type(), nil, structs)
 			}
 		}
 		for _, tv := range m.info[internal+p].Types { // anonymous structs too
-			walk(tv.Type, nil)
+			structsOf(tv.Type, nil, structs)
 		}
 	}
 	for name := range derivedKeys {
@@ -384,62 +358,17 @@ func oneVersionCheckPerFormat(t *testing.T, m *module) {
 // CheckpointVersion; and no method serializes a policy's state to bytes
 // (StateJSON, CapturePolicyState).
 func oneDecodePerCheckpoint(t *testing.T, m *module) {
-	isRaw := func(ty types.Type) bool {
-		for {
-			switch u := ty.(type) {
-			case *types.Pointer:
-				ty = u.Elem()
-				continue
-			case *types.Slice:
-				ty = u.Elem()
-				continue
-			case *types.Array:
-				ty = u.Elem()
-				continue
-			case *types.Map:
-				ty = u.Elem()
-				continue
-			case *types.Named:
-				obj := u.Obj()
-				return obj.Pkg() != nil && obj.Pkg().Path() == "encoding/json" && obj.Name() == "RawMessage"
-			}
-			return false
-		}
+	structs := map[*types.Struct]*types.TypeName{}
+	for _, root := range []string{"core.Checkpoint", "fed.Checkpoint", "sim.ClusterState"} {
+		structsOf(m.lookup(t, root).Type(), nil, structs)
 	}
 	found := map[token.Pos]string{}
-	seen := map[*types.Struct]bool{}
-	var walk func(ty types.Type)
-	walk = func(ty types.Type) {
-		switch ty := ty.(type) {
-		case *types.Named:
-			if ty.Obj().Pkg() != nil && strings.HasPrefix(ty.Obj().Pkg().Path(), "repro/") {
-				walk(ty.Underlying())
-			}
-		case *types.Pointer:
-			walk(ty.Elem())
-		case *types.Slice:
-			walk(ty.Elem())
-		case *types.Array:
-			walk(ty.Elem())
-		case *types.Map:
-			walk(ty.Key())
-			walk(ty.Elem())
-		case *types.Struct:
-			if seen[ty] {
-				return
-			}
-			seen[ty] = true
-			for i := 0; i < ty.NumFields(); i++ {
-				f := ty.Field(i)
-				if isRaw(f.Type()) {
-					found[f.Pos()] = "a checkpoint reaches the json.RawMessage field " + f.Name()
-				}
-				walk(f.Type())
+	for s := range structs {
+		for i := 0; i < s.NumFields(); i++ {
+			if f := s.Field(i); strings.Contains(types.TypeString(f.Type(), nil), "encoding/json.RawMessage") {
+				found[f.Pos()] = "a checkpoint reaches the json.RawMessage field " + f.Name()
 			}
 		}
-	}
-	for _, root := range []string{"core.Checkpoint", "fed.Checkpoint", "sim.ClusterState"} {
-		walk(m.lookup(t, root).Type())
 	}
 	for _, info := range m.info {
 		for id, obj := range info.Defs {
@@ -486,6 +415,35 @@ func designDocSize(t *testing.T, _ *module) {
 	}
 	if n := bytes.Count(data, []byte("\n")); n > 850 {
 		t.Errorf("DESIGN.md has %d lines, want at most 850", n)
+	}
+}
+
+// structsOf adds to structs every struct type ty reaches through the
+// module's named types, pointers, slices, arrays and maps, each mapped
+// to the named type declaring it (owner until ty names one).
+func structsOf(ty types.Type, owner *types.TypeName, structs map[*types.Struct]*types.TypeName) {
+	switch ty := ty.(type) {
+	case *types.Named:
+		if ty.Obj().Pkg() != nil && strings.HasPrefix(ty.Obj().Pkg().Path(), "repro/") {
+			structsOf(ty.Underlying(), ty.Obj(), structs)
+		}
+	case *types.Pointer:
+		structsOf(ty.Elem(), owner, structs)
+	case *types.Slice:
+		structsOf(ty.Elem(), owner, structs)
+	case *types.Array:
+		structsOf(ty.Elem(), owner, structs)
+	case *types.Map:
+		structsOf(ty.Key(), owner, structs)
+		structsOf(ty.Elem(), owner, structs)
+	case *types.Struct:
+		if _, ok := structs[ty]; ok {
+			return
+		}
+		structs[ty] = owner
+		for i := 0; i < ty.NumFields(); i++ {
+			structsOf(ty.Field(i).Type(), owner, structs)
+		}
 	}
 }
 
